@@ -310,7 +310,7 @@ fn table_c2(quick: bool) {
         let direct_answer = evaluate(query, &doc);
         assert_eq!(view.apply_virtual(&rewriting, &doc), direct_answer);
         assert_eq!(
-            view.apply_materialized(&rewriting).len(),
+            view.apply_materialized(&rewriting, &doc).len(),
             xpv_engine::answer_value_set(&doc, &direct_answer).len()
         );
 
@@ -321,10 +321,10 @@ fn table_c2(quick: bool) {
             td.push(d);
             let (_, d) = time(|| view.apply_virtual(&rewriting, &doc));
             tv.push(d);
-            let (_, d) = time(|| view.apply_materialized(&rewriting));
+            let (_, d) = time(|| view.apply_materialized(&rewriting, &doc));
             tm.push(d);
         }
-        let view_size: usize = view.trees().iter().map(xpv_model::Tree::len).sum();
+        let view_size: usize = view.trees(&doc).iter().map(xpv_model::Tree::len).sum();
         let (md, mv, mm) = (mean_micros(&td), mean_micros(&tv), mean_micros(&tm));
         println!(
             "{scale:<8} {:>9} {view_size:>10} {md:>10.1}µs {mv:>10.1}µs {mm:>8.1}µs {:>9.2}x",

@@ -61,7 +61,7 @@ pub struct ViewCache {
     inner: ShardedViewCache,
     /// Mirror of the inner view pool so [`ViewCache::views`] can hand out a
     /// plain slice (the concurrent pool lives behind a lock).
-    views_mirror: Arc<Vec<MaterializedView>>,
+    views_mirror: Arc<Vec<Arc<MaterializedView>>>,
     /// Mirror of the inner document so [`ViewCache::document`] can hand out
     /// a plain reference (refreshed after every `apply_edits`).
     doc_mirror: Arc<Tree>,
@@ -243,7 +243,7 @@ impl ViewCache {
     }
 
     /// The registered views.
-    pub fn views(&self) -> &[MaterializedView] {
+    pub fn views(&self) -> &[Arc<MaterializedView>] {
         &self.views_mirror
     }
 

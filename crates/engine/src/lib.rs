@@ -3,10 +3,11 @@
 //! The application layer of the `xpath-views` workspace (Afrati et al.,
 //! EDBT 2009 reproduction): materialize view patterns over XML documents
 //! ([`MaterializedView`]) and answer queries from them whenever the
-//! [`xpv_core::RewritePlanner`] certifies an equivalent rewriting. Both the
-//! virtual (node-identity) and materialized (subtree-copy) representations
-//! of `V(t)` are supported, and Proposition 2.4 — `R ◦ V (t) = R(V(t))` —
-//! is the correctness contract the tests enforce end to end.
+//! [`xpv_core::RewritePlanner`] certifies an equivalent rewriting. A view
+//! stores `V(t)` as its output-node set (node identity kept); the by-value
+//! subtree-copy reading is computed on demand (see [`view`]), and
+//! Proposition 2.4 — `R ◦ V (t) = R(V(t))` — is the correctness contract
+//! the tests enforce end to end on both.
 //!
 //! ## Architecture: shard → cache → serve
 //!
@@ -82,7 +83,7 @@ pub use shard::{
     ViewId, DEFAULT_CACHE_SHARDS,
 };
 pub use tenants::TenantStats;
-pub use view::{answer_value_set, MaterializedDelta, MaterializedView};
+pub use view::{answer_value_set, MaterializedView};
 // Re-exported so embedders can tune the intersection planner without a
 // direct `xpv-intersect` dependency.
 pub use xpv_intersect::IntersectConfig;

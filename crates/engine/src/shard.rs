@@ -6,9 +6,12 @@
 //! one cache). Every serving method takes **`&self`**:
 //!
 //! * the **view pool** is a copy-on-write snapshot
-//!   (`RwLock<Arc<Vec<MaterializedView>>>`): answering threads clone the
-//!   `Arc` and never block behind [`ShardedViewCache::add_view`], and plan
-//!   routes index into an append-only pool so memoized routes stay valid;
+//!   (`RwLock<Arc<Vec<Arc<MaterializedView>>>>`): answering threads clone
+//!   the outer `Arc` and never block behind
+//!   [`ShardedViewCache::add_view`]; writers build the next pool by cloning
+//!   *pointers* and re-allocate only the views whose answer set changed, so
+//!   a pool or document mutation costs what it touches, not pool ×
+//!   document;
 //! * the **plan memo** is partitioned into `N` lock shards keyed by the
 //!   query's structural fingerprint; a repeated query takes a shared read
 //!   lock on its shard, bumps an atomic recency tick, and clones its route
@@ -115,7 +118,10 @@ impl ViewId {
 #[derive(Clone, Debug)]
 struct StateSnapshot {
     doc: Arc<Tree>,
-    views: Arc<Vec<MaterializedView>>,
+    /// The pool. Entries are shared between successive snapshots: a writer
+    /// copies the pointer vector and swaps in a fresh `Arc` only for a view
+    /// whose answer set changed.
+    views: Arc<Vec<Arc<MaterializedView>>>,
     /// Stable id of each pool entry, parallel to `views`.
     ids: Arc<Vec<ViewId>>,
     /// Precomputed [`ViewSignature`] of each pool entry, parallel to
@@ -186,8 +192,8 @@ pub struct UpdateReport {
     pub edits_applied: usize,
     /// The document version after the batch.
     pub doc_version: u64,
-    /// Views whose stored state was touched at all (answer sets or
-    /// materialized subtree contents).
+    /// Views whose stored state was re-allocated. A view stores its answer
+    /// set and nothing else, so this always equals `views_changed`.
     pub views_refreshed: usize,
     /// Views whose answer **sets** changed (the routes depending on these
     /// were invalidated).
@@ -439,6 +445,19 @@ struct CacheShard {
 #[inline]
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// What a maintenance pass hands to publication in
+/// [`ShardedViewCache::apply_edits`].
+struct Maintained {
+    /// One delta per view, in pool order.
+    deltas: Vec<ViewDelta>,
+    /// The patched answer sets, parallel to `deltas`; `None` where the plan
+    /// proved the set untouched (its delta is then empty).
+    patched: Vec<Option<Vec<NodeId>>>,
+    stats: MaintainStats,
+    /// The freeze of the post-batch document.
+    flat: Arc<FlatTree>,
 }
 
 /// Scans one merged region for one view — the unit of work the parallel
@@ -869,7 +888,7 @@ impl ShardedViewCache {
 
     /// A snapshot of the registered views (copy-on-write: cheap `Arc`
     /// clone, never blocks answering threads).
-    pub fn views_snapshot(&self) -> Arc<Vec<MaterializedView>> {
+    pub fn views_snapshot(&self) -> Arc<Vec<Arc<MaterializedView>>> {
         Arc::clone(&self.read_state().views)
     }
 
@@ -892,11 +911,11 @@ impl ShardedViewCache {
         let snap = self.snapshot();
         assert!(snap.views.iter().all(|v| v.name() != name), "duplicate view name {name:?}");
         let sig = ViewSignature::of(&def);
-        let view = MaterializedView::materialize(name, def, &snap.doc);
-        let n = view.len();
+        let nodes = evaluate_flat(&def, &snap.flat);
+        let n = nodes.len();
         let mut grown = Vec::with_capacity(snap.views.len() + 1);
         grown.extend(snap.views.iter().cloned());
-        grown.push(view);
+        grown.push(Arc::new(MaterializedView::from_answers(name, def, nodes)));
         let mut ids = Vec::with_capacity(snap.ids.len() + 1);
         ids.extend(snap.ids.iter().copied());
         ids.push(ViewId(self.next_view_id.fetch_add(1, Ordering::Relaxed)));
@@ -938,7 +957,7 @@ impl ShardedViewCache {
         let Some(idx) = snap.views.iter().position(|v| v.name() == name) else {
             return false;
         };
-        let mut shrunk: Vec<MaterializedView> = snap.views.iter().cloned().collect();
+        let mut shrunk: Vec<Arc<MaterializedView>> = snap.views.iter().cloned().collect();
         shrunk.remove(idx);
         let mut ids: Vec<ViewId> = snap.ids.iter().copied().collect();
         let removed_id = ids.remove(idx);
@@ -979,11 +998,11 @@ impl ShardedViewCache {
     }
 
     /// Applies a batch of document edits **transactionally** and keeps every
-    /// registered view's materialization exact: per edit, each view is
-    /// re-evaluated only against the edit's affected region (the ancestor
-    /// spine plus the touched subtree — see `xpv_maintain`) and its answer
-    /// sets are patched in place (bitset diff for the virtual form,
-    /// canonical-key diff for the subtree copies).
+    /// registered view's answer set exact: each view is re-evaluated only
+    /// against the batch's merged affected regions (ancestor spines plus
+    /// touched subtrees — see `xpv_maintain`), and the next pool shares
+    /// every view whose answer set did not change with the previous one
+    /// (pointer-equal entries); only changed views are re-allocated.
     ///
     /// Readers are never blocked behind the refresh: the whole maintenance
     /// run — edit application, region re-evaluation, view patching — works
@@ -1026,51 +1045,57 @@ impl ShardedViewCache {
         }
         let snap = self.snapshot();
 
+        // The private document copy (and, after the swap, the release of
+        // the document it replaces) is part of what a batch pays for
+        // applying its edits: both are booked under the `apply` phase.
+        let t = Instant::now();
         let mut doc = (*snap.doc).clone();
         let defs: Vec<&Pattern> = snap.views.iter().map(|v| v.definition()).collect();
-        let mut answers: Vec<Vec<NodeId>> = snap.views.iter().map(|v| v.nodes().to_vec()).collect();
-        let (deltas, maintain, new_flat) = if coalesce {
+        let old: Vec<&[NodeId]> = snap.views.iter().map(|v| v.nodes()).collect();
+        let copy_us = t.elapsed().as_micros() as u64;
+        let Maintained { deltas, patched, stats: mut maintain, flat: new_flat } = if coalesce {
             // Coalesced path: the post-batch freeze happens *before*
             // maintenance and drives the flat region scans; the same
             // snapshot is published by the swap below.
-            self.maintain_coalesced(&snap.doc, &mut doc, &defs, &mut answers, edits)?
+            self.maintain_coalesced(&snap.doc, &mut doc, &defs, &old, edits)?
         } else {
             let mode =
                 if incremental { MaintainMode::Incremental } else { MaintainMode::FullRecompute };
             let t = Instant::now();
-            let (deltas, mut maintain) =
-                maintain_views(&mut doc, &defs, &mut answers, edits, mode)?;
-            maintain.apply_us += t.elapsed().as_micros() as u64;
+            let mut answers: Vec<Vec<NodeId>> = old.iter().map(|a| a.to_vec()).collect();
+            let (deltas, mut stats) = maintain_views(&mut doc, &defs, &mut answers, edits, mode)?;
+            stats.apply_us += t.elapsed().as_micros() as u64;
             // Legacy paths freeze after maintenance, for the swap only.
             let t = Instant::now();
-            let new_flat = Arc::new(FlatTree::freeze(&doc));
-            maintain.freeze_us += t.elapsed().as_micros() as u64;
-            (deltas, maintain, new_flat)
+            let flat = Arc::new(FlatTree::freeze(&doc));
+            stats.freeze_us += t.elapsed().as_micros() as u64;
+            Maintained { deltas, patched: answers.into_iter().map(Some).collect(), stats, flat }
         };
-        drop(defs);
+        drop((defs, old));
+        maintain.apply_us += copy_us;
 
+        // Publication, the tail of the `patch` phase: share every unchanged
+        // view with the previous pool, re-allocate the changed ones.
+        let t_publish = Instant::now();
         let mut changed: Vec<ViewId> = Vec::new();
-        let mut refreshed = 0usize;
         let new_views = if deltas.iter().any(|d| !d.is_empty()) {
-            let mut views: Vec<MaterializedView> = (*snap.views).clone();
-            for (i, delta) in deltas.iter().enumerate() {
+            let mut views: Vec<Arc<MaterializedView>> = (*snap.views).clone();
+            for (i, (delta, nodes)) in deltas.iter().zip(patched).enumerate() {
                 if delta.is_empty() {
                     continue;
                 }
-                refreshed += 1;
-                views[i].apply_delta(&doc, &answers[i], delta);
-                if delta.answers_changed() {
-                    changed.push(snap.ids[i]);
-                }
+                let nodes = nodes.expect("a view with a non-empty delta was patched");
+                views[i] = Arc::new(views[i].with_nodes(nodes));
+                changed.push(snap.ids[i]);
             }
             Arc::new(views)
         } else {
             Arc::clone(&snap.views)
         };
-        // Publication: readers that observe the new document always
-        // observe its matching flat snapshot (frozen above — before
-        // maintenance on the coalesced path, after it on the legacy ones;
-        // tombstones from this batch are masked out either way).
+        // Readers that observe the new document always observe its matching
+        // flat snapshot (frozen above — before maintenance on the coalesced
+        // path, after it on the legacy ones; tombstones from this batch are
+        // masked out either way).
         let new_doc = Arc::new(doc);
         {
             // The only work under the state lock is the pointer swap:
@@ -1081,6 +1106,27 @@ impl ShardedViewCache {
             state.flat = new_flat;
         }
         let doc_version = self.doc_version.fetch_add(1, Ordering::Relaxed) + 1;
+        // State swapped; now invalidate. Version bump strictly before the
+        // sweep, mirroring `add_view`: in-flight plans from the old state
+        // either skip memoizing or are caught by the sweep.
+        self.views_version.fetch_add(1, Ordering::Release);
+        let routes_dropped = if changed.is_empty() {
+            0
+        } else {
+            self.sweep_memo(|dep| match dep {
+                PlanDep::Chosen(id) => changed.contains(id),
+                PlanDep::WholePool => true,
+                PlanDep::NoUsableView => false,
+                PlanDep::Intersect(parts) => parts.iter().any(|p| changed.contains(p)),
+            })
+        };
+        maintain.patch_us += t_publish.elapsed().as_micros() as u64;
+        // Usually the last reference to the pre-batch document: freeing it
+        // is the other half of the private copy, so it is booked with it.
+        let t = Instant::now();
+        drop(snap);
+        maintain.apply_us += t.elapsed().as_micros() as u64;
+
         self.updates_applied.fetch_add(edits.len() as u64, Ordering::Relaxed);
         self.maintain_totals.lock().expect("maintain totals poisoned").add(&maintain);
         // Per-batch phase distributions (the histograms behind the
@@ -1100,26 +1146,12 @@ impl ShardedViewCache {
         }
         span.finish();
         if incremental {
-            self.views_refreshed_incrementally.fetch_add(refreshed as u64, Ordering::Relaxed);
+            self.views_refreshed_incrementally.fetch_add(changed.len() as u64, Ordering::Relaxed);
         }
-        // State swapped; now invalidate. Version bump strictly before the
-        // sweep, mirroring `add_view`: in-flight plans from the old state
-        // either skip memoizing or are caught by the sweep.
-        self.views_version.fetch_add(1, Ordering::Release);
-        let routes_dropped = if changed.is_empty() {
-            0
-        } else {
-            self.sweep_memo(|dep| match dep {
-                PlanDep::Chosen(id) => changed.contains(id),
-                PlanDep::WholePool => true,
-                PlanDep::NoUsableView => false,
-                PlanDep::Intersect(parts) => parts.iter().any(|p| changed.contains(p)),
-            })
-        };
         Ok(UpdateReport {
             edits_applied: edits.len(),
             doc_version,
-            views_refreshed: refreshed,
+            views_refreshed: changed.len(),
             views_changed: changed.len(),
             routes_dropped,
             maintain,
@@ -1177,16 +1209,18 @@ impl ShardedViewCache {
     /// tree, fan the disjoint merged regions across scoped worker threads,
     /// and patch answers deterministically (results indexed by task order,
     /// so the outcome is schedule-invariant).
+    ///
+    /// `old[v]` is view `v`'s pre-batch answer set, borrowed from the
+    /// published pool; the returned patched sets are `None` for views the
+    /// plan proved untouched, so clean views are never copied.
     fn maintain_coalesced(
         &self,
         t0: &Tree,
         doc: &mut Tree,
         defs: &[&Pattern],
-        answers: &mut [Vec<NodeId>],
+        old: &[&[NodeId]],
         edits: &[Edit],
-    ) -> Result<(Vec<ViewDelta>, MaintainStats, Arc<FlatTree>), EditError> {
-        let saved: Vec<Vec<NodeId>> = answers.to_vec();
-
+    ) -> Result<Maintained, EditError> {
         let t = Instant::now();
         let prep = prepare_batch(doc, edits)?;
         let apply_us = t.elapsed().as_micros() as u64;
@@ -1270,10 +1304,13 @@ impl ShardedViewCache {
 
         let t = Instant::now();
         let mut stats = plan.stats;
-        apply_region_results(doc, defs, answers, &plan, &tasks, &results, &mut stats);
-        let deltas = finalize_deltas(doc, &saved, answers, &plan.retag, &mut stats);
+        let patched = apply_region_results(doc, defs, old, &plan, &tasks, &results, &mut stats);
+        let deltas = finalize_deltas(
+            old.iter().copied().zip(patched.iter().map(Option::as_deref)),
+            &mut stats,
+        );
         stats.patch_us = t.elapsed().as_micros() as u64;
-        Ok((deltas, stats, new_flat))
+        Ok(Maintained { deltas, patched, stats, flat: new_flat })
     }
 
     /// Lifetime statistics, aggregated across shards (the oracle counters

@@ -1,56 +1,63 @@
 //! Materialized views over XML documents.
 //!
 //! A materialized view (Section 2.4) is the precomputed result `V(t)` of
-//! applying a view pattern to a document. Two representations are provided:
+//! applying a view pattern to a document. This module stores it in **one**
+//! form: the ascending set of `V`'s output nodes in `t`, keeping node
+//! identity. That is all the serving path ever reads:
 //!
-//! * **virtual** — the output-node set of `V` on `t`, keeping node
-//!   identities. A rewriting `R` is then evaluated *anchored* at those nodes,
-//!   which is exactly `R(V(t))` by Proposition 2.4 and never copies data;
-//! * **materialized** — independent subtree copies, the representation a
-//!   cache that ships results across a wire would use. Answers computed this
-//!   way are compared by value (canonical keys), since copies have no node
-//!   identity in the source document.
+//! * by Proposition 2.4 a rewriting `R` evaluated *anchored* at those nodes
+//!   is exactly `R(V(t))`, so answering through a view never needs the
+//!   subtrees below its output nodes as separate data;
+//! * multi-view intersection routes exist only *because* views keep node
+//!   identity — two views' answers are intersected as `NodeId` sets
+//!   (Cautis et al., PAPERS.md); copies could not be intersected at all.
 //!
-//! Both paths are tested to agree with direct evaluation whenever the planner
-//! hands us an equivalent rewriting.
+//! The paper's by-value reading of `V(t)` — independent subtree copies, what
+//! a cache shipping results across a wire would hold — is still available,
+//! **on demand**: [`MaterializedView::trees`] and
+//! [`MaterializedView::apply_materialized`] copy from the *current*
+//! document when asked. Storing the copies would make every document edit
+//! pay for every view (each batch re-cloned all of them) to maintain data no
+//! query reads; computing them on request makes them correct by
+//! construction after any maintenance, and the tests still pin the §2.4
+//! agreement of the two readings by canonical key.
 
-use xpv_maintain::ViewDelta;
 use xpv_model::{NodeId, Tree};
 use xpv_pattern::Pattern;
 use xpv_semantics::{evaluate, evaluate_anchored};
 
-/// The value-level (canonical-key) description of how a maintenance delta
-/// changed a view's **materialized** representation: subtree copies have no
-/// node identity, so their diff is by value. Produced by
-/// [`MaterializedView::apply_delta`].
-#[derive(Clone, Debug, Default)]
-pub struct MaterializedDelta {
-    /// Canonical keys of subtree copies that disappeared (removed answers,
-    /// plus the pre-edit contents of refreshed copies).
-    pub removed_keys: Vec<String>,
-    /// Canonical keys of subtree copies that appeared (added answers, plus
-    /// the post-edit contents of refreshed copies).
-    pub added_keys: Vec<String>,
-    /// Copies rebuilt in place because the edit landed inside them
-    /// (membership unchanged, content changed).
-    pub refreshed: usize,
-}
-
-/// The precomputed result of a view over one document.
+/// The precomputed result of a view over one document: its output nodes.
 #[derive(Clone, Debug)]
 pub struct MaterializedView {
     name: String,
     def: Pattern,
     nodes: Vec<NodeId>,
-    trees: Vec<Tree>,
 }
 
 impl MaterializedView {
-    /// Evaluates `def` over `doc` and stores both representations.
+    /// Evaluates `def` over `doc` with the reference evaluator and stores
+    /// the answer set.
     pub fn materialize(name: impl Into<String>, def: Pattern, doc: &Tree) -> MaterializedView {
         let nodes = evaluate(&def, doc);
-        let trees = nodes.iter().map(|&n| doc.subtree(n).0).collect();
-        MaterializedView { name: name.into(), def, nodes, trees }
+        MaterializedView::from_answers(name, def, nodes)
+    }
+
+    /// Wraps an answer set computed elsewhere. `nodes` must be `def`'s
+    /// ascending answer set on the document the view is served against (the
+    /// engine evaluates on its frozen snapshot).
+    pub(crate) fn from_answers(
+        name: impl Into<String>,
+        def: Pattern,
+        nodes: Vec<NodeId>,
+    ) -> MaterializedView {
+        MaterializedView { name: name.into(), def, nodes }
+    }
+
+    /// The same view over a changed document: `nodes` is the maintainer's
+    /// patched, ascending answer set. Name and definition carry over; the
+    /// node set is the whole stored state, so this is all maintenance does.
+    pub fn with_nodes(&self, nodes: Vec<NodeId>) -> MaterializedView {
+        MaterializedView { name: self.name.clone(), def: self.def.clone(), nodes }
     }
 
     /// The view's name (cache key).
@@ -63,14 +70,9 @@ impl MaterializedView {
         &self.def
     }
 
-    /// `V(t)` as output nodes of the source document (virtual form).
+    /// `V(t)` as output nodes of the source document.
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
-    }
-
-    /// `V(t)` as independent subtree copies (materialized form).
-    pub fn trees(&self) -> &[Tree] {
-        &self.trees
     }
 
     /// Number of answers in the view.
@@ -83,54 +85,11 @@ impl MaterializedView {
         self.nodes.is_empty()
     }
 
-    /// Applies an incremental-maintenance delta: replaces the answer node
-    /// set with `new_nodes` (the maintainer's patched, ascending set) and
-    /// patches the subtree copies by diff — copies of surviving untouched
-    /// answers are **reused**, only added and retagged (content-changed)
-    /// answers are re-copied from the edited document. Returns the
-    /// canonical-key diff of the materialized representation.
-    pub fn apply_delta(
-        &mut self,
-        doc: &Tree,
-        new_nodes: &[NodeId],
-        delta: &ViewDelta,
-    ) -> MaterializedDelta {
-        let mut out = MaterializedDelta::default();
-        let mut old: std::collections::HashMap<NodeId, Tree> =
-            self.nodes.drain(..).zip(self.trees.drain(..)).collect();
-        for &gone in &delta.removed {
-            if let Some(tree) = old.remove(&gone) {
-                out.removed_keys.push(tree.canonical_key());
-            }
-        }
-        let retag: std::collections::HashSet<NodeId> = delta.retagged.iter().copied().collect();
-        self.nodes = new_nodes.to_vec();
-        self.trees = new_nodes
-            .iter()
-            .map(|&n| match old.remove(&n) {
-                Some(tree) if !retag.contains(&n) => tree,
-                Some(stale) => {
-                    // The edit landed inside this answer's subtree: rebuild
-                    // the copy and record the value transition.
-                    let fresh = doc.subtree(n).0;
-                    let (old_key, new_key) = (stale.canonical_key(), fresh.canonical_key());
-                    if old_key != new_key {
-                        out.removed_keys.push(old_key);
-                        out.added_keys.push(new_key);
-                    }
-                    out.refreshed += 1;
-                    fresh
-                }
-                None => {
-                    let fresh = doc.subtree(n).0;
-                    out.added_keys.push(fresh.canonical_key());
-                    fresh
-                }
-            })
-            .collect();
-        out.removed_keys.sort();
-        out.added_keys.sort();
-        out
+    /// `V(t)` by value: one independent subtree copy per answer, taken from
+    /// `doc` now. `doc` must be the document the stored node set is current
+    /// for.
+    pub fn trees(&self, doc: &Tree) -> Vec<Tree> {
+        self.nodes.iter().map(|&n| doc.subtree(n).0).collect()
     }
 
     /// Applies a rewriting to the view **virtually**: `R(V(t))` as output
@@ -139,13 +98,15 @@ impl MaterializedView {
         evaluate_anchored(r, doc, &self.nodes)
     }
 
-    /// Applies a rewriting to the **materialized** copies: `R(V(t))` as a
-    /// set of result trees, deduplicated by value.
-    pub fn apply_materialized(&self, r: &Pattern) -> Vec<Tree> {
+    /// Applies a rewriting to by-value copies of the answers: `R(V(t))` as
+    /// a set of result trees, deduplicated by value. Each answer's subtree
+    /// is copied out of `doc`, evaluated on its own, and dropped.
+    pub fn apply_materialized(&self, r: &Pattern, doc: &Tree) -> Vec<Tree> {
         let mut out: Vec<Tree> = Vec::new();
         let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for u in &self.trees {
-            for o in evaluate(r, u) {
+        for &n in &self.nodes {
+            let u = doc.subtree(n).0;
+            for o in evaluate(r, &u) {
                 let (sub, _) = u.subtree(o);
                 if seen.insert(sub.canonical_key()) {
                     out.push(sub);
@@ -207,7 +168,7 @@ mod tests {
         let d = doc();
         let v = MaterializedView::materialize("books", pat("lib//book"), &d);
         assert_eq!(v.len(), 3);
-        assert_eq!(v.trees().len(), 3);
+        assert_eq!(v.trees(&d).len(), 3);
         assert!(!v.is_empty());
         assert_eq!(v.name(), "books");
     }
@@ -229,7 +190,7 @@ mod tests {
         let v = MaterializedView::materialize("books", pat("lib//book"), &d);
         let r = pat("book[author]/title");
         let via_nodes = v.apply_virtual(&r, &d);
-        let via_trees = v.apply_materialized(&r);
+        let via_trees = v.apply_materialized(&r, &d);
         let mut tree_keys: Vec<String> = via_trees.iter().map(Tree::canonical_key).collect();
         tree_keys.sort();
         assert_eq!(answer_value_set(&d, &via_nodes), tree_keys);
@@ -241,13 +202,13 @@ mod tests {
         let v = MaterializedView::materialize("none", pat("lib/book"), &d);
         assert!(v.is_empty());
         assert!(v.apply_virtual(&pat("book/title"), &d).is_empty());
-        assert!(v.apply_materialized(&pat("book/title")).is_empty());
+        assert!(v.apply_materialized(&pat("book/title"), &d).is_empty());
     }
 
     #[test]
-    fn apply_delta_reuses_untouched_copies_and_refreshes_retagged() {
+    fn copies_follow_the_document_after_a_node_set_refresh() {
         let mut d = doc();
-        let mut v = MaterializedView::materialize("books", pat("lib//book"), &d);
+        let v = MaterializedView::materialize("books", pat("lib//book"), &d);
         assert_eq!(v.len(), 3);
         let old_first = v.nodes()[0];
 
@@ -262,25 +223,19 @@ mod tests {
         let mut new_nodes: Vec<NodeId> = v.nodes().to_vec();
         new_nodes.push(new_book);
         new_nodes.sort();
-        let delta = xpv_maintain::ViewDelta {
-            removed: vec![],
-            added: vec![new_book],
-            retagged: vec![old_first],
-        };
-        let mat = v.apply_delta(&d, &new_nodes, &delta);
-        assert_eq!(v.len(), 4);
-        assert_eq!(mat.refreshed, 1);
-        assert_eq!(mat.added_keys.len(), 2, "one genuinely new copy + one refreshed content");
-        assert_eq!(mat.removed_keys.len(), 1, "the refreshed copy's old content");
-        // Every stored copy now matches a fresh materialization by value.
+        let v = v.with_nodes(new_nodes);
+        assert_eq!((v.name(), v.len()), ("books", 4));
+        // Copies are taken from the document as it is now: both the new
+        // answer and the in-place content edit show, with nothing to patch.
         let fresh = MaterializedView::materialize("books", pat("lib//book"), &d);
         let keys = |mv: &MaterializedView| {
-            let mut ks: Vec<String> = mv.trees().iter().map(Tree::canonical_key).collect();
+            let mut ks: Vec<String> = mv.trees(&d).iter().map(Tree::canonical_key).collect();
             ks.sort();
             ks
         };
         assert_eq!(keys(&v), keys(&fresh));
         assert_eq!(v.nodes(), fresh.nodes());
+        assert!(keys(&v).iter().any(|k| k.contains("isbn")));
     }
 
     #[test]

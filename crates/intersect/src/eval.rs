@@ -1,6 +1,7 @@
 //! Evaluating a compensation over the intersection of materialized views.
 //!
-//! Two representations mirror `xpv_engine::MaterializedView`:
+//! Two representations mirror the two readings of `V(t)` in
+//! `xpv_engine::view` (stored node sets, by-value copies on demand):
 //!
 //! * **virtual** — each view is an output-*node* set over the shared
 //!   document; the intersection is a [`BitSet`] AND over `NodeId`s and the

@@ -139,20 +139,14 @@ pub enum ViewDisposition {
     Regions(Vec<NodeId>),
 }
 
-/// The coalesced refresh plan for one batch: per-view dispositions, the
-/// shared content-retag set, and the partially filled batch counters.
+/// The coalesced refresh plan for one batch: per-view dispositions and the
+/// partially filled batch counters.
 #[derive(Clone, Debug)]
 pub struct CoalescedPlan {
     /// One disposition per view, in `defs` order.
     pub dispositions: Vec<ViewDisposition>,
     /// The per-view spine decompositions (reusable by the region scanner).
     pub infos: Vec<SpineInfo>,
-    /// Live nodes on some edit's spine: surviving answers in here had their
-    /// subtree **content** changed and must refresh materialized copies.
-    /// Identical for every view (the per-edit maintainer marks every spine
-    /// into every view's set too; membership is filtered per view at delta
-    /// time).
-    pub retag: HashSet<NodeId>,
     /// Counters filled so far (`edits_applied`, `view_edit_checks`,
     /// `label_skips`, `spine_clean`, `regions_before_merge`); the scan /
     /// patch phases add the rest.
@@ -197,11 +191,6 @@ pub fn coalesce_plan(
     let infos: Vec<SpineInfo> = defs.iter().map(|d| SpineInfo::new(d)).collect();
     let mut stats =
         MaintainStats { edits_applied: prep.receipts.len() as u64, ..MaintainStats::default() };
-
-    let mut retag: HashSet<NodeId> = HashSet::new();
-    for a in &prep.anchors {
-        retag.extend(a.spine.iter().copied().filter(|&n| t1.is_alive(n)));
-    }
 
     let t0_bound = t0.arena_len();
     let mut dispositions = Vec::with_capacity(defs.len());
@@ -262,7 +251,7 @@ pub fn coalesce_plan(
         }
     }
 
-    CoalescedPlan { dispositions, infos, retag, stats }
+    CoalescedPlan { dispositions, infos, stats }
 }
 
 /// Merges region roots: drops every root with a proper ancestor in the set
@@ -292,34 +281,45 @@ pub fn merge_regions(t: &Tree, mut roots: Vec<NodeId>) -> Vec<NodeId> {
 /// Patches every answer set from its disposition and the per-task region
 /// results (`results[i]` is the answer/mask pair of `tasks[i]`, produced by
 /// either `region_answers` or `xpv_semantics::region_answers_flat`).
+/// `old[v]` is view `v`'s ascending pre-batch answer set; the result holds
+/// its patched set, or `None` for a [`ViewDisposition::Clean`] view — the
+/// plan proved that set untouched, so it is neither read nor copied.
 /// Schedule-invariant: tasks arrive in `(view, root)` order and regions of
 /// one view are disjoint, so the patched set is independent of how the
 /// scans were executed.
 pub fn apply_region_results(
     t1: &Tree,
     defs: &[&Pattern],
-    answers: &mut [Vec<NodeId>],
+    old: &[&[NodeId]],
     plan: &CoalescedPlan,
     tasks: &[RegionTask],
     results: &[(Vec<NodeId>, BitSet)],
     stats: &mut MaintainStats,
-) {
+) -> Vec<Option<Vec<NodeId>>> {
     assert_eq!(tasks.len(), results.len(), "one result per region task");
-    for (v, d) in plan.dispositions.iter().enumerate() {
-        match d {
-            ViewDisposition::Clean | ViewDisposition::Regions(_) => {}
-            ViewDisposition::SpineClean => answers[v].retain(|&n| t1.is_alive(n)),
+    let mut patched: Vec<Option<Vec<NodeId>>> = plan
+        .dispositions
+        .iter()
+        .enumerate()
+        .map(|(v, d)| match d {
+            // `Regions` views are filled in by the task loop below.
+            ViewDisposition::Clean | ViewDisposition::Regions(_) => None,
+            ViewDisposition::SpineClean => {
+                Some(old[v].iter().copied().filter(|&n| t1.is_alive(n)).collect())
+            }
             ViewDisposition::Full => {
                 stats.full_recomputes += 1;
-                answers[v] = evaluate(defs[v], t1);
+                Some(evaluate(defs[v], t1))
             }
-        }
-    }
+        })
+        .collect();
 
     // Group the task results by view (tasks are view-major) and patch:
     // keep old answers that are alive and outside every region, splice in
     // the fresh region answers. Inserted slots sit at the arena's end, so
-    // region id ranges interleave — the union must be re-sorted.
+    // region id ranges can interleave with the kept answers — the union is
+    // re-sorted only when it actually came out of order (a stable sort:
+    // the input is a few ascending runs, which it merges in linear time).
     let mut idx = 0;
     while idx < tasks.len() {
         let v = tasks[idx].view;
@@ -328,23 +328,27 @@ pub fn apply_region_results(
         let mut fresh: Vec<NodeId> = Vec::new();
         while end < tasks.len() && tasks[end].view == v {
             let (found, region) = &results[end];
-            stats.regions_scanned += 1;
-            stats.region_nodes += region.count() as u64;
             fresh.extend_from_slice(found);
             mask.union_with(region);
             end += 1;
         }
-        let mut next: Vec<NodeId> = answers[v]
+        // A view's regions are disjoint subtrees: the union counts them all.
+        stats.regions_scanned += (end - idx) as u64;
+        stats.region_nodes += mask.count() as u64;
+        let mut next: Vec<NodeId> = old[v]
             .iter()
             .copied()
             .filter(|&n| t1.is_alive(n) && !mask.contains(n.index()))
             .collect();
         next.extend(fresh);
-        next.sort();
-        answers[v] = next;
+        if !next.is_sorted() {
+            next.sort();
+        }
+        patched[v] = Some(next);
         idx = end;
     }
     stats.scans_saved += stats.regions_before_merge.saturating_sub(stats.regions_scanned);
+    patched
 }
 
 /// Runs the serial `Tree`-path coalesced scan for `plan` (one memoizing
@@ -440,11 +444,12 @@ mod tests {
         assert_eq!(tasks.len(), 1, "three hot-subtree edits collapse to one scan");
         assert_eq!(tasks[0].root, r0, "the shared dirty spine node hosts the merged region");
         // And the coalesced scan reproduces a fresh evaluation.
-        let mut answers = vec![evaluate(&q, &t0)];
+        let before = evaluate(&q, &t0);
         let results = scan_regions_serial(&t1, &[&q], &plan, &tasks);
         let mut stats = plan.stats;
-        apply_region_results(&t1, &[&q], &mut answers, &plan, &tasks, &results, &mut stats);
-        assert_eq!(answers[0], evaluate(&q, &t1));
+        let patched =
+            apply_region_results(&t1, &[&q], &[&before], &plan, &tasks, &results, &mut stats);
+        assert_eq!(patched[0].as_ref().expect("a scanned view is patched"), &evaluate(&q, &t1));
         assert_eq!(stats.scans_saved, 2);
     }
 
@@ -521,11 +526,13 @@ mod tests {
         };
         let plan = coalesce_plan(&t0, &t1, &[&q], &prep_all);
         let tasks = plan.region_tasks();
-        let mut answers = vec![evaluate(&q, &t0)];
+        let before = evaluate(&q, &t0);
         let results = scan_regions_serial(&t1, &[&q], &plan, &tasks);
         let mut stats = plan.stats;
-        apply_region_results(&t1, &[&q], &mut answers, &plan, &tasks, &results, &mut stats);
-        assert_eq!(answers[0], evaluate(&q, &t1), "new name inside inserted subtree found");
-        assert!(answers[0].contains(&leaf));
+        let patched =
+            apply_region_results(&t1, &[&q], &[&before], &plan, &tasks, &results, &mut stats);
+        let after = patched[0].as_ref().expect("a scanned view is patched");
+        assert_eq!(after, &evaluate(&q, &t1), "new name inside inserted subtree found");
+        assert!(after.contains(&leaf));
     }
 }

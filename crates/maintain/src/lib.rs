@@ -71,11 +71,10 @@
 //! spine-reachability dynamic program a full evaluation would, but only
 //! down one subtree, with branch matching memoized. Answers outside the
 //! region are kept verbatim (minus tombstoned nodes); answers inside are
-//! replaced by the fresh region results — a bitset diff. Materialized
-//! (subtree-copy) representations additionally refresh the copies of
-//! surviving answers that lie on the edit's ancestor spine (their *content*
-//! changed even though their membership did not) — a canonical-key diff
-//! handled by the engine's `MaterializedView::apply_delta`.
+//! replaced by the fresh region results; the reported [`ViewDelta`] is a
+//! merge diff of the two ascending sets. Node sets are all a view stores
+//! (the engine computes by-value subtree copies on demand from the current
+//! document), so an edit *inside* a surviving answer needs no bookkeeping.
 //!
 //! The property suite (`tests/maintain_properties.rs`) checks incremental ≡
 //! full re-materialization on randomized documents, view pools, and edit

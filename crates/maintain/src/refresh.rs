@@ -22,15 +22,13 @@
 //!
 //! Views whose label set is disjoint from the labels an edit touched (and
 //! that use no wildcard) are skipped outright — the Zipf-skewed regime the
-//! update benchmark measures. Either way the maintainer reports which
-//! surviving answers had their subtree **content** changed (the edit point
-//! lies inside their copy), so materialized representations can refresh
-//! exactly those subtree copies (a canonical-key diff rather than a full
-//! re-copy).
+//! update benchmark measures. Every mode reports the same thing per view:
+//! the [`ViewDelta`] between its pre- and post-batch answer **node sets**.
+//! Views store nothing else (by-value copies are computed on demand from
+//! the current document), so content changes inside a surviving answer need
+//! no tracking.
 
-use std::collections::HashSet;
-
-use xpv_model::{BitSet, NodeId, Tree};
+use xpv_model::{NodeId, Tree};
 use xpv_pattern::Pattern;
 use xpv_semantics::evaluate;
 
@@ -54,30 +52,54 @@ pub enum MaintainMode {
     FullRecompute,
 }
 
-/// The net change to one view's answers over a maintained batch.
-#[derive(Clone, Debug, Default)]
+/// The net change to one view's answer set over a maintained batch.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ViewDelta {
     /// Answer nodes dropped by the batch (ascending).
     pub removed: Vec<NodeId>,
     /// Answer nodes gained by the batch (ascending).
     pub added: Vec<NodeId>,
-    /// Surviving answer nodes whose subtree **content** changed (ascending):
-    /// their virtual form is intact, but materialized copies are stale.
-    pub retagged: Vec<NodeId>,
 }
 
 impl ViewDelta {
-    /// `true` when the batch left the view's answers *and* their contents
-    /// untouched.
-    pub fn is_empty(&self) -> bool {
-        self.removed.is_empty() && self.added.is_empty() && self.retagged.is_empty()
+    /// The delta between two **ascending** answer sets: `removed = old ∖
+    /// new`, `added = new ∖ old`. Identical sets (the common case for a
+    /// view an edit batch did not reach) short-circuit on one slice
+    /// comparison; otherwise a single two-pointer merge yields both sides,
+    /// in time and space proportional to the two sets rather than to the
+    /// document.
+    pub fn between(old: &[NodeId], new: &[NodeId]) -> ViewDelta {
+        let mut delta = ViewDelta::default();
+        if old == new {
+            return delta;
+        }
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            match old[i].cmp(&new[j]) {
+                std::cmp::Ordering::Less => {
+                    delta.removed.push(old[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    delta.added.push(new[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        delta.removed.extend_from_slice(&old[i..]);
+        delta.added.extend_from_slice(&new[j..]);
+        delta
     }
 
-    /// `true` when the answer **set** changed (content-only refreshes do
-    /// not count) — the condition under which plan-memo routes that depend
-    /// on this view are invalidated.
-    pub fn answers_changed(&self) -> bool {
-        !self.removed.is_empty() || !self.added.is_empty()
+    /// `true` when the batch left the view's answer set untouched — such a
+    /// view keeps its stored state and every plan-memo route depending on
+    /// it.
+    pub fn is_empty(&self) -> bool {
+        self.removed.is_empty() && self.added.is_empty()
     }
 }
 
@@ -116,7 +138,12 @@ pub struct MaintainStats {
     pub parallel_tasks: u64,
     /// Widest worker fan-out used (aggregates as a maximum).
     pub parallel_width: u64,
-    /// Microseconds applying edits (`prepare_batch`).
+    /// Microseconds applying edits: the engine's private copy of the
+    /// pre-batch document (plus, on the legacy modes, of the answer sets),
+    /// `prepare_batch`, and — after the swap — the release of the document
+    /// that copy replaced.
+    /// Together the five `*_us` phases cover an engine `apply_edits` call
+    /// from its snapshot to its report, with no stretch left untimed.
     pub apply_us: u64,
     /// Microseconds freezing the post-batch `FlatTree`.
     pub freeze_us: u64,
@@ -124,7 +151,10 @@ pub struct MaintainStats {
     pub coalesce_us: u64,
     /// Microseconds scanning regions (serial or parallel, wall-clock).
     pub scan_us: u64,
-    /// Microseconds patching answer sets and finalizing deltas.
+    /// Microseconds from the end of the scans to the end of publication:
+    /// patching answer sets, diffing them into deltas, and — in the engine
+    /// — publication (re-allocating the changed views, the state swap, the
+    /// plan-memo sweep).
     pub patch_us: u64,
 }
 
@@ -207,6 +237,34 @@ pub fn maintain_views(
     mode: MaintainMode,
 ) -> Result<(Vec<ViewDelta>, MaintainStats), EditError> {
     assert_eq!(defs.len(), answers.len(), "one answer set per view definition");
+
+    if mode == MaintainMode::Coalesced {
+        // Batch-coalesced path: apply everything, diff spines t0 → t1 once,
+        // scan the merged regions (serially here; the engine swaps in the
+        // flat matcher and a thread fan-out for the same plan). Answer sets
+        // the plan proves untouched are never copied.
+        let t0 = doc.clone();
+        let prep = crate::coalesce::prepare_batch(doc, edits)?;
+        let plan = crate::coalesce::coalesce_plan(&t0, doc, defs, &prep);
+        let tasks = plan.region_tasks();
+        let results = crate::coalesce::scan_regions_serial(doc, defs, &plan, &tasks);
+        let mut stats = plan.stats;
+        let old: Vec<&[NodeId]> = answers.iter().map(Vec::as_slice).collect();
+        let patched = crate::coalesce::apply_region_results(
+            doc, defs, &old, &plan, &tasks, &results, &mut stats,
+        );
+        let deltas = finalize_deltas(
+            old.iter().copied().zip(patched.iter().map(Option::as_deref)),
+            &mut stats,
+        );
+        for (ans, new) in answers.iter_mut().zip(patched) {
+            if let Some(new) = new {
+                *ans = new;
+            }
+        }
+        return Ok((deltas, stats));
+    }
+
     let mut stats = MaintainStats::default();
     let saved: Vec<Vec<NodeId>> = answers.to_vec();
 
@@ -218,35 +276,14 @@ pub fn maintain_views(
             stats.full_recomputes += 1;
             *ans = evaluate(def, doc);
         }
-        // The baseline refreshes every materialized copy: retag all
-        // survivors.
-        let retag_all: Vec<HashSet<NodeId>> =
-            answers.iter().map(|a| a.iter().copied().collect()).collect();
-        let deltas = finish_deltas(doc, &saved, answers, |i| retag_all[i].clone());
-        count_delta_stats(&deltas, &mut stats);
-        return Ok((deltas, stats));
-    }
-
-    if mode == MaintainMode::Coalesced {
-        // Batch-coalesced path: apply everything, diff spines t0 → t1 once,
-        // scan the merged regions (serially here; the engine swaps in the
-        // flat matcher and a thread fan-out for the same plan).
-        let t0 = doc.clone();
-        let prep = crate::coalesce::prepare_batch(doc, edits)?;
-        let plan = crate::coalesce::coalesce_plan(&t0, doc, defs, &prep);
-        let tasks = plan.region_tasks();
-        let results = crate::coalesce::scan_regions_serial(doc, defs, &plan, &tasks);
-        let mut stats = plan.stats;
-        crate::coalesce::apply_region_results(
-            doc, defs, answers, &plan, &tasks, &results, &mut stats,
+        let deltas = finalize_deltas(
+            saved.iter().zip(answers.iter()).map(|(o, n)| (o.as_slice(), Some(n.as_slice()))),
+            &mut stats,
         );
-        let deltas = finish_deltas(doc, &saved, answers, |_| plan.retag.clone());
-        count_delta_stats(&deltas, &mut stats);
         return Ok((deltas, stats));
     }
 
     let infos: Vec<SpineInfo> = defs.iter().map(|d| SpineInfo::new(d)).collect();
-    let mut retagged: Vec<HashSet<NodeId>> = vec![HashSet::new(); defs.len()];
     let mut applied: Vec<AppliedEdit> = Vec::with_capacity(edits.len());
 
     for (idx, edit) in edits.iter().enumerate() {
@@ -293,16 +330,11 @@ pub fn maintain_views(
 
         for (v, (def, info)) in defs.iter().zip(&infos).enumerate() {
             let Some(old_vec) = &old_b[v] else {
-                if info.unaffected_by_labels(&touched) {
-                    // Provably unchanged answer set; only materialized
-                    // content along the spine may be stale.
-                    retag_spine(&spine, &mut retagged[v]);
-                    continue;
+                if !info.unaffected_by_labels(&touched) {
+                    // Untrackable spine: fall back to a full re-evaluation.
+                    stats.full_recomputes += 1;
+                    answers[v] = evaluate(def, doc);
                 }
-                // Untrackable spine: fall back to a full re-evaluation.
-                stats.full_recomputes += 1;
-                answers[v] = evaluate(def, doc);
-                retag_spine(&spine, &mut retagged[v]);
                 continue;
             };
 
@@ -339,14 +371,15 @@ pub fn maintain_views(
                     answers[v] = next;
                 }
             }
-            retag_spine(&spine, &mut retagged[v]);
         }
 
         applied.push(receipt);
     }
 
-    let deltas = finish_deltas(doc, &saved, answers, |i| retagged[i].clone());
-    count_delta_stats(&deltas, &mut stats);
+    let deltas = finalize_deltas(
+        saved.iter().zip(answers.iter()).map(|(o, n)| (o.as_slice(), Some(n.as_slice()))),
+        &mut stats,
+    );
     Ok((deltas, stats))
 }
 
@@ -370,81 +403,28 @@ fn touched_labels_of(doc: &Tree, edit: &Edit) -> Vec<xpv_model::Label> {
     }
 }
 
-/// Marks every spine node as content-stale. Unconditional on purpose: a
-/// node may not be an answer *right now* yet still end the batch as a
-/// surviving answer with edited content (drop out, get edited, re-enter
-/// across edits of one batch), so membership is only checked once at the
-/// end — [`finish_deltas`] filters the marks down to nodes that are
-/// answers both before and after the batch.
-fn retag_spine(spine: &[NodeId], retagged: &mut HashSet<NodeId>) {
-    retagged.extend(spine.iter().copied());
-}
-
 fn rollback(doc: &mut Tree, applied: &[AppliedEdit]) {
     for receipt in applied.iter().rev() {
         crate::edit::undo(doc, receipt);
     }
 }
 
-/// Engine-facing delta finalizer for externally driven coalesced
-/// maintenance: diffs saved vs final answers, filters the shared retag set
-/// per view, and folds the added/removed counts into `stats`. Produces
-/// exactly what [`maintain_views`] would for the same answers.
-pub fn finalize_deltas(
-    doc: &Tree,
-    saved: &[Vec<NodeId>],
-    finals: &[Vec<NodeId>],
-    retag: &HashSet<NodeId>,
+/// The one delta finalizer, for every mode (the engine drives it too):
+/// diffs each view's ascending pre-batch answer set against its post-batch
+/// one — `None` meaning the set was proved untouched, so nothing is
+/// compared — and folds the added/removed counts into `stats`.
+pub fn finalize_deltas<'a>(
+    sets: impl IntoIterator<Item = (&'a [NodeId], Option<&'a [NodeId]>)>,
     stats: &mut MaintainStats,
 ) -> Vec<ViewDelta> {
-    let deltas = finish_deltas(doc, saved, finals, |_| retag.clone());
-    count_delta_stats(&deltas, stats);
-    deltas
-}
-
-/// Builds the per-view cumulative deltas by diffing the saved initial
-/// answers against the final ones (a bitset diff over the final arena).
-fn finish_deltas(
-    doc: &Tree,
-    saved: &[Vec<NodeId>],
-    finals: &[Vec<NodeId>],
-    retagged_of: impl Fn(usize) -> HashSet<NodeId>,
-) -> Vec<ViewDelta> {
-    saved
-        .iter()
-        .zip(finals)
-        .enumerate()
-        .map(|(i, (old, new))| {
-            let cap = doc.arena_len();
-            let mut old_set = BitSet::new(cap);
-            for &n in old {
-                old_set.insert(n.index());
-            }
-            let mut new_set = BitSet::new(cap);
-            for &n in new {
-                new_set.insert(n.index());
-            }
-            let removed: Vec<NodeId> =
-                old.iter().copied().filter(|&n| !new_set.contains(n.index())).collect();
-            let added: Vec<NodeId> =
-                new.iter().copied().filter(|&n| !old_set.contains(n.index())).collect();
-            let retag = retagged_of(i);
-            let mut retagged: Vec<NodeId> = new
-                .iter()
-                .copied()
-                .filter(|&n| old_set.contains(n.index()) && retag.contains(&n))
-                .collect();
-            retagged.sort();
-            ViewDelta { removed, added, retagged }
+    sets.into_iter()
+        .map(|(old, new)| {
+            let delta = new.map_or_else(ViewDelta::default, |new| ViewDelta::between(old, new));
+            stats.answers_added += delta.added.len() as u64;
+            stats.answers_removed += delta.removed.len() as u64;
+            delta
         })
         .collect()
-}
-
-fn count_delta_stats(deltas: &[ViewDelta], stats: &mut MaintainStats) {
-    for d in deltas {
-        stats.answers_added += d.added.len() as u64;
-        stats.answers_removed += d.removed.len() as u64;
-    }
 }
 
 #[cfg(test)]
@@ -562,61 +542,23 @@ mod tests {
         .expect("valid");
         assert_eq!(stats.label_skips, 1);
         assert_eq!(stats.regions_scanned, 0);
-        assert!(!deltas[0].answers_changed());
+        assert!(deltas[0].is_empty());
         assert_eq!(answers[0], evaluate(&q, &t2));
     }
 
     #[test]
-    fn deep_edits_retag_ancestor_answers() {
+    fn edits_inside_a_surviving_answer_leave_an_empty_delta() {
         let t = doc();
         let region = t.children(t.root())[0];
         let first_item = t.children(region)[0];
-        // The items view materializes subtrees; adding a leaf *inside* an
-        // answer's subtree keeps the answer but stales its copy.
+        // Adding a leaf *inside* an answer's subtree changes what a copy of
+        // it would hold, but not the answer set — and the set is all a view
+        // stores.
         let q = pat("site/region/item");
         let graft = TreeBuilder::root("shipping", |_| {});
         let (_, deltas) =
             check(&t, &[&q], &[Edit::InsertSubtree { parent: first_item, subtree: graft }]);
-        assert!(!deltas[0].answers_changed());
-        assert_eq!(deltas[0].retagged, vec![first_item]);
-    }
-
-    /// An answer can drop out, have its content edited, and re-enter
-    /// within one batch: it must come back **retagged** so materialized
-    /// copies are rebuilt (regression: membership-gated retagging missed
-    /// this and left a stale copy behind an empty delta).
-    #[test]
-    fn reentering_answers_with_edited_content_are_retagged() {
-        let t = TreeBuilder::root("site", |b| {
-            b.leaf("flag");
-            b.child("item", |b| {
-                b.leaf("name");
-            });
-        });
-        let flag = t.children(t.root())[0];
-        let item = t.children(t.root())[1];
-        let q = pat("site[flag]/item");
-        let mut doc = t.clone();
-        let mut answers = vec![evaluate(&q, &doc)];
-        assert_eq!(answers[0], vec![item]);
-        let batch = [
-            // 1: the item stops being an answer (flag gone)…
-            Edit::DeleteSubtree { node: flag },
-            // 2: …its content changes while it is not an answer…
-            Edit::InsertSubtree { parent: item, subtree: TreeBuilder::root("extra", |_| {}) },
-            // 3: …and it re-enters when the flag returns.
-            Edit::InsertSubtree { parent: t.root(), subtree: TreeBuilder::root("flag", |_| {}) },
-        ];
-        let (deltas, _) =
-            maintain_views(&mut doc, &[&q], &mut answers, &batch, MaintainMode::Incremental)
-                .expect("valid batch");
-        assert_eq!(answers[0], evaluate(&q, &doc));
-        assert_eq!(answers[0], vec![item], "same surviving answer node");
-        assert_eq!(
-            deltas[0].retagged,
-            vec![item],
-            "the re-entering answer's content changed: its copy must refresh"
-        );
+        assert!(deltas[0].is_empty());
     }
 
     #[test]

@@ -245,7 +245,16 @@ impl Runtime {
     /// Stops accepting spawns, joins the workers (which finish the queue
     /// first), and stops the reactor. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.stopping.store(true, Ordering::Release);
+        // Set the flag under the run-queue lock: a parking worker checks it
+        // under that lock and `Condvar::wait` releases the lock atomically,
+        // so the worker either sees the flag or is already waiting when the
+        // notification below fires. Storing it unlocked could land between
+        // a worker's check and its wait — a lost wakeup that leaves the
+        // join below blocked forever.
+        {
+            let _ready = self.shared.ready.lock().expect("run queue poisoned");
+            self.shared.stopping.store(true, Ordering::Release);
+        }
         self.shared.ready_cv.notify_all();
         let mut workers = self.workers.lock().expect("worker handles poisoned");
         for handle in workers.drain(..) {

@@ -405,11 +405,15 @@ impl Sampler {
         let thread = std::thread::Builder::new()
             .name("xpv-obs-sampler".to_string())
             .spawn(move || loop {
+                // The flag is the wait's predicate, checked under the lock
+                // *before* sleeping: a `stop()` that sets it and notifies
+                // before this thread first reaches the wait is seen here
+                // instead of being a lost wakeup that costs a full interval.
                 let stopped = {
                     let guard = thread_core.stop.lock().expect("sampler stop flag poisoned");
                     let (guard, _) = thread_core
                         .wake
-                        .wait_timeout(guard, interval)
+                        .wait_timeout_while(guard, interval, |stopped| !*stopped)
                         .expect("sampler stop flag poisoned");
                     *guard
                 };
@@ -598,6 +602,33 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(sampler.history().ticks(), after, "no ticks after stop");
         sampler.stop(); // idempotent
+    }
+
+    /// Regression: a `stop()` that wins the race against the freshly
+    /// spawned thread (flag set and notified before the thread first
+    /// waits) must not cost a full interval. Start-then-drop is exactly
+    /// that race; the join runs on a helper thread so a regression fails
+    /// the deadline instead of hanging the suite for an hour.
+    #[test]
+    fn immediate_drop_of_long_interval_sampler_returns_promptly() {
+        for _ in 0..20 {
+            let registry = Arc::new(Registry::new());
+            let reg_for_source = Arc::clone(&registry);
+            let sampler = Sampler::start(
+                Arc::clone(&registry),
+                move || reg_for_source.snapshot(),
+                SamplerConfig { interval: Duration::from_secs(3600), ..SamplerConfig::default() },
+            );
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let dropper = std::thread::spawn(move || {
+                drop(sampler);
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(2))
+                .expect("dropping a just-started 3600 s sampler must not wait out the interval");
+            dropper.join().expect("dropper thread panicked");
+        }
     }
 
     #[test]

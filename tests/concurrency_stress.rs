@@ -171,6 +171,18 @@ fn memo_cap_holds_under_concurrent_load() {
     let stream = catalog_zipf_stream(&site_catalog(), 240, 0xCAFE);
     let want = reference_small(&cache, &stream);
 
+    // Serial phase first: the arrival order is fixed, so the overflow is
+    // too. (Under threads it is not: a full memo evicts only from the
+    // *inserting* shard and declines a query whose shard is still empty, so
+    // a schedule can overflow without a single eviction.)
+    for (q, nodes) in stream.iter().zip(&want) {
+        assert_eq!(&cache.answer(q).nodes, nodes, "capped cache wrong for {q}");
+    }
+    assert!(
+        cache.stats().plan_memo_evictions > 0,
+        "six distinct queries must overflow a cap of {cap}"
+    );
+
     std::thread::scope(|scope| {
         for t in 0..4 {
             let cache = &cache;
@@ -189,7 +201,6 @@ fn memo_cap_holds_under_concurrent_load() {
         cache.plan_memo_len()
     );
     let s = cache.stats();
-    assert!(s.plan_memo_evictions > 0, "six distinct queries must overflow a cap of {cap}");
     assert_eq!(s.queries, s.plan_memo_hits + s.plan_memo_misses);
 }
 

@@ -6,7 +6,9 @@ mod common;
 
 use xpath_views::engine::Route;
 use xpath_views::prelude::*;
-use xpath_views::workload::{bib_catalog, bib_doc, site_catalog, site_doc, Fragment};
+use xpath_views::workload::{
+    bib_catalog, bib_doc, edit_batches, edit_stream, site_catalog, site_doc, EditMix, Fragment,
+};
 
 use common::{instance_from_seed, tree_from_seed};
 
@@ -67,7 +69,7 @@ fn materialized_and_virtual_agree_by_value() {
         if let RewriteAnswer::Rewriting(rw) = planner.decide(&q, &v) {
             let view = MaterializedView::materialize("v", v, &doc);
             let virt = view.apply_virtual(rw.pattern(), &doc);
-            let mat = view.apply_materialized(rw.pattern());
+            let mat = view.apply_materialized(rw.pattern(), &doc);
             let mut mat_keys: Vec<String> =
                 mat.iter().map(xpath_views::model::Tree::canonical_key).collect();
             mat_keys.sort();
@@ -84,8 +86,28 @@ fn cache_view_results_match_definition_semantics() {
     let def = parse_xpath("site//item[bids]").unwrap();
     let view = MaterializedView::materialize("hot", def.clone(), &doc);
     assert_eq!(view.nodes(), evaluate(&def, &doc).as_slice());
-    // And the copies are isomorphic to the source subtrees.
-    for (n, copy) in view.nodes().iter().zip(view.trees()) {
-        assert!(doc.subtree(*n).0.structurally_eq(copy));
+    // The on-demand copies are isomorphic to the source subtrees…
+    for (n, copy) in view.nodes().iter().zip(view.trees(&doc)) {
+        assert_eq!(copy.canonical_key(), doc.canonical_key_at(*n));
     }
+    // …and stay so across maintenance: after edit batches through the
+    // cache, copies taken from the maintained view equal a fresh
+    // materialization of the edited document by canonical key.
+    let cache = ShardedViewCache::new(doc.clone());
+    cache.add_view("hot", def.clone());
+    let edits = edit_stream(&doc, 60, EditMix::default(), 0xC0B1);
+    for batch in edit_batches(&edits, 12) {
+        cache.apply_edits(&batch).expect("generated streams are valid");
+    }
+    let after = cache.document();
+    let keys = |mv: &MaterializedView| {
+        let mut ks: Vec<String> = mv.trees(&after).iter().map(|t| t.canonical_key()).collect();
+        ks.sort();
+        ks
+    };
+    let maintained = cache.views_snapshot();
+    let fresh = MaterializedView::materialize("fresh", def, &after);
+    assert_ne!(fresh.nodes(), view.nodes(), "the stream must move the view");
+    assert_eq!(maintained[0].nodes(), fresh.nodes());
+    assert_eq!(keys(&maintained[0]), keys(&fresh));
 }

@@ -12,14 +12,16 @@
 
 mod common;
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use xpath_views::engine::{
     answer_value_set, Edit, MaterializedView, Route, ShardedViewCache, ViewCache,
 };
-use xpath_views::maintain::{maintain_views, MaintainMode};
+use xpath_views::maintain::{maintain_views, MaintainMode, ViewDelta};
 use xpath_views::prelude::*;
 use xpath_views::workload::{
     catalog_zipf_stream, edit_batches, edit_stream, edit_stream_clustered, site_catalog, site_doc,
@@ -155,91 +157,117 @@ proptest! {
         }
     }
 
-    /// Materialized subtree copies patched through coalesced deltas stay
-    /// value-identical to a fresh materialization of the post-batch tree.
+    /// §2.4's by-value reading survives coalesced maintenance: subtree
+    /// copies computed on demand from the maintained node sets and the
+    /// post-batch tree equal a fresh materialization by canonical key.
     #[test]
     fn coalesced_materialized_copies_match_fresh(
         tseed in any::<u64>(),
         vseed in any::<u64>(),
         eseed in any::<u64>(),
     ) {
-        let doc = tree_from_seed(tseed, 28);
-        let defs = defs_from_seed(vseed);
-        let def_refs: Vec<&Pattern> = defs.iter().collect();
-        let edits = edit_stream(&doc, 16, mix_from_seed(eseed), eseed);
-
-        let mut views: Vec<MaterializedView> = defs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| MaterializedView::materialize(format!("v{i}"), d.clone(), &doc))
-            .collect();
-        let mut doc_co = doc.clone();
-        let mut answers: Vec<Vec<NodeId>> =
-            views.iter().map(|v| v.nodes().to_vec()).collect();
-        let (deltas, _) = maintain_views(
-            &mut doc_co, &def_refs, &mut answers, &edits, MaintainMode::Coalesced,
-        ).expect("valid stream");
-        for ((view, delta), ans) in views.iter_mut().zip(&deltas).zip(&answers) {
-            view.apply_delta(&doc_co, ans, delta);
-        }
-        for (view, def) in views.iter().zip(&defs) {
-            let fresh = MaterializedView::materialize("fresh", def.clone(), &doc_co);
-            prop_assert_eq!(view.nodes(), fresh.nodes());
-            let keys = |mv: &MaterializedView| {
-                let mut ks: Vec<String> =
-                    mv.trees().iter().map(|t| t.canonical_key()).collect();
-                ks.sort();
-                ks
-            };
-            prop_assert_eq!(
-                keys(view), keys(&fresh),
-                "coalesced materialized copies diverged for view {}", def
-            );
-        }
+        copies_match_fresh_after(MaintainMode::Coalesced, tseed, vseed, eseed)?;
     }
 
-    /// The materialized (subtree-copy) representation stays value-identical
-    /// to a fresh materialization when patched through `apply_delta`.
+    /// The same agreement through the per-edit maintainer.
     #[test]
     fn materialized_copies_match_fresh_materialization(
         tseed in any::<u64>(),
         vseed in any::<u64>(),
         eseed in any::<u64>(),
     ) {
-        let doc = tree_from_seed(tseed, 28);
-        let defs = defs_from_seed(vseed);
-        let def_refs: Vec<&Pattern> = defs.iter().collect();
-        let edits = edit_stream(&doc, 16, mix_from_seed(eseed), eseed);
-
-        let mut views: Vec<MaterializedView> = defs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| MaterializedView::materialize(format!("v{i}"), d.clone(), &doc))
-            .collect();
-        let mut doc_inc = doc.clone();
-        let mut answers: Vec<Vec<NodeId>> =
-            views.iter().map(|v| v.nodes().to_vec()).collect();
-        let (deltas, _) = maintain_views(
-            &mut doc_inc, &def_refs, &mut answers, &edits, MaintainMode::Incremental,
-        ).expect("valid stream");
-        for ((view, delta), ans) in views.iter_mut().zip(&deltas).zip(&answers) {
-            view.apply_delta(&doc_inc, ans, delta);
-        }
-        for (view, def) in views.iter().zip(&defs) {
-            let fresh = MaterializedView::materialize("fresh", def.clone(), &doc_inc);
-            prop_assert_eq!(view.nodes(), fresh.nodes());
-            let keys = |mv: &MaterializedView| {
-                let mut ks: Vec<String> =
-                    mv.trees().iter().map(|t| t.canonical_key()).collect();
-                ks.sort();
-                ks
-            };
-            prop_assert_eq!(
-                keys(view), keys(&fresh),
-                "materialized copies diverged for view {}", def
-            );
-        }
+        copies_match_fresh_after(MaintainMode::Incremental, tseed, vseed, eseed)?;
     }
+
+    /// The merge diff is the set-difference definition: for random
+    /// ascending `old`/`new` sets, `removed = old ∖ new` and `added = new ∖
+    /// old`, both ascending — including empty, disjoint and identical
+    /// inputs (forced below, since random draws rarely hit them).
+    #[test]
+    fn merge_diff_equals_set_difference(
+        seed in any::<u64>(),
+        shape in any::<u8>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |max_len: usize, universe: usize| {
+            let n = rng.gen_range(0..max_len + 1);
+            let set: BTreeSet<u32> = (0..n).map(|_| rng.gen_range(0..universe) as u32).collect();
+            set.into_iter().map(NodeId).collect::<Vec<NodeId>>()
+        };
+        let (old, new) = match shape % 6 {
+            0 => (Vec::new(), draw(24, 64)),
+            1 => (draw(24, 64), Vec::new()),
+            2 => { let a = draw(24, 64); (a.clone(), a) }
+            3 => {
+                // Disjoint: evens against odds.
+                let a: Vec<NodeId> = draw(24, 64).into_iter().map(|n| NodeId(n.0 * 2)).collect();
+                let b: Vec<NodeId> =
+                    draw(24, 64).into_iter().map(|n| NodeId(n.0 * 2 + 1)).collect();
+                (a, b)
+            }
+            // Overlapping, dense and sparse.
+            4 => (draw(40, 48), draw(40, 48)),
+            _ => (draw(24, 4096), draw(24, 4096)),
+        };
+        let delta = ViewDelta::between(&old, &new);
+        let (o, n): (BTreeSet<NodeId>, BTreeSet<NodeId>) =
+            (old.iter().copied().collect(), new.iter().copied().collect());
+        prop_assert_eq!(&delta.removed, &o.difference(&n).copied().collect::<Vec<_>>());
+        prop_assert_eq!(&delta.added, &n.difference(&o).copied().collect::<Vec<_>>());
+        prop_assert_eq!(delta.is_empty(), old == new);
+    }
+}
+
+/// Maintains three random views through one random edit batch in `mode`,
+/// then checks that the on-demand copies of the maintained views (node set
+/// replaced, nothing else stored) equal a fresh materialization of the
+/// post-batch tree — by node identity and by canonical key.
+fn copies_match_fresh_after(
+    mode: MaintainMode,
+    tseed: u64,
+    vseed: u64,
+    eseed: u64,
+) -> Result<(), TestCaseError> {
+    let doc = tree_from_seed(tseed, 28);
+    let defs = defs_from_seed(vseed);
+    let def_refs: Vec<&Pattern> = defs.iter().collect();
+    let edits = edit_stream(&doc, 16, mix_from_seed(eseed), eseed);
+
+    let views: Vec<MaterializedView> = defs
+        .iter()
+        .enumerate()
+        .map(|(i, d)| MaterializedView::materialize(format!("v{i}"), d.clone(), &doc))
+        .collect();
+    let mut after = doc.clone();
+    let mut answers: Vec<Vec<NodeId>> = views.iter().map(|v| v.nodes().to_vec()).collect();
+    maintain_views(&mut after, &def_refs, &mut answers, &edits, mode).expect("valid stream");
+    let keys = |mv: &MaterializedView| {
+        let mut ks: Vec<String> = mv.trees(&after).iter().map(|t| t.canonical_key()).collect();
+        ks.sort();
+        ks
+    };
+    for ((view, ans), def) in views.iter().zip(answers).zip(&defs) {
+        let maintained = view.with_nodes(ans);
+        let fresh = MaterializedView::materialize("fresh", def.clone(), &after);
+        prop_assert_eq!(maintained.nodes(), fresh.nodes());
+        prop_assert_eq!(
+            keys(&maintained),
+            keys(&fresh),
+            "{:?} on-demand copies diverged for view {}",
+            mode,
+            def
+        );
+    }
+    Ok(())
+}
+
+/// An `item` with one `name` child: the smallest graft the `items` /
+/// `names` views can see.
+fn named_item_graft() -> xpath_views::model::Tree {
+    let mut t = xpath_views::model::Tree::new(xpath_views::model::Label::new("item"));
+    let root = t.root();
+    t.add_child(root, xpath_views::model::Label::new("name"));
+    t
 }
 
 /// Engine-level: after edits, every cached answer equals direct evaluation,
@@ -323,12 +351,7 @@ fn participant_aware_invalidation_keeps_unrelated_routes() {
         .copied()
         .find(|&n| snap.label(n).name() == "region")
         .expect("site has regions");
-    let graft = {
-        let mut t = xpath_views::model::Tree::new(xpath_views::model::Label::new("item"));
-        let root = t.root();
-        t.add_child(root, xpath_views::model::Label::new("name"));
-        t
-    };
+    let graft = named_item_graft();
     let report =
         cache.apply_edits(&[Edit::InsertSubtree { parent: region, subtree: graft }]).unwrap();
     assert_eq!(report.views_changed, 1);
@@ -342,6 +365,68 @@ fn participant_aware_invalidation_keeps_unrelated_routes() {
     assert_eq!(cache.stats().oracle_canonical_runs, runs, "untouched route re-plans nothing");
     let ans = cache.answer(&via_items);
     assert_eq!(ans.nodes, cache.answer_direct(&via_items));
+}
+
+/// The pool is shared, not copied: `add_view` / `remove_view` leave every
+/// other entry pointer-equal, and after an edit batch confined to one small
+/// subtree exactly the views whose answer set changed are re-allocated —
+/// in every maintenance mode, since sharing is decided on the delta.
+#[test]
+fn unchanged_views_stay_pointer_equal_across_pool_and_document_changes() {
+    let doc = site_doc(8, 8, 7);
+    let region = doc
+        .children(doc.root())
+        .iter()
+        .copied()
+        .find(|&n| doc.label(n).name() == "region")
+        .expect("site has regions");
+    let graft = named_item_graft();
+    // One new item with a name: `items` and `names` grow; the bid,
+    // description and category views cannot see it.
+    let batch = [Edit::InsertSubtree { parent: region, subtree: graft }];
+    let mut pool = site_catalog().views;
+    pool.push(("names", parse_xpath("site/region/item/name").unwrap()));
+    pool.push(("categories", parse_xpath("site/categories/category").unwrap()));
+
+    for (incremental, coalesce) in [(true, true), (true, false), (false, false)] {
+        let cache = ShardedViewCache::new(doc.clone());
+        cache.set_incremental_maintenance(incremental);
+        cache.set_coalesce_enabled(coalesce);
+        for (name, def) in &pool {
+            let before = cache.views_snapshot();
+            cache.add_view(name, def.clone());
+            let after = cache.views_snapshot();
+            assert_eq!(after.len(), before.len() + 1);
+            for (b, a) in before.iter().zip(after.iter()) {
+                assert!(Arc::ptr_eq(b, a), "add_view re-allocated an earlier view");
+            }
+        }
+
+        let before = cache.views_snapshot();
+        let report = cache.apply_edits(&batch).expect("valid batch");
+        let after = cache.views_snapshot();
+        let doc_after = cache.document();
+        let (mut shared, mut changed) = (0, 0);
+        for (b, a) in before.iter().zip(after.iter()) {
+            let fresh = evaluate(a.definition(), &doc_after);
+            assert_eq!(a.nodes(), fresh.as_slice(), "view {} is stale", a.name());
+            if b.nodes() == fresh.as_slice() {
+                assert!(Arc::ptr_eq(b, a), "unchanged view {} was re-allocated", a.name());
+                shared += 1;
+            } else {
+                assert!(!Arc::ptr_eq(b, a));
+                changed += 1;
+            }
+        }
+        assert_eq!((shared, changed), (3, 2), "one subtree's edit spares the unrelated views");
+        assert_eq!(report.views_changed, changed);
+
+        let gone = after[0].name().to_string();
+        assert!(cache.remove_view(&gone));
+        for (b, a) in after.iter().skip(1).zip(cache.views_snapshot().iter()) {
+            assert!(Arc::ptr_eq(b, a), "remove_view re-allocated a surviving view");
+        }
+    }
 }
 
 /// The single-threaded wrapper exposes the same update path.
@@ -359,12 +444,7 @@ fn view_cache_wrapper_applies_edits() {
             .find(|&n| doc.label(n).name() == "region")
             .expect("site has regions")
     };
-    let graft = {
-        let mut t = xpath_views::model::Tree::new(xpath_views::model::Label::new("item"));
-        let root = t.root();
-        t.add_child(root, xpath_views::model::Label::new("name"));
-        t
-    };
+    let graft = named_item_graft();
     let report = cache
         .apply_edits(&[Edit::InsertSubtree { parent: region, subtree: graft }])
         .expect("valid edit");
