@@ -362,7 +362,7 @@ impl std::fmt::Display for CacheStats {
 /// **stable id** (plus a pool-index hint for O(1) resolution), so they stay
 /// meaningful while the pool grows, shrinks, or is refreshed in place; a
 /// route whose id no longer resolves degrades soundly to direct evaluation.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum PlannedRoute {
     /// Serve from the view with stable id `id` through `rewriting`.
     ViaView { id: ViewId, hint: usize, rewriting: Pattern },
@@ -401,10 +401,37 @@ enum PlanDep {
     Intersect(Vec<ViewId>),
 }
 
+/// A planned route with the [`Route`] it reports, both built once per plan:
+/// a memo hit hands out the `Arc`, and every answer served through it shares
+/// the display form instead of formatting view names and the rewriting anew.
+#[derive(Debug)]
+struct Planned {
+    route: PlannedRoute,
+    display: Arc<Route>,
+}
+
+impl Planned {
+    /// `route` as planned against `snap` (whose pool its hints index).
+    fn new(route: PlannedRoute, snap: &StateSnapshot) -> Planned {
+        let display = match &route {
+            PlannedRoute::ViaView { hint, rewriting, .. } => Route::ViaView {
+                view: snap.views[*hint].name().to_string(),
+                rewriting: rewriting.to_string(),
+            },
+            PlannedRoute::Intersect { hints, compensation, .. } => Route::Intersect {
+                views: hints.iter().map(|&i| snap.views[i].name().to_string()).collect(),
+                compensation: compensation.to_string(),
+            },
+            PlannedRoute::Direct => Route::Direct,
+        };
+        Planned { route, display: Arc::new(display) }
+    }
+}
+
 /// One plan-memo entry.
 #[derive(Debug)]
 struct MemoEntry {
-    route: PlannedRoute,
+    planned: Arc<Planned>,
     dep: PlanDep,
     /// Recency tick for LRU eviction; atomic so read-locked memo hits can
     /// refresh it.
@@ -461,8 +488,9 @@ struct Maintained {
 }
 
 /// Scans one merged region for one view — the unit of work the parallel
-/// fan-out stripes across scoped threads. Flat path: masked word-parallel
-/// matching against the shared post-batch freeze; tree path: the
+/// fan-out stripes across scoped threads. Flat path: the spine-and-branch
+/// matcher over the shared post-batch freeze, reading (and filling) the
+/// witness memo the reads after the swap will use; tree path: the
 /// `region_answers` reference walk (kept as the `--no-flat` ablation arm
 /// and property-test oracle). Both return the fresh in-region answers and
 /// the region's live-subtree mask.
@@ -1400,7 +1428,7 @@ impl ShardedViewCache {
     /// Picks the route for `query` (already interned to `key` / `fp`),
     /// consulting (and feeding) this shard's plan memo. Returns the route
     /// plus the shard that accounted the lookup.
-    fn route_for(&self, query: &Pattern, key: PatternKey, fp: u64) -> (PlannedRoute, &CacheShard) {
+    fn route_for(&self, query: &Pattern, key: PatternKey, fp: u64) -> (Arc<Planned>, &CacheShard) {
         let shard = self.shard_for(fp);
         let memo = self.memo_enabled();
         if memo {
@@ -1408,7 +1436,7 @@ impl ShardedViewCache {
             if let Some(entry) = map.get(&key) {
                 entry.last_used.store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
                 bump(&shard.stats.plan_memo_hits);
-                return (entry.route.clone(), shard);
+                return (Arc::clone(&entry.planned), shard);
             }
         }
         bump(&shard.stats.plan_memo_misses);
@@ -1423,6 +1451,7 @@ impl ShardedViewCache {
         let plan_snap = self.snapshot();
         let miss_start = Instant::now();
         let (route, dep) = self.plan(query, shard, &plan_snap);
+        let planned = Arc::new(Planned::new(route, &plan_snap));
         self.obs.plan_miss_us.record_duration(miss_start.elapsed());
         if memo {
             let mut map = shard.memo.write().expect("plan memo poisoned");
@@ -1460,7 +1489,7 @@ impl ShardedViewCache {
                     map.insert(
                         key,
                         MemoEntry {
-                            route: route.clone(),
+                            planned: Arc::clone(&planned),
                             dep,
                             last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
                         },
@@ -1468,7 +1497,7 @@ impl ShardedViewCache {
                 }
             }
         }
-        (route, shard)
+        (planned, shard)
     }
 
     /// Plans `query` against the snapshot's view pool (no memo
@@ -1599,18 +1628,19 @@ impl ShardedViewCache {
     /// equal direct answers by construction.
     ///
     /// Evaluation runs through the snapshot's frozen [`FlatTree`] when the
-    /// flat path is enabled; `batch` additionally threads one fused
+    /// flat path is enabled; `batch` additionally threads one
     /// [`BatchEval`] through the deduped survivors of `answer_batch`, so
-    /// sub-match tables are shared across the batch. All three arms return
+    /// they share scratch buffers (branch witness sets are shared through
+    /// the snapshot itself, by every caller). All three arms return
     /// byte-identical nodes (the equivalence suite pins this down).
     fn execute(
         &self,
         query: &Pattern,
-        route: PlannedRoute,
+        planned: &Planned,
         shard: &CacheShard,
         snap: &StateSnapshot,
         mut batch: Option<&mut BatchEval<'_>>,
-    ) -> (Vec<NodeId>, Route) {
+    ) -> (Vec<NodeId>, Arc<Route>) {
         let flat = self.flat_enabled();
         // One evaluation seam for every arm: `anchors == None` means "from
         // the document root" (plain evaluation).
@@ -1624,7 +1654,7 @@ impl ShardedViewCache {
                 (None, None) => evaluate(p, &snap.doc),
             }
         };
-        self.execute_route(query, route, shard, snap, &mut eval)
+        self.execute_route(query, planned, shard, snap, &mut eval)
     }
 
     /// [`ShardedViewCache::execute`] writing the answer nodes into a
@@ -1635,12 +1665,12 @@ impl ShardedViewCache {
     fn execute_refs(
         &self,
         query: &Pattern,
-        route: PlannedRoute,
+        planned: &Planned,
         shard: &CacheShard,
         snap: &StateSnapshot,
         mut batch: Option<&mut BatchEval<'_>>,
         arena: &mut AnswerArena,
-    ) -> (AnswerRef, Route) {
+    ) -> (AnswerRef, Arc<Route>) {
         let flat = self.flat_enabled();
         let mut eval = |p: &Pattern, anchors: Option<&[NodeId]>| -> AnswerRef {
             match (batch.as_deref_mut(), anchors) {
@@ -1652,7 +1682,7 @@ impl ShardedViewCache {
                 (None, None) => arena.push_run(evaluate(p, &snap.doc)),
             }
         };
-        self.execute_route(query, route, shard, snap, &mut eval)
+        self.execute_route(query, planned, shard, snap, &mut eval)
     }
 
     /// The route-resolution core shared by the owned and arena execution
@@ -1662,56 +1692,39 @@ impl ShardedViewCache {
     fn execute_route<T>(
         &self,
         query: &Pattern,
-        route: PlannedRoute,
+        planned: &Planned,
         shard: &CacheShard,
         snap: &StateSnapshot,
         eval: &mut dyn FnMut(&Pattern, Option<&[NodeId]>) -> T,
-    ) -> (T, Route) {
-        match route {
+    ) -> (T, Arc<Route>) {
+        match &planned.route {
             PlannedRoute::ViaView { id, hint, rewriting } => {
-                if let Some(index) = snap.resolve(id, hint) {
+                if let Some(index) = snap.resolve(*id, *hint) {
                     bump(&shard.stats.view_hits);
-                    let view = &snap.views[index];
-                    let nodes = eval(&rewriting, Some(view.nodes()));
-                    return (
-                        nodes,
-                        Route::ViaView {
-                            view: view.name().to_string(),
-                            rewriting: rewriting.to_string(),
-                        },
-                    );
+                    let nodes = eval(rewriting, Some(snap.views[index].nodes()));
+                    return (nodes, Arc::clone(&planned.display));
                 }
-                bump(&shard.stats.direct);
-                (eval(query, None), Route::Direct)
             }
             PlannedRoute::Intersect { ids, hints, compensation } => {
-                let indices: Option<Vec<usize>> =
-                    ids.iter().zip(&hints).map(|(&id, &hint)| snap.resolve(id, hint)).collect();
-                if let Some(indices) = indices {
+                let sets: Option<Vec<&[NodeId]>> = ids
+                    .iter()
+                    .zip(hints)
+                    .map(|(&id, &hint)| Some(snap.views[snap.resolve(id, hint)?].nodes()))
+                    .collect();
+                if let Some(sets) = sets {
                     bump(&shard.stats.intersect_hits);
-                    let sets: Vec<&[NodeId]> =
-                        indices.iter().map(|&i| snap.views[i].nodes()).collect();
-                    let anchors = intersect_node_sets(snap.doc.arena_len(), &sets);
-                    let nodes = eval(&compensation, Some(&anchors));
-                    return (
-                        nodes,
-                        Route::Intersect {
-                            views: indices
-                                .iter()
-                                .map(|&i| snap.views[i].name().to_string())
-                                .collect(),
-                            compensation: compensation.to_string(),
-                        },
-                    );
+                    let anchors = intersect_node_sets(&sets);
+                    return (eval(compensation, Some(&anchors)), Arc::clone(&planned.display));
                 }
-                bump(&shard.stats.direct);
-                (eval(query, None), Route::Direct)
             }
             PlannedRoute::Direct => {
                 bump(&shard.stats.direct);
-                (eval(query, None), Route::Direct)
+                return (eval(query, None), Arc::clone(&planned.display));
             }
         }
+        // A participant no longer resolves in this snapshot.
+        bump(&shard.stats.direct);
+        (eval(query, None), Arc::new(Route::Direct))
     }
 
     /// Answers `query`, preferring an equivalent rewriting over any
@@ -1746,16 +1759,16 @@ impl ShardedViewCache {
         batch: Option<&mut BatchEval<'_>>,
     ) -> CacheAnswer {
         let plan_start = Instant::now();
-        let (route, shard) = self.route_for(query, key, fp);
+        let (planned, shard) = self.route_for(query, key, fp);
         bump(&shard.stats.queries);
         let planning = plan_start.elapsed();
 
         let eval_start = Instant::now();
-        let (nodes, route) = self.execute(query, route, shard, snap, batch);
+        let (nodes, route) = self.execute(query, &planned, shard, snap, batch);
         let evaluation = eval_start.elapsed();
         self.obs.plan_us.record_duration(planning);
         self.obs.eval_us.record_duration(evaluation);
-        CacheAnswer { nodes, route, planning, evaluation }
+        CacheAnswer { nodes, route: Route::clone(&route), planning, evaluation }
     }
 
     /// [`ShardedViewCache::answer_on`] for the arena lane: identical
@@ -1770,16 +1783,16 @@ impl ShardedViewCache {
         arena: &mut AnswerArena,
     ) -> CacheAnswerRef {
         let plan_start = Instant::now();
-        let (route, shard) = self.route_for(query, key, fp);
+        let (planned, shard) = self.route_for(query, key, fp);
         bump(&shard.stats.queries);
         let planning = plan_start.elapsed();
 
         let eval_start = Instant::now();
-        let (nodes, route) = self.execute_refs(query, route, shard, snap, batch, arena);
+        let (nodes, route) = self.execute_refs(query, &planned, shard, snap, batch, arena);
         let evaluation = eval_start.elapsed();
         self.obs.plan_us.record_duration(planning);
         self.obs.eval_us.record_duration(evaluation);
-        CacheAnswerRef { nodes, route: Arc::new(route), planning, evaluation }
+        CacheAnswerRef { nodes, route, planning, evaluation }
     }
 
     /// Answers a whole workload slice in one pass; answers come back in
@@ -1823,9 +1836,9 @@ impl ShardedViewCache {
         if !self.memo_enabled() {
             return queries.iter().map(|q| self.answer(q)).collect();
         }
-        // One consistent snapshot serves the whole batch, and one fused
-        // evaluator (when the flat path is on) shares scratch buffers and
-        // sub-match tables across every deduped survivor.
+        // One consistent snapshot serves the whole batch, and one batch
+        // evaluator (when the flat path is on) shares scratch buffers
+        // across every deduped survivor.
         let snap = self.snapshot();
         let mut fused = self.flat_enabled().then(|| BatchEval::new(&snap.flat));
         let mut answers: Vec<CacheAnswer> = Vec::with_capacity(queries.len());
@@ -1972,24 +1985,24 @@ impl ShardedViewCache {
         // Equivalent rewriting first (shares the plan memo with `answer`).
         let snap = self.snapshot();
         let (key, fp) = self.session.oracle().intern_fingerprinted(query);
-        let (route, shard) = self.route_for(query, key, fp);
+        let (planned, shard) = self.route_for(query, key, fp);
         bump(&shard.stats.queries);
         let views = &snap.views;
-        match route {
+        match &planned.route {
             PlannedRoute::ViaView { id, hint, rewriting } => {
-                if let Some(index) = snap.resolve(id, hint) {
+                if let Some(index) = snap.resolve(*id, *hint) {
                     bump(&shard.stats.view_hits);
-                    return Some((views[index].apply_virtual(&rewriting, &snap.doc), true));
+                    return Some((views[index].apply_virtual(rewriting, &snap.doc), true));
                 }
             }
             PlannedRoute::Intersect { ids, hints, compensation } => {
                 let indices: Option<Vec<usize>> =
-                    ids.iter().zip(&hints).map(|(&id, &hint)| snap.resolve(id, hint)).collect();
+                    ids.iter().zip(hints).map(|(&id, &hint)| snap.resolve(id, hint)).collect();
                 if let Some(indices) = indices {
                     bump(&shard.stats.intersect_hits);
                     let sets: Vec<&[NodeId]> = indices.iter().map(|&i| views[i].nodes()).collect();
                     return Some((
-                        answer_intersection_virtual(&snap.doc, &sets, &compensation),
+                        answer_intersection_virtual(&snap.doc, &sets, compensation),
                         true,
                     ));
                 }
@@ -2399,6 +2412,47 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.updates_applied, 1);
         assert_eq!(s.views_refreshed_incrementally, 1);
+    }
+
+    #[test]
+    fn a_held_snapshot_keeps_its_own_document_and_witness_memo() {
+        use xpv_maintain::Edit;
+        use xpv_model::TreeBuilder as TB;
+
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("items", pat("site/region/item"));
+        let q = pat("site/region[item/name]/item[name]");
+        let before = cache.answer(&q).nodes;
+        // A reader holds the pre-batch snapshot across the edit and a pool
+        // change; `add_view` keeps the frozen document, and with it the memo.
+        let held = cache.snapshot();
+        assert_eq!(evaluate_flat(&q, &held.flat), before);
+        let (_, held_misses) = held.flat.witness_memo_counts();
+        assert!(held_misses > 0, "the query's branches were computed on this snapshot");
+        cache.add_view("names", pat("site/region/item/name"));
+        assert!(Arc::ptr_eq(&held.flat, &cache.snapshot().flat));
+
+        let region = held.doc.children(held.doc.root())[0];
+        let graft = TB::root("item", |b| {
+            b.leaf("name");
+        });
+        cache
+            .apply_edits(&[Edit::InsertSubtree { parent: region, subtree: graft }])
+            .expect("valid");
+        let fresh = cache.snapshot();
+        assert!(!Arc::ptr_eq(&held.flat, &fresh.flat), "a new document is a new snapshot");
+
+        // The new snapshot answers from the new document, through sets it
+        // computed itself (maintenance and this read)...
+        let after = cache.answer(&q).nodes;
+        assert_eq!(after, evaluate(&q, &fresh.doc));
+        assert_eq!(after.len(), before.len() + 1);
+        assert!(fresh.flat.witness_memo_counts().1 > 0);
+        // ...and the held one still answers from the old document, from its
+        // own memo: nothing is recomputed and nothing leaked in from the new.
+        assert_eq!(evaluate_flat(&q, &held.flat), before);
+        assert_eq!(evaluate_flat(&q, &held.flat), evaluate(&q, &held.doc));
+        assert_eq!(held.flat.witness_memo_counts().1, held_misses);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! `xpv_engine::view` (stored node sets, by-value copies on demand):
 //!
 //! * **virtual** — each view is an output-*node* set over the shared
-//!   document; the intersection is a [`BitSet`] AND over `NodeId`s and the
-//!   compensation is evaluated *anchored* at the surviving nodes (never
-//!   copies data);
+//!   document; the intersection is a merge of the ascending `NodeId` runs
+//!   and the compensation is evaluated *anchored* at the surviving nodes
+//!   (never copies data);
 //! * **materialized** — each view is a set of independent subtree copies;
 //!   copies have no node identity, so the intersection is by value
 //!   (canonical keys) and answers are compared by value, exactly like
@@ -14,34 +14,37 @@
 
 use std::collections::HashSet;
 
-use xpv_model::{BitSet, FlatTree, NodeId, Tree};
+use xpv_model::{FlatTree, NodeId, Tree};
 use xpv_pattern::Pattern;
 use xpv_semantics::{evaluate, evaluate_anchored, evaluate_anchored_flat};
 
-/// The node-set intersection `∩ sets[i]` over a document with `capacity`
-/// nodes, ascending. Returns the empty set when `sets` is empty.
-pub fn intersect_node_sets(capacity: usize, sets: &[&[NodeId]]) -> Vec<NodeId> {
+/// The node-set intersection `∩ sets[i]`, ascending. Every input must be
+/// ascending, as view answer sets are (the evaluators emit slot order and
+/// maintenance patches by merge), so this is a two-pointer merge per
+/// participant and allocates nothing but its result. Returns the empty set
+/// when `sets` is empty.
+pub fn intersect_node_sets(sets: &[&[NodeId]]) -> Vec<NodeId> {
     let Some((first, rest)) = sets.split_first() else {
         return Vec::new();
     };
-    let mut acc = BitSet::new(capacity);
-    for &n in first.iter() {
-        acc.insert(n.index());
-    }
-    let mut other = BitSet::new(capacity);
+    debug_assert!(
+        sets.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])),
+        "view node sets are ascending"
+    );
+    let mut acc = first.to_vec();
     for set in rest {
-        other.clear();
-        for &n in set.iter() {
-            other.insert(n.index());
+        // Disjoint participants empty the whole intersection: stop before
+        // scanning further sets.
+        if acc.is_empty() {
+            break;
         }
-        // Word-parallel any-common-bit test: disjoint participants empty
-        // the whole intersection, so stop before scanning further sets.
-        if !acc.intersects(&other) {
-            return Vec::new();
-        }
-        acc.intersect_with(&other);
+        let mut other = set.iter().peekable();
+        acc.retain(|n| {
+            while other.next_if(|&m| m < n).is_some() {}
+            other.peek() == Some(&n)
+        });
     }
-    acc.iter().map(|i| NodeId(i as u32)).collect()
+    acc
 }
 
 /// Evaluates `compensation` anchored on the node-set intersection of the
@@ -55,14 +58,12 @@ pub fn answer_intersection_virtual(
     sets: &[&[NodeId]],
     compensation: &Pattern,
 ) -> Vec<NodeId> {
-    // Capacity is the raw arena bound: edited documents keep tombstoned
-    // slots, so `arena_len` ≥ every stored `NodeId` index.
-    let anchors = intersect_node_sets(doc.arena_len(), sets);
+    let anchors = intersect_node_sets(sets);
     evaluate_anchored(compensation, doc, &anchors)
 }
 
 /// [`answer_intersection_virtual`] against a frozen [`FlatTree`] snapshot:
-/// the anchors come from the same word-parallel node-set intersection and
+/// the anchors come from the same node-set intersection and
 /// the compensation runs through the flat matcher. Byte-identical to the
 /// `Tree` path (the flat matcher is equivalence-tested against it).
 pub fn answer_intersection_virtual_flat(
@@ -70,7 +71,7 @@ pub fn answer_intersection_virtual_flat(
     sets: &[&[NodeId]],
     compensation: &Pattern,
 ) -> Vec<NodeId> {
-    let anchors = intersect_node_sets(ft.arena_len(), sets);
+    let anchors = intersect_node_sets(sets);
     evaluate_anchored_flat(compensation, ft, &anchors)
 }
 
@@ -148,15 +149,15 @@ mod tests {
         let t = doc();
         let v1 = evaluate(&pat("site/region/item[bids]/name"), &t);
         let v2 = evaluate(&pat("site/region/item[shipping]/name"), &t);
-        let both = intersect_node_sets(t.len(), &[&v1, &v2]);
+        let both = intersect_node_sets(&[&v1, &v2]);
         let direct = evaluate(&pat("site/region/item[bids][shipping]/name"), &t);
         assert_eq!(both, direct);
         assert_eq!(both.len(), 1);
         // Empty input and disjoint sets.
-        assert!(intersect_node_sets(t.len(), &[]).is_empty());
+        assert!(intersect_node_sets(&[]).is_empty());
         let names = evaluate(&pat("site/region/item/name"), &t);
         let bids = evaluate(&pat("site/region/item/bids"), &t);
-        assert!(intersect_node_sets(t.len(), &[&names, &bids]).is_empty());
+        assert!(intersect_node_sets(&[&names, &bids]).is_empty());
     }
 
     #[test]

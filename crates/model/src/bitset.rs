@@ -109,20 +109,70 @@ impl BitSet {
         &self.words
     }
 
-    /// Iterates over set elements in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let tz = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + tz)
+    /// Makes `self` the subset of `src` whose elements satisfy `keep`. Each
+    /// word is assembled in a register: one store per word instead of a
+    /// read-modify-write per element.
+    pub fn fill_filtered(&mut self, src: &BitSet, mut keep: impl FnMut(usize) -> bool) {
+        debug_assert_eq!(self.len, src.len);
+        for (wi, (out, &word)) in self.words.iter_mut().zip(&src.words).enumerate() {
+            let mut bits = word;
+            let mut kept = 0u64;
+            while bits != 0 {
+                let lowest = bits & bits.wrapping_neg();
+                if keep(wi * 64 + bits.trailing_zeros() as usize) {
+                    kept |= lowest;
                 }
-            })
-        })
+                bits ^= lowest;
+            }
+            *out = kept;
+        }
+    }
+
+    /// Inserts every index of `items` that is below the capacity and in
+    /// `mask`. Indices that fall in one word are gathered in a register, so
+    /// an ascending run costs one store per word touched.
+    pub fn insert_masked(&mut self, items: impl IntoIterator<Item = usize>, mask: &BitSet) {
+        debug_assert_eq!(self.len, mask.len);
+        let (mut wi, mut gathered) = (0usize, 0u64);
+        for i in items.into_iter().filter(|&i| i < self.len) {
+            if i / 64 != wi {
+                self.words[wi] |= gathered & mask.words[wi];
+                (wi, gathered) = (i / 64, 0);
+            }
+            gathered |= 1 << (i % 64);
+        }
+        if gathered != 0 {
+            self.words[wi] |= gathered & mask.words[wi];
+        }
+    }
+
+    /// Iterates over set elements in increasing order.
+    pub fn iter(&self) -> Bits<'_> {
+        Bits { words: &self.words, next_word: 0, bits: 0 }
+    }
+}
+
+/// The word cursor behind [`BitSet::iter`]: `bits` holds the not-yet-yielded
+/// bits of word `next_word - 1`.
+#[derive(Clone, Debug)]
+pub struct Bits<'a> {
+    words: &'a [u64],
+    next_word: usize,
+    bits: u64,
+}
+
+impl Iterator for Bits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.get(self.next_word)?;
+            self.next_word += 1;
+        }
+        let tz = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((self.next_word - 1) * 64 + tz)
     }
 }
 
@@ -223,6 +273,36 @@ mod tests {
         s.remove(0);
         s.remove(64);
         assert_eq!(s.first_set(), Some(190));
+    }
+
+    #[test]
+    fn fill_filtered_keeps_the_matching_subset() {
+        let mut src = BitSet::new(200);
+        for i in [0usize, 3, 63, 64, 100, 128, 199] {
+            src.insert(i);
+        }
+        let mut out = BitSet::new(200);
+        out.insert(7); // overwritten, not merged
+        out.fill_filtered(&src, |i| i % 2 == 0);
+        assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 64, 100, 128]);
+        out.fill_filtered(&src, |_| false);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn insert_masked_skips_out_of_range_and_unmasked() {
+        let mut mask = BitSet::new(200);
+        for i in [1usize, 2, 64, 65, 199] {
+            mask.insert(i);
+        }
+        let mut s = BitSet::new(200);
+        s.insert(5);
+        // Unsorted, repeated, out of range, and not in the mask.
+        s.insert_masked([199usize, 1, 3, 64, 1, 200, 9999, 65, 2], &mask);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 2, 5, 64, 65, 199]);
+        s.insert_masked(std::iter::empty(), &mask);
+        assert_eq!(s.count(), 6);
+        BitSet::new(0).insert_masked([0usize, 1], &BitSet::new(0));
     }
 
     #[test]

@@ -22,16 +22,26 @@
 //!
 //! ## Shared-freeze contract
 //!
-//! A `FlatTree` is **immutable**: it is built once by [`FlatTree::freeze`]
-//! and never updated. The engine's `ShardedViewCache` constructs **one**
-//! per edit batch, immediately after the batch's edits are applied to the
-//! cloned document and *before* view maintenance runs: the same frozen
-//! snapshot first drives the word-parallel region re-evaluations (seeded
-//! from postings intersected with [`FlatTree::subtree_mask`]) and is then
-//! published by the copy-on-write snapshot swap, so every reader that
-//! observes the new document also observes its matching flat form. Readers
-//! therefore never see a torn (half-updated) index, and the `O(n)` rebuild
-//! is paid once per batch and shared between maintenance and serving.
+//! A `FlatTree` is **observationally immutable**: the arrays above are built
+//! once by [`FlatTree::freeze`] and never updated. The one field written
+//! after the freeze is the **witness memo** ([`FlatTree::witness`]), a
+//! bounded cache of pure functions of this document: an entry, whenever it
+//! is computed and by whichever thread, is the same set, so a reader can
+//! never tell an empty memo from a full or a contended one except by the
+//! time it takes. The memo is created with the snapshot and dropped with
+//! it. A new document is a new `FlatTree`, so there is nothing to
+//! invalidate, and pool changes (`add_view` / `remove_view`), which reuse
+//! the `Arc<FlatTree>`, keep it warm.
+//!
+//! The engine's `ShardedViewCache` constructs **one** `FlatTree` per edit
+//! batch, immediately after the batch's edits are applied to the cloned
+//! document and *before* view maintenance runs: the same frozen snapshot
+//! first drives the region re-evaluations (whose witness sets then sit in
+//! the memo for the reads that follow) and is then published by the
+//! copy-on-write snapshot swap, so every reader that observes the new
+//! document also observes its matching flat form. Readers therefore never
+//! see a torn (half-updated) index, and the `O(n)` rebuild is paid once per
+//! batch and shared between maintenance and serving.
 //!
 //! ## Why posting lists are sound under tombstoning
 //!
@@ -49,6 +59,8 @@
 //! two agree bit-for-bit on live slots.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 use crate::bitset::BitSet;
 use crate::label::Label;
@@ -57,9 +69,37 @@ use crate::tree::{NodeId, Tree};
 /// Sentinel parent index for the root and for tombstoned slots.
 pub const NO_PARENT: u32 = u32::MAX;
 
+/// The most witness sets one snapshot keeps ([`FlatTree::witness`]); a
+/// full memo is emptied and refills with the current working set.
+pub const WITNESS_MEMO_BOUND: usize = 512;
+
+/// Identifies one witness set of a document: the structural fingerprint of
+/// a pattern subtree, and whether the edge into it is a descendant edge.
+pub type WitnessKey = (u64, bool);
+
+/// The per-snapshot cache behind [`FlatTree::witness`].
+#[derive(Debug)]
+struct WitnessMemo {
+    sets: RwLock<HashMap<WitnessKey, Arc<BitSet>>>,
+    bound: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl WitnessMemo {
+    fn new(bound: usize) -> WitnessMemo {
+        WitnessMemo {
+            sets: RwLock::new(HashMap::new()),
+            bound,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
 /// A frozen struct-of-arrays view of one [`Tree`] (see the module docs for
 /// the layout and the freeze-on-swap contract).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FlatTree {
     labels: Vec<u32>,
     parents: Vec<u32>,
@@ -68,12 +108,18 @@ pub struct FlatTree {
     live: BitSet,
     postings: HashMap<u32, BitSet>,
     live_count: usize,
+    memo: WitnessMemo,
 }
 
 impl FlatTree {
     /// Builds the flat form of `t`. `O(arena_len)` time and space; the
     /// result indexes slots exactly like `t` (slot `i` ↔ `NodeId(i)`).
     pub fn freeze(t: &Tree) -> FlatTree {
+        FlatTree::freeze_with_memo_bound(t, WITNESS_MEMO_BOUND)
+    }
+
+    /// [`FlatTree::freeze`] with a chosen memo bound, for this crate's tests.
+    fn freeze_with_memo_bound(t: &Tree, memo_bound: usize) -> FlatTree {
         let nt = t.arena_len();
         let mut labels = vec![0u32; nt];
         let mut parents = vec![NO_PARENT; nt];
@@ -103,7 +149,8 @@ impl FlatTree {
         }
         child_offsets.push(children.len() as u32);
 
-        FlatTree { labels, parents, child_offsets, children, live, postings, live_count }
+        let memo = WitnessMemo::new(memo_bound);
+        FlatTree { labels, parents, child_offsets, children, live, postings, live_count, memo }
     }
 
     /// Exclusive upper bound on slot indices, tombstones included — the
@@ -167,7 +214,7 @@ impl FlatTree {
     /// The posting bitset of `label` — every live slot carrying it — or
     /// `None` when the label does not occur in the document (the common
     /// fast-path for selective queries: an absent label empties the whole
-    /// sub-match set without touching the tree).
+    /// candidate set without touching the tree).
     #[inline]
     pub fn posting(&self, label: Label) -> Option<&BitSet> {
         self.postings.get(&label.id())
@@ -176,9 +223,9 @@ impl FlatTree {
     /// The subtree mask of slot `n`: a bitset (capacity `arena_len`) with
     /// every slot of `subtree(n)` set, `n` inclusive. For a live `n` this is
     /// exactly the live slots below it (CSR edges never reach tombstones).
-    /// This is the region mask the maintenance path hands to the flat
-    /// matcher: seeding from `posting ∩ subtree_mask` restricts a
-    /// word-parallel re-evaluation to one affected region.
+    /// This is the region mask of the maintenance path: a whole-document
+    /// candidate set intersected with it is that set restricted to one
+    /// affected region.
     pub fn subtree_mask(&self, n: usize) -> BitSet {
         let mut mask = BitSet::new(self.arena_len());
         self.for_each_descendant(n, |i| mask.insert(i));
@@ -186,15 +233,40 @@ impl FlatTree {
     }
 
     /// Pre-order traversal of the subtree rooted at slot `n` (inclusive),
-    /// over the CSR arrays.
+    /// over the CSR arrays. Iterative, so a deep document costs heap, not
+    /// call stack.
     pub fn for_each_descendant(&self, n: usize, mut f: impl FnMut(usize)) {
-        fn rec(ft: &FlatTree, n: usize, f: &mut impl FnMut(usize)) {
-            f(n);
-            for &c in ft.children(n) {
-                rec(ft, c as usize, f);
-            }
+        let mut stack = vec![n as u32];
+        while let Some(cur) = stack.pop() {
+            f(cur as usize);
+            stack.extend(self.children(cur as usize).iter().rev());
         }
-        rec(self, n, &mut f);
+    }
+
+    /// The witness set filed under `key`, computing it with `compute` on
+    /// the first request. `compute` must be a pure function of this
+    /// document and `key` (the flat matcher keys by pattern-subtree
+    /// fingerprint and edge axis); under that contract the memo is
+    /// invisible: two threads that miss together compute equal sets and
+    /// one of them is kept. `compute` runs outside the lock and may itself
+    /// call `witness` for the subtrees below.
+    pub fn witness(&self, key: WitnessKey, compute: impl FnOnce() -> BitSet) -> Arc<BitSet> {
+        if let Some(hit) = self.memo.sets.read().expect("witness memo poisoned").get(&key) {
+            self.memo.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(hit);
+        }
+        self.memo.misses.fetch_add(1, Ordering::Relaxed);
+        let fresh = Arc::new(compute());
+        let mut sets = self.memo.sets.write().expect("witness memo poisoned");
+        if sets.len() >= self.memo.bound {
+            sets.clear();
+        }
+        Arc::clone(sets.entry(key).or_insert(fresh))
+    }
+
+    /// `(hits, misses)` of [`FlatTree::witness`] over this snapshot's life.
+    pub fn witness_memo_counts(&self) -> (u64, u64) {
+        (self.memo.hits.load(Ordering::Relaxed), self.memo.misses.load(Ordering::Relaxed))
     }
 }
 
@@ -284,10 +356,47 @@ mod tests {
     }
 
     #[test]
+    fn witness_memo_computes_once_and_resets_when_full() {
+        let ft = FlatTree::freeze_with_memo_bound(&abc_tree(), 3);
+        let set_of = |i: usize| {
+            let mut b = BitSet::new(ft.arena_len());
+            b.insert(i);
+            b
+        };
+        let first = ft.witness((1, false), || set_of(1));
+        // A hit returns the stored set and never runs `compute`; the axis
+        // flag is part of the key.
+        let again = ft.witness((1, false), || unreachable!("memoized"));
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(*ft.witness((1, true), || set_of(2)), set_of(2));
+        assert_eq!(ft.witness_memo_counts(), (1, 2));
+        // `compute` may ask for other keys (the matcher recurses into the
+        // subtrees below): the lock is not held across it.
+        let nested =
+            ft.witness((2, false), || (*ft.witness((1, false), || unreachable!())).clone());
+        assert_eq!(*nested, set_of(1));
+        // Three sets are held: the next new key empties the memo first, and
+        // handles taken earlier stay valid.
+        ft.witness((3, false), || set_of(3));
+        let recomputed = ft.witness((1, false), || set_of(1));
+        assert!(!Arc::ptr_eq(&first, &recomputed));
+        assert_eq!(*first, *recomputed);
+        assert!(Arc::ptr_eq(&recomputed, &ft.witness((1, false), || unreachable!())));
+    }
+
+    #[test]
+    fn for_each_descendant_is_preorder() {
+        let ft = FlatTree::freeze(&abc_tree());
+        let mut seen = Vec::new();
+        ft.for_each_descendant(0, |i| seen.push(i));
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
     fn child_indices_exceed_parent_indices() {
-        // The matcher's reverse sweep relies on parents preceding children
-        // in slot order; `Tree::add_child` only appends, so this holds by
-        // construction — pin it down.
+        // Parents precede children in slot order: `Tree::add_child` only
+        // appends, so this holds by construction — pin it down. (Pre-order
+        // does not survive edits; the flat matcher relies on neither.)
         let t = abc_tree();
         let ft = FlatTree::freeze(&t);
         for i in 0..ft.arena_len() {

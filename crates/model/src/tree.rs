@@ -258,17 +258,17 @@ impl Tree {
     }
 
     /// Pre-order traversal of the subtree rooted at `n` (including `n`),
-    /// invoking `f` on every node without materializing a `Vec` — the
-    /// allocation-free counterpart of [`Tree::descendants_inclusive`] for
-    /// hot paths (selection propagation, embedding extraction).
+    /// invoking `f` on every node without materializing the visit list — the
+    /// counterpart of [`Tree::descendants_inclusive`] for hot paths
+    /// (selection propagation, embedding extraction). Iterative: an explicit
+    /// stack holds at most the pending siblings along one root-to-leaf path,
+    /// so document depth never turns into call-stack depth.
     pub fn for_each_descendant(&self, n: NodeId, mut f: impl FnMut(NodeId)) {
-        fn rec(t: &Tree, n: NodeId, f: &mut impl FnMut(NodeId)) {
-            f(n);
-            for &c in t.children(n) {
-                rec(t, c, f);
-            }
+        let mut stack = vec![n];
+        while let Some(cur) = stack.pop() {
+            f(cur);
+            stack.extend(self.children(cur).iter().rev());
         }
-        rec(self, n, &mut f);
     }
 
     /// The subtree `t↓n` ("t sub n" in the paper: the subtree of `t` rooted at

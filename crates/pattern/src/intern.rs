@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use crate::pattern::{NodeTest, PatId, Pattern};
+use crate::pattern::{Axis, NodeTest, PatId, Pattern};
 
 /// A dense handle to an interned pattern (see [`PatternInterner`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -44,12 +44,14 @@ impl Pattern {
     /// Computed bottom-up with sorted child digests, so it costs
     /// `O(n log n)` without materializing the canonical-key string.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint_at(self.root())
+        self.subtree_fingerprints()[self.root().index()]
     }
 
-    /// The fingerprint of the subtree rooted at `n` (output marker included
-    /// when the output node lies inside the subtree).
-    pub fn fingerprint_at(&self, n: PatId) -> u64 {
+    /// The fingerprint of every subtree, indexed by [`PatId`] (the output
+    /// marker is included where the output node lies inside the subtree), in
+    /// one bottom-up pass: children sit at higher arena indices than their
+    /// parent, so a reverse sweep meets every child before its parent.
+    pub fn subtree_fingerprints(&self) -> Vec<u64> {
         fn mix(mut h: u64, v: u64) -> u64 {
             // splitmix64-style avalanche of the running digest.
             h ^= v;
@@ -58,34 +60,31 @@ impl Pattern {
             h = h.wrapping_mul(0xC4CEB9FE1A85EC53);
             h ^ (h >> 33)
         }
-        fn rec(p: &Pattern, n: PatId, out: PatId) -> u64 {
-            let mut h: u64 = match p.test(n) {
+        let mut fps = vec![0u64; self.len()];
+        let mut child_digests: Vec<u64> = Vec::new();
+        for i in (0..self.len()).rev() {
+            let n = PatId(i as u32);
+            let mut h: u64 = match self.test(n) {
                 NodeTest::Wildcard => 0x9E3779B97F4A7C15,
                 NodeTest::Label(l) => mix(0xA076_1D64_78BD_642F, l.id() as u64),
             };
-            if n == out {
+            if n == self.output() {
                 h = mix(h, 0x2545F4914F6CDD1D);
             }
-            let mut child_digests: Vec<u64> = p
-                .children(n)
-                .iter()
-                .map(|&c| {
-                    let axis_salt = match p.axis(c) {
-                        crate::pattern::Axis::Child => 0x94D0_49BB_1331_11EB,
-                        crate::pattern::Axis::Descendant => 0xBF58_476D_1CE4_E5B9,
-                    };
-                    mix(axis_salt, rec(p, c, out))
-                })
-                .collect();
+            child_digests.clear();
+            child_digests.extend(self.children(n).iter().map(|&c| {
+                let axis_salt = match self.axis(c) {
+                    Axis::Child => 0x94D0_49BB_1331_11EB,
+                    Axis::Descendant => 0xBF58_476D_1CE4_E5B9,
+                };
+                mix(axis_salt, fps[c.index()])
+            }));
             // Sorting makes the digest order-independent, matching the
             // unordered semantics of sibling branches.
             child_digests.sort_unstable();
-            for d in child_digests {
-                h = mix(h, d);
-            }
-            h
+            fps[i] = child_digests.iter().fold(h, |h, &d| mix(h, d));
         }
-        rec(self, n, self.output())
+        fps
     }
 }
 

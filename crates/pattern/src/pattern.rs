@@ -119,7 +119,7 @@ impl fmt::Debug for PatId {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct PatNode {
     test: NodeTest,
     parent: Option<PatId>,
@@ -367,7 +367,12 @@ impl Pattern {
 
     /// Unordered-pattern isomorphism (same shape, tests, axes, output).
     pub fn structurally_eq(&self, other: &Pattern) -> bool {
-        self.len() == other.len() && self.canonical_key() == other.canonical_key()
+        // Two parses of one query text lay their nodes out identically: the
+        // repeated-query path of the interner settles here, without building
+        // the canonical keys.
+        let same_layout = || self.output == other.output && self.nodes == other.nodes;
+        self.len() == other.len()
+            && (same_layout() || self.canonical_key() == other.canonical_key())
     }
 }
 

@@ -1,71 +1,84 @@
-//! Word-parallel evaluation over [`FlatTree`] snapshots.
+//! Word-parallel evaluation over [`FlatTree`] snapshots: one
+//! spine-and-branch evaluator.
 //!
-//! The reference matcher ([`crate::embed::sub_match_sets`]) seeds every
-//! pattern node's candidate set by scanning all tree nodes and calling
-//! `test.matches`, and computes child-edge witnesses by walking per-node
-//! child `Vec`s. This module re-derives the same bottom-up dynamic program
-//! against the frozen struct-of-arrays form:
+//! ## The decomposition
 //!
-//! * **seeding** reads the per-label posting bitset (wildcard = live mask)
-//!   — a `memcpy`, not a scan; a label absent from the document empties the
-//!   set without touching the tree;
-//! * **`Child` witnesses** iterate only the set bits of the child's
-//!   sub-match set and mark each bit's parent slot — `O(|set|)` instead of
-//!   `O(n · avg-degree)`;
-//! * **`Descendant` witnesses** climb from each set bit toward the root,
-//!   stopping at the first already-marked ancestor — the classic union-of-
-//!   ancestor-paths sweep, `O(n)` amortized per edge;
-//! * **branch conjunctions** fold with word-level
-//!   [`BitSet::intersect_with`].
+//! A pattern is its **selection spine** `u_0 .. u_k` (root to output node)
+//! plus the **branches** hanging off each spine position. The two parts ask
+//! different questions of a document, so they are answered differently.
 //!
-//! The reference path stays untouched as the oracle; the equivalence suite
-//! (`tests/eval_flat_properties.rs`) checks the two agree bit-for-bit,
-//! including on post-edit tombstoned trees.
+//! * **Branches, bottom-up, once per snapshot.** For a branch edge into
+//!   pattern node `c` the *witness set* `W(c)` holds the slots with a child
+//!   (`/`) or proper descendant (`//`) in `table(c)`, where `table(c) =
+//!   posting(c) ∩ ⋂ W(c')` over `c`'s children (`posting` = the label's
+//!   posting bitset, or the live mask for `*`). `W(c)` depends only on the
+//!   document and on the pattern subtree at `c`, and a branch never contains
+//!   the output marker, so it is filed in the snapshot's witness memo
+//!   ([`FlatTree::witness`]) under `(fingerprint of the subtree at c, axis)`
+//!   and shared by every query, view definition and rewriting that carries
+//!   that branch, for as long as the document lives.
+//! * **The spine, top-down, per evaluation.** `B_i = posting(u_i) ∩ ⋂ W(c)`
+//!   over the branches at position `i` is pure word-ANDs. From the anchors,
+//!   `R_0 = anchors ∩ B_0` and `R_i = step_i(R_{i-1}) ∩ B_i`, where `step_i`
+//!   takes children or proper descendants according to the axis into `u_i`.
 //!
-//! ## Scratch reuse and fused batches
+//! **`R_k` is exactly the answer.** An embedding anchored at `a` maps the
+//! spine onto a chain `a = n_0, n_1, .., n_k` that follows the spine's axes,
+//! and maps every branch below `u_i` somewhere below `n_i`; the latter is
+//! what `n_i ∈ B_i` says, so by induction `n_i ∈ R_i`. Conversely a slot of
+//! `R_k` has, by construction, such a chain above it, and `B_i` at each link
+//! certifies an embedding of every branch there; branches of different
+//! positions are disjoint pattern subtrees, so the pieces glue into one
+//! embedding. No set is ever built for "the subtree at a spine node": the
+//! bottom-up pass along the spine that a table-per-node matcher runs is
+//! implied by the top-down one.
 //!
-//! Every query over an `n`-slot document wants `|P|` arena-width bitsets.
-//! [`EvalScratch`] recycles those buffers; the free-standing entry points
-//! ([`evaluate_flat`], [`evaluate_anchored_flat`]) draw them from a
-//! thread-local pool keyed by the current capacity, so steady-state serving
-//! allocates nothing per query. [`BatchEval`] additionally shares completed
-//! sub-match sets *across* the queries of one batch, keyed by the same
-//! structural fingerprints the `PatternInterner` dedups with
-//! ([`xpv_pattern::Pattern::fingerprint_at`]): two queries that contain the
-//! same pattern subtree (`catalog//item[price]` as a branch of one query
-//! and the spine of another) compute its table once per snapshot.
+//! A `Child` step walks from whichever side touches fewer slots (the CSR
+//! children of the frontier, or the parents of the candidates); a
+//! `Descendant` step climbs from the candidates, caching a verdict per
+//! visited slot, so it costs the slots between candidates and frontier and
+//! does not sweep the arena. [`evaluate_flat`], [`evaluate_anchored_flat`]
+//! and [`BatchEval`] are this one function with different anchors; they
+//! differ only in where their scratch buffers come from.
+//!
+//! ## Regions
+//!
+//! [`region_answers_flat`] (view maintenance) wants the answers inside one
+//! subtree. A region is subtree-closed: whatever a pattern node inside it
+//! maps to, the pattern subtree below maps inside it too. So whether a
+//! region slot is in `B_i` is a fact about the region alone, the
+//! whole-document `B_i` intersected with the region mask is exactly the
+//! candidate set a region-only computation would produce, and for a slot
+//! `v` *above* the region `v ∈ B_i` is a bit test per witness set. The
+//! region scan therefore reads the same memoized sets as serving: what
+//! maintenance computes on a new snapshot is what the next reads need.
+//!
+//! The reference `Tree` matcher ([`crate::embed`]) stays untouched as the
+//! oracle; `tests/eval_flat_properties.rs` and the tests below check the
+//! two agree answer for answer, including on post-edit tombstoned trees.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use xpv_model::{AnswerArena, AnswerRef, BitSet, FlatTree, NodeId, NO_PARENT};
 use xpv_pattern::{Axis, NodeTest, PatId, Pattern};
 
-/// A recycling pool of arena-width [`BitSet`] buffers.
-///
-/// All buffers share one capacity (the `arena_len` of the snapshot being
-/// evaluated). With `reuse` disabled the pool degenerates to plain
-/// allocation — the ablation arm of `xpv eval-bench`.
+/// A recycling pool of arena-width [`BitSet`] buffers, all of one capacity
+/// (the `arena_len` of the snapshot being evaluated).
 #[derive(Debug)]
-pub struct EvalScratch {
+struct EvalScratch {
     free: Vec<BitSet>,
     capacity: usize,
-    reuse: bool,
 }
 
 /// Upper bound on pooled buffers; beyond this, returned buffers are dropped
-/// (a pattern has at most a handful of nodes, so the bound is generous).
-const MAX_POOLED: usize = 64;
+/// (an evaluation holds a handful at a time, so the bound is generous).
+const MAX_POOLED: usize = 16;
 
 impl EvalScratch {
-    /// An empty pool for bitsets of capacity `capacity`.
-    pub fn new(capacity: usize) -> EvalScratch {
-        EvalScratch { free: Vec::new(), capacity, reuse: true }
-    }
-
-    /// Like [`EvalScratch::new`], with buffer recycling switched on or off.
-    pub fn with_reuse(capacity: usize, reuse: bool) -> EvalScratch {
-        EvalScratch { free: Vec::new(), capacity, reuse }
+    fn new(capacity: usize) -> EvalScratch {
+        EvalScratch { free: Vec::new(), capacity }
     }
 
     /// Takes an empty bitset from the pool (or allocates one).
@@ -81,15 +94,8 @@ impl EvalScratch {
 
     /// Returns a buffer to the pool.
     fn put(&mut self, b: BitSet) {
-        if self.reuse && self.free.len() < MAX_POOLED && b.capacity() == self.capacity {
+        if self.free.len() < MAX_POOLED && b.capacity() == self.capacity {
             self.free.push(b);
-        }
-    }
-
-    /// Returns a whole sub-match table to the pool.
-    fn put_all(&mut self, sets: Vec<BitSet>) {
-        for b in sets {
-            self.put(b);
         }
     }
 }
@@ -112,311 +118,281 @@ fn with_tl_scratch<R>(capacity: usize, f: impl FnOnce(&mut EvalScratch) -> R) ->
     })
 }
 
-/// The flat-tree counterpart of [`crate::embed::sub_match_sets`]: for every
-/// pattern node `p`, the set of live slots `n` such that the pattern
-/// subtree rooted at `p` embeds with `p ↦ n`. Produces bit-identical tables
-/// (the reference path only ever sets live bits, and so does this one).
-pub fn sub_match_sets_flat(
-    p: &Pattern,
-    ft: &FlatTree,
-    pin: Option<(PatId, NodeId)>,
-) -> Vec<BitSet> {
-    let mut scratch = EvalScratch::with_reuse(ft.arena_len(), false);
-    sub_match_sets_into(p, ft, pin, &mut scratch)
-}
-
-fn sub_match_sets_into(
-    p: &Pattern,
-    ft: &FlatTree,
-    pin: Option<(PatId, NodeId)>,
-    scratch: &mut EvalScratch,
-) -> Vec<BitSet> {
-    let mut sub: Vec<BitSet> = (0..p.len()).map(|_| scratch.take()).collect();
-    for pi in (0..p.len()).rev() {
-        let pid = PatId(pi as u32);
-        seed_node(p, ft, pid, &mut sub[pi]);
-        fold_children(p, ft, pid, &mut sub, scratch);
-        if let Some((pin_p, pin_n)) = pin {
-            if pin_p == pid {
-                let keep = sub[pi].contains(pin_n.index());
-                sub[pi].clear();
-                if keep {
-                    sub[pi].insert(pin_n.index());
-                }
-            }
-        }
-    }
-    sub
-}
-
-/// Seeds `out` with the candidate slots for pattern node `pid`: the label's
-/// posting bitset, or the live mask for a wildcard.
-fn seed_node(p: &Pattern, ft: &FlatTree, pid: PatId, out: &mut BitSet) {
-    match p.test(pid) {
-        NodeTest::Wildcard => out.copy_from(ft.live_mask()),
-        NodeTest::Label(l) => match ft.posting(l) {
-            Some(posting) => out.copy_from(posting),
-            None => out.clear(),
-        },
+/// The candidate slots of pattern node `n`: the label's posting bitset, or
+/// the live mask for a wildcard. `None` when the label does not occur.
+fn seed<'t>(p: &Pattern, ft: &'t FlatTree, n: PatId) -> Option<&'t BitSet> {
+    match p.test(n) {
+        NodeTest::Wildcard => Some(ft.live_mask()),
+        NodeTest::Label(l) => ft.posting(l),
     }
 }
 
-/// The witness set of one pattern edge into `c`: the slots that have a
-/// member of `sub_c` as a child (`Child` axis) or proper descendant
-/// (`Descendant` axis). The caller returns the buffer to the scratch pool.
-fn edge_witness(
+/// `W(c)`, from the snapshot's memo or computed into it: the slots with a
+/// member of `table(c)` as a child (`Child`) or proper descendant
+/// (`Descendant`). `fps` are `p`'s subtree fingerprints.
+fn witness(
     p: &Pattern,
+    fps: &[u64],
     ft: &FlatTree,
     c: PatId,
-    sub_c: &BitSet,
     scratch: &mut EvalScratch,
-) -> BitSet {
-    let mut ok = scratch.take();
-    match p.axis(c) {
-        Axis::Child => {
-            // ok = { parent(m) : m ∈ sub_c } — visit only set bits.
-            for m in sub_c.iter() {
-                let par = ft.parent(m);
-                if par != NO_PARENT {
-                    ok.insert(par as usize);
-                }
-            }
+) -> Arc<BitSet> {
+    let descendant = p.axis(c) == Axis::Descendant;
+    ft.witness((fps[c.index()], descendant), || {
+        let mut ok = BitSet::new(ft.arena_len());
+        let Some(posting) = seed(p, ft, c) else {
+            return ok;
+        };
+        let mut table = scratch.take();
+        table.copy_from(posting);
+        for &cc in p.children(c) {
+            table.intersect_with(&witness(p, fps, ft, cc, scratch));
         }
-        Axis::Descendant => {
-            // ok = proper ancestors of sub_c; each climb stops at the
-            // first slot already marked by an earlier climb.
-            for m in sub_c.iter() {
-                let mut cur = ft.parent(m);
+        for m in table.iter() {
+            let mut cur = ft.parent(m);
+            if descendant {
+                // Each climb stops at the first slot an earlier one marked.
                 while cur != NO_PARENT && !ok.contains(cur as usize) {
                     ok.insert(cur as usize);
                     cur = ft.parent(cur as usize);
                 }
+            } else if cur != NO_PARENT {
+                ok.insert(cur as usize);
             }
         }
-    }
-    ok
+        scratch.put(table);
+        ok
+    })
 }
 
-/// Intersects `sub[pid]` with the witness set of each child edge. Children
-/// occupy higher arena indices than their parent, so `sub[c]` is final.
-fn fold_children(
-    p: &Pattern,
-    ft: &FlatTree,
-    pid: PatId,
-    sub: &mut [BitSet],
-    scratch: &mut EvalScratch,
-) {
-    let pi = pid.index();
-    for &c in p.children(pid) {
-        if sub[pi].is_empty() {
-            break;
+/// A `B_i`: borrowed from the snapshot when position `i` has no branch and
+/// no mask applies, otherwise a scratch buffer to hand back.
+enum Candidates<'t> {
+    Shared(&'t BitSet),
+    Owned(BitSet),
+}
+
+impl Deref for Candidates<'_> {
+    type Target = BitSet;
+    fn deref(&self) -> &BitSet {
+        match self {
+            Candidates::Shared(b) => b,
+            Candidates::Owned(b) => b,
         }
-        let ok = edge_witness(p, ft, c, &sub[c.index()], scratch);
-        sub[pi].intersect_with(&ok);
-        scratch.put(ok);
     }
 }
 
-/// Flat-tree selection propagation: given the slots the pattern root may
-/// map to, returns the exact output-slot set. Mirrors the reference
-/// `propagate_selection`.
-fn propagate_selection_flat(
-    p: &Pattern,
-    ft: &FlatTree,
-    sub: &[BitSet],
-    mut current: BitSet,
-    scratch: &mut EvalScratch,
-) -> BitSet {
-    let path = p.selection_path();
-    current.intersect_with(&sub[path[0].index()]);
-    for &next in &path[1..] {
-        if current.is_empty() {
-            break;
+impl Candidates<'_> {
+    fn release(self, scratch: &mut EvalScratch) {
+        if let Candidates::Owned(b) = self {
+            scratch.put(b);
         }
-        let mut reach = scratch.take();
-        match p.axis(next) {
+    }
+}
+
+/// One pattern laid out for evaluation against one snapshot: per spine
+/// position, the seed set and the witness sets of the branches there.
+struct Spine<'t> {
+    ft: &'t FlatTree,
+    /// The axis entering each position (`axes[0]` is unused).
+    axes: Vec<Axis>,
+    seeds: Vec<&'t BitSet>,
+    witnesses: Vec<Vec<Arc<BitSet>>>,
+}
+
+impl<'t> Spine<'t> {
+    /// `None` when a spine label does not occur in the document (no
+    /// answers anywhere).
+    fn new(p: &Pattern, ft: &'t FlatTree, scratch: &mut EvalScratch) -> Option<Spine<'t>> {
+        let nodes = p.selection_path();
+        let seeds = nodes.iter().map(|&u| seed(p, ft, u)).collect::<Option<Vec<_>>>()?;
+        let fps = if p.len() > nodes.len() { p.subtree_fingerprints() } else { Vec::new() };
+        let witnesses = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| {
+                let next = nodes.get(i + 1);
+                let branches = p.children(u).iter().filter(|c| Some(*c) != next);
+                branches.map(|&c| witness(p, &fps, ft, c, scratch)).collect()
+            })
+            .collect();
+        let axes = nodes.iter().map(|&u| p.axis(u)).collect();
+        Some(Spine { ft, axes, seeds, witnesses })
+    }
+
+    /// The output position `k`.
+    fn last(&self) -> usize {
+        self.axes.len() - 1
+    }
+
+    /// `B_i`, restricted to `mask` when one is given.
+    fn candidates(
+        &self,
+        i: usize,
+        mask: Option<&BitSet>,
+        scratch: &mut EvalScratch,
+    ) -> Candidates<'t> {
+        if mask.is_none() && self.witnesses[i].is_empty() {
+            return Candidates::Shared(self.seeds[i]);
+        }
+        let mut b = scratch.take();
+        b.copy_from(self.seeds[i]);
+        if let Some(mask) = mask {
+            b.intersect_with(mask);
+        }
+        for w in &self.witnesses[i] {
+            b.intersect_with(w);
+        }
+        Candidates::Owned(b)
+    }
+
+    /// `v ∈ B_i`, without building `B_i`.
+    fn holds(&self, i: usize, v: usize) -> bool {
+        self.seeds[i].contains(v) && self.witnesses[i].iter().all(|w| w.contains(v))
+    }
+
+    /// `R_i` from `R_{i-1} = frontier`: the members of `cand` (a `B_i`) one
+    /// step of `axis` below the frontier, written to `out`, which must
+    /// arrive empty.
+    fn step(
+        &self,
+        axis: Axis,
+        frontier: &BitSet,
+        cand: &BitSet,
+        out: &mut BitSet,
+        scratch: &mut EvalScratch,
+    ) {
+        let ft = self.ft;
+        match axis {
             Axis::Child => {
-                for m in sub[next.index()].iter() {
-                    let par = ft.parent(m);
-                    if par != NO_PARENT && current.contains(par as usize) {
-                        reach.insert(m);
+                // Walk from the side that touches fewer slots: the frontier
+                // and its CSR children, or the candidates (one parent test
+                // each). The two counts advance in lockstep, so deciding
+                // costs no more than the cheaper walk: the frontier is read
+                // only while it is still within the candidates counted so
+                // far, and an empty frontier reads nothing.
+                let mut uncounted = cand.words().iter();
+                let (mut touched, mut budget) = (0usize, 0usize);
+                let from_frontier = frontier.iter().all(|v| {
+                    touched += 1 + ft.children(v).len();
+                    while budget < touched {
+                        match uncounted.next() {
+                            Some(w) => budget += w.count_ones() as usize,
+                            None => return false,
+                        }
                     }
+                    true
+                });
+                if from_frontier {
+                    for v in frontier.iter() {
+                        for &w in ft.children(v) {
+                            if cand.contains(w as usize) {
+                                out.insert(w as usize);
+                            }
+                        }
+                    }
+                } else {
+                    out.fill_filtered(cand, |m| {
+                        let par = ft.parent(m);
+                        par != NO_PARENT && frontier.contains(par as usize)
+                    });
                 }
             }
             Axis::Descendant => {
-                // Forward sweep: a slot is strictly under `current` iff its
-                // parent is in `current` or already under it (parents
-                // precede children in slot order).
-                for i in 0..ft.arena_len() {
-                    let par = ft.parent(i);
-                    if par != NO_PARENT
-                        && (current.contains(par as usize) || reach.contains(par as usize))
-                    {
-                        reach.insert(i);
+                if frontier.is_empty() {
+                    return;
+                }
+                // `under` / `clear`: visited slots known (not) to be in the
+                // frontier or below it. A candidate qualifies iff its parent
+                // is `under`; each climb stops at the first slot with a
+                // verdict and hands that verdict to the slots it passed.
+                let (mut under, mut clear) = (scratch.take(), scratch.take());
+                for m in cand.iter() {
+                    let start = ft.parent(m);
+                    let mut cur = start;
+                    let verdict = loop {
+                        if cur == NO_PARENT || clear.contains(cur as usize) {
+                            break false;
+                        }
+                        if frontier.contains(cur as usize) || under.contains(cur as usize) {
+                            break true;
+                        }
+                        cur = ft.parent(cur as usize);
+                    };
+                    let (stop, marks) = (cur, if verdict { &mut under } else { &mut clear });
+                    cur = start;
+                    while cur != stop {
+                        marks.insert(cur as usize);
+                        cur = ft.parent(cur as usize);
+                    }
+                    if verdict {
+                        out.insert(m);
                     }
                 }
-                reach.intersect_with(&sub[next.index()]);
+                scratch.put(under);
+                scratch.put(clear);
             }
         }
-        scratch.put(current);
-        current = reach;
     }
-    current
 }
 
-fn collect_nodes(set: &BitSet) -> Vec<NodeId> {
-    set.iter().map(|i| NodeId(i as u32)).collect()
+/// The evaluator: the output slots of `p` over `ft` for embeddings whose
+/// root image is one of `anchors` (dead or out-of-range anchors contribute
+/// nothing). The caller returns the set to `scratch` after reading it.
+fn answer_set(p: &Pattern, ft: &FlatTree, anchors: &[NodeId], scratch: &mut EvalScratch) -> BitSet {
+    let mut reach = scratch.take();
+    let Some(spine) = Spine::new(p, ft, scratch) else {
+        return reach;
+    };
+    let b0 = spine.candidates(0, None, scratch);
+    reach.insert_masked(anchors.iter().map(|a| a.index()), &b0);
+    b0.release(scratch);
+    for i in 1..=spine.last() {
+        if reach.is_empty() {
+            break;
+        }
+        let cand = spine.candidates(i, None, scratch);
+        let mut next = scratch.take();
+        spine.step(spine.axes[i], &reach, &cand, &mut next, scratch);
+        cand.release(scratch);
+        scratch.put(std::mem::replace(&mut reach, next));
+    }
+    reach
+}
+
+fn collect_nodes(set: &BitSet) -> impl Iterator<Item = NodeId> + '_ {
+    set.iter().map(|i| NodeId(i as u32))
 }
 
 /// Flat-tree `P(t)` — same output as [`crate::embed::evaluate`] on the
 /// frozen tree, drawing buffers from the thread-local pool.
 pub fn evaluate_flat(p: &Pattern, ft: &FlatTree) -> Vec<NodeId> {
-    with_tl_scratch(ft.arena_len(), |scratch| {
-        let sub = sub_match_sets_into(p, ft, None, scratch);
-        let mut roots = scratch.take();
-        roots.insert(ft.root().index());
-        let out = propagate_selection_flat(p, ft, &sub, roots, scratch);
-        let nodes = collect_nodes(&out);
-        scratch.put(out);
-        scratch.put_all(sub);
-        nodes
-    })
+    evaluate_anchored_flat(p, ft, &[ft.root()])
 }
 
 /// Flat-tree anchored evaluation `⋃_n p(t↓n)` — same output as
 /// [`crate::embed::evaluate_anchored`] on the frozen tree. Tombstoned
-/// anchors contribute nothing (their live bit is cleared at freeze time).
+/// anchors contribute nothing (they are in no posting and not in the live
+/// mask).
 pub fn evaluate_anchored_flat(p: &Pattern, ft: &FlatTree, anchors: &[NodeId]) -> Vec<NodeId> {
     with_tl_scratch(ft.arena_len(), |scratch| {
-        let sub = sub_match_sets_into(p, ft, None, scratch);
-        let mut roots = scratch.take();
-        for &n in anchors {
-            if ft.is_alive(n.index()) {
-                roots.insert(n.index());
-            }
-        }
-        let out = propagate_selection_flat(p, ft, &sub, roots, scratch);
-        let nodes = collect_nodes(&out);
+        let out = answer_set(p, ft, anchors, scratch);
+        let nodes = collect_nodes(&out).collect();
         scratch.put(out);
-        scratch.put_all(sub);
         nodes
     })
 }
 
-/// Does `test` accept slot `i`? (Dead slots carry label id `0`, which no
-/// live label ever has, so they fail both arms.)
-#[inline]
-fn test_matches_flat(test: NodeTest, ft: &FlatTree, i: usize) -> bool {
-    match test {
-        NodeTest::Wildcard => ft.is_alive(i),
-        NodeTest::Label(l) => ft.label_id(i) == l.id(),
-    }
-}
-
-/// Memoizing lazy subtree matcher over a [`FlatTree`] — the flat twin of
-/// the maintainer's `SubMatcher`, used for the handful of *path* nodes of a
-/// region evaluation (the proper ancestors of the region root), where
-/// building full word-parallel tables would defeat the point of the
-/// restriction.
-struct FlatSubMatcher<'a> {
-    p: &'a Pattern,
-    ft: &'a FlatTree,
-    node_memo: HashMap<(u32, u32), bool>,
-    desc_memo: HashMap<(u32, u32), bool>,
-}
-
-impl<'a> FlatSubMatcher<'a> {
-    fn new(p: &'a Pattern, ft: &'a FlatTree) -> FlatSubMatcher<'a> {
-        FlatSubMatcher { p, ft, node_memo: HashMap::new(), desc_memo: HashMap::new() }
-    }
-
-    /// Does the pattern subtree rooted at `q` embed with `q ↦ slot w`?
-    fn matches_at(&mut self, q: PatId, w: usize) -> bool {
-        if let Some(&v) = self.node_memo.get(&(q.0, w as u32)) {
-            return v;
-        }
-        let (p, ft) = (self.p, self.ft);
-        let ok = test_matches_flat(p.test(q), ft, w)
-            && p.children(q).iter().all(|&c| self.witness_below(c, w));
-        self.node_memo.insert((q.0, w as u32), ok);
-        ok
-    }
-
-    fn witness_below(&mut self, c: PatId, v: usize) -> bool {
-        let ft = self.ft;
-        match self.p.axis(c) {
-            Axis::Child => ft.children(v).iter().any(|&w| self.matches_at(c, w as usize)),
-            Axis::Descendant => self.desc_witness(c, v),
-        }
-    }
-
-    fn desc_witness(&mut self, c: PatId, v: usize) -> bool {
-        if let Some(&hit) = self.desc_memo.get(&(c.0, v as u32)) {
-            return hit;
-        }
-        let ft = self.ft;
-        let hit = ft
-            .children(v)
-            .iter()
-            .any(|&w| self.matches_at(c, w as usize) || self.desc_witness(c, w as usize));
-        self.desc_memo.insert((c.0, v as u32), hit);
-        hit
-    }
-
-    /// `B_i(v)` for the spine decomposition: node test plus every non-spine
-    /// branch hanging off spine position `i`.
-    fn b_holds(&mut self, spine: &FlatSpine, i: usize, v: usize) -> bool {
-        test_matches_flat(self.p.test(spine.nodes[i]), self.ft, v)
-            && spine.branches[i].iter().all(|&c| self.witness_below(c, v))
-    }
-}
-
-/// The selection-spine decomposition of a pattern (spine nodes, the axis
-/// entering each, and the non-spine branches hanging off each) — the shape
-/// the region-restricted evaluation walks. Mirrors the maintainer's
-/// `SpineInfo`, rebuilt here so `xpv-semantics` stays dependency-free.
-struct FlatSpine {
-    nodes: Vec<PatId>,
-    axes: Vec<Axis>,
-    branches: Vec<Vec<PatId>>,
-}
-
-impl FlatSpine {
-    fn new(p: &Pattern) -> FlatSpine {
-        let nodes = p.selection_path();
-        let axes = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| if i == 0 { Axis::Child } else { p.axis(u) })
-            .collect();
-        let branches = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| {
-                let next = nodes.get(i + 1).copied();
-                p.children(u).iter().copied().filter(|&c| Some(c) != next).collect()
-            })
-            .collect();
-        FlatSpine { nodes, axes, branches }
-    }
-}
-
-/// Region-restricted word-parallel evaluation: the answers of `p` that lie
-/// **inside `subtree(region_root)`** on the frozen snapshot, plus the
-/// region's subtree mask. Output-identical to the maintainer's `Tree`-path
-/// `region_answers` (the property-test oracle), but runs the flat matcher:
+/// Region-restricted evaluation: the answers of `p` that lie **inside
+/// `subtree(region_root)`** on the frozen snapshot, plus the region's
+/// subtree mask. Output-identical to the maintainer's `Tree`-path
+/// `region_answers` (the property-test oracle).
 ///
-/// * branch sub-match tables are seeded from **postings intersected with
-///   the region's subtree mask** — sound because any embedding that places
-///   a spine node inside the region places that node's whole pattern
-///   subtree inside it too (regions are subtree-closed), so masked tables
-///   are exact for in-region images;
-/// * the **path part** (proper ancestors of the region root, whose branch
-///   witnesses may live outside the region) uses the lazy memoized
-///   [`FlatSubMatcher`] instead — `O(depth)` nodes, not `O(n)`;
-/// * the in-region reachability sweep is run per spine position with
-///   word-level set operations, exploiting the parents-precede-children
-///   slot order for the `Descendant` closure.
+/// The proper ancestors of the region root (`O(depth)` slots) are walked
+/// once, carrying which spine positions can sit on or above each; inside
+/// the region the spine runs as in [`evaluate_flat`], over `B_i ∩ mask`
+/// (exact, see the module docs), with the walk's verdicts as extra entry
+/// points at the region root.
 ///
 /// `region_root` must be a live slot. Patterns whose spine exceeds the
 /// 63-position reach mask fall back to a full flat evaluation filtered to
@@ -427,240 +403,116 @@ pub fn region_answers_flat(
     region_root: NodeId,
 ) -> (Vec<NodeId>, BitSet) {
     debug_assert!(ft.is_alive(region_root.index()), "region roots are live");
-    let mask = ft.subtree_mask(region_root.index());
-    let spine = FlatSpine::new(p);
-    let k = spine.nodes.len() - 1;
-    if k > 63 {
+    let rr = region_root.index();
+    let mask = ft.subtree_mask(rr);
+    if p.depth() > 63 {
         let found = evaluate_flat(p, ft).into_iter().filter(|n| mask.contains(n.index())).collect();
         return (found, mask);
     }
-    let root = ft.root().index();
-    let rr = region_root.index();
-
     let found = with_tl_scratch(ft.arena_len(), |scratch| {
-        // Masked sub-match tables: for every pattern node, the in-region
-        // slots where its pattern subtree embeds (exact within the region —
-        // see above). Only branch subtrees are read below, but the bottom-up
-        // sweep computes all nodes in one pass.
-        let mut sub: Vec<BitSet> = (0..p.len()).map(|_| scratch.take()).collect();
-        for pi in (0..p.len()).rev() {
-            let pid = PatId(pi as u32);
-            seed_node(p, ft, pid, &mut sub[pi]);
-            sub[pi].intersect_with(&mask);
-            fold_children(p, ft, pid, &mut sub, scratch);
+        let Some(spine) = Spine::new(p, ft, scratch) else {
+            return Vec::new();
+        };
+        let k = spine.last();
+
+        // No candidate for the output node in the region: no answer in it.
+        let last = spine.candidates(k, Some(&mask), scratch);
+        let hopeless = last.is_empty();
+        last.release(scratch);
+        if hopeless {
+            return Vec::new();
         }
 
-        // B-sets per spine position, in-region: node test ∩ mask ∩ the
-        // witness set of every non-spine branch.
-        let mut bm: Vec<BitSet> = Vec::with_capacity(k + 1);
-        for i in 0..=k {
-            let mut b = scratch.take();
-            seed_node(p, ft, spine.nodes[i], &mut b);
-            b.intersect_with(&mask);
-            for &c in &spine.branches[i] {
-                if b.is_empty() {
-                    break;
-                }
-                let ok = edge_witness(p, ft, c, &sub[c.index()], scratch);
-                b.intersect_with(&ok);
-                scratch.put(ok);
-            }
-            bm.push(b);
-        }
-        scratch.put_all(sub);
-
-        // Path walk over the proper ancestors of the region root (outside
-        // the region, lazy matcher): reach mask and ancestor-union at the
-        // region root's parent.
-        let mut lazy = FlatSubMatcher::new(p, ft);
+        // Path walk, document root down to the region root's parent. Bit
+        // `i` of `on` / `above`: position `i` has a valid image at the
+        // current path slot / at a proper ancestor of it.
         let mut path: Vec<usize> = Vec::new();
         let mut cur = ft.parent(rr);
         while cur != NO_PARENT {
             path.push(cur as usize);
             cur = ft.parent(cur as usize);
         }
-        path.reverse();
-        let mut reach_parent = 0u64;
-        let mut anc_parent = 0u64;
-        for (step, &v) in path.iter().enumerate() {
-            if step == 0 {
+        let (mut on, mut above) = (0u64, 0u64);
+        for (depth, &v) in path.iter().rev().enumerate() {
+            if depth == 0 {
                 // Only the document root can host u_0 (strong embeddings).
-                reach_parent = if lazy.b_holds(&spine, 0, v) { 1 } else { 0 };
-            } else {
-                let anc = anc_parent | reach_parent;
-                let mut r = 0u64;
-                for i in 1..=k {
-                    let prev_ok = match spine.axes[i] {
-                        Axis::Child => reach_parent & (1 << (i - 1)) != 0,
-                        Axis::Descendant => anc & (1 << (i - 1)) != 0,
-                    };
-                    if prev_ok && lazy.b_holds(&spine, i, v) {
-                        r |= 1 << i;
-                    }
-                }
-                anc_parent = anc;
-                reach_parent = r;
+                on = u64::from(spine.holds(0, v));
+                continue;
             }
+            above |= on;
+            on = (1..=k)
+                .filter(|&i| {
+                    let from = if spine.axes[i] == Axis::Child { on } else { above };
+                    from & (1 << (i - 1)) != 0 && spine.holds(i, v)
+                })
+                .fold(0, |r, i| r | 1 << i);
         }
-        let outside = anc_parent | reach_parent;
+        let outside = above | on;
 
-        // In-region reachability, one set per spine position. `r_prev`
-        // holds the valid in-region images of position i-1.
-        let mut r_prev = scratch.take();
-        if rr == root && bm[0].contains(root) {
-            r_prev.insert(root);
+        // In-region images of each spine position in turn.
+        let mut reach = scratch.take();
+        if rr == ft.root().index() && spine.holds(0, rr) {
+            reach.insert(rr);
         }
-        // `i` walks spine positions, indexing `bm`, `spine.axes`, and the
-        // reach bit masks in lockstep — a range loop is the clear shape.
-        #[allow(clippy::needless_range_loop)]
         for i in 1..=k {
-            let mut cur_set = scratch.take();
-            match spine.axes[i] {
-                Axis::Child => {
-                    // Entering the region from the path: u_{i-1} at the
-                    // region root's parent puts u_i exactly at the root.
-                    if reach_parent & (1 << (i - 1)) != 0 && bm[i].contains(rr) {
-                        cur_set.insert(rr);
-                    }
-                    for m in bm[i].iter() {
-                        let par = ft.parent(m);
-                        if par != NO_PARENT && r_prev.contains(par as usize) {
-                            cur_set.insert(m);
-                        }
-                    }
-                }
-                Axis::Descendant => {
-                    if outside & (1 << (i - 1)) != 0 {
-                        // Some outside ancestor hosts u_{i-1}: every region
-                        // slot is a proper descendant of it.
-                        cur_set.copy_from(&bm[i]);
-                    } else {
-                        // Strict-descendant closure of r_prev within the
-                        // region: forward sweep in slot order (parents
-                        // precede children).
-                        let mut below = scratch.take();
-                        for m in mask.iter() {
-                            let par = ft.parent(m);
-                            if par != NO_PARENT
-                                && (r_prev.contains(par as usize) || below.contains(par as usize))
-                            {
-                                below.insert(m);
-                            }
-                        }
-                        cur_set.copy_from(&bm[i]);
-                        cur_set.intersect_with(&below);
-                        scratch.put(below);
-                    }
+            let cand = spine.candidates(i, Some(&mask), scratch);
+            let mut next = scratch.take();
+            let entered = 1 << (i - 1);
+            if spine.axes[i] == Axis::Descendant && outside & entered != 0 {
+                // u_{i-1} sits above the region: every candidate is below it.
+                next.copy_from(&cand);
+            } else {
+                spine.step(spine.axes[i], &reach, &cand, &mut next, scratch);
+                // u_{i-1} at the region root's parent puts u_i at the root.
+                if spine.axes[i] == Axis::Child && on & entered != 0 && cand.contains(rr) {
+                    next.insert(rr);
                 }
             }
-            scratch.put(r_prev);
-            r_prev = cur_set;
+            cand.release(scratch);
+            scratch.put(std::mem::replace(&mut reach, next));
         }
-        let found = collect_nodes(&r_prev);
-        scratch.put(r_prev);
-        scratch.put_all(bm);
+        let found = collect_nodes(&reach).collect();
+        scratch.put(reach);
         found
     });
     (found, mask)
 }
 
-/// A fused evaluator for one batch of queries against one snapshot.
-///
-/// Beyond the scratch pool, it keeps every completed sub-match set of the
-/// batch keyed by the structural fingerprint of its pattern subtree
-/// ([`Pattern::fingerprint_at`] — the same hashes the `PatternInterner`
-/// dedups by, stable under sibling reordering), so queries sharing interned
-/// pattern nodes compute each shared table once.
+/// An evaluator bound to one snapshot that owns its scratch buffers: the
+/// shape a batch of queries wants (no thread-local lookup per query, and
+/// answers written straight into an [`AnswerArena`]). Everything shared
+/// between queries — the witness sets — lives in the snapshot's memo, so
+/// two `BatchEval`s over one snapshot, on any threads, share it too.
 pub struct BatchEval<'t> {
     ft: &'t FlatTree,
     scratch: EvalScratch,
-    tables: HashMap<u64, BitSet>,
-    share_tables: bool,
-    shared_hits: u64,
 }
 
 impl<'t> BatchEval<'t> {
-    /// A fused evaluator with scratch reuse and table sharing enabled.
+    /// An evaluator over `ft`.
     pub fn new(ft: &'t FlatTree) -> BatchEval<'t> {
-        BatchEval::with_options(ft, true, true)
-    }
-
-    /// Ablation constructor: toggle scratch reuse and cross-query sub-match
-    /// table sharing independently (the `eval-bench` knobs).
-    pub fn with_options(
-        ft: &'t FlatTree,
-        reuse_scratch: bool,
-        share_tables: bool,
-    ) -> BatchEval<'t> {
-        BatchEval {
-            ft,
-            scratch: EvalScratch::with_reuse(ft.arena_len(), reuse_scratch),
-            tables: HashMap::new(),
-            share_tables,
-            shared_hits: 0,
-        }
-    }
-
-    /// How many sub-match sets were served from the shared table cache.
-    pub fn shared_hits(&self) -> u64 {
-        self.shared_hits
-    }
-
-    /// The snapshot this evaluator is bound to.
-    pub fn flat(&self) -> &FlatTree {
-        self.ft
-    }
-
-    /// Sub-match table with cross-query sharing (unpinned only — pinning
-    /// would poison the shared cache).
-    fn sub_tables(&mut self, p: &Pattern) -> Vec<BitSet> {
-        let mut sub: Vec<BitSet> = (0..p.len()).map(|_| self.scratch.take()).collect();
-        for pi in (0..p.len()).rev() {
-            let pid = PatId(pi as u32);
-            if self.share_tables {
-                let fp = p.fingerprint_at(pid);
-                if let Some(cached) = self.tables.get(&fp) {
-                    self.shared_hits += 1;
-                    sub[pi].copy_from(cached);
-                    continue;
-                }
-                seed_node(p, self.ft, pid, &mut sub[pi]);
-                fold_children(p, self.ft, pid, &mut sub, &mut self.scratch);
-                self.tables.insert(fp, sub[pi].clone());
-            } else {
-                seed_node(p, self.ft, pid, &mut sub[pi]);
-                fold_children(p, self.ft, pid, &mut sub, &mut self.scratch);
-            }
-        }
-        sub
+        BatchEval { ft, scratch: EvalScratch::new(ft.arena_len()) }
     }
 
     /// `P(t)` against the bound snapshot — identical output to
     /// [`evaluate_flat`] (and to the reference [`crate::embed::evaluate`]).
     pub fn evaluate(&mut self, p: &Pattern) -> Vec<NodeId> {
-        let out = self.output_set(p, None);
-        let nodes = collect_nodes(&out);
-        self.scratch.put(out);
-        nodes
+        self.evaluate_anchored(p, &[self.ft.root()])
     }
 
     /// Anchored evaluation against the bound snapshot — identical output to
     /// [`evaluate_anchored_flat`].
     pub fn evaluate_anchored(&mut self, p: &Pattern, anchors: &[NodeId]) -> Vec<NodeId> {
-        let out = self.output_set(p, Some(anchors));
-        let nodes = collect_nodes(&out);
+        let out = answer_set(p, self.ft, anchors, &mut self.scratch);
+        let nodes = collect_nodes(&out).collect();
         self.scratch.put(out);
         nodes
     }
 
     /// [`BatchEval::evaluate`] writing the answer into `arena` instead of
-    /// allocating a `Vec` — the run's nodes are identical (the ablation
-    /// suite pins this byte-for-byte).
+    /// allocating a `Vec` — the run's nodes are identical.
     pub fn evaluate_into(&mut self, p: &Pattern, arena: &mut AnswerArena) -> AnswerRef {
-        let out = self.output_set(p, None);
-        let r = arena.push_run(out.iter().map(|i| NodeId(i as u32)));
-        self.scratch.put(out);
-        r
+        self.evaluate_anchored_into(p, &[self.ft.root()], arena)
     }
 
     /// [`BatchEval::evaluate_anchored`] writing into `arena`.
@@ -670,38 +522,15 @@ impl<'t> BatchEval<'t> {
         anchors: &[NodeId],
         arena: &mut AnswerArena,
     ) -> AnswerRef {
-        let out = self.output_set(p, Some(anchors));
-        let r = arena.push_run(out.iter().map(|i| NodeId(i as u32)));
+        let out = answer_set(p, self.ft, anchors, &mut self.scratch);
+        let r = arena.push_run(collect_nodes(&out));
         self.scratch.put(out);
         r
     }
-
-    /// The output node set of `p` over the snapshot (`anchors == None`
-    /// means "from the document root"); the caller returns the set to the
-    /// scratch pool after reading it out.
-    fn output_set(&mut self, p: &Pattern, anchors: Option<&[NodeId]>) -> BitSet {
-        let mut roots = self.scratch.take();
-        match anchors {
-            None => {
-                roots.insert(self.ft.root().index());
-            }
-            Some(anchors) => {
-                for &n in anchors {
-                    if self.ft.is_alive(n.index()) {
-                        roots.insert(n.index());
-                    }
-                }
-            }
-        }
-        let sub = self.sub_tables(p);
-        let out = propagate_selection_flat(p, self.ft, &sub, roots, &mut self.scratch);
-        self.scratch.put_all(sub);
-        out
-    }
 }
 
-/// Evaluates a whole batch in one fused pass (one [`BatchEval`]) and
-/// returns per-query outputs in order.
+/// Evaluates a whole batch through one [`BatchEval`] and returns per-query
+/// outputs in order.
 pub fn evaluate_batch_flat(ft: &FlatTree, queries: &[&Pattern]) -> Vec<Vec<NodeId>> {
     let mut batch = BatchEval::new(ft);
     queries.iter().map(|p| batch.evaluate(p)).collect()
@@ -710,7 +539,7 @@ pub fn evaluate_batch_flat(ft: &FlatTree, queries: &[&Pattern]) -> Vec<Vec<NodeI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embed::{evaluate, evaluate_anchored, sub_match_sets};
+    use crate::embed::{evaluate, evaluate_anchored};
     use xpv_model::{Tree, TreeBuilder};
     use xpv_pattern::parse_xpath;
 
@@ -749,16 +578,6 @@ mod tests {
     ];
 
     #[test]
-    fn flat_tables_match_reference() {
-        let t = doc();
-        let ft = FlatTree::freeze(&t);
-        for q in QUERIES {
-            let p = pat(q);
-            assert_eq!(sub_match_sets_flat(&p, &ft, None), sub_match_sets(&p, &t, None), "{q}");
-        }
-    }
-
-    #[test]
     fn flat_evaluate_matches_reference() {
         let t = doc();
         let ft = FlatTree::freeze(&t);
@@ -789,7 +608,6 @@ mod tests {
         for q in QUERIES {
             let p = pat(q);
             assert_eq!(evaluate_flat(&p, &ft), evaluate(&p, &t), "{q} after edit");
-            assert_eq!(sub_match_sets_flat(&p, &ft, None), sub_match_sets(&p, &t, None), "{q}");
         }
         // Tombstoned anchors contribute nothing, matching the reference.
         let r = evaluate_anchored_flat(&pat("b//d"), &ft, &[b]);
@@ -837,21 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn pinning_matches_reference() {
-        let t = doc();
-        let ft = FlatTree::freeze(&t);
-        let p = pat("a//d");
-        for n in t.node_ids() {
-            assert_eq!(
-                sub_match_sets_flat(&p, &ft, Some((p.output(), n))),
-                sub_match_sets(&p, &t, Some((p.output(), n))),
-                "pin at {n:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_query_and_shares_tables() {
+    fn batch_matches_per_query_and_repeated_branches_come_from_the_memo() {
         let t = doc();
         let ft = FlatTree::freeze(&t);
         let pats: Vec<Pattern> = QUERIES.iter().map(|q| pat(q)).collect();
@@ -860,26 +664,50 @@ mod tests {
         for p in &refs {
             assert_eq!(batch.evaluate(p), evaluate(p, &t));
         }
-        // Shared subtrees (a//d appears alone and inside a[b]//d's spine
-        // suffix, the repeated single-node patterns, …) must hit the cache.
-        assert!(batch.shared_hits() > 0, "expected cross-query table sharing");
-        // And the convenience wrapper agrees.
+        // A second evaluator on the same snapshot, and the convenience
+        // wrapper, compute no witness set again: every branch is a hit.
+        let (_, misses) = ft.witness_memo_counts();
+        assert!(misses > 0, "the query mix has branches");
         let outs = evaluate_batch_flat(&ft, &refs);
         for (p, out) in refs.iter().zip(&outs) {
             assert_eq!(*out, evaluate(p, &t));
         }
+        assert_eq!(ft.witness_memo_counts().1, misses, "second pass recomputed a witness set");
+        // The branch `[d]` under `c` is one entry whichever query carries it
+        // (`a//c[d]` and `a/b/c[d]`), and whatever the spine above it is.
+        let fresh = FlatTree::freeze(&t);
+        evaluate_flat(&pat("a//c[d]"), &fresh);
+        assert_eq!(fresh.witness_memo_counts(), (0, 1));
+        evaluate_flat(&pat("a/b/c[d]"), &fresh);
+        assert_eq!(fresh.witness_memo_counts(), (1, 1));
     }
 
     #[test]
-    fn ablation_arms_agree() {
-        let t = doc();
-        let ft = FlatTree::freeze(&t);
-        let pats: Vec<Pattern> = QUERIES.iter().map(|q| pat(q)).collect();
-        for (reuse, share) in [(true, true), (true, false), (false, true), (false, false)] {
-            let mut batch = BatchEval::with_options(&ft, reuse, share);
-            for p in &pats {
-                assert_eq!(batch.evaluate(p), evaluate(p, &t), "reuse={reuse} share={share}");
+    fn child_step_agrees_from_either_side() {
+        // A wide fan (frontier of 1, many candidates) and a narrow target
+        // under many parents (large frontier, 1 candidate) take the two
+        // directions of the `Child` step; `//` takes the climb from both a
+        // 1-slot and a many-slot frontier.
+        let t = TreeBuilder::root("r", |t| {
+            for i in 0..200 {
+                t.child("m", |t| {
+                    t.leaf("x");
+                    if i == 77 {
+                        t.leaf("y");
+                    }
+                });
             }
+        });
+        let ft = FlatTree::freeze(&t);
+        for q in ["r/m", "r/m/y", "r/*/y", "r/m[y]/x", "r//x", "r/m//y", "*//*", "r/*/*", "r//m/x"]
+        {
+            let p = pat(q);
+            assert_eq!(evaluate_flat(&p, &ft), evaluate(&p, &t), "{q}");
+        }
+        let ms = evaluate(&pat("r/m"), &t);
+        for q in ["m/y", "m//y", "m/*", "*[y]/x"] {
+            let p = pat(q);
+            assert_eq!(evaluate_anchored_flat(&p, &ft, &ms), evaluate_anchored(&p, &t, &ms), "{q}");
         }
     }
 }

@@ -6,9 +6,9 @@
 //! * **embeddings / weak embeddings** (Definition 2.1) and query evaluation
 //!   `P(t)`, `P^w(t)` as output-node sets ([`evaluate`], [`evaluate_weak`]);
 //! * the **word-parallel flat matcher** ([`evaluate_flat`], [`BatchEval`])
-//!   — the same dynamic program run against frozen
-//!   [`xpv_model::FlatTree`] snapshots with label-posting seeding, scratch
-//!   buffer reuse, and cross-query sub-match sharing; the `Tree`-based path
+//!   — one spine-and-branch evaluator over frozen [`xpv_model::FlatTree`]
+//!   snapshots: branch witness sets are memoized on the snapshot, the
+//!   selection spine runs top-down from the anchors; the `Tree`-based path
 //!   above stays as its reference oracle;
 //! * **canonical models** (Section 2.1): the minimal model `τ(P)` ([`tau`])
 //!   and bounded enumeration ([`CanonicalModels`]);
@@ -46,8 +46,7 @@ pub use embed::{
     Embedding,
 };
 pub use flat::{
-    evaluate_anchored_flat, evaluate_batch_flat, evaluate_flat, region_answers_flat,
-    sub_match_sets_flat, BatchEval, EvalScratch,
+    evaluate_anchored_flat, evaluate_batch_flat, evaluate_flat, region_answers_flat, BatchEval,
 };
 pub use hom::{check_homomorphism, find_homomorphism, homomorphism_exists, HomMode};
 pub use oracle::{ContainmentOracle, OracleStats, DEFAULT_ORACLE_SHARDS};

@@ -74,12 +74,12 @@
 //!                                    writes BENCH_updates.json
 //! xpv eval-bench [--nodes N] [--distinct D] [--queries Q] [--labels L]
 //!                [--repeat R] [--seed S]
-//!                                    ablate the evaluation core: reference
+//!                                    time the evaluation core: reference
 //!                                    Tree matcher vs the word-parallel flat
-//!                                    matcher, fused batch vs per-query,
-//!                                    scratch pool on/off, and the fused
-//!                                    path writing into the reusable answer
-//!                                    arena; writes BENCH_eval.json
+//!                                    matcher, per query, through one batch
+//!                                    evaluator, and writing into the
+//!                                    reusable answer arena; writes
+//!                                    BENCH_eval.json
 //! ```
 //!
 //! Patterns use the fragment's XPath syntax: `a[b]//c[.//d]/e`.
@@ -1739,13 +1739,15 @@ impl EvalBenchOpts {
     }
 }
 
-/// Ablates the evaluation core on a seeded random document and a
+/// Times the evaluation core on a seeded random document and a
 /// Zipf-skewed query stream: the reference `Tree` matcher against the
-/// word-parallel [`FlatTree`] matcher, per-query evaluation against the
-/// fused batch path (shared sub-match tables keyed by pattern
-/// fingerprint), and the scratch-buffer pool on/off. Answers are checked
-/// identical across every path before anything is timed, and the summary
-/// goes to `BENCH_eval.json` (archived by CI next to the other benches).
+/// word-parallel [`FlatTree`] matcher, the latter per query
+/// (`evaluate_flat`), through one `BatchEval`, and writing into the answer
+/// arena. The three flat rows run one evaluator over one snapshot, whose
+/// witness memo the correctness pass below has already filled. Answers are
+/// checked identical across every path before anything is timed, and the
+/// summary goes to `BENCH_eval.json` (archived by CI next to the other
+/// benches).
 fn cmd_eval_bench(args: &[String]) -> Result<ExitCode, String> {
     use xpath_views::model::FlatTree;
     use xpath_views::semantics::{evaluate_flat, BatchEval};
@@ -1802,14 +1804,6 @@ fn cmd_eval_bench(args: &[String]) -> Result<ExitCode, String> {
         let mut b = BatchEval::new(&ft);
         stream.iter().map(|q| b.evaluate(q).len()).sum::<usize>()
     });
-    let (noscratch_ms, noscratch_sum) = time(&mut || {
-        let mut b = BatchEval::with_options(&ft, false, true);
-        stream.iter().map(|q| b.evaluate(q).len()).sum::<usize>()
-    });
-    let (noshare_ms, noshare_sum) = time(&mut || {
-        let mut b = BatchEval::with_options(&ft, true, false);
-        stream.iter().map(|q| b.evaluate(q).len()).sum::<usize>()
-    });
     // The serve hot loop's shape: fused batch evaluation writing node runs
     // into a reused bump arena, cleared per 64-query batch. Steady state
     // does no per-answer heap allocation — the only Vec growth is the
@@ -1825,7 +1819,7 @@ fn cmd_eval_bench(args: &[String]) -> Result<ExitCode, String> {
         }
         total
     });
-    if [flat_sum, fused_sum, noscratch_sum, noshare_sum, arena_sum].iter().any(|&s| s != ref_sum) {
+    if [flat_sum, fused_sum, arena_sum].iter().any(|&s| s != ref_sum) {
         return Err("evaluation paths returned different answer volumes".to_string());
     }
 
@@ -1843,8 +1837,6 @@ fn cmd_eval_bench(args: &[String]) -> Result<ExitCode, String> {
         ("reference", ref_ms),
         ("flat", flat_ms),
         ("flat_fused", fused_ms),
-        ("flat_fused_no_scratch", noscratch_ms),
-        ("flat_fused_no_share", noshare_ms),
         ("flat_fused_arena", arena_ms),
     ];
     let mut rows = String::new();

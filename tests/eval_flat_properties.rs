@@ -2,23 +2,24 @@
 //! reference `Tree` matcher.
 //!
 //! The flat path ([`FlatTree`] + `xpv_semantics::flat`) is a pure
-//! performance layer: its contract is **bit-identical sub-match tables and
-//! byte-identical answers** against the reference dynamic program, on every
-//! document — including post-edit documents whose arenas carry tombstoned
-//! slots. These properties pin that contract over seeded random trees,
-//! patterns, and edit streams, plus an 8-thread stress interleaving edits
-//! with fused batch answering (the copy-on-write snapshot contract: every
-//! batch sees one frozen, internally consistent document version).
+//! performance layer: its contract is **byte-identical answers** against
+//! the reference dynamic program, on every document — including post-edit
+//! documents whose arenas carry tombstoned slots and appended slots out of
+//! pre-order — whatever the state of the snapshot's witness memo (empty,
+//! full, shared by racing threads). These properties pin that contract over
+//! seeded random trees, patterns, anchor sets and edit streams, plus an
+//! 8-thread stress interleaving edits with fused batch answering (the
+//! copy-on-write snapshot contract: every batch sees one frozen, internally
+//! consistent document version).
 
 use std::sync::Arc;
 
 use xpath_views::engine::ShardedViewCache;
 use xpath_views::maintain::apply_edits as apply_tree_edits;
-use xpath_views::model::{FlatTree, Tree};
+use xpath_views::model::{BitSet, FlatTree, Tree, WITNESS_MEMO_BOUND};
 use xpath_views::prelude::*;
 use xpath_views::semantics::{
-    evaluate_anchored, evaluate_anchored_flat, evaluate_batch_flat, evaluate_flat, sub_match_sets,
-    sub_match_sets_flat, BatchEval,
+    evaluate_anchored, evaluate_anchored_flat, evaluate_batch_flat, evaluate_flat, BatchEval,
 };
 use xpath_views::workload::{edit_batches, edit_stream, EditMix};
 
@@ -42,29 +43,31 @@ fn edit_in_place(doc: &mut Tree, edits: usize, seed: u64) {
     apply_tree_edits(doc, &stream).expect("generated edits apply");
 }
 
+/// Every arena slot of `doc` as a `NodeId`, tombstones included.
+fn all_slots(doc: &Tree) -> Vec<NodeId> {
+    (0..doc.arena_len()).map(|i| NodeId(i as u32)).collect()
+}
+
 /// Asserts every flat path agrees with the reference on one document.
 fn assert_flat_matches_reference(doc: &Tree, queries: &[Pattern]) {
     let ft = FlatTree::freeze(doc);
     assert_eq!(ft.len(), doc.len(), "freeze keeps exactly the live nodes");
+    // Anchor sets: a sparse one, a single slot (a 1-slot frontier), and
+    // every slot — anchors nested inside other anchors' subtrees, dead
+    // anchors on edited documents, and a frontier as large as it gets.
+    let sparse: Vec<NodeId> = doc.node_ids().step_by(3).collect();
+    let deepest: Vec<NodeId> = doc.node_ids().last().into_iter().collect();
+    let every = all_slots(doc);
     for q in queries {
-        // Bit-identical sub-match tables, unpinned and pinned.
-        let reference = sub_match_sets(q, doc, None);
-        assert_eq!(sub_match_sets_flat(q, &ft, None), reference, "tables differ for {q}");
-        let pin = (q.output(), doc.root());
-        assert_eq!(
-            sub_match_sets_flat(q, &ft, Some(pin)),
-            sub_match_sets(q, doc, Some(pin)),
-            "pinned tables differ for {q}"
-        );
-        // Byte-identical answers, free and anchored.
-        let want = evaluate(q, doc);
-        assert_eq!(evaluate_flat(q, &ft), want, "answers differ for {q}");
-        let anchors: Vec<NodeId> = doc.node_ids().step_by(3).collect();
-        assert_eq!(
-            evaluate_anchored_flat(q, &ft, &anchors),
-            evaluate_anchored(q, doc, &anchors),
-            "anchored answers differ for {q}"
-        );
+        assert_eq!(evaluate_flat(q, &ft), evaluate(q, doc), "answers differ for {q}");
+        for anchors in [&sparse, &deepest, &every] {
+            assert_eq!(
+                evaluate_anchored_flat(q, &ft, anchors),
+                evaluate_anchored(q, doc, anchors),
+                "anchored answers differ for {q} from {} anchors",
+                anchors.len()
+            );
+        }
     }
 }
 
@@ -88,6 +91,48 @@ fn flat_matcher_matches_reference_on_tombstoned_documents() {
     }
 }
 
+/// Shapes the random generator rarely draws on its own: a 1-node pattern,
+/// an output node that itself carries branches, wildcard and `//` steps on
+/// the spine, branches below branches.
+fn forced_patterns() -> Vec<Pattern> {
+    [
+        "l0",
+        "*",
+        "*/*",
+        "*//*",
+        "*//l1",
+        "*/l0[l1]",
+        "*//*[l1][.//l2]",
+        "*//l0[*]/*",
+        "*[.//l1[l2]]//l0",
+        "*[l0/l1]/*//l2[l3]",
+        "*//*//*",
+        "*/*/*/*",
+    ]
+    .iter()
+    .map(|q| parse_xpath(q).expect("forced pattern parses"))
+    .collect()
+}
+
+/// The spine-and-branch evaluator against the reference on documents large
+/// enough that both directions of the `Child` step and long `//` climbs
+/// occur, before and after edits (tombstones, and inserted subtrees whose
+/// slots land at the end of the arena, out of pre-order).
+#[test]
+fn evaluator_matches_reference_on_forced_shapes() {
+    for seed in 0..12u64 {
+        let cfg = TreeGenConfig { size: 400, max_depth: 10, max_children: 12, label_count: 4 };
+        let mut doc = TreeGen::new(cfg, seed).tree();
+        if seed % 3 != 0 {
+            edit_in_place(&mut doc, 40, seed ^ 0x0DD);
+            assert!(doc.arena_len() > doc.len(), "edits left tombstones");
+        }
+        let mut queries = forced_patterns();
+        queries.extend(patterns_from_seed(seed ^ 0x5A17, 8));
+        assert_flat_matches_reference(&doc, &queries);
+    }
+}
+
 #[test]
 fn fused_batch_evaluation_matches_per_query() {
     for seed in 0..20u64 {
@@ -96,25 +141,67 @@ fn fused_batch_evaluation_matches_per_query() {
             edit_in_place(&mut doc, 15, seed ^ 0xBEEF);
         }
         let ft = FlatTree::freeze(&doc);
-        // Duplicates in the batch exercise the shared sub-match tables.
-        let mut queries = patterns_from_seed(seed ^ 0x1234, 5);
-        queries.extend(queries.clone());
+        let queries = patterns_from_seed(seed ^ 0x1234, 5);
         let per_query: Vec<Vec<NodeId>> = queries.iter().map(|q| evaluate(q, &doc)).collect();
 
         let mut fused = BatchEval::new(&ft);
-        let batched: Vec<Vec<NodeId>> = queries.iter().map(|q| fused.evaluate(q)).collect();
-        assert!(fused.shared_hits() >= queries.len() as u64 / 2, "duplicates must share tables");
-        assert_eq!(batched, per_query);
-
-        // Every ablation (no scratch reuse, no table sharing) and the
-        // convenience entry point agree too.
-        for (reuse, share) in [(false, true), (true, false), (false, false)] {
-            let mut b = BatchEval::with_options(&ft, reuse, share);
-            let got: Vec<Vec<NodeId>> = queries.iter().map(|q| b.evaluate(q)).collect();
-            assert_eq!(got, per_query, "ablation (reuse={reuse}, share={share}) diverged");
-        }
+        let first: Vec<Vec<NodeId>> = queries.iter().map(|q| fused.evaluate(q)).collect();
+        assert_eq!(first, per_query);
+        // A repeat of the batch, through another evaluator, computes no
+        // witness set: every branch it carries is served from the memo.
+        let (hits, misses) = ft.witness_memo_counts();
         let refs: Vec<&Pattern> = queries.iter().collect();
         assert_eq!(evaluate_batch_flat(&ft, &refs), per_query);
+        let (hits_after, misses_after) = ft.witness_memo_counts();
+        assert_eq!(misses_after, misses, "a repeated branch was recomputed");
+        assert_eq!(hits_after > hits, misses > 0, "repeated branches must hit the memo");
+    }
+}
+
+/// Answers do not depend on the memo's state. Filling it to its bound with
+/// unrelated entries before every query makes each evaluation's first insert
+/// reset it, so witness sets are dropped and rebuilt mid-mix; four threads
+/// starting together on an empty memo race on every miss.
+#[test]
+fn answers_are_identical_with_the_memo_full_or_contended() {
+    for seed in 0..6u64 {
+        let mut doc = tree_from_seed(seed, 120);
+        edit_in_place(&mut doc, 20, seed ^ 0xFEED);
+        let mut queries = forced_patterns();
+        queries.extend(patterns_from_seed(seed ^ 0xC0DE, 10));
+        let anchors: Vec<NodeId> = all_slots(&doc);
+        let want: Vec<(Vec<NodeId>, Vec<NodeId>)> = queries
+            .iter()
+            .map(|q| (evaluate(q, &doc), evaluate_anchored(q, &doc, &anchors)))
+            .collect();
+
+        let full = FlatTree::freeze(&doc);
+        let mut filler = 0u64;
+        for (q, (direct, anchored)) in queries.iter().zip(&want) {
+            for _ in 0..WITNESS_MEMO_BOUND {
+                filler += 1;
+                full.witness((filler, false), || BitSet::new(full.arena_len()));
+            }
+            assert_eq!(&evaluate_flat(q, &full), direct, "full memo changed {q}");
+            assert_eq!(&evaluate_anchored_flat(q, &full, &anchors), anchored, "full memo: {q}");
+        }
+
+        let shared = FlatTree::freeze(&doc);
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let (shared, queries, want, anchors) = (&shared, &queries, &want, &anchors);
+                scope.spawn(move || {
+                    let mut eval = BatchEval::new(shared);
+                    // Each thread starts at its own offset, so misses on
+                    // different keys and on the same key both occur.
+                    for i in 0..queries.len() * 2 {
+                        let j = (i + t * 3) % queries.len();
+                        assert_eq!(eval.evaluate(&queries[j]), want[j].0);
+                        assert_eq!(eval.evaluate_anchored(&queries[j], anchors), want[j].1);
+                    }
+                });
+            }
+        });
     }
 }
 

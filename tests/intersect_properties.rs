@@ -48,7 +48,7 @@ proptest! {
             let t = tree_from_seed(tseed, 40);
             let sets: Vec<Vec<NodeId>> = views.iter().map(|v| evaluate(v, &t)).collect();
             let set_refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-            let joint = intersect_node_sets(t.len(), &set_refs);
+            let joint = intersect_node_sets(&set_refs);
             prop_assert_eq!(&joint, &evaluate(&m, &t), "M(t) != ∩Vi(t) for M={}", m);
             prop_assert_eq!(&joint, &evaluate(&p, &t), "split pool must reconstruct {}", p);
         }

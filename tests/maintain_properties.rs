@@ -589,3 +589,46 @@ fn concurrent_updates_and_answers_match_serial_replay() {
     }
     assert_eq!(cache.doc_version(), batches.len() as u64);
 }
+
+/// Document depth must never become call-stack depth. A 200 000-deep chain
+/// is frozen, masked from the root (the traversal behind every region scan)
+/// and edited near the root through the engine, on this test's own thread:
+/// the test harness gives it the 2 MiB stack a server worker has, where one
+/// frame per level overflowed at a fraction of this depth.
+#[test]
+fn deep_chain_document_survives_mask_and_edit_batch() {
+    use xpath_views::model::{FlatTree, Label, Tree};
+    const DEPTH: usize = 200_000;
+
+    let mut doc = Tree::new(Label::new("a"));
+    let mut tip = doc.root();
+    let mut near_root = tip;
+    for level in 1..DEPTH {
+        tip = doc.add_child(tip, Label::new(if level % 2 == 0 { "a" } else { "b" }));
+        if level == 3 {
+            near_root = tip;
+        }
+    }
+    let flat = FlatTree::freeze(&doc);
+    assert_eq!(flat.subtree_mask(0).count(), DEPTH);
+    let mut seen = 0usize;
+    doc.for_each_descendant(doc.root(), |_| seen += 1);
+    assert_eq!(seen, DEPTH);
+    drop(flat);
+
+    let cache = ShardedViewCache::new(doc);
+    cache.add_view("bs", parse_xpath("a//b").unwrap());
+    cache.add_view("leafy", parse_xpath("a//b[c]").unwrap());
+    let graft = TreeBuilder::root("c", |_| {});
+    let report = cache
+        .apply_edits(&[
+            Edit::InsertSubtree { parent: near_root, subtree: graft },
+            Edit::Relabel { node: NodeId(2), label: Label::new("b") },
+        ])
+        .expect("edits near the root apply");
+    assert_eq!(report.edits_applied, 2);
+    let views = cache.views_snapshot();
+    assert_eq!(views[0].nodes().len(), DEPTH / 2 + 1, "a//b gained the relabelled node");
+    assert_eq!(views[1].nodes(), &[near_root], "the graft made one b a parent of c");
+    assert_eq!(cache.answer(&parse_xpath("a//b[c]").unwrap()).nodes, vec![near_root]);
+}
