@@ -177,22 +177,6 @@ impl ViewCache {
         self.inner.coalesce_enabled()
     }
 
-    /// Enables or disables the parallel region fan-out
-    /// (the `--no-parallel-regions` ablation).
-    pub fn set_parallel_regions(&mut self, enabled: bool) {
-        self.inner.set_parallel_regions(enabled);
-    }
-
-    /// Whether region scans fan out across worker threads.
-    pub fn parallel_regions(&self) -> bool {
-        self.inner.parallel_regions()
-    }
-
-    /// Sets the region fan-out worker count (`0` = auto).
-    pub fn set_region_workers(&mut self, workers: usize) {
-        self.inner.set_region_workers(workers);
-    }
-
     /// The concurrent cache this wrapper drives (one shard). Useful for
     /// promoting a configured single-threaded cache to shared serving.
     pub fn into_sharded(self) -> ShardedViewCache {

@@ -80,15 +80,14 @@ use xpv_intersect::{
 };
 use xpv_maintain::{
     apply_region_results, coalesce_plan, finalize_deltas, maintain_views, prepare_batch,
-    region_answers, CoalescedPlan, Edit, EditError, MaintainMode, MaintainStats, RegionTask,
-    SubMatcher, ViewDelta,
+    scan_regions_flat, scan_regions_serial, Edit, EditError, MaintainMode, MaintainStats,
+    ViewDelta,
 };
-use xpv_model::{AnswerArena, AnswerRef, BitSet, FlatTree, NodeId, Tree};
+use xpv_model::{AnswerArena, AnswerRef, FlatTree, NodeId, Tree};
 use xpv_obs::{Heartbeat, Histogram, MetricsSnapshot, Phase, Registry, Span};
 use xpv_pattern::{Pattern, PatternKey, QuerySignature, ViewSignature};
 use xpv_semantics::{
-    evaluate, evaluate_anchored, evaluate_anchored_flat, evaluate_flat, region_answers_flat,
-    BatchEval,
+    evaluate, evaluate_anchored, evaluate_anchored_flat, evaluate_flat, BatchEval,
 };
 
 use crate::view::MaterializedView;
@@ -307,7 +306,7 @@ pub struct CacheStats {
     /// under load is the signal it has become real.
     pub snapshot_read_stalls: u64,
     /// Lifetime maintenance counters summed over every `apply_edits` batch
-    /// (per-phase timings, coalescing sizes, fan-out widths — see
+    /// (per-phase timings, coalescing and region sizes — see
     /// [`MaintainStats`]).
     pub maintain: MaintainStats,
 }
@@ -487,29 +486,6 @@ struct Maintained {
     flat: Arc<FlatTree>,
 }
 
-/// Scans one merged region for one view — the unit of work the parallel
-/// fan-out stripes across scoped threads. Flat path: the spine-and-branch
-/// matcher over the shared post-batch freeze, reading (and filling) the
-/// witness memo the reads after the swap will use; tree path: the
-/// `region_answers` reference walk (kept as the `--no-flat` ablation arm
-/// and property-test oracle). Both return the fresh in-region answers and
-/// the region's live-subtree mask.
-fn scan_region(
-    task: RegionTask,
-    plan: &CoalescedPlan,
-    defs: &[&Pattern],
-    doc: &Tree,
-    flat: &FlatTree,
-    use_flat: bool,
-) -> (Vec<NodeId>, BitSet) {
-    if use_flat {
-        region_answers_flat(defs[task.view], flat, task.root)
-    } else {
-        let mut m = SubMatcher::new(defs[task.view], doc);
-        region_answers(&plan.infos[task.view], doc, task.root, &mut m)
-    }
-}
-
 /// The cache's observability handles: its private metric [`Registry`]
 /// plus the pre-resolved latency histograms the hot paths record into
 /// (resolved once at construction — answering never touches the registry
@@ -636,11 +612,6 @@ pub struct ShardedViewCache {
     /// regions (the `--no-coalesce` ablation knob; `false` = the legacy
     /// per-edit path).
     coalesce_enabled: AtomicBool,
-    /// Whether independent merged regions are fanned across scoped worker
-    /// threads (the `--no-parallel-regions` ablation knob).
-    parallel_regions: AtomicBool,
-    /// Worker count for the region fan-out (`0` = available parallelism).
-    region_workers: AtomicU64,
     /// Lifetime maintenance counters (summed per batch under the write
     /// gate; surfaced through [`CacheStats::maintain`]).
     maintain_totals: std::sync::Mutex<MaintainStats>,
@@ -696,8 +667,6 @@ impl ShardedViewCache {
             doc_version: AtomicU64::new(0),
             incremental_maintenance: AtomicBool::new(true),
             coalesce_enabled: AtomicBool::new(true),
-            parallel_regions: AtomicBool::new(true),
-            region_workers: AtomicU64::new(0),
             maintain_totals: std::sync::Mutex::new(MaintainStats::default()),
             updates_applied: AtomicU64::new(0),
             views_refreshed_incrementally: AtomicU64::new(0),
@@ -1212,31 +1181,11 @@ impl ShardedViewCache {
         self.coalesce_enabled.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables the **parallel region fan-out** — the
-    /// `xpv update-bench --no-parallel-regions` ablation knob. Merged
-    /// regions are disjoint, so scans are combined in `(view, root)` order
-    /// and answers, deltas, and counters are identical either way.
-    pub fn set_parallel_regions(&self, enabled: bool) {
-        self.parallel_regions.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether region scans fan out across worker threads.
-    pub fn parallel_regions(&self) -> bool {
-        self.parallel_regions.load(Ordering::Relaxed)
-    }
-
-    /// Sets the worker count for the region fan-out (`0` = use
-    /// `std::thread::available_parallelism`).
-    pub fn set_region_workers(&self, workers: usize) {
-        self.region_workers.store(workers as u64, Ordering::Relaxed);
-    }
-
     /// The coalesced maintenance pipeline: apply the whole batch, freeze
     /// the post-batch flat snapshot **once** (shared between the region
     /// scans and the snapshot swap), diff spines against the pre-batch
-    /// tree, fan the disjoint merged regions across scoped worker threads,
-    /// and patch answers deterministically (results indexed by task order,
-    /// so the outcome is schedule-invariant).
+    /// tree, scan the disjoint merged regions (one matcher per view), and
+    /// patch the answer sets from the scans' slot lists.
     ///
     /// `old[v]` is view `v`'s pre-batch answer set, borrowed from the
     /// published pool; the returned patched sets are `None` for views the
@@ -1265,68 +1214,11 @@ impl ShardedViewCache {
         plan.stats.freeze_us = freeze_us;
         plan.stats.freeze_reused = 1;
 
-        let use_flat = self.flat_enabled();
-        let parallel = self.parallel_regions.load(Ordering::Relaxed);
-        // A width-1 fan-out would pay thread-spawn cost for nothing (e.g.
-        // a single-core host, or a single-region batch) — run serial then.
-        let width = if parallel && tasks.len() > 1 {
-            let configured = self.region_workers.load(Ordering::Relaxed) as usize;
-            if configured == 0 {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            } else {
-                configured
-            }
-            .min(tasks.len())
-        } else {
-            1
-        };
         let t = Instant::now();
-        let results: Vec<(Vec<NodeId>, BitSet)> = if width > 1 {
-            plan.stats.parallel_tasks = tasks.len() as u64;
-            plan.stats.parallel_width = width as u64;
-            // Static striping: worker w owns tasks w, w+W, w+2W, …; each
-            // returns (index, result) pairs, so the combined vector is in
-            // task order no matter how the threads interleave.
-            let mut slots: Vec<Option<(Vec<NodeId>, BitSet)>> =
-                (0..tasks.len()).map(|_| None).collect();
-            let doc_ref: &Tree = doc;
-            let flat_ref: &FlatTree = &new_flat;
-            let plan_ref: &CoalescedPlan = &plan;
-            let tasks_ref: &[RegionTask] = &tasks;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..width)
-                    .map(|w| {
-                        s.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut i = w;
-                            while i < tasks_ref.len() {
-                                let r = scan_region(
-                                    tasks_ref[i],
-                                    plan_ref,
-                                    defs,
-                                    doc_ref,
-                                    flat_ref,
-                                    use_flat,
-                                );
-                                out.push((i, r));
-                                i += width;
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, r) in h.join().expect("region worker panicked") {
-                        slots[i] = Some(r);
-                    }
-                }
-            });
-            slots.into_iter().map(|o| o.expect("every task scanned")).collect()
+        let results = if self.flat_enabled() {
+            scan_regions_flat(&new_flat, defs, &tasks)
         } else {
-            tasks
-                .iter()
-                .map(|&task| scan_region(task, &plan, defs, doc, &new_flat, use_flat))
-                .collect()
+            scan_regions_serial(doc, defs, &plan, &tasks)
         };
         plan.stats.scan_us = t.elapsed().as_micros() as u64;
 

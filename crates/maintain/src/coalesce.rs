@@ -16,10 +16,14 @@
 //!    collapses into it, and edits sharing a changed ancestor spine node
 //!    collapse to the highest such node — so k edits under one hot subtree
 //!    cost **one** region scan per view;
-//! 3. the caller scans each surviving `(view, region)` task (serially, via
-//!    the flat matcher, or fanned across threads — regions are disjoint by
-//!    construction, so the tasks are independent) and
-//!    [`apply_region_results`] patches the answer sets.
+//! 3. the caller scans each surviving `(view, region)` task — over the
+//!    post-batch freeze ([`scan_regions_flat`], what the engine runs) or
+//!    over the `Tree` ([`scan_regions_serial`], the oracle); either way one
+//!    matcher per view, and per region the answers inside it plus the list
+//!    of its slots — and [`apply_region_results`] patches the answer sets
+//!    from those lists. A scan costs what its region holds, so all of a
+//!    batch's scans together come to less than spawning threads for them
+//!    would: they run on the calling thread.
 //!
 //! ## Why the cumulative `t0` → `t1` comparison is sound
 //!
@@ -60,9 +64,9 @@
 
 use std::collections::HashSet;
 
-use xpv_model::{BitSet, NodeId, Tree};
+use xpv_model::{BitSet, FlatTree, NodeId, Tree};
 use xpv_pattern::Pattern;
-use xpv_semantics::evaluate;
+use xpv_semantics::{evaluate, RegionScanner};
 
 use crate::edit::{undo, validate_edit, AppliedEdit, Edit, EditError};
 use crate::refresh::MaintainStats;
@@ -279,21 +283,20 @@ pub fn merge_regions(t: &Tree, mut roots: Vec<NodeId>) -> Vec<NodeId> {
 }
 
 /// Patches every answer set from its disposition and the per-task region
-/// results (`results[i]` is the answer/mask pair of `tasks[i]`, produced by
-/// either `region_answers` or `xpv_semantics::region_answers_flat`).
+/// results (`results[i]` is the (answers, region slots) pair of `tasks[i]`,
+/// from [`scan_regions_flat`] or [`scan_regions_serial`]).
 /// `old[v]` is view `v`'s ascending pre-batch answer set; the result holds
 /// its patched set, or `None` for a [`ViewDisposition::Clean`] view — the
 /// plan proved that set untouched, so it is neither read nor copied.
-/// Schedule-invariant: tasks arrive in `(view, root)` order and regions of
-/// one view are disjoint, so the patched set is independent of how the
-/// scans were executed.
+/// Tasks arrive in `(view, root)` order and regions of one view are
+/// disjoint, so each view's results are one contiguous run.
 pub fn apply_region_results(
     t1: &Tree,
     defs: &[&Pattern],
     old: &[&[NodeId]],
     plan: &CoalescedPlan,
     tasks: &[RegionTask],
-    results: &[(Vec<NodeId>, BitSet)],
+    results: &[(Vec<NodeId>, Vec<NodeId>)],
     stats: &mut MaintainStats,
 ) -> Vec<Option<Vec<NodeId>>> {
     assert_eq!(tasks.len(), results.len(), "one result per region task");
@@ -314,61 +317,74 @@ pub fn apply_region_results(
         })
         .collect();
 
-    // Group the task results by view (tasks are view-major) and patch:
-    // keep old answers that are alive and outside every region, splice in
-    // the fresh region answers. Inserted slots sit at the arena's end, so
-    // region id ranges can interleave with the kept answers — the union is
-    // re-sorted only when it actually came out of order (a stable sort:
-    // the input is a few ascending runs, which it merges in linear time).
-    let mut idx = 0;
-    while idx < tasks.len() {
-        let v = tasks[idx].view;
-        let mut end = idx;
-        let mut mask = BitSet::new(t1.arena_len());
-        let mut fresh: Vec<NodeId> = Vec::new();
-        while end < tasks.len() && tasks[end].view == v {
-            let (found, region) = &results[end];
-            fresh.extend_from_slice(found);
-            mask.union_with(region);
-            end += 1;
-        }
-        // A view's regions are disjoint subtrees: the union counts them all.
-        stats.regions_scanned += (end - idx) as u64;
-        stats.region_nodes += mask.count() as u64;
+    // Per view: keep old answers that are alive and outside every region,
+    // splice in the fresh region answers. `in_region` is the one set of
+    // arena width: a view marks its regions' slots in it and unmarks them
+    // when done, so a batch pays for the slots it scanned, not per region
+    // for the document. Inserted slots sit at the arena's end, so region id
+    // ranges can interleave with the kept answers — the union is re-sorted
+    // only when it actually came out of order (a stable sort: the input is
+    // a few ascending runs, which it merges in linear time).
+    let mut in_region = BitSet::new(t1.arena_len());
+    let mut done = 0;
+    for of_view in tasks.chunk_by(|a, b| a.view == b.view) {
+        let v = of_view[0].view;
+        let scans = &results[done..done + of_view.len()];
+        done += of_view.len();
+        let slots = || scans.iter().flat_map(|(_, slots)| slots);
+        slots().for_each(|n| in_region.insert(n.index()));
         let mut next: Vec<NodeId> = old[v]
             .iter()
             .copied()
-            .filter(|&n| t1.is_alive(n) && !mask.contains(n.index()))
+            .filter(|&n| t1.is_alive(n) && !in_region.contains(n.index()))
             .collect();
-        next.extend(fresh);
+        slots().for_each(|n| in_region.remove(n.index()));
+        for (found, slots) in scans {
+            next.extend_from_slice(found);
+            stats.region_nodes += slots.len() as u64;
+        }
+        stats.regions_scanned += scans.len() as u64;
         if !next.is_sorted() {
             next.sort();
         }
         patched[v] = Some(next);
-        idx = end;
     }
     stats.scans_saved += stats.regions_before_merge.saturating_sub(stats.regions_scanned);
     patched
 }
 
-/// Runs the serial `Tree`-path coalesced scan for `plan` (one memoizing
-/// matcher per view, reused across its regions). The engine substitutes the
-/// flat matcher and a thread fan-out for this loop; the property suite pins
-/// all three to the same answers.
+/// Scans every task of `plan` over the post-batch freeze, in task order:
+/// one [`RegionScanner`] per view, reused across its regions, reading (and
+/// filling) the witness memo the reads after the swap will use.
+pub fn scan_regions_flat(
+    flat: &FlatTree,
+    defs: &[&Pattern],
+    tasks: &[RegionTask],
+) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+    let mut results = Vec::with_capacity(tasks.len());
+    for of_view in tasks.chunk_by(|a, b| a.view == b.view) {
+        let scanner = RegionScanner::new(defs[of_view[0].view], flat);
+        results.extend(of_view.iter().map(|task| scanner.scan(task.root)));
+    }
+    results
+}
+
+/// The `Tree`-path counterpart of [`scan_regions_flat`] (one memoizing
+/// matcher per view, reused across its regions): the oracle the property
+/// suite pins the flat scan to, and the engine's `--no-flat` arm.
 pub fn scan_regions_serial(
     t1: &Tree,
     defs: &[&Pattern],
     plan: &CoalescedPlan,
     tasks: &[RegionTask],
-) -> Vec<(Vec<NodeId>, BitSet)> {
+) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
     let mut results = Vec::with_capacity(tasks.len());
-    let mut current: Option<(usize, SubMatcher<'_>)> = None;
-    for task in tasks {
-        if current.as_ref().map(|(v, _)| *v) != Some(task.view) {
-            current = Some((task.view, SubMatcher::new(defs[task.view], t1)));
-        }
-        let (_, m) = current.as_mut().expect("matcher installed above");
-        results.push(region_answers(&plan.infos[task.view], t1, task.root, m));
+    for of_view in tasks.chunk_by(|a, b| a.view == b.view) {
+        let v = of_view[0].view;
+        let mut m = SubMatcher::new(defs[v], t1);
+        results.extend(
+            of_view.iter().map(|task| region_answers(&plan.infos[v], t1, task.root, &mut m)),
+        );
     }
     results
 }

@@ -63,9 +63,8 @@
 //! answers inside are recomputed exactly. The full argument, including why
 //! label-skipped edits contribute nothing to the telescoped `t0 → t1`
 //! difference, lives in [`coalesce`]'s module docs. Disjointness is also
-//! what makes the region scans embarrassingly parallel: the engine fans
-//! them across scoped threads and combines results in `(view, region
-//! root)` order, so answers, deltas, and counters are schedule-invariant.
+//! what lets each view's results be patched in one pass: a slot belongs to
+//! at most one of its regions.
 //!
 //! The restricted evaluation ([`region_answers`]) runs the same
 //! spine-reachability dynamic program a full evaluation would, but only
@@ -87,8 +86,8 @@ pub mod refresh;
 pub mod region;
 
 pub use coalesce::{
-    apply_region_results, coalesce_plan, merge_regions, prepare_batch, scan_regions_serial,
-    BatchAnchor, CoalescedPlan, PreparedBatch, RegionTask, ViewDisposition,
+    apply_region_results, coalesce_plan, merge_regions, prepare_batch, scan_regions_flat,
+    scan_regions_serial, BatchAnchor, CoalescedPlan, PreparedBatch, RegionTask, ViewDisposition,
 };
 pub use edit::{apply_edit, apply_edits, validate_edit, AppliedEdit, Edit, EditError};
 pub use refresh::{finalize_deltas, maintain_views, MaintainMode, MaintainStats, ViewDelta};

@@ -134,10 +134,6 @@ pub struct MaintainStats {
     /// Batches whose maintenance reused the snapshot-swap `FlatTree` freeze
     /// (the engine's shared-freeze path).
     pub freeze_reused: u64,
-    /// Region scans dispatched to the parallel fan-out.
-    pub parallel_tasks: u64,
-    /// Widest worker fan-out used (aggregates as a maximum).
-    pub parallel_width: u64,
     /// Microseconds applying edits: the engine's private copy of the
     /// pre-batch document (plus, on the legacy modes, of the answer sets),
     /// `prepare_batch`, and — after the swap — the release of the document
@@ -149,7 +145,7 @@ pub struct MaintainStats {
     pub freeze_us: u64,
     /// Microseconds diffing spines and merging regions (`coalesce_plan`).
     pub coalesce_us: u64,
-    /// Microseconds scanning regions (serial or parallel, wall-clock).
+    /// Microseconds scanning regions.
     pub scan_us: u64,
     /// Microseconds from the end of the scans to the end of publication:
     /// patching answer sets, diffing them into deltas, and — in the engine
@@ -173,8 +169,6 @@ impl MaintainStats {
         self.regions_before_merge += other.regions_before_merge;
         self.scans_saved += other.scans_saved;
         self.freeze_reused += other.freeze_reused;
-        self.parallel_tasks += other.parallel_tasks;
-        self.parallel_width = self.parallel_width.max(other.parallel_width);
         self.apply_us += other.apply_us;
         self.freeze_us += other.freeze_us;
         self.coalesce_us += other.coalesce_us;
@@ -186,8 +180,7 @@ impl MaintainStats {
     /// field, in declaration order. The observability registry exposes
     /// these under `xpv_maintain_*`, and `Display` renders the same list
     /// — one naming authority, so the rendered line and the exposition
-    /// can never drift (see the `xpv-obs` crate docs). Note
-    /// `parallel_width` aggregates as a maximum, not a sum.
+    /// can never drift (see the `xpv-obs` crate docs).
     pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
         f("edits_applied", self.edits_applied);
         f("view_edit_checks", self.view_edit_checks);
@@ -201,8 +194,6 @@ impl MaintainStats {
         f("regions_before_merge", self.regions_before_merge);
         f("scans_saved", self.scans_saved);
         f("freeze_reused", self.freeze_reused);
-        f("parallel_tasks", self.parallel_tasks);
-        f("parallel_width", self.parallel_width);
         f("apply_us", self.apply_us);
         f("freeze_us", self.freeze_us);
         f("coalesce_us", self.coalesce_us);
@@ -240,9 +231,9 @@ pub fn maintain_views(
 
     if mode == MaintainMode::Coalesced {
         // Batch-coalesced path: apply everything, diff spines t0 → t1 once,
-        // scan the merged regions (serially here; the engine swaps in the
-        // flat matcher and a thread fan-out for the same plan). Answer sets
-        // the plan proves untouched are never copied.
+        // scan the merged regions (over the `Tree` here; the engine scans
+        // the same plan over its post-batch freeze). Answer sets the plan
+        // proves untouched are never copied.
         let t0 = doc.clone();
         let prep = crate::coalesce::prepare_batch(doc, edits)?;
         let plan = crate::coalesce::coalesce_plan(&t0, doc, defs, &prep);
@@ -358,13 +349,14 @@ pub fn maintain_views(
                     }
                 }
                 Some(root) => {
-                    let (fresh, region) = region_answers(info, doc, root, &mut m);
+                    let (fresh, mut region) = region_answers(info, doc, root, &mut m);
+                    region.sort_unstable();
                     stats.regions_scanned += 1;
-                    stats.region_nodes += region.count() as u64;
+                    stats.region_nodes += region.len() as u64;
                     let mut next: Vec<NodeId> = answers[v]
                         .iter()
                         .copied()
-                        .filter(|&n| doc.is_alive(n) && !region.contains(n.index()))
+                        .filter(|&n| doc.is_alive(n) && region.binary_search(&n).is_err())
                         .collect();
                     next.extend(fresh);
                     next.sort();

@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 
-use xpv_model::{BitSet, NodeId, Tree};
+use xpv_model::{NodeId, Tree};
 use xpv_pattern::{Axis, PatId, Pattern};
 
 /// Spine positions are tracked in a `u64` reachability mask; deeper
@@ -195,19 +195,20 @@ pub fn spine_to(t: &Tree, n: NodeId) -> Vec<NodeId> {
 }
 
 /// Restricted evaluation: the view's answers **inside `subtree(region_root)`**
-/// on the current tree, plus a bitset marking the scanned region (sized by
-/// `arena_len`). Runs the spine-reachability DP: reach masks flow from the
-/// root down the path to `region_root` and then through the region subtree;
-/// a node is an answer iff bit `k` of its reach mask is set.
+/// on the current tree (ascending), plus the nodes of the scanned region (in
+/// visit order) — the result shape of `xpv_semantics::RegionScanner::scan`,
+/// whose oracle this is. Runs the spine-reachability DP: reach masks flow
+/// from the root down the path to `region_root` and then through the region
+/// subtree; a node is an answer iff bit `k` of its reach mask is set.
 pub fn region_answers(
     info: &SpineInfo,
     t: &Tree,
     region_root: NodeId,
     matcher: &mut SubMatcher<'_>,
-) -> (Vec<NodeId>, BitSet) {
+) -> (Vec<NodeId>, Vec<NodeId>) {
     debug_assert!(info.trackable());
     let k = info.depth();
-    let mut region = BitSet::new(t.arena_len());
+    let mut region: Vec<NodeId> = Vec::new();
     let mut found: Vec<NodeId> = Vec::new();
 
     // Walk the path root → region_root, computing reach and the union of
@@ -230,7 +231,7 @@ pub fn region_answers(
     // DFS through the region subtree.
     let mut stack: Vec<(NodeId, u64, u64)> = vec![(region_root, reach_here, anc_union)];
     while let Some((v, reach, anc)) = stack.pop() {
-        region.insert(v.index());
+        region.push(v);
         if reach & (1 << k) != 0 {
             found.push(v);
         }
@@ -277,6 +278,11 @@ mod tests {
         parse_xpath(s).expect("pattern parses")
     }
 
+    fn sorted(mut nodes: Vec<NodeId>) -> Vec<NodeId> {
+        nodes.sort();
+        nodes
+    }
+
     fn doc() -> Tree {
         TreeBuilder::root("site", |b| {
             b.child("region", |b| {
@@ -310,7 +316,7 @@ mod tests {
             let mut m = SubMatcher::new(&p, &t);
             let (found, region) = region_answers(&info, &t, t.root(), &mut m);
             assert_eq!(found, evaluate(&p, &t), "query {q}");
-            assert_eq!(region.count(), t.len(), "{q} scans the whole tree");
+            assert_eq!(region.len(), t.len(), "{q} scans the whole tree");
         }
     }
 
@@ -326,8 +332,8 @@ mod tests {
             let mut m = SubMatcher::new(&p, &t);
             let (found, region) = region_answers(&info, &t, region_root, &mut m);
             let global = evaluate(&p, &t);
-            let expected: Vec<NodeId> =
-                global.into_iter().filter(|n| region.contains(n.index())).collect();
+            let expected: Vec<NodeId> = global.into_iter().filter(|n| region.contains(n)).collect();
+            assert_eq!(sorted(region), sorted(t.descendants_inclusive(region_root)), "query {q}");
             assert_eq!(found, expected, "query {q}");
         }
     }

@@ -18,7 +18,15 @@
 //!   wildcard pattern nodes;
 //! * **per-label posting bitsets** — for every label in the document, the
 //!   bitset of live slots carrying it, the seed set for labeled pattern
-//!   nodes.
+//!   nodes. Label ids are the interner's dense indices, so the postings sit
+//!   in a `Vec` behind a label-id → position table: filing a slot during
+//!   the freeze, and finding a label's posting afterwards, is an array
+//!   index, not a hash probe.
+//!
+//! [`FlatTree::freeze`] is one pass over the arena in slot order, copying
+//! each live node's child slice out of the [`Tree`]'s pool into the CSR
+//! array; it runs once per edit batch, between applying the edits and
+//! scanning the regions.
 //!
 //! ## Shared-freeze contract
 //!
@@ -69,6 +77,9 @@ use crate::tree::{NodeId, Tree};
 /// Sentinel parent index for the root and for tombstoned slots.
 pub const NO_PARENT: u32 = u32::MAX;
 
+/// Sentinel of the label-id → posting index: the label has no live slot.
+const NO_POSTING: u32 = u32::MAX;
+
 /// The most witness sets one snapshot keeps ([`FlatTree::witness`]); a
 /// full memo is emptied and refills with the current working set.
 pub const WITNESS_MEMO_BOUND: usize = 512;
@@ -106,7 +117,10 @@ pub struct FlatTree {
     child_offsets: Vec<u32>,
     children: Vec<u32>,
     live: BitSet,
-    postings: HashMap<u32, BitSet>,
+    /// `posting_of[label id]` is the label's position in `postings`, or
+    /// [`NO_POSTING`] (also implied past the end) when no live slot has it.
+    posting_of: Vec<u32>,
+    postings: Vec<BitSet>,
     live_count: usize,
     memo: WitnessMemo,
 }
@@ -126,7 +140,8 @@ impl FlatTree {
         let mut child_offsets = Vec::with_capacity(nt + 1);
         let mut children = Vec::with_capacity(nt.saturating_sub(1));
         let mut live = BitSet::new(nt);
-        let mut postings: HashMap<u32, BitSet> = HashMap::new();
+        let mut posting_of: Vec<u32> = Vec::new();
+        let mut postings: Vec<BitSet> = Vec::new();
         let mut live_count = 0usize;
 
         for i in 0..nt {
@@ -139,7 +154,17 @@ impl FlatTree {
             live.insert(i);
             let lid = t.label(n).id();
             labels[i] = lid;
-            postings.entry(lid).or_insert_with(|| BitSet::new(nt)).insert(i);
+            // Label ids are dense interner indices: a table lookup per
+            // node, grown to the largest id the document uses.
+            if posting_of.len() <= lid as usize {
+                posting_of.resize(lid as usize + 1, NO_POSTING);
+            }
+            let at = &mut posting_of[lid as usize];
+            if *at == NO_POSTING {
+                *at = postings.len() as u32;
+                postings.push(BitSet::new(nt));
+            }
+            postings[*at as usize].insert(i);
             if let Some(p) = t.parent(n) {
                 parents[i] = p.0;
             }
@@ -150,7 +175,17 @@ impl FlatTree {
         child_offsets.push(children.len() as u32);
 
         let memo = WitnessMemo::new(memo_bound);
-        FlatTree { labels, parents, child_offsets, children, live, postings, live_count, memo }
+        FlatTree {
+            labels,
+            parents,
+            child_offsets,
+            children,
+            live,
+            posting_of,
+            postings,
+            live_count,
+            memo,
+        }
     }
 
     /// Exclusive upper bound on slot indices, tombstones included — the
@@ -217,15 +252,18 @@ impl FlatTree {
     /// candidate set without touching the tree).
     #[inline]
     pub fn posting(&self, label: Label) -> Option<&BitSet> {
-        self.postings.get(&label.id())
+        match self.posting_of.get(label.id() as usize) {
+            Some(&at) if at != NO_POSTING => Some(&self.postings[at as usize]),
+            _ => None,
+        }
     }
 
     /// The subtree mask of slot `n`: a bitset (capacity `arena_len`) with
     /// every slot of `subtree(n)` set, `n` inclusive. For a live `n` this is
     /// exactly the live slots below it (CSR edges never reach tombstones).
-    /// This is the region mask of the maintenance path: a whole-document
-    /// candidate set intersected with it is that set restricted to one
-    /// affected region.
+    /// Arena-sized whatever the subtree: region scans list their slots
+    /// instead, and this is left to the fallback for spines too deep to
+    /// track and to tests, which compare those lists against it.
     pub fn subtree_mask(&self, n: usize) -> BitSet {
         let mut mask = BitSet::new(self.arena_len());
         self.for_each_descendant(n, |i| mask.insert(i));

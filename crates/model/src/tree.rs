@@ -8,6 +8,28 @@
 //! unordered-tree isomorphism, exposed via [`Tree::canonical_key`] and
 //! [`Tree::structurally_eq`].
 //!
+//! ## Layout: one arena, one child pool
+//!
+//! A tree is two flat buffers. `nodes[i]` is the fixed-size record of
+//! `NodeId(i)`: label, parent, liveness, and the position of its child
+//! list — a `(start, len, cap)` range into the one `pool: Vec<NodeId>`
+//! shared by all nodes. [`Tree::children`] is the slice
+//! `pool[start .. start + len]`, in insertion order. A leaf owns no pool
+//! slots. Appending to a full range **relocates** it: the list is copied to
+//! the pool's end with twice the capacity (2, 4, 8, ..) and the old slots
+//! are abandoned, never reused — so a list of `n` children has occupied
+//! fewer than `4n` slots over its whole history, the pool stays below
+//! `4 * arena_len`, and offsets are checked against `u32`. Removal closes
+//! the gap inside the range (order of the survivors kept) and shrinks
+//! `len`; restoring a subtree appends it to its parent's list again.
+//!
+//! Ids and child order are untouched by any of this: a `NodeId` indexes
+//! `nodes`, which only ever grows at its end, and relocation moves a list's
+//! *storage*, not its contents. What the layout buys is the cost of a copy:
+//! [`Tree::clone`] (the private document every edit batch starts from) is
+//! two `memcpy`s and dropping a tree is two frees, whatever the node count,
+//! where one heap `Vec` per node made both a walk over every node.
+//!
 //! ## Edits and NodeId stability
 //!
 //! Documents are no longer immutable: [`Tree::remove_subtree`] detaches a
@@ -51,18 +73,36 @@ impl fmt::Debug for NodeId {
     }
 }
 
-#[derive(Clone, Debug)]
+/// One arena slot. `Copy`, so cloning the arena is one `memcpy`.
+#[derive(Clone, Copy, Debug)]
 struct TreeNode {
     label: Label,
     parent: Option<NodeId>,
-    children: Vec<NodeId>,
+    /// The child list is `pool[start .. start + len]`; the slots up to
+    /// `start + cap` are reserved for it.
+    start: u32,
+    len: u32,
+    cap: u32,
     alive: bool,
+}
+
+impl TreeNode {
+    fn leaf(label: Label, parent: Option<NodeId>) -> TreeNode {
+        TreeNode { label, parent, start: 0, len: 0, cap: 0, alive: true }
+    }
+
+    #[inline]
+    fn child_range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// A rooted labeled tree (an XML document in the paper's data model).
 #[derive(Clone)]
 pub struct Tree {
     nodes: Vec<TreeNode>,
+    /// Every node's child list, as a range each (see the module docs).
+    pool: Vec<NodeId>,
     /// Number of live (non-tombstoned) nodes.
     live: usize,
 }
@@ -70,15 +110,7 @@ pub struct Tree {
 impl Tree {
     /// Creates a tree consisting of a single root labeled `root_label`.
     pub fn new(root_label: Label) -> Tree {
-        Tree {
-            nodes: vec![TreeNode {
-                label: root_label,
-                parent: None,
-                children: Vec::new(),
-                alive: true,
-            }],
-            live: 1,
-        }
+        Tree { nodes: vec![TreeNode::leaf(root_label, None)], pool: Vec::new(), live: 1 }
     }
 
     /// The root node (always id 0). The root is never tombstoned.
@@ -117,15 +149,29 @@ impl Tree {
     pub fn add_child(&mut self, parent: NodeId, label: Label) -> NodeId {
         assert!(self.is_alive(parent), "parent out of bounds or removed");
         let id = NodeId(u32::try_from(self.nodes.len()).expect("tree too large"));
-        self.nodes.push(TreeNode {
-            label,
-            parent: Some(parent),
-            children: Vec::new(),
-            alive: true,
-        });
-        self.nodes[parent.index()].children.push(id);
+        self.nodes.push(TreeNode::leaf(label, Some(parent)));
+        self.push_child(parent, id);
         self.live += 1;
         id
+    }
+
+    /// Appends `child` to `parent`'s child list. A full range moves to the
+    /// pool's end with doubled capacity (2, 4, 8, ..); the slots it leaves
+    /// are never reused. A list of `n` children has therefore held fewer
+    /// than `4n` slots in all, so the pool stays below `4 * arena_len`.
+    fn push_child(&mut self, parent: NodeId, child: NodeId) {
+        let node = &mut self.nodes[parent.index()];
+        if node.len == node.cap {
+            let cap = (node.cap as usize * 2).max(2);
+            let start = self.pool.len();
+            let end = u32::try_from(start + cap).expect("child pool exceeds u32 offsets");
+            self.pool.extend_from_within(node.child_range());
+            self.pool.resize(end as usize, child);
+            node.start = start as u32;
+            node.cap = cap as u32;
+        }
+        self.pool[(node.start + node.len) as usize] = child;
+        node.len += 1;
     }
 
     /// Detaches the subtree rooted at `n` and tombstones its slots: the
@@ -143,9 +189,11 @@ impl Tree {
     pub fn remove_subtree(&mut self, n: NodeId) -> Vec<NodeId> {
         assert!(self.is_alive(n), "cannot remove: node is out of bounds or already removed");
         let parent = self.parent(n).expect("cannot remove the root");
-        let kids = &mut self.nodes[parent.index()].children;
+        let node = &mut self.nodes[parent.index()];
+        let kids = &mut self.pool[node.child_range()];
         let pos = kids.iter().position(|&c| c == n).expect("child link consistent");
-        kids.remove(pos);
+        kids.copy_within(pos + 1.., pos);
+        node.len -= 1;
         let removed = self.descendants_inclusive(n);
         for &d in &removed {
             self.nodes[d.index()].alive = false;
@@ -175,7 +223,7 @@ impl Tree {
             self.nodes[d.index()].alive = true;
         }
         self.live += revived.len();
-        self.nodes[parent.index()].children.push(n);
+        self.push_child(parent, n);
     }
 
     /// The label of `n`.
@@ -200,13 +248,13 @@ impl Tree {
     /// The children of `n`, in insertion order (order carries no meaning).
     #[inline]
     pub fn children(&self, n: NodeId) -> &[NodeId] {
-        &self.nodes[n.index()].children
+        &self.pool[self.nodes[n.index()].child_range()]
     }
 
     /// Returns `true` if `n` has no children.
     #[inline]
     pub fn is_leaf(&self, n: NodeId) -> bool {
-        self.nodes[n.index()].children.is_empty()
+        self.nodes[n.index()].len == 0
     }
 
     /// All **live** node ids in arena order (a pre-order for trees built
@@ -315,16 +363,42 @@ impl Tree {
     /// buffer-reusing form of [`Tree::canonical_key_at`], so callers that
     /// serialize many subtrees (the engine's `answer_value_set`) pay one
     /// growing buffer instead of a fresh `String` per level.
+    ///
+    /// Iterative (depth costs heap, not call stack): every key is written
+    /// straight into `out` in child order, and a node with several children
+    /// sorts their finished keys in place when it closes, so a chain costs
+    /// its length, not its length squared.
     pub fn canonical_key_into(&self, n: NodeId, out: &mut String) {
-        let mut child_keys: Vec<String> =
-            self.children(n).iter().map(|&c| self.canonical_key_at(c)).collect();
-        child_keys.sort();
+        // `starts` holds the offsets in `out` of the finished child keys of
+        // every open node; a frame is (node, next child, its first entry).
+        let mut starts: Vec<usize> = Vec::new();
+        let mut sorted = String::new();
         out.push('(');
         out.push_str(self.label(n).name());
-        for k in &child_keys {
-            out.push_str(k);
+        let mut stack = vec![(n, 0usize, 0usize)];
+        while let Some(&mut (cur, ref mut next, first)) = stack.last_mut() {
+            if let Some(&c) = self.children(cur).get(*next) {
+                *next += 1;
+                starts.push(out.len());
+                out.push('(');
+                out.push_str(self.label(c).name());
+                stack.push((c, 0, starts.len()));
+                continue;
+            }
+            if starts.len() - first > 1 {
+                let ends = starts[first + 1..].iter().copied().chain([out.len()]);
+                let mut keys: Vec<&str> =
+                    starts[first..].iter().zip(ends).map(|(&s, e)| &out[s..e]).collect();
+                keys.sort_unstable();
+                sorted.clear();
+                sorted.extend(keys);
+                out.truncate(starts[first]);
+                out.push_str(&sorted);
+            }
+            starts.truncate(first);
+            out.push(')');
+            stack.pop();
         }
-        out.push(')');
     }
 
     /// Canonical key of the whole tree (see [`Tree::canonical_key_at`]).
@@ -574,6 +648,198 @@ mod tests {
         assert_eq!(t.canonical_key(), key);
         assert_eq!(t.len(), 4);
         assert!(t.is_alive(c));
+    }
+
+    /// The naive model the pooled [`Tree`] is checked against: one `Vec`
+    /// of children per node, as `Tree` itself stored them before.
+    #[derive(Clone)]
+    struct Naive {
+        children: Vec<Vec<NodeId>>,
+        parent: Vec<Option<NodeId>>,
+        label: Vec<Label>,
+        alive: Vec<bool>,
+    }
+
+    impl Naive {
+        fn new(root: Label) -> Naive {
+            Naive {
+                children: vec![vec![]],
+                parent: vec![None],
+                label: vec![root],
+                alive: vec![true],
+            }
+        }
+
+        fn add_child(&mut self, parent: NodeId, label: Label) -> NodeId {
+            let id = NodeId(self.children.len() as u32);
+            self.children.push(vec![]);
+            self.parent.push(Some(parent));
+            self.label.push(label);
+            self.alive.push(true);
+            self.children[parent.index()].push(id);
+            id
+        }
+
+        fn subtree(&self, n: NodeId) -> Vec<NodeId> {
+            let mut out = vec![n];
+            let mut next = 0;
+            while next < out.len() {
+                out.extend(&self.children[out[next].index()]);
+                next += 1;
+            }
+            out
+        }
+
+        fn set_alive(&mut self, n: NodeId, alive: bool) {
+            for d in self.subtree(n) {
+                self.alive[d.index()] = alive;
+            }
+            let siblings = &mut self.children[self.parent[n.index()].expect("not root").index()];
+            if alive {
+                siblings.push(n);
+            } else {
+                siblings.retain(|&c| c != n);
+            }
+        }
+
+        /// Every observable of `t` equals the model's.
+        fn assert_matches(&self, t: &Tree) {
+            assert_eq!(t.arena_len(), self.children.len());
+            assert_eq!(t.len(), self.alive.iter().filter(|&&a| a).count());
+            for i in 0..self.children.len() {
+                let n = NodeId(i as u32);
+                assert_eq!(t.children(n), self.children[i].as_slice(), "children of {n:?}");
+                assert_eq!(t.parent(n), self.parent[i], "parent of {n:?}");
+                assert_eq!(t.is_alive(n), self.alive[i], "liveness of {n:?}");
+                assert_eq!(t.label(n), self.label[i], "label of {n:?}");
+                assert_eq!(t.is_leaf(n), self.children[i].is_empty());
+            }
+            assert!(t.pool.len() <= 4 * t.arena_len(), "pool {} slots", t.pool.len());
+        }
+    }
+
+    /// A tiny deterministic generator (xorshift64*), so this crate's tests
+    /// need no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        }
+    }
+
+    #[test]
+    fn pooled_tree_matches_the_naive_model_under_random_edits() {
+        let labels: Vec<Label> = ["p", "q", "r", "s"].iter().map(|l| Label::new(l)).collect();
+        let graft = abc_tree();
+        for seed in 1..=40u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut t = Tree::new(labels[0]);
+            let mut m = Naive::new(labels[0]);
+            let mut removed: Vec<NodeId> = Vec::new();
+            for _ in 0..300 {
+                let live: Vec<NodeId> = t.node_ids().collect();
+                let pick = live[rng.below(live.len())];
+                match rng.below(10) {
+                    0..=3 => {
+                        let l = labels[rng.below(labels.len())];
+                        assert_eq!(t.add_child(pick, l), m.add_child(pick, l));
+                    }
+                    4 => {
+                        // a(b, c(d)) grafted: ids are handed out parent by
+                        // parent, children in reverse stack order.
+                        let at = t.attach_tree(pick, &graft);
+                        let ma = m.add_child(pick, graft.label(graft.root()));
+                        assert_eq!(at, ma);
+                        let mut stack = vec![(graft.root(), ma)];
+                        while let Some((old, new)) = stack.pop() {
+                            for &c in graft.children(old) {
+                                stack.push((c, m.add_child(new, graft.label(c))));
+                            }
+                        }
+                    }
+                    5 | 6 if pick != t.root() => {
+                        let mut got = t.remove_subtree(pick);
+                        let mut expect = m.subtree(pick);
+                        expect.sort();
+                        got.sort();
+                        assert_eq!(got, expect);
+                        m.set_alive(pick, false);
+                        removed.push(pick);
+                    }
+                    7 => {
+                        // Only a subtree whose parent is live can come back.
+                        let back = removed.iter().position(|&r| {
+                            !m.alive[r.index()] && m.alive[m.parent[r.index()].unwrap().index()]
+                        });
+                        if let Some(at) = back {
+                            let r = removed.swap_remove(at);
+                            t.restore_subtree(r);
+                            m.set_alive(r, true);
+                        }
+                    }
+                    8 => {
+                        let l = labels[rng.below(labels.len())];
+                        t.set_label(pick, l);
+                        m.label[pick.index()] = l;
+                    }
+                    _ => {
+                        // Clone, diverge the clone, and check that neither
+                        // side sees the other's edits; carry on with the
+                        // clone half of the time.
+                        let (mut t2, mut m2) = (t.clone(), m.clone());
+                        for _ in 0..5 {
+                            let l = labels[rng.below(labels.len())];
+                            assert_eq!(t2.add_child(pick, l), m2.add_child(pick, l));
+                        }
+                        m.assert_matches(&t);
+                        m2.assert_matches(&t2);
+                        if rng.below(2) == 0 {
+                            (t, m) = (t2, m2);
+                        }
+                    }
+                }
+                m.assert_matches(&t);
+            }
+        }
+    }
+
+    #[test]
+    fn sibling_lists_grow_across_relocations_without_disturbing_each_other() {
+        // Three siblings' child lists grow in lockstep, so each of their
+        // ranges relocates (2, 4, 8, .. slots) between the others' and the
+        // abandoned ranges interleave in the pool.
+        let mut t = Tree::new(Label::new("r"));
+        let mut m = Naive::new(Label::new("r"));
+        let kid = Label::new("k");
+        let hubs: Vec<NodeId> = (0..3).map(|_| t.add_child(t.root(), kid)).collect();
+        for _ in 0..3 {
+            m.add_child(NodeId(0), kid);
+        }
+        let mut starts = vec![Vec::new(); hubs.len()];
+        for round in 0..70 {
+            for (h, &hub) in hubs.iter().enumerate() {
+                assert_eq!(t.add_child(hub, kid), m.add_child(hub, kid));
+                let start = t.nodes[hub.index()].start;
+                if starts[h].last() != Some(&start) {
+                    starts[h].push(start);
+                }
+            }
+            if round % 9 == 4 {
+                // A removal in the middle keeps the survivors' order.
+                let victim = t.children(hubs[1])[1];
+                t.remove_subtree(victim);
+                m.set_alive(victim, false);
+            }
+            m.assert_matches(&t);
+        }
+        for s in &starts {
+            assert!(s.len() >= 6, "64+ children take at least six relocations, saw {s:?}");
+        }
+        assert_eq!(t.children(hubs[0]).len(), 70);
     }
 
     #[test]

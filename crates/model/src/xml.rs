@@ -75,96 +75,83 @@ impl<'a> Parser<'a> {
         self.pos += end;
         Ok(name)
     }
-
-    /// Parses one element (having already consumed nothing). On success the
-    /// element has been appended under `parent` (or made the root).
-    fn parse_element(
-        &mut self,
-        tree: &mut Option<Tree>,
-        parent: Option<NodeId>,
-    ) -> Result<(), XmlError> {
-        if !self.eat("<") {
-            return self.err("expected '<'");
-        }
-        let name = self.parse_name()?;
-        self.skip_ws();
-        let label = Label::new(name);
-        let id = match (tree.as_mut(), parent) {
-            (None, None) => {
-                *tree = Some(Tree::new(label));
-                tree.as_ref().expect("just set").root()
-            }
-            (Some(t), Some(p)) => t.add_child(p, label),
-            _ => unreachable!("root/child bookkeeping"),
-        };
-        if self.eat("/>") {
-            return Ok(());
-        }
-        if !self.eat(">") {
-            return self.err("expected '>' or '/>' (attributes are not supported)");
-        }
-        loop {
-            self.skip_ws();
-            if self.eat("</") {
-                let close = self.parse_name()?;
-                if close != name {
-                    return self.err(format!(
-                        "mismatched close tag: expected </{name}>, found </{close}>"
-                    ));
-                }
-                self.skip_ws();
-                if !self.eat(">") {
-                    return self.err("expected '>' after close tag name");
-                }
-                return Ok(());
-            }
-            if self.rest().starts_with('<') {
-                self.parse_element(tree, Some(id))?;
-            } else if self.rest().is_empty() {
-                return self.err(format!("unexpected end of input inside <{name}>"));
-            } else {
-                return self.err("text content is not supported by the element-only XML subset");
-            }
-        }
-    }
 }
 
-/// Parses the element-only XML subset into a [`Tree`].
+/// Parses the element-only XML subset into a [`Tree`]. Iterative: the open
+/// elements sit on an explicit stack, so nesting depth (peer-supplied, on
+/// the wire path) costs heap, not call stack.
 pub fn parse_xml(input: &str) -> Result<Tree, XmlError> {
     let mut p = Parser { input, pos: 0 };
     p.skip_ws();
-    let mut tree = None;
-    p.parse_element(&mut tree, None)?;
+    let mut tree: Option<Tree> = None;
+    let mut open: Vec<(NodeId, &str)> = Vec::new();
+    'element: loop {
+        if !p.eat("<") {
+            return p.err("expected '<'");
+        }
+        let name = p.parse_name()?;
+        p.skip_ws();
+        let label = Label::new(name);
+        let id = match (&mut tree, open.last()) {
+            (Some(t), Some(&(parent, _))) => t.add_child(parent, label),
+            _ => tree.insert(Tree::new(label)).root(),
+        };
+        if !p.eat("/>") {
+            if !p.eat(">") {
+                return p.err("expected '>' or '/>' (attributes are not supported)");
+            }
+            open.push((id, name));
+        }
+        // Close what ends here, up to the next child or the document's end.
+        while let Some(&(_, name)) = open.last() {
+            p.skip_ws();
+            if p.eat("</") {
+                let close = p.parse_name()?;
+                if close != name {
+                    return p.err(format!(
+                        "mismatched close tag: expected </{name}>, found </{close}>"
+                    ));
+                }
+                p.skip_ws();
+                if !p.eat(">") {
+                    return p.err("expected '>' after close tag name");
+                }
+                open.pop();
+            } else if p.rest().starts_with('<') {
+                continue 'element;
+            } else if p.rest().is_empty() {
+                return p.err(format!("unexpected end of input inside <{name}>"));
+            } else {
+                return p.err("text content is not supported by the element-only XML subset");
+            }
+        }
+        break;
+    }
     p.skip_ws();
     if !p.rest().is_empty() {
         return p.err("trailing content after document element");
     }
-    Ok(tree.expect("parse_element sets the tree on success"))
-}
-
-fn write_node(t: &Tree, n: NodeId, out: &mut String) {
-    let name = t.label(n).name();
-    if t.is_leaf(n) {
-        out.push('<');
-        out.push_str(name);
-        out.push_str("/>");
-    } else {
-        out.push('<');
-        out.push_str(name);
-        out.push('>');
-        for &c in t.children(n) {
-            write_node(t, c, out);
-        }
-        out.push_str("</");
-        out.push_str(name);
-        out.push('>');
-    }
+    Ok(tree.expect("the loop parsed the document element"))
 }
 
 /// Serializes a [`Tree`] to the element-only XML subset (no whitespace).
+/// Iterative, like [`parse_xml`]: a stack entry is a node still to open, or
+/// (flagged) an open one still to close.
 pub fn to_xml(t: &Tree) -> String {
     let mut out = String::new();
-    write_node(t, t.root(), &mut out);
+    let mut stack = vec![(t.root(), false)];
+    while let Some((n, close)) = stack.pop() {
+        let name = t.label(n).name();
+        if close {
+            out.extend(["</", name, ">"]);
+        } else if t.is_leaf(n) {
+            out.extend(["<", name, "/>"]);
+        } else {
+            out.extend(["<", name, ">"]);
+            stack.push((n, true));
+            stack.extend(t.children(n).iter().rev().map(|&c| (c, false)));
+        }
+    }
     out
 }
 

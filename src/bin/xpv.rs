@@ -65,10 +65,10 @@
 //!                                    percent (default 10)
 //! xpv update-bench [--edits N] [--edit-mix I:D:R] [--edit-locality H:P]
 //!                  [--batches B] [--queries Q] [--repeat R] [--seed S]
-//!                  [--no-coalesce] [--no-parallel-regions]
+//!                  [--no-coalesce]
 //!                                    ablate view maintenance — full
 //!                                    recompute vs per-edit vs coalesced
-//!                                    (tree / flat / parallel regions) —
+//!                                    (tree / flat region scans) —
 //!                                    under a bursty Zipf edit stream
 //!                                    (H hot subtrees absorb P% of edits);
 //!                                    writes BENCH_updates.json
@@ -119,7 +119,7 @@ fn fail(msg: &str) -> ExitCode {
          xpv dump (--tcp ADDR | --unix PATH) [--out FILE] [--traces N]\n  \
          xpv obs-bench [--queries Q] [--repeat R] [--max-overhead PCT]\n  \
          xpv update-bench [--edits N] [--edit-mix I:D:R] [--edit-locality H:P] [--batches B] \
-         [--queries Q] [--repeat R] [--seed S] [--no-coalesce] [--no-parallel-regions]\n  \
+         [--queries Q] [--repeat R] [--seed S] [--no-coalesce]\n  \
          xpv eval-bench [--nodes N] [--distinct D] [--queries Q] [--labels L] [--repeat R] \
          [--seed S]"
     );
@@ -1361,7 +1361,7 @@ fn cmd_obs_bench(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Knobs for `update-bench`, parsed from `--flag value` pairs plus the
-/// boolean ablation switches `--no-coalesce` / `--no-parallel-regions`.
+/// boolean ablation switch `--no-coalesce`.
 struct UpdateBenchOpts {
     edits: usize,
     mix: EditMix,
@@ -1371,7 +1371,6 @@ struct UpdateBenchOpts {
     repeat: usize,
     seed: u64,
     coalesce: bool,
-    parallel_regions: bool,
 }
 
 impl UpdateBenchOpts {
@@ -1385,20 +1384,12 @@ impl UpdateBenchOpts {
             repeat: 3,
             seed: 0x21F,
             coalesce: true,
-            parallel_regions: true,
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--no-coalesce" => {
-                    opts.coalesce = false;
-                    continue;
-                }
-                "--no-parallel-regions" => {
-                    opts.parallel_regions = false;
-                    continue;
-                }
-                _ => {}
+            if flag == "--no-coalesce" {
+                opts.coalesce = false;
+                continue;
             }
             let value = it.next().ok_or_else(|| format!("{flag}: missing value"))?;
             match flag.as_str() {
@@ -1430,14 +1421,14 @@ struct UpdateArm {
 }
 
 /// Ablates the maintenance pipeline — full re-materialization, the legacy
-/// per-edit incremental path, batch coalescing, the flat region matcher,
-/// and the parallel region fan-out — under a **bursty** (Zipf-skewed,
-/// cluster-localized) edit stream, verifying byte-identical answers across
-/// every arm and against direct evaluation after each batch, and writes
-/// the machine-readable grid to `BENCH_updates.json` (archived by CI).
-/// `--no-coalesce` / `--no-parallel-regions` drop the corresponding arms
-/// (the last surviving arm is the primary whose stats are reported); each
-/// arm's wall clock is the minimum over `--repeat` fresh-cache runs.
+/// per-edit incremental path, batch coalescing, and the flat region
+/// matcher — under a **bursty** (Zipf-skewed, cluster-localized) edit
+/// stream, verifying byte-identical answers across every arm and against
+/// direct evaluation after each batch, and writes the machine-readable grid
+/// to `BENCH_updates.json` (archived by CI). `--no-coalesce` drops the
+/// coalesced arms (the last surviving arm is the primary whose stats are
+/// reported); each arm's wall clock is the minimum over `--repeat`
+/// fresh-cache runs.
 fn cmd_update_bench(args: &[String]) -> Result<ExitCode, String> {
     let opts = UpdateBenchOpts::parse(args)?;
     let catalog = site_intersect_catalog();
@@ -1449,14 +1440,8 @@ fn cmd_update_bench(args: &[String]) -> Result<ExitCode, String> {
         ("per_edit", |c| c.set_coalesce_enabled(false)),
     ];
     if opts.coalesce {
-        specs.push(("coalesced", |c| {
-            c.set_flat_enabled(false);
-            c.set_parallel_regions(false);
-        }));
-        specs.push(("coalesced_flat", |c| c.set_parallel_regions(false)));
-        if opts.parallel_regions {
-            specs.push(("coalesced_flat_parallel", |_| {}));
-        }
+        specs.push(("coalesced", |c| c.set_flat_enabled(false)));
+        specs.push(("coalesced_flat", |_| {}));
     }
     let build = |setup: fn(&ShardedViewCache)| {
         let cache = ShardedViewCache::new(doc.clone());
@@ -1644,8 +1629,6 @@ fn cmd_update_bench(args: &[String]) -> Result<ExitCode, String> {
             "    \"region_nodes\": {},\n",
             "    \"full_recomputes\": {},\n",
             "    \"freezes_reused\": {},\n",
-            "    \"parallel_tasks\": {},\n",
-            "    \"parallel_width\": {},\n",
             "    \"answers_added\": {},\n",
             "    \"answers_removed\": {},\n",
             "    \"phase_us\": {{ \"apply\": {}, \"freeze\": {}, \"coalesce\": {}, ",
@@ -1682,8 +1665,6 @@ fn cmd_update_bench(args: &[String]) -> Result<ExitCode, String> {
         maintain.region_nodes,
         maintain.full_recomputes,
         maintain.freeze_reused,
-        maintain.parallel_tasks,
-        maintain.parallel_width,
         maintain.answers_added,
         maintain.answers_removed,
         maintain.apply_us,

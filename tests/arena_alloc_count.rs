@@ -6,34 +6,50 @@
 //! still hashes each arriving pattern — that cost is per-position by
 //! design and measured by the benches, not here.)
 //!
-//! This test lives in its own integration binary because the counting
-//! `#[global_allocator]` is process-global, and the accounting only makes
-//! sense without unrelated tests allocating concurrently.
+//! The same accounting pins the two costs an edit batch must not pay per
+//! document node: copying the document ([`Tree::clone`] is a fixed number
+//! of allocations) and scanning a region (the bytes a scan allocates depend
+//! on the region, not on the document around it).
+//!
+//! These tests live in their own integration binary because the counting
+//! `#[global_allocator]` is process-global; the counters are per thread, so
+//! the tests of this binary do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use xpath_views::model::{AnswerArena, AnswerRef, FlatTree};
+use xpath_views::model::{AnswerArena, AnswerRef, FlatTree, Label, Tree};
 use xpath_views::net::{AnswersEncoder, WireRouteRef};
 use xpath_views::prelude::*;
-use xpath_views::semantics::BatchEval;
+use xpath_views::semantics::{region_answers_flat, BatchEval};
 use xpath_views::workload::{catalog_zipf_stream, site_catalog, site_doc};
 
-/// Counts every allocation made through the global allocator.
+/// Counts every allocation the calling thread makes through the global
+/// allocator, and the bytes it asks for.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without destructors: safe to touch from inside
+    // the allocator at any point of a thread's life.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.with(|a| a.set(a.get() + 1));
+    BYTES.with(|b| b.set(b.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,7 +58,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// One eval→encode pass, shaped exactly like the server's arena lane
@@ -99,4 +119,55 @@ fn eval_encode_allocations_do_not_scale_with_fanout() {
         "per-answer allocations in eval→encode: {small_allocs} allocs for 64 answers vs \
          {large_allocs} for 512"
     );
+}
+
+/// `r` with `groups` children `m`, each with nine leaves (`x`, and one `y`
+/// in every third group): `10 * groups + 1` nodes, every `m` a 10-node
+/// region one step below the root.
+fn grouped_doc(groups: usize) -> Tree {
+    let mut t = Tree::new(Label::new("r"));
+    for g in 0..groups {
+        let m = t.add_child(t.root(), Label::new("m"));
+        for leaf in 0..9 {
+            t.add_child(m, Label::new(if leaf == 0 && g % 3 == 0 { "y" } else { "x" }));
+        }
+    }
+    t
+}
+
+/// The document copy an edit batch starts from is two buffers — the node
+/// arena and the child pool — whatever the node count.
+#[test]
+fn tree_clone_allocations_do_not_scale_with_the_document() {
+    let doc = grouped_doc(5_000);
+    assert_eq!(doc.len(), 50_001);
+    let before = allocs();
+    let copy = doc.clone();
+    let cloned = allocs() - before;
+    assert_eq!(copy.len(), doc.len());
+    assert!(cloned <= 4, "Tree::clone of 50k nodes made {cloned} allocations");
+}
+
+/// A region scan allocates for the region (its slot list, its answers, the
+/// walk's stack) and for the pattern, never for the document: the same
+/// 10-node region costs the same bytes inside 1k and inside 100k nodes,
+/// once the snapshot's witness memo holds the pattern's branches.
+#[test]
+fn region_scan_bytes_do_not_scale_with_the_document() {
+    let p = parse_xpath("r/m[y]/x").expect("pattern parses");
+    let scan_bytes = |groups: usize| {
+        let doc = grouped_doc(groups);
+        let ft = FlatTree::freeze(&doc);
+        let region = doc.children(doc.root())[3];
+        let warm = region_answers_flat(&p, &ft, region);
+        assert_eq!((warm.0.len(), warm.1.len()), (8, 10), "m[y] region: 8 x of 10 slots");
+        let before = bytes();
+        let again = region_answers_flat(&p, &ft, region);
+        let spent = bytes() - before;
+        assert_eq!(again, warm);
+        spent
+    };
+    let (small, large) = (scan_bytes(100), scan_bytes(10_000));
+    assert!(small > 0);
+    assert_eq!(small, large, "scan bytes grew with the document around the region");
 }

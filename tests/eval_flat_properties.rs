@@ -205,53 +205,51 @@ fn answers_are_identical_with_the_memo_full_or_contended() {
     }
 }
 
-/// The masked flat region evaluator agrees with the `Tree`-path
-/// `region_answers` oracle on **tombstoned post-edit documents**: for
-/// seeded random docs run through an edit stream, every (pattern, live
-/// region root) pair yields the same fresh answers and the same region
-/// mask from both paths.
+/// The flat region scanner agrees with the `Tree`-path `region_answers`
+/// oracle on **tombstoned post-edit documents**: for seeded random docs run
+/// through an edit stream, every (pattern, live region root) pair yields
+/// the same fresh answers and the same region slots (as a set: exactly
+/// `subtree_mask(root)`) from both paths — one scanner per pattern serving
+/// every region, as in an engine batch.
 #[test]
 fn flat_region_evaluation_matches_tree_oracle() {
     use xpath_views::maintain::{region_answers, SpineInfo, SubMatcher};
-    use xpath_views::semantics::region_answers_flat;
+    use xpath_views::semantics::RegionScanner;
 
+    let sorted = |mut nodes: Vec<NodeId>| {
+        nodes.sort();
+        nodes
+    };
     for seed in 0..25u64 {
         let mut doc = tree_from_seed(seed, 45);
         edit_in_place(&mut doc, 18, seed ^ 0x9A5);
         let ft = FlatTree::freeze(&doc);
-        let queries = patterns_from_seed(seed ^ 0xCAFE, 5);
+        let mut queries = patterns_from_seed(seed ^ 0xCAFE, 5);
+        if seed % 5 == 0 {
+            queries.extend(forced_patterns());
+        }
         for q in &queries {
             let info = SpineInfo::new(q);
             if !info.trackable() {
                 continue;
             }
             let mut m = SubMatcher::new(q, &doc);
+            let scanner = RegionScanner::new(q, &ft);
+            let global = evaluate(q, &doc);
             // Every live node doubles as a region root — including the
             // document root (whole-tree region) and deep leaves.
             for root in doc.node_ids().step_by(2) {
-                let (want_nodes, want_mask) = region_answers(&info, &doc, root, &mut m);
-                let (got_nodes, got_mask) = region_answers_flat(q, &ft, root);
+                let (want_nodes, want_slots) = region_answers(&info, &doc, root, &mut m);
+                let (got_nodes, got_slots) = scanner.scan(root);
                 assert_eq!(got_nodes, want_nodes, "region answers differ for {q} at {root:?}");
-                assert_eq!(
-                    got_mask.iter().collect::<Vec<_>>(),
-                    want_mask.iter().collect::<Vec<_>>(),
-                    "region masks differ for {q} at {root:?}"
-                );
+                let mask = ft.subtree_mask(root.index());
+                let subtree: Vec<NodeId> = mask.iter().map(|i| NodeId(i as u32)).collect();
+                assert_eq!(sorted(got_slots), subtree, "flat slots differ for {q} at {root:?}");
+                assert_eq!(sorted(want_slots), subtree, "tree slots differ for {q} at {root:?}");
                 // Both must equal the global answer restricted to the
                 // region — the defining property of a region scan.
-                let restricted: Vec<NodeId> = evaluate(q, &doc)
-                    .into_iter()
-                    .filter(|n| {
-                        let mut v = Some(*n);
-                        while let Some(x) = v {
-                            if x == root {
-                                return true;
-                            }
-                            v = doc.parent(x);
-                        }
-                        false
-                    })
-                    .collect();
+                let restricted: Vec<NodeId> =
+                    global.iter().copied().filter(|n| mask.contains(n.index())).collect();
                 assert_eq!(got_nodes, restricted, "region scan lost answers for {q}");
             }
         }

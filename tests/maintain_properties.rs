@@ -458,61 +458,66 @@ fn view_cache_wrapper_applies_edits() {
     );
 }
 
-/// The parallel region fan-out is schedule-invariant: an 8-worker cache
-/// refreshing a bursty clustered stream stays **byte-identical** to a
-/// serial cache — per batch, every probe answer (nodes) and every
-/// surviving route — because disjoint merged regions are combined in
-/// `(view, region root)` order regardless of worker interleaving.
+/// The engine's two region scanners are interchangeable: a cache scanning
+/// the post-batch freeze (one `RegionScanner` per view and batch, the
+/// default) and one scanning the `Tree` (`set_flat_enabled(false)`, the
+/// oracle) stay **byte-identical** through a bursty clustered stream — per
+/// batch, every report count, every probe answer (nodes) and every
+/// surviving route — and both equal direct evaluation.
 #[test]
-fn parallel_region_refresh_matches_serial() {
+fn flat_region_refresh_matches_tree_path() {
     let doc = site_doc(10, 10, 7);
     let catalog = site_catalog();
     let probes: Vec<Pattern> = catalog_zipf_stream(&catalog, 24, 0xFA17).into_iter().collect();
 
-    let serial = ShardedViewCache::new(doc.clone());
-    serial.set_parallel_regions(false);
-    let parallel = ShardedViewCache::new(doc.clone());
-    parallel.set_region_workers(8);
-    assert!(parallel.parallel_regions(), "fan-out is on by default");
-    assert!(parallel.coalesce_enabled(), "coalescing is on by default");
+    let tree_path = ShardedViewCache::new(doc.clone());
+    tree_path.set_flat_enabled(false);
+    let flat = ShardedViewCache::new(doc.clone());
+    assert!(flat.flat_enabled(), "the flat scan is the default");
+    assert!(flat.coalesce_enabled(), "coalescing is on by default");
     for (name, def) in catalog.views.iter() {
-        serial.add_view(name, def.clone());
-        parallel.add_view(name, def.clone());
-        let _ = (serial.answer(def), parallel.answer(def));
+        tree_path.add_view(name, def.clone());
+        flat.add_view(name, def.clone());
+        let _ = (tree_path.answer(def), flat.answer(def));
     }
     for q in &probes {
-        let _ = (serial.answer(q), parallel.answer(q)); // warm both memos
+        let _ = (tree_path.answer(q), flat.answer(q)); // warm both memos
     }
 
     // A bursty clustered stream — many edits under few hot subtrees — is
-    // exactly the regime that produces multi-region batches to fan out.
+    // exactly the regime that gives one view several regions per batch.
     let edits =
         edit_stream_clustered(&doc, 160, EditMix::default(), EditLocality::new(4, 90), 0x5EED);
-    for batch in edit_batches(&edits, 8) {
-        let rs = serial.apply_edits(&batch).expect("valid batch");
-        let rp = parallel.apply_edits(&batch).expect("valid batch");
-        assert_eq!(rs.views_refreshed, rp.views_refreshed);
-        assert_eq!(rs.views_changed, rp.views_changed);
-        assert_eq!(rs.routes_dropped, rp.routes_dropped);
+    let batches = edit_batches(&edits, 8);
+    for batch in &batches {
+        let rt = tree_path.apply_edits(batch).expect("valid batch");
+        let rf = flat.apply_edits(batch).expect("valid batch");
+        assert_eq!(rt.views_refreshed, rf.views_refreshed);
+        assert_eq!(rt.views_changed, rf.views_changed);
+        assert_eq!(rt.routes_dropped, rf.routes_dropped);
+        assert_eq!(rt.maintain.region_nodes, rf.maintain.region_nodes);
+        assert_eq!(rt.maintain.answers_added, rf.maintain.answers_added);
+        assert_eq!(rt.maintain.answers_removed, rf.maintain.answers_removed);
         for q in &probes {
-            let a = serial.answer(q);
-            let b = parallel.answer(q);
-            assert_eq!(a.nodes, b.nodes, "parallel answers diverged on {q}");
+            let a = tree_path.answer(q);
+            let b = flat.answer(q);
+            assert_eq!(a.nodes, b.nodes, "flat-scan answers diverged on {q}");
             assert_eq!(
                 format!("{:?}", a.route),
                 format!("{:?}", b.route),
                 "surviving routes diverged on {q}"
             );
-            assert_eq!(a.nodes, serial.answer_direct(q), "serial cache wrong on {q}");
+            assert_eq!(a.nodes, tree_path.answer_direct(q), "tree-path cache wrong on {q}");
         }
     }
-    // The fan-out actually ran multi-region batches at the pinned width.
-    let stats = parallel.stats().maintain;
-    assert!(stats.parallel_tasks > 0, "bursty stream produced no fanned-out batches");
-    assert!(stats.parallel_width > 1, "pinned 8 workers, fan-out never exceeded width 1");
+    let stats = flat.stats().maintain;
+    assert!(
+        stats.regions_scanned > (batches.len() * catalog.views.len()) as u64,
+        "bursty stream never gave a view two regions in one batch"
+    );
     assert_eq!(
         stats.regions_scanned,
-        serial.stats().maintain.regions_scanned,
+        tree_path.stats().maintain.regions_scanned,
         "both caches must scan the same merged regions"
     );
 }
@@ -631,4 +636,62 @@ fn deep_chain_document_survives_mask_and_edit_batch() {
     assert_eq!(views[0].nodes().len(), DEPTH / 2 + 1, "a//b gained the relabelled node");
     assert_eq!(views[1].nodes(), &[near_root], "the graft made one b a parent of c");
     assert_eq!(cache.answer(&parse_xpath("a//b[c]").unwrap()).nodes, vec![near_root]);
+}
+
+/// A peer's frame must never become call-stack depth either. An insert
+/// subtree nested 200 000 deep is 1.4 MB of XML, far below `MAX_FRAME`; one
+/// frame per level in the XML reader overflowed the 2 MiB stack of whichever
+/// thread decoded it and aborted the process, every tenant with it. Here the
+/// frame is encoded, decoded, applied through the engine and serialized
+/// back, on this test's own (default-sized) stack.
+#[test]
+fn deep_xml_insert_survives_the_wire_and_an_edit_batch() {
+    use xpath_views::model::{Label, Tree};
+    use xpath_views::net::{Msg, MAX_FRAME};
+    const DEPTH: usize = 200_000;
+
+    let mut graft = Tree::new(Label::new("c"));
+    let mut tip = graft.root();
+    for level in 1..DEPTH {
+        tip = graft.add_child(tip, Label::new(if level % 2 == 0 { "c" } else { "b" }));
+    }
+    let batch = Msg::EditBatch {
+        id: 1,
+        tenant: "writer".into(),
+        edits: vec![Edit::InsertSubtree { parent: NodeId(1), subtree: graft }],
+    };
+    let frame = batch.encode();
+    assert!(frame.len() > DEPTH * 6 && frame.len() < MAX_FRAME / 4);
+    let Msg::EditBatch { edits, .. } = Msg::decode(&frame).expect("a deep subtree decodes") else {
+        panic!("an edit batch decodes to an edit batch");
+    };
+    // The hostile variants of the same frame are errors, not crashes.
+    assert!(parse_xml(&"<a>".repeat(DEPTH)).unwrap_err().message.contains("end of input"));
+    let crossed = format!("{}{}", "<a>".repeat(DEPTH), "</b>");
+    assert!(parse_xml(&crossed).unwrap_err().message.contains("mismatched"));
+
+    let cache = ShardedViewCache::new(TreeBuilder::root("a", |b| {
+        b.leaf("b");
+    }));
+    cache.add_view("bs", parse_xpath("a//b").unwrap());
+    cache.add_view("leafy", parse_xpath("a//b[c]").unwrap());
+    let report = cache.apply_edits(&edits).expect("the decoded batch applies");
+    assert_eq!(report.edits_applied, 1);
+    assert_eq!(report.views_changed, 2);
+    let doc = cache.document();
+    assert_eq!(doc.len(), DEPTH + 2);
+    let views = cache.views_snapshot();
+    assert_eq!(views[0].nodes().len(), 1 + DEPTH / 2, "every b of the chain is below a");
+    // `b[c]`: the old leaf (its child is the graft's root) and every b of
+    // the chain but the last node, which has no child.
+    assert_eq!(views[1].nodes().len(), DEPTH / 2);
+
+    // Out again: serialized, re-read, and compared by canonical key — each
+    // of them one pass over the chain.
+    let xml = to_xml(&doc);
+    assert_eq!(xml.len(), (DEPTH + 1) * "<a></a>".len() + "<b/>".len());
+    let back = parse_xml(&xml).expect("the serialized document re-reads");
+    assert_eq!(back.len(), doc.len());
+    assert_eq!(back.canonical_key(), doc.canonical_key());
+    assert_eq!(doc.canonical_key().len(), (DEPTH + 2) * 3);
 }
