@@ -380,8 +380,8 @@ impl PlanningSession {
         &self.planner
     }
 
-    /// Access to the shared oracle (interning, stats, ablation knobs — all
-    /// of which take `&self` on the oracle itself).
+    /// Access to the shared oracle (interning, stats — all of which take
+    /// `&self` on the oracle itself).
     pub fn oracle(&self) -> &ContainmentOracle {
         &self.oracle
     }

@@ -546,7 +546,7 @@ fn account_update(shared: &ServerShared, tenant: &str, report: &UpdateReport) {
     counters.updates_applied.fetch_add(report.edits_applied as u64, Ordering::Relaxed);
     counters
         .views_refreshed_incrementally
-        .fetch_add(report.views_refreshed as u64, Ordering::Relaxed);
+        .fetch_add(report.views_changed as u64, Ordering::Relaxed);
 }
 
 /// One response frame awaiting the writer task: the encoded body plus
@@ -699,45 +699,24 @@ async fn serve_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, st
                     }
                     // Stream the Answers frame straight into its byte
                     // buffer from the engine's own node slices — no
-                    // WireAnswer clones on the hot response path. On the
-                    // arena lane (the default) the node runs live in one
-                    // per-batch bump arena and the encoder reads them as
-                    // borrowed slices; `--no-arena` falls back to the
-                    // owned-`Vec` API (identical bytes, one `Vec` per
-                    // answer).
-                    let body = if shared.cache.arena_enabled() {
-                        let mut arena = AnswerArena::new();
-                        let answers =
-                            shared.cache.answer_batch_refs_spanned(&queries, &mut span, &mut arena);
-                        shared.tenants.account_batch_refs(&tenant, &answers);
-                        let encode_started = Instant::now();
-                        let mut enc = AnswersEncoder::new(id);
-                        for a in &answers {
-                            enc.answer(wire_route_ref(&a.route), arena.get(a.nodes));
-                        }
-                        let body = enc.finish();
-                        let encoded = encode_started.elapsed();
-                        shared.cache.obs.encode_us.record_duration(encoded);
-                        if span.is_enabled() {
-                            span.mark_us(Phase::Encode, encoded.as_micros() as u64);
-                        }
-                        body
-                    } else {
-                        let answers = shared.cache.answer_batch_spanned(&queries, &mut span);
-                        shared.tenants.account_batch(&tenant, &answers);
-                        let encode_started = Instant::now();
-                        let mut enc = AnswersEncoder::new(id);
-                        for a in &answers {
-                            enc.answer(wire_route_ref(&a.route), &a.nodes);
-                        }
-                        let body = enc.finish();
-                        let encoded = encode_started.elapsed();
-                        shared.cache.obs.encode_us.record_duration(encoded);
-                        if span.is_enabled() {
-                            span.mark_us(Phase::Encode, encoded.as_micros() as u64);
-                        }
-                        body
-                    };
+                    // WireAnswer clones on the hot response path: the node
+                    // runs live in one per-batch bump arena and the encoder
+                    // reads them as borrowed slices.
+                    let mut arena = AnswerArena::new();
+                    let answers =
+                        shared.cache.answer_batch_refs_spanned(&queries, &mut span, &mut arena);
+                    shared.tenants.account_batch_refs(&tenant, &answers);
+                    let encode_started = Instant::now();
+                    let mut enc = AnswersEncoder::new(id);
+                    for a in &answers {
+                        enc.answer(wire_route_ref(&a.route), arena.get(a.nodes));
+                    }
+                    let body = enc.finish();
+                    let encoded = encode_started.elapsed();
+                    shared.cache.obs.encode_us.record_duration(encoded);
+                    if span.is_enabled() {
+                        span.mark_us(Phase::Encode, encoded.as_micros() as u64);
+                    }
                     push_body(&shared, &conn_for_task, id, body, span);
                     conn_for_task.window.release();
                 });
@@ -855,7 +834,6 @@ fn wire_report(r: &UpdateReport) -> WireUpdateReport {
     WireUpdateReport {
         edits_applied: r.edits_applied as u64,
         doc_version: r.doc_version,
-        views_refreshed: r.views_refreshed as u64,
         views_changed: r.views_changed as u64,
         routes_dropped: r.routes_dropped,
     }

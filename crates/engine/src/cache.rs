@@ -38,8 +38,7 @@
 //!
 //! [`ViewCache::answer_batch`] answers a workload slice in one pass over
 //! this machinery, planning duplicated queries once and fanning the answer
-//! out; [`ViewCache::set_memo_enabled`] is the ablation knob that turns all
-//! memo levels off for before/after measurements.
+//! out.
 
 use std::sync::Arc;
 
@@ -94,44 +93,6 @@ impl ViewCache {
         self
     }
 
-    /// Enables or disables multi-view **intersection routes** (the
-    /// `--no-intersect` ablation knob); see
-    /// [`ShardedViewCache::set_intersect_enabled`] for the memo effects.
-    pub fn set_intersect_enabled(&mut self, enabled: bool) {
-        self.inner.set_intersect_enabled(enabled);
-    }
-
-    /// Whether intersection routes are planned.
-    pub fn intersect_enabled(&self) -> bool {
-        self.inner.intersect_enabled()
-    }
-
-    /// Enables or disables the plan-miss **signature fast path** (the
-    /// `--no-sig-filter` ablation knob); see
-    /// [`ShardedViewCache::set_sig_filter_enabled`] — routes and answers
-    /// are identical either way.
-    pub fn set_sig_filter_enabled(&mut self, enabled: bool) {
-        self.inner.set_sig_filter_enabled(enabled);
-    }
-
-    /// Whether plan misses pre-filter candidates by signature.
-    pub fn sig_filter_enabled(&self) -> bool {
-        self.inner.sig_filter_enabled()
-    }
-
-    /// Enables or disables **all** memoization — the plan memo and the
-    /// session oracle's verdict/homomorphism memos. This is the ablation
-    /// knob the throughput bench flips to measure what sharing buys;
-    /// disabling clears every memo so a re-enable starts cold.
-    pub fn set_memo_enabled(&mut self, enabled: bool) {
-        self.inner.set_memo_enabled(enabled);
-    }
-
-    /// Whether memoization is active.
-    pub fn memo_enabled(&self) -> bool {
-        self.inner.memo_enabled()
-    }
-
     /// The cached document (current state; refreshed by
     /// [`ViewCache::apply_edits`]).
     pub fn document(&self) -> &Tree {
@@ -152,29 +113,6 @@ impl ViewCache {
     /// The number of successful [`ViewCache::apply_edits`] batches so far.
     pub fn doc_version(&self) -> u64 {
         self.inner.doc_version()
-    }
-
-    /// Enables or disables incremental maintenance under
-    /// [`ViewCache::apply_edits`] (disabled = full re-materialization, the
-    /// update-bench baseline).
-    pub fn set_incremental_maintenance(&mut self, enabled: bool) {
-        self.inner.set_incremental_maintenance(enabled);
-    }
-
-    /// Whether `apply_edits` maintains views incrementally.
-    pub fn incremental_maintenance(&self) -> bool {
-        self.inner.incremental_maintenance()
-    }
-
-    /// Enables or disables batch coalescing under incremental maintenance
-    /// (disabled = the legacy per-edit path, the `--no-coalesce` ablation).
-    pub fn set_coalesce_enabled(&mut self, enabled: bool) {
-        self.inner.set_coalesce_enabled(enabled);
-    }
-
-    /// Whether incremental maintenance coalesces edit batches.
-    pub fn coalesce_enabled(&self) -> bool {
-        self.inner.coalesce_enabled()
     }
 
     /// The concurrent cache this wrapper drives (one shard). Useful for
@@ -267,7 +205,8 @@ impl ViewCache {
         self.inner.answer_batch_refs(queries, arena)
     }
 
-    /// Answers `query` by direct evaluation only (baseline for benchmarks).
+    /// Answers `query` by direct evaluation on the `Tree` only — the
+    /// reference every routed answer must equal.
     pub fn answer_direct(&self, query: &Pattern) -> Vec<NodeId> {
         self.inner.answer_direct(query)
     }
@@ -451,24 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_disabled_replans_every_time() {
-        let mut cache = ViewCache::new(doc());
-        cache.set_memo_enabled(false);
-        cache.add_view("items", pat("site/region/item"));
-        let q = pat("site/region/item/name");
-        let _ = cache.answer(&q);
-        let runs_first = cache.stats().oracle_canonical_runs;
-        let _ = cache.answer(&q);
-        let s = cache.stats();
-        assert_eq!(s.plan_memo_hits, 0);
-        assert_eq!(s.plan_memo_misses, 2);
-        assert!(
-            s.oracle_canonical_runs >= runs_first,
-            "no-memo cache repeats its containment work"
-        );
-    }
-
-    #[test]
     fn add_view_invalidates_plan_memo() {
         let mut cache = ViewCache::new(doc());
         cache.add_view("names", pat("site/region/item/name"));
@@ -606,10 +527,6 @@ mod tests {
             ans.route
         );
         assert_eq!(ans.nodes, cache.answer_direct(&q));
-        assert!(cache.intersect_enabled());
         assert_eq!(cache.stats().intersect_hits, 1);
-        // The ablation knob flows through the wrapper.
-        cache.set_intersect_enabled(false);
-        assert_eq!(cache.answer(&q).route, Route::Direct);
     }
 }

@@ -30,8 +30,7 @@
 //! jointly ([`Route::Intersect`]). The route evaluates the compensation
 //! anchored on the `NodeId` intersection of the participants' virtual
 //! results — byte-identical to direct evaluation, since only *equivalent*
-//! compensations are routed. [`ShardedViewCache::set_intersect_enabled`] is
-//! the ablation knob.
+//! compensations are routed.
 //!
 //! ## Document updates
 //!
@@ -69,7 +68,7 @@
 //! untouched view/intersection routes survive document edits outright.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -79,16 +78,13 @@ use xpv_intersect::{
     plan_intersection_sig, IntersectConfig,
 };
 use xpv_maintain::{
-    apply_region_results, coalesce_plan, finalize_deltas, maintain_views, prepare_batch,
-    scan_regions_flat, scan_regions_serial, Edit, EditError, MaintainMode, MaintainStats,
-    ViewDelta,
+    apply_region_results, coalesce_plan, finalize_deltas, prepare_batch, scan_regions_flat, Edit,
+    EditError, MaintainStats,
 };
 use xpv_model::{AnswerArena, AnswerRef, FlatTree, NodeId, Tree};
 use xpv_obs::{Heartbeat, Histogram, MetricsSnapshot, Phase, Registry, Span};
 use xpv_pattern::{Pattern, PatternKey, QuerySignature, ViewSignature};
-use xpv_semantics::{
-    evaluate, evaluate_anchored, evaluate_anchored_flat, evaluate_flat, BatchEval,
-};
+use xpv_semantics::{evaluate, evaluate_flat, BatchEval};
 
 use crate::view::MaterializedView;
 
@@ -191,11 +187,8 @@ pub struct UpdateReport {
     pub edits_applied: usize,
     /// The document version after the batch.
     pub doc_version: u64,
-    /// Views whose stored state was re-allocated. A view stores its answer
-    /// set and nothing else, so this always equals `views_changed`.
-    pub views_refreshed: usize,
-    /// Views whose answer **sets** changed (the routes depending on these
-    /// were invalidated).
+    /// Views whose answer **sets** changed: their stored state was
+    /// re-allocated and the routes depending on them were invalidated.
     pub views_changed: usize,
     /// Plan-memo routes dropped by the participant-aware sweep.
     pub routes_dropped: u64,
@@ -233,6 +226,19 @@ pub struct CacheAnswerRef {
     pub planning: Duration,
     /// Time spent evaluating (zero for fanned-out duplicates).
     pub evaluation: Duration,
+}
+
+impl CacheAnswerRef {
+    /// The owned form of this answer: its node run copied out of `arena`
+    /// (the arena the batch call filled) and its route cloned.
+    pub fn copy_out(&self, arena: &AnswerArena) -> CacheAnswer {
+        CacheAnswer {
+            nodes: arena.get(self.nodes).to_vec(),
+            route: Route::clone(&self.route),
+            planning: self.planning,
+            evaluation: self.evaluation,
+        }
+    }
 }
 
 /// Aggregate statistics over the cache's lifetime.
@@ -473,19 +479,6 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// What a maintenance pass hands to publication in
-/// [`ShardedViewCache::apply_edits`].
-struct Maintained {
-    /// One delta per view, in pool order.
-    deltas: Vec<ViewDelta>,
-    /// The patched answer sets, parallel to `deltas`; `None` where the plan
-    /// proved the set untouched (its delta is then empty).
-    patched: Vec<Option<Vec<NodeId>>>,
-    stats: MaintainStats,
-    /// The freeze of the post-batch document.
-    flat: Arc<FlatTree>,
-}
-
 /// The cache's observability handles: its private metric [`Registry`]
 /// plus the pre-resolved latency histograms the hot paths record into
 /// (resolved once at construction — answering never touches the registry
@@ -568,23 +561,6 @@ pub struct ShardedViewCache {
     write_gate: std::sync::Mutex<()>,
     session: PlanningSession,
     policy: ChoicePolicy,
-    memo_enabled: AtomicBool,
-    /// Whether multi-view intersection routes are planned (ablation knob).
-    intersect_enabled: AtomicBool,
-    /// Whether evaluation runs through the frozen flat snapshot (the
-    /// `xpv serve-bench --no-flat` / `eval-bench` ablation knob; disabled,
-    /// every route evaluates on the arena `Tree` — answers are identical).
-    flat_enabled: AtomicBool,
-    /// Whether the plan-miss fast path consults view signatures before
-    /// paying containment decisions (the `--no-sig-filter` ablation knob;
-    /// routes and answers are identical either way — the filter is a
-    /// necessary condition).
-    sig_filter_enabled: AtomicBool,
-    /// Whether the serving front-ends return answers through the
-    /// [`AnswerArena`] lane ([`ShardedViewCache::answer_batch_refs`]) or
-    /// the owned-`Vec` wrapper (the `--no-arena` ablation knob; bytes on
-    /// the wire are identical either way).
-    arena_enabled: AtomicBool,
     /// Budget knobs handed to the intersection planner.
     intersect_cfg: IntersectConfig,
     shards: Box<[CacheShard]>,
@@ -605,13 +581,6 @@ pub struct ShardedViewCache {
     next_view_id: AtomicU64,
     /// Bumped by every successful [`ShardedViewCache::apply_edits`] batch.
     doc_version: AtomicU64,
-    /// Whether `apply_edits` maintains views incrementally (the
-    /// `xpv update-bench` ablation knob; `false` = full re-materialization).
-    incremental_maintenance: AtomicBool,
-    /// Whether incremental maintenance coalesces the batch into merged
-    /// regions (the `--no-coalesce` ablation knob; `false` = the legacy
-    /// per-edit path).
-    coalesce_enabled: AtomicBool,
     /// Lifetime maintenance counters (summed per batch under the write
     /// gate; surfaced through [`CacheStats::maintain`]).
     maintain_totals: std::sync::Mutex<MaintainStats>,
@@ -652,11 +621,6 @@ impl ShardedViewCache {
             write_gate: std::sync::Mutex::new(()),
             session: PlanningSession::new(planner),
             policy: ChoicePolicy::default(),
-            memo_enabled: AtomicBool::new(true),
-            intersect_enabled: AtomicBool::new(true),
-            flat_enabled: AtomicBool::new(true),
-            sig_filter_enabled: AtomicBool::new(true),
-            arena_enabled: AtomicBool::new(true),
             intersect_cfg: IntersectConfig::default(),
             shards: (0..DEFAULT_CACHE_SHARDS).map(|_| CacheShard::default()).collect(),
             memo_cap: usize::MAX,
@@ -665,8 +629,6 @@ impl ShardedViewCache {
             tick: AtomicU64::new(0),
             next_view_id: AtomicU64::new(0),
             doc_version: AtomicU64::new(0),
-            incremental_maintenance: AtomicBool::new(true),
-            coalesce_enabled: AtomicBool::new(true),
             maintain_totals: std::sync::Mutex::new(MaintainStats::default()),
             updates_applied: AtomicU64::new(0),
             views_refreshed_incrementally: AtomicU64::new(0),
@@ -728,104 +690,11 @@ impl ShardedViewCache {
         self.memo_cap
     }
 
-    /// Enables or disables **all** memoization — the plan memo and the
-    /// session oracle's verdict/homomorphism memos. This is the ablation
-    /// knob the throughput bench flips to measure what sharing buys;
-    /// disabling clears every memo so a re-enable starts cold.
-    pub fn set_memo_enabled(&self, enabled: bool) {
-        self.memo_enabled.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            for shard in self.shards.iter() {
-                let mut memo = shard.memo.write().expect("plan memo poisoned");
-                self.memo_entries.fetch_sub(memo.len() as u64, Ordering::Relaxed);
-                memo.clear();
-            }
-        }
-        self.session.oracle().set_memo_enabled(enabled);
-    }
-
-    /// Whether memoization is active.
-    pub fn memo_enabled(&self) -> bool {
-        self.memo_enabled.load(Ordering::Relaxed)
-    }
-
     /// Sets the intersection-planner budget (builder style): largest subset
     /// size and subsets examined per query.
     pub fn with_intersect_config(mut self, cfg: IntersectConfig) -> ShardedViewCache {
         self.intersect_cfg = cfg;
         self
-    }
-
-    /// Enables or disables **multi-view intersection routes** — the
-    /// ablation knob behind `xpv serve-bench --no-intersect`. Memoized
-    /// routes that the flip invalidates are dropped: disabling removes
-    /// `Intersect` routes, enabling removes `Direct` routes (which asserted
-    /// "nothing serves this query" while intersections were off).
-    pub fn set_intersect_enabled(&self, enabled: bool) {
-        let was = self.intersect_enabled.swap(enabled, Ordering::Relaxed);
-        if was == enabled {
-            return;
-        }
-        self.views_version.fetch_add(1, Ordering::Release);
-        // Single-view routes (Chosen and WholePool) are unaffected either
-        // way: the single-view scan runs *before* intersection planning, so
-        // the toggle can never change a route a single view justified.
-        self.sweep_memo(|dep| match dep {
-            PlanDep::Intersect(_) => !enabled,
-            PlanDep::NoUsableView => enabled,
-            PlanDep::Chosen(_) | PlanDep::WholePool => false,
-        });
-    }
-
-    /// Whether intersection routes are planned.
-    pub fn intersect_enabled(&self) -> bool {
-        self.intersect_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the **flat evaluation path** — the ablation knob
-    /// behind `xpv serve-bench --no-flat`. Routing and planning are
-    /// untouched (no memo invalidation needed): the flag only selects which
-    /// matcher executes routes, and both matchers return byte-identical
-    /// answers.
-    pub fn set_flat_enabled(&self, enabled: bool) {
-        self.flat_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether evaluation runs through the frozen flat snapshot.
-    pub fn flat_enabled(&self) -> bool {
-        self.flat_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the **signature fast path** on plan-memo
-    /// misses — the ablation knob behind `xpv serve-bench
-    /// --no-sig-filter`. The filter is a *necessary condition* (a
-    /// rejected candidate provably admits no equivalent rewriting — see
-    /// the `xpv_pattern::signature` module docs), and the hit-rate try
-    /// order is applied identically in both arms over the same success
-    /// set, so routes and answers are byte-identical either way and no
-    /// memo invalidation is needed: the flag only selects whether doomed
-    /// candidates pay a containment decision before failing.
-    pub fn set_sig_filter_enabled(&self, enabled: bool) {
-        self.sig_filter_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether plan misses pre-filter candidates by signature.
-    pub fn sig_filter_enabled(&self) -> bool {
-        self.sig_filter_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Toggles the arena answer lane for the serving front-ends — `xpv
-    /// serve-bench --no-arena`. The flag only selects which batch API the
-    /// servers call ([`ShardedViewCache::answer_batch_refs`] vs
-    /// [`ShardedViewCache::answer_batch`]); both produce the same nodes
-    /// and routes, so the wire bytes are identical.
-    pub fn set_arena_enabled(&self, enabled: bool) {
-        self.arena_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the serving front-ends use the arena answer lane.
-    pub fn arena_enabled(&self) -> bool {
-        self.arena_enabled.load(Ordering::Relaxed)
     }
 
     /// Drops every memo entry whose [`PlanDep`] matches `stale`, updating
@@ -1018,16 +887,10 @@ impl ShardedViewCache {
     /// decided on patterns, not data, so surviving routes stay exact over
     /// the refreshed views.
     ///
-    /// With incremental maintenance disabled
-    /// ([`ShardedViewCache::set_incremental_maintenance`]) every view is
-    /// fully re-materialized instead — the `xpv update-bench` baseline.
-    ///
     /// On error (an edit targeting a dead node, or deleting the root) the
     /// shared document and every view are left exactly as they were.
     pub fn apply_edits(&self, edits: &[Edit]) -> Result<UpdateReport, EditError> {
         let mut span = Span::begin("cache.update");
-        let incremental = self.incremental_maintenance.load(Ordering::Relaxed);
-        let coalesce = incremental && self.coalesce_enabled.load(Ordering::Relaxed);
         // Serialize writers on the gate; the gate holder is the only
         // mutator, so the snapshot below cannot go stale beneath us while
         // we maintain clones of it off-lock.
@@ -1049,31 +912,41 @@ impl ShardedViewCache {
         let mut doc = (*snap.doc).clone();
         let defs: Vec<&Pattern> = snap.views.iter().map(|v| v.definition()).collect();
         let old: Vec<&[NodeId]> = snap.views.iter().map(|v| v.nodes()).collect();
-        let copy_us = t.elapsed().as_micros() as u64;
-        let Maintained { deltas, patched, stats: mut maintain, flat: new_flat } = if coalesce {
-            // Coalesced path: the post-batch freeze happens *before*
-            // maintenance and drives the flat region scans; the same
-            // snapshot is published by the swap below.
-            self.maintain_coalesced(&snap.doc, &mut doc, &defs, &old, edits)?
-        } else {
-            let mode =
-                if incremental { MaintainMode::Incremental } else { MaintainMode::FullRecompute };
-            let t = Instant::now();
-            let mut answers: Vec<Vec<NodeId>> = old.iter().map(|a| a.to_vec()).collect();
-            let (deltas, mut stats) = maintain_views(&mut doc, &defs, &mut answers, edits, mode)?;
-            stats.apply_us += t.elapsed().as_micros() as u64;
-            // Legacy paths freeze after maintenance, for the swap only.
-            let t = Instant::now();
-            let flat = Arc::new(FlatTree::freeze(&doc));
-            stats.freeze_us += t.elapsed().as_micros() as u64;
-            Maintained { deltas, patched: answers.into_iter().map(Some).collect(), stats, flat }
-        };
+        let prep = prepare_batch(&mut doc, edits)?;
+        let apply_us = t.elapsed().as_micros() as u64;
+
+        // One freeze of the post-batch document, taken before maintenance:
+        // it drives the region scans and is the snapshot the swap publishes.
+        let t = Instant::now();
+        let new_flat = Arc::new(FlatTree::freeze(&doc));
+        let freeze_us = t.elapsed().as_micros() as u64;
+
+        // Diff spines against the pre-batch tree and merge the regions.
+        let t = Instant::now();
+        let plan = coalesce_plan(&snap.doc, &doc, &defs, &prep);
+        let tasks = plan.region_tasks();
+        let coalesce_us = t.elapsed().as_micros() as u64;
+
+        // Scan the disjoint merged regions, one matcher per view.
+        let t = Instant::now();
+        let results = scan_regions_flat(&new_flat, &defs, &tasks);
+        let scan_us = t.elapsed().as_micros() as u64;
+
+        // Patch the answer sets from the scans' slot lists; `None` marks a
+        // view the plan proved untouched, so clean views are never copied.
+        let t_patch = Instant::now();
+        let mut maintain =
+            MaintainStats { apply_us, freeze_us, coalesce_us, scan_us, ..plan.stats };
+        let patched =
+            apply_region_results(&doc, &defs, &old, &plan, &tasks, &results, &mut maintain);
+        let deltas = finalize_deltas(
+            old.iter().copied().zip(patched.iter().map(Option::as_deref)),
+            &mut maintain,
+        );
         drop((defs, old));
-        maintain.apply_us += copy_us;
 
         // Publication, the tail of the `patch` phase: share every unchanged
         // view with the previous pool, re-allocate the changed ones.
-        let t_publish = Instant::now();
         let mut changed: Vec<ViewId> = Vec::new();
         let new_views = if deltas.iter().any(|d| !d.is_empty()) {
             let mut views: Vec<Arc<MaterializedView>> = (*snap.views).clone();
@@ -1090,9 +963,8 @@ impl ShardedViewCache {
             Arc::clone(&snap.views)
         };
         // Readers that observe the new document always observe its matching
-        // flat snapshot (frozen above — before maintenance on the coalesced
-        // path, after it on the legacy ones; tombstones from this batch are
-        // masked out either way).
+        // flat snapshot (frozen above; tombstones from this batch are masked
+        // out).
         let new_doc = Arc::new(doc);
         {
             // The only work under the state lock is the pointer swap:
@@ -1117,7 +989,7 @@ impl ShardedViewCache {
                 PlanDep::Intersect(parts) => parts.iter().any(|p| changed.contains(p)),
             })
         };
-        maintain.patch_us += t_publish.elapsed().as_micros() as u64;
+        maintain.patch_us = t_patch.elapsed().as_micros() as u64;
         // Usually the last reference to the pre-batch document: freeing it
         // is the other half of the private copy, so it is booked with it.
         let t = Instant::now();
@@ -1142,95 +1014,14 @@ impl ShardedViewCache {
             span.mark_us(Phase::Patch, maintain.patch_us);
         }
         span.finish();
-        if incremental {
-            self.views_refreshed_incrementally.fetch_add(changed.len() as u64, Ordering::Relaxed);
-        }
+        self.views_refreshed_incrementally.fetch_add(changed.len() as u64, Ordering::Relaxed);
         Ok(UpdateReport {
             edits_applied: edits.len(),
             doc_version,
-            views_refreshed: changed.len(),
             views_changed: changed.len(),
             routes_dropped,
             maintain,
         })
-    }
-
-    /// Enables or disables **incremental maintenance** under
-    /// [`ShardedViewCache::apply_edits`] — the `xpv update-bench` ablation
-    /// knob. Disabled, every update fully re-materializes every view (the
-    /// rebuild-the-world baseline); answers are identical either way.
-    pub fn set_incremental_maintenance(&self, enabled: bool) {
-        self.incremental_maintenance.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether `apply_edits` maintains views incrementally.
-    pub fn incremental_maintenance(&self) -> bool {
-        self.incremental_maintenance.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables **batch coalescing** under incremental
-    /// maintenance — the `xpv update-bench --no-coalesce` ablation knob.
-    /// Disabled, the legacy per-edit path runs (one region scan per
-    /// (view, edit) pair); answers are identical either way.
-    pub fn set_coalesce_enabled(&self, enabled: bool) {
-        self.coalesce_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether incremental maintenance coalesces edit batches.
-    pub fn coalesce_enabled(&self) -> bool {
-        self.coalesce_enabled.load(Ordering::Relaxed)
-    }
-
-    /// The coalesced maintenance pipeline: apply the whole batch, freeze
-    /// the post-batch flat snapshot **once** (shared between the region
-    /// scans and the snapshot swap), diff spines against the pre-batch
-    /// tree, scan the disjoint merged regions (one matcher per view), and
-    /// patch the answer sets from the scans' slot lists.
-    ///
-    /// `old[v]` is view `v`'s pre-batch answer set, borrowed from the
-    /// published pool; the returned patched sets are `None` for views the
-    /// plan proved untouched, so clean views are never copied.
-    fn maintain_coalesced(
-        &self,
-        t0: &Tree,
-        doc: &mut Tree,
-        defs: &[&Pattern],
-        old: &[&[NodeId]],
-        edits: &[Edit],
-    ) -> Result<Maintained, EditError> {
-        let t = Instant::now();
-        let prep = prepare_batch(doc, edits)?;
-        let apply_us = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let new_flat = Arc::new(FlatTree::freeze(doc));
-        let freeze_us = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let mut plan = coalesce_plan(t0, doc, defs, &prep);
-        let tasks = plan.region_tasks();
-        plan.stats.coalesce_us = t.elapsed().as_micros() as u64;
-        plan.stats.apply_us = apply_us;
-        plan.stats.freeze_us = freeze_us;
-        plan.stats.freeze_reused = 1;
-
-        let t = Instant::now();
-        let results = if self.flat_enabled() {
-            scan_regions_flat(&new_flat, defs, &tasks)
-        } else {
-            scan_regions_serial(doc, defs, &plan, &tasks)
-        };
-        plan.stats.scan_us = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let mut stats = plan.stats;
-        let patched = apply_region_results(doc, defs, old, &plan, &tasks, &results, &mut stats);
-        let deltas = finalize_deltas(
-            old.iter().copied().zip(patched.iter().map(Option::as_deref)),
-            &mut stats,
-        );
-        stats.patch_us = t.elapsed().as_micros() as u64;
-        Ok(Maintained { deltas, patched, stats, flat: new_flat })
     }
 
     /// Lifetime statistics, aggregated across shards (the oracle counters
@@ -1322,14 +1113,10 @@ impl ShardedViewCache {
     /// plus the shard that accounted the lookup.
     fn route_for(&self, query: &Pattern, key: PatternKey, fp: u64) -> (Arc<Planned>, &CacheShard) {
         let shard = self.shard_for(fp);
-        let memo = self.memo_enabled();
-        if memo {
-            let map = shard.memo.read().expect("plan memo poisoned");
-            if let Some(entry) = map.get(&key) {
-                entry.last_used.store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-                bump(&shard.stats.plan_memo_hits);
-                return (Arc::clone(&entry.planned), shard);
-            }
+        if let Some(entry) = shard.memo.read().expect("plan memo poisoned").get(&key) {
+            entry.last_used.store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+            bump(&shard.stats.plan_memo_hits);
+            return (Arc::clone(&entry.planned), shard);
         }
         bump(&shard.stats.plan_memo_misses);
         // Load the version strictly *before* taking the snapshot we plan
@@ -1345,48 +1132,46 @@ impl ShardedViewCache {
         let (route, dep) = self.plan(query, shard, &plan_snap);
         let planned = Arc::new(Planned::new(route, &plan_snap));
         self.obs.plan_miss_us.record_duration(miss_start.elapsed());
-        if memo {
-            let mut map = shard.memo.write().expect("plan memo poisoned");
-            if self.views_version.load(Ordering::Acquire) == planned_at && !map.contains_key(&key) {
-                // Reserve a slot against the global bound; on overflow,
-                // evict this shard's LRU entry instead (net zero), or skip
-                // memoizing when the shard is empty — the total entry count
-                // never exceeds `memo_cap`.
-                let has_slot = {
-                    let reserved = self.memo_entries.fetch_add(1, Ordering::Relaxed);
-                    if (reserved as usize) < self.memo_cap {
-                        true
-                    } else {
-                        self.memo_entries.fetch_sub(1, Ordering::Relaxed);
-                        // LRU eviction: drop the stalest entry. Linear scan
-                        // — capped memos are small, and this path only runs
-                        // on misses against a saturated memo.
-                        let stale = map
-                            .iter()
-                            .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                            .map(|(&k, _)| k);
-                        // Evict-and-replace is net zero entries, so the
-                        // counter stays untouched.
-                        match stale {
-                            Some(stale) => {
-                                map.remove(&stale);
-                                bump(&shard.stats.plan_memo_evictions);
-                                true
-                            }
-                            None => false,
+        let mut map = shard.memo.write().expect("plan memo poisoned");
+        if self.views_version.load(Ordering::Acquire) == planned_at && !map.contains_key(&key) {
+            // Reserve a slot against the global bound; on overflow,
+            // evict this shard's LRU entry instead (net zero), or skip
+            // memoizing when the shard is empty — the total entry count
+            // never exceeds `memo_cap`.
+            let has_slot = {
+                let reserved = self.memo_entries.fetch_add(1, Ordering::Relaxed);
+                if (reserved as usize) < self.memo_cap {
+                    true
+                } else {
+                    self.memo_entries.fetch_sub(1, Ordering::Relaxed);
+                    // LRU eviction: drop the stalest entry. Linear scan
+                    // — capped memos are small, and this path only runs
+                    // on misses against a saturated memo.
+                    let stale = map
+                        .iter()
+                        .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                        .map(|(&k, _)| k);
+                    // Evict-and-replace is net zero entries, so the
+                    // counter stays untouched.
+                    match stale {
+                        Some(stale) => {
+                            map.remove(&stale);
+                            bump(&shard.stats.plan_memo_evictions);
+                            true
                         }
+                        None => false,
                     }
-                };
-                if has_slot {
-                    map.insert(
-                        key,
-                        MemoEntry {
-                            planned: Arc::clone(&planned),
-                            dep,
-                            last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-                        },
-                    );
                 }
+            };
+            if has_slot {
+                map.insert(
+                    key,
+                    MemoEntry {
+                        planned: Arc::clone(&planned),
+                        dep,
+                        last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
+                    },
+                );
             }
         }
         (planned, shard)
@@ -1394,8 +1179,7 @@ impl ShardedViewCache {
 
     /// Plans `query` against the snapshot's view pool (no memo
     /// involvement): the single-view scan first, then — when no view
-    /// suffices and intersections are enabled — the multi-view intersection
-    /// planner.
+    /// suffices — the multi-view intersection planner.
     ///
     /// The scan is the **plan-miss fast path**: the query's
     /// [`QuerySignature`] is computed once, every pool candidate is first
@@ -1403,9 +1187,7 @@ impl ShardedViewCache {
     /// rejected candidates provably admit no equivalent rewriting and
     /// never reach the containment oracle), and the survivors are tried
     /// in this shard's hit-rate order so a `FirstMatch` plan usually pays
-    /// exactly one containment decision. Since filtered-out candidates
-    /// can never produce a rewriting and the try order ignores the filter
-    /// knob, the chosen route is identical with the filter on or off.
+    /// exactly one containment decision.
     fn plan(
         &self,
         query: &Pattern,
@@ -1413,22 +1195,15 @@ impl ShardedViewCache {
         snap: &StateSnapshot,
     ) -> (PlannedRoute, PlanDep) {
         let views = &snap.views;
-        let use_filter = self.sig_filter_enabled();
-        let qsig = (use_filter && !views.is_empty()).then(|| QuerySignature::of(query));
-        let mut order: Vec<usize> = Vec::with_capacity(views.len());
-        for i in 0..views.len() {
-            if let Some(qsig) = &qsig {
-                if !qsig.admits(&snap.sigs[i]) {
-                    continue;
-                }
-            }
-            order.push(i);
+        if views.is_empty() {
+            return (PlannedRoute::Direct, PlanDep::NoUsableView);
         }
-        if use_filter {
-            let rejected = (views.len() - order.len()) as u64;
-            shard.stats.sig_rejects.fetch_add(rejected, Ordering::Relaxed);
-            shard.stats.sig_passes.fetch_add(order.len() as u64, Ordering::Relaxed);
-        }
+        let qsig = QuerySignature::of(query);
+        let mut order: Vec<usize> =
+            (0..views.len()).filter(|&i| qsig.admits(&snap.sigs[i])).collect();
+        let rejected = (views.len() - order.len()) as u64;
+        shard.stats.sig_rejects.fetch_add(rejected, Ordering::Relaxed);
+        shard.stats.sig_passes.fetch_add(order.len() as u64, Ordering::Relaxed);
         // Winner-first try order (stable sort, pool order breaks ties):
         // under `FirstMatch` the historically winning view is decided
         // first, so a recurring miss pattern costs one oracle call instead
@@ -1478,13 +1253,13 @@ impl ShardedViewCache {
             return (PlannedRoute::ViaView { id: snap.ids[index], hint: index, rewriting }, dep);
         }
         // No single view rewrites the query: try a multi-view intersection.
-        if self.intersect_enabled() && views.len() >= 2 {
+        if views.len() >= 2 {
             let pool: Vec<&Pattern> = views.iter().map(|v| v.definition()).collect();
             let (answer, istats) = plan_intersection_sig(
                 &self.session,
                 query,
                 &pool,
-                qsig.as_ref().map(|q| (q, snap.sigs.as_slice())),
+                Some((&qsig, snap.sigs.as_slice())),
                 &self.intersect_cfg,
             );
             shard
@@ -1513,87 +1288,33 @@ impl ShardedViewCache {
         (PlannedRoute::Direct, PlanDep::NoUsableView)
     }
 
-    /// Executes a planned route against the snapshot, producing the answer
-    /// nodes and provenance. A route whose stable ids no longer resolve in
-    /// the snapshot (its views were removed after the route was fetched)
-    /// degrades to direct evaluation — always sound, since routed answers
-    /// equal direct answers by construction.
+    /// Executes a planned route against the snapshot, writing the answer
+    /// nodes into `arena` and returning their handle plus provenance. A
+    /// route whose stable ids no longer resolve in the snapshot (its views
+    /// were removed after the route was fetched) degrades to direct
+    /// evaluation — always sound, since routed answers equal direct answers
+    /// by construction.
     ///
-    /// Evaluation runs through the snapshot's frozen [`FlatTree`] when the
-    /// flat path is enabled; `batch` additionally threads one
-    /// [`BatchEval`] through the deduped survivors of `answer_batch`, so
-    /// they share scratch buffers (branch witness sets are shared through
-    /// the snapshot itself, by every caller). All three arms return
-    /// byte-identical nodes (the equivalence suite pins this down).
-    fn execute(
-        &self,
-        query: &Pattern,
-        planned: &Planned,
-        shard: &CacheShard,
-        snap: &StateSnapshot,
-        mut batch: Option<&mut BatchEval<'_>>,
-    ) -> (Vec<NodeId>, Arc<Route>) {
-        let flat = self.flat_enabled();
-        // One evaluation seam for every arm: `anchors == None` means "from
-        // the document root" (plain evaluation).
-        let mut eval = |p: &Pattern, anchors: Option<&[NodeId]>| -> Vec<NodeId> {
-            match (batch.as_deref_mut(), anchors) {
-                (Some(b), Some(a)) => b.evaluate_anchored(p, a),
-                (Some(b), None) => b.evaluate(p),
-                (None, Some(a)) if flat => evaluate_anchored_flat(p, &snap.flat, a),
-                (None, None) if flat => evaluate_flat(p, &snap.flat),
-                (None, Some(a)) => evaluate_anchored(p, &snap.doc, a),
-                (None, None) => evaluate(p, &snap.doc),
-            }
-        };
-        self.execute_route(query, planned, shard, snap, &mut eval)
-    }
-
-    /// [`ShardedViewCache::execute`] writing the answer nodes into a
-    /// caller-supplied arena: on the fused batch path the output bitset is
-    /// drained straight into the arena (no intermediate `Vec`); the
-    /// non-fused fallbacks evaluate to a `Vec` and append it, so every arm
-    /// stays byte-identical to the owned path.
+    /// Evaluation runs through `batch`, the fused evaluator over the
+    /// snapshot's frozen [`FlatTree`] that the whole batch shares (scratch
+    /// buffers; branch witness sets are shared through the snapshot itself,
+    /// by every caller): the output bitset is drained straight into the
+    /// arena, with no intermediate `Vec`.
     fn execute_refs(
         &self,
         query: &Pattern,
         planned: &Planned,
         shard: &CacheShard,
         snap: &StateSnapshot,
-        mut batch: Option<&mut BatchEval<'_>>,
+        batch: &mut BatchEval<'_>,
         arena: &mut AnswerArena,
     ) -> (AnswerRef, Arc<Route>) {
-        let flat = self.flat_enabled();
-        let mut eval = |p: &Pattern, anchors: Option<&[NodeId]>| -> AnswerRef {
-            match (batch.as_deref_mut(), anchors) {
-                (Some(b), Some(a)) => b.evaluate_anchored_into(p, a, arena),
-                (Some(b), None) => b.evaluate_into(p, arena),
-                (None, Some(a)) if flat => arena.push_run(evaluate_anchored_flat(p, &snap.flat, a)),
-                (None, None) if flat => arena.push_run(evaluate_flat(p, &snap.flat)),
-                (None, Some(a)) => arena.push_run(evaluate_anchored(p, &snap.doc, a)),
-                (None, None) => arena.push_run(evaluate(p, &snap.doc)),
-            }
-        };
-        self.execute_route(query, planned, shard, snap, &mut eval)
-    }
-
-    /// The route-resolution core shared by the owned and arena execution
-    /// paths: resolves stable ids against the snapshot, bumps the route
-    /// counters, computes intersection anchors, and calls `eval` exactly
-    /// once per answer.
-    fn execute_route<T>(
-        &self,
-        query: &Pattern,
-        planned: &Planned,
-        shard: &CacheShard,
-        snap: &StateSnapshot,
-        eval: &mut dyn FnMut(&Pattern, Option<&[NodeId]>) -> T,
-    ) -> (T, Arc<Route>) {
         match &planned.route {
             PlannedRoute::ViaView { id, hint, rewriting } => {
                 if let Some(index) = snap.resolve(*id, *hint) {
                     bump(&shard.stats.view_hits);
-                    let nodes = eval(rewriting, Some(snap.views[index].nodes()));
+                    let anchors = snap.views[index].nodes();
+                    let nodes = batch.evaluate_anchored_into(rewriting, anchors, arena);
                     return (nodes, Arc::clone(&planned.display));
                 }
             }
@@ -1606,17 +1327,18 @@ impl ShardedViewCache {
                 if let Some(sets) = sets {
                     bump(&shard.stats.intersect_hits);
                     let anchors = intersect_node_sets(&sets);
-                    return (eval(compensation, Some(&anchors)), Arc::clone(&planned.display));
+                    let nodes = batch.evaluate_anchored_into(compensation, &anchors, arena);
+                    return (nodes, Arc::clone(&planned.display));
                 }
             }
             PlannedRoute::Direct => {
                 bump(&shard.stats.direct);
-                return (eval(query, None), Arc::clone(&planned.display));
+                return (batch.evaluate_into(query, arena), Arc::clone(&planned.display));
             }
         }
         // A participant no longer resolves in this snapshot.
         bump(&shard.stats.direct);
-        (eval(query, None), Arc::new(Route::Direct))
+        (batch.evaluate_into(query, arena), Arc::new(Route::Direct))
     }
 
     /// Answers `query`, preferring an equivalent rewriting over any
@@ -1628,50 +1350,22 @@ impl ShardedViewCache {
     /// canonical-model containment calls
     /// ([`CacheStats::plan_memo_hits`] counts these).
     pub fn answer(&self, query: &Pattern) -> CacheAnswer {
-        let (key, fp) = self.session.oracle().intern_fingerprinted(query);
-        self.answer_keyed(query, key, fp)
+        let mut arena = AnswerArena::new();
+        let answers = self.answer_batch_refs_inner(std::slice::from_ref(query), &mut arena);
+        answers[0].copy_out(&arena)
     }
 
-    /// [`ShardedViewCache::answer`] with the interning already done (batch
-    /// callers intern once for dedup and routing). One consistent
-    /// document+views snapshot serves both planning and evaluation.
-    fn answer_keyed(&self, query: &Pattern, key: PatternKey, fp: u64) -> CacheAnswer {
-        let snap = self.snapshot();
-        self.answer_on(query, key, fp, &snap, None)
-    }
-
-    /// Routes and executes one query against a caller-held snapshot,
-    /// optionally through a fused batch evaluator bound to that snapshot.
-    fn answer_on(
-        &self,
-        query: &Pattern,
-        key: PatternKey,
-        fp: u64,
-        snap: &StateSnapshot,
-        batch: Option<&mut BatchEval<'_>>,
-    ) -> CacheAnswer {
-        let plan_start = Instant::now();
-        let (planned, shard) = self.route_for(query, key, fp);
-        bump(&shard.stats.queries);
-        let planning = plan_start.elapsed();
-
-        let eval_start = Instant::now();
-        let (nodes, route) = self.execute(query, &planned, shard, snap, batch);
-        let evaluation = eval_start.elapsed();
-        self.obs.plan_us.record_duration(planning);
-        self.obs.eval_us.record_duration(evaluation);
-        CacheAnswer { nodes, route: Route::clone(&route), planning, evaluation }
-    }
-
-    /// [`ShardedViewCache::answer_on`] for the arena lane: identical
-    /// routing and accounting, nodes written into `arena`.
+    /// Routes and executes one query against a caller-held snapshot through
+    /// the batch's fused evaluator (bound to that snapshot), nodes written
+    /// into `arena`. One consistent document+views snapshot serves both
+    /// planning and evaluation.
     fn answer_on_refs(
         &self,
         query: &Pattern,
         key: PatternKey,
         fp: u64,
         snap: &StateSnapshot,
-        batch: Option<&mut BatchEval<'_>>,
+        batch: &mut BatchEval<'_>,
         arena: &mut AnswerArena,
     ) -> CacheAnswerRef {
         let plan_start = Instant::now();
@@ -1690,14 +1384,15 @@ impl ShardedViewCache {
     /// Answers a whole workload slice in one pass; answers come back in
     /// input order.
     ///
-    /// While memoization is enabled, queries repeated **within the batch**
-    /// (including sibling-reordered isomorphs) are answered once and fanned
-    /// out: the repeat positions receive a clone of the first occurrence's
-    /// `CacheAnswer` (with zeroed timings) without re-running even the
-    /// plan-memo lookup. Fan-outs count as [`CacheStats::plan_memo_hits`]
-    /// and [`CacheStats::batch_dedup_hits`]. With the memo disabled
-    /// ([`ShardedViewCache::set_memo_enabled`]) every position replans, so
-    /// the ablation baseline measures genuinely unshared work.
+    /// Queries repeated **within the batch** (including sibling-reordered
+    /// isomorphs) are answered once and fanned out: the repeat positions
+    /// receive a copy of the first occurrence's answer (with zeroed
+    /// timings) without re-running even the plan-memo lookup. Fan-outs
+    /// count as [`CacheStats::plan_memo_hits`] and
+    /// [`CacheStats::batch_dedup_hits`].
+    ///
+    /// This is [`ShardedViewCache::answer_batch_refs`] with every node run
+    /// copied out of a private arena into an owned `Vec`.
     pub fn answer_batch(&self, queries: &[Pattern]) -> Vec<CacheAnswer> {
         let mut span = Span::begin("cache.batch");
         let answers = self.answer_batch_spanned(queries, &mut span);
@@ -1706,76 +1401,24 @@ impl ShardedViewCache {
     }
 
     /// [`ShardedViewCache::answer_batch`] with a caller-owned trace
-    /// [`Span`]: the batch's aggregate plan and eval phase times are
-    /// marked onto `span` (when it is enabled), letting a serving
-    /// front-end thread one request-lifecycle span through admission,
-    /// routing, evaluation, encoding, and flush. The batch-level latency
-    /// histograms record regardless of the span.
+    /// [`Span`] (see [`ShardedViewCache::answer_batch_refs_spanned`]).
     pub fn answer_batch_spanned(&self, queries: &[Pattern], span: &mut Span) -> Vec<CacheAnswer> {
-        let batch_start = Instant::now();
-        let answers = self.answer_batch_inner(queries);
-        self.obs.batch_us.record_duration(batch_start.elapsed());
-        if span.is_enabled() {
-            let plan: Duration = answers.iter().map(|a| a.planning).sum();
-            let eval: Duration = answers.iter().map(|a| a.evaluation).sum();
-            span.mark_us(Phase::Plan, plan.as_micros() as u64);
-            span.mark_us(Phase::Eval, eval.as_micros() as u64);
-        }
-        answers
+        let mut arena = AnswerArena::new();
+        let answers = self.answer_batch_refs_spanned(queries, span, &mut arena);
+        answers.iter().map(|a| a.copy_out(&arena)).collect()
     }
 
-    fn answer_batch_inner(&self, queries: &[Pattern]) -> Vec<CacheAnswer> {
-        if !self.memo_enabled() {
-            return queries.iter().map(|q| self.answer(q)).collect();
-        }
-        // One consistent snapshot serves the whole batch, and one batch
-        // evaluator (when the flat path is on) shares scratch buffers
-        // across every deduped survivor.
-        let snap = self.snapshot();
-        let mut fused = self.flat_enabled().then(|| BatchEval::new(&snap.flat));
-        let mut answers: Vec<CacheAnswer> = Vec::with_capacity(queries.len());
-        let mut first_seen: HashMap<PatternKey, usize> = HashMap::new();
-        for (i, query) in queries.iter().enumerate() {
-            let (key, fp) = self.session.oracle().intern_fingerprinted(query);
-            match first_seen.get(&key) {
-                Some(&j) => {
-                    let original = &answers[j];
-                    let fanned = CacheAnswer {
-                        nodes: original.nodes.clone(),
-                        route: original.route.clone(),
-                        planning: Duration::ZERO,
-                        evaluation: Duration::ZERO,
-                    };
-                    let shard = self.shard_for(fp);
-                    bump(&shard.stats.queries);
-                    bump(&shard.stats.plan_memo_hits);
-                    bump(&shard.stats.batch_dedup_hits);
-                    match fanned.route {
-                        Route::ViaView { .. } => bump(&shard.stats.view_hits),
-                        Route::Intersect { .. } => bump(&shard.stats.intersect_hits),
-                        Route::Direct => bump(&shard.stats.direct),
-                    }
-                    answers.push(fanned);
-                }
-                None => {
-                    first_seen.insert(key, i);
-                    answers.push(self.answer_on(query, key, fp, &snap, fused.as_mut()));
-                }
-            }
-        }
-        answers
-    }
-
-    /// [`ShardedViewCache::answer_batch`] through the **arena lane**: the
-    /// answers' node runs are bump-allocated into the caller's `arena`
+    /// The engine's batch entry point, the **arena lane**: the answers'
+    /// node runs are bump-allocated into the caller's `arena`
     /// (cleared first), and each [`CacheAnswerRef`] holds an 8-byte handle
     /// plus an `Arc`'d route. On the memoized hot path — route from the
     /// plan memo, fused flat evaluation — an answer touches the heap only
     /// through the arena's amortized growth; batch-deduplicated repeats
     /// share the first occurrence's run outright (the handle is `Copy`),
-    /// so fan-out allocates nothing at all. Nodes, routes, and counter
-    /// effects are identical to the owned API (the ablation suite pins the
-    /// encoded bytes).
+    /// so fan-out allocates nothing at all. The owned API
+    /// ([`ShardedViewCache::answer_batch`]) is a copy-out wrapper over this
+    /// call, so nodes, routes, and counter effects are the same by
+    /// construction.
     pub fn answer_batch_refs(
         &self,
         queries: &[Pattern],
@@ -1788,7 +1431,11 @@ impl ShardedViewCache {
     }
 
     /// [`ShardedViewCache::answer_batch_refs`] with a caller-owned trace
-    /// [`Span`] (see [`ShardedViewCache::answer_batch_spanned`]).
+    /// [`Span`]: the batch's aggregate plan and eval phase times are
+    /// marked onto `span` (when it is enabled), letting a serving
+    /// front-end thread one request-lifecycle span through admission,
+    /// routing, evaluation, encoding, and flush. The batch-level latency
+    /// histograms record regardless of the span.
     pub fn answer_batch_refs_spanned(
         &self,
         queries: &[Pattern],
@@ -1813,20 +1460,10 @@ impl ShardedViewCache {
         arena: &mut AnswerArena,
     ) -> Vec<CacheAnswerRef> {
         arena.clear();
+        // One consistent snapshot serves the whole batch, and one batch
+        // evaluator shares scratch buffers across every deduped survivor.
         let snap = self.snapshot();
-        let mut fused = self.flat_enabled().then(|| BatchEval::new(&snap.flat));
-        if !self.memo_enabled() {
-            // Ablation baseline: every position replans and re-evaluates
-            // (same per-position work as the owned path's fallback, one
-            // consistent snapshot either way).
-            return queries
-                .iter()
-                .map(|q| {
-                    let (key, fp) = self.session.oracle().intern_fingerprinted(q);
-                    self.answer_on_refs(q, key, fp, &snap, fused.as_mut(), arena)
-                })
-                .collect();
-        }
+        let mut fused = BatchEval::new(&snap.flat);
         let mut answers: Vec<CacheAnswerRef> = Vec::with_capacity(queries.len());
         let mut first_seen: HashMap<PatternKey, usize> = HashMap::new();
         for (i, query) in queries.iter().enumerate() {
@@ -1853,14 +1490,15 @@ impl ShardedViewCache {
                 }
                 None => {
                     first_seen.insert(key, i);
-                    answers.push(self.answer_on_refs(query, key, fp, &snap, fused.as_mut(), arena));
+                    answers.push(self.answer_on_refs(query, key, fp, &snap, &mut fused, arena));
                 }
             }
         }
         answers
     }
 
-    /// Answers `query` by direct evaluation only (baseline for benchmarks).
+    /// Answers `query` by direct evaluation on the `Tree` only — the
+    /// reference every routed answer must equal.
     pub fn answer_direct(&self, query: &Pattern) -> Vec<NodeId> {
         evaluate(query, &self.document())
     }
@@ -1915,7 +1553,7 @@ impl ShardedViewCache {
         // A contained *intersection* can recover more answers than any
         // single view's contained rewriting (it imposes fewer spurious
         // constraints): take it when it wins on size.
-        if self.intersect_enabled() && views.len() >= 2 {
+        if views.len() >= 2 {
             let pool: Vec<&Pattern> = views.iter().map(|v| v.definition()).collect();
             let (answer, _) =
                 plan_intersection_contained_in(&self.session, query, &pool, &self.intersect_cfg);
@@ -1923,8 +1561,8 @@ impl ShardedViewCache {
                 let sets: Vec<&[NodeId]> = answer.views.iter().map(|&i| views[i].nodes()).collect();
                 let nodes = answer_intersection_virtual(&snap.doc, &sets, &answer.compensation);
                 if answer.equivalent {
-                    // Possible only when the route memo predates the pool or
-                    // ablation state; the answer is complete regardless.
+                    // Possible only when the route memo predates the pool;
+                    // the answer is complete regardless.
                     return Some((nodes, true));
                 }
                 if best.as_ref().is_none_or(|b| nodes.len() > b.len()) {
@@ -2081,25 +1719,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_disabled_batches_do_not_dedupe() {
-        // The ablation baseline must measure unshared work: with the memo
-        // off, in-batch repeats replan instead of fanning out.
-        let cache = ShardedViewCache::new(doc());
-        cache.set_memo_enabled(false);
-        cache.add_view("items", pat("site/region/item"));
-        let q = pat("site/region/item/name");
-        let answers = cache.answer_batch(&[q.clone(), q.clone(), q.clone()]);
-        assert_eq!(answers.len(), 3);
-        for a in &answers {
-            assert_eq!(a.nodes, answers[0].nodes);
-        }
-        let s = cache.stats();
-        assert_eq!(s.batch_dedup_hits, 0);
-        assert_eq!(s.plan_memo_hits, 0);
-        assert_eq!(s.plan_memo_misses, 3, "every repeat must replan without the memo");
-    }
-
-    #[test]
     fn stats_display_is_one_line() {
         let cache = ShardedViewCache::new(doc());
         cache.add_view("items", pat("site/region/item"));
@@ -2176,39 +1795,6 @@ mod tests {
             "second ask must run zero canonical-model containment calls"
         );
         assert_eq!(s.intersect_routes, 1, "the route was planned exactly once");
-    }
-
-    #[test]
-    fn disabling_intersections_falls_back_to_direct() {
-        let cache = overlap_cache();
-        cache.set_intersect_enabled(false);
-        let q = pat("site/region/item[bids][shipping]/name");
-        let ans = cache.answer(&q);
-        assert_eq!(ans.route, Route::Direct);
-        assert_eq!(ans.nodes, cache.answer_direct(&q));
-        assert_eq!(cache.stats().intersect_routes, 0);
-        // Re-enabling drops the memoized Direct route and finds the
-        // intersection again.
-        cache.set_intersect_enabled(true);
-        assert!(matches!(cache.answer(&q).route, Route::Intersect { .. }));
-    }
-
-    #[test]
-    fn intersect_toggle_leaves_single_view_routes_alone() {
-        // A WholePool (SmallestView) route is justified by the single-view
-        // scan, which runs before intersection planning: flipping the
-        // intersect knob must not drop it.
-        let mut cache = ShardedViewCache::new(doc());
-        cache.set_policy(ChoicePolicy::SmallestView);
-        cache.add_view("items", pat("site/region/item"));
-        let q = pat("site/region/item/name");
-        assert!(matches!(cache.answer(&q).route, Route::ViaView { .. }));
-        let runs = cache.stats().oracle_canonical_runs;
-        cache.set_intersect_enabled(false);
-        cache.set_intersect_enabled(true);
-        assert!(matches!(cache.answer(&q).route, Route::ViaView { .. }));
-        assert_eq!(cache.stats().oracle_canonical_runs, runs, "route must serve from the memo");
-        assert_eq!(cache.stats().plan_memo_invalidations, 0);
     }
 
     #[test]
@@ -2348,33 +1934,35 @@ mod tests {
     }
 
     #[test]
-    fn apply_edits_full_recompute_matches_incremental() {
-        use xpv_maintain::Edit;
+    fn apply_edits_matches_full_recompute() {
+        use xpv_maintain::{maintain_views, Edit, MaintainMode};
 
-        let incremental = ShardedViewCache::new(doc());
-        let full = ShardedViewCache::new(doc());
-        full.set_incremental_maintenance(false);
-        assert!(!full.incremental_maintenance());
-        for c in [&incremental, &full] {
-            c.add_view("items", pat("site/region/item"));
-            c.add_view("names", pat("site/region/item/name"));
-        }
-        let snap = incremental.document();
+        let cache = ShardedViewCache::new(doc());
+        let defs = [pat("site/region/item"), pat("site/region/item/name")];
+        cache.add_view("items", defs[0].clone());
+        cache.add_view("names", defs[1].clone());
+        let snap = cache.document();
         let region = snap.children(snap.root())[1];
         let victim = snap.children(region)[0];
         let edits = vec![
             Edit::DeleteSubtree { node: victim },
             Edit::Relabel { node: region, label: xpv_model::Label::new("region") },
         ];
-        incremental.apply_edits(&edits).expect("valid");
-        full.apply_edits(&edits).expect("valid");
-        assert_eq!(full.stats().views_refreshed_incrementally, 0, "baseline never counts");
+        // The differential oracle: every view re-evaluated from scratch on
+        // a private copy of the document.
+        let mut mirror = (*snap).clone();
+        let refs: Vec<&Pattern> = defs.iter().collect();
+        let mut full: Vec<Vec<NodeId>> = refs.iter().map(|d| evaluate(d, &mirror)).collect();
+        maintain_views(&mut mirror, &refs, &mut full, &edits, MaintainMode::FullRecompute)
+            .expect("valid");
+        cache.apply_edits(&edits).expect("valid");
+        assert_eq!(cache.document().canonical_key(), mirror.canonical_key());
+        for (view, want) in cache.views_snapshot().iter().zip(&full) {
+            assert_eq!(view.nodes(), want.as_slice(), "view {} diverged", view.name());
+        }
         for q in ["site/region/item/name", "site//keyword", "site/region/item"] {
             let q = pat(q);
-            let a = incremental.answer(&q);
-            let b = full.answer(&q);
-            assert_eq!(a.nodes, b.nodes, "modes disagree on {q}");
-            assert_eq!(a.nodes, incremental.answer_direct(&q));
+            assert_eq!(cache.answer(&q).nodes, evaluate(&q, &mirror), "wrong answer for {q}");
         }
     }
 

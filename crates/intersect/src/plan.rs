@@ -237,8 +237,8 @@ pub fn plan_intersection_in(
 /// and the full decision procedure. The prune is a necessary condition,
 /// so the returned answer is identical to the unfiltered search's (only
 /// [`IntersectStats::sig_skipped`] and the work done differ). Pass
-/// `sigs = None` for the unfiltered ablation arm; `sigs` must be
-/// parallel to `pool`.
+/// `sigs = None` when no precomputed signatures are at hand; `sigs` must
+/// be parallel to `pool`.
 pub fn plan_intersection_sig(
     session: &PlanningSession,
     p: &Pattern,

@@ -1,10 +1,9 @@
 //! Batch coalescing: turn k edits into few disjoint re-evaluation regions.
 //!
-//! The per-edit maintainer (see [`crate::refresh`]) interleaves edit
-//! application with view patching: for every edit it records pre-edit
-//! `B`-vectors, applies, diffs, and scans one region per (view, edit) pair.
-//! A bursty batch — many edits under one hot subtree — pays k nearly
-//! identical region scans per view. This module reorders the work:
+//! Maintaining a view edit by edit — record pre-edit `B`-vectors, apply,
+//! diff, scan one region per (view, edit) pair — makes a bursty batch (many
+//! edits under one hot subtree) pay k nearly identical region scans per
+//! view. This module reorders the work:
 //!
 //! 1. [`prepare_batch`] applies the **whole batch first** (transactionality
 //!    is unchanged: undo receipts roll back on an invalid edit), recording
@@ -59,8 +58,8 @@
 //! patching. Answers outside every merged region therefore kept their
 //! entire chain's `B` values, and answers inside are recomputed exactly —
 //! the patched set equals full re-materialization, which the property suite
-//! (`tests/maintain_properties.rs`) checks against the per-edit maintainer
-//! *and* a from-scratch evaluation on randomized batches.
+//! (`tests/maintain_properties.rs`) checks against a from-scratch
+//! evaluation on randomized batches, whole and one edit at a time.
 
 use std::collections::HashSet;
 
@@ -135,8 +134,7 @@ pub enum ViewDisposition {
     /// inserted subtree survived: only tombstoned answers can have dropped.
     SpineClean,
     /// The spine is too deep for the reachability mask: re-evaluate the
-    /// whole document once for the batch (the per-edit path pays this per
-    /// edit).
+    /// whole document once for the batch.
     Full,
     /// Re-scan exactly these merged region roots (ascending, disjoint
     /// subtrees).
@@ -371,7 +369,7 @@ pub fn scan_regions_flat(
 
 /// The `Tree`-path counterpart of [`scan_regions_flat`] (one memoizing
 /// matcher per view, reused across its regions): the oracle the property
-/// suite pins the flat scan to, and the engine's `--no-flat` arm.
+/// suite pins the flat scan to.
 pub fn scan_regions_serial(
     t1: &Tree,
     defs: &[&Pattern],

@@ -228,11 +228,8 @@ fn apply_validated(t: &mut Tree, edit: &Edit) -> AppliedEdit {
     }
 }
 
-/// Undoes one applied edit (used by the batch rollback). Undoing an
-/// insertion tombstones the inserted slots — the live structure is restored
-/// exactly; only dead arena slots remain.
 /// Undoes one applied edit (shared by the batch rollbacks here and in
-/// `refresh::maintain_views`). Undoing an insertion tombstones the
+/// `coalesce::prepare_batch`). Undoing an insertion tombstones the
 /// inserted slots — the live structure is restored exactly; only dead
 /// arena slots remain.
 pub(crate) fn undo(t: &mut Tree, applied: &AppliedEdit) {

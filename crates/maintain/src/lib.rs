@@ -15,12 +15,11 @@
 //!   and re-evaluates each view only against the few surviving disjoint
 //!   regions, provably matching a from-scratch re-materialization; a burst
 //!   of k edits under one hot subtree costs one region scan per view
-//!   instead of k;
-//! * the legacy **per-edit maintainer** ([`MaintainMode::Incremental`]) —
-//!   one affected-region scan per (view, edit) pair, kept as the
-//!   `--no-coalesce` ablation arm and cross-check;
-//! * the [`MaintainMode::FullRecompute`] baseline — the rebuild-the-world
-//!   ablation arm of `xpv update-bench`.
+//!   instead of k. The engine drives the same plan over its post-batch
+//!   `FlatTree` freeze ([`scan_regions_flat`]); `maintain_views` scans the
+//!   `Tree` and is the reference the property suite pins that to;
+//! * the [`MaintainMode::FullRecompute`] oracle — re-evaluate every view
+//!   from scratch, what both are checked against.
 //!
 //! ## Why the affected region suffices
 //!

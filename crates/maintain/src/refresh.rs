@@ -1,54 +1,35 @@
-//! The incremental maintainer: apply an edit batch and patch every view's
-//! answer set so it equals a from-scratch re-materialization.
+//! The maintainer's test-facing entry point: apply an edit batch and patch
+//! every view's answer set so it equals a from-scratch re-materialization.
 //!
-//! [`maintain_views`] is the entry point. The default
-//! [`MaintainMode::Coalesced`] applies the whole batch first and refreshes
-//! each view from its merged region set (see [`crate::coalesce`]); the
-//! legacy [`MaintainMode::Incremental`] path below interleaves application
-//! and patching. Per edit, the legacy path:
+//! [`maintain_views`] runs the batch over plain `Tree`s in one of two
+//! modes, both of them oracles: [`MaintainMode::Coalesced`] applies the
+//! whole batch first and refreshes each view from its merged region set
+//! (see [`crate::coalesce`]) — the reference for the engine, which drives
+//! the same plan over its post-batch freeze — and
+//! [`MaintainMode::FullRecompute`] re-evaluates every view over the whole
+//! document, the differential oracle for both.
 //!
-//! 1. computes the edit's **anchor** (deepest surviving node whose subtree
-//!    content changes) and the ancestor spine `root → anchor`;
-//! 2. records, for every view, the `B`-vectors along that spine on the
-//!    *pre-edit* tree (see [`crate::region`] for the decomposition);
-//! 3. applies the edit (transactionally, with rollback on invalid edits);
-//! 4. recomputes the spine `B`-vectors and picks the **highest** changed
-//!    spine node; the re-evaluation region is its subtree (or just the
-//!    inserted subtree when nothing on the spine changed);
-//! 5. re-runs the restricted evaluation over that region only and patches
-//!    the view's answer vector: answers outside the region are provably
-//!    unchanged, answers inside are replaced by the fresh region results
-//!    (a bitset diff), tombstoned answers are dropped.
-//!
-//! Views whose label set is disjoint from the labels an edit touched (and
-//! that use no wildcard) are skipped outright — the Zipf-skewed regime the
-//! update benchmark measures. Every mode reports the same thing per view:
-//! the [`ViewDelta`] between its pre- and post-batch answer **node sets**.
-//! Views store nothing else (by-value copies are computed on demand from
-//! the current document), so content changes inside a surviving answer need
-//! no tracking.
+//! Either mode reports the same thing per view: the [`ViewDelta`] between
+//! its pre- and post-batch answer **node sets**. Views store nothing else
+//! (by-value copies are computed on demand from the current document), so
+//! content changes inside a surviving answer need no tracking.
 
 use xpv_model::{NodeId, Tree};
 use xpv_pattern::Pattern;
 use xpv_semantics::evaluate;
 
-use crate::edit::{apply_edits, validate_edit, AppliedEdit, Edit, EditError};
-use crate::region::{region_answers, spine_to, SpineInfo, SubMatcher};
+use crate::edit::{apply_edits, Edit, EditError};
 
-/// How [`maintain_views`] refreshes the answer sets — the ablation knob of
-/// `xpv update-bench`.
+/// How [`maintain_views`] refreshes the answer sets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MaintainMode {
     /// Apply the whole batch first, then patch each view from its merged,
-    /// deduplicated region set (see [`crate::coalesce`]) — the default.
+    /// deduplicated region set (see [`crate::coalesce`]) — the default,
+    /// and the pipeline the engine runs.
     #[default]
     Coalesced,
-    /// The legacy per-edit path: patch each view from each edit's affected
-    /// region, one scan per (view, edit) pair — the `--no-coalesce`
-    /// ablation arm and the PR 6 baseline.
-    Incremental,
     /// Re-evaluate every view over the whole document after the batch —
-    /// the rebuild-the-world baseline.
+    /// the rebuild-the-world oracle.
     FullRecompute,
 }
 
@@ -129,15 +110,12 @@ pub struct MaintainStats {
     /// Per-(view, edit) region roots before coalescing merged them.
     pub regions_before_merge: u64,
     /// Region scans the merge eliminated (`regions_before_merge` minus the
-    /// scans actually run) — what the per-edit path would have paid extra.
+    /// scans actually run) — what one scan per (view, edit) pair would have
+    /// paid extra.
     pub scans_saved: u64,
-    /// Batches whose maintenance reused the snapshot-swap `FlatTree` freeze
-    /// (the engine's shared-freeze path).
-    pub freeze_reused: u64,
     /// Microseconds applying edits: the engine's private copy of the
-    /// pre-batch document (plus, on the legacy modes, of the answer sets),
-    /// `prepare_batch`, and — after the swap — the release of the document
-    /// that copy replaced.
+    /// pre-batch document, `prepare_batch`, and — after the swap — the
+    /// release of the document that copy replaced.
     /// Together the five `*_us` phases cover an engine `apply_edits` call
     /// from its snapshot to its report, with no stretch left untimed.
     pub apply_us: u64,
@@ -168,7 +146,6 @@ impl MaintainStats {
         self.answers_removed += other.answers_removed;
         self.regions_before_merge += other.regions_before_merge;
         self.scans_saved += other.scans_saved;
-        self.freeze_reused += other.freeze_reused;
         self.apply_us += other.apply_us;
         self.freeze_us += other.freeze_us;
         self.coalesce_us += other.coalesce_us;
@@ -193,7 +170,6 @@ impl MaintainStats {
         f("answers_removed", self.answers_removed);
         f("regions_before_merge", self.regions_before_merge);
         f("scans_saved", self.scans_saved);
-        f("freeze_reused", self.freeze_reused);
         f("apply_us", self.apply_us);
         f("freeze_us", self.freeze_us);
         f("coalesce_us", self.coalesce_us);
@@ -208,14 +184,14 @@ impl std::fmt::Display for MaintainStats {
     }
 }
 
-/// Applies `edits` to `doc` and keeps every `answers[i]` equal to
-/// `evaluate(defs[i], doc)` throughout, patching incrementally (or fully,
-/// per `mode`). Returns one cumulative [`ViewDelta`] per view plus the
-/// batch counters.
+/// Applies `edits` to `doc` and brings every `answers[i]` back to
+/// `evaluate(defs[i], doc)`, patching from the merged regions (or
+/// re-evaluating fully, per `mode`). Returns one cumulative [`ViewDelta`]
+/// per view plus the batch counters.
 ///
-/// **Transactional**: on an invalid edit the document and every answer set
-/// are restored to their pre-batch state and the error names the offending
-/// batch position.
+/// **Transactional**: on an invalid edit the document is restored to its
+/// pre-batch state, no answer set has been touched, and the error names the
+/// offending batch position.
 ///
 /// `defs.len()` must equal `answers.len()`, each `answers[i]` must be the
 /// ascending answer set of `defs[i]` on the incoming document (as
@@ -256,149 +232,20 @@ pub fn maintain_views(
         return Ok((deltas, stats));
     }
 
-    let mut stats = MaintainStats::default();
+    // Full recompute: apply, then evaluate every view from scratch.
+    apply_edits(doc, edits)?;
+    let mut stats = MaintainStats { edits_applied: edits.len() as u64, ..MaintainStats::default() };
     let saved: Vec<Vec<NodeId>> = answers.to_vec();
-
-    if mode == MaintainMode::FullRecompute {
-        apply_edits(doc, edits)?;
-        stats.edits_applied = edits.len() as u64;
-        for (def, ans) in defs.iter().zip(answers.iter_mut()) {
-            stats.view_edit_checks += 1;
-            stats.full_recomputes += 1;
-            *ans = evaluate(def, doc);
-        }
-        let deltas = finalize_deltas(
-            saved.iter().zip(answers.iter()).map(|(o, n)| (o.as_slice(), Some(n.as_slice()))),
-            &mut stats,
-        );
-        return Ok((deltas, stats));
+    for (def, ans) in defs.iter().zip(answers.iter_mut()) {
+        stats.view_edit_checks += 1;
+        stats.full_recomputes += 1;
+        *ans = evaluate(def, doc);
     }
-
-    let infos: Vec<SpineInfo> = defs.iter().map(|d| SpineInfo::new(d)).collect();
-    let mut applied: Vec<AppliedEdit> = Vec::with_capacity(edits.len());
-
-    for (idx, edit) in edits.iter().enumerate() {
-        if let Err(e) = validate_edit(doc, edit, idx) {
-            // Roll back: restore the document (reverse order) and the
-            // answer sets.
-            rollback(doc, &applied);
-            for (ans, old) in answers.iter_mut().zip(saved.iter()) {
-                *ans = old.clone();
-            }
-            return Err(e);
-        }
-
-        let anchor = edit.anchor(doc).expect("validated edits have an anchor");
-        let spine = spine_to(doc, anchor);
-
-        // Pre-edit B-vectors along the spine, per view (skipping views the
-        // edit provably cannot affect). The touched labels are only fully
-        // known post-application for inserts/deletes, but they can be read
-        // off the edit itself pre-application.
-        let touched = touched_labels_of(doc, edit);
-        let mut old_b: Vec<Option<Vec<u64>>> = Vec::with_capacity(defs.len());
-        for (def, info) in defs.iter().zip(&infos) {
-            stats.view_edit_checks += 1;
-            if info.unaffected_by_labels(&touched) {
-                stats.label_skips += 1;
-                old_b.push(None);
-                continue;
-            }
-            if !info.trackable() {
-                old_b.push(None);
-                continue;
-            }
-            let mut m = SubMatcher::new(def, doc);
-            old_b.push(Some(spine.iter().map(|&a| m.b_vector(info, a)).collect()));
-        }
-
-        let receipt = crate::edit::apply_edit(doc, edit).expect("validated edit applies");
-        stats.edits_applied += 1;
-        let inserted_root = match &receipt {
-            AppliedEdit::Inserted { root, .. } => Some(*root),
-            _ => None,
-        };
-
-        for (v, (def, info)) in defs.iter().zip(&infos).enumerate() {
-            let Some(old_vec) = &old_b[v] else {
-                if !info.unaffected_by_labels(&touched) {
-                    // Untrackable spine: fall back to a full re-evaluation.
-                    stats.full_recomputes += 1;
-                    answers[v] = evaluate(def, doc);
-                }
-                continue;
-            };
-
-            let mut m = SubMatcher::new(def, doc);
-            let mut dirty: Option<NodeId> = None;
-            for (i, &a) in spine.iter().enumerate() {
-                if m.b_vector(info, a) != old_vec[i] {
-                    dirty = Some(a);
-                    break; // highest changed spine node wins
-                }
-            }
-            let region_root = dirty.or(inserted_root);
-
-            match region_root {
-                None => {
-                    // No spine change and nothing inserted: the answer set
-                    // can only have lost tombstoned nodes.
-                    stats.spine_clean += 1;
-                    if matches!(receipt, AppliedEdit::Deleted { .. }) {
-                        answers[v].retain(|&n| doc.is_alive(n));
-                    }
-                }
-                Some(root) => {
-                    let (fresh, mut region) = region_answers(info, doc, root, &mut m);
-                    region.sort_unstable();
-                    stats.regions_scanned += 1;
-                    stats.region_nodes += region.len() as u64;
-                    let mut next: Vec<NodeId> = answers[v]
-                        .iter()
-                        .copied()
-                        .filter(|&n| doc.is_alive(n) && region.binary_search(&n).is_err())
-                        .collect();
-                    next.extend(fresh);
-                    next.sort();
-                    answers[v] = next;
-                }
-            }
-        }
-
-        applied.push(receipt);
-    }
-
     let deltas = finalize_deltas(
         saved.iter().zip(answers.iter()).map(|(o, n)| (o.as_slice(), Some(n.as_slice()))),
         &mut stats,
     );
     Ok((deltas, stats))
-}
-
-/// Collects the labels an edit touches, readable pre-application.
-fn touched_labels_of(doc: &Tree, edit: &Edit) -> Vec<xpv_model::Label> {
-    match edit {
-        Edit::InsertSubtree { subtree, .. } => subtree.label_set(),
-        Edit::DeleteSubtree { node } => {
-            let mut ls: Vec<xpv_model::Label> =
-                doc.descendants_inclusive(*node).into_iter().map(|n| doc.label(n)).collect();
-            ls.sort();
-            ls.dedup();
-            ls
-        }
-        Edit::Relabel { node, label } => {
-            let mut ls = vec![doc.label(*node), *label];
-            ls.sort();
-            ls.dedup();
-            ls
-        }
-    }
-}
-
-fn rollback(doc: &mut Tree, applied: &[AppliedEdit]) {
-    for receipt in applied.iter().rev() {
-        crate::edit::undo(doc, receipt);
-    }
 }
 
 /// The one delta finalizer, for every mode (the engine drives it too):
@@ -450,13 +297,13 @@ mod tests {
         })
     }
 
-    /// Runs a batch through the incremental maintainer and asserts every
+    /// Runs a batch through the coalesced maintainer and asserts every
     /// view equals a fresh evaluation afterwards.
     fn check(doc0: &Tree, defs: &[&Pattern], edits: &[Edit]) -> (Tree, Vec<ViewDelta>) {
         let mut t = doc0.clone();
         let mut answers: Vec<Vec<NodeId>> = defs.iter().map(|d| evaluate(d, &t)).collect();
         let (deltas, _) =
-            maintain_views(&mut t, defs, &mut answers, edits, MaintainMode::Incremental)
+            maintain_views(&mut t, defs, &mut answers, edits, MaintainMode::Coalesced)
                 .expect("valid batch");
         for (def, ans) in defs.iter().zip(&answers) {
             assert_eq!(ans, &evaluate(def, &t), "view {def} diverged from full recompute");
@@ -529,7 +376,7 @@ mod tests {
             &[&q],
             &mut answers,
             &[Edit::InsertSubtree { parent: region, subtree: graft }],
-            MaintainMode::Incremental,
+            MaintainMode::Coalesced,
         )
         .expect("valid");
         assert_eq!(stats.label_skips, 1);
@@ -569,7 +416,7 @@ mod tests {
                 Edit::InsertSubtree { parent: region, subtree: item_graft() },
                 Edit::DeleteSubtree { node: NodeId(9999) },
             ],
-            MaintainMode::Incremental,
+            MaintainMode::Coalesced,
         )
         .unwrap_err();
         assert!(matches!(err, EditError::NotLive { edit_index: 1, .. }));
@@ -578,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn full_recompute_mode_agrees_with_incremental() {
+    fn full_recompute_mode_agrees_with_coalesced() {
         let t = doc();
         let region = t.children(t.root())[0];
         let q1 = pat("site/region/item[bids]/name");
@@ -589,7 +436,7 @@ mod tests {
         ];
         let mut ti = t.clone();
         let mut ai = vec![evaluate(&q1, &ti), evaluate(&q2, &ti)];
-        maintain_views(&mut ti, &[&q1, &q2], &mut ai, &edits, MaintainMode::Incremental)
+        maintain_views(&mut ti, &[&q1, &q2], &mut ai, &edits, MaintainMode::Coalesced)
             .expect("valid");
         let mut tf = t.clone();
         let mut af = vec![evaluate(&q1, &tf), evaluate(&q2, &tf)];

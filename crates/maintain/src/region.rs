@@ -154,14 +154,43 @@ impl<'a> SubMatcher<'a> {
         }
     }
 
+    /// Does the pattern subtree at `c` match at a proper descendant of `v`?
+    /// A depth-first search on an explicit stack, children in document
+    /// order, stopping at the first witness: document depth must not become
+    /// call-stack depth (a `[.//x]` branch over a 200 000-deep chain
+    /// overflowed a 2 MiB stack when this recursed once per level).
     fn desc_witness(&mut self, c: PatId, v: NodeId) -> bool {
         if let Some(&hit) = self.desc_memo.get(&(c.0, v.0)) {
             return hit;
         }
         let t = self.t;
-        let hit = t.children(v).iter().any(|&w| self.matches_at(c, w) || self.desc_witness(c, w));
-        self.desc_memo.insert((c.0, v.0), hit);
-        hit
+        // Each entry is a node without a memo entry plus the index of its
+        // next unexamined child; no child examined so far held a witness.
+        let mut stack: Vec<(NodeId, usize)> = vec![(v, 0)];
+        while let Some((node, next)) = stack.last_mut() {
+            let Some(&w) = t.children(*node).get(*next) else {
+                self.desc_memo.insert((c.0, node.0), false);
+                stack.pop();
+                continue;
+            };
+            *next += 1;
+            if !self.matches_at(c, w) {
+                match self.desc_memo.get(&(c.0, w.0)) {
+                    Some(true) => {}
+                    Some(false) => continue,
+                    None => {
+                        stack.push((w, 0));
+                        continue;
+                    }
+                }
+            }
+            // A witness at or below `w` lies below every node on the stack.
+            for (node, _) in stack {
+                self.desc_memo.insert((c.0, node.0), true);
+            }
+            return true;
+        }
+        false
     }
 
     /// `B_i(v)`: node test of the `i`-th spine node plus all its branches.

@@ -19,7 +19,7 @@
 //! * [`client`] — a blocking, credit-tracking protocol client for load
 //!   generators, tests, and the `xpv client` CLI.
 //!
-//! ## Wire protocol (version 1)
+//! ## Wire protocol (version 2)
 //!
 //! A connection is a byte stream (TCP or Unix-domain) carrying
 //! **length-prefixed frames** in each direction:

@@ -18,8 +18,9 @@ use crate::frame::{DecodeError, Decoder, Encoder};
 /// Handshake magic ("XPVW", little-endian).
 pub const MAGIC: u32 = 0x5756_5058;
 
-/// Protocol version this build speaks.
-pub const VERSION: u16 = 1;
+/// Protocol version this build speaks. Version 2 dropped the
+/// `views_refreshed` field of `EditAck`.
+pub const VERSION: u16 = 2;
 
 /// Frame type tags (first body byte).
 mod tag {
@@ -145,7 +146,6 @@ pub struct WireUpdateReport {
     /// versions, and version `v` means exactly `v` update batches precede
     /// every answer computed at `v`.
     pub doc_version: u64,
-    pub views_refreshed: u64,
     pub views_changed: u64,
     pub routes_dropped: u64,
 }
@@ -372,7 +372,6 @@ impl Msg {
                     .u64(*id)
                     .u64(report.edits_applied)
                     .u64(report.doc_version)
-                    .u64(report.views_refreshed)
                     .u64(report.views_changed)
                     .u64(report.routes_dropped);
             }
@@ -508,7 +507,6 @@ impl Msg {
                 report: WireUpdateReport {
                     edits_applied: d.u64()?,
                     doc_version: d.u64()?,
-                    views_refreshed: d.u64()?,
                     views_changed: d.u64()?,
                     routes_dropped: d.u64()?,
                 },

@@ -63,17 +63,19 @@
 //!
 //! ## Overhead budget
 //!
-//! Measured on this repo's CI container (1–2 cores, release build;
-//! reproduce with `xpv obs-bench`, archived as `BENCH_obs.json`):
+//! Measured on this repo's CI container (1–2 cores, release build) by the
+//! trace pass of `perfbench/` (`--trace 1`), which reports them as the
+//! per-layer figures `obs.span_disabled_ns`, `obs.histogram_record_ns`,
+//! `obs.snapshot_us` and `bench.trace_overhead_share`:
 //!
 //! - disabled span (`Span::begin` + drop, sampling off): **~3 ns** —
-//!   one relaxed atomic load and a branch (measured 3.4 ns/op);
+//!   one relaxed atomic load and a branch;
 //! - enabled histogram record: **~20 ns** — three relaxed atomic RMWs
-//!   plus the bucket index (measured 20.1 ns/op);
-//! - end-to-end, always-on tracing (`set_trace_sampling(1)`) on the Zipf
-//!   serve mix is **within measurement noise** of tracing off (< 1% on a
-//!   4000-query pass; the span cost is dwarfed by planning/eval). The CI
-//!   gate on `BENCH_obs.json` fails the build past **10%**.
+//!   plus the bucket index.
+//!
+//! The end-to-end cost of always-on tracing with the sampler running has
+//! no committed figure: it needs a paired `wire_small` run with the
+//! sampler on and off (ROADMAP item 6c).
 
 pub mod health;
 pub mod history;

@@ -37,15 +37,10 @@
 //! that run a fresh oracle per call, so existing call sites keep their exact
 //! behavior; long-lived components hold an oracle (usually inside an
 //! `xpv_core::PlanningSession`) and route every decision through it.
-//!
-//! For ablation experiments the memo can be disabled
-//! ([`ContainmentOracle::set_memo_enabled`]): the oracle then recomputes
-//! every verdict while still counting the work, which is how the throughput
-//! bench quantifies what memoization buys.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use xpv_pattern::{Pattern, PatternInterner, PatternKey};
@@ -210,7 +205,6 @@ fn shard_of(k1: PatternKey, k2: PatternKey, nshards: usize) -> usize {
 pub struct ContainmentOracle {
     interner: RwLock<PatternInterner>,
     opts: ContainmentOptions,
-    memo_enabled: AtomicBool,
     shards: Box<[MemoShard]>,
     stats: AtomicOracleStats,
 }
@@ -222,7 +216,7 @@ impl Default for ContainmentOracle {
 }
 
 impl ContainmentOracle {
-    /// An oracle with default [`ContainmentOptions`] and memoization on.
+    /// An oracle with default [`ContainmentOptions`].
     pub fn new() -> ContainmentOracle {
         Self::with_options(ContainmentOptions::default())
     }
@@ -242,7 +236,6 @@ impl ContainmentOracle {
         ContainmentOracle {
             interner: RwLock::new(PatternInterner::new()),
             opts,
-            memo_enabled: AtomicBool::new(true),
             shards: (0..n).map(|_| MemoShard::default()).collect(),
             stats: AtomicOracleStats::default(),
         }
@@ -251,23 +244,6 @@ impl ContainmentOracle {
     /// Number of memo lock shards.
     pub fn memo_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Enables or disables the memo (ablation knob). Disabling also clears
-    /// both levels so a later re-enable starts cold.
-    pub fn set_memo_enabled(&self, enabled: bool) {
-        self.memo_enabled.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            for shard in self.shards.iter() {
-                shard.hom.write().expect("oracle memo poisoned").clear();
-                shard.verdict.write().expect("oracle memo poisoned").clear();
-            }
-        }
-    }
-
-    /// Whether memoization is active.
-    pub fn memo_enabled(&self) -> bool {
-        self.memo_enabled.load(Ordering::Relaxed)
     }
 
     /// The options threaded into every test.
@@ -338,19 +314,13 @@ impl ContainmentOracle {
         p: &Pattern,
     ) -> bool {
         bump(&self.stats.hom_queries);
-        let memo = self.memo_enabled();
         let shard = &self.shards[shard_of(kq, kp, self.shards.len())];
-        if memo {
-            if let Some(&hit) = shard.hom.read().expect("oracle memo poisoned").get(&(kq, kp, mode))
-            {
-                bump(&self.stats.hom_memo_hits);
-                return hit;
-            }
+        if let Some(&hit) = shard.hom.read().expect("oracle memo poisoned").get(&(kq, kp, mode)) {
+            bump(&self.stats.hom_memo_hits);
+            return hit;
         }
         let holds = homomorphism_exists(q, p, mode);
-        if memo {
-            shard.hom.write().expect("oracle memo poisoned").insert((kq, kp, mode), holds);
-        }
+        shard.hom.write().expect("oracle memo poisoned").insert((kq, kp, mode), holds);
         holds
     }
 
@@ -391,15 +361,12 @@ impl ContainmentOracle {
         weak: bool,
     ) -> bool {
         bump(&self.stats.queries);
-        let memo = self.memo_enabled();
         let shard = &self.shards[shard_of(k1, k2, self.shards.len())];
-        if memo {
-            if let Some(&verdict) =
-                shard.verdict.read().expect("oracle memo poisoned").get(&(k1, k2, weak))
-            {
-                bump(&self.stats.verdict_memo_hits);
-                return verdict;
-            }
+        if let Some(&verdict) =
+            shard.verdict.read().expect("oracle memo poisoned").get(&(k1, k2, weak))
+        {
+            bump(&self.stats.verdict_memo_hits);
+            return verdict;
         }
         bump(&self.stats.verdict_memo_misses);
 
@@ -424,9 +391,7 @@ impl ContainmentOracle {
             holds
         };
 
-        if memo {
-            shard.verdict.write().expect("oracle memo poisoned").insert((k1, k2, weak), holds);
-        }
+        shard.verdict.write().expect("oracle memo poisoned").insert((k1, k2, weak), holds);
         holds
     }
 }
@@ -486,19 +451,6 @@ mod tests {
         assert!(oracle.contained(&pat("a[c][b]/d"), &pat("a[b]/d")));
         assert_eq!(oracle.stats().verdict_memo_misses, misses);
         assert_eq!(oracle.stats().verdict_memo_hits, 1);
-    }
-
-    #[test]
-    fn disabled_memo_recomputes() {
-        let oracle = ContainmentOracle::new();
-        oracle.set_memo_enabled(false);
-        let p = pat("a//c");
-        let q = pat("a/b/c");
-        assert!(!oracle.contained(&p, &q));
-        assert!(!oracle.contained(&p, &q));
-        let s = oracle.stats();
-        assert_eq!(s.verdict_memo_hits, 0);
-        assert_eq!(s.canonical_runs, 2);
     }
 
     #[test]

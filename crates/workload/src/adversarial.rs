@@ -11,8 +11,6 @@
 //!   use because child edges of the container must map onto child edges of
 //!   the containee. This is exactly the "limited form of disjunction" the
 //!   paper's introduction attributes to the `//`/`[]`/`*` interplay.
-//! * [`conp_stress_instance`] — many descendant edges on the contained side
-//!   blow the canonical-model count up to `bound^m` (the coNP exponential).
 //! * [`no_condition_instance`] — the certificate-free zone: instances where
 //!   none of the paper's completeness conditions applies, exercising the
 //!   planner's honest `Unknown` path (wildcard spines, branching unstable
@@ -50,26 +48,6 @@ pub fn hom_gap_instance(n: usize) -> (Pattern, Pattern) {
     let chain = format!("*{}", "/*".repeat(n - 1));
     let p2 = pat(&format!("*[{chain}]//b"));
     (p1, p2)
-}
-
-/// Patterns whose containment test must enumerate `bound^m` canonical
-/// models: `m` descendant edges on the contained side (`P1`) and a rigid
-/// wildcard chain of length `chain` on the container side (`P2`) that pushes
-/// the per-edge expansion bound up. The containment holds, and the hom fast
-/// path succeeds — disable it (`ContainmentOptions::hom_fast_path = false`)
-/// to measure the canonical loop, as the ablation benchmark does.
-pub fn conp_stress_instance(m: usize, chain: usize) -> (Pattern, Pattern) {
-    let mut p1 = String::from("a");
-    for _ in 0..m {
-        p1.push_str("//x");
-    }
-    p1.push_str("/z");
-    let mut p2 = String::from("a");
-    for _ in 0..chain.max(1) {
-        p2.push_str("/*");
-    }
-    p2.push_str("//z");
-    (pat(&p1), pat(&p2))
 }
 
 /// The certificate-free instance family (cf. the planner tests): none of the
@@ -116,22 +94,6 @@ mod tests {
         // The reverse containment must NOT hold (P2 has a wildcard root).
         let (p1, p2) = hom_gap_instance(2);
         assert!(!contained(&p2, &p1));
-    }
-
-    #[test]
-    fn conp_stress_has_many_models() {
-        let (p1, p2) = conp_stress_instance(3, 2);
-        let bound = xpv_semantics::expansion_bound(&p2);
-        let models = xpv_semantics::CanonicalModels::new(&p1, bound).count_models();
-        assert!(models >= 7u128.pow(3), "expected many models, got {models}");
-    }
-
-    #[test]
-    fn conp_stress_containment_holds() {
-        for (m, chain) in [(1, 1), (2, 2), (3, 2)] {
-            let (p1, p2) = conp_stress_instance(m, chain);
-            assert!(contained(&p1, &p2), "containment must hold for m={m}, chain={chain}");
-        }
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! most writes while the rest of the tree stays cold. These generators
 //! produce that regime reproducibly — Zipf-skewed edit targets (the hottest
 //! targets are the deepest, most recently grown parts of the tree) over a
-//! configurable insert/delete/relabel [`EditMix`]. The update benchmark
-//! (`xpv update-bench`), the maintenance property suite, and the
-//! concurrency stress test all draw their streams from here, so every
-//! consumer measures the same workload.
+//! configurable insert/delete/relabel [`EditMix`]. The maintenance property
+//! suite, the concurrency stress test and `perfbench/` all draw their
+//! streams from here, so every consumer sees the same workload.
 //!
 //! Streams are **replayable**: each generated [`Edit`] is validated against
 //! (and applied to) a working copy as it is drawn, and edit application is
@@ -83,8 +82,7 @@ impl FromStr for EditMix {
 /// land inside one of `hot_subtrees` fixed **hot subtrees** (the largest
 /// depth-2 subtrees of the document, pairwise disjoint by construction).
 /// This is the regime batch coalescing exploits — many edits under few
-/// roots collapse to few merged regions — and `xpv update-bench
-/// --edit-locality` exposes it directly.
+/// roots collapse to few merged regions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EditLocality {
     /// Number of hot subtrees the bursty share of edits clusters under.

@@ -10,14 +10,12 @@
 //!   overlapping-view [`site_intersect_catalog`] whose joint queries only
 //!   multi-view intersections can serve; [`split_into_overlapping_views`]
 //!   generates such pools from any query);
-//! * [`adversarial`] — hom-gap, coNP-stress and certificate-free families;
-//! * [`zipf`] — Zipf-skewed query streams over the catalogs (the regime the
-//!   throughput benches and the serving front-end measure);
+//! * [`adversarial`] — hom-gap and certificate-free families;
+//! * [`zipf`] — Zipf-skewed query streams over the catalogs;
 //! * [`edits`] — Zipf-skewed, replayable document **edit streams** over a
-//!   configurable insert/delete/relabel mix (the update-bench workload);
+//!   configurable insert/delete/relabel mix;
 //! * [`socket_load`] — a wire-protocol load generator over `xpv-net`
-//!   client connections (the socket half of `xpv serve-bench`'s
-//!   transport ablation).
+//!   client connections.
 
 pub mod adversarial;
 pub mod edits;
@@ -27,11 +25,11 @@ pub mod socket_load;
 pub mod trees;
 pub mod zipf;
 
-pub use adversarial::{conp_stress_instance, hom_gap_instance, no_condition_instance};
+pub use adversarial::{hom_gap_instance, no_condition_instance};
 pub use edits::{edit_batches, edit_stream, edit_stream_clustered, EditLocality, EditMix};
 pub use patterns::{workload_labels, Fragment, PatternGen, PatternGenConfig};
 pub use scenarios::{
-    bib_catalog, bib_doc, derived_view_pool, site_catalog, site_doc, site_intersect_catalog,
+    bib_catalog, bib_doc, site_catalog, site_doc, site_intersect_catalog,
     split_into_overlapping_views, Catalog,
 };
 pub use socket_load::{run_socket_load, SocketLoadReport};

@@ -1,10 +1,10 @@
 //! Seeded random pattern generation, fragment-restricted.
 //!
-//! The theorem-validation experiments (EXPERIMENTS.md, E-T1/E-T5) need large
-//! supplies of patterns with controllable shape: selection depth, branching,
-//! wildcard/descendant density, and fragment restrictions matching the
-//! paper's sub-fragments. Everything is driven by an explicit seed so every
-//! experiment is reproducible bit for bit.
+//! The theorem-validation suites (`tests/planner_audit.rs` and the
+//! property tests) need large supplies of patterns with controllable shape:
+//! selection depth, branching, wildcard/descendant density, and fragment
+//! restrictions matching the paper's sub-fragments. Everything is driven by
+//! an explicit seed so every run is reproducible bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

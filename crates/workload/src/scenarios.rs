@@ -17,8 +17,6 @@ use rand::{Rng, SeedableRng};
 use xpv_model::{Label, Tree};
 use xpv_pattern::{parse_xpath, Axis, PatId, Pattern};
 
-use crate::patterns::{PatternGen, PatternGenConfig};
-
 fn l(name: &str) -> Label {
     Label::new(name)
 }
@@ -208,32 +206,6 @@ pub fn split_into_overlapping_views(p: &Pattern, parts: usize, seed: u64) -> Opt
         views.push(v);
     }
     Some(views)
-}
-
-/// A large pool of views **derived** from the queries of several
-/// catalogs: `per_query` prefix views per query, possibly
-/// wildcard-generalized ([`crate::PatternGen::derived_view`]), named
-/// `{catalog}_{query}_v{j}`. This is the plan-miss fast-path workload:
-/// against any one query, most of the pool is provably useless (foreign
-/// labels, wrong depth, clashing output test, `//` spine the query
-/// lacks), so a cold planner pays one containment decision per candidate
-/// unless the signature filter (`xpv_pattern::signature`) dismisses them
-/// first.
-pub fn derived_view_pool(
-    catalogs: &[&Catalog],
-    per_query: usize,
-    seed: u64,
-) -> Vec<(String, Pattern)> {
-    let mut gen = PatternGen::new(PatternGenConfig::default(), seed);
-    let mut pool = Vec::new();
-    for catalog in catalogs {
-        for (qname, q) in &catalog.queries {
-            for j in 0..per_query {
-                pool.push((format!("{}_{qname}_v{j}", catalog.name), gen.derived_view(q)));
-            }
-        }
-    }
-    pool
 }
 
 /// The bibliography workload.

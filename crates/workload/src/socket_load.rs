@@ -1,17 +1,13 @@
 //! Socket load generation over the xpv wire protocol.
 //!
-//! [`run_socket_load`] is the client side of the serving ablation: it
+//! [`run_socket_load`] is the client side of the async serving tests: it
 //! opens `connections` protocol connections (one OS thread each — the
 //! *client* may burn threads; the point under test is that the **server**
 //! does not), splits a query stream across them, and pumps batches with a
 //! bounded pipelining depth, respecting each connection's credit window.
-//! The `serve-bench --transport {unix,tcp}` CLI and the async stress
-//! tests both drive their traffic through here so every consumer measures
-//! the same workload shape.
 
 use std::collections::VecDeque;
 use std::io;
-use std::time::{Duration, Instant};
 
 use xpv_net::{Response, WireClient};
 use xpv_pattern::Pattern;
@@ -25,19 +21,6 @@ pub struct SocketLoadReport {
     pub batches: usize,
     /// Individual query answers received.
     pub answered: usize,
-    /// Wall-clock time from first send to last response.
-    pub elapsed: Duration,
-}
-
-impl SocketLoadReport {
-    /// Queries answered per second.
-    pub fn qps(&self) -> f64 {
-        if self.elapsed.as_secs_f64() > 0.0 {
-            self.answered as f64 / self.elapsed.as_secs_f64()
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Drives `stream` through `connections` wire-protocol connections
@@ -59,7 +42,6 @@ where
 {
     let connections = connections.max(1);
     let per_conn = stream.len().div_ceil(connections).max(1);
-    let start = Instant::now();
     let results: Vec<io::Result<(usize, usize)>> = std::thread::scope(|scope| {
         let connect = &connect;
         let handles: Vec<_> = stream
@@ -83,7 +65,7 @@ where
         answered += a;
         used += 1;
     }
-    Ok(SocketLoadReport { connections: used, batches, answered, elapsed: start.elapsed() })
+    Ok(SocketLoadReport { connections: used, batches, answered })
 }
 
 /// One connection's pump loop: send up to `pipeline` batches ahead of the

@@ -2,9 +2,8 @@
 //!
 //! Production caches see heavily skewed traffic: a few hot queries dominate
 //! while a long tail trickles in. These helpers produce that regime
-//! reproducibly — the throughput benches, the concurrency stress test, and
-//! the `xpv serve-bench` CLI all draw their streams from here so every
-//! consumer measures the same workload.
+//! reproducibly — the property suites and the concurrency stress test draw
+//! their streams from here so every consumer sees the same workload.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,8 +40,7 @@ pub fn zipf_stream(queries: &[Pattern], count: usize, seed: u64) -> Vec<Pattern>
     zipf_indices(queries.len(), count, seed).into_iter().map(|i| queries[i].clone()).collect()
 }
 
-/// [`zipf_stream`] over a scenario catalog's query set — the canonical
-/// throughput-bench workload.
+/// [`zipf_stream`] over a scenario catalog's query set.
 pub fn catalog_zipf_stream(catalog: &Catalog, count: usize, seed: u64) -> Vec<Pattern> {
     let queries: Vec<Pattern> = catalog.queries.iter().map(|(_, q)| q.clone()).collect();
     zipf_stream(&queries, count, seed)

@@ -64,8 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .apply_edits("example-tenant", &[Edit::InsertSubtree { parent: region, subtree: graft }])?
         .expect("valid edit");
     println!(
-        "\nedit applied: doc version {} ({} views refreshed, {} routes dropped)",
-        report.doc_version, report.views_refreshed, report.routes_dropped
+        "\nedit applied: doc version {} ({} views changed, {} routes dropped)",
+        report.doc_version, report.views_changed, report.routes_dropped
     );
     assert_eq!(report.doc_version, cache.doc_version());
 

@@ -9,20 +9,6 @@
 //! xpv eval     <QUERY> <FILE.xml>    evaluate a query over a document ('-' = stdin)
 //! xpv reduce   <PATTERN>             remove redundant branches
 //! xpv figures                        verify the paper's figures
-//! xpv serve-bench [--threads N] [--shards S] [--memo-cap M]
-//!                 [--queries Q] [--tenants T] [--no-intersect] [--no-flat]
-//!                 [--no-sig-filter] [--no-arena]
-//!                 [--transport inproc|unix|tcp] [--pipeline P] [--sweep]
-//!                                    drive the serving front-end with a
-//!                                    Zipf workload (overlapping-view
-//!                                    catalog) over the chosen transport and
-//!                                    print throughput; --sweep ablates
-//!                                    transports x threads {1,2,4,8}, runs
-//!                                    the cold-cache/high-miss plan arm
-//!                                    (sig filter on vs off over a large
-//!                                    derived-view pool, all ablation arms
-//!                                    verified identical) and writes
-//!                                    BENCH_serving.json
 //! xpv listen   (--tcp ADDR | --unix PATH) [--workers N] [--window W]
 //!              [--xml FILE] [--view NAME=DEF]...
 //!                                    serve the wire protocol until killed
@@ -53,33 +39,6 @@
 //!                                    trace spans, config — and print it
 //!                                    (or write it to FILE); draining is
 //!                                    destructive server-side
-//! xpv obs-bench [--queries Q] [--repeat R] [--max-overhead PCT]
-//!                                    measure the observability layer's
-//!                                    serving overhead (tracing off /
-//!                                    sampled 1-in-64 / always-on, with
-//!                                    the 1 s history sampler running)
-//!                                    plus disabled-span and
-//!                                    histogram-record costs; writes
-//!                                    BENCH_obs.json and fails if
-//!                                    always-on costs more than PCT
-//!                                    percent (default 10)
-//! xpv update-bench [--edits N] [--edit-mix I:D:R] [--edit-locality H:P]
-//!                  [--batches B] [--queries Q] [--repeat R] [--seed S]
-//!                  [--no-coalesce]
-//!                                    ablate view maintenance — full
-//!                                    recompute vs per-edit vs coalesced
-//!                                    (tree / flat region scans) —
-//!                                    under a bursty Zipf edit stream
-//!                                    (H hot subtrees absorb P% of edits);
-//!                                    writes BENCH_updates.json
-//! xpv eval-bench [--nodes N] [--distinct D] [--queries Q] [--labels L]
-//!                [--repeat R] [--seed S]
-//!                                    time the evaluation core: reference
-//!                                    Tree matcher vs the word-parallel flat
-//!                                    matcher, per query, through one batch
-//!                                    evaluator, and writing into the
-//!                                    reusable answer arena; writes
-//!                                    BENCH_eval.json
 //! ```
 //!
 //! Patterns use the fragment's XPath syntax: `a[b]//c[.//d]/e`.
@@ -89,17 +48,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use xpath_views::engine::{metrics_from_wire, AsyncCacheServer, CacheServer, ShardedViewCache};
+use xpath_views::engine::{metrics_from_wire, AsyncCacheServer, ShardedViewCache};
 use xpath_views::intersect::plan_intersection_in;
 use xpath_views::net::{WireClient, WireRoute};
-use xpath_views::obs::{HistogramSummary, SampleValue};
 use xpath_views::prelude::*;
 use xpath_views::rewrite::{figure1, figure2, figure3, figure4, NoRewriteReason};
 use xpath_views::semantics::remove_redundant_branches;
-use xpath_views::workload::{
-    bib_catalog, catalog_zipf_stream, derived_view_pool, edit_batches, edit_stream_clustered,
-    run_socket_load, site_catalog, site_doc, site_intersect_catalog, EditLocality, EditMix,
-};
+use xpath_views::workload::{site_doc, site_intersect_catalog};
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
@@ -107,21 +62,13 @@ fn fail(msg: &str) -> ExitCode {
         "usage:\n  xpv rewrite <QUERY> <VIEW>\n  xpv intersect <QUERY> <VIEW> <VIEW>...\n  \
          xpv contain <P1> <P2>\n  \
          xpv eval <QUERY> <FILE.xml|->\n  xpv reduce <PATTERN>\n  xpv figures\n  \
-         xpv serve-bench [--threads N] [--shards S] [--memo-cap M] [--queries Q] [--tenants T] \
-         [--no-intersect] [--no-flat] [--no-sig-filter] [--no-arena] \
-         [--transport inproc|unix|tcp] [--pipeline P] [--sweep]\n  \
          xpv listen (--tcp ADDR | --unix PATH) [--workers N] [--window W] [--xml FILE] \
          [--view NAME=DEF]...\n  \
          xpv client (--tcp ADDR | --unix PATH) [--tenant T] [--stats] QUERY...\n  \
          xpv stats (--tcp ADDR | --unix PATH)\n  \
          xpv top (--tcp ADDR | --unix PATH) [--interval S] [--count N] [--filter PREFIX] \
          [--sort-rate]\n  \
-         xpv dump (--tcp ADDR | --unix PATH) [--out FILE] [--traces N]\n  \
-         xpv obs-bench [--queries Q] [--repeat R] [--max-overhead PCT]\n  \
-         xpv update-bench [--edits N] [--edit-mix I:D:R] [--edit-locality H:P] [--batches B] \
-         [--queries Q] [--repeat R] [--seed S] [--no-coalesce]\n  \
-         xpv eval-bench [--nodes N] [--distinct D] [--queries Q] [--labels L] [--repeat R] \
-         [--seed S]"
+         xpv dump (--tcp ADDR | --unix PATH) [--out FILE] [--traces N]"
     );
     ExitCode::FAILURE
 }
@@ -288,502 +235,6 @@ fn cmd_figures() -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Which seam carries the bench traffic to the cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Transport {
-    /// The in-process compatibility transport (`CacheServer::submit`).
-    Inproc,
-    /// The wire protocol over a Unix-domain socket.
-    Unix,
-    /// The wire protocol over loopback TCP.
-    Tcp,
-}
-
-impl Transport {
-    fn parse(s: &str) -> Result<Transport, String> {
-        match s {
-            "inproc" => Ok(Transport::Inproc),
-            "unix" => Ok(Transport::Unix),
-            "tcp" => Ok(Transport::Tcp),
-            other => Err(format!("--transport: expected inproc|unix|tcp, got {other}")),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Transport::Inproc => "inproc",
-            Transport::Unix => "unix",
-            Transport::Tcp => "tcp",
-        }
-    }
-}
-
-/// Ablation knobs for `serve-bench`, parsed from `--flag value` pairs plus
-/// the booleans `--no-intersect`, `--no-flat`, `--no-sig-filter`,
-/// `--no-arena` and `--sweep`.
-struct ServeBenchOpts {
-    threads: usize,
-    shards: usize,
-    memo_cap: usize,
-    queries: usize,
-    tenants: usize,
-    intersect: bool,
-    flat: bool,
-    sig_filter: bool,
-    arena: bool,
-    transport: Transport,
-    pipeline: usize,
-    sweep: bool,
-}
-
-impl ServeBenchOpts {
-    fn parse(args: &[String]) -> Result<ServeBenchOpts, String> {
-        let mut opts = ServeBenchOpts {
-            threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            shards: 16,
-            memo_cap: 0,
-            queries: 2000,
-            tenants: 4,
-            intersect: true,
-            flat: true,
-            sig_filter: true,
-            arena: true,
-            transport: Transport::Inproc,
-            pipeline: 4,
-            sweep: false,
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if flag == "--no-intersect" {
-                opts.intersect = false;
-                continue;
-            }
-            if flag == "--no-flat" {
-                opts.flat = false;
-                continue;
-            }
-            if flag == "--no-sig-filter" {
-                opts.sig_filter = false;
-                continue;
-            }
-            if flag == "--no-arena" {
-                opts.arena = false;
-                continue;
-            }
-            if flag == "--sweep" {
-                opts.sweep = true;
-                continue;
-            }
-            let value = it.next().ok_or_else(|| format!("{flag}: missing value"))?;
-            if flag == "--transport" {
-                opts.transport = Transport::parse(value)?;
-                continue;
-            }
-            let value = value.parse::<usize>().map_err(|e| format!("{flag}: {e}"))?;
-            match flag.as_str() {
-                "--threads" => opts.threads = value.max(1),
-                "--shards" => opts.shards = value.max(1),
-                "--memo-cap" => opts.memo_cap = value,
-                "--queries" => opts.queries = value.max(1),
-                "--tenants" => opts.tenants = value.max(1),
-                "--pipeline" => opts.pipeline = value.max(1),
-                other => return Err(format!("unknown serve-bench flag {other}")),
-            }
-        }
-        Ok(opts)
-    }
-}
-
-/// One serve-bench measurement, including the run's per-phase latency
-/// histograms (drawn from the cache's observability registry after the
-/// load completes — socket transports populate the admission / encode /
-/// flush phases on top of plan / eval / batch).
-struct ServeRun {
-    answered: usize,
-    elapsed: std::time::Duration,
-    phases: Vec<(&'static str, HistogramSummary)>,
-}
-
-impl ServeRun {
-    fn qps(&self) -> f64 {
-        self.answered as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// The phase histograms a serving run can populate, in pipeline order.
-const SERVE_PHASES: [&str; 6] = [
-    "xpv_phase_admission_us",
-    "xpv_phase_plan_us",
-    "xpv_phase_eval_us",
-    "xpv_phase_batch_us",
-    "xpv_phase_encode_us",
-    "xpv_phase_flush_us",
-];
-
-/// Pulls the non-empty phase histograms out of a cache's snapshot.
-fn phase_summaries(
-    cache: &ShardedViewCache,
-    names: &[&'static str],
-) -> Vec<(&'static str, HistogramSummary)> {
-    let snap = cache.metrics_snapshot();
-    names
-        .iter()
-        .filter_map(|&name| match snap.get(name)?.value {
-            SampleValue::Histogram(h) if h.count > 0 => Some((name, h)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// The short phase key (`xpv_phase_eval_us` → `eval`) for tables/JSON.
-fn phase_key(name: &str) -> &str {
-    name.strip_prefix("xpv_phase_").and_then(|n| n.strip_suffix("_us")).unwrap_or(name)
-}
-
-/// Renders phase summaries as one JSON object:
-/// `{ "eval": { "count": …, "p50": …, "p99": …, "max": … }, … }`.
-fn phase_json(phases: &[(&'static str, HistogramSummary)]) -> String {
-    let fields: Vec<String> = phases
-        .iter()
-        .map(|(name, h)| {
-            format!(
-                "\"{}\": {{ \"count\": {}, \"p50\": {}, \"p99\": {}, \"max\": {} }}",
-                phase_key(name),
-                h.count,
-                h.p50,
-                h.p99,
-                h.max
-            )
-        })
-        .collect();
-    format!("{{ {} }}", fields.join(", "))
-}
-
-fn build_serving_cache(opts: &ServeBenchOpts) -> Arc<ShardedViewCache> {
-    let catalog = site_intersect_catalog();
-    let cache = ShardedViewCache::new(site_doc(12, 12, 7))
-        .with_shards(opts.shards)
-        .with_memo_cap(opts.memo_cap);
-    cache.set_intersect_enabled(opts.intersect);
-    cache.set_flat_enabled(opts.flat);
-    cache.set_sig_filter_enabled(opts.sig_filter);
-    cache.set_arena_enabled(opts.arena);
-    for (name, def) in catalog.views.iter() {
-        cache.add_view(name, def.clone());
-    }
-    Arc::new(cache)
-}
-
-/// Runs the Zipf stream through one transport at one thread count; the
-/// server is torn down (drained) before returning.
-fn run_serving(
-    opts: &ServeBenchOpts,
-    transport: Transport,
-    threads: usize,
-    stream: &[Pattern],
-    detail: bool,
-) -> Result<ServeRun, String> {
-    let cache = build_serving_cache(opts);
-    let batch_size = (stream.len() / (opts.tenants * 8)).max(1);
-    let run = match transport {
-        Transport::Inproc => {
-            let server = CacheServer::start(Arc::clone(&cache), threads);
-            let start = Instant::now();
-            let tickets: Vec<_> = stream
-                .chunks(batch_size)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    server.submit(&format!("tenant-{}", i % opts.tenants), chunk.to_vec())
-                })
-                .collect();
-            let mut answered = 0usize;
-            for ticket in tickets {
-                answered += ticket.wait().len();
-            }
-            let elapsed = start.elapsed();
-            if detail {
-                print_serving_detail(&cache, &server.tenants());
-            }
-            ServeRun { answered, elapsed, phases: phase_summaries(&cache, &SERVE_PHASES) }
-        }
-        Transport::Unix | Transport::Tcp => {
-            let server = AsyncCacheServer::start(Arc::clone(&cache), threads);
-            let report = match transport {
-                Transport::Unix => {
-                    let path = std::env::temp_dir()
-                        .join(format!("xpv-serve-bench-{}.sock", std::process::id()));
-                    let _ = std::fs::remove_file(&path);
-                    server.listen_unix(&path).map_err(|e| format!("listen unix: {e}"))?;
-                    run_socket_load(
-                        || WireClient::connect_unix(&path),
-                        opts.tenants,
-                        stream,
-                        batch_size,
-                        opts.pipeline,
-                        "tenant-",
-                    )
-                }
-                _ => {
-                    let addr =
-                        server.listen_tcp("127.0.0.1:0").map_err(|e| format!("listen tcp: {e}"))?;
-                    let addr = addr.to_string();
-                    run_socket_load(
-                        || WireClient::connect_tcp(&addr),
-                        opts.tenants,
-                        stream,
-                        batch_size,
-                        opts.pipeline,
-                        "tenant-",
-                    )
-                }
-            }
-            .map_err(|e| format!("socket load: {e}"))?;
-            if detail {
-                print_serving_detail(&cache, &server.tenants());
-            }
-            server.shutdown();
-            ServeRun {
-                answered: report.answered,
-                elapsed: report.elapsed,
-                phases: phase_summaries(&cache, &SERVE_PHASES),
-            }
-        }
-    };
-    Ok(run)
-}
-
-fn print_serving_detail(cache: &ShardedViewCache, tenants: &[(String, TenantStats)]) {
-    println!("cache:  {}", cache.stats());
-    println!("oracle: {}", cache.session().oracle().stats());
-    println!("plan memo entries: {}", cache.plan_memo_len());
-    for (tenant, stats) in tenants {
-        println!("{tenant}: {stats}");
-    }
-}
-
-/// The cold-cache / high-miss arm of `serve-bench --sweep`: a large pool
-/// of views derived from the site + bib catalogs (most provably useless
-/// for any given query), the plan memo disabled so **every** arrival is a
-/// plan miss, and the four signature-filter × arena ablation arms. The
-/// headline is the cold-planning speedup with the filter on vs off; all
-/// four arms must return identical nodes and routes (an `Err` — a failed
-/// bench run — otherwise). Returns the `cold_miss` JSON object for
-/// `BENCH_serving.json`.
-fn cold_miss_arm(queries: usize) -> Result<String, String> {
-    use xpath_views::model::AnswerArena;
-
-    let site = site_catalog();
-    let bib = bib_catalog();
-    // A multi-tenant-shaped pool: a few views derived from this tenant's
-    // catalog plus a large block derived from a foreign one — the
-    // candidates a cold planner must wade through but that can never
-    // rewrite a site query.
-    let mut pool = derived_view_pool(&[&site], 1, 0xC01D);
-    pool.extend(derived_view_pool(&[&bib], 9, 0xC01D ^ 1));
-    let stream = catalog_zipf_stream(&site, queries, 0x21F);
-    let build = |sig: bool| {
-        let cache = ShardedViewCache::new(site_doc(12, 12, 7)).with_shards(4);
-        cache.set_memo_enabled(false);
-        cache.set_sig_filter_enabled(sig);
-        for (name, def) in &pool {
-            cache.add_view(name, def.clone());
-        }
-        cache
-    };
-    struct Arm {
-        qps: f64,
-        plan_us: f64,
-        answers: Vec<(Vec<NodeId>, Route)>,
-        stats: CacheStats,
-    }
-    let mut arms: Vec<Arm> = Vec::new();
-    for (sig, arena_lane) in [(true, false), (true, true), (false, false), (false, true)] {
-        let cache = build(sig);
-        let start = Instant::now();
-        let (elapsed, plan, answers) = if arena_lane {
-            let mut arena = AnswerArena::new();
-            let refs = cache.answer_batch_refs(&stream, &mut arena);
-            let elapsed = start.elapsed();
-            let plan: std::time::Duration = refs.iter().map(|a| a.planning).sum();
-            let answers = refs
-                .into_iter()
-                .map(|a| (arena.get(a.nodes).to_vec(), (*a.route).clone()))
-                .collect();
-            (elapsed, plan, answers)
-        } else {
-            let answers = cache.answer_batch(&stream);
-            let elapsed = start.elapsed();
-            let plan: std::time::Duration = answers.iter().map(|a| a.planning).sum();
-            (elapsed, plan, answers.into_iter().map(|a| (a.nodes, a.route)).collect())
-        };
-        arms.push(Arm {
-            qps: stream.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-            plan_us: plan.as_secs_f64() * 1e6,
-            answers,
-            stats: cache.stats(),
-        });
-    }
-    for (i, arm) in arms.iter().enumerate().skip(1) {
-        if arm.answers != arms[0].answers {
-            return Err(format!(
-                "cold-miss ablation arm {i} disagrees with the reference arm on answers/routes"
-            ));
-        }
-    }
-    // Planning is the phase the filter attacks (evaluation is identical
-    // across arms); best-of the two lanes per filter setting.
-    let plan_on_us = arms[0].plan_us.min(arms[1].plan_us);
-    let plan_off_us = arms[2].plan_us.min(arms[3].plan_us);
-    let plan_speedup = plan_off_us / plan_on_us.max(1e-9);
-    let qps_on = arms[0].qps.max(arms[1].qps);
-    let qps_off = arms[2].qps.max(arms[3].qps);
-    let s = &arms[0].stats;
-    let candidates = s.sig_rejects + s.sig_passes;
-    let reject_rate = if candidates > 0 { s.sig_rejects as f64 / candidates as f64 } else { 0.0 };
-    println!(
-        "cold-miss arm: {} views, {} queries — cold planning {:.0} µs sig-filter on vs \
-         {:.0} µs off ({:.2}x), {:.0} vs {:.0} q/s overall, {}/{} candidates sig-rejected \
-         ({:.1}%), all arms identical",
-        pool.len(),
-        stream.len(),
-        plan_on_us,
-        plan_off_us,
-        plan_speedup,
-        qps_on,
-        qps_off,
-        s.sig_rejects,
-        candidates,
-        reject_rate * 100.0,
-    );
-    Ok(format!(
-        concat!(
-            "{{\n",
-            "    \"pool_views\": {},\n",
-            "    \"queries\": {},\n",
-            "    \"plan_us_sig_on\": {:.1},\n",
-            "    \"plan_us_sig_off\": {:.1},\n",
-            "    \"speedup_plan_sig_on_vs_off\": {:.3},\n",
-            "    \"qps_sig_on\": {:.1},\n",
-            "    \"qps_sig_off\": {:.1},\n",
-            "    \"sig_rejects\": {},\n",
-            "    \"sig_passes\": {},\n",
-            "    \"sig_reject_rate\": {:.4},\n",
-            "    \"ablation_arms_agree\": true\n",
-            "  }}"
-        ),
-        pool.len(),
-        stream.len(),
-        plan_on_us,
-        plan_off_us,
-        plan_speedup,
-        qps_on,
-        qps_off,
-        s.sig_rejects,
-        s.sig_passes,
-        reject_rate,
-    ))
-}
-
-/// Drives the serving front-end with the overlapping-view Zipf workload
-/// (single-view hits, multi-view intersection routes, and direct queries)
-/// over the chosen transport — the ablation entry point for
-/// thread/shard/memo-cap/intersect/transport sweeps without touching
-/// bench code. `--sweep` measures transports × threads ∈ {1,2,4,8} and
-/// writes `BENCH_serving.json` (archived by CI next to the other bench
-/// summaries).
-fn cmd_serve_bench(args: &[String]) -> Result<ExitCode, String> {
-    let opts = ServeBenchOpts::parse(args)?;
-    let catalog = site_intersect_catalog();
-    let stream = catalog_zipf_stream(&catalog, opts.queries, 0x21F);
-
-    if !opts.sweep {
-        let run = run_serving(&opts, opts.transport, opts.threads, &stream, true)?;
-        println!(
-            "served {} queries over {} on {} workers / {} shards (memo cap {}, intersect {}, \
-             flat {}, sig-filter {}, arena {}) in {:.1} ms — {:.0} q/s",
-            run.answered,
-            opts.transport.name(),
-            opts.threads,
-            opts.shards,
-            if opts.memo_cap == 0 { "∞".to_string() } else { opts.memo_cap.to_string() },
-            if opts.intersect { "on" } else { "off" },
-            if opts.flat { "on" } else { "off" },
-            if opts.sig_filter { "on" } else { "off" },
-            if opts.arena { "on" } else { "off" },
-            run.elapsed.as_secs_f64() * 1e3,
-            run.qps(),
-        );
-        if !run.phases.is_empty() {
-            println!("phase latency (µs):     count      p50      p99      max");
-            for (name, h) in &run.phases {
-                println!(
-                    "  {:<18} {:>8}  {:>7}  {:>7}  {:>7}",
-                    phase_key(name),
-                    h.count,
-                    h.p50,
-                    h.p99,
-                    h.max
-                );
-            }
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let thread_counts = [1usize, 2, 4, 8];
-    let transports = [Transport::Inproc, Transport::Unix, Transport::Tcp];
-    let mut rows = String::new();
-    println!("transport  threads  queries     ms      q/s");
-    for transport in transports {
-        for threads in thread_counts {
-            let run = run_serving(&opts, transport, threads, &stream, false)?;
-            println!(
-                "{:<9}  {:>7}  {:>7}  {:>8.1}  {:>7.0}",
-                transport.name(),
-                threads,
-                run.answered,
-                run.elapsed.as_secs_f64() * 1e3,
-                run.qps(),
-            );
-            if !rows.is_empty() {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{ \"transport\": \"{}\", \"threads\": {}, \"answered\": {}, \
-                 \"ms\": {:.3}, \"qps\": {:.1}, \"phase_us\": {} }}",
-                transport.name(),
-                threads,
-                run.answered,
-                run.elapsed.as_secs_f64() * 1e3,
-                run.qps(),
-                phase_json(&run.phases),
-            ));
-        }
-    }
-    let cold_miss = cold_miss_arm(opts.queries.min(240))?;
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"serving_transports_zipf_site\",\n",
-            "  \"queries\": {},\n",
-            "  \"tenants\": {},\n",
-            "  \"pipeline\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"cold_miss\": {},\n",
-            "  \"runs\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        opts.queries,
-        opts.tenants,
-        opts.pipeline,
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        cold_miss,
-        rows,
-    );
-    std::fs::write("BENCH_serving.json", &json).map_err(|e| format!("BENCH_serving.json: {e}"))?;
-    println!("wrote BENCH_serving.json");
-    Ok(ExitCode::SUCCESS)
-}
-
 /// Knobs for `xpv listen`.
 struct ListenOpts {
     tcp: Option<String>,
@@ -832,8 +283,8 @@ impl ListenOpts {
 }
 
 /// Serves the wire protocol until the process is killed. Without `--xml`
-/// / `--view`, serves the site document with the overlapping-view catalog
-/// (the serve-bench workload), so a fresh checkout can demo end to end.
+/// / `--view`, serves the site document with the overlapping-view catalog,
+/// so a fresh checkout can demo end to end.
 fn cmd_listen(args: &[String]) -> Result<ExitCode, String> {
     let opts = ListenOpts::parse(args)?;
     let (doc, views) = match &opts.xml {
@@ -1194,672 +645,8 @@ fn cmd_dump(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Knobs for `xpv obs-bench`.
-struct ObsBenchOpts {
-    queries: usize,
-    repeat: usize,
-    max_overhead: f64,
-}
-
-impl ObsBenchOpts {
-    fn parse(args: &[String]) -> Result<ObsBenchOpts, String> {
-        let mut opts = ObsBenchOpts { queries: 4000, repeat: 5, max_overhead: 10.0 };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let value = it.next().ok_or_else(|| format!("{flag}: missing value"))?;
-            match flag.as_str() {
-                "--queries" => opts.queries = parse_num(flag, value)?.max(1),
-                "--repeat" => opts.repeat = parse_num(flag, value)?.max(1),
-                "--max-overhead" => {
-                    opts.max_overhead =
-                        value.parse::<f64>().map_err(|e| format!("--max-overhead: {e}"))?
-                }
-                other => return Err(format!("unknown obs-bench flag {other}")),
-            }
-        }
-        Ok(opts)
-    }
-}
-
-/// Measures what the observability layer costs on the serving hot path:
-/// the Zipf serve mix is answered through a warmed [`ShardedViewCache`]
-/// with tracing **off** (sampling 0), **sampled** (the 1-in-64 default),
-/// and **always-on** (sampling 1), best-of-`--repeat` each — with the
-/// 1 s history sampler recording throughout, so the budget covers the
-/// watchdog too — plus two microbenches (disabled-span construction,
-/// histogram record). Writes `BENCH_obs.json` and fails when the
-/// always-on overhead exceeds `--max-overhead` percent — the regression
-/// gate CI runs.
-fn cmd_obs_bench(args: &[String]) -> Result<ExitCode, String> {
-    use xpath_views::obs::{
-        drain_trace_events, set_trace_sampling, Registry, Sampler, SamplerConfig, Span,
-        DEFAULT_TRACE_SAMPLING,
-    };
-
-    let opts = ObsBenchOpts::parse(args)?;
-    let catalog = site_intersect_catalog();
-    let stream = catalog_zipf_stream(&catalog, opts.queries, 0x0B5);
-    let build = || {
-        let cache = Arc::new(ShardedViewCache::new(site_doc(12, 12, 7)));
-        for (name, def) in catalog.views.iter() {
-            cache.add_view(name, def.clone());
-        }
-        // Warm the plan memo so the timed passes measure the steady
-        // state the sampling knob actually guards.
-        let _ = cache.answer_batch(&stream);
-        cache
-    };
-
-    let modes: [(&str, u32); 3] = [("off", 0), ("sampled_1_in_64", 64), ("always_on", 1)];
-    let mut results: Vec<(&str, f64, usize)> = Vec::new();
-    for (name, sampling) in modes {
-        set_trace_sampling(sampling);
-        let cache = build();
-        // The production default: a 1 s history sampler walking the
-        // registry while the timed passes run.
-        let source_cache = Arc::clone(&cache);
-        let sampler = Sampler::start(
-            Arc::clone(cache.obs_registry()),
-            move || source_cache.metrics_snapshot(),
-            SamplerConfig::default(),
-        );
-        let mut best = f64::INFINITY;
-        let mut answered = 0usize;
-        for _ in 0..opts.repeat {
-            let start = Instant::now();
-            answered = cache.answer_batch(&stream).len();
-            best = best.min(start.elapsed().as_secs_f64());
-            // Drain outside the timed region so ring occupancy cannot
-            // snowball across repeats.
-            let _ = drain_trace_events();
-        }
-        sampler.stop();
-        results.push((name, best * 1e3, answered));
-    }
-    set_trace_sampling(DEFAULT_TRACE_SAMPLING);
-
-    // Microbench: a disabled span (sampling off) and one histogram
-    // record — the two costs the crate docs budget.
-    const MICRO_ITERS: u64 = 1_000_000;
-    set_trace_sampling(0);
-    let mut span_ns = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..MICRO_ITERS {
-            let span = Span::begin("obs-bench");
-            std::hint::black_box(&span);
-            span.finish();
-        }
-        span_ns = span_ns.min(start.elapsed().as_nanos() as f64 / MICRO_ITERS as f64);
-    }
-    set_trace_sampling(DEFAULT_TRACE_SAMPLING);
-    let registry = Registry::new();
-    let hist = registry.histogram("obs_bench_record_ns");
-    let mut hist_ns = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for i in 0..MICRO_ITERS {
-            hist.record(i);
-        }
-        hist_ns = hist_ns.min(start.elapsed().as_nanos() as f64 / MICRO_ITERS as f64);
-    }
-
-    let off_ms = results[0].1;
-    let overhead = |ms: f64| if off_ms > 0.0 { (ms - off_ms) / off_ms * 100.0 } else { 0.0 };
-    println!("answered {} queries per pass (best of {})", results[0].2, opts.repeat);
-    println!("tracing mode          ms      overhead");
-    let mut rows = String::new();
-    for &(name, ms, answered) in &results {
-        println!("{:<17} {:>8.2}  {:>+7.2}%", name, ms, overhead(ms));
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{ \"mode\": \"{}\", \"ms\": {:.3}, \"answered\": {}, \
-             \"overhead_pct\": {:.3} }}",
-            name,
-            ms,
-            answered,
-            overhead(ms),
-        ));
-    }
-    println!("disabled span: {span_ns:.1} ns/op   histogram record: {hist_ns:.1} ns/op");
-    let always_pct = overhead(results[2].1);
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"obs_overhead_zipf_site\",\n",
-            "  \"queries\": {},\n",
-            "  \"repeat\": {},\n",
-            "  \"max_overhead_pct\": {:.1},\n",
-            "  \"history_sampler\": \"1s\",\n",
-            "  \"always_on_overhead_pct\": {:.3},\n",
-            "  \"span_disabled_ns\": {:.2},\n",
-            "  \"histogram_record_ns\": {:.2},\n",
-            "  \"within_budget\": {},\n",
-            "  \"runs\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        opts.queries,
-        opts.repeat,
-        opts.max_overhead,
-        always_pct,
-        span_ns,
-        hist_ns,
-        always_pct <= opts.max_overhead,
-        rows,
-    );
-    std::fs::write("BENCH_obs.json", &json).map_err(|e| format!("BENCH_obs.json: {e}"))?;
-    println!("wrote BENCH_obs.json");
-    if always_pct > opts.max_overhead {
-        return Err(format!(
-            "always-on tracing costs {always_pct:.2}% (budget {:.1}%)",
-            opts.max_overhead
-        ));
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Knobs for `update-bench`, parsed from `--flag value` pairs plus the
-/// boolean ablation switch `--no-coalesce`.
-struct UpdateBenchOpts {
-    edits: usize,
-    mix: EditMix,
-    locality: EditLocality,
-    batches: usize,
-    queries: usize,
-    repeat: usize,
-    seed: u64,
-    coalesce: bool,
-}
-
-impl UpdateBenchOpts {
-    fn parse(args: &[String]) -> Result<UpdateBenchOpts, String> {
-        let mut opts = UpdateBenchOpts {
-            edits: 400,
-            mix: EditMix::default(),
-            locality: EditLocality::default(),
-            batches: 20,
-            queries: 600,
-            repeat: 3,
-            seed: 0x21F,
-            coalesce: true,
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if flag == "--no-coalesce" {
-                opts.coalesce = false;
-                continue;
-            }
-            let value = it.next().ok_or_else(|| format!("{flag}: missing value"))?;
-            match flag.as_str() {
-                "--edits" => opts.edits = parse_num(flag, value)?.max(1),
-                "--batches" => opts.batches = parse_num(flag, value)?.max(1),
-                "--queries" => opts.queries = parse_num(flag, value)?.max(1),
-                "--repeat" => opts.repeat = parse_num(flag, value)?.max(1),
-                "--seed" => opts.seed = parse_num(flag, value)? as u64,
-                "--edit-mix" => opts.mix = value.parse::<EditMix>()?,
-                "--edit-locality" => opts.locality = value.parse::<EditLocality>()?,
-                other => return Err(format!("unknown update-bench flag {other}")),
-            }
-        }
-        Ok(opts)
-    }
-}
-
 fn parse_num(flag: &str, value: &str) -> Result<usize, String> {
     value.parse::<usize>().map_err(|e| format!("{flag}: {e}"))
-}
-
-/// One maintenance configuration under test in `update-bench`.
-struct UpdateArm {
-    name: &'static str,
-    cache: ShardedViewCache,
-    update: std::time::Duration,
-    maintain: xpath_views::engine::MaintainStats,
-    routes_dropped: u64,
-}
-
-/// Ablates the maintenance pipeline — full re-materialization, the legacy
-/// per-edit incremental path, batch coalescing, and the flat region
-/// matcher — under a **bursty** (Zipf-skewed, cluster-localized) edit
-/// stream, verifying byte-identical answers across every arm and against
-/// direct evaluation after each batch, and writes the machine-readable grid
-/// to `BENCH_updates.json` (archived by CI). `--no-coalesce` drops the
-/// coalesced arms (the last surviving arm is the primary whose stats are
-/// reported); each arm's wall clock is the minimum over `--repeat`
-/// fresh-cache runs.
-fn cmd_update_bench(args: &[String]) -> Result<ExitCode, String> {
-    let opts = UpdateBenchOpts::parse(args)?;
-    let catalog = site_intersect_catalog();
-    let doc = site_doc(12, 12, 7);
-
-    type ArmSetup = fn(&ShardedViewCache);
-    let mut specs: Vec<(&'static str, ArmSetup)> = vec![
-        ("full", |c| c.set_incremental_maintenance(false)),
-        ("per_edit", |c| c.set_coalesce_enabled(false)),
-    ];
-    if opts.coalesce {
-        specs.push(("coalesced", |c| c.set_flat_enabled(false)));
-        specs.push(("coalesced_flat", |_| {}));
-    }
-    let build = |setup: fn(&ShardedViewCache)| {
-        let cache = ShardedViewCache::new(doc.clone());
-        setup(&cache);
-        for (vname, def) in catalog.views.iter() {
-            cache.add_view(vname, def.clone());
-        }
-        cache
-    };
-
-    let stream = catalog_zipf_stream(&catalog, opts.queries, opts.seed);
-    let edits =
-        edit_stream_clustered(&doc, opts.edits, opts.mix, opts.locality, opts.seed ^ 0xED17);
-    let batches = edit_batches(&edits, opts.batches);
-    let probe: Vec<Pattern> = stream.iter().take(40).cloned().collect();
-
-    // Rep 0 — the verified run: every arm's plan memo is warmed with the
-    // query workload, then the bursty edit stream is applied batch by
-    // batch with answer probes across all arms between batches. These
-    // caches survive for the stats report.
-    let mut arms: Vec<UpdateArm> = specs
-        .iter()
-        .map(|&(name, setup)| UpdateArm {
-            name,
-            cache: build(setup),
-            update: std::time::Duration::ZERO,
-            maintain: xpath_views::engine::MaintainStats::default(),
-            routes_dropped: 0,
-        })
-        .collect();
-    for arm in &arms {
-        let _ = arm.cache.answer_batch(&stream);
-    }
-    let warm_hits = arms.last().expect("at least two arms").cache.stats().plan_memo_hits;
-    for batch in &batches {
-        for arm in arms.iter_mut() {
-            let t0 = Instant::now();
-            let report = arm.cache.apply_edits(batch).map_err(|e| e.to_string())?;
-            arm.update += t0.elapsed();
-            arm.routes_dropped += report.routes_dropped;
-            arm.maintain.add(&report.maintain);
-        }
-        for q in &probe {
-            let baseline = arms[0].cache.answer(q);
-            let direct = arms[0].cache.answer_direct(q);
-            if baseline.nodes != direct {
-                return Err(format!("full-recompute arm diverged from direct on {q}"));
-            }
-            for arm in arms.iter().skip(1) {
-                if arm.cache.answer(q).nodes != baseline.nodes {
-                    return Err(format!("arm {} diverged on {q}", arm.name));
-                }
-            }
-        }
-    }
-
-    // Reps 1..R — timing-only runs on fresh warmed caches; each arm keeps
-    // its best (minimum) wall clock, the standard noise floor for
-    // millisecond-scale measurements.
-    for _ in 1..opts.repeat {
-        for (i, &(_, setup)) in specs.iter().enumerate() {
-            let cache = build(setup);
-            let _ = cache.answer_batch(&stream);
-            let mut total = std::time::Duration::ZERO;
-            for batch in &batches {
-                let t0 = Instant::now();
-                cache.apply_edits(batch).map_err(|e| e.to_string())?;
-                total += t0.elapsed();
-            }
-            if total < arms[i].update {
-                arms[i].update = total;
-            }
-        }
-    }
-    let primary = arms.last().expect("at least two arms");
-    let post_stats = primary.cache.stats();
-    let probe_queries = (batches.len() * probe.len()) as u64;
-    let survived_hits = post_stats.plan_memo_hits - warm_hits;
-    let maintain = primary.maintain;
-
-    // The coalescing invariant the ablation exists to demonstrate: the
-    // primary scans at most one merged region per (view, batch-region)
-    // pair — never more than the pre-merge root count, and never more than
-    // the per-edit arm's one-scan-per-(view, edit) cost.
-    let per_edit = &arms[1];
-    if opts.coalesce {
-        if maintain.regions_scanned > maintain.regions_before_merge {
-            return Err(format!(
-                "coalescing scanned {} regions out of {} pre-merge roots",
-                maintain.regions_scanned, maintain.regions_before_merge
-            ));
-        }
-        if maintain.regions_scanned > per_edit.maintain.regions_scanned {
-            return Err(format!(
-                "coalesced path scanned {} regions, per-edit only {}",
-                maintain.regions_scanned, per_edit.maintain.regions_scanned
-            ));
-        }
-    }
-
-    let full_ms = arms[0].update.as_secs_f64() * 1e3;
-    println!(
-        "applied {} edits in {} batches over {} doc nodes / {} views (locality {})",
-        opts.edits,
-        batches.len(),
-        doc.len(),
-        catalog.views.len(),
-        opts.locality,
-    );
-    let mut arms_json = String::new();
-    for arm in &arms {
-        let ms = arm.update.as_secs_f64() * 1e3;
-        let speedup = if ms > 0.0 { full_ms / ms } else { 0.0 };
-        println!(
-            "  {:<24} {:>9.2} ms  speedup vs full {:>5.2}x  ({} region scans)",
-            arm.name, ms, speedup, arm.maintain.regions_scanned
-        );
-        arms_json.push_str(&format!(
-            concat!(
-                "    \"{}\": {{ \"ms\": {:.3}, \"speedup_vs_full\": {:.3}, ",
-                "\"regions_scanned\": {}, \"full_recomputes\": {} }},\n"
-            ),
-            arm.name, ms, speedup, arm.maintain.regions_scanned, arm.maintain.full_recomputes
-        ));
-    }
-    arms_json.truncate(arms_json.trim_end_matches(",\n").len());
-    let primary_ms = primary.update.as_secs_f64() * 1e3;
-    let per_edit_ms = per_edit.update.as_secs_f64() * 1e3;
-    println!("primary arm: {}  ({maintain})", primary.name);
-    println!(
-        "probe answers byte-identical across all arms and vs direct; plan memo: {} of {} \
-         probe queries served from surviving routes, {} routes dropped",
-        survived_hits, probe_queries, primary.routes_dropped
-    );
-    println!("cache: {post_stats}");
-    // The primary arm's per-batch maintenance phase histograms — the
-    // distribution behind the cumulative `phase_us` totals above.
-    const MAINTAIN_PHASES: [&str; 5] = [
-        "xpv_phase_maintain_apply_us",
-        "xpv_phase_maintain_freeze_us",
-        "xpv_phase_maintain_coalesce_us",
-        "xpv_phase_maintain_scan_us",
-        "xpv_phase_maintain_patch_us",
-    ];
-    let phase_hist = phase_summaries(&primary.cache, &MAINTAIN_PHASES);
-    if !phase_hist.is_empty() {
-        println!("maintenance phase latency per batch (µs):  count    p50    p99    max");
-        for (name, h) in &phase_hist {
-            println!(
-                "  {:<24} {:>18}  {:>5}  {:>5}  {:>5}",
-                phase_key(name),
-                h.count,
-                h.p50,
-                h.p99,
-                h.max
-            );
-        }
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"updates_bursty_site\",\n",
-            "  \"edits\": {},\n",
-            "  \"edit_mix\": \"{}\",\n",
-            "  \"edit_locality\": \"{}\",\n",
-            "  \"batches\": {},\n",
-            "  \"repeat\": {},\n",
-            "  \"doc_nodes\": {},\n",
-            "  \"views\": {},\n",
-            "  \"primary_arm\": \"{}\",\n",
-            "  \"arms\": {{\n",
-            "{}\n",
-            "  }},\n",
-            "  \"speedup_primary_vs_full\": {:.3},\n",
-            "  \"speedup_primary_vs_per_edit\": {:.3},\n",
-            "  \"maintain\": {{\n",
-            "    \"edits_applied\": {},\n",
-            "    \"view_edit_checks\": {},\n",
-            "    \"label_skips\": {},\n",
-            "    \"spine_clean\": {},\n",
-            "    \"regions_before_merge\": {},\n",
-            "    \"regions_scanned\": {},\n",
-            "    \"scans_saved\": {},\n",
-            "    \"region_nodes\": {},\n",
-            "    \"full_recomputes\": {},\n",
-            "    \"freezes_reused\": {},\n",
-            "    \"answers_added\": {},\n",
-            "    \"answers_removed\": {},\n",
-            "    \"phase_us\": {{ \"apply\": {}, \"freeze\": {}, \"coalesce\": {}, ",
-            "\"scan\": {}, \"patch\": {} }},\n",
-            "    \"phase_hist_us\": {}\n",
-            "  }},\n",
-            "  \"routes\": {{\n",
-            "    \"probe_queries\": {},\n",
-            "    \"served_from_surviving_routes\": {},\n",
-            "    \"routes_dropped\": {},\n",
-            "    \"views_refreshed_incrementally\": {}\n",
-            "  }},\n",
-            "  \"verified_identical\": true\n",
-            "}}\n"
-        ),
-        opts.edits,
-        opts.mix,
-        opts.locality,
-        batches.len(),
-        opts.repeat,
-        doc.len(),
-        catalog.views.len(),
-        primary.name,
-        arms_json,
-        if primary_ms > 0.0 { full_ms / primary_ms } else { 0.0 },
-        if primary_ms > 0.0 { per_edit_ms / primary_ms } else { 0.0 },
-        maintain.edits_applied,
-        maintain.view_edit_checks,
-        maintain.label_skips,
-        maintain.spine_clean,
-        maintain.regions_before_merge,
-        maintain.regions_scanned,
-        maintain.scans_saved,
-        maintain.region_nodes,
-        maintain.full_recomputes,
-        maintain.freeze_reused,
-        maintain.answers_added,
-        maintain.answers_removed,
-        maintain.apply_us,
-        maintain.freeze_us,
-        maintain.coalesce_us,
-        maintain.scan_us,
-        maintain.patch_us,
-        phase_json(&phase_hist),
-        probe_queries,
-        survived_hits,
-        primary.routes_dropped,
-        post_stats.views_refreshed_incrementally,
-    );
-    std::fs::write("BENCH_updates.json", &json).map_err(|e| format!("BENCH_updates.json: {e}"))?;
-    println!("wrote BENCH_updates.json");
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Knobs for `xpv eval-bench`.
-struct EvalBenchOpts {
-    nodes: usize,
-    distinct: usize,
-    queries: usize,
-    labels: usize,
-    repeat: usize,
-    seed: u64,
-}
-
-impl EvalBenchOpts {
-    fn parse(args: &[String]) -> Result<EvalBenchOpts, String> {
-        let mut opts = EvalBenchOpts {
-            nodes: 20_000,
-            distinct: 48,
-            queries: 2_000,
-            labels: 12,
-            repeat: 3,
-            seed: 0xE7A1,
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let value = it.next().ok_or_else(|| format!("{flag}: missing value"))?;
-            match flag.as_str() {
-                "--nodes" => opts.nodes = parse_num(flag, value)?.max(2),
-                "--distinct" => opts.distinct = parse_num(flag, value)?.max(1),
-                "--queries" => opts.queries = parse_num(flag, value)?.max(1),
-                "--labels" => opts.labels = parse_num(flag, value)?.max(1),
-                "--repeat" => opts.repeat = parse_num(flag, value)?.max(1),
-                "--seed" => opts.seed = parse_num(flag, value)? as u64,
-                other => return Err(format!("unknown eval-bench flag {other}")),
-            }
-        }
-        Ok(opts)
-    }
-}
-
-/// Times the evaluation core on a seeded random document and a
-/// Zipf-skewed query stream: the reference `Tree` matcher against the
-/// word-parallel [`FlatTree`] matcher, the latter per query
-/// (`evaluate_flat`), through one `BatchEval`, and writing into the answer
-/// arena. The three flat rows run one evaluator over one snapshot, whose
-/// witness memo the correctness pass below has already filled. Answers are
-/// checked identical across every path before anything is timed, and the
-/// summary goes to `BENCH_eval.json` (archived by CI next to the other
-/// benches).
-fn cmd_eval_bench(args: &[String]) -> Result<ExitCode, String> {
-    use xpath_views::model::FlatTree;
-    use xpath_views::semantics::{evaluate_flat, BatchEval};
-    use xpath_views::workload::zipf_indices;
-
-    let opts = EvalBenchOpts::parse(args)?;
-    let tree_cfg = TreeGenConfig {
-        size: opts.nodes,
-        max_depth: 14,
-        max_children: 8,
-        label_count: opts.labels,
-    };
-    let doc = TreeGen::new(tree_cfg, opts.seed).tree();
-    let pat_cfg =
-        PatternGenConfig { depth: (2, 5), label_count: opts.labels, ..PatternGenConfig::default() };
-    let mut gen = PatternGen::new(pat_cfg, opts.seed ^ 0x9E37_79B9);
-    let base: Vec<Pattern> = (0..opts.distinct).map(|_| gen.pattern()).collect();
-    let stream: Vec<&Pattern> = zipf_indices(base.len(), opts.queries, opts.seed ^ 0x51)
-        .iter()
-        .map(|&i| &base[i])
-        .collect();
-    let ft = FlatTree::freeze(&doc);
-
-    // Correctness gate before any timing: every path must agree on the
-    // whole distinct set.
-    let mut fused_check = BatchEval::new(&ft);
-    for q in &base {
-        let reference = evaluate(q, &doc);
-        if evaluate_flat(q, &ft) != reference {
-            return Err(format!("flat matcher diverged from reference on {q}"));
-        }
-        if fused_check.evaluate(q) != reference {
-            return Err(format!("fused batch path diverged from reference on {q}"));
-        }
-    }
-    drop(fused_check);
-
-    // Best-of-`repeat` wall time; the checksum keeps the work observable.
-    let time = |f: &mut dyn FnMut() -> usize| -> (f64, usize) {
-        let mut best = f64::INFINITY;
-        let mut checksum = 0usize;
-        for _ in 0..opts.repeat {
-            let start = Instant::now();
-            checksum = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (best * 1e3, checksum)
-    };
-    let (ref_ms, ref_sum) =
-        time(&mut || stream.iter().map(|q| evaluate(q, &doc).len()).sum::<usize>());
-    let (flat_ms, flat_sum) =
-        time(&mut || stream.iter().map(|q| evaluate_flat(q, &ft).len()).sum::<usize>());
-    let (fused_ms, fused_sum) = time(&mut || {
-        let mut b = BatchEval::new(&ft);
-        stream.iter().map(|q| b.evaluate(q).len()).sum::<usize>()
-    });
-    // The serve hot loop's shape: fused batch evaluation writing node runs
-    // into a reused bump arena, cleared per 64-query batch. Steady state
-    // does no per-answer heap allocation — the only Vec growth is the
-    // arena warming up to the high-water mark of a batch.
-    let (arena_ms, arena_sum) = time(&mut || {
-        let mut b = BatchEval::new(&ft);
-        let mut arena = xpath_views::model::AnswerArena::new();
-        let mut total = 0usize;
-        for batch in stream.chunks(64) {
-            arena.clear();
-            let refs: Vec<_> = batch.iter().map(|q| b.evaluate_into(q, &mut arena)).collect();
-            total += refs.iter().map(|&r| arena.get(r).len()).sum::<usize>();
-        }
-        total
-    });
-    if [flat_sum, fused_sum, arena_sum].iter().any(|&s| s != ref_sum) {
-        return Err("evaluation paths returned different answer volumes".to_string());
-    }
-
-    let qps = |ms: f64| opts.queries as f64 / (ms / 1e3).max(1e-9);
-    let speedup = |ms: f64| ref_ms / ms.max(1e-9);
-    println!(
-        "evaluated {} queries ({} distinct) over {} nodes, {} answers per pass",
-        opts.queries,
-        opts.distinct,
-        doc.len(),
-        ref_sum,
-    );
-    println!("path                 ms       q/s   speedup");
-    let runs = [
-        ("reference", ref_ms),
-        ("flat", flat_ms),
-        ("flat_fused", fused_ms),
-        ("flat_fused_arena", arena_ms),
-    ];
-    let mut rows = String::new();
-    for (name, ms) in runs {
-        println!("{:<21} {:>8.1}  {:>8.0}  {:>6.2}x", name, ms, qps(ms), speedup(ms));
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{ \"path\": \"{}\", \"ms\": {:.3}, \"qps\": {:.1}, \
-             \"speedup_vs_reference\": {:.3} }}",
-            name,
-            ms,
-            qps(ms),
-            speedup(ms),
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"eval_flat_fused_zipf\",\n",
-            "  \"doc_nodes\": {},\n",
-            "  \"queries\": {},\n",
-            "  \"distinct_queries\": {},\n",
-            "  \"labels\": {},\n",
-            "  \"repeat\": {},\n",
-            "  \"answers_per_pass\": {},\n",
-            "  \"verified_identical\": true,\n",
-            "  \"runs\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        doc.len(),
-        opts.queries,
-        opts.distinct,
-        opts.labels,
-        opts.repeat,
-        ref_sum,
-        rows,
-    );
-    std::fs::write("BENCH_eval.json", &json).map_err(|e| format!("BENCH_eval.json: {e}"))?;
-    println!("wrote BENCH_eval.json");
-    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -1871,15 +658,11 @@ fn main() -> ExitCode {
         [cmd, q, f] if cmd == "eval" => cmd_eval(q, f),
         [cmd, p] if cmd == "reduce" => cmd_reduce(p),
         [cmd] if cmd == "figures" => cmd_figures(),
-        [cmd, rest @ ..] if cmd == "serve-bench" => cmd_serve_bench(rest),
         [cmd, rest @ ..] if cmd == "listen" => cmd_listen(rest),
         [cmd, rest @ ..] if cmd == "client" => cmd_client(rest),
         [cmd, rest @ ..] if cmd == "stats" => cmd_stats(rest),
         [cmd, rest @ ..] if cmd == "top" => cmd_top(rest),
         [cmd, rest @ ..] if cmd == "dump" => cmd_dump(rest),
-        [cmd, rest @ ..] if cmd == "obs-bench" => cmd_obs_bench(rest),
-        [cmd, rest @ ..] if cmd == "update-bench" => cmd_update_bench(rest),
-        [cmd, rest @ ..] if cmd == "eval-bench" => cmd_eval_bench(rest),
         _ => return fail("expected a subcommand"),
     };
     match result {

@@ -52,8 +52,7 @@
 //!   entirely — zero containment calls — and
 //!   [`ViewCache::answer_batch`](engine::ViewCache::answer_batch) answers a
 //!   workload slice in one pass, planning in-batch duplicates once.
-//!   `CacheStats` / `PlannerStats` expose the memo-hit counters;
-//!   `set_memo_enabled(false)` is the ablation knob.
+//!   `CacheStats` / `PlannerStats` expose the memo-hit counters.
 //!
 //! ## Concurrent serving
 //!
@@ -68,9 +67,7 @@
 //! of wire-protocol connections (TCP / Unix-domain, `xpv listen`) onto a
 //! fixed CPU worker pool with per-connection credit windows, while
 //! [`CacheServer`](engine::CacheServer) keeps the blocking in-process API
-//! as a thin wrapper over the same pool, with per-tenant stats
-//! (`xpv serve-bench --transport {inproc,unix,tcp}` drives both from the
-//! command line).
+//! as a thin wrapper over the same pool, with per-tenant stats.
 //!
 //! ## Document updates
 //!
@@ -79,8 +76,7 @@
 //! transactional batch of tree edits ([`maintain::Edit`]) and refreshes
 //! every registered view **incrementally** from the edits' affected
 //! regions, invalidating only the plan-memo routes whose participants'
-//! answers actually changed (`xpv update-bench` ablates incremental vs
-//! full-recompute maintenance from the command line).
+//! answers actually changed.
 //!
 //! ```
 //! use xpath_views::prelude::*;

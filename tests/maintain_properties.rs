@@ -66,7 +66,7 @@ proptest! {
         let mut ans_inc: Vec<Vec<NodeId>> =
             defs.iter().map(|d| evaluate(d, &doc_inc)).collect();
         let (deltas, stats) = maintain_views(
-            &mut doc_inc, &def_refs, &mut ans_inc, &edits, MaintainMode::Incremental,
+            &mut doc_inc, &def_refs, &mut ans_inc, &edits, MaintainMode::Coalesced,
         ).expect("generated streams are valid");
         prop_assert_eq!(stats.edits_applied, edits.len() as u64);
 
@@ -105,10 +105,11 @@ proptest! {
     }
 
     /// Batch coalescing is invisible in the state: for random documents,
-    /// view pools, and edit batches, the coalesced maintainer produces the
-    /// same document, the same answer sets (node identity and value sets),
-    /// and deltas that reconcile identically to both the legacy per-edit
-    /// path and full re-materialization.
+    /// view pools, and edit batches, maintaining the batch whole produces
+    /// the same document, the same answer sets (node identity and value
+    /// sets) and the same net deltas as maintaining it one edit at a time
+    /// (k one-edit batches through the same pipeline), and both equal full
+    /// re-materialization and direct evaluation.
     #[test]
     fn coalesced_equals_per_edit_and_full(
         tseed in any::<u64>(),
@@ -119,24 +120,35 @@ proptest! {
         let defs = defs_from_seed(vseed);
         let def_refs: Vec<&Pattern> = defs.iter().collect();
         let edits = edit_stream(&doc, 24, mix_from_seed(eseed), eseed);
+        let before: Vec<Vec<NodeId>> = defs.iter().map(|def| evaluate(def, &doc)).collect();
 
-        let run = |mode: MaintainMode| {
+        let run = |mode: MaintainMode, chunk: usize| {
             let mut d = doc.clone();
-            let mut ans: Vec<Vec<NodeId>> =
-                defs.iter().map(|def| evaluate(def, &d)).collect();
-            let (deltas, stats) =
-                maintain_views(&mut d, &def_refs, &mut ans, &edits, mode)
-                    .expect("generated streams are valid");
-            (d, ans, deltas, stats)
+            let mut ans = before.clone();
+            let mut last = None;
+            for batch in edits.chunks(chunk) {
+                last = Some(
+                    maintain_views(&mut d, &def_refs, &mut ans, batch, mode)
+                        .expect("generated streams are valid"),
+                );
+            }
+            (d, ans, last)
         };
-        let (doc_co, ans_co, deltas_co, stats_co) = run(MaintainMode::Coalesced);
-        let (doc_pe, ans_pe, deltas_pe, _) = run(MaintainMode::Incremental);
-        let (doc_fu, ans_fu, _, _) = run(MaintainMode::FullRecompute);
+        let (doc_co, ans_co, whole) = run(MaintainMode::Coalesced, edits.len().max(1));
+        let (doc_pe, ans_pe, _) = run(MaintainMode::Coalesced, 1);
+        let (doc_fu, ans_fu, _) = run(MaintainMode::FullRecompute, edits.len().max(1));
 
-        prop_assert_eq!(stats_co.edits_applied, edits.len() as u64);
-        // A batch can never cost more region scans than its pre-merge
-        // root count — coalescing only removes work.
-        prop_assert!(stats_co.regions_scanned <= stats_co.regions_before_merge);
+        if let Some((deltas_co, stats_co)) = &whole {
+            prop_assert_eq!(stats_co.edits_applied, edits.len() as u64);
+            // A batch can never cost more region scans than its pre-merge
+            // root count — coalescing only removes work.
+            prop_assert!(stats_co.regions_scanned <= stats_co.regions_before_merge);
+            // The whole batch's delta is the net change, however many
+            // one-edit steps it took to get there.
+            for (i, delta) in deltas_co.iter().enumerate() {
+                prop_assert_eq!(delta, &ViewDelta::between(&before[i], &ans_pe[i]));
+            }
+        }
         prop_assert_eq!(doc_co.canonical_key(), doc_pe.canonical_key());
         prop_assert_eq!(doc_co.canonical_key(), doc_fu.canonical_key());
         for (i, def) in defs.iter().enumerate() {
@@ -150,10 +162,6 @@ proptest! {
                 answer_value_set(&doc_co, &ans_co[i]),
                 answer_value_set(&doc_pe, &ans_pe[i])
             );
-            // The two incremental modes must agree delta-for-delta, so
-            // materialized representations patch identically either way.
-            prop_assert_eq!(&deltas_co[i].added, &deltas_pe[i].added);
-            prop_assert_eq!(&deltas_co[i].removed, &deltas_pe[i].removed);
         }
     }
 
@@ -166,17 +174,17 @@ proptest! {
         vseed in any::<u64>(),
         eseed in any::<u64>(),
     ) {
-        copies_match_fresh_after(MaintainMode::Coalesced, tseed, vseed, eseed)?;
+        copies_match_fresh_after(usize::MAX, tseed, vseed, eseed)?;
     }
 
-    /// The same agreement through the per-edit maintainer.
+    /// The same agreement when the stream is maintained one edit at a time.
     #[test]
     fn materialized_copies_match_fresh_materialization(
         tseed in any::<u64>(),
         vseed in any::<u64>(),
         eseed in any::<u64>(),
     ) {
-        copies_match_fresh_after(MaintainMode::Incremental, tseed, vseed, eseed)?;
+        copies_match_fresh_after(1, tseed, vseed, eseed)?;
     }
 
     /// The merge diff is the set-difference definition: for random
@@ -218,12 +226,13 @@ proptest! {
     }
 }
 
-/// Maintains three random views through one random edit batch in `mode`,
-/// then checks that the on-demand copies of the maintained views (node set
-/// replaced, nothing else stored) equal a fresh materialization of the
-/// post-batch tree — by node identity and by canonical key.
+/// Maintains three random views through one random edit stream, in batches
+/// of at most `chunk` edits, then checks that the on-demand copies of the
+/// maintained views (node set replaced, nothing else stored) equal a fresh
+/// materialization of the post-stream tree — by node identity and by
+/// canonical key.
 fn copies_match_fresh_after(
-    mode: MaintainMode,
+    chunk: usize,
     tseed: u64,
     vseed: u64,
     eseed: u64,
@@ -240,7 +249,10 @@ fn copies_match_fresh_after(
         .collect();
     let mut after = doc.clone();
     let mut answers: Vec<Vec<NodeId>> = views.iter().map(|v| v.nodes().to_vec()).collect();
-    maintain_views(&mut after, &def_refs, &mut answers, &edits, mode).expect("valid stream");
+    for batch in edits.chunks(chunk) {
+        maintain_views(&mut after, &def_refs, &mut answers, batch, MaintainMode::Coalesced)
+            .expect("valid stream");
+    }
     let keys = |mv: &MaterializedView| {
         let mut ks: Vec<String> = mv.trees(&after).iter().map(|t| t.canonical_key()).collect();
         ks.sort();
@@ -253,9 +265,9 @@ fn copies_match_fresh_after(
         prop_assert_eq!(
             keys(&maintained),
             keys(&fresh),
-            "{:?} on-demand copies diverged for view {}",
-            mode,
-            def
+            "on-demand copies diverged for view {} (batches of {})",
+            def,
+            chunk
         );
     }
     Ok(())
@@ -369,8 +381,8 @@ fn participant_aware_invalidation_keeps_unrelated_routes() {
 
 /// The pool is shared, not copied: `add_view` / `remove_view` leave every
 /// other entry pointer-equal, and after an edit batch confined to one small
-/// subtree exactly the views whose answer set changed are re-allocated —
-/// in every maintenance mode, since sharing is decided on the delta.
+/// subtree exactly the views whose answer set changed are re-allocated
+/// (sharing is decided on the delta).
 #[test]
 fn unchanged_views_stay_pointer_equal_across_pool_and_document_changes() {
     let doc = site_doc(8, 8, 7);
@@ -388,44 +400,40 @@ fn unchanged_views_stay_pointer_equal_across_pool_and_document_changes() {
     pool.push(("names", parse_xpath("site/region/item/name").unwrap()));
     pool.push(("categories", parse_xpath("site/categories/category").unwrap()));
 
-    for (incremental, coalesce) in [(true, true), (true, false), (false, false)] {
-        let cache = ShardedViewCache::new(doc.clone());
-        cache.set_incremental_maintenance(incremental);
-        cache.set_coalesce_enabled(coalesce);
-        for (name, def) in &pool {
-            let before = cache.views_snapshot();
-            cache.add_view(name, def.clone());
-            let after = cache.views_snapshot();
-            assert_eq!(after.len(), before.len() + 1);
-            for (b, a) in before.iter().zip(after.iter()) {
-                assert!(Arc::ptr_eq(b, a), "add_view re-allocated an earlier view");
-            }
-        }
-
+    let cache = ShardedViewCache::new(doc);
+    for (name, def) in &pool {
         let before = cache.views_snapshot();
-        let report = cache.apply_edits(&batch).expect("valid batch");
+        cache.add_view(name, def.clone());
         let after = cache.views_snapshot();
-        let doc_after = cache.document();
-        let (mut shared, mut changed) = (0, 0);
+        assert_eq!(after.len(), before.len() + 1);
         for (b, a) in before.iter().zip(after.iter()) {
-            let fresh = evaluate(a.definition(), &doc_after);
-            assert_eq!(a.nodes(), fresh.as_slice(), "view {} is stale", a.name());
-            if b.nodes() == fresh.as_slice() {
-                assert!(Arc::ptr_eq(b, a), "unchanged view {} was re-allocated", a.name());
-                shared += 1;
-            } else {
-                assert!(!Arc::ptr_eq(b, a));
-                changed += 1;
-            }
+            assert!(Arc::ptr_eq(b, a), "add_view re-allocated an earlier view");
         }
-        assert_eq!((shared, changed), (3, 2), "one subtree's edit spares the unrelated views");
-        assert_eq!(report.views_changed, changed);
+    }
 
-        let gone = after[0].name().to_string();
-        assert!(cache.remove_view(&gone));
-        for (b, a) in after.iter().skip(1).zip(cache.views_snapshot().iter()) {
-            assert!(Arc::ptr_eq(b, a), "remove_view re-allocated a surviving view");
+    let before = cache.views_snapshot();
+    let report = cache.apply_edits(&batch).expect("valid batch");
+    let after = cache.views_snapshot();
+    let doc_after = cache.document();
+    let (mut shared, mut changed) = (0, 0);
+    for (b, a) in before.iter().zip(after.iter()) {
+        let fresh = evaluate(a.definition(), &doc_after);
+        assert_eq!(a.nodes(), fresh.as_slice(), "view {} is stale", a.name());
+        if b.nodes() == fresh.as_slice() {
+            assert!(Arc::ptr_eq(b, a), "unchanged view {} was re-allocated", a.name());
+            shared += 1;
+        } else {
+            assert!(!Arc::ptr_eq(b, a));
+            changed += 1;
         }
+    }
+    assert_eq!((shared, changed), (3, 2), "one subtree's edit spares the unrelated views");
+    assert_eq!(report.views_changed, changed);
+
+    let gone = after[0].name().to_string();
+    assert!(cache.remove_view(&gone));
+    for (b, a) in after.iter().skip(1).zip(cache.views_snapshot().iter()) {
+        assert!(Arc::ptr_eq(b, a), "remove_view re-allocated a surviving view");
     }
 }
 
@@ -458,30 +466,28 @@ fn view_cache_wrapper_applies_edits() {
     );
 }
 
-/// The engine's two region scanners are interchangeable: a cache scanning
-/// the post-batch freeze (one `RegionScanner` per view and batch, the
-/// default) and one scanning the `Tree` (`set_flat_enabled(false)`, the
-/// oracle) stay **byte-identical** through a bursty clustered stream — per
-/// batch, every report count, every probe answer (nodes) and every
-/// surviving route — and both equal direct evaluation.
+/// The engine's region scan over the post-batch freeze (one `RegionScanner`
+/// per view and batch) is pinned to the `Tree` oracle: through a bursty
+/// clustered stream the cache and `maintain_views(.., Coalesced)` on a
+/// mirrored `Tree` scan the same regions and report the same counts per
+/// batch, every view's stored answer set equals the mirror's, and every
+/// probe answer equals direct evaluation.
 #[test]
 fn flat_region_refresh_matches_tree_path() {
     let doc = site_doc(10, 10, 7);
     let catalog = site_catalog();
     let probes: Vec<Pattern> = catalog_zipf_stream(&catalog, 24, 0xFA17).into_iter().collect();
 
-    let tree_path = ShardedViewCache::new(doc.clone());
-    tree_path.set_flat_enabled(false);
     let flat = ShardedViewCache::new(doc.clone());
-    assert!(flat.flat_enabled(), "the flat scan is the default");
-    assert!(flat.coalesce_enabled(), "coalescing is on by default");
+    let defs: Vec<&Pattern> = catalog.views.iter().map(|(_, def)| def).collect();
+    let mut mirror = doc.clone();
+    let mut mirror_answers: Vec<Vec<NodeId>> = defs.iter().map(|d| evaluate(d, &mirror)).collect();
     for (name, def) in catalog.views.iter() {
-        tree_path.add_view(name, def.clone());
         flat.add_view(name, def.clone());
-        let _ = (tree_path.answer(def), flat.answer(def));
+        let _ = flat.answer(def);
     }
     for q in &probes {
-        let _ = (tree_path.answer(q), flat.answer(q)); // warm both memos
+        let _ = flat.answer(q); // warm the memo
     }
 
     // A bursty clustered stream — many edits under few hot subtrees — is
@@ -490,35 +496,27 @@ fn flat_region_refresh_matches_tree_path() {
         edit_stream_clustered(&doc, 160, EditMix::default(), EditLocality::new(4, 90), 0x5EED);
     let batches = edit_batches(&edits, 8);
     for batch in &batches {
-        let rt = tree_path.apply_edits(batch).expect("valid batch");
-        let rf = flat.apply_edits(batch).expect("valid batch");
-        assert_eq!(rt.views_refreshed, rf.views_refreshed);
-        assert_eq!(rt.views_changed, rf.views_changed);
-        assert_eq!(rt.routes_dropped, rf.routes_dropped);
-        assert_eq!(rt.maintain.region_nodes, rf.maintain.region_nodes);
-        assert_eq!(rt.maintain.answers_added, rf.maintain.answers_added);
-        assert_eq!(rt.maintain.answers_removed, rf.maintain.answers_removed);
+        let (deltas, oracle) =
+            maintain_views(&mut mirror, &defs, &mut mirror_answers, batch, MaintainMode::Coalesced)
+                .expect("valid batch");
+        let report = flat.apply_edits(batch).expect("valid batch");
+        assert_eq!(report.views_changed, deltas.iter().filter(|d| !d.is_empty()).count());
+        assert_eq!(report.maintain.regions_scanned, oracle.regions_scanned);
+        assert_eq!(report.maintain.region_nodes, oracle.region_nodes);
+        assert_eq!(report.maintain.answers_added, oracle.answers_added);
+        assert_eq!(report.maintain.answers_removed, oracle.answers_removed);
+        for (view, want) in flat.views_snapshot().iter().zip(&mirror_answers) {
+            assert_eq!(view.nodes(), want.as_slice(), "flat-scan view {} diverged", view.name());
+        }
         for q in &probes {
-            let a = tree_path.answer(q);
-            let b = flat.answer(q);
-            assert_eq!(a.nodes, b.nodes, "flat-scan answers diverged on {q}");
-            assert_eq!(
-                format!("{:?}", a.route),
-                format!("{:?}", b.route),
-                "surviving routes diverged on {q}"
-            );
-            assert_eq!(a.nodes, tree_path.answer_direct(q), "tree-path cache wrong on {q}");
+            let got = flat.answer(q).nodes;
+            assert_eq!(got, flat.answer_direct(q), "cache wrong on {q}");
+            assert_eq!(got, evaluate(q, &mirror), "cache and mirror documents diverged on {q}");
         }
     }
-    let stats = flat.stats().maintain;
     assert!(
-        stats.regions_scanned > (batches.len() * catalog.views.len()) as u64,
+        flat.stats().maintain.regions_scanned > (batches.len() * catalog.views.len()) as u64,
         "bursty stream never gave a view two regions in one batch"
-    );
-    assert_eq!(
-        stats.regions_scanned,
-        tree_path.stats().maintain.regions_scanned,
-        "both caches must scan the same merged regions"
     );
 }
 
@@ -636,6 +634,32 @@ fn deep_chain_document_survives_mask_and_edit_batch() {
     assert_eq!(views[0].nodes().len(), DEPTH / 2 + 1, "a//b gained the relabelled node");
     assert_eq!(views[1].nodes(), &[near_root], "the graft made one b a parent of c");
     assert_eq!(cache.answer(&parse_xpath("a//b[c]").unwrap()).nodes, vec![near_root]);
+}
+
+/// The same for a descendant-axis branch: `coalesce_plan` checks `[.//z]`
+/// at every spine node of every batch, and one frame per level under that
+/// branch overflowed the stack on the first small edit — after `add_view`
+/// (the flat evaluator) had accepted the view.
+#[test]
+fn deep_chain_document_survives_a_descendant_branch_view() {
+    use xpath_views::model::{Label, Tree};
+    const DEPTH: usize = 200_000;
+
+    let mut doc = Tree::new(Label::new("a"));
+    let mut tip = doc.root();
+    for level in 1..DEPTH {
+        tip = doc.add_child(tip, Label::new(if level % 2 == 0 { "a" } else { "b" }));
+    }
+    let cache = ShardedViewCache::new(doc);
+    assert_eq!(cache.add_view("below_z", parse_xpath("a[.//z]//b").unwrap()), 0);
+    let graft = TreeBuilder::root("z", |_| {});
+    let report = cache
+        .apply_edits(&[Edit::InsertSubtree { parent: NodeId(3), subtree: graft }])
+        .expect("a small edit near the root applies");
+    assert_eq!(report.views_changed, 1);
+    let views = cache.views_snapshot();
+    assert_eq!(views[0].nodes().len(), DEPTH / 2, "every b is below the root");
+    assert_eq!(views[0].nodes(), evaluate(views[0].definition(), &cache.document()));
 }
 
 /// A peer's frame must never become call-stack depth either. An insert

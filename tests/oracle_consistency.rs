@@ -82,18 +82,6 @@ fn memoized_verdicts_equal_fresh_oracle_verdicts() {
 }
 
 #[test]
-fn memo_disabled_oracle_also_matches() {
-    // The ablation path (memo off) must compute the same verdicts too.
-    let pairs = pattern_pairs();
-    let no_memo = ContainmentOracle::new();
-    no_memo.set_memo_enabled(false);
-    for (p, q) in pairs.iter().take(80) {
-        assert_eq!(no_memo.contained(p, q), contained(p, q), "{p} ⊑ {q}");
-    }
-    assert_eq!(no_memo.stats().verdict_memo_hits, 0);
-}
-
-#[test]
 fn session_planner_agrees_with_one_shot_planner_on_generated_instances() {
     let cfg = PatternGenConfig { depth: (1, 3), max_branch_size: 2, ..PatternGenConfig::default() };
     let mut g = PatternGen::new(cfg, 0xBEEFCAFE);

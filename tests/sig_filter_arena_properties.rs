@@ -1,9 +1,8 @@
-//! Properties of the two serve-hot-loop optimizations: the plan-miss
+//! Properties of the two serve-hot-loop mechanisms: the plan-miss
 //! signature filter (a rejected candidate provably admits no equivalent
-//! rewriting — the filter is invisible in answers and routes) and the
-//! answer arena (`answer_batch_refs` returns byte-identical nodes and
-//! routes to the owned-`Vec` `answer_batch` across every ablation arm,
-//! including multi-view intersection routes).
+//! rewriting) and the answer arena (`answer_batch_refs`, the engine's one
+//! answer lane, against the owned-`Vec` `answer_batch` wrapper over it and
+//! the reference evaluator, including multi-view intersection routes).
 
 mod common;
 
@@ -11,8 +10,7 @@ use xpath_views::model::AnswerArena;
 use xpath_views::pattern::{QuerySignature, ViewSignature};
 use xpath_views::prelude::*;
 use xpath_views::workload::{
-    bib_catalog, catalog_zipf_stream, derived_view_pool, site_catalog, site_doc,
-    site_intersect_catalog, Fragment,
+    catalog_zipf_stream, site_catalog, site_doc, site_intersect_catalog, Fragment,
 };
 
 use common::instance_from_seed;
@@ -53,76 +51,59 @@ fn signature_reject_implies_no_rewriting() {
     assert!(rejected >= 50, "filter never fired ({rejected}/{pairs}) — the test is vacuous");
 }
 
-/// The catalog regime the benches measure: with views derived from a
-/// *foreign* catalog in the pool, most candidates are label-mask-rejected,
-/// and the filter must still be invisible in every answer and route.
+/// One answer lane: the arena lane, the owned copy-out wrapper over it and
+/// the reference `Tree` evaluator agree node for node, routes are equal, and
+/// the `stats()` counters move the same whichever API was called — cold and
+/// with the plan memo warm — over the overlapping-view catalog, whose hot
+/// queries only multi-view **intersection** routes can serve.
 #[test]
-fn filter_is_invisible_on_the_derived_pool() {
-    let pool = derived_view_pool(&[&site_catalog(), &bib_catalog()], 3, 7);
-    let stream = catalog_zipf_stream(&site_catalog(), 60, 0x21F);
-    let build = |filter: bool| {
-        let cache = ShardedViewCache::new(site_doc(6, 6, 5)).with_shards(2);
-        cache.set_memo_enabled(false);
-        cache.set_sig_filter_enabled(filter);
-        for (name, def) in &pool {
+fn arena_lane_owned_wrapper_and_reference_agree() {
+    let catalog = site_intersect_catalog();
+    let stream = catalog_zipf_stream(&catalog, 48, 0x51);
+    let doc = site_doc(6, 6, 5);
+    let build = || {
+        let cache = ShardedViewCache::new(doc.clone()).with_shards(2);
+        for (name, def) in &catalog.views {
             cache.add_view(name, def.clone());
         }
         cache
     };
-    let on = build(true);
-    let off = build(false);
-    let a = on.answer_batch(&stream);
-    let b = off.answer_batch(&stream);
-    for ((x, y), q) in a.iter().zip(&b).zip(&stream) {
-        assert_eq!(x.nodes, y.nodes, "filter changed an answer for {q}");
-        assert_eq!(x.route, y.route, "filter changed a route for {q}");
-    }
-    let s = on.stats();
-    assert!(s.sig_rejects > 0, "the foreign-catalog pool must trigger rejections");
-    assert_eq!(off.stats().sig_rejects, 0, "filter off must not reject");
-}
-
-/// Arena answers are byte-identical to owned-`Vec` answers across the
-/// full ablation grid — flat matcher on/off × signature filter on/off ×
-/// plan memo on/off — over the overlapping-view catalog, whose hot
-/// queries only multi-view **intersection** routes can serve.
-#[test]
-fn arena_answers_match_owned_answers_across_ablations() {
-    let catalog = site_intersect_catalog();
-    let stream = catalog_zipf_stream(&catalog, 48, 0x51);
-    for flat in [true, false] {
-        for filter in [true, false] {
-            for memo in [true, false] {
-                let cache = ShardedViewCache::new(site_doc(6, 6, 5)).with_shards(2);
-                cache.set_flat_enabled(flat);
-                cache.set_sig_filter_enabled(filter);
-                cache.set_memo_enabled(memo);
-                for (name, def) in &catalog.views {
-                    cache.add_view(name, def.clone());
-                }
-                let owned = cache.answer_batch(&stream);
-                let mut arena = AnswerArena::new();
-                let refs = cache.answer_batch_refs(&stream, &mut arena);
-                assert!(
-                    owned.iter().any(|a| matches!(a.route, Route::Intersect { .. })),
-                    "stream must exercise intersection routes"
-                );
-                assert_eq!(owned.len(), refs.len());
-                for ((o, r), q) in owned.iter().zip(&refs).zip(&stream) {
-                    assert_eq!(
-                        o.nodes.as_slice(),
-                        arena.get(r.nodes),
-                        "arena nodes diverge (flat={flat}, filter={filter}, memo={memo}) for {q}"
-                    );
-                    assert_eq!(
-                        &o.route,
-                        r.route.as_ref(),
-                        "arena route diverges (flat={flat}, filter={filter}, memo={memo}) for {q}"
-                    );
-                }
-            }
+    // Each cache sees the stream twice, once through either API, in
+    // opposite orders: both passes (all misses, then all hits) are compared.
+    let (refs_first, owned_first) = (build(), build());
+    let mut arena = AnswerArena::new();
+    for pass in 0..2 {
+        let (via_refs, via_owned) =
+            if pass == 0 { (&refs_first, &owned_first) } else { (&owned_first, &refs_first) };
+        let refs = via_refs.answer_batch_refs(&stream, &mut arena);
+        let owned = via_owned.answer_batch(&stream);
+        assert!(
+            owned.iter().any(|a| matches!(a.route, Route::Intersect { .. })),
+            "stream must exercise intersection routes"
+        );
+        assert_eq!(owned.len(), refs.len());
+        for ((o, r), q) in owned.iter().zip(&refs).zip(&stream) {
+            assert_eq!(o.nodes.as_slice(), arena.get(r.nodes), "lanes diverge for {q}");
+            assert_eq!(o.nodes, evaluate(q, &doc), "answer is not the reference's for {q}");
+            assert_eq!(&o.route, r.route.as_ref(), "routes diverge for {q}");
         }
+        let (a, b) = (via_refs.stats(), via_owned.stats());
+        assert_eq!(a.queries, ((pass + 1) * stream.len()) as u64);
+        for (name, x, y) in [
+            ("queries", a.queries, b.queries),
+            ("plan_memo_hits", a.plan_memo_hits, b.plan_memo_hits),
+            ("plan_memo_misses", a.plan_memo_misses, b.plan_memo_misses),
+            ("batch_dedup_hits", a.batch_dedup_hits, b.batch_dedup_hits),
+            ("view_hits", a.view_hits, b.view_hits),
+            ("intersect_hits", a.intersect_hits, b.intersect_hits),
+            ("direct", a.direct, b.direct),
+            ("sig_rejects", a.sig_rejects, b.sig_rejects),
+        ] {
+            assert_eq!(x, y, "counter {name} depends on which API was called (pass {pass})");
+        }
+        assert!(a.batch_dedup_hits > 0 && a.intersect_hits > 0);
     }
+    assert!(refs_first.stats().sig_rejects > 0, "the filter never fired on this pool");
 }
 
 /// Fan-out sharing: a batch of one query repeated K times stores the node
