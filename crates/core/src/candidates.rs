@@ -8,12 +8,12 @@
 //!   descendant edges.
 //!
 //! Both are constructible in linear time. A candidate `R'` is a rewriting iff
-//! `R' ◦ V ≡ P`, which [`test_candidate`] decides with the (coNP) equivalence
-//! procedure of `xpv-semantics` — the only non-polynomial step of the whole
-//! algorithm, exactly as the paper advertises.
+//! `R' ◦ V ≡ P`, which [`test_candidate_with_oracle`] decides with the (coNP)
+//! equivalence procedure of `xpv-semantics` — the only non-polynomial step
+//! of the whole algorithm, exactly as the paper advertises.
 
 use xpv_pattern::{compose, Pattern};
-use xpv_semantics::{ContainmentOptions, ContainmentOracle};
+use xpv_semantics::ContainmentOracle;
 
 /// A natural candidate, tagged with whether it is the relaxed one.
 #[derive(Clone, Debug)]
@@ -58,22 +58,9 @@ pub struct CandidateTestStats {
 /// Tests whether `r` is a rewriting of `p` using `v`, i.e. `r ◦ v ≡ p`.
 /// Label clashes (`r ◦ v = Υ`) are never rewritings since `p` is satisfiable.
 ///
-/// Convenience wrapper running a fresh [`ContainmentOracle`]; planner-scale
-/// callers use [`test_candidate_with_oracle`] so verdicts are shared.
-pub fn test_candidate(
-    p: &Pattern,
-    v: &Pattern,
-    r: &Pattern,
-    opts: &ContainmentOptions,
-    stats: &mut CandidateTestStats,
-) -> bool {
-    let oracle = ContainmentOracle::with_options(*opts);
-    test_candidate_with_oracle(p, v, r, &oracle, stats)
-}
-
-/// [`test_candidate`] deciding both containments through a shared `oracle`:
-/// repeated candidate tests on overlapping instances reuse each other's
-/// verdicts (and homomorphism witnesses) instead of recomputing them.
+/// Both containments are decided through the shared `oracle`: repeated
+/// candidate tests on overlapping instances reuse each other's verdicts (and
+/// homomorphism witnesses) instead of recomputing them.
 pub fn test_candidate_with_oracle(
     p: &Pattern,
     v: &Pattern,
@@ -139,10 +126,10 @@ mod tests {
         let p = pat("a[b]//*/e[d]");
         let v = pat("a[b]/*");
         let cands = natural_candidates(&p, &v);
-        let opts = ContainmentOptions::default();
+        let oracle = ContainmentOracle::new();
         let mut stats = CandidateTestStats::default();
-        assert!(!test_candidate(&p, &v, &cands[0].pattern, &opts, &mut stats));
-        assert!(test_candidate(&p, &v, &cands[1].pattern, &opts, &mut stats));
+        assert!(!test_candidate_with_oracle(&p, &v, &cands[0].pattern, &oracle, &mut stats));
+        assert!(test_candidate_with_oracle(&p, &v, &cands[1].pattern, &oracle, &mut stats));
         assert!(stats.equivalence_tests >= 2);
     }
 
@@ -153,13 +140,8 @@ mod tests {
         // Candidate c composed with V clashes (glb(c, x) = ⋄).
         let cands = natural_candidates(&p, &v);
         let mut stats = CandidateTestStats::default();
-        assert!(!test_candidate(
-            &p,
-            &v,
-            &cands[0].pattern,
-            &ContainmentOptions::default(),
-            &mut stats
-        ));
+        let oracle = ContainmentOracle::new();
+        assert!(!test_candidate_with_oracle(&p, &v, &cands[0].pattern, &oracle, &mut stats));
         assert_eq!(stats.equivalence_tests, 0);
     }
 

@@ -16,11 +16,10 @@
 //!   homomorphism witness, and interned pattern is shared across all the
 //!   queries and views the session sees ([`PlannerStats`] reports per-call
 //!   memo hits / misses and coNP work);
-//! * [`ptime_rewrite`] — the homomorphism-based PTIME baseline of Xu &
-//!   Özsoyoglu \[17\] for the three sub-fragments;
+//! * [`multiview`] — view chains (Proposition 2.4) and contained
+//!   rewritings (sound partial answers, the paper's open problem 3);
 //! * [`figures`] — executable reconstructions of the paper's Figures 1–4.
 
-pub mod baseline;
 pub mod brute;
 pub mod candidates;
 pub mod conditions;
@@ -28,20 +27,17 @@ pub mod figures;
 pub mod multiview;
 pub mod planner;
 
-pub use baseline::{hom_equivalent, ptime_rewrite, PtimeAnswer};
 pub use brute::{
     brute_force_rewrite, brute_force_rewrite_with_oracle, BruteForceConfig, BruteForceOutcome,
     BruteForceStats,
 };
 pub use candidates::{
-    natural_candidates, test_candidate, test_candidate_with_oracle, Candidate, CandidateTestStats,
+    natural_candidates, test_candidate_with_oracle, Candidate, CandidateTestStats,
 };
 pub use conditions::{find_condition, Condition};
 pub use figures::{figure1, figure2, figure3, figure4, Figure1, Figure2, Figure3, Figure4};
 pub use multiview::{
-    contained_rewriting, contained_rewriting_in, rewritable_views, rewritable_views_in,
-    rewrite_using_chain, rewrite_using_chain_in, rewrite_using_intersection,
-    rewrite_using_intersection_in, ChainAnswer, IntersectionAnswer, ViewChoice,
+    contained_rewriting, rewrite_using_chain, rewrite_using_chain_in, ChainAnswer,
 };
 pub use planner::{
     Method, NoRewriteReason, PlannerStats, PlanningSession, RewriteAnswer, RewritePlanner,

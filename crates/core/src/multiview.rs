@@ -1,42 +1,24 @@
 //! Extensions beyond the paper's core results.
 //!
 //! The paper's conclusion lists open problems; two admit useful *sound*
-//! (if incomplete) treatments that a view-answering system needs, and both
-//! are implemented here with their limitations documented:
+//! (if incomplete) treatments, implemented here with their limitations
+//! documented:
 //!
-//! * **Open problem 5 — rewriting using multiple views.** Partially closed.
-//!   We support (a) *view chains*: when `V2` was materialized over the
-//!   result of `V1` (a cache hierarchy), the effective view is the
-//!   composition `V2 ◦ V1` (Proposition 2.4), and the single-view planner
-//!   applies verbatim; (b) *view selection*: ranking all individually-usable
-//!   views of a pool; and (c) **intersection rewritings**
-//!   ([`rewrite_using_intersection`], following Cautis, Deutsch, Ileana &
-//!   Onose, *Rewriting XPath Queries using View Intersections*): several
-//!   views are combined by intersecting their answer *node sets* and
-//!   planning a compensation pattern over the exact intersection pattern
-//!   ([`xpv_pattern::intersect_patterns`]). This genuinely combines views —
-//!   a query answerable by no single view can be answered by a pair or
-//!   triple jointly. **Completeness limits**: the intersection pattern
-//!   exists only when the participants share a forced selection spine
-//!   (equal depth, child-only edges below the root edge); intersections
-//!   whose semantics require DAG patterns (differing depths, `//` spines —
-//!   the interleavings of Cautis et al.) are not attempted, and the
-//!   subset search in `xpv-intersect` is budgeted, so a planner "no" is
-//!   *not* a proof that no multi-view rewriting exists. Every positive
-//!   answer is verified (`R ◦ M ≡ P`), so soundness is unconditional.
+//! * **Open problem 5 — rewriting using multiple views.** This module
+//!   covers *view chains*: when `V2` was materialized over the result of
+//!   `V1` (a cache hierarchy), the effective view is the composition
+//!   `V2 ◦ V1` (Proposition 2.4), and the single-view planner applies
+//!   verbatim. Rewritings over view *intersections* (Cautis, Deutsch,
+//!   Ileana & Onose) are implemented once, in the `xpv-intersect` crate.
 //!
 //! * **Open problem 3 — maximally-contained rewritings.** We compute
 //!   *contained* rewritings: `R` with `R ◦ V ⊑ P`, which yield sound partial
 //!   answers when no equivalent rewriting exists. Maximality is not claimed;
 //!   the candidates tried are the natural candidates and their
 //!   branch-reduced variants.
-//!
-//! The pool- and subset-level machinery (participant selection, node-set
-//! evaluation, serving integration) lives one layer up in the
-//! `xpv-intersect` crate; this module provides the planner entry points.
 
-use xpv_pattern::{compose, compose_chain, intersect_patterns, Pattern};
-use xpv_semantics::{remove_redundant_branches, ContainmentOracle};
+use xpv_pattern::{compose, compose_chain, Pattern};
+use xpv_semantics::{contained, remove_redundant_branches};
 
 use crate::candidates::natural_candidates;
 use crate::planner::{PlanningSession, RewriteAnswer, RewritePlanner};
@@ -86,116 +68,12 @@ pub fn rewrite_using_chain_in(
     })
 }
 
-/// The result of planning against the intersection of a fixed set of views.
-///
-/// Mirrors [`ChainAnswer`]: `intersection` is the exact intersection
-/// pattern `M` with `M(t) = V1(t) ∩ … ∩ Vn(t)` (`None` when the views do
-/// not admit a tree-expressible intersection — see
-/// [`xpv_pattern::intersect_patterns`] for the shape conditions), and
-/// `answer` is the planner's verdict for rewriting `p` over `M`. A
-/// [`RewriteAnswer::Rewriting`] here is a **compensation pattern**: evaluate
-/// it anchored on the node-set intersection of the materialized views to
-/// obtain exactly `p`'s answers.
-#[derive(Clone, Debug)]
-pub struct IntersectionAnswer {
-    /// The exact intersection pattern, when the views admit one.
-    pub intersection: Option<Pattern>,
-    /// The planner's verdict against the intersection pattern.
-    pub answer: Option<RewriteAnswer>,
-}
-
-/// Plans a rewriting of `p` over the **intersection** of `views` — the
-/// multi-view entry point beside [`rewritable_views`] (which ranks views
-/// individually) and [`rewrite_using_chain`] (which composes stacked
-/// views). Returns `None` for an empty view set.
-///
-/// Soundness: a returned rewriting `R` satisfies `R ◦ M ≡ P` where
-/// `M(t) = ∩ Vi(t)` on every document, so `R` evaluated anchored at the
-/// node-set intersection returns exactly `P(t)`. Completeness: limited to
-/// tree-expressible intersections (the Cautis et al. tractability/
-/// completeness trade-off) — a `None` intersection or a negative answer
-/// does not prove that no multi-view rewriting exists.
-pub fn rewrite_using_intersection(
-    planner: &RewritePlanner,
-    p: &Pattern,
-    views: &[&Pattern],
-) -> Option<IntersectionAnswer> {
-    rewrite_using_intersection_in(&planner.session(), p, views)
-}
-
-/// [`rewrite_using_intersection`] planning through a shared
-/// [`PlanningSession`]: subset searches over a pool re-test many
-/// `(p, M)` sub-containments, which the session's oracle memoizes.
-pub fn rewrite_using_intersection_in(
-    session: &PlanningSession,
-    p: &Pattern,
-    views: &[&Pattern],
-) -> Option<IntersectionAnswer> {
-    if views.is_empty() {
-        return None;
-    }
-    Some(match intersect_patterns(views) {
-        None => IntersectionAnswer { intersection: None, answer: None },
-        Some(m) => {
-            let answer = session.decide(p, &m);
-            IntersectionAnswer { intersection: Some(m), answer: Some(answer) }
-        }
-    })
-}
-
-/// One usable view from a pool.
-#[derive(Clone, Debug)]
-pub struct ViewChoice {
-    /// Index into the pool.
-    pub index: usize,
-    /// The verified rewriting over that view.
-    pub rewriting: Pattern,
-}
-
-/// Ranks every view in `pool` that admits an equivalent rewriting of `p`,
-/// in pool order. A cache can then pick by any cost model (e.g. smallest
-/// materialized result).
-pub fn rewritable_views(
-    planner: &RewritePlanner,
-    p: &Pattern,
-    pool: &[Pattern],
-) -> Vec<ViewChoice> {
-    rewritable_views_in(&planner.session(), p, pool)
-}
-
-/// [`rewritable_views`] planning through a shared [`PlanningSession`]:
-/// ranking one query against a whole pool repeats many sub-containments
-/// (every candidate is tested against the *same* query), which the session's
-/// oracle serves from its memo.
-pub fn rewritable_views_in(
-    session: &PlanningSession,
-    p: &Pattern,
-    pool: &[Pattern],
-) -> Vec<ViewChoice> {
-    let mut out = Vec::new();
-    for (index, v) in pool.iter().enumerate() {
-        if let RewriteAnswer::Rewriting(rw) = session.decide(p, v) {
-            out.push(ViewChoice { index, rewriting: rw.pattern().clone() });
-        }
-    }
-    out
-}
-
 /// A **contained rewriting**: some `R` with `R ◦ V ⊑ P` and `R ◦ V`
 /// satisfiable, so `R(V(t)) ⊆ P(t)` on every document — sound partial
 /// answers from the view. Returns `None` when none of the tried candidates
 /// works (which does *not* prove none exists; maximally-contained rewriting
 /// is the paper's open problem 3).
 pub fn contained_rewriting(p: &Pattern, v: &Pattern) -> Option<Pattern> {
-    contained_rewriting_in(&ContainmentOracle::new(), p, v)
-}
-
-/// [`contained_rewriting`] deciding containments through a shared `oracle`.
-pub fn contained_rewriting_in(
-    oracle: &ContainmentOracle,
-    p: &Pattern,
-    v: &Pattern,
-) -> Option<Pattern> {
     if v.depth() > p.depth() {
         return None;
     }
@@ -208,7 +86,7 @@ pub fn contained_rewriting_in(
     }
     for r in tried {
         if let Some(rv) = compose(&r, v) {
-            if oracle.contained(&rv, p) {
+            if contained(&rv, p) {
                 return Some(r);
             }
         }
@@ -260,61 +138,6 @@ mod tests {
     fn empty_chain_is_none_not_a_panic() {
         let planner = RewritePlanner::default();
         assert!(rewrite_using_chain(&planner, &pat("a/b"), &[]).is_none());
-        assert!(rewrite_using_intersection(&planner, &pat("a/b"), &[]).is_none());
-    }
-
-    #[test]
-    fn intersection_rewrites_jointly_sufficient_views() {
-        // Neither view alone admits a rewriting (each misses a predicate on
-        // the *parent* of the output, which no compensation can reach), but
-        // their intersection is exactly the query's answer set.
-        let planner = RewritePlanner::default();
-        let v1 = pat("site/region/item[bids]/name");
-        let v2 = pat("site/region/item[shipping]/name");
-        let p = pat("site/region/item[bids][shipping]/name");
-        assert!(planner.decide(&p, &v1).rewriting().is_none());
-        assert!(planner.decide(&p, &v2).rewriting().is_none());
-
-        let ans = rewrite_using_intersection(&planner, &p, &[&v1, &v2]).expect("nonempty");
-        let m = ans.intersection.expect("views merge");
-        assert_eq!(m.to_string(), "site/region/item[bids][shipping]/name");
-        let rw = match ans.answer.expect("planned") {
-            RewriteAnswer::Rewriting(rw) => rw,
-            other => panic!("expected a compensation, got {other:?}"),
-        };
-        let rm = compose(rw.pattern(), &m).expect("composes");
-        assert!(equivalent(&rm, &p));
-    }
-
-    #[test]
-    fn intersection_reports_unmergeable_views() {
-        let planner = RewritePlanner::default();
-        let ans = rewrite_using_intersection(
-            &planner,
-            &pat("a/b/c"),
-            &[&pat("a/b/c"), &pat("a/c")], // depth mismatch: no tree merge
-        )
-        .expect("nonempty");
-        assert!(ans.intersection.is_none());
-        assert!(ans.answer.is_none());
-    }
-
-    #[test]
-    fn pool_ranking_finds_all_usable_views() {
-        let planner = RewritePlanner::default();
-        let pool = vec![
-            pat("site/region"),      // usable
-            pat("site//name"),       // output too deep / wrong shape
-            pat("site/region/item"), // usable
-        ];
-        let p = pat("site/region/item/name");
-        let choices = rewritable_views(&planner, &p, &pool);
-        let indices: Vec<usize> = choices.iter().map(|c| c.index).collect();
-        assert_eq!(indices, vec![0, 2]);
-        for c in &choices {
-            let rv = compose(&c.rewriting, &pool[c.index]).expect("composes");
-            assert!(equivalent(&rv, &p));
-        }
     }
 
     #[test]

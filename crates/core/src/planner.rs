@@ -341,8 +341,8 @@ impl RewritePlanner {
 /// One-shot `RewritePlanner::decide` calls pay the full coNP cost every
 /// time; a session shares interned patterns, homomorphism witnesses, and
 /// containment verdicts across *all* queries and views it sees, which is
-/// what makes repeated traffic cheap (the `ViewCache` holds one for its
-/// entire lifetime).
+/// what makes repeated traffic cheap (the `ShardedViewCache` holds one for
+/// its entire lifetime).
 ///
 /// Like the oracle it wraps, a session is fully shareable: `decide` takes
 /// `&self`, so worker threads answering concurrent traffic plan through one

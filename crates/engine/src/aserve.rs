@@ -1,8 +1,7 @@
 //! The asynchronous serving front-end: many connections, a fixed CPU pool.
 //!
-//! [`AsyncCacheServer`] replaces the blocking submit/wait seam of the old
-//! worker pool with the `xpv-net` runtime: every connection (TCP or
-//! Unix-domain, see [`AsyncCacheServer::listen_tcp`] /
+//! [`AsyncCacheServer`] serves through the `xpv-net` runtime: every
+//! connection (TCP or Unix-domain, see [`AsyncCacheServer::listen_tcp`] /
 //! [`AsyncCacheServer::listen_unix`]) is one suspended task on an
 //! epoll-driven reactor, so **idle or slow connections hold no worker
 //! thread** — the fixed pool of `workers` threads is spent exclusively on
@@ -17,16 +16,13 @@
 //! permit for every admitted frame — once the window is full it simply
 //! stops reading, letting the kernel socket buffer (and eventually the
 //! client's own send path) absorb the excess. A client can neither flood
-//! the admission queue nor starve other connections; it throttles itself,
-//! which is exactly the contract the old blocking [`CacheServer::submit`]
-//! gave in-process callers.
+//! the admission queue nor starve other connections; it throttles itself.
 //!
-//! The in-process transport keeps that legacy contract verbatim:
+//! The in-process transport gives embedders the same contract:
 //! [`AsyncCacheServer::submit`] blocks the submitting thread while
 //! `max_pending` batches are in flight (counting a
 //! [`TenantStats::admission_waits`] when it does) and returns a
-//! [`BatchTicket`] resolving to the answers. [`CacheServer`] is a thin
-//! wrapper over exactly this path.
+//! [`BatchTicket`] resolving to the answers.
 //!
 //! ## Graceful drain
 //!
@@ -41,8 +37,7 @@
 //!
 //! CPU-bound work (planning + evaluation, and `apply_edits` with its
 //! writer gate) runs directly on the worker that polls the task — the
-//! pool size bounds simultaneous cache work exactly like the old
-//! dedicated worker threads did.
+//! pool size bounds simultaneous cache work.
 
 use std::io;
 use std::net::SocketAddr;
@@ -890,6 +885,97 @@ mod tests {
         for (q, a) in qs.iter().zip(&answers) {
             assert_eq!(a.nodes, server.cache().answer_direct(q), "order broken for {q}");
         }
+    }
+
+    #[test]
+    fn concurrent_submissions_from_many_tenants() {
+        let server = server(4);
+        let qs = vec![pat("site/region/item/name"), pat("site/region/item")];
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (server, qs) = (&server, &qs);
+                scope.spawn(move || {
+                    let tenant = format!("tenant-{t}");
+                    for _ in 0..5 {
+                        let answers = server.answer_batch(&tenant, qs.clone());
+                        assert_eq!(answers.len(), qs.len());
+                    }
+                });
+            }
+        });
+        let tenants = server.tenants();
+        assert_eq!(tenants.len(), 4);
+        for (name, stats) in tenants {
+            assert_eq!(stats.batches, 5, "{name}");
+            assert_eq!(stats.queries, 10, "{name}");
+            assert_eq!(stats.view_hits + stats.direct, stats.queries, "{name}");
+        }
+        assert_eq!(server.cache().stats().queries, 40);
+    }
+
+    #[test]
+    fn tickets_allow_pipelined_submission() {
+        let server = server(2);
+        let q = pat("site/region/item/name");
+        let tickets: Vec<BatchTicket> =
+            (0..8).map(|_| server.submit("pipeline", vec![q.clone()])).collect();
+        for ticket in tickets {
+            let answers = ticket.wait();
+            assert_eq!(answers[0].nodes, server.cache().answer_direct(&q));
+        }
+        assert_eq!(server.tenant_stats("pipeline").unwrap().batches, 8);
+    }
+
+    #[test]
+    fn drop_completes_pending_work() {
+        let server = server(1);
+        let q = pat("site/region/item/name");
+        let tickets: Vec<BatchTicket> =
+            (0..4).map(|_| server.submit("t", vec![q.clone()])).collect();
+        drop(server);
+        // The drain completes every admitted batch before stopping.
+        for ticket in tickets {
+            assert_eq!(ticket.wait().len(), 1);
+        }
+    }
+
+    #[test]
+    fn tenant_stats_display() {
+        let server = server(1);
+        // A slice submission: `impl Into<Vec<Pattern>>` clones it.
+        let _ = server.answer_batch("acme", &[pat("site/region/item/name")][..]);
+        let stats = server.tenant_stats("acme").unwrap();
+        let line = stats.to_string();
+        assert!(line.contains("queries=1"), "got: {line}");
+        assert!(line.contains("batches=1"), "got: {line}");
+        // Display renders the same enumeration `visit` exposes.
+        stats.visit(&mut |name, _| {
+            assert!(line.contains(&format!("{name}=")), "{name} missing from: {line}");
+        });
+        assert!(!line.contains('\n'));
+    }
+
+    #[test]
+    fn updates_flow_through_the_server_and_are_accounted() {
+        let server = server(2);
+        let q = pat("site/region/item/name");
+        let before = server.answer_batch("writer", std::slice::from_ref(&q));
+        let doc = server.cache().document();
+        let region = doc.children(doc.root())[0];
+        let graft = TreeBuilder::root("item", |b| {
+            b.leaf("name");
+        });
+        let report = server
+            .apply_edits("writer", &[Edit::InsertSubtree { parent: region, subtree: graft }])
+            .expect("valid edit");
+        assert_eq!(report.edits_applied, 1);
+        let after = server.answer_batch("writer", std::slice::from_ref(&q));
+        assert_eq!(after[0].nodes.len(), before[0].nodes.len() + 1);
+        assert_eq!(after[0].nodes, server.cache().answer_direct(&q));
+        let stats = server.tenant_stats("writer").expect("accounted");
+        assert_eq!(stats.updates_applied, 1);
+        assert_eq!(stats.views_refreshed_incrementally, 1);
+        assert_eq!(stats.batches, 2);
     }
 
     #[test]

@@ -9,43 +9,36 @@
 //! Proposition 2.4 — `R ◦ V (t) = R(V(t))` — is the correctness contract
 //! the tests enforce end to end on both.
 //!
-//! ## Architecture: shard → cache → serve
+//! ## Architecture: one cache type, one server type
 //!
-//! The serving path is built for shared-state concurrency, in three layers:
+//! The serving path is built for shared-state concurrency, in two layers:
 //!
-//! * [`ShardedViewCache`] (**[`shard`]**) — the concurrent core. One
-//!   document, a copy-on-write view pool, and a plan memo partitioned into
-//!   lock shards by query fingerprint; every serving method takes `&self`.
-//!   Planning flows through one shared [`xpv_core::PlanningSession`] whose
-//!   containment oracle is itself sharded and `&self`-safe, so all threads
-//!   pool all coNP work. Queries no single view can answer are routed
-//!   through **multi-view intersections** (`xpv-intersect`,
-//!   [`Route::Intersect`]): a small view subset whose node-set intersection
-//!   supports a verified compensation serves them jointly. The memo is
-//!   LRU-bounded ([`ShardedViewCache::with_memo_cap`]); `add_view`
-//!   invalidates only the entries whose plan depends on the grown pool, and
-//!   `remove_view` / `replace_view` only those whose participants the
-//!   removal touches — answers are byte-identical to the single-threaded
-//!   cache on any schedule.
-//! * [`ViewCache`] (**[`cache`]**) — the familiar single-threaded API, now
-//!   a thin wrapper over one shard: same planning, memo, stats, and
-//!   answers, with `&mut self` ergonomics and no cross-thread traffic.
+//! * [`ShardedViewCache`] (**[`shard`]**) — the engine. One document, a
+//!   copy-on-write view pool, and a plan memo partitioned into lock shards
+//!   by query fingerprint; every serving method takes `&self`, so one
+//!   thread or many use the same type. Planning flows through one shared
+//!   [`xpv_core::PlanningSession`] whose containment oracle is itself
+//!   sharded and `&self`-safe, so all threads pool all coNP work. Queries
+//!   no single view can answer are routed through **multi-view
+//!   intersections** (`xpv-intersect`, [`Route::Intersect`]): a small view
+//!   subset whose node-set intersection supports a verified compensation
+//!   serves them jointly. The memo is LRU-bounded
+//!   ([`ShardedViewCache::with_memo_cap`]); `add_view` invalidates only the
+//!   entries whose plan depends on the grown pool, `remove_view` /
+//!   `replace_view` only those whose participants the removal touches, and
+//!   `apply_edits` none (a route is a fact about patterns, not data) —
+//!   answers are identical on any thread schedule. The plan path has no
+//!   settings: no view-choice policy, no pluggable planner, no search
+//!   budget to tune.
 //! * [`AsyncCacheServer`] (**[`aserve`]**) — the service front-end: any
 //!   number of wire-protocol connections (TCP / Unix-domain, via the
-//!   `xpv-net` reactor) plus the in-process transport, multiplexed onto a
-//!   fixed CPU worker pool over one shared `ShardedViewCache`. Idle
-//!   connections are suspended tasks, not pinned threads; admission is
-//!   credit-based per connection (see the `xpv-net` crate docs for the
-//!   wire protocol and backpressure spec); per-tenant accounting
-//!   ([`TenantStats`]) and graceful drain are built in.
-//! * [`CacheServer`] (**[`serve`]**) — the synchronous façade kept for
-//!   in-process embedders: the old blocking-submit worker-pool API as a
-//!   thin wrapper over `AsyncCacheServer`'s in-process transport.
-//!
-//! Pick the innermost layer that fits: library callers embedding a cache in
-//! one thread use `ViewCache`; multi-threaded embedders share a
-//! `ShardedViewCache`; in-process services front it with `CacheServer`;
-//! network services with `AsyncCacheServer`.
+//!   `xpv-net` reactor) plus the blocking in-process transport
+//!   ([`AsyncCacheServer::submit`]), multiplexed onto a fixed CPU worker
+//!   pool over one shared `ShardedViewCache`. Idle connections are
+//!   suspended tasks, not pinned threads; admission is credit-based per
+//!   connection (see the `xpv-net` crate docs for the wire protocol and
+//!   backpressure spec); per-tenant accounting ([`TenantStats`]) and
+//!   graceful drain are built in.
 //!
 //! ## Observability
 //!
@@ -64,9 +57,7 @@
 //! catalogue lives in `docs/METRICS.md`).
 
 pub mod aserve;
-pub mod cache;
 pub mod obs;
-pub mod serve;
 pub mod shard;
 pub mod tenants;
 pub mod view;
@@ -75,18 +66,13 @@ pub use aserve::{
     AsyncCacheServer, BatchRejected, BatchTicket, ObsConfig, DEFAULT_CONN_WINDOW,
     DEFAULT_MAX_PENDING,
 };
-pub use cache::ViewCache;
 pub use obs::{metrics_from_wire, wire_alerts, wire_history, wire_metrics, wire_traces};
-pub use serve::CacheServer;
 pub use shard::{
-    CacheAnswer, CacheAnswerRef, CacheStats, ChoicePolicy, Route, ShardedViewCache, UpdateReport,
-    ViewId, DEFAULT_CACHE_SHARDS,
+    CacheAnswer, CacheAnswerRef, CacheStats, Route, ShardedViewCache, UpdateReport, ViewId,
+    DEFAULT_CACHE_SHARDS,
 };
 pub use tenants::TenantStats;
 pub use view::{answer_value_set, MaterializedView};
-// Re-exported so embedders can tune the intersection planner without a
-// direct `xpv-intersect` dependency.
-pub use xpv_intersect::IntersectConfig;
 // Re-exported so embedders can drive document updates without a direct
 // `xpv-maintain` dependency.
 pub use xpv_maintain::{Edit, EditError, MaintainStats};

@@ -1,9 +1,8 @@
 //! The sharded, concurrent core of the view cache.
 //!
-//! [`ShardedViewCache`] is the shared-state engine behind both the
-//! single-threaded [`ViewCache`](crate::ViewCache) wrapper (one shard) and
-//! the [`CacheServer`](crate::CacheServer) worker pool (many threads over
-//! one cache). Every serving method takes **`&self`**:
+//! [`ShardedViewCache`] is the engine: one cache type, shared by any
+//! number of threads (the [`AsyncCacheServer`](crate::AsyncCacheServer)
+//! worker pool runs over one). Every serving method takes **`&self`**:
 //!
 //! * the **view pool** is a copy-on-write snapshot
 //!   (`RwLock<Arc<Vec<Arc<MaterializedView>>>>`): answering threads clone
@@ -46,37 +45,28 @@
 //!
 //! ## Memo lifecycle
 //!
-//! The memo is **bounded** (per-shard LRU over a configurable total entry
-//! cap, [`ShardedViewCache::with_memo_cap`]) and **selectively
-//! invalidated**: each entry records the stable [`ViewId`]s its plan
-//! depends on ([`PlanDep`]), and [`ShardedViewCache::add_view`] only drops
-//! entries whose plan actually depends on the grown pool — a `Direct` route
-//! (which asserted "no registered view rewrites this query"), an
-//! `Intersect` route (chosen only after that same failed whole-pool scan),
-//! or any route chosen by a whole-pool scan
-//! ([`ChoicePolicy::SmallestView`]). Routes found by
-//! [`ChoicePolicy::FirstMatch`] stopped at the first usable view; appending
-//! a view cannot change them, so they survive registration.
-//! [`ShardedViewCache::remove_view`] (now `&self`, like `add_view`, thanks
-//! to the stable ids) is the mirror image: `Direct` routes survive
-//! (shrinking the pool cannot create a rewriting), and only routes whose
-//! participant set contains the removed id — plus whole-pool-scan choices —
-//! are dropped, so replacing a participant of an `Intersect` route always
-//! invalidates that route. [`ShardedViewCache::apply_edits`] is
-//! **participant-aware** in the same way: it drops exactly the routes whose
-//! participants' answer sets the batch changed; `Direct` routes and
-//! untouched view/intersection routes survive document edits outright.
+//! The memo is **bounded** (per-shard LRU over a total entry cap,
+//! [`ShardedViewCache::with_memo_cap`]). A memoized route is a fact about
+//! *patterns* — `R ∘ V ≡ P` holds on every document — so only a change of
+//! the pool's membership can invalidate it. Each entry records the stable
+//! [`ViewId`]s its plan depends on ([`PlanDep`]), and:
+//!
+//! * [`ShardedViewCache::add_view`] drops `Direct` and `Intersect` routes:
+//!   both rest on "no single view rewrites this query", which a new view
+//!   can break. `ViaView` routes stay.
+//! * [`ShardedViewCache::remove_view`] / [`ShardedViewCache::replace_view`]
+//!   drop the routes that have the removed view among their participants.
+//!   `Direct` routes stay (a smaller pool cannot create a rewriting).
+//! * [`ShardedViewCache::apply_edits`] drops nothing: execution reads the
+//!   participants' *current* node sets from the snapshot it runs on.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use xpv_core::{contained_rewriting_in, PlanningSession, RewriteAnswer, RewritePlanner};
-use xpv_intersect::{
-    answer_intersection_virtual, intersect_node_sets, plan_intersection_contained_in,
-    plan_intersection_sig, IntersectConfig,
-};
+use xpv_core::{PlanningSession, RewriteAnswer, RewritePlanner};
+use xpv_intersect::{intersect_node_sets, plan_intersection_sig};
 use xpv_maintain::{
     apply_region_results, coalesce_plan, finalize_deltas, prepare_batch, scan_regions_flat, Edit,
     EditError, MaintainStats,
@@ -145,19 +135,6 @@ impl StateSnapshot {
     }
 }
 
-/// How the cache picks among several usable views.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ChoicePolicy {
-    /// The first registered view that admits a rewriting (lowest planning
-    /// cost: planning stops at the first hit).
-    #[default]
-    FirstMatch,
-    /// Among all views admitting a rewriting, the one with the smallest
-    /// materialized result (lowest evaluation cost; plans against every
-    /// view).
-    SmallestView,
-}
-
 /// How a query was answered.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Route {
@@ -188,9 +165,9 @@ pub struct UpdateReport {
     /// The document version after the batch.
     pub doc_version: u64,
     /// Views whose answer **sets** changed: their stored state was
-    /// re-allocated and the routes depending on them were invalidated.
+    /// re-allocated (routes through them stay memoized).
     pub views_changed: usize,
-    /// Plan-memo routes dropped by the participant-aware sweep.
+    /// Always 0 (edits invalidate no route); the wire frame and perfbench's adapter read it.
     pub routes_dropped: u64,
     /// Counters from the maintainer (regions scanned, label skips, …).
     pub maintain: MaintainStats,
@@ -244,16 +221,14 @@ impl CacheAnswerRef {
 /// Aggregate statistics over the cache's lifetime.
 ///
 /// `queries == plan_memo_hits + plan_memo_misses` holds across
-/// [`ShardedViewCache::answer`], [`ShardedViewCache::answer_batch`] and
-/// [`ShardedViewCache::answer_partial`]; duplicates deduplicated inside one
-/// batch count as `plan_memo_hits` (their route was served without a
-/// planner call) and additionally as `batch_dedup_hits`. Fully-answered
-/// queries split as `view_hits + intersect_hits + direct`; partial answers
-/// served through a *contained* (non-equivalent) rewriting count toward
-/// `queries` but toward none of the three.
+/// [`ShardedViewCache::answer`] and [`ShardedViewCache::answer_batch`];
+/// duplicates deduplicated inside one batch count as `plan_memo_hits`
+/// (their route was served without a planner call) and additionally as
+/// `batch_dedup_hits`. Queries split as
+/// `view_hits + intersect_hits + direct`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
-    /// Queries answered (full and partial).
+    /// Queries answered.
     pub queries: u64,
     /// Queries answered from a view through an equivalent rewriting.
     pub view_hits: u64,
@@ -289,17 +264,9 @@ pub struct CacheStats {
     pub batch_dedup_hits: u64,
     /// Plan-memo entries evicted by the LRU bound.
     pub plan_memo_evictions: u64,
-    /// Plan-memo entries dropped by selective `add_view` / policy
+    /// Plan-memo entries dropped by selective `add_view` / `remove_view`
     /// invalidation.
     pub plan_memo_invalidations: u64,
-    /// Containment verdicts the session oracle served from its memo.
-    pub oracle_memo_hits: u64,
-    /// Canonical-model loops (coNP containment work) run so far. Flat
-    /// between two answers ⇔ the second answer did zero canonical-model
-    /// containment work.
-    pub oracle_canonical_runs: u64,
-    /// Canonical models enumerated inside those loops.
-    pub oracle_models_checked: u64,
     /// Document edits applied through `apply_edits` over the cache's
     /// lifetime.
     pub updates_applied: u64,
@@ -323,15 +290,8 @@ impl CacheStats {
     /// The observability registry exposes these under `xpv_cache_*`, and
     /// `Display` renders the same list — one naming authority, so the
     /// rendered line and the exposition can never drift (see the
-    /// `xpv-obs` crate docs).
-    ///
-    /// The three `oracle_*` fields are mirrors of the session oracle's
-    /// counters kept for API compatibility; the registry exposition emits
-    /// those numbers only under `xpv_oracle_*` (no counter reaches the
-    /// snapshot under two names), which is why
-    /// [`ShardedViewCache::metrics_snapshot`] skips the `oracle_` prefix
-    /// here. The nested [`CacheStats::maintain`] block enumerates through
-    /// its own [`MaintainStats::visit`].
+    /// `xpv-obs` crate docs). The nested [`CacheStats::maintain`] block
+    /// enumerates through its own [`MaintainStats::visit`].
     pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
         f("queries", self.queries);
         f("view_hits", self.view_hits);
@@ -347,9 +307,6 @@ impl CacheStats {
         f("batch_dedup_hits", self.batch_dedup_hits);
         f("plan_memo_evictions", self.plan_memo_evictions);
         f("plan_memo_invalidations", self.plan_memo_invalidations);
-        f("oracle_memo_hits", self.oracle_memo_hits);
-        f("oracle_canonical_runs", self.oracle_canonical_runs);
-        f("oracle_models_checked", self.oracle_models_checked);
         f("updates_applied", self.updates_applied);
         f("views_refreshed_incrementally", self.views_refreshed_incrementally);
         f("snapshot_read_stalls", self.snapshot_read_stalls);
@@ -380,29 +337,22 @@ pub(crate) enum PlannedRoute {
 }
 
 /// What a memoized plan depends on — the invalidation granularity of
-/// [`ShardedViewCache::add_view`], [`ShardedViewCache::remove_view`], and
-/// [`ShardedViewCache::apply_edits`]. Participants are stable
-/// [`ViewId`]s, so unrelated pool changes never touch a route.
+/// [`ShardedViewCache::add_view`] and [`ShardedViewCache::remove_view`].
+/// Participants are stable [`ViewId`]s, so unrelated pool changes never
+/// touch a route, and document edits touch none (rewritability is decided
+/// on patterns, not data).
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum PlanDep {
-    /// A [`ChoicePolicy::FirstMatch`] commitment to one view: views before
-    /// it failed for pattern-level (data-independent) reasons and views
-    /// appended later cannot become "first", so only removing the chosen
-    /// view itself — or changing its *answers* under document edits —
-    /// invalidates the route.
+    /// A commitment to one view whose rewriting was verified pairwise: the
+    /// route holds on every document and beside any other views, so only
+    /// removing the chosen view itself invalidates it.
     Chosen(ViewId),
-    /// A route only a *whole-pool scan* justifies (a
-    /// [`ChoicePolicy::SmallestView`] choice ranks views by answer count):
-    /// any append, removal, or answer-set change invalidates it.
-    WholePool,
     /// The plan asserted "no view rewrites this query" (a `Direct` route):
-    /// a new view can break the assertion; removals and document edits
-    /// never can (rewritability is decided on patterns, not data).
+    /// a new view can break the assertion; removals never can.
     NoUsableView,
     /// The plan intersects exactly these views, *after* a failed whole-pool
     /// single-view scan: any append invalidates it (a single-view route may
-    /// become available), as does removing — or editing the answers of —
-    /// any participant.
+    /// become available), as does removing any participant.
     Intersect(Vec<ViewId>),
 }
 
@@ -466,10 +416,10 @@ struct ShardStats {
 struct CacheShard {
     memo: RwLock<HashMap<PatternKey, MemoEntry>>,
     stats: ShardStats,
-    /// Plan-time win counts per view (how often a `FirstMatch` plan on
-    /// this shard chose the view): the hit-rate-ordered index the miss
-    /// path sorts filter survivors by, so the common winner pays the
-    /// first containment decision. Keyed by stable id — pool churn never
+    /// Plan-time win counts per view (how often a plan on this shard
+    /// chose the view): the hit-rate-ordered index the miss path sorts
+    /// filter survivors by, so the common winner pays the first
+    /// containment decision. Keyed by stable id — pool churn never
     /// misattributes a win.
     wins: std::sync::Mutex<HashMap<ViewId, u64>>,
 }
@@ -545,9 +495,9 @@ impl CacheObs {
 /// any number of worker threads can answer through one shared cache (see
 /// the module docs for the sharding and invalidation design).
 ///
-/// Results are deterministic: a multi-threaded cache returns exactly the
-/// nodes and routes the single-threaded [`ViewCache`](crate::ViewCache)
-/// returns for the same document, views, and queries.
+/// Results are deterministic: under any thread schedule the cache returns
+/// exactly the nodes and routes one thread gets for the same document,
+/// views, and queries.
 #[derive(Debug)]
 pub struct ShardedViewCache {
     /// The consistent document + view-pool state (see [`StateSnapshot`]).
@@ -560,9 +510,6 @@ pub struct ShardedViewCache {
     /// work.
     write_gate: std::sync::Mutex<()>,
     session: PlanningSession,
-    policy: ChoicePolicy,
-    /// Budget knobs handed to the intersection planner.
-    intersect_cfg: IntersectConfig,
     shards: Box<[CacheShard]>,
     /// Total memo entry bound (`usize::MAX` = unbounded).
     memo_cap: usize,
@@ -570,10 +517,9 @@ pub struct ShardedViewCache {
     /// it under the owning shard's write lock, so the [`memo_cap`] bound is
     /// enforced globally, not per shard.
     memo_entries: AtomicU64,
-    /// Bumped by every pool or document mutation (after the state swap,
-    /// before the invalidation sweep); guards in-flight plans from
-    /// memoizing a route computed against the previous state after the
-    /// sweep already ran.
+    /// Bumped by every pool mutation (after the state swap, before the
+    /// invalidation sweep); guards in-flight plans from memoizing a route
+    /// computed against the previous pool after the sweep already ran.
     views_version: AtomicU64,
     /// Global recency clock for LRU eviction.
     tick: AtomicU64,
@@ -601,14 +547,15 @@ pub struct ShardedViewCache {
 }
 
 impl ShardedViewCache {
-    /// Creates an empty cache over `doc` with the default planner, the
-    /// default shard count, and an unbounded memo.
+    /// Creates an empty cache over `doc` with the default shard count and
+    /// an unbounded memo.
+    ///
+    /// Plans with [`RewritePlanner::without_fallback`] — gates, natural
+    /// candidates and the §4–5 conditions. A pair those leave `Unknown`
+    /// routes `Direct`, which is always sound; the budgeted Proposition 3.4
+    /// brute force is a research instrument that can hold a worker for
+    /// seconds on one 25-byte query, so it stays off the serving path.
     pub fn new(doc: Tree) -> ShardedViewCache {
-        Self::with_planner(doc, RewritePlanner::default())
-    }
-
-    /// Creates an empty cache with a custom planner configuration.
-    pub fn with_planner(doc: Tree, planner: RewritePlanner) -> ShardedViewCache {
         let flat = Arc::new(FlatTree::freeze(&doc));
         ShardedViewCache {
             state: RwLock::new(StateSnapshot {
@@ -619,9 +566,7 @@ impl ShardedViewCache {
                 flat,
             }),
             write_gate: std::sync::Mutex::new(()),
-            session: PlanningSession::new(planner),
-            policy: ChoicePolicy::default(),
-            intersect_cfg: IntersectConfig::default(),
+            session: PlanningSession::new(RewritePlanner::without_fallback()),
             shards: (0..DEFAULT_CACHE_SHARDS).map(|_| CacheShard::default()).collect(),
             memo_cap: usize::MAX,
             memo_entries: AtomicU64::new(0),
@@ -659,22 +604,6 @@ impl ShardedViewCache {
         self
     }
 
-    /// Sets the view-selection policy. Invalidates the whole plan memo:
-    /// routes chosen under the previous policy are stale.
-    pub fn set_policy(&mut self, policy: ChoicePolicy) {
-        self.policy = policy;
-        for shard in self.shards.iter() {
-            let mut memo = shard.memo.write().expect("plan memo poisoned");
-            self.memo_entries.fetch_sub(memo.len() as u64, Ordering::Relaxed);
-            memo.clear();
-        }
-    }
-
-    /// The view-selection policy in effect.
-    pub fn policy(&self) -> ChoicePolicy {
-        self.policy
-    }
-
     /// Number of plan-memo shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -690,18 +619,9 @@ impl ShardedViewCache {
         self.memo_cap
     }
 
-    /// Sets the intersection-planner budget (builder style): largest subset
-    /// size and subsets examined per query.
-    pub fn with_intersect_config(mut self, cfg: IntersectConfig) -> ShardedViewCache {
-        self.intersect_cfg = cfg;
-        self
-    }
-
     /// Drops every memo entry whose [`PlanDep`] matches `stale`, updating
-    /// the live entry count and the invalidation counters. Returns the
-    /// number of routes dropped.
-    fn sweep_memo(&self, stale: impl Fn(&PlanDep) -> bool) -> u64 {
-        let mut total = 0u64;
+    /// the live entry count and the invalidation counters.
+    fn sweep_memo(&self, stale: impl Fn(&PlanDep) -> bool) {
         for shard in self.shards.iter() {
             let mut memo = shard.memo.write().expect("plan memo poisoned");
             let before = memo.len();
@@ -709,9 +629,7 @@ impl ShardedViewCache {
             let dropped = (before - memo.len()) as u64;
             self.memo_entries.fetch_sub(dropped, Ordering::Relaxed);
             shard.stats.plan_memo_invalidations.fetch_add(dropped, Ordering::Relaxed);
-            total += dropped;
         }
-        total
     }
 
     /// Takes the state read lock, counting a
@@ -762,10 +680,10 @@ impl ShardedViewCache {
     /// Returns the number of answers materialized.
     ///
     /// Selectively invalidates the plan memo: only entries whose plan
-    /// depends on the grown pool — `Direct` routes and whole-pool-scan
-    /// routes — are dropped; `FirstMatch` view routes survive (see the
-    /// module docs). The oracle's containment verdicts are always kept
-    /// (they depend only on the pattern pair).
+    /// depends on the grown pool — `Direct` and `Intersect` routes — are
+    /// dropped; view routes survive (see the module docs). The oracle's
+    /// containment verdicts are always kept (they depend only on the
+    /// pattern pair).
     ///
     /// # Panics
     ///
@@ -798,9 +716,7 @@ impl ShardedViewCache {
         // sees the bump (and skips memoizing) or inserts before the sweep
         // (and is caught by it) — stale routes never outlive this call.
         self.views_version.fetch_add(1, Ordering::Release);
-        self.sweep_memo(|dep| {
-            matches!(dep, PlanDep::WholePool | PlanDep::NoUsableView | PlanDep::Intersect(_))
-        });
+        self.sweep_memo(|dep| matches!(dep, PlanDep::NoUsableView | PlanDep::Intersect(_)));
         n
     }
 
@@ -814,8 +730,7 @@ impl ShardedViewCache {
     /// Selectively invalidates the plan memo: `Direct` routes survive
     /// (shrinking the pool cannot create a rewriting), as does every route
     /// whose participants don't include the removed view; only routes that
-    /// committed to the removed view — plus whole-pool-scan choices, which
-    /// ranked it against the others — are dropped and re-plan on their next
+    /// committed to the removed view are dropped and re-plan on their next
     /// arrival.
     pub fn remove_view(&self, name: &str) -> bool {
         let _gate = self.write_gate.lock().expect("write gate poisoned");
@@ -838,7 +753,6 @@ impl ShardedViewCache {
         self.views_version.fetch_add(1, Ordering::Release);
         self.sweep_memo(|dep| match dep {
             PlanDep::Chosen(id) => *id == removed_id,
-            PlanDep::WholePool => true,
             PlanDep::NoUsableView => false,
             PlanDep::Intersect(parts) => parts.contains(&removed_id),
         });
@@ -853,7 +767,7 @@ impl ShardedViewCache {
     /// old view is invalidated. Returns the number of answers materialized.
     /// For document-driven refreshes that keep definitions intact, use
     /// [`ShardedViewCache::apply_edits`] instead — it patches answers
-    /// incrementally and preserves untouched routes.
+    /// incrementally and keeps every route.
     ///
     /// # Panics
     ///
@@ -879,13 +793,9 @@ impl ShardedViewCache {
     /// ever observes a document from one version paired with views from
     /// another.
     ///
-    /// Plan-memo invalidation is **participant-aware**: only routes whose
-    /// participating views' answer sets actually changed are dropped
-    /// (plus whole-pool-scan routes, whose size ranking any change can
-    /// reorder). `Direct` routes and untouched `ViaView`/`Intersect` routes
-    /// survive and keep serving with zero re-planning — rewritability is
-    /// decided on patterns, not data, so surviving routes stay exact over
-    /// the refreshed views.
+    /// The plan memo is left alone: rewritability is decided on patterns,
+    /// not data, so every memoized route stays exact over the refreshed
+    /// views and keeps serving with zero re-planning.
     ///
     /// On error (an edit targeting a dead node, or deleting the root) the
     /// shared document and every view are left exactly as they were.
@@ -947,7 +857,7 @@ impl ShardedViewCache {
 
         // Publication, the tail of the `patch` phase: share every unchanged
         // view with the previous pool, re-allocate the changed ones.
-        let mut changed: Vec<ViewId> = Vec::new();
+        let mut views_changed = 0usize;
         let new_views = if deltas.iter().any(|d| !d.is_empty()) {
             let mut views: Vec<Arc<MaterializedView>> = (*snap.views).clone();
             for (i, (delta, nodes)) in deltas.iter().zip(patched).enumerate() {
@@ -956,7 +866,7 @@ impl ShardedViewCache {
                 }
                 let nodes = nodes.expect("a view with a non-empty delta was patched");
                 views[i] = Arc::new(views[i].with_nodes(nodes));
-                changed.push(snap.ids[i]);
+                views_changed += 1;
             }
             Arc::new(views)
         } else {
@@ -975,20 +885,6 @@ impl ShardedViewCache {
             state.flat = new_flat;
         }
         let doc_version = self.doc_version.fetch_add(1, Ordering::Relaxed) + 1;
-        // State swapped; now invalidate. Version bump strictly before the
-        // sweep, mirroring `add_view`: in-flight plans from the old state
-        // either skip memoizing or are caught by the sweep.
-        self.views_version.fetch_add(1, Ordering::Release);
-        let routes_dropped = if changed.is_empty() {
-            0
-        } else {
-            self.sweep_memo(|dep| match dep {
-                PlanDep::Chosen(id) => changed.contains(id),
-                PlanDep::WholePool => true,
-                PlanDep::NoUsableView => false,
-                PlanDep::Intersect(parts) => parts.iter().any(|p| changed.contains(p)),
-            })
-        };
         maintain.patch_us = t_patch.elapsed().as_micros() as u64;
         // Usually the last reference to the pre-batch document: freeing it
         // is the other half of the private copy, so it is booked with it.
@@ -1014,18 +910,18 @@ impl ShardedViewCache {
             span.mark_us(Phase::Patch, maintain.patch_us);
         }
         span.finish();
-        self.views_refreshed_incrementally.fetch_add(changed.len() as u64, Ordering::Relaxed);
+        self.views_refreshed_incrementally.fetch_add(views_changed as u64, Ordering::Relaxed);
         Ok(UpdateReport {
             edits_applied: edits.len(),
             doc_version,
-            views_changed: changed.len(),
-            routes_dropped,
+            views_changed,
+            routes_dropped: 0,
             maintain,
         })
     }
 
-    /// Lifetime statistics, aggregated across shards (the oracle counters
-    /// are folded in live).
+    /// Lifetime statistics, aggregated across shards. The containment
+    /// oracle keeps its own: `session().oracle().stats()`.
     pub fn stats(&self) -> CacheStats {
         let mut s = CacheStats::default();
         for shard in self.shards.iter() {
@@ -1046,10 +942,6 @@ impl ShardedViewCache {
             s.sig_rejects += shard.stats.sig_rejects.load(Ordering::Relaxed);
             s.sig_passes += shard.stats.sig_passes.load(Ordering::Relaxed);
         }
-        let oracle = self.session.oracle().stats();
-        s.oracle_memo_hits = oracle.verdict_memo_hits;
-        s.oracle_canonical_runs = oracle.canonical_runs;
-        s.oracle_models_checked = oracle.models_checked;
         s.updates_applied = self.updates_applied.load(Ordering::Relaxed);
         s.views_refreshed_incrementally =
             self.views_refreshed_incrementally.load(Ordering::Relaxed);
@@ -1081,10 +973,7 @@ impl ShardedViewCache {
     /// `xpv_cache_*`, and `xpv_maintain_*` counter families (each
     /// enumerated by its stats struct's canonical `visit`, so the
     /// snapshot, the wire frame, and the `Display` impls share one
-    /// naming authority). The `oracle_*` mirror fields of [`CacheStats`]
-    /// are skipped here — those numbers are already present under
-    /// `xpv_oracle_*`, and no counter reaches the snapshot under two
-    /// names.
+    /// naming authority).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.obs.registry.snapshot();
         self.session.oracle().stats().visit(&mut |name, v| {
@@ -1092,9 +981,7 @@ impl ShardedViewCache {
         });
         let stats = self.stats();
         stats.visit(&mut |name, v| {
-            if !name.starts_with("oracle_") {
-                snap.push_counter(format!("xpv_cache_{name}"), v);
-            }
+            snap.push_counter(format!("xpv_cache_{name}"), v);
         });
         stats.maintain.visit(&mut |name, v| {
             snap.push_counter(format!("xpv_maintain_{name}"), v);
@@ -1120,9 +1007,9 @@ impl ShardedViewCache {
         }
         bump(&shard.stats.plan_memo_misses);
         // Load the version strictly *before* taking the snapshot we plan
-        // against: any mutation (add/remove/apply_edits) completing after
-        // this load bumps the version, so the memo insert below is skipped
-        // — a route planned against a pre-mutation snapshot can never be
+        // against: any pool mutation (add/remove) completing after this
+        // load bumps the version, so the memo insert below is skipped — a
+        // route planned against a pre-mutation pool can never be
         // memoized after the invalidation sweep and survive it. (Planning
         // deliberately takes its own snapshot rather than reusing the
         // caller's, which may predate the version load.)
@@ -1186,8 +1073,9 @@ impl ShardedViewCache {
     /// checked against its precomputed [`ViewSignature`] (a few word ops;
     /// rejected candidates provably admit no equivalent rewriting and
     /// never reach the containment oracle), and the survivors are tried
-    /// in this shard's hit-rate order so a `FirstMatch` plan usually pays
-    /// exactly one containment decision.
+    /// in this shard's hit-rate order so a plan usually pays exactly one
+    /// containment decision. The scan stops at the first verified
+    /// rewriting.
     fn plan(
         &self,
         query: &Pattern,
@@ -1204,11 +1092,10 @@ impl ShardedViewCache {
         let rejected = (views.len() - order.len()) as u64;
         shard.stats.sig_rejects.fetch_add(rejected, Ordering::Relaxed);
         shard.stats.sig_passes.fetch_add(order.len() as u64, Ordering::Relaxed);
-        // Winner-first try order (stable sort, pool order breaks ties):
-        // under `FirstMatch` the historically winning view is decided
-        // first, so a recurring miss pattern costs one oracle call instead
-        // of a prefix scan. `SmallestView` ranks every survivor anyway.
-        if self.policy == ChoicePolicy::FirstMatch && order.len() > 1 {
+        // Winner-first try order (stable sort, pool order breaks ties): the
+        // historically winning view is decided first, so a recurring miss
+        // pattern costs one oracle call instead of a prefix scan.
+        if order.len() > 1 {
             let wins = shard.wins.lock().expect("win index poisoned");
             if !wins.is_empty() {
                 order.sort_by_key(|&i| {
@@ -1216,41 +1103,17 @@ impl ShardedViewCache {
                 });
             }
         }
-        let mut chosen: Option<(usize, Pattern)> = None;
-        for &i in &order {
-            let view = &views[i];
-            if let RewriteAnswer::Rewriting(rw) = self.session.decide(query, view.definition()) {
-                let better = match (&chosen, self.policy) {
-                    (None, _) => true,
-                    (Some(_), ChoicePolicy::FirstMatch) => false,
-                    (Some((j, _)), ChoicePolicy::SmallestView) => view.len() < views[*j].len(),
-                };
-                if better {
-                    chosen = Some((i, rw.pattern().clone()));
-                }
-                if self.policy == ChoicePolicy::FirstMatch {
-                    break;
-                }
+        for &index in &order {
+            let answer = self.session.decide(query, views[index].definition());
+            if let RewriteAnswer::Rewriting(rw) = answer {
+                // The route is justified by this view alone (its rewriting
+                // was verified pairwise), so it depends on that view's
+                // presence — not on the scan order that found it.
+                let id = snap.ids[index];
+                *shard.wins.lock().expect("win index poisoned").entry(id).or_insert(0) += 1;
+                let rewriting = rw.pattern().clone();
+                return (PlannedRoute::ViaView { id, hint: index, rewriting }, PlanDep::Chosen(id));
             }
-        }
-        if let Some((index, rewriting)) = chosen {
-            let dep = match self.policy {
-                // The route is justified by the chosen view alone (its
-                // rewriting was verified pairwise), so it depends on that
-                // view's presence and answers — not on the scan order that
-                // found it.
-                ChoicePolicy::FirstMatch => {
-                    *shard
-                        .wins
-                        .lock()
-                        .expect("win index poisoned")
-                        .entry(snap.ids[index])
-                        .or_insert(0) += 1;
-                    PlanDep::Chosen(snap.ids[index])
-                }
-                ChoicePolicy::SmallestView => PlanDep::WholePool,
-            };
-            return (PlannedRoute::ViaView { id: snap.ids[index], hint: index, rewriting }, dep);
         }
         // No single view rewrites the query: try a multi-view intersection.
         if views.len() >= 2 {
@@ -1260,14 +1123,12 @@ impl ShardedViewCache {
                 query,
                 &pool,
                 Some((&qsig, snap.sigs.as_slice())),
-                &self.intersect_cfg,
             );
             shard
                 .stats
                 .intersect_candidates_tried
                 .fetch_add(istats.candidates_tried, Ordering::Relaxed);
             if let Some(answer) = answer {
-                debug_assert!(answer.equivalent, "only equivalent compensations are routed");
                 bump(&shard.stats.intersect_routes);
                 shard
                     .stats
@@ -1342,8 +1203,8 @@ impl ShardedViewCache {
     }
 
     /// Answers `query`, preferring an equivalent rewriting over any
-    /// registered view and falling back to direct evaluation. Which view
-    /// wins when several apply is governed by the [`ChoicePolicy`].
+    /// registered view and falling back to direct evaluation. When several
+    /// views apply, the first verified one (in the shard's try order) wins.
     ///
     /// From its second occurrence on, a query's route is served from the
     /// plan memo under a shared read lock: no planner call and **zero**
@@ -1502,76 +1363,6 @@ impl ShardedViewCache {
     pub fn answer_direct(&self, query: &Pattern) -> Vec<NodeId> {
         evaluate(query, &self.document())
     }
-
-    /// A **partial** answer from the views when no equivalent rewriting
-    /// exists: uses a *contained* rewriting (`R ∘ V ⊑ P`, the sound half of
-    /// the paper's open problem 3), so every returned node is a genuine
-    /// answer of `query`, but some answers may be missing. Returns `None`
-    /// when no view yields even a contained rewriting.
-    ///
-    /// The `complete` flag is `true` only when the rewriting is equivalent
-    /// (in which case this behaves like [`ShardedViewCache::answer`]).
-    pub fn answer_partial(&self, query: &Pattern) -> Option<(Vec<NodeId>, bool)> {
-        // Equivalent rewriting first (shares the plan memo with `answer`).
-        let snap = self.snapshot();
-        let (key, fp) = self.session.oracle().intern_fingerprinted(query);
-        let (planned, shard) = self.route_for(query, key, fp);
-        bump(&shard.stats.queries);
-        let views = &snap.views;
-        match &planned.route {
-            PlannedRoute::ViaView { id, hint, rewriting } => {
-                if let Some(index) = snap.resolve(*id, *hint) {
-                    bump(&shard.stats.view_hits);
-                    return Some((views[index].apply_virtual(rewriting, &snap.doc), true));
-                }
-            }
-            PlannedRoute::Intersect { ids, hints, compensation } => {
-                let indices: Option<Vec<usize>> =
-                    ids.iter().zip(hints).map(|(&id, &hint)| snap.resolve(id, hint)).collect();
-                if let Some(indices) = indices {
-                    bump(&shard.stats.intersect_hits);
-                    let sets: Vec<&[NodeId]> = indices.iter().map(|&i| views[i].nodes()).collect();
-                    return Some((
-                        answer_intersection_virtual(&snap.doc, &sets, compensation),
-                        true,
-                    ));
-                }
-            }
-            PlannedRoute::Direct => {}
-        }
-        // Contained rewriting: pick the view yielding the most answers.
-        let mut best: Option<Vec<NodeId>> = None;
-        for view in views.iter() {
-            if let Some(r) = contained_rewriting_in(self.session.oracle(), query, view.definition())
-            {
-                let nodes = view.apply_virtual(&r, &snap.doc);
-                if best.as_ref().is_none_or(|b| nodes.len() > b.len()) {
-                    best = Some(nodes);
-                }
-            }
-        }
-        // A contained *intersection* can recover more answers than any
-        // single view's contained rewriting (it imposes fewer spurious
-        // constraints): take it when it wins on size.
-        if views.len() >= 2 {
-            let pool: Vec<&Pattern> = views.iter().map(|v| v.definition()).collect();
-            let (answer, _) =
-                plan_intersection_contained_in(&self.session, query, &pool, &self.intersect_cfg);
-            if let Some(answer) = answer {
-                let sets: Vec<&[NodeId]> = answer.views.iter().map(|&i| views[i].nodes()).collect();
-                let nodes = answer_intersection_virtual(&snap.doc, &sets, &answer.compensation);
-                if answer.equivalent {
-                    // Possible only when the route memo predates the pool;
-                    // the answer is complete regardless.
-                    return Some((nodes, true));
-                }
-                if best.as_ref().is_none_or(|b| nodes.len() > b.len()) {
-                    best = Some(nodes);
-                }
-            }
-        }
-        best.map(|nodes| (nodes, false))
-    }
 }
 
 #[cfg(test)]
@@ -1582,6 +1373,12 @@ mod tests {
 
     fn pat(s: &str) -> Pattern {
         parse_xpath(s).expect("pattern parses")
+    }
+
+    /// Canonical-model loops (coNP containment work) the cache's oracle has
+    /// run so far: flat across an answer ⇔ that answer planned nothing.
+    fn canonical_runs(cache: &ShardedViewCache) -> u64 {
+        cache.session().oracle().stats().canonical_runs
     }
 
     fn doc() -> Tree {
@@ -1600,6 +1397,151 @@ mod tests {
                 });
             }
         })
+    }
+
+    #[test]
+    fn view_hit_produces_correct_answer() {
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("items", pat("site/region/item"));
+        let q = pat("site/region/item/name");
+        let ans = cache.answer(&q);
+        assert_eq!(ans.nodes, cache.answer_direct(&q));
+        match ans.route {
+            Route::ViaView { view, .. } => assert_eq!(view, "items"),
+            other => panic!("expected view hit, got {other:?}"),
+        }
+        assert_eq!(cache.stats().view_hits, 1);
+    }
+
+    #[test]
+    fn miss_falls_back_to_direct() {
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("names", pat("site/region/item/name"));
+        // Query output lies above the view output: no rewriting can exist.
+        let q = pat("site/region/item[name]");
+        let ans = cache.answer(&q);
+        assert_eq!(ans.route, Route::Direct);
+        assert_eq!(ans.nodes, cache.answer_direct(&q));
+        assert_eq!(cache.stats().direct, 1);
+    }
+
+    #[test]
+    fn first_usable_view_wins() {
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("regions", pat("site/region"));
+        cache.add_view("items", pat("site/region/item"));
+        let q = pat("site/region/item[desc/keyword]/name");
+        let ans = cache.answer(&q);
+        match &ans.route {
+            Route::ViaView { view, .. } => assert_eq!(view, "regions"),
+            other => panic!("expected view hit, got {other:?}"),
+        }
+        assert_eq!(ans.nodes, cache.answer_direct(&q));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate view name")]
+    fn duplicate_view_names_rejected() {
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("v", pat("site/region"));
+        cache.add_view("v", pat("site/region/item"));
+    }
+
+    #[test]
+    fn deep_descendant_query_via_descendant_view() {
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("all_items", pat("site//item"));
+        let q = pat("site//item/desc/keyword");
+        let ans = cache.answer(&q);
+        match &ans.route {
+            Route::ViaView { view, rewriting } => {
+                assert_eq!(view, "all_items");
+                assert_eq!(rewriting, "item/desc/keyword");
+            }
+            other => panic!("expected view hit, got {other:?}"),
+        }
+        assert_eq!(ans.nodes, cache.answer_direct(&q));
+        assert_eq!(ans.nodes.len(), 3);
+    }
+
+    #[test]
+    fn repeated_queries_hit_the_plan_memo_with_zero_conp_work() {
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("items", pat("site/region/item"));
+        let q = pat("site/region/item/name");
+
+        let first = cache.answer(&q);
+        let after_first = cache.stats();
+        let oracle_after_first = cache.session().oracle().stats();
+        assert_eq!(after_first.plan_memo_hits, 0);
+        assert_eq!(after_first.plan_memo_misses, 1);
+
+        let second = cache.answer(&q);
+        let oracle_after_second = cache.session().oracle().stats();
+        assert_eq!(cache.stats().plan_memo_hits, 1, "second occurrence must memo-hit");
+        assert_eq!(
+            oracle_after_second.canonical_runs, oracle_after_first.canonical_runs,
+            "repeat answer must perform zero canonical-model containment calls"
+        );
+        assert_eq!(oracle_after_second.models_checked, oracle_after_first.models_checked);
+        assert_eq!(first.nodes, second.nodes);
+        assert_eq!(first.route, second.route);
+
+        // A sibling-reordered isomorph of a seen query also memo-hits.
+        let cache2 = ShardedViewCache::new(doc());
+        cache2.add_view("items", pat("site/region/item"));
+        let _ = cache2.answer(&pat("site/region[item]/item[name][desc]/name"));
+        let runs = canonical_runs(&cache2);
+        let _ = cache2.answer(&pat("site/region[item]/item[desc][name]/name"));
+        assert_eq!(cache2.stats().plan_memo_hits, 1);
+        assert_eq!(canonical_runs(&cache2), runs);
+    }
+
+    #[test]
+    fn batch_answers_match_singles_and_amortize() {
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("items", pat("site/region/item"));
+        let qs = vec![
+            pat("site/region/item/name"),
+            pat("site//keyword"),
+            pat("site/region/item/name"),
+            pat("site/region/item/name"),
+            pat("site//keyword"),
+        ];
+        let answers = cache.answer_batch(&qs);
+        assert_eq!(answers.len(), qs.len());
+        for (q, a) in qs.iter().zip(&answers) {
+            assert_eq!(a.nodes, cache.answer_direct(q), "batch answer wrong for {q}");
+        }
+        let s = cache.stats();
+        assert_eq!(s.queries, 5);
+        assert_eq!(s.plan_memo_misses, 2, "two distinct queries planned once each");
+        assert_eq!(s.plan_memo_hits, 3);
+        assert_eq!(s.batch_dedup_hits, 3, "all three repeats fanned out without a lookup");
+    }
+
+    /// ROADMAP item 1a: with the Proposition 3.4 brute force on the serving
+    /// path this pair (`workload::no_condition_instance(1)`) held a worker
+    /// for 3 s and 21 557 oracle questions; gates, candidates and conditions
+    /// ask 2. Asserted on oracle work, not wall time.
+    #[test]
+    fn a_pair_no_condition_settles_routes_direct_without_a_search() {
+        let t = TreeBuilder::root("a", |b| {
+            b.child("x", |b| {
+                b.child("y", |b| {
+                    b.leaf("m");
+                });
+            });
+        });
+        let cache = ShardedViewCache::new(t);
+        cache.add_view("v", pat("a//*/*"));
+        let q = pat("a//*[*/m]/*[*/m]//*[m]");
+        let asked_before = cache.session().oracle().stats().queries;
+        let ans = cache.answer(&q);
+        let asked = cache.session().oracle().stats().queries - asked_before;
+        assert_eq!(ans.route, Route::Direct);
+        assert_eq!(ans.nodes, cache.answer_direct(&q));
+        assert!(asked <= 100, "planning asked the oracle {asked} times");
     }
 
     #[test]
@@ -1635,7 +1577,7 @@ mod tests {
     }
 
     #[test]
-    fn add_view_keeps_first_match_routes() {
+    fn add_view_keeps_view_routes() {
         let cache = ShardedViewCache::new(doc());
         cache.add_view("names", pat("site/region/item/name"));
         let via_view = pat("site/region/item/name");
@@ -1644,7 +1586,7 @@ mod tests {
         assert_eq!(cache.answer(&direct).route, Route::Direct);
         assert_eq!(cache.plan_memo_len(), 2);
 
-        let runs_before = cache.stats().oracle_canonical_runs;
+        let runs_before = canonical_runs(&cache);
         cache.add_view("items", pat("site/region/item"));
 
         // Only the Direct entry was invalidated.
@@ -1653,7 +1595,7 @@ mod tests {
 
         // The surviving ViaView route serves from the memo: zero coNP work.
         assert!(matches!(cache.answer(&via_view).route, Route::ViaView { .. }));
-        assert_eq!(cache.stats().oracle_canonical_runs, runs_before);
+        assert_eq!(canonical_runs(&cache), runs_before);
         // The Direct query replans and picks up the new view.
         match cache.answer(&direct).route {
             Route::ViaView { view, .. } => assert_eq!(view, "items"),
@@ -1676,26 +1618,6 @@ mod tests {
         // The memo still answers correctly after evictions.
         let q = pat("site/region/item/name");
         assert_eq!(cache.answer(&q).nodes, cache.answer_direct(&q));
-    }
-
-    #[test]
-    fn smallest_view_routes_invalidate_on_add_view() {
-        // set_policy needs exclusive access — configure before sharing.
-        let mut cache = ShardedViewCache::new(doc());
-        cache.set_policy(ChoicePolicy::SmallestView);
-        cache.add_view("items", pat("site/region/item"));
-        let q = pat("site/region/item/name");
-        assert!(matches!(cache.answer(&q).route, Route::ViaView { .. }));
-        assert_eq!(cache.plan_memo_len(), 1);
-        // A whole-pool scan depends on every view: the entry must drop.
-        cache.add_view("regions", pat("site/region"));
-        assert_eq!(cache.plan_memo_len(), 0);
-        match cache.answer(&q).route {
-            Route::ViaView { view, .. } => {
-                assert_eq!(view, "regions", "regions is the smaller view")
-            }
-            other => panic!("expected view hit, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1784,14 +1706,15 @@ mod tests {
         let cache = overlap_cache();
         let q = pat("site/region/item[bids][shipping]/name");
         let first = cache.answer(&q);
-        let runs = cache.stats().oracle_canonical_runs;
+        let runs = canonical_runs(&cache);
         let second = cache.answer(&q);
         assert_eq!(second.nodes, first.nodes);
         assert_eq!(second.route, first.route);
         let s = cache.stats();
         assert_eq!(s.plan_memo_hits, 1, "second ask must come from the plan memo");
         assert_eq!(
-            s.oracle_canonical_runs, runs,
+            canonical_runs(&cache),
+            runs,
             "second ask must run zero canonical-model containment calls"
         );
         assert_eq!(s.intersect_routes, 1, "the route was planned exactly once");
@@ -1825,18 +1748,19 @@ mod tests {
         let cache = ShardedViewCache::new(doc());
         cache.add_view("items", pat("site/region/item"));
         cache.add_view("names", pat("site/region/item/name"));
-        let via_first = pat("site/region/item[desc]/name"); // FirstMatch hit on "items"
-                                                            // Output above every view's output: no rewriting can exist.
+        // Served by "items".
+        let via_first = pat("site/region/item[desc]/name");
+        // Output above every view's output: no rewriting can exist.
         let direct = pat("site/region[item]");
         assert!(matches!(cache.answer(&via_first).route, Route::ViaView { .. }));
         assert_eq!(cache.answer(&direct).route, Route::Direct);
-        let runs = cache.stats().oracle_canonical_runs;
+        let runs = canonical_runs(&cache);
 
         // Removing the *later* view touches neither memoized route.
         assert!(cache.remove_view("names"));
         assert!(matches!(cache.answer(&via_first).route, Route::ViaView { .. }));
         assert_eq!(cache.answer(&direct).route, Route::Direct);
-        assert_eq!(cache.stats().oracle_canonical_runs, runs, "both served from the memo");
+        assert_eq!(canonical_runs(&cache), runs, "both served from the memo");
 
         // Removing the committed view drops its route; Direct still
         // survives (a smaller pool cannot create a rewriting).
@@ -1847,7 +1771,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_edits_refreshes_views_and_keeps_untouched_routes() {
+    fn apply_edits_refreshes_views_and_keeps_every_route() {
         use xpv_maintain::Edit;
         use xpv_model::TreeBuilder as TB;
 
@@ -1860,7 +1784,7 @@ mod tests {
         assert!(matches!(cache.answer(&via_items).route, Route::ViaView { .. }));
         assert!(matches!(cache.answer(&via_keywords).route, Route::ViaView { .. }));
         assert_eq!(cache.answer(&direct).route, Route::Direct);
-        let runs = cache.stats().oracle_canonical_runs;
+        let runs = canonical_runs(&cache);
 
         // Graft one more item (with a name) into the first region: only the
         // `items` view's answers change.
@@ -1875,17 +1799,19 @@ mod tests {
         assert_eq!(report.edits_applied, 1);
         assert_eq!(report.doc_version, 1);
         assert_eq!(report.views_changed, 1, "only `items` gained answers");
-        assert!(report.routes_dropped >= 1, "the items route must drop");
+        assert_eq!(report.routes_dropped, 0);
 
-        // Both queries still answer exactly; the keyword route survived the
-        // update (zero coNP work), the items route re-planned.
+        // Both queries still answer exactly, and every route — the one
+        // through the changed view included — survived the update.
+        let misses = cache.stats().plan_memo_misses;
         let ans = cache.answer(&via_items);
         assert_eq!(ans.nodes, cache.answer_direct(&via_items));
         assert!(matches!(ans.route, Route::ViaView { .. }));
         let ans = cache.answer(&via_keywords);
         assert_eq!(ans.nodes, cache.answer_direct(&via_keywords));
-        assert_eq!(cache.stats().oracle_canonical_runs, runs, "survivors replan nothing");
-        assert_eq!(cache.answer(&direct).route, Route::Direct, "Direct routes survive edits");
+        assert_eq!(cache.answer(&direct).route, Route::Direct);
+        assert_eq!(cache.stats().plan_memo_misses, misses, "no route re-planned");
+        assert_eq!(canonical_runs(&cache), runs);
 
         let s = cache.stats();
         assert_eq!(s.updates_applied, 1);
@@ -1981,39 +1907,5 @@ mod tests {
         assert_eq!(cache.doc_version(), 0);
         assert_eq!(cache.answer(&q).nodes, before);
         assert_eq!(cache.stats().updates_applied, 0);
-    }
-
-    #[test]
-    fn partial_answers_can_use_contained_intersections() {
-        // Both views impose [bids] on the *region*: the intersection is
-        // contained in the query's answers but not equivalent.
-        let t = TreeBuilder::root("site", |b| {
-            b.child("region", |b| {
-                b.leaf("bids");
-                b.child("item", |b| {
-                    b.leaf("name");
-                    b.leaf("x");
-                    b.leaf("y");
-                });
-            });
-            b.child("region", |b| {
-                b.child("item", |b| {
-                    b.leaf("name");
-                    b.leaf("x");
-                    b.leaf("y");
-                });
-            });
-        });
-        let cache = ShardedViewCache::new(t);
-        cache.add_view("vx", pat("site/region[bids]/item[x]/name"));
-        cache.add_view("vy", pat("site/region[bids]/item[y]/name"));
-        let q = pat("site/region/item[x][y]/name");
-        assert_eq!(cache.answer(&q).route, Route::Direct, "no equivalent route exists");
-        let (partial, complete) = cache.answer_partial(&q).expect("contained intersection");
-        assert!(!complete);
-        let full = cache.answer_direct(&q);
-        assert!(partial.iter().all(|n| full.contains(n)), "partial answers must be sound");
-        assert_eq!(partial.len(), 1, "only the bids-region item is recovered");
-        assert_eq!(full.len(), 2);
     }
 }

@@ -1,9 +1,8 @@
-//! Per-tenant accounting shared by both serving front-ends.
+//! Per-tenant accounting shared by both transports.
 //!
-//! Every batch — whether it arrives over the in-process compatibility
-//! transport ([`CacheServer`](crate::CacheServer)) or a socket connection
-//! ([`AsyncCacheServer`](crate::AsyncCacheServer)) — is submitted on
-//! behalf of a **tenant** (any string id), and [`TenantRegistry`]
+//! Every batch [`AsyncCacheServer`](crate::AsyncCacheServer) serves —
+//! whether it arrives over the in-process transport or a socket
+//! connection — is submitted on behalf of a **tenant** (any string id), and [`TenantRegistry`]
 //! accumulates that tenant's lifetime counters. The registry is **sharded
 //! and atomic**: tenants hash onto `RwLock<HashMap>` shards whose values
 //! are `Arc`s of plain atomic counters, so the steady-state accounting

@@ -1,22 +1,13 @@
 //! Evaluating a compensation over the intersection of materialized views.
 //!
-//! Two representations mirror the two readings of `V(t)` in
-//! `xpv_engine::view` (stored node sets, by-value copies on demand):
-//!
-//! * **virtual** — each view is an output-*node* set over the shared
-//!   document; the intersection is a merge of the ascending `NodeId` runs
-//!   and the compensation is evaluated *anchored* at the surviving nodes
-//!   (never copies data);
-//! * **materialized** — each view is a set of independent subtree copies;
-//!   copies have no node identity, so the intersection is by value
-//!   (canonical keys) and answers are compared by value, exactly like
-//!   `MaterializedView::apply_materialized`.
-
-use std::collections::HashSet;
+//! Each view is an output-*node* set over the shared document (views keep
+//! node identity): the intersection is a merge of the ascending `NodeId`
+//! runs and the compensation is evaluated *anchored* at the surviving
+//! nodes (never copies data).
 
 use xpv_model::{FlatTree, NodeId, Tree};
 use xpv_pattern::Pattern;
-use xpv_semantics::{evaluate, evaluate_anchored, evaluate_anchored_flat};
+use xpv_semantics::{evaluate_anchored, evaluate_anchored_flat};
 
 /// The node-set intersection `∩ sets[i]`, ascending. Every input must be
 /// ascending, as view answer sets are (the evaluators emit slot order and
@@ -50,9 +41,8 @@ pub fn intersect_node_sets(sets: &[&[NodeId]]) -> Vec<NodeId> {
 /// Evaluates `compensation` anchored on the node-set intersection of the
 /// views' virtual answers: `R(V1(t) ∩ … ∩ Vn(t))` as output nodes of `doc`.
 ///
-/// When the compensation came from an *equivalent* intersection plan this
-/// returns exactly the query's direct answers (byte-identical, same order);
-/// for a *contained* plan it returns a sound subset.
+/// With a compensation from [`crate::plan_intersection_in`] this returns
+/// exactly the query's direct answers (byte-identical, same order).
 pub fn answer_intersection_virtual(
     doc: &Tree,
     sets: &[&[NodeId]],
@@ -75,48 +65,12 @@ pub fn answer_intersection_virtual_flat(
     evaluate_anchored_flat(compensation, ft, &anchors)
 }
 
-/// The by-value intersection of materialized view results: the trees of
-/// `sets[0]` whose canonical key occurs in every other set, deduplicated by
-/// key (subtree copies carry no node identity, so value equality is the
-/// only meaningful intersection).
-pub fn intersect_trees_by_key<'a>(sets: &[&'a [Tree]]) -> Vec<&'a Tree> {
-    let Some((first, rest)) = sets.split_first() else {
-        return Vec::new();
-    };
-    let keyed: Vec<HashSet<String>> =
-        rest.iter().map(|set| set.iter().map(Tree::canonical_key).collect()).collect();
-    let mut seen: HashSet<String> = HashSet::new();
-    first
-        .iter()
-        .filter(|t| {
-            let key = t.canonical_key();
-            keyed.iter().all(|s| s.contains(&key)) && seen.insert(key)
-        })
-        .collect()
-}
-
-/// Evaluates `compensation` over the **materialized** intersection: the
-/// compensation runs inside each surviving subtree copy and the output
-/// subtrees come back deduplicated by value.
-pub fn answer_intersection_materialized(sets: &[&[Tree]], compensation: &Pattern) -> Vec<Tree> {
-    let mut out: Vec<Tree> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    for u in intersect_trees_by_key(sets) {
-        for o in evaluate(compensation, u) {
-            let (sub, _) = u.subtree(o);
-            if seen.insert(sub.canonical_key()) {
-                out.push(sub);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xpv_model::TreeBuilder;
     use xpv_pattern::parse_xpath;
+    use xpv_semantics::evaluate;
 
     fn pat(s: &str) -> Pattern {
         parse_xpath(s).expect("pattern parses")
@@ -182,23 +136,5 @@ mod tests {
         // Disjoint participants: the early-exit path yields empty on both.
         let bids = evaluate(&pat("site/region/item/bids"), &t);
         assert!(answer_intersection_virtual_flat(&ft, &[&v1, &bids], &pat("name")).is_empty());
-    }
-
-    #[test]
-    fn materialized_intersection_works_by_value() {
-        let t = doc();
-        let trees = |p: &str| -> Vec<Tree> {
-            evaluate(&pat(p), &t).into_iter().map(|n| t.subtree(n).0).collect()
-        };
-        let v1 = trees("site/region/item[bids]");
-        let v2 = trees("site/region/item[shipping]");
-        let both = intersect_trees_by_key(&[&v1, &v2]);
-        assert_eq!(both.len(), 1, "only the bids+shipping item survives by value");
-        let names = answer_intersection_materialized(&[&v1, &v2], &pat("item/name"));
-        assert_eq!(names.len(), 1);
-        assert_eq!(names[0].label(names[0].root()).name(), "name");
-        // Empty inputs.
-        assert!(intersect_trees_by_key(&[]).is_empty());
-        assert!(answer_intersection_materialized(&[], &pat("item/name")).is_empty());
     }
 }

@@ -12,7 +12,7 @@
 //! 1. **Subset selection** ([`plan_intersection_in`]): enumerate
 //!    merge-compatible pairs/triples of pool views (equal selection depth,
 //!    child-only spines below the root edge), cheapest subsets first, under
-//!    a configurable budget ([`IntersectConfig`]).
+//!    a fixed budget ([`MAX_ARITY`], [`MAX_CANDIDATES`]).
 //! 2. **Anchor construction**: each subset's views are merged into the
 //!    *exact intersection pattern* `M` ([`xpv_pattern::intersect_patterns`])
 //!    with `M(t) = ∩ Vi(t)` on every document — `M` is the anchor the
@@ -24,20 +24,14 @@
 //!    ([`xpv_core::PlanningSession::decide`]) plans `p` against `M`. A
 //!    verified rewriting becomes the [`IntersectAnswer::compensation`].
 //! 4. **Evaluation**: the compensation is evaluated **anchored on the
-//!    node-set intersection** of the participants — virtually via
-//!    [`xpv_model::BitSet`] intersection of `NodeId` sets
-//!    ([`answer_intersection_virtual`]), or on materialized subtree copies
-//!    via canonical-key intersection
-//!    ([`answer_intersection_materialized`]).
+//!    node-set intersection** of the participants, a merge of their
+//!    ascending `NodeId` runs ([`answer_intersection_virtual`]).
 //!
 //! ## Soundness / completeness contract
 //!
-//! * **Soundness is unconditional**: an [`IntersectAnswer`] with
-//!   `equivalent = true` satisfies `R ◦ M ≡ P` where `M(t) = ∩ Vi(t)`, so
-//!   the anchored evaluation returns **exactly** `P(t)` — never a wrong
-//!   node, never a missing one. With `equivalent = false` (the contained
-//!   variant used for partial answers) `R ◦ M ⊑ P`, so every returned node
-//!   is a genuine answer but some may be missing.
+//! * **Soundness is unconditional**: an [`IntersectAnswer`] satisfies
+//!   `R ◦ M ≡ P` where `M(t) = ∩ Vi(t)`, so the anchored evaluation
+//!   returns **exactly** `P(t)` — never a wrong node, never a missing one.
 //! * **Completeness is bounded** (the Cautis et al. tractability trade-off):
 //!   only tree-expressible intersections are attempted — participants must
 //!   share a forced selection spine; DAG-shaped intersections (differing
@@ -48,7 +42,7 @@
 //!
 //! ```
 //! use xpv_core::RewritePlanner;
-//! use xpv_intersect::{plan_intersection_in, IntersectConfig};
+//! use xpv_intersect::plan_intersection_in;
 //! use xpv_pattern::parse_xpath;
 //!
 //! let v1 = parse_xpath("site/region/item[bids]/name").unwrap();
@@ -59,11 +53,9 @@
 //! assert!(session.decide(&p, &v1).rewriting().is_none());
 //! assert!(session.decide(&p, &v2).rewriting().is_none());
 //! // ...but the pair does, jointly.
-//! let (answer, stats) = plan_intersection_in(
-//!     &session, &p, &[&v1, &v2], &IntersectConfig::default());
+//! let (answer, stats) = plan_intersection_in(&session, &p, &[&v1, &v2]);
 //! let answer = answer.expect("the pair serves the query");
 //! assert_eq!(answer.views, vec![0, 1]);
-//! assert!(answer.equivalent);
 //! assert!(stats.candidates_tried >= 1);
 //! ```
 
@@ -71,10 +63,9 @@ pub mod eval;
 pub mod plan;
 
 pub use eval::{
-    answer_intersection_materialized, answer_intersection_virtual,
-    answer_intersection_virtual_flat, intersect_node_sets, intersect_trees_by_key,
+    answer_intersection_virtual, answer_intersection_virtual_flat, intersect_node_sets,
 };
 pub use plan::{
-    plan_intersection, plan_intersection_contained_in, plan_intersection_in, plan_intersection_sig,
-    IntersectAnswer, IntersectConfig, IntersectStats,
+    plan_intersection_in, plan_intersection_sig, IntersectAnswer, IntersectStats, MAX_ARITY,
+    MAX_CANDIDATES,
 };

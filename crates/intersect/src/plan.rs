@@ -8,10 +8,11 @@
 
 use std::fmt;
 
-use xpv_core::{contained_rewriting_in, PlanningSession, RewriteAnswer};
+use xpv_core::{PlanningSession, RewriteAnswer};
 use xpv_pattern::{intersect_patterns, Axis, Pattern, QuerySignature, ViewSignature};
 
-/// A verified multi-view rewriting over a node-set intersection.
+/// A verified multi-view rewriting over a node-set intersection:
+/// `R ◦ M ≡ P`, so the anchored evaluation equals direct evaluation.
 #[derive(Clone, Debug)]
 pub struct IntersectAnswer {
     /// Indices of the participating views in the pool, ascending.
@@ -22,27 +23,14 @@ pub struct IntersectAnswer {
     /// The exact intersection pattern `M` the compensation was planned
     /// against (`M(t) = ∩ views[i](t)` on every document).
     pub intersection: Pattern,
-    /// `true` when `R ◦ M ≡ P` (the answer equals direct evaluation);
-    /// `false` for a *contained* compensation (`R ◦ M ⊑ P`: sound partial
-    /// answers).
-    pub equivalent: bool,
 }
 
-/// Budget knobs for the subset search.
-#[derive(Clone, Copy, Debug)]
-pub struct IntersectConfig {
-    /// Largest subset size tried (≥ 2; pairs are always tried first).
-    pub max_arity: usize,
-    /// Upper bound on merge attempts per query (the search stops after
-    /// examining this many subsets).
-    pub max_candidates: usize,
-}
+/// Largest subset size tried (pairs are always tried first).
+pub const MAX_ARITY: usize = 3;
 
-impl Default for IntersectConfig {
-    fn default() -> IntersectConfig {
-        IntersectConfig { max_arity: 3, max_candidates: 64 }
-    }
-}
+/// Upper bound on merge attempts per query: the search stops after
+/// examining this many subsets.
+pub const MAX_CANDIDATES: usize = 64;
 
 /// Counters describing one subset search (all per-call).
 #[derive(Clone, Copy, Debug, Default)]
@@ -115,18 +103,39 @@ fn for_each_subset(group: &[usize], arity: usize, visit: &mut impl FnMut(&[usize
     rec(group, arity, 0, &mut current, visit);
 }
 
-/// The shared search skeleton: enumerate merge-compatible subsets, build
-/// each anchor, prune redundant ones, and hand the anchor to `attempt`
-/// (which returns a compensation or `None`).
-fn search(
+/// Selects a small subset of `pool` whose intersection supports an
+/// **equivalent** rewriting of `p`, trying pairs before triples (up to
+/// [`MAX_ARITY`]) under the [`MAX_CANDIDATES`] budget. All containment work
+/// flows through `session`'s oracle, so repeated searches are memoized.
+///
+/// Returns the first answer found (deepest anchors first, then pool order)
+/// together with the per-call search counters. See the crate docs for the
+/// soundness/completeness contract.
+pub fn plan_intersection_in(
+    session: &PlanningSession,
+    p: &Pattern,
+    pool: &[&Pattern],
+) -> (Option<IntersectAnswer>, IntersectStats) {
+    plan_intersection_sig(session, p, pool, None)
+}
+
+/// [`plan_intersection_in`] with the serving layer's precomputed
+/// signatures: each enumerated subset is first checked against the
+/// **signature union** (the merged anchor's signature — label masks
+/// union, output tests glb), and subsets whose union the query signature
+/// rejects skip the structural merge, the redundancy containment check,
+/// and the full decision procedure. The prune is a necessary condition,
+/// so the returned answer is identical to the unfiltered search's (only
+/// [`IntersectStats::sig_skipped`] and the work done differ). Pass
+/// `sigs = None` when no precomputed signatures are at hand; `sigs` must
+/// be parallel to `pool`.
+pub fn plan_intersection_sig(
     session: &PlanningSession,
     p: &Pattern,
     pool: &[&Pattern],
     sigs: Option<(&QuerySignature, &[ViewSignature])>,
-    cfg: &IntersectConfig,
-    stats: &mut IntersectStats,
-    attempt: &mut impl FnMut(&PlanningSession, &Pattern, &Pattern) -> Option<(Pattern, bool)>,
-) -> Option<IntersectAnswer> {
+) -> (Option<IntersectAnswer>, IntersectStats) {
+    let mut stats = IntersectStats::default();
     let d = p.depth();
     // Candidate views, grouped by selection depth: only equal-depth views
     // merge, and the merged anchor inherits that depth, which the planner's
@@ -147,8 +156,8 @@ fn search(
     by_depth.sort_by_key(|&(depth, _)| std::cmp::Reverse(depth));
 
     let mut found: Option<IntersectAnswer> = None;
-    let mut budget = cfg.max_candidates;
-    for arity in 2..=cfg.max_arity.max(2) {
+    let mut budget = MAX_CANDIDATES;
+    for arity in 2..=MAX_ARITY {
         for (_, group) in &by_depth {
             if group.len() < arity {
                 continue;
@@ -188,13 +197,12 @@ fn search(
                     return true;
                 }
                 stats.plans_attempted += 1;
-                if let Some((compensation, equivalent)) = attempt(session, p, &merged) {
+                if let RewriteAnswer::Rewriting(rw) = session.decide(p, &merged) {
                     stats.participants = subset.len() as u64;
                     found = Some(IntersectAnswer {
                         views: subset.to_vec(),
-                        compensation,
+                        compensation: rw.pattern().clone(),
                         intersection: merged,
-                        equivalent,
                     });
                     return false;
                 }
@@ -208,88 +216,6 @@ fn search(
             break;
         }
     }
-    found
-}
-
-/// Selects a small subset of `pool` whose intersection supports an
-/// **equivalent** rewriting of `p`, trying pairs before triples (up to
-/// [`IntersectConfig::max_arity`]) under the
-/// [`IntersectConfig::max_candidates`] budget. All containment work flows
-/// through `session`'s oracle, so repeated searches are memoized.
-///
-/// Returns the first answer found (deepest anchors first, then pool order)
-/// together with the per-call search counters. See the crate docs for the
-/// soundness/completeness contract.
-pub fn plan_intersection_in(
-    session: &PlanningSession,
-    p: &Pattern,
-    pool: &[&Pattern],
-    cfg: &IntersectConfig,
-) -> (Option<IntersectAnswer>, IntersectStats) {
-    plan_intersection_sig(session, p, pool, None, cfg)
-}
-
-/// [`plan_intersection_in`] with the serving layer's precomputed
-/// signatures: each enumerated subset is first checked against the
-/// **signature union** (the merged anchor's signature — label masks
-/// union, output tests glb), and subsets whose union the query signature
-/// rejects skip the structural merge, the redundancy containment check,
-/// and the full decision procedure. The prune is a necessary condition,
-/// so the returned answer is identical to the unfiltered search's (only
-/// [`IntersectStats::sig_skipped`] and the work done differ). Pass
-/// `sigs = None` when no precomputed signatures are at hand; `sigs` must
-/// be parallel to `pool`.
-pub fn plan_intersection_sig(
-    session: &PlanningSession,
-    p: &Pattern,
-    pool: &[&Pattern],
-    sigs: Option<(&QuerySignature, &[ViewSignature])>,
-    cfg: &IntersectConfig,
-) -> (Option<IntersectAnswer>, IntersectStats) {
-    let mut stats = IntersectStats::default();
-    let found =
-        search(session, p, pool, sigs, cfg, &mut stats, &mut |session, p, merged| match session
-            .decide(p, merged)
-        {
-            RewriteAnswer::Rewriting(rw) => Some((rw.pattern().clone(), true)),
-            _ => None,
-        });
-    (found, stats)
-}
-
-/// [`plan_intersection_in`] with a fresh one-shot session.
-pub fn plan_intersection(
-    planner: &xpv_core::RewritePlanner,
-    p: &Pattern,
-    pool: &[&Pattern],
-    cfg: &IntersectConfig,
-) -> (Option<IntersectAnswer>, IntersectStats) {
-    plan_intersection_in(&planner.session(), p, pool, cfg)
-}
-
-/// The *contained* variant for partial answers: selects a subset whose
-/// intersection supports a compensation with `R ◦ M ⊑ P` (every returned
-/// node is a genuine answer; some may be missing). Only subsets with **no**
-/// equivalent compensation reach the contained test, so `equivalent` is
-/// `true` on the returned answer exactly when the full answer is recovered.
-///
-/// Never signature-filtered: the signature conditions are necessary for
-/// *equivalent* rewritings only — a contained compensation may use views
-/// with labels or depth the query lacks.
-pub fn plan_intersection_contained_in(
-    session: &PlanningSession,
-    p: &Pattern,
-    pool: &[&Pattern],
-    cfg: &IntersectConfig,
-) -> (Option<IntersectAnswer>, IntersectStats) {
-    let mut stats = IntersectStats::default();
-    let found =
-        search(session, p, pool, None, cfg, &mut stats, &mut |session, p, merged| match session
-            .decide(p, merged)
-        {
-            RewriteAnswer::Rewriting(rw) => Some((rw.pattern().clone(), true)),
-            _ => contained_rewriting_in(session.oracle(), p, merged).map(|r| (r, false)),
-        });
     (found, stats)
 }
 
@@ -298,7 +224,7 @@ mod tests {
     use super::*;
     use xpv_core::RewritePlanner;
     use xpv_pattern::parse_xpath;
-    use xpv_semantics::{contained, equivalent};
+    use xpv_semantics::equivalent;
 
     fn pat(s: &str) -> Pattern {
         parse_xpath(s).expect("pattern parses")
@@ -317,10 +243,9 @@ mod tests {
         for v in &refs {
             assert!(session.decide(&p, v).rewriting().is_none(), "{v} must not suffice alone");
         }
-        let (ans, stats) = plan_intersection_in(&session, &p, &refs, &IntersectConfig::default());
+        let (ans, stats) = plan_intersection_in(&session, &p, &refs);
         let ans = ans.expect("pair answer");
         assert_eq!(ans.views, vec![0, 1]);
-        assert!(ans.equivalent);
         let rm = xpv_pattern::compose(&ans.compensation, &ans.intersection).expect("composes");
         assert!(equivalent(&rm, &p));
         assert_eq!(stats.participants, 2);
@@ -337,10 +262,9 @@ mod tests {
         ]);
         let refs: Vec<&Pattern> = views.iter().collect();
         let p = pat("site/region/item[bids][shipping][description]/name");
-        let (ans, _) = plan_intersection_in(&session, &p, &refs, &IntersectConfig::default());
+        let (ans, _) = plan_intersection_in(&session, &p, &refs);
         let ans = ans.expect("triple answer");
         assert_eq!(ans.views, vec![0, 1, 2]);
-        assert!(ans.equivalent);
     }
 
     #[test]
@@ -351,7 +275,7 @@ mod tests {
         let views = pool(&["site/region/item[bids]/name", "site/region/item/name"]);
         let refs: Vec<&Pattern> = views.iter().collect();
         let p = pat("site/region/item[bids][shipping]/name");
-        let (ans, stats) = plan_intersection_in(&session, &p, &refs, &IntersectConfig::default());
+        let (ans, stats) = plan_intersection_in(&session, &p, &refs);
         assert!(ans.is_none());
         assert_eq!(stats.redundant_skipped, 1);
         assert_eq!(stats.plans_attempted, 0);
@@ -360,38 +284,14 @@ mod tests {
     #[test]
     fn budget_stops_the_search() {
         let session = RewritePlanner::default().session();
-        let views = pool(&[
-            "site/region/item[a1]/name",
-            "site/region/item[a2]/name",
-            "site/region/item[a3]/name",
-            "site/region/item[a4]/name",
-        ]);
+        // Twelve equal-depth views: 66 pairs, more than the budget admits.
+        let views: Vec<Pattern> =
+            (1..=12).map(|i| pat(&format!("site/region/item[a{i}]/name"))).collect();
         let refs: Vec<&Pattern> = views.iter().collect();
         let p = pat("site/region/item[zz]/name");
-        let cfg = IntersectConfig { max_arity: 3, max_candidates: 2 };
-        let (ans, stats) = plan_intersection_in(&session, &p, &refs, &cfg);
+        let (ans, stats) = plan_intersection_in(&session, &p, &refs);
         assert!(ans.is_none());
-        assert_eq!(stats.candidates_tried, 2, "budget must cap the enumeration");
-    }
-
-    #[test]
-    fn contained_variant_yields_sound_partial_compensations() {
-        let session = RewritePlanner::default().session();
-        // The intersection imposes [extra], which p does not require: no
-        // equivalent compensation, but a contained one exists.
-        let views =
-            pool(&["site/region[extra]/item[bids]/name", "site/region[extra]/item[shipping]/name"]);
-        let refs: Vec<&Pattern> = views.iter().collect();
-        let p = pat("site/region/item[bids][shipping]/name");
-        let (eq_ans, _) = plan_intersection_in(&session, &p, &refs, &IntersectConfig::default());
-        assert!(eq_ans.is_none(), "the [extra] branch rules out equivalence");
-        let (ans, _) =
-            plan_intersection_contained_in(&session, &p, &refs, &IntersectConfig::default());
-        let ans = ans.expect("contained answer");
-        assert!(!ans.equivalent);
-        let rm = xpv_pattern::compose(&ans.compensation, &ans.intersection).expect("composes");
-        assert!(contained(&rm, &p));
-        assert!(!equivalent(&rm, &p));
+        assert_eq!(stats.candidates_tried, MAX_CANDIDATES as u64, "the budget caps the search");
     }
 
     #[test]
@@ -399,8 +299,7 @@ mod tests {
         let session = RewritePlanner::default().session();
         let views = pool(&["a//b//c", "a/b/c", "x/y"]);
         let refs: Vec<&Pattern> = views.iter().collect();
-        let (ans, stats) =
-            plan_intersection_in(&session, &pat("a/b/c[z]"), &refs, &IntersectConfig::default());
+        let (ans, stats) = plan_intersection_in(&session, &pat("a/b/c[z]"), &refs);
         assert!(ans.is_none());
         // a//b//c has a descendant edge below the root edge; x/y has the
         // wrong depth group size (alone in its group) — nothing to try.

@@ -27,7 +27,7 @@
 //!   edited subtree; otherwise it is the subtree of the **highest** spine
 //!   node whose `B`-vector changed (which contains the edited subtree).
 //!
-//! [`SpineScan`] computes the `B`-vectors along the spine (memoized branch
+//! [`SubMatcher`] computes the `B`-vectors along the spine (memoized branch
 //! matching), and [`region_answers`] runs the spine-reachability dynamic
 //! program over one region subtree — the restricted evaluation whose
 //! results patch the stored answer set. With the region chosen as above the

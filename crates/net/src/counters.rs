@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lifetime wire-traffic counters for one server (all connections).
 ///
-/// All increments are `Relaxed`; [`WireCounters::visit`] is the canonical
-/// name enumeration (prefixed `xpv_net_` by the exposition layer).
+/// All increments are `Relaxed`; [`WireCountersSnapshot::visit`] is the
+/// canonical name enumeration (prefixed `xpv_net_` by the exposition layer).
 #[derive(Debug, Default)]
 pub struct WireCounters {
     /// Request frames decoded off client sockets.

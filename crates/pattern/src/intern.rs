@@ -17,8 +17,8 @@
 //!   of re-hashing whole trees.
 //!
 //! The interner is deliberately append-only: keys stay valid for the life of
-//! the interner, which is what lets a long-lived `ViewCache` reuse plans
-//! across queries.
+//! the interner, which is what lets a long-lived `ShardedViewCache` reuse
+//! plans across queries.
 
 use std::collections::HashMap;
 

@@ -1,8 +1,8 @@
 //! The memoizing, concurrency-safe containment oracle.
 //!
 //! Every layer of the rewriting pipeline — candidate tests, completeness
-//! certificates, the brute-force search, multi-view ranking, the `ViewCache`
-//! — bottoms out in the coNP canonical-model containment test of Section 2.2.
+//! certificates, the brute-force search, the intersection search, the view
+//! cache — bottoms out in the coNP canonical-model containment test of Section 2.2.
 //! Those call sites overlap heavily: a single `RewritePlanner::decide` tests
 //! both natural candidates against the *same* query, the brute force
 //! re-derives composition prefixes thousands of times, and a cache serving

@@ -1,5 +1,5 @@
 //! The oracle/session/batch API end to end: repeated traffic against a
-//! `ViewCache` is planned once and served from the plan memo thereafter.
+//! `ShardedViewCache` is planned once and served from the plan memo thereafter.
 //!
 //! Run with `cargo run --release --example session_amortization`.
 
@@ -19,7 +19,7 @@ fn main() {
             });
         }
     });
-    let mut cache = ViewCache::new(doc);
+    let cache = ShardedViewCache::new(doc);
     cache.add_view("items", parse_xpath("site/region/item").unwrap());
     cache.add_view("keywords", parse_xpath("site//keyword").unwrap());
 

@@ -17,7 +17,7 @@ fn main() {
     println!("document: {} nodes", doc.len());
 
     let catalog = site_catalog();
-    let mut cache = ViewCache::new(doc);
+    let cache = ShardedViewCache::new(doc);
     for (name, def) in &catalog.views {
         let n = cache.add_view(name, def.clone());
         println!("materialized view {name:<14} = {def:<40} ({n} answers)");

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use xpath_views::engine::{metrics_from_wire, AsyncCacheServer, ShardedViewCache};
-use xpath_views::intersect::plan_intersection_in;
+use xpath_views::intersect::{plan_intersection_in, MAX_ARITY, MAX_CANDIDATES};
 use xpath_views::net::{WireClient, WireRoute};
 use xpath_views::prelude::*;
 use xpath_views::rewrite::{figure1, figure2, figure3, figure4, NoRewriteReason};
@@ -141,7 +141,7 @@ fn cmd_intersect(query: &str, views: &[String]) -> Result<ExitCode, String> {
         );
     }
 
-    let (answer, stats) = plan_intersection_in(&session, &p, &refs, &IntersectConfig::default());
+    let (answer, stats) = plan_intersection_in(&session, &p, &refs);
     println!("search:       {stats}");
     match answer {
         Some(ans) => {
@@ -156,10 +156,8 @@ fn cmd_intersect(query: &str, views: &[String]) -> Result<ExitCode, String> {
         }
         None => {
             println!(
-                "no intersection rewriting found (tree-expressible subsets up to arity {}, \
-                 budget {})",
-                IntersectConfig::default().max_arity,
-                IntersectConfig::default().max_candidates
+                "no intersection rewriting found (tree-expressible subsets up to arity \
+                 {MAX_ARITY}, budget {MAX_CANDIDATES})"
             );
             Ok(ExitCode::from(2))
         }

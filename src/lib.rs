@@ -47,10 +47,10 @@
 //! * Repeated traffic goes through a
 //!   [`PlanningSession`](rewrite::PlanningSession)
 //!   (`planner.session()`), which shares every verdict across calls.
-//! * [`ViewCache`](engine::ViewCache) holds a session for its lifetime plus
-//!   a per-query **plan memo**: the second arrival of a query skips planning
-//!   entirely — zero containment calls — and
-//!   [`ViewCache::answer_batch`](engine::ViewCache::answer_batch) answers a
+//! * [`ShardedViewCache`](engine::ShardedViewCache) holds a session for its
+//!   lifetime plus a per-query **plan memo**: the second arrival of a query
+//!   skips planning entirely — zero containment calls — and
+//!   [`answer_batch`](engine::ShardedViewCache::answer_batch) answers a
 //!   workload slice in one pass, planning in-batch duplicates once.
 //!   `CacheStats` / `PlannerStats` expose the memo-hit counters.
 //!
@@ -60,14 +60,13 @@
 //! interned-pattern fingerprint, and
 //! [`ShardedViewCache`](engine::ShardedViewCache) shards the plan memo the
 //! same way over a copy-on-write view pool (LRU-bounded, with per-view
-//! dependency invalidation on `add_view`). Worker threads answer
-//! concurrently through one cache — byte-identical to the single-threaded
-//! `ViewCache` — and the serving front-end is **async end to end**:
+//! dependency invalidation on `add_view`). It is the only cache type:
+//! worker threads answer concurrently through one cache, with the answers
+//! one thread would get, and the one server type is **async end to end**:
 //! [`AsyncCacheServer`](engine::AsyncCacheServer) multiplexes any number
-//! of wire-protocol connections (TCP / Unix-domain, `xpv listen`) onto a
-//! fixed CPU worker pool with per-connection credit windows, while
-//! [`CacheServer`](engine::CacheServer) keeps the blocking in-process API
-//! as a thin wrapper over the same pool, with per-tenant stats.
+//! of wire-protocol connections (TCP / Unix-domain, `xpv listen`) and the
+//! blocking in-process transport (`submit`) onto a fixed CPU worker pool
+//! with per-connection credit windows and per-tenant stats.
 //!
 //! ## Document updates
 //!
@@ -75,8 +74,8 @@
 //! [`apply_edits`](engine::ShardedViewCache::apply_edits) applies a
 //! transactional batch of tree edits ([`maintain::Edit`]) and refreshes
 //! every registered view **incrementally** from the edits' affected
-//! regions, invalidating only the plan-memo routes whose participants'
-//! answers actually changed.
+//! regions. Memoized routes are facts about patterns, so an edit batch
+//! invalidates none of them.
 //!
 //! ```
 //! use xpath_views::prelude::*;
@@ -128,10 +127,9 @@ pub mod prelude {
         Rewriting,
     };
     pub use xpv_engine::{
-        AsyncCacheServer, CacheServer, CacheStats, MaterializedView, Route, ShardedViewCache,
-        TenantStats, ViewCache,
+        AsyncCacheServer, CacheStats, MaterializedView, Route, ShardedViewCache, TenantStats,
     };
-    pub use xpv_intersect::{IntersectAnswer, IntersectConfig};
+    pub use xpv_intersect::IntersectAnswer;
     pub use xpv_model::{parse_xml, to_xml, Label, NodeId, Tree, TreeBuilder};
     pub use xpv_pattern::{
         compose, parse_xpath, to_xpath, Axis, NodeTest, PatId, Pattern, PatternBuilder,

@@ -1,14 +1,14 @@
 //! End-to-end tests of the async serving front-end: idle connections
 //! against a small worker pool, wire-protocol answer fidelity, edit
 //! batches over the wire with version checks, credit-window enforcement,
-//! and graceful drain under concurrent submitters — for both the
-//! [`AsyncCacheServer`] and the legacy [`CacheServer`] wrapper.
+//! and graceful drain under concurrent submitters — over both of
+//! [`AsyncCacheServer`]'s transports (in-process and wire).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use xpath_views::engine::{AsyncCacheServer, CacheServer, ShardedViewCache};
+use xpath_views::engine::{AsyncCacheServer, ShardedViewCache};
 use xpath_views::net::{Response, WireClient};
 use xpath_views::prelude::*;
 use xpath_views::workload::{
@@ -191,13 +191,14 @@ fn small_credit_window_still_serves_deep_pipelines() {
     server.shutdown();
 }
 
-/// Graceful drain, legacy wrapper: with submitter threads racing a
-/// shutdown, every ticket either resolves to correct answers or reports a
-/// rejection — nothing hangs, nothing is silently dropped.
+/// Graceful drain, in-process transport under a bounded admission window:
+/// with submitter threads racing a shutdown, every ticket either resolves
+/// to correct answers or reports a rejection — nothing hangs, nothing is
+/// silently dropped.
 #[test]
 fn graceful_drain_serves_or_rejects_legacy_wrapper() {
     let cache = serving_cache();
-    let server = Arc::new(CacheServer::start_bounded(Arc::clone(&cache), 2, 64));
+    let server = Arc::new(AsyncCacheServer::start_bounded(Arc::clone(&cache), 2, 64));
     let catalog = site_intersect_catalog();
     let q = catalog.queries[0].1.clone();
     let want = cache.answer(&q).nodes;
@@ -241,7 +242,7 @@ fn graceful_drain_serves_or_rejects_legacy_wrapper() {
         while cache.stats().queries < 20 {
             std::thread::yield_now();
         }
-        server.as_async().shutdown();
+        server.shutdown();
         drained.wait();
     });
     let (s, r) = (served.load(Ordering::Relaxed), rejected.load(Ordering::Relaxed));

@@ -1,41 +1,41 @@
 //! Concurrency correctness of the sharded serving path.
 //!
-//! The contract of `ShardedViewCache` (and the `CacheServer` pool above it)
-//! is that concurrency is *invisible* in the answers: the same Zipf
-//! workload produces exactly the nodes and routing verdicts of the
-//! single-threaded `ViewCache`, on any thread schedule. These tests run the
-//! workload on 8 threads against the serial reference, plus regression
-//! coverage for the selective plan-memo invalidation and the LRU bound
-//! under concurrent load.
+//! The contract of `ShardedViewCache` (and the `AsyncCacheServer` pool
+//! above it) is that concurrency is *invisible* in the answers: the same
+//! Zipf workload produces exactly the nodes and routing verdicts of a
+//! one-shard cache driven from one thread, on any thread schedule. These
+//! tests run the workload on 8 threads against that serial reference, plus
+//! regression coverage for the selective plan-memo invalidation and the LRU
+//! bound under concurrent load.
 
 use std::sync::Arc;
 
-use xpath_views::engine::{CacheServer, Route, ShardedViewCache};
+use xpath_views::engine::{AsyncCacheServer, Route, ShardedViewCache};
 use xpath_views::prelude::*;
-use xpath_views::workload::{catalog_zipf_stream, site_catalog, site_doc, site_intersect_catalog};
+use xpath_views::workload::{
+    catalog_zipf_stream, site_catalog, site_doc, site_intersect_catalog, Catalog,
+};
 
 const THREADS: usize = 8;
 
-fn serial_cache() -> ViewCache {
-    let mut cache = ViewCache::new(site_doc(8, 10, 7));
-    for (name, def) in site_catalog().views {
+/// A cache over the stress document with `catalog`'s views registered.
+fn cache_with(catalog: &Catalog, shards: usize) -> ShardedViewCache {
+    let cache = ShardedViewCache::new(site_doc(8, 10, 7)).with_shards(shards);
+    for (name, def) in catalog.views.clone() {
         cache.add_view(name, def);
     }
     cache
 }
 
 fn sharded_cache() -> ShardedViewCache {
-    let cache = ShardedViewCache::new(site_doc(8, 10, 7)).with_shards(8);
-    for (name, def) in site_catalog().views {
-        cache.add_view(name, def);
-    }
-    cache
+    cache_with(&site_catalog(), 8)
 }
 
 /// The reference verdicts: nodes plus route (the definitive-rewriting
-/// decision) per stream position, from the single-threaded cache.
-fn reference(stream: &[Pattern]) -> Vec<(Vec<NodeId>, Route)> {
-    let mut serial = serial_cache();
+/// decision) per stream position, from a one-shard cache over `catalog`
+/// driven from this thread alone.
+fn reference(catalog: &Catalog, stream: &[Pattern]) -> Vec<(Vec<NodeId>, Route)> {
+    let serial = cache_with(catalog, 1);
     stream
         .iter()
         .map(|q| {
@@ -48,7 +48,7 @@ fn reference(stream: &[Pattern]) -> Vec<(Vec<NodeId>, Route)> {
 #[test]
 fn eight_threads_match_single_threaded_answers_and_verdicts() {
     let stream = catalog_zipf_stream(&site_catalog(), 400, 0x5EED);
-    let want = reference(&stream);
+    let want = reference(&site_catalog(), &stream);
 
     let cache = sharded_cache();
     // Each worker answers an interleaved slice concurrently; results are
@@ -84,9 +84,9 @@ fn eight_threads_match_single_threaded_answers_and_verdicts() {
 #[test]
 fn worker_pool_batches_match_single_threaded_answers() {
     let stream = catalog_zipf_stream(&site_catalog(), 320, 0xBEE);
-    let want = reference(&stream);
+    let want = reference(&site_catalog(), &stream);
 
-    let server = CacheServer::start(Arc::new(sharded_cache()), THREADS);
+    let server = AsyncCacheServer::start(Arc::new(sharded_cache()), THREADS);
     let tickets: Vec<_> = stream
         .chunks(20)
         .enumerate()
@@ -107,9 +107,9 @@ fn worker_pool_batches_match_single_threaded_answers() {
 }
 
 /// Regression: `add_view` only drops plan-memo entries whose plan depends
-/// on the grown view pool. Memoized `FirstMatch` view routes survive and
-/// keep serving with zero coNP work; `Direct` routes are re-planned and can
-/// adopt the new view.
+/// on the grown view pool. Memoized view routes survive and keep serving
+/// with zero coNP work; `Direct` routes are re-planned and can adopt the new
+/// view.
 #[test]
 fn add_view_invalidates_only_dependent_memo_entries() {
     let cache = ShardedViewCache::new(site_doc(4, 4, 7)).with_shards(4);
@@ -132,7 +132,7 @@ fn add_view_invalidates_only_dependent_memo_entries() {
     }
     assert_eq!(cache.plan_memo_len(), 4);
 
-    let runs_before_add = cache.stats().oracle_canonical_runs;
+    let runs_before_add = cache.session().oracle().stats().canonical_runs;
     cache.add_view("items", parse_xpath("site/region/item").unwrap());
 
     // Exactly the two Direct entries were dropped.
@@ -144,7 +144,7 @@ fn add_view_invalidates_only_dependent_memo_entries() {
         assert!(matches!(cache.answer(q).route, Route::ViaView { .. }));
     }
     assert_eq!(
-        cache.stats().oracle_canonical_runs,
+        cache.session().oracle().stats().canonical_runs,
         runs_before_add,
         "memoized view routes must not be re-planned"
     );
@@ -221,7 +221,7 @@ fn reference_small(cache: &ShardedViewCache, stream: &[Pattern]) -> Vec<Vec<Node
 
 /// Sharded-vs-serial byte-identity on a workload whose hot queries are
 /// served by **multi-view intersection routes**: 8 threads over the
-/// overlapping-view catalog must reproduce the single-threaded cache's
+/// overlapping-view catalog must reproduce the one-thread cache's
 /// nodes *and* routes (including `Route::Intersect` participant lists), and
 /// replacing a participant under the sharded cache must invalidate every
 /// route that depended on it.
@@ -230,28 +230,14 @@ fn intersect_routes_are_schedule_invariant_and_invalidate_on_replacement() {
     let catalog = site_intersect_catalog();
     let stream = catalog_zipf_stream(&catalog, 400, 0x1D5EC7);
 
-    // Serial reference: the single-threaded wrapper over the same document
-    // and pool.
-    let mut serial = ViewCache::new(site_doc(8, 10, 7));
-    for (name, def) in catalog.views.clone() {
-        serial.add_view(name, def);
-    }
-    let want: Vec<(Vec<NodeId>, Route)> = stream
-        .iter()
-        .map(|q| {
-            let a = serial.answer(q);
-            (a.nodes, a.route)
-        })
-        .collect();
+    // Serial reference: one shard, one thread, same document and pool.
+    let want = reference(&catalog, &stream);
     assert!(
         want.iter().any(|(_, r)| matches!(r, Route::Intersect { .. })),
         "the overlapping catalog must exercise intersection routes"
     );
 
-    let cache = ShardedViewCache::new(site_doc(8, 10, 7)).with_shards(8);
-    for (name, def) in catalog.views.clone() {
-        cache.add_view(name, def);
-    }
+    let cache = cache_with(&catalog, 8);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let cache = &cache;

@@ -16,7 +16,7 @@ use common::{instance_from_seed, tree_from_seed};
 fn site_catalog_cache_equals_direct() {
     let doc = site_doc(5, 7, 3);
     let catalog = site_catalog();
-    let mut cache = ViewCache::new(doc);
+    let cache = ShardedViewCache::new(doc);
     for (name, def) in &catalog.views {
         cache.add_view(name, def.clone());
     }
@@ -35,7 +35,7 @@ fn site_catalog_cache_equals_direct() {
 fn bib_catalog_cache_equals_direct() {
     let doc = bib_doc(25, 9);
     let catalog = bib_catalog();
-    let mut cache = ViewCache::new(doc);
+    let cache = ShardedViewCache::new(doc);
     for (name, def) in &catalog.views {
         cache.add_view(name, def.clone());
     }
@@ -52,7 +52,7 @@ fn random_views_and_queries_agree_with_direct() {
     for seed in 0..30u64 {
         let (q, v) = instance_from_seed(seed * 11 + 2, Fragment::Full);
         let doc = tree_from_seed(seed, 40);
-        let mut cache = ViewCache::new(doc);
+        let cache = ShardedViewCache::new(doc);
         cache.add_view("v", v);
         let ans = cache.answer(&q);
         assert_eq!(ans.nodes, cache.answer_direct(&q), "seed {seed}");

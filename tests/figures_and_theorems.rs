@@ -12,7 +12,7 @@ fn figure1_through_engine() {
     let f = figure1();
     let doc = parse_xml("<a><b/><x><y><e><d/></e></y></x><z><e><d/></e></z><w><e/></w></a>")
         .expect("well-formed");
-    let mut cache = ViewCache::new(doc);
+    let cache = ShardedViewCache::new(doc);
     cache.add_view("v", f.v.clone());
     let ans = cache.answer(&f.p);
     assert_eq!(ans.nodes, cache.answer_direct(&f.p));

@@ -4,9 +4,8 @@
 //!
 //! * **exactness** — the merged intersection pattern answers exactly the
 //!   node-set intersection of its participants, on every document;
-//! * **soundness** — an intersection answer is always a subset of direct
-//!   evaluation, and exactly equal when the planner reports an equivalent
-//!   compensation;
+//! * **soundness** — an intersection answer equals direct evaluation (only
+//!   equivalent compensations are planned);
 //! * **serving** — a query no single view can answer is served through
 //!   `ShardedViewCache` byte-identically to direct evaluation, survives
 //!   memoization (second ask = zero containment calls), and is invalidated
@@ -17,8 +16,7 @@ mod common;
 use proptest::prelude::*;
 use xpath_views::engine::{Route, ShardedViewCache};
 use xpath_views::intersect::{
-    answer_intersection_materialized, answer_intersection_virtual, intersect_node_sets,
-    plan_intersection_contained_in, plan_intersection_in,
+    answer_intersection_virtual, intersect_node_sets, plan_intersection_in,
 };
 use xpath_views::pattern::intersect_patterns;
 use xpath_views::prelude::*;
@@ -54,77 +52,19 @@ proptest! {
         }
     }
 
-    /// Intersection answers are sound: a subset of direct evaluation always,
-    /// exactly equal when the planner reports an equivalent compensation.
+    /// Intersection answers are sound: exactly equal to direct evaluation.
     #[test]
     fn intersection_answers_are_sound(seed in any::<u64>(), tseed in any::<u64>()) {
         if let Some((p, views)) = overlapping_pool(seed, 2) {
             let refs: Vec<&Pattern> = views.iter().collect();
             let session = RewritePlanner::default().session();
-            let cfg = IntersectConfig::default();
-            let t = tree_from_seed(tseed, 40);
-            let direct = evaluate(&p, &t);
-            let sets: Vec<Vec<NodeId>> = views.iter().map(|v| evaluate(v, &t)).collect();
-            let set_refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-
-            if let (Some(ans), _) = plan_intersection_in(&session, &p, &refs, &cfg) {
-                let got = answer_intersection_virtual(
-                    &t,
-                    &ans.views.iter().map(|&i| set_refs[i]).collect::<Vec<_>>(),
-                    &ans.compensation,
-                );
-                prop_assert!(ans.equivalent);
-                prop_assert_eq!(got, direct.clone(), "equivalent answer must be byte-identical");
-            }
-            if let (Some(ans), _) = plan_intersection_contained_in(&session, &p, &refs, &cfg) {
-                let got = answer_intersection_virtual(
-                    &t,
-                    &ans.views.iter().map(|&i| set_refs[i]).collect::<Vec<_>>(),
-                    &ans.compensation,
-                );
-                prop_assert!(
-                    got.iter().all(|n| direct.contains(n)),
-                    "contained answer must be a subset for P={}", p
-                );
-                if ans.equivalent {
-                    prop_assert_eq!(got, direct, "equivalent flag must mean exact");
-                }
-            }
-        }
-    }
-
-    /// The materialized (by-value) intersection path agrees with the
-    /// virtual (node-identity) path up to value normalization.
-    #[test]
-    fn materialized_intersection_agrees_by_value(seed in any::<u64>(), tseed in any::<u64>()) {
-        if let Some((p, views)) = overlapping_pool(seed, 2) {
-            let refs: Vec<&Pattern> = views.iter().collect();
-            let session = RewritePlanner::default().session();
-            if let (Some(ans), _) =
-                plan_intersection_in(&session, &p, &refs, &IntersectConfig::default())
-            {
+            if let (Some(ans), _) = plan_intersection_in(&session, &p, &refs) {
                 let t = tree_from_seed(tseed, 40);
-                let node_sets: Vec<Vec<NodeId>> =
+                let sets: Vec<Vec<NodeId>> =
                     ans.views.iter().map(|&i| evaluate(&views[i], &t)).collect();
-                let node_refs: Vec<&[NodeId]> = node_sets.iter().map(|s| s.as_slice()).collect();
-                let virt = answer_intersection_virtual(&t, &node_refs, &ans.compensation);
-
-                let tree_sets: Vec<Vec<xpath_views::model::Tree>> = node_sets
-                    .iter()
-                    .map(|set| set.iter().map(|&n| t.subtree(n).0).collect())
-                    .collect();
-                let tree_refs: Vec<&[xpath_views::model::Tree]> =
-                    tree_sets.iter().map(|s| s.as_slice()).collect();
-                let mat = answer_intersection_materialized(&tree_refs, &ans.compensation);
-
-                let mut virt_keys: Vec<String> =
-                    virt.iter().map(|&n| t.canonical_key_at(n)).collect();
-                virt_keys.sort();
-                virt_keys.dedup();
-                let mut mat_keys: Vec<String> =
-                    mat.iter().map(|u| u.canonical_key()).collect();
-                mat_keys.sort();
-                prop_assert_eq!(virt_keys, mat_keys, "value mismatch for P={}", p);
+                let set_refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
+                let got = answer_intersection_virtual(&t, &set_refs, &ans.compensation);
+                prop_assert_eq!(got, evaluate(&p, &t), "answer must be byte-identical");
             }
         }
     }
@@ -182,7 +122,7 @@ fn acceptance_two_view_intersection_through_the_sharded_cache() {
     }
 
     // Second ask: plan-memo hit, zero containment calls.
-    let runs_before = cache.stats().oracle_canonical_runs;
+    let runs_before = cache.session().oracle().stats().canonical_runs;
     let queries_before = cache.session().oracle().stats().queries;
     let second = cache.answer(&q);
     assert_eq!(second.nodes, direct);
@@ -192,7 +132,7 @@ fn acceptance_two_view_intersection_through_the_sharded_cache() {
         oracle_after.queries, queries_before,
         "second ask must issue zero containment queries"
     );
-    assert_eq!(cache.stats().oracle_canonical_runs, runs_before);
+    assert_eq!(oracle_after.canonical_runs, runs_before);
     assert_eq!(cache.stats().plan_memo_hits, 1);
 
     // Replacing either participant invalidates the route.

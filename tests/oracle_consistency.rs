@@ -1,7 +1,7 @@
 //! The containment oracle's contract: memoization never changes a verdict.
 //!
 //! A shared, long-lived [`ContainmentOracle`] (the thing `PlanningSession`
-//! and `ViewCache` hold) must answer exactly like a fresh oracle per call —
+//! and `ShardedViewCache` hold) must answer exactly like a fresh oracle per call —
 //! which in turn is what the free functions `contained` / `weakly_contained`
 //! run. The property is exercised over hundreds of generated pattern pairs,
 //! asked twice each so the second round is answered from the memo.
