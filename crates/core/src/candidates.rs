@@ -12,7 +12,9 @@
 //! equivalence procedure of `xpv-semantics` — the only non-polynomial step
 //! of the whole algorithm, exactly as the paper advertises.
 
-use xpv_pattern::{compose, Pattern};
+use std::cell::OnceCell;
+
+use xpv_pattern::{compose, Axis, Pattern, PatternKey};
 use xpv_semantics::ContainmentOracle;
 
 /// A natural candidate, tagged with whether it is the relaxed one.
@@ -33,14 +35,22 @@ pub struct Candidate {
 /// Panics if `v.depth() > p.depth()` (no candidates exist; Proposition 3.1
 /// rules out rewritings altogether).
 pub fn natural_candidates(p: &Pattern, v: &Pattern) -> Vec<Candidate> {
-    let k = v.depth();
+    candidates_at_depth(p, v.depth())
+}
+
+/// The natural candidates of `p` for views of depth `k`: they depend on the
+/// view through its depth only.
+fn candidates_at_depth(p: &Pattern, k: usize) -> Vec<Candidate> {
     assert!(k <= p.depth(), "natural candidates undefined for views deeper than the query");
     let base = p.sub_pattern_geq(k);
-    let relaxed = base.relax_root_edges();
-    let mut out = vec![Candidate { pattern: base.clone(), relaxed: false }];
-    if !relaxed.structurally_eq(&base) {
-        out.push(Candidate { pattern: relaxed, relaxed: true });
-    }
+    // Relaxation rewrites exactly the child edges at the root.
+    let relaxed = base
+        .children(base.root())
+        .iter()
+        .any(|&c| base.axis(c) == Axis::Child)
+        .then(|| Candidate { pattern: base.relax_root_edges(), relaxed: true });
+    let mut out = vec![Candidate { pattern: base, relaxed: false }];
+    out.extend(relaxed);
     out
 }
 
@@ -55,12 +65,70 @@ pub struct CandidateTestStats {
     pub hom_hits: u32,
 }
 
-/// Tests whether `r` is a rewriting of `p` using `v`, i.e. `r ◦ v ≡ p`.
-/// Label clashes (`r ◦ v = Υ`) are never rewritings since `p` is satisfiable.
-///
-/// Both containments are decided through the shared `oracle`: repeated
-/// candidate tests on overlapping instances reuse each other's verdicts (and
-/// homomorphism witnesses) instead of recomputing them.
+/// What planning one query against many views computes once: the query's
+/// key in the oracle's interner and its natural candidates per view depth
+/// (built on first use of a depth). A plan miss prepares one context and
+/// hands it to every decision of that miss.
+#[derive(Debug)]
+pub struct QueryContext<'a> {
+    pub(crate) oracle: &'a ContainmentOracle,
+    pub(crate) p: &'a Pattern,
+    key: PatternKey,
+    /// Indexed by view depth `k ≤ depth(p)`.
+    candidates: Vec<OnceCell<Vec<Candidate>>>,
+}
+
+impl<'a> QueryContext<'a> {
+    /// Prepares `p` for decisions through `oracle`.
+    pub fn new(oracle: &'a ContainmentOracle, p: &'a Pattern) -> QueryContext<'a> {
+        Self::interned(oracle, p, oracle.intern(p))
+    }
+
+    /// [`QueryContext::new`] for a caller that already holds `p`'s key
+    /// **from `oracle`'s interner**.
+    pub fn interned(
+        oracle: &'a ContainmentOracle,
+        p: &'a Pattern,
+        key: PatternKey,
+    ) -> QueryContext<'a> {
+        debug_assert_eq!(oracle.intern(p), key, "key must be the query's own");
+        QueryContext { oracle, p, key, candidates: vec![OnceCell::new(); p.depth() + 1] }
+    }
+
+    /// The query.
+    pub fn query(&self) -> &'a Pattern {
+        self.p
+    }
+
+    /// The natural candidates for views of depth `k` (see
+    /// [`natural_candidates`]; panics likewise when `k` exceeds the query's
+    /// depth).
+    pub fn candidates(&self, k: usize) -> &[Candidate] {
+        self.candidates[k].get_or_init(|| candidates_at_depth(self.p, k))
+    }
+
+    /// Tests whether `r` is a rewriting of the query using `v`, i.e.
+    /// `r ◦ v ≡ p`. Label clashes (`r ◦ v = Υ`) are never rewritings since
+    /// `p` is satisfiable.
+    ///
+    /// `r ◦ v` is interned once and both containments are decided by key
+    /// through the shared oracle: repeated candidate tests on overlapping
+    /// instances reuse each other's verdicts instead of recomputing them.
+    pub fn test_candidate(&self, v: &Pattern, r: &Pattern, stats: &mut CandidateTestStats) -> bool {
+        let Some(rv) = compose(r, v) else {
+            return false;
+        };
+        stats.equivalence_tests += 1;
+        let before = self.oracle.stats();
+        let holds = self.oracle.equivalent_interned(&rv, self.oracle.intern(&rv), self.p, self.key);
+        let delta = self.oracle.stats().since(&before);
+        stats.models_checked += delta.models_checked;
+        stats.hom_hits += u32::try_from(delta.hom_fast_path_hits).unwrap_or(u32::MAX);
+        holds
+    }
+}
+
+/// One-shot [`QueryContext::test_candidate`]: is `r ◦ v ≡ p`?
 pub fn test_candidate_with_oracle(
     p: &Pattern,
     v: &Pattern,
@@ -68,23 +136,13 @@ pub fn test_candidate_with_oracle(
     oracle: &ContainmentOracle,
     stats: &mut CandidateTestStats,
 ) -> bool {
-    let Some(rv) = compose(r, v) else {
-        return false;
-    };
-    stats.equivalence_tests += 1;
-    let before = oracle.stats();
-    let fwd = oracle.contained(&rv, p);
-    let holds = fwd && oracle.contained(p, &rv);
-    let delta = oracle.stats().since(&before);
-    stats.models_checked += delta.models_checked;
-    stats.hom_hits += u32::try_from(delta.hom_fast_path_hits).unwrap_or(u32::MAX);
-    holds
+    QueryContext::new(oracle, p).test_candidate(v, r, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xpv_pattern::parse_xpath;
+    use xpv_pattern::{parse_xpath, NodeTest, PatId};
 
     fn pat(s: &str) -> Pattern {
         parse_xpath(s).expect("pattern parses")
@@ -118,6 +176,55 @@ mod tests {
         let cands = natural_candidates(&p, &v);
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].pattern.to_string(), "c");
+    }
+
+    #[test]
+    fn relaxed_candidate_is_present_iff_the_root_has_a_child_edge() {
+        // Seeded spines with branches (xorshift; the workload generators
+        // live in a crate above this one), every view depth of each.
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % n as u64) as usize
+        };
+        let (mut with, mut without) = (0, 0);
+        for _ in 0..300 {
+            let test = |r: usize| match r {
+                0 => NodeTest::Wildcard,
+                r => NodeTest::label(["a", "b", "c"][r - 1]),
+            };
+            let mut p = Pattern::single(test(next(4)));
+            let mut spine = vec![p.root()];
+            for _ in 0..1 + next(3) {
+                let axis = if next(2) == 0 { Axis::Descendant } else { Axis::Child };
+                spine.push(p.add_child(spine[spine.len() - 1], axis, test(next(4))));
+            }
+            p.set_output(spine[spine.len() - 1]);
+            for _ in 0..next(4) {
+                let axis = if next(2) == 0 { Axis::Descendant } else { Axis::Child };
+                p.add_child(PatId(next(p.len()) as u32), axis, test(next(4)));
+            }
+            let oracle = ContainmentOracle::new();
+            let ctx = QueryContext::new(&oracle, &p);
+            for k in 0..=p.depth() {
+                let cands = ctx.candidates(k);
+                let base = p.sub_pattern_geq(k);
+                assert!(cands[0].pattern.structurally_eq(&base) && !cands[0].relaxed);
+                // The old test: does relaxing change the pattern at all?
+                let differs = !base.relax_root_edges().structurally_eq(&base);
+                assert_eq!(cands.len(), 1 + usize::from(differs), "{p} at depth {k}");
+                if differs {
+                    assert!(cands[1].pattern.structurally_eq(&base.relax_root_edges()));
+                    assert!(cands[1].relaxed);
+                    with += 1;
+                } else {
+                    without += 1;
+                }
+            }
+        }
+        assert!(with > 100 && without > 100, "both outcomes sampled ({with} / {without})");
     }
 
     #[test]

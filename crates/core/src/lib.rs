@@ -12,10 +12,11 @@
 //!   candidate tests, certificates, and the budgeted Proposition 3.4
 //!   brute force ([`brute_force_rewrite`]);
 //! * [`PlanningSession`] — a planner bound to a long-lived
-//!   [`xpv_semantics::ContainmentOracle`], so every containment verdict,
-//!   homomorphism witness, and interned pattern is shared across all the
-//!   queries and views the session sees ([`PlannerStats`] reports per-call
-//!   memo hits / misses and coNP work);
+//!   [`xpv_semantics::ContainmentOracle`], so every containment verdict
+//!   and interned pattern is shared across all the queries and views the
+//!   session sees ([`PlannerStats`] reports per-call memo hits / misses and
+//!   coNP work); a [`QueryContext`] carries what one query's decisions
+//!   against many views have in common;
 //! * [`multiview`] — view chains (Proposition 2.4) and contained
 //!   rewritings (sound partial answers, the paper's open problem 3);
 //! * [`figures`] — executable reconstructions of the paper's Figures 1–4.
@@ -32,7 +33,7 @@ pub use brute::{
     BruteForceStats,
 };
 pub use candidates::{
-    natural_candidates, test_candidate_with_oracle, Candidate, CandidateTestStats,
+    natural_candidates, test_candidate_with_oracle, Candidate, CandidateTestStats, QueryContext,
 };
 pub use conditions::{find_condition, Condition};
 pub use figures::{figure1, figure2, figure3, figure4, Figure1, Figure2, Figure3, Figure4};

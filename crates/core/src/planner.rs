@@ -26,7 +26,7 @@ use crate::brute::{
     brute_force_rewrite, brute_force_rewrite_with_oracle, BruteForceConfig, BruteForceOutcome,
     BruteForceStats,
 };
-use crate::candidates::{natural_candidates, test_candidate_with_oracle, CandidateTestStats};
+use crate::candidates::{CandidateTestStats, QueryContext};
 use crate::conditions::{find_condition, Condition};
 
 /// How a rewriting was obtained.
@@ -185,37 +185,34 @@ impl RewritePlanner {
     /// [`RewritePlanner::decide`] with counters (fresh oracle per call).
     pub fn decide_with_stats(&self, p: &Pattern, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
         let oracle = ContainmentOracle::with_options(self.containment);
-        self.decide_in(&oracle, p, v)
+        self.decide_prepared(&QueryContext::new(&oracle, p), v)
     }
 
-    /// The decision procedure, deciding every containment through `oracle`.
+    /// The decision procedure for the prepared query `ctx` and view `v`,
+    /// deciding every containment through the context's oracle. A caller
+    /// planning one query against many views prepares once and reuses `ctx`.
     ///
     /// The per-call `memo_hits` / `memo_misses` / `canonical_runs` counters
     /// are derived from oracle-stats snapshots around the call; when other
     /// threads decide through the same oracle concurrently the delta
     /// attributes their overlapping work to this call (the counters stay
     /// exact whenever the oracle is driven from one thread at a time).
-    pub fn decide_in(
+    pub fn decide_prepared(
         &self,
-        oracle: &ContainmentOracle,
-        p: &Pattern,
+        ctx: &QueryContext<'_>,
         v: &Pattern,
     ) -> (RewriteAnswer, PlannerStats) {
-        let oracle_before: OracleStats = oracle.stats();
-        let (answer, mut stats) = self.decide_inner(oracle, p, v);
-        let delta = oracle.stats().since(&oracle_before);
+        let oracle_before: OracleStats = ctx.oracle.stats();
+        let (answer, mut stats) = self.decide_inner(ctx, v);
+        let delta = ctx.oracle.stats().since(&oracle_before);
         stats.memo_hits = delta.verdict_memo_hits;
         stats.memo_misses = delta.verdict_memo_misses;
         stats.canonical_runs = delta.canonical_runs;
         (answer, stats)
     }
 
-    fn decide_inner(
-        &self,
-        oracle: &ContainmentOracle,
-        p: &Pattern,
-        v: &Pattern,
-    ) -> (RewriteAnswer, PlannerStats) {
+    fn decide_inner(&self, ctx: &QueryContext<'_>, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
+        let (p, oracle) = (ctx.p, ctx.oracle);
         let mut stats = PlannerStats::default();
         let d = p.depth();
         let k = v.depth();
@@ -250,11 +247,11 @@ impl RewritePlanner {
         stats.condition_found = condition.is_some();
 
         // Natural candidates (at most two equivalence tests).
-        for cand in natural_candidates(p, v) {
-            if test_candidate_with_oracle(p, v, &cand.pattern, oracle, &mut stats.candidate_tests) {
+        for cand in ctx.candidates(k) {
+            if ctx.test_candidate(v, &cand.pattern, &mut stats.candidate_tests) {
                 return (
                     RewriteAnswer::Rewriting(Rewriting {
-                        pattern: cand.pattern,
+                        pattern: cand.pattern.clone(),
                         method: Method::NaturalCandidate { relaxed: cand.relaxed },
                         condition,
                         beyond_candidates: false,
@@ -339,10 +336,9 @@ impl RewritePlanner {
 /// [`ContainmentOracle`] all its decisions flow through.
 ///
 /// One-shot `RewritePlanner::decide` calls pay the full coNP cost every
-/// time; a session shares interned patterns, homomorphism witnesses, and
-/// containment verdicts across *all* queries and views it sees, which is
-/// what makes repeated traffic cheap (the `ShardedViewCache` holds one for
-/// its entire lifetime).
+/// time; a session shares interned patterns and containment verdicts
+/// across *all* queries and views it sees, which is what makes repeated
+/// traffic cheap (the `ShardedViewCache` holds one for its entire lifetime).
 ///
 /// Like the oracle it wraps, a session is fully shareable: `decide` takes
 /// `&self`, so worker threads answering concurrent traffic plan through one
@@ -395,9 +391,20 @@ impl PlanningSession {
     /// [`PlanningSession::decide`] with per-call counters; `memo_hits` /
     /// `memo_misses` / `canonical_runs` describe exactly this call's share
     /// of the oracle's work when the session is driven from a single thread
-    /// (see [`RewritePlanner::decide_in`] for the concurrent caveat).
+    /// (see [`RewritePlanner::decide_prepared`] for the concurrent caveat).
     pub fn decide_with_stats(&self, p: &Pattern, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
-        self.planner.decide_in(&self.oracle, p, v)
+        self.planner.decide_prepared(&self.prepare(p), v)
+    }
+
+    /// Prepares `p` for decisions against many views (one plan miss): what
+    /// depends on the query alone is then computed once, not per view.
+    pub fn prepare<'a>(&'a self, p: &'a Pattern) -> QueryContext<'a> {
+        QueryContext::new(&self.oracle, p)
+    }
+
+    /// [`PlanningSession::decide`] for a prepared query.
+    pub fn decide_prepared(&self, ctx: &QueryContext<'_>, v: &Pattern) -> RewriteAnswer {
+        self.planner.decide_prepared(ctx, v).0
     }
 }
 

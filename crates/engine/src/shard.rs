@@ -65,7 +65,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use xpv_core::{PlanningSession, RewriteAnswer, RewritePlanner};
+use xpv_core::{PlanningSession, QueryContext, RewriteAnswer, RewritePlanner};
 use xpv_intersect::{intersect_node_sets, plan_intersection_sig};
 use xpv_maintain::{
     apply_region_results, coalesce_plan, finalize_deltas, prepare_batch, scan_regions_flat, Edit,
@@ -1016,7 +1016,7 @@ impl ShardedViewCache {
         let planned_at = self.views_version.load(Ordering::Acquire);
         let plan_snap = self.snapshot();
         let miss_start = Instant::now();
-        let (route, dep) = self.plan(query, shard, &plan_snap);
+        let (route, dep) = self.plan(query, key, shard, &plan_snap);
         let planned = Arc::new(Planned::new(route, &plan_snap));
         self.obs.plan_miss_us.record_duration(miss_start.elapsed());
         let mut map = shard.memo.write().expect("plan memo poisoned");
@@ -1079,6 +1079,7 @@ impl ShardedViewCache {
     fn plan(
         &self,
         query: &Pattern,
+        key: PatternKey,
         shard: &CacheShard,
         snap: &StateSnapshot,
     ) -> (PlannedRoute, PlanDep) {
@@ -1103,8 +1104,11 @@ impl ShardedViewCache {
                 });
             }
         }
+        // What depends on the query alone — its interned key, its natural
+        // candidates per view depth — is shared by every decision below.
+        let ctx = QueryContext::interned(self.session.oracle(), query, key);
         for &index in &order {
-            let answer = self.session.decide(query, views[index].definition());
+            let answer = self.session.decide_prepared(&ctx, views[index].definition());
             if let RewriteAnswer::Rewriting(rw) = answer {
                 // The route is justified by this view alone (its rewriting
                 // was verified pairwise), so it depends on that view's
@@ -1120,7 +1124,7 @@ impl ShardedViewCache {
             let pool: Vec<&Pattern> = views.iter().map(|v| v.definition()).collect();
             let (answer, istats) = plan_intersection_sig(
                 &self.session,
-                query,
+                &ctx,
                 &pool,
                 Some((&qsig, snap.sigs.as_slice())),
             );

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use xpv_core::{PlanningSession, RewriteAnswer};
+use xpv_core::{PlanningSession, QueryContext, RewriteAnswer};
 use xpv_pattern::{intersect_patterns, Axis, Pattern, QuerySignature, ViewSignature};
 
 /// A verified multi-view rewriting over a node-set intersection:
@@ -116,7 +116,7 @@ pub fn plan_intersection_in(
     p: &Pattern,
     pool: &[&Pattern],
 ) -> (Option<IntersectAnswer>, IntersectStats) {
-    plan_intersection_sig(session, p, pool, None)
+    plan_intersection_sig(session, &session.prepare(p), pool, None)
 }
 
 /// [`plan_intersection_in`] with the serving layer's precomputed
@@ -128,15 +128,17 @@ pub fn plan_intersection_in(
 /// so the returned answer is identical to the unfiltered search's (only
 /// [`IntersectStats::sig_skipped`] and the work done differ). Pass
 /// `sigs = None` when no precomputed signatures are at hand; `sigs` must
-/// be parallel to `pool`.
+/// be parallel to `pool`. The query arrives prepared (`ctx`, from
+/// `session`), so a plan miss shares one context between its single-view
+/// scan and this search.
 pub fn plan_intersection_sig(
     session: &PlanningSession,
-    p: &Pattern,
+    ctx: &QueryContext<'_>,
     pool: &[&Pattern],
     sigs: Option<(&QuerySignature, &[ViewSignature])>,
 ) -> (Option<IntersectAnswer>, IntersectStats) {
     let mut stats = IntersectStats::default();
-    let d = p.depth();
+    let d = ctx.query().depth();
     // Candidate views, grouped by selection depth: only equal-depth views
     // merge, and the merged anchor inherits that depth, which the planner's
     // depth gate requires to be ≤ the query's.
@@ -197,7 +199,7 @@ pub fn plan_intersection_sig(
                     return true;
                 }
                 stats.plans_attempted += 1;
-                if let RewriteAnswer::Rewriting(rw) = session.decide(p, &merged) {
+                if let RewriteAnswer::Rewriting(rw) = session.decide_prepared(ctx, &merged) {
                     stats.participants = subset.len() as u64;
                     found = Some(IntersectAnswer {
                         views: subset.to_vec(),

@@ -43,13 +43,6 @@ impl FragmentFlags {
         }
     }
 
-    /// `true` when the pattern lies in one of the three sub-fragments for
-    /// which containment is characterized by homomorphisms (at most two of
-    /// the three constructs are used).
-    pub fn homomorphism_complete(self) -> bool {
-        !(self.wildcard && self.descendant && self.branching)
-    }
-
     /// A compact human-readable fragment name, e.g. `XP{//,[],*}`.
     pub fn name(self) -> String {
         let mut parts = Vec::new();
@@ -207,16 +200,13 @@ mod tests {
     fn fragment_flags_detect_constructs() {
         let f = FragmentFlags::of(&pat("a/b"));
         assert!(!f.wildcard && !f.descendant && !f.branching);
-        assert!(f.homomorphism_complete());
 
         let f = FragmentFlags::of(&pat("a//b[*]"));
         assert!(f.wildcard && f.descendant && f.branching);
-        assert!(!f.homomorphism_complete());
         assert_eq!(f.name(), "XP{//,[],*}");
 
         let f = FragmentFlags::of(&pat("a//b[c]"));
         assert!(!f.wildcard && f.descendant && f.branching);
-        assert!(f.homomorphism_complete());
         assert_eq!(f.name(), "XP{//,[]}");
     }
 

@@ -76,8 +76,13 @@ fn build_model(p: &Pattern, desc_edges: &[PatId], lengths: &[usize]) -> Canonica
 /// The minimal canonical model `τ(P)`: every `*` becomes `⊥`, every
 /// descendant edge becomes a single edge (footnote 1 of the paper).
 pub fn tau(p: &Pattern) -> CanonicalModel {
+    uniform_model(p, 1)
+}
+
+/// The canonical model that expands every descendant edge to `len` edges.
+pub(crate) fn uniform_model(p: &Pattern, len: usize) -> CanonicalModel {
     let desc_edges = descendant_edge_targets(p);
-    let lengths = vec![1; desc_edges.len()];
+    let lengths = vec![len; desc_edges.len()];
     build_model(p, &desc_edges, &lengths)
 }
 

@@ -4,12 +4,17 @@
 //! * `P1 ⊑w P2` ([`weakly_contained`]): `P1^w(t) ⊆ P2^w(t)` for all `t`;
 //! * equivalence / weak equivalence are two-sided containments.
 //!
-//! The decision procedure is staged:
+//! The decision procedure is staged, and spelled out once ([`decide`]; the
+//! free functions here and the memoizing [`crate::ContainmentOracle`] all
+//! call it):
 //!
-//! 1. **Homomorphism fast path** (PTIME, sound for the full fragment,
-//!    complete for the three sub-fragments): a homomorphism `P2 → P1`
-//!    witnesses containment immediately.
-//! 2. **Canonical-model test** (the coNP-complete procedure of \[14\], used by
+//! 1. **Homomorphism fast path** (PTIME, sound for the full fragment): a
+//!    homomorphism `P2 → P1` witnesses containment immediately.
+//! 2. **Homomorphism-complete negatives** (PTIME): when `P1` has no
+//!    descendant edge or `P2` has no wildcard — which covers `XP{[],*}` and
+//!    `XP{//,[]}` — "no homomorphism" already *is* "not contained"
+//!    ([`homomorphism_decides`]).
+//! 3. **Canonical-model test** (the coNP-complete procedure of \[14\], used by
 //!    the paper in Section 2.2): `P1 ⊑ P2` iff for every canonical model
 //!    `t` of `P1` with per-edge expansions bounded by
 //!    [`expansion_bound`]`(P2)`, the canonical output of `t` is an answer of
@@ -17,18 +22,20 @@
 //!
 //! Weak containment uses the identity `P1 ⊑w P2 ⟺ ∀u: P1(u) ⊆ P2^w(u)`
 //! (a weak embedding into `t` is a strong embedding into a subtree of `t`),
-//! so it runs the same canonical-model loop with weak embeddings of `P2`.
+//! so it runs the same stages with free homomorphisms and weak embeddings
+//! of `P2`.
 
-use crate::canonical::{expansion_bound, CanonicalModel, CanonicalModels};
+use crate::canonical::{expansion_bound, uniform_model, CanonicalModel, CanonicalModels};
 use crate::embed::{embeds_with_output, weakly_embeds_with_output};
 use crate::hom::{homomorphism_exists, HomMode};
-use xpv_pattern::Pattern;
+use xpv_pattern::{Axis, Pattern};
 
 /// Tuning knobs for the containment procedure (exposed for the ablation
 /// experiments; the defaults are what every other crate uses).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ContainmentOptions {
-    /// Try the PTIME homomorphism witness before the canonical-model loop.
+    /// Try the PTIME homomorphism stages before the canonical-model loop.
+    /// `false` is the pure canonical-loop reference arm.
     pub hom_fast_path: bool,
     /// Override the per-edge expansion bound (for bound-robustness ablations).
     /// `None` uses [`expansion_bound`] of the containing pattern.
@@ -47,7 +54,8 @@ impl Default for ContainmentOptions {
 pub struct ContainmentOutcome {
     /// Whether the containment holds.
     pub holds: bool,
-    /// `true` if the homomorphism fast path settled it.
+    /// `true` if a homomorphism stage settled it — a witness when `holds`,
+    /// its absence where that is complete otherwise — without the loop.
     pub via_homomorphism: bool,
     /// Canonical models examined by the complete test.
     pub models_checked: u64,
@@ -56,7 +64,7 @@ pub struct ContainmentOutcome {
     pub counter_model: Option<CanonicalModel>,
 }
 
-pub(crate) fn canonical_loop(
+fn canonical_loop(
     p1: &Pattern,
     p2: &Pattern,
     bound: usize,
@@ -78,28 +86,39 @@ pub(crate) fn canonical_loop(
     true
 }
 
-/// Decides `p1 ⊑ p2` with full diagnostics.
-pub fn contained_with(p1: &Pattern, p2: &Pattern, opts: &ContainmentOptions) -> ContainmentOutcome {
-    let mut outcome = ContainmentOutcome {
-        holds: false,
-        via_homomorphism: false,
-        models_checked: 0,
-        counter_model: None,
-    };
-    if opts.hom_fast_path && homomorphism_exists(p2, p1, HomMode::RootAnchored) {
-        outcome.holds = true;
-        outcome.via_homomorphism = true;
-        return outcome;
-    }
-    let bound = opts.bound_override.unwrap_or_else(|| expansion_bound(p2));
-    outcome.holds = canonical_loop(p1, p2, bound, false, &mut outcome);
-    outcome
+/// Is "no homomorphism `p2 → p1`" already "`p1 ⋢ p2`" for this pair? Yes in
+/// two cases, strong (root-anchored homomorphisms) and weak (free ones)
+/// alike. Let `t` be the canonical model of `p1` that turns every `*` into
+/// `⊥` and every descendant edge into a two-edge path through one fresh
+/// `⊥` node; `p1 ⊑ p2` makes `p2` embed into `t` with its output on `t`'s.
+///
+/// * **`p1` has no descendant edge.** Then `t` is `p1` itself with `*`
+///   relabeled `⊥`, and its only canonical model. A labeled node of `p2`
+///   lands on the same label, hence not on `⊥`, hence on a labeled node of
+///   `p1`; child edges land on edges of `t`, which are child edges of `p1`;
+///   descendant edges on proper-descendant pairs. The embedding *is* a
+///   homomorphism.
+/// * **`p2` has no wildcard.** Every node of `p2` is labeled, so it lands on
+///   a non-`⊥` node of `t`: the image of a labeled node of `p1`. Two such
+///   nodes are parent and child in `t` only across a child edge of `p1` (a
+///   descendant edge has a `⊥` node in between), and ancestor and descendant
+///   in `t` only if they are in `p1`. Again a homomorphism.
+///
+/// This is a fact about the *pair*, and no per-pattern fragment flag can
+/// stand in for it: "at most two of `//`, `[]`, `*`" admits `XP{//,*}`, where
+/// `a/*//e ⊑ a//*/e` holds with no homomorphism.
+fn homomorphism_decides(p1: &Pattern, p2: &Pattern) -> bool {
+    p1.node_ids().skip(1).all(|n| p1.axis(n) == Axis::Child)
+        || p2.node_ids().all(|n| !p2.test(n).is_wildcard())
 }
 
-/// Decides weak containment `p1 ⊑w p2` with full diagnostics.
-pub fn weakly_contained_with(
+/// The staged containment procedure, uncached: `p1 ⊑ p2`, or `p1 ⊑w p2`
+/// when `weak`. A negative of stage 2 carries no counter-model; the model
+/// of [`homomorphism_decides`] is one, and [`contained_with`] builds it.
+pub(crate) fn decide(
     p1: &Pattern,
     p2: &Pattern,
+    weak: bool,
     opts: &ContainmentOptions,
 ) -> ContainmentOutcome {
     let mut outcome = ContainmentOutcome {
@@ -108,17 +127,48 @@ pub fn weakly_contained_with(
         models_checked: 0,
         counter_model: None,
     };
-    // A free homomorphism p2 → p1 (output onto output) witnesses weak
-    // containment: compose it with the strong embedding of p1 into the
-    // subtree that realizes a weak embedding.
-    if opts.hom_fast_path && homomorphism_exists(p2, p1, HomMode::Free) {
-        outcome.holds = true;
-        outcome.via_homomorphism = true;
-        return outcome;
+    if opts.hom_fast_path {
+        // A free homomorphism p2 → p1 (output onto output) witnesses weak
+        // containment: compose it with the strong embedding of p1 into the
+        // subtree that realizes a weak embedding.
+        let mode = if weak { HomMode::Free } else { HomMode::RootAnchored };
+        outcome.holds = homomorphism_exists(p2, p1, mode);
+        if outcome.holds || homomorphism_decides(p1, p2) {
+            outcome.via_homomorphism = true;
+            return outcome;
+        }
     }
     let bound = opts.bound_override.unwrap_or_else(|| expansion_bound(p2));
-    outcome.holds = canonical_loop(p1, p2, bound, true, &mut outcome);
+    outcome.holds = canonical_loop(p1, p2, bound, weak, &mut outcome);
     outcome
+}
+
+/// [`decide`] with the counter-model of a stage-2 negative filled in.
+fn diagnose(
+    p1: &Pattern,
+    p2: &Pattern,
+    weak: bool,
+    opts: &ContainmentOptions,
+) -> ContainmentOutcome {
+    let mut outcome = decide(p1, p2, weak, opts);
+    if outcome.via_homomorphism && !outcome.holds {
+        outcome.counter_model = Some(uniform_model(p1, 2));
+    }
+    outcome
+}
+
+/// Decides `p1 ⊑ p2` with full diagnostics.
+pub fn contained_with(p1: &Pattern, p2: &Pattern, opts: &ContainmentOptions) -> ContainmentOutcome {
+    diagnose(p1, p2, false, opts)
+}
+
+/// Decides weak containment `p1 ⊑w p2` with full diagnostics.
+pub fn weakly_contained_with(
+    p1: &Pattern,
+    p2: &Pattern,
+    opts: &ContainmentOptions,
+) -> ContainmentOutcome {
+    diagnose(p1, p2, true, opts)
 }
 
 /// `p1 ⊑ p2` with default options.
@@ -129,12 +179,12 @@ pub fn weakly_contained_with(
 /// memo miss). Components that decide containment repeatedly should hold a
 /// long-lived oracle instead so verdicts are shared across calls.
 pub fn contained(p1: &Pattern, p2: &Pattern) -> bool {
-    contained_with(p1, p2, &ContainmentOptions::default()).holds
+    decide(p1, p2, false, &ContainmentOptions::default()).holds
 }
 
 /// `p1 ⊑w p2` with default options (one-shot; see [`contained`]).
 pub fn weakly_contained(p1: &Pattern, p2: &Pattern) -> bool {
-    weakly_contained_with(p1, p2, &ContainmentOptions::default()).holds
+    decide(p1, p2, true, &ContainmentOptions::default()).holds
 }
 
 /// `p1 ≡ p2` (two-sided containment; one-shot, see [`contained`]).
@@ -252,6 +302,36 @@ mod tests {
         // But a/*/e is strictly stronger.
         assert!(contained(&pat("a/*/e"), &pat("a//*/e")));
         assert!(!contained(&pat("a//*/e"), &pat("a/*/e")));
+    }
+
+    #[test]
+    fn homomorphism_negatives_are_a_fact_about_the_pair() {
+        // a/*//e ⊑ a//*/e holds with no homomorphism, and both patterns lie
+        // in XP{//,*}: "uses at most two of the three constructs" cannot be
+        // the test for trusting a missing homomorphism. The pairwise rule
+        // declines here (the left side has `//`, the right side `*`) …
+        let (l, r) = (pat("a/*//e"), pat("a//*/e"));
+        assert!(!homomorphism_exists(&r, &l, HomMode::RootAnchored));
+        assert!(!homomorphism_decides(&l, &r));
+        let out = contained_with(&l, &r, &ContainmentOptions::default());
+        assert!(out.holds && !out.via_homomorphism && out.models_checked >= 1);
+        // … and fires when the left side has no `//` or the right side no
+        // `*`, settling the negative without a single canonical model.
+        for (l, r) in [("a/*/e", "a/b/e"), ("a//*/e", "a//b/e"), ("a/*[b]", "a//*/b")] {
+            let (l, r) = (pat(l), pat(r));
+            assert!(homomorphism_decides(&l, &r), "{l} vs {r}");
+            for weak in [false, true] {
+                let out = diagnose(&l, &r, weak, &ContainmentOptions::default());
+                assert!(!out.holds && out.via_homomorphism, "{l} vs {r}");
+                assert_eq!(out.models_checked, 0);
+                // The counter-model is real: the reference arm agrees on it.
+                let cm = out.counter_model.expect("counter model");
+                assert!(crate::embed::evaluate(&l, &cm.tree).contains(&cm.output));
+                assert!(!crate::embed::evaluate(&r, &cm.tree).contains(&cm.output));
+                let reference = ContainmentOptions { hom_fast_path: false, bound_override: None };
+                assert!(!diagnose(&l, &r, weak, &reference).holds);
+            }
+        }
     }
 
     #[test]

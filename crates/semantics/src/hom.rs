@@ -11,11 +11,14 @@
 //!   of edges along the path).
 //!
 //! The existence of a homomorphism always implies containment `P ⊑ Q`
-//! (compose `h` with any embedding of `P`); for the three sub-fragments
-//! `XP{//,[]}`, `XP{//,*}`, `XP{[],*}` it is also *necessary* (Miklau–Suciu,
-//! the paper's \[14\]), which both makes containment PTIME there and gives the
-//! rewriting algorithm of Xu & Özsoyoglu \[17\] its engine. For the full
-//! fragment it serves as a sound fast path ahead of the canonical-model test.
+//! (compose `h` with any embedding of `P`). It is also *necessary* in
+//! `XP{//,[]}` and `XP{[],*}` (Miklau–Suciu, the paper's \[14\]) — which gives
+//! the rewriting algorithm of Xu & Özsoyoglu \[17\] its engine — and, pair by
+//! pair, whenever `P` has no descendant edge or `Q` has no wildcard (see
+//! `contain::homomorphism_decides`). It is **not** necessary in `XP{//,*}`,
+//! which is PTIME by a different algorithm: `a/*//e ⊑ a//*/e` holds with no
+//! homomorphism. Outside the complete cases it serves as a sound fast path
+//! ahead of the canonical-model test.
 
 use xpv_model::BitSet;
 use xpv_pattern::{Axis, NodeTest, PatId, Pattern};
@@ -49,64 +52,90 @@ fn test_compatible(q_test: NodeTest, p_test: NodeTest) -> bool {
 }
 
 /// Decides the existence of a homomorphism `h : q → p` (with `h(out(q)) =
-/// out(p)` and the root condition given by `mode`) by the same bottom-up
-/// bitset dynamic program as the tree matcher. Runs in
-/// `O(|q| · |p| · degree)` time.
+/// out(p)` and the root condition given by `mode`) by a bottom-up dynamic
+/// program over `q`: row `n` is the set of nodes of `p` that the subtree of
+/// `q` at `n` can map onto, one bit per node of `p`, every row in one flat
+/// allocation. A row is seeded from the node test, pinned to `out(p)` at
+/// `out(q)`, and ANDed with one constraint row per child edge of `q`.
+/// `O(|q| · |p|)` bit operations.
 pub fn homomorphism_exists(q: &Pattern, p: &Pattern, mode: HomMode) -> bool {
     let np = p.len();
-    let mut sub: Vec<BitSet> = vec![BitSet::new(np); q.len()];
+    let w = np.div_ceil(64);
+    let last_word = !0u64 >> ((64 - np % 64) % 64);
+    // Rows `0..q.len()` belong to q's nodes; the last one is the scratch
+    // constraint row of the edge being processed.
+    let mut table = vec![0u64; (q.len() + 1) * w];
 
+    // Children sit at higher arena indices than their parent (in `q` and in
+    // `p`), so a reverse sweep meets every child row before its parent's.
     for qi in (0..q.len()).rev() {
         let qid = PatId(qi as u32);
-        let mut child_ok: Vec<BitSet> = Vec::with_capacity(q.children(qid).len());
-        for &c in q.children(qid) {
-            let mut ok = BitSet::new(np);
-            match q.axis(c) {
-                Axis::Child => {
-                    for n in p.node_ids() {
-                        // A child edge of q must land on a child edge of p.
-                        let hit = p.children(n).iter().any(|&m| {
-                            p.axis(m) == Axis::Child && sub[c.index()].contains(m.index())
-                        });
-                        if hit {
-                            ok.insert(n.index());
-                        }
-                    }
-                }
-                Axis::Descendant => {
-                    // desc_ok[n] = OR over p-children m of (sub[c][m] | desc_ok[m]);
-                    // any proper descendant (across any edge kinds) qualifies.
-                    for ni in (0..np).rev() {
-                        let n = PatId(ni as u32);
-                        let hit = p
-                            .children(n)
-                            .iter()
-                            .any(|&m| sub[c.index()].contains(m.index()) || ok.contains(m.index()));
-                        if hit {
-                            ok.insert(ni);
-                        }
-                    }
+        let (head, below) = table.split_at_mut((qi + 1) * w);
+        let row = &mut head[qi * w..];
+        let (below, ok) = below.split_at_mut(below.len() - w);
+
+        match q.test(qid) {
+            NodeTest::Wildcard => {
+                row.fill(!0);
+                row[w - 1] = last_word;
+            }
+            test => {
+                for n in p.node_ids().filter(|&n| p.test(n) == test) {
+                    row[n.index() / 64] |= 1 << (n.index() % 64);
                 }
             }
-            child_ok.push(ok);
+        }
+        if qid == q.output() {
+            let out = p.output().index();
+            let keep = row[out / 64] & (1 << (out % 64));
+            row.fill(0);
+            row[out / 64] = keep;
         }
 
-        for n in p.node_ids() {
-            if !test_compatible(q.test(qid), p.test(n)) {
-                continue;
+        for &c in q.children(qid) {
+            let sub = &below[(c.index() - qi - 1) * w..][..w];
+            ok.fill(0);
+            match q.axis(c) {
+                // A child edge of q must land on a child edge of p: every
+                // candidate image of `c` entered by a child edge admits its
+                // parent.
+                Axis::Child => {
+                    for (wi, &word) in sub.iter().enumerate() {
+                        let mut bits = word;
+                        while bits != 0 {
+                            let m = PatId((wi * 64 + bits.trailing_zeros() as usize) as u32);
+                            bits &= bits - 1;
+                            if let (Some(par), Axis::Child) = (p.parent(m), p.axis(m)) {
+                                ok[par.index() / 64] |= 1 << (par.index() % 64);
+                            }
+                        }
+                    }
+                }
+                // A descendant edge lands on any proper-descendant pair: a
+                // node admits when some child is a candidate image or itself
+                // admits (one reverse sweep, any edge kinds).
+                Axis::Descendant => {
+                    for mi in (1..np).rev() {
+                        if (sub[mi / 64] | ok[mi / 64]) & (1 << (mi % 64)) != 0 {
+                            let par = p.parent(PatId(mi as u32)).expect("non-root").index();
+                            ok[par / 64] |= 1 << (par % 64);
+                        }
+                    }
+                }
             }
-            if qid == q.output() && n != p.output() {
-                continue;
+            for (r, &o) in row.iter_mut().zip(ok.iter()) {
+                *r &= o;
             }
-            if child_ok.iter().all(|ok| ok.contains(n.index())) {
-                sub[qi].insert(n.index());
-            }
+        }
+        // Every node of q needs an image: one empty row settles it.
+        if row.iter().all(|&word| word == 0) {
+            return false;
         }
     }
 
     match mode {
-        HomMode::RootAnchored => sub[q.root().index()].contains(p.root().index()),
-        HomMode::Free => !sub[q.root().index()].is_empty(),
+        HomMode::RootAnchored => table[0] & 1 != 0,
+        HomMode::Free => true,
     }
 }
 
@@ -287,6 +316,95 @@ mod tests {
             let h = find_homomorphism(&q, &p, HomMode::RootAnchored)
                 .unwrap_or_else(|| panic!("{qs} -> {ps}"));
             assert!(check_homomorphism(&q, &p, &h, HomMode::RootAnchored), "{qs} -> {ps}");
+        }
+    }
+
+    /// A small seeded pattern with an arbitrary output node (xorshift; the
+    /// workload generators live in a crate above this one).
+    fn generated(seed: u64) -> Pattern {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % n as u64) as usize
+        };
+        let test = |r: usize| match r {
+            0 => NodeTest::Wildcard,
+            r => NodeTest::label(["a", "b", "c"][r - 1]),
+        };
+        let mut p = Pattern::single(test(next(4)));
+        for _ in 0..next(8) {
+            let parent = PatId(next(p.len()) as u32);
+            let axis = if next(3) == 0 { Axis::Descendant } else { Axis::Child };
+            p.add_child(parent, axis, test(next(4)));
+        }
+        p.set_output(PatId(next(p.len()) as u32));
+        p
+    }
+
+    /// The matcher against the reference search, plus the witness check.
+    fn assert_agrees(q: &Pattern, p: &Pattern) -> bool {
+        let mut any = false;
+        for mode in [HomMode::RootAnchored, HomMode::Free] {
+            let found = find_homomorphism(q, p, mode);
+            assert_eq!(homomorphism_exists(q, p, mode), found.is_some(), "{q} -> {p} ({mode:?})");
+            if let Some(h) = found {
+                assert!(check_homomorphism(q, p, &h, mode), "{q} -> {p} ({mode:?})");
+                any = true;
+            }
+        }
+        any
+    }
+
+    #[test]
+    fn matcher_agrees_with_the_reference_search_on_generated_pairs() {
+        let mut positives = 0;
+        for seed in 0..1500u64 {
+            let p = generated(seed);
+            // Independent draws rarely map; a weakened copy of the target
+            // (a pruned leaf, a wildcarded test) usually does.
+            let mut weakened = p.clone();
+            weakened.set_test(PatId((seed % p.len() as u64) as u32), NodeTest::Wildcard);
+            for q in [generated(seed ^ 0xABCD_EF01), weakened] {
+                positives += usize::from(assert_agrees(&q, &p));
+                assert_agrees(&p, &q);
+            }
+        }
+        assert!(positives > 1000, "the sample must exercise positives ({positives})");
+    }
+
+    #[test]
+    fn rows_of_more_than_one_word() {
+        // A 70-node fan: a root with 69 labeled leaves, the output last.
+        let mut fan = Pattern::single(NodeTest::label("a"));
+        for i in 0..69 {
+            let axis = if i % 2 == 0 { Axis::Child } else { Axis::Descendant };
+            fan.add_child(fan.root(), axis, NodeTest::label(["b", "c", "d"][i % 3]));
+        }
+        fan.set_output(PatId(69));
+        // A 130-deep chain a/*/b/*/…, output at the bottom.
+        let mut chain = Pattern::single(NodeTest::label("a"));
+        let mut cur = chain.root();
+        for i in 0..129 {
+            let test = if i % 2 == 0 { NodeTest::Wildcard } else { NodeTest::label("b") };
+            cur =
+                chain.add_child(cur, if i % 5 == 0 { Axis::Descendant } else { Axis::Child }, test);
+        }
+        chain.set_output(cur);
+
+        assert!(assert_agrees(&fan, &fan) && assert_agrees(&chain, &chain));
+        // Images beyond bit 63: out(p) is node 69 / 129, reached through a
+        // child edge (fan) and a long descendant step (chain).
+        assert_eq!(fan.test(PatId(69)), NodeTest::label("d"));
+        assert!(assert_agrees(&pat("a[b][.//c]/d"), &fan));
+        assert!(!assert_agrees(&pat("a[.//c][d]/b"), &fan), "out(q) = b cannot land on d");
+        assert!(assert_agrees(&pat("a//b//*/b//*"), &chain));
+        assert!(!assert_agrees(&pat("a//b//c//*"), &chain));
+        for seed in 0..200u64 {
+            let q = generated(seed);
+            assert_agrees(&q, &fan);
+            assert_agrees(&q, &chain);
         }
     }
 

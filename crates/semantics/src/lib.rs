@@ -13,15 +13,15 @@
 //! * **canonical models** (Section 2.1): the minimal model `τ(P)` ([`tau`])
 //!   and bounded enumeration ([`CanonicalModels`]);
 //! * **pattern homomorphisms** ([`homomorphism_exists`]) — the PTIME
-//!   containment witness, complete on the three sub-fragments;
+//!   containment witness, complete on `XP{//,[]}` and `XP{[],*}`;
 //! * **containment / equivalence**, strong and weak ([`contained`],
 //!   [`equivalent`], [`weakly_contained`], [`weakly_equivalent`]), via the
 //!   staged procedure described in DESIGN.md §3;
 //! * the **memoizing containment oracle** ([`ContainmentOracle`]) — the
 //!   shared decision service every planning layer routes through: patterns
-//!   are interned to structural keys and both the homomorphism witnesses and
-//!   the full canonical-model verdicts are memoized ([`OracleStats`] counts
-//!   hits, misses, and coNP work). The free containment functions run the
+//!   are interned to structural keys and the full containment verdicts
+//!   are memoized ([`OracleStats`] counts hits, misses, which stage settled
+//!   each miss, and coNP work). The free containment functions run the
 //!   same staged procedure one-shot, so oracle and free-function verdicts
 //!   always agree.
 

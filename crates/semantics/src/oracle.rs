@@ -10,22 +10,21 @@
 //!
 //! [`ContainmentOracle`] makes that sharing explicit. It interns patterns
 //! into [`PatternKey`]s (structural identity, sibling order ignored) and
-//! keeps a **two-level memo**:
-//!
-//! 1. **homomorphism witnesses** — the PTIME fast path, keyed by
-//!    `(q, p, mode)`; a hit skips the matcher entirely;
-//! 2. **full verdicts** — the containment answer after the canonical-model
-//!    loop, keyed by `(p1, p2, weak)`; a hit skips the coNP test entirely.
+//! memoizes **full verdicts** keyed by `(p1, p2, weak)`: a hit skips the
+//! staged procedure of [`crate::contain`] — homomorphism stages and coNP
+//! loop alike — entirely. (Homomorphism tests are not memoized on their
+//! own: a verdict miss is by construction a miss for its homomorphism
+//! question too.)
 //!
 //! ## Concurrency
 //!
 //! The oracle is split into an **immutable decision core** (the containment
 //! options plus the staged decision procedure, which is pure) and a **sharded
-//! memo store**: both memo levels are partitioned into `N` lock shards keyed
+//! memo store**: the memo is partitioned into `N` lock shards keyed
 //! by a mix of the interned pattern keys, the interner sits behind a
 //! `RwLock` with a read-locked fast path for already-seen patterns, and every
 //! counter in [`OracleStats`] is an atomic. As a result `contained`,
-//! `hom_exists` and friends take **`&self`**: any number of worker threads
+//! `equivalent` and friends take **`&self`**: any number of worker threads
 //! can decide through one shared oracle, memo hits proceed under shared read
 //! locks, and only a genuinely new verdict briefly write-locks its shard.
 //! Verdicts are deterministic, so racing threads that compute the same entry
@@ -33,10 +32,9 @@
 //! work.
 //!
 //! The free functions [`contained`](crate::contained) /
-//! [`equivalent`](crate::equivalent) / the weak variants are thin wrappers
-//! that run a fresh oracle per call, so existing call sites keep their exact
-//! behavior; long-lived components hold an oracle (usually inside an
-//! `xpv_core::PlanningSession`) and route every decision through it.
+//! [`equivalent`](crate::equivalent) / the weak variants run the same staged
+//! procedure uncached; long-lived components hold an oracle (usually inside
+//! an `xpv_core::PlanningSession`) and route every decision through it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -45,9 +43,7 @@ use std::sync::RwLock;
 
 use xpv_pattern::{Pattern, PatternInterner, PatternKey};
 
-use crate::canonical::expansion_bound;
-use crate::contain::{canonical_loop, ContainmentOptions, ContainmentOutcome};
-use crate::hom::{homomorphism_exists, HomMode};
+use crate::contain::{decide, ContainmentOptions};
 
 /// Default number of memo lock shards (a power of two; see
 /// [`ContainmentOracle::with_options_sharded`]).
@@ -62,12 +58,11 @@ pub struct OracleStats {
     pub verdict_memo_hits: u64,
     /// Questions that had to be computed.
     pub verdict_memo_misses: u64,
-    /// Homomorphism questions asked (fast path + callers).
-    pub hom_queries: u64,
-    /// Homomorphism questions answered from the hom memo.
-    pub hom_memo_hits: u64,
     /// Questions settled by the homomorphism fast path.
     pub hom_fast_path_hits: u64,
+    /// Negatives settled by the *absence* of a homomorphism where that is
+    /// complete, without a canonical-model loop.
+    pub hom_negatives: u64,
     /// Canonical-model loops actually run (the coNP work).
     pub canonical_runs: u64,
     /// Canonical models enumerated across all loops.
@@ -89,9 +84,8 @@ impl OracleStats {
             verdict_memo_misses: self
                 .verdict_memo_misses
                 .saturating_sub(earlier.verdict_memo_misses),
-            hom_queries: self.hom_queries.saturating_sub(earlier.hom_queries),
-            hom_memo_hits: self.hom_memo_hits.saturating_sub(earlier.hom_memo_hits),
             hom_fast_path_hits: self.hom_fast_path_hits.saturating_sub(earlier.hom_fast_path_hits),
+            hom_negatives: self.hom_negatives.saturating_sub(earlier.hom_negatives),
             canonical_runs: self.canonical_runs.saturating_sub(earlier.canonical_runs),
             models_checked: self.models_checked.saturating_sub(earlier.models_checked),
         }
@@ -108,9 +102,8 @@ impl OracleStats {
         f("queries", self.queries);
         f("verdict_memo_hits", self.verdict_memo_hits);
         f("verdict_memo_misses", self.verdict_memo_misses);
-        f("hom_queries", self.hom_queries);
-        f("hom_memo_hits", self.hom_memo_hits);
         f("hom_fast_path_hits", self.hom_fast_path_hits);
+        f("hom_negatives", self.hom_negatives);
         f("canonical_runs", self.canonical_runs);
         f("models_checked", self.models_checked);
     }
@@ -128,9 +121,8 @@ struct AtomicOracleStats {
     queries: AtomicU64,
     verdict_memo_hits: AtomicU64,
     verdict_memo_misses: AtomicU64,
-    hom_queries: AtomicU64,
-    hom_memo_hits: AtomicU64,
     hom_fast_path_hits: AtomicU64,
+    hom_negatives: AtomicU64,
     canonical_runs: AtomicU64,
     models_checked: AtomicU64,
 }
@@ -141,9 +133,8 @@ impl AtomicOracleStats {
             queries: self.queries.load(Ordering::Relaxed),
             verdict_memo_hits: self.verdict_memo_hits.load(Ordering::Relaxed),
             verdict_memo_misses: self.verdict_memo_misses.load(Ordering::Relaxed),
-            hom_queries: self.hom_queries.load(Ordering::Relaxed),
-            hom_memo_hits: self.hom_memo_hits.load(Ordering::Relaxed),
             hom_fast_path_hits: self.hom_fast_path_hits.load(Ordering::Relaxed),
+            hom_negatives: self.hom_negatives.load(Ordering::Relaxed),
             canonical_runs: self.canonical_runs.load(Ordering::Relaxed),
             models_checked: self.models_checked.load(Ordering::Relaxed),
         }
@@ -153,9 +144,8 @@ impl AtomicOracleStats {
         self.queries.store(0, Ordering::Relaxed);
         self.verdict_memo_hits.store(0, Ordering::Relaxed);
         self.verdict_memo_misses.store(0, Ordering::Relaxed);
-        self.hom_queries.store(0, Ordering::Relaxed);
-        self.hom_memo_hits.store(0, Ordering::Relaxed);
         self.hom_fast_path_hits.store(0, Ordering::Relaxed);
+        self.hom_negatives.store(0, Ordering::Relaxed);
         self.canonical_runs.store(0, Ordering::Relaxed);
         self.models_checked.store(0, Ordering::Relaxed);
     }
@@ -166,14 +156,8 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// One lock shard of the two-level memo.
-#[derive(Debug, Default)]
-struct MemoShard {
-    /// Level-1 memo: homomorphism existence, keyed `(q, p, mode)`.
-    hom: RwLock<HashMap<(PatternKey, PatternKey, HomMode), bool>>,
-    /// Level-2 memo: full containment verdicts, keyed `(p1, p2, weak)`.
-    verdict: RwLock<HashMap<(PatternKey, PatternKey, bool), bool>>,
-}
+/// One lock shard of the verdict memo, keyed `(p1, p2, weak)`.
+type MemoShard = RwLock<HashMap<(PatternKey, PatternKey, bool), bool>>;
 
 /// Mixes a pair of interned keys into a shard index (splitmix64 avalanche,
 /// same mixer as `Pattern::fingerprint`).
@@ -298,32 +282,6 @@ impl ContainmentOracle {
         self.interner.read().expect("oracle interner poisoned").resolve(key).clone()
     }
 
-    /// Memoized homomorphism existence `q → p` under `mode`.
-    pub fn hom_exists(&self, q: &Pattern, p: &Pattern, mode: HomMode) -> bool {
-        let kq = self.intern(q);
-        let kp = self.intern(p);
-        self.hom_exists_inner(kq, kp, mode, q, p)
-    }
-
-    fn hom_exists_inner(
-        &self,
-        kq: PatternKey,
-        kp: PatternKey,
-        mode: HomMode,
-        q: &Pattern,
-        p: &Pattern,
-    ) -> bool {
-        bump(&self.stats.hom_queries);
-        let shard = &self.shards[shard_of(kq, kp, self.shards.len())];
-        if let Some(&hit) = shard.hom.read().expect("oracle memo poisoned").get(&(kq, kp, mode)) {
-            bump(&self.stats.hom_memo_hits);
-            return hit;
-        }
-        let holds = homomorphism_exists(q, p, mode);
-        shard.hom.write().expect("oracle memo poisoned").insert((kq, kp, mode), holds);
-        holds
-    }
-
     /// Memoized `p1 ⊑ p2`.
     pub fn contained(&self, p1: &Pattern, p2: &Pattern) -> bool {
         self.decide(p1, p2, false)
@@ -334,11 +292,24 @@ impl ContainmentOracle {
         self.decide(p1, p2, true)
     }
 
-    /// Memoized equivalence (two-sided containment; each side memoizes
-    /// independently, so `equivalent(p, q)` after `contained(p, q)` only
-    /// pays for the missing direction).
+    /// Memoized equivalence (two-sided containment; each side is interned
+    /// once and memoizes independently, so `equivalent(p, q)` after
+    /// `contained(p, q)` only pays for the missing direction).
     pub fn equivalent(&self, p1: &Pattern, p2: &Pattern) -> bool {
-        self.contained(p1, p2) && self.contained(p2, p1)
+        self.equivalent_interned(p1, self.intern(p1), p2, self.intern(p2))
+    }
+
+    /// [`ContainmentOracle::equivalent`] for patterns the caller has already
+    /// interned **in this oracle** (`k1` must be `p1`'s key and `k2` `p2`'s):
+    /// a caller asking many questions about one pattern interns it once.
+    pub fn equivalent_interned(
+        &self,
+        p1: &Pattern,
+        k1: PatternKey,
+        p2: &Pattern,
+        k2: PatternKey,
+    ) -> bool {
+        self.decide_keys(k1, k2, p1, p2, false) && self.decide_keys(k2, k1, p2, p1, false)
     }
 
     /// Memoized weak equivalence.
@@ -362,37 +333,24 @@ impl ContainmentOracle {
     ) -> bool {
         bump(&self.stats.queries);
         let shard = &self.shards[shard_of(k1, k2, self.shards.len())];
-        if let Some(&verdict) =
-            shard.verdict.read().expect("oracle memo poisoned").get(&(k1, k2, weak))
-        {
+        if let Some(&verdict) = shard.read().expect("oracle memo poisoned").get(&(k1, k2, weak)) {
             bump(&self.stats.verdict_memo_hits);
             return verdict;
         }
         bump(&self.stats.verdict_memo_misses);
 
-        // Stage 1: the PTIME homomorphism witness (sound for the full
-        // fragment), itself memoized at level 1.
-        let mode = if weak { HomMode::Free } else { HomMode::RootAnchored };
-        let holds = if self.opts.hom_fast_path && self.hom_exists_inner(k2, k1, mode, p2, p1) {
-            bump(&self.stats.hom_fast_path_hits);
-            true
-        } else {
-            // Stage 2: the complete canonical-model loop (Section 2.2).
-            bump(&self.stats.canonical_runs);
-            let bound = self.opts.bound_override.unwrap_or_else(|| expansion_bound(p2));
-            let mut outcome = ContainmentOutcome {
-                holds: false,
-                via_homomorphism: false,
-                models_checked: 0,
-                counter_model: None,
-            };
-            let holds = canonical_loop(p1, p2, bound, weak, &mut outcome);
-            self.stats.models_checked.fetch_add(outcome.models_checked, Ordering::Relaxed);
-            holds
-        };
+        let outcome = decide(p1, p2, weak, &self.opts);
+        match (outcome.via_homomorphism, outcome.holds) {
+            (true, true) => bump(&self.stats.hom_fast_path_hits),
+            (true, false) => bump(&self.stats.hom_negatives),
+            (false, _) => {
+                bump(&self.stats.canonical_runs);
+                self.stats.models_checked.fetch_add(outcome.models_checked, Ordering::Relaxed);
+            }
+        }
 
-        shard.verdict.write().expect("oracle memo poisoned").insert((k1, k2, weak), holds);
-        holds
+        shard.write().expect("oracle memo poisoned").insert((k1, k2, weak), outcome.holds);
+        outcome.holds
     }
 }
 
@@ -429,17 +387,57 @@ mod tests {
     #[test]
     fn repeated_queries_hit_the_memo() {
         let oracle = ContainmentOracle::new();
-        let p = pat("a//c");
-        let q = pat("a/b/c");
-        assert!(!oracle.contained(&p, &q));
+        // Holds with no homomorphism, and neither side lets the absence of
+        // one decide: the first query needs the loop.
+        let p = pat("a/*//e");
+        let q = pat("a//*/e");
+        assert!(oracle.contained(&p, &q));
         let runs_before = oracle.stats().canonical_runs;
         assert!(runs_before >= 1, "first query must run the canonical loop");
         for _ in 0..5 {
-            assert!(!oracle.contained(&p, &q));
+            assert!(oracle.contained(&p, &q));
         }
         let s = oracle.stats();
         assert_eq!(s.canonical_runs, runs_before, "memo hits must skip the loop");
         assert_eq!(s.verdict_memo_hits, 5);
+    }
+
+    #[test]
+    fn every_question_is_settled_by_exactly_one_stage() {
+        let pairs = [
+            ("a/b/c", "a//c"),    // homomorphism witness
+            ("a//c", "a/b/c"),    // no homomorphism, right side has no `*`
+            ("a/*/e", "a//b/e"),  // no homomorphism, left side has no `//`
+            ("a/*//e", "a//*/e"), // loop, holds
+            ("a//*/e", "a/*/e"),  // loop, fails
+            ("a[b]/*/e[d]", "a[b]//*/e[d]"),
+        ];
+        for opts in [
+            ContainmentOptions::default(),
+            ContainmentOptions { hom_fast_path: false, bound_override: None },
+        ] {
+            let oracle = ContainmentOracle::with_options(opts);
+            for _ in 0..2 {
+                for (l, r) in pairs {
+                    let (p, q) = (pat(l), pat(r));
+                    assert_eq!(oracle.contained(&p, &q), crate::contain::contained(&p, &q));
+                    oracle.weakly_contained(&p, &q);
+                    oracle.equivalent(&p, &q);
+                }
+            }
+            let s = oracle.stats();
+            assert_eq!(
+                s.queries,
+                s.verdict_memo_hits + s.hom_fast_path_hits + s.hom_negatives + s.canonical_runs,
+                "{s}"
+            );
+            assert_eq!(s.verdict_memo_misses, s.queries - s.verdict_memo_hits);
+            if opts.hom_fast_path {
+                assert!(s.hom_fast_path_hits > 0 && s.hom_negatives >= 2 && s.canonical_runs >= 2);
+            } else {
+                assert_eq!(s.hom_fast_path_hits + s.hom_negatives, 0, "reference arm: loop only");
+            }
+        }
     }
 
     #[test]

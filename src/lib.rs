@@ -39,7 +39,7 @@
 //! a shared, memoizing [`ContainmentOracle`](semantics::ContainmentOracle):
 //! patterns are interned to structural keys
 //! ([`PatternInterner`](pattern::PatternInterner), stable under sibling
-//! reordering) and both homomorphism witnesses and full verdicts are cached.
+//! reordering) and full verdicts are cached.
 //!
 //! * One-shot calls (`contained(p, q)`, `planner.decide(p, v)`) run the
 //!   staged procedure without a memo — same behavior as before the oracle

@@ -6,7 +6,8 @@ mod common;
 
 use xpath_views::prelude::*;
 use xpath_views::semantics::{
-    contained_with, expansion_bound, tau, CanonicalModels, ContainmentOptions,
+    contained_with, expansion_bound, tau, weakly_contained_with, CanonicalModels,
+    ContainmentOptions,
 };
 use xpath_views::workload::{hom_gap_instance, Fragment};
 
@@ -48,6 +49,58 @@ fn hom_fast_path_agrees_with_canonical_loop() {
             "fast path changed the verdict for {p} vs {q}"
         );
     }
+}
+
+#[test]
+fn hom_negatives_agree_with_the_canonical_loop() {
+    // The shared oracle (homomorphism witness, homomorphism-complete
+    // negatives, then the loop) against the pure canonical loop, strong and
+    // weak, both directions: correlated instances and independent draws,
+    // each fragment against itself and against the next one.
+    const FRAGMENTS: [Fragment; 4] =
+        [Fragment::Full, Fragment::NoWildcard, Fragment::NoDescendant, Fragment::NoBranch];
+    let reference = ContainmentOptions { hom_fast_path: false, bound_override: None };
+    let rounds = if cfg!(debug_assertions) { 170 } else { 1700 };
+    let oracle = ContainmentOracle::new();
+    let mut pairs = 0u64;
+    for (i, fragment) in FRAGMENTS.into_iter().enumerate() {
+        let gen = |fragment, seed| {
+            let cfg = PatternGenConfig {
+                depth: (1, 3),
+                max_branch_size: 2,
+                fragment,
+                ..PatternGenConfig::default()
+            };
+            PatternGen::new(cfg, seed)
+        };
+        let mut own = gen(fragment, 0xD1FF + i as u64);
+        let mut other = gen(FRAGMENTS[(i + 1) % 4], 0xD1FF_0000 + i as u64);
+        for _ in 0..rounds {
+            let (p, v) = own.instance();
+            let q = own.pattern();
+            let mixed = other.pattern();
+            for (l, r) in [(&p, &v), (&p, &q), (&p, &mixed)] {
+                for (l, r) in [(l, r), (r, l)] {
+                    assert_eq!(
+                        oracle.contained(l, r),
+                        contained_with(l, r, &reference).holds,
+                        "{l} ⊑ {r}"
+                    );
+                    assert_eq!(
+                        oracle.weakly_contained(l, r),
+                        weakly_contained_with(l, r, &reference).holds,
+                        "{l} ⊑w {r}"
+                    );
+                    pairs += 1;
+                }
+            }
+        }
+    }
+    let s = oracle.stats();
+    assert!(pairs >= 4000, "{pairs} pairs");
+    // Every stage answered some of them, so the rule is known to have fired
+    // and the loop to have stayed in play.
+    assert!(s.hom_negatives > pairs / 4 && s.hom_fast_path_hits > 0 && s.canonical_runs > 0, "{s}");
 }
 
 #[test]

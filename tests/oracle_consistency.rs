@@ -105,3 +105,47 @@ fn session_planner_agrees_with_one_shot_planner_on_generated_instances() {
         }
     }
 }
+
+#[test]
+fn a_prepared_query_decides_like_a_fresh_planner_at_every_view_depth() {
+    let planner = RewritePlanner::without_fallback();
+    let session = planner.session();
+    let verdict =
+        |a: &RewriteAnswer| (std::mem::discriminant(a), a.rewriting().map(|r| r.canonical_key()));
+    let (mut rewritings, mut depths_shared) = (0, 0);
+    for (i, fragment) in
+        [Fragment::Full, Fragment::NoWildcard, Fragment::NoDescendant, Fragment::NoBranch]
+            .into_iter()
+            .enumerate()
+    {
+        let cfg = PatternGenConfig {
+            depth: (1, 3),
+            max_branch_size: 2,
+            fragment,
+            ..PatternGenConfig::default()
+        };
+        let mut g = PatternGen::new(cfg, 0x5EED_C0DE + i as u64);
+        for _ in 0..30 {
+            let p = g.pattern();
+            // One context for the whole "miss": the prefix view of every
+            // depth (twice, so a depth's candidates are reused), two derived
+            // views, an unrelated pattern and one deeper than the query.
+            let mut views: Vec<Pattern> =
+                (0..=p.depth()).chain(0..=p.depth()).map(|k| p.upper_pattern_leq(k)).collect();
+            views.extend([g.derived_view(&p), g.derived_view(&p), g.pattern()]);
+            let mut deeper = p.clone();
+            let below = deeper.add_child(deeper.output(), Axis::Child, NodeTest::Wildcard);
+            deeper.set_output(below);
+            views.push(deeper);
+            let ctx = session.prepare(&p);
+            for v in &views {
+                let prepared = session.decide_prepared(&ctx, v);
+                let fresh = planner.decide(&p, v);
+                assert_eq!(verdict(&prepared), verdict(&fresh), "P={p}, V={v}");
+                rewritings += usize::from(fresh.rewriting().is_some());
+            }
+            depths_shared += p.depth();
+        }
+    }
+    assert!(rewritings > 200 && depths_shared > 120, "{rewritings} / {depths_shared}");
+}
