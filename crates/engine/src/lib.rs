@@ -4,8 +4,10 @@
 //! EDBT 2009 reproduction): materialize view patterns over XML documents
 //! ([`MaterializedView`]) and answer queries from them whenever the
 //! [`xpv_core::RewritePlanner`] certifies an equivalent rewriting. A view
-//! stores `V(t)` as its output-node set (node identity kept); the by-value
-//! subtree-copy reading is computed on demand (see [`view`]), and
+//! stores `V(t)` as a bitset over the document's arena slots (node identity
+//! kept; seeding, intersection and maintenance are word operations on it);
+//! node lists and the by-value subtree-copy reading are computed on demand
+//! (see [`view`]), and
 //! Proposition 2.4 — `R ◦ V (t) = R(V(t))` — is the correctness contract
 //! the tests enforce end to end on both.
 //!
@@ -21,8 +23,8 @@
 //!   sharded and `&self`-safe, so all threads pool all coNP work. Queries
 //!   no single view can answer are routed through **multi-view
 //!   intersections** (`xpv-intersect`, [`Route::Intersect`]): a small view
-//!   subset whose node-set intersection supports a verified compensation
-//!   serves them jointly. The memo is LRU-bounded
+//!   subset whose node-set intersection (a word-AND of their stores)
+//!   supports a verified compensation serves them jointly. The memo is LRU-bounded
 //!   ([`ShardedViewCache::with_memo_cap`]); `add_view` invalidates only the
 //!   entries whose plan depends on the grown pool, `remove_view` /
 //!   `replace_view` only those whose participants the removal touches, and

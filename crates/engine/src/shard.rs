@@ -66,12 +66,12 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use xpv_core::{PlanningSession, QueryContext, RewriteAnswer, RewritePlanner};
-use xpv_intersect::{intersect_node_sets, plan_intersection_sig};
+use xpv_intersect::plan_intersection_sig;
 use xpv_maintain::{
-    apply_region_results, coalesce_plan, finalize_deltas, prepare_batch, scan_regions_flat, Edit,
-    EditError, MaintainStats,
+    apply_region_results, coalesce_plan, prepare_batch, scan_regions_flat, Edit, EditError,
+    MaintainStats,
 };
-use xpv_model::{AnswerArena, AnswerRef, FlatTree, NodeId, Tree};
+use xpv_model::{AnswerArena, AnswerRef, BitSet, FlatTree, NodeId, Tree};
 use xpv_obs::{Heartbeat, Histogram, MetricsSnapshot, Phase, Registry, Span};
 use xpv_pattern::{Pattern, PatternKey, QuerySignature, ViewSignature};
 use xpv_semantics::{evaluate, evaluate_flat, BatchEval};
@@ -676,39 +676,32 @@ impl ShardedViewCache {
         Arc::clone(&self.read_state().views)
     }
 
-    /// Materializes `def` over the document and registers it under `name`.
-    /// Returns the number of answers materialized.
-    ///
-    /// Selectively invalidates the plan memo: only entries whose plan
-    /// depends on the grown pool — `Direct` and `Intersect` routes — are
-    /// dropped; view routes survive (see the module docs). The oracle's
-    /// containment verdicts are always kept (they depend only on the
-    /// pattern pair).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a view with the same name is already registered.
-    pub fn add_view(&self, name: &str, def: Pattern) -> usize {
-        let _gate = self.write_gate.lock().expect("write gate poisoned");
-        // Materialize against a snapshot off-lock (the gate keeps the state
-        // from moving beneath us); readers only wait for the swap.
-        let snap = self.snapshot();
-        assert!(snap.views.iter().all(|v| v.name() != name), "duplicate view name {name:?}");
-        let sig = ViewSignature::of(&def);
-        let nodes = evaluate_flat(&def, &snap.flat);
-        let n = nodes.len();
-        let mut grown = Vec::with_capacity(snap.views.len() + 1);
-        grown.extend(snap.views.iter().cloned());
-        grown.push(Arc::new(MaterializedView::from_answers(name, def, nodes)));
-        let mut ids = Vec::with_capacity(snap.ids.len() + 1);
-        ids.extend(snap.ids.iter().copied());
-        ids.push(ViewId(self.next_view_id.fetch_add(1, Ordering::Relaxed)));
-        let mut sigs = Vec::with_capacity(snap.sigs.len() + 1);
-        sigs.extend(snap.sigs.iter().copied());
-        sigs.push(sig);
+    /// Publishes the pool of `snap` without entry `drop` and with `add` at
+    /// the end under a fresh id: **one** state swap, then one selective memo
+    /// sweep (module docs, §Memo lifecycle). The caller holds the write gate
+    /// and took `snap` under it. The oracle's containment verdicts are
+    /// always kept (they depend only on the pattern pair).
+    fn publish_pool(
+        &self,
+        snap: &StateSnapshot,
+        drop: Option<usize>,
+        add: Option<MaterializedView>,
+    ) {
+        let kept = |i: &usize| Some(*i) != drop;
+        let mut views: Vec<Arc<MaterializedView>> =
+            (0..snap.views.len()).filter(kept).map(|i| Arc::clone(&snap.views[i])).collect();
+        let mut ids: Vec<ViewId> = (0..snap.ids.len()).filter(kept).map(|i| snap.ids[i]).collect();
+        let mut sigs: Vec<ViewSignature> =
+            (0..snap.sigs.len()).filter(kept).map(|i| snap.sigs[i]).collect();
+        let added = add.is_some();
+        if let Some(view) = add {
+            sigs.push(ViewSignature::of(view.definition()));
+            ids.push(ViewId(self.next_view_id.fetch_add(1, Ordering::Relaxed)));
+            views.push(Arc::new(view));
+        }
         {
             let mut state = self.state.write().expect("cache state poisoned");
-            state.views = Arc::new(grown);
+            state.views = Arc::new(views);
             state.ids = Arc::new(ids);
             state.sigs = Arc::new(sigs);
         }
@@ -716,7 +709,41 @@ impl ShardedViewCache {
         // sees the bump (and skips memoizing) or inserts before the sweep
         // (and is caught by it) — stale routes never outlive this call.
         self.views_version.fetch_add(1, Ordering::Release);
-        self.sweep_memo(|dep| matches!(dep, PlanDep::NoUsableView | PlanDep::Intersect(_)));
+        let dropped = drop.map(|i| snap.ids[i]);
+        self.sweep_memo(|dep| match dep {
+            PlanDep::Chosen(id) => Some(*id) == dropped,
+            PlanDep::NoUsableView => added,
+            PlanDep::Intersect(parts) => added || dropped.is_some_and(|id| parts.contains(&id)),
+        });
+    }
+
+    /// Materializes `def` over the document and registers it under `name`.
+    /// Returns the number of answers materialized. View routes survive the
+    /// pool change; `Direct` and `Intersect` routes re-plan on their next
+    /// arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a view with the same name is already registered.
+    pub fn add_view(&self, name: &str, def: Pattern) -> usize {
+        self.install_view(name, def, false)
+    }
+
+    /// [`ShardedViewCache::add_view`] or, with `replace`, the same over the
+    /// entry already named `name`: the gate is held once and the definition
+    /// evaluated on the held snapshot, off-lock — readers only wait for the
+    /// swap.
+    fn install_view(&self, name: &str, def: Pattern, replace: bool) -> usize {
+        let _gate = self.write_gate.lock().expect("write gate poisoned");
+        let snap = self.snapshot();
+        let old = snap.views.iter().position(|v| v.name() == name);
+        assert!(replace || old.is_none(), "duplicate view name {name:?}");
+        assert!(!replace || old.is_some(), "replace_view: no view named {name:?}");
+        let answers = evaluate_flat(&def, &snap.flat);
+        let set = BitSet::from_indices(snap.flat.arena_len(), answers.iter().map(|n| n.index()));
+        let view = MaterializedView::from_set(name, def, set);
+        let n = view.len();
+        self.publish_pool(&snap, old, Some(view));
         n
     }
 
@@ -727,44 +754,28 @@ impl ShardedViewCache {
     /// a route whose id stops resolving degrades to direct evaluation
     /// (sound, since routed answers equal direct answers by construction).
     ///
-    /// Selectively invalidates the plan memo: `Direct` routes survive
-    /// (shrinking the pool cannot create a rewriting), as does every route
-    /// whose participants don't include the removed view; only routes that
-    /// committed to the removed view are dropped and re-plan on their next
-    /// arrival.
+    /// `Direct` routes survive (shrinking the pool cannot create a
+    /// rewriting), as does every route whose participants don't include the
+    /// removed view; only routes that committed to the removed view are
+    /// dropped and re-plan on their next arrival.
     pub fn remove_view(&self, name: &str) -> bool {
         let _gate = self.write_gate.lock().expect("write gate poisoned");
         let snap = self.snapshot();
-        let Some(idx) = snap.views.iter().position(|v| v.name() == name) else {
-            return false;
-        };
-        let mut shrunk: Vec<Arc<MaterializedView>> = snap.views.iter().cloned().collect();
-        shrunk.remove(idx);
-        let mut ids: Vec<ViewId> = snap.ids.iter().copied().collect();
-        let removed_id = ids.remove(idx);
-        let mut sigs: Vec<ViewSignature> = snap.sigs.iter().copied().collect();
-        sigs.remove(idx);
-        {
-            let mut state = self.state.write().expect("cache state poisoned");
-            state.views = Arc::new(shrunk);
-            state.ids = Arc::new(ids);
-            state.sigs = Arc::new(sigs);
+        let idx = snap.views.iter().position(|v| v.name() == name);
+        if idx.is_some() {
+            self.publish_pool(&snap, idx, None);
         }
-        self.views_version.fetch_add(1, Ordering::Release);
-        self.sweep_memo(|dep| match dep {
-            PlanDep::Chosen(id) => *id == removed_id,
-            PlanDep::NoUsableView => false,
-            PlanDep::Intersect(parts) => parts.contains(&removed_id),
-        });
-        true
+        idx.is_some()
     }
 
     /// Replaces the view named `name` with a fresh materialization of
     /// `def` — the cache-maintenance form of "the upstream view definition
-    /// changed". Equivalent to [`ShardedViewCache::remove_view`] followed
-    /// by [`ShardedViewCache::add_view`] (the replacement lands at the end
-    /// of the pool under a **fresh** id), so every route depending on the
-    /// old view is invalidated. Returns the number of answers materialized.
+    /// changed". One transaction: a single swap takes the old entry out and
+    /// puts the replacement at the end of the pool under a **fresh** id, so
+    /// every snapshot a reader takes resolves `name`, no edit batch or
+    /// `add_view` slips between two halves, and one sweep invalidates every
+    /// route depending on the old view. Returns the number of answers
+    /// materialized.
     /// For document-driven refreshes that keep definitions intact, use
     /// [`ShardedViewCache::apply_edits`] instead — it patches answers
     /// incrementally and keeps every route.
@@ -773,8 +784,7 @@ impl ShardedViewCache {
     ///
     /// Panics if no view named `name` is registered.
     pub fn replace_view(&self, name: &str, def: Pattern) -> usize {
-        assert!(self.remove_view(name), "replace_view: no view named {name:?}");
-        self.add_view(name, def)
+        self.install_view(name, def, true)
     }
 
     /// Applies a batch of document edits **transactionally** and keeps every
@@ -821,7 +831,7 @@ impl ShardedViewCache {
         let t = Instant::now();
         let mut doc = (*snap.doc).clone();
         let defs: Vec<&Pattern> = snap.views.iter().map(|v| v.definition()).collect();
-        let old: Vec<&[NodeId]> = snap.views.iter().map(|v| v.nodes()).collect();
+        let old: Vec<&BitSet> = snap.views.iter().map(|v| v.set()).collect();
         let prep = prepare_batch(&mut doc, edits)?;
         let apply_us = t.elapsed().as_micros() as u64;
 
@@ -843,30 +853,24 @@ impl ShardedViewCache {
         let scan_us = t.elapsed().as_micros() as u64;
 
         // Patch the answer sets from the scans' slot lists; `None` marks a
-        // view the plan proved untouched, so clean views are never copied.
+        // view whose set did not change: it is never copied, and keeps its
+        // set at the width of the arena it was computed on.
         let t_patch = Instant::now();
         let mut maintain =
             MaintainStats { apply_us, freeze_us, coalesce_us, scan_us, ..plan.stats };
-        let patched =
-            apply_region_results(&doc, &defs, &old, &plan, &tasks, &results, &mut maintain);
-        let deltas = finalize_deltas(
-            old.iter().copied().zip(patched.iter().map(Option::as_deref)),
-            &mut maintain,
-        );
+        let live = new_flat.live_mask();
+        let patched = apply_region_results(&doc, live, &defs, &old, &plan, &results, &mut maintain);
         drop((defs, old));
 
         // Publication, the tail of the `patch` phase: share every unchanged
         // view with the previous pool, re-allocate the changed ones.
-        let mut views_changed = 0usize;
-        let new_views = if deltas.iter().any(|d| !d.is_empty()) {
+        let views_changed = patched.iter().flatten().count();
+        let new_views = if views_changed > 0 {
             let mut views: Vec<Arc<MaterializedView>> = (*snap.views).clone();
-            for (i, (delta, nodes)) in deltas.iter().zip(patched).enumerate() {
-                if delta.is_empty() {
-                    continue;
+            for (view, set) in views.iter_mut().zip(patched) {
+                if let Some(set) = set {
+                    *view = Arc::new(view.with_set(set));
                 }
-                let nodes = nodes.expect("a view with a non-empty delta was patched");
-                views[i] = Arc::new(views[i].with_nodes(nodes));
-                views_changed += 1;
             }
             Arc::new(views)
         } else {
@@ -986,6 +990,9 @@ impl ShardedViewCache {
         stats.maintain.visit(&mut |name, v| {
             snap.push_counter(format!("xpv_maintain_{name}"), v);
         });
+        // `//` steps are range fills inside the ordered slots, climbs behind.
+        let ordered = self.read_state().flat.ordered_len();
+        snap.push_gauge("xpv_cache_flat_ordered_slots", ordered as u64);
         snap.sort();
         snap
     }
@@ -1163,8 +1170,9 @@ impl ShardedViewCache {
     /// Evaluation runs through `batch`, the fused evaluator over the
     /// snapshot's frozen [`FlatTree`] that the whole batch shares (scratch
     /// buffers; branch witness sets are shared through the snapshot itself,
-    /// by every caller): the output bitset is drained straight into the
-    /// arena, with no intermediate `Vec`.
+    /// by every caller): a view or intersection route seeds it with the
+    /// participants' slot sets (word-ANDs, no anchor list), and the output
+    /// set goes to the arena by popcount, reserve and scan.
     fn execute_refs(
         &self,
         query: &Pattern,
@@ -1178,21 +1186,17 @@ impl ShardedViewCache {
             PlannedRoute::ViaView { id, hint, rewriting } => {
                 if let Some(index) = snap.resolve(*id, *hint) {
                     bump(&shard.stats.view_hits);
-                    let anchors = snap.views[index].nodes();
-                    let nodes = batch.evaluate_anchored_into(rewriting, anchors, arena);
+                    let anchors = [snap.views[index].set()];
+                    let nodes = batch.evaluate_seeded_into(rewriting, anchors, arena);
                     return (nodes, Arc::clone(&planned.display));
                 }
             }
             PlannedRoute::Intersect { ids, hints, compensation } => {
-                let sets: Option<Vec<&[NodeId]>> = ids
-                    .iter()
-                    .zip(hints)
-                    .map(|(&id, &hint)| Some(snap.views[snap.resolve(id, hint)?].nodes()))
-                    .collect();
-                if let Some(sets) = sets {
+                let resolved = || ids.iter().zip(hints).map(|(&id, &hint)| snap.resolve(id, hint));
+                if resolved().all(|index| index.is_some()) {
                     bump(&shard.stats.intersect_hits);
-                    let anchors = intersect_node_sets(&sets);
-                    let nodes = batch.evaluate_anchored_into(compensation, &anchors, arena);
+                    let anchors = resolved().flatten().map(|index| snap.views[index].set());
+                    let nodes = batch.evaluate_seeded_into(compensation, anchors, arena);
                     return (nodes, Arc::clone(&planned.display));
                 }
             }
@@ -1374,6 +1378,7 @@ mod tests {
     use super::*;
     use xpv_model::TreeBuilder;
     use xpv_pattern::parse_xpath;
+    use xpv_semantics::evaluate_flat;
 
     fn pat(s: &str) -> Pattern {
         parse_xpath(s).expect("pattern parses")
@@ -1820,6 +1825,84 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.updates_applied, 1);
         assert_eq!(s.views_refreshed_incrementally, 1);
+    }
+
+    #[test]
+    fn clean_views_keep_sets_shorter_than_the_arena_and_their_routes_stay_exact() {
+        use xpv_maintain::Edit;
+        use xpv_model::TreeBuilder as TB;
+
+        let cache = overlap_cache();
+        let via_view = pat("site/region/item[bids]/name");
+        let joint = pat("site/region/item[bids][shipping]/name");
+        assert!(matches!(cache.answer(&via_view).route, Route::ViaView { .. }));
+        assert!(matches!(cache.answer(&joint).route, Route::Intersect { .. }));
+        let before = cache.snapshot();
+        let widths: Vec<usize> = before.views.iter().map(|v| v.set().capacity()).collect();
+        assert_eq!(widths, [before.flat.arena_len(); 2]);
+
+        // 200 slots of labels no view mentions: every view is `Clean`, the
+        // arena grows from one word to four, and no set is touched.
+        let region = before.doc.children(before.doc.root())[0];
+        let comments = TB::root("comment", |b| {
+            for _ in 0..199 {
+                b.leaf("text");
+            }
+        });
+        let report = cache
+            .apply_edits(&[Edit::InsertSubtree { parent: region, subtree: comments }])
+            .expect("valid edit");
+        assert_eq!((report.views_changed, report.maintain.label_skips), (0, 2));
+        let grown = cache.snapshot();
+        assert_eq!(grown.flat.arena_len(), before.flat.arena_len() + 200);
+        for (old, new) in before.views.iter().zip(grown.views.iter()) {
+            assert!(Arc::ptr_eq(old, new), "a clean view is shared, not copied");
+            assert!(new.set().capacity() < grown.flat.arena_len());
+        }
+        let check = |q: &Pattern, route: fn(&Route) -> bool| {
+            let ans = cache.answer(q);
+            assert!(route(&ans.route), "{q} took {:?}", ans.route);
+            assert_eq!(ans.nodes, cache.answer_direct(q), "{q} over a shorter view set");
+            assert!(!ans.nodes.is_empty());
+        };
+        check(&via_view, |r| matches!(r, Route::ViaView { .. }));
+        check(&joint, |r| matches!(r, Route::Intersect { .. }));
+
+        // A second batch puts answers of one view behind the other view's
+        // width: `bid_names` is re-allocated at the new arena length,
+        // `ship_names` stays at the first one, and their intersection still
+        // reads the shorter set as zero-padded — also when it is patched.
+        let bids_only = TB::root("item", |b| {
+            b.leaf("name");
+            b.leaf("bids");
+        });
+        let report = cache
+            .apply_edits(&[Edit::InsertSubtree { parent: region, subtree: bids_only }])
+            .expect("valid edit");
+        assert_eq!(report.views_changed, 1);
+        let mixed = cache.snapshot();
+        assert_eq!(mixed.views[0].set().capacity(), mixed.flat.arena_len());
+        assert_eq!(mixed.views[1].set().capacity(), before.flat.arena_len());
+        assert_eq!(mixed.views[0].len(), before.views[0].len() + 1);
+        check(&via_view, |r| matches!(r, Route::ViaView { .. }));
+        check(&joint, |r| matches!(r, Route::Intersect { .. }));
+        let both = TB::root("item", |b| {
+            b.leaf("name");
+            b.leaf("bids");
+            b.leaf("shipping");
+        });
+        let report = cache
+            .apply_edits(&[Edit::InsertSubtree { parent: region, subtree: both }])
+            .expect("valid edit");
+        assert_eq!((report.views_changed, report.maintain.answers_added), (2, 2));
+        assert_eq!(cache.answer(&joint).nodes.len(), 2);
+        check(&joint, |r| matches!(r, Route::Intersect { .. }));
+        for view in cache.views_snapshot().iter() {
+            let want = cache.answer_direct(view.definition());
+            assert_eq!(view.nodes(), want, "view {}", view.name());
+            assert_eq!(view.len(), want.len());
+        }
+        assert_eq!(cache.stats().plan_memo_misses, 2, "no route was re-planned");
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! A materialized view (Section 2.4) is the precomputed result `V(t)` of
 //! applying a view pattern to a document. This module stores it in **one**
-//! form: the ascending set of `V`'s output nodes in `t`, keeping node
-//! identity. That is all the serving path ever reads:
+//! form: the set of `V`'s output nodes in `t` as a [`BitSet`] over the
+//! document's arena slots (12.6 KiB per 100k slots, whatever it holds),
+//! keeping node identity. That is all the serving path ever reads:
 //!
 //! * by Proposition 2.4 a rewriting `R` evaluated *anchored* at those nodes
 //!   is exactly `R(V(t))`, so answering through a view never needs the
-//!   subtrees below its output nodes as separate data;
+//!   subtrees below its output nodes as separate data: the evaluator's
+//!   seed is `B_0 ∩ V(t)`, one word-AND;
 //! * multi-view intersection routes exist only *because* views keep node
-//!   identity — two views' answers are intersected as `NodeId` sets
+//!   identity — views' answers are intersected as slot sets, more word-ANDs
 //!   (Cautis et al., PAPERS.md); copies could not be intersected at all.
 //!
 //! The paper's by-value reading of `V(t)` — independent subtree copies, what
@@ -22,7 +24,7 @@
 //! construction after any maintenance, and the tests still pin the §2.4
 //! agreement of the two readings by canonical key.
 
-use xpv_model::{NodeId, Tree};
+use xpv_model::{BitSet, NodeId, Tree};
 use xpv_pattern::Pattern;
 use xpv_semantics::{evaluate, evaluate_anchored};
 
@@ -31,33 +33,37 @@ use xpv_semantics::{evaluate, evaluate_anchored};
 pub struct MaterializedView {
     name: String,
     def: Pattern,
-    nodes: Vec<NodeId>,
+    /// `V(t)` over arena slots. Its capacity is the arena length of the
+    /// snapshot it was last computed on; slots past it are **non-members**,
+    /// which is sound because a view an edit batch left as it was (proved
+    /// `Clean`, or patched back to the same set) gained nothing among the
+    /// appended slots. Consumers read a shorter set as zero-padded
+    /// ([`BitSet::intersect_with`], [`BitSet::difference_count`]); the other
+    /// `BitSet` operations would truncate silently in release builds.
+    set: BitSet,
+    /// `set.count()`, taken at construction.
+    len: usize,
 }
 
 impl MaterializedView {
     /// Evaluates `def` over `doc` with the reference evaluator and stores
     /// the answer set.
     pub fn materialize(name: impl Into<String>, def: Pattern, doc: &Tree) -> MaterializedView {
-        let nodes = evaluate(&def, doc);
-        MaterializedView::from_answers(name, def, nodes)
+        let answers = evaluate(&def, doc);
+        let set = BitSet::from_indices(doc.arena_len(), answers.iter().map(|n| n.index()));
+        MaterializedView::from_set(name, def, set)
     }
 
-    /// Wraps an answer set computed elsewhere. `nodes` must be `def`'s
-    /// ascending answer set on the document the view is served against (the
-    /// engine evaluates on its frozen snapshot).
-    pub(crate) fn from_answers(
-        name: impl Into<String>,
-        def: Pattern,
-        nodes: Vec<NodeId>,
-    ) -> MaterializedView {
-        MaterializedView { name: name.into(), def, nodes }
+    /// Wraps `def`'s answer set on the document the view is served against.
+    pub(crate) fn from_set(name: impl Into<String>, def: Pattern, set: BitSet) -> MaterializedView {
+        MaterializedView { name: name.into(), def, len: set.count(), set }
     }
 
-    /// The same view over a changed document: `nodes` is the maintainer's
-    /// patched, ascending answer set. Name and definition carry over; the
-    /// node set is the whole stored state, so this is all maintenance does.
-    pub fn with_nodes(&self, nodes: Vec<NodeId>) -> MaterializedView {
-        MaterializedView { name: self.name.clone(), def: self.def.clone(), nodes }
+    /// The same view over a changed document: `set` is the maintainer's
+    /// patched answer set. Name and definition carry over; the set is the
+    /// whole stored state, so this is all maintenance does.
+    pub fn with_set(&self, set: BitSet) -> MaterializedView {
+        MaterializedView::from_set(self.name.clone(), self.def.clone(), set)
     }
 
     /// The view's name (cache key).
@@ -70,32 +76,37 @@ impl MaterializedView {
         &self.def
     }
 
-    /// `V(t)` as output nodes of the source document.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+    /// `V(t)` as a set of arena slots (see the field for its capacity).
+    pub fn set(&self) -> &BitSet {
+        &self.set
+    }
+
+    /// `V(t)` as output nodes of the source document, ascending (a copy).
+    pub fn nodes(&self) -> Vec<NodeId> {
+        self.set.nodes().collect()
     }
 
     /// Number of answers in the view.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// `true` when the view result is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
     }
 
     /// `V(t)` by value: one independent subtree copy per answer, taken from
     /// `doc` now. `doc` must be the document the stored node set is current
     /// for.
     pub fn trees(&self, doc: &Tree) -> Vec<Tree> {
-        self.nodes.iter().map(|&n| doc.subtree(n).0).collect()
+        self.set.nodes().map(|n| doc.subtree(n).0).collect()
     }
 
     /// Applies a rewriting to the view **virtually**: `R(V(t))` as output
     /// nodes of the source document (Proposition 2.4's right-hand side).
     pub fn apply_virtual(&self, r: &Pattern, doc: &Tree) -> Vec<NodeId> {
-        evaluate_anchored(r, doc, &self.nodes)
+        evaluate_anchored(r, doc, &self.nodes())
     }
 
     /// Applies a rewriting to by-value copies of the answers: `R(V(t))` as
@@ -104,7 +115,7 @@ impl MaterializedView {
     pub fn apply_materialized(&self, r: &Pattern, doc: &Tree) -> Vec<Tree> {
         let mut out: Vec<Tree> = Vec::new();
         let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for &n in &self.nodes {
+        for n in self.set.nodes() {
             let u = doc.subtree(n).0;
             for o in evaluate(r, &u) {
                 let (sub, _) = u.subtree(o);
@@ -220,10 +231,8 @@ mod tests {
         });
         let new_book = d.attach_tree(shelf, &extra);
         d.add_child(old_first, xpv_model::Label::new("isbn"));
-        let mut new_nodes: Vec<NodeId> = v.nodes().to_vec();
-        new_nodes.push(new_book);
-        new_nodes.sort();
-        let v = v.with_nodes(new_nodes);
+        let grown = v.nodes().into_iter().chain([new_book]).map(|n| n.index());
+        let v = v.with_set(BitSet::from_indices(d.arena_len(), grown));
         assert_eq!((v.name(), v.len()), ("books", 4));
         // Copies are taken from the document as it is now: both the new
         // answer and the in-place content edit show, with nothing to patch.

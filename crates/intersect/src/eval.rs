@@ -1,13 +1,18 @@
-//! Evaluating a compensation over the intersection of materialized views.
+//! Evaluating a compensation over the intersection of materialized views,
+//! on node **lists** and the reference `Tree` evaluator: the oracle of
+//! `tests/intersect_properties.rs`.
 //!
 //! Each view is an output-*node* set over the shared document (views keep
 //! node identity): the intersection is a merge of the ascending `NodeId`
 //! runs and the compensation is evaluated *anchored* at the surviving
-//! nodes (never copies data).
+//! nodes (never copies data). The engine does the same thing on slot
+//! bitsets — its view store — as word-ANDs inside the flat evaluator's
+//! seed (`xpv_semantics::BatchEval::evaluate_seeded_into`), and calls
+//! nothing here.
 
-use xpv_model::{FlatTree, NodeId, Tree};
+use xpv_model::{NodeId, Tree};
 use xpv_pattern::Pattern;
-use xpv_semantics::{evaluate_anchored, evaluate_anchored_flat};
+use xpv_semantics::evaluate_anchored;
 
 /// The node-set intersection `∩ sets[i]`, ascending. Every input must be
 /// ascending, as view answer sets are (the evaluators emit slot order and
@@ -50,19 +55,6 @@ pub fn answer_intersection_virtual(
 ) -> Vec<NodeId> {
     let anchors = intersect_node_sets(sets);
     evaluate_anchored(compensation, doc, &anchors)
-}
-
-/// [`answer_intersection_virtual`] against a frozen [`FlatTree`] snapshot:
-/// the anchors come from the same node-set intersection and
-/// the compensation runs through the flat matcher. Byte-identical to the
-/// `Tree` path (the flat matcher is equivalence-tested against it).
-pub fn answer_intersection_virtual_flat(
-    ft: &FlatTree,
-    sets: &[&[NodeId]],
-    compensation: &Pattern,
-) -> Vec<NodeId> {
-    let anchors = intersect_node_sets(sets);
-    evaluate_anchored_flat(compensation, ft, &anchors)
 }
 
 #[cfg(test)]
@@ -121,20 +113,5 @@ mod tests {
         let v2 = evaluate(&pat("site/region/item[shipping]/name"), &t);
         let ans = answer_intersection_virtual(&t, &[&v1, &v2], &pat("name"));
         assert_eq!(ans, evaluate(&pat("site/region/item[bids][shipping]/name"), &t));
-    }
-
-    #[test]
-    fn flat_virtual_answer_matches_tree_path() {
-        let t = doc();
-        let ft = FlatTree::freeze(&t);
-        let v1 = evaluate(&pat("site/region/item[bids]/name"), &t);
-        let v2 = evaluate(&pat("site/region/item[shipping]/name"), &t);
-        assert_eq!(
-            answer_intersection_virtual_flat(&ft, &[&v1, &v2], &pat("name")),
-            answer_intersection_virtual(&t, &[&v1, &v2], &pat("name"))
-        );
-        // Disjoint participants: the early-exit path yields empty on both.
-        let bids = evaluate(&pat("site/region/item/bids"), &t);
-        assert!(answer_intersection_virtual_flat(&ft, &[&v1, &bids], &pat("name")).is_empty());
     }
 }

@@ -24,8 +24,12 @@
 //!    ([`xpv_core::PlanningSession::decide`]) plans `p` against `M`. A
 //!    verified rewriting becomes the [`IntersectAnswer::compensation`].
 //! 4. **Evaluation**: the compensation is evaluated **anchored on the
-//!    node-set intersection** of the participants, a merge of their
-//!    ascending `NodeId` runs ([`answer_intersection_virtual`]).
+//!    node-set intersection** of the participants. The engine intersects
+//!    its views' slot bitsets inside the flat evaluator's seed (word-ANDs,
+//!    `xpv_semantics::BatchEval::evaluate_seeded_into`);
+//!    [`answer_intersection_virtual`] is the same thing on ascending
+//!    `NodeId` lists and the reference `Tree` evaluator, kept as the
+//!    property tests' oracle.
 //!
 //! ## Soundness / completeness contract
 //!
@@ -62,9 +66,7 @@
 pub mod eval;
 pub mod plan;
 
-pub use eval::{
-    answer_intersection_virtual, answer_intersection_virtual_flat, intersect_node_sets,
-};
+pub use eval::{answer_intersection_virtual, intersect_node_sets};
 pub use plan::{
     plan_intersection_in, plan_intersection_sig, IntersectAnswer, IntersectStats, MAX_ARITY,
     MAX_CANDIDATES,

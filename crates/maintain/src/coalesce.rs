@@ -19,8 +19,8 @@
 //!    post-batch freeze ([`scan_regions_flat`], what the engine runs) or
 //!    over the `Tree` ([`scan_regions_serial`], the oracle); either way one
 //!    matcher per view, and per region the answers inside it plus the list
-//!    of its slots — and [`apply_region_results`] patches the answer sets
-//!    from those lists. A scan costs what its region holds, so all of a
+//!    of its slots — and [`apply_region_results`] patches the answer
+//!    bitsets from those lists. A scan costs what its region holds, so all of a
 //!    batch's scans together come to less than spawning threads for them
 //!    would: they run on the calling thread.
 //!
@@ -281,72 +281,69 @@ pub fn merge_regions(t: &Tree, mut roots: Vec<NodeId>) -> Vec<NodeId> {
 }
 
 /// Patches every answer set from its disposition and the per-task region
-/// results (`results[i]` is the (answers, region slots) pair of `tasks[i]`,
-/// from [`scan_regions_flat`] or [`scan_regions_serial`]).
-/// `old[v]` is view `v`'s ascending pre-batch answer set; the result holds
-/// its patched set, or `None` for a [`ViewDisposition::Clean`] view — the
-/// plan proved that set untouched, so it is neither read nor copied.
-/// Tasks arrive in `(view, root)` order and regions of one view are
-/// disjoint, so each view's results are one contiguous run.
+/// results (`results[i]` is the (answers, region slots) pair of
+/// `plan.region_tasks()[i]`, from [`scan_regions_flat`] or
+/// [`scan_regions_serial`]): the old set grown to `t1`'s arena, `∩ live`
+/// (`live` is `t1`'s live-slot mask), minus the scanned regions' slots,
+/// plus what the scans found there. `old[v]` is view `v`'s pre-batch answer
+/// set, of any capacity up to `t1`'s arena (slots past it are non-members);
+/// the result holds its next set, or `None` when the set did **not change**
+/// — a [`ViewDisposition::Clean`] view is neither read nor copied, and a
+/// patch that comes out equal is dropped, so the caller keeps the stored
+/// set. Added and removed answers are counted by popcount on the way.
+/// Tasks are in `(view, root)` order, so each `Regions` view takes the next
+/// `roots.len()` results.
 pub fn apply_region_results(
     t1: &Tree,
+    live: &BitSet,
     defs: &[&Pattern],
-    old: &[&[NodeId]],
+    old: &[&BitSet],
     plan: &CoalescedPlan,
-    tasks: &[RegionTask],
     results: &[(Vec<NodeId>, Vec<NodeId>)],
     stats: &mut MaintainStats,
-) -> Vec<Option<Vec<NodeId>>> {
-    assert_eq!(tasks.len(), results.len(), "one result per region task");
-    let mut patched: Vec<Option<Vec<NodeId>>> = plan
+) -> Vec<Option<BitSet>> {
+    let mut results = results;
+    let survivors = |v: usize| {
+        let mut next = live.clone();
+        next.intersect_with(old[v]);
+        next
+    };
+    let patched = plan
         .dispositions
         .iter()
         .enumerate()
-        .map(|(v, d)| match d {
-            // `Regions` views are filled in by the task loop below.
-            ViewDisposition::Clean | ViewDisposition::Regions(_) => None,
-            ViewDisposition::SpineClean => {
-                Some(old[v].iter().copied().filter(|&n| t1.is_alive(n)).collect())
-            }
-            ViewDisposition::Full => {
-                stats.full_recomputes += 1;
-                Some(evaluate(defs[v], t1))
-            }
+        .map(|(v, d)| {
+            let next = match d {
+                ViewDisposition::Clean => return None,
+                ViewDisposition::SpineClean => survivors(v),
+                ViewDisposition::Full => {
+                    stats.full_recomputes += 1;
+                    let fresh = evaluate(defs[v], t1);
+                    BitSet::from_indices(live.capacity(), fresh.iter().map(|n| n.index()))
+                }
+                ViewDisposition::Regions(roots) => {
+                    // Regions of one view are disjoint and a scan finds
+                    // answers only among the slots it visited, so each
+                    // region is cleared and refilled on its own.
+                    let mut next = survivors(v);
+                    let (scans, rest) = results.split_at(roots.len());
+                    results = rest;
+                    for (found, slots) in scans {
+                        slots.iter().for_each(|n| next.remove(n.index()));
+                        found.iter().for_each(|n| next.insert(n.index()));
+                        stats.region_nodes += slots.len() as u64;
+                    }
+                    stats.regions_scanned += roots.len() as u64;
+                    next
+                }
+            };
+            let (added, removed) = (next.difference_count(old[v]), old[v].difference_count(&next));
+            stats.answers_added += added as u64;
+            stats.answers_removed += removed as u64;
+            (added + removed > 0).then_some(next)
         })
         .collect();
-
-    // Per view: keep old answers that are alive and outside every region,
-    // splice in the fresh region answers. `in_region` is the one set of
-    // arena width: a view marks its regions' slots in it and unmarks them
-    // when done, so a batch pays for the slots it scanned, not per region
-    // for the document. Inserted slots sit at the arena's end, so region id
-    // ranges can interleave with the kept answers — the union is re-sorted
-    // only when it actually came out of order (a stable sort: the input is
-    // a few ascending runs, which it merges in linear time).
-    let mut in_region = BitSet::new(t1.arena_len());
-    let mut done = 0;
-    for of_view in tasks.chunk_by(|a, b| a.view == b.view) {
-        let v = of_view[0].view;
-        let scans = &results[done..done + of_view.len()];
-        done += of_view.len();
-        let slots = || scans.iter().flat_map(|(_, slots)| slots);
-        slots().for_each(|n| in_region.insert(n.index()));
-        let mut next: Vec<NodeId> = old[v]
-            .iter()
-            .copied()
-            .filter(|&n| t1.is_alive(n) && !in_region.contains(n.index()))
-            .collect();
-        slots().for_each(|n| in_region.remove(n.index()));
-        for (found, slots) in scans {
-            next.extend_from_slice(found);
-            stats.region_nodes += slots.len() as u64;
-        }
-        stats.regions_scanned += scans.len() as u64;
-        if !next.is_sorted() {
-            next.sort();
-        }
-        patched[v] = Some(next);
-    }
+    assert!(results.is_empty(), "one result per region task");
     stats.scans_saved += stats.regions_before_merge.saturating_sub(stats.regions_scanned);
     patched
 }
@@ -416,6 +413,24 @@ mod tests {
         })
     }
 
+    /// Patches `q`'s `t0` answers (a set of `t0`'s arena width, shorter than
+    /// `t1`'s after an insert) from `results`; the view must have changed.
+    fn patch_one(
+        t0: &Tree,
+        t1: &Tree,
+        q: &Pattern,
+        plan: &CoalescedPlan,
+        results: &[(Vec<NodeId>, Vec<NodeId>)],
+        stats: &mut MaintainStats,
+    ) -> Vec<NodeId> {
+        let set = |t: &Tree, nodes: Vec<NodeId>| {
+            BitSet::from_indices(t.arena_len(), nodes.iter().map(|n| n.index()))
+        };
+        let (before, live) = (set(t0, evaluate(q, t0)), set(t1, t1.node_ids().collect()));
+        let patched = apply_region_results(t1, &live, &[q], &[&before], plan, results, stats);
+        patched[0].as_ref().expect("a changed view is patched").nodes().collect()
+    }
+
     #[test]
     fn nested_regions_merge_into_ancestors() {
         let t = doc();
@@ -458,12 +473,10 @@ mod tests {
         assert_eq!(tasks.len(), 1, "three hot-subtree edits collapse to one scan");
         assert_eq!(tasks[0].root, r0, "the shared dirty spine node hosts the merged region");
         // And the coalesced scan reproduces a fresh evaluation.
-        let before = evaluate(&q, &t0);
         let results = scan_regions_serial(&t1, &[&q], &plan, &tasks);
         let mut stats = plan.stats;
-        let patched =
-            apply_region_results(&t1, &[&q], &[&before], &plan, &tasks, &results, &mut stats);
-        assert_eq!(patched[0].as_ref().expect("a scanned view is patched"), &evaluate(&q, &t1));
+        let after = patch_one(&t0, &t1, &q, &plan, &results, &mut stats);
+        assert_eq!(after, evaluate(&q, &t1));
         assert_eq!(stats.scans_saved, 2);
     }
 
@@ -540,13 +553,10 @@ mod tests {
         };
         let plan = coalesce_plan(&t0, &t1, &[&q], &prep_all);
         let tasks = plan.region_tasks();
-        let before = evaluate(&q, &t0);
         let results = scan_regions_serial(&t1, &[&q], &plan, &tasks);
         let mut stats = plan.stats;
-        let patched =
-            apply_region_results(&t1, &[&q], &[&before], &plan, &tasks, &results, &mut stats);
-        let after = patched[0].as_ref().expect("a scanned view is patched");
-        assert_eq!(after, &evaluate(&q, &t1), "new name inside inserted subtree found");
+        let after = patch_one(&t0, &t1, &q, &plan, &results, &mut stats);
+        assert_eq!(after, evaluate(&q, &t1), "new name inside inserted subtree found");
         assert!(after.contains(&leaf));
     }
 }

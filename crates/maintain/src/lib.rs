@@ -89,5 +89,5 @@ pub use coalesce::{
     scan_regions_serial, BatchAnchor, CoalescedPlan, PreparedBatch, RegionTask, ViewDisposition,
 };
 pub use edit::{apply_edit, apply_edits, validate_edit, AppliedEdit, Edit, EditError};
-pub use refresh::{finalize_deltas, maintain_views, MaintainMode, MaintainStats, ViewDelta};
+pub use refresh::{maintain_views, MaintainMode, MaintainStats, ViewDelta};
 pub use region::{region_answers, spine_to, SpineInfo, SubMatcher, MAX_TRACKED_DEPTH};

@@ -14,7 +14,7 @@
 //! (by-value copies are computed on demand from the current document), so
 //! content changes inside a surviving answer need no tracking.
 
-use xpv_model::{NodeId, Tree};
+use xpv_model::{BitSet, NodeId, Tree};
 use xpv_pattern::Pattern;
 use xpv_semantics::evaluate;
 
@@ -205,65 +205,54 @@ pub fn maintain_views(
 ) -> Result<(Vec<ViewDelta>, MaintainStats), EditError> {
     assert_eq!(defs.len(), answers.len(), "one answer set per view definition");
 
+    let saved: Vec<Vec<NodeId>> = answers.to_vec();
+    let mut stats;
     if mode == MaintainMode::Coalesced {
         // Batch-coalesced path: apply everything, diff spines t0 → t1 once,
         // scan the merged regions (over the `Tree` here; the engine scans
-        // the same plan over its post-batch freeze). Answer sets the plan
-        // proves untouched are never copied.
+        // the same plan over its post-batch freeze) and patch. The patch
+        // works on slot sets, as the engine's store does; node lists are
+        // converted here, at this oracle's boundary.
         let t0 = doc.clone();
         let prep = crate::coalesce::prepare_batch(doc, edits)?;
         let plan = crate::coalesce::coalesce_plan(&t0, doc, defs, &prep);
-        let tasks = plan.region_tasks();
-        let results = crate::coalesce::scan_regions_serial(doc, defs, &plan, &tasks);
-        let mut stats = plan.stats;
-        let old: Vec<&[NodeId]> = answers.iter().map(Vec::as_slice).collect();
+        let results = crate::coalesce::scan_regions_serial(doc, defs, &plan, &plan.region_tasks());
+        let live = BitSet::from_indices(doc.arena_len(), doc.node_ids().map(|n| n.index()));
+        let old: Vec<BitSet> = saved
+            .iter()
+            .map(|a| BitSet::from_indices(t0.arena_len(), a.iter().map(|n| n.index())))
+            .collect();
+        let old: Vec<&BitSet> = old.iter().collect();
+        stats = plan.stats;
         let patched = crate::coalesce::apply_region_results(
-            doc, defs, &old, &plan, &tasks, &results, &mut stats,
+            doc, &live, defs, &old, &plan, &results, &mut stats,
         );
-        let deltas = finalize_deltas(
-            old.iter().copied().zip(patched.iter().map(Option::as_deref)),
-            &mut stats,
-        );
-        for (ans, new) in answers.iter_mut().zip(patched) {
-            if let Some(new) = new {
-                *ans = new;
+        for (ans, next) in answers.iter_mut().zip(patched) {
+            if let Some(next) = next {
+                *ans = next.nodes().collect();
             }
         }
-        return Ok((deltas, stats));
+    } else {
+        // Full recompute: apply, then evaluate every view from scratch.
+        apply_edits(doc, edits)?;
+        stats = MaintainStats { edits_applied: edits.len() as u64, ..MaintainStats::default() };
+        for (def, ans) in defs.iter().zip(answers.iter_mut()) {
+            stats.view_edit_checks += 1;
+            stats.full_recomputes += 1;
+            *ans = evaluate(def, doc);
+        }
     }
-
-    // Full recompute: apply, then evaluate every view from scratch.
-    apply_edits(doc, edits)?;
-    let mut stats = MaintainStats { edits_applied: edits.len() as u64, ..MaintainStats::default() };
-    let saved: Vec<Vec<NodeId>> = answers.to_vec();
-    for (def, ans) in defs.iter().zip(answers.iter_mut()) {
-        stats.view_edit_checks += 1;
-        stats.full_recomputes += 1;
-        *ans = evaluate(def, doc);
-    }
-    let deltas = finalize_deltas(
-        saved.iter().zip(answers.iter()).map(|(o, n)| (o.as_slice(), Some(n.as_slice()))),
-        &mut stats,
+    let deltas: Vec<ViewDelta> =
+        saved.iter().zip(answers.iter()).map(|(old, new)| ViewDelta::between(old, new)).collect();
+    let moved = deltas.iter().fold((0, 0), |(added, removed), d| {
+        (added + d.added.len() as u64, removed + d.removed.len() as u64)
+    });
+    // The patch counted by popcount; the lists it is diffed into here agree.
+    assert!(
+        mode != MaintainMode::Coalesced || moved == (stats.answers_added, stats.answers_removed)
     );
+    (stats.answers_added, stats.answers_removed) = moved;
     Ok((deltas, stats))
-}
-
-/// The one delta finalizer, for every mode (the engine drives it too):
-/// diffs each view's ascending pre-batch answer set against its post-batch
-/// one — `None` meaning the set was proved untouched, so nothing is
-/// compared — and folds the added/removed counts into `stats`.
-pub fn finalize_deltas<'a>(
-    sets: impl IntoIterator<Item = (&'a [NodeId], Option<&'a [NodeId]>)>,
-    stats: &mut MaintainStats,
-) -> Vec<ViewDelta> {
-    sets.into_iter()
-        .map(|(old, new)| {
-            let delta = new.map_or_else(ViewDelta::default, |new| ViewDelta::between(old, new));
-            stats.answers_added += delta.added.len() as u64;
-            stats.answers_removed += delta.removed.len() as u64;
-            delta
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -5,6 +5,12 @@
 //! reach tens of thousands of nodes, so these sets are kept as `u64` words
 //! rather than `HashSet`s (see the perf-book guidance on hashing and
 //! allocation pressure).
+//!
+//! It is also the one representation of a **set of document nodes** (bit
+//! `i` ↔ arena slot `i`); [`BitSet::intersect_with`] and
+//! [`BitSet::difference_count`] read a set from a shorter arena zero-padded.
+
+use crate::tree::NodeId;
 
 /// A fixed-capacity set of `usize` values in `0..len`.
 #[derive(Clone, PartialEq, Eq)]
@@ -17,6 +23,13 @@ impl BitSet {
     /// An empty set with capacity for values `0..len`.
     pub fn new(len: usize) -> BitSet {
         BitSet { words: vec![0; len.div_ceil(64)], len }
+    }
+
+    /// The set holding exactly `items`, each below `len`.
+    pub fn from_indices(len: usize, items: impl IntoIterator<Item = usize>) -> BitSet {
+        let mut set = BitSet::new(len);
+        items.into_iter().for_each(|i| set.insert(i));
+        set
     }
 
     /// Capacity (the exclusive upper bound on stored values).
@@ -69,11 +82,39 @@ impl BitSet {
         }
     }
 
-    /// In-place intersection.
+    /// In-place intersection with a set of the same or a **smaller**
+    /// capacity, read as zero-padded. A larger one is a caller's bug: debug
+    /// builds reject it, release builds clip it to `self`'s capacity.
     pub fn intersect_with(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.len, other.len);
+        debug_assert!(other.len <= self.len, "only a shorter set is padded");
+        let shared = self.words.len().min(other.words.len());
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
+        }
+        self.words[shared..].fill(0);
+    }
+
+    /// `|self ∖ other|`, with `other` of any capacity read as zero-padded.
+    pub fn difference_count(&self, other: &BitSet) -> usize {
+        let theirs = other.words.iter().chain(std::iter::repeat(&0));
+        self.words.iter().zip(theirs).map(|(a, b)| (a & !b).count_ones() as usize).sum()
+    }
+
+    /// Inserts `lo..hi` (`hi` at most the capacity; nothing when `lo >= hi`):
+    /// whole words are filled, the two ends masked.
+    pub fn insert_range(&mut self, lo: usize, hi: usize) {
+        debug_assert!(hi <= self.len);
+        if lo >= hi {
+            return;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        let (head, tail) = (!0u64 << (lo % 64), !0u64 >> (63 - (hi - 1) % 64));
+        if first == last {
+            self.words[first] |= head & tail;
+        } else {
+            self.words[first] |= head;
+            self.words[first + 1..last].fill(!0);
+            self.words[last] |= tail;
         }
     }
 
@@ -129,26 +170,28 @@ impl BitSet {
     }
 
     /// Inserts every index of `items` that is below the capacity and in
-    /// `mask`. Indices that fall in one word are gathered in a register, so
-    /// an ascending run costs one store per word touched.
+    /// `mask`.
     pub fn insert_masked(&mut self, items: impl IntoIterator<Item = usize>, mask: &BitSet) {
         debug_assert_eq!(self.len, mask.len);
-        let (mut wi, mut gathered) = (0usize, 0u64);
-        for i in items.into_iter().filter(|&i| i < self.len) {
-            if i / 64 != wi {
-                self.words[wi] |= gathered & mask.words[wi];
-                (wi, gathered) = (i / 64, 0);
-            }
-            gathered |= 1 << (i % 64);
-        }
-        if gathered != 0 {
-            self.words[wi] |= gathered & mask.words[wi];
-        }
+        let kept = items.into_iter().filter(|&i| i < mask.len && mask.contains(i));
+        kept.for_each(|i| self.insert(i));
     }
 
     /// Iterates over set elements in increasing order.
     pub fn iter(&self) -> Bits<'_> {
-        Bits { words: &self.words, next_word: 0, bits: 0 }
+        self.iter_from(0)
+    }
+
+    /// Iterates over the elements at or above `start`, in increasing order.
+    pub fn iter_from(&self, start: usize) -> Bits<'_> {
+        let next_word = (start / 64).min(self.words.len());
+        let bits = self.words.get(next_word).map_or(0, |w| w & (!0u64 << (start % 64)));
+        Bits { words: &self.words, next_word: next_word + 1, bits }
+    }
+
+    /// The set read as arena slots: its elements as [`NodeId`]s, ascending.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.iter().map(|i| NodeId(i as u32))
     }
 }
 
@@ -303,6 +346,98 @@ mod tests {
         s.insert_masked(std::iter::empty(), &mask);
         assert_eq!(s.count(), 6);
         BitSet::new(0).insert_masked([0usize, 1], &BitSet::new(0));
+    }
+
+    #[test]
+    fn insert_range_fills_across_word_boundaries() {
+        let naive = |lo: usize, hi: usize| (lo..hi).collect::<Vec<_>>();
+        let cap = 200;
+        for (lo, hi) in [
+            (0, 1),
+            (0, 63),
+            (0, 64),
+            (0, 65),
+            (63, 64),
+            (63, 65),
+            (64, 65),
+            (64, 128),
+            (65, 66),
+            (1, 199),
+            (130, cap),
+            (0, cap),
+            (cap - 1, cap),
+        ] {
+            let mut s = BitSet::new(cap);
+            s.insert_range(lo, hi);
+            assert_eq!(s.iter().collect::<Vec<_>>(), naive(lo, hi), "{lo}..{hi}");
+        }
+        // Empty and reversed ranges insert nothing, at either end too.
+        let mut s = BitSet::new(cap);
+        for (lo, hi) in [(0, 0), (64, 64), (cap, cap), (70, 3)] {
+            s.insert_range(lo, hi);
+        }
+        assert!(s.is_empty());
+        // A fill is a union: earlier members stay.
+        s.insert(5);
+        s.insert(199);
+        s.insert_range(60, 70);
+        assert_eq!(s.count(), 12);
+        // A capacity that is a multiple of 64 has no partial last word.
+        let mut full = BitSet::new(128);
+        full.insert_range(0, 128);
+        assert_eq!(full.count(), 128);
+        BitSet::new(0).insert_range(0, 0);
+    }
+
+    #[test]
+    fn padded_operations_read_a_shorter_set_as_zero_extended() {
+        let of = |len, items: &[usize]| BitSet::from_indices(len, items.iter().copied());
+        let mask = of(200, &[1, 63, 64, 130, 199]);
+        // Shorter (a view computed before the arena grew), equal, and
+        // longer (no slots of this arena: rejected in debug, clipped in release).
+        let shorter = of(70, &[1, 64, 69]);
+        let equal = of(200, &[1, 130, 150, 199]);
+        let longer = of(300, &[63, 130, 199, 250, 299]);
+        let seeded = |sets: &[&BitSet]| {
+            let mut r = mask.clone();
+            sets.iter().for_each(|s| r.intersect_with(s));
+            assert_eq!(r.capacity(), 200);
+            r.iter().collect::<Vec<_>>()
+        };
+        assert_eq!(seeded(&[]), vec![1, 63, 64, 130, 199]);
+        assert_eq!(seeded(&[&shorter]), vec![1, 64], "slots past 70 are non-members");
+        assert_eq!(seeded(&[&equal]), vec![1, 130, 199]);
+        assert_eq!(seeded(&[&equal, &shorter]), vec![1]);
+        assert_eq!(seeded(&[&of(0, &[])]), Vec::<usize>::new());
+        if cfg!(debug_assertions) {
+            assert!(std::panic::catch_unwind(|| seeded(&[&longer])).is_err());
+        } else {
+            assert_eq!(seeded(&[&longer]), vec![63, 130, 199], "clipped to the mask's width");
+            assert_eq!(seeded(&[&equal, &longer]), vec![130, 199]);
+        }
+
+        // The same reading for differences, in both directions.
+        assert_eq!(mask.difference_count(&shorter), 3, "63, 130, 199");
+        assert_eq!(shorter.difference_count(&mask), 1, "69");
+        assert_eq!(mask.difference_count(&longer), 2);
+        assert_eq!(longer.difference_count(&mask), 2, "250 and 299 count for the longer set");
+        assert_eq!(mask.difference_count(&mask), 0);
+    }
+
+    #[test]
+    fn iter_from_starts_mid_word_and_past_the_end() {
+        let s = BitSet::from_indices(200, [0usize, 5, 63, 64, 65, 190]);
+        let from = |start| s.iter_from(start).collect::<Vec<_>>();
+        assert_eq!(from(0), vec![0, 5, 63, 64, 65, 190]);
+        assert_eq!(from(5), vec![5, 63, 64, 65, 190]);
+        assert_eq!(from(6), vec![63, 64, 65, 190]);
+        assert_eq!(from(64), vec![64, 65, 190]);
+        assert_eq!(from(66), vec![190]);
+        assert_eq!(from(191), Vec::<usize>::new());
+        assert_eq!(from(200), Vec::<usize>::new());
+        assert_eq!(from(100_000), Vec::<usize>::new());
+        assert_eq!(BitSet::new(0).iter_from(0).count(), 0);
+        assert_eq!(s.nodes().map(|n| n.index()).collect::<Vec<_>>(), from(0));
     }
 
     #[test]

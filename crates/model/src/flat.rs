@@ -14,6 +14,8 @@
 //!   layout used for graph adjacency;
 //! * **`parents`** — one `u32` per slot (`NO_PARENT` for the root and for
 //!   tombstones);
+//! * **`ordered_len` and `last`** — the arena prefix in document order and
+//!   the extent of each subtree inside it (*The ordered prefix*, below);
 //! * **`live`** — the live-node mask as a [`BitSet`], the seed set for
 //!   wildcard pattern nodes;
 //! * **per-label posting bitsets** — for every label in the document, the
@@ -27,6 +29,18 @@
 //! each live node's child slice out of the [`Tree`]'s pool into the CSR
 //! array; it runs once per edit batch, between applying the edits and
 //! scanning the regions.
+//!
+//! ## The ordered prefix
+//!
+//! [`Tree::add_child`] only appends, so a document built depth-first fills
+//! its arena in pre-order and an edit batch appends its grafts behind that.
+//! `ordered_len` is the longest prefix in which every live slot's parent
+//! lies on the rightmost path of the slots before it: there the descendants
+//! of a live slot `v` are exactly the live slots of `(v, last[v]]`, so
+//! "below a frontier" is a union of slot ranges — word fills; tombstones in
+//! a range are in no posting and not in the live mask. A slot at or past
+//! `ordered_len` has its descendants past it too, reached by climbing
+//! `parents`. The freeze reads the rightmost path off `parents` as it goes.
 //!
 //! ## Shared-freeze contract
 //!
@@ -116,6 +130,9 @@ pub struct FlatTree {
     parents: Vec<u32>,
     child_offsets: Vec<u32>,
     children: Vec<u32>,
+    ordered_len: usize,
+    /// Read through [`FlatTree::last_in_prefix`].
+    last: Vec<u32>,
     live: BitSet,
     /// `posting_of[label id]` is the label's position in `postings`, or
     /// [`NO_POSTING`] (also implied past the end) when no live slot has it.
@@ -136,18 +153,26 @@ impl FlatTree {
     fn freeze_with_memo_bound(t: &Tree, memo_bound: usize) -> FlatTree {
         let nt = t.arena_len();
         let mut labels = vec![0u32; nt];
-        let mut parents = vec![NO_PARENT; nt];
+        let mut parents = Vec::with_capacity(nt);
         let mut child_offsets = Vec::with_capacity(nt + 1);
         let mut children = Vec::with_capacity(nt.saturating_sub(1));
         let mut live = BitSet::new(nt);
         let mut posting_of: Vec<u32> = Vec::new();
         let mut postings: Vec<BitSet> = Vec::new();
         let mut live_count = 0usize;
+        let mut last = vec![0u32; nt];
+        // While the prefix grows (`ordered_len == nt`): `prev` is its latest
+        // live slot, `top` the deepest slot of the rightmost path that can
+        // take a child (`prev`, or its parent when `prev` is a leaf).
+        let (mut ordered_len, mut prev, mut top) = (nt, NO_PARENT, NO_PARENT);
 
         for i in 0..nt {
             child_offsets.push(children.len() as u32);
             let n = NodeId(i as u32);
-            if !t.is_alive(n) {
+            let alive = t.is_alive(n);
+            // Pushed, not pre-filled: the column is written once.
+            parents.push(t.parent(n).filter(|_| alive).map_or(NO_PARENT, |p| p.0));
+            if !alive {
                 continue;
             }
             live_count += 1;
@@ -165,14 +190,33 @@ impl FlatTree {
                 postings.push(BitSet::new(nt));
             }
             postings[*at as usize].insert(i);
-            if let Some(p) = t.parent(n) {
-                parents[i] = p.0;
+            let kids = t.children(n);
+            if ordered_len == nt {
+                // Leave the path up to `i`'s parent (a slot left has `prev`
+                // as its range's end); a parent not on it ends the prefix.
+                let (parent, mut cur) = (parents[i], top);
+                while cur > parent {
+                    last[cur as usize] = prev;
+                    cur = parents[cur as usize];
+                }
+                if cur == parent {
+                    prev = i as u32;
+                    top = if kids.is_empty() { parent } else { prev };
+                } else {
+                    ordered_len = i;
+                }
             }
             // Live nodes never list tombstoned children (removal detaches
             // the subtree), so the CSR edge set is exactly the live edges.
-            children.extend(t.children(n).iter().map(|c| c.0));
+            children.extend(kids.iter().map(|c| c.0));
         }
         child_offsets.push(children.len() as u32);
+        // Whatever is still on the rightmost path extends to the prefix's end.
+        let mut cur = top;
+        while cur != NO_PARENT {
+            last[cur as usize] = prev;
+            cur = parents[cur as usize];
+        }
 
         let memo = WitnessMemo::new(memo_bound);
         FlatTree {
@@ -180,6 +224,8 @@ impl FlatTree {
             parents,
             child_offsets,
             children,
+            ordered_len,
+            last,
             live,
             posting_of,
             postings,
@@ -238,6 +284,20 @@ impl FlatTree {
         let lo = self.child_offsets[i] as usize;
         let hi = self.child_offsets[i + 1] as usize;
         &self.children[lo..hi]
+    }
+
+    /// Length of the arena prefix in document order (at least 1: the root).
+    #[inline]
+    pub fn ordered_len(&self) -> usize {
+        self.ordered_len
+    }
+
+    /// For a live slot `v < ordered_len()`: the last slot of `subtree(v)`
+    /// inside the ordered prefix.
+    #[inline]
+    pub fn last_in_prefix(&self, v: usize) -> usize {
+        debug_assert!(v < self.ordered_len && self.live.contains(v));
+        (self.last[v] as usize).max(v) // never `top` (a leaf there): still 0
     }
 
     /// The live-node mask — the seed set for wildcard pattern nodes.
@@ -433,8 +493,12 @@ mod tests {
     #[test]
     fn child_indices_exceed_parent_indices() {
         // Parents precede children in slot order: `Tree::add_child` only
-        // appends, so this holds by construction — pin it down. (Pre-order
-        // does not survive edits; the flat matcher relies on neither.)
+        // appends, so this holds by construction — pin it down. The freeze
+        // leans on it twice: a climb towards a parent can stop at the first
+        // smaller slot, and every descendant of a slot past the ordered
+        // prefix is past it too. Pre-order itself does not survive edits:
+        // the flat matcher uses it inside `ordered_len` (range fills) and
+        // climbs `parents` behind it.
         let t = abc_tree();
         let ft = FlatTree::freeze(&t);
         for i in 0..ft.arena_len() {
@@ -442,5 +506,132 @@ mod tests {
                 assert!((c as usize) > i);
             }
         }
+    }
+
+    /// For every live `v` of the ordered prefix, `subtree(v)` inside the
+    /// prefix is exactly the live slots of `[v, last[v]]`. Returns the
+    /// prefix length.
+    fn check_prefix_ranges(t: &Tree) -> usize {
+        let ft = FlatTree::freeze(t);
+        let ordered = ft.ordered_len();
+        assert!((1..=ft.arena_len()).contains(&ordered));
+        for v in ft.live_mask().iter().take_while(|&v| v < ordered) {
+            let last = ft.last_in_prefix(v);
+            assert!((v..ordered).contains(&last), "last[{v}] = {last} of {ordered}");
+            let below: Vec<usize> =
+                ft.subtree_mask(v).iter().take_while(|&d| d < ordered).collect();
+            let mut range = BitSet::new(ft.arena_len());
+            range.insert_range(v, last + 1);
+            range.intersect_with(ft.live_mask());
+            assert_eq!(below, range.iter().collect::<Vec<_>>(), "subtree of {v}");
+        }
+        ordered
+    }
+
+    /// r(a(b, c(d, e)), f(g), h), built depth-first: slots in pre-order.
+    fn depth_first_tree() -> Tree {
+        TreeBuilder::root("r", |t| {
+            t.child("a", |t| {
+                t.leaf("b");
+                t.child("c", |t| {
+                    t.leaf("d");
+                    t.leaf("e");
+                });
+            });
+            t.child("f", |t| {
+                t.leaf("g");
+            });
+            t.leaf("h");
+        })
+    }
+
+    #[test]
+    fn a_depth_first_arena_is_wholly_ordered() {
+        let t = depth_first_tree();
+        assert_eq!(check_prefix_ranges(&t), t.arena_len());
+        let ft = FlatTree::freeze(&t);
+        assert_eq!(ft.last_in_prefix(0), 8);
+        assert_eq!(ft.last_in_prefix(1), 5, "a covers b, c, d, e");
+        assert_eq!(ft.last_in_prefix(2), 2, "a leaf is its own range");
+        assert_eq!(check_prefix_ranges(&Tree::new(Label::new("only"))), 1);
+    }
+
+    #[test]
+    fn deletes_and_grafts_keep_the_prefix_and_its_ranges() {
+        let mut t = depth_first_tree();
+        let n0 = t.arena_len();
+        // Tombstones inside ranges: c's subtree (slots 3..=5) goes.
+        t.remove_subtree(NodeId(3));
+        assert_eq!(check_prefix_ranges(&t), n0, "a removed subtree leaves pre-order intact");
+        // A graft under a slot that is not on the rightmost path ends the
+        // prefix where the arena ended; grafts under prefix slots, under an
+        // earlier graft, and under a leaf of the prefix all sit behind it.
+        let x = t.add_child(NodeId(1), Label::new("x"));
+        let y = t.add_child(x, Label::new("y"));
+        t.add_child(y, Label::new("z"));
+        t.add_child(NodeId(2), Label::new("under-a-leaf"));
+        t.add_child(NodeId(6), Label::new("w"));
+        assert_eq!(check_prefix_ranges(&t), n0);
+        let ft = FlatTree::freeze(&t);
+        assert_eq!(ft.last_in_prefix(1), 2, "a's range holds its prefix descendants only");
+        assert_eq!(ft.last_in_prefix(2), 2, "b has children, none of them in the prefix");
+        // Deleting a graft and a prefix subtree together changes nothing.
+        t.remove_subtree(y);
+        t.remove_subtree(NodeId(6));
+        assert_eq!(check_prefix_ranges(&t), n0);
+        // A graft under the rightmost path extends the prefix instead.
+        let mut grown = depth_first_tree();
+        let i = grown.add_child(NodeId(8), Label::new("i"));
+        grown.add_child(i, Label::new("j"));
+        grown.add_child(grown.root(), Label::new("k"));
+        assert_eq!(check_prefix_ranges(&grown), grown.arena_len());
+    }
+
+    #[test]
+    fn a_breadth_first_arena_has_a_short_prefix() {
+        // Level by level: the root's children are ordered (each hangs off
+        // the rightmost path), the first grandchild is not.
+        let mut t = Tree::new(Label::new("r"));
+        let level1: Vec<NodeId> = (0..4).map(|_| t.add_child(t.root(), Label::new("m"))).collect();
+        let level2: Vec<NodeId> =
+            level1.iter().flat_map(|&m| [m, m]).map(|m| t.add_child(m, Label::new("x"))).collect();
+        for x in level2 {
+            t.add_child(x, Label::new("y"));
+        }
+        assert_eq!(check_prefix_ranges(&t), 5);
+        // Filling the last child first keeps one more level ordered.
+        let mut t = Tree::new(Label::new("r"));
+        let a = t.add_child(t.root(), Label::new("a"));
+        let b = t.add_child(t.root(), Label::new("b"));
+        t.add_child(b, Label::new("x"));
+        t.add_child(a, Label::new("x"));
+        assert_eq!(check_prefix_ranges(&t), 4);
+    }
+
+    #[test]
+    fn a_deep_chain_freezes_without_recursion() {
+        // 200 000 deep on the default 2 MiB test stack: the climb is a loop
+        // over `parents`, and a chain is left in one sweep at the end.
+        const DEPTH: usize = 200_000;
+        let mut t = Tree::new(Label::new("c"));
+        let mut tip = t.root();
+        for _ in 1..DEPTH {
+            tip = t.add_child(tip, Label::new("c"));
+        }
+        let ft = FlatTree::freeze(&t);
+        assert_eq!(ft.ordered_len(), DEPTH);
+        assert!((0..DEPTH).all(|v| ft.last_in_prefix(v) == DEPTH - 1));
+        // Every slot of a chain is on the rightmost path, so a second chain
+        // hung off slot 100 is still in document order: one climb leaves
+        // the 199 899 slots below it.
+        let mut side = t.add_child(NodeId(100), Label::new("s"));
+        for _ in 0..1_000 {
+            side = t.add_child(side, Label::new("s"));
+        }
+        let ft = FlatTree::freeze(&t);
+        assert_eq!(ft.ordered_len(), t.arena_len());
+        assert_eq!(ft.last_in_prefix(100), t.arena_len() - 1);
+        assert_eq!(ft.last_in_prefix(101), DEPTH - 1);
+        assert_eq!(ft.last_in_prefix(DEPTH), t.arena_len() - 1);
     }
 }

@@ -34,12 +34,20 @@
 //! implied by the top-down one.
 //!
 //! A `Child` step walks from whichever side touches fewer slots (the CSR
-//! children of the frontier, or the parents of the candidates); a
-//! `Descendant` step climbs from the candidates, caching a verdict per
-//! visited slot, so it costs the slots between candidates and frontier and
-//! does not sweep the arena. [`evaluate_flat`], [`evaluate_anchored_flat`]
-//! and [`BatchEval`] are this one function with different anchors; they
-//! differ only in where their scratch buffers come from.
+//! children of the frontier, or the parents of the candidates). A
+//! `Descendant` step is a union of slot ranges: inside the snapshot's
+//! ordered prefix ([`FlatTree::ordered_len`]) the descendants of a frontier
+//! slot `f` are the slots `(f, last[f]]`, so the step fills those ranges
+//! word by word and ANDs with `B_i`. Only candidates past the prefix
+//! (grafts of edit batches, an arena never in document order) climb,
+//! caching a verdict per visited slot, and only as far as the prefix; with
+//! no prefix to speak of the climb is the whole step, and its worst case.
+//!
+//! The anchors are a set too — `R_0 = B_0 ∩ V_1 ∩ … ∩ V_n` for a route
+//! through views ([`BatchEval::evaluate_seeded_into`]), or a node list cut
+//! to `B_0` — and the answer set is scanned into the [`AnswerArena`].
+//! [`evaluate_flat`], [`evaluate_anchored_flat`] and [`BatchEval`] are this
+//! one function with different seeds and scratch buffers.
 //!
 //! ## Regions
 //!
@@ -316,31 +324,42 @@ impl<'t> Spine<'t> {
                 }
             }
             Axis::Descendant => {
-                if frontier.is_empty() {
-                    return;
+                // In the ordered prefix: fill `(f, last[f]]` per frontier
+                // slot `f` no earlier range covers (ranges are laminar;
+                // tombstones inside them are in no `cand`).
+                let ordered = ft.ordered_len();
+                let mut covered = 0;
+                for f in frontier.iter().take_while(|&f| f < ordered) {
+                    if f >= covered {
+                        covered = ft.last_in_prefix(f) + 1;
+                        out.insert_range(f + 1, covered);
+                    }
                 }
-                // `under` / `clear`: visited slots known (not) to be in the
-                // frontier or below it. A candidate qualifies iff its parent
-                // is `under`; each climb stops at the first slot with a
-                // verdict and hands that verdict to the slots it passed.
+                // Candidates past the prefix climb, as far as the prefix,
+                // where `out` (just the fills there) settles them. `under` /
+                // `clear`: tail slots known (not) to be in or below the
+                // frontier; a climb hands its verdict to the slots it passed.
                 let (mut under, mut clear) = (scratch.take(), scratch.take());
-                for m in cand.iter() {
-                    let start = ft.parent(m);
+                for m in cand.iter_from(ordered) {
+                    let start = ft.parent(m) as usize;
                     let mut cur = start;
                     let verdict = loop {
-                        if cur == NO_PARENT || clear.contains(cur as usize) {
-                            break false;
-                        }
-                        if frontier.contains(cur as usize) || under.contains(cur as usize) {
+                        if frontier.contains(cur) || under.contains(cur) {
                             break true;
                         }
-                        cur = ft.parent(cur as usize);
+                        if cur < ordered {
+                            break out.contains(cur);
+                        }
+                        if clear.contains(cur) {
+                            break false;
+                        }
+                        cur = ft.parent(cur) as usize;
                     };
                     let (stop, marks) = (cur, if verdict { &mut under } else { &mut clear });
                     cur = start;
                     while cur != stop {
-                        marks.insert(cur as usize);
-                        cur = ft.parent(cur as usize);
+                        marks.insert(cur);
+                        cur = ft.parent(cur) as usize;
                     }
                     if verdict {
                         out.insert(m);
@@ -348,21 +367,27 @@ impl<'t> Spine<'t> {
                 }
                 scratch.put(under);
                 scratch.put(clear);
+                out.intersect_with(cand);
             }
         }
     }
 }
 
 /// The evaluator: the output slots of `p` over `ft` for embeddings whose
-/// root image is one of `anchors` (dead or out-of-range anchors contribute
-/// nothing). The caller returns the set to `scratch` after reading it.
-fn answer_set(p: &Pattern, ft: &FlatTree, anchors: &[NodeId], scratch: &mut EvalScratch) -> BitSet {
+/// root image is an anchor; `seed(R_0, B_0)` puts the anchors inside `B_0`
+/// into the empty `R_0`. The caller returns the set to `scratch`.
+fn answer_set(
+    p: &Pattern,
+    ft: &FlatTree,
+    seed: impl FnOnce(&mut BitSet, &BitSet),
+    scratch: &mut EvalScratch,
+) -> BitSet {
     let mut reach = scratch.take();
     let Some(spine) = Spine::new(p, ft, scratch) else {
         return reach;
     };
     let b0 = spine.candidates(0, scratch);
-    reach.insert_masked(anchors.iter().map(|a| a.index()), &b0);
+    seed(&mut reach, &b0);
     b0.release(scratch);
     for i in 1..=spine.last() {
         if reach.is_empty() {
@@ -377,8 +402,9 @@ fn answer_set(p: &Pattern, ft: &FlatTree, anchors: &[NodeId], scratch: &mut Eval
     reach
 }
 
-fn collect_nodes(set: &BitSet) -> impl Iterator<Item = NodeId> + '_ {
-    set.iter().map(|i| NodeId(i as u32))
+/// The seed from a node list (dead or out-of-range anchors drop out).
+fn from_nodes(anchors: &[NodeId]) -> impl FnOnce(&mut BitSet, &BitSet) + '_ {
+    |reach, b0| reach.insert_masked(anchors.iter().map(|a| a.index()), b0)
 }
 
 /// Flat-tree `P(t)` — same output as [`crate::embed::evaluate`] on the
@@ -393,8 +419,8 @@ pub fn evaluate_flat(p: &Pattern, ft: &FlatTree) -> Vec<NodeId> {
 /// mask).
 pub fn evaluate_anchored_flat(p: &Pattern, ft: &FlatTree, anchors: &[NodeId]) -> Vec<NodeId> {
     with_tl_scratch(ft.arena_len(), |scratch| {
-        let out = answer_set(p, ft, anchors, scratch);
-        let nodes = collect_nodes(&out).collect();
+        let out = answer_set(p, ft, from_nodes(anchors), scratch);
+        let nodes = out.nodes().collect();
         scratch.put(out);
         nodes
     })
@@ -432,7 +458,7 @@ impl<'a> RegionScanner<'a> {
             let mask = ft.subtree_mask(rr);
             let all = evaluate_flat(self.p, ft);
             let found = all.into_iter().filter(|n| mask.contains(n.index())).collect();
-            return (found, collect_nodes(&mask).collect());
+            return (found, mask.nodes().collect());
         }
         let mut slots = Vec::new();
         let Some(spine) = &self.spine else {
@@ -507,8 +533,8 @@ impl<'t> BatchEval<'t> {
     /// Anchored evaluation against the bound snapshot — identical output to
     /// [`evaluate_anchored_flat`].
     pub fn evaluate_anchored(&mut self, p: &Pattern, anchors: &[NodeId]) -> Vec<NodeId> {
-        let out = answer_set(p, self.ft, anchors, &mut self.scratch);
-        let nodes = collect_nodes(&out).collect();
+        let out = answer_set(p, self.ft, from_nodes(anchors), &mut self.scratch);
+        let nodes = out.nodes().collect();
         self.scratch.put(out);
         nodes
     }
@@ -526,8 +552,27 @@ impl<'t> BatchEval<'t> {
         anchors: &[NodeId],
         arena: &mut AnswerArena,
     ) -> AnswerRef {
-        let out = answer_set(p, self.ft, anchors, &mut self.scratch);
-        let r = arena.push_run(collect_nodes(&out));
+        let out = answer_set(p, self.ft, from_nodes(anchors), &mut self.scratch);
+        let r = arena.push_run(out.nodes());
+        self.scratch.put(out);
+        r
+    }
+
+    /// Evaluation anchored on the **intersection** of `sets` (a view, or the
+    /// participants of an intersection route), into `arena`: a word-AND per
+    /// set, no anchor list. A set from a shorter arena reads as zero-padded.
+    pub fn evaluate_seeded_into<'s>(
+        &mut self,
+        p: &Pattern,
+        sets: impl IntoIterator<Item = &'s BitSet>,
+        arena: &mut AnswerArena,
+    ) -> AnswerRef {
+        let seed = |reach: &mut BitSet, b0: &BitSet| {
+            reach.copy_from(b0);
+            sets.into_iter().for_each(|set| reach.intersect_with(set));
+        };
+        let out = answer_set(p, self.ft, seed, &mut self.scratch);
+        let r = arena.push_run(out.nodes());
         self.scratch.put(out);
         r
     }
@@ -633,7 +678,7 @@ mod tests {
             assert_eq!((found.clone(), slots.clone()), region_answers_flat(&p, ft, n));
             let mask = ft.subtree_mask(n.index());
             slots.sort();
-            assert_eq!(slots, collect_nodes(&mask).collect::<Vec<_>>(), "{q} slots at {n:?}");
+            assert_eq!(slots, mask.nodes().collect::<Vec<_>>(), "{q} slots at {n:?}");
             let expect: Vec<NodeId> =
                 global.iter().copied().filter(|m| mask.contains(m.index())).collect();
             assert_eq!(found, expect, "{q} at region {n:?}");
@@ -701,6 +746,126 @@ mod tests {
         for q in QUERIES {
             check_every_region(&t, &ft, q);
         }
+    }
+
+    #[test]
+    fn region_scan_of_a_spine_too_deep_for_the_reach_mask() {
+        // 70 spine positions: past the 63-bit reach mask, so `scan` takes
+        // the fallback — a full evaluation cut to `subtree_mask(root)`.
+        let mut t = Tree::new(xpv_model::Label::new("a"));
+        let mut tip = t.root();
+        for _ in 1..80 {
+            t.add_child(tip, xpv_model::Label::new("b"));
+            tip = t.add_child(tip, xpv_model::Label::new("a"));
+        }
+        let ft = FlatTree::freeze(&t);
+        for tail in ["//b", "/b", "/a//b", "//a"] {
+            let q = format!("{}{tail}", vec!["a"; 69].join("/"));
+            assert!(pat(&q).depth() > 63);
+            assert!(!evaluate_flat(&pat(&q), &ft).is_empty(), "{tail} selects something");
+            check_every_region(&t, &ft, &q);
+        }
+    }
+
+    /// `*//x` anchored at `anchors`, through both seed forms (a node list,
+    /// and a slot set as a view route passes it), against the reference.
+    fn check_descendant_step(t: &Tree, ft: &FlatTree, anchors: &[NodeId]) -> Vec<NodeId> {
+        let q = pat("*//x");
+        let want = evaluate_anchored(&q, t, anchors);
+        assert_eq!(evaluate_anchored_flat(&q, ft, anchors), want, "anchors {anchors:?}");
+        let set = BitSet::from_indices(ft.arena_len(), anchors.iter().map(|n| n.index()));
+        let mut arena = AnswerArena::new();
+        let run = BatchEval::new(ft).evaluate_seeded_into(&q, [&set], &mut arena);
+        assert_eq!(arena.get(run), want.as_slice(), "seeded from a set, anchors {anchors:?}");
+        want
+    }
+
+    #[test]
+    fn descendant_step_over_prefix_ranges_and_tail_climbs() {
+        // r0(a1(b2(x3), x4), c5(x6), d7) in pre-order; then grafts, all
+        // behind the prefix: g8(x9, h10(x11)) under b, k12(x13) under the
+        // root, x14 under g.
+        let mut t = TreeBuilder::root("r", |t| {
+            t.child("a", |t| {
+                t.child("b", |t| {
+                    t.leaf("x");
+                });
+                t.leaf("x");
+            });
+            t.child("c", |t| {
+                t.leaf("x");
+            });
+            t.leaf("d");
+        });
+        let label = xpv_model::Label::new;
+        let n = |i: u32| NodeId(i);
+        let g = t.add_child(n(2), label("g"));
+        t.add_child(g, label("x"));
+        let h = t.add_child(g, label("h"));
+        t.add_child(h, label("x"));
+        let k = t.add_child(t.root(), label("k"));
+        t.add_child(k, label("x"));
+        t.add_child(g, label("x"));
+        let ft = FlatTree::freeze(&t);
+        assert_eq!((ft.ordered_len(), ft.arena_len()), (8, 15));
+        let step = |anchors: &[NodeId]| check_descendant_step(&t, &ft, anchors);
+
+        // An ancestor and its descendant in the frontier: the inner range
+        // is skipped; the tail candidates below b climb onto b (frontier)
+        // or onto a covered slot.
+        assert_eq!(step(&[n(1), n(2)]), vec![n(3), n(4), n(9), n(11), n(14)]);
+        assert_eq!(step(&[n(2)]), vec![n(3), n(9), n(11), n(14)], "climbs end on the frontier");
+        assert_eq!(step(&[n(1)]), vec![n(3), n(4), n(9), n(11), n(14)], "…or on a covered slot");
+        // A frontier slot behind the prefix, alone and beside a prefix one.
+        assert_eq!(step(&[g]), vec![n(9), n(11), n(14)]);
+        assert_eq!(step(&[h, n(5)]), vec![n(6), n(11)]);
+        // Climbs that end on the root: in the frontier, and not.
+        assert_eq!(step(&[n(0)]).len(), 7);
+        assert_eq!(step(&[n(5)]), vec![n(6)], "x13's climb reaches an uncovered root");
+        assert_eq!(step(&[k]), vec![n(13)]);
+        assert_eq!(step(&[n(7), n(4)]), vec![], "leaves have empty ranges");
+        for q in QUERIES.iter().chain(&["r//x", "r/a//x", "r//g//x", "r//*[x]//x", "*//*"]) {
+            assert_eq!(evaluate_flat(&pat(q), &ft), evaluate(&pat(q), &t), "{q}");
+        }
+
+        // Tombstones inside ranges and in the tail: b goes, and with it x3
+        // and everything grafted below it.
+        t.remove_subtree(n(2));
+        t.remove_subtree(n(6));
+        let ft = FlatTree::freeze(&t);
+        // The one graft left hangs off the root — the rightmost path — so
+        // the prefix now spans the arena, dead grafts included.
+        assert_eq!(ft.ordered_len(), 15);
+        let step = |anchors: &[NodeId]| check_descendant_step(&t, &ft, anchors);
+        assert_eq!(step(&[n(1)]), vec![n(4)], "a's range spans two tombstones");
+        assert_eq!(step(&[n(0)]), vec![n(4), n(13)]);
+        assert_eq!(step(&[n(2), g, n(5)]), vec![], "dead anchors, and a range emptied");
+    }
+
+    #[test]
+    fn seeding_reads_a_set_from_a_shorter_arena_as_zero_padded() {
+        // Two "views" computed before the arena grew; the rewriting runs on
+        // the grown snapshot.
+        let mut t = doc();
+        let old_len = t.arena_len();
+        let cs =
+            BitSet::from_indices(old_len, evaluate(&pat("a//c"), &t).iter().map(|n| n.index()));
+        let under_b =
+            BitSet::from_indices(old_len, evaluate(&pat("a/b/*"), &t).iter().map(|n| n.index()));
+        let grafted = t.add_child(NodeId(2), xpv_model::Label::new("d"));
+        for _ in 0..100 {
+            t.add_child(grafted, xpv_model::Label::new("e"));
+        }
+        let ft = FlatTree::freeze(&t);
+        assert!(cs.capacity() < ft.arena_len() && ft.arena_len() > 64);
+        let mut arena = AnswerArena::new();
+        let mut eval = BatchEval::new(&ft);
+        let both = eval.evaluate_seeded_into(&pat("c/d"), [&cs, &under_b], &mut arena);
+        assert_eq!(arena.get(both), &[NodeId(3), grafted], "R over V1 ∩ V2 = {{c2}}");
+        let one = eval.evaluate_seeded_into(&pat("c/d"), [&cs], &mut arena);
+        assert_eq!(arena.get(one), evaluate(&pat("a//c/d"), &t).as_slice());
+        let none = eval.evaluate_seeded_into(&pat("c/d"), [&cs, &BitSet::new(0)], &mut arena);
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! encoder reads the runs as borrowed slices — so after warmup, growing a
 //! batch's fan-out must not grow the allocation count. (Plan *lookup*
 //! still hashes each arriving pattern — that cost is per-position by
-//! design and measured by the benches, not here.)
+//! design and measured by the benches, not here.) The same holds for
+//! queries routed through a view or an intersection of views: their anchors
+//! are slot sets ANDed inside the evaluator, never a list.
 //!
 //! The same accounting pins the two costs an edit batch must not pay per
 //! document node: copying the document ([`Tree::clone`] is a fixed number
@@ -170,4 +172,80 @@ fn region_scan_bytes_do_not_scale_with_the_document() {
     let (small, large) = (scan_bytes(100), scan_bytes(10_000));
     assert!(small > 0);
     assert_eq!(small, large, "scan bytes grew with the document around the region");
+}
+
+/// Routed evaluation: the anchors of a `ViaView` route are the view's slot
+/// set and those of an `Intersect` route the word-AND of several, taken
+/// inside the evaluator's seed. A routed query therefore allocates exactly
+/// what evaluating its rewriting from a ready-made anchor list allocates
+/// (the pattern's spine lay-out, nothing per anchor, nothing per
+/// participant) — the merged anchor `Vec` a node-list intersection needs is
+/// gone — and, as on the direct lane, growing the batch's fan-out does not
+/// grow the count.
+#[test]
+fn routed_evaluation_allocates_nothing_for_its_anchors() {
+    use xpath_views::model::BitSet;
+    use xpath_views::semantics::{evaluate_anchored_flat, evaluate_flat};
+
+    let doc = site_doc(6, 6, 5);
+    let ft = FlatTree::freeze(&doc);
+    let pat = |s: &str| parse_xpath(s).expect("pattern parses");
+    let views: Vec<BitSet> = ["bids", "shipping", "description"]
+        .iter()
+        .map(|branch| evaluate_flat(&pat(&format!("site/region/item[{branch}]")), &ft))
+        .map(|nodes| BitSet::from_indices(ft.arena_len(), nodes.iter().map(|n| n.index())))
+        .collect();
+    // (rewriting, participants): one view, pairs, and all three.
+    let routes: Vec<(Pattern, Vec<&BitSet>)> = vec![
+        (pat("item/name"), vec![&views[0]]),
+        (pat("item[name]//bidder"), vec![&views[0], &views[1]]),
+        (pat("item/description//listitem"), vec![&views[1], &views[2]]),
+        (pat("item/name"), vec![&views[0], &views[1], &views[2]]),
+    ];
+    let mut eval = BatchEval::new(&ft);
+    let mut arena = AnswerArena::new();
+    let mut pass = |fanout: usize, arena: &mut AnswerArena| {
+        arena.clear();
+        let refs: Vec<AnswerRef> = routes
+            .iter()
+            .map(|(r, sets)| eval.evaluate_seeded_into(r, sets.iter().copied(), arena))
+            .collect();
+        let mut enc = AnswersEncoder::new(7);
+        for i in 0..fanout {
+            enc.answer(WireRouteRef::Direct, arena.get(refs[i % refs.len()]));
+        }
+        (refs, enc.finish().len())
+    };
+    // Warm-up: the arena, the scratch pool, the witness memo.
+    let (refs, warm_len) = pass(256, &mut arena);
+    assert!(refs.iter().all(|r| !r.is_empty()), "every route selects something");
+    pass(64, &mut arena);
+
+    let before = allocs();
+    pass(64, &mut arena);
+    let small = allocs() - before;
+    let before = allocs();
+    let (_, large_len) = pass(256, &mut arena);
+    let large = allocs() - before;
+    assert_eq!(large_len, warm_len);
+    assert!(large <= small + 16, "per-answer allocations: {small} for 64 answers, {large} for 256");
+
+    // Route by route: the same count as the by-node-list entry point given
+    // the anchors ready-made, whatever the number of participants.
+    for (r, sets) in &routes {
+        let mut anchors = ft.live_mask().clone();
+        sets.iter().for_each(|set| anchors.intersect_with(set));
+        let anchors: Vec<NodeId> = anchors.nodes().collect();
+        let want = evaluate_anchored_flat(r, &ft, &anchors);
+        arena.clear();
+        let before = allocs();
+        let by_list = eval.evaluate_anchored_into(r, &anchors, &mut arena);
+        let list_allocs = allocs() - before;
+        let before = allocs();
+        let by_sets = eval.evaluate_seeded_into(r, sets.iter().copied(), &mut arena);
+        let set_allocs = allocs() - before;
+        assert_eq!(arena.get(by_sets), want.as_slice());
+        assert_eq!(arena.get(by_list), want.as_slice());
+        assert_eq!(set_allocs, list_allocs, "{r} over {} views", sets.len());
+    }
 }

@@ -279,3 +279,85 @@ fn intersect_routes_are_schedule_invariant_and_invalidate_on_replacement() {
         Route::ViaView { .. } => panic!("no single view can serve the joint query"),
     }
 }
+
+/// `replace_view` is one transaction: while one thread replaces `items` in a
+/// loop, every pool snapshot a reader takes still resolves the name (to one
+/// of the two definitions, never to nothing), a second writer adding and
+/// removing a view of another name never trips the duplicate-name panic on
+/// either side, edit batches interleave with both, and at the end every
+/// view is exactly its definition on the final document — no batch
+/// maintained a pool the replacement had not seen.
+#[test]
+fn replace_view_is_atomic_for_readers_writers_and_edit_batches() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use xpath_views::workload::{edit_batches, edit_stream, EditMix};
+
+    const ROUNDS: usize = 60;
+    let cache = sharded_cache();
+    let defs = [
+        parse_xpath("site/region/item").expect("parses"),
+        parse_xpath("site/region/item[name]").expect("parses"),
+    ];
+    let via_items = parse_xpath("site/region/item/name").expect("parses");
+    // Inserts only: no batch can take an answer away, so "non-empty" below
+    // holds for any stream the generator draws, not just for this seed's.
+    let edits = edit_stream(&cache.document(), 40, EditMix::new(1, 0, 0), 0xA70);
+    let replacing = AtomicBool::new(true);
+
+    std::thread::scope(|scope| {
+        let (cache, defs, replacing) = (&cache, &defs, &replacing);
+        let replacer = scope.spawn(move || {
+            for round in 0..ROUNDS {
+                let def = defs[round % 2].clone();
+                let n = cache.replace_view("items", def.clone());
+                assert!(n > 0, "round {round}: {def} has answers");
+            }
+            replacing.store(false, Ordering::SeqCst);
+        });
+        let other_writer = scope.spawn(move || {
+            let extra = parse_xpath("site//name").expect("parses");
+            while replacing.load(Ordering::SeqCst) {
+                cache.add_view("extra", extra.clone());
+                assert!(cache.remove_view("extra"));
+            }
+        });
+        let editor = scope.spawn(move || {
+            for batch in edit_batches(&edits, 10) {
+                cache.apply_edits(&batch).expect("the only editor: its stream stays valid");
+            }
+        });
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                let via_items = &via_items;
+                scope.spawn(move || {
+                    let mut seen = 0usize;
+                    while replacing.load(Ordering::SeqCst) {
+                        let pool = cache.views_snapshot();
+                        let items: Vec<_> = pool.iter().filter(|v| v.name() == "items").collect();
+                        assert_eq!(items.len(), 1, "a snapshot without (or with two) `items`");
+                        assert!(defs.iter().any(|d| d.structurally_eq(items[0].definition())));
+                        // Routed or not, the answer is a whole one: the
+                        // query's nodes on one document version.
+                        assert!(!cache.answer(via_items).nodes.is_empty());
+                        seen += 1;
+                    }
+                    seen
+                })
+            })
+            .collect();
+        replacer.join().expect("replacer panicked");
+        other_writer.join().expect("second writer panicked");
+        editor.join().expect("editor panicked");
+        for reader in readers {
+            reader.join().expect("reader panicked");
+        }
+    });
+
+    let doc = cache.document();
+    for view in cache.views_snapshot().iter() {
+        assert_eq!(view.nodes(), evaluate(view.definition(), &doc), "view {}", view.name());
+    }
+    let ans = cache.answer(&via_items);
+    assert_eq!(ans.nodes, cache.answer_direct(&via_items));
+    assert!(matches!(ans.route, Route::ViaView { .. }), "got {:?}", ans.route);
+}

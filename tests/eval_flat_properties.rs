@@ -5,18 +5,21 @@
 //! performance layer: its contract is **byte-identical answers** against
 //! the reference dynamic program, on every document — including post-edit
 //! documents whose arenas carry tombstoned slots and appended slots out of
-//! pre-order — whatever the state of the snapshot's witness memo (empty,
+//! pre-order, and on arenas laid out depth-first (wholly in document order:
+//! `//` steps are range fills), breadth-first and at random (hardly any
+//! ordered prefix: `//` steps climb) — whatever the state of the snapshot's witness memo (empty,
 //! full, shared by racing threads). These properties pin that contract over
 //! seeded random trees, patterns, anchor sets and edit streams, plus an
 //! 8-thread stress interleaving edits with fused batch answering (the
 //! copy-on-write snapshot contract: every batch sees one frozen, internally
 //! consistent document version).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use xpath_views::engine::ShardedViewCache;
 use xpath_views::maintain::apply_edits as apply_tree_edits;
-use xpath_views::model::{BitSet, FlatTree, Tree, WITNESS_MEMO_BOUND};
+use xpath_views::model::{AnswerArena, BitSet, FlatTree, Tree, WITNESS_MEMO_BOUND};
 use xpath_views::prelude::*;
 use xpath_views::semantics::{
     evaluate_anchored, evaluate_anchored_flat, evaluate_batch_flat, evaluate_flat, BatchEval,
@@ -58,16 +61,74 @@ fn assert_flat_matches_reference(doc: &Tree, queries: &[Pattern]) {
     let sparse: Vec<NodeId> = doc.node_ids().step_by(3).collect();
     let deepest: Vec<NodeId> = doc.node_ids().last().into_iter().collect();
     let every = all_slots(doc);
+    let (mut seeded, mut arena) = (BatchEval::new(&ft), AnswerArena::new());
     for q in queries {
         assert_eq!(evaluate_flat(q, &ft), evaluate(q, doc), "answers differ for {q}");
         for anchors in [&sparse, &deepest, &every] {
+            let want = evaluate_anchored(q, doc, anchors);
             assert_eq!(
                 evaluate_anchored_flat(q, &ft, anchors),
-                evaluate_anchored(q, doc, anchors),
+                want,
                 "anchored answers differ for {q} from {} anchors",
                 anchors.len()
             );
+            // The same anchors as a slot set — how a view route seeds the
+            // evaluator — and the answer set drained into an arena.
+            let set = BitSet::from_indices(ft.arena_len(), anchors.iter().map(|n| n.index()));
+            let run = seeded.evaluate_seeded_into(q, [&set], &mut arena);
+            assert_eq!(arena.get(run), want.as_slice(), "set-seeded answers differ for {q}");
         }
+    }
+}
+
+/// `doc` with its arena laid out afresh: depth-first (pre-order, the layout
+/// of a parsed document) or breadth-first (level by level).
+fn relaid(doc: &Tree, depth_first: bool) -> Tree {
+    let mut out = Tree::new(doc.label(doc.root()));
+    let mut work: VecDeque<(NodeId, NodeId)> =
+        doc.children(doc.root()).iter().map(|&c| (c, out.root())).collect();
+    while let Some((old, parent)) = if depth_first { work.pop_back() } else { work.pop_front() } {
+        let new = out.add_child(parent, doc.label(old));
+        work.extend(doc.children(old).iter().map(|&c| (c, new)));
+    }
+    assert!(out.structurally_eq(doc));
+    out
+}
+
+/// The flat ≡ reference property over arena layouts: the generator's trees
+/// grow at random open slots, so their ordered prefix is a handful of slots
+/// and every other test here runs the `//` step as a climb. Laid out
+/// depth-first the same documents are wholly in document order (range
+/// fills only); after an edit batch the grafts sit behind the prefix and
+/// tombstones inside it (both procedures in one step); breadth-first the
+/// prefix is the root's children.
+#[test]
+fn flat_matcher_matches_reference_whatever_the_arena_order() {
+    for seed in 0..16u64 {
+        let cfg = TreeGenConfig { size: 150, max_depth: 9, max_children: 6, label_count: 4 };
+        let random = TreeGen::new(cfg, seed).tree();
+        let mut queries = forced_patterns();
+        queries.extend(patterns_from_seed(seed ^ 0x0DE2, 6));
+
+        let mut ordered = relaid(&random, true);
+        assert_eq!(FlatTree::freeze(&ordered).ordered_len(), ordered.arena_len());
+        assert_flat_matches_reference(&ordered, &queries);
+        let before = ordered.arena_len();
+        edit_in_place(&mut ordered, 30, seed ^ 0xA11);
+        let ft = FlatTree::freeze(&ordered);
+        assert!(ordered.arena_len() > before, "the batch grafted something");
+        assert!(ft.ordered_len() >= before, "deletes and relabels keep the prefix");
+        assert_flat_matches_reference(&ordered, &queries);
+
+        let mut level_order = relaid(&random, false);
+        let root_fanout = level_order.children(level_order.root()).len();
+        assert!(FlatTree::freeze(&level_order).ordered_len() <= 2 + root_fanout);
+        assert_flat_matches_reference(&level_order, &queries);
+        edit_in_place(&mut level_order, 30, seed ^ 0xA11);
+        assert_flat_matches_reference(&level_order, &queries);
+
+        assert!(FlatTree::freeze(&random).ordered_len() < random.arena_len());
+        assert_flat_matches_reference(&random, &queries);
     }
 }
 

@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xpath_views::engine::{answer_value_set, Edit, MaterializedView, Route, ShardedViewCache};
 use xpath_views::maintain::{maintain_views, MaintainMode, ViewDelta};
+use xpath_views::model::BitSet;
 use xpath_views::prelude::*;
 use xpath_views::workload::{
     catalog_zipf_stream, edit_batches, edit_stream, edit_stream_clustered, site_catalog, site_doc,
@@ -246,7 +247,7 @@ fn copies_match_fresh_after(
         .map(|(i, d)| MaterializedView::materialize(format!("v{i}"), d.clone(), &doc))
         .collect();
     let mut after = doc.clone();
-    let mut answers: Vec<Vec<NodeId>> = views.iter().map(|v| v.nodes().to_vec()).collect();
+    let mut answers: Vec<Vec<NodeId>> = views.iter().map(|v| v.nodes()).collect();
     for batch in edits.chunks(chunk) {
         maintain_views(&mut after, &def_refs, &mut answers, batch, MaintainMode::Coalesced)
             .expect("valid stream");
@@ -257,7 +258,8 @@ fn copies_match_fresh_after(
         ks
     };
     for ((view, ans), def) in views.iter().zip(answers).zip(&defs) {
-        let maintained = view.with_nodes(ans);
+        let maintained =
+            view.with_set(BitSet::from_indices(after.arena_len(), ans.iter().map(|n| n.index())));
         let fresh = MaterializedView::materialize("fresh", def.clone(), &after);
         prop_assert_eq!(maintained.nodes(), fresh.nodes());
         prop_assert_eq!(
