@@ -1435,6 +1435,34 @@ mod tests {
     }
 
     #[test]
+    fn a_pattern_at_the_branch_depth_bound_is_answered_like_any_other() {
+        // The deepest predicate nest the parser admits (deeper is a parse
+        // error, so nothing deeper arrives by text), over a document it
+        // matches: printed, interned, planned against views it can and
+        // cannot use, and answered — on the default 2 MiB test stack.
+        use xpv_pattern::MAX_BRANCH_DEPTH;
+        let mut t = Tree::new(xpv_model::Label::new("a"));
+        let mut tip = t.root();
+        for _ in 0..MAX_BRANCH_DEPTH {
+            t.add_child(tip, xpv_model::Label::new("c"));
+            tip = t.add_child(tip, xpv_model::Label::new("b"));
+        }
+        let nest = |n: usize| format!("a{}{}/c", "[b".repeat(n), "]".repeat(n));
+        let cache = ShardedViewCache::new(t.clone());
+        cache.add_view("deep", pat(&nest(MAX_BRANCH_DEPTH - 1)));
+        cache.add_view("cs", pat("a//c"));
+        for n in [MAX_BRANCH_DEPTH, MAX_BRANCH_DEPTH - 1] {
+            let q = pat(&nest(n));
+            assert!(pat(&q.to_string()).structurally_eq(&q));
+            let ans = cache.answer(&q);
+            assert_eq!(ans.nodes, xpv_semantics::evaluate(&q, &t), "nest {n}");
+            assert_eq!(ans.nodes, vec![NodeId(1)]);
+            assert_eq!(cache.answer(&q).nodes, ans.nodes, "memoized route");
+        }
+        assert!(parse_xpath(&nest(MAX_BRANCH_DEPTH + 1)).is_err());
+    }
+
+    #[test]
     fn first_usable_view_wins() {
         let cache = ShardedViewCache::new(doc());
         cache.add_view("regions", pat("site/region"));

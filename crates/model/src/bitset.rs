@@ -150,22 +150,51 @@ impl BitSet {
         &self.words
     }
 
-    /// Makes `self` the subset of `src` whose elements satisfy `keep`. Each
-    /// word is assembled in a register: one store per word instead of a
-    /// read-modify-write per element.
-    pub fn fill_filtered(&mut self, src: &BitSet, mut keep: impl FnMut(usize) -> bool) {
-        debug_assert_eq!(self.len, src.len);
-        for (wi, (out, &word)) in self.words.iter_mut().zip(&src.words).enumerate() {
-            let mut bits = word;
-            let mut kept = 0u64;
-            while bits != 0 {
-                let lowest = bits & bits.wrapping_neg();
-                if keep(wi * 64 + bits.trailing_zeros() as usize) {
-                    kept |= lowest;
-                }
-                bits ^= lowest;
-            }
-            *out = kept;
+    /// The positions `i` with `keys[i] <= max`. Per word: 64 compares into
+    /// a byte each (a loop the compiler vectorizes), then each 8 bytes
+    /// packed into 8 bits by one multiplication.
+    pub fn at_most(keys: &[u8], max: u8) -> BitSet {
+        let word = |chunk: &[u8]| {
+            let mut flags = [0u8; 64];
+            flags.iter_mut().zip(chunk).for_each(|(f, &k)| *f = u8::from(k <= max));
+            let pack = |e: &[u8]| u64::from_le_bytes(e.try_into().expect("8 bytes"));
+            flags
+                .chunks_exact(8)
+                .rev()
+                .fold(0, |w, e| w << 8 | pack(e).wrapping_mul(0x0102_0408_1020_4080) >> 56)
+        };
+        BitSet { words: keys.chunks(64).map(word).collect(), len: keys.len() }
+    }
+
+    /// One level of a down-step as one borrow chain (`flat` module docs,
+    /// *The ordered prefix*). The bits of `level` cut the capacity into
+    /// segments; those starting in `F = left ∩ level ∖ above` are filled:
+    /// with `X = level ∖ F`, `X − F` borrows from each start up to the next
+    /// bit of `X`, so `(X − F) ∖ level` is their non-`level` bits. `left`
+    /// loses `F`. Given `next` (a `Child` step) only that level of the fill
+    /// is ORed into `self`; else (`//`) all of it, and `left` loses it too.
+    pub fn fill_segments(
+        &mut self,
+        left: &mut BitSet,
+        level: &BitSet,
+        above: Option<&BitSet>,
+        next: Option<&BitSet>,
+    ) {
+        debug_assert!(self.len == left.len && self.len == level.len);
+        debug_assert!(above.iter().chain(&next).all(|m| m.len == self.len));
+        let (mut borrow, pad) = (false, self.words.len() * 64 - self.len);
+        for (i, (out, &lv)) in self.words.iter_mut().zip(&level.words).enumerate() {
+            let f = left.words[i] & lv & !above.map_or(0, |a| a.words[i]);
+            let (diff, b1) = (lv & !f).overflowing_sub(f);
+            let (diff, b2) = diff.overflowing_sub(u64::from(borrow));
+            borrow = b1 | b2;
+            let fill = diff & !lv;
+            *out |= fill & next.map_or(!0, |n| n.words[i]);
+            left.words[i] &= !(f | if next.is_none() { fill } else { 0 });
+        }
+        // A chain still open at the capacity ran into the last word's padding.
+        if let Some(last) = self.words.last_mut() {
+            *last &= !0 >> pad;
         }
     }
 
@@ -319,17 +348,71 @@ mod tests {
     }
 
     #[test]
-    fn fill_filtered_keeps_the_matching_subset() {
-        let mut src = BitSet::new(200);
-        for i in [0usize, 3, 63, 64, 100, 128, 199] {
-            src.insert(i);
+    fn at_most_thresholds_a_key_column() {
+        let keys: Vec<u8> = (0..130).map(|i| i % 7).chain([u8::MAX]).collect();
+        let low = BitSet::at_most(&keys, 2);
+        assert_eq!(low.capacity(), 131);
+        assert_eq!(
+            low.iter().collect::<Vec<_>>(),
+            (0..130).filter(|i| i % 7 <= 2).collect::<Vec<_>>()
+        );
+        assert_eq!(BitSet::at_most(&keys, u8::MAX - 1).count(), 130);
+        assert_eq!(BitSet::at_most(&keys, u8::MAX).count(), 131, "no bit past the capacity");
+        assert_eq!(BitSet::at_most(&[], 0), BitSet::new(0));
+    }
+
+    #[test]
+    fn fill_segments_borrows_from_each_start_to_the_next_level_bit() {
+        let of = |len, items: &[usize]| BitSet::from_indices(len, items.iter().copied());
+        // The fill, slot by slot: the non-level bits from each start up to
+        // the next level bit (or the capacity).
+        let naive = |starts: &[usize], level: &BitSet| {
+            let mut fill = BitSet::new(level.capacity());
+            for &f in starts {
+                let end = level.iter_from(f + 1).next().unwrap_or(level.capacity());
+                fill.insert_range(f + 1, end);
+            }
+            fill
+        };
+        for cap in [270usize, 320] {
+            // Segments: [0,3) [3,4) [4,200) — three whole words of zeros, a
+            // borrow carried through `0 − 0 − 1` — [200,205) [205,269) and
+            // [269, cap): the last runs to the capacity, and past it into
+            // the padding of the last word when there is one.
+            let level = of(cap, &[0, 3, 4, 200, 205, 269]);
+            let above = of(cap, &[0, 200]);
+            let next = of(cap, &[0, 1, 3, 4, 5, 64, 199, 200, 201, 205, 206, 269, cap - 1]);
+            // 100 and 201 are not level bits, 200 is in `above`: not starts.
+            let left = of(cap, &[3, 4, 100, 200, 201, 269]);
+            let whole = naive(&[3, 4, 269], &level);
+            assert_eq!(whole.count(), 195 + (cap - 270));
+
+            let (mut out, mut rest) = (of(cap, &[2]), left.clone());
+            out.fill_segments(&mut rest, &level, Some(&above), None);
+            let mut want = whole.clone();
+            want.insert(2); // a union: earlier members stay
+            assert_eq!(out, want);
+            assert_eq!((out.count(), out.iter().last()), (196 + cap - 270, want.iter().last()));
+            assert_eq!(rest, of(cap, &[200, 201]), "starts and what they cover are taken");
+
+            let (mut out, mut rest) = (BitSet::new(cap), left.clone());
+            out.fill_segments(&mut rest, &level, Some(&above), Some(&next));
+            let kept: &[usize] = if cap == 270 { &[5, 64, 199] } else { &[5, 64, 199, cap - 1] };
+            assert_eq!(out, of(cap, kept), "one level of each segment");
+            assert_eq!(rest, of(cap, &[100, 200, 201]), "only the starts are taken");
+
+            // No `above` (depth 0): every level bit of `left` starts; two
+            // adjacent starts chain (`0 − 1 − 1`), and a chain that meets
+            // no start leaves the words after it alone.
+            let (mut out, mut rest) = (BitSet::new(cap), left.clone());
+            out.fill_segments(&mut rest, &level, None, None);
+            assert_eq!(out, naive(&[3, 4, 200, 269], &level));
+            assert_eq!(rest, BitSet::new(cap));
+            let (mut out, mut rest) = (BitSet::new(cap), of(cap, &[0]));
+            out.fill_segments(&mut rest, &level, None, None);
+            assert_eq!(out, of(cap, &[1, 2]));
         }
-        let mut out = BitSet::new(200);
-        out.insert(7); // overwritten, not merged
-        out.fill_filtered(&src, |i| i % 2 == 0);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![0, 64, 100, 128]);
-        out.fill_filtered(&src, |_| false);
-        assert!(out.is_empty());
+        BitSet::new(0).fill_segments(&mut BitSet::new(0), &BitSet::new(0), None, None);
     }
 
     #[test]

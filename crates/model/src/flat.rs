@@ -14,8 +14,9 @@
 //!   layout used for graph adjacency;
 //! * **`parents`** — one `u32` per slot (`NO_PARENT` for the root and for
 //!   tombstones);
-//! * **`ordered_len` and `last`** — the arena prefix in document order and
-//!   the extent of each subtree inside it (*The ordered prefix*, below);
+//! * **`ordered_len`, `last` and `depth`** — the arena prefix in document
+//!   order, and the extent and the depth of each slot's subtree inside it
+//!   (*The ordered prefix*, below);
 //! * **`live`** — the live-node mask as a [`BitSet`], the seed set for
 //!   wildcard pattern nodes;
 //! * **per-label posting bitsets** — for every label in the document, the
@@ -42,18 +43,33 @@
 //! `ordered_len` has its descendants past it too, reached by climbing
 //! `parents`. The freeze reads the rightmost path off `parents` as it goes.
 //!
+//! The **level mask** `U_d` ([`FlatTree::level`]) holds the live prefix
+//! slots of depth at most `d`, and every slot at or past the prefix. In
+//! pre-order the first live slot after `subtree(v)` is no deeper than `v`,
+//! so the bits of `U_d` cut the arena into segments and the one starting at
+//! a depth-`d` slot `v` is `subtree(v)` inside the prefix — which makes
+//! "below all depth-`d` slots of a frontier" one multi-word subtraction
+//! ([`BitSet::fill_segments`]). A tombstone of the prefix is in no `U_d`: it
+//! falls into the segment before it, as it falls into a `last` range, and
+//! is in no candidate set; a slot past the prefix is a segment of its own,
+//! so no chain runs into the tail. A mask is built from the `depth` column
+//! when first asked for and kept, under the contract below, until the
+//! snapshot is dropped: a depth nobody asks about costs nothing (freezing a
+//! 200 000-deep chain builds none), and there are masks for depths below
+//! 255 only — deeper slots read as deeper than any mask, which is true.
+//!
 //! ## Shared-freeze contract
 //!
 //! A `FlatTree` is **observationally immutable**: the arrays above are built
-//! once by [`FlatTree::freeze`] and never updated. The one field written
-//! after the freeze is the **witness memo** ([`FlatTree::witness`]), a
-//! bounded cache of pure functions of this document: an entry, whenever it
-//! is computed and by whichever thread, is the same set, so a reader can
-//! never tell an empty memo from a full or a contended one except by the
-//! time it takes. The memo is created with the snapshot and dropped with
-//! it. A new document is a new `FlatTree`, so there is nothing to
-//! invalidate, and pool changes (`add_view` / `remove_view`), which reuse
-//! the `Arc<FlatTree>`, keep it warm.
+//! once by [`FlatTree::freeze`] and never updated. The fields written
+//! after the freeze are the **witness memo** ([`FlatTree::witness`]) and
+//! the level masks, bounded caches of pure functions of this document: an
+//! entry, whenever it is computed and by whichever thread, is the same set,
+//! so a reader can never tell an empty memo from a full or a contended one
+//! except by the time it takes. Both are created with the snapshot and
+//! dropped with it. A new document is a new `FlatTree`, so there is nothing
+//! to invalidate, and pool changes (`add_view` / `remove_view`), which
+//! reuse the `Arc<FlatTree>`, keep them warm.
 //!
 //! The engine's `ShardedViewCache` constructs **one** `FlatTree` per edit
 //! batch, immediately after the batch's edits are applied to the cloned
@@ -82,7 +98,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::bitset::BitSet;
 use crate::label::Label;
@@ -101,6 +117,10 @@ pub const WITNESS_MEMO_BOUND: usize = 512;
 /// Identifies one witness set of a document: the structural fingerprint of
 /// a pattern subtree, and whether the edge into it is a descendant edge.
 pub type WitnessKey = (u64, bool);
+
+/// In the depth column: no level mask holds the slot — a tombstone of the
+/// ordered prefix, or a slot deeper than the masks go. Also their number.
+const NO_LEVEL: u8 = u8::MAX;
 
 /// The per-snapshot cache behind [`FlatTree::witness`].
 #[derive(Debug)]
@@ -133,6 +153,9 @@ pub struct FlatTree {
     ordered_len: usize,
     /// Read through [`FlatTree::last_in_prefix`].
     last: Vec<u32>,
+    /// Per slot: its depth inside the ordered prefix, saturating at
+    /// [`NO_LEVEL`] (a tombstone's there); `0` at or past the prefix.
+    depth: Vec<u8>,
     live: BitSet,
     /// `posting_of[label id]` is the label's position in `postings`, or
     /// [`NO_POSTING`] (also implied past the end) when no live slot has it.
@@ -140,6 +163,8 @@ pub struct FlatTree {
     postings: Vec<BitSet>,
     live_count: usize,
     memo: WitnessMemo,
+    /// `levels[d]` is `U_d`, once asked for ([`FlatTree::level`]).
+    levels: Vec<OnceLock<BitSet>>,
 }
 
 impl FlatTree {
@@ -160,7 +185,7 @@ impl FlatTree {
         let mut posting_of: Vec<u32> = Vec::new();
         let mut postings: Vec<BitSet> = Vec::new();
         let mut live_count = 0usize;
-        let mut last = vec![0u32; nt];
+        let (mut last, mut depth) = (vec![0u32; nt], vec![NO_LEVEL; nt]);
         // While the prefix grows (`ordered_len == nt`): `prev` is its latest
         // live slot, `top` the deepest slot of the rightmost path that can
         // take a child (`prev`, or its parent when `prev` is a leaf).
@@ -202,6 +227,7 @@ impl FlatTree {
                 if cur == parent {
                     prev = i as u32;
                     top = if kids.is_empty() { parent } else { prev };
+                    depth[i] = depth.get(parent as usize).map_or(0, |d| d.saturating_add(1));
                 } else {
                     ordered_len = i;
                 }
@@ -217,8 +243,10 @@ impl FlatTree {
             last[cur as usize] = prev;
             cur = parents[cur as usize];
         }
+        depth[ordered_len..].fill(0);
 
         let memo = WitnessMemo::new(memo_bound);
+        let levels = (0..NO_LEVEL).map(|_| OnceLock::new()).collect();
         FlatTree {
             labels,
             parents,
@@ -226,11 +254,13 @@ impl FlatTree {
             children,
             ordered_len,
             last,
+            depth,
             live,
             posting_of,
             postings,
             live_count,
             memo,
+            levels,
         }
     }
 
@@ -298,6 +328,26 @@ impl FlatTree {
     pub fn last_in_prefix(&self, v: usize) -> usize {
         debug_assert!(v < self.ordered_len && self.live.contains(v));
         (self.last[v] as usize).max(v) // never `top` (a leaf there): still 0
+    }
+
+    /// The depth of a live slot `v < ordered_len()` (the root's is 0), when
+    /// level masks exist for it and for the depths next to it.
+    #[inline]
+    pub fn depth_in_prefix(&self, v: usize) -> Option<u32> {
+        debug_assert!(v < self.ordered_len && self.live.contains(v));
+        Some(u32::from(self.depth[v])).filter(|&d| d + 1 < u32::from(NO_LEVEL))
+    }
+
+    /// The level mask `U_d` (module docs, *The ordered prefix*), `d` at most
+    /// one past a [`FlatTree::depth_in_prefix`]: the live prefix slots of
+    /// depth at most `d` and every slot at or past the prefix.
+    pub fn level(&self, d: u32) -> &BitSet {
+        self.levels[d as usize].get_or_init(|| BitSet::at_most(&self.depth, d as u8))
+    }
+
+    /// How many level masks have been built so far.
+    pub fn levels_built(&self) -> usize {
+        self.levels.iter().filter(|l| l.get().is_some()).count()
     }
 
     /// The live-node mask — the seed set for wildcard pattern nodes.
@@ -508,23 +558,45 @@ mod tests {
         }
     }
 
-    /// For every live `v` of the ordered prefix, `subtree(v)` inside the
-    /// prefix is exactly the live slots of `[v, last[v]]`. Returns the
-    /// prefix length.
+    /// The live slots of `lo..hi`.
+    fn live_in(ft: &FlatTree, lo: usize, hi: usize) -> Vec<usize> {
+        let mut range = BitSet::new(ft.arena_len());
+        range.insert_range(lo, hi);
+        range.intersect_with(ft.live_mask());
+        range.iter().collect()
+    }
+
+    /// For the live prefix slot `v`, `subtree(v)` inside the prefix is
+    /// exactly the live slots of `[v, last[v]]`, and of the segment that
+    /// starts at `v` in the level mask of `v`'s depth.
+    fn check_slot_ranges(ft: &FlatTree, v: usize) {
+        let (ordered, last) = (ft.ordered_len(), ft.last_in_prefix(v));
+        assert!((v..ordered).contains(&last), "last[{v}] = {last} of {ordered}");
+        let below: Vec<usize> = ft.subtree_mask(v).iter().take_while(|&d| d < ordered).collect();
+        assert_eq!(below, live_in(ft, v, last + 1), "subtree of {v}");
+        let up = |&p: &usize| Some(ft.parent(p)).filter(|&q| q != NO_PARENT).map(|q| q as usize);
+        let depth = std::iter::successors(Some(v), up).count() as u32 - 1;
+        assert_eq!(ft.depth_in_prefix(v), Some(depth).filter(|&d| d < 254));
+        let Some(depth) = ft.depth_in_prefix(v) else { return };
+        let level = ft.level(depth);
+        assert!(level.contains(v));
+        assert!(depth.checked_sub(1).is_none_or(|d| !ft.level(d).contains(v)));
+        let end = level.iter_from(v + 1).next().unwrap_or(ft.arena_len());
+        assert!(end <= ordered, "a segment of the prefix ends at the first slot past it");
+        assert_eq!(below, live_in(ft, v, end), "level-{depth} segment at {v}");
+    }
+
+    /// [`check_slot_ranges`] for every live slot of the ordered prefix, and
+    /// every slot at or past it in every level mask. Returns the prefix
+    /// length.
     fn check_prefix_ranges(t: &Tree) -> usize {
         let ft = FlatTree::freeze(t);
         let ordered = ft.ordered_len();
         assert!((1..=ft.arena_len()).contains(&ordered));
         for v in ft.live_mask().iter().take_while(|&v| v < ordered) {
-            let last = ft.last_in_prefix(v);
-            assert!((v..ordered).contains(&last), "last[{v}] = {last} of {ordered}");
-            let below: Vec<usize> =
-                ft.subtree_mask(v).iter().take_while(|&d| d < ordered).collect();
-            let mut range = BitSet::new(ft.arena_len());
-            range.insert_range(v, last + 1);
-            range.intersect_with(ft.live_mask());
-            assert_eq!(below, range.iter().collect::<Vec<_>>(), "subtree of {v}");
+            check_slot_ranges(&ft, v);
         }
+        assert!((ordered..ft.arena_len()).all(|i| ft.level(0).contains(i)));
         ordered
     }
 
@@ -633,5 +705,19 @@ mod tests {
         assert_eq!(ft.last_in_prefix(100), t.arena_len() - 1);
         assert_eq!(ft.last_in_prefix(101), DEPTH - 1);
         assert_eq!(ft.last_in_prefix(DEPTH), t.arena_len() - 1);
+        // A mask exists for a depth somebody asked about, and only depths
+        // below 254 can be: 253 is the last whose slots start segments (a
+        // step also reads the masks next to it), and a deeper slot is in no
+        // mask, whatever its depth.
+        assert_eq!(ft.levels_built(), 0);
+        for v in [0, 1, 100, 101, 252, 253, 254, 255, 300, 70_000, DEPTH - 1, DEPTH, DEPTH + 152] {
+            check_slot_ranges(&ft, v);
+        }
+        assert_eq!(ft.levels_built(), 8, "depths 0, 1, 99..=101 and 251..=253");
+        assert_eq!(ft.depth_in_prefix(DEPTH), Some(101));
+        assert_eq!(ft.depth_in_prefix(DEPTH + 152), Some(253));
+        assert_eq!(ft.depth_in_prefix(DEPTH + 153), None);
+        assert_eq!(ft.level(101).count(), 103, "slots 0..=101 and the side chain's first");
+        assert_eq!(ft.level(254).count(), 255 + 154, "no deeper slot, however deep");
     }
 }

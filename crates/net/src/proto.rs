@@ -1084,4 +1084,32 @@ mod tests {
         e.u8(0x10).u64(1).str("t").u32(1).str("a[[[");
         assert!(Msg::decode(&e.finish()).is_err(), "unparseable query");
     }
+
+    #[test]
+    fn a_predicate_nesting_bomb_is_a_decode_error() {
+        // One 300 KB query (`MAX_FRAME` is 16 MiB) nesting 100 000
+        // predicates: the parser used to recurse once per level on whatever
+        // thread decodes frames and abort the process, every tenant with
+        // it. This test runs on the default 2 MiB test stack. The same
+        // depth as the steps of one predicate's path parsed, and overflowed
+        // in the evaluator instead.
+        let nested = format!("a{}{}", "[b".repeat(100_000), "]".repeat(100_000));
+        let chain = format!("a[{}]", vec!["b"; 100_000].join("/"));
+        for bomb in [nested, chain] {
+            let mut e = Encoder::new();
+            e.u8(tag::QUERY_BATCH).u64(7).str("t").u32(1).str(&bomb);
+            let err = Msg::decode(&e.finish()).expect_err("the bomb is refused");
+            assert!(err.0.contains("levels below the main path"), "{:.200}", err.0);
+        }
+        // At the bound it is a query like any other; spines are not bounded.
+        let deepest = format!("a{}{}", "[b".repeat(64), "]".repeat(64));
+        let spine = format!("site{}", "/a".repeat(200_000));
+        for text in [deepest, spine] {
+            let msg = Msg::QueryBatch { id: 1, tenant: "t".into(), queries: vec![pat(&text)] };
+            match round_trip(&msg) {
+                Msg::QueryBatch { queries, .. } => assert!(queries[0].structurally_eq(&pat(&text))),
+                other => panic!("wrong decode: {other:?}"),
+            }
+        }
+    }
 }

@@ -47,7 +47,7 @@ pub use classify::{
 };
 pub use intern::{PatternInterner, PatternKey};
 pub use ops::{compose, compose_chain, intersect_patterns};
-pub use parse::{parse_xpath, ParseError};
+pub use parse::{parse_xpath, ParseError, MAX_BRANCH_DEPTH};
 pub use pattern::{Axis, NodeTest, PatId, Pattern, PatternBuilder};
 pub use print::to_xpath;
 pub use signature::{OutClass, QuerySignature, ViewSignature};

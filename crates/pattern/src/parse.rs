@@ -17,6 +17,13 @@
 //! paper's semantics the pattern root *is* the document root, so `//a` should
 //! be written `*//a` (a wildcard root) instead.
 //!
+//! The main path may be as long as the text (it is parsed by a loop, and
+//! consumers walk a spine by a loop). Predicates may not reach more than
+//! [`MAX_BRANCH_DEPTH`] levels below it — nested, or as steps of a
+//! predicate's own path: this parser and every consumer of a pattern
+//! (witness sets, fingerprints, the printer, the interner) recurse once per
+//! branch level, and pattern text arrives from the wire.
+//!
 //! There is no third-party XPath crate involved (see DESIGN.md §1).
 
 use std::fmt;
@@ -40,6 +47,9 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// The deepest a predicate may reach below the main path, in pattern edges.
+pub const MAX_BRANCH_DEPTH: usize = 64;
 
 struct Parser<'a> {
     input: &'a str,
@@ -114,14 +124,16 @@ impl<'a> Parser<'a> {
 
     /// Parses `pattern` (a step sequence), attaching its first step to
     /// `parent` via `axis` (or making it the root when `parent` is `None`).
-    /// Returns the id of the **last** step of the main path.
+    /// `level` is how far below the main path the first step sits (`0`: it
+    /// is the main path). Returns the id of the **last** step of the path.
     fn parse_path(
         &mut self,
         pat: &mut Option<Pattern>,
         parent: Option<PatId>,
         axis: Axis,
+        mut level: usize,
     ) -> Result<PatId, ParseError> {
-        let mut cur = self.parse_step(pat, parent, axis)?;
+        let mut cur = self.parse_step(pat, parent, axis, level)?;
         loop {
             self.skip_ws();
             if self.peek("]") || self.rest().is_empty() {
@@ -130,18 +142,25 @@ impl<'a> Parser<'a> {
             let Some(next_axis) = self.parse_sep() else {
                 return self.err("expected '/', '//', '[' or end of pattern");
             };
-            cur = self.parse_step(pat, Some(cur), next_axis)?;
+            level += usize::from(level > 0);
+            cur = self.parse_step(pat, Some(cur), next_axis, level)?;
         }
     }
 
     /// Parses `step` (node test plus predicates), attaching it under
-    /// `parent` via `axis`.
+    /// `parent` via `axis`, `level` edges below the main path.
     fn parse_step(
         &mut self,
         pat: &mut Option<Pattern>,
         parent: Option<PatId>,
         axis: Axis,
+        level: usize,
     ) -> Result<PatId, ParseError> {
+        if level > MAX_BRANCH_DEPTH {
+            return self.err(format!(
+                "a predicate reaches more than {MAX_BRANCH_DEPTH} levels below the main path"
+            ));
+        }
         let test = self.parse_nodetest()?;
         let id = match (pat.as_mut(), parent) {
             (None, None) => {
@@ -165,7 +184,7 @@ impl<'a> Parser<'a> {
             } else {
                 Axis::Child
             };
-            self.parse_path(pat, Some(id), pred_axis)?;
+            self.parse_path(pat, Some(id), pred_axis, level + 1)?;
             self.skip_ws();
             if !self.eat("]") {
                 return self.err("expected ']' to close predicate");
@@ -185,7 +204,7 @@ pub fn parse_xpath(input: &str) -> Result<Pattern, ParseError> {
         );
     }
     let mut pat = None;
-    let out = p.parse_path(&mut pat, None, Axis::Child)?;
+    let out = p.parse_path(&mut pat, None, Axis::Child, 0)?;
     p.skip_ws();
     if !p.rest().is_empty() {
         return p.err("trailing content after pattern");
@@ -311,12 +330,44 @@ mod tests {
         assert!(parse_xpath(&printed).expect("reparse").structurally_eq(&p));
     }
 
+    /// `a[b[b[…]]]` with `nest` predicates inside one another.
+    fn nested(nest: usize) -> String {
+        format!("a{}{}", "[b".repeat(nest), "]".repeat(nest))
+    }
+
+    #[test]
+    fn predicates_are_bounded_in_depth_not_in_number() {
+        // Exactly at the bound: parses, prints and parses back.
+        let p = parse_xpath(&nested(MAX_BRANCH_DEPTH)).expect("the bound itself is allowed");
+        assert_eq!((p.len(), p.depth()), (MAX_BRANCH_DEPTH + 1, 0));
+        let printed = crate::print::to_xpath(&p);
+        assert!(parse_xpath(&printed).expect("reparse").structurally_eq(&p));
+        // One deeper is an error that names the bound — by nesting, by the
+        // steps of one predicate's path, or by a mix of the two.
+        let steps = format!("a[{}]", vec!["b"; MAX_BRANCH_DEPTH + 1].join("/"));
+        let mixed = format!("a[b/b[{}]]", vec!["b"; MAX_BRANCH_DEPTH - 1].join("//"));
+        for text in [nested(MAX_BRANCH_DEPTH + 1), steps, mixed] {
+            let e = parse_xpath(&text).unwrap_err();
+            assert!(e.message.contains(&MAX_BRANCH_DEPTH.to_string()), "{e}");
+        }
+        // The bomb (300 KB, 100 000 levels) stops at the bound: on the
+        // default 2 MiB test stack this used to abort the process.
+        let e = parse_xpath(&nested(100_000)).unwrap_err();
+        assert_eq!(e.offset, 1 + 2 * MAX_BRANCH_DEPTH + 1, "{e}");
+        // Width is free: many predicates on one step, and on a deep one.
+        let wide = format!("a{}/c{}", "[b]".repeat(10_000), "[d/e]".repeat(10_000));
+        assert_eq!(parse_xpath(&wide).expect("wide").len(), 2 + 10_000 + 20_000);
+    }
+
     #[test]
     fn long_spines_parse() {
-        let s = format!("r{}", "/x".repeat(100));
+        // The main path is unbounded: 200 000 steps, with a predicate (whose
+        // depth counts from its own step) at the far end.
+        let s = format!("r{}[y[z]]", "/x".repeat(200_000));
         let p = parse_xpath(&s).expect("long spine parses");
-        assert_eq!(p.depth(), 100);
-        assert_eq!(p.selection_axes().len(), 100);
+        assert_eq!(p.depth(), 200_000);
+        assert_eq!(p.selection_axes().len(), 200_000);
+        assert_eq!(p.len(), 200_003);
     }
 
     #[test]

@@ -33,15 +33,33 @@
 //! bottom-up pass along the spine that a table-per-node matcher runs is
 //! implied by the top-down one.
 //!
-//! A `Child` step walks from whichever side touches fewer slots (the CSR
-//! children of the frontier, or the parents of the candidates). A
-//! `Descendant` step is a union of slot ranges: inside the snapshot's
-//! ordered prefix ([`FlatTree::ordered_len`]) the descendants of a frontier
-//! slot `f` are the slots `(f, last[f]]`, so the step fills those ranges
-//! word by word and ANDs with `B_i`. Only candidates past the prefix
-//! (grafts of edit batches, an arena never in document order) climb,
-//! caching a verdict per visited slot, and only as far as the prefix; with
-//! no prefix to speak of the climb is the whole step, and its worst case.
+//! ## The two down-steps
+//!
+//! A `Child` step and a `Descendant` step are one procedure
+//! (`Spine::step`). Inside the snapshot's ordered prefix
+//! ([`FlatTree::ordered_len`]) the level mask `U_d` ([`FlatTree::level`])
+//! cuts the arena into segments, and the segment that starts at a depth-`d`
+//! slot is its subtree. So for the frontier's slots of one depth `d` — the
+//! depth of its lowest slot, read off the depth column — one borrow chain
+//! over the words ([`BitSet::fill_segments`]) yields everything below them:
+//! a `//` step keeps it all and drops from the frontier what it covers, so
+//! only the frontier's tops cost a pass; a `/` step keeps level `d + 1` of
+//! it. No slot is visited. What stays slot-by-slot is there for a property
+//! of the input, and bounded by it:
+//!
+//! * **Candidates past the prefix** (grafts of edit batches, an arena never
+//!   in document order) are in no segment: each takes a parent test (`/`)
+//!   or climbs (`//`), caching a verdict per visited slot, as far as the
+//!   prefix, where the fills settle it; with no prefix that is the step.
+//! * **A frontier that still has prefix slots after `MAX_LEVEL_PASSES`
+//!   depths** (a comb, a deep chain: thousands of depths, a pass and a mask
+//!   each), or whose lowest is deeper than the masks go, hands them to the
+//!   per-slot form of the step: one parent test per candidate (`/`), one
+//!   range fill `(f, last[f]]` per slot left (`//`). A hostile shape pays
+//!   that plus a constant number of passes and masks, never one a depth.
+//!
+//! Both forms write the raw fills to `out` and cut to `B_i` at the end: the
+//! climbs read them at slots that are no candidates.
 //!
 //! The anchors are a set too — `R_0 = B_0 ∩ V_1 ∩ … ∩ V_n` for a route
 //! through views ([`BatchEval::evaluate_seeded_into`]), or a node list cut
@@ -180,6 +198,10 @@ fn witness(
     })
 }
 
+/// The depths of a frontier one step peels as level passes before what is
+/// left of it is walked slot by slot (module docs, §The two down-steps).
+const MAX_LEVEL_PASSES: usize = 8;
+
 /// A `B_i`: borrowed from the snapshot when position `i` has no branch,
 /// otherwise a scratch buffer to hand back.
 enum Candidates<'t> {
@@ -272,13 +294,7 @@ impl<'t> Spine<'t> {
 
     /// `R_i` from `R_{i-1} = frontier`: the members of `cand` (a `B_i`) one
     /// step of `axis` below the frontier, written to `out`, which must
-    /// arrive empty.
-    ///
-    /// Never inlined: since the region scan stopped calling it,
-    /// [`answer_set`] is its only caller, and with the loop bodies below
-    /// merged into that function the hot read path measured 2.5 % slower
-    /// (`hot_large`, 9 of 9 runs). As a call it is the code it was.
-    #[inline(never)]
+    /// arrive empty (module docs, §The two down-steps).
     fn step(
         &self,
         axis: Axis,
@@ -287,89 +303,73 @@ impl<'t> Spine<'t> {
         out: &mut BitSet,
         scratch: &mut EvalScratch,
     ) {
-        let ft = self.ft;
-        match axis {
-            Axis::Child => {
-                // Walk from the side that touches fewer slots: the frontier
-                // and its CSR children, or the candidates (one parent test
-                // each). The two counts advance in lockstep, so deciding
-                // costs no more than the cheaper walk: the frontier is read
-                // only while it is still within the candidates counted so
-                // far, and an empty frontier reads nothing.
-                let mut uncounted = cand.words().iter();
-                let (mut touched, mut budget) = (0usize, 0usize);
-                let from_frontier = frontier.iter().all(|v| {
-                    touched += 1 + ft.children(v).len();
-                    while budget < touched {
-                        match uncounted.next() {
-                            Some(w) => budget += w.count_ones() as usize,
-                            None => return false,
-                        }
-                    }
-                    true
-                });
-                if from_frontier {
-                    for v in frontier.iter() {
-                        for &w in ft.children(v) {
-                            if cand.contains(w as usize) {
-                                out.insert(w as usize);
-                            }
-                        }
-                    }
-                } else {
-                    out.fill_filtered(cand, |m| {
-                        let par = ft.parent(m);
-                        par != NO_PARENT && frontier.contains(par as usize)
-                    });
-                }
-            }
-            Axis::Descendant => {
-                // In the ordered prefix: fill `(f, last[f]]` per frontier
-                // slot `f` no earlier range covers (ranges are laminar;
-                // tombstones inside them are in no `cand`).
-                let ordered = ft.ordered_len();
-                let mut covered = 0;
-                for f in frontier.iter().take_while(|&f| f < ordered) {
-                    if f >= covered {
-                        covered = ft.last_in_prefix(f) + 1;
-                        out.insert_range(f + 1, covered);
-                    }
-                }
-                // Candidates past the prefix climb, as far as the prefix,
-                // where `out` (just the fills there) settles them. `under` /
-                // `clear`: tail slots known (not) to be in or below the
-                // frontier; a climb hands its verdict to the slots it passed.
-                let (mut under, mut clear) = (scratch.take(), scratch.take());
-                for m in cand.iter_from(ordered) {
-                    let start = ft.parent(m) as usize;
-                    let mut cur = start;
-                    let verdict = loop {
-                        if frontier.contains(cur) || under.contains(cur) {
-                            break true;
-                        }
-                        if cur < ordered {
-                            break out.contains(cur);
-                        }
-                        if clear.contains(cur) {
-                            break false;
-                        }
-                        cur = ft.parent(cur) as usize;
-                    };
-                    let (stop, marks) = (cur, if verdict { &mut under } else { &mut clear });
-                    cur = start;
-                    while cur != stop {
-                        marks.insert(cur);
-                        cur = ft.parent(cur) as usize;
-                    }
-                    if verdict {
-                        out.insert(m);
-                    }
-                }
-                scratch.put(under);
-                scratch.put(clear);
-                out.intersect_with(cand);
-            }
+        let (ft, ordered, child) = (self.ft, self.ft.ordered_len(), axis == Axis::Child);
+        // The prefix frontier, a depth a pass, from its lowest slot's.
+        let mut left = scratch.take();
+        left.copy_from(frontier);
+        let lowest = |left: &BitSet, from| left.iter_from(from).next().filter(|&s| s < ordered);
+        let mut low = lowest(&left, 0);
+        for _ in 0..MAX_LEVEL_PASSES {
+            let Some(d) = low.and_then(|s| ft.depth_in_prefix(s)) else { break };
+            let above = d.checked_sub(1).map(|a| ft.level(a));
+            let next = child.then(|| ft.level(d + 1));
+            out.fill_segments(&mut left, ft.level(d), above, next);
+            low = lowest(&left, low.unwrap_or(0));
         }
+        let spilled = low.is_some();
+        if child {
+            // A parent test per candidate past the prefix, or per candidate.
+            for m in cand.iter_from(if spilled { 0 } else { ordered }) {
+                let par = ft.parent(m);
+                if par != NO_PARENT && frontier.contains(par as usize) {
+                    out.insert(m);
+                }
+            }
+        } else {
+            // When the passes ran out: fill `(f, last[f]]` per slot `f` left
+            // that no earlier range covers (ranges are laminar).
+            let mut covered = 0;
+            for f in left.iter().take_while(|&f| spilled && f < ordered) {
+                if f >= covered {
+                    covered = ft.last_in_prefix(f) + 1;
+                    out.insert_range(f + 1, covered);
+                }
+            }
+            // Candidates past the prefix climb, as far as the prefix,
+            // where `out` (just the fills there) settles them. `under` /
+            // `clear`: tail slots known (not) to be in or below the
+            // frontier; a climb hands its verdict to the slots it passed.
+            let (mut under, mut clear) = (scratch.take(), scratch.take());
+            for m in cand.iter_from(ordered) {
+                let start = ft.parent(m) as usize;
+                let mut cur = start;
+                let verdict = loop {
+                    if frontier.contains(cur) || under.contains(cur) {
+                        break true;
+                    }
+                    if cur < ordered {
+                        break out.contains(cur);
+                    }
+                    if clear.contains(cur) {
+                        break false;
+                    }
+                    cur = ft.parent(cur) as usize;
+                };
+                let (stop, marks) = (cur, if verdict { &mut under } else { &mut clear });
+                cur = start;
+                while cur != stop {
+                    marks.insert(cur);
+                    cur = ft.parent(cur) as usize;
+                }
+                if verdict {
+                    out.insert(m);
+                }
+            }
+            scratch.put(under);
+            scratch.put(clear);
+        }
+        scratch.put(left);
+        out.intersect_with(cand);
     }
 }
 
@@ -842,6 +842,170 @@ mod tests {
         assert_eq!(step(&[n(2), g, n(5)]), vec![], "dead anchors, and a range emptied");
     }
 
+    /// Both down-steps from `anchors`, into a label's posting and into the
+    /// live mask, against the reference; then each step's raw output set:
+    /// no bit beyond the answers, in particular none at or past the capacity.
+    fn check_both_steps(t: &Tree, ft: &FlatTree, anchors: &[NodeId]) {
+        for q in ["*/x", "*//x", "*/*", "*//*"] {
+            let (q, what) = (pat(q), format!("{q} from {anchors:?}"));
+            let want = evaluate_anchored(&q, t, anchors);
+            assert_eq!(evaluate_anchored_flat(&q, ft, anchors), want, "{what}");
+            let mut scratch = EvalScratch::new(ft.arena_len());
+            let spine = Spine::new(&q, ft, &mut scratch).expect("labels occur");
+            let frontier = BitSet::from_indices(
+                ft.arena_len(),
+                anchors.iter().map(|n| n.index()).filter(|&i| ft.is_alive(i)),
+            );
+            let mut out = scratch.take();
+            spine.step(spine.axes[1], &frontier, spine.seeds[1], &mut out, &mut scratch);
+            assert_eq!(out.count(), want.len(), "{what}: stray bits");
+            assert_eq!(out.iter().last(), want.last().map(|n| n.index()), "{what}");
+        }
+    }
+
+    #[test]
+    fn level_passes_at_the_edges_of_the_arena_the_prefix_and_the_segments() {
+        // r0(a1(m2(x3..=x202), x203), b204(x205), c206(d207(x208), x209,
+        // e210(x211)), z212(x213)): 214 slots in pre-order, so the last word
+        // is partial and the last slot is a depth-2 leaf; `a`'s segment in
+        // the depth-1 mask spans three words with no bit in them.
+        fn x(t: &mut TreeBuilder<'_>) {
+            t.leaf("x");
+        }
+        let t = TreeBuilder::root("r", |t| {
+            t.child("a", |t| {
+                t.child("m", |t| (0..200).for_each(|_| x(t)));
+                x(t);
+            });
+            t.child("b", x);
+            t.child("c", |t| {
+                t.child("d", x).leaf("x").child("e", x);
+            });
+            t.child("z", x);
+        });
+        let n = |i: u32| NodeId(i);
+        let frontiers: Vec<Vec<NodeId>> = vec![
+            vec![n(0)],                         // the root alone: depth 0 has no mask above it
+            vec![n(1)],                         // one segment, across the empty words
+            vec![n(1), n(2)],                   // an ancestor and its descendant
+            vec![n(2), n(209), n(0)],           // …three deep, the lowest slot the shallowest
+            vec![n(212), n(213)],               // the last slot: in the frontier, and a candidate
+            vec![n(213)],                       // …alone: its chain starts on the last bit
+            vec![n(1), n(204), n(206), n(212)], // adjacent segments, one pass
+            vec![n(204), n(207), n(210), n(212)],
+            vec![n(203), n(205), n(211)], // leaves: empty segments
+            t.node_ids().collect(),       // every depth, every slot
+        ];
+        let check = |t: &Tree, more: &[Vec<NodeId>]| {
+            let ft = FlatTree::freeze(t);
+            frontiers.iter().chain(more).for_each(|f| check_both_steps(t, &ft, f));
+            ft
+        };
+        assert_eq!(check(&t, &[]).ordered_len(), 214);
+
+        // Tombstones where a segment would have started: a dead depth-1
+        // slot between two live ones (b), a dead first child (d), the dead
+        // last subtree of the prefix (z) — each is swallowed by the segment
+        // before it, and is in no candidate set.
+        let mut dead = t.clone();
+        for i in [204, 207, 212] {
+            dead.remove_subtree(n(i));
+        }
+        let ft = check(&dead, &[]);
+        assert_eq!((ft.ordered_len(), ft.len()), (214, 208));
+
+        // Grafts behind the prefix: under the leaf x203 (off the rightmost
+        // path, so the prefix ends at 214), under that graft, under the last
+        // prefix slot, and under `a`.
+        let mut grown = t.clone();
+        let label = xpv_model::Label::new;
+        let g = grown.add_child(n(203), label("g"));
+        let x215 = grown.add_child(g, label("x"));
+        grown.add_child(n(213), label("x"));
+        grown.add_child(n(1), label("x"));
+        grown.add_child(x215, label("x"));
+        let more = [
+            vec![n(203)],         // a prefix slot whose only children are grafts
+            vec![n(213), n(203)], // …two of them, at one depth
+            vec![g],              // a frontier slot past the prefix
+            vec![g, n(1), x215],  // …beside a prefix one above it
+            grown.node_ids().collect(),
+        ];
+        let ft = check(&grown, &more);
+        assert_eq!((ft.ordered_len(), ft.arena_len()), (214, 219));
+        grown.remove_subtree(n(2));
+        grown.remove_subtree(x215);
+        check(&grown, &more);
+    }
+
+    /// The level masks built while evaluating `q` on a fresh snapshot of
+    /// `t`, after checking the answer against `want`.
+    fn masks_built(t: &Tree, q: &str, want: &[NodeId]) -> u64 {
+        let ft = FlatTree::freeze(t);
+        assert_eq!(evaluate_flat(&pat(q), &ft), want, "{q}");
+        ft.levels_built() as u64
+    }
+
+    #[test]
+    fn a_frontier_of_many_depths_costs_a_bounded_number_of_passes() {
+        // The comb: a spine r0(s(s(…))) 2 000 deep with an x(y) hanging off
+        // every spine slot, in document order. `x`s sit at 2 000 depths and
+        // none covers another; the `s`s sit at 2 000 depths and nest.
+        const LEVELS: u32 = 2_000;
+        let mut comb = Tree::new(xpv_model::Label::new("r"));
+        let label = xpv_model::Label::new;
+        let (mut tip, mut xs, mut ys, mut ss) = (comb.root(), vec![], vec![], vec![]);
+        for _ in 0..LEVELS {
+            let x = comb.add_child(tip, label("x"));
+            xs.push(x);
+            ys.push(comb.add_child(x, label("y")));
+            tip = comb.add_child(tip, label("s"));
+            ss.push(tip);
+        }
+        assert_eq!(FlatTree::freeze(&comb).ordered_len(), comb.arena_len());
+        // Per step: the masks of the depths peeled, the one above the first
+        // and (`Child`) the one below the last — never one per depth.
+        let per_step = MAX_LEVEL_PASSES as u64 + 2;
+        for (q, want) in [("r//x/y", &ys), ("r//x//y", &ys), ("r//s/x", &xs[1..].to_vec())] {
+            assert_eq!(evaluate(&pat(q), &comb), *want, "{q}: reference");
+            let built = masks_built(&comb, q, want);
+            assert!((1..=1 + per_step).contains(&built), "{q} built {built} level masks");
+        }
+        // Nested frontiers under `//` are one pass: the top covers the rest.
+        assert_eq!(masks_built(&comb, "r//s//x", &xs[1..]), 2);
+
+        // The 200 000-deep chain: `c//c` reaches every depth but the root's.
+        // (The reference recurses per document level: the answers are known.)
+        const DEPTH: u32 = 200_000;
+        let mut chain = Tree::new(label("c"));
+        let mut tip = chain.root();
+        for _ in 1..DEPTH {
+            tip = chain.add_child(tip, label("c"));
+        }
+        let below = |d: u32| (d..DEPTH).map(NodeId).collect::<Vec<_>>();
+        let built = masks_built(&chain, "c//c/c", &below(2));
+        assert!(built <= 1 + per_step, "c//c/c built {built} level masks");
+        assert_eq!(masks_built(&chain, "c//c//c", &below(2)), 2);
+        assert_eq!(masks_built(&chain, "c/c/c", &[NodeId(2)]), 3, "depths 0, 1 and 2");
+        // Masks stop at depth 254: a frontier slot deeper than that is walked
+        // slot by slot, whatever else is in the frontier, and builds none.
+        let ft = FlatTree::freeze(&chain);
+        for (q, anchors, want) in [
+            ("c/c", vec![300], vec![301]),
+            ("c/c/c", vec![5, 254, 9_000], vec![7, 256, 9_002]),
+            ("c//c/c", vec![199_996, 199_000], (199_002..DEPTH).collect()),
+        ] {
+            let anchors: Vec<NodeId> = anchors.into_iter().map(NodeId).collect();
+            let want: Vec<NodeId> = want.into_iter().map(NodeId).collect();
+            assert_eq!(
+                evaluate_anchored_flat(&pat(q), &ft, &anchors),
+                want,
+                "{q} from {anchors:?}"
+            );
+        }
+        assert_eq!(ft.levels_built(), 4, "depths 4 to 7: the anchor at 5 and slot 6 below it");
+    }
+
     #[test]
     fn seeding_reads_a_set_from_a_shorter_arena_as_zero_padded() {
         // Two "views" computed before the arena grew; the rewriting runs on
@@ -899,9 +1063,8 @@ mod tests {
     #[test]
     fn child_step_agrees_from_either_side() {
         // A wide fan (frontier of 1, many candidates) and a narrow target
-        // under many parents (large frontier, 1 candidate) take the two
-        // directions of the `Child` step; `//` takes the climb from both a
-        // 1-slot and a many-slot frontier.
+        // under many parents (large frontier, 1 candidate): one level pass
+        // either way, and per-slot work from neither side.
         let t = TreeBuilder::root("r", |t| {
             for i in 0..200 {
                 t.child("m", |t| {

@@ -181,7 +181,9 @@ fn region_scan_bytes_do_not_scale_with_the_document() {
 /// (the pattern's spine lay-out, nothing per anchor, nothing per
 /// participant) — the merged anchor `Vec` a node-list intersection needs is
 /// gone — and, as on the direct lane, growing the batch's fan-out does not
-/// grow the count.
+/// grow the count. The level masks the down-steps read belong to the
+/// snapshot: the warm-up builds them, a warm batch builds (and allocates)
+/// none, on any of the three routes.
 #[test]
 fn routed_evaluation_allocates_nothing_for_its_anchors() {
     use xpath_views::model::BitSet;
@@ -202,14 +204,18 @@ fn routed_evaluation_allocates_nothing_for_its_anchors() {
         (pat("item/description//listitem"), vec![&views[1], &views[2]]),
         (pat("item/name"), vec![&views[0], &views[1], &views[2]]),
     ];
+    let direct = [pat("site/region/item/name"), pat("site//item[bids]//bidder")];
     let mut eval = BatchEval::new(&ft);
     let mut arena = AnswerArena::new();
     let mut pass = |fanout: usize, arena: &mut AnswerArena| {
         arena.clear();
-        let refs: Vec<AnswerRef> = routes
-            .iter()
-            .map(|(r, sets)| eval.evaluate_seeded_into(r, sets.iter().copied(), arena))
-            .collect();
+        let mut refs: Vec<AnswerRef> = Vec::with_capacity(routes.len() + direct.len());
+        for (r, sets) in &routes {
+            refs.push(eval.evaluate_seeded_into(r, sets.iter().copied(), arena));
+        }
+        for q in &direct {
+            refs.push(eval.evaluate_into(q, arena));
+        }
         let mut enc = AnswersEncoder::new(7);
         for i in 0..fanout {
             enc.answer(WireRouteRef::Direct, arena.get(refs[i % refs.len()]));
@@ -220,6 +226,8 @@ fn routed_evaluation_allocates_nothing_for_its_anchors() {
     let (refs, warm_len) = pass(256, &mut arena);
     assert!(refs.iter().all(|r| !r.is_empty()), "every route selects something");
     pass(64, &mut arena);
+    let masks = ft.levels_built();
+    assert!((2..=7).contains(&masks), "{masks} level masks; the document has depths 0 to 5");
 
     let before = allocs();
     pass(64, &mut arena);
@@ -229,6 +237,7 @@ fn routed_evaluation_allocates_nothing_for_its_anchors() {
     let large = allocs() - before;
     assert_eq!(large_len, warm_len);
     assert!(large <= small + 16, "per-answer allocations: {small} for 64 answers, {large} for 256");
+    assert_eq!(ft.levels_built(), masks, "a warm batch built a level mask");
 
     // Route by route: the same count as the by-node-list entry point given
     // the anchors ready-made, whatever the number of participants.

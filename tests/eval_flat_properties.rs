@@ -6,9 +6,10 @@
 //! the reference dynamic program, on every document — including post-edit
 //! documents whose arenas carry tombstoned slots and appended slots out of
 //! pre-order, and on arenas laid out depth-first (wholly in document order:
-//! `//` steps are range fills), breadth-first and at random (hardly any
-//! ordered prefix: `//` steps climb) — whatever the state of the snapshot's witness memo (empty,
-//! full, shared by racing threads). These properties pin that contract over
+//! both down-steps are level passes), breadth-first and at random (hardly
+//! any ordered prefix: a `/` step tests parents, a `//` step climbs) —
+//! whatever the state of the snapshot's witness memo (empty, full, shared
+//! by racing threads). These properties pin that contract over
 //! seeded random trees, patterns, anchor sets and edit streams, plus an
 //! 8-thread stress interleaving edits with fused batch answering (the
 //! copy-on-write snapshot contract: every batch sees one frozen, internally
@@ -97,11 +98,11 @@ fn relaid(doc: &Tree, depth_first: bool) -> Tree {
 
 /// The flat ≡ reference property over arena layouts: the generator's trees
 /// grow at random open slots, so their ordered prefix is a handful of slots
-/// and every other test here runs the `//` step as a climb. Laid out
-/// depth-first the same documents are wholly in document order (range
-/// fills only); after an edit batch the grafts sit behind the prefix and
-/// tombstones inside it (both procedures in one step); breadth-first the
-/// prefix is the root's children.
+/// and every other test here runs the down-steps per candidate (parent
+/// tests, climbs). Laid out depth-first the same documents are wholly in
+/// document order (level passes only); after an edit batch the grafts sit
+/// behind the prefix and tombstones inside it (both procedures in one
+/// step); breadth-first the prefix is the root's children.
 #[test]
 fn flat_matcher_matches_reference_whatever_the_arena_order() {
     for seed in 0..16u64 {
@@ -130,6 +131,40 @@ fn flat_matcher_matches_reference_whatever_the_arena_order() {
         assert!(FlatTree::freeze(&random).ordered_len() < random.arena_len());
         assert_flat_matches_reference(&random, &queries);
     }
+}
+
+/// Recursive documents: two or three labels drawn at every depth, so a
+/// label's posting — and with it the frontier of a step — spans every depth
+/// of documents 4 to some 16 levels tall. A step peels a fixed number of depths
+/// as level passes (8) and walks what is left slot by slot, so these
+/// frontiers fall on both sides of that bound; before and after an edit
+/// batch (tombstones inside segments, grafts behind the prefix).
+#[test]
+fn flat_matcher_matches_reference_on_recursive_label_documents() {
+    let queries: Vec<Pattern> = ["l0//l0/l1", "*//l0//l1", "*//*/*", "*//*//l0/*", "*//l1[l0]/l0"]
+        .iter()
+        .map(|q| parse_xpath(q).expect("pattern parses"))
+        .collect();
+    let (mut tallest, mut lowest) = (0, usize::MAX);
+    for seed in 0..12u64 {
+        let (label_count, max_depth) = (2 + (seed as usize % 2), 4 + 2 * seed as usize);
+        let cfg = TreeGenConfig {
+            size: 120 + 20 * seed as usize,
+            max_depth,
+            max_children: 3,
+            label_count,
+        };
+        let mut doc = relaid(&TreeGen::new(cfg, seed ^ 0x2EC).tree(), true);
+        assert_eq!(FlatTree::freeze(&doc).ordered_len(), doc.arena_len());
+        tallest = tallest.max(doc.height());
+        lowest = lowest.min(doc.height());
+        let mut queries = queries.clone();
+        queries.extend(patterns_from_seed(seed ^ 0x5EED, 4));
+        assert_flat_matches_reference(&doc, &queries);
+        edit_in_place(&mut doc, 24, seed ^ 0xED17);
+        assert_flat_matches_reference(&doc, &queries);
+    }
+    assert!(lowest < 8 && tallest > 10, "heights {lowest}..{tallest} straddle the pass bound");
 }
 
 #[test]
@@ -176,8 +211,8 @@ fn forced_patterns() -> Vec<Pattern> {
 }
 
 /// The spine-and-branch evaluator against the reference on documents large
-/// enough that both directions of the `Child` step and long `//` climbs
-/// occur, before and after edits (tombstones, and inserted subtrees whose
+/// enough that wide fans, narrow targets under many parents and long `//`
+/// climbs occur, before and after edits (tombstones, and inserted subtrees whose
 /// slots land at the end of the arena, out of pre-order).
 #[test]
 fn evaluator_matches_reference_on_forced_shapes() {
