@@ -69,7 +69,7 @@ use xpv_core::{PlanningSession, QueryContext, RewriteAnswer, RewritePlanner};
 use xpv_intersect::plan_intersection_sig;
 use xpv_maintain::{
     apply_region_results, coalesce_plan, prepare_batch, scan_regions_flat, Edit, EditError,
-    MaintainStats,
+    FlatSpines, MaintainStats,
 };
 use xpv_model::{AnswerArena, AnswerRef, BitSet, FlatTree, NodeId, Tree};
 use xpv_obs::{Heartbeat, Histogram, MetricsSnapshot, Phase, Registry, Span};
@@ -117,10 +117,12 @@ struct StateSnapshot {
     /// the pool.
     sigs: Arc<Vec<ViewSignature>>,
     /// The frozen struct-of-arrays form of `doc` (see
-    /// [`xpv_model::FlatTree`]): built once per document swap, *before* the
+    /// [`xpv_model::FlatTree`]): frozen when the cache is built, then
+    /// derived from its predecessor once per document swap, *before* the
     /// snapshot is published, so the flat matcher always runs against the
-    /// exact document of its snapshot — freezing is what makes the flat
-    /// path torn-read-free under concurrent `apply_edits`.
+    /// exact document of its snapshot — a snapshot complete before anyone
+    /// sees it is what makes the flat path torn-read-free under concurrent
+    /// `apply_edits`.
     flat: Arc<FlatTree>,
 }
 
@@ -835,21 +837,23 @@ impl ShardedViewCache {
         let prep = prepare_batch(&mut doc, edits)?;
         let apply_us = t.elapsed().as_micros() as u64;
 
-        // One freeze of the post-batch document, taken before maintenance:
-        // it drives the region scans and is the snapshot the swap publishes.
+        // The post-batch snapshot, derived from the published one before
+        // maintenance (booked as `freeze`): it drives the spine comparison
+        // and the region scans and is the snapshot the swap publishes.
         let t = Instant::now();
-        let new_flat = Arc::new(FlatTree::freeze(&doc));
+        let new_flat = Arc::new(snap.flat.derive(&doc, &prep.touched_slots()));
         let freeze_us = t.elapsed().as_micros() as u64;
 
-        // Diff spines against the pre-batch tree and merge the regions.
+        // Diff spines as bits of the two snapshots and merge the regions.
         let t = Instant::now();
-        let plan = coalesce_plan(&snap.doc, &doc, &defs, &prep);
+        let mut after = FlatSpines::new(&new_flat, &defs);
+        let plan = coalesce_plan(&defs, &prep, &mut FlatSpines::new(&snap.flat, &defs), &mut after);
         let tasks = plan.region_tasks();
         let coalesce_us = t.elapsed().as_micros() as u64;
 
-        // Scan the disjoint merged regions, one matcher per view.
+        // Scan the disjoint merged regions with the comparison's scanners.
         let t = Instant::now();
-        let results = scan_regions_flat(&new_flat, &defs, &tasks);
+        let results = scan_regions_flat(&mut after, &tasks);
         let scan_us = t.elapsed().as_micros() as u64;
 
         // Patch the answer sets from the scans' slot lists; `None` marks a
@@ -859,7 +863,9 @@ impl ShardedViewCache {
         let mut maintain =
             MaintainStats { apply_us, freeze_us, coalesce_us, scan_us, ..plan.stats };
         let live = new_flat.live_mask();
-        let patched = apply_region_results(&doc, live, &defs, &old, &plan, &results, &mut maintain);
+        let fresh = |v: usize| evaluate_flat(defs[v], &new_flat);
+        let patched = apply_region_results(live, &old, &plan, &results, fresh, &mut maintain);
+        drop(after);
         drop((defs, old));
 
         // Publication, the tail of the `patch` phase: share every unchanged

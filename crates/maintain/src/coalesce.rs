@@ -9,20 +9,27 @@
 //!    is unchanged: undo receipts roll back on an invalid edit), recording
 //!    each edit's anchor spine, touched labels, and inserted root;
 //! 2. [`coalesce_plan`] compares, per view, the spine `B`-vectors between
-//!    the **pre-batch** tree `t0` and the **post-batch** tree `t1` in one
-//!    pass, collects one region root per affected edit, and
+//!    the **pre-batch** document `t0` and the **post-batch** document `t1`
+//!    in one pass, collects one region root per affected edit, and
 //!    [merges](merge_regions) nested roots — a region contained in another
 //!    collapses into it, and edits sharing a changed ancestor spine node
 //!    collapse to the highest such node — so k edits under one hot subtree
 //!    cost **one** region scan per view;
-//! 3. the caller scans each surviving `(view, region)` task — over the
-//!    post-batch freeze ([`scan_regions_flat`], what the engine runs) or
-//!    over the `Tree` ([`scan_regions_serial`], the oracle); either way one
-//!    matcher per view, and per region the answers inside it plus the list
-//!    of its slots — and [`apply_region_results`] patches the answer
-//!    bitsets from those lists. A scan costs what its region holds, so all of a
-//!    batch's scans together come to less than spawning threads for them
+//! 3. the caller scans each surviving `(view, region)` task and
+//!    [`apply_region_results`] patches the answer bitsets from the scans'
+//!    answers and slot lists. A scan costs what its region holds, so all of
+//!    a batch's scans together come to less than spawning threads for them
 //!    would: they run on the calling thread.
+//!
+//! Both sides of the comparison are read through [`SpineBits`], in one of
+//! two forms. The engine's is [`FlatSpines`]: `B_i(v)` is one bit of a
+//! posting and one bit of each memoized witness set of a `FlatTree`
+//! snapshot, so a comparison is bit tests on the previous snapshot and on
+//! the next, and the next one's scanners then run the scans
+//! ([`scan_regions_flat`]) — the write path reads snapshots only. The
+//! oracle's is [`TreeSpines`]: a memoizing [`SubMatcher`] per view over
+//! each `Tree`, with [`scan_regions_serial`] as its scan. The property
+//! suite pins the two to the same dispositions, regions and answer sets.
 //!
 //! ## Why the cumulative `t0` → `t1` comparison is sound
 //!
@@ -59,13 +66,16 @@
 //! entire chain's `B` values, and answers inside are recomputed exactly —
 //! the patched set equals full re-materialization, which the property suite
 //! (`tests/maintain_properties.rs`) checks against a from-scratch
-//! evaluation on randomized batches, whole and one edit at a time.
+//! evaluation on randomized batches, whole and one edit at a time. The
+//! argument compares each `B_i` on its own, so a `B`-vector must be exact
+//! per position on either side: a label absent from a document makes the
+//! positions testing it false there, and no others.
 
 use std::collections::HashSet;
 
-use xpv_model::{BitSet, FlatTree, NodeId, Tree};
+use xpv_model::{BitSet, FlatTree, NodeId, Tree, NO_PARENT};
 use xpv_pattern::Pattern;
-use xpv_semantics::{evaluate, RegionScanner};
+use xpv_semantics::RegionScanner;
 
 use crate::edit::{undo, validate_edit, AppliedEdit, Edit, EditError};
 use crate::refresh::MaintainStats;
@@ -95,6 +105,27 @@ pub struct PreparedBatch {
     pub receipts: Vec<AppliedEdit>,
     /// One anchor record per edit, in batch order.
     pub anchors: Vec<BatchAnchor>,
+}
+
+impl PreparedBatch {
+    /// The slots whose row the batch changed, as [`FlatTree::derive`] takes
+    /// them: every slot a delete removed, the parent of every inserted and
+    /// every deleted subtree root, every relabeled slot (unsorted, with
+    /// repeats; inserted slots are appended and need no naming).
+    pub fn touched_slots(&self) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for receipt in &self.receipts {
+            match receipt {
+                AppliedEdit::Inserted { parent, .. } => out.push(*parent),
+                AppliedEdit::Deleted { parent, removed, .. } => {
+                    out.push(*parent);
+                    out.extend_from_slice(removed);
+                }
+                AppliedEdit::Relabeled { node, .. } => out.push(*node),
+            }
+        }
+        out
+    }
 }
 
 /// Validates and applies the whole batch to `doc`, recording anchors.
@@ -133,8 +164,8 @@ pub enum ViewDisposition {
     /// Some edits were relevant but no spine `B`-vector changed and no
     /// inserted subtree survived: only tombstoned answers can have dropped.
     SpineClean,
-    /// The spine is too deep for the reachability mask: re-evaluate the
-    /// whole document once for the batch.
+    /// The spine is too deep for the reachability mask: the caller supplies
+    /// a fresh evaluation over the whole post-batch document.
     Full,
     /// Re-scan exactly these merged region roots (ascending, disjoint
     /// subtrees).
@@ -147,8 +178,6 @@ pub enum ViewDisposition {
 pub struct CoalescedPlan {
     /// One disposition per view, in `defs` order.
     pub dispositions: Vec<ViewDisposition>,
-    /// The per-view spine decompositions (reusable by the region scanner).
-    pub infos: Vec<SpineInfo>,
     /// Counters filled so far (`edits_applied`, `view_edit_checks`,
     /// `label_skips`, `spine_clean`, `regions_before_merge`); the scan /
     /// patch phases add the rest.
@@ -179,24 +208,115 @@ impl CoalescedPlan {
     }
 }
 
+/// One side of a batch as [`coalesce_plan`] reads it — the document before
+/// the batch or after it — with the spine `B`-vectors of every view over it
+/// (module docs: [`FlatSpines`] for the engine, [`TreeSpines`] for the
+/// oracle).
+pub trait SpineBits {
+    /// Whether `v` is a live node of this side.
+    fn is_alive(&self, v: NodeId) -> bool;
+    /// The parent of the live node `v` (`None` for the root).
+    fn parent(&self, v: NodeId) -> Option<NodeId>;
+    /// View `view`'s `B`-vector at `v`: bit `i` is `B_i(v)`, and every bit
+    /// is false when `v` is not a live node of this side.
+    fn b_vector(&mut self, view: usize, v: NodeId) -> u64;
+}
+
+/// [`SpineBits`] over a `FlatTree` snapshot: a [`RegionScanner`] per view,
+/// laid out on first use and kept, so the post-batch side's scanners —
+/// and the witness sets they put in the snapshot's memo — also serve the
+/// scans ([`scan_regions_flat`]).
+pub struct FlatSpines<'a> {
+    ft: &'a FlatTree,
+    defs: &'a [&'a Pattern],
+    scanners: Vec<Option<RegionScanner<'a>>>,
+}
+
+impl<'a> FlatSpines<'a> {
+    /// The views `defs` over `ft`; nothing is laid out yet.
+    pub fn new(ft: &'a FlatTree, defs: &'a [&'a Pattern]) -> FlatSpines<'a> {
+        FlatSpines { ft, defs, scanners: defs.iter().map(|_| None).collect() }
+    }
+
+    fn scanner(&mut self, view: usize) -> &RegionScanner<'a> {
+        let (ft, def) = (self.ft, self.defs[view]);
+        self.scanners[view].get_or_insert_with(|| RegionScanner::new(def, ft))
+    }
+}
+
+impl SpineBits for FlatSpines<'_> {
+    fn is_alive(&self, v: NodeId) -> bool {
+        self.ft.is_alive(v.index())
+    }
+
+    fn parent(&self, v: NodeId) -> Option<NodeId> {
+        Some(self.ft.parent(v.index())).filter(|&p| p != NO_PARENT).map(NodeId)
+    }
+
+    fn b_vector(&mut self, view: usize, v: NodeId) -> u64 {
+        if !self.is_alive(v) {
+            return 0;
+        }
+        self.scanner(view).b_vector(v)
+    }
+}
+
+/// [`SpineBits`] over a `Tree`: a memoizing [`SubMatcher`] per view, made
+/// on first use and kept for the scans ([`scan_regions_serial`]) — the
+/// oracle [`FlatSpines`] is pinned to.
+pub struct TreeSpines<'a> {
+    t: &'a Tree,
+    defs: &'a [&'a Pattern],
+    matchers: Vec<Option<(SpineInfo, SubMatcher<'a>)>>,
+}
+
+impl<'a> TreeSpines<'a> {
+    /// The views `defs` over `t`.
+    pub fn new(t: &'a Tree, defs: &'a [&'a Pattern]) -> TreeSpines<'a> {
+        TreeSpines { t, defs, matchers: defs.iter().map(|_| None).collect() }
+    }
+
+    fn matcher(&mut self, view: usize) -> &mut (SpineInfo, SubMatcher<'a>) {
+        let (t, def) = (self.t, self.defs[view]);
+        self.matchers[view].get_or_insert_with(|| (SpineInfo::new(def), SubMatcher::new(def, t)))
+    }
+}
+
+impl SpineBits for TreeSpines<'_> {
+    fn is_alive(&self, v: NodeId) -> bool {
+        self.t.is_alive(v)
+    }
+
+    fn parent(&self, v: NodeId) -> Option<NodeId> {
+        self.t.parent(v)
+    }
+
+    fn b_vector(&mut self, view: usize, v: NodeId) -> u64 {
+        if !self.is_alive(v) {
+            return 0;
+        }
+        let (info, m) = self.matcher(view);
+        m.b_vector(info, v)
+    }
+}
+
 /// Computes the coalesced refresh plan by diffing spine `B`-vectors between
-/// the pre-batch tree `t0` and the post-batch tree `t1` (see the module
-/// docs for the correctness argument). One `SubMatcher` per (view, side)
-/// is shared across the whole batch, so overlapping spines of a bursty
-/// batch amortize their branch matching.
+/// the pre-batch side `t0` and the post-batch side `t1` of `prep` (see the
+/// module docs for the correctness argument). Each side keeps what it
+/// computes per view for the whole batch, so overlapping spines of a bursty
+/// batch share it.
 pub fn coalesce_plan(
-    t0: &Tree,
-    t1: &Tree,
     defs: &[&Pattern],
     prep: &PreparedBatch,
+    t0: &mut impl SpineBits,
+    t1: &mut impl SpineBits,
 ) -> CoalescedPlan {
-    let infos: Vec<SpineInfo> = defs.iter().map(|d| SpineInfo::new(d)).collect();
     let mut stats =
         MaintainStats { edits_applied: prep.receipts.len() as u64, ..MaintainStats::default() };
 
-    let t0_bound = t0.arena_len();
     let mut dispositions = Vec::with_capacity(defs.len());
-    for (def, info) in defs.iter().zip(&infos) {
+    for (view, def) in defs.iter().enumerate() {
+        let info = SpineInfo::new(def);
         stats.view_edit_checks += prep.anchors.len() as u64;
         let affected: Vec<&BatchAnchor> = prep
             .anchors
@@ -219,25 +339,16 @@ pub fn coalesce_plan(
             continue;
         }
 
-        let mut m0 = SubMatcher::new(def, t0);
-        let mut m1 = SubMatcher::new(def, t1);
         let mut roots: Vec<NodeId> = Vec::new();
         for a in affected {
             // Highest spine node whose B-vector changed wins; nodes new in
             // t1 compare against the all-false vector (they hosted nothing
             // in t0), nodes dead in t1 host nothing now and are skipped.
-            let mut dirty: Option<NodeId> = None;
-            for &v in &a.spine {
-                if !t1.is_alive(v) {
-                    continue;
-                }
-                let b1 = m1.b_vector(info, v);
-                let b0 = if v.index() < t0_bound { m0.b_vector(info, v) } else { 0 };
-                if b0 != b1 {
-                    dirty = Some(v);
-                    break;
-                }
-            }
+            let dirty = a
+                .spine
+                .iter()
+                .copied()
+                .find(|&v| t1.is_alive(v) && t0.b_vector(view, v) != t1.b_vector(view, v));
             let region = dirty.or(a.inserted_root.filter(|&r| t1.is_alive(r)));
             if let Some(r) = region {
                 roots.push(r);
@@ -249,31 +360,34 @@ pub fn coalesce_plan(
             dispositions.push(ViewDisposition::SpineClean);
         } else {
             stats.regions_before_merge += roots.len() as u64;
-            dispositions.push(ViewDisposition::Regions(merge_regions(t1, roots)));
+            dispositions.push(ViewDisposition::Regions(merge_regions(|v| t1.parent(v), roots)));
         }
     }
 
-    CoalescedPlan { dispositions, infos, stats }
+    CoalescedPlan { dispositions, stats }
 }
 
 /// Merges region roots: drops every root with a proper ancestor in the set
-/// (its subtree is contained in the ancestor's), returning the survivors
-/// ascending — deterministic and pairwise disjoint. Roots that were chosen
-/// as "highest changed spine node" for several edits collapse here too:
-/// they dedup to one entry.
-pub fn merge_regions(t: &Tree, mut roots: Vec<NodeId>) -> Vec<NodeId> {
+/// (its subtree is contained in the ancestor's), climbing `parent`, and
+/// returns the survivors ascending — deterministic and pairwise disjoint.
+/// Roots that were chosen as "highest changed spine node" for several
+/// edits collapse here too: they dedup to one entry.
+pub fn merge_regions(
+    parent: impl Fn(NodeId) -> Option<NodeId>,
+    mut roots: Vec<NodeId>,
+) -> Vec<NodeId> {
     roots.sort();
     roots.dedup();
     let set: HashSet<NodeId> = roots.iter().copied().collect();
     roots
         .into_iter()
         .filter(|&r| {
-            let mut cur = t.parent(r);
+            let mut cur = parent(r);
             while let Some(p) = cur {
                 if set.contains(&p) {
                     return false;
                 }
-                cur = t.parent(p);
+                cur = parent(p);
             }
             true
         })
@@ -283,23 +397,24 @@ pub fn merge_regions(t: &Tree, mut roots: Vec<NodeId>) -> Vec<NodeId> {
 /// Patches every answer set from its disposition and the per-task region
 /// results (`results[i]` is the (answers, region slots) pair of
 /// `plan.region_tasks()[i]`, from [`scan_regions_flat`] or
-/// [`scan_regions_serial`]): the old set grown to `t1`'s arena, `∩ live`
-/// (`live` is `t1`'s live-slot mask), minus the scanned regions' slots,
-/// plus what the scans found there. `old[v]` is view `v`'s pre-batch answer
-/// set, of any capacity up to `t1`'s arena (slots past it are non-members);
-/// the result holds its next set, or `None` when the set did **not change**
-/// — a [`ViewDisposition::Clean`] view is neither read nor copied, and a
-/// patch that comes out equal is dropped, so the caller keeps the stored
-/// set. Added and removed answers are counted by popcount on the way.
-/// Tasks are in `(view, root)` order, so each `Regions` view takes the next
-/// `roots.len()` results.
+/// [`scan_regions_serial`]): the old set grown to the post-batch arena,
+/// `∩ live` (`live` is the post-batch live-slot mask), minus the scanned
+/// regions' slots, plus what the scans found there. A
+/// [`ViewDisposition::Full`] view takes `fresh(v)`, the caller's ascending
+/// evaluation of view `v` on the post-batch document. `old[v]` is view
+/// `v`'s pre-batch answer set, of any capacity up to the post-batch arena
+/// (slots past it are non-members); the result holds its next set, or
+/// `None` when the set did **not change** — a [`ViewDisposition::Clean`]
+/// view is neither read nor copied, and a patch that comes out equal is
+/// dropped, so the caller keeps the stored set. Added and removed answers
+/// are counted by popcount on the way. Tasks are in `(view, root)` order,
+/// so each `Regions` view takes the next `roots.len()` results.
 pub fn apply_region_results(
-    t1: &Tree,
     live: &BitSet,
-    defs: &[&Pattern],
     old: &[&BitSet],
     plan: &CoalescedPlan,
     results: &[(Vec<NodeId>, Vec<NodeId>)],
+    mut fresh: impl FnMut(usize) -> Vec<NodeId>,
     stats: &mut MaintainStats,
 ) -> Vec<Option<BitSet>> {
     let mut results = results;
@@ -318,8 +433,7 @@ pub fn apply_region_results(
                 ViewDisposition::SpineClean => survivors(v),
                 ViewDisposition::Full => {
                     stats.full_recomputes += 1;
-                    let fresh = evaluate(defs[v], t1);
-                    BitSet::from_indices(live.capacity(), fresh.iter().map(|n| n.index()))
+                    BitSet::from_indices(live.capacity(), fresh(v).iter().map(|n| n.index()))
                 }
                 ViewDisposition::Regions(roots) => {
                     // Regions of one view are disjoint and a scan finds
@@ -348,40 +462,32 @@ pub fn apply_region_results(
     patched
 }
 
-/// Scans every task of `plan` over the post-batch freeze, in task order:
-/// one [`RegionScanner`] per view, reused across its regions, reading (and
-/// filling) the witness memo the reads after the swap will use.
+/// Scans every task over the post-batch snapshot, in task order, with the
+/// scanners `t1` laid out while the plan was made (one per view, reused
+/// across its regions): the witness sets they read are the ones the reads
+/// after the swap will use.
 pub fn scan_regions_flat(
-    flat: &FlatTree,
-    defs: &[&Pattern],
+    t1: &mut FlatSpines<'_>,
     tasks: &[RegionTask],
 ) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
-    let mut results = Vec::with_capacity(tasks.len());
-    for of_view in tasks.chunk_by(|a, b| a.view == b.view) {
-        let scanner = RegionScanner::new(defs[of_view[0].view], flat);
-        results.extend(of_view.iter().map(|task| scanner.scan(task.root)));
-    }
-    results
+    tasks.iter().map(|task| t1.scanner(task.view).scan(task.root)).collect()
 }
 
 /// The `Tree`-path counterpart of [`scan_regions_flat`] (one memoizing
 /// matcher per view, reused across its regions): the oracle the property
 /// suite pins the flat scan to.
 pub fn scan_regions_serial(
-    t1: &Tree,
-    defs: &[&Pattern],
-    plan: &CoalescedPlan,
+    t1: &mut TreeSpines<'_>,
     tasks: &[RegionTask],
 ) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
-    let mut results = Vec::with_capacity(tasks.len());
-    for of_view in tasks.chunk_by(|a, b| a.view == b.view) {
-        let v = of_view[0].view;
-        let mut m = SubMatcher::new(defs[v], t1);
-        results.extend(
-            of_view.iter().map(|task| region_answers(&plan.infos[v], t1, task.root, &mut m)),
-        );
-    }
-    results
+    let t = t1.t;
+    tasks
+        .iter()
+        .map(|task| {
+            let (info, m) = t1.matcher(task.view);
+            region_answers(info, t, task.root, m)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -389,6 +495,7 @@ mod tests {
     use super::*;
     use xpv_model::TreeBuilder;
     use xpv_pattern::parse_xpath;
+    use xpv_semantics::evaluate;
 
     fn pat(s: &str) -> Pattern {
         parse_xpath(s).expect("pattern parses")
@@ -413,6 +520,11 @@ mod tests {
         })
     }
 
+    /// The plan of `prep` (applied to `t1`) over the `Tree` oracle.
+    fn tree_plan(t0: &Tree, t1: &Tree, defs: &[&Pattern], prep: &PreparedBatch) -> CoalescedPlan {
+        coalesce_plan(defs, prep, &mut TreeSpines::new(t0, defs), &mut TreeSpines::new(t1, defs))
+    }
+
     /// Patches `q`'s `t0` answers (a set of `t0`'s arena width, shorter than
     /// `t1`'s after an insert) from `results`; the view must have changed.
     fn patch_one(
@@ -427,7 +539,8 @@ mod tests {
             BitSet::from_indices(t.arena_len(), nodes.iter().map(|n| n.index()))
         };
         let (before, live) = (set(t0, evaluate(q, t0)), set(t1, t1.node_ids().collect()));
-        let patched = apply_region_results(t1, &live, &[q], &[&before], plan, results, stats);
+        let fresh = |_| evaluate(q, t1);
+        let patched = apply_region_results(&live, &[&before], plan, results, fresh, stats);
         patched[0].as_ref().expect("a changed view is patched").nodes().collect()
     }
 
@@ -438,10 +551,10 @@ mod tests {
         let item = t.children(r0)[0];
         let name = t.children(item)[0];
         let r1 = t.children(t.root())[1];
-        let merged = merge_regions(&t, vec![name, item, r1, item]);
-        assert_eq!(merged, vec![item, r1], "nested + duplicate roots collapse");
-        assert_eq!(merge_regions(&t, vec![t.root(), item]), vec![t.root()]);
-        assert_eq!(merge_regions(&t, vec![]), vec![]);
+        let up = |n| t.parent(n);
+        assert_eq!(merge_regions(up, vec![name, item, r1, item]), vec![item, r1], "nested + dup");
+        assert_eq!(merge_regions(up, vec![t.root(), item]), vec![t.root()]);
+        assert_eq!(merge_regions(up, vec![]), vec![]);
     }
 
     #[test]
@@ -467,13 +580,13 @@ mod tests {
         let mut t1 = t.clone();
         let q = pat("site/region[comment]/item/name");
         let prep = prepare_batch(&mut t1, &edits).expect("valid batch");
-        let plan = coalesce_plan(&t0, &t1, &[&q], &prep);
+        let plan = tree_plan(&t0, &t1, &[&q], &prep);
         assert_eq!(plan.stats.regions_before_merge, 3);
         let tasks = plan.region_tasks();
         assert_eq!(tasks.len(), 1, "three hot-subtree edits collapse to one scan");
         assert_eq!(tasks[0].root, r0, "the shared dirty spine node hosts the merged region");
         // And the coalesced scan reproduces a fresh evaluation.
-        let results = scan_regions_serial(&t1, &[&q], &plan, &tasks);
+        let results = scan_regions_serial(&mut TreeSpines::new(&t1, &[&q]), &tasks);
         let mut stats = plan.stats;
         let after = patch_one(&t0, &t1, &q, &plan, &results, &mut stats);
         assert_eq!(after, evaluate(&q, &t1));
@@ -494,7 +607,7 @@ mod tests {
         let mut t1 = t.clone();
         let q = pat("site/region/item/name");
         let prep = prepare_batch(&mut t1, &edits).expect("valid");
-        let plan = coalesce_plan(&t0, &t1, &[&q], &prep);
+        let plan = tree_plan(&t0, &t1, &[&q], &prep);
         assert_eq!(plan.dispositions[0], ViewDisposition::Clean);
         assert_eq!(plan.stats.label_skips, 1);
         assert!(plan.region_tasks().is_empty());
@@ -551,9 +664,9 @@ mod tests {
             receipts: prep.receipts.into_iter().chain(prep2.receipts).collect(),
             anchors: prep.anchors.into_iter().chain(prep2.anchors).collect(),
         };
-        let plan = coalesce_plan(&t0, &t1, &[&q], &prep_all);
+        let plan = tree_plan(&t0, &t1, &[&q], &prep_all);
         let tasks = plan.region_tasks();
-        let results = scan_regions_serial(&t1, &[&q], &plan, &tasks);
+        let results = scan_regions_serial(&mut TreeSpines::new(&t1, &[&q]), &tasks);
         let mut stats = plan.stats;
         let after = patch_one(&t0, &t1, &q, &plan, &results, &mut stats);
         assert_eq!(after, evaluate(&q, &t1), "new name inside inserted subtree found");

@@ -15,9 +15,13 @@
 //!   and re-evaluates each view only against the few surviving disjoint
 //!   regions, provably matching a from-scratch re-materialization; a burst
 //!   of k edits under one hot subtree costs one region scan per view
-//!   instead of k. The engine drives the same plan over its post-batch
-//!   `FlatTree` freeze ([`scan_regions_flat`]); `maintain_views` scans the
-//!   `Tree` and is the reference the property suite pins that to;
+//!   instead of k. The engine runs the same plan on its `FlatTree`
+//!   snapshots only ([`FlatSpines`]: a `B`-vector is bits of the pre- and
+//!   post-batch snapshots' postings and witness sets, and the post-batch
+//!   side's scanners run the scans, [`scan_regions_flat`]);
+//!   `maintain_views` runs it on the `Tree`s ([`TreeSpines`], a
+//!   [`SubMatcher`] per view) and is the reference the property suite pins
+//!   the engine to;
 //! * the [`MaintainMode::FullRecompute`] oracle — re-evaluate every view
 //!   from scratch, what both are checked against.
 //!
@@ -65,9 +69,10 @@
 //! what lets each view's results be patched in one pass: a slot belongs to
 //! at most one of its regions.
 //!
-//! The restricted evaluation ([`region_answers`]) runs the same
-//! spine-reachability dynamic program a full evaluation would, but only
-//! down one subtree, with branch matching memoized. Answers outside the
+//! The restricted evaluation (`RegionScanner::scan` in the engine, its
+//! oracle [`region_answers`] here) runs the same spine-reachability dynamic
+//! program a full evaluation would, but only down one subtree, reading
+//! memoized branch matches. Answers outside the
 //! region are kept verbatim (minus tombstoned nodes); answers inside are
 //! replaced by the fresh region results; the reported [`ViewDelta`] is a
 //! merge diff of the two ascending sets. Node sets are all a view stores
@@ -86,7 +91,8 @@ pub mod region;
 
 pub use coalesce::{
     apply_region_results, coalesce_plan, merge_regions, prepare_batch, scan_regions_flat,
-    scan_regions_serial, BatchAnchor, CoalescedPlan, PreparedBatch, RegionTask, ViewDisposition,
+    scan_regions_serial, BatchAnchor, CoalescedPlan, FlatSpines, PreparedBatch, RegionTask,
+    SpineBits, TreeSpines, ViewDisposition,
 };
 pub use edit::{apply_edit, apply_edits, validate_edit, AppliedEdit, Edit, EditError};
 pub use refresh::{maintain_views, MaintainMode, MaintainStats, ViewDelta};

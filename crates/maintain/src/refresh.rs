@@ -4,8 +4,9 @@
 //! [`maintain_views`] runs the batch over plain `Tree`s in one of two
 //! modes, both of them oracles: [`MaintainMode::Coalesced`] applies the
 //! whole batch first and refreshes each view from its merged region set
-//! (see [`crate::coalesce`]) — the reference for the engine, which drives
-//! the same plan over its post-batch freeze — and
+//! (see [`crate::coalesce`]) with `SubMatcher`s over the two `Tree`s — the
+//! reference for the engine, which drives the same plan over its pre- and
+//! post-batch `FlatTree` snapshots — and
 //! [`MaintainMode::FullRecompute`] re-evaluates every view over the whole
 //! document, the differential oracle for both.
 //!
@@ -18,6 +19,7 @@ use xpv_model::{BitSet, NodeId, Tree};
 use xpv_pattern::Pattern;
 use xpv_semantics::evaluate;
 
+use crate::coalesce::{apply_region_results, coalesce_plan, scan_regions_serial, TreeSpines};
 use crate::edit::{apply_edits, Edit, EditError};
 
 /// How [`maintain_views`] refreshes the answer sets.
@@ -119,7 +121,8 @@ pub struct MaintainStats {
     /// Together the five `*_us` phases cover an engine `apply_edits` call
     /// from its snapshot to its report, with no stretch left untimed.
     pub apply_us: u64,
-    /// Microseconds freezing the post-batch `FlatTree`.
+    /// Microseconds building the post-batch `FlatTree` (in the engine,
+    /// deriving it from the published one).
     pub freeze_us: u64,
     /// Microseconds diffing spines and merging regions (`coalesce_plan`).
     pub coalesce_us: u64,
@@ -209,24 +212,25 @@ pub fn maintain_views(
     let mut stats;
     if mode == MaintainMode::Coalesced {
         // Batch-coalesced path: apply everything, diff spines t0 → t1 once,
-        // scan the merged regions (over the `Tree` here; the engine scans
-        // the same plan over its post-batch freeze) and patch. The patch
+        // scan the merged regions (over the `Tree` here; the engine diffs
+        // and scans over its snapshots) and patch. The patch
         // works on slot sets, as the engine's store does; node lists are
         // converted here, at this oracle's boundary.
         let t0 = doc.clone();
         let prep = crate::coalesce::prepare_batch(doc, edits)?;
-        let plan = crate::coalesce::coalesce_plan(&t0, doc, defs, &prep);
-        let results = crate::coalesce::scan_regions_serial(doc, defs, &plan, &plan.region_tasks());
-        let live = BitSet::from_indices(doc.arena_len(), doc.node_ids().map(|n| n.index()));
+        let t1: &Tree = doc;
+        let mut s1 = TreeSpines::new(t1, defs);
+        let plan = coalesce_plan(defs, &prep, &mut TreeSpines::new(&t0, defs), &mut s1);
+        let results = scan_regions_serial(&mut s1, &plan.region_tasks());
+        let live = BitSet::from_indices(t1.arena_len(), t1.node_ids().map(|n| n.index()));
         let old: Vec<BitSet> = saved
             .iter()
             .map(|a| BitSet::from_indices(t0.arena_len(), a.iter().map(|n| n.index())))
             .collect();
         let old: Vec<&BitSet> = old.iter().collect();
         stats = plan.stats;
-        let patched = crate::coalesce::apply_region_results(
-            doc, &live, defs, &old, &plan, &results, &mut stats,
-        );
+        let fresh = |v: usize| evaluate(defs[v], t1);
+        let patched = apply_region_results(&live, &old, &plan, &results, fresh, &mut stats);
         for (ans, next) in answers.iter_mut().zip(patched) {
             if let Some(next) = next {
                 *ans = next.nodes().collect();

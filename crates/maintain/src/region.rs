@@ -27,13 +27,17 @@
 //!   edited subtree; otherwise it is the subtree of the **highest** spine
 //!   node whose `B`-vector changed (which contains the edited subtree).
 //!
-//! [`SubMatcher`] computes the `B`-vectors along the spine (memoized branch
-//! matching), and [`region_answers`] runs the spine-reachability dynamic
-//! program over one region subtree — the restricted evaluation whose
-//! results patch the stored answer set. With the region chosen as above the
-//! patched set is **equal to full recomputation**; `tests/
-//! maintain_properties.rs` checks this against `xpv_semantics::evaluate`
-//! on randomized documents, views, and edit streams.
+//! [`SubMatcher`] computes the `B`-vectors along the spine over a `Tree`
+//! (memoized branch matching), and [`region_answers`] runs the
+//! spine-reachability dynamic program over one region subtree — the
+//! restricted evaluation whose results patch the stored answer set. Both
+//! are **oracles**: the engine reads the same `B`-vectors as bits of its
+//! `FlatTree` snapshots and scans with `xpv_semantics::RegionScanner`
+//! (`crate::coalesce`, `FlatSpines`), and the property suite pins the two
+//! to each other. With the region chosen as above the patched set is
+//! **equal to full recomputation**; `tests/maintain_properties.rs` checks
+//! this against `xpv_semantics::evaluate` on randomized documents, views,
+//! and edit streams.
 
 use std::collections::HashMap;
 
@@ -109,9 +113,10 @@ impl SpineInfo {
     }
 }
 
-/// Memoizing subtree matcher for one (pattern, tree-state) pair. Both memo
-/// tables key on raw ids, so a matcher must not outlive the tree state it
-/// was built against — the maintainer constructs one per (view, edit) side.
+/// Memoizing subtree matcher for one (pattern, tree-state) pair — the
+/// `Tree` oracle of the snapshot bits the engine reads. Both memo tables key
+/// on raw ids, so a matcher must not outlive the tree state it was built
+/// against: `TreeSpines` keeps one per (view, side of a batch).
 pub struct SubMatcher<'a> {
     p: &'a Pattern,
     t: &'a Tree,

@@ -38,6 +38,17 @@ impl BitSet {
         self.len
     }
 
+    /// A copy with capacity `len`, at least the current one: the added
+    /// values are non-members. A shorter `len` is a caller's bug, rejected
+    /// in every profile (release would otherwise keep members past it).
+    pub fn grown(&self, len: usize) -> BitSet {
+        assert!(len >= self.len, "a set only grows: {} -> {len}", self.len);
+        let mut words = Vec::with_capacity(len.div_ceil(64));
+        words.extend_from_slice(&self.words);
+        words.resize(len.div_ceil(64), 0);
+        BitSet { words, len }
+    }
+
     /// Inserts `i`.
     #[inline]
     pub fn insert(&mut self, i: usize) {
@@ -297,6 +308,20 @@ mod tests {
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![50]);
+    }
+
+    #[test]
+    fn grown_keeps_members_and_pads_with_non_members() {
+        let s = BitSet::from_indices(70, [0usize, 63, 64, 69]);
+        for len in [70, 128, 129, 1_000] {
+            let g = s.grown(len);
+            assert_eq!((g.capacity(), g.words().len()), (len, len.div_ceil(64)));
+            assert_eq!(g.iter().collect::<Vec<_>>(), vec![0, 63, 64, 69]);
+        }
+        let mut g = BitSet::new(0).grown(65);
+        g.insert(64);
+        assert_eq!(g.count(), 1);
+        assert!(std::panic::catch_unwind(|| s.grown(69)).is_err(), "never shrinks");
     }
 
     #[test]

@@ -28,8 +28,25 @@
 //!
 //! [`FlatTree::freeze`] is one pass over the arena in slot order, copying
 //! each live node's child slice out of the [`Tree`]'s pool into the CSR
-//! array; it runs once per edit batch, between applying the edits and
-//! scanning the regions.
+//! array; it builds the engine's first snapshot. Every later one is
+//! [derived](FlatTree::derive) from the snapshot before it.
+//!
+//! ## Deriving the next snapshot
+//!
+//! An edit batch changes few rows: a delete kills its subtree's slots and
+//! takes a child from their parent, an insert appends slots and gives its
+//! root's parent a child, a relabel moves one slot between postings.
+//! [`FlatTree::derive`] copies every column of the previous snapshot grown
+//! to the new arena (a `memcpy` each; the CSR arrays as runs between touched
+//! rows, offsets shifted by one delta per run) and re-reads from the `Tree`
+//! only the touched rows and the appended ones. It keeps the ordered prefix
+//! and every `last[v]`: appended slots lie past the prefix, and a slot that
+//! died inside a range is in no posting and not in the live mask — but it
+//! takes depth `NO_LEVEL`, as a freeze leaves a tombstone, or it would
+//! start a level segment and cut its live ancestor's short. A freeze of the
+//! same document may find a longer prefix (a graft under the rightmost
+//! path extends it); a derived one is never wrong, only as short as the
+//! first snapshot's. The witness memo and the level masks start empty.
 //!
 //! ## The ordered prefix
 //!
@@ -61,25 +78,26 @@
 //! ## Shared-freeze contract
 //!
 //! A `FlatTree` is **observationally immutable**: the arrays above are built
-//! once by [`FlatTree::freeze`] and never updated. The fields written
-//! after the freeze are the **witness memo** ([`FlatTree::witness`]) and
-//! the level masks, bounded caches of pure functions of this document: an
-//! entry, whenever it is computed and by whichever thread, is the same set,
-//! so a reader can never tell an empty memo from a full or a contended one
-//! except by the time it takes. Both are created with the snapshot and
-//! dropped with it. A new document is a new `FlatTree`, so there is nothing
-//! to invalidate, and pool changes (`add_view` / `remove_view`), which
-//! reuse the `Arc<FlatTree>`, keep them warm.
+//! once, by [`FlatTree::freeze`] or [`FlatTree::derive`], and never
+//! updated. The fields written after that are the **witness memo**
+//! ([`FlatTree::witness`]) and the level masks, bounded caches of pure
+//! functions of this document: an entry, whenever it is computed and by
+//! whichever thread, is the same set, so a reader can never tell an empty
+//! memo from a full or a contended one except by the time it takes. Both
+//! are created with the snapshot and dropped with it. A new document is a
+//! new `FlatTree`, so there is nothing to invalidate, and pool changes
+//! (`add_view` / `remove_view`), which reuse the `Arc<FlatTree>`, keep
+//! them warm.
 //!
-//! The engine's `ShardedViewCache` constructs **one** `FlatTree` per edit
+//! The engine's `ShardedViewCache` derives **one** `FlatTree` per edit
 //! batch, immediately after the batch's edits are applied to the cloned
-//! document and *before* view maintenance runs: the same frozen snapshot
-//! first drives the region re-evaluations (whose witness sets then sit in
-//! the memo for the reads that follow) and is then published by the
-//! copy-on-write snapshot swap, so every reader that observes the new
-//! document also observes its matching flat form. Readers therefore never
-//! see a torn (half-updated) index, and the `O(n)` rebuild is paid once per
-//! batch and shared between maintenance and serving.
+//! document and *before* view maintenance runs: the same snapshot first
+//! drives the spine comparison and the region re-evaluations (whose witness
+//! sets then sit in the memo for the reads that follow) and is then
+//! published by the copy-on-write snapshot swap, so every reader that
+//! observes the new document also observes its matching flat form. Readers
+//! therefore never see a torn (half-updated) index: the previous snapshot
+//! is only read, and the new one is complete before anyone can see it.
 //!
 //! ## Why posting lists are sound under tombstoning
 //!
@@ -97,6 +115,7 @@
 //! two agree bit-for-bit on live slots.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -245,8 +264,6 @@ impl FlatTree {
         }
         depth[ordered_len..].fill(0);
 
-        let memo = WitnessMemo::new(memo_bound);
-        let levels = (0..NO_LEVEL).map(|_| OnceLock::new()).collect();
         FlatTree {
             labels,
             parents,
@@ -259,9 +276,127 @@ impl FlatTree {
             posting_of,
             postings,
             live_count,
-            memo,
-            levels,
+            memo: WitnessMemo::new(memo_bound),
+            levels: (0..NO_LEVEL).map(|_| OnceLock::new()).collect(),
         }
+    }
+
+    /// The flat form of `t1`, a document edited from the one this snapshot
+    /// holds, built from this snapshot: its columns are copied, grown to
+    /// `t1`'s arena, and only the rows an edit changed are read from `t1`
+    /// (module docs, *Deriving the next snapshot*). `touched` names the
+    /// slots whose row the edits changed — every slot a delete removed, the
+    /// parent of every inserted and every deleted subtree root, every
+    /// relabeled slot — in any order, repeats and appended slots allowed;
+    /// the slots appended since this snapshot are re-read whatever it says.
+    ///
+    /// Equal to [`FlatTree::freeze`]`(t1)` in labels, parents, children,
+    /// the live mask and the postings; the ordered prefix is this
+    /// snapshot's, which may be shorter than a freeze would find.
+    pub fn derive(&self, t1: &Tree, touched: &[NodeId]) -> FlatTree {
+        let (n0, n1) = (self.arena_len(), t1.arena_len());
+        assert!(n1 >= n0, "an edited document's arena only grows");
+        let mut rows: Vec<usize> = touched.iter().map(|n| n.index()).filter(|&i| i < n0).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows.extend(n0..n1);
+
+        fn grown<T: Copy>(col: &[T], len: usize, fill: T) -> Vec<T> {
+            let mut out = Vec::with_capacity(len);
+            out.extend_from_slice(col);
+            out.resize(len, fill);
+            out
+        }
+        let (mut labels, mut parents) =
+            (grown(&self.labels, n1, 0), grown(&self.parents, n1, NO_PARENT));
+        let (last, mut depth) = (grown(&self.last, n1, 0), grown(&self.depth, n1, 0));
+        let mut live = self.live.grown(n1);
+        let mut posting_of = self.posting_of.clone();
+        let mut postings: Vec<BitSet> = self.postings.iter().map(|p| p.grown(n1)).collect();
+        let mut child_offsets = Vec::with_capacity(n1 + 1);
+        let mut children = Vec::with_capacity(self.children.len() + (n1 - n0));
+        // Labels that lost a slot: their posting may have emptied.
+        let mut lost: Vec<u32> = Vec::new();
+
+        let mut next = 0;
+        for &i in &rows {
+            self.copy_rows(next..i.min(n0), &mut child_offsets, &mut children);
+            next = i + 1;
+            child_offsets.push(children.len() as u32);
+            if labels[i] != 0 {
+                postings[posting_of[labels[i] as usize] as usize].remove(i);
+                lost.push(labels[i]);
+            }
+            let n = NodeId(i as u32);
+            if !t1.is_alive(n) {
+                (labels[i], parents[i]) = (0, NO_PARENT);
+                live.remove(i);
+                if i < self.ordered_len {
+                    // In no level mask, as a freeze leaves a tombstone.
+                    depth[i] = NO_LEVEL;
+                }
+                continue;
+            }
+            let lid = t1.label(n).id();
+            labels[i] = lid;
+            parents[i] = t1.parent(n).map_or(NO_PARENT, |p| p.0);
+            live.insert(i);
+            if posting_of.len() <= lid as usize {
+                posting_of.resize(lid as usize + 1, NO_POSTING);
+            }
+            if posting_of[lid as usize] == NO_POSTING {
+                posting_of[lid as usize] = postings.len() as u32;
+                postings.push(BitSet::new(n1));
+            }
+            postings[posting_of[lid as usize] as usize].insert(i);
+            children.extend(t1.children(n).iter().map(|c| c.0));
+        }
+        self.copy_rows(next..n0, &mut child_offsets, &mut children);
+        child_offsets.push(children.len() as u32);
+
+        // A label without a live slot has no posting, as in a freeze.
+        lost.sort_unstable();
+        lost.dedup();
+        for lid in lost {
+            let at = posting_of[lid as usize];
+            if !postings[at as usize].is_empty() {
+                continue;
+            }
+            postings.swap_remove(at as usize);
+            posting_of[lid as usize] = NO_POSTING;
+            if let Some(moved) = posting_of.iter_mut().find(|p| **p == postings.len() as u32) {
+                *moved = at;
+            }
+        }
+
+        FlatTree {
+            labels,
+            parents,
+            child_offsets,
+            children,
+            ordered_len: self.ordered_len,
+            last,
+            depth,
+            live,
+            posting_of,
+            postings,
+            live_count: t1.len(),
+            memo: WitnessMemo::new(self.memo.bound),
+            levels: (0..NO_LEVEL).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Appends the CSR rows `rows` of this snapshot to `offsets` and
+    /// `children`: one copy of their child run, their offsets shifted to
+    /// where it lands.
+    fn copy_rows(&self, rows: Range<usize>, offsets: &mut Vec<u32>, children: &mut Vec<u32>) {
+        if rows.is_empty() {
+            return;
+        }
+        let (lo, hi) = (self.child_offsets[rows.start], self.child_offsets[rows.end]);
+        let delta = (children.len() as u32).wrapping_sub(lo);
+        offsets.extend(self.child_offsets[rows].iter().map(|&o| o.wrapping_add(delta)));
+        children.extend_from_slice(&self.children[lo as usize..hi as usize]);
     }
 
     /// Exclusive upper bound on slot indices, tombstones included — the
@@ -586,15 +721,19 @@ mod tests {
         assert_eq!(below, live_in(ft, v, end), "level-{depth} segment at {v}");
     }
 
+    /// [`check_snapshot_ranges`] of a fresh freeze of `t`.
+    fn check_prefix_ranges(t: &Tree) -> usize {
+        check_snapshot_ranges(&FlatTree::freeze(t))
+    }
+
     /// [`check_slot_ranges`] for every live slot of the ordered prefix, and
     /// every slot at or past it in every level mask. Returns the prefix
     /// length.
-    fn check_prefix_ranges(t: &Tree) -> usize {
-        let ft = FlatTree::freeze(t);
+    fn check_snapshot_ranges(ft: &FlatTree) -> usize {
         let ordered = ft.ordered_len();
         assert!((1..=ft.arena_len()).contains(&ordered));
         for v in ft.live_mask().iter().take_while(|&v| v < ordered) {
-            check_slot_ranges(&ft, v);
+            check_slot_ranges(ft, v);
         }
         assert!((ordered..ft.arena_len()).all(|i| ft.level(0).contains(i)));
         ordered
@@ -719,5 +858,179 @@ mod tests {
         assert_eq!(ft.depth_in_prefix(DEPTH + 153), None);
         assert_eq!(ft.level(101).count(), 103, "slots 0..=101 and the side chain's first");
         assert_eq!(ft.level(254).count(), 255 + 154, "no deeper slot, however deep");
+    }
+
+    /// An edit batch on a `Tree` that records the rows it touches, as
+    /// `xpv-maintain`'s receipts name them to the engine.
+    struct Batch<'t> {
+        t: &'t mut Tree,
+        touched: Vec<NodeId>,
+    }
+
+    impl Batch<'_> {
+        fn graft(&mut self, parent: NodeId, label: &str) -> NodeId {
+            self.touched.push(parent);
+            self.t.add_child(parent, Label::new(label))
+        }
+
+        fn delete(&mut self, n: NodeId) {
+            self.touched.push(self.t.parent(n).expect("not the root"));
+            let removed = self.t.remove_subtree(n);
+            self.touched.extend(removed);
+        }
+
+        fn relabel(&mut self, n: NodeId, label: &str) {
+            self.touched.push(n);
+            self.t.set_label(n, Label::new(label));
+        }
+    }
+
+    /// The postings by label id, ascending.
+    fn postings_by_label(ft: &FlatTree) -> Vec<(usize, &BitSet)> {
+        let held = ft.posting_of.iter().enumerate().filter(|(_, &at)| at != NO_POSTING);
+        held.map(|(l, &at)| (l, &ft.postings[at as usize])).collect()
+    }
+
+    /// `prev.derive(t1, touched)` against `freeze(t1)`: every column a
+    /// reader sees is equal — no emptied posting left behind — and the kept
+    /// prefix's ranges and level segments hold on the derived snapshot
+    /// (checked slot by slot when `every_slot`, else at the root only).
+    fn check_derived(prev: &FlatTree, t1: &Tree, touched: &[NodeId], every_slot: bool) -> FlatTree {
+        let (got, want) = (prev.derive(t1, touched), FlatTree::freeze(t1));
+        assert_eq!((got.arena_len(), got.len()), (want.arena_len(), want.len()));
+        assert_eq!(got.labels, want.labels, "labels");
+        assert_eq!(got.parents, want.parents, "parents");
+        assert_eq!(got.child_offsets, want.child_offsets, "child offsets");
+        assert_eq!(got.children, want.children, "children");
+        assert_eq!(got.live, want.live, "live mask");
+        assert_eq!(postings_by_label(&got), postings_by_label(&want), "postings");
+        assert_eq!(got.ordered_len(), prev.ordered_len(), "the prefix is kept");
+        assert!(got.ordered_len() <= want.ordered_len());
+        assert_eq!(got.levels_built(), 0);
+        if every_slot {
+            check_snapshot_ranges(&got);
+        } else {
+            check_slot_ranges(&got, 0);
+        }
+        got
+    }
+
+    #[test]
+    fn derive_equals_a_freeze_of_the_edited_document() {
+        // r0(a1(b2, c3(d4, e5)), f6(g7), h8), then batches derived one from
+        // the other.
+        let mut t = depth_first_tree();
+        let mut ft = FlatTree::freeze(&t);
+        let n = NodeId;
+        let batch = |t: &mut Tree, ft: &FlatTree, edit: &dyn Fn(&mut Batch<'_>)| {
+            let mut b = Batch { t, touched: Vec::new() };
+            edit(&mut b);
+            let Batch { t, touched } = b;
+            check_derived(ft, t, &touched, true)
+        };
+        // A subtree deleted from the middle of the prefix: its slots are in
+        // no level mask, so `a`'s segment runs over them to `f`.
+        ft = batch(&mut t, &ft, &|b| b.delete(n(3)));
+        assert_eq!((ft.depth[3], ft.depth[4]), (NO_LEVEL, NO_LEVEL));
+        assert_eq!(ft.level(1).iter_from(2).next(), Some(6));
+        // Grafts under the rightmost path: a freeze would extend the prefix,
+        // the derived snapshot keeps it and climbs to them.
+        ft = batch(&mut t, &ft, &|b| {
+            let i = b.graft(n(8), "i");
+            b.graft(i, "j");
+            b.graft(n(0), "k");
+        });
+        assert_eq!((ft.ordered_len(), FlatTree::freeze(&t).ordered_len()), (9, 12));
+        // Labels new to the document, grafted and relabeled; the last `g`
+        // relabeled away and the last `h` deleted: their postings go.
+        ft = batch(&mut t, &ft, &|b| {
+            b.graft(n(1), "brand-new");
+            b.relabel(n(7), "also-new");
+            b.delete(n(8));
+        });
+        assert!(ft.posting(Label::new("g")).is_none() && ft.posting(Label::new("h")).is_none());
+        assert_eq!(ft.posting(Label::new("also-new")).map(BitSet::count), Some(1));
+        // An insert and a delete of the same graft in one batch, a relabel
+        // of the graft before it goes, and a label emptied and refilled.
+        ft = batch(&mut t, &ft, &|b| {
+            let x = b.graft(n(6), "x");
+            b.graft(x, "y");
+            b.relabel(x, "z");
+            b.delete(x);
+            b.relabel(n(2), "q");
+            b.graft(n(0), "b");
+        });
+        let bs = ft.posting(Label::new("b")).map(|p| p.iter().collect::<Vec<_>>());
+        assert_eq!(bs, Some(vec![15]));
+        // A batch that touches nothing derives the same snapshot.
+        batch(&mut t, &ft, &|_| {});
+    }
+
+    #[test]
+    fn derive_follows_random_edit_streams() {
+        // A tiny xorshift64*, as the tree tests use.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        };
+        let labels = ["p", "q", "r", "s", "t"];
+        for _ in 0..30 {
+            let mut t = depth_first_tree();
+            for _ in 0..below(40) {
+                let live: Vec<NodeId> = t.node_ids().collect();
+                t.add_child(live[below(live.len())], Label::new(labels[below(5)]));
+            }
+            let mut ft = FlatTree::freeze(&t);
+            for _ in 0..6 {
+                let mut b = Batch { t: &mut t, touched: Vec::new() };
+                for _ in 0..1 + below(8) {
+                    let live: Vec<NodeId> = b.t.node_ids().collect();
+                    let pick = live[below(live.len())];
+                    match below(4) {
+                        0 if pick != NodeId(0) => b.delete(pick),
+                        1 => b.relabel(pick, labels[below(5)]),
+                        _ => {
+                            let g = b.graft(pick, labels[below(5)]);
+                            if below(2) == 0 {
+                                b.graft(g, labels[below(5)]);
+                            }
+                        }
+                    }
+                }
+                let touched = std::mem::take(&mut b.touched);
+                ft = check_derived(&ft, &t, &touched, true);
+            }
+        }
+    }
+
+    #[test]
+    fn derive_a_deep_chain_without_recursion() {
+        // 200 000 deep on the default 2 MiB test stack: a delete halfway
+        // down and grafts near the root, derived twice.
+        const DEPTH: usize = 200_000;
+        let mut t = Tree::new(Label::new("c"));
+        let mut tip = t.root();
+        for _ in 1..DEPTH {
+            tip = t.add_child(tip, Label::new("c"));
+        }
+        let ft = FlatTree::freeze(&t);
+        let mut b = Batch { t: &mut t, touched: Vec::new() };
+        b.delete(NodeId(DEPTH as u32 / 2));
+        let g = b.graft(NodeId(3), "g");
+        b.graft(g, "c");
+        let touched = std::mem::take(&mut b.touched);
+        let ft = check_derived(&ft, &t, &touched, false);
+        for v in [1, 3, DEPTH / 2 - 1] {
+            check_slot_ranges(&ft, v);
+        }
+        assert_eq!(ft.last_in_prefix(3), DEPTH - 1, "the range runs over the tombstones");
+        let mut b = Batch { t: &mut t, touched: Vec::new() };
+        b.relabel(NodeId(5), "d");
+        b.delete(g);
+        let touched = std::mem::take(&mut b.touched);
+        check_derived(&ft, &t, &touched, false);
     }
 }

@@ -64,7 +64,8 @@ pub enum Phase {
     Flush,
     /// Maintenance: applying the edit batch to the tree.
     Apply,
-    /// Maintenance: freezing the post-batch flat snapshot.
+    /// Maintenance: building the post-batch flat snapshot (derived from the
+    /// previous one).
     Freeze,
     /// Maintenance: diffing spines and merging regions.
     Coalesce,

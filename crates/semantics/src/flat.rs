@@ -75,7 +75,11 @@
 //! it is the same fact whether one looks at the whole document or at a
 //! region that contains `v` — and the snapshot already holds it, as one bit
 //! of `posting(u_i)` and one bit of each memoized `W(c)`
-//! (`Spine::holds`). The scan is therefore the reachability recurrence
+//! (`Spine::holds`). That is also all the maintainer's spine comparison
+//! asks ([`RegionScanner::b_vector`], once on the pre-batch snapshot and
+//! once on the post-batch one), so it holds for each position on its own:
+//! a spine label absent from the document empties that position's `B_i`
+//! and no other. The scan is the reachability recurrence
 //! itself, run slot by slot: position `i` is reached at `v` iff `v ∈ B_i`
 //! and position `i-1` is reached at `v`'s parent (`/`) or at a proper
 //! ancestor (`//`). The `O(depth)` slots above the region root are walked
@@ -83,8 +87,8 @@
 //! is visited once over the CSR children: `O(|region| · spine)` bit tests,
 //! no set of arena width built, copied or intersected. The witness sets it
 //! reads are the ones serving reads, so what maintenance computes on a new
-//! snapshot is what the next queries need; one scanner (one `Spine`) serves
-//! all of a view's regions in a batch.
+//! snapshot is what the next queries need; one scanner (one `Spine`) per
+//! view and snapshot serves a batch's comparison and all its regions.
 //!
 //! The reference `Tree` matcher ([`crate::embed`]) stays untouched as the
 //! oracle; `tests/eval_flat_properties.rs` and the tests below check the
@@ -233,16 +237,40 @@ struct Spine<'t> {
     ft: &'t FlatTree,
     /// The axis entering each position (`axes[0]` is unused).
     axes: Vec<Axis>,
-    seeds: Vec<&'t BitSet>,
+    /// `None` where the label does not occur in the document: `B_i` is
+    /// empty there, and only there.
+    seeds: Vec<Option<&'t BitSet>>,
     witnesses: Vec<Vec<Arc<BitSet>>>,
 }
 
 impl<'t> Spine<'t> {
-    /// `None` when a spine label does not occur in the document (no
-    /// answers anywhere).
-    fn new(p: &Pattern, ft: &'t FlatTree, scratch: &mut EvalScratch) -> Option<Spine<'t>> {
+    /// `p` laid out against `ft`, exact at every position: a spine label
+    /// absent from the document empties its own `B_i`, not the others.
+    fn new(p: &Pattern, ft: &'t FlatTree, scratch: &mut EvalScratch) -> Spine<'t> {
         let nodes = p.selection_path();
-        let seeds = nodes.iter().map(|&u| seed(p, ft, u)).collect::<Option<Vec<_>>>()?;
+        let seeds = nodes.iter().map(|&u| seed(p, ft, u)).collect();
+        Spine::with_seeds(p, ft, &nodes, seeds, scratch)
+    }
+
+    /// [`Spine::new`] for an evaluation: `None`, before any witness set is
+    /// built, when a spine label does not occur (no answers anywhere).
+    fn answering(p: &Pattern, ft: &'t FlatTree, scratch: &mut EvalScratch) -> Option<Spine<'t>> {
+        let nodes = p.selection_path();
+        let seeds: Vec<_> = nodes.iter().map(|&u| seed(p, ft, u)).collect();
+        if seeds.iter().any(Option::is_none) {
+            return None;
+        }
+        Some(Spine::with_seeds(p, ft, &nodes, seeds, scratch))
+    }
+
+    /// The layout of the spine `nodes` of `p`, their seeds given.
+    fn with_seeds(
+        p: &Pattern,
+        ft: &'t FlatTree,
+        nodes: &[PatId],
+        seeds: Vec<Option<&'t BitSet>>,
+        scratch: &mut EvalScratch,
+    ) -> Spine<'t> {
         let fps = if p.len() > nodes.len() { p.subtree_fingerprints() } else { Vec::new() };
         let witnesses = nodes
             .iter()
@@ -254,7 +282,7 @@ impl<'t> Spine<'t> {
             })
             .collect();
         let axes = nodes.iter().map(|&u| p.axis(u)).collect();
-        Some(Spine { ft, axes, seeds, witnesses })
+        Spine { ft, axes, seeds, witnesses }
     }
 
     /// The output position `k`.
@@ -264,11 +292,14 @@ impl<'t> Spine<'t> {
 
     /// `B_i`.
     fn candidates(&self, i: usize, scratch: &mut EvalScratch) -> Candidates<'t> {
+        let Some(seed) = self.seeds[i] else {
+            return Candidates::Owned(scratch.take());
+        };
         if self.witnesses[i].is_empty() {
-            return Candidates::Shared(self.seeds[i]);
+            return Candidates::Shared(seed);
         }
         let mut b = scratch.take();
-        b.copy_from(self.seeds[i]);
+        b.copy_from(seed);
         for w in &self.witnesses[i] {
             b.intersect_with(w);
         }
@@ -277,7 +308,8 @@ impl<'t> Spine<'t> {
 
     /// `v ∈ B_i`, without building `B_i`.
     fn holds(&self, i: usize, v: usize) -> bool {
-        self.seeds[i].contains(v) && self.witnesses[i].iter().all(|w| w.contains(v))
+        self.seeds[i].is_some_and(|s| s.contains(v))
+            && self.witnesses[i].iter().all(|w| w.contains(v))
     }
 
     /// The spine positions reached at slot `v` (bit `i` ↔ position `i ≥ 1`),
@@ -383,7 +415,7 @@ fn answer_set(
     scratch: &mut EvalScratch,
 ) -> BitSet {
     let mut reach = scratch.take();
-    let Some(spine) = Spine::new(p, ft, scratch) else {
+    let Some(spine) = Spine::answering(p, ft, scratch) else {
         return reach;
     };
     let b0 = spine.candidates(0, scratch);
@@ -427,14 +459,14 @@ pub fn evaluate_anchored_flat(p: &Pattern, ft: &FlatTree, anchors: &[NodeId]) ->
 }
 
 /// Region-restricted evaluation of one pattern over one snapshot: built
-/// once per (view, batch), scanned once per region (see the module docs,
-/// §Regions). Output-identical to the maintainer's `Tree`-path
-/// `region_answers` (the property-test oracle).
+/// once per (view, batch), asked for `B`-vectors while the batch's regions
+/// are chosen and scanned once per region (see the module docs, §Regions).
+/// Output-identical to the maintainer's `Tree`-path `SubMatcher` and
+/// `region_answers` (the property-test oracles).
 pub struct RegionScanner<'a> {
     p: &'a Pattern,
     ft: &'a FlatTree,
-    /// `None` when a spine label does not occur in the document.
-    spine: Option<Spine<'a>>,
+    spine: Spine<'a>,
 }
 
 impl<'a> RegionScanner<'a> {
@@ -443,6 +475,15 @@ impl<'a> RegionScanner<'a> {
     pub fn new(p: &'a Pattern, ft: &'a FlatTree) -> RegionScanner<'a> {
         let spine = with_tl_scratch(ft.arena_len(), |scratch| Spine::new(p, ft, scratch));
         RegionScanner { p, ft, spine }
+    }
+
+    /// The `B`-vector at the live slot `v`: bit `i` is `B_i(v)` — `v`
+    /// passes spine position `i`'s node test and every branch there embeds
+    /// below it — for the first 64 positions. A bit test in a posting and
+    /// in each memoized witness set, nothing walked.
+    pub fn b_vector(&self, v: NodeId) -> u64 {
+        let positions = (self.spine.last() + 1).min(64);
+        (0..positions).filter(|&i| self.spine.holds(i, v.index())).fold(0, |b, i| b | 1 << i)
     }
 
     /// The answers of the pattern that lie **inside `subtree(region_root)`**
@@ -460,11 +501,7 @@ impl<'a> RegionScanner<'a> {
             let found = all.into_iter().filter(|n| mask.contains(n.index())).collect();
             return (found, mask.nodes().collect());
         }
-        let mut slots = Vec::new();
-        let Some(spine) = &self.spine else {
-            ft.for_each_descendant(rr, |v| slots.push(NodeId(v as u32)));
-            return (Vec::new(), slots);
-        };
+        let (spine, mut slots) = (&self.spine, Vec::new());
 
         // Path walk, document root down to the region root: the positions
         // reached `on` the current slot and `above` it. Only the document
@@ -851,13 +888,13 @@ mod tests {
             let want = evaluate_anchored(&q, t, anchors);
             assert_eq!(evaluate_anchored_flat(&q, ft, anchors), want, "{what}");
             let mut scratch = EvalScratch::new(ft.arena_len());
-            let spine = Spine::new(&q, ft, &mut scratch).expect("labels occur");
+            let spine = Spine::new(&q, ft, &mut scratch);
             let frontier = BitSet::from_indices(
                 ft.arena_len(),
                 anchors.iter().map(|n| n.index()).filter(|&i| ft.is_alive(i)),
             );
-            let mut out = scratch.take();
-            spine.step(spine.axes[1], &frontier, spine.seeds[1], &mut out, &mut scratch);
+            let (mut out, cand) = (scratch.take(), spine.seeds[1].expect("labels occur"));
+            spine.step(spine.axes[1], &frontier, cand, &mut out, &mut scratch);
             assert_eq!(out.count(), want.len(), "{what}: stray bits");
             assert_eq!(out.iter().last(), want.last().map(|n| n.index()), "{what}");
         }

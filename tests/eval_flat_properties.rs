@@ -54,21 +54,26 @@ fn all_slots(doc: &Tree) -> Vec<NodeId> {
 
 /// Asserts every flat path agrees with the reference on one document.
 fn assert_flat_matches_reference(doc: &Tree, queries: &[Pattern]) {
-    let ft = FlatTree::freeze(doc);
-    assert_eq!(ft.len(), doc.len(), "freeze keeps exactly the live nodes");
+    assert_snapshot_matches_reference(&FlatTree::freeze(doc), doc, queries);
+}
+
+/// Asserts every flat path over `ft`, a snapshot of `doc`, agrees with the
+/// reference on `doc`.
+fn assert_snapshot_matches_reference(ft: &FlatTree, doc: &Tree, queries: &[Pattern]) {
+    assert_eq!(ft.len(), doc.len(), "the snapshot holds exactly the live nodes");
     // Anchor sets: a sparse one, a single slot (a 1-slot frontier), and
     // every slot — anchors nested inside other anchors' subtrees, dead
     // anchors on edited documents, and a frontier as large as it gets.
     let sparse: Vec<NodeId> = doc.node_ids().step_by(3).collect();
     let deepest: Vec<NodeId> = doc.node_ids().last().into_iter().collect();
     let every = all_slots(doc);
-    let (mut seeded, mut arena) = (BatchEval::new(&ft), AnswerArena::new());
+    let (mut seeded, mut arena) = (BatchEval::new(ft), AnswerArena::new());
     for q in queries {
-        assert_eq!(evaluate_flat(q, &ft), evaluate(q, doc), "answers differ for {q}");
+        assert_eq!(evaluate_flat(q, ft), evaluate(q, doc), "answers differ for {q}");
         for anchors in [&sparse, &deepest, &every] {
             let want = evaluate_anchored(q, doc, anchors);
             assert_eq!(
-                evaluate_anchored_flat(q, &ft, anchors),
+                evaluate_anchored_flat(q, ft, anchors),
                 want,
                 "anchored answers differ for {q} from {} anchors",
                 anchors.len()
@@ -130,6 +135,63 @@ fn flat_matcher_matches_reference_whatever_the_arena_order() {
 
         assert!(FlatTree::freeze(&random).ordered_len() < random.arena_len());
         assert_flat_matches_reference(&random, &queries);
+    }
+}
+
+/// `derived` (a snapshot of `doc` derived from an older one) holds what a
+/// fresh freeze of `doc` holds in every column a reader sees: labels,
+/// parents, children and liveness of every slot, the live mask, and the
+/// posting of every label any slot ever carried (`extra` adds labels no
+/// slot carries any more) — present or absent alike.
+fn assert_derived_reads_like_a_freeze(derived: &FlatTree, doc: &Tree, extra: &[Label]) {
+    let fresh = FlatTree::freeze(doc);
+    assert_eq!((derived.arena_len(), derived.len()), (fresh.arena_len(), fresh.len()));
+    for i in 0..fresh.arena_len() {
+        assert_eq!(derived.label_id(i), fresh.label_id(i), "label of slot {i}");
+        assert_eq!(derived.parent(i), fresh.parent(i), "parent of slot {i}");
+        assert_eq!(derived.children(i), fresh.children(i), "children of slot {i}");
+    }
+    assert_eq!(derived.live_mask(), fresh.live_mask());
+    let mut labels: Vec<Label> = all_slots(doc).into_iter().map(|n| doc.label(n)).collect();
+    labels.extend_from_slice(extra);
+    for l in labels {
+        assert_eq!(derived.posting(l), fresh.posting(l), "posting of {}", l.name());
+    }
+    assert!(derived.ordered_len() <= fresh.ordered_len(), "a derived prefix is never longer");
+}
+
+/// The next snapshot derived from the last one
+/// ([`FlatTree::derive`], what the engine publishes after an edit batch)
+/// reads like a fresh freeze, batch after batch: on documents laid out
+/// depth-first, breadth-first and at random, through edit streams whose
+/// every batch also relabels a node to a label new to the document (so
+/// postings are created, and emptied when a later delete takes their only
+/// slot), every column a reader sees equals the freeze's and every flat
+/// evaluation over the derived snapshot equals the reference.
+#[test]
+fn derived_snapshots_read_like_fresh_freezes_over_edit_streams() {
+    use xpath_views::maintain::{prepare_batch, Edit};
+
+    for seed in 0..8u64 {
+        let cfg = TreeGenConfig { size: 120, max_depth: 8, max_children: 5, label_count: 4 };
+        let random = TreeGen::new(cfg, seed ^ 0xDE21).tree();
+        let mut queries = forced_patterns();
+        queries.extend(patterns_from_seed(seed ^ 0x0DE2, 4));
+        for mut doc in [relaid(&random, true), relaid(&random, false), random.clone()] {
+            let edits = edit_stream(&doc, 48, EditMix::new(2, 2, 1), seed ^ 0xD371);
+            let mut ft = FlatTree::freeze(&doc);
+            let mut fresh_labels = Vec::new();
+            for (i, mut batch) in edit_batches(&edits, 6).into_iter().enumerate() {
+                let fresh = Label::new(&format!("fresh{i}"));
+                fresh_labels.push(fresh);
+                let node = doc.node_ids().last().expect("the root at least");
+                batch.insert(0, Edit::Relabel { node, label: fresh });
+                let prep = prepare_batch(&mut doc, &batch).expect("generated batches apply");
+                ft = ft.derive(&doc, &prep.touched_slots());
+                assert_derived_reads_like_a_freeze(&ft, &doc, &fresh_labels);
+                assert_snapshot_matches_reference(&ft, &doc, &queries);
+            }
+        }
     }
 }
 
@@ -301,10 +363,11 @@ fn answers_are_identical_with_the_memo_full_or_contended() {
     }
 }
 
-/// The flat region scanner agrees with the `Tree`-path `region_answers`
-/// oracle on **tombstoned post-edit documents**: for seeded random docs run
-/// through an edit stream, every (pattern, live region root) pair yields
-/// the same fresh answers and the same region slots (as a set: exactly
+/// The flat region scanner agrees with the `Tree`-path `SubMatcher` and
+/// `region_answers` oracles on **tombstoned post-edit documents**: for
+/// seeded random docs run through an edit stream, every live node has the
+/// same `B`-vector, and every (pattern, live region root) pair yields the
+/// same fresh answers and the same region slots (as a set: exactly
 /// `subtree_mask(root)`) from both paths — one scanner per pattern serving
 /// every region, as in an engine batch.
 #[test]
@@ -331,6 +394,11 @@ fn flat_region_evaluation_matches_tree_oracle() {
             }
             let mut m = SubMatcher::new(q, &doc);
             let scanner = RegionScanner::new(q, &ft);
+            // The spine comparison's input: `B`-vectors, bit for bit, at
+            // every live node (labels absent from the document included).
+            for v in doc.node_ids() {
+                assert_eq!(scanner.b_vector(v), m.b_vector(&info, v), "B-vector of {q} at {v:?}");
+            }
             let global = evaluate(q, &doc);
             // Every live node doubles as a region root — including the
             // document root (whole-tree region) and deep leaves.

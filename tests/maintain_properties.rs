@@ -429,23 +429,31 @@ fn unchanged_views_stay_pointer_equal_across_pool_and_document_changes() {
     }
 }
 
-/// The engine's region scan over the post-batch freeze (one `RegionScanner`
-/// per view and batch) is pinned to the `Tree` oracle: through a bursty
-/// clustered stream the cache and `maintain_views(.., Coalesced)` on a
-/// mirrored `Tree` scan the same regions and report the same counts per
-/// batch, every view's stored answer set equals the mirror's, and every
-/// probe answer equals direct evaluation.
+/// The engine's region scan over the post-batch snapshot (one
+/// `RegionScanner` per view and batch) is pinned to the `Tree` oracle:
+/// through a bursty clustered stream, then a batch that inserts the only
+/// carriers of two labels the document lacked and one that deletes them
+/// again, the cache and `maintain_views(.., Coalesced)` on a mirrored `Tree`
+/// scan the same regions and report the same counts per batch, every view's
+/// stored answer set equals the mirror's, and every probe answer equals
+/// direct evaluation.
 #[test]
 fn flat_region_refresh_matches_tree_path() {
     let doc = site_doc(10, 10, 7);
     let catalog = site_catalog();
     let probes: Vec<Pattern> = catalog_zipf_stream(&catalog, 24, 0xFA17).into_iter().collect();
 
+    // Beside the catalog, two views over labels absent from the document:
+    // `lot` on the spine (under a wildcard, so every edit reaches it) and
+    // `promo` in a branch.
+    let mut pool = catalog.views.clone();
+    pool.push(("lots", parse_xpath("site/*/lot/name").unwrap()));
+    pool.push(("promoted", parse_xpath("site/region[promo]/item/name").unwrap()));
     let flat = ShardedViewCache::new(doc.clone());
-    let defs: Vec<&Pattern> = catalog.views.iter().map(|(_, def)| def).collect();
+    let defs: Vec<&Pattern> = pool.iter().map(|(_, def)| def).collect();
     let mut mirror = doc.clone();
     let mut mirror_answers: Vec<Vec<NodeId>> = defs.iter().map(|d| evaluate(d, &mirror)).collect();
-    for (name, def) in catalog.views.iter() {
+    for (name, def) in pool.iter() {
         flat.add_view(name, def.clone());
         let _ = flat.answer(def);
     }
@@ -453,12 +461,8 @@ fn flat_region_refresh_matches_tree_path() {
         let _ = flat.answer(q); // warm the memo
     }
 
-    // A bursty clustered stream — many edits under few hot subtrees — is
-    // exactly the regime that gives one view several regions per batch.
-    let edits =
-        edit_stream_clustered(&doc, 160, EditMix::default(), EditLocality::new(4, 90), 0x5EED);
-    let batches = edit_batches(&edits, 8);
-    for batch in &batches {
+    // One batch through both, checked; returns the oracle's deltas.
+    let mut step = |batch: &[Edit]| {
         let (deltas, oracle) =
             maintain_views(&mut mirror, &defs, &mut mirror_answers, batch, MaintainMode::Coalesced)
                 .expect("valid batch");
@@ -476,11 +480,140 @@ fn flat_region_refresh_matches_tree_path() {
             assert_eq!(got, flat.answer_direct(q), "cache wrong on {q}");
             assert_eq!(got, evaluate(q, &mirror), "cache and mirror documents diverged on {q}");
         }
+        deltas
+    };
+
+    // A bursty clustered stream — many edits under few hot subtrees — is
+    // exactly the regime that gives one view several regions per batch.
+    let edits =
+        edit_stream_clustered(&doc, 160, EditMix::default(), EditLocality::new(4, 90), 0x5EED);
+    let batches = edit_batches(&edits, 8);
+    for batch in &batches {
+        step(batch);
     }
+    // The new labels' only carriers arrive, and go again.
+    let region = doc.children(doc.root())[1];
+    assert_eq!(doc.label(region).name(), "region");
+    let lot = TreeBuilder::root("lot", |b| {
+        b.leaf("name");
+    });
+    let promo = TreeBuilder::root("promo", |_| {});
+    let gained = step(&[
+        Edit::InsertSubtree { parent: region, subtree: lot },
+        Edit::InsertSubtree { parent: region, subtree: promo },
+    ]);
+    assert!(gained[pool.len() - 2..].iter().all(|d| !d.added.is_empty()), "{gained:?}");
+    let now = flat.document();
+    let carriers = now.children(region).iter().filter(|&&n| now.label(n).name() != "item");
+    let batch: Vec<Edit> = carriers.map(|&node| Edit::DeleteSubtree { node }).collect();
+    assert_eq!(batch.len(), 2);
+    let lost = step(&batch);
+    assert!(lost[pool.len() - 2..].iter().all(|d| !d.removed.is_empty()), "{lost:?}");
     assert!(
         flat.stats().maintain.regions_scanned > (batches.len() * catalog.views.len()) as u64,
         "bursty stream never gave a view two regions in one batch"
     );
+}
+
+/// `B`-vectors are exact per position on the engine's snapshots: for views
+/// whose spine label, or whose branch label, is absent from the document
+/// before a batch inserts it (by a graft or a relabel) — and after a batch
+/// deletes or relabels away its last carrier — the plan over the two
+/// snapshots (`FlatSpines`) has the `Tree` oracle's dispositions, regions
+/// and counters, the engine scans what `maintain_views` scans, and every
+/// stored set equals direct evaluation.
+#[test]
+fn labels_absent_on_either_side_of_a_batch_plan_like_the_tree_oracle() {
+    use xpath_views::maintain::ViewDisposition;
+    use xpath_views::maintain::{coalesce_plan, prepare_batch, FlatSpines, TreeSpines};
+    use xpath_views::model::FlatTree;
+
+    let doc = site_doc(4, 4, 7);
+    let defs: Vec<Pattern> = [
+        "site/region/lot/name",          // spine label
+        "site/*/lot[name]",              // …under a wildcard: every edit reaches it
+        "site/region[promo]/item/name",  // branch label
+        "site/region[.//promo]//name",   // …below a `//` edge
+        "site/categories/category/name", // spine label, relabeled away and back
+        "site[categories]/region/item",  // …the same label in a root branch
+        "site/region/item[bids]/name",   // present throughout
+    ]
+    .iter()
+    .map(|q| parse_xpath(q).unwrap())
+    .collect();
+    let defs: Vec<&Pattern> = defs.iter().collect();
+    let cache = ShardedViewCache::new(doc.clone());
+    for (i, def) in defs.iter().enumerate() {
+        cache.add_view(&format!("v{i}"), (*def).clone());
+    }
+    let mut mirror = doc.clone();
+    let mut answers: Vec<Vec<NodeId>> = defs.iter().map(|d| evaluate(d, &mirror)).collect();
+
+    let child = |t: &Tree, parent: NodeId, label: &str| {
+        t.children(parent).iter().copied().find(|&n| t.label(n).name() == label).unwrap()
+    };
+    let (site, categories) = (doc.root(), child(&doc, doc.root(), "categories"));
+    let region = child(&doc, site, "region");
+    let lot = TreeBuilder::root("lot", |b| {
+        b.leaf("name");
+    });
+    let mut batches = vec![
+        vec![
+            Edit::InsertSubtree { parent: region, subtree: lot },
+            Edit::InsertSubtree { parent: region, subtree: TreeBuilder::root("promo", |_| {}) },
+        ],
+        vec![Edit::Relabel { node: categories, label: Label::new("cats") }],
+        vec![Edit::Relabel { node: categories, label: Label::new("categories") }],
+    ];
+    let mut changed = vec![false; defs.len()];
+    let mut b = 0;
+    while b < batches.len() {
+        let batch = batches[b].clone();
+        let t0 = mirror.clone();
+        let mut t1 = t0.clone();
+        let prep = prepare_batch(&mut t1, &batch).expect("valid batch");
+        let f0 = FlatTree::freeze(&t0);
+        let f1 = f0.derive(&t1, &prep.touched_slots());
+        let flat = coalesce_plan(
+            &defs,
+            &prep,
+            &mut FlatSpines::new(&f0, &defs),
+            &mut FlatSpines::new(&f1, &defs),
+        );
+        let tree = coalesce_plan(
+            &defs,
+            &prep,
+            &mut TreeSpines::new(&t0, &defs),
+            &mut TreeSpines::new(&t1, &defs),
+        );
+        assert_eq!(flat.dispositions, tree.dispositions, "batch {b}");
+        assert_eq!(flat.stats, tree.stats, "batch {b}");
+        assert!(flat.dispositions.iter().any(|d| matches!(d, ViewDisposition::Regions(_))));
+
+        let (deltas, oracle) =
+            maintain_views(&mut mirror, &defs, &mut answers, &batch, MaintainMode::Coalesced)
+                .expect("valid batch");
+        let report = cache.apply_edits(&batch).expect("valid batch");
+        assert_eq!(report.maintain.regions_scanned, oracle.regions_scanned, "batch {b}");
+        assert_eq!(report.maintain.region_nodes, oracle.region_nodes, "batch {b}");
+        assert_eq!(report.views_changed, deltas.iter().filter(|d| !d.is_empty()).count());
+        for ((view, def), ans) in cache.views_snapshot().iter().zip(&defs).zip(&answers) {
+            let want = evaluate(def, &mirror);
+            assert_eq!(view.nodes(), want, "engine's {def} after batch {b}");
+            assert_eq!(ans, &want, "oracle's {def} after batch {b}");
+        }
+        for (c, d) in changed.iter_mut().zip(&deltas) {
+            *c |= !d.is_empty();
+        }
+        if b == 0 {
+            // The reverse: the batch deletes the last carriers again.
+            let gone = mirror.children(region).iter().copied();
+            let gone = gone.filter(|&n| ["lot", "promo"].contains(&mirror.label(n).name()));
+            batches.insert(1, gone.map(|node| Edit::DeleteSubtree { node }).collect());
+        }
+        b += 1;
+    }
+    assert_eq!(changed, [true, true, true, true, true, true, false], "every absent label mattered");
 }
 
 /// 8-thread stress: one updater applies edit batches while 7 readers
