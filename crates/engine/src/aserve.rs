@@ -693,10 +693,9 @@ async fn serve_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, st
                         span.mark_us(Phase::Admission, waited.as_micros() as u64);
                     }
                     // Stream the Answers frame straight into its byte
-                    // buffer from the engine's own node slices — no
-                    // WireAnswer clones on the hot response path: the node
-                    // runs live in one per-batch bump arena and the encoder
-                    // reads them as borrowed slices.
+                    // buffer from the engine's answer sets — no WireAnswer
+                    // clones and no node lists on the hot response path: the
+                    // encoder reads each set's ids in ascending order.
                     let mut arena = AnswerArena::new();
                     let answers =
                         shared.cache.answer_batch_refs_spanned(&queries, &mut span, &mut arena);
@@ -704,7 +703,7 @@ async fn serve_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, st
                     let encode_started = Instant::now();
                     let mut enc = AnswersEncoder::new(id);
                     for a in &answers {
-                        enc.answer(wire_route_ref(&a.route), arena.get(a.nodes));
+                        enc.answer(wire_route_ref(&a.route), arena.nodes(a.nodes));
                     }
                     let body = enc.finish();
                     let encoded = encode_started.elapsed();

@@ -190,14 +190,15 @@ pub struct CacheAnswer {
     pub evaluation: Duration,
 }
 
-/// A cache answer whose nodes live in a caller-supplied [`AnswerArena`]
+/// A cache answer whose node set lives in a caller-supplied [`AnswerArena`]
 /// — the zero-allocation sibling of [`CacheAnswer`] returned by
 /// [`ShardedViewCache::answer_batch_refs`]. The route is shared behind an
 /// `Arc`, so batch fan-out of a repeated query copies a handle and bumps
-/// a refcount instead of cloning node vectors and route strings.
+/// a refcount instead of cloning node sets and route strings.
 #[derive(Clone, Debug)]
 pub struct CacheAnswerRef {
-    /// Handle to the output nodes in the arena the batch call filled.
+    /// Handle to the output node set in the arena the batch call filled;
+    /// its `len()` is the answer's size without building a node list.
     pub nodes: AnswerRef,
     /// How the answer was produced (shared across fan-out duplicates).
     pub route: Arc<Route>,
@@ -208,11 +209,11 @@ pub struct CacheAnswerRef {
 }
 
 impl CacheAnswerRef {
-    /// The owned form of this answer: its node run copied out of `arena`
-    /// (the arena the batch call filled) and its route cloned.
+    /// The owned form of this answer: its nodes collected from its set in
+    /// `arena` (the arena the batch call filled) and its route cloned.
     pub fn copy_out(&self, arena: &AnswerArena) -> CacheAnswer {
         CacheAnswer {
-            nodes: arena.get(self.nodes).to_vec(),
+            nodes: arena.to_vec(self.nodes),
             route: Route::clone(&self.route),
             planning: self.planning,
             evaluation: self.evaluation,
@@ -1178,7 +1179,7 @@ impl ShardedViewCache {
     /// buffers; branch witness sets are shared through the snapshot itself,
     /// by every caller): a view or intersection route seeds it with the
     /// participants' slot sets (word-ANDs, no anchor list), and the output
-    /// set goes to the arena by popcount, reserve and scan.
+    /// set goes to the arena by move, its popcount in the handle.
     fn execute_refs(
         &self,
         query: &Pattern,
@@ -1266,8 +1267,8 @@ impl ShardedViewCache {
     /// count as [`CacheStats::plan_memo_hits`] and
     /// [`CacheStats::batch_dedup_hits`].
     ///
-    /// This is [`ShardedViewCache::answer_batch_refs`] with every node run
-    /// copied out of a private arena into an owned `Vec`.
+    /// This is [`ShardedViewCache::answer_batch_refs`] with every answer
+    /// set collected out of a private arena into an owned `Vec`.
     pub fn answer_batch(&self, queries: &[Pattern]) -> Vec<CacheAnswer> {
         let mut span = Span::begin("cache.batch");
         let answers = self.answer_batch_spanned(queries, &mut span);
@@ -1284,13 +1285,14 @@ impl ShardedViewCache {
     }
 
     /// The engine's batch entry point, the **arena lane**: the answers'
-    /// node runs are bump-allocated into the caller's `arena`
-    /// (cleared first), and each [`CacheAnswerRef`] holds an 8-byte handle
-    /// plus an `Arc`'d route. On the memoized hot path — route from the
-    /// plan memo, fused flat evaluation — an answer touches the heap only
-    /// through the arena's amortized growth; batch-deduplicated repeats
-    /// share the first occurrence's run outright (the handle is `Copy`),
-    /// so fan-out allocates nothing at all. The owned API
+    /// slot sets are stored in the caller's `arena` (cleared first), and
+    /// each [`CacheAnswerRef`] holds an 8-byte handle plus an `Arc`'d
+    /// route. No node list is built unless a caller asks the arena for one
+    /// ([`AnswerArena::get`]). On the memoized hot path — route from the
+    /// plan memo, fused flat evaluation — a warm arena hands its last
+    /// batch's sets back as buffers, so an answer allocates nothing;
+    /// batch-deduplicated repeats share the first occurrence's set outright
+    /// (the handle is `Copy`). The owned API
     /// ([`ShardedViewCache::answer_batch`]) is a copy-out wrapper over this
     /// call, so nodes, routes, and counter effects are the same by
     /// construction.

@@ -257,6 +257,24 @@ impl Iterator for Bits<'_> {
         self.bits &= self.bits - 1;
         Some((self.next_word - 1) * 64 + tz)
     }
+
+    /// Word by word, with no cursor state kept between elements: the loop
+    /// `for_each` and `collect` compile to.
+    #[inline]
+    fn fold<B, F: FnMut(B, usize) -> B>(self, init: B, mut f: F) -> B {
+        let (mut acc, mut bits, mut base) = (init, self.bits, (self.next_word - 1) * 64);
+        let mut rest = self.words.get(self.next_word..).unwrap_or(&[]).iter();
+        loop {
+            while bits != 0 {
+                acc = f(acc, base + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+            match rest.next() {
+                Some(&w) => (bits, base) = (w, base + 64),
+                None => return acc,
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for BitSet {
@@ -546,6 +564,19 @@ mod tests {
         assert_eq!(from(100_000), Vec::<usize>::new());
         assert_eq!(BitSet::new(0).iter_from(0).count(), 0);
         assert_eq!(s.nodes().map(|n| n.index()).collect::<Vec<_>>(), from(0));
+        // `fold` (what `for_each` runs) yields what `next` does, from any
+        // start and after any number of `next` calls.
+        for start in [0, 5, 6, 64, 66, 191, 200, 100_000] {
+            for skip in 0..4 {
+                let mut it = s.iter_from(start);
+                it.by_ref().take(skip).for_each(drop);
+                let folded = it.clone().fold(Vec::new(), |mut v, i| {
+                    v.push(i);
+                    v
+                });
+                assert_eq!(folded, it.collect::<Vec<_>>(), "from {start}, {skip} skipped");
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * [`FlatTree`] — a frozen struct-of-arrays snapshot of a tree (label
 //!   array, CSR children, parent array, live mask, per-label postings) that
 //!   the word-parallel matcher in `xpv-semantics` runs against;
-//! * [`AnswerArena`] — a per-batch bump arena of answer node runs with
-//!   `Copy` [`AnswerRef`] handles, the serving layer's zero-allocation
-//!   return lane.
+//! * [`AnswerArena`] — the per-batch store of answer slot sets with `Copy`
+//!   [`AnswerRef`] handles, node lists built only on demand: the serving
+//!   layer's zero-allocation return lane.
 //!
 //! Patterns (queries and views) live one layer up, in `xpv-pattern`.
 

@@ -136,6 +136,22 @@ impl Encoder {
         self
     }
 
+    /// Every `u32` of `vs`, into space sized once from the iterator's
+    /// length. Panics if the iterator yields another number of values than
+    /// it claimed.
+    pub fn u32s(&mut self, vs: impl ExactSizeIterator<Item = u32>) -> &mut Self {
+        let bytes = 4 * vs.len();
+        let end = self.buf.len() + bytes;
+        self.buf.reserve(bytes);
+        vs.for_each(|v| self.buf.extend_from_slice(&v.to_le_bytes()));
+        assert_eq!(
+            self.buf.len(),
+            end,
+            "iterator yielded another number of values than its length"
+        );
+        self
+    }
+
     /// Length-prefixed (u32) UTF-8 string.
     pub fn str(&mut self, s: &str) -> &mut Self {
         self.u32(s.len() as u32);

@@ -9,6 +9,8 @@
 //! edit subtrees travel as the model's XML serialization, so the protocol
 //! has no bespoke tree encoding to keep in sync with the model crate.
 
+use std::borrow::Borrow;
+
 use xpv_maintain::Edit;
 use xpv_model::{parse_xml, to_xml, Label, NodeId};
 use xpv_pattern::{parse_xpath, Pattern};
@@ -92,8 +94,8 @@ pub struct WireAnswer {
 
 /// Streams an [`Msg::Answers`] frame body straight into its final byte
 /// buffer: the answer count is reserved up front and patched on
-/// [`AnswersEncoder::finish`], and each answer's node list is written
-/// directly from the engine's borrowed slices — no intermediate
+/// [`AnswersEncoder::finish`], and each answer's nodes are written
+/// directly from the engine's answer sets (or any slice) — no intermediate
 /// [`WireAnswer`] vectors, no route-string clones. Produces bytes
 /// identical to `Msg::Answers { .. }.encode()` for the same content.
 #[derive(Debug)]
@@ -113,13 +115,19 @@ impl AnswersEncoder {
         AnswersEncoder { e, count_pos, count: 0 }
     }
 
-    /// Appends one answer: provenance plus its output nodes.
-    pub fn answer(&mut self, route: WireRouteRef<'_>, nodes: &[NodeId]) -> &mut Self {
+    /// Appends one answer: provenance plus its output nodes, from a slice
+    /// or straight from an iterator of known length (an answer set read in
+    /// ascending order, with no node list built).
+    pub fn answer<I>(&mut self, route: WireRouteRef<'_>, nodes: I) -> &mut Self
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: Borrow<NodeId>,
+    {
         encode_route_ref(&mut self.e, route);
+        let nodes = nodes.into_iter();
         self.e.u32(nodes.len() as u32);
-        for n in nodes {
-            self.e.u32(n.0);
-        }
+        self.e.u32s(nodes.map(|n| n.borrow().0));
         self.count += 1;
         self
     }
@@ -755,7 +763,7 @@ fn decode_edit(d: &mut Decoder<'_>) -> Result<Edit, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xpv_model::TreeBuilder;
+    use xpv_model::{AnswerArena, BitSet, TreeBuilder};
 
     fn pat(s: &str) -> Pattern {
         parse_xpath(s).expect("pattern parses")
@@ -849,6 +857,16 @@ mod tests {
         }
         assert!(enc.byte_len() > 0);
         let body = enc.finish();
+        // Fed from answer sets, read in ascending order, the bytes agree.
+        let mut arena = AnswerArena::new();
+        let mut enc = AnswersEncoder::new(3);
+        for a in &answers {
+            let set = BitSet::from_indices(100, a.nodes.iter().map(|n| n.index()));
+            let r = arena.push_set(set);
+            enc.answer(a.route.as_ref(), arena.nodes(r));
+        }
+        assert_eq!(enc.finish(), body);
+        assert_eq!(arena.node_count(), 0, "streaming expanded no node list");
         assert_eq!(body, Msg::Answers { id: 3, answers }.encode());
         // The empty batch also agrees (count patched to zero).
         assert_eq!(

@@ -63,7 +63,8 @@
 //!
 //! The anchors are a set too — `R_0 = B_0 ∩ V_1 ∩ … ∩ V_n` for a route
 //! through views ([`BatchEval::evaluate_seeded_into`]), or a node list cut
-//! to `B_0` — and the answer set is scanned into the [`AnswerArena`].
+//! to `B_0` — and the answer set is handed to the [`AnswerArena`] as it
+//! is, by move; its node list is built only if a caller asks for one.
 //! [`evaluate_flat`], [`evaluate_anchored_flat`] and [`BatchEval`] are this
 //! one function with different seeds and scratch buffers.
 //!
@@ -547,7 +548,7 @@ pub fn region_answers_flat(
 
 /// An evaluator bound to one snapshot that owns its scratch buffers: the
 /// shape a batch of queries wants (no thread-local lookup per query, and
-/// answers written straight into an [`AnswerArena`]). Everything shared
+/// answer sets handed straight to an [`AnswerArena`]). Everything shared
 /// between queries — the witness sets — lives in the snapshot's memo, so
 /// two `BatchEval`s over one snapshot, on any threads, share it too.
 pub struct BatchEval<'t> {
@@ -576,8 +577,8 @@ impl<'t> BatchEval<'t> {
         nodes
     }
 
-    /// [`BatchEval::evaluate`] writing the answer into `arena` instead of
-    /// allocating a `Vec` — the run's nodes are identical.
+    /// [`BatchEval::evaluate`] storing the answer set in `arena` instead of
+    /// allocating a `Vec` — its nodes, read back, are identical.
     pub fn evaluate_into(&mut self, p: &Pattern, arena: &mut AnswerArena) -> AnswerRef {
         self.evaluate_anchored_into(p, &[self.ft.root()], arena)
     }
@@ -590,9 +591,7 @@ impl<'t> BatchEval<'t> {
         arena: &mut AnswerArena,
     ) -> AnswerRef {
         let out = answer_set(p, self.ft, from_nodes(anchors), &mut self.scratch);
-        let r = arena.push_run(out.nodes());
-        self.scratch.put(out);
-        r
+        self.push(out, arena)
     }
 
     /// Evaluation anchored on the **intersection** of `sets` (a view, or the
@@ -609,8 +608,17 @@ impl<'t> BatchEval<'t> {
             sets.into_iter().for_each(|set| reach.intersect_with(set));
         };
         let out = answer_set(p, self.ft, seed, &mut self.scratch);
-        let r = arena.push_run(out.nodes());
-        self.scratch.put(out);
+        self.push(out, arena)
+    }
+
+    /// Hands the output set to `arena` by move and takes back a spare of
+    /// this snapshot's width for the scratch pool, so a warm batch allocates
+    /// no answer sets.
+    fn push(&mut self, out: BitSet, arena: &mut AnswerArena) -> AnswerRef {
+        let r = arena.push_set(out);
+        if let Some(spare) = arena.take_spare(self.ft.arena_len()) {
+            self.scratch.put(spare);
+        }
         r
     }
 }

@@ -1,8 +1,10 @@
 //! Allocation accounting for the serving hot path's **eval → encode**
-//! span: fused flat evaluation writes node runs into the reused
-//! [`AnswerArena`], batch fan-out copies 8-byte handles, and the wire
-//! encoder reads the runs as borrowed slices — so after warmup, growing a
-//! batch's fan-out must not grow the allocation count. (Plan *lookup*
+//! span: fused flat evaluation hands its answer sets to the reused
+//! [`AnswerArena`] and takes the last batch's sets back as buffers, batch
+//! fan-out copies 8-byte handles, and the wire encoder reads each set's
+//! nodes in ascending order — so after warmup an answer allocates no set and
+//! no node list, and growing a batch's fan-out must not grow the allocation
+//! count. (Plan *lookup*
 //! still hashes each arriving pattern — that cost is per-position by
 //! design and measured by the benches, not here.) The same holds for
 //! queries routed through a view or an intersection of views: their anchors
@@ -35,11 +37,19 @@ thread_local! {
     // the allocator at any point of a thread's life.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    // Allocations of at least `WATCHED.0` bytes, counted in `WATCHED.1`.
+    static WATCHED: Cell<(usize, u64)> = const { Cell::new((usize::MAX, 0)) };
 }
 
 fn count(bytes: usize) {
     ALLOCS.with(|a| a.set(a.get() + 1));
     BYTES.with(|b| b.set(b.get() + bytes as u64));
+    WATCHED.with(|w| {
+        let (min, n) = w.get();
+        if bytes >= min {
+            w.set((min, n + 1));
+        }
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -67,11 +77,21 @@ fn bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
+/// From now on, counts this thread's allocations of at least `min` bytes.
+fn watch(min: usize) {
+    WATCHED.with(|w| w.set((min, 0)));
+}
+
+fn watched() -> u64 {
+    WATCHED.with(|w| w.get().1)
+}
+
 /// One eval→encode pass, shaped exactly like the server's arena lane
 /// after the plan memo resolved every position: each unique query is
 /// evaluated once into the arena, duplicates fan out by copying the
-/// handle, and every answer is streamed into the wire frame through a
-/// borrowed route. Returns the frame length so nothing is optimized away.
+/// handle, and every answer is streamed from its set into the wire frame
+/// through a borrowed route. Returns the frame length so nothing is
+/// optimized away.
 fn eval_encode_pass(
     eval: &mut BatchEval<'_>,
     uniques: &[Pattern],
@@ -83,7 +103,7 @@ fn eval_encode_pass(
     let mut enc = AnswersEncoder::new(7);
     for i in 0..fanout {
         let r = refs[i % refs.len()]; // handle copy — the fan-out
-        enc.answer(WireRouteRef::ViaView { view: "v", rewriting: "." }, arena.get(r));
+        enc.answer(WireRouteRef::ViaView { view: "v", rewriting: "." }, arena.nodes(r));
     }
     enc.finish().len()
 }
@@ -102,7 +122,7 @@ fn eval_encode_allocations_do_not_scale_with_fanout() {
     let mut eval = BatchEval::new(&ft);
     let mut arena = AnswerArena::new();
     // Warmup: grow the arena, the scratch pool, the shared sub-match
-    // tables, and every answer run to its steady-state size.
+    // tables, and the spare answer sets to their steady state.
     let warm_len = eval_encode_pass(&mut eval, &uniques, 512, &mut arena);
     assert!(warm_len > 0);
     eval_encode_pass(&mut eval, &uniques, 64, &mut arena);
@@ -184,12 +204,17 @@ fn region_scan_bytes_do_not_scale_with_the_document() {
 /// grow the count. The level masks the down-steps read belong to the
 /// snapshot: the warm-up builds them, a warm batch builds (and allocates)
 /// none, on any of the three routes.
+///
+/// Nor does a warm batch allocate for its answers: each answer set is a
+/// spare the arena kept from the last batch, and no node list is built,
+/// whatever the batch's size (up to [`MAX_SPARE_SETS`]) and fan-out.
 #[test]
 fn routed_evaluation_allocates_nothing_for_its_anchors() {
+    use xpath_views::model::arena::MAX_SPARE_SETS;
     use xpath_views::model::BitSet;
     use xpath_views::semantics::{evaluate_anchored_flat, evaluate_flat};
 
-    let doc = site_doc(6, 6, 5);
+    let doc = site_doc(12, 20, 5);
     let ft = FlatTree::freeze(&doc);
     let pat = |s: &str| parse_xpath(s).expect("pattern parses");
     let views: Vec<BitSet> = ["bids", "shipping", "description"]
@@ -205,39 +230,54 @@ fn routed_evaluation_allocates_nothing_for_its_anchors() {
         (pat("item/name"), vec![&views[0], &views[1], &views[2]]),
     ];
     let direct = [pat("site/region/item/name"), pat("site//item[bids]//bidder")];
+    let uniques = routes.len() + direct.len();
+    // An answer set's buffer: no other allocation of evaluation is as large.
+    let set_bytes = ft.arena_len().div_ceil(64) * 8;
     let mut eval = BatchEval::new(&ft);
     let mut arena = AnswerArena::new();
-    let mut pass = |fanout: usize, arena: &mut AnswerArena| {
+    // `evals` evaluations, cycling over the routes and the direct queries,
+    // then `fanout` answers encoded; also returns the allocations of at
+    // least `set_bytes` the evaluations made.
+    let mut pass = |evals: usize, fanout: usize, arena: &mut AnswerArena| {
         arena.clear();
-        let mut refs: Vec<AnswerRef> = Vec::with_capacity(routes.len() + direct.len());
-        for (r, sets) in &routes {
-            refs.push(eval.evaluate_seeded_into(r, sets.iter().copied(), arena));
+        let mut refs: Vec<AnswerRef> = Vec::with_capacity(evals);
+        watch(set_bytes);
+        for i in 0..evals {
+            refs.push(match routes.get(i % uniques) {
+                Some((r, sets)) => eval.evaluate_seeded_into(r, sets.iter().copied(), arena),
+                None => eval.evaluate_into(&direct[i % uniques - routes.len()], arena),
+            });
         }
-        for q in &direct {
-            refs.push(eval.evaluate_into(q, arena));
-        }
+        let large = watched();
         let mut enc = AnswersEncoder::new(7);
         for i in 0..fanout {
-            enc.answer(WireRouteRef::Direct, arena.get(refs[i % refs.len()]));
+            enc.answer(WireRouteRef::Direct, arena.nodes(refs[i % uniques.min(evals)]));
         }
-        (refs, enc.finish().len())
+        (refs, enc.finish().len(), large)
     };
-    // Warm-up: the arena, the scratch pool, the witness memo.
-    let (refs, warm_len) = pass(256, &mut arena);
+    // Warm-up: the arena and its spares, the scratch pool, the witness memo.
+    let (refs, warm_len, _) = pass(MAX_SPARE_SETS, 256, &mut arena);
     assert!(refs.iter().all(|r| !r.is_empty()), "every route selects something");
-    pass(64, &mut arena);
+    pass(uniques, 64, &mut arena);
     let masks = ft.levels_built();
     assert!((2..=7).contains(&masks), "{masks} level masks; the document has depths 0 to 5");
 
     let before = allocs();
-    pass(64, &mut arena);
+    pass(uniques, 64, &mut arena);
     let small = allocs() - before;
     let before = allocs();
-    let (_, large_len) = pass(256, &mut arena);
+    let (_, large_len, _) = pass(uniques, 256, &mut arena);
     let large = allocs() - before;
     assert_eq!(large_len, warm_len);
     assert!(large <= small + 16, "per-answer allocations: {small} for 64 answers, {large} for 256");
     assert_eq!(ft.levels_built(), masks, "a warm batch built a level mask");
+
+    assert!(set_bytes >= 256, "a {set_bytes}-byte set is too small to tell apart");
+    for (evals, fanout) in [(1, 1), (uniques, 256), (4 * uniques, 64), (MAX_SPARE_SETS, 512)] {
+        let (_, _, sets_allocated) = pass(evals, fanout, &mut arena);
+        assert_eq!(sets_allocated, 0, "{evals} evaluations allocated answer-sized buffers");
+        assert_eq!(arena.node_count(), 0, "{evals} evaluations built node lists");
+    }
 
     // Route by route: the same count as the by-node-list entry point given
     // the anchors ready-made, whatever the number of participants.

@@ -111,3 +111,47 @@ fn cache_view_results_match_definition_semantics() {
     assert_eq!(maintained[0].nodes(), fresh.nodes());
     assert_eq!(keys(&maintained[0]), keys(&fresh));
 }
+
+/// One [`AnswerArena`] serves every batch while edit batches grow the
+/// document's arena: sets recycled from a batch before an edit have a
+/// stale width, and must be dropped, not reused. Every answer still equals
+/// direct evaluation, and the spare list stays within its bound though a
+/// batch stores more sets than it keeps.
+#[test]
+fn one_answer_arena_serves_batches_across_edits_that_grow_the_arena() {
+    use std::collections::HashSet;
+    use xpath_views::model::arena::MAX_SPARE_SETS;
+    use xpath_views::model::AnswerArena;
+
+    let doc = tree_from_seed(0xA4E, 300);
+    let cache = ShardedViewCache::new(doc.clone());
+    for seed in 0..6 {
+        cache.add_view(&format!("v{seed}"), instance_from_seed(seed * 5 + 1, Fragment::Full).1);
+    }
+    let queries: Vec<Pattern> = (0..MAX_SPARE_SETS as u64 + 40)
+        .map(|s| instance_from_seed(s * 7 + 4, Fragment::Full).0)
+        .collect();
+    let edits = edit_stream(&doc, 80, EditMix::new(3, 1, 1), 0xA4E);
+    let mut arena = AnswerArena::new();
+    let mut widths = vec![doc.arena_len()];
+    for batch in edit_batches(&edits, 16) {
+        // Twice per document version: the second batch runs on spares of
+        // the current width, the first on spares of the last version's.
+        for _ in 0..2 {
+            let answers = cache.answer_batch_refs(&queries, &mut arena);
+            for (a, q) in answers.iter().zip(&queries) {
+                let want = cache.answer_direct(q);
+                assert_eq!(arena.get(a.nodes), want.as_slice(), "{q} at width {widths:?}");
+                assert_eq!(a.nodes.len(), want.len());
+            }
+            let stored: HashSet<_> = answers.iter().map(|a| a.nodes).collect();
+            assert!(stored.len() > MAX_SPARE_SETS, "{} sets stored", stored.len());
+            assert!(arena.spare_count() <= MAX_SPARE_SETS);
+        }
+        cache.apply_edits(&batch).expect("generated streams are valid");
+        widths.push(cache.document().arena_len());
+    }
+    assert!(widths.windows(2).filter(|w| w[1] > w[0]).count() >= 3, "widths {widths:?}");
+    arena.clear();
+    assert!(arena.spare_count() > 0 && arena.spare_count() <= MAX_SPARE_SETS);
+}

@@ -69,7 +69,14 @@ fn assert_snapshot_matches_reference(ft: &FlatTree, doc: &Tree, queries: &[Patte
     let every = all_slots(doc);
     let (mut seeded, mut arena) = (BatchEval::new(ft), AnswerArena::new());
     for q in queries {
-        assert_eq!(evaluate_flat(q, ft), evaluate(q, doc), "answers differ for {q}");
+        let want = evaluate(q, doc);
+        assert_eq!(evaluate_flat(q, ft), want, "answers differ for {q}");
+        // The answer kept as a set: its handle's length is its popcount, and
+        // the node list built on demand is the reference's.
+        arena.clear();
+        let r = seeded.evaluate_into(q, &mut arena);
+        assert_eq!(arena.get(r), want.as_slice(), "arena answers differ for {q}");
+        assert_eq!(r.len(), want.len(), "handle length of {q}");
         for anchors in [&sparse, &deepest, &every] {
             let want = evaluate_anchored(q, doc, anchors);
             assert_eq!(
@@ -79,10 +86,11 @@ fn assert_snapshot_matches_reference(ft: &FlatTree, doc: &Tree, queries: &[Patte
                 anchors.len()
             );
             // The same anchors as a slot set — how a view route seeds the
-            // evaluator — and the answer set drained into an arena.
+            // evaluator — and the answer set stored in an arena.
             let set = BitSet::from_indices(ft.arena_len(), anchors.iter().map(|n| n.index()));
-            let run = seeded.evaluate_seeded_into(q, [&set], &mut arena);
-            assert_eq!(arena.get(run), want.as_slice(), "set-seeded answers differ for {q}");
+            let r = seeded.evaluate_seeded_into(q, [&set], &mut arena);
+            assert_eq!(arena.get(r), want.as_slice(), "set-seeded answers differ for {q}");
+            assert_eq!(r.len(), want.len(), "set-seeded handle length of {q}");
         }
     }
 }

@@ -106,9 +106,9 @@ fn arena_lane_owned_wrapper_and_reference_agree() {
     assert!(refs_first.stats().sig_rejects > 0, "the filter never fired on this pool");
 }
 
-/// Fan-out sharing: a batch of one query repeated K times stores the node
-/// run **once** in the arena; every duplicate answer is a handle to the
-/// same storage.
+/// Fan-out sharing: a batch of one query repeated K times stores the answer
+/// set **once** in the arena; every duplicate answer is a handle to the
+/// same storage, and expanding all of them builds one node list.
 #[test]
 fn arena_fanout_shares_storage() {
     let catalog = site_catalog();
@@ -121,8 +121,10 @@ fn arena_fanout_shares_storage() {
     let mut arena = AnswerArena::new();
     let refs = cache.answer_batch_refs(&batch, &mut arena);
     let first = refs[0].nodes;
-    assert!(refs.iter().all(|r| r.nodes == first), "duplicates must share one run");
-    assert_eq!(arena.node_count(), first.len(), "arena must hold exactly one copy of the run");
+    assert!(refs.iter().all(|r| r.nodes == first), "duplicates must share one set");
+    assert_eq!(arena.node_count(), 0, "no node list before someone asks");
+    refs.iter().for_each(|r| assert_eq!(arena.get(r.nodes).len(), first.len()));
+    assert_eq!(arena.node_count(), first.len(), "arena must build exactly one node list");
     let direct = cache.answer_batch(&batch);
     assert_eq!(direct[0].nodes.as_slice(), arena.get(first));
 }
