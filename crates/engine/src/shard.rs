@@ -1984,7 +1984,7 @@ mod tests {
 
     #[test]
     fn apply_edits_matches_full_recompute() {
-        use xpv_maintain::{maintain_views, Edit, MaintainMode};
+        use xpv_maintain::{apply_edits, Edit};
 
         let cache = ShardedViewCache::new(doc());
         let defs = [pat("site/region/item"), pat("site/region/item/name")];
@@ -1997,13 +1997,11 @@ mod tests {
             Edit::DeleteSubtree { node: victim },
             Edit::Relabel { node: region, label: xpv_model::Label::new("region") },
         ];
-        // The differential oracle: every view re-evaluated from scratch on
-        // a private copy of the document.
+        // The differential oracle: the batch applied to a private copy of
+        // the document, and every view evaluated from scratch on it.
         let mut mirror = (*snap).clone();
-        let refs: Vec<&Pattern> = defs.iter().collect();
-        let mut full: Vec<Vec<NodeId>> = refs.iter().map(|d| evaluate(d, &mirror)).collect();
-        maintain_views(&mut mirror, &refs, &mut full, &edits, MaintainMode::FullRecompute)
-            .expect("valid");
+        apply_edits(&mut mirror, &edits).expect("valid");
+        let full: Vec<Vec<NodeId>> = defs.iter().map(|d| evaluate(d, &mirror)).collect();
         cache.apply_edits(&edits).expect("valid");
         assert_eq!(cache.document().canonical_key(), mirror.canonical_key());
         for (view, want) in cache.views_snapshot().iter().zip(&full) {

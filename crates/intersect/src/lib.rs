@@ -23,13 +23,12 @@
 //! 3. **Compensation planning**: the single-view decision procedure
 //!    ([`xpv_core::PlanningSession::decide`]) plans `p` against `M`. A
 //!    verified rewriting becomes the [`IntersectAnswer::compensation`].
-//! 4. **Evaluation**: the compensation is evaluated **anchored on the
-//!    node-set intersection** of the participants. The engine intersects
-//!    its views' slot bitsets inside the flat evaluator's seed (word-ANDs,
-//!    `xpv_semantics::BatchEval::evaluate_seeded_into`);
-//!    [`answer_intersection_virtual`] is the same thing on ascending
-//!    `NodeId` lists and the reference `Tree` evaluator, kept as the
-//!    property tests' oracle.
+//! 4. **Evaluation** is the engine's, not this crate's: the compensation is
+//!    evaluated **anchored on the node-set intersection** of the
+//!    participants, which the engine takes as word-ANDs of its views' slot
+//!    bitsets inside the flat evaluator's seed
+//!    (`xpv_semantics::BatchEval::evaluate_seeded_into`). Views' answers
+//!    are needed only as sets to intersect.
 //!
 //! ## Soundness / completeness contract
 //!
@@ -63,10 +62,8 @@
 //! assert!(stats.candidates_tried >= 1);
 //! ```
 
-pub mod eval;
 pub mod plan;
 
-pub use eval::{answer_intersection_virtual, intersect_node_sets};
 pub use plan::{
     plan_intersection_in, plan_intersection_sig, IntersectAnswer, IntersectStats, MAX_ARITY,
     MAX_CANDIDATES,

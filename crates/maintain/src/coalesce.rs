@@ -1,5 +1,43 @@
 //! Batch coalescing: turn k edits into few disjoint re-evaluation regions.
 //!
+//! ## The decomposition
+//!
+//! Write the view's selection path as `u_0 … u_k` (root to output) and, for
+//! each spine node `u_i`, let `B_i(v)` hold when the document node `v`
+//! satisfies `u_i`'s node test **and** every non-spine branch hanging off
+//! `u_i` matches below `v` (child branches at children of `v`, descendant
+//! branches at proper descendants). Then
+//!
+//! > `n ∈ P(t)`  ⇔  there are `v_0 = root(t), v_1, …, v_k = n` respecting
+//! > the spine axes with `B_i(v_i)` for all `i`.
+//!
+//! Each `B_i(v)` depends only on `label(v)` and the subtree below `v`. This
+//! is what bounds the re-evaluation region of an edit anchored at `e` (the
+//! deepest surviving node whose subtree content changed):
+//!
+//! * for a node `v` that is neither an ancestor of `e` nor inside the
+//!   edited subtree, `subtree(v)` is untouched, so every `B_i(v)` is
+//!   unchanged;
+//! * hence for an answer candidate `n` outside the edited subtree, the
+//!   `B` values along its ancestor path can only have changed at **common
+//!   ancestors of `n` and `e`** — nodes on the spine `root → e`;
+//! * so if no spine node changed any `B_i`, memberships outside the edited
+//!   subtree are unchanged, and the region to re-evaluate is exactly the
+//!   edited subtree; otherwise it is the subtree of the **highest** spine
+//!   node whose `B`-vector changed (which contains the edited subtree).
+//!
+//! The engine reads every `B_i(v)` as bits of its `FlatTree` snapshots
+//! ([`FlatSpines`]) and runs the restricted evaluation with
+//! `xpv_semantics::RegionScanner`. With the region chosen as above the
+//! patched set is **equal to full recomputation**. The property suites check
+//! each step against its definition on randomized documents, views and edit
+//! streams: every `B`-vector bit against `u_i` evaluated at the slot
+//! (`tests/eval_flat_properties.rs`), and every plan's regions, stored set
+//! and counter against `xpv_semantics::evaluate` before and after the batch
+//! (`tests/maintain_properties.rs`).
+//!
+//! ## The pipeline
+//!
 //! Maintaining a view edit by edit — record pre-edit `B`-vectors, apply,
 //! diff, scan one region per (view, edit) pair — makes a bursty batch (many
 //! edits under one hot subtree) pay k nearly identical region scans per
@@ -21,21 +59,17 @@
 //!    a batch's scans together come to less than spawning threads for them
 //!    would: they run on the calling thread.
 //!
-//! Both sides of the comparison are read through [`SpineBits`], in one of
-//! two forms. The engine's is [`FlatSpines`]: `B_i(v)` is one bit of a
-//! posting and one bit of each memoized witness set of a `FlatTree`
+//! Both sides of the comparison are [`FlatSpines`]: `B_i(v)` is one bit of
+//! a posting and one bit of each memoized witness set of a `FlatTree`
 //! snapshot, so a comparison is bit tests on the previous snapshot and on
 //! the next, and the next one's scanners then run the scans
-//! ([`scan_regions_flat`]) — the write path reads snapshots only. The
-//! oracle's is [`TreeSpines`]: a memoizing [`SubMatcher`] per view over
-//! each `Tree`, with [`scan_regions_serial`] as its scan. The property
-//! suite pins the two to the same dispositions, regions and answer sets.
+//! ([`scan_regions_flat`]) — the write path reads snapshots only.
 //!
 //! ## Why the cumulative `t0` → `t1` comparison is sound
 //!
 //! Fix a view with spine `u_0 … u_k` and per-position predicates `B_i(v)`
 //! (node test plus branch witnesses below `v`; each `B_i(v)` reads only
-//! `label(v)` and `subtree(v)` — see [`crate::region`]). Membership in
+//! `label(v)` and `subtree(v)` — see §The decomposition). Membership in
 //! `P(t1)` factors through chains of live-`t1` nodes, so it is determined
 //! by the `B` values of nodes **alive in `t1`**. Consider any such node `v`
 //! whose `B`-vector differs between `t0` and `t1` (treating a node that did
@@ -79,7 +113,65 @@ use xpv_semantics::RegionScanner;
 
 use crate::edit::{undo, validate_edit, AppliedEdit, Edit, EditError};
 use crate::refresh::MaintainStats;
-use crate::region::{region_answers, spine_to, SpineInfo, SubMatcher};
+
+/// Spine positions are tracked in a `u64` reachability mask; deeper
+/// patterns fall back to full recomputation (sound, never observed in
+/// practice).
+pub const MAX_TRACKED_DEPTH: usize = 63;
+
+/// What [`coalesce_plan`] reads of a view pattern: its spine depth and the
+/// inputs of the label fast path. Built once per view and batch.
+#[derive(Clone, Debug)]
+pub struct SpineInfo {
+    /// Number of spine edges (`k`).
+    depth: usize,
+    /// Whether any node test is the wildcard (disables the label fast path).
+    has_wildcard: bool,
+    /// Sorted concrete labels used by the pattern.
+    labels: Vec<xpv_model::Label>,
+}
+
+impl SpineInfo {
+    /// Reads what the plan needs off `p`.
+    pub fn new(p: &Pattern) -> SpineInfo {
+        SpineInfo {
+            depth: p.depth(),
+            has_wildcard: p.node_ids().any(|n| p.test(n).is_wildcard()),
+            labels: p.label_set(),
+        }
+    }
+
+    /// Number of spine edges (`k`).
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// `true` when the reachability mask can track every spine position.
+    pub fn trackable(&self) -> bool {
+        self.depth() <= MAX_TRACKED_DEPTH
+    }
+
+    /// The label-disjointness fast path: a pattern without wildcards whose
+    /// label set is disjoint from every label an edit touched cannot change
+    /// its answer set — touched nodes can never be embedding images, and
+    /// the edit alters neither labels nor ancestor relations of any other
+    /// node.
+    pub fn unaffected_by_labels(&self, touched: &[xpv_model::Label]) -> bool {
+        !self.has_wildcard && touched.iter().all(|l| self.labels.binary_search(l).is_err())
+    }
+}
+
+/// The root-first ancestor path `root → n`, inclusive.
+pub fn spine_to(t: &Tree, n: NodeId) -> Vec<NodeId> {
+    let mut path = vec![n];
+    let mut cur = n;
+    while let Some(p) = t.parent(cur) {
+        path.push(p);
+        cur = p;
+    }
+    path.reverse();
+    path
+}
 
 /// What [`prepare_batch`] records about one applied edit: everything the
 /// coalescer needs without re-reading mid-batch tree states.
@@ -208,24 +300,11 @@ impl CoalescedPlan {
     }
 }
 
-/// One side of a batch as [`coalesce_plan`] reads it — the document before
-/// the batch or after it — with the spine `B`-vectors of every view over it
-/// (module docs: [`FlatSpines`] for the engine, [`TreeSpines`] for the
-/// oracle).
-pub trait SpineBits {
-    /// Whether `v` is a live node of this side.
-    fn is_alive(&self, v: NodeId) -> bool;
-    /// The parent of the live node `v` (`None` for the root).
-    fn parent(&self, v: NodeId) -> Option<NodeId>;
-    /// View `view`'s `B`-vector at `v`: bit `i` is `B_i(v)`, and every bit
-    /// is false when `v` is not a live node of this side.
-    fn b_vector(&mut self, view: usize, v: NodeId) -> u64;
-}
-
-/// [`SpineBits`] over a `FlatTree` snapshot: a [`RegionScanner`] per view,
-/// laid out on first use and kept, so the post-batch side's scanners —
-/// and the witness sets they put in the snapshot's memo — also serve the
-/// scans ([`scan_regions_flat`]).
+/// One side of a batch as [`coalesce_plan`] reads it — the snapshot before
+/// the batch or after it — with the spine `B`-vectors of every view over
+/// it: a [`RegionScanner`] per view, laid out on first use and kept, so the
+/// post-batch side's scanners — and the witness sets they put in the
+/// snapshot's memo — also serve the scans ([`scan_regions_flat`]).
 pub struct FlatSpines<'a> {
     ft: &'a FlatTree,
     defs: &'a [&'a Pattern],
@@ -242,17 +321,19 @@ impl<'a> FlatSpines<'a> {
         let (ft, def) = (self.ft, self.defs[view]);
         self.scanners[view].get_or_insert_with(|| RegionScanner::new(def, ft))
     }
-}
 
-impl SpineBits for FlatSpines<'_> {
+    /// Whether `v` is a live slot of this snapshot.
     fn is_alive(&self, v: NodeId) -> bool {
         self.ft.is_alive(v.index())
     }
 
+    /// The parent of the live slot `v` (`None` for the root).
     fn parent(&self, v: NodeId) -> Option<NodeId> {
         Some(self.ft.parent(v.index())).filter(|&p| p != NO_PARENT).map(NodeId)
     }
 
+    /// View `view`'s `B`-vector at `v`: bit `i` is `B_i(v)`, and every bit
+    /// is false when `v` is not a live slot of this snapshot.
     fn b_vector(&mut self, view: usize, v: NodeId) -> u64 {
         if !self.is_alive(v) {
             return 0;
@@ -261,55 +342,16 @@ impl SpineBits for FlatSpines<'_> {
     }
 }
 
-/// [`SpineBits`] over a `Tree`: a memoizing [`SubMatcher`] per view, made
-/// on first use and kept for the scans ([`scan_regions_serial`]) — the
-/// oracle [`FlatSpines`] is pinned to.
-pub struct TreeSpines<'a> {
-    t: &'a Tree,
-    defs: &'a [&'a Pattern],
-    matchers: Vec<Option<(SpineInfo, SubMatcher<'a>)>>,
-}
-
-impl<'a> TreeSpines<'a> {
-    /// The views `defs` over `t`.
-    pub fn new(t: &'a Tree, defs: &'a [&'a Pattern]) -> TreeSpines<'a> {
-        TreeSpines { t, defs, matchers: defs.iter().map(|_| None).collect() }
-    }
-
-    fn matcher(&mut self, view: usize) -> &mut (SpineInfo, SubMatcher<'a>) {
-        let (t, def) = (self.t, self.defs[view]);
-        self.matchers[view].get_or_insert_with(|| (SpineInfo::new(def), SubMatcher::new(def, t)))
-    }
-}
-
-impl SpineBits for TreeSpines<'_> {
-    fn is_alive(&self, v: NodeId) -> bool {
-        self.t.is_alive(v)
-    }
-
-    fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.t.parent(v)
-    }
-
-    fn b_vector(&mut self, view: usize, v: NodeId) -> u64 {
-        if !self.is_alive(v) {
-            return 0;
-        }
-        let (info, m) = self.matcher(view);
-        m.b_vector(info, v)
-    }
-}
-
 /// Computes the coalesced refresh plan by diffing spine `B`-vectors between
-/// the pre-batch side `t0` and the post-batch side `t1` of `prep` (see the
-/// module docs for the correctness argument). Each side keeps what it
-/// computes per view for the whole batch, so overlapping spines of a bursty
-/// batch share it.
+/// the pre-batch snapshot `t0` and the post-batch snapshot `t1` of `prep`
+/// (see the module docs for the correctness argument). Each side keeps what
+/// it computes per view for the whole batch, so overlapping spines of a
+/// bursty batch share it.
 pub fn coalesce_plan(
     defs: &[&Pattern],
     prep: &PreparedBatch,
-    t0: &mut impl SpineBits,
-    t1: &mut impl SpineBits,
+    t0: &mut FlatSpines<'_>,
+    t1: &mut FlatSpines<'_>,
 ) -> CoalescedPlan {
     let mut stats =
         MaintainStats { edits_applied: prep.receipts.len() as u64, ..MaintainStats::default() };
@@ -396,14 +438,13 @@ pub fn merge_regions(
 
 /// Patches every answer set from its disposition and the per-task region
 /// results (`results[i]` is the (answers, region slots) pair of
-/// `plan.region_tasks()[i]`, from [`scan_regions_flat`] or
-/// [`scan_regions_serial`]): the old set grown to the post-batch arena,
-/// `∩ live` (`live` is the post-batch live-slot mask), minus the scanned
-/// regions' slots, plus what the scans found there. A
-/// [`ViewDisposition::Full`] view takes `fresh(v)`, the caller's ascending
-/// evaluation of view `v` on the post-batch document. `old[v]` is view
-/// `v`'s pre-batch answer set, of any capacity up to the post-batch arena
-/// (slots past it are non-members); the result holds its next set, or
+/// `plan.region_tasks()[i]`, from [`scan_regions_flat`]): the old set grown
+/// to the post-batch arena, `∩ live` (`live` is the post-batch live-slot
+/// mask), minus the scanned regions' slots, plus what the scans found
+/// there. A [`ViewDisposition::Full`] view takes `fresh(v)`, the caller's
+/// ascending evaluation of view `v` on the post-batch document. `old[v]` is
+/// view `v`'s pre-batch answer set, of any capacity up to the post-batch
+/// arena (slots past it are non-members); the result holds its next set, or
 /// `None` when the set did **not change** — a [`ViewDisposition::Clean`]
 /// view is neither read nor copied, and a patch that comes out equal is
 /// dropped, so the caller keeps the stored set. Added and removed answers
@@ -473,23 +514,6 @@ pub fn scan_regions_flat(
     tasks.iter().map(|task| t1.scanner(task.view).scan(task.root)).collect()
 }
 
-/// The `Tree`-path counterpart of [`scan_regions_flat`] (one memoizing
-/// matcher per view, reused across its regions): the oracle the property
-/// suite pins the flat scan to.
-pub fn scan_regions_serial(
-    t1: &mut TreeSpines<'_>,
-    tasks: &[RegionTask],
-) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
-    let t = t1.t;
-    tasks
-        .iter()
-        .map(|task| {
-            let (info, m) = t1.matcher(task.view);
-            region_answers(info, t, task.root, m)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,28 +544,30 @@ mod tests {
         })
     }
 
-    /// The plan of `prep` (applied to `t1`) over the `Tree` oracle.
-    fn tree_plan(t0: &Tree, t1: &Tree, defs: &[&Pattern], prep: &PreparedBatch) -> CoalescedPlan {
-        coalesce_plan(defs, prep, &mut TreeSpines::new(t0, defs), &mut TreeSpines::new(t1, defs))
-    }
-
-    /// Patches `q`'s `t0` answers (a set of `t0`'s arena width, shorter than
-    /// `t1`'s after an insert) from `results`; the view must have changed.
-    fn patch_one(
+    /// Maintains `q` through `prep` (already applied to `t1`) as the engine
+    /// does: the plan over `freeze(t0)` and the snapshot derived from it,
+    /// the scans of its regions, and the patch of `q`'s `t0` answers.
+    /// Returns the plan, the finished counters and `q`'s answers after.
+    fn maintain(
         t0: &Tree,
         t1: &Tree,
         q: &Pattern,
-        plan: &CoalescedPlan,
-        results: &[(Vec<NodeId>, Vec<NodeId>)],
-        stats: &mut MaintainStats,
-    ) -> Vec<NodeId> {
-        let set = |t: &Tree, nodes: Vec<NodeId>| {
-            BitSet::from_indices(t.arena_len(), nodes.iter().map(|n| n.index()))
-        };
-        let (before, live) = (set(t0, evaluate(q, t0)), set(t1, t1.node_ids().collect()));
+        prep: &PreparedBatch,
+    ) -> (CoalescedPlan, MaintainStats, Vec<NodeId>) {
+        let defs = [q];
+        let f0 = FlatTree::freeze(t0);
+        let f1 = f0.derive(t1, &prep.touched_slots());
+        let mut after = FlatSpines::new(&f1, &defs);
+        let plan = coalesce_plan(&defs, prep, &mut FlatSpines::new(&f0, &defs), &mut after);
+        let results = scan_regions_flat(&mut after, &plan.region_tasks());
+        let before =
+            BitSet::from_indices(t0.arena_len(), evaluate(q, t0).iter().map(|n| n.index()));
+        let mut stats = plan.stats;
         let fresh = |_| evaluate(q, t1);
-        let patched = apply_region_results(&live, &[&before], plan, results, fresh, stats);
-        patched[0].as_ref().expect("a changed view is patched").nodes().collect()
+        let patched =
+            apply_region_results(f1.live_mask(), &[&before], &plan, &results, fresh, &mut stats);
+        let next = patched[0].as_ref().unwrap_or(&before).nodes().collect();
+        (plan, stats, next)
     }
 
     #[test]
@@ -580,15 +606,12 @@ mod tests {
         let mut t1 = t.clone();
         let q = pat("site/region[comment]/item/name");
         let prep = prepare_batch(&mut t1, &edits).expect("valid batch");
-        let plan = tree_plan(&t0, &t1, &[&q], &prep);
+        let (plan, stats, after) = maintain(&t0, &t1, &q, &prep);
         assert_eq!(plan.stats.regions_before_merge, 3);
         let tasks = plan.region_tasks();
         assert_eq!(tasks.len(), 1, "three hot-subtree edits collapse to one scan");
         assert_eq!(tasks[0].root, r0, "the shared dirty spine node hosts the merged region");
         // And the coalesced scan reproduces a fresh evaluation.
-        let results = scan_regions_serial(&mut TreeSpines::new(&t1, &[&q]), &tasks);
-        let mut stats = plan.stats;
-        let after = patch_one(&t0, &t1, &q, &plan, &results, &mut stats);
         assert_eq!(after, evaluate(&q, &t1));
         assert_eq!(stats.scans_saved, 2);
     }
@@ -607,10 +630,20 @@ mod tests {
         let mut t1 = t.clone();
         let q = pat("site/region/item/name");
         let prep = prepare_batch(&mut t1, &edits).expect("valid");
-        let plan = tree_plan(&t0, &t1, &[&q], &prep);
+        let (plan, _, after) = maintain(&t0, &t1, &q, &prep);
         assert_eq!(plan.dispositions[0], ViewDisposition::Clean);
         assert_eq!(plan.stats.label_skips, 1);
         assert!(plan.region_tasks().is_empty());
+        assert_eq!(after, evaluate(&q, &t0));
+    }
+
+    #[test]
+    fn label_fast_path_requires_no_wildcards() {
+        let with_star = SpineInfo::new(&pat("site//*"));
+        assert!(!with_star.unaffected_by_labels(&[xpv_model::Label::new("zzz")]));
+        let plain = SpineInfo::new(&pat("site/region/item"));
+        assert!(plain.unaffected_by_labels(&[xpv_model::Label::new("zzz")]));
+        assert!(!plain.unaffected_by_labels(&[xpv_model::Label::new("item")]));
     }
 
     #[test]
@@ -659,16 +692,13 @@ mod tests {
             &[Edit::Relabel { node: leaf, label: xpv_model::Label::new("name") }],
         )
         .expect("valid");
-        // Coalesce BOTH batches' anchors against the original t0.
+        // Coalesce BOTH batches' anchors against the original t0, on a
+        // snapshot derived from both batches' touched slots.
         let prep_all = PreparedBatch {
             receipts: prep.receipts.into_iter().chain(prep2.receipts).collect(),
             anchors: prep.anchors.into_iter().chain(prep2.anchors).collect(),
         };
-        let plan = tree_plan(&t0, &t1, &[&q], &prep_all);
-        let tasks = plan.region_tasks();
-        let results = scan_regions_serial(&mut TreeSpines::new(&t1, &[&q]), &tasks);
-        let mut stats = plan.stats;
-        let after = patch_one(&t0, &t1, &q, &plan, &results, &mut stats);
+        let (_, _, after) = maintain(&t0, &t1, &q, &prep_all);
         assert_eq!(after, evaluate(&q, &t1), "new name inside inserted subtree found");
         assert!(after.contains(&leaf));
     }

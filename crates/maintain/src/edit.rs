@@ -228,7 +228,7 @@ fn apply_validated(t: &mut Tree, edit: &Edit) -> AppliedEdit {
     }
 }
 
-/// Undoes one applied edit (shared by the batch rollbacks here and in
+/// Undoes one applied edit (the batch rollback of
 /// `coalesce::prepare_batch`). Undoing an insertion tombstones the
 /// inserted slots — the live structure is restored exactly; only dead
 /// arena slots remain.
@@ -246,21 +246,10 @@ pub(crate) fn undo(t: &mut Tree, applied: &AppliedEdit) {
 /// against the tree state produced by its predecessors; on the first
 /// failure every already-applied edit is undone (in reverse) and the error
 /// names the offending batch position. On success the receipts come back in
-/// batch order.
+/// batch order. The loop is [`crate::prepare_batch`]'s, whose anchors are
+/// dropped here.
 pub fn apply_edits(t: &mut Tree, edits: &[Edit]) -> Result<Vec<AppliedEdit>, EditError> {
-    let mut applied: Vec<AppliedEdit> = Vec::with_capacity(edits.len());
-    for (i, edit) in edits.iter().enumerate() {
-        match validate_edit(t, edit, i) {
-            Ok(()) => applied.push(apply_validated(t, edit)),
-            Err(e) => {
-                for done in applied.iter().rev() {
-                    undo(t, done);
-                }
-                return Err(e);
-            }
-        }
-    }
-    Ok(applied)
+    crate::coalesce::prepare_batch(t, edits).map(|p| p.receipts)
 }
 
 #[cfg(test)]

@@ -8,22 +8,17 @@
 //!   delete-subtree / relabel mutations applied transactionally to
 //!   `xpv_model::Tree`, with `NodeId`s stable across unrelated edits
 //!   (removal tombstones arena slots, insertion appends);
-//! * the **batch-coalesced maintainer** ([`maintain_views`] in its default
-//!   [`MaintainMode::Coalesced`]) — it applies the whole batch first, diffs
-//!   each view's spine predicates between the pre- and post-batch trees in
-//!   one pass, **merges overlapping and nested regions** ([`coalesce`]),
-//!   and re-evaluates each view only against the few surviving disjoint
-//!   regions, provably matching a from-scratch re-materialization; a burst
-//!   of k edits under one hot subtree costs one region scan per view
-//!   instead of k. The engine runs the same plan on its `FlatTree`
-//!   snapshots only ([`FlatSpines`]: a `B`-vector is bits of the pre- and
-//!   post-batch snapshots' postings and witness sets, and the post-batch
-//!   side's scanners run the scans, [`scan_regions_flat`]);
-//!   `maintain_views` runs it on the `Tree`s ([`TreeSpines`], a
-//!   [`SubMatcher`] per view) and is the reference the property suite pins
-//!   the engine to;
-//! * the [`MaintainMode::FullRecompute`] oracle — re-evaluate every view
-//!   from scratch, what both are checked against.
+//! * the **batch-coalesced maintainer** ([`prepare_batch`],
+//!   [`coalesce_plan`], [`scan_regions_flat`], [`apply_region_results`]) —
+//!   it applies the whole batch first, diffs each view's spine predicates
+//!   between the pre- and post-batch `FlatTree` snapshots in one pass
+//!   ([`FlatSpines`]: a `B`-vector is bits of the snapshots' postings and
+//!   witness sets), **merges overlapping and nested regions**
+//!   ([`coalesce`]), and re-evaluates each view only against the few
+//!   surviving disjoint regions with the post-batch snapshot's scanners,
+//!   provably matching a from-scratch re-materialization; a burst of k
+//!   edits under one hot subtree costs one region scan per view instead of
+//!   k. The engine's `ShardedViewCache::apply_edits` is its one driver.
 //!
 //! ## Why the affected region suffices
 //!
@@ -69,31 +64,32 @@
 //! what lets each view's results be patched in one pass: a slot belongs to
 //! at most one of its regions.
 //!
-//! The restricted evaluation (`RegionScanner::scan` in the engine, its
-//! oracle [`region_answers`] here) runs the same spine-reachability dynamic
-//! program a full evaluation would, but only down one subtree, reading
-//! memoized branch matches. Answers outside the
-//! region are kept verbatim (minus tombstoned nodes); answers inside are
-//! replaced by the fresh region results; the reported [`ViewDelta`] is a
-//! merge diff of the two ascending sets. Node sets are all a view stores
-//! (the engine computes by-value subtree copies on demand from the current
-//! document), so an edit *inside* a surviving answer needs no bookkeeping.
+//! The restricted evaluation (`xpv_semantics::RegionScanner::scan`) runs
+//! the spine-reachability recurrence a full evaluation would, but only down
+//! one subtree, reading memoized branch matches. Answers outside the region
+//! are kept verbatim (minus tombstoned nodes); answers inside are replaced
+//! by the fresh region results; what each view gained and lost is counted
+//! by popcount. Node sets are all a view stores (the engine computes
+//! by-value subtree copies on demand from the current document), so an
+//! edit *inside* a surviving answer needs no bookkeeping.
 //!
-//! The property suite (`tests/maintain_properties.rs`) checks incremental ≡
-//! full re-materialization on randomized documents, view pools, and edit
-//! streams, and the engine's update path is stress-tested against serial
-//! replay.
+//! The property suites check the engine against the definitions, not
+//! against a second implementation of this argument: every `B`-vector bit
+//! against `u_i` evaluated at the slot (`tests/eval_flat_properties.rs`);
+//! every plan's regions against the slots whose membership
+//! `xpv_semantics::evaluate` says moved, and every stored set and counter
+//! against `evaluate` after each batch (`tests/maintain_properties.rs`) —
+//! on randomized documents, view pools and edit streams. The engine's
+//! update path is also stress-tested against serial replay.
 
 pub mod coalesce;
 pub mod edit;
 pub mod refresh;
-pub mod region;
 
 pub use coalesce::{
-    apply_region_results, coalesce_plan, merge_regions, prepare_batch, scan_regions_flat,
-    scan_regions_serial, BatchAnchor, CoalescedPlan, FlatSpines, PreparedBatch, RegionTask,
-    SpineBits, TreeSpines, ViewDisposition,
+    apply_region_results, coalesce_plan, merge_regions, prepare_batch, scan_regions_flat, spine_to,
+    BatchAnchor, CoalescedPlan, FlatSpines, PreparedBatch, RegionTask, SpineInfo, ViewDisposition,
+    MAX_TRACKED_DEPTH,
 };
 pub use edit::{apply_edit, apply_edits, validate_edit, AppliedEdit, Edit, EditError};
-pub use refresh::{maintain_views, MaintainMode, MaintainStats, ViewDelta};
-pub use region::{region_answers, spine_to, SpineInfo, SubMatcher, MAX_TRACKED_DEPTH};
+pub use refresh::MaintainStats;

@@ -462,8 +462,9 @@ pub fn evaluate_anchored_flat(p: &Pattern, ft: &FlatTree, anchors: &[NodeId]) ->
 /// Region-restricted evaluation of one pattern over one snapshot: built
 /// once per (view, batch), asked for `B`-vectors while the batch's regions
 /// are chosen and scanned once per region (see the module docs, §Regions).
-/// Output-identical to the maintainer's `Tree`-path `SubMatcher` and
-/// `region_answers` (the property-test oracles).
+/// Its oracles are the definitions: a `B`-vector bit is `u_i` (with its
+/// branches, as the output) evaluated at the slot, and a scan's answers are
+/// the reference evaluation's answers inside the region.
 pub struct RegionScanner<'a> {
     p: &'a Pattern,
     ft: &'a FlatTree,
@@ -535,15 +536,6 @@ impl<'a> RegionScanner<'a> {
         found.sort_unstable();
         (found, slots)
     }
-}
-
-/// [`RegionScanner::scan`] for a single region.
-pub fn region_answers_flat(
-    p: &Pattern,
-    ft: &FlatTree,
-    region_root: NodeId,
-) -> (Vec<NodeId>, Vec<NodeId>) {
-    RegionScanner::new(p, ft).scan(region_root)
 }
 
 /// An evaluator bound to one snapshot that owns its scratch buffers: the
@@ -711,8 +703,8 @@ mod tests {
 
     /// One scanner per pattern, every live node as region root: the slot
     /// list is `subtree_mask(root)` as a set, the answers are the global
-    /// answers inside it — the same equivalence the maintainer's `Tree`-path
-    /// oracle pins.
+    /// answers inside it — the definition of a region scan — and a fresh
+    /// scanner per region scans alike.
     fn check_every_region(t: &Tree, ft: &FlatTree, q: &str) {
         let p = pat(q);
         let global = evaluate_flat(&p, ft);
@@ -720,7 +712,7 @@ mod tests {
         let scanner = RegionScanner::new(&p, ft);
         for n in t.node_ids() {
             let (found, mut slots) = scanner.scan(n);
-            assert_eq!((found.clone(), slots.clone()), region_answers_flat(&p, ft, n));
+            assert_eq!((found.clone(), slots.clone()), RegionScanner::new(&p, ft).scan(n));
             let mask = ft.subtree_mask(n.index());
             slots.sort();
             assert_eq!(slots, mask.nodes().collect::<Vec<_>>(), "{q} slots at {n:?}");
@@ -762,7 +754,7 @@ mod tests {
         let c2 = t.add_child(b, xpv_model::Label::new("c"));
         let d3 = t.add_child(c2, xpv_model::Label::new("d"));
         let ft = FlatTree::freeze(&t);
-        let scan = |q: &str, root: NodeId| region_answers_flat(&pat(q), &ft, root);
+        let scan = |q: &str, root: NodeId| RegionScanner::new(&pat(q), &ft).scan(root);
         let sorted = |mut v: Vec<NodeId>| {
             v.sort();
             v

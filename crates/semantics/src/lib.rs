@@ -46,8 +46,7 @@ pub use embed::{
     Embedding,
 };
 pub use flat::{
-    evaluate_anchored_flat, evaluate_batch_flat, evaluate_flat, region_answers_flat, BatchEval,
-    RegionScanner,
+    evaluate_anchored_flat, evaluate_batch_flat, evaluate_flat, BatchEval, RegionScanner,
 };
 pub use hom::{check_homomorphism, find_homomorphism, homomorphism_exists, HomMode};
 pub use oracle::{ContainmentOracle, OracleStats, DEFAULT_ORACLE_SHARDS};

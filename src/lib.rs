@@ -14,9 +14,10 @@
 //! * [`rewrite`] — natural rewriting candidates, completeness conditions,
 //!   the planner, and the brute-force decision procedure ([`xpv_core`]);
 //! * [`intersect`] — multi-view **intersection** rewriting: subset
-//!   selection over a view pool, exact intersection patterns, and node-set
-//!   evaluation ([`xpv_intersect`] — the sound part of the paper's open
-//!   problem 5, after Cautis et al.);
+//!   selection over a view pool, exact intersection patterns, and the
+//!   compensation planned against them ([`xpv_intersect`] — the sound part
+//!   of the paper's open problem 5, after Cautis et al.; the engine
+//!   evaluates it over the word-AND of its views' answer sets);
 //! * [`maintain`] — the document **edit log** and incremental view
 //!   maintenance under tree updates ([`xpv_maintain`]);
 //! * [`net`] — the hand-rolled async runtime (epoll reactor + executor)

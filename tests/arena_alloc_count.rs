@@ -25,7 +25,7 @@ use std::cell::Cell;
 use xpath_views::model::{AnswerArena, AnswerRef, FlatTree, Label, Tree};
 use xpath_views::net::{AnswersEncoder, WireRouteRef};
 use xpath_views::prelude::*;
-use xpath_views::semantics::{region_answers_flat, BatchEval};
+use xpath_views::semantics::{BatchEval, RegionScanner};
 use xpath_views::workload::{catalog_zipf_stream, site_catalog, site_doc};
 
 /// Counts every allocation the calling thread makes through the global
@@ -181,10 +181,10 @@ fn region_scan_bytes_do_not_scale_with_the_document() {
         let doc = grouped_doc(groups);
         let ft = FlatTree::freeze(&doc);
         let region = doc.children(doc.root())[3];
-        let warm = region_answers_flat(&p, &ft, region);
+        let warm = RegionScanner::new(&p, &ft).scan(region);
         assert_eq!((warm.0.len(), warm.1.len()), (8, 10), "m[y] region: 8 x of 10 slots");
         let before = bytes();
-        let again = region_answers_flat(&p, &ft, region);
+        let again = RegionScanner::new(&p, &ft).scan(region);
         let spent = bytes() - before;
         assert_eq!(again, warm);
         spent

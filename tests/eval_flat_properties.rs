@@ -15,6 +15,8 @@
 //! copy-on-write snapshot contract: every batch sees one frozen, internally
 //! consistent document version).
 
+mod common;
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -371,22 +373,16 @@ fn answers_are_identical_with_the_memo_full_or_contended() {
     }
 }
 
-/// The flat region scanner agrees with the `Tree`-path `SubMatcher` and
-/// `region_answers` oracles on **tombstoned post-edit documents**: for
-/// seeded random docs run through an edit stream, every live node has the
-/// same `B`-vector, and every (pattern, live region root) pair yields the
-/// same fresh answers and the same region slots (as a set: exactly
-/// `subtree_mask(root)`) from both paths — one scanner per pattern serving
+/// The flat region scanner agrees with the reference `Tree` evaluator on
+/// **tombstoned post-edit documents**: for seeded random docs run through
+/// an edit stream, every (pattern, live region root) pair yields the slots
+/// of `subtree(root)` and exactly the reference answers that lie inside it
+/// — the definition of a region scan — from one scanner per pattern serving
 /// every region, as in an engine batch.
 #[test]
 fn flat_region_evaluation_matches_tree_oracle() {
-    use xpath_views::maintain::{region_answers, SpineInfo, SubMatcher};
     use xpath_views::semantics::RegionScanner;
 
-    let sorted = |mut nodes: Vec<NodeId>| {
-        nodes.sort();
-        nodes
-    };
     for seed in 0..25u64 {
         let mut doc = tree_from_seed(seed, 45);
         edit_in_place(&mut doc, 18, seed ^ 0x9A5);
@@ -396,34 +392,67 @@ fn flat_region_evaluation_matches_tree_oracle() {
             queries.extend(forced_patterns());
         }
         for q in &queries {
-            let info = SpineInfo::new(q);
-            if !info.trackable() {
-                continue;
-            }
-            let mut m = SubMatcher::new(q, &doc);
             let scanner = RegionScanner::new(q, &ft);
-            // The spine comparison's input: `B`-vectors, bit for bit, at
-            // every live node (labels absent from the document included).
-            for v in doc.node_ids() {
-                assert_eq!(scanner.b_vector(v), m.b_vector(&info, v), "B-vector of {q} at {v:?}");
-            }
             let global = evaluate(q, &doc);
             // Every live node doubles as a region root — including the
             // document root (whole-tree region) and deep leaves.
             for root in doc.node_ids().step_by(2) {
-                let (want_nodes, want_slots) = region_answers(&info, &doc, root, &mut m);
-                let (got_nodes, got_slots) = scanner.scan(root);
-                assert_eq!(got_nodes, want_nodes, "region answers differ for {q} at {root:?}");
-                let mask = ft.subtree_mask(root.index());
-                let subtree: Vec<NodeId> = mask.iter().map(|i| NodeId(i as u32)).collect();
-                assert_eq!(sorted(got_slots), subtree, "flat slots differ for {q} at {root:?}");
-                assert_eq!(sorted(want_slots), subtree, "tree slots differ for {q} at {root:?}");
-                // Both must equal the global answer restricted to the
-                // region — the defining property of a region scan.
+                let (got_nodes, mut got_slots) = scanner.scan(root);
+                let mut subtree = doc.descendants_inclusive(root);
+                subtree.sort();
+                got_slots.sort();
+                assert_eq!(got_slots, subtree, "slots of {q} at {root:?}");
                 let restricted: Vec<NodeId> =
-                    global.iter().copied().filter(|n| mask.contains(n.index())).collect();
-                assert_eq!(got_nodes, restricted, "region scan lost answers for {q}");
+                    global.iter().copied().filter(|n| subtree.binary_search(n).is_ok()).collect();
+                assert_eq!(got_nodes, restricted, "region answers differ for {q} at {root:?}");
             }
+        }
+    }
+}
+
+/// `B`-vectors by definition: bit `i` of `RegionScanner::b_vector(v)` is set
+/// iff `u_i` — the pattern `P≤i` cut to `P≥i` (§3.1), so `u_i` with its
+/// non-spine branches and itself as output — embeds at `v`, i.e. the
+/// reference `evaluate_anchored` from `v` returns `[v]`. Checked at every
+/// live slot of every snapshot the engine would hold through seeded edit
+/// streams (each derived from the last, as `apply_edits` derives them):
+/// random and bursty batches, and batches after which a label is absent
+/// on either side — for random views and for wildcard, `//`-branch and
+/// absent-label ones.
+#[test]
+fn b_vectors_match_their_definition_over_edit_streams() {
+    use xpath_views::maintain::prepare_batch;
+    use xpath_views::semantics::RegionScanner;
+
+    for seed in 0..12u64 {
+        let mut doc = common::tree_from_seed(seed, 40);
+        let views = common::maintenance_views(seed);
+        // Per view, `u_i` for every spine position `i`.
+        let positions: Vec<Vec<Pattern>> = views
+            .iter()
+            .map(|p| (0..=p.depth()).map(|i| p.upper_pattern_leq(i).sub_pattern_geq(i)).collect())
+            .collect();
+        let mut ft = FlatTree::freeze(&doc);
+        let mut batches = common::maintenance_batches(&doc, seed).into_iter();
+        loop {
+            // `u_i`'s output is its root, so anchoring it at every live slot
+            // at once returns exactly the slots `v` with `evaluate_anchored(
+            // u_i, t, [v]) == [v]`.
+            let live: Vec<NodeId> = doc.node_ids().collect();
+            for (p, us) in views.iter().zip(&positions) {
+                let holds: Vec<Vec<NodeId>> =
+                    us.iter().map(|u| evaluate_anchored(u, &doc, &live)).collect();
+                let scanner = RegionScanner::new(p, &ft);
+                for &v in &live {
+                    let want = (0..us.len())
+                        .filter(|&i| holds[i].binary_search(&v).is_ok())
+                        .fold(0u64, |b, i| b | 1 << i);
+                    assert_eq!(scanner.b_vector(v), want, "B-vector of {p} at {v:?}, seed {seed}");
+                }
+            }
+            let Some(batch) = batches.next() else { break };
+            let prep = prepare_batch(&mut doc, &batch).expect("generated batches apply");
+            ft = ft.derive(&doc, &prep.touched_slots());
         }
     }
 }

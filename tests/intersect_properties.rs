@@ -15,14 +15,25 @@ mod common;
 
 use proptest::prelude::*;
 use xpath_views::engine::{Route, ShardedViewCache};
-use xpath_views::intersect::{
-    answer_intersection_virtual, intersect_node_sets, plan_intersection_in,
-};
+use xpath_views::intersect::plan_intersection_in;
+use xpath_views::model::BitSet;
 use xpath_views::pattern::intersect_patterns;
 use xpath_views::prelude::*;
+use xpath_views::semantics::evaluate_anchored;
 use xpath_views::workload::{site_doc, split_into_overlapping_views, Fragment};
 
 use common::{pattern_from_seed, tree_from_seed};
+
+/// `∩ Vi(t)` as the engine takes it: each view's answer set as a slot
+/// bitset of the document's arena, intersected by word-AND.
+fn joint_answer_set(views: &[&Pattern], t: &Tree) -> Vec<NodeId> {
+    let set =
+        |v: &Pattern| BitSet::from_indices(t.arena_len(), evaluate(v, t).iter().map(|n| n.index()));
+    let (first, rest) = views.split_first().expect("at least one participant");
+    let mut joint = set(first);
+    rest.iter().for_each(|v| joint.intersect_with(&set(v)));
+    joint.nodes().collect()
+}
 
 /// A seeded overlapping pool: a query split into 2–3 views that only cover
 /// it jointly (`None` when the seeded query has no splittable shape).
@@ -44,9 +55,7 @@ proptest! {
             let refs: Vec<&Pattern> = views.iter().collect();
             let m = intersect_patterns(&refs).expect("split views always merge");
             let t = tree_from_seed(tseed, 40);
-            let sets: Vec<Vec<NodeId>> = views.iter().map(|v| evaluate(v, &t)).collect();
-            let set_refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-            let joint = intersect_node_sets(&set_refs);
+            let joint = joint_answer_set(&refs, &t);
             prop_assert_eq!(&joint, &evaluate(&m, &t), "M(t) != ∩Vi(t) for M={}", m);
             prop_assert_eq!(&joint, &evaluate(&p, &t), "split pool must reconstruct {}", p);
         }
@@ -60,10 +69,9 @@ proptest! {
             let session = RewritePlanner::default().session();
             if let (Some(ans), _) = plan_intersection_in(&session, &p, &refs) {
                 let t = tree_from_seed(tseed, 40);
-                let sets: Vec<Vec<NodeId>> =
-                    ans.views.iter().map(|&i| evaluate(&views[i], &t)).collect();
-                let set_refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-                let got = answer_intersection_virtual(&t, &set_refs, &ans.compensation);
+                let participants: Vec<&Pattern> = ans.views.iter().map(|&i| &views[i]).collect();
+                let anchors = joint_answer_set(&participants, &t);
+                let got = evaluate_anchored(&ans.compensation, &t, &anchors);
                 prop_assert_eq!(got, evaluate(&p, &t), "answer must be byte-identical");
             }
         }
