@@ -39,6 +39,7 @@
 //! writer gate) runs directly on the worker that polls the task — the
 //! pool size bounds simultaneous cache work.
 
+use std::cell::RefCell;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -49,7 +50,8 @@ use std::time::{Duration, Instant};
 use xpv_maintain::Edit;
 use xpv_model::AnswerArena;
 use xpv_net::proto::{
-    AnswersEncoder, Msg, WireDump, WireRouteRef, WireTenantStats, WireUpdateReport, VERSION,
+    AnswersEncoder, Msg, WireDump, WireRouteRef, WireTenantStats, WireUpdateReport,
+    MAX_ANSWER_NODES, VERSION,
 };
 use xpv_net::stream::Accepted;
 use xpv_net::{
@@ -64,7 +66,7 @@ use xpv_obs::{
 use xpv_pattern::Pattern;
 
 use crate::obs::{wire_alerts, wire_history, wire_metrics, wire_traces};
-use crate::shard::{CacheAnswer, Route, ShardedViewCache, UpdateReport};
+use crate::shard::{CacheAnswer, CacheAnswerRef, Route, ShardedViewCache, UpdateReport};
 use crate::tenants::{TenantRegistry, TenantStats};
 
 /// Default bound on in-flight + queued in-process batches (the legacy
@@ -692,26 +694,13 @@ async fn serve_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, st
                     if span.is_enabled() {
                         span.mark_us(Phase::Admission, waited.as_micros() as u64);
                     }
-                    // Stream the Answers frame straight into its byte
-                    // buffer from the engine's answer sets — no WireAnswer
-                    // clones and no node lists on the hot response path: the
-                    // encoder reads each set's ids in ascending order.
-                    let mut arena = AnswerArena::new();
-                    let answers =
-                        shared.cache.answer_batch_refs_spanned(&queries, &mut span, &mut arena);
+                    // No `.await` inside: the worker's arena is borrowed
+                    // for the synchronous section only.
+                    let (answers, enc) = WORKER_ARENA.with_borrow_mut(|arena| {
+                        evaluate_and_encode(&shared.cache, id, &queries, &mut span, arena)
+                    });
                     shared.tenants.account_batch_refs(&tenant, &answers);
-                    let encode_started = Instant::now();
-                    let mut enc = AnswersEncoder::new(id);
-                    for a in &answers {
-                        enc.answer(wire_route_ref(&a.route), arena.nodes(a.nodes));
-                    }
-                    let body = enc.finish();
-                    let encoded = encode_started.elapsed();
-                    shared.cache.obs.encode_us.record_duration(encoded);
-                    if span.is_enabled() {
-                        span.mark_us(Phase::Encode, encoded.as_micros() as u64);
-                    }
-                    push_body(&shared, &conn_for_task, id, body, span);
+                    push_answers(&shared, &conn_for_task, id, enc, span);
                     conn_for_task.window.release();
                 });
                 if !spawned {
@@ -796,23 +785,77 @@ fn reject(conn: &Conn, id: u64, reason: &str) {
     conn.window.release();
 }
 
+thread_local! {
+    /// This executor worker's answer arena. Each frame the worker serves
+    /// clears it, so the last frame's answer sets are the next one's
+    /// buffers.
+    static WORKER_ARENA: RefCell<AnswerArena> = RefCell::new(AnswerArena::new());
+}
+
+/// The query handler's synchronous section: answers `queries` on `cache`
+/// into `arena` (cleared first), then encodes batch `id`'s `Answers` frame
+/// straight from the answer sets, each one as a span, a list or a repeat
+/// of a fanned-out answer. Marks the plan, eval and encode phases onto
+/// `span`. Returns the answers, for the tenant's counters, and the
+/// encoder holding the frame.
+pub fn evaluate_and_encode(
+    cache: &ShardedViewCache,
+    id: u64,
+    queries: &[Pattern],
+    span: &mut Span,
+    arena: &mut AnswerArena,
+) -> (Vec<CacheAnswerRef>, AnswersEncoder) {
+    let answers = cache.answer_batch_refs_spanned(queries, span, arena);
+    let encode_started = Instant::now();
+    let mut enc = AnswersEncoder::new(id);
+    for a in &answers {
+        enc.answer_ref(wire_route_ref(&a.route), arena, a.nodes);
+    }
+    let encoded = encode_started.elapsed();
+    cache.obs.encode_us.record_duration(encoded);
+    if span.is_enabled() {
+        span.mark_us(Phase::Encode, encoded.as_micros() as u64);
+    }
+    (answers, enc)
+}
+
+/// Enqueues an `Answers` frame (see [`push_body`]); one that would decode
+/// to more than [`MAX_ANSWER_NODES`] ids is downgraded to a `Rejected` too.
+fn push_answers(shared: &ServerShared, conn: &Conn, id: u64, enc: AnswersEncoder, span: Span) {
+    if enc.node_count() <= MAX_ANSWER_NODES {
+        push_body(shared, conn, id, enc.finish(), span);
+    } else {
+        let reason = format!(
+            "answers of {} node ids exceed the {MAX_ANSWER_NODES}-id frame limit; narrow the batch",
+            enc.node_count()
+        );
+        push_oversized(shared, conn, id, reason, span);
+    }
+}
+
 /// Enqueues a response body with its request span, downgrading one whose
 /// encoding exceeds the frame cap to a `Rejected` — the connection (and
 /// its pipelined siblings) survive, and the client sees an explicit
 /// refusal instead of the protocol error an oversized frame would
-/// trigger. The downgrade is counted as an oversized rejection.
+/// trigger.
 fn push_body(shared: &ServerShared, conn: &Conn, id: u64, body: Vec<u8>, span: Span) {
     if body.len() <= xpv_net::MAX_FRAME {
         conn.out.push(Outgoing { body, span });
     } else {
-        shared.net.oversized_rejections.fetch_add(1, Ordering::Relaxed);
         let reason = format!(
             "response of {} bytes exceeds the {}-byte frame limit; narrow the batch",
             body.len(),
             xpv_net::MAX_FRAME
         );
-        conn.out.push(Outgoing { body: Msg::Rejected { id, reason }.encode(), span });
+        push_oversized(shared, conn, id, reason, span);
     }
+}
+
+/// Enqueues the `Rejected` that replaces a response the peer would
+/// refuse, counted as an oversized rejection.
+fn push_oversized(shared: &ServerShared, conn: &Conn, id: u64, reason: String, span: Span) {
+    shared.net.oversized_rejections.fetch_add(1, Ordering::Relaxed);
+    conn.out.push(Outgoing { body: Msg::Rejected { id, reason }.encode(), span });
 }
 
 /// The engine route's borrowed wire form (no string clones).
@@ -1045,22 +1088,47 @@ mod tests {
         use std::io::{Read, Write};
         let server = server(1);
         let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
-        let mut raw = std::net::TcpStream::connect(addr).expect("connect");
-        let body = Msg::Hello { version: 999 }.encode();
-        raw.write_all(&(body.len() as u32).to_le_bytes()).expect("len");
-        raw.write_all(&body).expect("body");
-        let mut len = [0u8; 4];
-        raw.read_exact(&mut len).expect("error frame length");
-        let mut resp = vec![0u8; u32::from_le_bytes(len) as usize];
-        raw.read_exact(&mut resp).expect("error frame body");
-        match Msg::decode(&resp).expect("decodes") {
-            Msg::Error { message } => {
-                assert!(message.contains("version"), "got: {message}")
+        // Version 2 (answers as node lists only) is refused like any other:
+        // versioning is strict equality.
+        for version in [2, 999] {
+            let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+            let body = Msg::Hello { version }.encode();
+            raw.write_all(&(body.len() as u32).to_le_bytes()).expect("len");
+            raw.write_all(&body).expect("body");
+            let mut len = [0u8; 4];
+            raw.read_exact(&mut len).expect("error frame length");
+            let mut resp = vec![0u8; u32::from_le_bytes(len) as usize];
+            raw.read_exact(&mut resp).expect("error frame body");
+            match Msg::decode(&resp).expect("decodes") {
+                Msg::Error { message } => {
+                    assert!(message.contains(&format!("version {version}")), "got: {message}")
+                }
+                other => panic!("expected Error, got {other:?}"),
             }
-            other => panic!("expected Error, got {other:?}"),
+            // The server closes after the error frame.
+            assert_eq!(raw.read(&mut len).expect("eof"), 0);
         }
-        // The server closes after the error frame.
-        assert_eq!(raw.read(&mut len).expect("eof"), 0);
+    }
+
+    #[test]
+    fn a_frame_past_the_node_bound_is_rejected_and_the_connection_lives() {
+        let mut doc = Tree::new(xpv_model::Label::new("r"));
+        for _ in 0..20_000 {
+            doc.add_child(doc.root(), xpv_model::Label::new("x"));
+        }
+        let server = AsyncCacheServer::start(Arc::new(ShardedViewCache::new(doc)), 1);
+        let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
+        let mut client = WireClient::connect_tcp(&addr.to_string()).expect("connect");
+        // One evaluation fanned out 850 times: a few kilobytes of repeats
+        // that would decode to 17 million ids.
+        let q = pat("r/x");
+        let fanned = vec![q.clone(); 850];
+        let err = client.answer_batch("t", &fanned).expect_err("past MAX_ANSWER_NODES");
+        assert!(err.to_string().contains("node ids exceed"), "got: {err}");
+        let answers = client.answer_batch("t", &fanned[..800]).expect("below the bound");
+        assert_eq!(answers.len(), 800);
+        assert!(answers.iter().all(|a| a.nodes.len() == 20_000));
+        assert_eq!(server.shared.net.snapshot().oversized_rejections, 1);
     }
 
     /// A long-interval sampler: never ticks on its own during the test,

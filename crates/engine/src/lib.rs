@@ -65,8 +65,8 @@ pub mod tenants;
 pub mod view;
 
 pub use aserve::{
-    AsyncCacheServer, BatchRejected, BatchTicket, ObsConfig, DEFAULT_CONN_WINDOW,
-    DEFAULT_MAX_PENDING,
+    evaluate_and_encode, AsyncCacheServer, BatchRejected, BatchTicket, ObsConfig,
+    DEFAULT_CONN_WINDOW, DEFAULT_MAX_PENDING,
 };
 pub use obs::{metrics_from_wire, wire_alerts, wire_history, wire_metrics, wire_traces};
 pub use shard::{

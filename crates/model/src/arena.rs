@@ -11,8 +11,10 @@
 //! Node lists are built **only on demand**: [`AnswerArena::get`] expands a
 //! set into its ascending node list on first call and keeps it, so later
 //! calls borrow the same slice; [`AnswerArena::nodes`] streams the ids from
-//! the set without keeping anything (the wire encoder's path). Ascending
-//! slot order is `NodeId` order, the order of the reference evaluator.
+//! the set without keeping anything. Ascending slot order is `NodeId`
+//! order, the order of the reference evaluator. The wire encoder reads
+//! neither: it takes the set itself ([`AnswerArena::set`]) and sends each
+//! answer as its words or its ids, whichever is smaller.
 //!
 //! [`AnswerArena::clear`] moves the stored sets onto a bounded spare list;
 //! the evaluator takes them back ([`AnswerArena::take_spare`]) as buffers
@@ -85,10 +87,15 @@ impl AnswerArena {
         r
     }
 
+    /// The slot set behind `r` (bit `i` ↔ `NodeId(i)`).
+    pub fn set(&self, r: AnswerRef) -> &BitSet {
+        &self.entries[r.index as usize].set
+    }
+
     /// The nodes behind `r`, ascending, streamed from the set: nothing is
     /// kept, and the iterator knows its length.
     pub fn nodes(&self, r: AnswerRef) -> AnswerNodes<'_> {
-        AnswerNodes { bits: self.entries[r.index as usize].set.iter(), left: r.len() }
+        AnswerNodes { bits: self.set(r).iter(), left: r.len() }
     }
 
     /// The nodes behind `r` as an owned list, built in one pass over the set

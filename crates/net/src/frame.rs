@@ -10,7 +10,7 @@
 //! server reads exactly one frame per admission credit. `MAX_FRAME` caps a
 //! single allocation a remote peer can force.
 
-use std::io;
+use std::io::{self, IoSlice};
 
 use crate::stream::{AsyncStream, ReadEvent};
 use crate::sync::DrainListener;
@@ -58,7 +58,8 @@ pub async fn read_frame(stream: &AsyncStream, drain: &DrainListener<'_>) -> io::
 /// Refuses (with `InvalidData`, nothing written) a body outside
 /// `1..=MAX_FRAME` — the peer would kill the connection as a protocol
 /// error anyway, so the oversize must be handled by the caller (the
-/// server downgrades such responses to `Rejected`).
+/// server downgrades such responses to `Rejected`). The length prefix and
+/// the body leave in one gathering write, with no copy of the body.
 pub async fn write_frame(stream: &AsyncStream, body: &[u8]) -> io::Result<()> {
     if body.is_empty() || body.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -66,10 +67,8 @@ pub async fn write_frame(stream: &AsyncStream, body: &[u8]) -> io::Result<()> {
             format!("frame body of {} bytes outside 1..={MAX_FRAME}", body.len()),
         ));
     }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    stream.write_all(&frame).await
+    let len = (body.len() as u32).to_le_bytes();
+    stream.write_all_vectored(&mut [IoSlice::new(&len), IoSlice::new(body)]).await
 }
 
 enum Progress {
@@ -152,6 +151,20 @@ impl Encoder {
         self
     }
 
+    /// Every `u64` of `ws`, little-endian, back to back.
+    pub fn u64s(&mut self, ws: &[u64]) -> &mut Self {
+        self.buf.reserve(8 * ws.len());
+        ws.iter().for_each(|w| self.buf.extend_from_slice(&w.to_le_bytes()));
+        self
+    }
+
+    /// Appends `n` zero bytes and returns them, to be filled in place.
+    pub fn zeroed(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
+    }
+
     /// Length-prefixed (u32) UTF-8 string.
     pub fn str(&mut self, s: &str) -> &mut Self {
         self.u32(s.len() as u32);
@@ -200,7 +213,9 @@ impl<'a> Decoder<'a> {
         Decoder { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    /// The next `n` bytes, bounds-checked once; a short payload is a
+    /// truncation error.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.buf.len() - self.pos < n {
             return Err(DecodeError(format!(
                 "truncated payload: wanted {n} bytes at offset {}, have {}",
@@ -214,24 +229,24 @@ impl<'a> Decoder<'a> {
     }
 
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     pub fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().expect("2 bytes")))
     }
 
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
     }
 
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
     }
 
     pub fn str(&mut self) -> Result<String, DecodeError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|e| DecodeError(format!("invalid UTF-8 string: {e}")))
     }

@@ -19,7 +19,7 @@
 //! * [`client`] — a blocking, credit-tracking protocol client for load
 //!   generators, tests, and the `xpv client` CLI.
 //!
-//! ## Wire protocol (version 2)
+//! ## Wire protocol (version 3)
 //!
 //! A connection is a byte stream (TCP or Unix-domain) carrying
 //! **length-prefixed frames** in each direction:
@@ -57,6 +57,32 @@
 //! version after the batch — a client replaying edits can assert the
 //! versions it observes are exactly `1, 2, 3, …` (see the
 //! `version-checked` test in `tests/async_serving.rs`).
+//!
+//! ### Answers
+//!
+//! An answer is a node set, and each answer of an `Answers` frame is sent
+//! as whichever of its encodings is smallest, chosen from the set alone:
+//!
+//! ```text
+//! Answers := id:u64  n:u32  answer × n
+//! answer  := route  kind:u8  nodes
+//! nodes   := count:u32  ids:[u32; count]                        kind 0, list
+//!          | count:u32  first_word:u32  words:u32  [u64; words]   kind 1, span
+//!          | of:u32                                               kind 2, repeat
+//! ```
+//!
+//! * A **list** holds the ids, ascending as a server sends them.
+//! * A **span** holds the set's 64-bit words from its first nonzero word
+//!   to its last: bit `b` of word `w` is id `64 · (first_word + w) + b`.
+//!   It is sent exactly when it is smaller, `8 + 8 · words < 4 · count`;
+//!   a decoder refuses one whose popcount is not `count` or that reaches
+//!   past the `u32` id space.
+//! * A **repeat** names an earlier answer `of` of the same frame with the
+//!   same set: the server sends one for each query it fanned out in the
+//!   batch.
+//!
+//! A frame decodes to at most [`MAX_ANSWER_NODES`] ids, repeats included;
+//! a server answers a batch past it with `Rejected`.
 //!
 //! ### Credit-based backpressure
 //!
@@ -99,7 +125,7 @@ pub use frame::{read_frame, write_frame, DecodeError, FrameEvent, MAX_FRAME};
 pub use proto::{
     AnswersEncoder, Msg, WireAlert, WireAnswer, WireDump, WireMetric, WirePoint, WireRoute,
     WireRouteRef, WireSeries, WireTenantStats, WireTraceEvent, WireUpdateReport, MAGIC,
-    METRIC_COUNTER, METRIC_GAUGE, METRIC_HISTOGRAM, VERSION,
+    MAX_ANSWER_NODES, METRIC_COUNTER, METRIC_GAUGE, METRIC_HISTOGRAM, VERSION,
 };
 pub use reactor::{Interest, Reactor, Source};
 pub use stream::{Accepted, AsyncStream, AsyncTcpListener, AsyncUnixListener, ReadEvent};

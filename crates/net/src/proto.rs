@@ -9,10 +9,10 @@
 //! edit subtrees travel as the model's XML serialization, so the protocol
 //! has no bespoke tree encoding to keep in sync with the model crate.
 
-use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, HashMap};
 
 use xpv_maintain::Edit;
-use xpv_model::{parse_xml, to_xml, Label, NodeId};
+use xpv_model::{parse_xml, to_xml, AnswerArena, AnswerRef, Label, NodeId};
 use xpv_pattern::{parse_xpath, Pattern};
 
 use crate::frame::{DecodeError, Decoder, Encoder};
@@ -21,8 +21,9 @@ use crate::frame::{DecodeError, Decoder, Encoder};
 pub const MAGIC: u32 = 0x5756_5058;
 
 /// Protocol version this build speaks. Version 2 dropped the
-/// `views_refreshed` field of `EditAck`.
-pub const VERSION: u16 = 2;
+/// `views_refreshed` field of `EditAck`; version 3 gave each answer of an
+/// `Answers` frame a kind: list, span or repeat.
+pub const VERSION: u16 = 3;
 
 /// Frame type tags (first body byte).
 mod tag {
@@ -94,15 +95,26 @@ pub struct WireAnswer {
 
 /// Streams an [`Msg::Answers`] frame body straight into its final byte
 /// buffer: the answer count is reserved up front and patched on
-/// [`AnswersEncoder::finish`], and each answer's nodes are written
-/// directly from the engine's answer sets (or any slice) — no intermediate
-/// [`WireAnswer`] vectors, no route-string clones. Produces bytes
-/// identical to `Msg::Answers { .. }.encode()` for the same content.
+/// [`AnswersEncoder::finish`], and each answer is written directly from
+/// the engine's answer set (or any ascending slice) — no intermediate
+/// [`WireAnswer`] vectors, no route-string clones.
+///
+/// Each answer goes out as the smaller of its id list and its word span
+/// (the size rule in the crate docs), chosen from the set alone. An answer
+/// written through [`AnswersEncoder::answer_ref`] whose [`AnswerRef`] was
+/// already written in this frame — a query the engine fanned out — goes
+/// out as a 5-byte back-reference to it. Without such repeats the bytes
+/// are identical to `Msg::Answers { .. }.encode()` for the same content.
 #[derive(Debug)]
 pub struct AnswersEncoder {
     e: Encoder,
     count_pos: usize,
     count: u32,
+    /// Ids the frame decodes to, repeats included.
+    nodes: usize,
+    /// Each ref written by [`AnswersEncoder::answer_ref`], with its
+    /// position in the frame.
+    written: HashMap<AnswerRef, u32>,
 }
 
 impl AnswersEncoder {
@@ -112,23 +124,48 @@ impl AnswersEncoder {
         e.u8(tag::ANSWERS).u64(id);
         let count_pos = e.position();
         e.u32(0); // answer count, patched in finish()
-        AnswersEncoder { e, count_pos, count: 0 }
+        AnswersEncoder { e, count_pos, count: 0, nodes: 0, written: HashMap::new() }
     }
 
-    /// Appends one answer: provenance plus its output nodes, from a slice
-    /// or straight from an iterator of known length (an answer set read in
-    /// ascending order, with no node list built).
-    pub fn answer<I>(&mut self, route: WireRouteRef<'_>, nodes: I) -> &mut Self
-    where
-        I: IntoIterator,
-        I::IntoIter: ExactSizeIterator,
-        I::Item: Borrow<NodeId>,
-    {
+    /// Appends one answer: provenance plus its output nodes, in ascending
+    /// order. A slice that is not strictly ascending is sent as a list.
+    pub fn answer(&mut self, route: WireRouteRef<'_>, nodes: &[NodeId]) -> &mut Self {
         encode_route_ref(&mut self.e, route);
-        let nodes = nodes.into_iter();
-        self.e.u32(nodes.len() as u32);
-        self.e.u32s(nodes.map(|n| n.borrow().0));
+        encode_nodes(&mut self.e, nodes);
         self.count += 1;
+        self.nodes += nodes.len();
+        self
+    }
+
+    /// Appends one answer straight from its set in `arena`: a span copies
+    /// the set's words, a list streams its ids, and a ref already written
+    /// in this frame becomes a repeat of that answer.
+    pub fn answer_ref(
+        &mut self,
+        route: WireRouteRef<'_>,
+        arena: &AnswerArena,
+        r: AnswerRef,
+    ) -> &mut Self {
+        encode_route_ref(&mut self.e, route);
+        match self.written.entry(r) {
+            Entry::Occupied(first) => {
+                self.e.u8(ANSWER_REPEAT).u32(*first.get());
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.count);
+                let words = arena.set(r).words();
+                let lo = words.iter().position(|&w| w != 0).unwrap_or(0);
+                let end = words.iter().rposition(|&w| w != 0).map_or(lo, |hi| hi + 1);
+                if span_is_smaller(r.len(), end - lo) {
+                    encode_span_header(&mut self.e, r.len(), lo, end - lo);
+                    self.e.u64s(&words[lo..end]);
+                } else {
+                    encode_list(&mut self.e, arena.nodes(r).map(|n| n.0));
+                }
+            }
+        }
+        self.count += 1;
+        self.nodes += r.len();
         self
     }
 
@@ -138,10 +175,133 @@ impl AnswersEncoder {
         self.e.position()
     }
 
+    /// Node ids the frame decodes to, every repeat counted — lets a server
+    /// check [`MAX_ANSWER_NODES`] before enqueuing.
+    pub fn node_count(&self) -> usize {
+        self.nodes
+    }
+
     /// Patches the answer count and returns the finished frame body.
     pub fn finish(mut self) -> Vec<u8> {
         self.e.patch_u32(self.count_pos, self.count);
         self.e.finish()
+    }
+}
+
+/// Answer kinds: the byte after each answer's route in an
+/// [`Msg::Answers`] frame.
+const ANSWER_LIST: u8 = 0;
+const ANSWER_SPAN: u8 = 1;
+const ANSWER_REPEAT: u8 = 2;
+
+/// One past the last 64-bit word of the `u32` id space: no span reaches
+/// beyond it.
+const SPAN_WORD_LIMIT: u64 = 1 << 26;
+
+/// Most node ids one [`Msg::Answers`] frame may decode to, repeats
+/// included (64 MiB of ids). Spans and repeats let a small frame stand
+/// for many ids; a frame past this bound is a decode error, and a server
+/// sends `Rejected` instead of building one. A frame of node lists alone
+/// stays below it (`MAX_FRAME` / 4 ids).
+pub const MAX_ANSWER_NODES: usize = 1 << 24;
+
+/// The size rule: `count` ids whose first and last lie `words` words apart
+/// (inclusive) are smaller as a span — `count, first_word, words` and the
+/// words — than as a list — the ids.
+fn span_is_smaller(count: usize, words: usize) -> bool {
+    8 + 8 * words < 4 * count
+}
+
+fn encode_list(e: &mut Encoder, ids: impl ExactSizeIterator<Item = u32>) {
+    e.u8(ANSWER_LIST).u32(ids.len() as u32).u32s(ids);
+}
+
+fn encode_span_header(e: &mut Encoder, count: usize, first_word: usize, words: usize) {
+    e.u8(ANSWER_SPAN).u32(count as u32).u32(first_word as u32).u32(words as u32);
+}
+
+/// One answer's nodes, as a list or, when strictly ascending and smaller
+/// so, as a span built bit by bit in place: bit `i` of a little-endian
+/// word is bit `i % 8` of its byte `i / 8`.
+fn encode_nodes(e: &mut Encoder, nodes: &[NodeId]) {
+    if let (Some(first), Some(last)) = (nodes.first(), nodes.last()) {
+        let lo = first.index() / 64;
+        let words = (last.index() / 64).saturating_sub(lo) + 1;
+        if span_is_smaller(nodes.len(), words) && nodes.windows(2).all(|w| w[0] < w[1]) {
+            encode_span_header(e, nodes.len(), lo, words);
+            let bytes = e.zeroed(8 * words);
+            for n in nodes {
+                let i = n.index() - 64 * lo;
+                bytes[i / 8] |= 1 << (i % 8);
+            }
+            return;
+        }
+    }
+    encode_list(e, nodes.iter().map(|n| n.0));
+}
+
+/// One answer's nodes (the bytes after its route). `earlier` are the
+/// frame's answers so far, which a repeat may name; `budget` is what is
+/// left of [`MAX_ANSWER_NODES`].
+fn decode_nodes(
+    d: &mut Decoder<'_>,
+    earlier: &[WireAnswer],
+    budget: &mut usize,
+) -> Result<Vec<NodeId>, DecodeError> {
+    let mut spend = |n: usize| {
+        *budget = budget.checked_sub(n).ok_or_else(|| {
+            DecodeError(format!("answers decode to more than {MAX_ANSWER_NODES} node ids"))
+        })?;
+        Ok::<_, DecodeError>(())
+    };
+    match d.u8()? {
+        ANSWER_LIST => {
+            let count = d.u32()? as usize;
+            let bytes = d.bytes(count.saturating_mul(4))?;
+            spend(count)?;
+            let mut nodes = Vec::with_capacity(count.min(65536));
+            let id = |b: &[u8]| NodeId(u32::from_le_bytes(b.try_into().expect("4 bytes")));
+            nodes.extend(bytes.chunks_exact(4).map(id));
+            Ok(nodes)
+        }
+        ANSWER_SPAN => {
+            let count = d.u32()? as usize;
+            let (first_word, words) = (d.u32()?, d.u32()?);
+            if u64::from(first_word) + u64::from(words) > SPAN_WORD_LIMIT {
+                return Err(DecodeError(format!(
+                    "span of {words} words from word {first_word} leaves the u32 id space"
+                )));
+            }
+            // Below the limit, `8 * words` and every id fit their types.
+            let bytes = d.bytes(8 * words as usize)?;
+            let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+            let members: usize = bytes.chunks_exact(8).map(|b| word(b).count_ones() as usize).sum();
+            if members != count {
+                return Err(DecodeError(format!("span holds {members} ids but claims {count}")));
+            }
+            spend(count)?;
+            let mut nodes = Vec::with_capacity(count);
+            for (i, b) in bytes.chunks_exact(8).enumerate() {
+                let (mut bits, base) = (word(b), (first_word + i as u32) * 64);
+                while bits != 0 {
+                    nodes.push(NodeId(base + bits.trailing_zeros()));
+                    bits &= bits - 1;
+                }
+            }
+            Ok(nodes)
+        }
+        ANSWER_REPEAT => {
+            let of = d.u32()? as usize;
+            let Some(first) = earlier.get(of) else {
+                return Err(DecodeError(format!(
+                    "answer {} repeats answer {of}, which is not an earlier one",
+                    earlier.len()
+                )));
+            };
+            spend(first.nodes.len())?;
+            Ok(first.nodes.clone())
+        }
+        other => Err(DecodeError(format!("unknown answer kind {other}"))),
     }
 }
 
@@ -363,10 +523,7 @@ impl Msg {
                 e.u8(tag::ANSWERS).u64(*id).u32(answers.len() as u32);
                 for a in answers {
                     encode_route(&mut e, &a.route);
-                    e.u32(a.nodes.len() as u32);
-                    for n in &a.nodes {
-                        e.u32(n.0);
-                    }
+                    encode_nodes(&mut e, &a.nodes);
                 }
             }
             Msg::EditBatch { id, tenant, edits } => {
@@ -489,13 +646,10 @@ impl Msg {
                 let id = d.u64()?;
                 let n = d.u32()? as usize;
                 let mut answers = Vec::with_capacity(n.min(4096));
+                let mut budget = MAX_ANSWER_NODES;
                 for _ in 0..n {
                     let route = decode_route(&mut d)?;
-                    let count = d.u32()? as usize;
-                    let mut nodes = Vec::with_capacity(count.min(65536));
-                    for _ in 0..count {
-                        nodes.push(NodeId(d.u32()?));
-                    }
+                    let nodes = decode_nodes(&mut d, &answers, &mut budget)?;
                     answers.push(WireAnswer { nodes, route });
                 }
                 Msg::Answers { id, answers }
@@ -850,20 +1004,21 @@ mod tests {
                     compensation: "c/d".into(),
                 },
             },
+            // Dense enough to go out as a span.
+            WireAnswer { nodes: (60..140).map(NodeId).collect(), route: WireRoute::Direct },
         ];
         let mut enc = AnswersEncoder::new(3);
         for a in &answers {
             enc.answer(a.route.as_ref(), &a.nodes);
         }
         assert!(enc.byte_len() > 0);
+        assert_eq!(enc.node_count(), 85);
         let body = enc.finish();
-        // Fed from answer sets, read in ascending order, the bytes agree.
-        let mut arena = AnswerArena::new();
+        // Fed from answer sets, the bytes agree, and no node list is built.
+        let (arena, refs) = arena_of(200, answers.iter().map(|a| a.nodes.clone()));
         let mut enc = AnswersEncoder::new(3);
-        for a in &answers {
-            let set = BitSet::from_indices(100, a.nodes.iter().map(|n| n.index()));
-            let r = arena.push_set(set);
-            enc.answer(a.route.as_ref(), arena.nodes(r));
+        for (a, &r) in answers.iter().zip(&refs) {
+            enc.answer_ref(a.route.as_ref(), &arena, r);
         }
         assert_eq!(enc.finish(), body);
         assert_eq!(arena.node_count(), 0, "streaming expanded no node list");
@@ -873,6 +1028,196 @@ mod tests {
             AnswersEncoder::new(9).finish(),
             Msg::Answers { id: 9, answers: vec![] }.encode()
         );
+    }
+
+    /// An arena holding one set of capacity `width` per node list, and
+    /// their refs.
+    fn arena_of(
+        width: usize,
+        lists: impl IntoIterator<Item = Vec<NodeId>>,
+    ) -> (AnswerArena, Vec<AnswerRef>) {
+        let mut arena = AnswerArena::new();
+        let refs = lists
+            .into_iter()
+            .map(|l| arena.push_set(BitSet::from_indices(width, l.iter().map(|n| n.index()))))
+            .collect();
+        (arena, refs)
+    }
+
+    fn decoded_answers(body: &[u8]) -> Vec<WireAnswer> {
+        match Msg::decode(body).expect("answers decode") {
+            Msg::Answers { answers, .. } => answers,
+            other => panic!("wrong decode: {other:?}"),
+        }
+    }
+
+    /// A random set of `width` slots, each a member with probability
+    /// `per_mille / 1000`, plus `width - 1` when `last`.
+    fn random_nodes(seed: &mut u64, width: usize, per_mille: u64, last: bool) -> Vec<NodeId> {
+        let mut next = || {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            *seed % 1000
+        };
+        (0..width as u32)
+            .filter(|&i| next() < per_mille || (last && i as usize == width - 1))
+            .map(NodeId)
+            .collect()
+    }
+
+    #[test]
+    fn answers_round_trip_at_the_size_rule_minimum() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15;
+        let (mut spans, mut lists) = (0, 0);
+        for width in [1usize, 63, 64, 65, 1_662, 5_000] {
+            for per_mille in [0, 1, 20, 100, 250, 500, 900, 1000] {
+                for last in [false, true] {
+                    let nodes = random_nodes(&mut seed, width, per_mille, last);
+                    let words = match (nodes.first(), nodes.last()) {
+                        (Some(f), Some(l)) => l.index() / 64 - f.index() / 64 + 1,
+                        _ => 0,
+                    };
+                    let list_bytes = 4 + 4 * nodes.len();
+                    let span_bytes = 12 + 8 * words;
+                    let want = 13 + 2 + list_bytes.min(span_bytes);
+                    if span_bytes < list_bytes {
+                        spans += 1;
+                    } else {
+                        lists += 1;
+                    }
+
+                    let mut by_slice = AnswersEncoder::new(1);
+                    by_slice.answer(WireRouteRef::Direct, &nodes);
+                    let by_slice = by_slice.finish();
+                    let (arena, refs) = arena_of(width, [nodes.clone()]);
+                    let mut by_set = AnswersEncoder::new(1);
+                    by_set.answer_ref(WireRouteRef::Direct, &arena, refs[0]);
+                    let by_set = by_set.finish();
+                    let answers =
+                        vec![WireAnswer { nodes: nodes.clone(), route: WireRoute::Direct }];
+                    let by_msg = Msg::Answers { id: 1, answers: answers.clone() }.encode();
+
+                    let case = format!("width {width}, {per_mille}‰, last {last}");
+                    assert_eq!(by_slice.len(), want, "{case}");
+                    assert_eq!(by_set, by_slice, "{case}");
+                    assert_eq!(by_msg, by_slice, "{case}");
+                    assert_eq!(decoded_answers(&by_slice), answers, "{case}");
+                }
+            }
+        }
+        assert!(spans >= 20 && lists >= 20, "{spans} spans, {lists} lists");
+    }
+
+    #[test]
+    fn fanned_out_answers_go_out_as_five_byte_repeats() {
+        let mut seed = 7;
+        let sets: Vec<Vec<NodeId>> = [(0, false), (30, true), (600, false), (1000, false)]
+            .iter()
+            .map(|&(per_mille, last)| random_nodes(&mut seed, 1_662, per_mille, last))
+            .collect();
+        let (arena, refs) = arena_of(1_662, sets.clone());
+        // Positions 3..7 repeat earlier answers; routes differ per position.
+        let order = [1, 2, 0, 2, 1, 3, 2];
+        let route = |i: usize| match i % 3 {
+            0 => WireRouteRef::Direct,
+            1 => WireRouteRef::ViaView { view: "v", rewriting: "a/b" },
+            _ => WireRouteRef::ViaView { view: "w", rewriting: "c" },
+        };
+        let (mut with_repeats, mut without) = (AnswersEncoder::new(5), AnswersEncoder::new(5));
+        for (i, &k) in order.iter().enumerate() {
+            with_repeats.answer_ref(route(i), &arena, refs[k]);
+            without.answer(route(i), &sets[k]);
+        }
+        assert_eq!(with_repeats.node_count(), without.node_count());
+        let (with_repeats, without) = (with_repeats.finish(), without.finish());
+        let decoded = decoded_answers(&with_repeats);
+        assert_eq!(decoded, decoded_answers(&without));
+        for (a, &k) in decoded.iter().zip(&order) {
+            assert_eq!(a.nodes, sets[k]);
+        }
+        // Each of the three repeats costs its kind byte and `of`, instead of
+        // its answer's full encoding (what the first occurrence paid).
+        let alone = |k: usize| {
+            let mut enc = AnswersEncoder::new(5);
+            enc.answer(WireRouteRef::Direct, &sets[k]);
+            enc.finish().len() - 14 // header and route
+        };
+        let saved: usize = [2, 1, 2].iter().map(|&k| alone(k) - 5).sum();
+        assert_eq!(without.len() - with_repeats.len(), saved);
+    }
+
+    /// An Answers frame of one `Direct` answer whose nodes are `nodes`
+    /// (already encoded, kind byte first).
+    fn one_answer_frame(nodes: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.u8(tag::ANSWERS).u64(1).u32(1).u8(ROUTE_DIRECT);
+        nodes(&mut e);
+        e.finish()
+    }
+
+    #[test]
+    fn malformed_answers_are_decode_errors() {
+        // Each is refused, for its own reason (`says`).
+        let refused = |body: Vec<u8>, what: &str, says: &str| {
+            let err = Msg::decode(&body).expect_err(what);
+            assert!(err.0.contains(says), "{what}: {}", err.0);
+        };
+        refused(
+            one_answer_frame(|e| {
+                e.u8(3).u32(0);
+            }),
+            "unknown kind",
+            "unknown answer kind 3",
+        );
+        refused(
+            one_answer_frame(|e| {
+                e.u8(ANSWER_REPEAT).u32(0);
+            }),
+            "a repeat of itself",
+            "not an earlier one",
+        );
+        // Answer 0 names answer 1, which comes later.
+        let mut e = Encoder::new();
+        e.u8(tag::ANSWERS).u64(1).u32(2);
+        e.u8(ROUTE_DIRECT).u8(ANSWER_REPEAT).u32(1);
+        e.u8(ROUTE_DIRECT).u8(ANSWER_LIST).u32(1).u32(5);
+        refused(e.finish(), "a repeat of a later answer", "not an earlier one");
+        // The last word of the id space is fine; one word further is not,
+        // nor is a word count that wraps the sum in 32 bits.
+        let span = |first: u32, words: u32, count: u32, payload: &[u64]| {
+            one_answer_frame(|e| {
+                e.u8(ANSWER_SPAN).u32(count).u32(first).u32(words).u64s(payload);
+            })
+        };
+        let top = (1u32 << 26) - 1;
+        match &decoded_answers(&span(top, 1, 1, &[1 << 63]))[0].nodes[..] {
+            [n] => assert_eq!(n.0, u32::MAX),
+            other => panic!("wrong nodes {other:?}"),
+        }
+        let past = "leaves the u32 id space";
+        refused(span(top, 2, 2, &[1, 1]), "a span past the u32 id space", past);
+        refused(span(top, u32::MAX, 1, &[1]), "a span whose end wraps", past);
+        refused(span(0, 2, 3, &[0b11, 0b11]), "a popcount above the count", "claims 3");
+        refused(span(0, 2, 5, &[0b11, 0b11]), "a popcount below the count", "claims 5");
+        refused(span(0, 3, 4, &[0b11, 0b11]), "truncated words", "truncated");
+        refused(
+            one_answer_frame(|e| {
+                e.u8(ANSWER_LIST).u32(3).u32(1).u32(2);
+            }),
+            "a truncated list",
+            "truncated",
+        );
+        // Repeats may not make a small frame decode to unbounded ids.
+        let full = MAX_ANSWER_NODES / 64;
+        let mut e = Encoder::new();
+        e.u8(tag::ANSWERS).u64(1).u32(66);
+        e.u8(ROUTE_DIRECT).u8(ANSWER_LIST).u32(full as u32);
+        e.u32s((0..full as u32).map(|i| i * 3));
+        for _ in 0..65 {
+            e.u8(ROUTE_DIRECT).u8(ANSWER_REPEAT).u32(0);
+        }
+        refused(e.finish(), "more ids than MAX_ANSWER_NODES", "more than");
     }
 
     #[test]

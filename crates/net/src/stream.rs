@@ -13,7 +13,7 @@
 //! shutdown preempts a connection that is sitting idle in `read` without
 //! closing its socket from under it.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -68,10 +68,10 @@ impl AsyncStream {
         }
     }
 
-    fn do_write(&self, buf: &[u8]) -> io::Result<usize> {
+    fn do_write_vectored(&self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         match &self.kind {
-            StreamKind::Tcp(s) => (&mut &*s).write(buf),
-            StreamKind::Unix(s) => (&mut &*s).write(buf),
+            StreamKind::Tcp(s) => (&mut &*s).write_vectored(bufs),
+            StreamKind::Unix(s) => (&mut &*s).write_vectored(bufs),
         }
     }
 
@@ -82,11 +82,16 @@ impl AsyncStream {
         poll_io(&self.source, Interest::Read, cx, || self.do_read(buf))
     }
 
-    /// One nonblocking write attempt (same protocol as [`poll_read`]).
+    /// One nonblocking gathering write attempt over `bufs`, in order (same
+    /// protocol as [`poll_read`]).
     ///
     /// [`poll_read`]: AsyncStream::poll_read
-    pub fn poll_write(&self, cx: &mut Context<'_>, buf: &[u8]) -> Poll<io::Result<usize>> {
-        poll_io(&self.source, Interest::Write, cx, || self.do_write(buf))
+    pub fn poll_write_vectored(
+        &self,
+        cx: &mut Context<'_>,
+        bufs: &[IoSlice<'_>],
+    ) -> Poll<io::Result<usize>> {
+        poll_io(&self.source, Interest::Write, cx, || self.do_write_vectored(bufs))
     }
 
     /// Reads at least one byte into `buf`, or resolves `Eof`; with a drain
@@ -110,21 +115,22 @@ impl AsyncStream {
         .await
     }
 
-    /// Writes all of `buf`, suspending between partial writes. Writes are
+    /// Writes all of `bufs`, in order, suspending between partial writes;
+    /// each write gathers whatever is left of every buffer. Writes are
     /// *not* drain-preempted: graceful shutdown wants queued responses
     /// flushed, and the peer is (by protocol) always reading.
-    pub async fn write_all(&self, buf: &[u8]) -> io::Result<()> {
-        let mut written = 0;
+    pub async fn write_all_vectored(&self, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+        IoSlice::advance_slices(&mut bufs, 0); // skips leading empty buffers
         std::future::poll_fn(|cx| {
-            while written < buf.len() {
-                match self.poll_write(cx, &buf[written..]) {
+            while !bufs.is_empty() {
+                match self.poll_write_vectored(cx, bufs) {
                     Poll::Ready(Ok(0)) => {
                         return Poll::Ready(Err(io::Error::new(
                             io::ErrorKind::WriteZero,
                             "peer stopped accepting bytes",
                         )))
                     }
-                    Poll::Ready(Ok(n)) => written += n,
+                    Poll::Ready(Ok(n)) => IoSlice::advance_slices(&mut bufs, n),
                     Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
                     Poll::Pending => return Poll::Pending,
                 }

@@ -1,10 +1,12 @@
 //! Allocation accounting for the serving hot path's **eval → encode**
 //! span: fused flat evaluation hands its answer sets to the reused
 //! [`AnswerArena`] and takes the last batch's sets back as buffers, batch
-//! fan-out copies 8-byte handles, and the wire encoder reads each set's
-//! nodes in ascending order — so after warmup an answer allocates no set and
-//! no node list, and growing a batch's fan-out must not grow the allocation
-//! count. (Plan *lookup*
+//! fan-out copies 8-byte handles, and the wire encoder sends each set as its
+//! words or its ids and each fanned-out handle as a back-reference — so after
+//! warmup an answer allocates no set and no node list, and growing a batch's
+//! fan-out must not grow the allocation count. The server's own
+//! evaluate→encode section ([`evaluate_and_encode`]) on one worker's arena
+//! is held to the same. (Plan *lookup*
 //! still hashes each arriving pattern — that cost is per-position by
 //! design and measured by the benches, not here.) The same holds for
 //! queries routed through a view or an intersection of views: their anchors
@@ -22,8 +24,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use xpath_views::engine::evaluate_and_encode;
 use xpath_views::model::{AnswerArena, AnswerRef, FlatTree, Label, Tree};
-use xpath_views::net::{AnswersEncoder, WireRouteRef};
+use xpath_views::net::{AnswersEncoder, Msg, WireRouteRef};
+use xpath_views::obs::Span;
 use xpath_views::prelude::*;
 use xpath_views::semantics::{BatchEval, RegionScanner};
 use xpath_views::workload::{catalog_zipf_stream, site_catalog, site_doc};
@@ -39,6 +43,8 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
     // Allocations of at least `WATCHED.0` bytes, counted in `WATCHED.1`.
     static WATCHED: Cell<(usize, u64)> = const { Cell::new((usize::MAX, 0)) };
+    // Allocations of exactly `EXACT.0` bytes, counted in `EXACT.1`.
+    static EXACT: Cell<(usize, u64)> = const { Cell::new((usize::MAX, 0)) };
 }
 
 fn count(bytes: usize) {
@@ -48,6 +54,12 @@ fn count(bytes: usize) {
         let (min, n) = w.get();
         if bytes >= min {
             w.set((min, n + 1));
+        }
+    });
+    EXACT.with(|w| {
+        let (size, n) = w.get();
+        if bytes == size {
+            w.set((size, n + 1));
         }
     });
 }
@@ -86,12 +98,19 @@ fn watched() -> u64 {
     WATCHED.with(|w| w.get().1)
 }
 
+/// Counts this thread's allocations of exactly `size` bytes while `f` runs.
+fn allocations_of<T>(size: usize, f: impl FnOnce() -> T) -> (T, u64) {
+    EXACT.with(|w| w.set((size, 0)));
+    let out = f();
+    (out, EXACT.with(|w| w.replace((usize::MAX, 0)).1))
+}
+
 /// One eval→encode pass, shaped exactly like the server's arena lane
 /// after the plan memo resolved every position: each unique query is
 /// evaluated once into the arena, duplicates fan out by copying the
-/// handle, and every answer is streamed from its set into the wire frame
-/// through a borrowed route. Returns the frame length so nothing is
-/// optimized away.
+/// handle, and every answer is encoded from its set into the wire frame
+/// through a borrowed route, a fanned-out handle as a repeat. Returns the
+/// frame length so nothing is optimized away.
 fn eval_encode_pass(
     eval: &mut BatchEval<'_>,
     uniques: &[Pattern],
@@ -103,7 +122,7 @@ fn eval_encode_pass(
     let mut enc = AnswersEncoder::new(7);
     for i in 0..fanout {
         let r = refs[i % refs.len()]; // handle copy — the fan-out
-        enc.answer(WireRouteRef::ViaView { view: "v", rewriting: "." }, arena.nodes(r));
+        enc.answer_ref(WireRouteRef::ViaView { view: "v", rewriting: "." }, arena, r);
     }
     enc.finish().len()
 }
@@ -141,6 +160,77 @@ fn eval_encode_allocations_do_not_scale_with_fanout() {
         "per-answer allocations in eval→encode: {small_allocs} allocs for 64 answers vs \
          {large_allocs} for 512"
     );
+}
+
+/// The server's evaluate→encode section on one worker's arena, as the
+/// query handler runs it: once warm, a frame allocates no answer set — each
+/// answer's set is a spare of the frame before — and its answers decode to
+/// what direct evaluation answers. The set-sized buffers a warm frame does
+/// allocate are the evaluator's scratch, a few per batch whatever its
+/// answers; a fresh arena per frame, as the server built before it kept
+/// one per worker, allocates every answer set anew, and the count sees them.
+#[test]
+fn a_warm_worker_frame_allocates_no_answer_set() {
+    let doc = site_doc(20, 40, 5);
+    // An answer set's buffer, of a size nothing else on this path asks for.
+    let set_bytes = doc.len().div_ceil(64) * 8;
+    assert!(set_bytes >= 1024 && !set_bytes.is_power_of_two(), "{set_bytes}-byte sets");
+    let catalog = site_catalog();
+    let cache = ShardedViewCache::new(doc);
+    for (name, def) in &catalog.views {
+        cache.add_view(name, def.clone());
+    }
+    let distinct: Vec<Pattern> = [
+        "site/region/item/name",
+        "site//bid/price",
+        "site//bidder",
+        "site/region/item[shipping]/name",
+        "site/region/item[bids]//price",
+        "site/region/item/description//listitem",
+        "site//name",
+        "site/categories/category/name",
+        "site/region/item[shipping]//bidder",
+        "site//bid[price]/bidder",
+        "site/region",
+        "site/region/item",
+        "site//item[bids]/description",
+        "site//cost",
+        "site//parlist",
+        "site/region/item/bids/bid",
+        "site//item[shipping]/bids",
+        "site/region/*/name",
+        "site/*/item/shipping",
+        "site//*[bidder]",
+    ]
+    .iter()
+    .map(|q| parse_xpath(q).expect("pattern parses"))
+    .collect();
+    // Every query three times over: two of each three answers fan out.
+    let stream: Vec<Pattern> = (0..3).flat_map(|_| distinct.iter().cloned()).collect();
+    let frame = |arena: &mut AnswerArena| {
+        let (answers, enc) = evaluate_and_encode(&cache, 9, &stream, &mut Span::disabled(), arena);
+        assert_eq!(answers.len(), stream.len());
+        enc.finish()
+    };
+
+    let mut arena = AnswerArena::new();
+    let warm = frame(&mut arena);
+    frame(&mut arena);
+    let (body, scratch) = allocations_of(set_bytes, || frame(&mut arena));
+    assert_eq!(body, warm, "the same batch encodes to the same frame");
+    assert_eq!(arena.node_count(), 0, "no node list was built");
+    match Msg::decode(&body).expect("the frame decodes") {
+        Msg::Answers { answers, .. } => {
+            for (q, a) in stream.iter().zip(&answers) {
+                assert_eq!(a.nodes, cache.answer_direct(q), "{q}");
+            }
+        }
+        other => panic!("wrong frame {other:?}"),
+    }
+
+    let (_, fresh) = allocations_of(set_bytes, || frame(&mut AnswerArena::new()));
+    assert!(fresh >= distinct.len() as u64, "{fresh} sets for {} answers", distinct.len());
+    assert!(scratch <= 8, "a warm frame allocated {scratch} sets for {} answers", distinct.len());
 }
 
 /// `r` with `groups` children `m`, each with nine leaves (`x`, and one `y`
@@ -251,7 +341,7 @@ fn routed_evaluation_allocates_nothing_for_its_anchors() {
         let large = watched();
         let mut enc = AnswersEncoder::new(7);
         for i in 0..fanout {
-            enc.answer(WireRouteRef::Direct, arena.nodes(refs[i % uniques.min(evals)]));
+            enc.answer_ref(WireRouteRef::Direct, arena, refs[i % uniques.min(evals)]);
         }
         (refs, enc.finish().len(), large)
     };
