@@ -828,11 +828,12 @@ impl ShardedViewCache {
         }
         let snap = self.snapshot();
 
-        // The private document copy (and, after the swap, the release of
-        // the document it replaces) is part of what a batch pays for
-        // applying its edits: both are booked under the `apply` phase.
+        // The private document copy, with room for the batch's grafts (and,
+        // after the swap, the release of the document it replaces) is part
+        // of what a batch pays for applying its edits: both are booked
+        // under the `apply` phase.
         let t = Instant::now();
-        let mut doc = (*snap.doc).clone();
+        let mut doc = snap.doc.clone_with_room(edits.iter().filter_map(Edit::graft));
         let defs: Vec<&Pattern> = snap.views.iter().map(|v| v.definition()).collect();
         let old: Vec<&BitSet> = snap.views.iter().map(|v| v.set()).collect();
         let prep = prepare_batch(&mut doc, edits)?;
@@ -863,9 +864,9 @@ impl ShardedViewCache {
         let t_patch = Instant::now();
         let mut maintain =
             MaintainStats { apply_us, freeze_us, coalesce_us, scan_us, ..plan.stats };
-        let live = new_flat.live_mask();
+        let n1 = new_flat.arena_len();
         let fresh = |v: usize| evaluate_flat(defs[v], &new_flat);
-        let patched = apply_region_results(live, &old, &plan, &results, fresh, &mut maintain);
+        let patched = apply_region_results(n1, &prep, &old, &plan, &results, fresh, &mut maintain);
         drop(after);
         drop((defs, old));
 
@@ -1954,7 +1955,7 @@ mod tests {
         // change; `add_view` keeps the frozen document, and with it the memo.
         let held = cache.snapshot();
         assert_eq!(evaluate_flat(&q, &held.flat), before);
-        let (_, held_misses) = held.flat.witness_memo_counts();
+        let (_, held_misses, _) = held.flat.witness_memo_counts();
         assert!(held_misses > 0, "the query's branches were computed on this snapshot");
         cache.add_view("names", pat("site/region/item/name"));
         assert!(Arc::ptr_eq(&held.flat, &cache.snapshot().flat));
@@ -1970,11 +1971,13 @@ mod tests {
         assert!(!Arc::ptr_eq(&held.flat, &fresh.flat), "a new document is a new snapshot");
 
         // The new snapshot answers from the new document, through sets it
-        // computed itself (maintenance and this read)...
+        // computed itself (maintenance and this read), the held snapshot's
+        // taken over and re-decided where the batch touched...
         let after = cache.answer(&q).nodes;
         assert_eq!(after, evaluate(&q, &fresh.doc));
         assert_eq!(after.len(), before.len() + 1);
-        assert!(fresh.flat.witness_memo_counts().1 > 0);
+        let (_, misses, carried) = fresh.flat.witness_memo_counts();
+        assert!(misses > 0 && carried > 0, "{misses} misses, {carried} carried");
         // ...and the held one still answers from the old document, from its
         // own memo: nothing is recomputed and nothing leaked in from the new.
         assert_eq!(evaluate_flat(&q, &held.flat), before);

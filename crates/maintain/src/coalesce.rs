@@ -438,20 +438,27 @@ pub fn merge_regions(
 
 /// Patches every answer set from its disposition and the per-task region
 /// results (`results[i]` is the (answers, region slots) pair of
-/// `plan.region_tasks()[i]`, from [`scan_regions_flat`]): the old set grown
-/// to the post-batch arena, `∩ live` (`live` is the post-batch live-slot
-/// mask), minus the scanned regions' slots, plus what the scans found
-/// there. A [`ViewDisposition::Full`] view takes `fresh(v)`, the caller's
-/// ascending evaluation of view `v` on the post-batch document. `old[v]` is
-/// view `v`'s pre-batch answer set, of any capacity up to the post-batch
-/// arena (slots past it are non-members); the result holds its next set, or
-/// `None` when the set did **not change** — a [`ViewDisposition::Clean`]
-/// view is neither read nor copied, and a patch that comes out equal is
-/// dropped, so the caller keeps the stored set. Added and removed answers
-/// are counted by popcount on the way. Tasks are in `(view, root)` order,
-/// so each `Regions` view takes the next `roots.len()` results.
+/// `plan.region_tasks()[i]`, from [`scan_regions_flat`]): the old set minus
+/// the slots `prep` removed, minus the scanned regions' slots, plus what
+/// the scans found there, at the post-batch arena's width `arena_len`. A
+/// [`ViewDisposition::Full`] view takes `fresh(v)`, the caller's ascending
+/// evaluation of view `v` on the post-batch document. `old[v]` is view
+/// `v`'s pre-batch answer set, of any capacity up to the post-batch arena
+/// (slots past it are non-members); the result holds its next set, or
+/// `None` when the set did **not change**.
+///
+/// The flips are counted before anything is built: the old answers among
+/// the removed slots, and per region the slots whose membership the scan
+/// changed (`found ⊆ slots`, and removed slots are in no region). They are
+/// the added and removed counters, and only a view with a flip gets a new
+/// set, `old[v]` grown and patched; a [`ViewDisposition::Clean`] view is
+/// not read. So a batch that moves few answers costs bit tests on the
+/// slots it touched, not words of arena width per view. Tasks are in
+/// `(view, root)` order, so each `Regions` view takes the next
+/// `roots.len()` results.
 pub fn apply_region_results(
-    live: &BitSet,
+    arena_len: usize,
+    prep: &PreparedBatch,
     old: &[&BitSet],
     plan: &CoalescedPlan,
     results: &[(Vec<NodeId>, Vec<NodeId>)],
@@ -459,43 +466,61 @@ pub fn apply_region_results(
     stats: &mut MaintainStats,
 ) -> Vec<Option<BitSet>> {
     let mut results = results;
-    let survivors = |v: usize| {
-        let mut next = live.clone();
-        next.intersect_with(old[v]);
-        next
+    let removed = || {
+        prep.receipts.iter().flat_map(|r| match r {
+            AppliedEdit::Deleted { removed, .. } => removed.as_slice(),
+            _ => &[],
+        })
     };
     let patched = plan
         .dispositions
         .iter()
         .enumerate()
         .map(|(v, d)| {
-            let next = match d {
+            let set = old[v];
+            let had = |n: &NodeId| n.index() < set.capacity() && set.contains(n.index());
+            let scans = match d {
                 ViewDisposition::Clean => return None,
-                ViewDisposition::SpineClean => survivors(v),
+                ViewDisposition::SpineClean => &[][..],
                 ViewDisposition::Full => {
                     stats.full_recomputes += 1;
-                    BitSet::from_indices(live.capacity(), fresh(v).iter().map(|n| n.index()))
+                    let next = BitSet::from_indices(arena_len, fresh(v).iter().map(|n| n.index()));
+                    let (added, dropped) =
+                        (next.difference_count(set), set.difference_count(&next));
+                    stats.answers_added += added as u64;
+                    stats.answers_removed += dropped as u64;
+                    return (added + dropped > 0).then_some(next);
                 }
                 ViewDisposition::Regions(roots) => {
-                    // Regions of one view are disjoint and a scan finds
-                    // answers only among the slots it visited, so each
-                    // region is cleared and refilled on its own.
-                    let mut next = survivors(v);
                     let (scans, rest) = results.split_at(roots.len());
                     results = rest;
-                    for (found, slots) in scans {
-                        slots.iter().for_each(|n| next.remove(n.index()));
-                        found.iter().for_each(|n| next.insert(n.index()));
-                        stats.region_nodes += slots.len() as u64;
-                    }
                     stats.regions_scanned += roots.len() as u64;
-                    next
+                    scans
                 }
             };
-            let (added, removed) = (next.difference_count(old[v]), old[v].difference_count(&next));
+            // Regions of one view are disjoint and a scan finds answers
+            // only among the slots it visited: per region, the old answers
+            // among its slots that it did not find, and the found slots
+            // that were no answer.
+            let (mut added, mut dropped) = (0, removed().filter(|n| had(n)).count());
+            for (found, slots) in scans {
+                let kept = found.iter().filter(|n| had(n)).count();
+                dropped += slots.iter().filter(|n| had(n)).count() - kept;
+                added += found.len() - kept;
+                stats.region_nodes += slots.len() as u64;
+            }
             stats.answers_added += added as u64;
-            stats.answers_removed += removed as u64;
-            (added + removed > 0).then_some(next)
+            stats.answers_removed += dropped as u64;
+            if added + dropped == 0 {
+                return None;
+            }
+            let mut next = set.grown(arena_len);
+            removed().for_each(|n| next.remove(n.index()));
+            for (found, slots) in scans {
+                slots.iter().for_each(|n| next.remove(n.index()));
+                found.iter().for_each(|n| next.insert(n.index()));
+            }
+            Some(next)
         })
         .collect();
     assert!(results.is_empty(), "one result per region task");
@@ -564,10 +589,102 @@ mod tests {
             BitSet::from_indices(t0.arena_len(), evaluate(q, t0).iter().map(|n| n.index()));
         let mut stats = plan.stats;
         let fresh = |_| evaluate(q, t1);
+        let n1 = f1.arena_len();
         let patched =
-            apply_region_results(f1.live_mask(), &[&before], &plan, &results, fresh, &mut stats);
+            apply_region_results(n1, prep, &[&before], &plan, &results, fresh, &mut stats);
         let next = patched[0].as_ref().unwrap_or(&before).nodes().collect();
         (plan, stats, next)
+    }
+
+    /// `apply_region_results` against its definition on hand-made plans
+    /// over one batch — `old` grown to the new arena, cut to the live
+    /// slots, the regions' slots cleared and what the scans found set —
+    /// the set, whether it is `None` (unchanged) and every counter.
+    #[test]
+    fn patches_follow_their_definition_on_forced_shapes() {
+        // site0(region1(item2(name3, bids4), item5(name6)), region7(item8(
+        // name9))); item2 goes with its subtree, item10(name11) is grafted
+        // under region7, past the arena the shorter sets were taken on.
+        let t0 = doc();
+        let mut t1 = t0.clone();
+        let graft = TreeBuilder::root("item", |b| {
+            b.leaf("name");
+        });
+        let edits = [
+            Edit::DeleteSubtree { node: NodeId(2) },
+            Edit::InsertSubtree { parent: NodeId(7), subtree: graft },
+        ];
+        let prep = prepare_batch(&mut t1, &edits).expect("valid batch");
+        let f1 = FlatTree::freeze(&t1);
+        let n1 = f1.arena_len();
+        assert_eq!(n1, 12);
+        let set = |cap: usize, ids: &[usize]| BitSet::from_indices(cap, ids.iter().copied());
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        let region7 = (ids(&[9, 11]), ids(&[7, 8, 9, 10, 11]));
+        let (old, dispositions, results) = (
+            [
+                set(12, &[3, 6]), // SpineClean, name3 died with item2
+                set(10, &[6, 9]), // SpineClean, no dead answer, a shorter set
+                set(10, &[9]),    // a region past the set's capacity: name11 joins
+                set(10, &[9]),    // …and the same region, found as it was
+                set(12, &[3]),    // Clean: never read, even with a dead answer
+                set(10, &[4, 5]), // a region, and an answer dead outside it
+                set(12, &[6]),    // Full
+            ],
+            vec![
+                ViewDisposition::SpineClean,
+                ViewDisposition::SpineClean,
+                ViewDisposition::Regions(ids(&[7])),
+                ViewDisposition::Regions(ids(&[7])),
+                ViewDisposition::Clean,
+                ViewDisposition::Regions(ids(&[1])),
+                ViewDisposition::Full,
+            ],
+            vec![region7.clone(), (ids(&[9]), region7.1.clone()), (ids(&[5]), ids(&[1, 5, 6]))],
+        );
+        let plan = CoalescedPlan {
+            dispositions,
+            stats: MaintainStats { regions_before_merge: 4, ..MaintainStats::default() },
+        };
+        let olds: Vec<&BitSet> = old.iter().collect();
+        let mut stats = plan.stats;
+        let fresh = |_| ids(&[6, 9]);
+        let got = apply_region_results(n1, &prep, &olds, &plan, &results, fresh, &mut stats);
+
+        let mut want = MaintainStats { regions_before_merge: 4, ..MaintainStats::default() };
+        let mut results = results.iter();
+        for (v, d) in plan.dispositions.iter().enumerate() {
+            let mut next = old[v].grown(n1);
+            next.intersect_with(f1.live_mask());
+            match d {
+                ViewDisposition::Clean => {
+                    assert!(got[v].is_none(), "view {v}: a clean view is not patched");
+                    continue;
+                }
+                ViewDisposition::SpineClean => {}
+                ViewDisposition::Full => {
+                    next = set(n1, &[6, 9]);
+                    want.full_recomputes += 1;
+                }
+                ViewDisposition::Regions(roots) => {
+                    for (found, slots) in results.by_ref().take(roots.len()) {
+                        slots.iter().for_each(|n| next.remove(n.index()));
+                        found.iter().for_each(|n| next.insert(n.index()));
+                        want.region_nodes += slots.len() as u64;
+                    }
+                    want.regions_scanned += roots.len() as u64;
+                }
+            }
+            let grown = old[v].grown(n1);
+            want.answers_added += next.difference_count(&grown) as u64;
+            want.answers_removed += grown.difference_count(&next) as u64;
+            let changed = (next != grown).then_some(next);
+            assert_eq!(got[v], changed, "view {v}");
+        }
+        want.scans_saved = 1;
+        assert_eq!(stats, want);
+        let changed: Vec<bool> = got.iter().map(Option::is_some).collect();
+        assert_eq!(changed, [true, false, true, false, false, true, true]);
     }
 
     #[test]

@@ -45,6 +45,15 @@ pub enum Edit {
 }
 
 impl Edit {
+    /// The `(parent, subtree)` an insert grafts, as
+    /// `Tree::clone_with_room` takes it; `None` for the other edits.
+    pub fn graft(&self) -> Option<(NodeId, &Tree)> {
+        match self {
+            Edit::InsertSubtree { parent, subtree } => Some((*parent, subtree)),
+            _ => None,
+        }
+    }
+
     /// The **anchor** of the edit: the deepest node that survives the edit
     /// and whose subtree content changes — the bottom end of the ancestor
     /// spine the maintainer re-checks. `None` when the edit targets a node

@@ -46,7 +46,21 @@
 //! start a level segment and cut its live ancestor's short. A freeze of the
 //! same document may find a longer prefix (a graft under the rightmost
 //! path extends it); a derived one is never wrong, only as short as the
-//! first snapshot's. The witness memo and the level masks start empty.
+//! first snapshot's.
+//!
+//! The caches are inherited too, for one generation. Every level mask the
+//! predecessor built is grown to the new arena: appended slots are set (past
+//! the prefix, they are in every mask) and prefix slots that died are
+//! cleared (their depth is `NO_LEVEL`), which is the mask the new depth
+//! column gives. The witness memo starts with no entry of its own, but holds
+//! the predecessor's entries and the **dirty closure** — every re-read row,
+//! and every ancestor of a live one — listed children before parents. A slot
+//! outside the closure has the same label, parent and subtree in both
+//! documents. The first request for a key the predecessor held takes its set
+//! out and hands it to the computation as a [`Prior`], which re-decides the
+//! dirty slots only (`xpv-semantics`' flat module docs say why that is
+//! exact); a key the predecessor did not hold is computed from scratch, as
+//! every key of a freeze is.
 //!
 //! ## The ordered prefix
 //!
@@ -70,10 +84,11 @@
 //! falls into the segment before it, as it falls into a `last` range, and
 //! is in no candidate set; a slot past the prefix is a segment of its own,
 //! so no chain runs into the tail. A mask is built from the `depth` column
-//! when first asked for and kept, under the contract below, until the
-//! snapshot is dropped: a depth nobody asks about costs nothing (freezing a
-//! 200 000-deep chain builds none), and there are masks for depths below
-//! 255 only — deeper slots read as deeper than any mask, which is true.
+//! when first asked for (or carried from the predecessor) and kept, under
+//! the contract below, until the snapshot is dropped: a depth nobody asks
+//! about costs nothing (freezing a 200 000-deep chain builds none), and
+//! there are masks for depths below 255 only — deeper slots read as deeper
+//! than any mask, which is true.
 //!
 //! ## Shared-freeze contract
 //!
@@ -81,13 +96,18 @@
 //! once, by [`FlatTree::freeze`] or [`FlatTree::derive`], and never
 //! updated. The fields written after that are the **witness memo**
 //! ([`FlatTree::witness`]) and the level masks, bounded caches of pure
-//! functions of this document: an entry, whenever it is computed and by
-//! whichever thread, is the same set, so a reader can never tell an empty
-//! memo from a full or a contended one except by the time it takes. Both
-//! are created with the snapshot and dropped with it. A new document is a
-//! new `FlatTree`, so there is nothing to invalidate, and pool changes
-//! (`add_view` / `remove_view`), which reuse the `Arc<FlatTree>`, keep
-//! them warm.
+//! functions of this document: an entry, whenever it is computed, by
+//! whichever thread, and whether from scratch or from an inherited
+//! [`Prior`], is the same set, so a reader can never tell an empty memo
+//! from a full, a contended or an inherited one except by the time it
+//! takes. Both are created with the snapshot and dropped with it; deriving
+//! the next snapshot only reads them (it copies the memo's handles and the
+//! built masks), so the predecessor keeps serving unchanged while its
+//! successor is built, and two threads that miss on one inherited key both
+//! compute an equal set — one from the prior, which is taken out once, the
+//! other from scratch. A new document is a new `FlatTree`, so there is
+//! nothing to invalidate, and pool changes (`add_view` / `remove_view`),
+//! which reuse the `Arc<FlatTree>`, keep them warm.
 //!
 //! The engine's `ShardedViewCache` derives **one** `FlatTree` per edit
 //! batch, immediately after the batch's edits are applied to the cloned
@@ -117,7 +137,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use crate::bitset::BitSet;
 use crate::label::Label;
@@ -141,22 +161,42 @@ pub type WitnessKey = (u64, bool);
 /// ordered prefix, or a slot deeper than the masks go. Also their number.
 const NO_LEVEL: u8 = u8::MAX;
 
+/// What a derived snapshot inherits for one witness key
+/// ([`FlatTree::witness`]): the predecessor's set, at the predecessor's
+/// arena width, and the slots whose bit may differ here.
+#[derive(Debug)]
+pub struct Prior<'a> {
+    /// The set the predecessor computed under the same key.
+    pub set: Arc<BitSet>,
+    /// The dirty closure (module docs, *Deriving the next snapshot*):
+    /// descending, so every slot comes before its parent.
+    pub dirty: &'a [u32],
+}
+
 /// The per-snapshot cache behind [`FlatTree::witness`].
 #[derive(Debug)]
 struct WitnessMemo {
     sets: RwLock<HashMap<WitnessKey, Arc<BitSet>>>,
+    /// The predecessor's sets, each taken out by its first request here.
+    prior: Mutex<HashMap<WitnessKey, Arc<BitSet>>>,
+    /// The dirty closure every prior set is re-decided on.
+    dirty: Vec<u32>,
     bound: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+    carried: AtomicU64,
 }
 
 impl WitnessMemo {
-    fn new(bound: usize) -> WitnessMemo {
+    fn new(bound: usize, prior: HashMap<WitnessKey, Arc<BitSet>>, dirty: Vec<u32>) -> WitnessMemo {
         WitnessMemo {
             sets: RwLock::new(HashMap::new()),
+            prior: Mutex::new(prior),
+            dirty,
             bound,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            carried: AtomicU64::new(0),
         }
     }
 }
@@ -276,7 +316,7 @@ impl FlatTree {
             posting_of,
             postings,
             live_count,
-            memo: WitnessMemo::new(memo_bound),
+            memo: WitnessMemo::new(memo_bound, HashMap::new(), Vec::new()),
             levels: (0..NO_LEVEL).map(|_| OnceLock::new()).collect(),
         }
     }
@@ -292,7 +332,9 @@ impl FlatTree {
     ///
     /// Equal to [`FlatTree::freeze`]`(t1)` in labels, parents, children,
     /// the live mask and the postings; the ordered prefix is this
-    /// snapshot's, which may be shorter than a freeze would find.
+    /// snapshot's, which may be shorter than a freeze would find. The level
+    /// masks this snapshot built are carried, and its witness sets are
+    /// offered to the new memo as priors (module docs).
     pub fn derive(&self, t1: &Tree, touched: &[NodeId]) -> FlatTree {
         let (n0, n1) = (self.arena_len(), t1.arena_len());
         assert!(n1 >= n0, "an edited document's arena only grows");
@@ -369,6 +411,42 @@ impl FlatTree {
             }
         }
 
+        // The dirty closure: every re-read row, and every ancestor of a live
+        // one. A climb stops at the first marked slot: a live one was
+        // climbed from, so its ancestors are marked already.
+        let mut marks = BitSet::new(n1);
+        for &i in &rows {
+            marks.insert(i);
+            let mut cur = if live.contains(i) { parents[i] } else { NO_PARENT };
+            while cur != NO_PARENT && !marks.contains(cur as usize) {
+                marks.insert(cur as usize);
+                cur = parents[cur as usize];
+            }
+        }
+        let mut dirty: Vec<u32> = marks.iter().map(|i| i as u32).collect();
+        dirty.reverse();
+        let prior = self.memo.sets.read().expect("witness memo poisoned").clone();
+
+        // A built mask grows to the new arena: appended slots lie past the
+        // prefix (in every mask), prefix slots that died have no level.
+        let levels = self
+            .levels
+            .iter()
+            .map(|l| match l.get() {
+                Some(mask) => {
+                    let mut mask = mask.grown(n1);
+                    mask.insert_range(n0, n1);
+                    for &i in rows.iter().take_while(|&&i| i < self.ordered_len) {
+                        if !live.contains(i) {
+                            mask.remove(i);
+                        }
+                    }
+                    OnceLock::from(mask)
+                }
+                None => OnceLock::new(),
+            })
+            .collect();
+
         FlatTree {
             labels,
             parents,
@@ -381,8 +459,8 @@ impl FlatTree {
             posting_of,
             postings,
             live_count: t1.len(),
-            memo: WitnessMemo::new(self.memo.bound),
-            levels: (0..NO_LEVEL).map(|_| OnceLock::new()).collect(),
+            memo: WitnessMemo::new(self.memo.bound, prior, dirty),
+            levels,
         }
     }
 
@@ -533,13 +611,27 @@ impl FlatTree {
     /// invisible: two threads that miss together compute equal sets and
     /// one of them is kept. `compute` runs outside the lock and may itself
     /// call `witness` for the subtrees below.
-    pub fn witness(&self, key: WitnessKey, compute: impl FnOnce() -> BitSet) -> Arc<BitSet> {
-        if let Some(hit) = self.memo.sets.read().expect("witness memo poisoned").get(&key) {
+    ///
+    /// On a derived snapshot, the first request for a key the predecessor
+    /// held takes the predecessor's set out and hands it to `compute` as a
+    /// [`Prior`], to be re-decided on its dirty slots; every other request,
+    /// on a frozen snapshot every one, passes `None`.
+    pub fn witness(
+        &self,
+        key: WitnessKey,
+        compute: impl FnOnce(Option<Prior<'_>>) -> BitSet,
+    ) -> Arc<BitSet> {
+        if let Some(hit) = self.memoized(key) {
             self.memo.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
+            return hit;
         }
         self.memo.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = Arc::new(compute());
+        let taken = self.memo.prior.lock().expect("witness memo poisoned").remove(&key);
+        let prior = taken.map(|set| Prior { set, dirty: &self.memo.dirty });
+        if prior.is_some() {
+            self.memo.carried.fetch_add(1, Ordering::Relaxed);
+        }
+        let fresh = Arc::new(compute(prior));
         let mut sets = self.memo.sets.write().expect("witness memo poisoned");
         if sets.len() >= self.memo.bound {
             sets.clear();
@@ -547,9 +639,16 @@ impl FlatTree {
         Arc::clone(sets.entry(key).or_insert(fresh))
     }
 
-    /// `(hits, misses)` of [`FlatTree::witness`] over this snapshot's life.
-    pub fn witness_memo_counts(&self) -> (u64, u64) {
-        (self.memo.hits.load(Ordering::Relaxed), self.memo.misses.load(Ordering::Relaxed))
+    /// The witness set the memo holds under `key`, if any; computes nothing.
+    pub fn memoized(&self, key: WitnessKey) -> Option<Arc<BitSet>> {
+        self.memo.sets.read().expect("witness memo poisoned").get(&key).cloned()
+    }
+
+    /// `(hits, misses, carried)` of [`FlatTree::witness`] over this
+    /// snapshot's life: `carried` counts the misses handed a [`Prior`].
+    pub fn witness_memo_counts(&self) -> (u64, u64, u64) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        (load(&self.memo.hits), load(&self.memo.misses), load(&self.memo.carried))
     }
 }
 
@@ -646,25 +745,132 @@ mod tests {
             b.insert(i);
             b
         };
-        let first = ft.witness((1, false), || set_of(1));
+        let first = ft.witness((1, false), |_| set_of(1));
         // A hit returns the stored set and never runs `compute`; the axis
         // flag is part of the key.
-        let again = ft.witness((1, false), || unreachable!("memoized"));
+        let again = ft.witness((1, false), |_| unreachable!("memoized"));
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(*ft.witness((1, true), || set_of(2)), set_of(2));
-        assert_eq!(ft.witness_memo_counts(), (1, 2));
+        assert_eq!(*ft.witness((1, true), |_| set_of(2)), set_of(2));
+        assert_eq!(ft.witness_memo_counts(), (1, 2, 0));
         // `compute` may ask for other keys (the matcher recurses into the
         // subtrees below): the lock is not held across it.
         let nested =
-            ft.witness((2, false), || (*ft.witness((1, false), || unreachable!())).clone());
+            ft.witness((2, false), |_| (*ft.witness((1, false), |_| unreachable!())).clone());
         assert_eq!(*nested, set_of(1));
         // Three sets are held: the next new key empties the memo first, and
         // handles taken earlier stay valid.
-        ft.witness((3, false), || set_of(3));
-        let recomputed = ft.witness((1, false), || set_of(1));
+        ft.witness((3, false), |_| set_of(3));
+        assert!(ft.memoized((1, false)).is_none(), "emptied at the bound");
+        let recomputed = ft.witness((1, false), |_| set_of(1));
         assert!(!Arc::ptr_eq(&first, &recomputed));
         assert_eq!(*first, *recomputed);
-        assert!(Arc::ptr_eq(&recomputed, &ft.witness((1, false), || unreachable!())));
+        assert!(Arc::ptr_eq(&recomputed, &ft.witness((1, false), |_| unreachable!())));
+        assert!(Arc::ptr_eq(&recomputed, &ft.memoized((1, false)).expect("held")));
+    }
+
+    /// The slots of `ft` with a child in `table` (`//`: a descendant).
+    fn parents_of(ft: &FlatTree, table: &BitSet, descendant: bool) -> BitSet {
+        let mut ok = BitSet::new(ft.arena_len());
+        for m in table.iter() {
+            let mut cur = ft.parent(m);
+            while cur != NO_PARENT && !ok.contains(cur as usize) {
+                ok.insert(cur as usize);
+                cur = if descendant { ft.parent(cur as usize) } else { NO_PARENT };
+            }
+        }
+        ok
+    }
+
+    /// A prior re-decided on its dirty slots, as `xpv-semantics` does it.
+    fn redecided(ft: &FlatTree, prior: Prior<'_>, table: &BitSet, descendant: bool) -> BitSet {
+        let mut ok = prior.set.grown(ft.arena_len());
+        for &v in prior.dirty {
+            let v = v as usize;
+            let hit = ft.is_alive(v)
+                && ft.children(v).iter().any(|&x| {
+                    table.contains(x as usize) || (descendant && ok.contains(x as usize))
+                });
+            if hit {
+                ok.insert(v);
+            } else {
+                ok.remove(v);
+            }
+        }
+        ok
+    }
+
+    #[test]
+    fn a_derived_memo_carries_each_prior_set_once() {
+        // r0(a1(b2, c3(d4, e5)), f6(g7), h8): `W` of "has a `d`/`g` child"
+        // (key 1) and "has a `d`/`g` descendant" (key 2), on the freeze and
+        // on a derived snapshot where `d4` goes and a `g` grows under `h8`.
+        let mut t = depth_first_tree();
+        let table = |ft: &FlatTree| {
+            let mut b = ft.posting(Label::new("d")).cloned().unwrap_or(BitSet::new(ft.arena_len()));
+            if let Some(g) = ft.posting(Label::new("g")) {
+                b.union_with(g);
+            }
+            b
+        };
+        let f0 = FlatTree::freeze(&t);
+        for (key, descendant) in [(1, false), (2, true)] {
+            let computed = f0.witness((key, descendant), |prior| {
+                assert!(prior.is_none(), "a freeze inherits nothing");
+                parents_of(&f0, &table(&f0), descendant)
+            });
+            let want = if descendant { vec![0, 1, 3, 6] } else { vec![3, 6] };
+            assert_eq!(computed.iter().collect::<Vec<_>>(), want);
+        }
+        // Key 3 is filed on the freeze only after the derive: not inherited.
+        let mut b = Batch { t: &mut t, touched: Vec::new() };
+        b.delete(NodeId(4));
+        b.graft(NodeId(8), "g");
+        let touched = std::mem::take(&mut b.touched);
+        let f1 = f0.derive(&t, &touched);
+        f0.witness((3, false), |_| BitSet::new(f0.arena_len()));
+        // The dirty closure: the delete's parent and slot, the graft's
+        // parent and slot, and their ancestors — children first.
+        assert_eq!(f1.memo.dirty, [9, 8, 4, 3, 1, 0]);
+        for (key, descendant) in [(1, false), (2, true)] {
+            let got = f1.witness((key, descendant), |prior| {
+                let prior = prior.expect("the predecessor held it");
+                assert_eq!(prior.set.capacity(), f0.arena_len());
+                redecided(&f1, prior, &table(&f1), descendant)
+            });
+            assert_eq!(*got, parents_of(&f1, &table(&f1), descendant), "key {key}");
+        }
+        assert_eq!(f1.witness_memo_counts(), (0, 2, 2));
+        // Taken out once: after the memo drops it, the key is computed anew.
+        f1.witness((3, false), |prior| {
+            assert!(prior.is_none(), "filed after the derive");
+            BitSet::new(f1.arena_len())
+        });
+        assert_eq!(f1.witness_memo_counts(), (0, 3, 2));
+
+        // Two threads missing the same inherited key together: one takes
+        // the prior, the other computes from scratch, one set is kept.
+        let f2 = f1.derive(&t, &[]);
+        assert!(f2.memo.dirty.is_empty(), "a batch that touched nothing");
+        let both = std::sync::Barrier::new(2);
+        let took: Vec<bool> = std::thread::scope(|s| {
+            let run = || {
+                let mut took = false;
+                let set = f2.witness((2, true), |prior| {
+                    both.wait();
+                    took = prior.is_some();
+                    match prior {
+                        Some(prior) => redecided(&f2, prior, &table(&f2), true),
+                        None => parents_of(&f2, &table(&f2), true),
+                    }
+                });
+                assert_eq!(*set, parents_of(&f2, &table(&f2), true));
+                took
+            };
+            let handles = [s.spawn(run), s.spawn(run)];
+            handles.map(|h| h.join().expect("no panic")).to_vec()
+        });
+        assert_eq!(took.iter().filter(|&&t| t).count(), 1, "{took:?}");
+        assert_eq!(f2.witness_memo_counts(), (0, 2, 1));
     }
 
     #[test]
@@ -896,6 +1102,9 @@ mod tests {
     /// prefix's ranges and level segments hold on the derived snapshot
     /// (checked slot by slot when `every_slot`, else at the root only).
     fn check_derived(prev: &FlatTree, t1: &Tree, touched: &[NodeId], every_slot: bool) -> FlatTree {
+        // Masks built on the predecessor, so some are carried.
+        prev.level(0);
+        prev.level(1);
         let (got, want) = (prev.derive(t1, touched), FlatTree::freeze(t1));
         assert_eq!((got.arena_len(), got.len()), (want.arena_len(), want.len()));
         assert_eq!(got.labels, want.labels, "labels");
@@ -906,7 +1115,13 @@ mod tests {
         assert_eq!(postings_by_label(&got), postings_by_label(&want), "postings");
         assert_eq!(got.ordered_len(), prev.ordered_len(), "the prefix is kept");
         assert!(got.ordered_len() <= want.ordered_len());
-        assert_eq!(got.levels_built(), 0);
+        // The masks `prev` had built are carried, and read as built anew.
+        assert_eq!(got.levels_built(), prev.levels_built());
+        for (d, mask) in got.levels.iter().enumerate() {
+            if let Some(mask) = mask.get() {
+                assert_eq!(*mask, BitSet::at_most(&got.depth, d as u8), "carried U_{d}");
+            }
+        }
         if every_slot {
             check_snapshot_ranges(&got);
         } else {

@@ -26,9 +26,11 @@
 //! Ids and child order are untouched by any of this: a `NodeId` indexes
 //! `nodes`, which only ever grows at its end, and relocation moves a list's
 //! *storage*, not its contents. What the layout buys is the cost of a copy:
-//! [`Tree::clone`] (the private document every edit batch starts from) is
-//! two `memcpy`s and dropping a tree is two frees, whatever the node count,
-//! where one heap `Vec` per node made both a walk over every node.
+//! [`Tree::clone`] is two `memcpy`s and dropping a tree is two frees,
+//! whatever the node count, where one heap `Vec` per node made both a walk
+//! over every node. The private document every edit batch starts from is a
+//! [`Tree::clone_with_room`]: the same two copies, with room for the
+//! batch's grafts, so applying the batch never reallocates either buffer.
 //!
 //! ## Edits and NodeId stability
 //!
@@ -143,6 +145,46 @@ impl Tree {
     #[inline]
     pub fn is_empty(&self) -> bool {
         false
+    }
+
+    /// A copy of this tree with room for `grafts`, the `(parent, subtree)`
+    /// pairs an edit batch attaches ([`Tree::attach_tree`]) in that order:
+    /// grafting them, and deleting or relabeling anything in between,
+    /// reallocates neither buffer. The node arena gets a slot per grafted
+    /// node. The child pool gets, for each parent already in the tree, the
+    /// ranges its list relocates to as the grafts fill it (the doubling
+    /// rule of [`Tree::add_child`]), and for the grafted nodes' own lists,
+    /// parents of later grafts included, four slots per grafted node: a
+    /// list of `n` children has held fewer than `4n` slots in all, and the
+    /// grafts push at most one child per grafted node.
+    pub fn clone_with_room<'g>(
+        &self,
+        grafts: impl IntoIterator<Item = (NodeId, &'g Tree)>,
+    ) -> Tree {
+        let (mut nodes, mut parents) = (0, Vec::new());
+        for (parent, subtree) in grafts {
+            nodes += subtree.len();
+            parents.push(parent);
+        }
+        let mut pool = 4 * nodes;
+        parents.sort_unstable();
+        for run in parents.chunk_by(|a, b| a == b) {
+            let Some(node) = self.nodes.get(run[0].index()) else { continue };
+            let (mut len, mut cap) = (node.len as usize, node.cap as usize);
+            for _ in run {
+                if len == cap {
+                    cap = (cap * 2).max(2);
+                    pool += cap;
+                }
+                len += 1;
+            }
+        }
+        fn grown<T: Copy>(buf: &[T], room: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(buf.len() + room);
+            out.extend_from_slice(buf);
+            out
+        }
+        Tree { nodes: grown(&self.nodes, nodes), pool: grown(&self.pool, pool), live: self.live }
     }
 
     /// Appends a new leaf labeled `label` under `parent`, returning its id.
@@ -840,6 +882,58 @@ mod tests {
             assert!(s.len() >= 6, "64+ children take at least six relocations, saw {s:?}");
         }
         assert_eq!(t.children(hubs[0]).len(), 70);
+    }
+
+    #[test]
+    fn a_copy_with_room_takes_its_grafts_without_reallocating() {
+        // r with hubs of 1, 2, 4, 8 and 16 children: every list but the
+        // first full, so the first graft under a full one relocates it.
+        let (k, x) = (Label::new("k"), Label::new("x"));
+        let mut base = Tree::new(Label::new("r"));
+        let hubs: Vec<NodeId> = (0..5).map(|_| base.add_child(base.root(), k)).collect();
+        for (i, &hub) in hubs.iter().enumerate() {
+            for _ in 0..1 << i {
+                base.add_child(hub, x);
+            }
+        }
+        let mut rng = Rng(0x5EED);
+        for round in 0..200 {
+            // The first graft goes under the root; the others under a hub
+            // (several under one), any live slot (leaves too), or the first
+            // graft's root, a slot of this batch. Deletes of leaves no graft
+            // goes under, and relabels, in between.
+            let n0 = base.arena_len();
+            let live: Vec<NodeId> = base.node_ids().collect();
+            let grafts: Vec<(NodeId, Tree)> = (0..1 + rng.below(24))
+                .map(|i| {
+                    let parent = match rng.below(4) {
+                        _ if i == 0 => base.root(),
+                        0 => NodeId(n0 as u32),
+                        1 => hubs[rng.below(hubs.len())],
+                        _ => live[rng.below(live.len())],
+                    };
+                    let graft = if rng.below(2) == 0 { Tree::new(x) } else { abc_tree() };
+                    (parent, graft)
+                })
+                .collect();
+            let mut t = base.clone_with_room(grafts.iter().map(|(p, g)| (*p, g)));
+            let (nodes, pool) = ((t.nodes.as_ptr(), t.nodes.capacity()), t.pool.as_ptr());
+            for (parent, graft) in &grafts {
+                t.attach_tree(*parent, graft);
+                let victim = live[rng.below(live.len())];
+                let spared = hubs.contains(&victim) || grafts.iter().any(|(p, _)| *p == victim);
+                if t.is_alive(victim) && t.is_leaf(victim) && !spared {
+                    t.remove_subtree(victim);
+                } else if t.is_alive(victim) {
+                    t.set_label(victim, k);
+                }
+            }
+            assert_eq!((t.nodes.as_ptr(), t.nodes.capacity()), nodes, "round {round}: nodes");
+            assert_eq!(t.pool.as_ptr(), pool, "round {round}: the child pool moved");
+            if round % 4 == 0 {
+                base = t;
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,33 @@
 //! bottom-up pass along the spine that a table-per-node matcher runs is
 //! implied by the top-down one.
 //!
+//! ## Carried witness sets
+//!
+//! A snapshot derived after an edit batch ([`FlatTree::derive`]) is handed,
+//! for each key its predecessor held, the predecessor's `W(c)` and the
+//! batch's dirty closure `D`: every row the batch re-read (deleted,
+//! relabeled and appended slots, parents that gained or lost a child) and
+//! every ancestor of a live one. The new `W(c)` is the old one grown to the
+//! new arena with the slots of `D` re-decided, children before parents:
+//! `v ∈ W(c)` iff `v` is live and some child `x` has `x ∈ table(c)`, or,
+//! for a `//` edge, `x ∈ W(c)`.
+//!
+//! **This is exact.** A slot `v` outside `D` was not re-read, so its label,
+//! parent and child list are the old ones; no live descendant of it was
+//! re-read either (it would have put `v` in `D`), so by induction down the
+//! child lists its whole subtree, labels included, is the old one. `W(c)`
+//! at `v` and `table(c)` at `v` read only `v`'s subtree, so both bits are
+//! the old ones. Inside `D`, a child `x` of `v` that is not in `D` keeps
+//! its old verdict (`x ∈ table(c)`, `x ∈ W(c)`), and was a child of `v`
+//! before the batch too: its row, parent included, is unchanged. So the
+//! re-decision reads the children of `v` in `D` — decided earlier, as they
+//! come first — and, only when `v` held before and none of them witnesses
+//! it now, the old children for one that still does; a `v` that did not
+//! hold before has no old child that witnesses it. `table(c)` needs the
+//! new `W(c')` of `c`'s children, carried or computed the same way, at
+//! those children only. A batch thus costs each carried key a copy of the
+//! old set and work on `D`, not a posting-wide table and its climbs.
+//!
 //! ## The two down-steps
 //!
 //! A `Child` step and a `Descendant` step are one procedure
@@ -99,7 +126,7 @@ use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use xpv_model::{AnswerArena, AnswerRef, BitSet, FlatTree, NodeId, NO_PARENT};
+use xpv_model::{AnswerArena, AnswerRef, BitSet, FlatTree, NodeId, Prior, NO_PARENT};
 use xpv_pattern::{Axis, NodeTest, PatId, Pattern};
 
 /// A recycling pool of arena-width [`BitSet`] buffers, all of one capacity
@@ -167,7 +194,9 @@ fn seed<'t>(p: &Pattern, ft: &'t FlatTree, n: PatId) -> Option<&'t BitSet> {
 
 /// `W(c)`, from the snapshot's memo or computed into it: the slots with a
 /// member of `table(c)` as a child (`Child`) or proper descendant
-/// (`Descendant`). `fps` are `p`'s subtree fingerprints.
+/// (`Descendant`). `fps` are `p`'s subtree fingerprints. Handed the
+/// predecessor's set, it re-decides the dirty slots only (module docs,
+/// §Carried witness sets).
 fn witness(
     p: &Pattern,
     fps: &[u64],
@@ -176,11 +205,41 @@ fn witness(
     scratch: &mut EvalScratch,
 ) -> Arc<BitSet> {
     let descendant = p.axis(c) == Axis::Descendant;
-    ft.witness((fps[c.index()], descendant), || {
-        let mut ok = BitSet::new(ft.arena_len());
+    ft.witness((fps[c.index()], descendant), |prior| {
         let Some(posting) = seed(p, ft, c) else {
-            return ok;
+            return BitSet::new(ft.arena_len());
         };
+        if let Some(Prior { set, dirty }) = prior {
+            let kids: Vec<Arc<BitSet>> =
+                p.children(c).iter().map(|&cc| witness(p, fps, ft, cc, scratch)).collect();
+            let in_table = |x: usize| posting.contains(x) && kids.iter().all(|w| w.contains(x));
+            let mut ok = set.grown(ft.arena_len());
+            // Children before parents, so a dirty slot's dirty children are
+            // decided first and mark it in `hit` when one witnesses it. A
+            // clean child keeps its old verdict: without a dirty witness
+            // the slot holds iff it held before and a child still does.
+            let holds = |ok: &BitSet, x: usize| in_table(x) || (descendant && ok.contains(x));
+            let mut hit = scratch.take();
+            for &v in dirty {
+                let v = v as usize;
+                let was = v < set.capacity() && set.contains(v);
+                let now = ft.is_alive(v)
+                    && (hit.contains(v)
+                        || (was && ft.children(v).iter().any(|&x| holds(&ok, x as usize))));
+                if now {
+                    ok.insert(v);
+                } else {
+                    ok.remove(v);
+                }
+                let parent = ft.parent(v);
+                if parent != NO_PARENT && holds(&ok, v) {
+                    hit.insert(parent as usize);
+                }
+            }
+            scratch.put(hit);
+            return ok;
+        }
+        let mut ok = BitSet::new(ft.arena_len());
         let mut table = scratch.take();
         table.copy_from(posting);
         for &cc in p.children(c) {
@@ -1081,7 +1140,7 @@ mod tests {
         }
         // A second evaluator on the same snapshot, and the convenience
         // wrapper, compute no witness set again: every branch is a hit.
-        let (_, misses) = ft.witness_memo_counts();
+        let (_, misses, _) = ft.witness_memo_counts();
         assert!(misses > 0, "the query mix has branches");
         let outs = evaluate_batch_flat(&ft, &refs);
         for (p, out) in refs.iter().zip(&outs) {
@@ -1092,9 +1151,9 @@ mod tests {
         // (`a//c[d]` and `a/b/c[d]`), and whatever the spine above it is.
         let fresh = FlatTree::freeze(&t);
         evaluate_flat(&pat("a//c[d]"), &fresh);
-        assert_eq!(fresh.witness_memo_counts(), (0, 1));
+        assert_eq!(fresh.witness_memo_counts(), (0, 1, 0));
         evaluate_flat(&pat("a/b/c[d]"), &fresh);
-        assert_eq!(fresh.witness_memo_counts(), (1, 1));
+        assert_eq!(fresh.witness_memo_counts(), (1, 1, 0));
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //! queries routed through a view or an intersection of views: their anchors
 //! are slot sets ANDed inside the evaluator, never a list.
 //!
-//! The same accounting pins the two costs an edit batch must not pay per
+//! The same accounting pins the costs an edit batch must not pay per
 //! document node: copying the document ([`Tree::clone`] is a fixed number
-//! of allocations) and scanning a region (the bytes a scan allocates depend
-//! on the region, not on the document around it).
+//! of allocations, and [`Tree::clone_with_room`] leaves room for the batch,
+//! so applying it reallocates nothing), scanning a region (the bytes a scan
+//! allocates depend on the region, not on the document around it) and
+//! patching the answer sets (a set that does not change is not rebuilt).
 //!
 //! These tests live in their own integration binary because the counting
 //! `#[global_allocator]` is process-global; the counters are per thread, so
@@ -25,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use xpath_views::engine::evaluate_and_encode;
-use xpath_views::model::{AnswerArena, AnswerRef, FlatTree, Label, Tree};
+use xpath_views::model::{AnswerArena, AnswerRef, FlatTree, Label, Tree, TreeBuilder};
 use xpath_views::net::{AnswersEncoder, Msg, WireRouteRef};
 use xpath_views::obs::Span;
 use xpath_views::prelude::*;
@@ -258,6 +260,131 @@ fn tree_clone_allocations_do_not_scale_with_the_document() {
     let cloned = allocs() - before;
     assert_eq!(copy.len(), doc.len());
     assert!(cloned <= 4, "Tree::clone of 50k nodes made {cloned} allocations");
+}
+
+/// `r` with `groups` children `m` of 2, 4, 8 and 16 leaves in turn: every
+/// `m`'s child list is full, so the first graft under one relocates it.
+fn full_lists_doc(groups: usize) -> Tree {
+    let mut t = Tree::new(Label::new("r"));
+    for g in 0..groups {
+        let m = t.add_child(t.root(), Label::new("m"));
+        for leaf in 0..2 << (g % 4) {
+            t.add_child(m, Label::new(if leaf % 5 == 0 { "y" } else { "x" }));
+        }
+    }
+    t
+}
+
+/// The copy an edit batch is applied to has room for the batch
+/// ([`Tree::clone_with_room`]): applying it allocates nothing of the
+/// document's size — neither node arena nor child pool grows — over
+/// generated batches, inserts under full child lists, several inserts
+/// under one parent and inserts under a node the batch grafted. A plain
+/// copy, which has no room, reallocates on the same batches.
+#[test]
+fn a_copy_with_room_applies_its_batch_without_growing() {
+    use xpath_views::maintain::{apply_edits, Edit};
+    use xpath_views::workload::{edit_batches, edit_stream, EditMix};
+
+    let doc = full_lists_doc(2_000);
+    let m = |g: usize| doc.children(doc.root())[g];
+    let leaf = |label: &str| Tree::new(Label::new(label));
+    let pair = TreeBuilder::root("m", |b| {
+        b.leaf("x").leaf("y");
+    });
+    let grafted = NodeId(doc.arena_len() as u32);
+    let forced: [Vec<Edit>; 3] = [
+        // Full lists of 2 and 16, one graft each; the root's own list.
+        vec![
+            Edit::InsertSubtree { parent: m(0), subtree: leaf("x") },
+            Edit::InsertSubtree { parent: m(3), subtree: pair.clone() },
+            Edit::InsertSubtree { parent: doc.root(), subtree: leaf("m") },
+        ],
+        // Twenty under one full list of 8: it relocates to 16, then 32.
+        (0..20).map(|_| Edit::InsertSubtree { parent: m(2), subtree: leaf("y") }).collect(),
+        // Under the batch's own graft, deletes and relabels in between.
+        vec![
+            Edit::InsertSubtree { parent: m(1), subtree: pair.clone() },
+            Edit::InsertSubtree { parent: grafted, subtree: pair.clone() },
+            Edit::DeleteSubtree { node: doc.children(m(5))[0] },
+            Edit::InsertSubtree { parent: grafted, subtree: leaf("x") },
+            Edit::Relabel { node: m(6), label: Label::new("y") },
+            Edit::InsertSubtree { parent: NodeId(grafted.0 + 1), subtree: leaf("x") },
+        ],
+    ];
+    let big = doc.arena_len();
+    // Applies `batch` to a copy with room and to a plain one: the first
+    // must grow nothing; returns it and how often the plain one grew.
+    let apply = |from: &Tree, batch: &[Edit], what: &str| {
+        let mut copy = from.clone_with_room(batch.iter().filter_map(Edit::graft));
+        watch(big);
+        apply_edits(&mut copy, batch).expect("the batch applies");
+        assert_eq!(watched(), 0, "{what} grew a buffer of the copy");
+        let mut plain = from.clone();
+        watch(big);
+        apply_edits(&mut plain, batch).expect("the batch applies");
+        assert_eq!(copy.canonical_key(), plain.canonical_key());
+        (copy, watched())
+    };
+    for (i, batch) in forced.iter().enumerate() {
+        let (_, grew) = apply(&doc, batch, &format!("forced batch {i}"));
+        assert!(grew > 0, "forced batch {i}: a plain copy has no room");
+    }
+    // Generated batches, each applied to the copy the last one left.
+    let stream = edit_stream(&doc, 32 * 8, EditMix::default(), 0xC0B1);
+    let mut cur = doc.clone();
+    for (i, batch) in edit_batches(&stream, 8).iter().enumerate() {
+        cur = apply(&cur, batch, &format!("generated batch {i}")).0;
+    }
+}
+
+/// A batch that changes no answer set makes `apply_region_results`
+/// allocate nothing of a set's size, though its views are not clean: one
+/// has a region scanned (a graft no view selects, under a wildcard step)
+/// and one is spine-clean (a relabel to the same label, nothing dead).
+#[test]
+fn a_patch_that_changes_nothing_allocates_no_set() {
+    use xpath_views::maintain::{
+        apply_region_results, coalesce_plan, prepare_batch, scan_regions_flat, Edit, FlatSpines,
+        ViewDisposition,
+    };
+    use xpath_views::model::BitSet;
+    use xpath_views::semantics::evaluate_flat;
+
+    let mut doc = grouped_doc(5_000);
+    let f0 = FlatTree::freeze(&doc);
+    let defs: Vec<Pattern> =
+        ["r/*/y", "r/m[y]/x", "r//z"].iter().map(|q| parse_xpath(q).expect("parses")).collect();
+    let defs: Vec<&Pattern> = defs.iter().collect();
+    let old: Vec<BitSet> = defs
+        .iter()
+        .map(|p| {
+            BitSet::from_indices(f0.arena_len(), evaluate_flat(p, &f0).iter().map(|n| n.index()))
+        })
+        .collect();
+    let m = doc.children(doc.root())[3];
+    let x = doc.children(m)[4];
+    let edits = [
+        Edit::InsertSubtree { parent: m, subtree: Tree::new(Label::new("w")) },
+        Edit::Relabel { node: x, label: Label::new("x") },
+    ];
+    let prep = prepare_batch(&mut doc, &edits).expect("valid batch");
+    let f1 = f0.derive(&doc, &prep.touched_slots());
+    let mut after = FlatSpines::new(&f1, &defs);
+    let plan = coalesce_plan(&defs, &prep, &mut FlatSpines::new(&f0, &defs), &mut after);
+    assert!(matches!(plan.dispositions[0], ViewDisposition::Regions(_)), "{plan:?}");
+    assert_eq!(plan.dispositions[1], ViewDisposition::SpineClean);
+    let results = scan_regions_flat(&mut after, &plan.region_tasks());
+    let olds: Vec<&BitSet> = old.iter().collect();
+    let mut stats = plan.stats;
+    let set_bytes = f1.arena_len().div_ceil(64) * 8;
+    watch(set_bytes);
+    let fresh = |v: usize| evaluate_flat(defs[v], &f1);
+    let patched =
+        apply_region_results(f1.arena_len(), &prep, &olds, &plan, &results, fresh, &mut stats);
+    assert_eq!(watched(), 0, "an unchanged set was built anew");
+    assert!(patched.iter().all(Option::is_none));
+    assert_eq!((stats.answers_added, stats.answers_removed, stats.regions_scanned), (0, 0, 1));
 }
 
 /// A region scan allocates for the region (its slot list, its answers, the

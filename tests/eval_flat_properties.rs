@@ -22,10 +22,12 @@ use std::sync::Arc;
 
 use xpath_views::engine::ShardedViewCache;
 use xpath_views::maintain::apply_edits as apply_tree_edits;
-use xpath_views::model::{AnswerArena, BitSet, FlatTree, Tree, WITNESS_MEMO_BOUND};
+use xpath_views::model::{AnswerArena, BitSet, FlatTree, Tree, WitnessKey, WITNESS_MEMO_BOUND};
+use xpath_views::pattern::Axis;
 use xpath_views::prelude::*;
 use xpath_views::semantics::{
     evaluate_anchored, evaluate_anchored_flat, evaluate_batch_flat, evaluate_flat, BatchEval,
+    RegionScanner,
 };
 use xpath_views::workload::{edit_batches, edit_stream, EditMix};
 
@@ -317,10 +319,10 @@ fn fused_batch_evaluation_matches_per_query() {
         assert_eq!(first, per_query);
         // A repeat of the batch, through another evaluator, computes no
         // witness set: every branch it carries is served from the memo.
-        let (hits, misses) = ft.witness_memo_counts();
+        let (hits, misses, _) = ft.witness_memo_counts();
         let refs: Vec<&Pattern> = queries.iter().collect();
         assert_eq!(evaluate_batch_flat(&ft, &refs), per_query);
-        let (hits_after, misses_after) = ft.witness_memo_counts();
+        let (hits_after, misses_after, _) = ft.witness_memo_counts();
         assert_eq!(misses_after, misses, "a repeated branch was recomputed");
         assert_eq!(hits_after > hits, misses > 0, "repeated branches must hit the memo");
     }
@@ -348,7 +350,7 @@ fn answers_are_identical_with_the_memo_full_or_contended() {
         for (q, (direct, anchored)) in queries.iter().zip(&want) {
             for _ in 0..WITNESS_MEMO_BOUND {
                 filler += 1;
-                full.witness((filler, false), || BitSet::new(full.arena_len()));
+                full.witness((filler, false), |_| BitSet::new(full.arena_len()));
             }
             assert_eq!(&evaluate_flat(q, &full), direct, "full memo changed {q}");
             assert_eq!(&evaluate_anchored_flat(q, &full, &anchors), anchored, "full memo: {q}");
@@ -381,8 +383,6 @@ fn answers_are_identical_with_the_memo_full_or_contended() {
 /// every region, as in an engine batch.
 #[test]
 fn flat_region_evaluation_matches_tree_oracle() {
-    use xpath_views::semantics::RegionScanner;
-
     for seed in 0..25u64 {
         let mut doc = tree_from_seed(seed, 45);
         edit_in_place(&mut doc, 18, seed ^ 0x9A5);
@@ -422,7 +422,6 @@ fn flat_region_evaluation_matches_tree_oracle() {
 #[test]
 fn b_vectors_match_their_definition_over_edit_streams() {
     use xpath_views::maintain::prepare_batch;
-    use xpath_views::semantics::RegionScanner;
 
     for seed in 0..12u64 {
         let mut doc = common::tree_from_seed(seed, 40);
@@ -455,6 +454,131 @@ fn b_vectors_match_their_definition_over_edit_streams() {
             ft = ft.derive(&doc, &prep.touched_slots());
         }
     }
+}
+
+/// The pool of the carried-memo property: `/` and `//` branches, nested
+/// branches, `*`, and [`common::ABSENT`] as a branch and on the spine. Every
+/// nested branch hangs under a `*`, which no batch can make absent, so laying
+/// a pattern out files every key of its branches.
+fn carried_pool() -> Vec<Pattern> {
+    [
+        "l0[l1]//l2",
+        "*[.//l3]/l1",
+        "l0//*[*/l2]",
+        "*[.//*[l1][.//l2]]//*",
+        "l0/*[*//l3]/l2",
+        "*//*[*[l0]/l1]",
+        "l0[zz]//l2",
+        "*[.//zz]/*",
+        "l0//zz/l1",
+    ]
+    .iter()
+    .map(|q| parse_xpath(q).expect("pool pattern parses"))
+    .collect()
+}
+
+/// The witness keys of `p`'s branches: `(subtree fingerprint, axis)` of
+/// every node off the selection path.
+fn branch_keys(p: &Pattern) -> Vec<WitnessKey> {
+    let (fps, spine) = (p.subtree_fingerprints(), p.selection_path());
+    let branches = p.node_ids().filter(|n| !spine.contains(n));
+    branches.map(|c| (fps[c.index()], p.axis(c) == Axis::Descendant)).collect()
+}
+
+/// Lays `pool` out on `ft` — every branch's witness set into the memo —
+/// on one thread, or on two started together so they miss on the same
+/// keys, inherited ones included.
+fn lay_out(ft: &FlatTree, pool: &[Pattern], threads: usize) {
+    let start = std::sync::Barrier::new(threads);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                start.wait();
+                pool.iter().for_each(|p| drop(RegionScanner::new(p, ft)));
+            });
+        }
+    });
+}
+
+/// A derived snapshot's witness sets are the predecessor's carried over
+/// and re-decided on the dirty closure, never computed from scratch when
+/// the predecessor held them — and equal to the sets a fresh freeze
+/// computes. Along `freeze` → `derive` → … chains over
+/// [`common::maintenance_batches`], every witness set a derived snapshot
+/// holds equals the fresh freeze's and every evaluation equals the
+/// reference. Forced on the way: a generation that lays out only half of
+/// [`carried_pool`] (the next one computes the rest from scratch), a
+/// predecessor whose memo was emptied at [`WITNESS_MEMO_BOUND`] (nothing
+/// is carried), and two threads laying the pool out together (each
+/// inherited key is taken once, by one of them). Which keys are carried is
+/// pinned exactly: every key of the pool the predecessor held, so after a
+/// generation that laid everything out, every miss.
+#[test]
+fn carried_witness_sets_equal_fresh_ones_along_derive_chains() {
+    use xpath_views::maintain::prepare_batch;
+
+    let pool = carried_pool();
+    let mut keys: Vec<WitnessKey> = pool.iter().flat_map(branch_keys).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut shapes = [0usize; 3];
+    for seed in 0..10u64 {
+        let mut doc = common::tree_from_seed(seed, 40);
+        let mut every = pool.clone();
+        every.extend(common::maintenance_views(seed));
+        let mut all_keys: Vec<WitnessKey> = every.iter().flat_map(branch_keys).collect();
+        all_keys.sort_unstable();
+        all_keys.dedup();
+        let mut ft = FlatTree::freeze(&doc);
+        lay_out(&ft, &every, 1);
+        // Whether the predecessor holds every key of the pool.
+        let mut whole = true;
+        for (g, batch) in common::maintenance_batches(&doc, seed).into_iter().enumerate() {
+            let prep = prepare_batch(&mut doc, &batch).expect("generated batches apply");
+            if g % 5 == 3 {
+                // Emptied at the bound: only fillers are left to inherit.
+                for filler in 0..WITNESS_MEMO_BOUND as u64 {
+                    ft.witness((filler, true), |_| BitSet::new(ft.arena_len()));
+                }
+                whole = false;
+            }
+            let held = keys.iter().filter(|&&k| ft.memoized(k).is_some()).count();
+            assert!(!whole || held == keys.len(), "seed {seed} batch {g}: {held} held");
+            let next = ft.derive(&doc, &prep.touched_slots());
+            let (half, threads) = (g % 4 == 1, if g % 3 == 2 { 2 } else { 1 });
+            let laid = if half { &pool[..pool.len() / 2] } else { &pool[..] };
+            lay_out(&next, laid, threads);
+            let (_, misses, carried) = next.witness_memo_counts();
+            let computed = keys.iter().filter(|&&k| next.memoized(k).is_some()).count();
+            if threads == 1 {
+                assert_eq!(misses, computed as u64, "one miss a key, seed {seed} batch {g}");
+            }
+            if !half {
+                assert_eq!(computed, keys.len(), "the pool files every key");
+                assert_eq!(carried, held as u64, "every held key carried, seed {seed} batch {g}");
+                let pinned = whole && threads == 1;
+                assert!(!pinned || carried == misses, "a miss not carried, seed {seed} batch {g}");
+                shapes[0] += usize::from(held < keys.len());
+                shapes[1] += usize::from(held == 0);
+                shapes[2] += usize::from(threads == 2 && held > 0);
+                lay_out(&next, &every, 1);
+            }
+            whole = !half;
+            let fresh = FlatTree::freeze(&doc);
+            lay_out(&fresh, &every, 1);
+            for &k in &all_keys {
+                if let Some(got) = next.memoized(k) {
+                    let want = fresh.memoized(k).expect("the freeze filed every key");
+                    assert_eq!(*got, *want, "witness set {k:?}, seed {seed} batch {g}");
+                }
+            }
+            for p in &every {
+                assert_eq!(evaluate_flat(p, &next), evaluate(p, &doc), "{p}, seed {seed}");
+            }
+            ft = next;
+        }
+    }
+    assert!(shapes.iter().all(|&n| n > 0), "skipped, emptied, contended: {shapes:?}");
 }
 
 /// 8 writer/reader threads interleaving `apply_edits` with fused batch
