@@ -37,7 +37,10 @@
 //!
 //! CPU-bound work (planning + evaluation, and `apply_edits` with its
 //! writer gate) runs directly on the worker that polls the task — the
-//! pool size bounds simultaneous cache work.
+//! pool size bounds simultaneous cache work. Each worker keeps one answer
+//! arena and one [`TextCache`] across frames: a connection reader decodes
+//! a `QueryBatch` through the cache of the worker polling it, so each
+//! distinct query text is parsed once per worker, not once per frame.
 
 use std::cell::RefCell;
 use std::io;
@@ -63,7 +66,7 @@ use xpv_obs::{
     Phase, Sampler, SamplerConfig, Span, DEFAULT_COOLDOWN_TICKS, DEFAULT_HISTORY_CAPACITY,
     DEFAULT_SAMPLE_INTERVAL,
 };
-use xpv_pattern::Pattern;
+use xpv_pattern::{Pattern, TextCache};
 
 use crate::obs::{wire_alerts, wire_history, wire_metrics, wire_traces};
 use crate::shard::{CacheAnswer, CacheAnswerRef, Route, ShardedViewCache, UpdateReport};
@@ -680,7 +683,8 @@ async fn serve_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, st
         };
         shared.net.frame_in(body.len());
         shared.hb_reader.beat_now();
-        match Msg::decode(&body) {
+        let msg = WORKER_TEXTS.with_borrow_mut(|texts| Msg::decode_with(&body, |t| texts.parse(t)));
+        match msg {
             Ok(Msg::QueryBatch { id, tenant, queries }) => {
                 let shared = Arc::clone(shared);
                 let conn_for_task = Arc::clone(&conn);
@@ -790,6 +794,11 @@ thread_local! {
     /// clears it, so the last frame's answer sets are the next one's
     /// buffers.
     static WORKER_ARENA: RefCell<AnswerArena> = RefCell::new(AnswerArena::new());
+
+    /// This executor worker's query texts and their patterns: a reader
+    /// this worker polls decodes each `QueryBatch` through it, so a text
+    /// is parsed once per worker, not once per frame.
+    static WORKER_TEXTS: RefCell<TextCache> = RefCell::new(TextCache::new());
 }
 
 /// The query handler's synchronous section: answers `queries` on `cache`
@@ -1217,5 +1226,95 @@ mod tests {
         assert!(!dump.metrics.is_empty(), "metrics still travel without a sampler");
         assert!(dump.series.is_empty());
         assert!(dump.alerts.is_empty());
+    }
+
+    /// Each worker's query-text cache as (misses, entries). One probe task
+    /// per worker waits on a barrier until every probe is running, so each
+    /// worker runs exactly one.
+    fn worker_texts(server: &AsyncCacheServer) -> Vec<(u64, usize)> {
+        let barrier = Arc::new(std::sync::Barrier::new(server.workers()));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..server.workers() {
+            let (barrier, tx) = (Arc::clone(&barrier), tx.clone());
+            assert!(server.runtime.spawn(async move {
+                barrier.wait();
+                let texts = WORKER_TEXTS.with_borrow(|t| (t.misses(), t.len()));
+                tx.send(texts).expect("the test is receiving");
+            }));
+        }
+        drop(tx);
+        rx.iter().collect()
+    }
+
+    #[test]
+    fn a_repeated_frame_parses_each_distinct_text_once_per_worker() {
+        let server = server(2);
+        let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
+        let mut client = WireClient::connect_tcp(&addr.to_string()).expect("connect");
+        let distinct = [pat("site/region/item/name"), pat("site//name"), pat("site/region[item]")];
+        let mut frame = distinct.to_vec();
+        frame.push(distinct[0].clone());
+        for _ in 0..20 {
+            let answers = client.answer_batch("t", &frame).expect("answers");
+            for (q, a) in frame.iter().zip(&answers) {
+                assert_eq!(a.nodes, server.cache().answer_direct(q), "{q}");
+            }
+        }
+        let per_worker = worker_texts(&server);
+        assert_eq!(per_worker.len(), 2);
+        // The worker that decoded the first frame parsed every text once;
+        // no worker parsed any text twice.
+        assert!(per_worker.iter().all(|&(misses, len)| misses as usize == len), "{per_worker:?}");
+        assert!(per_worker.iter().all(|&(misses, _)| misses <= 3), "{per_worker:?}");
+        assert!(per_worker.iter().any(|&(misses, _)| misses == 3), "{per_worker:?}");
+    }
+
+    #[test]
+    fn a_malformed_text_after_a_cached_one_still_gets_the_error_frame_and_close() {
+        use std::io::{Read, Write};
+        use xpv_net::frame::Encoder;
+        fn send(raw: &mut std::net::TcpStream, body: &[u8]) {
+            raw.write_all(&(body.len() as u32).to_le_bytes()).expect("len");
+            raw.write_all(body).expect("body");
+        }
+        fn recv(raw: &mut std::net::TcpStream) -> Msg {
+            let mut len = [0u8; 4];
+            raw.read_exact(&mut len).expect("frame length");
+            let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+            raw.read_exact(&mut body).expect("frame body");
+            Msg::decode(&body).expect("decodes")
+        }
+        let server = server(1);
+        let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
+        let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        send(&mut raw, &Msg::Hello { version: VERSION }.encode());
+        assert!(matches!(recv(&mut raw), Msg::HelloAck { .. }));
+        let q = pat("site//name");
+        let good = Msg::QueryBatch { id: 1, tenant: "t".into(), queries: vec![q.clone()] };
+        for _ in 0..2 {
+            send(&mut raw, &good.encode());
+            match recv(&mut raw) {
+                Msg::Answers { id: 1, answers } => {
+                    assert_eq!(answers[0].nodes, server.cache().answer_direct(&q));
+                }
+                other => panic!("expected Answers, got {other:?}"),
+            }
+        }
+        // The cached text, then one that does not parse: the same error
+        // frame as an uncached decode, then the close.
+        let mut e = Encoder::new();
+        e.u8(0x10).u64(2).str("t").u32(2).str("site//name").str("site/region[[");
+        let bad = e.finish();
+        let expected = Msg::decode(&bad).expect_err("does not parse").to_string();
+        send(&mut raw, &bad);
+        match recv(&mut raw) {
+            Msg::Error { message } => assert_eq!(message, expected),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        assert!(matches!(recv(&mut raw), Msg::ServerBye));
+        assert_eq!(raw.read(&mut [0u8; 4]).expect("eof"), 0);
+        // Parsed: the good text once, the bad one once; kept: the good one.
+        assert_eq!(worker_texts(&server), vec![(2, 1)]);
     }
 }

@@ -54,11 +54,15 @@ impl Label {
     /// whitespace). The label `⊥` is allowed here (documents may use it) but is
     /// rejected by pattern constructors.
     pub fn new(name: &str) -> Label {
-        assert!(
-            Self::is_valid_name(name),
-            "invalid label name: {name:?} (must be nonempty, without /[]*<> or whitespace)"
-        );
-        Self::intern(name)
+        Self::try_new(name).unwrap_or_else(|| {
+            panic!("invalid label name: {name:?} (must be nonempty, without /[]*<> or whitespace)")
+        })
+    }
+
+    /// Interns `name` if it is an acceptable spelling
+    /// ([`Label::is_valid_name`]), checking it once; `None` otherwise.
+    pub fn try_new(name: &str) -> Option<Label> {
+        Self::is_valid_name(name).then(|| Self::intern(name))
     }
 
     /// Returns whether `name` is an acceptable label spelling.
@@ -88,7 +92,8 @@ impl Label {
 
     /// The reserved label `⊥` used by canonical models (Section 2.1).
     pub fn bottom() -> Label {
-        Self::intern(BOTTOM_NAME)
+        static BOTTOM: OnceLock<Label> = OnceLock::new();
+        *BOTTOM.get_or_init(|| Self::intern(BOTTOM_NAME))
     }
 
     /// Returns `true` if this is the reserved canonical-model label `⊥`.

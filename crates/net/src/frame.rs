@@ -245,10 +245,14 @@ impl<'a> Decoder<'a> {
     }
 
     pub fn str(&mut self) -> Result<String, DecodeError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// A string borrowed from the payload, for a caller that only reads it.
+    pub fn str_ref(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u32()? as usize;
         let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| DecodeError(format!("invalid UTF-8 string: {e}")))
+        std::str::from_utf8(bytes).map_err(|e| DecodeError(format!("invalid UTF-8 string: {e}")))
     }
 
     /// Asserts the payload is fully consumed (catches version skew early).

@@ -31,6 +31,12 @@
 //! text; edit subtrees travel as the model's XML serialization
 //! ```
 //!
+//! A server parses each distinct query text once per executor worker: its
+//! readers decode through [`Msg::decode_with`] and the worker's
+//! [`xpv_pattern::TextCache`], a bounded text → pattern map that answers a
+//! text it holds with a copy of the pattern, and anything else as
+//! `parse_xpath` does.
+//!
 //! ### Handshake
 //!
 //! The client speaks first: `Hello { magic: u32 = "XPVW", version: u16 }`.

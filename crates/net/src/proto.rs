@@ -8,12 +8,18 @@
 //! is the identity on patterns — property-tested in `xpv-pattern`), and
 //! edit subtrees travel as the model's XML serialization, so the protocol
 //! has no bespoke tree encoding to keep in sync with the model crate.
+//!
+//! There is one decoder, [`Msg::decode_with`], which turns each query text
+//! into a pattern with the parser it is given; [`Msg::decode`] passes
+//! [`parse_xpath`]. A server passes its worker's
+//! [`xpv_pattern::TextCache`], so it parses each distinct text once per
+//! worker, not once per frame; clients and tests call [`Msg::decode`].
 
 use std::collections::hash_map::{Entry, HashMap};
 
 use xpv_maintain::Edit;
 use xpv_model::{parse_xml, to_xml, AnswerArena, AnswerRef, Label, NodeId};
-use xpv_pattern::{parse_xpath, Pattern};
+use xpv_pattern::{parse_xpath, ParseError, Pattern};
 
 use crate::frame::{DecodeError, Decoder, Encoder};
 
@@ -616,6 +622,17 @@ impl Msg {
 
     /// Decodes a frame body. Every byte must be consumed.
     pub fn decode(body: &[u8]) -> Result<Msg, DecodeError> {
+        Msg::decode_with(body, parse_xpath)
+    }
+
+    /// [`Msg::decode`], with each query text of a `QueryBatch` turned into
+    /// its pattern by `parse` instead of [`parse_xpath`]: a server passes
+    /// its worker's [`xpv_pattern::TextCache`], so a text it has seen is
+    /// not parsed again. `parse` must answer as [`parse_xpath`] does.
+    pub fn decode_with(
+        body: &[u8],
+        mut parse: impl FnMut(&str) -> Result<Pattern, ParseError>,
+    ) -> Result<Msg, DecodeError> {
         let mut d = Decoder::new(body);
         let msg = match d.u8()? {
             tag::HELLO => {
@@ -634,10 +651,9 @@ impl Msg {
                 let n = d.u32()? as usize;
                 let mut queries = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    let text = d.str()?;
+                    let text = d.str_ref()?;
                     queries.push(
-                        parse_xpath(&text)
-                            .map_err(|e| DecodeError(format!("query {text:?}: {e}")))?,
+                        parse(text).map_err(|e| DecodeError(format!("query {text:?}: {e}")))?,
                     );
                 }
                 Msg::QueryBatch { id, tenant, queries }
@@ -904,11 +920,11 @@ fn decode_edit(d: &mut Decoder<'_>) -> Result<Edit, DecodeError> {
         EDIT_DELETE => Edit::DeleteSubtree { node: NodeId(d.u32()?) },
         EDIT_RELABEL => {
             let node = NodeId(d.u32()?);
-            let name = d.str()?;
-            if !Label::is_valid_name(&name) {
+            let name = d.str_ref()?;
+            let Some(label) = Label::try_new(name) else {
                 return Err(DecodeError(format!("invalid relabel target {name:?}")));
-            }
-            Edit::Relabel { node, label: Label::new(&name) }
+            };
+            Edit::Relabel { node, label }
         }
         other => return Err(DecodeError(format!("unknown edit tag {other}"))),
     })
@@ -918,13 +934,29 @@ fn decode_edit(d: &mut Decoder<'_>) -> Result<Edit, DecodeError> {
 mod tests {
     use super::*;
     use xpv_model::{AnswerArena, BitSet, TreeBuilder};
+    use xpv_pattern::TextCache;
 
     fn pat(s: &str) -> Pattern {
         parse_xpath(s).expect("pattern parses")
     }
 
+    /// Decodes `msg`'s frame, and checks on the way that
+    /// [`Msg::decode_with`] reads it byte for byte as [`Msg::decode`] does:
+    /// with [`parse_xpath`], and twice through one [`TextCache`] (a miss,
+    /// then a hit for each query text).
     fn round_trip(msg: &Msg) -> Msg {
-        Msg::decode(&msg.encode()).expect("round trip decodes")
+        let body = msg.encode();
+        let decoded = Msg::decode(&body).expect("round trip decodes");
+        let mut texts = TextCache::new();
+        let with = [
+            Msg::decode_with(&body, parse_xpath),
+            Msg::decode_with(&body, |t| texts.parse(t)),
+            Msg::decode_with(&body, |t| texts.parse(t)),
+        ];
+        for again in with {
+            assert_eq!(again.expect("decodes with a parser").encode(), decoded.encode());
+        }
+        decoded
     }
 
     #[test]
@@ -1446,6 +1478,33 @@ mod tests {
         let mut e = Encoder::new();
         e.u8(0x10).u64(1).str("t").u32(1).str("a[[[");
         assert!(Msg::decode(&e.finish()).is_err(), "unparseable query");
+    }
+
+    #[test]
+    fn decode_with_a_text_cache_refuses_what_decode_refuses_and_caches_none_of_it() {
+        let nested = format!("a{}{}", "[b".repeat(100_000), "]".repeat(100_000));
+        let chain = format!("a[{}]", vec!["b"; 100_000].join("/"));
+        let mut texts = TextCache::new();
+        for text in [nested.as_str(), chain.as_str(), "a[[[", "/a", "a/\u{22a5}"] {
+            let mut e = Encoder::new();
+            e.u8(tag::QUERY_BATCH).u64(7).str("t").u32(2).str("a/b").str(text);
+            let body = e.finish();
+            let plain = Msg::decode(&body).expect_err("refused");
+            for _ in 0..2 {
+                let cached = Msg::decode_with(&body, |t| texts.parse(t)).expect_err("refused");
+                assert_eq!(cached, plain, "{text:.40}");
+            }
+        }
+        // Only the good text before each bad one was kept.
+        assert_eq!(texts.len(), 1);
+        let mut empty = TextCache::new();
+        for bomb in [nested, chain] {
+            let mut e = Encoder::new();
+            e.u8(tag::QUERY_BATCH).u64(7).str("t").u32(1).str(&bomb);
+            let err = Msg::decode_with(&e.finish(), |t| empty.parse(t)).expect_err("refused");
+            assert!(err.0.contains("levels below the main path"), "{:.200}", err.0);
+        }
+        assert!(empty.is_empty());
     }
 
     #[test]

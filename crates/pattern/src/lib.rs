@@ -17,7 +17,9 @@
 //!   patterns' answers, in the tree-expressible case (the algebraic core of
 //!   the `xpv-intersect` multi-view rewriter);
 //! * a parser ([`parse_xpath`]) and printer ([`to_xpath`]) for the fragment's
-//!   XPath syntax `q ::= q/q | q//q | q[q] | l | *`;
+//!   XPath syntax `q ::= q/q | q//q | q[q] | l | *`, and a bounded
+//!   text → pattern cache in front of the parser ([`TextCache`]) for
+//!   callers that see the same texts again and again;
 //! * structural hashing and interning ([`Pattern::fingerprint`],
 //!   [`PatternInterner`] / [`PatternKey`]) — stable under sibling
 //!   reordering — so patterns can serve as cheap memo keys for the
@@ -39,6 +41,7 @@ pub mod parse;
 pub mod pattern;
 pub mod print;
 pub mod signature;
+pub mod text_cache;
 
 pub use classify::{
     deepest_descendant_selection_edge, gnf_star_certificate, is_gnf_star, is_linear,
@@ -51,3 +54,4 @@ pub use parse::{parse_xpath, ParseError, MAX_BRANCH_DEPTH};
 pub use pattern::{Axis, NodeTest, PatId, Pattern, PatternBuilder};
 pub use print::to_xpath;
 pub use signature::{OutClass, QuerySignature, ViewSignature};
+pub use text_cache::TextCache;

@@ -111,10 +111,9 @@ impl<'a> Parser<'a> {
             return self.err("expected a node test (label or '*')");
         }
         let name = &rest[..end];
-        if !Label::is_valid_name(name) {
+        let Some(label) = Label::try_new(name) else {
             return self.err(format!("invalid label {name:?}"));
-        }
-        let label = Label::new(name);
+        };
         if label.is_bottom() {
             return self.err("the reserved label ⊥ cannot appear in patterns");
         }

@@ -175,6 +175,14 @@ impl Pattern {
         self.nodes.len()
     }
 
+    /// Bytes this pattern holds on the heap: its node arena and each
+    /// node's child list.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let children: usize = self.nodes.iter().map(|n| n.children.capacity()).sum();
+        self.nodes.capacity() * std::mem::size_of::<PatNode>()
+            + children * std::mem::size_of::<PatId>()
+    }
+
     /// Patterns are never empty (`Υ` is modeled as `Option<Pattern>::None`).
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -5,7 +5,15 @@
 //! attachments use the `.//` prefix. `parse_xpath(to_xpath(p))` is
 //! structurally equal to `p` for every pattern (property-tested).
 
-use crate::pattern::{Axis, PatId, Pattern};
+use crate::pattern::{Axis, NodeTest, PatId, Pattern};
+
+/// Writes `n`'s node test straight into `out`.
+fn push_test(p: &Pattern, n: PatId, out: &mut String) {
+    match p.test(n) {
+        NodeTest::Wildcard => out.push('*'),
+        NodeTest::Label(l) => out.push_str(l.name()),
+    }
+}
 
 fn push_branch(p: &Pattern, n: PatId, out: &mut String) {
     if p.axis(n) == Axis::Descendant {
@@ -17,7 +25,7 @@ fn push_branch(p: &Pattern, n: PatId, out: &mut String) {
 /// Renders the subtree at `n` (a non-selection subtree) without the leading
 /// axis marker.
 fn push_branch_node(p: &Pattern, n: PatId, out: &mut String) {
-    out.push_str(&p.test(n).to_string());
+    push_test(p, n, out);
     let kids = p.children(n);
     if kids.len() == 1 {
         let c = kids[0];
@@ -40,7 +48,7 @@ pub fn to_xpath(p: &Pattern) -> String {
         if i > 0 {
             out.push_str(p.axis(n).separator());
         }
-        out.push_str(&p.test(n).to_string());
+        push_test(p, n, &mut out);
         let sel_child = path.get(i + 1).copied();
         for &c in p.children(n) {
             if Some(c) == sel_child {
