@@ -47,7 +47,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, OnceLock, Weak};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use xpv_maintain::Edit;
@@ -62,13 +62,12 @@ use xpv_net::{
     FrameEvent, NotifyQueue, Popped, Runtime, Semaphore, WireCounters,
 };
 use xpv_obs::{
-    drain_trace_events, trace_sampling, Health, HealthRule, Heartbeat, History, MetricsSnapshot,
-    Phase, Sampler, SamplerConfig, Span, DEFAULT_COOLDOWN_TICKS, DEFAULT_HISTORY_CAPACITY,
-    DEFAULT_SAMPLE_INTERVAL,
+    drain_trace_events, trace_sampling, HealthRule, Heartbeat, MetricsSnapshot, Phase, Span,
+    Watchdog, DEFAULT_COOLDOWN_TICKS, DEFAULT_WATCHDOG_INTERVAL,
 };
 use xpv_pattern::{Pattern, TextCache};
 
-use crate::obs::{wire_alerts, wire_history, wire_metrics, wire_traces};
+use crate::obs::{wire_alerts, wire_metrics, wire_traces};
 use crate::shard::{CacheAnswer, CacheAnswerRef, Route, ShardedViewCache, UpdateReport};
 use crate::tenants::{TenantRegistry, TenantStats};
 
@@ -156,47 +155,31 @@ struct ServerShared {
     /// Reader-loop liveness beats (`xpv_hb_reader_*`), one per admitted
     /// frame.
     hb_reader: Heartbeat,
-    /// The background history/watchdog thread, when enabled (set once
-    /// after the shared state is in its `Arc`; the sampler's snapshot
-    /// source holds only a `Weak` back-reference).
-    sampler: OnceLock<Arc<Sampler>>,
+    /// The watchdog thread: stall rules over `maintain` and `flush`.
+    watchdog: Watchdog,
 }
 
-/// Observability configuration for [`AsyncCacheServer::start_with_obs`]:
-/// the history sampler interval/capacity and the watchdog rule set.
-///
-/// The default (what [`AsyncCacheServer::start`] uses) runs the sampler
-/// at [`DEFAULT_SAMPLE_INTERVAL`] with [`DEFAULT_HISTORY_CAPACITY`]-point
-/// rings and two heartbeat stall rules: `maintain` (wedged
-/// `apply_edits`) and `flush` (wedged connection writer). Extra rules —
-/// typically [`HealthRule::slo_burn`] over an `xpv_phase_*_us` histogram
-/// — append to those defaults.
+/// Watchdog configuration for [`AsyncCacheServer::start_with_obs`]. The
+/// server runs two heartbeat stall rules: `maintain` (wedged
+/// `apply_edits`) and `flush` (wedged connection writer). The default
+/// (what [`AsyncCacheServer::start`] uses) ticks every
+/// [`DEFAULT_WATCHDOG_INTERVAL`].
 #[derive(Debug)]
 pub struct ObsConfig {
-    /// Run the background sampler thread at all (`false` leaves
-    /// `HistoryResp` empty and the watchdog dormant).
-    pub sampler: bool,
-    /// Tick interval for the sampler thread.
+    /// Watchdog tick interval.
     pub interval: Duration,
-    /// Per-series ring capacity (points retained per metric).
-    pub history_capacity: usize,
     /// Consecutive frozen ticks before a heartbeat stall rule fires.
     pub heartbeat_stall_ticks: u32,
     /// Quiet ticks before forced trace sampling is restored.
     pub cooldown_ticks: u32,
-    /// Additional watchdog rules evaluated after the heartbeat defaults.
-    pub extra_rules: Vec<HealthRule>,
 }
 
 impl Default for ObsConfig {
     fn default() -> ObsConfig {
         ObsConfig {
-            sampler: true,
-            interval: DEFAULT_SAMPLE_INTERVAL,
-            history_capacity: DEFAULT_HISTORY_CAPACITY,
+            interval: DEFAULT_WATCHDOG_INTERVAL,
             heartbeat_stall_ticks: 5,
             cooldown_ticks: DEFAULT_COOLDOWN_TICKS,
-            extra_rules: Vec::new(),
         }
     }
 }
@@ -247,9 +230,8 @@ impl AsyncCacheServer {
         Self::start_with_obs(cache, workers, max_pending, ObsConfig::default())
     }
 
-    /// [`AsyncCacheServer::start_bounded`] with explicit observability
-    /// configuration: sampler interval/capacity and the watchdog rule
-    /// set (see [`ObsConfig`]).
+    /// [`AsyncCacheServer::start_bounded`] with an explicit watchdog
+    /// configuration (see [`ObsConfig`]).
     pub fn start_with_obs(
         cache: Arc<ShardedViewCache>,
         workers: usize,
@@ -258,7 +240,12 @@ impl AsyncCacheServer {
     ) -> AsyncCacheServer {
         let runtime = Runtime::new(workers).expect("start async runtime");
         let registry = Arc::clone(cache.obs_registry());
+        let rules = vec![
+            HealthRule::heartbeat_stall("maintain", obs.heartbeat_stall_ticks),
+            HealthRule::heartbeat_stall("flush", obs.heartbeat_stall_ticks),
+        ];
         let shared = Arc::new(ServerShared {
+            watchdog: Watchdog::start(&registry, rules, obs.interval, obs.cooldown_ticks),
             hb_flush: Heartbeat::new(&registry, "flush"),
             hb_reader: Heartbeat::new(&registry, "reader"),
             cache,
@@ -269,34 +256,7 @@ impl AsyncCacheServer {
             draining: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
             net: WireCounters::new(),
-            sampler: OnceLock::new(),
         });
-        if obs.sampler {
-            let mut rules = vec![
-                HealthRule::heartbeat_stall("maintain", obs.heartbeat_stall_ticks),
-                HealthRule::heartbeat_stall("flush", obs.heartbeat_stall_ticks),
-            ];
-            rules.extend(obs.extra_rules);
-            // The snapshot source holds a Weak so the sampler cannot keep
-            // the server state alive; after shutdown drops the Arc the
-            // closure degrades to an empty snapshot (the thread is joined
-            // before that in the normal path anyway).
-            let weak: Weak<ServerShared> = Arc::downgrade(&shared);
-            let sampler = Sampler::start(
-                registry,
-                move || match weak.upgrade() {
-                    Some(shared) => server_metrics_snapshot(&shared),
-                    None => MetricsSnapshot::new(),
-                },
-                SamplerConfig {
-                    interval: obs.interval,
-                    capacity: obs.history_capacity,
-                    rules,
-                    cooldown_ticks: obs.cooldown_ticks,
-                },
-            );
-            let _ = shared.sampler.set(Arc::new(sampler));
-        }
         AsyncCacheServer { shared, runtime: Arc::new(runtime), shut_down: AtomicBool::new(false) }
     }
 
@@ -440,33 +400,20 @@ impl AsyncCacheServer {
         server_metrics_snapshot(&self.shared)
     }
 
-    /// The background history/watchdog sampler (`None` when started with
-    /// `ObsConfig { sampler: false, .. }`).
-    pub fn sampler(&self) -> Option<&Arc<Sampler>> {
-        self.shared.sampler.get()
-    }
-
-    /// The sampler's recorded time-series history, when enabled.
-    pub fn history(&self) -> Option<&Arc<History>> {
-        self.sampler().map(|s| s.history())
-    }
-
-    /// The watchdog state (rules, alerts, trace forcing), when enabled.
-    pub fn health(&self) -> Option<&Arc<Health>> {
-        self.sampler().map(|s| s.health())
+    /// The watchdog (its alerts and trace forcing).
+    pub fn watchdog(&self) -> &Watchdog {
+        &self.shared.watchdog
     }
 
     /// Graceful drain (idempotent; also run on drop): reject new
-    /// submissions, stop the sampler thread, close listeners, finish and
+    /// submissions, stop the watchdog thread, close listeners, finish and
     /// flush every admitted batch, send connected peers a `ServerBye`,
     /// then stop the pool.
     pub fn shutdown(&self) {
         if self.shut_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        if let Some(sampler) = self.shared.sampler.get() {
-            sampler.stop();
-        }
+        self.shared.watchdog.stop();
         self.shared.draining.store(true, Ordering::Release);
         self.shared.drain.set();
         self.runtime.wait_idle();
@@ -499,54 +446,30 @@ fn server_metrics_snapshot(shared: &ServerShared) -> MetricsSnapshot {
     snap
 }
 
-/// Builds a `HistoryResp` from the sampler's retained series
-/// (`interval_us == 0` and no series when the sampler is off).
-fn history_resp(shared: &ServerShared, id: u64) -> Msg {
-    match shared.sampler.get() {
-        Some(sampler) => Msg::HistoryResp {
-            id,
-            interval_us: sampler.interval().as_micros() as u64,
-            series: wire_history(sampler.history()),
-        },
-        None => Msg::HistoryResp { id, interval_us: 0, series: Vec::new() },
-    }
-}
-
-/// Builds the flight-recorder artifact: live metrics, the history
-/// window, watchdog alert states, the drained trace rings, and the
-/// server's knob/config state. **Drains the trace rings** — events
+/// Builds the flight-recorder artifact: live metrics, watchdog alert
+/// states, the drained trace rings, and the server's knob/config state. **Drains the trace rings** — events
 /// captured here are gone from the next `xpv trace`-style drain.
 fn build_dump(shared: &ServerShared) -> WireDump {
-    let mut dump = WireDump {
-        metrics: wire_metrics(&server_metrics_snapshot(shared)),
-        traces: wire_traces(&drain_trace_events()),
-        ..WireDump::default()
-    };
-    let mut config: Vec<(String, String)> = vec![
+    let watchdog = &shared.watchdog;
+    let config = vec![
         ("trace_sampling".to_string(), trace_sampling().to_string()),
         ("conn_window".to_string(), shared.conn_window.load(Ordering::Relaxed).to_string()),
         ("connections".to_string(), shared.connections.load(Ordering::Relaxed).to_string()),
         ("draining".to_string(), shared.draining.load(Ordering::Acquire).to_string()),
+        ("sampler_interval_us".to_string(), watchdog.interval().as_micros().to_string()),
+        ("trace_forced".to_string(), watchdog.trace_forced().to_string()),
     ];
-    if let Some(sampler) = shared.sampler.get() {
-        dump.interval_us = sampler.interval().as_micros() as u64;
-        dump.series = wire_history(sampler.history());
-        dump.alerts = wire_alerts(&sampler.health().alerts());
-        config.push(("sampler_interval_us".to_string(), dump.interval_us.to_string()));
-        config.push(("history_capacity".to_string(), sampler.history().capacity().to_string()));
-        config.push(("history_ticks".to_string(), sampler.history().ticks().to_string()));
-        config.push(("trace_forced".to_string(), sampler.health().trace_forced().to_string()));
+    WireDump {
+        metrics: wire_metrics(&server_metrics_snapshot(shared)),
+        alerts: wire_alerts(&watchdog.alerts()),
+        traces: wire_traces(&drain_trace_events()),
+        config,
     }
-    dump.config = config;
-    dump
 }
 
 fn account_update(shared: &ServerShared, tenant: &str, report: &UpdateReport) {
     let counters = shared.tenants.counters(tenant);
     counters.updates_applied.fetch_add(report.edits_applied as u64, Ordering::Relaxed);
-    counters
-        .views_refreshed_incrementally
-        .fetch_add(report.views_changed as u64, Ordering::Relaxed);
 }
 
 /// One response frame awaiting the writer task: the encoded body plus
@@ -745,11 +668,6 @@ async fn serve_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, st
                 push_body(shared, &conn, id, msg.encode(), Span::disabled());
                 conn.window.release();
             }
-            Ok(Msg::HistoryReq { id }) => {
-                let msg = history_resp(shared, id);
-                push_body(shared, &conn, id, msg.encode(), Span::disabled());
-                conn.window.release();
-            }
             Ok(Msg::DebugDumpReq { id }) => {
                 let msg = Msg::DebugDumpResp { id, dump: build_dump(shared) };
                 push_body(shared, &conn, id, msg.encode(), Span::disabled());
@@ -893,7 +811,6 @@ fn wire_tenant_stats(s: TenantStats) -> WireTenantStats {
         intersect_hits: s.intersect_hits,
         direct: s.direct,
         updates_applied: s.updates_applied,
-        views_refreshed_incrementally: s.views_refreshed_incrementally,
         admission_waits: s.admission_waits,
     }
 }
@@ -1020,12 +937,12 @@ mod tests {
             .apply_edits("writer", &[Edit::InsertSubtree { parent: region, subtree: graft }])
             .expect("valid edit");
         assert_eq!(report.edits_applied, 1);
+        assert_eq!(report.views_changed, 1, "the `items` view gained an answer");
         let after = server.answer_batch("writer", std::slice::from_ref(&q));
         assert_eq!(after[0].nodes.len(), before[0].nodes.len() + 1);
         assert_eq!(after[0].nodes, server.cache().answer_direct(&q));
         let stats = server.tenant_stats("writer").expect("accounted");
         assert_eq!(stats.updates_applied, 1);
-        assert_eq!(stats.views_refreshed_incrementally, 1);
         assert_eq!(stats.batches, 2);
     }
 
@@ -1097,9 +1014,9 @@ mod tests {
         use std::io::{Read, Write};
         let server = server(1);
         let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
-        // Version 2 (answers as node lists only) is refused like any other:
-        // versioning is strict equality.
-        for version in [2, 999] {
+        // Versions 2 (answers as node lists only) and 3 (history frames)
+        // are refused like any other: versioning is strict equality.
+        for version in [2, 3, 999] {
             let mut raw = std::net::TcpStream::connect(addr).expect("connect");
             let body = Msg::Hello { version }.encode();
             raw.write_all(&(body.len() as u32).to_le_bytes()).expect("len");
@@ -1140,8 +1057,7 @@ mod tests {
         assert_eq!(server.shared.net.snapshot().oversized_rejections, 1);
     }
 
-    /// A long-interval sampler: never ticks on its own during the test,
-    /// so `tick_now` is the only recording path (deterministic).
+    /// A long-interval watchdog: never ticks on its own during the test.
     fn obs_server() -> AsyncCacheServer {
         let cache = ShardedViewCache::new(doc()).with_shards(4);
         cache.add_view("items", pat("site/region/item"));
@@ -1154,42 +1070,15 @@ mod tests {
     }
 
     #[test]
-    fn history_frames_serve_the_sampler_rings() {
-        let server = obs_server();
-        server.answer_batch("t", vec![pat("site/region/item")]);
-        let sampler = server.sampler().expect("sampler on by default");
-        sampler.tick_now();
-        server.answer_batch("t", vec![pat("site/region/item")]);
-        sampler.tick_now();
-
-        let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
-        let mut client = WireClient::connect_tcp(&addr.to_string()).expect("connect");
-        let (interval_us, series) = client.history().expect("history frame");
-        assert_eq!(interval_us, 3_600_000_000, "configured interval travels");
-        let queries = series
-            .iter()
-            .find(|s| s.name == "xpv_cache_queries")
-            .expect("query counter series present");
-        assert_eq!(queries.kind, xpv_net::METRIC_COUNTER);
-        assert_eq!(queries.points.len(), 2, "one point per tick");
-        assert_eq!(queries.points[1].values, vec![1], "second tick's delta is one batch");
-        assert!(
-            series.iter().any(|s| s.name == "xpv_hb_maintain_beats"),
-            "heartbeat gauges are part of the history"
-        );
-    }
-
-    #[test]
-    fn debug_dump_bundles_metrics_history_alerts_and_config() {
+    fn debug_dump_bundles_metrics_alerts_and_config() {
         let server = obs_server();
         server.answer_batch("t", vec![pat("site/region/item/name")]);
-        server.sampler().expect("sampler").tick_now();
+        server.watchdog().tick();
 
         let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
         let mut client = WireClient::connect_tcp(&addr.to_string()).expect("connect");
         let dump = client.debug_dump().expect("dump frame");
         assert!(!dump.metrics.is_empty(), "live snapshot travels");
-        assert!(!dump.series.is_empty(), "history window travels");
         let alert_names: Vec<&str> = dump.alerts.iter().map(|a| a.name.as_str()).collect();
         assert!(alert_names.contains(&"maintain_stall"), "got: {alert_names:?}");
         assert!(alert_names.contains(&"flush_stall"), "got: {alert_names:?}");
@@ -1204,28 +1093,7 @@ mod tests {
         };
         assert_eq!(key("trace_sampling"), xpv_obs::DEFAULT_TRACE_SAMPLING.to_string());
         assert_eq!(key("sampler_interval_us"), "3600000000");
-        assert_eq!(key("history_capacity"), DEFAULT_HISTORY_CAPACITY.to_string());
-    }
-
-    #[test]
-    fn disabled_sampler_serves_an_empty_history() {
-        let cache = ShardedViewCache::new(doc());
-        let server = AsyncCacheServer::start_with_obs(
-            Arc::new(cache),
-            1,
-            DEFAULT_MAX_PENDING,
-            ObsConfig { sampler: false, ..ObsConfig::default() },
-        );
-        assert!(server.sampler().is_none());
-        assert!(server.history().is_none());
-        let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
-        let mut client = WireClient::connect_tcp(&addr.to_string()).expect("connect");
-        let (interval_us, series) = client.history().expect("history frame");
-        assert_eq!((interval_us, series.len()), (0, 0), "0 interval marks no sampler");
-        let dump = client.debug_dump().expect("dump frame");
-        assert!(!dump.metrics.is_empty(), "metrics still travel without a sampler");
-        assert!(dump.series.is_empty());
-        assert!(dump.alerts.is_empty());
+        assert_eq!(key("trace_forced"), "false");
     }
 
     /// Each worker's query-text cache as (misses, entries). One probe task

@@ -51,12 +51,11 @@
 //! [`AsyncCacheServer::metrics_snapshot`] adds the serving families
 //! (`xpv_tenant_*`, `xpv_net_*`, `xpv_server_*`), and the **[`obs`]**
 //! module converts snapshots to and from the wire's `StatsV2Resp` form.
-//! The server also runs the `xpv-obs` history sampler and health
-//! watchdog by default ([`ObsConfig`]): per-metric time-series rings
-//! served over `HistoryReq`, heartbeat stall rules over the maintenance
-//! and flush paths, and a flight-recorder `DebugDumpReq` bundling
-//! metrics + history + alerts + drained traces (the full metric
-//! catalogue lives in `docs/METRICS.md`).
+//! The server also runs the `xpv-obs` watchdog ([`ObsConfig`]): heartbeat
+//! stall rules over the maintenance and flush paths, which force
+//! always-on tracing while they fire, and a flight-recorder
+//! `DebugDumpReq` bundling metrics + alerts + drained traces + config
+//! (the full metric catalogue lives in `docs/METRICS.md`).
 
 pub mod aserve;
 pub mod obs;
@@ -68,7 +67,7 @@ pub use aserve::{
     evaluate_and_encode, AsyncCacheServer, BatchRejected, BatchTicket, ObsConfig,
     DEFAULT_CONN_WINDOW, DEFAULT_MAX_PENDING,
 };
-pub use obs::{metrics_from_wire, wire_alerts, wire_history, wire_metrics, wire_traces};
+pub use obs::{metrics_from_wire, wire_alerts, wire_metrics, wire_traces};
 pub use shard::{
     CacheAnswer, CacheAnswerRef, CacheStats, Route, ShardedViewCache, UpdateReport, ViewId,
     DEFAULT_CACHE_SHARDS,

@@ -1,26 +1,20 @@
 //! Observability exposition glue: `xpv-obs` structures ⇄ their wire
-//! forms ([`WireMetric`], `WireSeries`, `WireAlert`, `WireTraceEvent`).
+//! forms ([`WireMetric`], `WireAlert`, `WireTraceEvent`).
 //!
-//! `xpv-obs` owns the snapshot/history/health model and `xpv-net` owns
-//! the frame encoding; neither depends on the other, so the engine —
-//! which depends on both — is where a snapshot becomes a `StatsV2Resp`
-//! payload, a [`History`] becomes a `HistoryResp` series list, and
+//! `xpv-obs` owns the snapshot/health model and `xpv-net` owns the frame
+//! encoding; neither depends on the other, so the engine — which depends
+//! on both — is where a snapshot becomes a `StatsV2Resp` payload and
 //! alerts/trace events become `DebugDumpResp` fields (and the reverse,
 //! client side, e.g. the `xpv stats` command rendering
 //! [`MetricsSnapshot::to_text`]). The metric conversion is lossless for
 //! the wire's vocabulary: counters and gauges carry their value,
 //! histograms carry the `[count, sum, max, p50, p90, p99]` summary (raw
-//! buckets never travel); history points carry the kind-dependent
-//! payloads documented on `WirePoint`.
+//! buckets never travel).
 
 use xpv_net::{
-    WireAlert, WireMetric, WirePoint, WireSeries, WireTraceEvent, METRIC_COUNTER, METRIC_GAUGE,
-    METRIC_HISTOGRAM,
+    WireAlert, WireMetric, WireTraceEvent, METRIC_COUNTER, METRIC_GAUGE, METRIC_HISTOGRAM,
 };
-use xpv_obs::{
-    Alert, HistogramSummary, History, MetricsSnapshot, PointValue, Sample, SampleValue, SeriesKind,
-    TraceEvent,
-};
+use xpv_obs::{Alert, HistogramSummary, MetricsSnapshot, Sample, SampleValue, TraceEvent};
 
 /// Encodes a snapshot as the `StatsV2Resp` metric list (order preserved).
 pub fn wire_metrics(snapshot: &MetricsSnapshot) -> Vec<WireMetric> {
@@ -62,37 +56,6 @@ pub fn metrics_from_wire(metrics: &[WireMetric]) -> MetricsSnapshot {
         snap.samples.push(Sample { name: m.name.clone(), labels: m.labels.clone(), value });
     }
     snap
-}
-
-/// Encodes a server-side [`History`] as the `HistoryResp` series list:
-/// every retained series, points oldest first, with the kind-dependent
-/// point payloads (`[delta]` / `[level]` / `[count, p50, p90, p99]`).
-pub fn wire_history(history: &History) -> Vec<WireSeries> {
-    history
-        .all_series()
-        .into_iter()
-        .map(|s| {
-            let kind = match s.kind {
-                SeriesKind::Counter => METRIC_COUNTER,
-                SeriesKind::Gauge => METRIC_GAUGE,
-                SeriesKind::Histogram => METRIC_HISTOGRAM,
-            };
-            let points = s
-                .points
-                .iter()
-                .map(|p| WirePoint {
-                    at_us: p.at_us,
-                    values: match p.value {
-                        PointValue::Delta(v) | PointValue::Level(v) => vec![v],
-                        PointValue::Quantiles { count, p50, p90, p99 } => {
-                            vec![count, p50, p90, p99]
-                        }
-                    },
-                })
-                .collect();
-            WireSeries { name: s.name, kind, points }
-        })
-        .collect()
 }
 
 /// Encodes watchdog alert states for a `DebugDumpResp`.
@@ -141,25 +104,6 @@ mod tests {
         let rebuilt = metrics_from_wire(&wire_metrics(&snap));
         assert_eq!(rebuilt, snap);
         assert_eq!(rebuilt.to_text(), snap.to_text());
-    }
-
-    #[test]
-    fn history_series_carry_kind_dependent_point_payloads() {
-        let history = History::new(8);
-        let mut snap = MetricsSnapshot::new();
-        snap.push_counter("xpv_cache_queries", 10);
-        snap.push_gauge("xpv_server_connections", 3);
-        let hist = xpv_obs::Histogram::new();
-        hist.record(100);
-        history.record_tick(&snap, &[("xpv_phase_eval_us".to_string(), hist.snapshot())]);
-        let series = wire_history(&history);
-        let names: Vec<&str> = series.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["xpv_cache_queries", "xpv_phase_eval_us", "xpv_server_connections"]);
-        assert_eq!((series[0].kind, &series[0].points[0].values), (METRIC_COUNTER, &vec![10]));
-        assert_eq!(series[1].kind, METRIC_HISTOGRAM);
-        assert_eq!(series[1].points[0].values.len(), 4, "[count, p50, p90, p99]");
-        assert_eq!(series[1].points[0].values[0], 1, "one observation this tick");
-        assert_eq!((series[2].kind, &series[2].points[0].values), (METRIC_GAUGE, &vec![3]));
     }
 
     #[test]

@@ -273,9 +273,6 @@ pub struct CacheStats {
     /// Document edits applied through `apply_edits` over the cache's
     /// lifetime.
     pub updates_applied: u64,
-    /// Views whose answers were refreshed **incrementally** (affected-region
-    /// maintenance, not full re-materialization) across all updates.
-    pub views_refreshed_incrementally: u64,
     /// Snapshot reads that found the state `RwLock` held (by a writer's
     /// pointer swap) and had to block. The ROADMAP names this lock as a
     /// suspected bottleneck under write-heavy mixes; a rising stall count
@@ -311,7 +308,6 @@ impl CacheStats {
         f("plan_memo_evictions", self.plan_memo_evictions);
         f("plan_memo_invalidations", self.plan_memo_invalidations);
         f("updates_applied", self.updates_applied);
-        f("views_refreshed_incrementally", self.views_refreshed_incrementally);
         f("snapshot_read_stalls", self.snapshot_read_stalls);
     }
 }
@@ -535,8 +531,6 @@ pub struct ShardedViewCache {
     maintain_totals: std::sync::Mutex<MaintainStats>,
     /// Lifetime total of edits applied.
     updates_applied: AtomicU64,
-    /// Lifetime total of views refreshed via the incremental path.
-    views_refreshed_incrementally: AtomicU64,
     /// Snapshot reads that could not take the state lock immediately (a
     /// writer was swapping pointers) — see
     /// [`CacheStats::snapshot_read_stalls`].
@@ -579,7 +573,6 @@ impl ShardedViewCache {
             doc_version: AtomicU64::new(0),
             maintain_totals: std::sync::Mutex::new(MaintainStats::default()),
             updates_applied: AtomicU64::new(0),
-            views_refreshed_incrementally: AtomicU64::new(0),
             snapshot_read_stalls: AtomicU64::new(0),
             maintain_pause_us: AtomicU64::new(0),
             obs: CacheObs::new(),
@@ -922,7 +915,6 @@ impl ShardedViewCache {
             span.mark_us(Phase::Patch, maintain.patch_us);
         }
         span.finish();
-        self.views_refreshed_incrementally.fetch_add(views_changed as u64, Ordering::Relaxed);
         Ok(UpdateReport {
             edits_applied: edits.len(),
             doc_version,
@@ -955,8 +947,6 @@ impl ShardedViewCache {
             s.sig_passes += shard.stats.sig_passes.load(Ordering::Relaxed);
         }
         s.updates_applied = self.updates_applied.load(Ordering::Relaxed);
-        s.views_refreshed_incrementally =
-            self.views_refreshed_incrementally.load(Ordering::Relaxed);
         s.snapshot_read_stalls = self.snapshot_read_stalls.load(Ordering::Relaxed);
         s.maintain = *self.maintain_totals.lock().expect("maintain totals poisoned");
         s
@@ -1861,7 +1851,6 @@ mod tests {
 
         let s = cache.stats();
         assert_eq!(s.updates_applied, 1);
-        assert_eq!(s.views_refreshed_incrementally, 1);
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub struct TenantStats {
     pub direct: u64,
     /// Document edits this tenant applied through the server.
     pub updates_applied: u64,
-    /// Views incrementally refreshed on behalf of this tenant's updates.
-    pub views_refreshed_incrementally: u64,
     /// Submissions that had to wait for admission — the in-process window
     /// was full, so the submitting thread blocked until a batch completed.
     /// The contention signal for sizing `max_pending` and the worker pool.
@@ -57,7 +55,6 @@ impl TenantStats {
         f("intersect_hits", self.intersect_hits);
         f("direct", self.direct);
         f("updates_applied", self.updates_applied);
-        f("views_refreshed_incrementally", self.views_refreshed_incrementally);
         f("admission_waits", self.admission_waits);
     }
 }
@@ -77,7 +74,6 @@ pub(crate) struct TenantCounters {
     pub intersect_hits: AtomicU64,
     pub direct: AtomicU64,
     pub updates_applied: AtomicU64,
-    pub views_refreshed_incrementally: AtomicU64,
     pub admission_waits: AtomicU64,
 }
 
@@ -90,9 +86,6 @@ impl TenantCounters {
             intersect_hits: self.intersect_hits.load(Ordering::Relaxed),
             direct: self.direct.load(Ordering::Relaxed),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
-            views_refreshed_incrementally: self
-                .views_refreshed_incrementally
-                .load(Ordering::Relaxed),
             admission_waits: self.admission_waits.load(Ordering::Relaxed),
         }
     }

@@ -19,7 +19,7 @@ use xpv_pattern::Pattern;
 
 use crate::frame::MAX_FRAME;
 use crate::proto::{
-    Msg, WireAnswer, WireDump, WireMetric, WireSeries, WireTenantStats, WireUpdateReport, VERSION,
+    Msg, WireAnswer, WireDump, WireMetric, WireTenantStats, WireUpdateReport, VERSION,
 };
 
 /// One response frame, correlated to its request by `id`.
@@ -33,8 +33,6 @@ pub enum Response {
     Stats { id: u64, found: bool, stats: WireTenantStats },
     /// Whole-server metrics snapshot for stats-v2 request `id`.
     Metrics { id: u64, metrics: Vec<WireMetric> },
-    /// Server-side metric history for history request `id`.
-    History { id: u64, interval_us: u64, series: Vec<WireSeries> },
     /// Flight-recorder artifact for dump request `id`.
     Dump { id: u64, dump: Box<WireDump> },
     /// Request `id` was not served (e.g. the server is draining, or the
@@ -50,7 +48,6 @@ impl Response {
             | Response::EditAck { id, .. }
             | Response::Stats { id, .. }
             | Response::Metrics { id, .. }
-            | Response::History { id, .. }
             | Response::Dump { id, .. }
             | Response::Rejected { id, .. } => *id,
         }
@@ -160,9 +157,6 @@ impl WireClient {
             Msg::EditAck { id, report } => Response::EditAck { id, report },
             Msg::StatsResp { id, found, stats } => Response::Stats { id, found, stats },
             Msg::StatsV2Resp { id, metrics } => Response::Metrics { id, metrics },
-            Msg::HistoryResp { id, interval_us, series } => {
-                Response::History { id, interval_us, series }
-            }
             Msg::DebugDumpResp { id, dump } => Response::Dump { id, dump: Box::new(dump) },
             Msg::Rejected { id, reason } => Response::Rejected { id, reason },
             Msg::ServerBye => {
@@ -283,25 +277,8 @@ impl WireClient {
         }
     }
 
-    /// Fetches the server's retained metric history: the sampler tick
-    /// interval in microseconds (0 = no sampler running) and every
-    /// series' ring, points oldest first — what `xpv top` renders.
-    pub fn history(&mut self) -> io::Result<(u64, Vec<WireSeries>)> {
-        self.take_credit()?;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.send(&Msg::HistoryReq { id })?;
-        match self.recv_for(id)? {
-            Response::History { interval_us, series, .. } => Ok((interval_us, series)),
-            Response::Rejected { reason, .. } => {
-                Err(io::Error::new(io::ErrorKind::ConnectionRefused, reason))
-            }
-            other => Err(protocol_err(format!("expected History, got {other:?}"))),
-        }
-    }
-
-    /// Fetches a flight-recorder dump: metrics, history window, alerts,
-    /// drained trace spans, and config state in one artifact. Draining is
+    /// Fetches a flight-recorder dump: metrics, alerts, drained trace
+    /// spans, and config state in one artifact. Draining is
     /// destructive server-side — the server's buffered spans move into
     /// this dump.
     pub fn debug_dump(&mut self) -> io::Result<WireDump> {
@@ -331,9 +308,6 @@ impl WireClient {
                     drained.push(Response::Stats { id, found, stats })
                 }
                 Msg::StatsV2Resp { id, metrics } => drained.push(Response::Metrics { id, metrics }),
-                Msg::HistoryResp { id, interval_us, series } => {
-                    drained.push(Response::History { id, interval_us, series })
-                }
                 Msg::DebugDumpResp { id, dump } => {
                     drained.push(Response::Dump { id, dump: Box::new(dump) })
                 }

@@ -19,7 +19,7 @@
 //! * [`client`] — a blocking, credit-tracking protocol client for load
 //!   generators, tests, and the `xpv client` CLI.
 //!
-//! ## Wire protocol (version 3)
+//! ## Wire protocol (version 4)
 //!
 //! A connection is a byte stream (TCP or Unix-domain) carrying
 //! **length-prefixed frames** in each direction:
@@ -54,8 +54,14 @@
 //! | `EditBatch { id, tenant, edits }` | `EditAck { id, report }` or `Rejected { id, reason }` | document updates / post-batch `doc_version` |
 //! | `StatsReq { id, tenant }` | `StatsResp { id, found, stats }` | tenant counters |
 //! | `StatsV2Req { id }` | `StatsV2Resp { id, metrics }` | whole-server metrics snapshot (every family, sorted; histograms as `[count, sum, max, p50, p90, p99]` summaries) |
+//! | `DebugDumpReq { id }` | `DebugDumpResp { id, dump }` | flight recorder: metrics, watchdog alerts, drained trace spans, config |
 //! | `Goodbye` | `ServerBye` | clean close |
 //! | — | `Error { message }` | fatal protocol error, then close |
+//!
+//! Version 4 retired the history frames (`HistoryReq`/`HistoryResp`, tags
+//! `0x34`/`0x35`: a server answers one with `Error` and closes, as for any
+//! unknown frame), dropped the dump's tick interval and series, and
+//! dropped `views_refreshed_incrementally` from `StatsResp`.
 //!
 //! Request `id`s are chosen by the client (unique per connection);
 //! responses to **different** ids may arrive out of order, which is what
@@ -93,9 +99,9 @@
 //! ### Credit-based backpressure
 //!
 //! Every request frame (`QueryBatch`, `EditBatch`, `StatsReq`,
-//! `StatsV2Req`, `HistoryReq`, `DebugDumpReq`) **costs one
-//! credit**; every response (`Answers`, `EditAck`, `StatsResp`,
-//! `HistoryResp`, `DebugDumpResp`, `Rejected`) **returns it**. The handshake grants `window` credits. The
+//! `StatsV2Req`, `DebugDumpReq`) **costs one credit**; every response
+//! (`Answers`, `EditAck`, `StatsResp`, `StatsV2Resp`, `DebugDumpResp`,
+//! `Rejected`) **returns it**. The handshake grants `window` credits. The
 //! server enforces the window mechanically: its connection reader owns a
 //! semaphore of `window` permits and does not read the next frame until a
 //! permit frees, so an over-eager client is throttled by the kernel
@@ -129,9 +135,9 @@ pub use counters::{WireCounters, WireCountersSnapshot};
 pub use executor::Runtime;
 pub use frame::{read_frame, write_frame, DecodeError, FrameEvent, MAX_FRAME};
 pub use proto::{
-    AnswersEncoder, Msg, WireAlert, WireAnswer, WireDump, WireMetric, WirePoint, WireRoute,
-    WireRouteRef, WireSeries, WireTenantStats, WireTraceEvent, WireUpdateReport, MAGIC,
-    MAX_ANSWER_NODES, METRIC_COUNTER, METRIC_GAUGE, METRIC_HISTOGRAM, VERSION,
+    AnswersEncoder, Msg, WireAlert, WireAnswer, WireDump, WireMetric, WireRoute, WireRouteRef,
+    WireTenantStats, WireTraceEvent, WireUpdateReport, MAGIC, MAX_ANSWER_NODES, METRIC_COUNTER,
+    METRIC_GAUGE, METRIC_HISTOGRAM, VERSION,
 };
 pub use reactor::{Interest, Reactor, Source};
 pub use stream::{Accepted, AsyncStream, AsyncTcpListener, AsyncUnixListener, ReadEvent};

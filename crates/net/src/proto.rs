@@ -28,8 +28,10 @@ pub const MAGIC: u32 = 0x5756_5058;
 
 /// Protocol version this build speaks. Version 2 dropped the
 /// `views_refreshed` field of `EditAck`; version 3 gave each answer of an
-/// `Answers` frame a kind: list, span or repeat.
-pub const VERSION: u16 = 3;
+/// `Answers` frame a kind: list, span or repeat; version 4 retired the
+/// history frames (`0x34`/`0x35`), dropped the dump's interval and series,
+/// and dropped `views_refreshed_incrementally` from `StatsResp`.
+pub const VERSION: u16 = 4;
 
 /// Frame type tags (first body byte).
 mod tag {
@@ -43,8 +45,6 @@ mod tag {
     pub const STATS_RESP: u8 = 0x31;
     pub const STATS2_REQ: u8 = 0x32;
     pub const STATS2_RESP: u8 = 0x33;
-    pub const HISTORY_REQ: u8 = 0x34;
-    pub const HISTORY_RESP: u8 = 0x35;
     pub const DUMP_REQ: u8 = 0x36;
     pub const DUMP_RESP: u8 = 0x37;
     pub const REJECTED: u8 = 0x40;
@@ -334,7 +334,6 @@ pub struct WireTenantStats {
     pub intersect_hits: u64,
     pub direct: u64,
     pub updates_applied: u64,
-    pub views_refreshed_incrementally: u64,
     pub admission_waits: u64,
 }
 
@@ -365,47 +364,16 @@ pub struct WireMetric {
     pub values: Vec<u64>,
 }
 
-/// One recorded tick of one history series (the wire form of `xpv-obs`'s
-/// `HistoryPoint`).
-///
-/// `values` is kind-dependent, like [`WireMetric::values`]: counter
-/// points carry `[delta]` (the increment over the tick), gauge points
-/// `[level]`, histogram points `[count, p50, p90, p99]` (the tick's
-/// *interval* percentiles). The length prefix makes every point
-/// self-delimiting, so a decoder can skip points of kinds it does not
-/// know.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WirePoint {
-    /// Microseconds since the server's history started.
-    pub at_us: u64,
-    /// Kind-dependent payload (see type docs).
-    pub values: Vec<u64>,
-}
-
-/// One metric's retained history in a [`Msg::HistoryResp`] /
-/// [`Msg::DebugDumpResp`] frame.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireSeries {
-    /// Rendered series key: the metric name with labels inlined
-    /// (`xpv_tenant_queries{tenant="acme"}`).
-    pub name: String,
-    /// [`METRIC_COUNTER`], [`METRIC_GAUGE`], or [`METRIC_HISTOGRAM`] —
-    /// decoders skip series of unknown kinds.
-    pub kind: u8,
-    /// Points oldest first.
-    pub points: Vec<WirePoint>,
-}
-
 /// One watchdog rule's state in a [`Msg::DebugDumpResp`] frame (the wire
 /// form of `xpv-obs`'s `Alert`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireAlert {
     /// Rule name (its counter is `xpv_alert_<name>_total`).
     pub name: String,
-    /// Rule kind tag (`heartbeat_stall` | `slo_burn`), free-form so new
-    /// rule kinds need no protocol change.
+    /// Rule kind tag (`heartbeat_stall`), free-form so new rule kinds
+    /// need no protocol change.
     pub kind: String,
-    /// Firing as of the server's last sampler tick.
+    /// Firing as of the server's last watchdog tick.
     pub firing: bool,
     /// Tick the current firing streak started at (0 = never fired).
     pub since_tick: u64,
@@ -429,18 +397,13 @@ pub struct WireTraceEvent {
 
 /// The flight-recorder artifact a [`Msg::DebugDumpResp`] carries: one
 /// structured bundle of everything an operator needs after an incident —
-/// the live metrics snapshot, the retained history window, the watchdog
-/// alerts, the drained trace spans, and the knob/config state.
+/// the live metrics snapshot, the watchdog alerts, the drained trace
+/// spans, and the knob/config state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireDump {
     /// The full metrics snapshot at dump time (as a `StatsV2Resp` would
     /// carry).
     pub metrics: Vec<WireMetric>,
-    /// The server's sampler tick interval, microseconds (0 = sampler
-    /// not running).
-    pub interval_us: u64,
-    /// The retained history window, every series.
-    pub series: Vec<WireSeries>,
     /// Every watchdog rule's state.
     pub alerts: Vec<WireAlert>,
     /// Trace spans drained from the server's rings at dump time. Note
@@ -482,19 +445,12 @@ pub enum Msg {
     /// Server → client: the metrics snapshot, sorted by (name, labels).
     /// Returns the credit.
     StatsV2Resp { id: u64, metrics: Vec<WireMetric> },
-    /// Client → server: request the server-side metric history (every
-    /// retained series). Costs one credit.
-    HistoryReq { id: u64 },
-    /// Server → client: the retained history — the sampler interval and
-    /// every series' ring, oldest point first. `interval_us == 0` means
-    /// no sampler is running (empty series list). Returns the credit.
-    HistoryResp { id: u64, interval_us: u64, series: Vec<WireSeries> },
     /// Client → server: request a flight-recorder dump. **Drains the
     /// server's trace rings** into the response. Costs one credit.
     DebugDumpReq { id: u64 },
     /// Server → client: the flight-recorder artifact. Forward-tolerant
-    /// like [`Msg::StatsV2Resp`]: samples, points, and series of unknown
-    /// kinds are skipped by old decoders, not errors. Returns the credit.
+    /// like [`Msg::StatsV2Resp`]: samples of unknown kinds are skipped by
+    /// old decoders, not errors. Returns the credit.
     DebugDumpResp { id: u64, dump: WireDump },
     /// Server → client: request `id` was not served (drain, bad edit, …).
     /// Returns the credit.
@@ -559,7 +515,6 @@ impl Msg {
                     .u64(stats.intersect_hits)
                     .u64(stats.direct)
                     .u64(stats.updates_applied)
-                    .u64(stats.views_refreshed_incrementally)
                     .u64(stats.admission_waits);
             }
             Msg::StatsV2Req { id } => {
@@ -569,20 +524,12 @@ impl Msg {
                 e.u8(tag::STATS2_RESP).u64(*id);
                 encode_metric_list(&mut e, metrics);
             }
-            Msg::HistoryReq { id } => {
-                e.u8(tag::HISTORY_REQ).u64(*id);
-            }
-            Msg::HistoryResp { id, interval_us, series } => {
-                e.u8(tag::HISTORY_RESP).u64(*id).u64(*interval_us);
-                encode_series_list(&mut e, series);
-            }
             Msg::DebugDumpReq { id } => {
                 e.u8(tag::DUMP_REQ).u64(*id);
             }
             Msg::DebugDumpResp { id, dump } => {
-                e.u8(tag::DUMP_RESP).u64(*id).u64(dump.interval_us);
+                e.u8(tag::DUMP_RESP).u64(*id);
                 encode_metric_list(&mut e, &dump.metrics);
-                encode_series_list(&mut e, &dump.series);
                 e.u32(dump.alerts.len() as u32);
                 for a in &dump.alerts {
                     e.str(&a.name)
@@ -700,7 +647,6 @@ impl Msg {
                     intersect_hits: d.u64()?,
                     direct: d.u64()?,
                     updates_applied: d.u64()?,
-                    views_refreshed_incrementally: d.u64()?,
                     admission_waits: d.u64()?,
                 },
             },
@@ -709,18 +655,10 @@ impl Msg {
                 let id = d.u64()?;
                 Msg::StatsV2Resp { id, metrics: decode_metric_list(&mut d)? }
             }
-            tag::HISTORY_REQ => Msg::HistoryReq { id: d.u64()? },
-            tag::HISTORY_RESP => {
-                let id = d.u64()?;
-                let interval_us = d.u64()?;
-                Msg::HistoryResp { id, interval_us, series: decode_series_list(&mut d)? }
-            }
             tag::DUMP_REQ => Msg::DebugDumpReq { id: d.u64()? },
             tag::DUMP_RESP => {
                 let id = d.u64()?;
-                let interval_us = d.u64()?;
                 let metrics = decode_metric_list(&mut d)?;
-                let series = decode_series_list(&mut d)?;
                 let alerts_n = d.u32()? as usize;
                 let mut alerts = Vec::with_capacity(alerts_n.min(256));
                 for _ in 0..alerts_n {
@@ -750,10 +688,7 @@ impl Msg {
                 for _ in 0..config_n {
                     config.push((d.str()?, d.str()?));
                 }
-                Msg::DebugDumpResp {
-                    id,
-                    dump: WireDump { metrics, interval_us, series, alerts, traces, config },
-                }
+                Msg::DebugDumpResp { id, dump: WireDump { metrics, alerts, traces, config } }
             }
             tag::REJECTED => Msg::Rejected { id: d.u64()?, reason: d.str()? },
             tag::GOODBYE => Msg::Goodbye,
@@ -807,46 +742,6 @@ fn decode_metric_list(d: &mut Decoder<'_>) -> Result<Vec<WireMetric>, DecodeErro
         }
     }
     Ok(metrics)
-}
-
-fn encode_series_list(e: &mut Encoder, series: &[WireSeries]) {
-    e.u32(series.len() as u32);
-    for s in series {
-        e.str(&s.name).u8(s.kind).u32(s.points.len() as u32);
-        for p in &s.points {
-            e.u64(p.at_us).u32(p.values.len() as u32);
-            for v in &p.values {
-                e.u64(*v);
-            }
-        }
-    }
-}
-
-/// Decodes a history series list with the same forward tolerance as
-/// [`decode_metric_list`]: a series of an unknown kind is consumed
-/// (points are self-delimiting) and skipped.
-fn decode_series_list(d: &mut Decoder<'_>) -> Result<Vec<WireSeries>, DecodeError> {
-    let n = d.u32()? as usize;
-    let mut series = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let name = d.str()?;
-        let kind = d.u8()?;
-        let points_n = d.u32()? as usize;
-        let mut points = Vec::with_capacity(points_n.min(4096));
-        for _ in 0..points_n {
-            let at_us = d.u64()?;
-            let values_n = d.u32()? as usize;
-            let mut values = Vec::with_capacity(values_n.min(64));
-            for _ in 0..values_n {
-                values.push(d.u64()?);
-            }
-            points.push(WirePoint { at_us, values });
-        }
-        if kind <= METRIC_HISTOGRAM {
-            series.push(WireSeries { name, kind, points });
-        }
-    }
-    Ok(series)
 }
 
 const ROUTE_DIRECT: u8 = 0;
@@ -1356,56 +1251,12 @@ mod tests {
     }
 
     #[test]
-    fn history_frames_round_trip() {
-        match round_trip(&Msg::HistoryReq { id: 5 }) {
-            Msg::HistoryReq { id } => assert_eq!(id, 5),
-            other => panic!("wrong decode: {other:?}"),
-        }
-        let series = vec![
-            WireSeries {
-                name: "xpv_cache_queries".into(),
-                kind: METRIC_COUNTER,
-                points: vec![
-                    WirePoint { at_us: 1_000_000, values: vec![40] },
-                    WirePoint { at_us: 2_000_000, values: vec![55] },
-                ],
-            },
-            WireSeries {
-                name: "xpv_tenant_queries{tenant=\"acme\"}".into(),
-                kind: METRIC_COUNTER,
-                points: vec![WirePoint { at_us: 2_000_000, values: vec![7] }],
-            },
-            WireSeries {
-                name: "xpv_phase_eval_us".into(),
-                kind: METRIC_HISTOGRAM,
-                points: vec![WirePoint { at_us: 2_000_000, values: vec![100, 80, 300, 800] }],
-            },
-        ];
-        let msg = Msg::HistoryResp { id: 6, interval_us: 1_000_000, series: series.clone() };
-        match round_trip(&msg) {
-            Msg::HistoryResp { id, interval_us, series: decoded } => {
-                assert_eq!((id, interval_us), (6, 1_000_000));
-                assert_eq!(decoded, series);
-            }
-            other => panic!("wrong decode: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unknown_series_kinds_are_skipped() {
-        let mut e = Encoder::new();
-        e.u8(tag::HISTORY_RESP).u64(1).u64(1_000_000).u32(2);
-        e.str("xpv_future_series").u8(7).u32(2);
-        e.u64(1).u32(2).u64(10).u64(20);
-        e.u64(2).u32(2).u64(11).u64(21);
-        e.str("xpv_cache_queries").u8(METRIC_COUNTER).u32(1).u64(3).u32(1).u64(9);
-        match Msg::decode(&e.finish()).expect("unknown series kind skipped") {
-            Msg::HistoryResp { series, .. } => {
-                assert_eq!(series.len(), 1);
-                assert_eq!(series[0].name, "xpv_cache_queries");
-                assert_eq!(series[0].points, vec![WirePoint { at_us: 3, values: vec![9] }]);
-            }
-            other => panic!("wrong decode: {other:?}"),
+    fn retired_history_tags_are_unknown_frames() {
+        for retired in [0x34u8, 0x35] {
+            let mut e = Encoder::new();
+            e.u8(retired).u64(5);
+            let err = Msg::decode(&e.finish()).expect_err("history frames are gone");
+            assert!(err.to_string().contains("unknown frame type"), "{err}");
         }
     }
 
@@ -1421,12 +1272,6 @@ mod tests {
                 labels: vec![],
                 kind: METRIC_COUNTER,
                 values: vec![2],
-            }],
-            interval_us: 40_000,
-            series: vec![WireSeries {
-                name: "xpv_hb_maintain_beats".into(),
-                kind: METRIC_GAUGE,
-                points: vec![WirePoint { at_us: 40_000, values: vec![5] }],
             }],
             alerts: vec![WireAlert {
                 name: "maintain_stall".into(),
@@ -1451,7 +1296,7 @@ mod tests {
             }
             other => panic!("wrong decode: {other:?}"),
         }
-        // The empty dump (no sampler, nothing drained) round-trips too.
+        // The empty dump (no rules, nothing drained) round-trips too.
         let empty = Msg::DebugDumpResp { id: 13, dump: WireDump::default() };
         match round_trip(&empty) {
             Msg::DebugDumpResp { id, dump } => {

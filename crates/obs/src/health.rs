@@ -1,46 +1,41 @@
-//! The health watchdog: heartbeats, declarative per-tick rules, and
-//! tail-based trace capture.
+//! The health watchdog: heartbeats, stall rules, and tail-based trace
+//! capture.
 //!
 //! A metrics snapshot can show a stall only as an *absence* (a counter
 //! that stopped moving); this module makes absences first-class:
 //!
-//! - [`Heartbeat`] is a pair of gauges an operation bumps —
-//!   `xpv_hb_<name>_inflight` while the operation runs and
-//!   `xpv_hb_<name>_beats` on completion. A wedged operation is then
-//!   *visible*: inflight > 0 with beats frozen across sampler ticks.
-//! - [`HealthRule`] is the declarative judgment: [`HealthRule::heartbeat_stall`]
-//!   fires when a heartbeat shows no progress for N consecutive ticks;
-//!   [`HealthRule::slo_burn`] fires when a phase histogram's *interval*
-//!   quantile (per-tick, from the history sampler) exceeds a threshold in
-//!   too many of the last W ticks — a burn rate, not a single blip.
-//! - [`Health`] evaluates the rules each tick (driven by the sampler).
-//!   A firing rule increments its own `xpv_alert_<rule>_total` counter
-//!   plus the `xpv_alerts_total` roll-up (`xpv_alert_stall_total` too,
-//!   for heartbeat rules), and — the tail-based-sampling move — **forces
-//!   trace sampling to always-on** so the trace rings fill with exactly
-//!   the slow period's spans. When every rule has been quiet for the
-//!   cooldown window the previous sampling knob is restored.
+//! - A [`Heartbeat`] is a pair of gauges an operation bumps:
+//!   `xpv_hb_<name>_inflight` while it runs, `xpv_hb_<name>_beats` when
+//!   it completes. A wedged operation is then *visible*: inflight > 0
+//!   with beats frozen across ticks.
+//! - A [`Watchdog`] thread reads each [`HealthRule`]'s two gauges every
+//!   tick. A firing rule bumps its `xpv_alert_<rule>_total` counter and
+//!   the `xpv_alerts_total` / `xpv_alert_stall_total` roll-ups, and —
+//!   tail-based sampling — **forces trace sampling to always-on**
+//!   ([`force_trace_sampling`]), so the trace rings fill with exactly the
+//!   slow period's spans, until every rule has been quiet for the
+//!   cooldown.
 //!
-//! All alert instruments are pre-registered at construction so they
-//! expose as zeros before anything fires (dashboards can alert on the
-//! counter existing *and* moving, not on its first appearance).
+//! The alert instruments are registered when the watchdog starts, so they
+//! expose as zeros before anything fires.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
-use crate::history::TickObservation;
 use crate::metrics::{Counter, Gauge, Registry};
-use crate::trace::{set_trace_sampling, trace_sampling};
+use crate::trace::{force_trace_sampling, ForcedSampling};
 
 /// Default quiet ticks before forced always-on sampling is released
-/// (30 s at the default 1 s sampler interval).
+/// (30 s at the default watchdog interval).
 pub const DEFAULT_COOLDOWN_TICKS: u32 = 30;
 
-/// A liveness instrument: `begin` marks an operation in flight, the
-/// returned guard beats on drop (panic-safe — an unwound operation still
-/// beats, a *wedged* one does not, which is exactly the signal).
-/// Cheap to clone; both gauges live in the registry as
-/// `xpv_hb_<name>_inflight` / `xpv_hb_<name>_beats`.
+/// Default [`Watchdog`] tick interval.
+pub const DEFAULT_WATCHDOG_INTERVAL: Duration = Duration::from_secs(1);
+
+/// A liveness instrument (the gauges `xpv_hb_<name>_{inflight,beats}`):
+/// `begin` marks an operation in flight, and the guard beats on drop —
+/// an unwound operation still beats, a *wedged* one does not, which is
+/// exactly the signal.
 #[derive(Clone, Debug)]
 pub struct Heartbeat {
     inflight: Arc<Gauge>,
@@ -66,16 +61,6 @@ impl Heartbeat {
     pub fn beat_now(&self) {
         self.beats.add(1);
     }
-
-    /// Completed beats so far (test/diagnostic readout).
-    pub fn beats(&self) -> u64 {
-        self.beats.value()
-    }
-
-    /// Operations currently in flight (test/diagnostic readout).
-    pub fn inflight(&self) -> u64 {
-        self.inflight.value()
-    }
 }
 
 /// Beats its [`Heartbeat`] on drop (see [`Heartbeat::begin`]).
@@ -91,95 +76,31 @@ impl Drop for HeartbeatGuard {
     }
 }
 
-/// Which interval quantile an SLO rule judges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Quantile {
-    P50,
-    P90,
-    P99,
-}
-
-impl Quantile {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Quantile::P50 => "p50",
-            Quantile::P90 => "p90",
-            Quantile::P99 => "p99",
-        }
-    }
-}
-
-/// One declarative watchdog rule (see the module docs for semantics).
+/// One declarative watchdog rule.
 #[derive(Clone, Debug)]
 pub enum HealthRule {
-    /// Fires when heartbeat `heartbeat` shows work in flight but no beat
-    /// for `max_stalled_ticks` consecutive ticks.
-    HeartbeatStall { name: String, heartbeat: String, max_stalled_ticks: u32 },
-    /// Fires when histogram `histogram`'s per-tick `quantile` exceeded
-    /// `threshold_us` in at least `fire_at` of the last `window` ticks.
-    SloBurn {
-        name: String,
-        histogram: String,
-        quantile: Quantile,
-        threshold_us: u64,
-        window: u32,
-        fire_at: u32,
-    },
+    /// Named `<heartbeat>_stall`: fires when heartbeat `heartbeat` shows
+    /// work in flight but no beat for `max_stalled_ticks` consecutive
+    /// ticks. An idle heartbeat never fires.
+    HeartbeatStall { heartbeat: String, max_stalled_ticks: u32 },
 }
 
 impl HealthRule {
-    /// A stall rule over the heartbeat registered as
-    /// `xpv_hb_<heartbeat>_*`, named `<heartbeat>_stall`.
+    /// A stall rule over the heartbeat registered as `xpv_hb_<heartbeat>_*`.
     pub fn heartbeat_stall(heartbeat: &str, max_stalled_ticks: u32) -> HealthRule {
         HealthRule::HeartbeatStall {
-            name: format!("{heartbeat}_stall"),
             heartbeat: heartbeat.to_string(),
             max_stalled_ticks: max_stalled_ticks.max(1),
-        }
-    }
-
-    /// An SLO burn-rate rule over `histogram` (full metric name, e.g.
-    /// `xpv_phase_eval_us`), named `<name>`.
-    pub fn slo_burn(
-        name: &str,
-        histogram: &str,
-        quantile: Quantile,
-        threshold_us: u64,
-        window: u32,
-        fire_at: u32,
-    ) -> HealthRule {
-        HealthRule::SloBurn {
-            name: name.to_string(),
-            histogram: histogram.to_string(),
-            quantile,
-            threshold_us,
-            window: window.max(1),
-            fire_at: fire_at.clamp(1, window.max(1)),
-        }
-    }
-
-    pub fn name(&self) -> &str {
-        match self {
-            HealthRule::HeartbeatStall { name, .. } => name,
-            HealthRule::SloBurn { name, .. } => name,
-        }
-    }
-
-    /// Short kind tag for dumps and the wire frame.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            HealthRule::HeartbeatStall { .. } => "heartbeat_stall",
-            HealthRule::SloBurn { .. } => "slo_burn",
         }
     }
 }
 
 /// One rule's externally visible state (dump / wire payload).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Alert {
     /// Rule name (`xpv_alert_<name>_total` is its counter).
     pub name: String,
-    /// Rule kind tag (`heartbeat_stall` | `slo_burn`).
+    /// Rule kind tag (`heartbeat_stall`).
     pub kind: String,
     /// Firing as of the last evaluated tick.
     pub firing: bool,
@@ -191,227 +112,219 @@ pub struct Alert {
     pub detail: String,
 }
 
+#[derive(Debug)]
 struct RuleState {
-    rule: HealthRule,
+    alert: Alert,
     counter: Arc<Counter>,
-    firing: bool,
-    since_tick: u64,
-    fired_total: u64,
-    detail: String,
-    /// HeartbeatStall: beats gauge at the previous tick.
+    inflight: Arc<Gauge>,
+    beats: Arc<Gauge>,
+    max_stalled_ticks: u32,
+    /// Beats at the previous tick.
     last_beats: Option<u64>,
-    /// HeartbeatStall: consecutive no-progress ticks with work in flight.
+    /// Consecutive no-progress ticks with work in flight.
     stalled_ticks: u32,
-    /// SloBurn: breach flags for the last `window` ticks.
-    breaches: VecDeque<bool>,
 }
 
-struct HealthInner {
+impl RuleState {
+    /// One tick of this rule: whether it fires (with fresh evidence).
+    fn judge(&mut self) -> bool {
+        let (inflight, beats) = (self.inflight.value(), self.beats.value());
+        let stalled = inflight > 0 && self.last_beats == Some(beats);
+        self.last_beats = Some(beats);
+        self.stalled_ticks = if stalled { self.stalled_ticks + 1 } else { 0 };
+        if self.stalled_ticks < self.max_stalled_ticks {
+            return false;
+        }
+        self.alert.detail = format!(
+            "{inflight} in flight, no beat for {} ticks (beats={beats})",
+            self.stalled_ticks
+        );
+        true
+    }
+}
+
+#[derive(Debug)]
+struct State {
     rules: Vec<RuleState>,
-    /// Quiet ticks remaining before forced sampling is released.
-    cooldown_left: u32,
-    /// The sampling knob to restore, captured when forcing began.
-    saved_sampling: Option<u32>,
-}
-
-/// The watchdog: owns the rules, the alert instruments, and the forced
-/// trace-sampling state machine. Driven by the sampler's tick; see the
-/// module docs.
-pub struct Health {
-    registry: Arc<Registry>,
     alerts_total: Arc<Counter>,
     stall_total: Arc<Counter>,
     firing_gauge: Arc<Gauge>,
     forced_gauge: Arc<Gauge>,
     cooldown_ticks: u32,
-    inner: Mutex<HealthInner>,
+    ticks: u64,
+    /// Quiet ticks left before the force is released.
+    cooldown_left: u32,
+    forced: Option<ForcedSampling>,
+    /// Set by [`Watchdog::stop`]: the thread's wait predicate.
+    stopped: bool,
 }
 
-impl Health {
-    /// Builds the watchdog over `rules`; every alert instrument (the
-    /// roll-ups and one `xpv_alert_<rule>_total` per rule) is created in
-    /// `registry` immediately so it exposes as zero.
-    pub fn new(registry: Arc<Registry>, rules: Vec<HealthRule>, cooldown_ticks: u32) -> Health {
-        let states = rules
-            .into_iter()
-            .map(|rule| RuleState {
-                counter: registry.counter(&format!("xpv_alert_{}_total", rule.name())),
-                rule,
-                firing: false,
-                since_tick: 0,
-                fired_total: 0,
-                detail: String::new(),
-                last_beats: None,
-                stalled_ticks: 0,
-                breaches: VecDeque::new(),
-            })
-            .collect();
-        Health {
-            alerts_total: registry.counter("xpv_alerts_total"),
-            stall_total: registry.counter("xpv_alert_stall_total"),
-            firing_gauge: registry.gauge("xpv_alert_firing"),
-            forced_gauge: registry.gauge("xpv_alert_trace_forced"),
-            registry,
-            cooldown_ticks: cooldown_ticks.max(1),
-            inner: Mutex::new(HealthInner {
-                rules: states,
-                cooldown_left: 0,
-                saved_sampling: None,
-            }),
-        }
-    }
-
-    /// Evaluates every rule against one tick's observation (called by
-    /// the sampler after recording history). Updates alert counters and
-    /// the forced-sampling cooldown.
-    pub fn evaluate(&self, obs: &TickObservation) {
-        let mut inner = self.inner.lock().expect("health poisoned");
-        let mut any_firing = false;
+impl State {
+    fn tick(&mut self) {
+        self.ticks += 1;
         let mut firing_count = 0u64;
-        for state in inner.rules.iter_mut() {
-            let (firing, detail) = judge(state, obs);
+        for rule in self.rules.iter_mut() {
+            let firing = rule.judge();
             if firing {
-                any_firing = true;
                 firing_count += 1;
-                if !state.firing {
-                    state.since_tick = obs.tick;
+                if !rule.alert.firing {
+                    rule.alert.since_tick = self.ticks;
                 }
-                state.fired_total += 1;
-                state.detail = detail;
-                state.counter.inc();
+                rule.alert.fired_total += 1;
+                rule.counter.inc();
                 self.alerts_total.inc();
-                if matches!(state.rule, HealthRule::HeartbeatStall { .. }) {
-                    self.stall_total.inc();
-                }
+                self.stall_total.inc();
             }
-            state.firing = firing;
+            rule.alert.firing = firing;
         }
         self.firing_gauge.set(firing_count);
-        if any_firing {
-            // Tail-based sampling: capture the slow period's spans in
-            // full. Save the operator's knob once, on the quiet→firing
-            // edge, and re-arm the cooldown every firing tick.
-            if inner.saved_sampling.is_none() {
-                inner.saved_sampling = Some(trace_sampling());
-                set_trace_sampling(1);
+        if firing_count > 0 {
+            // Take the force on the quiet→firing edge; re-arm the
+            // cooldown on every firing tick.
+            if self.forced.is_none() {
+                self.forced = Some(force_trace_sampling());
                 self.forced_gauge.set(1);
             }
-            inner.cooldown_left = self.cooldown_ticks;
-        } else if let Some(saved) = inner.saved_sampling {
-            inner.cooldown_left = inner.cooldown_left.saturating_sub(1);
-            if inner.cooldown_left == 0 {
-                set_trace_sampling(saved);
-                inner.saved_sampling = None;
+            self.cooldown_left = self.cooldown_ticks;
+        } else if self.forced.is_some() {
+            self.cooldown_left = self.cooldown_left.saturating_sub(1);
+            if self.cooldown_left == 0 {
+                self.forced = None;
                 self.forced_gauge.set(0);
             }
         }
     }
+}
+
+/// The rules, their alert instruments and the forced-sampling state (see
+/// the module docs), and the thread that ticks them. Dropping the
+/// watchdog stops and joins the thread, and releases its force.
+#[derive(Debug)]
+pub struct Watchdog {
+    shared: Arc<(Mutex<State>, Condvar)>,
+    interval: Duration,
+    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
+impl Watchdog {
+    /// Registers the alert instruments in `registry` and starts the
+    /// thread, ticking every `interval` (at least 1 ms).
+    pub fn start(
+        registry: &Registry,
+        rules: Vec<HealthRule>,
+        interval: Duration,
+        cooldown_ticks: u32,
+    ) -> Watchdog {
+        let rules = rules
+            .into_iter()
+            .map(|HealthRule::HeartbeatStall { heartbeat, max_stalled_ticks }| {
+                let name = format!("{heartbeat}_stall");
+                RuleState {
+                    counter: registry.counter(&format!("xpv_alert_{name}_total")),
+                    inflight: registry.gauge(&format!("xpv_hb_{heartbeat}_inflight")),
+                    beats: registry.gauge(&format!("xpv_hb_{heartbeat}_beats")),
+                    alert: Alert { name, kind: "heartbeat_stall".to_string(), ..Alert::default() },
+                    max_stalled_ticks,
+                    last_beats: None,
+                    stalled_ticks: 0,
+                }
+            })
+            .collect();
+        let state = State {
+            rules,
+            alerts_total: registry.counter("xpv_alerts_total"),
+            stall_total: registry.counter("xpv_alert_stall_total"),
+            firing_gauge: registry.gauge("xpv_alert_firing"),
+            forced_gauge: registry.gauge("xpv_alert_trace_forced"),
+            cooldown_ticks: cooldown_ticks.max(1),
+            ticks: 0,
+            cooldown_left: 0,
+            forced: None,
+            stopped: false,
+        };
+        let shared = Arc::new((Mutex::new(state), Condvar::new()));
+        let interval = interval.max(Duration::from_millis(1));
+        let thread_shared = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("xpv-obs-watchdog".to_string())
+            .spawn(move || {
+                let (lock, wake) = &*thread_shared;
+                let mut state = lock.lock().expect("watchdog poisoned");
+                loop {
+                    // The flag is the wait's predicate, checked under the
+                    // lock *before* sleeping: a `stop()` that lands before
+                    // this thread first waits is seen, not a lost wakeup
+                    // that costs a full interval.
+                    state = wake
+                        .wait_timeout_while(state, interval, |s| !s.stopped)
+                        .expect("watchdog poisoned")
+                        .0;
+                    if state.stopped {
+                        return;
+                    }
+                    state.tick();
+                }
+            })
+            .expect("spawn watchdog thread");
+        Watchdog { shared, interval, thread: Mutex::new(Some(thread)) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.shared.0.lock().expect("watchdog poisoned")
+    }
+
+    /// Evaluates every rule once, now, on the calling thread.
+    pub fn tick(&self) {
+        self.lock().tick();
+    }
+
+    /// Ticks evaluated so far.
+    pub fn ticks(&self) -> u64 {
+        self.lock().ticks
+    }
 
     /// Every rule's current state, in registration order.
     pub fn alerts(&self) -> Vec<Alert> {
-        let inner = self.inner.lock().expect("health poisoned");
-        inner
-            .rules
-            .iter()
-            .map(|s| Alert {
-                name: s.rule.name().to_string(),
-                kind: s.rule.kind().to_string(),
-                firing: s.firing,
-                since_tick: s.since_tick,
-                fired_total: s.fired_total,
-                detail: s.detail.clone(),
-            })
-            .collect()
+        self.lock().rules.iter().map(|r| r.alert.clone()).collect()
     }
 
     /// Whether the watchdog is currently forcing always-on sampling.
     pub fn trace_forced(&self) -> bool {
-        self.inner.lock().expect("health poisoned").saved_sampling.is_some()
+        self.lock().forced.is_some()
     }
 
-    /// The registry the alert instruments live in.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+    /// The configured tick interval.
+    pub fn interval(&self) -> Duration {
+        self.interval
+    }
+
+    /// Stops the thread and joins it (idempotent; also run on drop).
+    pub fn stop(&self) {
+        self.lock().stopped = true;
+        self.shared.1.notify_all();
+        if let Some(handle) = self.thread.lock().expect("watchdog thread poisoned").take() {
+            let _ = handle.join();
+        }
     }
 }
 
-impl std::fmt::Debug for Health {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Health")
-            .field("rules", &self.inner.lock().expect("health poisoned").rules.len())
-            .field("cooldown_ticks", &self.cooldown_ticks)
-            .finish()
-    }
-}
-
-/// One rule, one tick: returns (firing, detail).
-fn judge(state: &mut RuleState, obs: &TickObservation) -> (bool, String) {
-    match &state.rule {
-        HealthRule::HeartbeatStall { heartbeat, max_stalled_ticks, .. } => {
-            let inflight =
-                obs.gauges.get(&format!("xpv_hb_{heartbeat}_inflight")).copied().unwrap_or(0);
-            let beats = obs.gauges.get(&format!("xpv_hb_{heartbeat}_beats")).copied().unwrap_or(0);
-            let progressed = state.last_beats != Some(beats);
-            let known = state.last_beats.is_some();
-            state.last_beats = Some(beats);
-            if known && !progressed && inflight > 0 {
-                state.stalled_ticks += 1;
-            } else {
-                state.stalled_ticks = 0;
-            }
-            if state.stalled_ticks >= *max_stalled_ticks {
-                (
-                    true,
-                    format!(
-                        "{inflight} in flight, no beat for {} ticks (beats={beats})",
-                        state.stalled_ticks
-                    ),
-                )
-            } else {
-                (false, String::new())
-            }
-        }
-        HealthRule::SloBurn { histogram, quantile, threshold_us, window, fire_at, .. } => {
-            let observed =
-                obs.intervals.get(histogram).filter(|s| s.count > 0).map(|s| match quantile {
-                    Quantile::P50 => s.p50,
-                    Quantile::P90 => s.p90,
-                    Quantile::P99 => s.p99,
-                });
-            let breached = observed.is_some_and(|v| v > *threshold_us);
-            state.breaches.push_back(breached);
-            while state.breaches.len() > *window as usize {
-                state.breaches.pop_front();
-            }
-            let hits = state.breaches.iter().filter(|b| **b).count() as u32;
-            if hits >= *fire_at {
-                (
-                    true,
-                    format!(
-                        "{histogram} {} > {threshold_us}us in {hits}/{} ticks (last={})",
-                        quantile.as_str(),
-                        state.breaches.len(),
-                        observed.unwrap_or(0)
-                    ),
-                )
-            } else {
-                (false, String::new())
-            }
-        }
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::History;
-    use crate::snapshot::MetricsSnapshot;
     use crate::trace::tests_support::trace_lock;
+    use crate::trace::{set_trace_sampling, trace_sampling, DEFAULT_TRACE_SAMPLING};
+    use std::time::Instant;
 
-    /// Records one tick of the registry into `history` and evaluates.
-    fn tick(registry: &Arc<Registry>, history: &History, health: &Health) {
-        let obs = history.record_tick(&registry.snapshot(), &registry.histograms_raw());
-        health.evaluate(&obs);
+    /// A watchdog whose thread never ticks during a test: `tick` is the
+    /// only evaluation path (deterministic).
+    fn manual(registry: &Registry, rules: Vec<HealthRule>, cooldown_ticks: u32) -> Watchdog {
+        Watchdog::start(registry, rules, Duration::from_secs(3600), cooldown_ticks)
     }
 
     fn alert_count(registry: &Registry, name: &str) -> u64 {
@@ -422,17 +335,20 @@ mod tests {
     fn heartbeat_guard_beats_even_on_unwind() {
         let registry = Registry::new();
         let hb = Heartbeat::new(&registry, "t");
+        let read = || {
+            (registry.gauge("xpv_hb_t_inflight").value(), registry.gauge("xpv_hb_t_beats").value())
+        };
         {
             let _g = hb.begin();
-            assert_eq!(hb.inflight(), 1);
+            assert_eq!(read().0, 1);
         }
-        assert_eq!((hb.inflight(), hb.beats()), (0, 1));
+        assert_eq!(read(), (0, 1));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = hb.begin();
             panic!("unwind");
         }));
         assert!(result.is_err());
-        assert_eq!((hb.inflight(), hb.beats()), (0, 2), "unwound op still beats");
+        assert_eq!(read(), (0, 2), "unwound op still beats");
     }
 
     #[test]
@@ -440,14 +356,12 @@ mod tests {
         let _guard = trace_lock();
         let registry = Arc::new(Registry::new());
         let hb = Heartbeat::new(&registry, "maintain");
-        let history = History::new(32);
-        let health =
-            Health::new(Arc::clone(&registry), vec![HealthRule::heartbeat_stall("maintain", 2)], 3);
+        let dog = manual(&registry, vec![HealthRule::heartbeat_stall("maintain", 2)], 3);
 
         // Healthy traffic: begin/end between ticks — never fires.
         for _ in 0..4 {
             drop(hb.begin());
-            tick(&registry, &history, &health);
+            dog.tick();
         }
         assert_eq!(alert_count(&registry, "xpv_alert_maintain_stall_total"), 0);
 
@@ -455,20 +369,21 @@ mod tests {
         // established the beat baseline, so the stall is observed from
         // the first wedged tick and fires on the second.
         let wedged = hb.begin();
-        tick(&registry, &history, &health);
+        dog.tick();
         assert_eq!(alert_count(&registry, "xpv_alert_stall_total"), 0, "below threshold");
-        tick(&registry, &history, &health);
+        dog.tick();
         assert_eq!(alert_count(&registry, "xpv_alert_maintain_stall_total"), 1, "fires at 2 ticks");
         assert_eq!(alert_count(&registry, "xpv_alert_stall_total"), 1);
         assert_eq!(alert_count(&registry, "xpv_alerts_total"), 1);
-        let alerts = health.alerts();
+        let alerts = dog.alerts();
         assert!(alerts[0].firing, "alert visible: {alerts:?}");
+        assert_eq!(alerts[0].since_tick, 6);
         assert!(alerts[0].detail.contains("no beat"), "detail: {}", alerts[0].detail);
 
         // Unwedge: the beat advances, the rule clears.
         drop(wedged);
-        tick(&registry, &history, &health);
-        assert!(!health.alerts()[0].firing);
+        dog.tick();
+        assert!(!dog.alerts()[0].firing);
         assert_eq!(registry.gauge("xpv_alert_firing").value(), 0);
     }
 
@@ -477,45 +392,11 @@ mod tests {
         let _guard = trace_lock();
         let registry = Arc::new(Registry::new());
         let _hb = Heartbeat::new(&registry, "flush");
-        let history = History::new(32);
-        let health =
-            Health::new(Arc::clone(&registry), vec![HealthRule::heartbeat_stall("flush", 1)], 3);
+        let dog = manual(&registry, vec![HealthRule::heartbeat_stall("flush", 1)], 3);
         for _ in 0..10 {
-            tick(&registry, &history, &health);
+            dog.tick();
         }
         assert_eq!(alert_count(&registry, "xpv_alerts_total"), 0, "idle is not a stall");
-    }
-
-    #[test]
-    fn slo_burn_fires_on_sustained_interval_breach_only() {
-        let _guard = trace_lock();
-        let registry = Arc::new(Registry::new());
-        let hist = registry.histogram("xpv_phase_eval_us");
-        let history = History::new(32);
-        let health = Health::new(
-            Arc::clone(&registry),
-            vec![HealthRule::slo_burn("eval_slo", "xpv_phase_eval_us", Quantile::P99, 1_000, 4, 2)],
-            3,
-        );
-
-        // One slow tick out of four: under the burn threshold.
-        hist.record(50_000);
-        tick(&registry, &history, &health);
-        for _ in 0..3 {
-            hist.record(10);
-            tick(&registry, &history, &health);
-        }
-        assert_eq!(alert_count(&registry, "xpv_alert_eval_slo_total"), 0, "a blip is not a burn");
-
-        // Two slow ticks inside the window: fires.
-        hist.record(50_000);
-        tick(&registry, &history, &health);
-        hist.record(50_000);
-        tick(&registry, &history, &health);
-        assert!(alert_count(&registry, "xpv_alert_eval_slo_total") >= 1, "sustained breach fires");
-        assert!(health.alerts()[0].detail.contains("xpv_phase_eval_us"), "evidence in detail");
-        // Stall roll-up untouched: this is not a heartbeat rule.
-        assert_eq!(alert_count(&registry, "xpv_alert_stall_total"), 0);
     }
 
     #[test]
@@ -524,33 +405,71 @@ mod tests {
         set_trace_sampling(64);
         let registry = Arc::new(Registry::new());
         let hb = Heartbeat::new(&registry, "w");
-        let history = History::new(32);
-        let health =
-            Health::new(Arc::clone(&registry), vec![HealthRule::heartbeat_stall("w", 1)], 2);
+        let dog = manual(&registry, vec![HealthRule::heartbeat_stall("w", 1)], 2);
 
         let wedged = hb.begin();
-        tick(&registry, &history, &health); // baseline
-        tick(&registry, &history, &health); // stalled 1 tick → fires
+        dog.tick(); // baseline
+        dog.tick(); // stalled 1 tick → fires
         assert_eq!(trace_sampling(), 1, "firing forces always-on");
-        assert!(health.trace_forced());
+        assert!(dog.trace_forced());
         assert_eq!(registry.gauge("xpv_alert_trace_forced").value(), 1);
 
         // Recovery: cooldown of 2 quiet ticks, then the knob restores.
         drop(wedged);
-        tick(&registry, &history, &health);
+        dog.tick();
         assert_eq!(trace_sampling(), 1, "still in cooldown");
-        tick(&registry, &history, &health);
+        dog.tick();
         assert_eq!(trace_sampling(), 64, "cooldown elapsed, knob restored");
-        assert!(!health.trace_forced());
+        assert!(!dog.trace_forced());
         assert_eq!(registry.gauge("xpv_alert_trace_forced").value(), 0);
-        set_trace_sampling(crate::trace::DEFAULT_TRACE_SAMPLING);
+        set_trace_sampling(DEFAULT_TRACE_SAMPLING);
+    }
+
+    /// Two watchdogs whose firing windows overlap: the knob stays forced
+    /// while either fires and ends at its original value, whichever
+    /// cools down first.
+    #[test]
+    fn overlapping_watchdogs_keep_sampling_forced_until_the_last_cools_down() {
+        let _guard = trace_lock();
+        for a_cools_first in [true, false] {
+            set_trace_sampling(64);
+            let registry = Arc::new(Registry::new());
+            let (hb_a, hb_b) = (Heartbeat::new(&registry, "a"), Heartbeat::new(&registry, "b"));
+            let a = manual(&registry, vec![HealthRule::heartbeat_stall("a", 1)], 1);
+            let b = manual(&registry, vec![HealthRule::heartbeat_stall("b", 1)], 1);
+            let (wedged_a, wedged_b) = (hb_a.begin(), hb_b.begin());
+            a.tick();
+            b.tick(); // baselines
+            a.tick();
+            assert!(a.trace_forced(), "A fires");
+            b.tick();
+            assert!(b.trace_forced(), "B fires while A fires");
+            assert_eq!(trace_sampling(), 1);
+
+            let (first, second, wedged_first, wedged_second) = if a_cools_first {
+                (&a, &b, wedged_a, wedged_b)
+            } else {
+                (&b, &a, wedged_b, wedged_a)
+            };
+            drop(wedged_first);
+            first.tick(); // one quiet tick: cooldown 1 elapses
+            assert!(!first.trace_forced());
+            assert_eq!(trace_sampling(), 1, "still forced while the other fires");
+            second.tick();
+            assert_eq!(trace_sampling(), 1, "still forced while the other fires");
+            drop(wedged_second);
+            second.tick();
+            assert!(!second.trace_forced());
+            assert_eq!(trace_sampling(), 64, "both cooled down: the original knob is back");
+        }
+        set_trace_sampling(DEFAULT_TRACE_SAMPLING);
     }
 
     #[test]
     fn alert_instruments_exist_before_any_firing() {
         let registry = Arc::new(Registry::new());
-        let _health = Health::new(
-            Arc::clone(&registry),
+        let _dog = manual(
+            &registry,
             vec![HealthRule::heartbeat_stall("maintain", 5)],
             DEFAULT_COOLDOWN_TICKS,
         );
@@ -560,6 +479,59 @@ mod tests {
             assert!(snap.get(name).is_some(), "{name} pre-registered");
         }
         assert!(snap.get("xpv_alert_firing").is_some());
-        let _ = MetricsSnapshot::new();
+    }
+
+    #[test]
+    fn watchdog_thread_ticks_and_stops() {
+        let _guard = trace_lock();
+        let before = trace_sampling();
+        let registry = Arc::new(Registry::new());
+        let hb = Heartbeat::new(&registry, "w");
+        let watchdog = Watchdog::start(
+            &registry,
+            vec![HealthRule::heartbeat_stall("w", 1)],
+            Duration::from_millis(5),
+            1,
+        );
+        let wedged = hb.begin();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while alert_count(&registry, "xpv_alert_w_stall_total") == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(watchdog.ticks() >= 2, "watchdog thread ticked");
+        assert!(alert_count(&registry, "xpv_alert_w_stall_total") >= 1, "the thread's ticks fire");
+        // Stopped mid-incident: no tick can cool the rule down, so it
+        // still holds its force until the watchdog drops.
+        watchdog.stop();
+        drop(wedged);
+        let after = watchdog.ticks();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(watchdog.ticks(), after, "no ticks after stop");
+        watchdog.stop(); // idempotent
+        assert_eq!(trace_sampling(), 1);
+        drop(watchdog);
+        assert_eq!(trace_sampling(), before, "a dropped watchdog releases its force");
+    }
+
+    /// Regression: a `stop()` that wins the race against the freshly
+    /// spawned thread (flag set and notified before the thread first
+    /// waits) must not cost a full interval. Start-then-drop is exactly
+    /// that race; the join runs on a helper thread so a regression fails
+    /// the deadline instead of hanging the suite for an hour.
+    #[test]
+    fn immediate_drop_of_long_interval_watchdog_returns_promptly() {
+        for _ in 0..20 {
+            let watchdog =
+                Watchdog::start(&Registry::new(), Vec::new(), Duration::from_secs(3600), 1);
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let dropper = std::thread::spawn(move || {
+                drop(watchdog);
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(2))
+                .expect("dropping a just-started 3600 s watchdog must not wait out the interval");
+            dropper.join().expect("dropper thread panicked");
+        }
     }
 }

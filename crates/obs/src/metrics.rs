@@ -1,25 +1,18 @@
-//! The lock-free metric primitives and the named [`Registry`].
+//! The lock-free metric primitives and the named [`Registry`], all on
+//! relaxed `AtomicU64`s:
 //!
-//! Three instrument kinds, all built on relaxed `AtomicU64`s:
+//! - [`Counter`] — a monotone count **striped** across cache-line-aligned
+//!   atomics (a thread's stripe is assigned round-robin on first use), so
+//!   writers on different cores do not bounce one line.
+//! - [`Gauge`] — a last-write-wins level.
+//! - [`Histogram`] — a log-bucketed latency distribution (bucket `i ≥ 1`
+//!   holds `[2^(i-1), 2^i - 1]`, bucket 0 exactly `0`): a record is three
+//!   relaxed RMWs, no locks, no allocation. A reported percentile is the
+//!   rank bucket's upper bound clamped to the observed max — never below
+//!   the true order statistic, at most 2× above it.
 //!
-//! - [`Counter`] — a monotone count, **striped** across cache-line-aligned
-//!   atomics so concurrent writers on different cores do not bounce one
-//!   line. Each thread is assigned a stripe round-robin on first use;
-//!   [`Counter::value`] sums the stripes.
-//! - [`Gauge`] — a last-write-wins level (live connections, window size).
-//! - [`Histogram`] — a log-bucketed latency distribution: bucket `i ≥ 1`
-//!   holds values in `[2^(i-1), 2^i - 1]` (bucket 0 holds exactly `0`), so
-//!   a [`Histogram::record`] is three relaxed atomic RMWs (bucket, sum,
-//!   max) with no locks and no allocation — cheap enough for the fused
-//!   eval hot path. Percentile readout walks the cumulative bucket counts
-//!   and reports the rank bucket's upper bound (clamped to the observed
-//!   max), so a reported pXX is never below the true order statistic and
-//!   at most 2× above it.
-//!
-//! The [`Registry`] is a string-named get-or-create table of the three
-//! kinds. Lookup takes a shared read lock (a write lock only on a name's
-//! first appearance), and callers are expected to look a handle up once
-//! and hold the `Arc` — the hot path then never touches the registry.
+//! Registry lookup takes a read lock (a write lock on a name's first
+//! appearance only); callers look a handle up once and hold the `Arc`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -31,9 +24,8 @@ use crate::snapshot::{HistogramSummary, MetricsSnapshot};
 /// Stripes per [`Counter`] (a power of two).
 pub const COUNTER_STRIPES: usize = 16;
 
-/// Number of histogram buckets: `{0}` plus one power-of-two bucket per
-/// bit position up to `2^(HIST_BUCKETS-2)` — in microseconds that spans
-/// past six days, so the last bucket is effectively "absurd outlier".
+/// Histogram buckets: `{0}` plus one per bit position up to
+/// `2^(HIST_BUCKETS-2)` µs (past six days).
 pub const HIST_BUCKETS: usize = 41;
 
 /// One cache line of counter state (the alignment is the point: stripes
@@ -52,9 +44,8 @@ fn stripe_slot() -> usize {
     SLOT.with(|s| *s)
 }
 
-/// A monotone counter striped across cache-line-aligned atomics (see the
-/// module docs). `add` is one relaxed `fetch_add` on the calling thread's
-/// home stripe; `value` sums all stripes (reads are snapshot-time only).
+/// A monotone counter striped across cache-line-aligned atomics: `add` is
+/// one relaxed `fetch_add` on the thread's stripe, `value` sums them.
 #[derive(Debug)]
 pub struct Counter {
     stripes: Box<[Stripe]>,
@@ -111,14 +102,9 @@ impl Gauge {
     /// Saturating decrement (a racing `sub` past zero floors, it does not
     /// wrap — gauges are diagnostics, not invariants).
     pub fn sub(&self, n: u64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self.0.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(n)));
     }
 
     pub fn value(&self) -> u64 {
@@ -200,8 +186,7 @@ impl Histogram {
     }
 }
 
-/// A frozen [`Histogram`]: what percentile math and bucket-wise deltas
-/// run on.
+/// A frozen [`Histogram`]: what percentile math runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Observation count per bucket (see [`bucket_index`]).
@@ -212,26 +197,15 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot { buckets: [0; HIST_BUCKETS], sum: 0, max: 0 }
-    }
-}
-
 impl HistogramSnapshot {
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
 
-    /// The `q`-quantile (`q ∈ [0, 1]`), reported as the rank bucket's
-    /// upper bound clamped to the observed max: never below the true
-    /// order statistic, at most 2× above it (power-of-two buckets).
-    ///
-    /// Edge cases are defined, not incidental: an **empty** histogram
-    /// reads `0` for every `q`; an out-of-range `q` **clamps** to
-    /// `[0, 1]` (so `q ≤ 0` is the minimum order statistic and `q ≥ 1`
-    /// the maximum); a **NaN** `q` is treated as `0`.
+    /// The `q`-quantile, reported as in the module docs. An **empty**
+    /// histogram reads `0`; `q` **clamps** to `[0, 1]` (`q ≤ 0` is the
+    /// minimum order statistic, `q ≥ 1` the maximum); **NaN** reads as `0`.
     pub fn percentile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
@@ -252,18 +226,6 @@ impl HistogramSnapshot {
     /// Mean of recorded values (integer floor; zero when empty).
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count()).unwrap_or(0)
-    }
-
-    /// Bucket-wise difference (`self - earlier`) for benchmark intervals.
-    /// Counts and sums subtract saturating; `max` keeps `self`'s value
-    /// (a maximum cannot be un-observed, so the interval max is only an
-    /// upper bound — documented where benches report it).
-    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
-        }
     }
 
     /// The six-number summary the wire frame and text exposition carry.
@@ -318,20 +280,6 @@ impl Registry {
     /// [`Registry::counter`]).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         get_or_create(&self.histograms, name)
-    }
-
-    /// Raw bucket snapshots of every registered histogram, sorted by
-    /// name. Unlike [`Registry::snapshot`] (which pre-summarizes into
-    /// six numbers), the raw buckets support interval math — the history
-    /// sampler diffs consecutive snapshots with
-    /// [`HistogramSnapshot::since`] to get per-tick percentiles.
-    pub fn histograms_raw(&self) -> Vec<(String, HistogramSnapshot)> {
-        self.histograms
-            .read()
-            .expect("registry poisoned")
-            .iter()
-            .map(|(name, h)| (name.clone(), h.snapshot()))
-            .collect()
     }
 
     /// Every registered instrument as one [`MetricsSnapshot`], sorted by
@@ -462,20 +410,6 @@ mod tests {
         assert_eq!(snap.percentile(f64::INFINITY), max);
         assert_eq!(snap.percentile(f64::NAN), min, "NaN is treated as q = 0");
         assert_eq!(max, snap.max, "q = 1 is the exact observed max");
-    }
-
-    #[test]
-    fn snapshot_since_isolates_an_interval() {
-        let h = Histogram::new();
-        h.record(10);
-        h.record(100);
-        let before = h.snapshot();
-        h.record(1000);
-        h.record(1000);
-        let delta = h.snapshot().since(&before);
-        assert_eq!(delta.count(), 2);
-        assert_eq!(delta.sum, 2000);
-        assert_eq!(delta.percentile(0.5), delta.percentile(0.99));
     }
 
     #[test]

@@ -1,12 +1,8 @@
-//! [`MetricsSnapshot`]: the frozen, renderable form of a metric set.
-//!
-//! A snapshot is a flat list of named [`Sample`]s — counters, gauges, and
-//! six-number histogram summaries, optionally labeled (`tenant="acme"`).
-//! It is the **one render path** for every counter in the workspace: the
-//! registry snapshots into it, the engine's legacy stats structs visit
-//! into it, the `StatsResp` v2 wire frame is its field-for-field encoding,
-//! and [`MetricsSnapshot::to_text`] is the Prometheus-style text format
-//! `xpv stats` prints.
+//! [`MetricsSnapshot`]: a flat list of named, optionally labelled
+//! [`Sample`]s (counters, gauges, histogram summaries). It is the **one
+//! render path** for every counter: the registry and the engine's stats
+//! structs fill it, the `StatsV2Resp` frame encodes it field for field,
+//! and [`MetricsSnapshot::to_text`] prints it for `xpv stats`.
 
 use std::fmt::Write as _;
 
@@ -50,12 +46,12 @@ impl MetricsSnapshot {
         MetricsSnapshot::default()
     }
 
+    fn push(&mut self, name: String, labels: Vec<(String, String)>, value: SampleValue) {
+        self.samples.push(Sample { name, labels, value });
+    }
+
     pub fn push_counter(&mut self, name: impl Into<String>, value: u64) {
-        self.samples.push(Sample {
-            name: name.into(),
-            labels: Vec::new(),
-            value: SampleValue::Counter(value),
-        });
+        self.push(name.into(), Vec::new(), SampleValue::Counter(value));
     }
 
     /// A labeled counter sample (`name{key="value"} v`).
@@ -65,27 +61,16 @@ impl MetricsSnapshot {
         label: (&str, &str),
         value: u64,
     ) {
-        self.samples.push(Sample {
-            name: name.into(),
-            labels: vec![(label.0.to_string(), label.1.to_string())],
-            value: SampleValue::Counter(value),
-        });
+        let labels = vec![(label.0.to_string(), label.1.to_string())];
+        self.push(name.into(), labels, SampleValue::Counter(value));
     }
 
     pub fn push_gauge(&mut self, name: impl Into<String>, value: u64) {
-        self.samples.push(Sample {
-            name: name.into(),
-            labels: Vec::new(),
-            value: SampleValue::Gauge(value),
-        });
+        self.push(name.into(), Vec::new(), SampleValue::Gauge(value));
     }
 
     pub fn push_histogram(&mut self, name: impl Into<String>, summary: HistogramSummary) {
-        self.samples.push(Sample {
-            name: name.into(),
-            labels: Vec::new(),
-            value: SampleValue::Histogram(summary),
-        });
+        self.push(name.into(), Vec::new(), SampleValue::Histogram(summary));
     }
 
     /// Sorts by `(name, labels)` — deterministic output independent of

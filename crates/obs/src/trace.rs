@@ -6,26 +6,19 @@
 //! wait → plan/route → eval → encode → flush for a served query batch,
 //! apply → freeze → coalesce → scan → patch for maintenance. Finished
 //! spans land as [`TraceEvent`]s in the **recording thread's** ring
-//! buffer; [`drain_trace_events`] steals every thread's ring in one call.
+//! ([`RING_CAPACITY`] events; a slow drainer loses the oldest, never
+//! blocks a recorder); [`drain_trace_events`] steals every ring at once.
 //!
-//! ## Sampling
-//!
-//! Whether a span records at all is decided **once, at
-//! [`Span::begin`]**, by the global knob [`set_trace_sampling`]:
-//! `0` disables tracing, `1` traces every request, `n` traces one in `n`
-//! (per-thread round-robin, so a uniform workload is sampled uniformly;
-//! the default is one in [`DEFAULT_TRACE_SAMPLING`]). A disabled span is
-//! a `None` — every subsequent [`Span::mark`] is one branch, and
-//! `Span::begin` itself is one relaxed atomic load plus a branch when
-//! tracing is off. The measured costs are in the crate docs' overhead
-//! budget.
-//!
-//! Rings are bounded ([`RING_CAPACITY`] events per thread): a slow
-//! drainer loses the **oldest** events, never blocks a recorder.
+//! Whether a span records is decided **once, at [`Span::begin`]**, by the
+//! global knob [`set_trace_sampling`]: `0` disables tracing, `1` traces
+//! every request, `n` one in `n` (per-thread round-robin; default
+//! [`DEFAULT_TRACE_SAMPLING`]). With tracing off, `begin` is one relaxed
+//! load and a branch, and every [`Span::mark`] on the disabled span one
+//! branch.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default sampling rate: one traced request per 64.
@@ -47,9 +40,39 @@ pub fn trace_sampling() -> u32 {
     SAMPLING.load(Ordering::Relaxed)
 }
 
-/// A lifecycle phase in a span's timeline. One enum spans both the
-/// serving pipeline and the maintenance pipeline — a trace consumer
-/// matches on the event's `kind` to know which family to expect.
+/// Live [`ForcedSampling`] guards, and the knob to restore after the last.
+static FORCE: Mutex<(u32, u32)> = Mutex::new((0, 0));
+
+/// Holds trace sampling at `1` while alive (see [`force_trace_sampling`]).
+#[must_use = "sampling is forced only while the guard lives"]
+#[derive(Debug)]
+pub struct ForcedSampling(());
+
+/// Forces trace sampling to `1` until the guard drops. Forces nest across
+/// the process: the knob is saved by the first guard and restored by the
+/// last, so overlapping watchdogs never restore one another's forced `1`.
+pub fn force_trace_sampling() -> ForcedSampling {
+    let mut force = FORCE.lock().expect("trace force poisoned");
+    if force.0 == 0 {
+        force.1 = trace_sampling();
+        set_trace_sampling(1);
+    }
+    force.0 += 1;
+    ForcedSampling(())
+}
+
+impl Drop for ForcedSampling {
+    fn drop(&mut self) {
+        let mut force = FORCE.lock().expect("trace force poisoned");
+        force.0 -= 1;
+        if force.0 == 0 {
+            set_trace_sampling(force.1);
+        }
+    }
+}
+
+/// A lifecycle phase in a span's timeline, serving or maintenance (the
+/// event's `kind` says which family to expect).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
     /// Waiting for admission (credit window / executor queue).
@@ -64,8 +87,7 @@ pub enum Phase {
     Flush,
     /// Maintenance: applying the edit batch to the tree.
     Apply,
-    /// Maintenance: building the post-batch flat snapshot (derived from the
-    /// previous one).
+    /// Maintenance: deriving the post-batch flat snapshot.
     Freeze,
     /// Maintenance: diffing spines and merging regions.
     Coalesce,
@@ -92,12 +114,6 @@ impl Phase {
     }
 }
 
-impl std::fmt::Display for Phase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// One finished span, as drained from a ring.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -110,6 +126,7 @@ pub struct TraceEvent {
     pub phases: Vec<(Phase, u64)>,
 }
 
+#[derive(Debug)]
 struct SpanInner {
     kind: &'static str,
     start: Instant,
@@ -121,17 +138,8 @@ struct SpanInner {
 /// tasks and threads; records into the **finishing** thread's ring on
 /// drop.
 #[must_use = "a span records on drop; an unused span traces nothing"]
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Span(Option<Box<SpanInner>>);
-
-impl std::fmt::Debug for Span {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(inner) => write!(f, "Span({}, {} phases)", inner.kind, inner.phases.len()),
-            None => f.write_str("Span(disabled)"),
-        }
-    }
-}
 
 impl Span {
     /// Begins a span if the sampling knob elects this request; otherwise
@@ -139,10 +147,7 @@ impl Span {
     #[inline]
     pub fn begin(kind: &'static str) -> Span {
         let n = SAMPLING.load(Ordering::Relaxed);
-        if n == 0 {
-            return Span(None);
-        }
-        if n > 1 && !sampled_tick(n) {
+        if n == 0 || (n > 1 && !sampled_tick(n)) {
             return Span(None);
         }
         Span::forced(kind)
@@ -184,9 +189,8 @@ impl Span {
         }
     }
 
-    /// Records an externally-timed phase (maintenance phases are timed by
-    /// the maintainer itself; the span carries the numbers, it does not
-    /// re-measure them). Does not advance the mark clock.
+    /// Records an externally timed phase (maintenance times its own);
+    /// does not advance the mark clock.
     #[inline]
     pub fn mark_us(&mut self, phase: Phase, us: u64) {
         if let Some(inner) = self.0.as_deref_mut() {
@@ -194,9 +198,7 @@ impl Span {
         }
     }
 
-    /// Finishes the span, pushing its event into this thread's ring.
-    /// Dropping an enabled span does the same; `finish` just names the
-    /// intent at the call site.
+    /// Finishes the span (as dropping it does), naming the intent.
     pub fn finish(self) {}
 }
 
@@ -229,28 +231,23 @@ fn sampled_tick(n: u32) -> bool {
 /// One thread's bounded event ring. The mutex is effectively
 /// uncontended: only the owning thread pushes, and a drainer visits
 /// briefly.
-#[derive(Default)]
-struct TraceRing {
-    events: Mutex<VecDeque<TraceEvent>>,
-}
+type TraceRing = Mutex<VecDeque<TraceEvent>>;
 
-fn ring_registry() -> &'static Mutex<Vec<Arc<TraceRing>>> {
-    static RINGS: OnceLock<Mutex<Vec<Arc<TraceRing>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// Every thread's ring, held strongly (see [`drain_trace_events`]).
+static RINGS: Mutex<Vec<Arc<TraceRing>>> = Mutex::new(Vec::new());
 
 fn record_event(event: TraceEvent) {
     thread_local! {
         static RING: Arc<TraceRing> = {
             let ring = Arc::new(TraceRing::default());
-            ring_registry().lock().expect("ring registry poisoned").push(Arc::clone(&ring));
+            RINGS.lock().expect("ring registry poisoned").push(Arc::clone(&ring));
             ring
         };
     }
     // A recording thread that outlives TLS destruction would re-register
     // on every event; `try_with` just drops the event instead.
     let _ = RING.try_with(|ring| {
-        let mut events = ring.events.lock().expect("trace ring poisoned");
+        let mut events = ring.lock().expect("trace ring poisoned");
         if events.len() == RING_CAPACITY {
             events.pop_front();
         }
@@ -258,15 +255,13 @@ fn record_event(event: TraceEvent) {
     });
 }
 
-/// Steals every thread's buffered trace events (oldest first per thread;
-/// thread interleaving is not ordered). The registry holds rings
-/// **strongly**, so a thread that finished spans and exited loses
-/// nothing; its now-orphaned ring is dropped after this drain empties it.
+/// Steals every thread's buffered events (oldest first per thread). Rings
+/// are held **strongly**, so an exited thread's events survive until a
+/// drain empties its ring and drops it.
 pub fn drain_trace_events() -> Vec<TraceEvent> {
     let mut out = Vec::new();
-    let mut rings = ring_registry().lock().expect("ring registry poisoned");
-    rings.retain(|ring| {
-        out.extend(ring.events.lock().expect("trace ring poisoned").drain(..));
+    RINGS.lock().expect("ring registry poisoned").retain(|ring| {
+        out.extend(ring.lock().expect("trace ring poisoned").drain(..));
         // Strong count 1 ⇒ only the registry owns it: the thread is gone.
         Arc::strong_count(ring) > 1
     });
@@ -278,7 +273,7 @@ pub fn drain_trace_events() -> Vec<TraceEvent> {
 /// thread churn with periodic drains this must stay bounded by the live
 /// thread count, not grow with every thread ever spawned.
 pub fn trace_ring_count() -> usize {
-    ring_registry().lock().expect("ring registry poisoned").len()
+    RINGS.lock().expect("ring registry poisoned").len()
 }
 
 #[cfg(test)]

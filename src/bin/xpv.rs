@@ -22,21 +22,11 @@
 //!                                    snapshot (every family: oracle, cache,
 //!                                    tenants, maintain, net, server) and
 //!                                    print the text exposition
-//! xpv top      (--tcp ADDR | --unix PATH) [--interval S] [--count N]
-//!              [--filter PREFIX] [--sort-rate]
-//!                                    live metrics from the server-side
-//!                                    history sampler: redraw every S
-//!                                    seconds with per-tick rates and
-//!                                    sparklines (N = 0 runs until
-//!                                    killed); --filter keeps metric
-//!                                    names starting with PREFIX,
-//!                                    --sort-rate orders by rate instead
-//!                                    of name
 //! xpv dump     (--tcp ADDR | --unix PATH) [--out FILE] [--traces N]
 //!                                    pull the server's flight-recorder
-//!                                    artifact — live metrics, history
-//!                                    window, watchdog alerts, drained
-//!                                    trace spans, config — and print it
+//!                                    artifact — live metrics, watchdog
+//!                                    alerts, drained trace spans,
+//!                                    config — and print it
 //!                                    (or write it to FILE); draining is
 //!                                    destructive server-side
 //! ```
@@ -46,7 +36,6 @@
 use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 use xpath_views::engine::{metrics_from_wire, AsyncCacheServer, ShardedViewCache};
 use xpath_views::intersect::{plan_intersection_in, MAX_ARITY, MAX_CANDIDATES};
@@ -66,8 +55,6 @@ fn fail(msg: &str) -> ExitCode {
          [--view NAME=DEF]...\n  \
          xpv client (--tcp ADDR | --unix PATH) [--tenant T] [--stats] QUERY...\n  \
          xpv stats (--tcp ADDR | --unix PATH)\n  \
-         xpv top (--tcp ADDR | --unix PATH) [--interval S] [--count N] [--filter PREFIX] \
-         [--sort-rate]\n  \
          xpv dump (--tcp ADDR | --unix PATH) [--out FILE] [--traces N]"
     );
     ExitCode::FAILURE
@@ -413,17 +400,10 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Endpoint and cadence knobs shared by `xpv stats`, `xpv top`, and
-/// `xpv dump`.
+/// Endpoint and output knobs shared by `xpv stats` and `xpv dump`.
 struct StatsOpts {
     tcp: Option<String>,
     unix: Option<String>,
-    interval: f64,
-    count: usize,
-    /// `xpv top --filter`: keep metric names starting with this prefix.
-    filter: Option<String>,
-    /// `xpv top --sort-rate`: order rows by rate instead of name.
-    sort_rate: bool,
     /// `xpv dump --out`: write the artifact here instead of stdout.
     out: Option<String>,
     /// `xpv dump --traces`: print at most this many trace spans.
@@ -432,32 +412,13 @@ struct StatsOpts {
 
 impl StatsOpts {
     fn parse(args: &[String]) -> Result<StatsOpts, String> {
-        let mut opts = StatsOpts {
-            tcp: None,
-            unix: None,
-            interval: 2.0,
-            count: 0,
-            filter: None,
-            sort_rate: false,
-            out: None,
-            traces: 20,
-        };
+        let mut opts = StatsOpts { tcp: None, unix: None, out: None, traces: 20 };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            if flag == "--sort-rate" {
-                opts.sort_rate = true;
-                continue;
-            }
             let value = it.next().ok_or_else(|| format!("{flag}: missing value"))?;
             match flag.as_str() {
                 "--tcp" => opts.tcp = Some(value.clone()),
                 "--unix" => opts.unix = Some(value.clone()),
-                "--interval" => {
-                    opts.interval =
-                        value.parse::<f64>().map_err(|e| format!("--interval: {e}"))?.max(0.1)
-                }
-                "--count" => opts.count = parse_num(flag, value)?,
-                "--filter" => opts.filter = Some(value.clone()),
                 "--out" => opts.out = Some(value.clone()),
                 "--traces" => opts.traces = parse_num(flag, value)?,
                 other => return Err(format!("unknown flag {other}")),
@@ -492,102 +453,9 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Renders `values` as a unicode sparkline scaled to the slice maximum
-/// (an all-zero window renders flat).
-fn sparkline(values: &[u64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let max = values.iter().copied().max().unwrap_or(0);
-    values
-        .iter()
-        .map(|&v| {
-            if max == 0 {
-                BARS[0]
-            } else {
-                BARS[((v as u128 * (BARS.len() as u128 - 1)) / max as u128) as usize]
-            }
-        })
-        .collect()
-}
-
-/// One value per retained point, chosen by series kind: counter → delta,
-/// gauge → level, histogram → interval p99 (`values[3]`).
-fn headline_values(series: &xpath_views::net::WireSeries) -> Vec<u64> {
-    let at = match series.kind {
-        xpath_views::net::METRIC_HISTOGRAM => 3,
-        _ => 0,
-    };
-    series.points.iter().map(|p| p.values.get(at).copied().unwrap_or(0)).collect()
-}
-
-/// Live metrics from the **server-side history sampler**: every
-/// `--interval` seconds one `HistoryReq` fetches the retained rings and
-/// each series renders as its latest value, its per-tick rate (counter
-/// deltas over the sampler interval), and a sparkline of the window
-/// (`--count 0` runs until killed). `--filter` keeps names starting
-/// with the prefix; `--sort-rate` orders by rate, busiest first. One
-/// connection and one credit are reused across refreshes.
-fn cmd_top(args: &[String]) -> Result<ExitCode, String> {
-    const SPARK_POINTS: usize = 32;
-    let opts = StatsOpts::parse(args).map_err(|e| format!("top: {e}"))?;
-    let mut client = opts.connect()?;
-    let mut iteration = 0usize;
-    loop {
-        let fetched = Instant::now();
-        let (interval_us, mut series) = client.history().map_err(|e| format!("top: {e}"))?;
-        if interval_us == 0 {
-            return Err(
-                "top: server runs no history sampler (started with the sampler disabled); \
-                 use `xpv stats` for a one-shot snapshot"
-                    .to_string(),
-            );
-        }
-        if let Some(prefix) = &opts.filter {
-            series.retain(|s| s.name.starts_with(prefix.as_str()));
-        }
-        let tick_secs = interval_us as f64 / 1e6;
-        let mut rows: Vec<(String, u64, f64, String)> = series
-            .iter()
-            .map(|s| {
-                let values = headline_values(s);
-                let last = values.last().copied().unwrap_or(0);
-                let rate = match s.kind {
-                    xpath_views::net::METRIC_COUNTER => last as f64 / tick_secs,
-                    _ => 0.0,
-                };
-                let window = &values[values.len().saturating_sub(SPARK_POINTS)..];
-                (s.name.clone(), last, rate, sparkline(window))
-            })
-            .collect();
-        if opts.sort_rate {
-            rows.sort_by(|a, b| b.2.total_cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-        }
-        // Clear the screen and home the cursor for a top-style redraw.
-        print!("\x1b[2J\x1b[H");
-        println!(
-            "xpv top — {} series, sampler tick {tick_secs:.1}s, refresh {:.1}s (iteration {})",
-            rows.len(),
-            opts.interval,
-            iteration + 1,
-        );
-        for (name, last, rate, spark) in &rows {
-            println!("{name:<52} {last:>12}  {rate:>10.1}/s  {spark}");
-        }
-        iteration += 1;
-        if opts.count > 0 && iteration >= opts.count {
-            break;
-        }
-        let elapsed = fetched.elapsed().as_secs_f64();
-        if elapsed < opts.interval {
-            std::thread::sleep(std::time::Duration::from_secs_f64(opts.interval - elapsed));
-        }
-    }
-    client.goodbye().map_err(|e| format!("goodbye: {e}"))?;
-    Ok(ExitCode::SUCCESS)
-}
-
 /// Pulls the flight-recorder artifact (`DebugDumpReq`) and renders it as
-/// text: watchdog alerts, config state, the history window (sparklines),
-/// up to `--traces` drained spans, and the live metric exposition.
+/// text: watchdog alerts, config state, up to `--traces` drained spans,
+/// and the live metric exposition.
 /// `--out FILE` writes the rendering to a file instead of stdout.
 fn cmd_dump(args: &[String]) -> Result<ExitCode, String> {
     use std::fmt::Write as _;
@@ -612,13 +480,6 @@ fn cmd_dump(args: &[String]) -> Result<ExitCode, String> {
     for (k, v) in &dump.config {
         let _ = writeln!(text, "{k} = {v}");
     }
-    let tick_secs = dump.interval_us as f64 / 1e6;
-    let _ = writeln!(text, "\n## history ({} series, tick {tick_secs:.1}s)", dump.series.len());
-    for s in &dump.series {
-        let values = headline_values(s);
-        let last = values.last().copied().unwrap_or(0);
-        let _ = writeln!(text, "{:<52} {last:>12}  {}", s.name, sparkline(&values));
-    }
     let shown = dump.traces.len().min(opts.traces);
     let _ = writeln!(text, "\n## traces ({} drained, showing {shown})", dump.traces.len());
     for t in dump.traces.iter().take(opts.traces) {
@@ -631,12 +492,7 @@ fn cmd_dump(args: &[String]) -> Result<ExitCode, String> {
     match &opts.out {
         Some(path) => {
             std::fs::write(path, &text).map_err(|e| format!("dump: {path}: {e}"))?;
-            println!(
-                "wrote {path} ({} alerts, {} series, {} traces)",
-                dump.alerts.len(),
-                dump.series.len(),
-                dump.traces.len()
-            );
+            println!("wrote {path} ({} alerts, {} traces)", dump.alerts.len(), dump.traces.len());
         }
         None => print!("{text}"),
     }
@@ -659,7 +515,6 @@ fn main() -> ExitCode {
         [cmd, rest @ ..] if cmd == "listen" => cmd_listen(rest),
         [cmd, rest @ ..] if cmd == "client" => cmd_client(rest),
         [cmd, rest @ ..] if cmd == "stats" => cmd_stats(rest),
-        [cmd, rest @ ..] if cmd == "top" => cmd_top(rest),
         [cmd, rest @ ..] if cmd == "dump" => cmd_dump(rest),
         _ => return fail("expected a subcommand"),
     };

@@ -26,7 +26,7 @@
 //! * [`obs`] — the dependency-free observability layer: lock-free
 //!   counters and log-bucketed latency histograms, request-lifecycle
 //!   trace spans with global sampling, and the metrics-snapshot text
-//!   exposition ([`xpv_obs`] — `xpv stats` / `xpv top` read it over the
+//!   exposition ([`xpv_obs`] — `xpv stats` / `xpv dump` read it over the
 //!   wire);
 //! * [`engine`] — materialized views and answering queries using views
 //!   ([`xpv_engine`]);

@@ -1,8 +1,8 @@
-//! Acceptance test for the health watchdog + flight recorder (ISSUE 9):
-//! a maintenance stall injected mid-`apply_edits` must raise
-//! `xpv_alert_stall_total` within two sampler ticks and flip trace
+//! Acceptance test for the health watchdog + flight recorder: a
+//! maintenance stall injected mid-`apply_edits` must raise
+//! `xpv_alert_stall_total` within two watchdog ticks and flip trace
 //! sampling to always-on; `DebugDumpReq` must then capture the firing
-//! alert, the history window, and phase-ordered trace spans.
+//! alert and phase-ordered trace spans.
 //!
 //! This file owns the process-global trace-sampling knob for its whole
 //! run (tests here are serialized through `KNOB`), which is why it is a
@@ -56,7 +56,6 @@ fn watchdog_server(cache: Arc<ShardedViewCache>) -> AsyncCacheServer {
             interval: Duration::from_millis(40),
             heartbeat_stall_ticks: 2,
             cooldown_ticks: 10_000,
-            ..ObsConfig::default()
         },
     )
 }
@@ -83,9 +82,15 @@ fn injected_stall_fires_alert_forces_tracing_and_lands_in_the_dump() {
     let cache = site_cache();
     let server = watchdog_server(Arc::clone(&cache));
     let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
+    // One tick first, so the stall rule has its beat baseline.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.watchdog().ticks() == 0 {
+        assert!(Instant::now() < deadline, "the watchdog never ticked");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     // Wedge maintenance: apply_edits now sleeps ~1.2 s inside the
-    // heartbeat guard, far past two 40 ms sampler ticks.
+    // heartbeat guard, far past two 40 ms watchdog ticks.
     cache.inject_maintain_pause_for_tests(Duration::from_millis(1200));
     let editor_cache = Arc::clone(&cache);
     let editor = std::thread::spawn(move || {
@@ -96,10 +101,15 @@ fn injected_stall_fires_alert_forces_tracing_and_lands_in_the_dump() {
         let _ = editor_cache.apply_edits(&[Edit::InsertSubtree { parent: root, subtree: graft }]);
     });
 
-    // The stall must be observed within two sampler ticks of the wedge
-    // becoming visible; poll the alert counter with a generous deadline
-    // (the bound under test is sampler ticks, not wall clock).
+    // The stall must be observed within two watchdog ticks of the wedge
+    // becoming visible; poll with a generous deadline (the bound under
+    // test is watchdog ticks, not wall clock).
     let deadline = Instant::now() + Duration::from_secs(5);
+    while counter(&server, "xpv_hb_maintain_inflight") == 0 {
+        assert!(Instant::now() < deadline, "the edit never entered maintenance");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let visible_at = server.watchdog().ticks();
     while counter(&server, "xpv_alert_stall_total") == 0 {
         assert!(
             Instant::now() < deadline,
@@ -122,11 +132,6 @@ fn injected_stall_fires_alert_forces_tracing_and_lands_in_the_dump() {
         client.answer_batch("t", &[pat("site/region/item")]).expect("answers");
     }
 
-    // The alert counter increments after its tick's snapshot, so its
-    // history delta lands on the following tick — force one
-    // synchronously instead of racing the 40 ms cadence.
-    server.sampler().expect("sampler").tick_now();
-
     // The flight recorder captures the incident while it is live.
     let dump = client.debug_dump().expect("dump");
     let stall = dump
@@ -137,24 +142,12 @@ fn injected_stall_fires_alert_forces_tracing_and_lands_in_the_dump() {
     assert!(stall.firing, "dump captured the alert mid-incident: {stall:?}");
     assert_eq!(stall.kind, "heartbeat_stall");
     assert!(stall.fired_total >= 1);
+    assert!(
+        stall.since_tick <= visible_at + 2,
+        "fired at tick {}, the wedge was visible by tick {visible_at}",
+        stall.since_tick
+    );
     assert!(!stall.detail.is_empty(), "alert carries evidence");
-
-    // History window: ticks recorded, heartbeat series retained.
-    assert!(dump.interval_us > 0);
-    assert!(!dump.series.is_empty(), "history window travels in the dump");
-    assert!(
-        dump.series.iter().any(|s| s.name == "xpv_hb_maintain_inflight"),
-        "heartbeat gauge history is in the window"
-    );
-    let alert_series = dump
-        .series
-        .iter()
-        .find(|s| s.name == "xpv_alert_stall_total")
-        .expect("alert counter is a history series");
-    assert!(
-        alert_series.points.iter().any(|p| p.values.first().copied().unwrap_or(0) > 0),
-        "some tick recorded a positive stall-alert delta"
-    );
     assert_eq!(
         dump.config.iter().find(|(k, _)| k == "trace_forced").map(|(_, v)| v.as_str()),
         Some("true"),
@@ -184,7 +177,7 @@ fn injected_stall_fires_alert_forces_tracing_and_lands_in_the_dump() {
 }
 
 #[test]
-fn healthy_server_history_accumulates_without_alerts() {
+fn healthy_server_fires_no_alert_under_load_and_idle() {
     let _knob = knob();
     set_trace_sampling(DEFAULT_TRACE_SAMPLING);
 
@@ -205,27 +198,15 @@ fn healthy_server_history_accumulates_without_alerts() {
             .expect("edits apply");
         std::thread::sleep(Duration::from_millis(60));
     }
+    assert!(counter(&server, "xpv_hb_maintain_beats") >= 3, "every maintenance pass beats");
 
-    // Make sure the final round is recorded before reading the rings.
-    server.sampler().expect("sampler").tick_now();
-    let (interval_us, series) = client.history().expect("history");
-    assert_eq!(interval_us, 40_000);
-    let queries =
-        series.iter().find(|s| s.name == "xpv_cache_queries").expect("query counter series");
-    assert!(queries.points.len() >= 2, "several ticks retained: {}", queries.points.len());
-    assert_eq!(
-        queries.points.iter().map(|p| p.values[0]).sum::<u64>(),
-        3,
-        "per-tick deltas sum to the queries served"
-    );
-    let beats = series
-        .iter()
-        .find(|s| s.name == "xpv_hb_maintain_beats")
-        .expect("maintain heartbeat series");
-    assert!(
-        beats.points.last().expect("points").values[0] >= 3,
-        "heartbeat level tracks completed maintenance passes"
-    );
+    // Then idle for several ticks: idle is not a stall.
+    let ticks = server.watchdog().ticks();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.watchdog().ticks() < ticks + 4 {
+        assert!(Instant::now() < deadline, "the watchdog stopped ticking");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     assert_eq!(counter(&server, "xpv_alerts_total"), 0, "healthy run fires nothing");
     assert_eq!(trace_sampling(), DEFAULT_TRACE_SAMPLING, "knob untouched without alerts");
