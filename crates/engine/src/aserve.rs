@@ -1,22 +1,30 @@
-//! The asynchronous serving front-end: many connections, a fixed CPU pool.
+//! The serving front-end: connection threads over a fixed set of worker
+//! slots.
 //!
-//! [`AsyncCacheServer`] serves through the `xpv-net` runtime: every
-//! connection (TCP or Unix-domain, see [`AsyncCacheServer::listen_tcp`] /
-//! [`AsyncCacheServer::listen_unix`]) is one suspended task on an
-//! epoll-driven reactor, so **idle or slow connections hold no worker
-//! thread** — the fixed pool of `workers` threads is spent exclusively on
-//! batches that are actually executing. The wire protocol, framing, and
-//! credit semantics are specified in the `xpv-net` crate docs.
+//! [`AsyncCacheServer`] serves the wire protocol over TCP or Unix-domain
+//! sockets (see [`AsyncCacheServer::listen_tcp`] /
+//! [`AsyncCacheServer::listen_unix`]) with plain blocking `std` threads:
+//! one acceptor per listener, and per connection one **reader** and,
+//! from its first response on, one **writer**. The reader reads a frame,
+//! checks out one of `workers` worker slots, decodes and answers the
+//! frame, returns the slot and hands the encoded response to the writer
+//! through a queue of `window` places. So **idle connections hold a
+//! blocked thread and no worker**: the slots bound simultaneous cache
+//! work, whatever the number of connections. The wire protocol, framing,
+//! and credit semantics are specified in the `xpv-net` crate docs.
 //!
 //! ## Backpressure
 //!
-//! Admission control is **credit-based and per-connection**: the
-//! handshake grants each connection a window of `conn_window` in-flight
-//! request frames, and the connection's reader task holds a semaphore
-//! permit for every admitted frame — once the window is full it simply
-//! stops reading, letting the kernel socket buffer (and eventually the
-//! client's own send path) absorb the excess. A client can neither flood
-//! the admission queue nor starve other connections; it throttles itself.
+//! The handshake grants each connection a window of `conn_window`
+//! in-flight request frames. The reader answers one frame at a time and
+//! blocks once the writer's queue holds `window` unsent responses (a
+//! `credit_stalls` count), letting the kernel socket buffers (and
+//! eventually the client's own send path) absorb the excess. A client can
+//! neither make the server hold more than a window of its responses nor
+//! starve other connections; it throttles itself. The writer is a thread
+//! of its own so that a reader never stops reading because a write is
+//! blocked: a client pipelining large frames within its window reads its
+//! answers only after it has sent them all.
 //!
 //! The in-process transport gives embedders the same contract:
 //! [`AsyncCacheServer::submit`] blocks the submitting thread while
@@ -27,27 +35,30 @@
 //! ## Graceful drain
 //!
 //! Shutdown ([`AsyncCacheServer::shutdown`], also run on drop) follows
-//! the drain sequence: stop admitting (new submissions are **rejected**,
-//! not dropped), fire the drain signal (listeners close; connection
-//! readers stop at the next frame boundary), let every admitted batch
-//! finish and flush its response, send each peer a `ServerBye`, and only
-//! then stop the worker pool and reactor. In-flight work is never
+//! the drain sequence: stop admitting (new submissions and connections
+//! are **rejected**, not dropped), shut down the read half of every
+//! connection (a reader checks the drain flag before each frame, so no
+//! new frame is admitted), let each reader finish the frame it is
+//! answering, let each writer flush its queue and send its peer a
+//! `ServerBye`, join every connection and submission thread, then wake
+//! and join the acceptors and stop the watchdog. In-flight work is never
 //! abandoned: a ticket or connection observes either its answers or an
 //! explicit rejection.
 //!
-//! CPU-bound work (planning + evaluation, and `apply_edits` with its
-//! writer gate) runs directly on the worker that polls the task — the
-//! pool size bounds simultaneous cache work. Each worker keeps one answer
-//! arena and one [`TextCache`] across frames: a connection reader decodes
-//! a `QueryBatch` through the cache of the worker polling it, so each
-//! distinct query text is parsed once per worker, not once per frame.
+//! Each worker slot keeps one answer arena and one [`TextCache`] across
+//! frames: a reader decodes a `QueryBatch` through the cache of the slot
+//! it checked out, so each distinct query text is parsed once per slot,
+//! not once per frame.
 
-use std::cell::RefCell;
-use std::io;
-use std::net::SocketAddr;
+use std::collections::HashMap;
+use std::io::{self, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use xpv_maintain::Edit;
@@ -56,11 +67,7 @@ use xpv_net::proto::{
     AnswersEncoder, Msg, WireDump, WireRouteRef, WireTenantStats, WireUpdateReport,
     MAX_ANSWER_NODES, VERSION,
 };
-use xpv_net::stream::Accepted;
-use xpv_net::{
-    read_frame, write_frame, AsyncStream, AsyncTcpListener, AsyncUnixListener, DrainSignal,
-    FrameEvent, NotifyQueue, Popped, Runtime, Semaphore, WireCounters,
-};
+use xpv_net::{read_frame, write_frame, Socket, WireCounters};
 use xpv_obs::{
     drain_trace_events, trace_sampling, HealthRule, Heartbeat, MetricsSnapshot, Phase, Span,
     Watchdog, DEFAULT_COOLDOWN_TICKS, DEFAULT_WATCHDOG_INTERVAL,
@@ -129,34 +136,159 @@ impl BatchTicket {
     }
 }
 
+/// A fixed set of items that threads take and put back, waiting while
+/// none is free. `Pool<()>` is a counting semaphore.
+struct Pool<T> {
+    free: Mutex<Vec<T>>,
+    returned: Condvar,
+}
+
+impl<T> Pool<T> {
+    fn new(items: Vec<T>) -> Pool<T> {
+        Pool { free: Mutex::new(items), returned: Condvar::new() }
+    }
+
+    /// Takes the most recently returned item, waiting while none is free;
+    /// also says whether it had to wait.
+    fn take(&self) -> (T, bool) {
+        let mut free = self.free.lock().expect("pool poisoned");
+        let waited = free.is_empty();
+        loop {
+            if let Some(item) = free.pop() {
+                return (item, waited);
+            }
+            free = self.returned.wait(free).expect("pool poisoned");
+        }
+    }
+
+    /// Puts `item` back. Called from `Drop`, so it does not panic: no
+    /// holder of the lock leaves the list half-updated.
+    fn put(&self, item: T) {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner).push(item);
+        self.returned.notify_one();
+    }
+}
+
+/// One worker slot: the buffers a frame's cache work reuses.
+#[derive(Default)]
+struct Worker {
+    /// Cleared by each frame, so the last frame's answer sets are the
+    /// next one's buffers.
+    arena: AnswerArena,
+    /// Query texts and their patterns: a text is parsed once per slot,
+    /// not once per frame.
+    texts: TextCache,
+}
+
+/// A checked-out worker slot, put back on drop.
+struct Slot<'a> {
+    pool: &'a Pool<Worker>,
+    worker: Worker,
+}
+
+impl<'a> Slot<'a> {
+    fn checkout(pool: &'a Pool<Worker>) -> Slot<'a> {
+        Slot { pool, worker: pool.take().0 }
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.pool.put(std::mem::take(&mut self.worker));
+    }
+}
+
+/// The live connections and threads that a drain sweeps and joins.
+#[derive(Default)]
+struct Live {
+    /// A handle on each live connection's socket, by connection number.
+    conns: HashMap<u64, Socket>,
+    next_conn: u64,
+    /// Connection readers and in-process batches, finished ones pruned
+    /// as new ones start.
+    threads: Vec<JoinHandle<()>>,
+}
+
 /// State shared by the submit path, the listeners, and every connection.
 struct ServerShared {
     cache: Arc<ShardedViewCache>,
     tenants: TenantRegistry,
     /// Per-connection credit window granted at handshake.
     conn_window: AtomicU32,
+    /// `workers` slots: a frame or an in-process batch holds one for its
+    /// decode and its cache work.
+    workers: Pool<Worker>,
     /// In-process admission bound (the legacy `max_pending`).
-    local_window: Semaphore,
-    /// Broadcast shutdown signal: listeners and connection readers race
-    /// their I/O against it.
-    drain: DrainSignal,
-    /// Set first during shutdown: new submissions reject immediately.
+    admission: Pool<()>,
+    /// Set first during shutdown: nothing new is admitted after it.
     draining: AtomicBool,
-    /// Live socket connections (diagnostic; the idle-connection tests
-    /// assert hundreds of these coexist with a tiny worker pool).
-    connections: AtomicUsize,
+    /// Registered under the same lock the drain sweeps under, so no
+    /// connection or thread escapes the drain.
+    live: Mutex<Live>,
     /// Wire-level traffic counters, shared by every connection (exposed
     /// as the `xpv_net_*` metric family).
     net: WireCounters,
-    /// Writer-loop heartbeat (`xpv_hb_flush_*`): in flight across each
-    /// socket write, so a wedged peer that stops reading shows up as a
+    /// Writer heartbeat (`xpv_hb_flush_*`): in flight across each socket
+    /// write, so a wedged peer that stops reading shows up as a
     /// frozen-beats/inflight>0 stall to the watchdog.
     hb_flush: Heartbeat,
-    /// Reader-loop liveness beats (`xpv_hb_reader_*`), one per admitted
-    /// frame.
+    /// Reader liveness beats (`xpv_hb_reader_*`), one per frame read.
     hb_reader: Heartbeat,
     /// The watchdog thread: stall rules over `maintain` and `flush`.
     watchdog: Watchdog,
+}
+
+/// Removes a connection's socket from the drain's registry when its
+/// reader ends, by a panic too.
+struct Registered<'a> {
+    live: &'a Mutex<Live>,
+    conn: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        // No holder of the lock leaves the registry half-updated.
+        self.live.lock().unwrap_or_else(PoisonError::into_inner).conns.remove(&self.conn);
+    }
+}
+
+/// Runs `work` on a new thread that the drain joins, with `conn`'s socket
+/// registered for the drain's sweep while it runs; false (and no thread)
+/// once the server is draining or the thread cannot start.
+fn spawn_tracked(
+    shared: &Arc<ServerShared>,
+    conn: Option<Socket>,
+    name: &str,
+    work: impl FnOnce(&Arc<ServerShared>) + Send + 'static,
+) -> bool {
+    let mut live = shared.live.lock().expect("live registry poisoned");
+    if shared.draining.load(Ordering::Acquire) {
+        return false;
+    }
+    live.threads.retain(|t| !t.is_finished());
+    let conn = conn.map(|socket| {
+        let id = live.next_conn;
+        live.next_conn += 1;
+        live.conns.insert(id, socket);
+        id
+    });
+    let thread_shared = Arc::clone(shared);
+    let spawned = thread::Builder::new().name(name.to_string()).spawn(move || {
+        let _registered = conn.map(|conn| Registered { live: &thread_shared.live, conn });
+        work(&thread_shared);
+    });
+    match spawned {
+        Ok(thread) => {
+            live.threads.push(thread);
+            true
+        }
+        Err(_) => {
+            if let Some(id) = conn {
+                live.conns.remove(&id);
+            }
+            false
+        }
+    }
 }
 
 /// Watchdog configuration for [`AsyncCacheServer::start_with_obs`]. The
@@ -184,8 +316,32 @@ impl Default for ObsConfig {
     }
 }
 
-/// An async cache server multiplexing any number of connections (plus the
-/// in-process transport) onto a fixed worker pool over one shared
+/// The address that wakes a listener's acceptor, and the file a
+/// Unix-domain listener unlinks when its acceptor ends.
+#[derive(Clone)]
+enum Wake {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
+impl Wake {
+    /// Connects once, so an acceptor blocked in `accept` returns.
+    fn poke(&self) {
+        let _ = match self {
+            Wake::Tcp(addr) => TcpStream::connect(addr).map(drop),
+            Wake::Unix(path) => UnixStream::connect(path).map(drop),
+        };
+    }
+
+    fn unlink(&self) {
+        if let Wake::Unix(path) = self {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// A cache server serving any number of connections (plus the in-process
+/// transport) with a fixed set of worker slots over one shared
 /// [`ShardedViewCache`].
 ///
 /// ```
@@ -206,15 +362,18 @@ impl Default for ObsConfig {
 /// ```
 pub struct AsyncCacheServer {
     shared: Arc<ServerShared>,
-    runtime: Arc<Runtime>,
-    /// Unix socket paths to unlink if shutdown never runs (the listener
-    /// normally removes its own file on drop).
+    workers: usize,
+    /// Each listener's acceptor thread and the address that wakes it.
+    acceptors: Mutex<Vec<(Wake, JoinHandle<()>)>>,
+    /// Set by the first [`AsyncCacheServer::shutdown`], so a second call
+    /// (and the one on drop) returns at once.
     shut_down: AtomicBool,
 }
 
 impl AsyncCacheServer {
-    /// Starts `workers` pool threads (minimum 1) over `cache` with the
-    /// default in-process admission bound and connection window.
+    /// Starts a server with `workers` worker slots (minimum 1) over
+    /// `cache`, with the default in-process admission bound and
+    /// connection window.
     pub fn start(cache: Arc<ShardedViewCache>, workers: usize) -> AsyncCacheServer {
         Self::start_bounded(cache, workers, DEFAULT_MAX_PENDING)
     }
@@ -238,7 +397,7 @@ impl AsyncCacheServer {
         max_pending: usize,
         obs: ObsConfig,
     ) -> AsyncCacheServer {
-        let runtime = Runtime::new(workers).expect("start async runtime");
+        let workers = workers.max(1);
         let registry = Arc::clone(cache.obs_registry());
         let rules = vec![
             HealthRule::heartbeat_stall("maintain", obs.heartbeat_stall_ticks),
@@ -251,13 +410,18 @@ impl AsyncCacheServer {
             cache,
             tenants: TenantRegistry::new(),
             conn_window: AtomicU32::new(DEFAULT_CONN_WINDOW),
-            local_window: Semaphore::new(max_pending.max(1)),
-            drain: DrainSignal::new(),
+            workers: Pool::new((0..workers).map(|_| Worker::default()).collect()),
+            admission: Pool::new(vec![(); max_pending.max(1)]),
             draining: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
+            live: Mutex::new(Live::default()),
             net: WireCounters::new(),
         });
-        AsyncCacheServer { shared, runtime: Arc::new(runtime), shut_down: AtomicBool::new(false) }
+        AsyncCacheServer {
+            shared,
+            workers,
+            acceptors: Mutex::new(Vec::new()),
+            shut_down: AtomicBool::new(false),
+        }
     }
 
     /// Sets the credit window granted to connections accepted **after**
@@ -271,64 +435,88 @@ impl AsyncCacheServer {
         self.shared.conn_window.load(Ordering::Relaxed)
     }
 
-    /// The shared cache the pool answers from.
+    /// The shared cache the server answers from.
     pub fn cache(&self) -> &Arc<ShardedViewCache> {
         &self.shared.cache
     }
 
-    /// Number of worker threads.
+    /// Number of worker slots.
     pub fn workers(&self) -> usize {
-        self.runtime.workers()
+        self.workers
     }
 
     /// Live socket connections right now.
     pub fn connections(&self) -> usize {
-        self.shared.connections.load(Ordering::Relaxed)
+        self.shared.connections()
     }
 
     /// Starts accepting wire-protocol connections on a TCP address
     /// (e.g. `"127.0.0.1:0"`). Returns the bound address.
     pub fn listen_tcp(&self, addr: &str) -> io::Result<SocketAddr> {
-        let listener = AsyncTcpListener::bind(addr, self.runtime.reactor())?;
+        let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shared = Arc::clone(&self.shared);
-        let runtime = Arc::clone(&self.runtime);
-        let accepted = self.runtime.spawn(async move {
-            let drain = shared.drain.listener();
-            loop {
-                match listener.accept(&drain).await {
-                    Ok(Accepted::Stream(stream)) => spawn_connection(&shared, &runtime, stream),
-                    Ok(Accepted::Drained) => return,
-                    Err(_) => continue,
-                }
-            }
-        });
-        if !accepted {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "server is shutting down"));
+        let mut wake = local;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                std::net::Ipv4Addr::LOCALHOST.into()
+            } else {
+                std::net::Ipv6Addr::LOCALHOST.into()
+            });
         }
+        self.start_acceptor(Wake::Tcp(wake), move || {
+            let (stream, _) = listener.accept()?;
+            stream.set_nodelay(true)?;
+            Ok(Socket::Tcp(stream))
+        })?;
         Ok(local)
     }
 
     /// Starts accepting wire-protocol connections on a Unix-domain socket
     /// at `path` (created now, removed when the listener drains).
     pub fn listen_unix(&self, path: &Path) -> io::Result<PathBuf> {
-        let listener = AsyncUnixListener::bind(path, self.runtime.reactor())?;
-        let shared = Arc::clone(&self.shared);
-        let runtime = Arc::clone(&self.runtime);
-        let accepted = self.runtime.spawn(async move {
-            let drain = shared.drain.listener();
-            loop {
-                match listener.accept(&drain).await {
-                    Ok(Accepted::Stream(stream)) => spawn_connection(&shared, &runtime, stream),
-                    Ok(Accepted::Drained) => return,
-                    Err(_) => continue,
-                }
-            }
-        });
-        if !accepted {
+        let listener = UnixListener::bind(path)?;
+        self.start_acceptor(Wake::Unix(path.to_path_buf()), move || {
+            listener.accept().map(|(stream, _)| Socket::Unix(stream))
+        })?;
+        Ok(path.to_path_buf())
+    }
+
+    /// Runs `accept` in a loop on an acceptor thread, serving each
+    /// connection it returns, until the drain wakes it through `wake`.
+    fn start_acceptor(
+        &self,
+        wake: Wake,
+        accept: impl Fn() -> io::Result<Socket> + Send + 'static,
+    ) -> io::Result<()> {
+        let mut acceptors = self.acceptors.lock().expect("acceptor list poisoned");
+        if self.shared.draining.load(Ordering::Acquire) {
+            wake.unlink();
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "server is shutting down"));
         }
-        Ok(path.to_path_buf())
+        let shared = Arc::clone(&self.shared);
+        let unlink = wake.clone();
+        let acceptor = thread::Builder::new().name("xpv-accept".to_string()).spawn(move || {
+            loop {
+                let accepted = accept();
+                if shared.draining.load(Ordering::Acquire) {
+                    break;
+                }
+                if let Ok(socket) = accepted {
+                    serve(&shared, socket);
+                }
+            }
+            unlink.unlink();
+        });
+        match acceptor {
+            Ok(acceptor) => {
+                acceptors.push((wake, acceptor));
+                Ok(())
+            }
+            Err(e) => {
+                wake.unlink();
+                Err(e)
+            }
+        }
     }
 
     /// Admits a query batch for `tenant` over the **in-process
@@ -341,21 +529,24 @@ impl AsyncCacheServer {
         if self.shared.draining.load(Ordering::Acquire) {
             return BatchTicket::rejected("server is draining");
         }
-        if self.shared.local_window.acquire_blocking() {
+        let ((), waited) = self.shared.admission.take();
+        if waited {
             self.shared.tenants.counters(tenant).admission_waits.fetch_add(1, Ordering::Relaxed);
         }
         let (tx, rx) = mpsc::channel();
-        let shared = Arc::clone(&self.shared);
         let tenant = tenant.to_string();
-        let spawned = self.runtime.spawn(async move {
-            let answers = shared.cache.answer_batch(&queries);
+        let spawned = spawn_tracked(&self.shared, None, "xpv-submit", move |shared| {
+            let answers = {
+                let _slot = Slot::checkout(&shared.workers);
+                shared.cache.answer_batch(&queries)
+            };
             shared.tenants.account_batch(&tenant, &answers);
             // A dropped ticket (caller gave up) is fine; the work is done.
             let _ = tx.send(answers);
-            shared.local_window.release();
+            shared.admission.put(());
         });
         if !spawned {
-            self.shared.local_window.release();
+            self.shared.admission.put(());
             return BatchTicket::rejected("server is shutting down");
         }
         BatchTicket { rx: Some(rx), rejected: None }
@@ -406,24 +597,45 @@ impl AsyncCacheServer {
     }
 
     /// Graceful drain (idempotent; also run on drop): reject new
-    /// submissions, stop the watchdog thread, close listeners, finish and
-    /// flush every admitted batch, send connected peers a `ServerBye`,
-    /// then stop the pool.
+    /// submissions and connections, stop every connection reading, wait
+    /// until every admitted frame and batch is answered and every
+    /// connection has flushed its responses and sent its peer a
+    /// `ServerBye`, then stop the acceptors and, last, the watchdog, which
+    /// watches the flushes until the drain is done.
     pub fn shutdown(&self) {
         if self.shut_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.shared.watchdog.stop();
         self.shared.draining.store(true, Ordering::Release);
-        self.shared.drain.set();
-        self.runtime.wait_idle();
-        self.runtime.shutdown();
+        let threads = {
+            let mut live = self.shared.live.lock().expect("live registry poisoned");
+            for socket in live.conns.values() {
+                let _ = socket.shutdown(Shutdown::Read);
+            }
+            std::mem::take(&mut live.threads)
+        };
+        for thread in threads {
+            let _ = thread.join();
+        }
+        let acceptors =
+            std::mem::take(&mut *self.acceptors.lock().expect("acceptor list poisoned"));
+        for (wake, acceptor) in acceptors {
+            wake.poke();
+            let _ = acceptor.join();
+        }
+        self.shared.watchdog.stop();
     }
 }
 
 impl Drop for AsyncCacheServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+impl ServerShared {
+    fn connections(&self) -> usize {
+        self.live.lock().expect("live registry poisoned").conns.len()
     }
 }
 
@@ -440,7 +652,7 @@ fn server_metrics_snapshot(shared: &ServerShared) -> MetricsSnapshot {
     shared.net.snapshot().visit(&mut |name, v| {
         snap.push_counter(format!("xpv_net_{name}"), v);
     });
-    snap.push_gauge("xpv_server_connections", shared.connections.load(Ordering::Relaxed) as u64);
+    snap.push_gauge("xpv_server_connections", shared.connections() as u64);
     snap.push_gauge("xpv_server_conn_window", shared.conn_window.load(Ordering::Relaxed) as u64);
     snap.sort();
     snap
@@ -454,9 +666,9 @@ fn build_dump(shared: &ServerShared) -> WireDump {
     let config = vec![
         ("trace_sampling".to_string(), trace_sampling().to_string()),
         ("conn_window".to_string(), shared.conn_window.load(Ordering::Relaxed).to_string()),
-        ("connections".to_string(), shared.connections.load(Ordering::Relaxed).to_string()),
+        ("connections".to_string(), shared.connections().to_string()),
         ("draining".to_string(), shared.draining.load(Ordering::Acquire).to_string()),
-        ("sampler_interval_us".to_string(), watchdog.interval().as_micros().to_string()),
+        ("watchdog_interval_us".to_string(), watchdog.interval().as_micros().to_string()),
         ("trace_forced".to_string(), watchdog.trace_forced().to_string()),
     ];
     WireDump {
@@ -472,185 +684,162 @@ fn account_update(shared: &ServerShared, tenant: &str, report: &UpdateReport) {
     counters.updates_applied.fetch_add(report.edits_applied as u64, Ordering::Relaxed);
 }
 
-/// One response frame awaiting the writer task: the encoded body plus
-/// the request's lifecycle span (disabled for control frames). The
-/// writer marks the span's `flush` phase after the socket write, then
-/// drops it — which is what records the finished trace event.
+/// One response frame for the writer: the encoded body plus the
+/// request's lifecycle span (disabled for control frames). The writer
+/// marks the span's `flush` phase after the socket write, then drops it —
+/// which is what records the finished trace event.
 struct Outgoing {
     body: Vec<u8>,
     span: Span,
 }
 
-/// One accepted connection's shared state.
-struct Conn {
-    stream: Arc<AsyncStream>,
-    /// Encoded response frames awaiting the writer task.
-    out: NotifyQueue<Outgoing>,
-    /// In-flight credit window: the reader holds one permit per admitted
-    /// frame; handlers return it after enqueuing their response.
-    window: Semaphore,
-    window_size: u32,
-}
-
-impl Conn {
-    /// Enqueues a control frame (no request span to carry).
-    fn push_control(&self, body: Vec<u8>) {
-        self.out.push(Outgoing { body, span: Span::disabled() });
+impl Outgoing {
+    /// A control frame (no request span to carry).
+    fn control(msg: Msg) -> Outgoing {
+        Outgoing { body: msg.encode(), span: Span::disabled() }
     }
 }
 
-fn spawn_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, stream: AsyncStream) {
-    let shared_for_task = Arc::clone(shared);
-    let runtime_for_conn = Arc::clone(runtime);
-    // The connection count is owned by the spawned task (incremented on
-    // entry, decremented on exit), so a spawn rejected by a racing
-    // shutdown — which drops the future unrun — cannot leak a count.
-    let _ = runtime.spawn(async move {
-        shared_for_task.connections.fetch_add(1, Ordering::Relaxed);
-        serve_connection(&shared_for_task, &runtime_for_conn, stream).await;
-        shared_for_task.connections.fetch_sub(1, Ordering::Relaxed);
-    });
-}
-
-/// The connection reader: handshake, then one admitted frame per credit.
-async fn serve_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, stream: AsyncStream) {
-    let drain = shared.drain.listener();
-    // --- Handshake -------------------------------------------------------
-    let body = match read_frame(&stream, &drain).await {
-        Ok(FrameEvent::Frame(body)) => body,
-        _ => return,
-    };
-    shared.net.frame_in(body.len());
-    match Msg::decode(&body) {
-        Ok(Msg::Hello { version }) if version == VERSION => {}
-        Ok(Msg::Hello { version }) => {
-            let msg = Msg::Error {
-                message: format!(
-                    "unsupported protocol version {version} (server speaks {VERSION})"
-                ),
-            };
-            let _ = write_frame(&stream, &msg.encode()).await;
-            return;
-        }
-        Ok(_) | Err(_) => {
-            let msg = Msg::Error { message: "expected Hello".to_string() };
-            let _ = write_frame(&stream, &msg.encode()).await;
-            return;
-        }
-    }
-    let window_size = shared.conn_window.load(Ordering::Relaxed).max(1);
-    let ack = Msg::HelloAck { version: VERSION, window: window_size }.encode();
-    if write_frame(&stream, &ack).await.is_err() {
+/// Starts a reader thread for an accepted connection (the socket is
+/// closed instead once the server is draining).
+fn serve(shared: &Arc<ServerShared>, socket: Socket) {
+    let Ok(registered) = socket.try_clone() else {
         return;
-    }
-    shared.net.frame_out(ack.len());
-
-    let conn = Arc::new(Conn {
-        stream: Arc::new(stream),
-        out: NotifyQueue::new(),
-        window: Semaphore::new(window_size as usize),
-        window_size,
+    };
+    spawn_tracked(shared, Some(registered), "xpv-conn", move |shared| {
+        serve_connection(shared, socket)
     });
+}
 
-    // --- Writer task: flushes the outbox until it closes -----------------
-    {
-        let conn = Arc::clone(&conn);
+/// A connection's writer thread and the queue of at most `window`
+/// responses in front of it, started with the connection's first
+/// response.
+struct Writer {
+    queue: SyncSender<Outgoing>,
+    thread: JoinHandle<()>,
+}
+
+impl Writer {
+    fn start(shared: &Arc<ServerShared>, socket: &Socket, window: u32) -> io::Result<Writer> {
+        let mut output = socket.try_clone()?;
+        let (queue, responses) = mpsc::sync_channel(window as usize);
         let shared = Arc::clone(shared);
-        runtime.spawn(async move {
-            loop {
-                match conn.out.pop().await {
-                    Popped::Item(mut outgoing) => {
-                        // Heartbeat in flight across the write: a peer
-                        // that stops reading wedges us here, and the
-                        // watchdog's `flush_stall` rule sees frozen beats
-                        // with inflight > 0.
-                        let _hb = shared.hb_flush.begin();
-                        let started = Instant::now();
-                        if write_frame(&conn.stream, &outgoing.body).await.is_err() {
-                            // Peer gone: drain silently so handlers'
-                            // pushes don't pile up.
-                            continue;
-                        }
-                        let wrote = started.elapsed();
-                        shared.net.frame_out(outgoing.body.len());
-                        shared.cache.obs.flush_us.record_duration(wrote);
-                        if outgoing.span.is_enabled() {
-                            outgoing.span.mark_us(Phase::Flush, wrote.as_micros() as u64);
-                        }
-                        // Dropping the span here records the request's
-                        // trace event with its full timeline.
-                    }
-                    Popped::Closed => return,
-                }
+        let thread = thread::Builder::new().name("xpv-writer".to_string()).spawn(move || {
+            let mut peer_gone = false;
+            for outgoing in responses {
+                // After a failed write the peer is gone: the rest of the
+                // queue is dropped unwritten.
+                peer_gone = peer_gone || !flush(&shared, &mut output, outgoing);
             }
-        });
+        })?;
+        Ok(Writer { queue, thread })
     }
 
-    // --- Read loop: one frame per credit ---------------------------------
-    loop {
-        // Credit gate: in-flight handlers always finish, so this acquire
-        // always returns; a full window merely stops the socket read —
-        // kernel-buffer backpressure onto the client. A stalled read
-        // (window exhausted) is the per-connection backpressure signal.
-        if !conn.window.try_acquire() {
-            shared.net.credit_stalls.fetch_add(1, Ordering::Relaxed);
-            conn.window.acquire().await;
-        }
-        let event = read_frame(&conn.stream, &drain).await;
-        let body = match event {
-            Ok(FrameEvent::Frame(body)) => body,
-            Ok(FrameEvent::Eof) | Ok(FrameEvent::Drained) | Err(_) => {
-                conn.window.release();
-                break;
+    /// Hands a response to the writer, waiting (a credit stall) while its
+    /// queue is full; false if the writer is gone.
+    fn send(&self, shared: &ServerShared, response: Outgoing) -> bool {
+        match self.queue.try_send(response) {
+            Ok(()) => true,
+            Err(TrySendError::Full(response)) => {
+                shared.net.credit_stalls.fetch_add(1, Ordering::Relaxed);
+                self.queue.send(response).is_ok()
             }
+            Err(TrySendError::Disconnected(_)) => false,
+        }
+    }
+}
+
+/// The connection reader: the handshake, then one frame at a time until
+/// EOF, `Goodbye`, a protocol error or the drain; then `ServerBye`, after
+/// the writer (if the connection ever had a response) has flushed.
+fn serve_connection(shared: &Arc<ServerShared>, socket: Socket) {
+    let mut input = BufReader::new(socket);
+    let Some(window) = handshake(shared, &mut input) else {
+        return;
+    };
+    let mut writer = None;
+    read_frames(shared, &mut input, window, &mut writer);
+    let bye = Outgoing::control(Msg::ServerBye);
+    match writer {
+        Some(writer) => {
+            writer.send(shared, bye);
+            drop(writer.queue);
+            let _ = writer.thread.join();
+        }
+        None => {
+            flush(shared, input.get_mut(), bye);
+        }
+    }
+}
+
+/// Reads `Hello` and answers `HelloAck` with the connection's window, or
+/// `Error` (and `None`) for a peer that does not speak this version.
+fn handshake(shared: &ServerShared, input: &mut BufReader<Socket>) -> Option<u32> {
+    let body = read_frame(&mut *input).ok().flatten()?;
+    shared.net.frame_in(body.len());
+    let refusal = match Msg::decode(&body) {
+        Ok(Msg::Hello { version }) if version == VERSION => None,
+        Ok(Msg::Hello { version }) => {
+            Some(format!("unsupported protocol version {version} (server speaks {VERSION})"))
+        }
+        Ok(_) | Err(_) => Some("expected Hello".to_string()),
+    };
+    if let Some(message) = refusal {
+        let _ = write_frame(input.get_mut(), &Msg::Error { message }.encode());
+        return None;
+    }
+    let window = shared.conn_window.load(Ordering::Relaxed).max(1);
+    let ack = Msg::HelloAck { version: VERSION, window }.encode();
+    write_frame(input.get_mut(), &ack).ok()?;
+    shared.net.frame_out(ack.len());
+    Some(window)
+}
+
+/// The read loop: each frame checks out a worker slot for its decode and
+/// its cache work, and hands its response to the writer after returning
+/// the slot.
+fn read_frames(
+    shared: &Arc<ServerShared>,
+    input: &mut BufReader<Socket>,
+    window: u32,
+    writer: &mut Option<Writer>,
+) {
+    while !shared.draining.load(Ordering::Acquire) {
+        let Ok(Some(body)) = read_frame(&mut *input) else {
+            return;
         };
+        let read_at = Instant::now();
         shared.net.frame_in(body.len());
         shared.hb_reader.beat_now();
-        let msg = WORKER_TEXTS.with_borrow_mut(|texts| Msg::decode_with(&body, |t| texts.parse(t)));
-        match msg {
+        let mut slot = Slot::checkout(&shared.workers);
+        let admission = read_at.elapsed();
+        let msg = Msg::decode_with(&body, |t| slot.worker.texts.parse(t));
+        let (response, last) = match msg {
             Ok(Msg::QueryBatch { id, tenant, queries }) => {
-                let shared = Arc::clone(shared);
-                let conn_for_task = Arc::clone(&conn);
-                // The request's lifecycle span opens at decode; the time
-                // until the handler runs is its admission wait.
+                shared.cache.obs.admission_us.record_duration(admission);
                 let mut span = Span::begin("net.query");
-                let admitted = Instant::now();
-                let spawned = runtime.spawn(async move {
-                    let waited = admitted.elapsed();
-                    shared.cache.obs.admission_us.record_duration(waited);
-                    if span.is_enabled() {
-                        span.mark_us(Phase::Admission, waited.as_micros() as u64);
-                    }
-                    // No `.await` inside: the worker's arena is borrowed
-                    // for the synchronous section only.
-                    let (answers, enc) = WORKER_ARENA.with_borrow_mut(|arena| {
-                        evaluate_and_encode(&shared.cache, id, &queries, &mut span, arena)
-                    });
-                    shared.tenants.account_batch_refs(&tenant, &answers);
-                    push_answers(&shared, &conn_for_task, id, enc, span);
-                    conn_for_task.window.release();
-                });
-                if !spawned {
-                    reject(&conn, id, "server is shutting down");
+                if span.is_enabled() {
+                    span.mark_us(Phase::Admission, admission.as_micros() as u64);
                 }
+                let (answers, enc) = evaluate_and_encode(
+                    &shared.cache,
+                    id,
+                    &queries,
+                    &mut span,
+                    &mut slot.worker.arena,
+                );
+                shared.tenants.account_batch_refs(&tenant, &answers);
+                (answers_response(shared, id, enc, span), false)
             }
             Ok(Msg::EditBatch { id, tenant, edits }) => {
-                let shared = Arc::clone(shared);
-                let conn_for_task = Arc::clone(&conn);
-                let spawned = runtime.spawn(async move {
-                    let msg = match shared.cache.apply_edits(&edits) {
-                        Ok(report) => {
-                            account_update(&shared, &tenant, &report);
-                            Msg::EditAck { id, report: wire_report(&report) }
-                        }
-                        Err(e) => Msg::Rejected { id, reason: e.to_string() },
-                    };
-                    push_body(&shared, &conn_for_task, id, msg.encode(), Span::disabled());
-                    conn_for_task.window.release();
-                });
-                if !spawned {
-                    reject(&conn, id, "server is shutting down");
-                }
+                let msg = match shared.cache.apply_edits(&edits) {
+                    Ok(report) => {
+                        account_update(shared, &tenant, &report);
+                        Msg::EditAck { id, report: wire_report(&report) }
+                    }
+                    Err(e) => Msg::Rejected { id, reason: e.to_string() },
+                };
+                (response(shared, id, msg.encode(), Span::disabled()), false)
             }
             Ok(Msg::StatsReq { id, tenant }) => {
                 let stats = shared.tenants.get(&tenant);
@@ -659,64 +848,58 @@ async fn serve_connection(shared: &Arc<ServerShared>, runtime: &Arc<Runtime>, st
                     found: stats.is_some(),
                     stats: wire_tenant_stats(stats.unwrap_or_default()),
                 };
-                conn.push_control(msg.encode());
-                conn.window.release();
+                (Outgoing::control(msg), false)
             }
             Ok(Msg::StatsV2Req { id }) => {
                 let snap = server_metrics_snapshot(shared);
                 let msg = Msg::StatsV2Resp { id, metrics: wire_metrics(&snap) };
-                push_body(shared, &conn, id, msg.encode(), Span::disabled());
-                conn.window.release();
+                (response(shared, id, msg.encode(), Span::disabled()), false)
             }
             Ok(Msg::DebugDumpReq { id }) => {
                 let msg = Msg::DebugDumpResp { id, dump: build_dump(shared) };
-                push_body(shared, &conn, id, msg.encode(), Span::disabled());
-                conn.window.release();
+                (response(shared, id, msg.encode(), Span::disabled()), false)
             }
-            Ok(Msg::Goodbye) => {
-                conn.window.release();
-                break;
-            }
-            Ok(other) => {
-                conn.push_control(
-                    Msg::Error { message: format!("unexpected frame {other:?}") }.encode(),
-                );
-                conn.window.release();
-                break;
-            }
-            Err(e) => {
-                conn.push_control(Msg::Error { message: e.to_string() }.encode());
-                conn.window.release();
-                break;
-            }
+            Ok(Msg::Goodbye) => return,
+            Ok(other) => (
+                Outgoing::control(Msg::Error { message: format!("unexpected frame {other:?}") }),
+                true,
+            ),
+            Err(e) => (Outgoing::control(Msg::Error { message: e.to_string() }), true),
+        };
+        drop(slot);
+        let out = match &mut *writer {
+            Some(out) => out,
+            unstarted => match Writer::start(shared, input.get_ref(), window) {
+                Ok(started) => unstarted.insert(started),
+                Err(_) => return,
+            },
+        };
+        if !out.send(shared, response) || last {
+            return;
         }
     }
+}
 
-    // --- Drain this connection ------------------------------------------
-    // Reclaim the whole window: every in-flight handler has then pushed
-    // its response. Handlers always terminate, so this cannot hang.
-    for _ in 0..conn.window_size {
-        conn.window.acquire().await;
+/// Writes one response inside the `flush` heartbeat and marks its span's
+/// `flush` phase; false if the peer is gone.
+fn flush(shared: &ServerShared, socket: &mut Socket, mut outgoing: Outgoing) -> bool {
+    // Heartbeat in flight across the write: a peer that stops reading
+    // wedges us here, and the watchdog's `flush_stall` rule sees frozen
+    // beats with inflight > 0.
+    let _hb = shared.hb_flush.begin();
+    let started = Instant::now();
+    if write_frame(socket, &outgoing.body).is_err() {
+        return false;
     }
-    conn.push_control(Msg::ServerBye.encode());
-    conn.out.close();
-}
-
-fn reject(conn: &Conn, id: u64, reason: &str) {
-    conn.push_control(Msg::Rejected { id, reason: reason.to_string() }.encode());
-    conn.window.release();
-}
-
-thread_local! {
-    /// This executor worker's answer arena. Each frame the worker serves
-    /// clears it, so the last frame's answer sets are the next one's
-    /// buffers.
-    static WORKER_ARENA: RefCell<AnswerArena> = RefCell::new(AnswerArena::new());
-
-    /// This executor worker's query texts and their patterns: a reader
-    /// this worker polls decodes each `QueryBatch` through it, so a text
-    /// is parsed once per worker, not once per frame.
-    static WORKER_TEXTS: RefCell<TextCache> = RefCell::new(TextCache::new());
+    let wrote = started.elapsed();
+    shared.net.frame_out(outgoing.body.len());
+    shared.cache.obs.flush_us.record_duration(wrote);
+    if outgoing.span.is_enabled() {
+        outgoing.span.mark_us(Phase::Flush, wrote.as_micros() as u64);
+    }
+    // Dropping the span here records the request's trace event with its
+    // full timeline.
+    true
 }
 
 /// The query handler's synchronous section: answers `queries` on `cache`
@@ -746,43 +929,42 @@ pub fn evaluate_and_encode(
     (answers, enc)
 }
 
-/// Enqueues an `Answers` frame (see [`push_body`]); one that would decode
-/// to more than [`MAX_ANSWER_NODES`] ids is downgraded to a `Rejected` too.
-fn push_answers(shared: &ServerShared, conn: &Conn, id: u64, enc: AnswersEncoder, span: Span) {
+/// An `Answers` response (see [`response`]); one that would decode to
+/// more than [`MAX_ANSWER_NODES`] ids is downgraded to a `Rejected` too.
+fn answers_response(shared: &ServerShared, id: u64, enc: AnswersEncoder, span: Span) -> Outgoing {
     if enc.node_count() <= MAX_ANSWER_NODES {
-        push_body(shared, conn, id, enc.finish(), span);
+        response(shared, id, enc.finish(), span)
     } else {
         let reason = format!(
             "answers of {} node ids exceed the {MAX_ANSWER_NODES}-id frame limit; narrow the batch",
             enc.node_count()
         );
-        push_oversized(shared, conn, id, reason, span);
+        oversized(shared, id, reason, span)
     }
 }
 
-/// Enqueues a response body with its request span, downgrading one whose
-/// encoding exceeds the frame cap to a `Rejected` — the connection (and
-/// its pipelined siblings) survive, and the client sees an explicit
-/// refusal instead of the protocol error an oversized frame would
-/// trigger.
-fn push_body(shared: &ServerShared, conn: &Conn, id: u64, body: Vec<u8>, span: Span) {
+/// A response body with its request span, downgrading one whose encoding
+/// exceeds the frame cap to a `Rejected` — the connection (and its
+/// pipelined siblings) survive, and the client sees an explicit refusal
+/// instead of the protocol error an oversized frame would trigger.
+fn response(shared: &ServerShared, id: u64, body: Vec<u8>, span: Span) -> Outgoing {
     if body.len() <= xpv_net::MAX_FRAME {
-        conn.out.push(Outgoing { body, span });
+        Outgoing { body, span }
     } else {
         let reason = format!(
             "response of {} bytes exceeds the {}-byte frame limit; narrow the batch",
             body.len(),
             xpv_net::MAX_FRAME
         );
-        push_oversized(shared, conn, id, reason, span);
+        oversized(shared, id, reason, span)
     }
 }
 
-/// Enqueues the `Rejected` that replaces a response the peer would
-/// refuse, counted as an oversized rejection.
-fn push_oversized(shared: &ServerShared, conn: &Conn, id: u64, reason: String, span: Span) {
+/// The `Rejected` that replaces a response the peer would refuse,
+/// counted as an oversized rejection.
+fn oversized(shared: &ServerShared, id: u64, reason: String, span: Span) -> Outgoing {
     shared.net.oversized_rejections.fetch_add(1, Ordering::Relaxed);
-    conn.out.push(Outgoing { body: Msg::Rejected { id, reason }.encode(), span });
+    Outgoing { body: Msg::Rejected { id, reason }.encode(), span }
 }
 
 /// The engine route's borrowed wire form (no string clones).
@@ -1092,26 +1274,16 @@ mod tests {
                 .clone()
         };
         assert_eq!(key("trace_sampling"), xpv_obs::DEFAULT_TRACE_SAMPLING.to_string());
-        assert_eq!(key("sampler_interval_us"), "3600000000");
+        assert_eq!(key("watchdog_interval_us"), "3600000000");
         assert_eq!(key("trace_forced"), "false");
     }
 
-    /// Each worker's query-text cache as (misses, entries). One probe task
-    /// per worker waits on a barrier until every probe is running, so each
-    /// worker runs exactly one.
+    /// Each worker slot's query-text cache as (misses, entries), read
+    /// while every slot is free.
     fn worker_texts(server: &AsyncCacheServer) -> Vec<(u64, usize)> {
-        let barrier = Arc::new(std::sync::Barrier::new(server.workers()));
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..server.workers() {
-            let (barrier, tx) = (Arc::clone(&barrier), tx.clone());
-            assert!(server.runtime.spawn(async move {
-                barrier.wait();
-                let texts = WORKER_TEXTS.with_borrow(|t| (t.misses(), t.len()));
-                tx.send(texts).expect("the test is receiving");
-            }));
-        }
-        drop(tx);
-        rx.iter().collect()
+        let free = server.shared.workers.free.lock().expect("pool");
+        assert_eq!(free.len(), server.workers(), "every slot is free");
+        free.iter().map(|w| (w.texts.misses(), w.texts.len())).collect()
     }
 
     #[test]

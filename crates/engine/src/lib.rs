@@ -33,14 +33,14 @@
 //!   settings: no view-choice policy, no pluggable planner, no search
 //!   budget to tune.
 //! * [`AsyncCacheServer`] (**[`aserve`]**) — the service front-end: any
-//!   number of wire-protocol connections (TCP / Unix-domain, via the
-//!   `xpv-net` reactor) plus the blocking in-process transport
-//!   ([`AsyncCacheServer::submit`]), multiplexed onto a fixed CPU worker
-//!   pool over one shared `ShardedViewCache`. Idle connections are
-//!   suspended tasks, not pinned threads; admission is credit-based per
-//!   connection (see the `xpv-net` crate docs for the wire protocol and
-//!   backpressure spec); per-tenant accounting ([`TenantStats`]) and
-//!   graceful drain are built in.
+//!   number of wire-protocol connections (TCP / Unix-domain, a reader and
+//!   a writer thread each) plus the blocking in-process transport
+//!   ([`AsyncCacheServer::submit`]), sharing a fixed set of worker slots
+//!   over one shared `ShardedViewCache`. Idle connections hold a blocked
+//!   thread and no worker; admission is credit-based per connection (see
+//!   the `xpv-net` crate docs for the wire protocol and backpressure
+//!   spec); per-tenant accounting ([`TenantStats`]) and graceful drain
+//!   are built in.
 //!
 //! ## Observability
 //!
@@ -56,6 +56,8 @@
 //! always-on tracing while they fire, and a flight-recorder
 //! `DebugDumpReq` bundling metrics + alerts + drained traces + config
 //! (the full metric catalogue lives in `docs/METRICS.md`).
+
+#![forbid(unsafe_code)]
 
 pub mod aserve;
 pub mod obs;

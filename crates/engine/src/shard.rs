@@ -446,7 +446,7 @@ pub(crate) struct CacheObs {
     pub eval_us: Arc<Histogram>,
     /// Whole `answer_batch` wall time, µs.
     pub batch_us: Arc<Histogram>,
-    /// Admission wait (credit window / executor queue) per served batch,
+    /// Admission wait (frame read → worker slot checked out) per served batch,
     /// µs — recorded by the serving front-end.
     pub admission_us: Arc<Histogram>,
     /// Response-frame encoding time per served batch, µs (wire only).

@@ -1,6 +1,6 @@
 //! A blocking protocol client over `std` sockets.
 //!
-//! The client side of the wire protocol needs no reactor: a load
+//! The client side of the wire protocol is plain blocking I/O: a load
 //! generator (or CLI) drives one connection per thread, pipelining up to
 //! the server-granted credit window and blocking on the reply stream. The
 //! client tracks its credits and transparently waits for a response
@@ -9,7 +9,7 @@
 //! connection self-throttles to the server's advertised window.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -17,10 +17,11 @@ use std::path::Path;
 use xpv_maintain::Edit;
 use xpv_pattern::Pattern;
 
-use crate::frame::MAX_FRAME;
+use crate::frame::{read_frame, write_frame};
 use crate::proto::{
     Msg, WireAnswer, WireDump, WireMetric, WireTenantStats, WireUpdateReport, VERSION,
 };
+use crate::socket::Socket;
 
 /// One response frame, correlated to its request by `id`.
 #[derive(Clone, Debug)]
@@ -54,13 +55,10 @@ impl Response {
     }
 }
 
-trait Transport: Read + Write + Send {}
-impl<T: Read + Write + Send> Transport for T {}
-
 /// A blocking client connection speaking the xpv wire protocol.
 pub struct WireClient {
-    reader: BufReader<Box<dyn Transport>>,
-    writer: BufWriter<Box<dyn Transport>>,
+    reader: BufReader<Socket>,
+    writer: BufWriter<Socket>,
     window: u32,
     credits: u32,
     next_id: u64,
@@ -73,21 +71,18 @@ impl WireClient {
     pub fn connect_tcp(addr: &str) -> io::Result<WireClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = stream.try_clone()?;
-        Self::handshake(Box::new(reader), Box::new(stream))
+        Self::handshake(Socket::Tcp(stream))
     }
 
     /// Connects over a Unix-domain socket and performs the handshake.
     pub fn connect_unix(path: &Path) -> io::Result<WireClient> {
-        let stream = UnixStream::connect(path)?;
-        let reader = stream.try_clone()?;
-        Self::handshake(Box::new(reader), Box::new(stream))
+        Self::handshake(Socket::Unix(UnixStream::connect(path)?))
     }
 
-    fn handshake(reader: Box<dyn Transport>, writer: Box<dyn Transport>) -> io::Result<WireClient> {
+    fn handshake(socket: Socket) -> io::Result<WireClient> {
         let mut client = WireClient {
-            reader: BufReader::new(reader),
-            writer: BufWriter::new(writer),
+            reader: BufReader::new(socket.try_clone()?),
+            writer: BufWriter::new(socket),
             window: 0,
             credits: 0,
             next_id: 1,
@@ -121,22 +116,14 @@ impl WireClient {
     }
 
     fn send(&mut self, msg: &Msg) -> io::Result<()> {
-        let body = msg.encode();
-        debug_assert!(!body.is_empty() && body.len() <= MAX_FRAME);
-        self.writer.write_all(&(body.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&body)?;
+        write_frame(&mut self.writer, &msg.encode())?;
         self.writer.flush()
     }
 
     fn read_msg(&mut self) -> io::Result<Msg> {
-        let mut len_buf = [0u8; 4];
-        self.reader.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len == 0 || len > MAX_FRAME {
-            return Err(protocol_err(format!("frame length {len} outside 1..={MAX_FRAME}")));
-        }
-        let mut body = vec![0u8; len];
-        self.reader.read_exact(&mut body)?;
+        let body = read_frame(&mut self.reader)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+        })?;
         Msg::decode(&body).map_err(|e| protocol_err(e.to_string()))
     }
 

@@ -2,17 +2,17 @@
 //!
 //! [`WireCounters`] is the transport's contribution to the observability
 //! story: one set of plain relaxed [`AtomicU64`]s counting frames, bytes,
-//! credit stalls, and oversized-response rejections. The async server
+//! credit stalls, and oversized-response rejections. The server
 //! holds one instance per listener scope (all connections of one
 //! [`AsyncCacheServer`](../../xpv_engine) share it) and bumps the
-//! counters from its reader loop and writer task; `xpv-engine` exposes
+//! counters from its reader and writer threads; `xpv-engine` exposes
 //! the snapshot under the `xpv_net_*` metric family in both the text
 //! exposition and the `StatsV2Resp` wire frame.
 //!
 //! The type lives here (not in `xpv-obs`) because the fields are the wire
 //! protocol's vocabulary — what counts as a frame, when a credit stall
 //! happens — and because plain atomics are all the transport needs: no
-//! name lookups, no striping (the reader/writer tasks of one connection
+//! name lookups, no striping (the reader/writer threads of one connection
 //! are the only writers of the hot fields, and cross-connection
 //! contention on a `fetch_add` is cheaper than an Arc-map probe).
 
@@ -32,9 +32,10 @@ pub struct WireCounters {
     pub bytes_in: AtomicU64,
     /// Frame-body bytes written (excluding the length prefixes).
     pub bytes_out: AtomicU64,
-    /// Reads that found the connection's credit window exhausted and had
-    /// to wait for a response to free a permit — the per-connection
-    /// backpressure signal for sizing the credit window.
+    /// Responses that found their connection's writer queue full (a
+    /// window's worth of responses unsent) and waited for the writer to
+    /// free a place — the per-connection backpressure signal for sizing
+    /// the credit window.
     pub credit_stalls: AtomicU64,
     /// Responses dropped for exceeding the frame-size cap and downgraded
     /// to `Rejected` (see `MAX_FRAME`).

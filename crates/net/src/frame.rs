@@ -7,37 +7,30 @@
 //! ```
 //!
 //! Frames are the unit of both parsing and backpressure accounting: the
-//! server reads exactly one frame per admission credit. `MAX_FRAME` caps a
-//! single allocation a remote peer can force.
+//! server reads one frame at a time and answers it before reading the
+//! next. `MAX_FRAME` caps a single allocation a remote peer can force.
+//! [`read_frame`] and [`write_frame`] are the one blocking codec both the
+//! server and [`WireClient`](crate::WireClient) speak through.
 
-use std::io::{self, IoSlice};
-
-use crate::stream::{AsyncStream, ReadEvent};
-use crate::sync::DrainListener;
+use std::io::{self, IoSlice, Read, Write};
 
 /// Largest accepted frame body (16 MiB).
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// How a frame read resolved.
-pub enum FrameEvent {
-    /// A complete frame body (type byte + payload).
-    Frame(Vec<u8>),
-    /// Clean EOF on a frame boundary.
-    Eof,
-    /// The drain signal fired before the next frame started.
-    Drained,
-}
-
-/// Reads one frame. EOF mid-frame is an error; EOF or drain on a frame
-/// boundary is clean. A drain that fires *mid-frame* finishes reading the
-/// frame (the client already sent it; serving it is part of the drain
-/// contract).
-pub async fn read_frame(stream: &AsyncStream, drain: &DrainListener<'_>) -> io::Result<FrameEvent> {
+/// Reads one frame body (type byte + payload): `None` on a clean EOF at a
+/// frame boundary. EOF inside a frame, and a length outside
+/// `1..=MAX_FRAME`, are errors.
+pub fn read_frame(mut input: impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    match read_exact_or_eof(stream, &mut len_buf, drain, true).await? {
-        Progress::Done => {}
-        Progress::Eof => return Ok(FrameEvent::Eof),
-        Progress::Drained => return Ok(FrameEvent::Drained),
+    let mut filled = 0;
+    while filled < len_buf.len() {
+        match input.read(&mut len_buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(mid_frame_eof()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len == 0 || len > MAX_FRAME {
@@ -47,11 +40,15 @@ pub async fn read_frame(stream: &AsyncStream, drain: &DrainListener<'_>) -> io::
         ));
     }
     let mut body = vec![0u8; len];
-    match read_exact_or_eof(stream, &mut body, drain, false).await? {
-        Progress::Done => Ok(FrameEvent::Frame(body)),
-        Progress::Eof => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid-frame")),
-        Progress::Drained => unreachable!("drain is only observed before the first byte"),
-    }
+    input.read_exact(&mut body).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => mid_frame_eof(),
+        _ => e,
+    })?;
+    Ok(Some(body))
+}
+
+fn mid_frame_eof() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid-frame")
 }
 
 /// Writes one frame (`body` must already start with its type byte).
@@ -59,8 +56,8 @@ pub async fn read_frame(stream: &AsyncStream, drain: &DrainListener<'_>) -> io::
 /// `1..=MAX_FRAME` — the peer would kill the connection as a protocol
 /// error anyway, so the oversize must be handled by the caller (the
 /// server downgrades such responses to `Rejected`). The length prefix and
-/// the body leave in one gathering write, with no copy of the body.
-pub async fn write_frame(stream: &AsyncStream, body: &[u8]) -> io::Result<()> {
+/// the body leave in gathering writes, with no copy of the body.
+pub fn write_frame(mut out: impl Write, body: &[u8]) -> io::Result<()> {
     if body.is_empty() || body.len() > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -68,40 +65,17 @@ pub async fn write_frame(stream: &AsyncStream, body: &[u8]) -> io::Result<()> {
         ));
     }
     let len = (body.len() as u32).to_le_bytes();
-    stream.write_all_vectored(&mut [IoSlice::new(&len), IoSlice::new(body)]).await
-}
-
-enum Progress {
-    Done,
-    Eof,
-    Drained,
-}
-
-/// Fills `buf` exactly. `Eof` only before the first byte; `Drained` only
-/// when `drainable` (i.e. between frames, not inside one — once a frame
-/// has started the read runs to completion regardless of drain).
-async fn read_exact_or_eof(
-    stream: &AsyncStream,
-    buf: &mut [u8],
-    drain: &DrainListener<'_>,
-    drainable: bool,
-) -> io::Result<Progress> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        // Drain preempts only before the first byte; once a frame has
-        // started, the read runs to completion.
-        let drain = (drainable && filled == 0).then_some(drain);
-        let event = stream.read_some(&mut buf[filled..], drain).await?;
-        match event {
-            ReadEvent::Data(n) => filled += n,
-            ReadEvent::Eof if filled == 0 => return Ok(Progress::Eof),
-            ReadEvent::Eof => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid-frame"))
-            }
-            ReadEvent::Drained => return Ok(Progress::Drained),
+    let mut parts = [IoSlice::new(&len), IoSlice::new(body)];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match out.write_vectored(rest) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "peer took no bytes")),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    Ok(Progress::Done)
+    Ok(())
 }
 
 /// Little-endian append-only encoder over a `Vec<u8>`.
@@ -316,5 +290,23 @@ mod tests {
         let mut d = Decoder::new(&buf);
         d.u8().unwrap();
         assert!(d.finish().is_err());
+    }
+
+    #[test]
+    fn frames_round_trip_and_eof_is_clean_only_between_frames() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &[0x10, 1, 2]).unwrap();
+        write_frame(&mut wire, &[0x11]).unwrap();
+        let mut input = &wire[..];
+        assert_eq!(read_frame(&mut input).unwrap(), Some(vec![0x10, 1, 2]));
+        assert_eq!(read_frame(&mut input).unwrap(), Some(vec![0x11]));
+        assert_eq!(read_frame(&mut input).unwrap(), None);
+        for cut in [2, 5] {
+            let err = read_frame(&wire[..cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+        assert!(write_frame(&mut Vec::new(), &[]).is_err());
+        let zero = 0u32.to_le_bytes();
+        assert_eq!(read_frame(&zero[..]).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 }

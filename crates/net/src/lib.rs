@@ -1,23 +1,15 @@
-//! # xpv-net — a hand-rolled async runtime and the xpv wire protocol
+//! # xpv-net — the xpv wire protocol over blocking `std` sockets
 //!
-//! This crate gives the serving front-end its asynchronous substrate. The
-//! build environment has no registry access, so instead of tokio/mio it
-//! carries a small, self-contained implementation of each layer (the same
-//! offline discipline as `crates/shims/`):
-//!
-//! * [`reactor`] — an epoll-based readiness reactor over thin
-//!   `extern "C"` bindings ([`sys`]), one thread per runtime,
-//!   edge-triggered with cached per-direction readiness;
-//! * [`executor`] — a fixed pool of worker threads polling
-//!   `std::future::Future` tasks ([`Runtime`]): the CPU pool connections
-//!   are multiplexed onto;
-//! * [`stream`] — nonblocking TCP and Unix-domain sockets as
-//!   `&self`-polling async streams and listeners;
-//! * [`sync`] — the async-aware semaphore / drain signal / outbox queue
-//!   the server's credit and shutdown machinery is built from;
-//! * [`frame`] + [`proto`] — the framed wire protocol below;
+//! * [`frame`] + [`proto`] — the framed wire protocol below, and the one
+//!   blocking frame codec ([`read_frame`], [`write_frame`]) both ends use;
+//! * [`socket`] — a connected TCP or Unix-domain socket ([`Socket`]);
 //! * [`client`] — a blocking, credit-tracking protocol client for load
-//!   generators, tests, and the `xpv client` CLI.
+//!   generators, tests, and the `xpv client` CLI;
+//! * [`counters`] — the server's wire-traffic counters.
+//!
+//! The server itself (`xpv-engine`'s `AsyncCacheServer`) runs a reader
+//! thread per connection, and a writer thread from the connection's first
+//! response on, over these pieces.
 //!
 //! ## Wire protocol (version 4)
 //!
@@ -31,8 +23,8 @@
 //! text; edit subtrees travel as the model's XML serialization
 //! ```
 //!
-//! A server parses each distinct query text once per executor worker: its
-//! readers decode through [`Msg::decode_with`] and the worker's
+//! A server parses each distinct query text once per worker slot: its
+//! readers decode through [`Msg::decode_with`] and the slot's
 //! [`xpv_pattern::TextCache`], a bounded text → pattern map that answers a
 //! text it holds with a copy of the pattern, and anything else as
 //! `parse_xpath` does.
@@ -102,43 +94,39 @@
 //! `StatsV2Req`, `DebugDumpReq`) **costs one credit**; every response
 //! (`Answers`, `EditAck`, `StatsResp`, `StatsV2Resp`, `DebugDumpResp`,
 //! `Rejected`) **returns it**. The handshake grants `window` credits. The
-//! server enforces the window mechanically: its connection reader owns a
-//! semaphore of `window` permits and does not read the next frame until a
-//! permit frees, so an over-eager client is throttled by the kernel
-//! socket buffer — exactly the "slow yourself down, not the server"
-//! contract the old blocking `submit` provided, now per connection and
-//! without pinning a thread. A conforming client (e.g. [`WireClient`])
-//! tracks credits and blocks on the reply stream before overdrawing.
+//! server bounds what a connection can make it hold: its reader answers
+//! one frame at a time, and the queue in front of the connection's writer
+//! holds at most `window` responses. A reader whose queue is full stops
+//! reading until the writer frees a place, so a client that overdraws, or
+//! stops reading its answers, is throttled by the kernel socket buffers
+//! — "slow yourself down, not the server". A conforming client (e.g.
+//! [`WireClient`]) tracks credits and blocks on the reply stream before
+//! overdrawing.
 //!
 //! ### Drain
 //!
-//! On graceful shutdown the server stops reading new frames, finishes
-//! every batch already admitted, flushes the responses, sends
-//! `ServerBye`, and closes. A request that was queued locally but not yet
-//! admitted is answered with `Rejected` instead of silently dropped. The
-//! client-initiated mirror is `Goodbye`: the server drains that
-//! connection's in-flight work and answers `ServerBye` when nothing is
-//! left.
+//! On graceful shutdown the server stops reading new frames, finishes the
+//! one frame each reader is answering, flushes the (at most `window`)
+//! queued responses, sends `ServerBye`, and closes. An in-process
+//! submission that arrives during the drain is answered with `Rejected`
+//! instead of silently dropped. The client-initiated mirror is `Goodbye`:
+//! the server flushes that connection's queued responses and answers
+//! `ServerBye`.
+
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod counters;
-pub mod executor;
 pub mod frame;
 pub mod proto;
-pub mod reactor;
-pub mod stream;
-pub mod sync;
-pub mod sys;
+pub mod socket;
 
 pub use client::{Response, WireClient};
 pub use counters::{WireCounters, WireCountersSnapshot};
-pub use executor::Runtime;
-pub use frame::{read_frame, write_frame, DecodeError, FrameEvent, MAX_FRAME};
+pub use frame::{read_frame, write_frame, DecodeError, MAX_FRAME};
 pub use proto::{
     AnswersEncoder, Msg, WireAlert, WireAnswer, WireDump, WireMetric, WireRoute, WireRouteRef,
     WireTenantStats, WireTraceEvent, WireUpdateReport, MAGIC, MAX_ANSWER_NODES, METRIC_COUNTER,
     METRIC_GAUGE, METRIC_HISTOGRAM, VERSION,
 };
-pub use reactor::{Interest, Reactor, Source};
-pub use stream::{Accepted, AsyncStream, AsyncTcpListener, AsyncUnixListener, ReadEvent};
-pub use sync::{DrainSignal, NotifyQueue, Popped, Semaphore};
+pub use socket::Socket;

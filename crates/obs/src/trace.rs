@@ -75,7 +75,7 @@ impl Drop for ForcedSampling {
 /// event's `kind` says which family to expect).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// Waiting for admission (credit window / executor queue).
+    /// Waiting for admission (a free worker slot).
     Admission,
     /// Routing: plan-memo lookup or a planner call.
     Plan,

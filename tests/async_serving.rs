@@ -28,9 +28,9 @@ fn serving_cache() -> Arc<ShardedViewCache> {
 /// The acceptance scenario: ≥ 256 open **idle** connections against a
 /// 4-worker server must not stop a Zipf query mix on 8 active connections
 /// from completing, and every answer must be byte-identical to
-/// [`ShardedViewCache::answer`] on the same cache. Under the old
-/// thread-per-connection seam this would require 264 worker threads; here
-/// the idle connections are suspended reactor tasks.
+/// [`ShardedViewCache::answer`] on the same cache. Each idle connection
+/// holds one blocked reader thread and no worker slot, so the four slots
+/// stay free for the active connections.
 #[test]
 fn idle_connections_do_not_pin_workers() {
     const IDLE: usize = 256;
@@ -48,8 +48,8 @@ fn idle_connections_do_not_pin_workers() {
     // Park the idle herd (handshake completed, then silence).
     let idle: Vec<WireClient> =
         (0..IDLE).map(|_| WireClient::connect_tcp(&addr).expect("idle connect")).collect();
-    // Connection tasks are spawned by the acceptor; give the reactor a
-    // beat to accept the whole herd before asserting.
+    // Connection threads are spawned by the acceptor; give it a beat to
+    // accept the whole herd before asserting.
     for _ in 0..200 {
         if server.connections() >= IDLE {
             break;

@@ -28,7 +28,7 @@ fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Every query served through the async executor with always-on sampling
+/// Every query served over the wire with always-on sampling
 /// produces one `net.query` trace event whose phases appear in pipeline
 /// order: admission before plan before eval before encode before flush.
 #[test]
