@@ -27,7 +27,7 @@
 use std::collections::HashSet;
 
 use xpv_pattern::{compose, Axis, NodeTest, PatId, Pattern};
-use xpv_semantics::{ContainmentOptions, ContainmentOracle};
+use xpv_semantics::ContainmentOracle;
 
 use crate::candidates::CandidateTestStats;
 
@@ -38,17 +38,11 @@ pub struct BruteForceConfig {
     pub max_nodes: usize,
     /// Maximum number of candidates to *test* (equivalence tests are coNP).
     pub max_tested: u64,
-    /// Expansion/test options threaded into the equivalence procedure.
-    pub containment: ContainmentOptions,
 }
 
 impl Default for BruteForceConfig {
     fn default() -> Self {
-        BruteForceConfig {
-            max_nodes: 8,
-            max_tested: 20_000,
-            containment: ContainmentOptions::default(),
-        }
+        BruteForceConfig { max_nodes: 8, max_tested: 20_000 }
     }
 }
 
@@ -111,7 +105,7 @@ fn allowed_root_tests(p: &Pattern, v: &Pattern) -> Result<Vec<NodeTest>, &'stati
 ///
 /// Panics if `v.depth() > p.depth()` — callers gate on depth first.
 pub fn brute_force_rewrite(p: &Pattern, v: &Pattern, cfg: &BruteForceConfig) -> BruteForceOutcome {
-    let oracle = ContainmentOracle::with_options(cfg.containment);
+    let oracle = ContainmentOracle::new();
     brute_force_rewrite_with_oracle(p, v, cfg, &oracle)
 }
 
@@ -319,11 +313,7 @@ mod tests {
 
     #[test]
     fn budget_exceeded_reported() {
-        let cfg = BruteForceConfig {
-            max_nodes: 8,
-            max_tested: 3,
-            containment: ContainmentOptions::default(),
-        };
+        let cfg = BruteForceConfig { max_nodes: 8, max_tested: 3 };
         match brute_force_rewrite(&pat("a//*[x]/e"), &pat("a//*"), &cfg) {
             BruteForceOutcome::BudgetExceeded(stats) => assert_eq!(stats.tested, 3),
             // A tiny budget may still be enough if a rewriting shows up early.

@@ -20,11 +20,10 @@
 //!    the certificate.
 
 use xpv_pattern::{NodeTest, Pattern};
-use xpv_semantics::{ContainmentOptions, ContainmentOracle, OracleStats};
+use xpv_semantics::{ContainmentOracle, OracleStats};
 
 use crate::brute::{
-    brute_force_rewrite, brute_force_rewrite_with_oracle, BruteForceConfig, BruteForceOutcome,
-    BruteForceStats,
+    brute_force_rewrite_with_oracle, BruteForceConfig, BruteForceOutcome, BruteForceStats,
 };
 use crate::candidates::{CandidateTestStats, QueryContext};
 use crate::conditions::{find_condition, Condition};
@@ -138,24 +137,20 @@ pub struct PlannerStats {
     pub canonical_runs: u64,
 }
 
-/// The configurable decision procedure.
+/// Reduction-chain fuel for the condition search (Section 5 reductions).
+const CONDITION_FUEL: usize = 3;
+
+/// The decision procedure. Its one setting is whether it falls back to the
+/// budgeted brute force when no condition settles an instance.
 #[derive(Clone, Debug)]
 pub struct RewritePlanner {
-    /// Options threaded into every containment test.
-    pub containment: ContainmentOptions,
-    /// Reduction-chain fuel for the condition search (Section 5 reductions).
-    pub condition_fuel: usize,
     /// Brute-force fallback configuration; `None` disables the fallback.
     pub brute_force: Option<BruteForceConfig>,
 }
 
 impl Default for RewritePlanner {
     fn default() -> Self {
-        RewritePlanner {
-            containment: ContainmentOptions::default(),
-            condition_fuel: 3,
-            brute_force: Some(BruteForceConfig::default()),
-        }
+        RewritePlanner { brute_force: Some(BruteForceConfig::default()) }
     }
 }
 
@@ -163,11 +158,11 @@ impl RewritePlanner {
     /// A planner without the brute-force fallback (pure paper algorithm:
     /// gates, candidates, conditions).
     pub fn without_fallback() -> Self {
-        RewritePlanner { brute_force: None, ..Self::default() }
+        RewritePlanner { brute_force: None }
     }
 
-    /// Opens a [`PlanningSession`]: a long-lived oracle wired to this
-    /// planner's containment options. Components answering many queries
+    /// Opens a [`PlanningSession`]: this planner with a long-lived
+    /// oracle. Components answering many queries
     /// (caches, batch planners) should decide through one session so
     /// containment verdicts are shared.
     pub fn session(&self) -> PlanningSession {
@@ -184,7 +179,7 @@ impl RewritePlanner {
 
     /// [`RewritePlanner::decide`] with counters (fresh oracle per call).
     pub fn decide_with_stats(&self, p: &Pattern, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
-        let oracle = ContainmentOracle::with_options(self.containment);
+        let oracle = ContainmentOracle::new();
         self.decide_prepared(&QueryContext::new(&oracle, p), v)
     }
 
@@ -243,7 +238,7 @@ impl RewritePlanner {
 
         // The completeness certificate; cheap and purely syntactic, so it is
         // computed up front (it also annotates positive answers).
-        let condition = find_condition(p, v, self.condition_fuel);
+        let condition = find_condition(p, v, CONDITION_FUEL);
         stats.condition_found = condition.is_some();
 
         // Natural candidates (at most two equivalence tests).
@@ -269,18 +264,11 @@ impl RewritePlanner {
             );
         }
 
-        // Fallback: budgeted Proposition 3.4 search. The session oracle is
-        // shared only when its options match the brute-force config; a
-        // custom `cfg.containment` (bound ablations etc.) gets its own
-        // oracle so the configured knobs actually govern the tests.
+        // Fallback: budgeted Proposition 3.4 search through the session
+        // oracle, which already holds the candidate-phase verdicts.
         if let Some(cfg) = &self.brute_force {
             stats.brute_forced = true;
-            let outcome = if cfg.containment == *oracle.options() {
-                brute_force_rewrite_with_oracle(p, v, cfg, oracle)
-            } else {
-                brute_force_rewrite(p, v, cfg)
-            };
-            match outcome {
+            match brute_force_rewrite_with_oracle(p, v, cfg, oracle) {
                 BruteForceOutcome::Found(r, bf_stats) => {
                     stats.candidate_tests.equivalence_tests +=
                         bf_stats.test_stats.equivalence_tests;
@@ -364,11 +352,9 @@ pub struct PlanningSession {
 }
 
 impl PlanningSession {
-    /// A session wrapping `planner` with a fresh oracle (wired to the
-    /// planner's containment options).
+    /// A session wrapping `planner` with a fresh oracle.
     pub fn new(planner: RewritePlanner) -> PlanningSession {
-        let oracle = ContainmentOracle::with_options(planner.containment);
-        PlanningSession { planner, oracle }
+        PlanningSession { planner, oracle: ContainmentOracle::new() }
     }
 
     /// The planner configuration in effect.

@@ -26,24 +26,21 @@
 //! blocked: a client pipelining large frames within its window reads its
 //! answers only after it has sent them all.
 //!
-//! The in-process transport gives embedders the same contract:
-//! [`AsyncCacheServer::submit`] blocks the submitting thread while
-//! `max_pending` batches are in flight (counting a
-//! [`TenantStats::admission_waits`] when it does) and returns a
-//! [`BatchTicket`] resolving to the answers.
-//!
 //! ## Graceful drain
 //!
 //! Shutdown ([`AsyncCacheServer::shutdown`], also run on drop) follows
-//! the drain sequence: stop admitting (new submissions and connections
-//! are **rejected**, not dropped), shut down the read half of every
-//! connection (a reader checks the drain flag before each frame, so no
-//! new frame is admitted), let each reader finish the frame it is
-//! answering, let each writer flush its queue and send its peer a
-//! `ServerBye`, join every connection and submission thread, then wake
-//! and join the acceptors and stop the watchdog. In-flight work is never
-//! abandoned: a ticket or connection observes either its answers or an
-//! explicit rejection.
+//! the drain sequence: stop admitting (new connections are closed
+//! unserved), shut down the read half of every connection (a reader checks
+//! the drain flag before each frame, so no new frame is admitted), let
+//! each reader finish the frame it is answering, let each writer flush its
+//! queue and send its peer a `ServerBye`, join every connection thread,
+//! then wake and join the acceptors and stop the watchdog. A peer that
+//! reads its answers observes all of them and then the `ServerBye`.
+//!
+//! The drain waits at most [`DRAIN_GRACE`] for the connections to end.
+//! It then shuts down both halves of each connection still open, which
+//! fails a write blocked on a peer that stopped reading: such a peer loses
+//! the answers still queued or being written for it, and its `ServerBye`.
 //!
 //! Each worker slot keeps one answer arena and one [`TextCache`] across
 //! frames: a reader decodes a `QueryBatch` through the cache of the slot
@@ -61,7 +58,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use xpv_maintain::Edit;
 use xpv_model::AnswerArena;
 use xpv_net::proto::{
     AnswersEncoder, Msg, WireDump, WireRouteRef, WireTenantStats, WireUpdateReport,
@@ -75,69 +71,18 @@ use xpv_obs::{
 use xpv_pattern::{Pattern, TextCache};
 
 use crate::obs::{wire_alerts, wire_metrics, wire_traces};
-use crate::shard::{CacheAnswer, CacheAnswerRef, Route, ShardedViewCache, UpdateReport};
+use crate::shard::{CacheAnswerRef, Route, ShardedViewCache, UpdateReport};
 use crate::tenants::{TenantRegistry, TenantStats};
-
-/// Default bound on in-flight + queued in-process batches (the legacy
-/// admission-queue bound).
-pub const DEFAULT_MAX_PENDING: usize = 1024;
 
 /// Default per-connection credit window (max unacknowledged frames).
 pub const DEFAULT_CONN_WINDOW: u32 = 32;
 
-/// Why a submission was not served.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchRejected {
-    /// Human-readable reason (drain, shutdown).
-    pub reason: String,
-}
-
-impl std::fmt::Display for BatchRejected {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "batch rejected: {}", self.reason)
-    }
-}
-
-impl std::error::Error for BatchRejected {}
-
-/// A pending batch: resolve it with [`BatchTicket::wait`] (panics on
-/// rejection, the legacy contract) or [`BatchTicket::wait_result`]
-/// (reports rejection, the drain-aware contract).
-#[must_use = "a submitted batch is only observable through its ticket"]
-pub struct BatchTicket {
-    rx: Option<mpsc::Receiver<Vec<CacheAnswer>>>,
-    rejected: Option<BatchRejected>,
-}
-
-impl BatchTicket {
-    fn rejected(reason: &str) -> BatchTicket {
-        BatchTicket { rx: None, rejected: Some(BatchRejected { reason: reason.to_string() }) }
-    }
-
-    /// Blocks until the batch is answered (answers in input order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch was rejected (server draining). Submissions
-    /// racing a shutdown should use [`BatchTicket::wait_result`].
-    pub fn wait(self) -> Vec<CacheAnswer> {
-        self.wait_result().expect("cache server dropped a pending batch")
-    }
-
-    /// Blocks until the batch is answered or reports its rejection.
-    pub fn wait_result(self) -> Result<Vec<CacheAnswer>, BatchRejected> {
-        if let Some(rejected) = self.rejected {
-            return Err(rejected);
-        }
-        self.rx
-            .expect("ticket has a channel when not rejected")
-            .recv()
-            .map_err(|_| BatchRejected { reason: "server dropped the batch".to_string() })
-    }
-}
+/// How long a drain waits for its connections to end before it cuts the
+/// ones still open (see the module docs).
+pub const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
 /// A fixed set of items that threads take and put back, waiting while
-/// none is free. `Pool<()>` is a counting semaphore.
+/// none is free.
 struct Pool<T> {
     free: Mutex<Vec<T>>,
     returned: Condvar,
@@ -148,14 +93,12 @@ impl<T> Pool<T> {
         Pool { free: Mutex::new(items), returned: Condvar::new() }
     }
 
-    /// Takes the most recently returned item, waiting while none is free;
-    /// also says whether it had to wait.
-    fn take(&self) -> (T, bool) {
+    /// Takes the most recently returned item, waiting while none is free.
+    fn take(&self) -> T {
         let mut free = self.free.lock().expect("pool poisoned");
-        let waited = free.is_empty();
         loop {
             if let Some(item) = free.pop() {
-                return (item, waited);
+                return item;
             }
             free = self.returned.wait(free).expect("pool poisoned");
         }
@@ -188,7 +131,7 @@ struct Slot<'a> {
 
 impl<'a> Slot<'a> {
     fn checkout(pool: &'a Pool<Worker>) -> Slot<'a> {
-        Slot { pool, worker: pool.take().0 }
+        Slot { pool, worker: pool.take() }
     }
 }
 
@@ -204,27 +147,27 @@ struct Live {
     /// A handle on each live connection's socket, by connection number.
     conns: HashMap<u64, Socket>,
     next_conn: u64,
-    /// Connection readers and in-process batches, finished ones pruned
-    /// as new ones start.
+    /// Connection readers, finished ones pruned as new ones start.
     threads: Vec<JoinHandle<()>>,
 }
 
-/// State shared by the submit path, the listeners, and every connection.
+/// State shared by the listeners and every connection.
 struct ServerShared {
     cache: Arc<ShardedViewCache>,
     tenants: TenantRegistry,
     /// Per-connection credit window granted at handshake.
     conn_window: AtomicU32,
-    /// `workers` slots: a frame or an in-process batch holds one for its
-    /// decode and its cache work.
+    /// `workers` slots: a frame holds one for its decode and its cache
+    /// work.
     workers: Pool<Worker>,
-    /// In-process admission bound (the legacy `max_pending`).
-    admission: Pool<()>,
     /// Set first during shutdown: nothing new is admitted after it.
     draining: AtomicBool,
     /// Registered under the same lock the drain sweeps under, so no
     /// connection or thread escapes the drain.
     live: Mutex<Live>,
+    /// Signalled each time a connection leaves `live`: the drain waits on
+    /// it for the connections to end.
+    conn_ended: Condvar,
     /// Wire-level traffic counters, shared by every connection (exposed
     /// as the `xpv_net_*` metric family).
     net: WireCounters,
@@ -239,55 +182,18 @@ struct ServerShared {
 }
 
 /// Removes a connection's socket from the drain's registry when its
-/// reader ends, by a panic too.
+/// reader ends, by a panic too, and tells a waiting drain.
 struct Registered<'a> {
-    live: &'a Mutex<Live>,
+    shared: &'a ServerShared,
     conn: u64,
 }
 
 impl Drop for Registered<'_> {
     fn drop(&mut self) {
         // No holder of the lock leaves the registry half-updated.
-        self.live.lock().unwrap_or_else(PoisonError::into_inner).conns.remove(&self.conn);
-    }
-}
-
-/// Runs `work` on a new thread that the drain joins, with `conn`'s socket
-/// registered for the drain's sweep while it runs; false (and no thread)
-/// once the server is draining or the thread cannot start.
-fn spawn_tracked(
-    shared: &Arc<ServerShared>,
-    conn: Option<Socket>,
-    name: &str,
-    work: impl FnOnce(&Arc<ServerShared>) + Send + 'static,
-) -> bool {
-    let mut live = shared.live.lock().expect("live registry poisoned");
-    if shared.draining.load(Ordering::Acquire) {
-        return false;
-    }
-    live.threads.retain(|t| !t.is_finished());
-    let conn = conn.map(|socket| {
-        let id = live.next_conn;
-        live.next_conn += 1;
-        live.conns.insert(id, socket);
-        id
-    });
-    let thread_shared = Arc::clone(shared);
-    let spawned = thread::Builder::new().name(name.to_string()).spawn(move || {
-        let _registered = conn.map(|conn| Registered { live: &thread_shared.live, conn });
-        work(&thread_shared);
-    });
-    match spawned {
-        Ok(thread) => {
-            live.threads.push(thread);
-            true
-        }
-        Err(_) => {
-            if let Some(id) = conn {
-                live.conns.remove(&id);
-            }
-            false
-        }
+        let mut live = self.shared.live.lock().unwrap_or_else(PoisonError::into_inner);
+        live.conns.remove(&self.conn);
+        self.shared.conn_ended.notify_all();
     }
 }
 
@@ -340,14 +246,14 @@ impl Wake {
     }
 }
 
-/// A cache server serving any number of connections (plus the in-process
-/// transport) with a fixed set of worker slots over one shared
-/// [`ShardedViewCache`].
+/// A cache server serving any number of connections with a fixed set of
+/// worker slots over one shared [`ShardedViewCache`].
 ///
 /// ```
 /// use std::sync::Arc;
 /// use xpv_engine::{AsyncCacheServer, ShardedViewCache};
 /// use xpv_model::TreeBuilder;
+/// use xpv_net::WireClient;
 /// use xpv_pattern::parse_xpath;
 ///
 /// let doc = TreeBuilder::root("a", |b| {
@@ -356,8 +262,10 @@ impl Wake {
 /// let cache = ShardedViewCache::new(doc);
 /// cache.add_view("bs", parse_xpath("a/b").unwrap());
 /// let server = AsyncCacheServer::start(Arc::new(cache), 2);
-/// let answers = server.submit("tenant-1", vec![parse_xpath("a/b").unwrap()]).wait();
-/// assert_eq!(answers.len(), 1);
+/// let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+/// let mut client = WireClient::connect_tcp(&addr.to_string()).unwrap();
+/// let answers = client.answer_batch("tenant-1", &[parse_xpath("a/b").unwrap()]).unwrap();
+/// assert_eq!(answers[0].nodes.len(), 1);
 /// assert_eq!(server.tenant_stats("tenant-1").unwrap().queries, 1);
 /// ```
 pub struct AsyncCacheServer {
@@ -372,29 +280,16 @@ pub struct AsyncCacheServer {
 
 impl AsyncCacheServer {
     /// Starts a server with `workers` worker slots (minimum 1) over
-    /// `cache`, with the default in-process admission bound and
-    /// connection window.
+    /// `cache`, with the default connection window.
     pub fn start(cache: Arc<ShardedViewCache>, workers: usize) -> AsyncCacheServer {
-        Self::start_bounded(cache, workers, DEFAULT_MAX_PENDING)
+        Self::start_with_obs(cache, workers, ObsConfig::default())
     }
 
-    /// [`AsyncCacheServer::start`] with an explicit in-process admission
-    /// bound (minimum 1): [`AsyncCacheServer::submit`] blocks once
-    /// `max_pending` batches are in flight.
-    pub fn start_bounded(
-        cache: Arc<ShardedViewCache>,
-        workers: usize,
-        max_pending: usize,
-    ) -> AsyncCacheServer {
-        Self::start_with_obs(cache, workers, max_pending, ObsConfig::default())
-    }
-
-    /// [`AsyncCacheServer::start_bounded`] with an explicit watchdog
+    /// [`AsyncCacheServer::start`] with an explicit watchdog
     /// configuration (see [`ObsConfig`]).
     pub fn start_with_obs(
         cache: Arc<ShardedViewCache>,
         workers: usize,
-        max_pending: usize,
         obs: ObsConfig,
     ) -> AsyncCacheServer {
         let workers = workers.max(1);
@@ -411,9 +306,9 @@ impl AsyncCacheServer {
             tenants: TenantRegistry::new(),
             conn_window: AtomicU32::new(DEFAULT_CONN_WINDOW),
             workers: Pool::new((0..workers).map(|_| Worker::default()).collect()),
-            admission: Pool::new(vec![(); max_pending.max(1)]),
             draining: AtomicBool::new(false),
             live: Mutex::new(Live::default()),
+            conn_ended: Condvar::new(),
             net: WireCounters::new(),
         });
         AsyncCacheServer {
@@ -519,58 +414,6 @@ impl AsyncCacheServer {
         }
     }
 
-    /// Admits a query batch for `tenant` over the **in-process
-    /// transport**, blocking while `max_pending` batches are in flight
-    /// (accounted as [`TenantStats::admission_waits`] when it happens).
-    /// Returns a ticket resolving to the answers (input order) — or to a
-    /// rejection if the server is draining.
-    pub fn submit(&self, tenant: &str, queries: impl Into<Vec<Pattern>>) -> BatchTicket {
-        let queries: Vec<Pattern> = queries.into();
-        if self.shared.draining.load(Ordering::Acquire) {
-            return BatchTicket::rejected("server is draining");
-        }
-        let ((), waited) = self.shared.admission.take();
-        if waited {
-            self.shared.tenants.counters(tenant).admission_waits.fetch_add(1, Ordering::Relaxed);
-        }
-        let (tx, rx) = mpsc::channel();
-        let tenant = tenant.to_string();
-        let spawned = spawn_tracked(&self.shared, None, "xpv-submit", move |shared| {
-            let answers = {
-                let _slot = Slot::checkout(&shared.workers);
-                shared.cache.answer_batch(&queries)
-            };
-            shared.tenants.account_batch(&tenant, &answers);
-            // A dropped ticket (caller gave up) is fine; the work is done.
-            let _ = tx.send(answers);
-            shared.admission.put(());
-        });
-        if !spawned {
-            self.shared.admission.put(());
-            return BatchTicket::rejected("server is shutting down");
-        }
-        BatchTicket { rx: Some(rx), rejected: None }
-    }
-
-    /// Submits and waits: synchronous batch answering with
-    /// [`ShardedViewCache::answer_batch`] semantics.
-    pub fn answer_batch(&self, tenant: &str, queries: impl Into<Vec<Pattern>>) -> Vec<CacheAnswer> {
-        self.submit(tenant, queries).wait()
-    }
-
-    /// Applies a document edit batch through the shared cache on behalf
-    /// of `tenant` (see [`ShardedViewCache::apply_edits`]); the edit is
-    /// accounted to the tenant's [`TenantStats`].
-    pub fn apply_edits(
-        &self,
-        tenant: &str,
-        edits: &[Edit],
-    ) -> Result<UpdateReport, xpv_maintain::EditError> {
-        let report = self.shared.cache.apply_edits(edits)?;
-        account_update(&self.shared, tenant, &report);
-        Ok(report)
-    }
-
     /// This tenant's lifetime counters (`None` before its first batch).
     pub fn tenant_stats(&self, tenant: &str) -> Option<TenantStats> {
         self.shared.tenants.get(tenant)
@@ -596,21 +439,32 @@ impl AsyncCacheServer {
         &self.shared.watchdog
     }
 
-    /// Graceful drain (idempotent; also run on drop): reject new
-    /// submissions and connections, stop every connection reading, wait
-    /// until every admitted frame and batch is answered and every
-    /// connection has flushed its responses and sent its peer a
-    /// `ServerBye`, then stop the acceptors and, last, the watchdog, which
-    /// watches the flushes until the drain is done.
+    /// Graceful drain (idempotent; also run on drop): close new
+    /// connections unserved, stop every connection reading, wait until
+    /// every admitted frame is answered and every connection has flushed
+    /// its responses and sent its peer a `ServerBye` — at most
+    /// [`DRAIN_GRACE`], after which the connections still open are cut —
+    /// then stop the acceptors and, last, the watchdog, which watches the
+    /// flushes until the drain is done.
     pub fn shutdown(&self) {
         if self.shut_down.swap(true, Ordering::AcqRel) {
             return;
         }
         self.shared.draining.store(true, Ordering::Release);
         let threads = {
-            let mut live = self.shared.live.lock().expect("live registry poisoned");
+            let live = self.shared.live.lock().expect("live registry poisoned");
             for socket in live.conns.values() {
                 let _ = socket.shutdown(Shutdown::Read);
+            }
+            let (mut live, _) = self
+                .shared
+                .conn_ended
+                .wait_timeout_while(live, DRAIN_GRACE, |live| !live.conns.is_empty())
+                .expect("live registry poisoned");
+            // A writer blocked on a peer that stopped reading fails its
+            // write, and its reader's queue drains.
+            for socket in live.conns.values() {
+                let _ = socket.shutdown(Shutdown::Both);
             }
             std::mem::take(&mut live.threads)
         };
@@ -679,11 +533,6 @@ fn build_dump(shared: &ServerShared) -> WireDump {
     }
 }
 
-fn account_update(shared: &ServerShared, tenant: &str, report: &UpdateReport) {
-    let counters = shared.tenants.counters(tenant);
-    counters.updates_applied.fetch_add(report.edits_applied as u64, Ordering::Relaxed);
-}
-
 /// One response frame for the writer: the encoded body plus the
 /// request's lifecycle span (disabled for control frames). The writer
 /// marks the span's `flush` phase after the socket write, then drops it —
@@ -700,15 +549,33 @@ impl Outgoing {
     }
 }
 
-/// Starts a reader thread for an accepted connection (the socket is
-/// closed instead once the server is draining).
+/// Starts a reader thread for an accepted connection, with a handle on
+/// its socket registered for the drain's sweep while it runs; the socket
+/// is closed instead once the server is draining or the thread cannot
+/// start.
 fn serve(shared: &Arc<ServerShared>, socket: Socket) {
     let Ok(registered) = socket.try_clone() else {
         return;
     };
-    spawn_tracked(shared, Some(registered), "xpv-conn", move |shared| {
-        serve_connection(shared, socket)
+    let mut live = shared.live.lock().expect("live registry poisoned");
+    if shared.draining.load(Ordering::Acquire) {
+        return;
+    }
+    live.threads.retain(|t| !t.is_finished());
+    let conn = live.next_conn;
+    live.next_conn += 1;
+    live.conns.insert(conn, registered);
+    let thread_shared = Arc::clone(shared);
+    let spawned = thread::Builder::new().name("xpv-conn".to_string()).spawn(move || {
+        let _registered = Registered { shared: &thread_shared, conn };
+        serve_connection(&thread_shared, socket);
     });
+    match spawned {
+        Ok(thread) => live.threads.push(thread),
+        Err(_) => {
+            live.conns.remove(&conn);
+        }
+    }
 }
 
 /// A connection's writer thread and the queue of at most `window`
@@ -828,13 +695,15 @@ fn read_frames(
                     &mut span,
                     &mut slot.worker.arena,
                 );
-                shared.tenants.account_batch_refs(&tenant, &answers);
+                shared.tenants.account_batch(&tenant, &answers);
                 (answers_response(shared, id, enc, span), false)
             }
             Ok(Msg::EditBatch { id, tenant, edits }) => {
                 let msg = match shared.cache.apply_edits(&edits) {
                     Ok(report) => {
-                        account_update(shared, &tenant, &report);
+                        let edits = report.edits_applied as u64;
+                        let counters = shared.tenants.counters(&tenant);
+                        counters.updates_applied.fetch_add(edits, Ordering::Relaxed);
                         Msg::EditAck { id, report: wire_report(&report) }
                     }
                     Err(e) => Msg::Rejected { id, reason: e.to_string() },
@@ -993,15 +862,15 @@ fn wire_tenant_stats(s: TenantStats) -> WireTenantStats {
         intersect_hits: s.intersect_hits,
         direct: s.direct,
         updates_applied: s.updates_applied,
-        admission_waits: s.admission_waits,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xpv_maintain::Edit;
     use xpv_model::{Tree, TreeBuilder};
-    use xpv_net::WireClient;
+    use xpv_net::{Response, WireClient};
     use xpv_pattern::parse_xpath;
 
     fn pat(s: &str) -> Pattern {
@@ -1026,28 +895,25 @@ mod tests {
         AsyncCacheServer::start(Arc::new(cache), workers)
     }
 
-    #[test]
-    fn in_process_submit_answers_match_direct() {
-        let server = server(2);
-        let qs = vec![pat("site/region/item/name"), pat("site/region"), pat("site//name")];
-        let answers = server.answer_batch("t1", qs.clone());
-        assert_eq!(answers.len(), 3);
-        for (q, a) in qs.iter().zip(&answers) {
-            assert_eq!(a.nodes, server.cache().answer_direct(q), "order broken for {q}");
-        }
+    /// A wire client on a fresh TCP listener of `server`.
+    fn client(server: &AsyncCacheServer) -> WireClient {
+        let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
+        WireClient::connect_tcp(&addr.to_string()).expect("connect")
     }
 
     #[test]
     fn concurrent_submissions_from_many_tenants() {
         let server = server(4);
+        let addr = server.listen_tcp("127.0.0.1:0").expect("listen").to_string();
         let qs = vec![pat("site/region/item/name"), pat("site/region/item")];
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let (server, qs) = (&server, &qs);
+                let (addr, qs) = (&addr, &qs);
                 scope.spawn(move || {
+                    let mut client = WireClient::connect_tcp(addr).expect("connect");
                     let tenant = format!("tenant-{t}");
                     for _ in 0..5 {
-                        let answers = server.answer_batch(&tenant, qs.clone());
+                        let answers = client.answer_batch(&tenant, qs).expect("answers");
                         assert_eq!(answers.len(), qs.len());
                     }
                 });
@@ -1064,36 +930,29 @@ mod tests {
     }
 
     #[test]
-    fn tickets_allow_pipelined_submission() {
+    fn pipelined_frames_are_each_answered() {
         let server = server(2);
+        let mut client = client(&server);
         let q = pat("site/region/item/name");
-        let tickets: Vec<BatchTicket> =
-            (0..8).map(|_| server.submit("pipeline", vec![q.clone()])).collect();
-        for ticket in tickets {
-            let answers = ticket.wait();
-            assert_eq!(answers[0].nodes, server.cache().answer_direct(&q));
+        let ids: Vec<u64> = (0..8)
+            .map(|_| client.send_queries("pipeline", std::slice::from_ref(&q)).expect("send"))
+            .collect();
+        for id in ids {
+            match client.recv_for(id).expect("recv") {
+                Response::Answers { answers, .. } => {
+                    assert_eq!(answers[0].nodes, server.cache().answer_direct(&q));
+                }
+                other => panic!("expected Answers, got {other:?}"),
+            }
         }
         assert_eq!(server.tenant_stats("pipeline").unwrap().batches, 8);
     }
 
     #[test]
-    fn drop_completes_pending_work() {
-        let server = server(1);
-        let q = pat("site/region/item/name");
-        let tickets: Vec<BatchTicket> =
-            (0..4).map(|_| server.submit("t", vec![q.clone()])).collect();
-        drop(server);
-        // The drain completes every admitted batch before stopping.
-        for ticket in tickets {
-            assert_eq!(ticket.wait().len(), 1);
-        }
-    }
-
-    #[test]
     fn tenant_stats_display() {
         let server = server(1);
-        // A slice submission: `impl Into<Vec<Pattern>>` clones it.
-        let _ = server.answer_batch("acme", &[pat("site/region/item/name")][..]);
+        let mut client = client(&server);
+        client.answer_batch("acme", &[pat("site/region/item/name")]).expect("answers");
         let stats = server.tenant_stats("acme").unwrap();
         let line = stats.to_string();
         assert!(line.contains("queries=1"), "got: {line}");
@@ -1108,52 +967,26 @@ mod tests {
     #[test]
     fn updates_flow_through_the_server_and_are_accounted() {
         let server = server(2);
+        let mut client = client(&server);
         let q = pat("site/region/item/name");
-        let before = server.answer_batch("writer", std::slice::from_ref(&q));
+        let before = client.answer_batch("writer", std::slice::from_ref(&q)).expect("answers");
         let doc = server.cache().document();
         let region = doc.children(doc.root())[0];
         let graft = TreeBuilder::root("item", |b| {
             b.leaf("name");
         });
-        let report = server
+        let report = client
             .apply_edits("writer", &[Edit::InsertSubtree { parent: region, subtree: graft }])
+            .expect("transport")
             .expect("valid edit");
         assert_eq!(report.edits_applied, 1);
         assert_eq!(report.views_changed, 1, "the `items` view gained an answer");
-        let after = server.answer_batch("writer", std::slice::from_ref(&q));
+        let after = client.answer_batch("writer", std::slice::from_ref(&q)).expect("answers");
         assert_eq!(after[0].nodes.len(), before[0].nodes.len() + 1);
         assert_eq!(after[0].nodes, server.cache().answer_direct(&q));
         let stats = server.tenant_stats("writer").expect("accounted");
         assert_eq!(stats.updates_applied, 1);
         assert_eq!(stats.batches, 2);
-    }
-
-    #[test]
-    fn submissions_after_shutdown_are_rejected_not_hung() {
-        let server = server(1);
-        let q = pat("site/region/item");
-        assert!(server.submit("t", vec![q.clone()]).wait_result().is_ok());
-        server.shutdown();
-        let err = server.submit("t", vec![q]).wait_result().expect_err("draining rejects");
-        assert!(err.reason.contains("draining"), "got: {}", err.reason);
-    }
-
-    #[test]
-    fn admission_waits_are_counted_when_the_window_is_full() {
-        let server = AsyncCacheServer::start_bounded(
-            Arc::new(ShardedViewCache::new(doc())),
-            1,
-            1, // window of one: the second submit must wait
-        );
-        let q = pat("site/region/item/name");
-        let tickets: Vec<BatchTicket> =
-            (0..6).map(|_| server.submit("waiter", vec![q.clone()])).collect();
-        for t in tickets {
-            assert!(t.wait_result().is_ok());
-        }
-        let stats = server.tenant_stats("waiter").expect("accounted");
-        assert_eq!(stats.batches, 6);
-        assert!(stats.admission_waits > 0, "window of 1 with 6 submits must wait: {stats:?}");
     }
 
     #[test]
@@ -1196,9 +1029,10 @@ mod tests {
         use std::io::{Read, Write};
         let server = server(1);
         let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
-        // Versions 2 (answers as node lists only) and 3 (history frames)
-        // are refused like any other: versioning is strict equality.
-        for version in [2, 3, 999] {
+        // Versions 2 (answers as node lists only), 3 (history frames) and
+        // 4 (an admission-wait counter in `StatsResp`) are refused like any other:
+        // versioning is strict equality.
+        for version in [2, 3, 4, 999] {
             let mut raw = std::net::TcpStream::connect(addr).expect("connect");
             let body = Msg::Hello { version }.encode();
             raw.write_all(&(body.len() as u32).to_le_bytes()).expect("len");
@@ -1246,7 +1080,6 @@ mod tests {
         AsyncCacheServer::start_with_obs(
             Arc::new(cache),
             2,
-            DEFAULT_MAX_PENDING,
             ObsConfig { interval: Duration::from_secs(3600), ..ObsConfig::default() },
         )
     }
@@ -1254,11 +1087,10 @@ mod tests {
     #[test]
     fn debug_dump_bundles_metrics_alerts_and_config() {
         let server = obs_server();
-        server.answer_batch("t", vec![pat("site/region/item/name")]);
+        let mut client = client(&server);
+        client.answer_batch("t", &[pat("site/region/item/name")]).expect("answers");
         server.watchdog().tick();
 
-        let addr = server.listen_tcp("127.0.0.1:0").expect("listen");
-        let mut client = WireClient::connect_tcp(&addr.to_string()).expect("connect");
         let dump = client.debug_dump().expect("dump frame");
         assert!(!dump.metrics.is_empty(), "live snapshot travels");
         let alert_names: Vec<&str> = dump.alerts.iter().map(|a| a.name.as_str()).collect();

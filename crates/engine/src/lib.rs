@@ -34,13 +34,15 @@
 //!   budget to tune.
 //! * [`AsyncCacheServer`] (**[`aserve`]**) — the service front-end: any
 //!   number of wire-protocol connections (TCP / Unix-domain, a reader and
-//!   a writer thread each) plus the blocking in-process transport
-//!   ([`AsyncCacheServer::submit`]), sharing a fixed set of worker slots
-//!   over one shared `ShardedViewCache`. Idle connections hold a blocked
-//!   thread and no worker; admission is credit-based per connection (see
-//!   the `xpv-net` crate docs for the wire protocol and backpressure
-//!   spec); per-tenant accounting ([`TenantStats`]) and graceful drain
-//!   are built in.
+//!   a writer thread each), sharing a fixed set of worker slots over one
+//!   shared `ShardedViewCache`. The wire is its only way in. Idle
+//!   connections hold a blocked thread and no worker; admission is
+//!   credit-based per connection (see the `xpv-net` crate docs for the
+//!   wire protocol and backpressure spec); per-tenant accounting
+//!   ([`TenantStats`]) is built in. A graceful drain waits at most
+//!   [`DRAIN_GRACE`] for the connections to end, then cuts the ones still
+//!   open: a peer that has not read its answers by then loses them and
+//!   its `ServerBye`.
 //!
 //! ## Observability
 //!
@@ -66,8 +68,7 @@ pub mod tenants;
 pub mod view;
 
 pub use aserve::{
-    evaluate_and_encode, AsyncCacheServer, BatchRejected, BatchTicket, ObsConfig,
-    DEFAULT_CONN_WINDOW, DEFAULT_MAX_PENDING,
+    evaluate_and_encode, AsyncCacheServer, ObsConfig, DEFAULT_CONN_WINDOW, DRAIN_GRACE,
 };
 pub use obs::{metrics_from_wire, wire_alerts, wire_metrics, wire_traces};
 pub use shard::{

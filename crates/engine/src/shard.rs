@@ -1262,17 +1262,11 @@ impl ShardedViewCache {
     /// set collected out of a private arena into an owned `Vec`.
     pub fn answer_batch(&self, queries: &[Pattern]) -> Vec<CacheAnswer> {
         let mut span = Span::begin("cache.batch");
-        let answers = self.answer_batch_spanned(queries, &mut span);
+        let mut arena = AnswerArena::new();
+        let answers = self.answer_batch_refs_spanned(queries, &mut span, &mut arena);
+        let answers = answers.iter().map(|a| a.copy_out(&arena)).collect();
         span.finish();
         answers
-    }
-
-    /// [`ShardedViewCache::answer_batch`] with a caller-owned trace
-    /// [`Span`] (see [`ShardedViewCache::answer_batch_refs_spanned`]).
-    pub fn answer_batch_spanned(&self, queries: &[Pattern], span: &mut Span) -> Vec<CacheAnswer> {
-        let mut arena = AnswerArena::new();
-        let answers = self.answer_batch_refs_spanned(queries, span, &mut arena);
-        answers.iter().map(|a| a.copy_out(&arena)).collect()
     }
 
     /// The engine's batch entry point, the **arena lane**: the answers'

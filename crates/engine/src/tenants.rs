@@ -1,8 +1,7 @@
-//! Per-tenant accounting shared by both transports.
+//! Per-tenant accounting.
 //!
-//! Every batch [`AsyncCacheServer`](crate::AsyncCacheServer) serves —
-//! whether it arrives over the in-process transport or a socket
-//! connection — is submitted on behalf of a **tenant** (any string id), and [`TenantRegistry`]
+//! Every batch [`AsyncCacheServer`](crate::AsyncCacheServer) serves is
+//! submitted on behalf of a **tenant** (any string id), and [`TenantRegistry`]
 //! accumulates that tenant's lifetime counters. The registry is **sharded
 //! and atomic**: tenants hash onto `RwLock<HashMap>` shards whose values
 //! are `Arc`s of plain atomic counters, so the steady-state accounting
@@ -15,7 +14,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::shard::{CacheAnswer, CacheAnswerRef, Route};
+use crate::shard::{CacheAnswerRef, Route};
 
 /// Number of tenant-stats lock shards.
 const TENANT_SHARDS: usize = 16;
@@ -36,10 +35,6 @@ pub struct TenantStats {
     pub direct: u64,
     /// Document edits this tenant applied through the server.
     pub updates_applied: u64,
-    /// Submissions that had to wait for admission — the in-process window
-    /// was full, so the submitting thread blocked until a batch completed.
-    /// The contention signal for sizing `max_pending` and the worker pool.
-    pub admission_waits: u64,
 }
 
 impl TenantStats {
@@ -55,7 +50,6 @@ impl TenantStats {
         f("intersect_hits", self.intersect_hits);
         f("direct", self.direct);
         f("updates_applied", self.updates_applied);
-        f("admission_waits", self.admission_waits);
     }
 }
 
@@ -74,7 +68,6 @@ pub(crate) struct TenantCounters {
     pub intersect_hits: AtomicU64,
     pub direct: AtomicU64,
     pub updates_applied: AtomicU64,
-    pub admission_waits: AtomicU64,
 }
 
 impl TenantCounters {
@@ -86,7 +79,6 @@ impl TenantCounters {
             intersect_hits: self.intersect_hits.load(Ordering::Relaxed),
             direct: self.direct.load(Ordering::Relaxed),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
-            admission_waits: self.admission_waits.load(Ordering::Relaxed),
         }
     }
 }
@@ -124,26 +116,12 @@ impl TenantRegistry {
     }
 
     /// Accounts one answered batch to `tenant`.
-    pub fn account_batch(&self, tenant: &str, answers: &[CacheAnswer]) {
-        self.account_routes(tenant, answers.len(), answers.iter().map(|a| &a.route));
-    }
-
-    /// [`TenantRegistry::account_batch`] for the arena answer lane.
-    pub fn account_batch_refs(&self, tenant: &str, answers: &[CacheAnswerRef]) {
-        self.account_routes(tenant, answers.len(), answers.iter().map(|a| a.route.as_ref()));
-    }
-
-    fn account_routes<'a>(
-        &self,
-        tenant: &str,
-        queries: usize,
-        routes: impl Iterator<Item = &'a Route>,
-    ) {
+    pub fn account_batch(&self, tenant: &str, answers: &[CacheAnswerRef]) {
         let counters = self.counters(tenant);
         counters.batches.fetch_add(1, Ordering::Relaxed);
-        counters.queries.fetch_add(queries as u64, Ordering::Relaxed);
-        for route in routes {
-            match route {
+        counters.queries.fetch_add(answers.len() as u64, Ordering::Relaxed);
+        for answer in answers {
+            match answer.route.as_ref() {
                 Route::ViaView { .. } => counters.view_hits.fetch_add(1, Ordering::Relaxed),
                 Route::Intersect { .. } => counters.intersect_hits.fetch_add(1, Ordering::Relaxed),
                 Route::Direct => counters.direct.fetch_add(1, Ordering::Relaxed),

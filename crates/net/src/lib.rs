@@ -11,7 +11,7 @@
 //! thread per connection, and a writer thread from the connection's first
 //! response on, over these pieces.
 //!
-//! ## Wire protocol (version 4)
+//! ## Wire protocol (version 5)
 //!
 //! A connection is a byte stream (TCP or Unix-domain) carrying
 //! **length-prefixed frames** in each direction:
@@ -53,7 +53,9 @@
 //! Version 4 retired the history frames (`HistoryReq`/`HistoryResp`, tags
 //! `0x34`/`0x35`: a server answers one with `Error` and closes, as for any
 //! unknown frame), dropped the dump's tick interval and series, and
-//! dropped `views_refreshed_incrementally` from `StatsResp`.
+//! dropped `views_refreshed_incrementally` from `StatsResp`. Version 5
+//! dropped the admission-wait counter from `StatsResp`: it counted waits
+//! of an in-process transport the server no longer has.
 //!
 //! Request `id`s are chosen by the client (unique per connection);
 //! responses to **different** ids may arrive out of order, which is what
@@ -107,9 +109,10 @@
 //!
 //! On graceful shutdown the server stops reading new frames, finishes the
 //! one frame each reader is answering, flushes the (at most `window`)
-//! queued responses, sends `ServerBye`, and closes. An in-process
-//! submission that arrives during the drain is answered with `Rejected`
-//! instead of silently dropped. The client-initiated mirror is `Goodbye`:
+//! queued responses, sends `ServerBye`, and closes. A connection that has
+//! not ended within the server's drain grace (`xpv-engine`'s
+//! `DRAIN_GRACE`, 2 s) is cut: a peer that stopped reading loses its
+//! queued responses and the `ServerBye`. The client-initiated mirror is `Goodbye`:
 //! the server flushes that connection's queued responses and answers
 //! `ServerBye`.
 

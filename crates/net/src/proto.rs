@@ -30,8 +30,9 @@ pub const MAGIC: u32 = 0x5756_5058;
 /// `views_refreshed` field of `EditAck`; version 3 gave each answer of an
 /// `Answers` frame a kind: list, span or repeat; version 4 retired the
 /// history frames (`0x34`/`0x35`), dropped the dump's interval and series,
-/// and dropped `views_refreshed_incrementally` from `StatsResp`.
-pub const VERSION: u16 = 4;
+/// and dropped `views_refreshed_incrementally` from `StatsResp`; version 5
+/// dropped the admission-wait counter from `StatsResp`.
+pub const VERSION: u16 = 5;
 
 /// Frame type tags (first body byte).
 mod tag {
@@ -334,7 +335,6 @@ pub struct WireTenantStats {
     pub intersect_hits: u64,
     pub direct: u64,
     pub updates_applied: u64,
-    pub admission_waits: u64,
 }
 
 /// Metric kind discriminants for [`WireMetric::kind`].
@@ -514,8 +514,7 @@ impl Msg {
                     .u64(stats.view_hits)
                     .u64(stats.intersect_hits)
                     .u64(stats.direct)
-                    .u64(stats.updates_applied)
-                    .u64(stats.admission_waits);
+                    .u64(stats.updates_applied);
             }
             Msg::StatsV2Req { id } => {
                 e.u8(tag::STATS2_REQ).u64(*id);
@@ -647,7 +646,6 @@ impl Msg {
                     intersect_hits: d.u64()?,
                     direct: d.u64()?,
                     updates_applied: d.u64()?,
-                    admission_waits: d.u64()?,
                 },
             },
             tag::STATS2_REQ => Msg::StatsV2Req { id: d.u64()? },

@@ -19,6 +19,8 @@
 //!    `t` of `P1` with per-edge expansions bounded by
 //!    [`expansion_bound`]`(P2)`, the canonical output of `t` is an answer of
 //!    `P2` on `t`. A counter-model is a certificate of non-containment.
+//!    [`contained_by_models`] runs this stage alone: it is the reference
+//!    the staged procedure is tested against.
 //!
 //! Weak containment uses the identity `P1 ⊑w P2 ⟺ ∀u: P1(u) ⊆ P2^w(u)`
 //! (a weak embedding into `t` is a strong embedding into a subtree of `t`),
@@ -29,24 +31,6 @@ use crate::canonical::{expansion_bound, uniform_model, CanonicalModel, Canonical
 use crate::embed::{embeds_with_output, weakly_embeds_with_output};
 use crate::hom::{homomorphism_exists, HomMode};
 use xpv_pattern::{Axis, Pattern};
-
-/// Tuning knobs for the containment procedure (exposed for the ablation
-/// experiments; the defaults are what every other crate uses).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ContainmentOptions {
-    /// Try the PTIME homomorphism stages before the canonical-model loop.
-    /// `false` is the pure canonical-loop reference arm.
-    pub hom_fast_path: bool,
-    /// Override the per-edge expansion bound (for bound-robustness ablations).
-    /// `None` uses [`expansion_bound`] of the containing pattern.
-    pub bound_override: Option<usize>,
-}
-
-impl Default for ContainmentOptions {
-    fn default() -> Self {
-        ContainmentOptions { hom_fast_path: true, bound_override: None }
-    }
-}
 
 /// The outcome of a containment check, with the evidence trail used by the
 /// benchmark harness.
@@ -62,28 +46,6 @@ pub struct ContainmentOutcome {
     /// A counter-model (canonical model of the left pattern on which the
     /// right pattern misses the output), when the containment fails.
     pub counter_model: Option<CanonicalModel>,
-}
-
-fn canonical_loop(
-    p1: &Pattern,
-    p2: &Pattern,
-    bound: usize,
-    weak: bool,
-    outcome: &mut ContainmentOutcome,
-) -> bool {
-    for m in CanonicalModels::new(p1, bound) {
-        outcome.models_checked += 1;
-        let ok = if weak {
-            weakly_embeds_with_output(p2, &m.tree, m.output)
-        } else {
-            embeds_with_output(p2, &m.tree, m.output)
-        };
-        if !ok {
-            outcome.counter_model = Some(m);
-            return false;
-        }
-    }
-    true
 }
 
 /// Is "no homomorphism `p2 → p1`" already "`p1 ⋢ p2`" for this pair? Yes in
@@ -115,42 +77,58 @@ fn homomorphism_decides(p1: &Pattern, p2: &Pattern) -> bool {
 /// The staged containment procedure, uncached: `p1 ⊑ p2`, or `p1 ⊑w p2`
 /// when `weak`. A negative of stage 2 carries no counter-model; the model
 /// of [`homomorphism_decides`] is one, and [`contained_with`] builds it.
-pub(crate) fn decide(
+pub(crate) fn decide(p1: &Pattern, p2: &Pattern, weak: bool) -> ContainmentOutcome {
+    // A free homomorphism p2 → p1 (output onto output) witnesses weak
+    // containment: compose it with the strong embedding of p1 into the
+    // subtree that realizes a weak embedding.
+    let mode = if weak { HomMode::Free } else { HomMode::RootAnchored };
+    let holds = homomorphism_exists(p2, p1, mode);
+    if holds || homomorphism_decides(p1, p2) {
+        return ContainmentOutcome {
+            holds,
+            via_homomorphism: true,
+            models_checked: 0,
+            counter_model: None,
+        };
+    }
+    contained_by_models(p1, p2, weak, expansion_bound(p2))
+}
+
+/// Stage 3 alone, the pure canonical-model test that the staged procedure
+/// is checked against: `p1 ⊑ p2` (`p1 ⊑w p2` when `weak`) over every
+/// canonical model of `p1` whose per-edge expansions are at most `bound`.
+/// With `bound` at least [`expansion_bound`]`(p2)` the verdict is exact.
+pub fn contained_by_models(
     p1: &Pattern,
     p2: &Pattern,
     weak: bool,
-    opts: &ContainmentOptions,
+    bound: usize,
 ) -> ContainmentOutcome {
     let mut outcome = ContainmentOutcome {
-        holds: false,
+        holds: true,
         via_homomorphism: false,
         models_checked: 0,
         counter_model: None,
     };
-    if opts.hom_fast_path {
-        // A free homomorphism p2 → p1 (output onto output) witnesses weak
-        // containment: compose it with the strong embedding of p1 into the
-        // subtree that realizes a weak embedding.
-        let mode = if weak { HomMode::Free } else { HomMode::RootAnchored };
-        outcome.holds = homomorphism_exists(p2, p1, mode);
-        if outcome.holds || homomorphism_decides(p1, p2) {
-            outcome.via_homomorphism = true;
-            return outcome;
+    for m in CanonicalModels::new(p1, bound) {
+        outcome.models_checked += 1;
+        let ok = if weak {
+            weakly_embeds_with_output(p2, &m.tree, m.output)
+        } else {
+            embeds_with_output(p2, &m.tree, m.output)
+        };
+        if !ok {
+            outcome.holds = false;
+            outcome.counter_model = Some(m);
+            break;
         }
     }
-    let bound = opts.bound_override.unwrap_or_else(|| expansion_bound(p2));
-    outcome.holds = canonical_loop(p1, p2, bound, weak, &mut outcome);
     outcome
 }
 
 /// [`decide`] with the counter-model of a stage-2 negative filled in.
-fn diagnose(
-    p1: &Pattern,
-    p2: &Pattern,
-    weak: bool,
-    opts: &ContainmentOptions,
-) -> ContainmentOutcome {
-    let mut outcome = decide(p1, p2, weak, opts);
+fn diagnose(p1: &Pattern, p2: &Pattern, weak: bool) -> ContainmentOutcome {
+    let mut outcome = decide(p1, p2, weak);
     if outcome.via_homomorphism && !outcome.holds {
         outcome.counter_model = Some(uniform_model(p1, 2));
     }
@@ -158,20 +136,16 @@ fn diagnose(
 }
 
 /// Decides `p1 ⊑ p2` with full diagnostics.
-pub fn contained_with(p1: &Pattern, p2: &Pattern, opts: &ContainmentOptions) -> ContainmentOutcome {
-    diagnose(p1, p2, false, opts)
+pub fn contained_with(p1: &Pattern, p2: &Pattern) -> ContainmentOutcome {
+    diagnose(p1, p2, false)
 }
 
 /// Decides weak containment `p1 ⊑w p2` with full diagnostics.
-pub fn weakly_contained_with(
-    p1: &Pattern,
-    p2: &Pattern,
-    opts: &ContainmentOptions,
-) -> ContainmentOutcome {
-    diagnose(p1, p2, true, opts)
+pub fn weakly_contained_with(p1: &Pattern, p2: &Pattern) -> ContainmentOutcome {
+    diagnose(p1, p2, true)
 }
 
-/// `p1 ⊑ p2` with default options.
+/// `p1 ⊑ p2`.
 ///
 /// One-shot entry point: runs the staged procedure directly, with no
 /// memoization overhead — verdict-identical to asking a fresh
@@ -179,12 +153,12 @@ pub fn weakly_contained_with(
 /// memo miss). Components that decide containment repeatedly should hold a
 /// long-lived oracle instead so verdicts are shared across calls.
 pub fn contained(p1: &Pattern, p2: &Pattern) -> bool {
-    decide(p1, p2, false, &ContainmentOptions::default()).holds
+    decide(p1, p2, false).holds
 }
 
-/// `p1 ⊑w p2` with default options (one-shot; see [`contained`]).
+/// `p1 ⊑w p2` (one-shot; see [`contained`]).
 pub fn weakly_contained(p1: &Pattern, p2: &Pattern) -> bool {
-    decide(p1, p2, true, &ContainmentOptions::default()).holds
+    decide(p1, p2, true).holds
 }
 
 /// `p1 ≡ p2` (two-sided containment; one-shot, see [`contained`]).
@@ -265,9 +239,9 @@ mod tests {
         // The simplest verified hom-gap in this fragment:
         //   P1 = a[x/y][x/z]   P2 = a[x[y][z]] does not hold. So instead we
         // check the two directions around *-chains where homs do exist but
-        // the canonical path is exercised by disabling the fast path.
-        let opts = ContainmentOptions { hom_fast_path: false, bound_override: None };
-        let out = contained_with(&pat("a/b/c"), &pat("a//c"), &opts);
+        // the canonical path is exercised by running the loop alone.
+        let (l, r) = (pat("a/b/c"), pat("a//c"));
+        let out = contained_by_models(&l, &r, false, expansion_bound(&r));
         assert!(out.holds);
         assert!(!out.via_homomorphism);
         assert!(out.models_checked >= 1);
@@ -275,8 +249,7 @@ mod tests {
 
     #[test]
     fn counter_model_is_reported() {
-        let opts = ContainmentOptions::default();
-        let out = contained_with(&pat("a//c"), &pat("a/b/c"), &opts);
+        let out = contained_with(&pat("a//c"), &pat("a/b/c"));
         assert!(!out.holds);
         let cm = out.counter_model.expect("counter model");
         // The counter model is a model of the left but its output is not an
@@ -313,7 +286,7 @@ mod tests {
         let (l, r) = (pat("a/*//e"), pat("a//*/e"));
         assert!(!homomorphism_exists(&r, &l, HomMode::RootAnchored));
         assert!(!homomorphism_decides(&l, &r));
-        let out = contained_with(&l, &r, &ContainmentOptions::default());
+        let out = contained_with(&l, &r);
         assert!(out.holds && !out.via_homomorphism && out.models_checked >= 1);
         // … and fires when the left side has no `//` or the right side no
         // `*`, settling the negative without a single canonical model.
@@ -321,15 +294,14 @@ mod tests {
             let (l, r) = (pat(l), pat(r));
             assert!(homomorphism_decides(&l, &r), "{l} vs {r}");
             for weak in [false, true] {
-                let out = diagnose(&l, &r, weak, &ContainmentOptions::default());
+                let out = diagnose(&l, &r, weak);
                 assert!(!out.holds && out.via_homomorphism, "{l} vs {r}");
                 assert_eq!(out.models_checked, 0);
                 // The counter-model is real: the reference arm agrees on it.
                 let cm = out.counter_model.expect("counter model");
                 assert!(crate::embed::evaluate(&l, &cm.tree).contains(&cm.output));
                 assert!(!crate::embed::evaluate(&r, &cm.tree).contains(&cm.output));
-                let reference = ContainmentOptions { hom_fast_path: false, bound_override: None };
-                assert!(!diagnose(&l, &r, weak, &reference).holds);
+                assert!(!contained_by_models(&l, &r, weak, expansion_bound(&r)).holds);
             }
         }
     }
@@ -395,11 +367,8 @@ mod tests {
             [("a/*//e", "a//*/e"), ("a//b", "a/*/b"), ("*[a]//b", "*//b"), ("a[*/c]//d", "a//d")];
         for (l, r) in pairs {
             let base = contained(&pat(l), &pat(r));
-            let opts = ContainmentOptions {
-                hom_fast_path: false,
-                bound_override: Some(expansion_bound(&pat(r)) + 2),
-            };
-            assert_eq!(contained_with(&pat(l), &pat(r), &opts).holds, base, "{l} vs {r}");
+            let padded = contained_by_models(&pat(l), &pat(r), false, expansion_bound(&pat(r)) + 2);
+            assert_eq!(padded.holds, base, "{l} vs {r}");
         }
     }
 

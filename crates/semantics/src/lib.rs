@@ -37,8 +37,8 @@ pub use canonical::{
     descendant_edge_targets, expansion_bound, tau, CanonicalModel, CanonicalModels,
 };
 pub use contain::{
-    contained, contained_with, equivalent, equivalent_opt, weakly_contained, weakly_contained_with,
-    weakly_equivalent, ContainmentOptions, ContainmentOutcome,
+    contained, contained_by_models, contained_with, equivalent, equivalent_opt, weakly_contained,
+    weakly_contained_with, weakly_equivalent, ContainmentOutcome,
 };
 pub use embed::{
     check_embedding, embeds_with_output, enumerate_embeddings, evaluate, evaluate_anchored,

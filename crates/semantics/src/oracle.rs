@@ -18,9 +18,9 @@
 //!
 //! ## Concurrency
 //!
-//! The oracle is split into an **immutable decision core** (the containment
-//! options plus the staged decision procedure, which is pure) and a **sharded
-//! memo store**: the memo is partitioned into `N` lock shards keyed
+//! The oracle is split into an **immutable decision core** (the staged
+//! decision procedure, which is pure) and a **sharded memo store**: the
+//! memo is partitioned into [`DEFAULT_ORACLE_SHARDS`] lock shards keyed
 //! by a mix of the interned pattern keys, the interner sits behind a
 //! `RwLock` with a read-locked fast path for already-seen patterns, and every
 //! counter in [`OracleStats`] is an atomic. As a result `contained`,
@@ -43,10 +43,9 @@ use std::sync::RwLock;
 
 use xpv_pattern::{Pattern, PatternInterner, PatternKey};
 
-use crate::contain::{decide, ContainmentOptions};
+use crate::contain::decide;
 
-/// Default number of memo lock shards (a power of two; see
-/// [`ContainmentOracle::with_options_sharded`]).
+/// Number of memo lock shards (a power of two: `shard_of` masks with it).
 pub const DEFAULT_ORACLE_SHARDS: usize = 16;
 
 /// Counters describing the oracle's lifetime work (all monotone).
@@ -162,12 +161,12 @@ type MemoShard = RwLock<HashMap<(PatternKey, PatternKey, bool), bool>>;
 /// Mixes a pair of interned keys into a shard index (splitmix64 avalanche,
 /// same mixer as `Pattern::fingerprint`).
 #[inline]
-fn shard_of(k1: PatternKey, k2: PatternKey, nshards: usize) -> usize {
+fn shard_of(k1: PatternKey, k2: PatternKey) -> usize {
     let mut h = ((k1.index() as u64) << 32) ^ (k2.index() as u64) ^ 0x9E37_79B9_7F4A_7C15;
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    (h ^ (h >> 33)) as usize & (nshards - 1)
+    (h ^ (h >> 33)) as usize & (DEFAULT_ORACLE_SHARDS - 1)
 }
 
 /// A memoizing decision service for containment and equivalence, shareable
@@ -188,7 +187,6 @@ fn shard_of(k1: PatternKey, k2: PatternKey, nshards: usize) -> usize {
 #[derive(Debug)]
 pub struct ContainmentOracle {
     interner: RwLock<PatternInterner>,
-    opts: ContainmentOptions,
     shards: Box<[MemoShard]>,
     stats: AtomicOracleStats,
 }
@@ -200,39 +198,13 @@ impl Default for ContainmentOracle {
 }
 
 impl ContainmentOracle {
-    /// An oracle with default [`ContainmentOptions`].
+    /// An empty oracle.
     pub fn new() -> ContainmentOracle {
-        Self::with_options(ContainmentOptions::default())
-    }
-
-    /// An oracle with custom containment options and the default shard
-    /// count.
-    pub fn with_options(opts: ContainmentOptions) -> ContainmentOracle {
-        Self::with_options_sharded(opts, DEFAULT_ORACLE_SHARDS)
-    }
-
-    /// An oracle with custom options and an explicit memo shard count
-    /// (rounded up to a power of two, minimum 1). More shards lower write
-    /// contention when many threads insert fresh verdicts concurrently;
-    /// single-threaded callers can use 1.
-    pub fn with_options_sharded(opts: ContainmentOptions, shards: usize) -> ContainmentOracle {
-        let n = shards.max(1).next_power_of_two();
         ContainmentOracle {
             interner: RwLock::new(PatternInterner::new()),
-            opts,
-            shards: (0..n).map(|_| MemoShard::default()).collect(),
+            shards: (0..DEFAULT_ORACLE_SHARDS).map(|_| MemoShard::default()).collect(),
             stats: AtomicOracleStats::default(),
         }
-    }
-
-    /// Number of memo lock shards.
-    pub fn memo_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The options threaded into every test.
-    pub fn options(&self) -> &ContainmentOptions {
-        &self.opts
     }
 
     /// Lifetime counters (a relaxed snapshot; exact when no other thread is
@@ -332,14 +304,14 @@ impl ContainmentOracle {
         weak: bool,
     ) -> bool {
         bump(&self.stats.queries);
-        let shard = &self.shards[shard_of(k1, k2, self.shards.len())];
+        let shard = &self.shards[shard_of(k1, k2)];
         if let Some(&verdict) = shard.read().expect("oracle memo poisoned").get(&(k1, k2, weak)) {
             bump(&self.stats.verdict_memo_hits);
             return verdict;
         }
         bump(&self.stats.verdict_memo_misses);
 
-        let outcome = decide(p1, p2, weak, &self.opts);
+        let outcome = decide(p1, p2, weak);
         match (outcome.via_homomorphism, outcome.holds) {
             (true, true) => bump(&self.stats.hom_fast_path_hits),
             (true, false) => bump(&self.stats.hom_negatives),
@@ -357,6 +329,7 @@ impl ContainmentOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{contained_by_models, expansion_bound};
     use xpv_pattern::parse_xpath;
 
     fn pat(s: &str) -> Pattern {
@@ -412,32 +385,32 @@ mod tests {
             ("a//*/e", "a/*/e"),  // loop, fails
             ("a[b]/*/e[d]", "a[b]//*/e[d]"),
         ];
-        for opts in [
-            ContainmentOptions::default(),
-            ContainmentOptions { hom_fast_path: false, bound_override: None },
-        ] {
-            let oracle = ContainmentOracle::with_options(opts);
-            for _ in 0..2 {
-                for (l, r) in pairs {
-                    let (p, q) = (pat(l), pat(r));
-                    assert_eq!(oracle.contained(&p, &q), crate::contain::contained(&p, &q));
-                    oracle.weakly_contained(&p, &q);
-                    oracle.equivalent(&p, &q);
+        let oracle = ContainmentOracle::new();
+        for _ in 0..2 {
+            for (l, r) in pairs {
+                let (p, q) = (pat(l), pat(r));
+                for weak in [false, true] {
+                    // The pure canonical loop is the reference verdict.
+                    let reference = contained_by_models(&p, &q, weak, expansion_bound(&q));
+                    assert!(!reference.via_homomorphism);
+                    let verdict = if weak {
+                        oracle.weakly_contained(&p, &q)
+                    } else {
+                        oracle.contained(&p, &q)
+                    };
+                    assert_eq!(verdict, reference.holds, "{l} vs {r}, weak: {weak}");
                 }
-            }
-            let s = oracle.stats();
-            assert_eq!(
-                s.queries,
-                s.verdict_memo_hits + s.hom_fast_path_hits + s.hom_negatives + s.canonical_runs,
-                "{s}"
-            );
-            assert_eq!(s.verdict_memo_misses, s.queries - s.verdict_memo_hits);
-            if opts.hom_fast_path {
-                assert!(s.hom_fast_path_hits > 0 && s.hom_negatives >= 2 && s.canonical_runs >= 2);
-            } else {
-                assert_eq!(s.hom_fast_path_hits + s.hom_negatives, 0, "reference arm: loop only");
+                oracle.equivalent(&p, &q);
             }
         }
+        let s = oracle.stats();
+        assert_eq!(
+            s.queries,
+            s.verdict_memo_hits + s.hom_fast_path_hits + s.hom_negatives + s.canonical_runs,
+            "{s}"
+        );
+        assert_eq!(s.verdict_memo_misses, s.queries - s.verdict_memo_hits);
+        assert!(s.hom_fast_path_hits > 0 && s.hom_negatives >= 2 && s.canonical_runs >= 2);
     }
 
     #[test]
@@ -496,15 +469,6 @@ mod tests {
         oracle.stats().visit(&mut |name, _| {
             assert!(s.contains(&format!("{name}=")), "{name} missing from: {s}");
         });
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let oracle = ContainmentOracle::with_options_sharded(ContainmentOptions::default(), 5);
-        assert_eq!(oracle.memo_shards(), 8);
-        let one = ContainmentOracle::with_options_sharded(ContainmentOptions::default(), 0);
-        assert_eq!(one.memo_shards(), 1);
-        assert!(one.contained(&pat("a/b/c"), &pat("a//c")));
     }
 
     #[test]

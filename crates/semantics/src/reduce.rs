@@ -18,13 +18,12 @@
 
 use xpv_pattern::{PatId, Pattern};
 
-use crate::contain::{contained_with, ContainmentOptions};
+use crate::contain::contained;
 
 /// Returns an equivalent, non-redundant version of `p`: no further branch
 /// can be removed without changing the pattern's meaning.
 pub fn remove_redundant_branches(p: &Pattern) -> Pattern {
     let mut cur = p.dedup_sibling_branches();
-    let opts = ContainmentOptions::default();
     'outer: loop {
         let selection = cur.selection_path();
         // Candidate deletions: maximal non-selection subtrees (children of
@@ -38,7 +37,7 @@ pub fn remove_redundant_branches(p: &Pattern) -> Pattern {
             let smaller = cur.without_subtree(n);
             // Removal only weakens: cur ⊑ smaller always. Equivalence holds
             // iff smaller ⊑ cur.
-            if contained_with(&smaller, &cur, &opts).holds {
+            if contained(&smaller, &cur) {
                 cur = smaller;
                 continue 'outer;
             }
@@ -50,13 +49,12 @@ pub fn remove_redundant_branches(p: &Pattern) -> Pattern {
 /// Is `p` non-redundant (no single branch deletion preserves equivalence)?
 pub fn is_non_redundant(p: &Pattern) -> bool {
     let selection = p.selection_path();
-    let opts = ContainmentOptions::default();
     for n in p.node_ids() {
         if selection.contains(&n) || p.parent(n).is_none() {
             continue;
         }
         let smaller = p.without_subtree(n);
-        if contained_with(&smaller, p, &opts).holds {
+        if contained(&smaller, p) {
             return false;
         }
     }
@@ -67,13 +65,12 @@ pub fn is_non_redundant(p: &Pattern) -> bool {
 /// equivalence-preserving removal). Useful for diagnostics and tests.
 pub fn redundant_branches(p: &Pattern) -> Vec<PatId> {
     let selection = p.selection_path();
-    let opts = ContainmentOptions::default();
     p.node_ids()
         .filter(|&n| {
             if selection.contains(&n) || p.parent(n).is_none() {
                 return false;
             }
-            contained_with(&p.without_subtree(n), p, &opts).holds
+            contained(&p.without_subtree(n), p)
         })
         .collect()
 }

@@ -20,9 +20,8 @@
 //!   evaluates it over the word-AND of its views' answer sets);
 //! * [`maintain`] — the document **edit log** and incremental view
 //!   maintenance under tree updates ([`xpv_maintain`]);
-//! * [`net`] — the hand-rolled async runtime (epoll reactor + executor)
-//!   and the framed xpv **wire protocol** with credit-based backpressure
-//!   ([`xpv_net`]);
+//! * [`net`] — the framed xpv **wire protocol** with credit-based
+//!   backpressure, its blocking frame codec and client ([`xpv_net`]);
 //! * [`obs`] — the dependency-free observability layer: lock-free
 //!   counters and log-bucketed latency histograms, request-lifecycle
 //!   trace spans with global sampling, and the metrics-snapshot text
@@ -63,11 +62,12 @@
 //! same way over a copy-on-write view pool (LRU-bounded, with per-view
 //! dependency invalidation on `add_view`). It is the only cache type:
 //! worker threads answer concurrently through one cache, with the answers
-//! one thread would get, and the one server type is **async end to end**:
-//! [`AsyncCacheServer`](engine::AsyncCacheServer) multiplexes any number
-//! of wire-protocol connections (TCP / Unix-domain, `xpv listen`) and the
-//! blocking in-process transport (`submit`) onto a fixed CPU worker pool
-//! with per-connection credit windows and per-tenant stats.
+//! one thread would get. The one server type,
+//! [`AsyncCacheServer`](engine::AsyncCacheServer), serves any number of
+//! wire-protocol connections (TCP / Unix-domain, `xpv listen`) with plain
+//! blocking threads, a reader and a writer per connection, over a fixed
+//! set of worker slots, with per-connection credit windows and per-tenant
+//! stats. The wire is its only way in.
 //!
 //! ## Document updates
 //!

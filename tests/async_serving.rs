@@ -1,12 +1,12 @@
-//! End-to-end tests of the async serving front-end: idle connections
+//! End-to-end tests of the serving front-end: idle connections
 //! against a small worker pool, wire-protocol answer fidelity, edit
 //! batches over the wire with version checks, credit-window enforcement,
-//! and graceful drain under concurrent submitters — over both of
-//! [`AsyncCacheServer`]'s transports (in-process and wire).
+//! and graceful drain under racing clients.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use xpath_views::engine::{AsyncCacheServer, ShardedViewCache};
 use xpath_views::net::{Response, WireClient};
@@ -54,7 +54,7 @@ fn idle_connections_do_not_pin_workers() {
         if server.connections() >= IDLE {
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
         server.connections() >= IDLE,
@@ -191,139 +191,56 @@ fn small_credit_window_still_serves_deep_pipelines() {
     server.shutdown();
 }
 
-/// Graceful drain, in-process transport under a bounded admission window:
-/// with submitter threads racing a shutdown, every ticket either resolves
-/// to correct answers or reports a rejection — nothing hangs, nothing is
-/// silently dropped.
-#[test]
-fn graceful_drain_serves_or_rejects_legacy_wrapper() {
-    let cache = serving_cache();
-    let server = Arc::new(AsyncCacheServer::start_bounded(Arc::clone(&cache), 2, 64));
-    let catalog = site_intersect_catalog();
-    let q = catalog.queries[0].1.clone();
-    let want = cache.answer(&q).nodes;
-
-    let served = AtomicUsize::new(0);
-    let rejected = AtomicUsize::new(0);
-    const PER_THREAD: usize = 40;
-    const THREADS: usize = 4;
-    // All submitters plus the draining main thread: phase 2 starts only
-    // after the drain has completed, so its rejections are deterministic.
-    let drained = std::sync::Barrier::new(THREADS + 1);
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            let server = Arc::clone(&server);
-            let q = q.clone();
-            let (served, rejected, want, drained) = (&served, &rejected, &want, &drained);
-            scope.spawn(move || {
-                // Phase 1: race the drain — every ticket must resolve
-                // either way, with exact answers when served.
-                for _ in 0..PER_THREAD {
-                    match server.submit("racer", vec![q.clone()]).wait_result() {
-                        Ok(answers) => {
-                            assert_eq!(answers[0].nodes, *want, "drained batch must be exact");
-                            served.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                // Phase 2: after the drain, submissions must reject.
-                drained.wait();
-                let err = server
-                    .submit("racer", vec![q.clone()])
-                    .wait_result()
-                    .expect_err("post-drain submissions are rejected");
-                assert!(err.reason.contains("draining"), "got: {}", err.reason);
-            });
-        }
-        // Let some batches through, then drain mid-traffic.
-        while cache.stats().queries < 20 {
-            std::thread::yield_now();
-        }
-        server.shutdown();
-        drained.wait();
-    });
-    let (s, r) = (served.load(Ordering::Relaxed), rejected.load(Ordering::Relaxed));
-    assert_eq!(s + r, THREADS * PER_THREAD, "every submission is accounted");
-    assert!(s > 0, "some batches were served before the drain");
-}
-
-/// Graceful drain, async server: local submitters race the shutdown while
-/// a wire connection is mid-conversation. Served batches are exact,
-/// post-drain submissions reject, and the wire client observes an
-/// explicit end (`ServerBye` ⇒ error on the next receive), never a hang.
+/// Graceful drain under racing wire clients: each client sends one batch
+/// at a time until its connection ends. Every batch gets exact answers or
+/// the connection ends (`ServerBye`, EOF or an error), no client hangs,
+/// and a connect after the drain fails.
 #[test]
 fn graceful_drain_async_server_with_concurrent_submitters() {
+    const CLIENTS: usize = 4;
     let cache = serving_cache();
-    let server = Arc::new(AsyncCacheServer::start(Arc::clone(&cache), 2));
+    let server = AsyncCacheServer::start(Arc::clone(&cache), 2);
     let addr = server.listen_tcp("127.0.0.1:0").expect("listen").to_string();
     let catalog = site_intersect_catalog();
     let q = catalog.queries[1].1.clone();
     let want = cache.answer(&q).nodes;
 
-    let served = AtomicUsize::new(0);
-    let rejected = AtomicUsize::new(0);
-    let wire_served = Arc::new(AtomicUsize::new(0));
-    const PER_THREAD: usize = 40;
-    const THREADS: usize = 3;
-    let drained = std::sync::Barrier::new(THREADS + 1);
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            let server = Arc::clone(&server);
-            let q = q.clone();
-            let (served, rejected, want, drained) = (&served, &rejected, &want, &drained);
-            scope.spawn(move || {
-                for _ in 0..PER_THREAD {
-                    match server.submit("racer", vec![q.clone()]).wait_result() {
-                        Ok(answers) => {
-                            assert_eq!(answers[0].nodes, *want);
+    let served = Arc::new(AtomicUsize::new(0));
+    // Every client is connected before the drain: the race is between
+    // batches and the drain, not connects.
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let mut client = WireClient::connect_tcp(&addr).expect("connect");
+            let (q, want, served) = (q.clone(), want.clone(), Arc::clone(&served));
+            std::thread::spawn(move || {
+                // A send error means the server closed the socket: an
+                // explicit end.
+                while let Ok(id) = client.send_queries("racer", std::slice::from_ref(&q)) {
+                    match client.recv_for(id) {
+                        Ok(Response::Answers { answers, .. }) => {
+                            assert_eq!(answers[0].nodes, want, "drained batch must be exact");
                             served.fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(_) => {
-                            rejected.fetch_add(1, Ordering::Relaxed);
-                        }
+                        // `ServerBye`, EOF or an error: the connection ended.
+                        Err(_) => break,
+                        Ok(other) => panic!("unexpected response {other:?}"),
                     }
                 }
-                // After the drain completes, submissions must reject.
-                drained.wait();
-                server
-                    .submit("racer", vec![q.clone()])
-                    .wait_result()
-                    .expect_err("post-drain submissions are rejected");
-            });
+            })
+        })
+        .collect();
+    // Drain only after the clients have demonstrably served traffic.
+    while served.load(Ordering::Relaxed) < 20 {
+        std::thread::yield_now();
+    }
+    server.shutdown();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for client in clients {
+        while !client.is_finished() {
+            assert!(Instant::now() < deadline, "a client hung through the drain");
+            std::thread::sleep(Duration::from_millis(10));
         }
-        // A wire client keeps a conversation going through the drain.
-        let wire_q = q.clone();
-        let addr = addr.clone();
-        let want_wire = want.clone();
-        let wire_count = Arc::clone(&wire_served);
-        let wire = scope.spawn(move || {
-            let mut client = WireClient::connect_tcp(&addr).expect("connect");
-            // A send error means the server closed the socket: explicit end.
-            while let Ok(id) = client.send_queries("wire", std::slice::from_ref(&wire_q)) {
-                match client.recv_for(id) {
-                    Ok(Response::Answers { answers, .. }) => {
-                        assert_eq!(answers[0].nodes, want_wire);
-                        wire_count.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(Response::Rejected { .. }) | Err(_) => break,
-                    Ok(other) => panic!("unexpected response {other:?}"),
-                }
-            }
-        });
-        // Drain only after both the local and the wire path have
-        // demonstrably served traffic.
-        while cache.stats().queries < 20 || wire_served.load(Ordering::Relaxed) == 0 {
-            std::thread::yield_now();
-        }
-        server.shutdown();
-        drained.wait();
-        wire.join().expect("wire thread ends, never hangs");
-    });
-    let (s, r) = (served.load(Ordering::Relaxed), rejected.load(Ordering::Relaxed));
-    assert_eq!(s + r, THREADS * PER_THREAD);
-    assert!(s > 0, "some local batches served");
-    assert!(wire_served.load(Ordering::Relaxed) > 0, "the wire client served traffic");
+        client.join().expect("client thread");
+    }
+    assert!(WireClient::connect_tcp(&addr).is_err(), "a drained server accepts no connection");
 }

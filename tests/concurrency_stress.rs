@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use xpath_views::engine::{AsyncCacheServer, Route, ShardedViewCache};
+use xpath_views::net::{Response, WireAnswer, WireClient, WireRoute};
 use xpath_views::prelude::*;
 use xpath_views::workload::{
     catalog_zipf_stream, site_catalog, site_doc, site_intersect_catalog, Catalog,
@@ -81,26 +82,60 @@ fn eight_threads_match_single_threaded_answers_and_verdicts() {
     assert_eq!(s.queries, s.plan_memo_hits + s.plan_memo_misses);
 }
 
+/// The engine route a wire route names.
+fn wire_route(route: WireRoute) -> Route {
+    match route {
+        WireRoute::Direct => Route::Direct,
+        WireRoute::ViaView { view, rewriting } => Route::ViaView { view, rewriting },
+        WireRoute::Intersect { views, compensation } => Route::Intersect { views, compensation },
+    }
+}
+
 #[test]
 fn worker_pool_batches_match_single_threaded_answers() {
     let stream = catalog_zipf_stream(&site_catalog(), 320, 0xBEE);
     let want = reference(&site_catalog(), &stream);
 
     let server = AsyncCacheServer::start(Arc::new(sharded_cache()), THREADS);
-    let tickets: Vec<_> = stream
-        .chunks(20)
-        .enumerate()
-        .map(|(i, chunk)| server.submit(&format!("tenant-{}", i % 3), chunk.to_vec()))
-        .collect();
-    let mut pos = 0usize;
-    for ticket in tickets {
-        for a in ticket.wait() {
+    let addr = server.listen_tcp("127.0.0.1:0").expect("listen").to_string();
+    // Three tenants, one connection each, every chunk of 20 pipelined on
+    // its tenant's connection.
+    let answered: Vec<(usize, Vec<WireAnswer>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..3)
+            .map(|t| {
+                let (addr, stream) = (&addr, &stream);
+                scope.spawn(move || {
+                    let mut client = WireClient::connect_tcp(addr).expect("connect");
+                    let chunks: Vec<(usize, &[Pattern])> =
+                        stream.chunks(20).enumerate().skip(t).step_by(3).collect();
+                    let tenant = format!("tenant-{t}");
+                    let ids: Vec<u64> = chunks
+                        .iter()
+                        .map(|(_, chunk)| client.send_queries(&tenant, chunk).expect("send"))
+                        .collect();
+                    let mut out = Vec::new();
+                    for ((i, _), id) in chunks.iter().zip(ids) {
+                        match client.recv_for(id).expect("recv") {
+                            Response::Answers { answers, .. } => out.push((*i, answers)),
+                            other => panic!("expected Answers, got {other:?}"),
+                        }
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("client panicked")).collect()
+    });
+    let mut answered_positions = 0usize;
+    for (chunk, answers) in answered {
+        for (j, a) in answers.into_iter().enumerate() {
+            let pos = chunk * 20 + j;
             assert_eq!(a.nodes, want[pos].0, "nodes diverged at position {pos}");
-            assert_eq!(a.route, want[pos].1, "verdict diverged at position {pos}");
-            pos += 1;
+            assert_eq!(wire_route(a.route), want[pos].1, "verdict diverged at position {pos}");
+            answered_positions += 1;
         }
     }
-    assert_eq!(pos, stream.len());
+    assert_eq!(answered_positions, stream.len());
 
     let total: u64 = server.tenants().iter().map(|(_, s)| s.queries).sum();
     assert_eq!(total, stream.len() as u64);

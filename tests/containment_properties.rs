@@ -6,8 +6,7 @@ mod common;
 
 use xpath_views::prelude::*;
 use xpath_views::semantics::{
-    contained_with, expansion_bound, tau, weakly_contained_with, CanonicalModels,
-    ContainmentOptions,
+    contained_by_models, contained_with, expansion_bound, tau, CanonicalModels,
 };
 use xpath_views::workload::{hom_gap_instance, Fragment};
 
@@ -23,14 +22,10 @@ fn expansion_bound_is_robust_on_random_pairs() {
         } else {
             pattern_from_seed(seed * 5 + 2, Fragment::Full)
         };
-        let base = ContainmentOptions { hom_fast_path: false, bound_override: None };
-        let padded = ContainmentOptions {
-            hom_fast_path: false,
-            bound_override: Some(expansion_bound(&q) + 2),
-        };
+        let bound = expansion_bound(&q);
         assert_eq!(
-            contained_with(&p, &q, &base).holds,
-            contained_with(&p, &q, &padded).holds,
+            contained_by_models(&p, &q, false, bound).holds,
+            contained_by_models(&p, &q, false, bound + 2).holds,
             "bound padding changed the verdict for {p} vs {q}"
         );
     }
@@ -41,11 +36,9 @@ fn hom_fast_path_agrees_with_canonical_loop() {
     for seed in 0..24u64 {
         let p = pattern_from_seed(seed * 7 + 1, Fragment::Full);
         let q = weaken(&p, seed ^ 0xABCD);
-        let with_hom = ContainmentOptions { hom_fast_path: true, bound_override: None };
-        let without = ContainmentOptions { hom_fast_path: false, bound_override: None };
         assert_eq!(
-            contained_with(&p, &q, &with_hom).holds,
-            contained_with(&p, &q, &without).holds,
+            contained(&p, &q),
+            contained_by_models(&p, &q, false, expansion_bound(&q)).holds,
             "fast path changed the verdict for {p} vs {q}"
         );
     }
@@ -59,7 +52,9 @@ fn hom_negatives_agree_with_the_canonical_loop() {
     // each fragment against itself and against the next one.
     const FRAGMENTS: [Fragment; 4] =
         [Fragment::Full, Fragment::NoWildcard, Fragment::NoDescendant, Fragment::NoBranch];
-    let reference = ContainmentOptions { hom_fast_path: false, bound_override: None };
+    let reference = |l: &Pattern, r: &Pattern, weak: bool| {
+        contained_by_models(l, r, weak, expansion_bound(r)).holds
+    };
     let rounds = if cfg!(debug_assertions) { 170 } else { 1700 };
     let oracle = ContainmentOracle::new();
     let mut pairs = 0u64;
@@ -81,16 +76,8 @@ fn hom_negatives_agree_with_the_canonical_loop() {
             let mixed = other.pattern();
             for (l, r) in [(&p, &v), (&p, &q), (&p, &mixed)] {
                 for (l, r) in [(l, r), (r, l)] {
-                    assert_eq!(
-                        oracle.contained(l, r),
-                        contained_with(l, r, &reference).holds,
-                        "{l} ⊑ {r}"
-                    );
-                    assert_eq!(
-                        oracle.weakly_contained(l, r),
-                        weakly_contained_with(l, r, &reference).holds,
-                        "{l} ⊑w {r}"
-                    );
+                    assert_eq!(oracle.contained(l, r), reference(l, r, false), "{l} ⊑ {r}");
+                    assert_eq!(oracle.weakly_contained(l, r), reference(l, r, true), "{l} ⊑w {r}");
                     pairs += 1;
                 }
             }
@@ -107,7 +94,7 @@ fn hom_negatives_agree_with_the_canonical_loop() {
 fn hom_gap_family_scales() {
     for n in 1..=4 {
         let (p1, p2) = hom_gap_instance(n);
-        let out = contained_with(&p1, &p2, &ContainmentOptions::default());
+        let out = contained_with(&p1, &p2);
         assert!(out.holds, "gap containment must hold at n={n}");
         assert!(!out.via_homomorphism, "gap must not be hom-witnessed at n={n}");
         assert!(out.models_checked >= 1);
@@ -121,7 +108,7 @@ fn counter_models_falsify_on_real_documents() {
     for seed in 0..24u64 {
         let p1 = pattern_from_seed(seed * 9 + 4, Fragment::Full);
         let p2 = pattern_from_seed(seed * 11 + 6, Fragment::Full);
-        let out = contained_with(&p1, &p2, &ContainmentOptions::default());
+        let out = contained_with(&p1, &p2);
         if let Some(cm) = &out.counter_model {
             assert!(!out.holds);
             assert!(evaluate(&p1, &cm.tree).contains(&cm.output));

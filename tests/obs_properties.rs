@@ -76,7 +76,9 @@ fn stats_v2_round_trips_to_identical_text() {
     let stream = catalog_zipf_stream(&site_intersect_catalog(), 60, 0x0B5);
     let _ = cache.answer_batch(&stream);
     let server = AsyncCacheServer::start(Arc::clone(&cache), 2);
-    let _ = server.answer_batch("acme", stream[..8].to_vec());
+    let addr = server.listen_tcp("127.0.0.1:0").expect("listen").to_string();
+    let mut client = WireClient::connect_tcp(&addr).expect("connect");
+    client.answer_batch("acme", &stream[..8]).expect("answers");
     let snap = server.metrics_snapshot();
     let rebuilt = metrics_from_wire(&wire_metrics(&snap));
     assert_eq!(rebuilt.to_text(), snap.to_text());
@@ -135,7 +137,9 @@ fn snapshot_names_are_unique_and_cover_every_visit_name() {
     let cache = serving_cache();
     let stream = catalog_zipf_stream(&site_intersect_catalog(), 40, 0x21F);
     let server = AsyncCacheServer::start(Arc::clone(&cache), 2);
-    let _ = server.answer_batch("uniq", stream.clone());
+    let addr = server.listen_tcp("127.0.0.1:0").expect("listen").to_string();
+    let mut client = WireClient::connect_tcp(&addr).expect("connect");
+    client.answer_batch("uniq", &stream).expect("answers");
     let snap = server.metrics_snapshot();
 
     // (name, labels) pairs are unique — one name, one source of truth.

@@ -21,7 +21,7 @@ use common::instance_from_seed;
 
 fn audit(p: &Pattern, v: &Pattern) {
     let planner = RewritePlanner::without_fallback();
-    let bf = BruteForceConfig { max_nodes: 7, max_tested: 20_000, ..Default::default() };
+    let bf = BruteForceConfig { max_nodes: 7, max_tested: 20_000 };
     match planner.decide(p, v) {
         RewriteAnswer::Rewriting(rw) => {
             let rv = compose(rw.pattern(), v).expect("verified rewriting composes");

@@ -51,7 +51,6 @@ fn watchdog_server(cache: Arc<ShardedViewCache>) -> AsyncCacheServer {
     AsyncCacheServer::start_with_obs(
         cache,
         2,
-        64,
         ObsConfig {
             interval: Duration::from_millis(40),
             heartbeat_stall_ticks: 2,
