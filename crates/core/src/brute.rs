@@ -109,11 +109,8 @@ pub fn brute_force_rewrite(p: &Pattern, v: &Pattern, cfg: &BruteForceConfig) -> 
     brute_force_rewrite_with_oracle(p, v, cfg, &oracle)
 }
 
-/// [`brute_force_rewrite`] deciding every equivalence test through a shared
-/// `oracle`. The enumeration repeatedly composes near-identical candidates
-/// with the same view, so consecutive tests hit the oracle's verdict memo for
-/// the direction that did not change — and a planner that falls back to brute
-/// force reuses the candidate-phase verdicts outright.
+/// [`brute_force_rewrite`] counting every equivalence test in `oracle`'s
+/// counters (a planner passes its session's oracle).
 pub fn brute_force_rewrite_with_oracle(
     p: &Pattern,
     v: &Pattern,
@@ -202,14 +199,7 @@ pub fn brute_force_rewrite_with_oracle(
                 stats.prefiltered += 1;
             } else {
                 stats.tested += 1;
-                stats.test_stats.equivalence_tests += 1;
-                let before = oracle.stats();
-                let holds = oracle.contained(&rv, p) && oracle.contained(p, &rv);
-                let delta = oracle.stats().since(&before);
-                stats.test_stats.models_checked += delta.models_checked;
-                stats.test_stats.hom_hits +=
-                    u32::try_from(delta.hom_fast_path_hits).unwrap_or(u32::MAX);
-                if holds {
+                if stats.test_stats.test_equivalence(oracle, &rv, p) {
                     return BruteForceOutcome::Found(Box::new(r), stats);
                 }
             }

@@ -12,9 +12,9 @@
 //!   candidate tests, certificates, and the budgeted Proposition 3.4
 //!   brute force ([`brute_force_rewrite`]);
 //! * [`PlanningSession`] — a planner bound to a long-lived
-//!   [`xpv_semantics::ContainmentOracle`], so every containment verdict
-//!   and interned pattern is shared across all the queries and views the
-//!   session sees ([`PlannerStats`] reports per-call memo hits / misses and
+//!   [`xpv_semantics::ContainmentOracle`] and a memo of whole decisions,
+//!   so each `(query, view)` pair the session sees is decided once
+//!   ([`PlannerStats`] reports per-call decision-memo hits / misses and
 //!   coNP work); a [`QueryContext`] carries what one query's decisions
 //!   against many views have in common;
 //! * [`multiview`] — view chains (Proposition 2.4) and contained
@@ -32,9 +32,7 @@ pub use brute::{
     brute_force_rewrite, brute_force_rewrite_with_oracle, BruteForceConfig, BruteForceOutcome,
     BruteForceStats,
 };
-pub use candidates::{
-    natural_candidates, test_candidate_with_oracle, Candidate, CandidateTestStats, QueryContext,
-};
+pub use candidates::{natural_candidates, Candidate, CandidateTestStats, QueryContext};
 pub use conditions::{find_condition, Condition};
 pub use figures::{figure1, figure2, figure3, figure4, Figure1, Figure2, Figure3, Figure4};
 pub use multiview::{

@@ -19,8 +19,11 @@
 //!    answer the paper's open question 2 negatively and is surfaced loudly in
 //!    the certificate.
 
-use xpv_pattern::{NodeTest, Pattern};
-use xpv_semantics::{ContainmentOracle, OracleStats};
+use std::collections::HashMap;
+use std::sync::RwLock;
+
+use xpv_pattern::{NodeTest, Pattern, PatternKey};
+use xpv_semantics::ContainmentOracle;
 
 use crate::brute::{
     brute_force_rewrite_with_oracle, BruteForceConfig, BruteForceOutcome, BruteForceStats,
@@ -118,7 +121,8 @@ impl RewriteAnswer {
     }
 }
 
-/// Aggregate statistics of one `decide` call (for the benchmark harness).
+/// Aggregate statistics of one `decide` call (for the benchmark harness),
+/// added up from this call's own work: exact under concurrent callers.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlannerStats {
     /// Candidate-equivalence statistics.
@@ -127,11 +131,10 @@ pub struct PlannerStats {
     pub condition_found: bool,
     /// Whether brute force ran.
     pub brute_forced: bool,
-    /// Containment verdicts served from the session oracle's memo during
-    /// this call (0 for one-shot `RewritePlanner::decide` calls, which run a
-    /// fresh oracle).
+    /// 1 when the session's decision memo served this call, else 0.
     pub memo_hits: u64,
-    /// Containment verdicts this call had to compute.
+    /// 1 when this call ran the decision (always, for one-shot
+    /// `RewritePlanner::decide` calls, which run a fresh session), else 0.
     pub memo_misses: u64,
     /// Canonical-model loops (the coNP work) this call actually ran.
     pub canonical_runs: u64,
@@ -162,51 +165,33 @@ impl RewritePlanner {
     }
 
     /// Opens a [`PlanningSession`]: this planner with a long-lived
-    /// oracle. Components answering many queries
+    /// oracle and decision memo. Components answering many queries
     /// (caches, batch planners) should decide through one session so
-    /// containment verdicts are shared.
+    /// repeated `(query, view)` decisions are made once.
     pub fn session(&self) -> PlanningSession {
         PlanningSession::new(self.clone())
     }
 
     /// Decides the rewriting-existence problem for query `p` and view `v`.
     ///
-    /// One-shot convenience: runs a fresh oracle per call. Use
+    /// One-shot convenience: runs a fresh session per call. Use
     /// [`RewritePlanner::session`] to amortize across calls.
     pub fn decide(&self, p: &Pattern, v: &Pattern) -> RewriteAnswer {
         self.decide_with_stats(p, v).0
     }
 
-    /// [`RewritePlanner::decide`] with counters (fresh oracle per call).
+    /// [`RewritePlanner::decide`] with counters (fresh session per call).
     pub fn decide_with_stats(&self, p: &Pattern, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
-        let oracle = ContainmentOracle::new();
-        self.decide_prepared(&QueryContext::new(&oracle, p), v)
+        self.session().decide_with_stats(p, v)
     }
 
     /// The decision procedure for the prepared query `ctx` and view `v`,
-    /// deciding every containment through the context's oracle. A caller
-    /// planning one query against many views prepares once and reuses `ctx`.
-    ///
-    /// The per-call `memo_hits` / `memo_misses` / `canonical_runs` counters
-    /// are derived from oracle-stats snapshots around the call; when other
-    /// threads decide through the same oracle concurrently the delta
-    /// attributes their overlapping work to this call (the counters stay
-    /// exact whenever the oracle is driven from one thread at a time).
-    pub fn decide_prepared(
+    /// deciding every containment through the context's oracle.
+    fn decide_uncached(
         &self,
         ctx: &QueryContext<'_>,
         v: &Pattern,
     ) -> (RewriteAnswer, PlannerStats) {
-        let oracle_before: OracleStats = ctx.oracle.stats();
-        let (answer, mut stats) = self.decide_inner(ctx, v);
-        let delta = ctx.oracle.stats().since(&oracle_before);
-        stats.memo_hits = delta.verdict_memo_hits;
-        stats.memo_misses = delta.verdict_memo_misses;
-        stats.canonical_runs = delta.canonical_runs;
-        (answer, stats)
-    }
-
-    fn decide_inner(&self, ctx: &QueryContext<'_>, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
         let (p, oracle) = (ctx.p, ctx.oracle);
         let mut stats = PlannerStats::default();
         let d = p.depth();
@@ -264,14 +249,15 @@ impl RewritePlanner {
             );
         }
 
-        // Fallback: budgeted Proposition 3.4 search through the session
-        // oracle, which already holds the candidate-phase verdicts.
+        // Fallback: budgeted Proposition 3.4 search, counted in the
+        // session oracle.
         if let Some(cfg) = &self.brute_force {
             stats.brute_forced = true;
             match brute_force_rewrite_with_oracle(p, v, cfg, oracle) {
                 BruteForceOutcome::Found(r, bf_stats) => {
                     stats.candidate_tests.equivalence_tests +=
                         bf_stats.test_stats.equivalence_tests;
+                    stats.canonical_runs += bf_stats.test_stats.canonical_runs;
                     return (
                         RewriteAnswer::Rewriting(Rewriting {
                             pattern: *r,
@@ -293,6 +279,7 @@ impl RewritePlanner {
                     );
                 }
                 BruteForceOutcome::Exhausted(bf_stats) => {
+                    stats.canonical_runs += bf_stats.test_stats.canonical_runs;
                     return (
                         RewriteAnswer::Unknown(UnknownInfo {
                             no_small_rewriting: true,
@@ -302,6 +289,7 @@ impl RewritePlanner {
                     );
                 }
                 BruteForceOutcome::BudgetExceeded(bf_stats) => {
+                    stats.canonical_runs += bf_stats.test_stats.canonical_runs;
                     return (
                         RewriteAnswer::Unknown(UnknownInfo {
                             no_small_rewriting: false,
@@ -320,18 +308,21 @@ impl RewritePlanner {
     }
 }
 
-/// A long-lived planning context: a [`RewritePlanner`] plus the
-/// [`ContainmentOracle`] all its decisions flow through.
+/// A long-lived planning context: a [`RewritePlanner`], the
+/// [`ContainmentOracle`] all its decisions flow through, and a memo of
+/// whole decisions keyed by the query's and the view's interned keys.
 ///
 /// One-shot `RewritePlanner::decide` calls pay the full coNP cost every
-/// time; a session shares interned patterns and containment verdicts
-/// across *all* queries and views it sees, which is what makes repeated
-/// traffic cheap (the `ShardedViewCache` holds one for its entire lifetime).
+/// time; a session decides each `(query, view)` pair once and shares the
+/// decision across *all* later calls, which is what makes repeated
+/// traffic cheap (the `ShardedViewCache` holds one for its entire
+/// lifetime). It keeps decisions, not verdicts: nothing about the
+/// composed `R ∘ V` of a candidate test is kept.
 ///
 /// Like the oracle it wraps, a session is fully shareable: `decide` takes
 /// `&self`, so worker threads answering concurrent traffic plan through one
-/// session and pool all containment work (the `ShardedViewCache` does
-/// exactly this).
+/// session and share its decisions (the `ShardedViewCache` does exactly
+/// this).
 ///
 /// ```
 /// use xpv_core::{RewriteAnswer, RewritePlanner};
@@ -349,12 +340,14 @@ impl RewritePlanner {
 pub struct PlanningSession {
     planner: RewritePlanner,
     oracle: ContainmentOracle,
+    /// Decisions by `(query key, view key)`, both from `oracle`'s interner.
+    decisions: RwLock<HashMap<(PatternKey, PatternKey), RewriteAnswer>>,
 }
 
 impl PlanningSession {
     /// A session wrapping `planner` with a fresh oracle.
     pub fn new(planner: RewritePlanner) -> PlanningSession {
-        PlanningSession { planner, oracle: ContainmentOracle::new() }
+        PlanningSession { planner, oracle: ContainmentOracle::new(), decisions: RwLock::default() }
     }
 
     /// The planner configuration in effect.
@@ -368,18 +361,15 @@ impl PlanningSession {
         &self.oracle
     }
 
-    /// Decides the rewriting-existence problem, sharing all containment
-    /// work with previous calls on this session.
+    /// Decides the rewriting-existence problem, reusing this session's
+    /// decision for a `(p, v)` pair it has decided before.
     pub fn decide(&self, p: &Pattern, v: &Pattern) -> RewriteAnswer {
         self.decide_with_stats(p, v).0
     }
 
-    /// [`PlanningSession::decide`] with per-call counters; `memo_hits` /
-    /// `memo_misses` / `canonical_runs` describe exactly this call's share
-    /// of the oracle's work when the session is driven from a single thread
-    /// (see [`RewritePlanner::decide_prepared`] for the concurrent caveat).
+    /// [`PlanningSession::decide`] with this call's counters.
     pub fn decide_with_stats(&self, p: &Pattern, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
-        self.planner.decide_prepared(&self.prepare(p), v)
+        self.decide_counted(&self.prepare(p), v)
     }
 
     /// Prepares `p` for decisions against many views (one plan miss): what
@@ -388,9 +378,22 @@ impl PlanningSession {
         QueryContext::new(&self.oracle, p)
     }
 
-    /// [`PlanningSession::decide`] for a prepared query.
+    /// [`PlanningSession::decide`] for a query prepared by this session.
     pub fn decide_prepared(&self, ctx: &QueryContext<'_>, v: &Pattern) -> RewriteAnswer {
-        self.planner.decide_prepared(ctx, v).0
+        self.decide_counted(ctx, v).0
+    }
+
+    fn decide_counted(&self, ctx: &QueryContext<'_>, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
+        debug_assert!(std::ptr::eq(ctx.oracle, &self.oracle), "query prepared by another session");
+        let key = (ctx.key, self.oracle.intern(v));
+        if let Some(answer) = self.decisions.read().expect("decision memo poisoned").get(&key) {
+            return (answer.clone(), PlannerStats { memo_hits: 1, ..PlannerStats::default() });
+        }
+        let (answer, mut stats) = self.planner.decide_uncached(ctx, v);
+        stats.memo_misses = 1;
+        stats.canonical_runs += stats.candidate_tests.canonical_runs;
+        self.decisions.write().expect("decision memo poisoned").insert(key, answer.clone());
+        (answer, stats)
     }
 }
 
@@ -579,6 +582,28 @@ mod tests {
         // A different instance still plans fresh (no false sharing).
         let (_, third) = session.decide_with_stats(&pat("a//b//c"), &pat("a//*"));
         assert!(third.memo_misses > 0);
+    }
+
+    #[test]
+    fn a_plan_miss_keeps_nothing_per_candidate() {
+        let session = RewritePlanner::without_fallback().session();
+        let pool = [pat("a[b]/*"), pat("a/*")];
+        // Every pair reaches a candidate test, and no composed R ∘ V is
+        // the query itself.
+        let queries: Vec<Pattern> =
+            ["e", "f", "g"].iter().map(|l| pat(&format!("a[b]//*/{l}[d]"))).collect();
+        // The interner hands out dense keys: a fresh probe's index is the
+        // number of patterns interned before it.
+        let probe = |s: &str| session.oracle().intern(&pat(s)).index();
+        let before = probe("probe/before");
+        for p in &queries {
+            for v in &pool {
+                let (_, stats) = session.decide_with_stats(p, v);
+                assert!(stats.candidate_tests.equivalence_tests > 0, "{p} / {v}");
+            }
+        }
+        let grown = probe("probe/after") - before - 1;
+        assert_eq!(grown, queries.len() + pool.len(), "only the queries and the views are kept");
     }
 
     #[test]

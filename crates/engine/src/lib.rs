@@ -19,8 +19,8 @@
 //!   copy-on-write view pool, and a plan memo partitioned into lock shards
 //!   by query fingerprint; every serving method takes `&self`, so one
 //!   thread or many use the same type. Planning flows through one shared
-//!   [`xpv_core::PlanningSession`] whose containment oracle is itself
-//!   sharded and `&self`-safe, so all threads pool all coNP work. Queries
+//!   [`xpv_core::PlanningSession`], `&self`-safe, whose decision memo
+//!   all threads share, so no `(query, view)` pair is decided twice. Queries
 //!   no single view can answer are routed through **multi-view
 //!   intersections** (`xpv-intersect`, [`Route::Intersect`]): a small view
 //!   subset whose node-set intersection (a word-AND of their stores)

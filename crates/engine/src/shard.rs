@@ -17,9 +17,9 @@
 //!   out — no write lock on the hot path;
 //! * all counters are atomics, aggregated into a [`CacheStats`] snapshot on
 //!   demand;
-//! * planning flows through one shared [`PlanningSession`] (the
-//!   concurrency-safe containment oracle underneath), so every containment
-//!   verdict is pooled across all threads and all shards.
+//! * planning flows through one shared [`PlanningSession`], so every
+//!   `(query, view)` decision is made once across all threads and all
+//!   shards.
 //!
 //! ## Multi-view intersection routes
 //!
@@ -655,7 +655,7 @@ impl ShardedViewCache {
         self.doc_version.load(Ordering::Relaxed)
     }
 
-    /// The shared planning session (oracle stats, interner size).
+    /// The shared planning session (its oracle's stats and interner).
     pub fn session(&self) -> &PlanningSession {
         &self.session
     }
@@ -675,8 +675,8 @@ impl ShardedViewCache {
     /// Publishes the pool of `snap` without entry `drop` and with `add` at
     /// the end under a fresh id: **one** state swap, then one selective memo
     /// sweep (module docs, §Memo lifecycle). The caller holds the write gate
-    /// and took `snap` under it. The oracle's containment verdicts are
-    /// always kept (they depend only on the pattern pair).
+    /// and took `snap` under it. The session's decisions are always kept
+    /// (they depend only on the pattern pair).
     fn publish_pool(
         &self,
         snap: &StateSnapshot,
@@ -1631,6 +1631,30 @@ mod tests {
             Route::ViaView { view, .. } => assert_eq!(view, "items"),
             other => panic!("expected the fresh view to serve, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_replan_after_add_view_decides_only_the_new_pair() {
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("any_items", pat("site/*/item"));
+        let q = pat("site/region/item/name");
+        let asked = || cache.session().oracle().stats().queries;
+        assert_eq!(cache.answer(&q).route, Route::Direct);
+        assert!(asked() > 0, "the first plan decides (q, any_items)");
+
+        // The add invalidates the Direct route; the re-plan asks about
+        // (q, any_items) again and about (q, items) for the first time.
+        let new_view = pat("site/region/item");
+        cache.add_view("items", new_view.clone());
+        let before = asked();
+        let ans = cache.answer(&q);
+        assert!(matches!(ans.route, Route::ViaView { .. }), "{:?}", ans.route);
+        assert_eq!(ans.nodes, cache.answer_direct(&q));
+        // The old pair comes from the decision memo: the re-plan asks the
+        // oracle what a fresh session asks for the new pair alone.
+        let fresh = cache.session().planner().session();
+        fresh.decide(&q, &new_view);
+        assert_eq!(asked() - before, fresh.oracle().stats().queries);
     }
 
     #[test]

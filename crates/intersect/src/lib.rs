@@ -18,8 +18,8 @@
 //!    with `M(t) = ∩ Vi(t)` on every document — `M` is the anchor the
 //!    rewriting is planned against. Subsets whose anchor collapses onto a
 //!    single participant (`Vi ⊑ M`, decided by the shared
-//!    [`xpv_semantics::ContainmentOracle`], hence memoized) are skipped as
-//!    redundant: the single-view planner already covers them.
+//!    [`xpv_semantics::ContainmentOracle`]) are skipped as redundant: the
+//!    single-view planner already covers them.
 //! 3. **Compensation planning**: the single-view decision procedure
 //!    ([`xpv_core::PlanningSession::decide`]) plans `p` against `M`. A
 //!    verified rewriting becomes the [`IntersectAnswer::compensation`].

@@ -3,8 +3,9 @@
 //! The planner enumerates small subsets of a view pool (pairs first, then
 //! triples, …) whose members can merge into an exact intersection pattern,
 //! and plans the query against each merged anchor through the shared
-//! [`PlanningSession`] — so every containment verdict, including the
-//! redundancy pre-check, is memoized across subsets, queries, and threads.
+//! [`PlanningSession`] — so each `(query, anchor)` decision is made once
+//! across searches and threads. The redundancy pre-check is two cheap
+//! containments, decided afresh each time.
 
 use std::fmt;
 
@@ -105,8 +106,8 @@ fn for_each_subset(group: &[usize], arity: usize, visit: &mut impl FnMut(&[usize
 
 /// Selects a small subset of `pool` whose intersection supports an
 /// **equivalent** rewriting of `p`, trying pairs before triples (up to
-/// [`MAX_ARITY`]) under the [`MAX_CANDIDATES`] budget. All containment work
-/// flows through `session`'s oracle, so repeated searches are memoized.
+/// [`MAX_ARITY`]) under the [`MAX_CANDIDATES`] budget. Every decision
+/// against a merged anchor goes through `session`'s decision memo.
 ///
 /// Returns the first answer found (deepest anchors first, then pool order)
 /// together with the per-call search counters. See the crate docs for the
@@ -190,7 +191,7 @@ pub fn plan_intersection_sig(
                     return true;
                 };
                 stats.merges_built += 1;
-                // Redundancy pruning (memoized): M ⊑ Vi holds by
+                // Redundancy pruning: M ⊑ Vi holds by
                 // construction, so Vi ⊑ M means the anchor is just Vi —
                 // single-view territory.
                 let oracle = session.oracle();

@@ -1,8 +1,10 @@
 //! Structural hashing and interning of patterns.
 //!
-//! The containment oracle (`xpv_semantics::ContainmentOracle`) memoizes
-//! verdicts across calls, which requires patterns to act as cheap hashable
-//! keys. Two ingredients provide that:
+//! The serving layers memoize across calls — the engine's plan memo by
+//! query, the planning session's decisions by `(query, view)` — which
+//! requires patterns to act as cheap hashable keys. The containment oracle
+//! (`xpv_semantics::ContainmentOracle`) holds the one interner those keys
+//! come from. Two ingredients provide them:
 //!
 //! * [`Pattern::fingerprint`] — a 64-bit structural hash, **stable under
 //!   sibling reordering** (child hashes are sorted before mixing), that

@@ -5,7 +5,7 @@
 //! * equivalence / weak equivalence are two-sided containments.
 //!
 //! The decision procedure is staged, and spelled out once ([`decide`]; the
-//! free functions here and the memoizing [`crate::ContainmentOracle`] all
+//! free functions here and the counting [`crate::ContainmentOracle`] all
 //! call it):
 //!
 //! 1. **Homomorphism fast path** (PTIME, sound for the full fragment): a
@@ -147,11 +147,8 @@ pub fn weakly_contained_with(p1: &Pattern, p2: &Pattern) -> ContainmentOutcome {
 
 /// `p1 ⊑ p2`.
 ///
-/// One-shot entry point: runs the staged procedure directly, with no
-/// memoization overhead — verdict-identical to asking a fresh
-/// [`crate::ContainmentOracle`] (the oracle runs this same procedure on a
-/// memo miss). Components that decide containment repeatedly should hold a
-/// long-lived oracle instead so verdicts are shared across calls.
+/// Runs the staged procedure directly — what
+/// [`crate::ContainmentOracle::contained`] runs too, without its counters.
 pub fn contained(p1: &Pattern, p2: &Pattern) -> bool {
     decide(p1, p2, false).holds
 }

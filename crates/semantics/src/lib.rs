@@ -17,13 +17,11 @@
 //! * **containment / equivalence**, strong and weak ([`contained`],
 //!   [`equivalent`], [`weakly_contained`], [`weakly_equivalent`]), via the
 //!   staged procedure described in DESIGN.md §3;
-//! * the **memoizing containment oracle** ([`ContainmentOracle`]) — the
-//!   shared decision service every planning layer routes through: patterns
-//!   are interned to structural keys and the full containment verdicts
-//!   are memoized ([`OracleStats`] counts hits, misses, which stage settled
-//!   each miss, and coNP work). The free containment functions run the
-//!   same staged procedure one-shot, so oracle and free-function verdicts
-//!   always agree.
+//! * the **containment oracle** ([`ContainmentOracle`]) — the same staged
+//!   procedure behind counters ([`OracleStats`]: which stage settled each
+//!   question, and the coNP work), plus the pattern interner whose
+//!   structural keys the planning layers' memos use. It memoizes no
+//!   verdict, so oracle and free-function verdicts always agree.
 
 pub mod canonical;
 pub mod contain;
@@ -49,5 +47,5 @@ pub use flat::{
     evaluate_anchored_flat, evaluate_batch_flat, evaluate_flat, BatchEval, RegionScanner,
 };
 pub use hom::{check_homomorphism, find_homomorphism, homomorphism_exists, HomMode};
-pub use oracle::{ContainmentOracle, OracleStats, DEFAULT_ORACLE_SHARDS};
+pub use oracle::{ContainmentOracle, OracleStats};
 pub use reduce::{is_non_redundant, redundant_branches, remove_redundant_branches};

@@ -38,8 +38,8 @@ fn main() {
     assert_eq!(s.plan_memo_misses, 2, "two distinct queries planned once each");
     assert_eq!(s.plan_memo_hits, 4, "four repeats served from the plan memo");
 
-    // The same sharing, one level down: a PlanningSession memoizes the
-    // containment oracle across decide() calls.
+    // The same sharing, one level down: a PlanningSession memoizes whole
+    // decisions across decide() calls.
     let session = RewritePlanner::default().session();
     let p = parse_xpath("a[b]//*/e[d]").unwrap();
     let v = parse_xpath("a[b]/*").unwrap();

@@ -36,17 +36,18 @@
 //!
 //! Every decision in this workspace bottoms out in the coNP canonical-model
 //! containment test (Section 2.2 of the paper). All layers route it through
-//! a shared, memoizing [`ContainmentOracle`](semantics::ContainmentOracle):
-//! patterns are interned to structural keys
+//! a shared [`ContainmentOracle`](semantics::ContainmentOracle), which runs
+//! the staged procedure, counts which stage settled each question and
+//! remembers no verdict. Its interner gives patterns structural keys
 //! ([`PatternInterner`](pattern::PatternInterner), stable under sibling
-//! reordering) and full verdicts are cached.
+//! reordering), which key the memos above it.
 //!
-//! * One-shot calls (`contained(p, q)`, `planner.decide(p, v)`) run the
-//!   staged procedure without a memo — same behavior as before the oracle
-//!   existed, and verdict-identical to a fresh oracle.
+//! * One-shot calls (`contained(p, q)`, `planner.decide(p, v)`) decide
+//!   from scratch every time.
 //! * Repeated traffic goes through a
 //!   [`PlanningSession`](rewrite::PlanningSession)
-//!   (`planner.session()`), which shares every verdict across calls.
+//!   (`planner.session()`), which decides each `(query, view)` pair once
+//!   and shares the decision across calls.
 //! * [`ShardedViewCache`](engine::ShardedViewCache) holds a session for its
 //!   lifetime plus a per-query **plan memo**: the second arrival of a query
 //!   skips planning entirely — zero containment calls — and
@@ -56,10 +57,10 @@
 //!
 //! ## Concurrent serving
 //!
-//! The whole decision path takes `&self`: the oracle shards its memos by
-//! interned-pattern fingerprint, and
-//! [`ShardedViewCache`](engine::ShardedViewCache) shards the plan memo the
-//! same way over a copy-on-write view pool (LRU-bounded, with per-view
+//! The whole decision path takes `&self`: the oracle keeps atomic counters
+//! and a read-mostly interner, the planning session a read-mostly decision
+//! memo, and [`ShardedViewCache`](engine::ShardedViewCache) shards the plan
+//! memo by interned-pattern fingerprint over a copy-on-write view pool (LRU-bounded, with per-view
 //! dependency invalidation on `add_view`). It is the only cache type:
 //! worker threads answer concurrently through one cache, with the answers
 //! one thread would get. The one server type,

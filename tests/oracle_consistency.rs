@@ -1,10 +1,9 @@
-//! The containment oracle's contract: memoization never changes a verdict.
-//!
-//! A shared, long-lived [`ContainmentOracle`] (the thing `PlanningSession`
-//! and `ShardedViewCache` hold) must answer exactly like a fresh oracle per call —
-//! which in turn is what the free functions `contained` / `weakly_contained`
-//! run. The property is exercised over hundreds of generated pattern pairs,
-//! asked twice each so the second round is answered from the memo.
+//! What sharing never changes: a long-lived [`ContainmentOracle`] (the thing
+//! `PlanningSession` and `ShardedViewCache` hold) answers exactly like the
+//! free functions `contained` / `equivalent`, and a session's decision memo
+//! answers a repeated `(P, V)` exactly like its first decision and like a
+//! one-shot planner. Exercised over hundreds of generated pattern pairs,
+//! each asked twice.
 
 use xpath_views::prelude::*;
 use xpath_views::rewrite::{RewriteAnswer, RewritePlanner};
@@ -42,43 +41,37 @@ fn pattern_pairs() -> Vec<(Pattern, Pattern)> {
 }
 
 #[test]
-fn memoized_verdicts_equal_fresh_oracle_verdicts() {
+fn a_shared_oracle_agrees_with_the_free_functions() {
     let pairs = pattern_pairs();
     let shared = ContainmentOracle::new();
 
-    // Round 1: populate the shared oracle; every verdict must match a fresh
-    // oracle (== the free functions).
-    let mut expected = Vec::with_capacity(pairs.len());
-    for (p, q) in &pairs {
-        let fresh_strong = contained(p, q);
-        let fresh_weak = weakly_contained(p, q);
-        assert_eq!(shared.contained(p, q), fresh_strong, "shared oracle diverged on {p} ⊑ {q}");
-        assert_eq!(
-            shared.weakly_contained(p, q),
-            fresh_weak,
-            "shared oracle diverged on {p} ⊑w {q}"
-        );
-        expected.push((fresh_strong, fresh_weak));
-    }
-
-    // Round 2: every answer now comes from the memo and must be unchanged.
-    let hits_before = shared.stats().verdict_memo_hits;
-    let runs_before = shared.stats().canonical_runs;
-    for ((p, q), (strong, weak)) in pairs.iter().zip(&expected) {
-        assert_eq!(shared.contained(p, q), *strong, "memoized verdict flipped: {p} ⊑ {q}");
-        assert_eq!(
-            shared.weakly_contained(p, q),
-            *weak,
-            "memoized weak verdict flipped: {p} ⊑w {q}"
-        );
-    }
+    // Each round asks every pair both ways through the shared oracle; every
+    // verdict must match the free function's.
+    let round = || {
+        for (p, q) in &pairs {
+            assert_eq!(
+                shared.contained(p, q),
+                contained(p, q),
+                "shared oracle diverged on {p} ⊑ {q}"
+            );
+            assert_eq!(
+                shared.contained(q, p),
+                contained(q, p),
+                "shared oracle diverged on {q} ⊑ {p}"
+            );
+        }
+    };
+    round();
+    let first = shared.stats();
+    assert_eq!(first.queries, 2 * pairs.len() as u64);
+    // Nothing is remembered: the second round does the first round's work
+    // again, stage for stage.
+    round();
     let s = shared.stats();
-    assert_eq!(
-        s.verdict_memo_hits - hits_before,
-        2 * pairs.len() as u64,
-        "round 2 must be answered entirely from the memo"
-    );
-    assert_eq!(s.canonical_runs, runs_before, "round 2 must run zero coNP loops");
+    assert_eq!(s.queries, 2 * first.queries);
+    assert_eq!(s.canonical_runs, 2 * first.canonical_runs);
+    assert_eq!(s.models_checked, 2 * first.models_checked);
+    assert!(first.canonical_runs > 0, "some pair needs the coNP loop: {first}");
 }
 
 #[test]
@@ -87,10 +80,18 @@ fn session_planner_agrees_with_one_shot_planner_on_generated_instances() {
     let mut g = PatternGen::new(cfg, 0xBEEFCAFE);
     let planner = RewritePlanner::without_fallback();
     let session = planner.session();
+    let verdict =
+        |a: &RewriteAnswer| (std::mem::discriminant(a), a.rewriting().map(|r| r.canonical_key()));
     for _ in 0..60 {
         let (p, v) = g.instance();
         let one_shot = planner.decide(&p, &v);
         let shared = session.decide(&p, &v);
+        // Asked again, the pair comes from the session's decision memo:
+        // the same answer, and no containment work.
+        let (again, stats) = session.decide_with_stats(&p, &v);
+        assert_eq!(verdict(&again), verdict(&shared), "memoized decision changed for P={p}, V={v}");
+        assert_eq!((stats.memo_hits, stats.memo_misses), (1, 0), "P={p}, V={v}");
+        assert_eq!(stats.canonical_runs, 0, "P={p}, V={v}");
         match (&one_shot, &shared) {
             (RewriteAnswer::Rewriting(a), RewriteAnswer::Rewriting(b)) => {
                 assert_eq!(
@@ -104,6 +105,45 @@ fn session_planner_agrees_with_one_shot_planner_on_generated_instances() {
             other => panic!("verdict kind diverged for P={p}, V={v}: {other:?}"),
         }
     }
+}
+
+#[test]
+fn per_call_planner_counters_are_exact_under_concurrent_callers() {
+    // Four callers share one session, each deciding its own instances;
+    // every call's counters must be what that decision costs alone, never
+    // another caller's overlapping work.
+    let planner = RewritePlanner::without_fallback();
+    let session = planner.session();
+    let cfg = PatternGenConfig { depth: (1, 3), max_branch_size: 2, ..PatternGenConfig::default() };
+    let work: Vec<Vec<(Pattern, Pattern)>> = (0..4u64)
+        .map(|t| {
+            let mut g = PatternGen::new(cfg.clone(), 0xC0FFEE + t);
+            (0..40).map(|_| g.instance()).collect()
+        })
+        .collect();
+    let cost = |s: &xpath_views::rewrite::PlannerStats| {
+        (s.canonical_runs, s.candidate_tests.models_checked, s.candidate_tests.equivalence_tests)
+    };
+    let barrier = std::sync::Barrier::new(work.len());
+    std::thread::scope(|scope| {
+        for instances in &work {
+            let (session, planner, barrier) = (&session, &planner, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for (p, v) in instances {
+                    let (_, shared) = session.decide_with_stats(p, v);
+                    if shared.memo_hits == 1 {
+                        // Another caller decided the same pair first.
+                        assert_eq!(cost(&shared), (0, 0, 0), "P={p}, V={v}");
+                    } else {
+                        let (_, alone) = planner.decide_with_stats(p, v);
+                        assert_eq!(cost(&shared), cost(&alone), "P={p}, V={v}");
+                    }
+                }
+            });
+        }
+    });
+    assert!(session.oracle().stats().canonical_runs > 0, "some instance runs the coNP loop");
 }
 
 #[test]
