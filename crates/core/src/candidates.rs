@@ -104,17 +104,7 @@ pub struct QueryContext<'a> {
 impl<'a> QueryContext<'a> {
     /// Prepares `p` for decisions through `oracle`.
     pub fn new(oracle: &'a ContainmentOracle, p: &'a Pattern) -> QueryContext<'a> {
-        Self::interned(oracle, p, oracle.intern(p))
-    }
-
-    /// [`QueryContext::new`] for a caller that already holds `p`'s key
-    /// **from `oracle`'s interner**.
-    pub fn interned(
-        oracle: &'a ContainmentOracle,
-        p: &'a Pattern,
-        key: PatternKey,
-    ) -> QueryContext<'a> {
-        debug_assert_eq!(oracle.intern(p), key, "key must be the query's own");
+        let key = oracle.intern(p);
         QueryContext { oracle, p, key, candidates: vec![OnceCell::new(); p.depth() + 1] }
     }
 

@@ -40,5 +40,5 @@ pub use multiview::{
 };
 pub use planner::{
     Method, NoRewriteReason, PlannerStats, PlanningSession, RewriteAnswer, RewritePlanner,
-    Rewriting, UnknownInfo,
+    Rewriting, UnknownInfo, DECISION_MEMO_MAX_BYTES, DECISION_MEMO_MAX_ENTRIES,
 };

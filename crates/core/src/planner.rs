@@ -19,10 +19,9 @@
 //!    answer the paper's open question 2 negatively and is surfaced loudly in
 //!    the certificate.
 
-use std::collections::HashMap;
 use std::sync::RwLock;
 
-use xpv_pattern::{NodeTest, Pattern, PatternKey};
+use xpv_pattern::{BoundedMap, Held, NodeTest, Pattern, PatternKey};
 use xpv_semantics::ContainmentOracle;
 
 use crate::brute::{
@@ -142,6 +141,14 @@ pub struct PlannerStats {
 
 /// Reduction-chain fuel for the condition search (Section 5 reductions).
 const CONDITION_FUEL: usize = 3;
+
+/// The most decisions a [`PlanningSession`] holds, both generations
+/// together.
+pub const DECISION_MEMO_MAX_ENTRIES: usize = 16384;
+
+/// The most bytes a [`PlanningSession`]'s decisions hold, both generations
+/// together: each entry's map slot and its rewriting's nodes.
+pub const DECISION_MEMO_MAX_BYTES: usize = 2 << 20;
 
 /// The decision procedure. Its one setting is whether it falls back to the
 /// budgeted brute force when no condition settles an instance.
@@ -324,6 +331,10 @@ impl RewritePlanner {
 /// session and share its decisions (the `ShardedViewCache` does exactly
 /// this).
 ///
+/// The memo is bounded: at most [`DECISION_MEMO_MAX_ENTRIES`] decisions
+/// holding at most [`DECISION_MEMO_MAX_BYTES`] bytes, in two generations
+/// ([`BoundedMap`]). A forgotten decision is made again on its next ask.
+///
 /// ```
 /// use xpv_core::{RewriteAnswer, RewritePlanner};
 /// use xpv_pattern::parse_xpath;
@@ -341,8 +352,15 @@ pub struct PlanningSession {
     planner: RewritePlanner,
     oracle: ContainmentOracle,
     /// Decisions by `(query key, view key)`, both from `oracle`'s interner.
-    decisions: RwLock<HashMap<(PatternKey, PatternKey), RewriteAnswer>>,
+    decisions: RwLock<Decisions>,
 }
+
+type Decisions = BoundedMap<
+    (PatternKey, PatternKey),
+    RewriteAnswer,
+    DECISION_MEMO_MAX_ENTRIES,
+    DECISION_MEMO_MAX_BYTES,
+>;
 
 impl PlanningSession {
     /// A session wrapping `planner` with a fresh oracle.
@@ -359,6 +377,11 @@ impl PlanningSession {
     /// `&self` on the oracle itself).
     pub fn oracle(&self) -> &ContainmentOracle {
         &self.oracle
+    }
+
+    /// Decisions and bytes the decision memo holds.
+    pub fn decisions(&self) -> Held {
+        self.decisions.read().expect("decision memo poisoned").held()
     }
 
     /// Decides the rewriting-existence problem, reusing this session's
@@ -386,13 +409,18 @@ impl PlanningSession {
     fn decide_counted(&self, ctx: &QueryContext<'_>, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
         debug_assert!(std::ptr::eq(ctx.oracle, &self.oracle), "query prepared by another session");
         let key = (ctx.key, self.oracle.intern(v));
-        if let Some(answer) = self.decisions.read().expect("decision memo poisoned").get(&key) {
-            return (answer.clone(), PlannerStats { memo_hits: 1, ..PlannerStats::default() });
+        let memo = &self.decisions;
+        let memoized = memo.read().expect("decision memo poisoned").get_current(&key).cloned();
+        let memoized =
+            memoized.or_else(|| memo.write().expect("decision memo poisoned").get(&key).cloned());
+        if let Some(answer) = memoized {
+            return (answer, PlannerStats { memo_hits: 1, ..PlannerStats::default() });
         }
         let (answer, mut stats) = self.planner.decide_uncached(ctx, v);
         stats.memo_misses = 1;
         stats.canonical_runs += stats.candidate_tests.canonical_runs;
-        self.decisions.write().expect("decision memo poisoned").insert(key, answer.clone());
+        let heap = answer.rewriting().map_or(0, Pattern::heap_bytes);
+        memo.write().expect("decision memo poisoned").insert(key, answer.clone(), heap);
         (answer, stats)
     }
 }
@@ -592,17 +620,15 @@ mod tests {
         // the query itself.
         let queries: Vec<Pattern> =
             ["e", "f", "g"].iter().map(|l| pat(&format!("a[b]//*/{l}[d]"))).collect();
-        // The interner hands out dense keys: a fresh probe's index is the
-        // number of patterns interned before it.
-        let probe = |s: &str| session.oracle().intern(&pat(s)).index();
-        let before = probe("probe/before");
+        let held = || session.oracle().interned().entries;
+        let before = held();
         for p in &queries {
             for v in &pool {
                 let (_, stats) = session.decide_with_stats(p, v);
                 assert!(stats.candidate_tests.equivalence_tests > 0, "{p} / {v}");
             }
         }
-        let grown = probe("probe/after") - before - 1;
+        let grown = held() - before;
         assert_eq!(grown, queries.len() + pool.len(), "only the queries and the views are kept");
     }
 

@@ -890,7 +890,7 @@ mod tests {
     }
 
     fn server(workers: usize) -> AsyncCacheServer {
-        let cache = ShardedViewCache::new(doc()).with_shards(4);
+        let cache = ShardedViewCache::new(doc());
         cache.add_view("items", pat("site/region/item"));
         AsyncCacheServer::start(Arc::new(cache), workers)
     }
@@ -1075,7 +1075,7 @@ mod tests {
 
     /// A long-interval watchdog: never ticks on its own during the test.
     fn obs_server() -> AsyncCacheServer {
-        let cache = ShardedViewCache::new(doc()).with_shards(4);
+        let cache = ShardedViewCache::new(doc());
         cache.add_view("items", pat("site/region/item"));
         AsyncCacheServer::start_with_obs(
             Arc::new(cache),

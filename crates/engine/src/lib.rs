@@ -16,16 +16,20 @@
 //! The serving path is built for shared-state concurrency, in two layers:
 //!
 //! * [`ShardedViewCache`] (**[`shard`]**) — the engine. One document, a
-//!   copy-on-write view pool, and a plan memo partitioned into lock shards
-//!   by query fingerprint; every serving method takes `&self`, so one
-//!   thread or many use the same type. Planning flows through one shared
+//!   copy-on-write view pool, and a plan memo behind one lock; every
+//!   serving method takes `&self`, so one thread or many use the same
+//!   type. Planning flows through one shared
 //!   [`xpv_core::PlanningSession`], `&self`-safe, whose decision memo
 //!   all threads share, so no `(query, view)` pair is decided twice. Queries
 //!   no single view can answer are routed through **multi-view
 //!   intersections** (`xpv-intersect`, [`Route::Intersect`]): a small view
 //!   subset whose node-set intersection (a word-AND of their stores)
-//!   supports a verified compensation serves them jointly. The memo is LRU-bounded
-//!   ([`ShardedViewCache::with_memo_cap`]); `add_view` invalidates only the
+//!   supports a verified compensation serves them jointly. The plan memo,
+//!   the session's decision memo and the oracle's interner are each bounded
+//!   by constants, two generations apiece ([`PLAN_MEMO_MAX_ENTRIES`],
+//!   [`xpv_core::DECISION_MEMO_MAX_ENTRIES`],
+//!   [`xpv_pattern::INTERNER_MAX_ENTRIES`]), so a stream of distinct
+//!   queries costs bounded memory; `add_view` invalidates only the
 //!   entries whose plan depends on the grown pool, `remove_view` /
 //!   `replace_view` only those whose participants the removal touches, and
 //!   `apply_edits` none (a route is a fact about patterns, not data) —
@@ -73,7 +77,7 @@ pub use aserve::{
 pub use obs::{metrics_from_wire, wire_alerts, wire_metrics, wire_traces};
 pub use shard::{
     CacheAnswer, CacheAnswerRef, CacheStats, Route, ShardedViewCache, UpdateReport, ViewId,
-    DEFAULT_CACHE_SHARDS,
+    PLAN_MEMO_MAX_BYTES, PLAN_MEMO_MAX_ENTRIES,
 };
 pub use tenants::TenantStats;
 pub use view::{answer_value_set, MaterializedView};

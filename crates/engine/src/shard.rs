@@ -1,4 +1,4 @@
-//! The sharded, concurrent core of the view cache.
+//! The concurrent core of the view cache.
 //!
 //! [`ShardedViewCache`] is the engine: one cache type, shared by any
 //! number of threads (the [`AsyncCacheServer`](crate::AsyncCacheServer)
@@ -11,15 +11,13 @@
 //!   *pointers* and re-allocate only the views whose answer set changed, so
 //!   a pool or document mutation costs what it touches, not pool ×
 //!   document;
-//! * the **plan memo** is partitioned into `N` lock shards keyed by the
-//!   query's structural fingerprint; a repeated query takes a shared read
-//!   lock on its shard, bumps an atomic recency tick, and clones its route
-//!   out — no write lock on the hot path;
-//! * all counters are atomics, aggregated into a [`CacheStats`] snapshot on
+//! * the **plan memo** is one bounded table behind one `RwLock`, keyed by
+//!   the query's interned key; a repeated query takes the shared read lock
+//!   and clones its route out — no write lock on the hot path;
+//! * all counters are atomics, read into a [`CacheStats`] snapshot on
 //!   demand;
 //! * planning flows through one shared [`PlanningSession`], so every
-//!   `(query, view)` decision is made once across all threads and all
-//!   shards.
+//!   `(query, view)` decision is made once across all threads.
 //!
 //! ## Multi-view intersection routes
 //!
@@ -45,8 +43,17 @@
 //!
 //! ## Memo lifecycle
 //!
-//! The memo is **bounded** (per-shard LRU over a total entry cap,
-//! [`ShardedViewCache::with_memo_cap`]). A memoized route is a fact about
+//! The memo is **bounded**: at most [`PLAN_MEMO_MAX_ENTRIES`] routes of at
+//! most [`PLAN_MEMO_MAX_BYTES`] bytes, in two generations
+//! ([`xpv_pattern::BoundedMap`]). A route served from the older generation
+//! moves back into the current one; the older generation is dropped whole
+//! when the current one fills ([`CacheStats::plan_memo_evictions`] counts
+//! the routes it held). The planning session's decision memo and the
+//! oracle's interner are bounded the same way, each by its own constants,
+//! and none of the three pins an entry of another: a query the interner
+//! forgot comes back under a fresh key, misses here and is planned again.
+//!
+//! A memoized route is a fact about
 //! *patterns* — `R ∘ V ≡ P` holds on every document — so only a change of
 //! the pool's membership can invalidate it. Each entry records the stable
 //! [`ViewId`]s its plan depends on ([`PlanDep`]), and:
@@ -61,11 +68,12 @@
 //!   participants' *current* node sets from the snapshot it runs on.
 
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use xpv_core::{PlanningSession, QueryContext, RewriteAnswer, RewritePlanner};
+use xpv_core::{PlanningSession, RewriteAnswer, RewritePlanner};
 use xpv_intersect::plan_intersection_sig;
 use xpv_maintain::{
     apply_region_results, coalesce_plan, prepare_batch, scan_regions_flat, Edit, EditError,
@@ -73,13 +81,17 @@ use xpv_maintain::{
 };
 use xpv_model::{AnswerArena, AnswerRef, BitSet, FlatTree, NodeId, Tree};
 use xpv_obs::{Heartbeat, Histogram, MetricsSnapshot, Phase, Registry, Span};
-use xpv_pattern::{Pattern, PatternKey, QuerySignature, ViewSignature};
+use xpv_pattern::{BoundedMap, Held, Pattern, PatternKey, QuerySignature, ViewSignature};
 use xpv_semantics::{evaluate, evaluate_flat, BatchEval};
 
 use crate::view::MaterializedView;
 
-/// Default number of plan-memo lock shards.
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
+/// The most routes the plan memo holds, both generations together.
+pub const PLAN_MEMO_MAX_ENTRIES: usize = 2048;
+
+/// The most bytes the plan memo's routes hold, both generations together:
+/// each entry's map slot, its planned route and the strings it reports.
+pub const PLAN_MEMO_MAX_BYTES: usize = 2 << 20;
 
 /// A **stable** view identity: survives pool growth and shrinkage (unlike a
 /// pool index), which is what lets plan-memo routes name their participants
@@ -265,7 +277,8 @@ pub struct CacheStats {
     /// Repeats answered by fan-out inside a single `answer_batch` call
     /// (also counted in `plan_memo_hits`).
     pub batch_dedup_hits: u64,
-    /// Plan-memo entries evicted by the LRU bound.
+    /// Plan-memo entries dropped along with an older generation (the
+    /// memo's bound; see the module docs, §Memo lifecycle).
     pub plan_memo_evictions: u64,
     /// Plan-memo entries dropped by selective `add_view` / `remove_view`
     /// invalidation.
@@ -387,14 +400,51 @@ impl Planned {
 struct MemoEntry {
     planned: Arc<Planned>,
     dep: PlanDep,
-    /// Recency tick for LRU eviction; atomic so read-locked memo hits can
-    /// refresh it.
-    last_used: AtomicU64,
 }
 
-/// Per-shard atomic counters (aggregated into [`CacheStats`]).
+impl MemoEntry {
+    /// What the entry holds beyond its map slot, counted against
+    /// [`PLAN_MEMO_MAX_BYTES`]: the planned and reported route, the route's
+    /// pattern and text, and per participant its id, hint, dependency and
+    /// name.
+    fn heap(&self) -> usize {
+        let (pattern, parts) = match &self.planned.route {
+            PlannedRoute::ViaView { rewriting, .. } => (rewriting.heap_bytes(), 1),
+            PlannedRoute::Intersect { ids, compensation, .. } => {
+                (compensation.heap_bytes(), ids.len())
+            }
+            PlannedRoute::Direct => (0, 0),
+        };
+        let text = match &*self.planned.display {
+            Route::ViaView { view, rewriting } => view.len() + rewriting.len(),
+            Route::Intersect { views, compensation } => {
+                views.iter().map(String::len).sum::<usize>() + compensation.len()
+            }
+            Route::Direct => 0,
+        };
+        size_of::<(Planned, Route)>()
+            + pattern
+            + text
+            + parts * (3 * size_of::<u64>() + size_of::<String>())
+    }
+}
+
+/// The plan memo and the win index, behind one lock.
 #[derive(Debug, Default)]
-struct ShardStats {
+struct PlanMemo {
+    routes: BoundedMap<PatternKey, MemoEntry, PLAN_MEMO_MAX_ENTRIES, PLAN_MEMO_MAX_BYTES>,
+    /// Plan-time win counts per view (how often a memoized plan chose the
+    /// view): the hit-rate-ordered index the miss path sorts filter
+    /// survivors by, so the common winner pays the first containment
+    /// decision. Keyed by stable id and dropped with its view, so it holds
+    /// at most one entry per pooled view and pool churn never
+    /// misattributes a win.
+    wins: HashMap<ViewId, u64>,
+}
+
+/// The cache's atomic counters (read into [`CacheStats`]).
+#[derive(Debug, Default)]
+struct Counters {
     queries: AtomicU64,
     view_hits: AtomicU64,
     intersect_hits: AtomicU64,
@@ -402,25 +452,12 @@ struct ShardStats {
     plan_memo_hits: AtomicU64,
     plan_memo_misses: AtomicU64,
     batch_dedup_hits: AtomicU64,
-    plan_memo_evictions: AtomicU64,
     plan_memo_invalidations: AtomicU64,
     intersect_routes: AtomicU64,
     intersect_candidates_tried: AtomicU64,
     intersect_participants: AtomicU64,
     sig_rejects: AtomicU64,
     sig_passes: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct CacheShard {
-    memo: RwLock<HashMap<PatternKey, MemoEntry>>,
-    stats: ShardStats,
-    /// Plan-time win counts per view (how often a plan on this shard
-    /// chose the view): the hit-rate-ordered index the miss path sorts
-    /// filter survivors by, so the common winner pays the first
-    /// containment decision. Keyed by stable id — pool churn never
-    /// misattributes a win.
-    wins: std::sync::Mutex<HashMap<ViewId, u64>>,
 }
 
 #[inline]
@@ -492,7 +529,9 @@ impl CacheObs {
 /// A set of materialized views over a single document with **concurrent**
 /// rewriting-based query answering: the serving methods take `&self`, so
 /// any number of worker threads can answer through one shared cache (see
-/// the module docs for the sharding and invalidation design).
+/// the module docs for the memo and invalidation design). The plan memo is
+/// no longer sharded; the name is kept because the benchmark and the
+/// server name the type.
 ///
 /// Results are deterministic: under any thread schedule the cache returns
 /// exactly the nodes and routes one thread gets for the same document,
@@ -509,19 +548,12 @@ pub struct ShardedViewCache {
     /// work.
     write_gate: std::sync::Mutex<()>,
     session: PlanningSession,
-    shards: Box<[CacheShard]>,
-    /// Total memo entry bound (`usize::MAX` = unbounded).
-    memo_cap: usize,
-    /// Live total of memo entries across shards; every map mutation updates
-    /// it under the owning shard's write lock, so the [`memo_cap`] bound is
-    /// enforced globally, not per shard.
-    memo_entries: AtomicU64,
+    memo: RwLock<PlanMemo>,
+    counters: Counters,
     /// Bumped by every pool mutation (after the state swap, before the
     /// invalidation sweep); guards in-flight plans from memoizing a route
     /// computed against the previous pool after the sweep already ran.
     views_version: AtomicU64,
-    /// Global recency clock for LRU eviction.
-    tick: AtomicU64,
     /// Allocator for stable [`ViewId`]s (never reused).
     next_view_id: AtomicU64,
     /// Bumped by every successful [`ShardedViewCache::apply_edits`] batch.
@@ -544,8 +576,7 @@ pub struct ShardedViewCache {
 }
 
 impl ShardedViewCache {
-    /// Creates an empty cache over `doc` with the default shard count and
-    /// an unbounded memo.
+    /// Creates an empty cache over `doc`.
     ///
     /// Plans with [`RewritePlanner::without_fallback`] — gates, natural
     /// candidates and the §4–5 conditions. A pair those leave `Unknown`
@@ -564,11 +595,9 @@ impl ShardedViewCache {
             }),
             write_gate: std::sync::Mutex::new(()),
             session: PlanningSession::new(RewritePlanner::without_fallback()),
-            shards: (0..DEFAULT_CACHE_SHARDS).map(|_| CacheShard::default()).collect(),
-            memo_cap: usize::MAX,
-            memo_entries: AtomicU64::new(0),
+            memo: RwLock::default(),
+            counters: Counters::default(),
             views_version: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
             next_view_id: AtomicU64::new(0),
             doc_version: AtomicU64::new(0),
             maintain_totals: std::sync::Mutex::new(MaintainStats::default()),
@@ -579,53 +608,9 @@ impl ShardedViewCache {
         }
     }
 
-    /// Sets the plan-memo shard count (builder style, rounded up to a power
-    /// of two, minimum 1). Call before sharing the cache across threads.
-    pub fn with_shards(mut self, shards: usize) -> ShardedViewCache {
-        let n = shards.max(1).next_power_of_two();
-        self.shards = (0..n).map(|_| CacheShard::default()).collect();
-        self
-    }
-
-    /// Bounds the plan memo to at most `cap` entries in total (builder
-    /// style; `0` means unbounded). The bound is **global** across shards
-    /// — a live atomic entry count gates every insert — with
-    /// least-recently-used eviction inside the inserting shard, so a
-    /// long-running cache serving an unbounded query universe keeps a
-    /// working set instead of growing forever. A full memo whose inserting
-    /// shard happens to be empty skips memoizing that route rather than
-    /// exceed the bound.
-    pub fn with_memo_cap(mut self, cap: usize) -> ShardedViewCache {
-        self.memo_cap = if cap == 0 { usize::MAX } else { cap };
-        self
-    }
-
-    /// Number of plan-memo shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total plan-memo entries currently held across all shards.
-    pub fn plan_memo_len(&self) -> usize {
-        self.shards.iter().map(|s| s.memo.read().expect("plan memo poisoned").len()).sum()
-    }
-
-    /// The total memo entry bound (`usize::MAX` when unbounded).
-    pub fn memo_cap(&self) -> usize {
-        self.memo_cap
-    }
-
-    /// Drops every memo entry whose [`PlanDep`] matches `stale`, updating
-    /// the live entry count and the invalidation counters.
-    fn sweep_memo(&self, stale: impl Fn(&PlanDep) -> bool) {
-        for shard in self.shards.iter() {
-            let mut memo = shard.memo.write().expect("plan memo poisoned");
-            let before = memo.len();
-            memo.retain(|_, entry| !stale(&entry.dep));
-            let dropped = (before - memo.len()) as u64;
-            self.memo_entries.fetch_sub(dropped, Ordering::Relaxed);
-            shard.stats.plan_memo_invalidations.fetch_add(dropped, Ordering::Relaxed);
-        }
+    /// Routes and bytes the plan memo holds.
+    pub fn plan_memo(&self) -> Held {
+        self.memo.read().expect("plan memo poisoned").routes.held()
     }
 
     /// Takes the state read lock, counting a
@@ -674,7 +659,8 @@ impl ShardedViewCache {
 
     /// Publishes the pool of `snap` without entry `drop` and with `add` at
     /// the end under a fresh id: **one** state swap, then one selective memo
-    /// sweep (module docs, §Memo lifecycle). The caller holds the write gate
+    /// sweep (module docs, §Memo lifecycle) that also drops the removed
+    /// view's win count. The caller holds the write gate
     /// and took `snap` under it. The session's decisions are always kept
     /// (they depend only on the pattern pair).
     fn publish_pool(
@@ -706,11 +692,16 @@ impl ShardedViewCache {
         // (and is caught by it) — stale routes never outlive this call.
         self.views_version.fetch_add(1, Ordering::Release);
         let dropped = drop.map(|i| snap.ids[i]);
-        self.sweep_memo(|dep| match dep {
-            PlanDep::Chosen(id) => Some(*id) == dropped,
-            PlanDep::NoUsableView => added,
-            PlanDep::Intersect(parts) => added || dropped.is_some_and(|id| parts.contains(&id)),
+        let mut memo = self.memo.write().expect("plan memo poisoned");
+        let stale = memo.routes.retain(|_, entry| match &entry.dep {
+            PlanDep::Chosen(id) => Some(*id) != dropped,
+            PlanDep::NoUsableView => !added,
+            PlanDep::Intersect(parts) => !(added || dropped.is_some_and(|id| parts.contains(&id))),
         });
+        self.counters.plan_memo_invalidations.fetch_add(stale as u64, Ordering::Relaxed);
+        if let Some(id) = dropped {
+            memo.wins.remove(&id);
+        }
     }
 
     /// Materializes `def` over the document and registers it under `name`.
@@ -924,32 +915,30 @@ impl ShardedViewCache {
         })
     }
 
-    /// Lifetime statistics, aggregated across shards. The containment
-    /// oracle keeps its own: `session().oracle().stats()`.
+    /// Lifetime statistics. The containment oracle keeps its own:
+    /// `session().oracle().stats()`.
     pub fn stats(&self) -> CacheStats {
-        let mut s = CacheStats::default();
-        for shard in self.shards.iter() {
-            s.queries += shard.stats.queries.load(Ordering::Relaxed);
-            s.view_hits += shard.stats.view_hits.load(Ordering::Relaxed);
-            s.intersect_hits += shard.stats.intersect_hits.load(Ordering::Relaxed);
-            s.direct += shard.stats.direct.load(Ordering::Relaxed);
-            s.plan_memo_hits += shard.stats.plan_memo_hits.load(Ordering::Relaxed);
-            s.plan_memo_misses += shard.stats.plan_memo_misses.load(Ordering::Relaxed);
-            s.batch_dedup_hits += shard.stats.batch_dedup_hits.load(Ordering::Relaxed);
-            s.plan_memo_evictions += shard.stats.plan_memo_evictions.load(Ordering::Relaxed);
-            s.plan_memo_invalidations +=
-                shard.stats.plan_memo_invalidations.load(Ordering::Relaxed);
-            s.intersect_routes += shard.stats.intersect_routes.load(Ordering::Relaxed);
-            s.intersect_candidates_tried +=
-                shard.stats.intersect_candidates_tried.load(Ordering::Relaxed);
-            s.intersect_participants += shard.stats.intersect_participants.load(Ordering::Relaxed);
-            s.sig_rejects += shard.stats.sig_rejects.load(Ordering::Relaxed);
-            s.sig_passes += shard.stats.sig_passes.load(Ordering::Relaxed);
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let c = &self.counters;
+        CacheStats {
+            queries: load(&c.queries),
+            view_hits: load(&c.view_hits),
+            intersect_hits: load(&c.intersect_hits),
+            direct: load(&c.direct),
+            intersect_routes: load(&c.intersect_routes),
+            intersect_candidates_tried: load(&c.intersect_candidates_tried),
+            intersect_participants: load(&c.intersect_participants),
+            sig_rejects: load(&c.sig_rejects),
+            sig_passes: load(&c.sig_passes),
+            plan_memo_hits: load(&c.plan_memo_hits),
+            plan_memo_misses: load(&c.plan_memo_misses),
+            batch_dedup_hits: load(&c.batch_dedup_hits),
+            plan_memo_evictions: self.memo.read().expect("plan memo poisoned").routes.evicted(),
+            plan_memo_invalidations: load(&c.plan_memo_invalidations),
+            updates_applied: load(&self.updates_applied),
+            snapshot_read_stalls: load(&self.snapshot_read_stalls),
+            maintain: *self.maintain_totals.lock().expect("maintain totals poisoned"),
         }
-        s.updates_applied = self.updates_applied.load(Ordering::Relaxed);
-        s.snapshot_read_stalls = self.snapshot_read_stalls.load(Ordering::Relaxed);
-        s.maintain = *self.maintain_totals.lock().expect("maintain totals poisoned");
-        s
     }
 
     /// The cache's metric [`Registry`] (latency histograms live here).
@@ -995,22 +984,22 @@ impl ShardedViewCache {
         snap
     }
 
-    #[inline]
-    fn shard_for(&self, fingerprint: u64) -> &CacheShard {
-        &self.shards[(fingerprint as usize) & (self.shards.len() - 1)]
-    }
-
-    /// Picks the route for `query` (already interned to `key` / `fp`),
-    /// consulting (and feeding) this shard's plan memo. Returns the route
-    /// plus the shard that accounted the lookup.
-    fn route_for(&self, query: &Pattern, key: PatternKey, fp: u64) -> (Arc<Planned>, &CacheShard) {
-        let shard = self.shard_for(fp);
-        if let Some(entry) = shard.memo.read().expect("plan memo poisoned").get(&key) {
-            entry.last_used.store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-            bump(&shard.stats.plan_memo_hits);
-            return (Arc::clone(&entry.planned), shard);
+    /// Picks the route for `query` (already interned to `key`), consulting
+    /// (and feeding) the plan memo.
+    fn route_for(&self, query: &Pattern, key: PatternKey) -> Arc<Planned> {
+        // A hit in the current generation takes the read lock only; one in
+        // the older generation takes the write lock once, to move it back.
+        let shared = |entry: &MemoEntry| Arc::clone(&entry.planned);
+        let memoized =
+            self.memo.read().expect("plan memo poisoned").routes.get_current(&key).map(shared);
+        let memoized = memoized.or_else(|| {
+            self.memo.write().expect("plan memo poisoned").routes.get(&key).map(shared)
+        });
+        if let Some(planned) = memoized {
+            bump(&self.counters.plan_memo_hits);
+            return planned;
         }
-        bump(&shard.stats.plan_memo_misses);
+        bump(&self.counters.plan_memo_misses);
         // Load the version strictly *before* taking the snapshot we plan
         // against: any pool mutation (add/remove) completing after this
         // load bumps the version, so the memo insert below is skipped — a
@@ -1021,52 +1010,21 @@ impl ShardedViewCache {
         let planned_at = self.views_version.load(Ordering::Acquire);
         let plan_snap = self.snapshot();
         let miss_start = Instant::now();
-        let (route, dep) = self.plan(query, key, shard, &plan_snap);
+        let (route, dep) = self.plan(query, &plan_snap);
         let planned = Arc::new(Planned::new(route, &plan_snap));
         self.obs.plan_miss_us.record_duration(miss_start.elapsed());
-        let mut map = shard.memo.write().expect("plan memo poisoned");
-        if self.views_version.load(Ordering::Acquire) == planned_at && !map.contains_key(&key) {
-            // Reserve a slot against the global bound; on overflow,
-            // evict this shard's LRU entry instead (net zero), or skip
-            // memoizing when the shard is empty — the total entry count
-            // never exceeds `memo_cap`.
-            let has_slot = {
-                let reserved = self.memo_entries.fetch_add(1, Ordering::Relaxed);
-                if (reserved as usize) < self.memo_cap {
-                    true
-                } else {
-                    self.memo_entries.fetch_sub(1, Ordering::Relaxed);
-                    // LRU eviction: drop the stalest entry. Linear scan
-                    // — capped memos are small, and this path only runs
-                    // on misses against a saturated memo.
-                    let stale = map
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                        .map(|(&k, _)| k);
-                    // Evict-and-replace is net zero entries, so the
-                    // counter stays untouched.
-                    match stale {
-                        Some(stale) => {
-                            map.remove(&stale);
-                            bump(&shard.stats.plan_memo_evictions);
-                            true
-                        }
-                        None => false,
-                    }
-                }
-            };
-            if has_slot {
-                map.insert(
-                    key,
-                    MemoEntry {
-                        planned: Arc::clone(&planned),
-                        dep,
-                        last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-                    },
-                );
+        let mut memo = self.memo.write().expect("plan memo poisoned");
+        if self.views_version.load(Ordering::Acquire) == planned_at
+            && memo.routes.get(&key).is_none()
+        {
+            if let PlanDep::Chosen(id) = dep {
+                *memo.wins.entry(id).or_insert(0) += 1;
             }
+            let entry = MemoEntry { planned: Arc::clone(&planned), dep };
+            let heap = entry.heap();
+            memo.routes.insert(key, entry, heap);
         }
-        (planned, shard)
+        planned
     }
 
     /// Plans `query` against the snapshot's view pool (no memo
@@ -1078,16 +1036,10 @@ impl ShardedViewCache {
     /// checked against its precomputed [`ViewSignature`] (a few word ops;
     /// rejected candidates provably admit no equivalent rewriting and
     /// never reach the containment oracle), and the survivors are tried
-    /// in this shard's hit-rate order so a plan usually pays exactly one
+    /// in the win index's hit-rate order so a plan usually pays exactly one
     /// containment decision. The scan stops at the first verified
     /// rewriting.
-    fn plan(
-        &self,
-        query: &Pattern,
-        key: PatternKey,
-        shard: &CacheShard,
-        snap: &StateSnapshot,
-    ) -> (PlannedRoute, PlanDep) {
+    fn plan(&self, query: &Pattern, snap: &StateSnapshot) -> (PlannedRoute, PlanDep) {
         let views = &snap.views;
         if views.is_empty() {
             return (PlannedRoute::Direct, PlanDep::NoUsableView);
@@ -1096,22 +1048,22 @@ impl ShardedViewCache {
         let mut order: Vec<usize> =
             (0..views.len()).filter(|&i| qsig.admits(&snap.sigs[i])).collect();
         let rejected = (views.len() - order.len()) as u64;
-        shard.stats.sig_rejects.fetch_add(rejected, Ordering::Relaxed);
-        shard.stats.sig_passes.fetch_add(order.len() as u64, Ordering::Relaxed);
+        self.counters.sig_rejects.fetch_add(rejected, Ordering::Relaxed);
+        self.counters.sig_passes.fetch_add(order.len() as u64, Ordering::Relaxed);
         // Winner-first try order (stable sort, pool order breaks ties): the
         // historically winning view is decided first, so a recurring miss
         // pattern costs one oracle call instead of a prefix scan.
         if order.len() > 1 {
-            let wins = shard.wins.lock().expect("win index poisoned");
-            if !wins.is_empty() {
+            let memo = self.memo.read().expect("plan memo poisoned");
+            if !memo.wins.is_empty() {
                 order.sort_by_key(|&i| {
-                    std::cmp::Reverse(wins.get(&snap.ids[i]).copied().unwrap_or(0))
+                    std::cmp::Reverse(memo.wins.get(&snap.ids[i]).copied().unwrap_or(0))
                 });
             }
         }
         // What depends on the query alone — its interned key, its natural
         // candidates per view depth — is shared by every decision below.
-        let ctx = QueryContext::interned(self.session.oracle(), query, key);
+        let ctx = self.session.prepare(query);
         for &index in &order {
             let answer = self.session.decide_prepared(&ctx, views[index].definition());
             if let RewriteAnswer::Rewriting(rw) = answer {
@@ -1119,7 +1071,6 @@ impl ShardedViewCache {
                 // was verified pairwise), so it depends on that view's
                 // presence — not on the scan order that found it.
                 let id = snap.ids[index];
-                *shard.wins.lock().expect("win index poisoned").entry(id).or_insert(0) += 1;
                 let rewriting = rw.pattern().clone();
                 return (PlannedRoute::ViaView { id, hint: index, rewriting }, PlanDep::Chosen(id));
             }
@@ -1133,16 +1084,11 @@ impl ShardedViewCache {
                 &pool,
                 Some((&qsig, snap.sigs.as_slice())),
             );
-            shard
-                .stats
-                .intersect_candidates_tried
-                .fetch_add(istats.candidates_tried, Ordering::Relaxed);
+            let c = &self.counters;
+            c.intersect_candidates_tried.fetch_add(istats.candidates_tried, Ordering::Relaxed);
             if let Some(answer) = answer {
-                bump(&shard.stats.intersect_routes);
-                shard
-                    .stats
-                    .intersect_participants
-                    .fetch_add(answer.views.len() as u64, Ordering::Relaxed);
+                bump(&c.intersect_routes);
+                c.intersect_participants.fetch_add(answer.views.len() as u64, Ordering::Relaxed);
                 let ids: Vec<ViewId> = answer.views.iter().map(|&i| snap.ids[i]).collect();
                 let dep = PlanDep::Intersect(ids.clone());
                 return (
@@ -1175,7 +1121,6 @@ impl ShardedViewCache {
         &self,
         query: &Pattern,
         planned: &Planned,
-        shard: &CacheShard,
         snap: &StateSnapshot,
         batch: &mut BatchEval<'_>,
         arena: &mut AnswerArena,
@@ -1183,7 +1128,7 @@ impl ShardedViewCache {
         match &planned.route {
             PlannedRoute::ViaView { id, hint, rewriting } => {
                 if let Some(index) = snap.resolve(*id, *hint) {
-                    bump(&shard.stats.view_hits);
+                    bump(&self.counters.view_hits);
                     let anchors = [snap.views[index].set()];
                     let nodes = batch.evaluate_seeded_into(rewriting, anchors, arena);
                     return (nodes, Arc::clone(&planned.display));
@@ -1192,25 +1137,26 @@ impl ShardedViewCache {
             PlannedRoute::Intersect { ids, hints, compensation } => {
                 let resolved = || ids.iter().zip(hints).map(|(&id, &hint)| snap.resolve(id, hint));
                 if resolved().all(|index| index.is_some()) {
-                    bump(&shard.stats.intersect_hits);
+                    bump(&self.counters.intersect_hits);
                     let anchors = resolved().flatten().map(|index| snap.views[index].set());
                     let nodes = batch.evaluate_seeded_into(compensation, anchors, arena);
                     return (nodes, Arc::clone(&planned.display));
                 }
             }
             PlannedRoute::Direct => {
-                bump(&shard.stats.direct);
+                bump(&self.counters.direct);
                 return (batch.evaluate_into(query, arena), Arc::clone(&planned.display));
             }
         }
         // A participant no longer resolves in this snapshot.
-        bump(&shard.stats.direct);
+        bump(&self.counters.direct);
         (batch.evaluate_into(query, arena), Arc::new(Route::Direct))
     }
 
     /// Answers `query`, preferring an equivalent rewriting over any
     /// registered view and falling back to direct evaluation. When several
-    /// views apply, the first verified one (in the shard's try order) wins.
+    /// views apply, the first verified one (in the win index's try order)
+    /// wins.
     ///
     /// From its second occurrence on, a query's route is served from the
     /// plan memo under a shared read lock: no planner call and **zero**
@@ -1230,18 +1176,17 @@ impl ShardedViewCache {
         &self,
         query: &Pattern,
         key: PatternKey,
-        fp: u64,
         snap: &StateSnapshot,
         batch: &mut BatchEval<'_>,
         arena: &mut AnswerArena,
     ) -> CacheAnswerRef {
         let plan_start = Instant::now();
-        let (planned, shard) = self.route_for(query, key, fp);
-        bump(&shard.stats.queries);
+        let planned = self.route_for(query, key);
+        bump(&self.counters.queries);
         let planning = plan_start.elapsed();
 
         let eval_start = Instant::now();
-        let (nodes, route) = self.execute_refs(query, &planned, shard, snap, batch, arena);
+        let (nodes, route) = self.execute_refs(query, &planned, snap, batch, arena);
         let evaluation = eval_start.elapsed();
         self.obs.plan_us.record_duration(planning);
         self.obs.eval_us.record_duration(evaluation);
@@ -1329,7 +1274,7 @@ impl ShardedViewCache {
         let mut answers: Vec<CacheAnswerRef> = Vec::with_capacity(queries.len());
         let mut first_seen: HashMap<PatternKey, usize> = HashMap::new();
         for (i, query) in queries.iter().enumerate() {
-            let (key, fp) = self.session.oracle().intern_fingerprinted(query);
+            let key = self.session.oracle().intern(query);
             match first_seen.get(&key) {
                 Some(&j) => {
                     let original = &answers[j];
@@ -1339,20 +1284,19 @@ impl ShardedViewCache {
                         planning: Duration::ZERO,
                         evaluation: Duration::ZERO,
                     };
-                    let shard = self.shard_for(fp);
-                    bump(&shard.stats.queries);
-                    bump(&shard.stats.plan_memo_hits);
-                    bump(&shard.stats.batch_dedup_hits);
+                    bump(&self.counters.queries);
+                    bump(&self.counters.plan_memo_hits);
+                    bump(&self.counters.batch_dedup_hits);
                     match *fanned.route {
-                        Route::ViaView { .. } => bump(&shard.stats.view_hits),
-                        Route::Intersect { .. } => bump(&shard.stats.intersect_hits),
-                        Route::Direct => bump(&shard.stats.direct),
+                        Route::ViaView { .. } => bump(&self.counters.view_hits),
+                        Route::Intersect { .. } => bump(&self.counters.intersect_hits),
+                        Route::Direct => bump(&self.counters.direct),
                     }
                     answers.push(fanned);
                 }
                 None => {
                     first_seen.insert(key, i);
-                    answers.push(self.answer_on_refs(query, key, fp, &snap, &mut fused, arena));
+                    answers.push(self.answer_on_refs(query, key, &snap, &mut fused, arena));
                 }
             }
         }
@@ -1576,7 +1520,7 @@ mod tests {
 
     #[test]
     fn concurrent_answers_match_serial_answers() {
-        let cache = ShardedViewCache::new(doc()).with_shards(4);
+        let cache = ShardedViewCache::new(doc());
         cache.add_view("items", pat("site/region/item"));
         cache.add_view("names", pat("site/region/item/name"));
         let queries: Vec<Pattern> = [
@@ -1614,13 +1558,13 @@ mod tests {
         let direct = pat("site/region/item");
         assert!(matches!(cache.answer(&via_view).route, Route::ViaView { .. }));
         assert_eq!(cache.answer(&direct).route, Route::Direct);
-        assert_eq!(cache.plan_memo_len(), 2);
+        assert_eq!(cache.plan_memo().entries, 2);
 
         let runs_before = canonical_runs(&cache);
         cache.add_view("items", pat("site/region/item"));
 
         // Only the Direct entry was invalidated.
-        assert_eq!(cache.plan_memo_len(), 1);
+        assert_eq!(cache.plan_memo().entries, 1);
         assert_eq!(cache.stats().plan_memo_invalidations, 1);
 
         // The surviving ViaView route serves from the memo: zero coNP work.
@@ -1657,21 +1601,157 @@ mod tests {
         assert_eq!(asked() - before, fresh.oracle().stats().queries);
     }
 
+    /// The `i`-th of a million distinct queries `u/dX/dX/dX/dX/dX/dX`,
+    /// spelled in eleven labels none of [`doc`]'s views use.
+    fn distinct(i: usize) -> Pattern {
+        let steps: Vec<String> = format!("{i:06}").chars().map(|d| format!("d{d}")).collect();
+        pat(&format!("u/{}", steps.join("/")))
+    }
+
     #[test]
-    fn memo_cap_bounds_entries_and_evicts_lru() {
-        let cache = ShardedViewCache::new(doc()).with_shards(1).with_memo_cap(2);
+    fn the_plan_memo_bound_holds_and_evicts_whole_generations() {
+        let cache = ShardedViewCache::new(doc());
         cache.add_view("items", pat("site/region/item"));
-        let queries = ["site/region/item/name", "site//keyword", "site/region/item", "site//name"];
-        for q in queries {
-            let _ = cache.answer(&pat(q));
-            assert!(cache.plan_memo_len() <= 2, "cap must hold after every insert");
+        let half = PLAN_MEMO_MAX_ENTRIES / 2;
+        let n = 2 * PLAN_MEMO_MAX_ENTRIES + 1;
+        for i in 0..n {
+            let _ = cache.answer(&distinct(i));
+            let held = cache.plan_memo();
+            assert!(held.entries <= PLAN_MEMO_MAX_ENTRIES, "bound must hold after every insert");
+            assert!(held.bytes <= PLAN_MEMO_MAX_BYTES, "{} bytes", held.bytes);
         }
+        // The current generation flips every `half` inserts; each flip
+        // after the first drops a full older generation.
+        let flips = (n - 1) / half;
         let s = cache.stats();
-        assert_eq!(s.plan_memo_evictions, 2);
-        assert_eq!(s.plan_memo_misses, 4);
-        // The memo still answers correctly after evictions.
+        assert_eq!(s.plan_memo_evictions, ((flips - 1) * half) as u64);
+        assert_eq!(s.plan_memo_misses, n as u64);
+        assert_eq!(cache.plan_memo().entries, n - (flips - 1) * half);
+        // The memo still answers correctly after evictions: an evicted
+        // query is planned again, a held one is served.
+        for (i, planned) in [(0, 1), (n - 1, 0)] {
+            let q = distinct(i);
+            let misses = cache.stats().plan_memo_misses;
+            assert_eq!(cache.answer(&q).nodes, cache.answer_direct(&q));
+            assert_eq!(cache.stats().plan_memo_misses, misses + planned, "query {i}");
+        }
+    }
+
+    #[test]
+    fn the_win_index_forgets_removed_views() {
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("items", pat("site/region/item"));
+        cache.add_view("keywords", pat("site//keyword"));
         let q = pat("site/region/item/name");
-        assert_eq!(cache.answer(&q).nodes, cache.answer_direct(&q));
+        for round in 0..100 {
+            // The replacement takes a fresh id and drops the route through
+            // the old one; the re-plan credits the new id with a win.
+            cache.replace_view("items", pat("site/region/item"));
+            assert!(matches!(cache.answer(&q).route, Route::ViaView { .. }));
+            let wins = cache.memo.read().expect("plan memo poisoned").wins.len();
+            let pool = cache.views_snapshot().len();
+            assert!(wins <= pool, "round {round}: {wins} win entries for {pool} views");
+        }
+    }
+
+    #[test]
+    fn a_forgotten_query_is_a_miss_under_a_fresh_key_never_a_wrong_answer() {
+        use xpv_pattern::INTERNER_MAX_ENTRIES;
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("items", pat("site/region/item"));
+        let oracle = cache.session().oracle();
+        let q = pat("site/region/item/name");
+        let first = cache.answer(&q);
+        assert!(matches!(first.route, Route::ViaView { .. }));
+        let old_key = oracle.intern(&q);
+        let decisions = cache.session().decisions().entries;
+        assert!(decisions > 0);
+
+        // Drive the interner alone past its bound: the plan memo and the
+        // decision memo are not touched and keep `q`'s entries.
+        for i in 0..INTERNER_MAX_ENTRIES {
+            oracle.intern(&distinct(i));
+        }
+        assert_eq!(cache.plan_memo().entries, 1);
+        assert_eq!(cache.session().decisions().entries, decisions);
+        let watermark = oracle.intern(&pat("marker/after/the/flood"));
+
+        // `q` comes back under a new key and is planned again.
+        let misses = cache.stats().plan_memo_misses;
+        let again = cache.answer(&q);
+        let new_key = oracle.intern(&q);
+        assert!(new_key > watermark && watermark > old_key, "{old_key:?} {new_key:?}");
+        assert_eq!(cache.stats().plan_memo_misses, misses + 1);
+        assert_eq!(again.nodes, cache.answer_direct(&q));
+        assert_eq!(again.route, first.route);
+        assert_eq!(cache.plan_memo().entries, 2, "the old entry ages out in its own table");
+
+        // Nothing stored under an old key is served for another pattern:
+        // every pattern gets a key past the watermark and is planned.
+        for text in ["site/region/item", "site//keyword", "site/region/item[desc]/name", "site"] {
+            let p = pat(text);
+            let misses = cache.stats().plan_memo_misses;
+            let ans = cache.answer(&p);
+            assert!(oracle.intern(&p) > watermark, "{text}");
+            assert_eq!(cache.stats().plan_memo_misses, misses + 1, "{text}");
+            assert_eq!(ans.nodes, cache.answer_direct(&p), "{text}");
+        }
+    }
+
+    #[test]
+    fn every_planning_table_stays_within_its_bounds() {
+        use xpv_core::{DECISION_MEMO_MAX_BYTES, DECISION_MEMO_MAX_ENTRIES};
+        use xpv_pattern::{INTERNER_MAX_BYTES, INTERNER_MAX_ENTRIES};
+        let n = 3 * INTERNER_MAX_ENTRIES;
+        // A document holding the paths of a few of the distinct queries, so
+        // some answers are not empty.
+        let hits: Vec<usize> = (0..40).map(|j| j * n / 40).collect();
+        let mut t = Tree::new(xpv_model::Label::new("u"));
+        for &i in &hits {
+            let mut at = t.root();
+            for d in format!("{i:06}").chars() {
+                at = t.add_child(at, xpv_model::Label::new(&format!("d{d}")));
+            }
+        }
+        let cache = ShardedViewCache::new(t);
+        // The view rewrites every query with one cheap decision (`P ∘ u =
+        // P`, settled by homomorphisms), so a plan is constant work and each
+        // query adds one interned pattern, one decision and one route.
+        cache.add_view("u", pat("u"));
+        let mut routed = 0;
+        for start in (0..n).step_by(64) {
+            let batch: Vec<Pattern> = (start..(start + 64).min(n)).map(distinct).collect();
+            for (q, ans) in batch.iter().zip(cache.answer_batch(&batch)) {
+                assert_eq!(ans.nodes, cache.answer_direct(q), "{q}");
+                routed += usize::from(!ans.nodes.is_empty());
+            }
+            let tables = [
+                ("plan memo", cache.plan_memo(), PLAN_MEMO_MAX_ENTRIES, PLAN_MEMO_MAX_BYTES),
+                (
+                    "decision memo",
+                    cache.session().decisions(),
+                    DECISION_MEMO_MAX_ENTRIES,
+                    DECISION_MEMO_MAX_BYTES,
+                ),
+                (
+                    "interner",
+                    cache.session().oracle().interned(),
+                    INTERNER_MAX_ENTRIES,
+                    INTERNER_MAX_BYTES,
+                ),
+            ];
+            for (name, held, entries, bytes) in tables {
+                assert!(held.entries <= entries, "{name}: {held:?} after {start}");
+                assert!(held.bytes <= bytes, "{name}: {held:?} after {start}");
+            }
+        }
+        assert_eq!(routed, hits.len(), "each query on the document's paths has its one answer");
+        let s = cache.stats();
+        assert_eq!(s.plan_memo_misses, n as u64);
+        assert_eq!(s.view_hits, n as u64);
+        assert!(s.plan_memo_evictions > 0);
+        assert!(cache.session().decisions().entries < n);
+        assert!(cache.session().oracle().interned().entries < n);
     }
 
     #[test]
@@ -1728,7 +1808,7 @@ mod tests {
     }
 
     fn overlap_cache() -> ShardedViewCache {
-        let cache = ShardedViewCache::new(overlap_doc()).with_shards(4);
+        let cache = ShardedViewCache::new(overlap_doc());
         cache.add_view("bid_names", pat("site/region/item[bids]/name"));
         cache.add_view("ship_names", pat("site/region/item[shipping]/name"));
         cache

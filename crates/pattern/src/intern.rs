@@ -10,33 +10,36 @@
 //!   sibling reordering** (child hashes are sorted before mixing), that
 //!   respects node tests, edge axes, and the output marker. Equal patterns
 //!   (in the sense of [`Pattern::structurally_eq`]) always share a
-//!   fingerprint; collisions are possible but only cost a string compare.
-//! * [`PatternInterner`] — an arena that deduplicates patterns by
-//!   fingerprint (with exact structural confirmation on bucket collisions)
-//!   and hands out dense [`PatternKey`] ids. Interning the same pattern
-//!   (or any sibling-reordered isomorph) twice returns the same key, so
-//!   downstream memo tables key on `(PatternKey, PatternKey)` pairs instead
-//!   of re-hashing whole trees.
+//!   fingerprint.
+//! * [`PatternInterner`] — a bounded table from fingerprint to pattern
+//!   (with exact structural confirmation) that hands out [`PatternKey`]s.
+//!   Interning the same pattern (or any sibling-reordered isomorph) again
+//!   returns the same key while the interner still holds it, so downstream
+//!   memo tables key on `(PatternKey, PatternKey)` pairs instead of
+//!   re-hashing whole trees.
 //!
-//! The interner is deliberately append-only: keys stay valid for the life of
-//! the interner, which is what lets a long-lived `ShardedViewCache` reuse
-//! plans across queries.
+//! The interner forgets: it keeps two generations ([`BoundedMap`]), and a
+//! pattern nobody interned for two flips is dropped. A forgotten pattern
+//! is interned again under a **fresh** key — keys come from a counter and
+//! are never reused — so a memo entry under the old key can never match
+//! another pattern; it is never asked for again and ages out of its own
+//! table. Forgetting costs a miss, never a wrong answer.
 
-use std::collections::HashMap;
-
+use crate::bounded_map::{BoundedMap, Held};
 use crate::pattern::{Axis, NodeTest, PatId, Pattern};
 
-/// A dense handle to an interned pattern (see [`PatternInterner`]).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct PatternKey(u32);
+/// The most patterns a [`PatternInterner`] holds, both generations
+/// together.
+pub const INTERNER_MAX_ENTRIES: usize = 4096;
 
-impl PatternKey {
-    /// The arena index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
+/// The most bytes a [`PatternInterner`]'s entries hold, both generations
+/// together: each pattern's nodes and child lists, and its map slot.
+pub const INTERNER_MAX_BYTES: usize = 4 << 20;
+
+/// A handle to an interned pattern (see [`PatternInterner`]). Keys are
+/// handed out in increasing order and never reused.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct PatternKey(u64);
 
 impl Pattern {
     /// A 64-bit structural hash of the pattern, stable under sibling
@@ -90,7 +93,7 @@ impl Pattern {
     }
 }
 
-/// An append-only arena deduplicating patterns by structural identity.
+/// A bounded table deduplicating patterns by structural identity.
 ///
 /// ```
 /// use xpv_pattern::{parse_xpath, PatternInterner};
@@ -98,17 +101,21 @@ impl Pattern {
 /// let k1 = interner.intern(&parse_xpath("a[b][c]/d").unwrap());
 /// let k2 = interner.intern(&parse_xpath("a[c][b]/d").unwrap()); // reordered siblings
 /// assert_eq!(k1, k2);
-/// assert_eq!(interner.len(), 1);
+/// assert_eq!(interner.held().entries, 1);
 /// ```
+///
+/// **Bound.** At most [`INTERNER_MAX_ENTRIES`] patterns holding at most
+/// [`INTERNER_MAX_BYTES`] bytes, in two generations (see the module docs
+/// for what forgetting costs). One pattern is held per fingerprint: a
+/// pattern whose fingerprint another one holds (a true 64-bit collision)
+/// gets a fresh key on every call, which costs it its memo hits and
+/// nothing else.
 #[derive(Debug, Default)]
 pub struct PatternInterner {
-    /// fingerprint → keys sharing it. Distinct patterns intern without any
-    /// string building; only same-fingerprint entries (dedup hits, plus the
-    /// astronomically rare true collision) fall back to the exact
-    /// canonical-key comparison inside [`Pattern::structurally_eq`].
-    lookup: HashMap<u64, Vec<PatternKey>>,
-    arena: Vec<Pattern>,
-    hits: u64,
+    /// fingerprint → the pattern interned under it and its key.
+    map: BoundedMap<u64, (PatternKey, Pattern), INTERNER_MAX_ENTRIES, INTERNER_MAX_BYTES>,
+    /// The next key to hand out.
+    next: u64,
 }
 
 impl PatternInterner {
@@ -118,62 +125,33 @@ impl PatternInterner {
     }
 
     /// Interns `p`, returning the key of its structural equivalence class.
-    /// The first pattern of a class is cloned into the arena as the
-    /// representative.
+    /// The first pattern of a class is cloned in as the representative.
     pub fn intern(&mut self, p: &Pattern) -> PatternKey {
-        self.intern_prehashed(p.fingerprint(), p)
-    }
-
-    /// Read-only lookup of `p`'s key given its precomputed fingerprint.
-    ///
-    /// Returns `None` when `p` has not been interned yet. Unlike
-    /// [`PatternInterner::intern`] this takes `&self`, so a concurrent
-    /// wrapper (the containment oracle's `RwLock`-guarded interner) can
-    /// serve the hot repeated-query path under a shared read lock and only
-    /// upgrade to a write lock on genuinely new patterns.
-    pub fn lookup_prehashed(&self, fingerprint: u64, p: &Pattern) -> Option<PatternKey> {
-        let bucket = self.lookup.get(&fingerprint)?;
-        bucket.iter().copied().find(|key| self.arena[key.index()].structurally_eq(p))
-    }
-
-    /// [`PatternInterner::intern`] with the fingerprint computed by the
-    /// caller (so a lookup-then-intern sequence hashes the pattern once).
-    pub fn intern_prehashed(&mut self, fingerprint: u64, p: &Pattern) -> PatternKey {
-        let bucket = self.lookup.entry(fingerprint).or_default();
-        for &key in bucket.iter() {
-            if self.arena[key.index()].structurally_eq(p) {
-                self.hits += 1;
-                return key;
-            }
+        let fingerprint = p.fingerprint();
+        let key = PatternKey(self.next);
+        match self.map.get(&fingerprint) {
+            Some((held_key, held)) if held.structurally_eq(p) => return *held_key,
+            Some(_) => {}
+            None => self.map.insert(fingerprint, (key, p.clone()), p.heap_bytes()),
         }
-        let key = PatternKey(u32::try_from(self.arena.len()).expect("pattern interner exhausted"));
-        bucket.push(key);
-        self.arena.push(p.clone());
+        self.next += 1;
         key
     }
 
-    /// The representative pattern of `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` comes from a different interner.
-    pub fn resolve(&self, key: PatternKey) -> &Pattern {
-        &self.arena[key.index()]
+    /// `p`'s key if the current generation holds it. Unlike
+    /// [`PatternInterner::intern`] this takes `&self`, so a concurrent
+    /// wrapper (the containment oracle's `RwLock`-guarded interner) can
+    /// serve the hot repeated-query path under a shared read lock and only
+    /// take the write lock for the rest.
+    pub fn lookup(&self, p: &Pattern) -> Option<PatternKey> {
+        let (key, held) = self.map.get_current(&p.fingerprint())?;
+        held.structurally_eq(p).then_some(*key)
     }
 
-    /// Number of distinct structural classes interned.
-    pub fn len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// `true` when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
-    }
-
-    /// How many [`PatternInterner::intern`] calls were deduplicated.
-    pub fn hits(&self) -> u64 {
-        self.hits
+    /// Patterns and bytes held, as [`INTERNER_MAX_ENTRIES`] and
+    /// [`INTERNER_MAX_BYTES`] count them.
+    pub fn held(&self) -> Held {
+        self.map.held()
     }
 }
 
@@ -209,22 +187,18 @@ mod tests {
         let k3 = i.intern(&pat("a[b]/d"));
         assert_eq!(k1, k2);
         assert_ne!(k1, k3);
-        assert_eq!(i.len(), 2);
-        assert_eq!(i.hits(), 1);
-        assert!(i.resolve(k1).structurally_eq(&pat("a[b][c]/d")));
+        assert_eq!(i.held().entries, 2);
     }
 
     #[test]
-    fn prehashed_lookup_agrees_with_intern() {
+    fn lookup_agrees_with_intern() {
         let mut i = PatternInterner::new();
         let p = pat("a[b][c]/d");
-        let fp = p.fingerprint();
-        assert_eq!(i.lookup_prehashed(fp, &p), None);
-        let k = i.intern_prehashed(fp, &p);
-        assert_eq!(i.lookup_prehashed(fp, &p), Some(k));
+        assert_eq!(i.lookup(&p), None);
+        let k = i.intern(&p);
+        assert_eq!(i.lookup(&p), Some(k));
         // A sibling-reordered isomorph shares fingerprint and key.
-        let iso = pat("a[c][b]/d");
-        assert_eq!(i.lookup_prehashed(iso.fingerprint(), &iso), Some(k));
+        assert_eq!(i.lookup(&pat("a[c][b]/d")), Some(k));
     }
 
     #[test]
@@ -235,6 +209,30 @@ mod tests {
             i.intern(&pat(s));
         }
         assert_eq!(i.intern(&pat("a")), k1);
-        assert!(i.resolve(k1).structurally_eq(&pat("a")));
+    }
+
+    /// The `i`-th of many distinct patterns, spelled in eleven labels.
+    fn unique(i: usize) -> Pattern {
+        pat(&format!(
+            "u/{}",
+            format!("{i:06}").chars().map(|d| format!("d{d}")).collect::<Vec<_>>().join("/")
+        ))
+    }
+
+    #[test]
+    fn a_flood_is_bounded_and_a_forgotten_pattern_comes_back_under_a_fresh_key() {
+        let mut i = PatternInterner::new();
+        let (hot, cold) = (pat("h[k]//p"), pat("c[k]//p"));
+        let (hot_key, cold_key) = (i.intern(&hot), i.intern(&cold));
+        let mut seen = std::collections::HashSet::from([hot_key, cold_key]);
+        for n in 0..2 * INTERNER_MAX_ENTRIES {
+            assert!(seen.insert(i.intern(&unique(n))), "keys are never reused");
+            assert_eq!(i.intern(&hot), hot_key, "a pattern interned each flip keeps its key");
+            let held = i.held();
+            assert!(held.entries <= INTERNER_MAX_ENTRIES && held.bytes <= INTERNER_MAX_BYTES);
+        }
+        let again = i.intern(&cold);
+        assert!(again > cold_key && seen.insert(again), "forgotten, then interned anew");
+        assert_eq!(i.intern(&pat("c[k]//p")), again);
     }
 }

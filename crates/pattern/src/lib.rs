@@ -24,6 +24,9 @@
 //!   [`PatternInterner`] / [`PatternKey`]) — stable under sibling
 //!   reordering — so patterns can serve as cheap memo keys for the
 //!   containment oracle in `xpv-semantics`;
+//! * the one bounded table shape ([`BoundedMap`]: two generations, bounded
+//!   in entries and bytes) that the text cache, the interner and the
+//!   memos above them share;
 //! * word-sized **signatures** ([`ViewSignature`] / [`QuerySignature`]):
 //!   necessary conditions for an equivalent rewriting, used by the serving
 //!   layer to reject most candidate views before any containment call (the
@@ -34,6 +37,7 @@
 //!
 //! Semantics (embeddings, evaluation, containment) live in `xpv-semantics`.
 
+pub mod bounded_map;
 pub mod classify;
 pub mod intern;
 pub mod ops;
@@ -43,12 +47,13 @@ pub mod print;
 pub mod signature;
 pub mod text_cache;
 
+pub use bounded_map::{BoundedMap, Held};
 pub use classify::{
     deepest_descendant_selection_edge, gnf_star_certificate, is_gnf_star, is_linear,
     selection_node_labeled, selection_prefix_all_child, stability_witness, star_chain_len,
     FragmentFlags, GnfCase, StabilityWitness,
 };
-pub use intern::{PatternInterner, PatternKey};
+pub use intern::{PatternInterner, PatternKey, INTERNER_MAX_BYTES, INTERNER_MAX_ENTRIES};
 pub use ops::{compose, compose_chain, intersect_patterns};
 pub use parse::{parse_xpath, ParseError, MAX_BRANCH_DEPTH};
 pub use pattern::{Axis, NodeTest, PatId, Pattern, PatternBuilder};

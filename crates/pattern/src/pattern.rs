@@ -177,7 +177,7 @@ impl Pattern {
 
     /// Bytes this pattern holds on the heap: its node arena and each
     /// node's child list.
-    pub(crate) fn heap_bytes(&self) -> usize {
+    pub fn heap_bytes(&self) -> usize {
         let children: usize = self.nodes.iter().map(|n| n.children.capacity()).sum();
         self.nodes.capacity() * std::mem::size_of::<PatNode>()
             + children * std::mem::size_of::<PatId>()

@@ -6,9 +6,7 @@
 //! pattern (whitespace, sibling order) are two entries, each holding
 //! exactly what [`parse_xpath`] makes of its own text.
 
-use std::collections::HashMap;
-use std::mem::size_of;
-
+use crate::bounded_map::BoundedMap;
 use crate::parse::{parse_xpath, ParseError};
 use crate::pattern::Pattern;
 
@@ -24,13 +22,6 @@ pub const TEXT_CACHE_MAX_BYTES: usize = 2 << 20;
 /// every call and never stored.
 pub const TEXT_CACHE_MAX_TEXT_LEN: usize = 1024;
 
-/// One generation's entries and their byte total.
-#[derive(Default)]
-struct Generation {
-    map: HashMap<Box<str>, Pattern>,
-    bytes: usize,
-}
-
 /// A bounded map from query text to the [`Pattern`] [`parse_xpath`] makes
 /// of it, for a caller that parses the same texts again and again.
 ///
@@ -41,22 +32,17 @@ struct Generation {
 ///
 /// **Bound.** At most [`TEXT_CACHE_MAX_ENTRIES`] entries holding at most
 /// [`TEXT_CACHE_MAX_BYTES`] bytes, whatever the caller sends; a text
-/// longer than [`TEXT_CACHE_MAX_TEXT_LEN`] is never stored.
-///
-/// **Eviction.** Entries live in two generations, each allowed half of
-/// both bounds. New entries go into the current one. When it is full the
-/// older generation is dropped whole and the current one becomes the
-/// older. A hit in the older generation moves its entry back into the
-/// current one. So a hot set that fits in one generation is parsed once
-/// and never again, a text is parsed again only after two flips passed it
-/// by, and a flood of distinct texts costs one flip per half-full
-/// generation, never more memory.
+/// longer than [`TEXT_CACHE_MAX_TEXT_LEN`] is never stored. Entries age
+/// out two generations at a time ([`BoundedMap`]): a hot set that fits in
+/// one generation is parsed once and never again, and a text is parsed
+/// again only after two flips passed it by. An entry fits in an empty
+/// generation: its text is at most [`TEXT_CACHE_MAX_TEXT_LEN`] bytes, so
+/// its pattern has at most as many nodes, a few dozen kilobytes against
+/// half the byte bound.
 #[derive(Default)]
 pub struct TextCache {
-    current: Generation,
-    older: Generation,
+    map: BoundedMap<Box<str>, Pattern, TEXT_CACHE_MAX_ENTRIES, TEXT_CACHE_MAX_BYTES>,
     misses: u64,
-    flips: u64,
 }
 
 impl TextCache {
@@ -68,42 +54,20 @@ impl TextCache {
     /// Parses `text`: a clone of the stored pattern if `text` was parsed
     /// before and is still held, [`parse_xpath`]'s answer otherwise.
     pub fn parse(&mut self, text: &str) -> Result<Pattern, ParseError> {
-        if let Some(p) = self.current.map.get(text) {
+        if let Some(p) = self.map.get(text) {
             return Ok(p.clone());
-        }
-        if let Some((text, p)) = self.older.map.remove_entry(text) {
-            self.older.bytes -= entry_bytes(&text, &p);
-            let out = p.clone();
-            self.insert(text, p);
-            return Ok(out);
         }
         self.misses += 1;
         let p = parse_xpath(text)?;
         if text.len() <= TEXT_CACHE_MAX_TEXT_LEN {
-            self.insert(text.into(), p.clone());
+            self.map.insert(text.into(), p.clone(), text.len() + p.heap_bytes());
         }
         Ok(p)
     }
 
-    /// Stores an entry in the current generation, flipping first if it is
-    /// full. An entry fits in an empty generation: its text is at most
-    /// [`TEXT_CACHE_MAX_TEXT_LEN`] bytes, so its pattern has at most as
-    /// many nodes, a few dozen kilobytes against half the byte bound.
-    fn insert(&mut self, text: Box<str>, p: Pattern) {
-        let bytes = entry_bytes(&text, &p);
-        if self.current.map.len() == TEXT_CACHE_MAX_ENTRIES / 2
-            || self.current.bytes + bytes > TEXT_CACHE_MAX_BYTES / 2
-        {
-            self.older = std::mem::take(&mut self.current);
-            self.flips += 1;
-        }
-        self.current.bytes += bytes;
-        self.current.map.insert(text, p);
-    }
-
     /// Entries held, both generations together.
     pub fn len(&self) -> usize {
-        self.current.map.len() + self.older.map.len()
+        self.map.held().entries
     }
 
     /// Whether the cache holds no entry.
@@ -114,7 +78,7 @@ impl TextCache {
     /// Bytes the entries hold, counted as [`TEXT_CACHE_MAX_BYTES`] counts
     /// them.
     pub fn bytes(&self) -> usize {
-        self.current.bytes + self.older.bytes
+        self.map.held().bytes
     }
 
     /// Calls [`TextCache::parse`] answered by running [`parse_xpath`].
@@ -124,12 +88,8 @@ impl TextCache {
 
     /// Times the current generation filled and became the older one.
     pub fn flips(&self) -> u64 {
-        self.flips
+        self.map.flips()
     }
-}
-
-fn entry_bytes(text: &str, p: &Pattern) -> usize {
-    size_of::<(Box<str>, Pattern)>() + text.len() + p.heap_bytes()
 }
 
 #[cfg(test)]

@@ -11,15 +11,16 @@
 //! interner ([`ContainmentOracle::intern`]).
 //!
 //! Everything takes **`&self`**: the counters are atomics, and the
-//! interner sits behind an `RwLock` with a read-locked fast path for
-//! patterns it has already seen, so any number of worker threads decide
-//! through one shared oracle.
+//! interner (bounded, see [`xpv_pattern::PatternInterner`]) sits behind an
+//! `RwLock` with a read-locked fast path for the patterns its current
+//! generation holds, so any number of worker threads decide through one
+//! shared oracle.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use xpv_pattern::{Pattern, PatternInterner, PatternKey};
+use xpv_pattern::{Held, Pattern, PatternInterner, PatternKey};
 
 use crate::contain::{decide, ContainmentOutcome};
 
@@ -112,24 +113,17 @@ impl ContainmentOracle {
         }
     }
 
-    /// Interns `p`, returning its structural key.
+    /// Interns `p`, returning its structural key. A pattern the current
+    /// generation holds is served under the shared read lock.
     pub fn intern(&self, p: &Pattern) -> PatternKey {
-        self.intern_fingerprinted(p).0
+        let held = self.interner.read().expect("oracle interner poisoned").lookup(p);
+        held.unwrap_or_else(|| self.interner.write().expect("oracle interner poisoned").intern(p))
     }
 
-    /// Interns `p`, returning its structural key together with the 64-bit
-    /// structural fingerprint (callers that shard by query — the
-    /// `ShardedViewCache` — reuse the hash instead of recomputing it).
-    pub fn intern_fingerprinted(&self, p: &Pattern) -> (PatternKey, u64) {
-        let fp = p.fingerprint();
-        // Fast path: already interned (shared read lock).
-        if let Some(key) =
-            self.interner.read().expect("oracle interner poisoned").lookup_prehashed(fp, p)
-        {
-            return (key, fp);
-        }
-        let key = self.interner.write().expect("oracle interner poisoned").intern_prehashed(fp, p);
-        (key, fp)
+    /// Patterns and bytes the interner holds (see
+    /// [`xpv_pattern::INTERNER_MAX_ENTRIES`] for its bounds).
+    pub fn interned(&self) -> Held {
+        self.interner.read().expect("oracle interner poisoned").held()
     }
 
     /// Decides `p1 ⊑ p2` and counts the stage that settled it. The outcome

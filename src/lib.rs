@@ -40,7 +40,7 @@
 //! the staged procedure, counts which stage settled each question and
 //! remembers no verdict. Its interner gives patterns structural keys
 //! ([`PatternInterner`](pattern::PatternInterner), stable under sibling
-//! reordering), which key the memos above it.
+//! reordering, never reused), which key the memos above it.
 //!
 //! * One-shot calls (`contained(p, q)`, `planner.decide(p, v)`) decide
 //!   from scratch every time.
@@ -59,9 +59,13 @@
 //!
 //! The whole decision path takes `&self`: the oracle keeps atomic counters
 //! and a read-mostly interner, the planning session a read-mostly decision
-//! memo, and [`ShardedViewCache`](engine::ShardedViewCache) shards the plan
-//! memo by interned-pattern fingerprint over a copy-on-write view pool (LRU-bounded, with per-view
-//! dependency invalidation on `add_view`). It is the only cache type:
+//! memo, and [`ShardedViewCache`](engine::ShardedViewCache) keeps one plan
+//! memo over a copy-on-write view pool, with per-view dependency
+//! invalidation on `add_view`. The interner, the decision memo and the plan
+//! memo are each bounded by constants, in two generations
+//! ([`BoundedMap`](pattern::BoundedMap)), so distinct queries cost bounded
+//! memory however many arrive; a pattern the interner forgot is interned
+//! again under a fresh key and planned again. It is the only cache type:
 //! worker threads answer concurrently through one cache, with the answers
 //! one thread would get. The one server type,
 //! [`AsyncCacheServer`](engine::AsyncCacheServer), serves any number of

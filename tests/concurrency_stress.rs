@@ -1,16 +1,16 @@
-//! Concurrency correctness of the sharded serving path.
+//! Concurrency correctness of the serving path.
 //!
 //! The contract of `ShardedViewCache` (and the `AsyncCacheServer` pool
 //! above it) is that concurrency is *invisible* in the answers: the same
 //! Zipf workload produces exactly the nodes and routing verdicts of a
-//! one-shard cache driven from one thread, on any thread schedule. These
-//! tests run the workload on 8 threads against that serial reference, plus
-//! regression coverage for the selective plan-memo invalidation and the LRU
-//! bound under concurrent load.
+//! cache driven from one thread, on any thread schedule. These tests run
+//! the workload on 8 threads against that serial reference, plus
+//! regression coverage for the selective plan-memo invalidation and the
+//! plan memo's constant bound under concurrent load.
 
 use std::sync::Arc;
 
-use xpath_views::engine::{AsyncCacheServer, Route, ShardedViewCache};
+use xpath_views::engine::{AsyncCacheServer, Route, ShardedViewCache, PLAN_MEMO_MAX_ENTRIES};
 use xpath_views::net::{Response, WireAnswer, WireClient, WireRoute};
 use xpath_views::prelude::*;
 use xpath_views::workload::{
@@ -20,23 +20,23 @@ use xpath_views::workload::{
 const THREADS: usize = 8;
 
 /// A cache over the stress document with `catalog`'s views registered.
-fn cache_with(catalog: &Catalog, shards: usize) -> ShardedViewCache {
-    let cache = ShardedViewCache::new(site_doc(8, 10, 7)).with_shards(shards);
+fn cache_with(catalog: &Catalog) -> ShardedViewCache {
+    let cache = ShardedViewCache::new(site_doc(8, 10, 7));
     for (name, def) in catalog.views.clone() {
         cache.add_view(name, def);
     }
     cache
 }
 
-fn sharded_cache() -> ShardedViewCache {
-    cache_with(&site_catalog(), 8)
+fn shared_cache() -> ShardedViewCache {
+    cache_with(&site_catalog())
 }
 
 /// The reference verdicts: nodes plus route (the definitive-rewriting
-/// decision) per stream position, from a one-shard cache over `catalog`
-/// driven from this thread alone.
+/// decision) per stream position, from a cache over `catalog` driven from
+/// this thread alone.
 fn reference(catalog: &Catalog, stream: &[Pattern]) -> Vec<(Vec<NodeId>, Route)> {
-    let serial = cache_with(catalog, 1);
+    let serial = cache_with(catalog);
     stream
         .iter()
         .map(|q| {
@@ -51,7 +51,7 @@ fn eight_threads_match_single_threaded_answers_and_verdicts() {
     let stream = catalog_zipf_stream(&site_catalog(), 400, 0x5EED);
     let want = reference(&site_catalog(), &stream);
 
-    let cache = sharded_cache();
+    let cache = shared_cache();
     // Each worker answers an interleaved slice concurrently; results are
     // collected per position.
     let results: Vec<(usize, Vec<NodeId>, Route)> = std::thread::scope(|scope| {
@@ -96,7 +96,7 @@ fn worker_pool_batches_match_single_threaded_answers() {
     let stream = catalog_zipf_stream(&site_catalog(), 320, 0xBEE);
     let want = reference(&site_catalog(), &stream);
 
-    let server = AsyncCacheServer::start(Arc::new(sharded_cache()), THREADS);
+    let server = AsyncCacheServer::start(Arc::new(shared_cache()), THREADS);
     let addr = server.listen_tcp("127.0.0.1:0").expect("listen").to_string();
     // Three tenants, one connection each, every chunk of 20 pipelined on
     // its tenant's connection.
@@ -147,7 +147,7 @@ fn worker_pool_batches_match_single_threaded_answers() {
 /// view.
 #[test]
 fn add_view_invalidates_only_dependent_memo_entries() {
-    let cache = ShardedViewCache::new(site_doc(4, 4, 7)).with_shards(4);
+    let cache = ShardedViewCache::new(site_doc(4, 4, 7));
     cache.add_view("item_names", parse_xpath("site/region/item/name").unwrap());
 
     // Two memoized ViaView routes, two memoized Direct routes.
@@ -165,13 +165,13 @@ fn add_view_invalidates_only_dependent_memo_entries() {
     for q in direct.iter() {
         assert_eq!(cache.answer(q).route, Route::Direct, "{q} must route direct");
     }
-    assert_eq!(cache.plan_memo_len(), 4);
+    assert_eq!(cache.plan_memo().entries, 4);
 
     let runs_before_add = cache.session().oracle().stats().canonical_runs;
     cache.add_view("items", parse_xpath("site/region/item").unwrap());
 
     // Exactly the two Direct entries were dropped.
-    assert_eq!(cache.plan_memo_len(), 2, "view routes must survive add_view");
+    assert_eq!(cache.plan_memo().entries, 2, "view routes must survive add_view");
     assert_eq!(cache.stats().plan_memo_invalidations, 2);
 
     // Surviving routes serve from the memo: no replanning, zero coNP work.
@@ -193,40 +193,44 @@ fn add_view_invalidates_only_dependent_memo_entries() {
     }
 }
 
-/// The configured memo bound holds under concurrent load (the per-shard LRU
-/// enforces it inside the insert lock), and evicted entries are re-planned
-/// correctly on their next arrival.
+/// The `i`-th of a million distinct queries `u/dX/dX/dX/dX/dX/dX`: no
+/// catalog view survives the signature filter for them.
+fn distinct(i: usize) -> Pattern {
+    let steps: Vec<String> = format!("{i:06}").chars().map(|d| format!("d{d}")).collect();
+    parse_xpath(&format!("u/{}", steps.join("/"))).unwrap()
+}
+
+/// The constant plan-memo bound holds under concurrent load (entries are
+/// stored and dropped under the memo's write lock), and evicted entries
+/// are re-planned correctly on their next arrival.
 #[test]
-fn memo_cap_holds_under_concurrent_load() {
-    let cap = 4usize;
-    let cache = ShardedViewCache::new(site_doc(6, 6, 7)).with_shards(4).with_memo_cap(cap);
+fn plan_memo_bound_holds_under_concurrent_load() {
+    let cache = ShardedViewCache::new(site_doc(6, 6, 7));
     for (name, def) in site_catalog().views {
         cache.add_view(name, def);
     }
-    let stream = catalog_zipf_stream(&site_catalog(), 240, 0xCAFE);
+    // The hot stream, a flood of distinct queries past the bound, and the
+    // hot stream again: the flood drops every hot route in between.
+    let hot = catalog_zipf_stream(&site_catalog(), 240, 0xCAFE);
+    let flood = (0..PLAN_MEMO_MAX_ENTRIES * 5 / 2).map(distinct);
+    let stream: Vec<Pattern> =
+        hot.iter().cloned().chain(flood).chain(hot.iter().cloned()).collect();
     let want = reference_small(&cache, &stream);
 
-    // Serial phase first: the arrival order is fixed. A full memo evicts
-    // only from the *inserting* shard and declines a query whose shard is
-    // still empty, and which shard a query hashes to follows label ids,
-    // i.e. the order in which this process's test threads interned them:
-    // the overflow shows either as an eviction or as a declined query that
-    // re-plans on every arrival. Both leave more misses than distinct
-    // queries, and never more entries than the cap.
+    // Serial phase first: the arrival order is fixed, so every hot query
+    // is planned once before the flood and once after it.
     for (q, nodes) in stream.iter().zip(&want) {
-        assert_eq!(&cache.answer(q).nodes, nodes, "capped cache wrong for {q}");
+        assert_eq!(&cache.answer(q).nodes, nodes, "bounded cache wrong for {q}");
+        assert!(cache.plan_memo().entries <= PLAN_MEMO_MAX_ENTRIES);
     }
-    let distinct = {
+    let distinct_hot = {
         let oracle = cache.session().oracle();
-        let keys: std::collections::HashSet<_> = stream.iter().map(|q| oracle.intern(q)).collect();
+        let keys: std::collections::HashSet<_> = hot.iter().map(|q| oracle.intern(q)).collect();
         keys.len()
     };
-    assert!(distinct > cap, "the stream must overflow a cap of {cap}");
-    assert!(
-        cache.stats().plan_memo_misses > distinct as u64,
-        "{distinct} distinct queries must overflow a cap of {cap}"
-    );
-    assert!(cache.plan_memo_len() <= cap);
+    let planned = (2 * distinct_hot + PLAN_MEMO_MAX_ENTRIES * 5 / 2) as u64;
+    assert_eq!(cache.stats().plan_memo_misses, planned, "the flood must evict every hot route");
+    assert!(cache.stats().plan_memo_evictions > 0);
 
     std::thread::scope(|scope| {
         for t in 0..4 {
@@ -235,18 +239,16 @@ fn memo_cap_holds_under_concurrent_load() {
             let want = &want;
             scope.spawn(move || {
                 for (i, q) in stream.iter().enumerate().skip(t).step_by(4) {
-                    assert_eq!(cache.answer(q).nodes, want[i], "capped cache wrong for {q}");
+                    assert_eq!(cache.answer(q).nodes, want[i], "bounded cache wrong for {q}");
                 }
             });
         }
     });
-    assert!(
-        cache.plan_memo_len() <= cap,
-        "memo holds {} entries, cap is {cap}",
-        cache.plan_memo_len()
-    );
+    let held = cache.plan_memo();
+    assert!(held.entries <= PLAN_MEMO_MAX_ENTRIES, "memo holds {held:?}");
     let s = cache.stats();
     assert_eq!(s.queries, s.plan_memo_hits + s.plan_memo_misses);
+    assert!(s.plan_memo_misses > planned, "the concurrent pass re-plans evicted queries");
 }
 
 /// Direct-evaluation reference against the same document as `cache`.
@@ -254,25 +256,25 @@ fn reference_small(cache: &ShardedViewCache, stream: &[Pattern]) -> Vec<Vec<Node
     stream.iter().map(|q| cache.answer_direct(q)).collect()
 }
 
-/// Sharded-vs-serial byte-identity on a workload whose hot queries are
+/// Concurrent-vs-serial byte-identity on a workload whose hot queries are
 /// served by **multi-view intersection routes**: 8 threads over the
 /// overlapping-view catalog must reproduce the one-thread cache's
 /// nodes *and* routes (including `Route::Intersect` participant lists), and
-/// replacing a participant under the sharded cache must invalidate every
+/// replacing a participant under the shared cache must invalidate every
 /// route that depended on it.
 #[test]
 fn intersect_routes_are_schedule_invariant_and_invalidate_on_replacement() {
     let catalog = site_intersect_catalog();
     let stream = catalog_zipf_stream(&catalog, 400, 0x1D5EC7);
 
-    // Serial reference: one shard, one thread, same document and pool.
+    // Serial reference: one thread, same document and pool.
     let want = reference(&catalog, &stream);
     assert!(
         want.iter().any(|(_, r)| matches!(r, Route::Intersect { .. })),
         "the overlapping catalog must exercise intersection routes"
     );
 
-    let cache = cache_with(&catalog, 8);
+    let cache = cache_with(&catalog);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let cache = &cache;
@@ -328,7 +330,7 @@ fn replace_view_is_atomic_for_readers_writers_and_edit_batches() {
     use xpath_views::workload::{edit_batches, edit_stream, EditMix};
 
     const ROUNDS: usize = 60;
-    let cache = sharded_cache();
+    let cache = shared_cache();
     let defs = [
         parse_xpath("site/region/item").expect("parses"),
         parse_xpath("site/region/item[name]").expect("parses"),

@@ -596,7 +596,7 @@ fn concurrent_edits_and_fused_batches_stay_consistent() {
     let batches = edit_batches(&edits, THREADS * ROUNDS / 2);
     let queries = patterns_from_seed(0x77, 8);
 
-    let cache = Arc::new(ShardedViewCache::new(doc).with_shards(4));
+    let cache = Arc::new(ShardedViewCache::new(doc));
     std::thread::scope(|scope| {
         // Writers: half the threads apply disjoint slices of the edit
         // stream in order (each slice is internally valid because the

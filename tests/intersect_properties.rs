@@ -77,7 +77,7 @@ proptest! {
         }
     }
 
-    /// End-to-end through the cache: whatever route the sharded cache
+    /// End-to-end through the cache: whatever route the cache
     /// picks (view, intersection, or direct), answers equal direct
     /// evaluation on the seeded document.
     #[test]
@@ -102,7 +102,7 @@ proptest! {
 #[test]
 fn acceptance_two_view_intersection_through_the_sharded_cache() {
     let doc = site_doc(8, 10, 7);
-    let cache = ShardedViewCache::new(doc).with_shards(4);
+    let cache = ShardedViewCache::new(doc);
     cache.add_view("bid_names", parse_xpath("site/region/item[bids]/name").unwrap());
     cache.add_view("ship_names", parse_xpath("site/region/item[shipping]/name").unwrap());
     let q = parse_xpath("site/region/item[bids][shipping]/name").unwrap();

@@ -723,7 +723,7 @@ fn concurrent_updates_and_answers_match_serial_replay() {
         (0..probes.len()).map(|qi| versions.iter().map(|v| v[qi].clone()).collect()).collect();
 
     // Concurrent run.
-    let cache = Arc::new(ShardedViewCache::new(doc).with_shards(8));
+    let cache = Arc::new(ShardedViewCache::new(doc));
     for (name, def) in catalog.views.iter() {
         cache.add_view(name, def.clone());
     }

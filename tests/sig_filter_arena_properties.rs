@@ -62,7 +62,7 @@ fn arena_lane_owned_wrapper_and_reference_agree() {
     let stream = catalog_zipf_stream(&catalog, 48, 0x51);
     let doc = site_doc(6, 6, 5);
     let build = || {
-        let cache = ShardedViewCache::new(doc.clone()).with_shards(2);
+        let cache = ShardedViewCache::new(doc.clone());
         for (name, def) in &catalog.views {
             cache.add_view(name, def.clone());
         }
@@ -112,7 +112,7 @@ fn arena_lane_owned_wrapper_and_reference_agree() {
 #[test]
 fn arena_fanout_shares_storage() {
     let catalog = site_catalog();
-    let cache = ShardedViewCache::new(site_doc(6, 6, 5)).with_shards(2);
+    let cache = ShardedViewCache::new(site_doc(6, 6, 5));
     for (name, def) in &catalog.views {
         cache.add_view(name, def.clone());
     }
