@@ -392,7 +392,7 @@ impl PlanningSession {
 
     /// [`PlanningSession::decide`] with this call's counters.
     pub fn decide_with_stats(&self, p: &Pattern, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
-        self.decide_counted(&self.prepare(p), v)
+        self.decide_counted(&self.prepare(p), v, self.oracle.intern(v))
     }
 
     /// Prepares `p` for decisions against many views (one plan miss): what
@@ -401,14 +401,28 @@ impl PlanningSession {
         QueryContext::new(&self.oracle, p)
     }
 
-    /// [`PlanningSession::decide`] for a query prepared by this session.
-    pub fn decide_prepared(&self, ctx: &QueryContext<'_>, v: &Pattern) -> RewriteAnswer {
-        self.decide_counted(ctx, v).0
+    /// [`PlanningSession::decide`] for a query prepared by this session and
+    /// a view it already interned: `v_key` is what this session's
+    /// [`ContainmentOracle::intern`] returned for `v`. A caller that holds
+    /// the keys of the views it plans against (a pool's) interns nothing
+    /// per decision.
+    pub fn decide_prepared(
+        &self,
+        ctx: &QueryContext<'_>,
+        v: &Pattern,
+        v_key: PatternKey,
+    ) -> RewriteAnswer {
+        self.decide_counted(ctx, v, v_key).0
     }
 
-    fn decide_counted(&self, ctx: &QueryContext<'_>, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
+    fn decide_counted(
+        &self,
+        ctx: &QueryContext<'_>,
+        v: &Pattern,
+        v_key: PatternKey,
+    ) -> (RewriteAnswer, PlannerStats) {
         debug_assert!(std::ptr::eq(ctx.oracle, &self.oracle), "query prepared by another session");
-        let key = (ctx.key, self.oracle.intern(v));
+        let key = (ctx.key, v_key);
         let memo = &self.decisions;
         let memoized = memo.read().expect("decision memo poisoned").get_current(&key).cloned();
         let memoized =

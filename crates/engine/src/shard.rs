@@ -66,15 +66,26 @@
 //!   `Direct` routes stay (a smaller pool cannot create a rewriting).
 //! * [`ShardedViewCache::apply_edits`] drops nothing: execution reads the
 //!   participants' *current* node sets from the snapshot it runs on.
+//!
+//! The intersection search's anchors are facts about the pool's
+//! definitions alone, so they live beside the pool, not in the memo: each
+//! pool version has one [`AnchorTable`], built by its first plan miss,
+//! whose subsets' merged anchors are filled by the misses that first reach
+//! them — at most [`MAX_CANDIDATES`](xpv_intersect::MAX_CANDIDATES) per
+//! depth group, each merged, checked for redundancy and interned once.
+//! `apply_edits` shares the table by `Arc`; `add_view`, `remove_view` and
+//! `replace_view` publish an empty one, so no plan reads an anchor merged
+//! from a definition that is gone, and the old table is freed with the
+//! last snapshot holding it.
 
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use xpv_core::{PlanningSession, RewriteAnswer, RewritePlanner};
-use xpv_intersect::plan_intersection_sig;
+use xpv_intersect::{plan_intersection_sig, AnchorTable};
 use xpv_maintain::{
     apply_region_results, coalesce_plan, prepare_batch, scan_regions_flat, Edit, EditError,
     FlatSpines, MaintainStats,
@@ -128,6 +139,15 @@ struct StateSnapshot {
     /// touch them; `add_view`/`remove_view` rebuild the vector alongside
     /// the pool.
     sigs: Arc<Vec<ViewSignature>>,
+    /// The pool's [`AnchorTable`]: each view's interned key, and the
+    /// intersection search's subsets with their merged anchors, filled by
+    /// the plan misses that first reach them. Built by the first plan miss
+    /// over this pool, so a pool change costs no table. Definitions-only
+    /// like `sigs`: edits share it by `Arc`, and every pool change
+    /// publishes a new, empty slot, so an anchor is merged at most once per
+    /// pool version and the old anchors go with the last snapshot holding
+    /// them.
+    anchors: Arc<OnceLock<AnchorTable>>,
     /// The frozen struct-of-arrays form of `doc` (see
     /// [`xpv_model::FlatTree`]): frozen when the cache is built, then
     /// derived from its predecessor once per document swap, *before* the
@@ -591,6 +611,7 @@ impl ShardedViewCache {
                 views: Arc::new(Vec::new()),
                 ids: Arc::new(Vec::new()),
                 sigs: Arc::new(Vec::new()),
+                anchors: Arc::default(),
                 flat,
             }),
             write_gate: std::sync::Mutex::new(()),
@@ -686,6 +707,7 @@ impl ShardedViewCache {
             state.views = Arc::new(views);
             state.ids = Arc::new(ids);
             state.sigs = Arc::new(sigs);
+            state.anchors = Arc::default();
         }
         // Version bump strictly before the sweep: an in-flight plan either
         // sees the bump (and skips memoizing) or inserts before the sweep
@@ -1044,6 +1066,10 @@ impl ShardedViewCache {
         if views.is_empty() {
             return (PlannedRoute::Direct, PlanDep::NoUsableView);
         }
+        let anchors = snap.anchors.get_or_init(|| {
+            let defs: Vec<&Pattern> = views.iter().map(|v| v.definition()).collect();
+            AnchorTable::new(&defs)
+        });
         let qsig = QuerySignature::of(query);
         let mut order: Vec<usize> =
             (0..views.len()).filter(|&i| qsig.admits(&snap.sigs[i])).collect();
@@ -1065,7 +1091,8 @@ impl ShardedViewCache {
         // candidates per view depth — is shared by every decision below.
         let ctx = self.session.prepare(query);
         for &index in &order {
-            let answer = self.session.decide_prepared(&ctx, views[index].definition());
+            let key = anchors.view_key(&self.session, index);
+            let answer = self.session.decide_prepared(&ctx, views[index].definition(), key);
             if let RewriteAnswer::Rewriting(rw) = answer {
                 // The route is justified by this view alone (its rewriting
                 // was verified pairwise), so it depends on that view's
@@ -1077,13 +1104,7 @@ impl ShardedViewCache {
         }
         // No single view rewrites the query: try a multi-view intersection.
         if views.len() >= 2 {
-            let pool: Vec<&Pattern> = views.iter().map(|v| v.definition()).collect();
-            let (answer, istats) = plan_intersection_sig(
-                &self.session,
-                &ctx,
-                &pool,
-                Some((&qsig, snap.sigs.as_slice())),
-            );
+            let (answer, istats) = plan_intersection_sig(&self.session, &ctx, &qsig, anchors);
             let c = &self.counters;
             c.intersect_candidates_tried.fetch_add(istats.candidates_tried, Ordering::Relaxed);
             if let Some(answer) = answer {
@@ -1875,6 +1896,129 @@ mod tests {
         // Replacing it back restores the intersection route.
         cache.replace_view("ship_names", pat("site/region/item[shipping]/name"));
         assert!(matches!(cache.answer(&q).route, Route::Intersect { .. }));
+    }
+
+    /// The anchor table lives exactly as long as its pool version: plan
+    /// misses fill it once, edits share it, and every pool change starts an
+    /// empty one, so no route is ever planned against a stale anchor.
+    #[test]
+    fn the_anchor_table_is_filled_once_per_pool_version() {
+        use xpv_maintain::Edit;
+
+        let cache = overlap_cache();
+        let oracle = cache.session().oracle();
+        let q = pat("site/region/item[bids][shipping]/name");
+        assert!(matches!(cache.answer(&q).route, Route::Intersect { .. }));
+        let table = Arc::clone(&cache.snapshot().anchors);
+        let filled = || table.get().expect("the first miss builds the table").held().entries;
+        assert_eq!(filled(), 1, "the first miss fills the pair's anchor");
+
+        // A second miss walking the same anchor: its decisions are the
+        // session's and its anchor the table's, so nothing is merged and
+        // the oracle is asked no redundancy question (nothing at all).
+        let asked = oracle.stats().queries;
+        let (route, _) = cache.plan(&q, &cache.snapshot());
+        assert!(matches!(route, PlannedRoute::Intersect { .. }));
+        assert_eq!(oracle.stats().queries, asked, "a repeated walk asks the oracle nothing");
+        // Another query reaching the same pair is decided, not merged.
+        let other = pat("site/region/item[bids][shipping][name]/name");
+        cache.answer(&other);
+        assert_eq!(filled(), 1, "the filled anchor is reused");
+
+        // Edits never change a definition: the table is carried by `Arc`.
+        let doc = cache.document();
+        let region = doc.children(doc.root())[0];
+        let both = TreeBuilder::root("item", |b| {
+            b.leaf("name");
+            b.leaf("bids");
+            b.leaf("shipping");
+        });
+        cache.apply_edits(&[Edit::InsertSubtree { parent: region, subtree: both }]).unwrap();
+        assert_eq!(cache.answer(&q).nodes, cache.answer_direct(&q));
+        assert!(Arc::ptr_eq(&table, &cache.snapshot().anchors), "edits carry the table");
+
+        // Every pool change publishes a new, empty slot: it builds no
+        // table, merges nothing and asks the oracle nothing.
+        let pool_change = |what: &str, change: &dyn Fn()| {
+            let before = Arc::clone(&cache.snapshot().anchors);
+            let asked = oracle.stats().queries;
+            change();
+            let after = Arc::clone(&cache.snapshot().anchors);
+            assert!(!Arc::ptr_eq(&before, &after), "{what} replaces the table");
+            assert!(after.get().is_none(), "{what} builds no table");
+            assert_eq!(oracle.stats().queries, asked, "{what} asks the oracle nothing");
+        };
+        pool_change("add_view", &|| {
+            cache.add_view("names", pat("site/region/item/name[x]"));
+        });
+        assert!(matches!(cache.answer(&q).route, Route::Intersect { .. }));
+        pool_change("remove_view", &|| {
+            cache.remove_view("names");
+        });
+        assert!(matches!(cache.answer(&q).route, Route::Intersect { .. }));
+        // The route survived the removal; a new query fills this version's
+        // table with the pair's anchor.
+        let third = pat("site/region/item[bids][shipping][bids]/name");
+        assert!(matches!(cache.answer(&third).route, Route::Intersect { .. }));
+        assert!(cache.snapshot().anchors.get().is_some_and(|t| t.held().entries == 1));
+
+        // A participant gets a different definition. Through the old pair's
+        // anchor the queries would still plan, over the new participant's
+        // node set: every answer must come from the new definitions.
+        cache.replace_view("bid_names", pat("site/region/item[bids]/shipping"));
+        for query in [&q, &other, &third] {
+            let ans = cache.answer(query);
+            assert_eq!(ans.nodes, cache.answer_direct(query), "{query}: {:?}", ans.route);
+            assert_eq!(ans.route, Route::Direct, "{query}");
+        }
+        pool_change("replace_view", &|| {
+            cache.replace_view("bid_names", pat("site/region/item[bids]/name"));
+        });
+        let restored = cache.answer(&q);
+        assert!(matches!(restored.route, Route::Intersect { .. }));
+        assert_eq!(restored.nodes, cache.answer_direct(&q));
+    }
+
+    /// Over 24 equal-depth mergeable views (276 pairs, 2 024 triples) the
+    /// table fills at most `MAX_CANDIDATES` anchors per depth group,
+    /// whatever the queries, and `add_view` builds no table at all.
+    #[test]
+    fn the_anchor_table_fills_at_most_the_budget_per_depth_group() {
+        use xpv_intersect::MAX_CANDIDATES;
+
+        let cache = ShardedViewCache::new(doc());
+        let oracle = cache.session().oracle();
+        for i in 0..24 {
+            let asked = oracle.stats().queries;
+            cache.add_view(&format!("v{i}"), pat(&format!("site/region/item[a{i}]/name")));
+            assert_eq!(oracle.stats().queries, asked, "add_view decides nothing");
+            assert!(cache.snapshot().anchors.get().is_none(), "add_view builds no table");
+        }
+        let all: String = (0..24).map(|i| format!("[a{i}]")).collect();
+        let mut queries: Vec<String> = vec![
+            "site".into(),
+            "site/region".into(),
+            "site/region/item".into(),
+            format!("site/region/item{all}/name"),
+            format!("site/region/item{all}/name/keyword"),
+            format!("site/region/item{all}//name"),
+        ];
+        queries.extend((0..23).map(|i| format!("site/region/item[a{i}][a{}]/name", i + 1)));
+        queries
+            .extend((0..22).map(|i| format!("site/region/item[a{i}][a{}][a{}]/*", i + 1, i + 2)));
+        let filled = || cache.snapshot().anchors.get().map_or(0, |t| t.held().entries);
+        for text in &queries {
+            let q = pat(text);
+            let ans = cache.answer(&q);
+            assert_eq!(ans.nodes, cache.answer_direct(&q), "{text}");
+            let filled = filled();
+            assert!(
+                filled <= MAX_CANDIDATES,
+                "{text}: {filled} anchors filled for one depth group"
+            );
+        }
+        // The query naming every view's label reaches the budget's worth.
+        assert_eq!(filled(), MAX_CANDIDATES);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!    rewriting is planned against. Subsets whose anchor collapses onto a
 //!    single participant (`Vi ⊑ M`, decided by the shared
 //!    [`xpv_semantics::ContainmentOracle`]) are skipped as redundant: the
-//!    single-view planner already covers them.
+//!    single-view planner already covers them. Anchors depend on the pool
+//!    alone, so an [`AnchorTable`] keeps them per pool version: each is
+//!    merged, checked and interned the first time a search needs it, and
+//!    later searches over the same pool reuse it.
 //! 3. **Compensation planning**: the single-view decision procedure
 //!    ([`xpv_core::PlanningSession::decide`]) plans `p` against `M`. A
 //!    verified rewriting becomes the [`IntersectAnswer::compensation`].
@@ -65,6 +68,6 @@
 pub mod plan;
 
 pub use plan::{
-    plan_intersection_in, plan_intersection_sig, IntersectAnswer, IntersectStats, MAX_ARITY,
-    MAX_CANDIDATES,
+    plan_intersection_in, plan_intersection_sig, AnchorTable, IntersectAnswer, IntersectStats,
+    MAX_ARITY, MAX_CANDIDATES,
 };

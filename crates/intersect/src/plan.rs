@@ -1,16 +1,30 @@
 //! Subset selection: which views to intersect, and with what compensation.
 //!
-//! The planner enumerates small subsets of a view pool (pairs first, then
+//! The planner walks small subsets of a view pool (pairs first, then
 //! triples, …) whose members can merge into an exact intersection pattern,
 //! and plans the query against each merged anchor through the shared
 //! [`PlanningSession`] — so each `(query, anchor)` decision is made once
-//! across searches and threads. The redundancy pre-check is two cheap
-//! containments, decided afresh each time.
+//! across searches and threads.
+//!
+//! Everything about a subset but that decision is a function of the pool
+//! alone: its signature union, its merged anchor `M`, whether `Vi ⊑ M`
+//! holds for a participant (the redundancy check, two or three
+//! containments) and `M`'s interned key. An [`AnchorTable`] keeps them per
+//! pool version. It lists the subsets in the order the search walks them
+//! and fills a subset's anchor the first time a search reaches it with a
+//! signature union the query admits, so each anchor is merged, checked and
+//! interned at most once per table, whatever the number of queries. A
+//! search then does only query-dependent work per subset: the signature
+//! test and the decision.
 
 use std::fmt;
+use std::mem::size_of;
+use std::sync::OnceLock;
 
 use xpv_core::{PlanningSession, QueryContext, RewriteAnswer};
-use xpv_pattern::{intersect_patterns, Axis, Pattern, QuerySignature, ViewSignature};
+use xpv_pattern::{
+    intersect_patterns, Axis, Held, Pattern, PatternKey, QuerySignature, ViewSignature,
+};
 
 /// A verified multi-view rewriting over a node-set intersection:
 /// `R ◦ M ≡ P`, so the anchored evaluation equals direct evaluation.
@@ -34,15 +48,15 @@ pub const MAX_ARITY: usize = 3;
 pub const MAX_CANDIDATES: usize = 64;
 
 /// Counters describing one subset search (all per-call).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IntersectStats {
-    /// Subsets for which a merge was attempted.
+    /// Subsets the search reached, within the budget.
     pub candidates_tried: u64,
-    /// Subsets dismissed by the signature-union necessary condition
-    /// before any structural merge or containment work (zero when the
-    /// caller passed no signatures).
+    /// Subsets dismissed because the query signature rejects their
+    /// signature union (the merged anchor's signature), before any look at
+    /// the anchor.
     pub sig_skipped: u64,
-    /// Subsets whose views actually merged into an intersection pattern.
+    /// Subsets whose views merged into an intersection pattern.
     pub merges_built: u64,
     /// Merged anchors skipped because they collapse onto a single
     /// participant (`Vi ⊑ M`), which the single-view planner covers.
@@ -69,6 +83,61 @@ impl fmt::Display for IntersectStats {
     }
 }
 
+/// A pool's subsets in search order, each with its anchor once a search
+/// has needed it. Built from the view definitions alone, so a document
+/// edit never changes it; a change of the pool needs a new one.
+///
+/// Blocks come arity-major (all pairs, then all triples), deepest depth
+/// group first within an arity, each block's subsets in lexicographic
+/// order over its group's views in pool order — the order a search walks.
+/// A block keeps at most its first [`MAX_CANDIDATES`] subsets, because a
+/// search reaches no more in one block. A search starting at a depth group
+/// walks at most [`MAX_CANDIDATES`] subsets, so a table never fills more
+/// than [`MAX_CANDIDATES`] × (number of depth groups) anchors.
+///
+/// The keys it holds (views' and anchors') come from the interner of the
+/// session that first walked it: walk a table with one session only.
+#[derive(Debug)]
+pub struct AnchorTable {
+    /// The pool's definitions, in pool order.
+    views: Vec<Pattern>,
+    /// Each pool view's key in the session oracle's interner, interned by
+    /// the first decision against the view.
+    keys: Vec<OnceLock<PatternKey>>,
+    blocks: Vec<Block>,
+}
+
+/// The subsets of one depth group of one arity.
+#[derive(Debug)]
+struct Block {
+    /// The group's selection depth.
+    depth: usize,
+    arity: usize,
+    /// Each subset's pool indices, `arity` at a time, parallel to `slots`.
+    members: Vec<usize>,
+    slots: Vec<Slot>,
+}
+
+#[derive(Debug)]
+struct Slot {
+    /// The members' signature union: the merged anchor's signature, `None`
+    /// when the output tests clash (then the merge fails too).
+    union: Option<ViewSignature>,
+    anchor: OnceLock<Anchor>,
+}
+
+/// What a subset's views make as an anchor.
+#[derive(Debug)]
+enum Anchor {
+    /// The views do not merge into one tree pattern.
+    Unmerged,
+    /// `Vi ⊑ M` for some participant: the anchor is just `Vi`, which the
+    /// single-view planner covers.
+    Redundant,
+    /// A merged anchor to decide queries against, with its interned key.
+    Merged { pattern: Pattern, key: PatternKey },
+}
+
 /// `true` when a view can take part in a tree-expressible intersection at
 /// all: every selection edge below the root edge is a child edge (see
 /// [`intersect_patterns`]).
@@ -77,8 +146,7 @@ fn mergeable_shape(v: &Pattern) -> bool {
 }
 
 /// Enumerates the index subsets of `group` of size `arity` in lexicographic
-/// order, invoking `visit` until it returns `false` (budget exhausted or
-/// answer found).
+/// order, invoking `visit` until it returns `false`.
 fn for_each_subset(group: &[usize], arity: usize, visit: &mut impl FnMut(&[usize]) -> bool) {
     fn rec(
         group: &[usize],
@@ -104,6 +172,106 @@ fn for_each_subset(group: &[usize], arity: usize, visit: &mut impl FnMut(&[usize
     rec(group, arity, 0, &mut current, visit);
 }
 
+impl AnchorTable {
+    /// The table of `pool`, with nothing filled: no view is interned, no
+    /// anchor merged and nothing decided.
+    pub fn new(pool: &[&Pattern]) -> AnchorTable {
+        // Candidate views, grouped by selection depth: only equal-depth
+        // views merge, and the merged anchor inherits that depth, which the
+        // planner's depth gate requires to be ≤ the query's. Deeper anchors
+        // first: they leave the least compensation work and are the most
+        // selective intersections.
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (i, v) in pool.iter().enumerate().filter(|(_, v)| mergeable_shape(v)) {
+            let k = v.depth();
+            match groups.iter_mut().find(|(depth, _)| *depth == k) {
+                Some((_, group)) => group.push(i),
+                None => groups.push((k, vec![i])),
+            }
+        }
+        groups.sort_by_key(|&(depth, _)| std::cmp::Reverse(depth));
+        let sigs: Vec<ViewSignature> = pool.iter().map(|v| ViewSignature::of(v)).collect();
+        let mut blocks = Vec::new();
+        for arity in 2..=MAX_ARITY {
+            for (depth, group) in &groups {
+                let mut block =
+                    Block { depth: *depth, arity, members: Vec::new(), slots: Vec::new() };
+                for_each_subset(group, arity, &mut |subset| {
+                    let union =
+                        subset[1..].iter().try_fold(sigs[subset[0]], |acc, &i| acc.union(&sigs[i]));
+                    block.members.extend_from_slice(subset);
+                    block.slots.push(Slot { union, anchor: OnceLock::new() });
+                    block.slots.len() < MAX_CANDIDATES
+                });
+                if !block.slots.is_empty() {
+                    blocks.push(block);
+                }
+            }
+        }
+        AnchorTable {
+            views: pool.iter().map(|&v| v.clone()).collect(),
+            keys: pool.iter().map(|_| OnceLock::new()).collect(),
+            blocks,
+        }
+    }
+
+    /// The key of pool view `i` in `session`'s interner, interned on first
+    /// use.
+    pub fn view_key(&self, session: &PlanningSession, i: usize) -> PatternKey {
+        *self.keys[i].get_or_init(|| session.oracle().intern(&self.views[i]))
+    }
+
+    /// Anchors filled so far, and the bytes the whole table holds: its
+    /// slots and member lists, its copies of the pool's definitions and
+    /// the merged anchors' patterns.
+    pub fn held(&self) -> Held {
+        let slots = self.blocks.iter().flat_map(|b| &b.slots);
+        let filled: Vec<&Anchor> = slots.filter_map(|s| s.anchor.get()).collect();
+        let anchors: usize = filled
+            .iter()
+            .map(|a| match a {
+                Anchor::Merged { pattern, .. } => pattern.heap_bytes(),
+                Anchor::Unmerged | Anchor::Redundant => 0,
+            })
+            .sum();
+        let blocks: usize = self
+            .blocks
+            .iter()
+            .map(|b| {
+                size_of::<Block>()
+                    + b.members.capacity() * size_of::<usize>()
+                    + b.slots.capacity() * size_of::<Slot>()
+            })
+            .sum();
+        let view = size_of::<Pattern>() + size_of::<OnceLock<PatternKey>>();
+        let views: usize = self.views.iter().map(|v| view + v.heap_bytes()).sum();
+        Held { entries: filled.len(), bytes: size_of::<AnchorTable>() + blocks + views + anchors }
+    }
+
+    /// The anchor of the subset `members` in `slot`, filled on first use:
+    /// merged, checked for redundancy and interned once per table.
+    fn anchor<'t>(
+        &'t self,
+        session: &PlanningSession,
+        members: &[usize],
+        slot: &'t Slot,
+    ) -> &'t Anchor {
+        slot.anchor.get_or_init(|| {
+            let views: Vec<&Pattern> = members.iter().map(|&i| &self.views[i]).collect();
+            let Some(merged) = intersect_patterns(&views) else {
+                return Anchor::Unmerged;
+            };
+            // Redundancy pruning: M ⊑ Vi holds by construction, so Vi ⊑ M
+            // means the anchor is just Vi — single-view territory.
+            let oracle = session.oracle();
+            if views.iter().any(|v| oracle.contained(v, &merged)) {
+                return Anchor::Redundant;
+            }
+            Anchor::Merged { key: oracle.intern(&merged), pattern: merged }
+        })
+    }
+}
+
 /// Selects a small subset of `pool` whose intersection supports an
 /// **equivalent** rewriting of `p`, trying pairs before triples (up to
 /// [`MAX_ARITY`]) under the [`MAX_CANDIDATES`] budget. Every decision
@@ -111,115 +279,73 @@ fn for_each_subset(group: &[usize], arity: usize, visit: &mut impl FnMut(&[usize
 ///
 /// Returns the first answer found (deepest anchors first, then pool order)
 /// together with the per-call search counters. See the crate docs for the
-/// soundness/completeness contract.
+/// soundness/completeness contract. The search walks a throwaway
+/// [`AnchorTable`] of `pool`, built for this call.
 pub fn plan_intersection_in(
     session: &PlanningSession,
     p: &Pattern,
     pool: &[&Pattern],
 ) -> (Option<IntersectAnswer>, IntersectStats) {
-    plan_intersection_sig(session, &session.prepare(p), pool, None)
+    let table = AnchorTable::new(pool);
+    plan_intersection_sig(session, &session.prepare(p), &QuerySignature::of(p), &table)
 }
 
-/// [`plan_intersection_in`] with the serving layer's precomputed
-/// signatures: each enumerated subset is first checked against the
-/// **signature union** (the merged anchor's signature — label masks
-/// union, output tests glb), and subsets whose union the query signature
-/// rejects skip the structural merge, the redundancy containment check,
-/// and the full decision procedure. The prune is a necessary condition,
-/// so the returned answer is identical to the unfiltered search's (only
-/// [`IntersectStats::sig_skipped`] and the work done differ). Pass
-/// `sigs = None` when no precomputed signatures are at hand; `sigs` must
-/// be parallel to `pool`. The query arrives prepared (`ctx`, from
+/// [`plan_intersection_in`] over a pool's [`AnchorTable`], always walked
+/// with `session`: the serving layer keeps one table per pool version, so
+/// the anchors a search reaches are merged once for all the queries that
+/// reach them.
+///
+/// The search walks the table's subsets in order, skipping depth groups
+/// deeper than the query, and counts each subset against the budget. A
+/// subset whose signature union (label masks united, output tests glb-ed)
+/// the query's signature `qsig` rejects is skipped before its anchor is
+/// looked at: the prune is a necessary condition, so it changes the work
+/// done, never the answer. The query arrives prepared (`ctx`, from
 /// `session`), so a plan miss shares one context between its single-view
 /// scan and this search.
 pub fn plan_intersection_sig(
     session: &PlanningSession,
     ctx: &QueryContext<'_>,
-    pool: &[&Pattern],
-    sigs: Option<(&QuerySignature, &[ViewSignature])>,
+    qsig: &QuerySignature,
+    table: &AnchorTable,
 ) -> (Option<IntersectAnswer>, IntersectStats) {
     let mut stats = IntersectStats::default();
     let d = ctx.query().depth();
-    // Candidate views, grouped by selection depth: only equal-depth views
-    // merge, and the merged anchor inherits that depth, which the planner's
-    // depth gate requires to be ≤ the query's.
-    let mut by_depth: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, v) in pool.iter().enumerate() {
-        let k = v.depth();
-        if k > d || !mergeable_shape(v) {
-            continue;
-        }
-        match by_depth.iter_mut().find(|(depth, _)| *depth == k) {
-            Some((_, group)) => group.push(i),
-            None => by_depth.push((k, vec![i])),
-        }
-    }
-    // Deeper anchors first: they leave the least compensation work and are
-    // the most selective intersections.
-    by_depth.sort_by_key(|&(depth, _)| std::cmp::Reverse(depth));
-
-    let mut found: Option<IntersectAnswer> = None;
     let mut budget = MAX_CANDIDATES;
-    for arity in 2..=MAX_ARITY {
-        for (_, group) in &by_depth {
-            if group.len() < arity {
+    for block in table.blocks.iter().filter(|b| b.depth <= d) {
+        for (members, slot) in block.members.chunks(block.arity).zip(&block.slots) {
+            if budget == 0 {
+                return (None, stats);
+            }
+            budget -= 1;
+            stats.candidates_tried += 1;
+            if !slot.union.is_some_and(|u| qsig.admits(&u)) {
+                stats.sig_skipped += 1;
                 continue;
             }
-            for_each_subset(group, arity, &mut |subset| {
-                if budget == 0 {
-                    return false;
-                }
-                budget -= 1;
-                stats.candidates_tried += 1;
-                // Signature-union prune, *after* the budget decrement so
-                // the filtered and unfiltered arms enumerate identical
-                // subset sequences (byte-identical routes either way): the
-                // union is the merged anchor's signature, and a rejected
-                // union proves the subset cannot support an equivalent
-                // compensation — or the merge itself would fail.
-                if let Some((qsig, vsigs)) = sigs {
-                    let unified = subset[1..]
-                        .iter()
-                        .try_fold(vsigs[subset[0]], |acc, &i| acc.union(&vsigs[i]));
-                    if !unified.is_some_and(|u| qsig.admits(&u)) {
-                        stats.sig_skipped += 1;
-                        return true;
-                    }
-                }
-                let views: Vec<&Pattern> = subset.iter().map(|&i| pool[i]).collect();
-                let Some(merged) = intersect_patterns(&views) else {
-                    return true;
-                };
-                stats.merges_built += 1;
-                // Redundancy pruning: M ⊑ Vi holds by
-                // construction, so Vi ⊑ M means the anchor is just Vi —
-                // single-view territory.
-                let oracle = session.oracle();
-                if views.iter().any(|v| oracle.contained(v, &merged)) {
+            let (pattern, key) = match table.anchor(session, members, slot) {
+                Anchor::Unmerged => continue,
+                Anchor::Redundant => {
+                    stats.merges_built += 1;
                     stats.redundant_skipped += 1;
-                    return true;
+                    continue;
                 }
-                stats.plans_attempted += 1;
-                if let RewriteAnswer::Rewriting(rw) = session.decide_prepared(ctx, &merged) {
-                    stats.participants = subset.len() as u64;
-                    found = Some(IntersectAnswer {
-                        views: subset.to_vec(),
-                        compensation: rw.pattern().clone(),
-                        intersection: merged,
-                    });
-                    return false;
-                }
-                true
-            });
-            if found.is_some() || budget == 0 {
-                break;
+                Anchor::Merged { pattern, key } => (pattern, *key),
+            };
+            stats.merges_built += 1;
+            stats.plans_attempted += 1;
+            if let RewriteAnswer::Rewriting(rw) = session.decide_prepared(ctx, pattern, key) {
+                stats.participants = members.len() as u64;
+                let answer = IntersectAnswer {
+                    views: members.to_vec(),
+                    compensation: rw.pattern().clone(),
+                    intersection: pattern.clone(),
+                };
+                return (Some(answer), stats);
             }
         }
-        if found.is_some() || budget == 0 {
-            break;
-        }
     }
-    (found, stats)
+    (None, stats)
 }
 
 #[cfg(test)]
@@ -268,6 +394,31 @@ mod tests {
         let (ans, _) = plan_intersection_in(&session, &p, &refs);
         let ans = ans.expect("triple answer");
         assert_eq!(ans.views, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_table_fills_each_anchor_once() {
+        let session = RewritePlanner::default().session();
+        let views = pool(&[
+            "site/region/item[bids]/name",
+            "site/region/item[shipping]/name",
+            "site/region/item[description]/name",
+        ]);
+        let refs: Vec<&Pattern> = views.iter().collect();
+        let table = AnchorTable::new(&refs);
+        assert_eq!(table.held().entries, 0, "building a table fills nothing");
+        let p = pat("site/region/item[bids][shipping][description]/name");
+        let search = || {
+            plan_intersection_sig(&session, &session.prepare(&p), &QuerySignature::of(&p), &table)
+        };
+        let (first, stats) = search();
+        assert_eq!(table.held().entries, 4, "three pairs and the triple");
+        let asked = session.oracle().stats().queries;
+        let (again, again_stats) = search();
+        assert_eq!(session.oracle().stats().queries, asked, "nothing merged, checked or decided");
+        assert_eq!(again_stats, stats);
+        assert_eq!(again.map(|a| a.views), first.map(|a| a.views));
+        assert_eq!(table.held().entries, 4);
     }
 
     #[test]

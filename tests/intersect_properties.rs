@@ -9,16 +9,24 @@
 //! * **serving** — a query no single view can answer is served through
 //!   `ShardedViewCache` byte-identically to direct evaluation, survives
 //!   memoization (second ask = zero containment calls), and is invalidated
-//!   when a participant view is replaced.
+//!   when a participant view is replaced;
+//! * **the anchor table changes no search** — a search over a pool's
+//!   `AnchorTable` (anchors merged once per pool) finds what the straight
+//!   per-query enumeration finds, with the same counters, however often
+//!   the table is walked.
 
 mod common;
 
 use proptest::prelude::*;
 use xpath_views::engine::{Route, ShardedViewCache};
-use xpath_views::intersect::plan_intersection_in;
+use xpath_views::intersect::{
+    plan_intersection_in, plan_intersection_sig, AnchorTable, IntersectStats, MAX_ARITY,
+    MAX_CANDIDATES,
+};
 use xpath_views::model::BitSet;
-use xpath_views::pattern::intersect_patterns;
+use xpath_views::pattern::{intersect_patterns, Axis, QuerySignature, ViewSignature};
 use xpath_views::prelude::*;
+use xpath_views::rewrite::PlanningSession;
 use xpath_views::semantics::evaluate_anchored;
 use xpath_views::workload::{site_doc, split_into_overlapping_views, Fragment};
 
@@ -41,6 +49,194 @@ fn overlapping_pool(seed: u64, parts: usize) -> Option<(Pattern, Vec<Pattern>)> 
     let p = pattern_from_seed(seed, Fragment::Full);
     let views = split_into_overlapping_views(&p, parts, seed ^ 0xA5A5)?;
     Some((p, views))
+}
+
+/// The subset search as every query ran it before anchor tables: group
+/// the mergeable views no deeper than the query by depth (deepest first),
+/// enumerate pairs then triples in lexicographic order under the budget,
+/// and merge, redundancy-check and intern each admitted subset's anchor
+/// afresh. The reference the table-backed search must equal.
+fn reference_search(
+    session: &PlanningSession,
+    p: &Pattern,
+    pool: &[&Pattern],
+) -> (Option<IntersectAnswer>, IntersectStats) {
+    fn for_each_subset(group: &[usize], arity: usize, visit: &mut impl FnMut(&[usize]) -> bool) {
+        fn rec(
+            group: &[usize],
+            arity: usize,
+            start: usize,
+            current: &mut Vec<usize>,
+            visit: &mut impl FnMut(&[usize]) -> bool,
+        ) -> bool {
+            if current.len() == arity {
+                return visit(current);
+            }
+            for i in start..group.len() {
+                current.push(group[i]);
+                let keep_going = rec(group, arity, i + 1, current, visit);
+                current.pop();
+                if !keep_going {
+                    return false;
+                }
+            }
+            true
+        }
+        rec(group, arity, 0, &mut Vec::new(), visit);
+    }
+
+    let ctx = session.prepare(p);
+    let qsig = QuerySignature::of(p);
+    let vsigs: Vec<ViewSignature> = pool.iter().map(|v| ViewSignature::of(v)).collect();
+    let mergeable = |v: &Pattern| v.selection_axes().iter().skip(1).all(|&a| a == Axis::Child);
+    let mut by_depth: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (i, v) in pool.iter().enumerate() {
+        let k = v.depth();
+        if k > p.depth() || !mergeable(v) {
+            continue;
+        }
+        match by_depth.iter_mut().find(|(depth, _)| *depth == k) {
+            Some((_, group)) => group.push(i),
+            None => by_depth.push((k, vec![i])),
+        }
+    }
+    by_depth.sort_by_key(|&(depth, _)| std::cmp::Reverse(depth));
+
+    let mut stats = IntersectStats::default();
+    let mut found = None;
+    let mut budget = MAX_CANDIDATES;
+    for arity in 2..=MAX_ARITY {
+        for (_, group) in &by_depth {
+            for_each_subset(group, arity, &mut |subset| {
+                if budget == 0 {
+                    return false;
+                }
+                budget -= 1;
+                stats.candidates_tried += 1;
+                let union =
+                    subset[1..].iter().try_fold(vsigs[subset[0]], |acc, &i| acc.union(&vsigs[i]));
+                if !union.is_some_and(|u| qsig.admits(&u)) {
+                    stats.sig_skipped += 1;
+                    return true;
+                }
+                let views: Vec<&Pattern> = subset.iter().map(|&i| pool[i]).collect();
+                let Some(merged) = intersect_patterns(&views) else {
+                    return true;
+                };
+                stats.merges_built += 1;
+                let oracle = session.oracle();
+                if views.iter().any(|v| oracle.contained(v, &merged)) {
+                    stats.redundant_skipped += 1;
+                    return true;
+                }
+                stats.plans_attempted += 1;
+                let key = oracle.intern(&merged);
+                if let Some(rw) = session.decide_prepared(&ctx, &merged, key).rewriting() {
+                    stats.participants = subset.len() as u64;
+                    found = Some(IntersectAnswer {
+                        views: subset.to_vec(),
+                        compensation: rw.clone(),
+                        intersection: merged,
+                    });
+                    return false;
+                }
+                true
+            });
+            if found.is_some() || budget == 0 {
+                return (found, stats);
+            }
+        }
+    }
+    (found, stats)
+}
+
+/// Walks `pool`'s anchor table with every query twice (the second walk
+/// reads filled anchors) against the reference search, each side with its
+/// own session: the same participants, compensation and intersection
+/// (printed), and the same counters. Returns the anchors the table filled.
+fn table_matches_reference(pool: &[Pattern], queries: &[Pattern]) -> Result<usize, TestCaseError> {
+    let refs: Vec<&Pattern> = pool.iter().collect();
+    let (reference, walked) =
+        (RewritePlanner::default().session(), RewritePlanner::default().session());
+    let table = AnchorTable::new(&refs);
+    let show = |a: &Option<IntersectAnswer>| {
+        a.as_ref()
+            .map(|a| (a.views.clone(), a.compensation.to_string(), a.intersection.to_string()))
+    };
+    for _ in 0..2 {
+        for q in queries {
+            let (want, want_stats) = reference_search(&reference, q, &refs);
+            let (got, got_stats) =
+                plan_intersection_sig(&walked, &walked.prepare(q), &QuerySignature::of(q), &table);
+            prop_assert_eq!(show(&got), show(&want), "query {}", q);
+            prop_assert_eq!(got_stats, want_stats, "query {}", q);
+        }
+    }
+    Ok(table.held().entries)
+}
+
+/// The number of depth groups the search can walk in `pool`.
+fn depth_groups(pool: &[Pattern]) -> usize {
+    let mut depths: Vec<usize> = pool
+        .iter()
+        .filter(|v| v.selection_axes().iter().skip(1).all(|&a| a == Axis::Child))
+        .map(Pattern::depth)
+        .collect();
+    depths.sort_unstable();
+    depths.dedup();
+    depths.len()
+}
+
+/// Queries at every depth of `p`: each of its upper patterns `P≤k`, `p`
+/// itself, and a few unrelated ones.
+fn queries_around(p: &Pattern, seed: u64) -> Vec<Pattern> {
+    let mut queries: Vec<Pattern> = (0..p.depth()).map(|k| p.upper_pattern_leq(k)).collect();
+    queries.push(p.clone());
+    queries.extend((1..=3).map(|i| pattern_from_seed(seed.wrapping_add(i), Fragment::Full)));
+    queries
+}
+
+/// A pool of eight equal-depth mergeable views whose every pair and triple
+/// the query admits: 28 + 56 = 84 admissible subsets, past the budget.
+#[test]
+fn the_anchor_table_matches_the_reference_past_the_budget() {
+    let pool: Vec<Pattern> =
+        (0..8).map(|i| parse_xpath(&format!("site/region/item[a{i}]/name")).unwrap()).collect();
+    let all: String = (0..8).map(|i| format!("[a{i}]")).collect();
+    let p = parse_xpath(&format!("site/region/item{all}/name")).unwrap();
+    let mut queries = queries_around(&p, 7);
+    queries.push(parse_xpath(&format!("site/region/item{all}/name/x")).unwrap());
+    queries.push(parse_xpath("site/region/item[a3][a5]/name").unwrap());
+    let filled = table_matches_reference(&pool, &queries).unwrap();
+    assert_eq!(filled, MAX_CANDIDATES, "the budget's worth of pairs, no triple");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// On generated pools of up to eight views — a query split two or
+    /// three ways, each part's upper pattern one level up (a second depth
+    /// group, walked between the deeper group's pairs and its triples) and
+    /// unrelated views — the table-backed search equals the reference for
+    /// queries at every depth, and fills no more than the budget per depth
+    /// group.
+    #[test]
+    fn the_anchor_table_matches_the_reference(seed in any::<u64>()) {
+        let p = pattern_from_seed(seed, Fragment::Full);
+        let parts = 2 + (seed % 2) as usize;
+        let mut pool = split_into_overlapping_views(&p, parts, seed ^ 0xA5A5).unwrap_or_default();
+        let uppers: Vec<Pattern> = pool
+            .iter()
+            .filter(|v| v.depth() > 0)
+            .map(|v| v.upper_pattern_leq(v.depth() - 1))
+            .collect();
+        pool.extend(uppers);
+        for i in pool.len()..8 {
+            pool.push(pattern_from_seed(seed ^ (0x51 + i as u64), Fragment::Full));
+        }
+        let filled = table_matches_reference(&pool, &queries_around(&p, seed))?;
+        prop_assert!(filled <= MAX_CANDIDATES * depth_groups(&pool));
+    }
 }
 
 proptest! {

@@ -179,7 +179,7 @@ fn a_prepared_query_decides_like_a_fresh_planner_at_every_view_depth() {
             views.push(deeper);
             let ctx = session.prepare(&p);
             for v in &views {
-                let prepared = session.decide_prepared(&ctx, v);
+                let prepared = session.decide_prepared(&ctx, v, session.oracle().intern(v));
                 let fresh = planner.decide(&p, v);
                 assert_eq!(verdict(&prepared), verdict(&fresh), "P={p}, V={v}");
                 rewritings += usize::from(fresh.rewriting().is_some());
