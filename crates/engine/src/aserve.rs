@@ -59,18 +59,14 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use xpv_model::AnswerArena;
-use xpv_net::proto::{
-    AnswersEncoder, Msg, WireDump, WireRouteRef, WireTenantStats, WireUpdateReport,
-    MAX_ANSWER_NODES, VERSION,
-};
-use xpv_net::{read_frame, write_frame, Socket, WireCounters};
+use xpv_net::proto::{AnswersEncoder, Msg, WireDump, WireUpdateReport, MAX_ANSWER_NODES, VERSION};
+use xpv_net::{read_frame, write_frame, Socket};
 use xpv_obs::{
-    drain_trace_events, trace_sampling, HealthRule, Heartbeat, MetricsSnapshot, Phase, Span,
-    Watchdog, DEFAULT_COOLDOWN_TICKS, DEFAULT_WATCHDOG_INTERVAL,
+    drain_trace_events, trace_sampling, Counter, HealthRule, Heartbeat, MetricsSnapshot, Phase,
+    Registry, Span, Watchdog, DEFAULT_COOLDOWN_TICKS, DEFAULT_WATCHDOG_INTERVAL,
 };
 use xpv_pattern::{Pattern, TextCache};
 
-use crate::obs::{wire_alerts, wire_metrics, wire_traces};
 use crate::shard::{CacheAnswerRef, Route, ShardedViewCache, UpdateReport};
 use crate::tenants::{TenantRegistry, TenantStats};
 
@@ -151,6 +147,53 @@ struct Live {
     threads: Vec<JoinHandle<()>>,
 }
 
+/// The wire-traffic counters (the `xpv_net_*` family), in the cache's
+/// registry: looked up once when the server starts, and bumped by every
+/// connection's reader and writer.
+struct NetCounters {
+    /// Request frames decoded off client sockets.
+    frames_in: Arc<Counter>,
+    /// Response frames handed to socket writers.
+    frames_out: Arc<Counter>,
+    /// Frame-body bytes read (excluding the 4-byte length prefixes).
+    bytes_in: Arc<Counter>,
+    /// Frame-body bytes written (excluding the length prefixes).
+    bytes_out: Arc<Counter>,
+    /// Responses that found their connection's writer queue full (a
+    /// window's worth of responses unsent) and waited for the writer to
+    /// free a place — the per-connection backpressure signal for sizing
+    /// the credit window.
+    credit_stalls: Arc<Counter>,
+    /// Responses past the frame-size or node-id bound, downgraded to
+    /// `Rejected`.
+    oversized_rejections: Arc<Counter>,
+}
+
+impl NetCounters {
+    fn new(registry: &Registry) -> NetCounters {
+        NetCounters {
+            frames_in: registry.counter("xpv_net_frames_in"),
+            frames_out: registry.counter("xpv_net_frames_out"),
+            bytes_in: registry.counter("xpv_net_bytes_in"),
+            bytes_out: registry.counter("xpv_net_bytes_out"),
+            credit_stalls: registry.counter("xpv_net_credit_stalls"),
+            oversized_rejections: registry.counter("xpv_net_oversized_rejections"),
+        }
+    }
+
+    /// Accounts one decoded request frame of `body_len` body bytes.
+    fn frame_in(&self, body_len: usize) {
+        self.frames_in.inc();
+        self.bytes_in.add(body_len as u64);
+    }
+
+    /// Accounts one response frame of `body_len` body bytes.
+    fn frame_out(&self, body_len: usize) {
+        self.frames_out.inc();
+        self.bytes_out.add(body_len as u64);
+    }
+}
+
 /// State shared by the listeners and every connection.
 struct ServerShared {
     cache: Arc<ShardedViewCache>,
@@ -168,9 +211,8 @@ struct ServerShared {
     /// Signalled each time a connection leaves `live`: the drain waits on
     /// it for the connections to end.
     conn_ended: Condvar,
-    /// Wire-level traffic counters, shared by every connection (exposed
-    /// as the `xpv_net_*` metric family).
-    net: WireCounters,
+    /// Wire-level traffic counters, shared by every connection.
+    net: NetCounters,
     /// Writer heartbeat (`xpv_hb_flush_*`): in flight across each socket
     /// write, so a wedged peer that stops reading shows up as a
     /// frozen-beats/inflight>0 stall to the watchdog.
@@ -302,14 +344,14 @@ impl AsyncCacheServer {
             watchdog: Watchdog::start(&registry, rules, obs.interval, obs.cooldown_ticks),
             hb_flush: Heartbeat::new(&registry, "flush"),
             hb_reader: Heartbeat::new(&registry, "reader"),
+            net: NetCounters::new(&registry),
             cache,
-            tenants: TenantRegistry::new(),
+            tenants: TenantRegistry::default(),
             conn_window: AtomicU32::new(DEFAULT_CONN_WINDOW),
             workers: Pool::new((0..workers).map(|_| Worker::default()).collect()),
             draining: AtomicBool::new(false),
             live: Mutex::new(Live::default()),
             conn_ended: Condvar::new(),
-            net: WireCounters::new(),
         });
         AsyncCacheServer {
             shared,
@@ -425,11 +467,12 @@ impl AsyncCacheServer {
     }
 
     /// The whole server's metrics as one sorted snapshot: everything in
-    /// [`ShardedViewCache::metrics_snapshot`] plus the per-tenant
-    /// counters (`xpv_tenant_*{tenant="id"}`), the wire-traffic counters
-    /// (`xpv_net_*`), and the server gauges (`xpv_server_connections`,
-    /// `xpv_server_conn_window`). This is exactly the payload of a
-    /// `StatsV2Resp` frame — `xpv stats` prints its text form.
+    /// [`ShardedViewCache::metrics_snapshot`] (the wire-traffic counters,
+    /// `xpv_net_*`, among the registry's) plus the per-tenant counters
+    /// (`xpv_tenant_*{tenant="id"}`) and the server gauges
+    /// (`xpv_server_connections`, `xpv_server_conn_window`). This is
+    /// exactly the payload of a `StatsV2Resp` frame — `xpv stats` prints
+    /// its text form.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         server_metrics_snapshot(&self.shared)
     }
@@ -503,9 +546,6 @@ fn server_metrics_snapshot(shared: &ServerShared) -> MetricsSnapshot {
             snap.push_counter_labeled(format!("xpv_tenant_{name}"), ("tenant", &tenant), v);
         });
     }
-    shared.net.snapshot().visit(&mut |name, v| {
-        snap.push_counter(format!("xpv_net_{name}"), v);
-    });
     snap.push_gauge("xpv_server_connections", shared.connections() as u64);
     snap.push_gauge("xpv_server_conn_window", shared.conn_window.load(Ordering::Relaxed) as u64);
     snap.sort();
@@ -526,9 +566,9 @@ fn build_dump(shared: &ServerShared) -> WireDump {
         ("trace_forced".to_string(), watchdog.trace_forced().to_string()),
     ];
     WireDump {
-        metrics: wire_metrics(&server_metrics_snapshot(shared)),
-        alerts: wire_alerts(&watchdog.alerts()),
-        traces: wire_traces(&drain_trace_events()),
+        metrics: server_metrics_snapshot(shared),
+        alerts: watchdog.alerts(),
+        traces: drain_trace_events(),
         config,
     }
 }
@@ -608,7 +648,7 @@ impl Writer {
         match self.queue.try_send(response) {
             Ok(()) => true,
             Err(TrySendError::Full(response)) => {
-                shared.net.credit_stalls.fetch_add(1, Ordering::Relaxed);
+                shared.net.credit_stalls.inc();
                 self.queue.send(response).is_ok()
             }
             Err(TrySendError::Disconnected(_)) => false,
@@ -712,16 +752,12 @@ fn read_frames(
             }
             Ok(Msg::StatsReq { id, tenant }) => {
                 let stats = shared.tenants.get(&tenant);
-                let msg = Msg::StatsResp {
-                    id,
-                    found: stats.is_some(),
-                    stats: wire_tenant_stats(stats.unwrap_or_default()),
-                };
+                let msg =
+                    Msg::StatsResp { id, found: stats.is_some(), stats: stats.unwrap_or_default() };
                 (Outgoing::control(msg), false)
             }
             Ok(Msg::StatsV2Req { id }) => {
-                let snap = server_metrics_snapshot(shared);
-                let msg = Msg::StatsV2Resp { id, metrics: wire_metrics(&snap) };
+                let msg = Msg::StatsV2Resp { id, metrics: server_metrics_snapshot(shared) };
                 (response(shared, id, msg.encode(), Span::disabled()), false)
             }
             Ok(Msg::DebugDumpReq { id }) => {
@@ -788,7 +824,7 @@ pub fn evaluate_and_encode(
     let encode_started = Instant::now();
     let mut enc = AnswersEncoder::new(id);
     for a in &answers {
-        enc.answer_ref(wire_route_ref(&a.route), arena, a.nodes);
+        enc.answer_ref(Route::as_ref(&a.route), arena, a.nodes);
     }
     let encoded = encode_started.elapsed();
     cache.obs.encode_us.record_duration(encoded);
@@ -832,17 +868,8 @@ fn response(shared: &ServerShared, id: u64, body: Vec<u8>, span: Span) -> Outgoi
 /// The `Rejected` that replaces a response the peer would refuse,
 /// counted as an oversized rejection.
 fn oversized(shared: &ServerShared, id: u64, reason: String, span: Span) -> Outgoing {
-    shared.net.oversized_rejections.fetch_add(1, Ordering::Relaxed);
+    shared.net.oversized_rejections.inc();
     Outgoing { body: Msg::Rejected { id, reason }.encode(), span }
-}
-
-/// The engine route's borrowed wire form (no string clones).
-fn wire_route_ref(route: &Route) -> WireRouteRef<'_> {
-    match route {
-        Route::Direct => WireRouteRef::Direct,
-        Route::ViaView { view, rewriting } => WireRouteRef::ViaView { view, rewriting },
-        Route::Intersect { views, compensation } => WireRouteRef::Intersect { views, compensation },
-    }
 }
 
 fn wire_report(r: &UpdateReport) -> WireUpdateReport {
@@ -851,17 +878,6 @@ fn wire_report(r: &UpdateReport) -> WireUpdateReport {
         doc_version: r.doc_version,
         views_changed: r.views_changed as u64,
         routes_dropped: r.routes_dropped,
-    }
-}
-
-fn wire_tenant_stats(s: TenantStats) -> WireTenantStats {
-    WireTenantStats {
-        batches: s.batches,
-        queries: s.queries,
-        view_hits: s.view_hits,
-        intersect_hits: s.intersect_hits,
-        direct: s.direct,
-        updates_applied: s.updates_applied,
     }
 }
 
@@ -1070,7 +1086,7 @@ mod tests {
         let answers = client.answer_batch("t", &fanned[..800]).expect("below the bound");
         assert_eq!(answers.len(), 800);
         assert!(answers.iter().all(|a| a.nodes.len() == 20_000));
-        assert_eq!(server.shared.net.snapshot().oversized_rejections, 1);
+        assert_eq!(server.shared.net.oversized_rejections.value(), 1);
     }
 
     /// A long-interval watchdog: never ticks on its own during the test.
@@ -1092,7 +1108,7 @@ mod tests {
         server.watchdog().tick();
 
         let dump = client.debug_dump().expect("dump frame");
-        assert!(!dump.metrics.is_empty(), "live snapshot travels");
+        assert!(!dump.metrics.samples.is_empty(), "live snapshot travels");
         let alert_names: Vec<&str> = dump.alerts.iter().map(|a| a.name.as_str()).collect();
         assert!(alert_names.contains(&"maintain_stall"), "got: {alert_names:?}");
         assert!(alert_names.contains(&"flush_stall"), "got: {alert_names:?}");

@@ -55,8 +55,9 @@
 //! [`ShardedViewCache::metrics_snapshot`] exposes the cache-side families
 //! (`xpv_oracle_*`, `xpv_cache_*`, `xpv_maintain_*`, `xpv_phase_*_us`),
 //! [`AsyncCacheServer::metrics_snapshot`] adds the serving families
-//! (`xpv_tenant_*`, `xpv_net_*`, `xpv_server_*`), and the **[`obs`]**
-//! module converts snapshots to and from the wire's `StatsV2Resp` form.
+//! (`xpv_tenant_*`, `xpv_net_*`, `xpv_server_*`). A `StatsV2Resp` frame
+//! carries that snapshot as it is, and [`Route`] and [`TenantStats`] are
+//! `xpv-net`'s types: the engine and the wire share one type per fact.
 //! The server also runs the `xpv-obs` watchdog ([`ObsConfig`]): heartbeat
 //! stall rules over the maintenance and flush paths, which force
 //! always-on tracing while they fire, and a flight-recorder
@@ -66,7 +67,6 @@
 #![forbid(unsafe_code)]
 
 pub mod aserve;
-pub mod obs;
 pub mod shard;
 pub mod tenants;
 pub mod view;
@@ -74,7 +74,6 @@ pub mod view;
 pub use aserve::{
     evaluate_and_encode, AsyncCacheServer, ObsConfig, DEFAULT_CONN_WINDOW, DRAIN_GRACE,
 };
-pub use obs::{metrics_from_wire, wire_alerts, wire_metrics, wire_traces};
 pub use shard::{
     CacheAnswer, CacheAnswerRef, CacheStats, Route, ShardedViewCache, UpdateReport, ViewId,
     PLAN_MEMO_MAX_BYTES, PLAN_MEMO_MAX_ENTRIES,

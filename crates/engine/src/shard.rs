@@ -55,8 +55,8 @@
 //!
 //! A memoized route is a fact about
 //! *patterns* — `R ∘ V ≡ P` holds on every document — so only a change of
-//! the pool's membership can invalidate it. Each entry records the stable
-//! [`ViewId`]s its plan depends on ([`PlanDep`]), and:
+//! the pool's membership can invalidate it. Each entry's planned route
+//! names the stable [`ViewId`]s it depends on, and:
 //!
 //! * [`ShardedViewCache::add_view`] drops `Direct` and `Intersect` routes:
 //!   both rest on "no single view rewrites this query", which a new view
@@ -96,6 +96,10 @@ use xpv_pattern::{BoundedMap, Held, Pattern, PatternKey, QuerySignature, ViewSig
 use xpv_semantics::{evaluate, evaluate_flat, BatchEval};
 
 use crate::view::MaterializedView;
+
+/// How a query was answered: `xpv-net`'s type, which an answers frame
+/// carries as it is.
+pub use xpv_net::Route;
 
 /// The most routes the plan memo holds, both generations together.
 pub const PLAN_MEMO_MAX_ENTRIES: usize = 2048;
@@ -167,28 +171,6 @@ impl StateSnapshot {
         }
         self.ids.iter().position(|&x| x == id)
     }
-}
-
-/// How a query was answered.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Route {
-    /// Answered from the named view through the given rewriting.
-    ViaView {
-        /// Name of the view used.
-        view: String,
-        /// The rewriting `R` that was applied to the view result.
-        rewriting: String,
-    },
-    /// Answered from the node-set **intersection** of several views through
-    /// a compensation pattern (no single view sufficed).
-    Intersect {
-        /// Names of the participating views, in pool order.
-        views: Vec<String>,
-        /// The compensation applied to the intersection.
-        compensation: String,
-    },
-    /// Answered by evaluating the query directly on the document.
-    Direct,
 }
 
 /// What one [`ShardedViewCache::apply_edits`] batch did.
@@ -368,26 +350,6 @@ pub(crate) enum PlannedRoute {
     Direct,
 }
 
-/// What a memoized plan depends on — the invalidation granularity of
-/// [`ShardedViewCache::add_view`] and [`ShardedViewCache::remove_view`].
-/// Participants are stable [`ViewId`]s, so unrelated pool changes never
-/// touch a route, and document edits touch none (rewritability is decided
-/// on patterns, not data).
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum PlanDep {
-    /// A commitment to one view whose rewriting was verified pairwise: the
-    /// route holds on every document and beside any other views, so only
-    /// removing the chosen view itself invalidates it.
-    Chosen(ViewId),
-    /// The plan asserted "no view rewrites this query" (a `Direct` route):
-    /// a new view can break the assertion; removals never can.
-    NoUsableView,
-    /// The plan intersects exactly these views, *after* a failed whole-pool
-    /// single-view scan: any append invalidates it (a single-view route may
-    /// become available), as does removing any participant.
-    Intersect(Vec<ViewId>),
-}
-
 /// A planned route with the [`Route`] it reports, both built once per plan:
 /// a memo hit hands out the `Arc`, and every answer served through it shares
 /// the display form instead of formatting view names and the rewriting anew.
@@ -413,29 +375,19 @@ impl Planned {
         };
         Planned { route, display: Arc::new(display) }
     }
-}
 
-/// One plan-memo entry.
-#[derive(Debug)]
-struct MemoEntry {
-    planned: Arc<Planned>,
-    dep: PlanDep,
-}
-
-impl MemoEntry {
-    /// What the entry holds beyond its map slot, counted against
+    /// What a plan-memo entry holds beyond its map slot, counted against
     /// [`PLAN_MEMO_MAX_BYTES`]: the planned and reported route, the route's
-    /// pattern and text, and per participant its id, hint, dependency and
-    /// name.
+    /// pattern and text, and per participant its id, hint and name.
     fn heap(&self) -> usize {
-        let (pattern, parts) = match &self.planned.route {
+        let (pattern, parts) = match &self.route {
             PlannedRoute::ViaView { rewriting, .. } => (rewriting.heap_bytes(), 1),
             PlannedRoute::Intersect { ids, compensation, .. } => {
                 (compensation.heap_bytes(), ids.len())
             }
             PlannedRoute::Direct => (0, 0),
         };
-        let text = match &*self.planned.display {
+        let text = match &*self.display {
             Route::ViaView { view, rewriting } => view.len() + rewriting.len(),
             Route::Intersect { views, compensation } => {
                 views.iter().map(String::len).sum::<usize>() + compensation.len()
@@ -445,14 +397,14 @@ impl MemoEntry {
         size_of::<(Planned, Route)>()
             + pattern
             + text
-            + parts * (3 * size_of::<u64>() + size_of::<String>())
+            + parts * (2 * size_of::<u64>() + size_of::<String>())
     }
 }
 
 /// The plan memo and the win index, behind one lock.
 #[derive(Debug, Default)]
 struct PlanMemo {
-    routes: BoundedMap<PatternKey, MemoEntry, PLAN_MEMO_MAX_ENTRIES, PLAN_MEMO_MAX_BYTES>,
+    routes: BoundedMap<PatternKey, Arc<Planned>, PLAN_MEMO_MAX_ENTRIES, PLAN_MEMO_MAX_BYTES>,
     /// Plan-time win counts per view (how often a memoized plan chose the
     /// view): the hit-rate-ordered index the miss path sorts filter
     /// survivors by, so the common winner pays the first containment
@@ -715,10 +667,17 @@ impl ShardedViewCache {
         self.views_version.fetch_add(1, Ordering::Release);
         let dropped = drop.map(|i| snap.ids[i]);
         let mut memo = self.memo.write().expect("plan memo poisoned");
-        let stale = memo.routes.retain(|_, entry| match &entry.dep {
-            PlanDep::Chosen(id) => Some(*id) != dropped,
-            PlanDep::NoUsableView => !added,
-            PlanDep::Intersect(parts) => !(added || dropped.is_some_and(|id| parts.contains(&id))),
+        // A view route was verified against its view alone, so only that
+        // view's removal breaks it. `Direct` asserts that no view rewrites
+        // the query, and an intersection was planned after a failed scan of
+        // the whole pool: a new view can break either, and removing a
+        // participant breaks an intersection.
+        let stale = memo.routes.retain(|_, planned| match &planned.route {
+            PlannedRoute::ViaView { id, .. } => Some(*id) != dropped,
+            PlannedRoute::Direct => !added,
+            PlannedRoute::Intersect { ids, .. } => {
+                !(added || dropped.is_some_and(|id| ids.contains(&id)))
+            }
         });
         self.counters.plan_memo_invalidations.fetch_add(stale as u64, Ordering::Relaxed);
         if let Some(id) = dropped {
@@ -1011,12 +970,10 @@ impl ShardedViewCache {
     fn route_for(&self, query: &Pattern, key: PatternKey) -> Arc<Planned> {
         // A hit in the current generation takes the read lock only; one in
         // the older generation takes the write lock once, to move it back.
-        let shared = |entry: &MemoEntry| Arc::clone(&entry.planned);
         let memoized =
-            self.memo.read().expect("plan memo poisoned").routes.get_current(&key).map(shared);
-        let memoized = memoized.or_else(|| {
-            self.memo.write().expect("plan memo poisoned").routes.get(&key).map(shared)
-        });
+            self.memo.read().expect("plan memo poisoned").routes.get_current(&key).cloned();
+        let memoized = memoized
+            .or_else(|| self.memo.write().expect("plan memo poisoned").routes.get(&key).cloned());
         if let Some(planned) = memoized {
             bump(&self.counters.plan_memo_hits);
             return planned;
@@ -1032,19 +989,16 @@ impl ShardedViewCache {
         let planned_at = self.views_version.load(Ordering::Acquire);
         let plan_snap = self.snapshot();
         let miss_start = Instant::now();
-        let (route, dep) = self.plan(query, &plan_snap);
-        let planned = Arc::new(Planned::new(route, &plan_snap));
+        let planned = Arc::new(Planned::new(self.plan(query, &plan_snap), &plan_snap));
         self.obs.plan_miss_us.record_duration(miss_start.elapsed());
         let mut memo = self.memo.write().expect("plan memo poisoned");
         if self.views_version.load(Ordering::Acquire) == planned_at
             && memo.routes.get(&key).is_none()
         {
-            if let PlanDep::Chosen(id) = dep {
+            if let PlannedRoute::ViaView { id, .. } = planned.route {
                 *memo.wins.entry(id).or_insert(0) += 1;
             }
-            let entry = MemoEntry { planned: Arc::clone(&planned), dep };
-            let heap = entry.heap();
-            memo.routes.insert(key, entry, heap);
+            memo.routes.insert(key, Arc::clone(&planned), planned.heap());
         }
         planned
     }
@@ -1061,10 +1015,10 @@ impl ShardedViewCache {
     /// in the win index's hit-rate order so a plan usually pays exactly one
     /// containment decision. The scan stops at the first verified
     /// rewriting.
-    fn plan(&self, query: &Pattern, snap: &StateSnapshot) -> (PlannedRoute, PlanDep) {
+    fn plan(&self, query: &Pattern, snap: &StateSnapshot) -> PlannedRoute {
         let views = &snap.views;
         if views.is_empty() {
-            return (PlannedRoute::Direct, PlanDep::NoUsableView);
+            return PlannedRoute::Direct;
         }
         let anchors = snap.anchors.get_or_init(|| {
             let defs: Vec<&Pattern> = views.iter().map(|v| v.definition()).collect();
@@ -1097,9 +1051,8 @@ impl ShardedViewCache {
                 // The route is justified by this view alone (its rewriting
                 // was verified pairwise), so it depends on that view's
                 // presence — not on the scan order that found it.
-                let id = snap.ids[index];
-                let rewriting = rw.pattern().clone();
-                return (PlannedRoute::ViaView { id, hint: index, rewriting }, PlanDep::Chosen(id));
+                let (id, rewriting) = (snap.ids[index], rw.pattern().clone());
+                return PlannedRoute::ViaView { id, hint: index, rewriting };
             }
         }
         // No single view rewrites the query: try a multi-view intersection.
@@ -1110,19 +1063,12 @@ impl ShardedViewCache {
             if let Some(answer) = answer {
                 bump(&c.intersect_routes);
                 c.intersect_participants.fetch_add(answer.views.len() as u64, Ordering::Relaxed);
-                let ids: Vec<ViewId> = answer.views.iter().map(|&i| snap.ids[i]).collect();
-                let dep = PlanDep::Intersect(ids.clone());
-                return (
-                    PlannedRoute::Intersect {
-                        ids,
-                        hints: answer.views,
-                        compensation: answer.compensation,
-                    },
-                    dep,
-                );
+                let ids = answer.views.iter().map(|&i| snap.ids[i]).collect();
+                let compensation = answer.compensation;
+                return PlannedRoute::Intersect { ids, hints: answer.views, compensation };
             }
         }
-        (PlannedRoute::Direct, PlanDep::NoUsableView)
+        PlannedRoute::Direct
     }
 
     /// Executes a planned route against the snapshot, writing the answer
@@ -1917,7 +1863,7 @@ mod tests {
         // session's and its anchor the table's, so nothing is merged and
         // the oracle is asked no redundancy question (nothing at all).
         let asked = oracle.stats().queries;
-        let (route, _) = cache.plan(&q, &cache.snapshot());
+        let route = cache.plan(&q, &cache.snapshot());
         assert!(matches!(route, PlannedRoute::Intersect { .. }));
         assert_eq!(oracle.stats().queries, asked, "a repeated walk asks the oracle nothing");
         // Another query reaching the same pair is decided, not merged.

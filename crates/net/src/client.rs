@@ -15,12 +15,11 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use xpv_maintain::Edit;
+use xpv_obs::MetricsSnapshot;
 use xpv_pattern::Pattern;
 
 use crate::frame::{read_frame, write_frame};
-use crate::proto::{
-    Msg, WireAnswer, WireDump, WireMetric, WireTenantStats, WireUpdateReport, VERSION,
-};
+use crate::proto::{Msg, TenantStats, WireAnswer, WireDump, WireUpdateReport, VERSION};
 use crate::socket::Socket;
 
 /// One response frame, correlated to its request by `id`.
@@ -31,9 +30,9 @@ pub enum Response {
     /// Edit batch `id` was applied.
     EditAck { id: u64, report: WireUpdateReport },
     /// Tenant counters for stats request `id`.
-    Stats { id: u64, found: bool, stats: WireTenantStats },
+    Stats { id: u64, found: bool, stats: TenantStats },
     /// Whole-server metrics snapshot for stats-v2 request `id`.
-    Metrics { id: u64, metrics: Vec<WireMetric> },
+    Metrics { id: u64, metrics: MetricsSnapshot },
     /// Flight-recorder artifact for dump request `id`.
     Dump { id: u64, dump: Box<WireDump> },
     /// Request `id` was not served (e.g. the server is draining, or the
@@ -234,7 +233,7 @@ impl WireClient {
 
     /// Fetches `tenant`'s counters from the server (`None` when the server
     /// has never seen the tenant).
-    pub fn tenant_stats(&mut self, tenant: &str) -> io::Result<Option<WireTenantStats>> {
+    pub fn tenant_stats(&mut self, tenant: &str) -> io::Result<Option<TenantStats>> {
         self.take_credit()?;
         let id = self.next_id;
         self.next_id += 1;
@@ -250,7 +249,7 @@ impl WireClient {
 
     /// Fetches the server's full metrics snapshot (every metric family,
     /// sorted by name then labels) — the wire face of `xpv stats`.
-    pub fn metrics(&mut self) -> io::Result<Vec<WireMetric>> {
+    pub fn metrics(&mut self) -> io::Result<MetricsSnapshot> {
         self.take_credit()?;
         let id = self.next_id;
         self.next_id += 1;

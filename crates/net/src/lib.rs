@@ -4,12 +4,17 @@
 //!   blocking frame codec ([`read_frame`], [`write_frame`]) both ends use;
 //! * [`socket`] — a connected TCP or Unix-domain socket ([`Socket`]);
 //! * [`client`] — a blocking, credit-tracking protocol client for load
-//!   generators, tests, and the `xpv client` CLI;
-//! * [`counters`] — the server's wire-traffic counters.
+//!   generators, tests, and the `xpv client` CLI.
 //!
 //! The server itself (`xpv-engine`'s `AsyncCacheServer`) runs a reader
 //! thread per connection, and a writer thread from the connection's first
-//! response on, over these pieces.
+//! response on, over these pieces, and counts its frames and bytes in the
+//! cache's `xpv-obs` registry (the `xpv_net_*` family).
+//!
+//! Each fact a frame carries has one type, shared by the server, this
+//! codec, the client and the CLI: a served answer's [`Route`] (the engine
+//! re-exports it), a tenant's [`TenantStats`], and `xpv-obs`'s
+//! `MetricsSnapshot`, `Alert` and `TraceEvent`.
 //!
 //! ## Wire protocol (version 5)
 //!
@@ -119,17 +124,14 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod counters;
 pub mod frame;
 pub mod proto;
 pub mod socket;
 
 pub use client::{Response, WireClient};
-pub use counters::{WireCounters, WireCountersSnapshot};
 pub use frame::{read_frame, write_frame, DecodeError, MAX_FRAME};
 pub use proto::{
-    AnswersEncoder, Msg, WireAlert, WireAnswer, WireDump, WireMetric, WireRoute, WireRouteRef,
-    WireTenantStats, WireTraceEvent, WireUpdateReport, MAGIC, MAX_ANSWER_NODES, METRIC_COUNTER,
-    METRIC_GAUGE, METRIC_HISTOGRAM, VERSION,
+    AnswersEncoder, Msg, Route, TenantStats, WireAnswer, WireDump, WireRouteRef, WireUpdateReport,
+    MAGIC, MAX_ANSWER_NODES, VERSION,
 };
 pub use socket::Socket;

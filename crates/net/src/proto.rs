@@ -14,11 +14,18 @@
 //! [`parse_xpath`]. A server passes its worker's
 //! [`xpv_pattern::TextCache`], so it parses each distinct text once per
 //! worker, not once per frame; clients and tests call [`Msg::decode`].
+//!
+//! A message carries the types the engine and the observability layer
+//! use, not copies of them: a served answer reports its [`Route`], a
+//! `StatsResp` a [`TenantStats`], a `StatsV2Resp` an `xpv-obs`
+//! [`MetricsSnapshot`], and a `DebugDumpResp` that snapshot with the
+//! watchdog's [`Alert`]s and the drained [`TraceEvent`]s.
 
 use std::collections::hash_map::{Entry, HashMap};
 
 use xpv_maintain::Edit;
 use xpv_model::{parse_xml, to_xml, AnswerArena, AnswerRef, Label, NodeId};
+use xpv_obs::{Alert, HistogramSummary, MetricsSnapshot, Phase, Sample, SampleValue, TraceEvent};
 use xpv_pattern::{parse_xpath, ParseError, Pattern};
 
 use crate::frame::{DecodeError, Decoder, Encoder};
@@ -54,34 +61,45 @@ mod tag {
     pub const ERROR: u8 = 0x7F;
 }
 
-/// How one query in an [`Msg::Answers`] frame was served (the wire form of
-/// the engine's `Route`).
+/// How a query was answered: the engine reports it with each answer, and
+/// each answer of an [`Msg::Answers`] frame carries it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireRoute {
-    /// Direct evaluation on the document.
+pub enum Route {
+    /// Answered from the named view through the given rewriting.
+    ViaView {
+        /// Name of the view used.
+        view: String,
+        /// The rewriting `R` that was applied to the view result.
+        rewriting: String,
+    },
+    /// Answered from the node-set **intersection** of several views through
+    /// a compensation pattern (no single view sufficed).
+    Intersect {
+        /// Names of the participating views, in pool order.
+        views: Vec<String>,
+        /// The compensation applied to the intersection.
+        compensation: String,
+    },
+    /// Answered by evaluating the query directly on the document.
     Direct,
-    /// An equivalent rewriting over one view.
-    ViaView { view: String, rewriting: String },
-    /// A compensation over a multi-view intersection.
-    Intersect { views: Vec<String>, compensation: String },
 }
 
-impl WireRoute {
+impl Route {
     /// The borrowed view of this route, for encoding without cloning.
     pub fn as_ref(&self) -> WireRouteRef<'_> {
         match self {
-            WireRoute::Direct => WireRouteRef::Direct,
-            WireRoute::ViaView { view, rewriting } => WireRouteRef::ViaView { view, rewriting },
-            WireRoute::Intersect { views, compensation } => {
+            Route::Direct => WireRouteRef::Direct,
+            Route::ViaView { view, rewriting } => WireRouteRef::ViaView { view, rewriting },
+            Route::Intersect { views, compensation } => {
                 WireRouteRef::Intersect { views, compensation }
             }
         }
     }
 }
 
-/// [`WireRoute`] by reference: what [`AnswersEncoder`] consumes, so a
-/// server can serialize provenance it already owns (the engine's route
-/// strings) without allocating intermediate `WireRoute` clones.
+/// [`Route`] by reference: what [`AnswersEncoder`] consumes, so a server
+/// can serialize provenance it already owns (the engine's route strings)
+/// without cloning them.
 #[derive(Clone, Copy, Debug)]
 pub enum WireRouteRef<'a> {
     /// Direct evaluation on the document.
@@ -97,7 +115,7 @@ pub enum WireRouteRef<'a> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireAnswer {
     pub nodes: Vec<NodeId>,
-    pub route: WireRoute,
+    pub route: Route,
 }
 
 /// Streams an [`Msg::Answers`] frame body straight into its final byte
@@ -325,74 +343,44 @@ pub struct WireUpdateReport {
     pub routes_dropped: u64,
 }
 
-/// Per-tenant counters on the wire (the engine's `TenantStats` without the
-/// engine dependency — `xpv-engine` converts).
+/// One tenant's serving counters: what a server accounts per tenant and
+/// what a `StatsResp` carries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireTenantStats {
+pub struct TenantStats {
+    /// Batches answered for this tenant.
     pub batches: u64,
+    /// Individual queries answered (sum of batch lengths).
     pub queries: u64,
+    /// Queries answered from a view through an equivalent rewriting.
     pub view_hits: u64,
+    /// Queries answered from a multi-view intersection.
     pub intersect_hits: u64,
+    /// Queries answered by direct evaluation.
     pub direct: u64,
+    /// Document edits this tenant applied through the server.
     pub updates_applied: u64,
 }
 
-/// Metric kind discriminants for [`WireMetric::kind`].
-pub const METRIC_COUNTER: u8 = 0;
-/// See [`METRIC_COUNTER`].
-pub const METRIC_GAUGE: u8 = 1;
-/// See [`METRIC_COUNTER`].
-pub const METRIC_HISTOGRAM: u8 = 2;
-
-/// One metric sample in a [`Msg::StatsV2Resp`] frame — the wire form of
-/// the observability registry's snapshot (`xpv-obs`'s `Sample`, without
-/// the dependency; `xpv-engine` converts both ways).
-///
-/// `values` is kind-dependent: counters and gauges carry one value;
-/// histograms carry `[count, sum, max, p50, p90, p99]` (the summary the
-/// server computes from its log-bucketed histogram — raw buckets do not
-/// travel).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireMetric {
-    /// Full metric name, e.g. `xpv_cache_queries`.
-    pub name: String,
-    /// Label pairs, e.g. `[("tenant", "acme")]`. Usually empty.
-    pub labels: Vec<(String, String)>,
-    /// [`METRIC_COUNTER`], [`METRIC_GAUGE`], or [`METRIC_HISTOGRAM`].
-    pub kind: u8,
-    /// Kind-dependent payload (see type docs).
-    pub values: Vec<u64>,
+impl TenantStats {
+    /// The canonical counter enumeration: one `(name, value)` pair per
+    /// field, in declaration order. A server exposes these under
+    /// `xpv_tenant_*{tenant="id"}`, and `Display` renders the same list —
+    /// one naming authority, so the rendered line and the exposition can
+    /// never drift (see the `xpv-obs` crate docs).
+    pub fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        f("batches", self.batches);
+        f("queries", self.queries);
+        f("view_hits", self.view_hits);
+        f("intersect_hits", self.intersect_hits);
+        f("direct", self.direct);
+        f("updates_applied", self.updates_applied);
+    }
 }
 
-/// One watchdog rule's state in a [`Msg::DebugDumpResp`] frame (the wire
-/// form of `xpv-obs`'s `Alert`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireAlert {
-    /// Rule name (its counter is `xpv_alert_<name>_total`).
-    pub name: String,
-    /// Rule kind tag (`heartbeat_stall`), free-form so new rule kinds
-    /// need no protocol change.
-    pub kind: String,
-    /// Firing as of the server's last watchdog tick.
-    pub firing: bool,
-    /// Tick the current firing streak started at (0 = never fired).
-    pub since_tick: u64,
-    /// Lifetime count of firing ticks.
-    pub fired_total: u64,
-    /// Human-readable evidence from the last firing evaluation.
-    pub detail: String,
-}
-
-/// One drained trace span in a [`Msg::DebugDumpResp`] frame (the wire
-/// form of `xpv-obs`'s `TraceEvent`; phases travel as their names).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireTraceEvent {
-    /// Span kind (`net.query`, `cache.update`, …).
-    pub kind: String,
-    /// Wall time begin → finish, microseconds.
-    pub total_us: u64,
-    /// `(phase name, duration_us)` in mark order.
-    pub phases: Vec<(String, u64)>,
+impl std::fmt::Display for TenantStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        xpv_obs::write_kv_line(f, |emit| self.visit(emit))
+    }
 }
 
 /// The flight-recorder artifact a [`Msg::DebugDumpResp`] carries: one
@@ -403,13 +391,13 @@ pub struct WireTraceEvent {
 pub struct WireDump {
     /// The full metrics snapshot at dump time (as a `StatsV2Resp` would
     /// carry).
-    pub metrics: Vec<WireMetric>,
+    pub metrics: MetricsSnapshot,
     /// Every watchdog rule's state.
-    pub alerts: Vec<WireAlert>,
+    pub alerts: Vec<Alert>,
     /// Trace spans drained from the server's rings at dump time. Note
     /// that draining is destructive server-side: the spans move into
     /// this dump.
-    pub traces: Vec<WireTraceEvent>,
+    pub traces: Vec<TraceEvent>,
     /// Free-form `(key, value)` config/knob pairs (sampling rate, rule
     /// roster, window sizes, …).
     pub config: Vec<(String, String)>,
@@ -437,14 +425,14 @@ pub enum Msg {
     StatsReq { id: u64, tenant: String },
     /// Server → client: the counters (`found == false` ⇒ zeroed stats for
     /// a tenant the server has not seen). Returns the credit.
-    StatsResp { id: u64, found: bool, stats: WireTenantStats },
+    StatsResp { id: u64, found: bool, stats: TenantStats },
     /// Client → server: request the **whole server's** metrics snapshot —
     /// every family (oracle, cache, per-tenant, maintain, net, server),
     /// not one tenant's counters. Costs one credit.
     StatsV2Req { id: u64 },
     /// Server → client: the metrics snapshot, sorted by (name, labels).
     /// Returns the credit.
-    StatsV2Resp { id: u64, metrics: Vec<WireMetric> },
+    StatsV2Resp { id: u64, metrics: MetricsSnapshot },
     /// Client → server: request a flight-recorder dump. **Drains the
     /// server's trace rings** into the response. Costs one credit.
     DebugDumpReq { id: u64 },
@@ -542,7 +530,7 @@ impl Msg {
                 for t in &dump.traces {
                     e.str(&t.kind).u64(t.total_us).u32(t.phases.len() as u32);
                     for (phase, us) in &t.phases {
-                        e.str(phase).u64(*us);
+                        e.str(phase.as_str()).u64(*us);
                     }
                 }
                 e.u32(dump.config.len() as u32);
@@ -639,7 +627,7 @@ impl Msg {
             tag::STATS_RESP => Msg::StatsResp {
                 id: d.u64()?,
                 found: d.u8()? != 0,
-                stats: WireTenantStats {
+                stats: TenantStats {
                     batches: d.u64()?,
                     queries: d.u64()?,
                     view_hits: d.u64()?,
@@ -660,7 +648,7 @@ impl Msg {
                 let alerts_n = d.u32()? as usize;
                 let mut alerts = Vec::with_capacity(alerts_n.min(256));
                 for _ in 0..alerts_n {
-                    alerts.push(WireAlert {
+                    alerts.push(Alert {
                         name: d.str()?,
                         kind: d.str()?,
                         firing: d.u8()? != 0,
@@ -677,9 +665,13 @@ impl Msg {
                     let phases_n = d.u32()? as usize;
                     let mut phases = Vec::with_capacity(phases_n.min(64));
                     for _ in 0..phases_n {
-                        phases.push((d.str()?, d.u64()?));
+                        let name = d.str_ref()?;
+                        let Some(phase) = Phase::from_name(name) else {
+                            return Err(DecodeError(format!("unknown trace phase {name:?}")));
+                        };
+                        phases.push((phase, d.u64()?));
                     }
-                    traces.push(WireTraceEvent { kind, total_us, phases });
+                    traces.push(TraceEvent { kind, total_us, phases });
                 }
                 let config_n = d.u32()? as usize;
                 let mut config = Vec::with_capacity(config_n.min(256));
@@ -699,15 +691,30 @@ impl Msg {
     }
 }
 
-fn encode_metric_list(e: &mut Encoder, metrics: &[WireMetric]) {
-    e.u32(metrics.len() as u32);
-    for m in metrics {
-        e.str(&m.name).u8(m.kind).u32(m.labels.len() as u32);
+/// Sample kinds: the byte after each sample's name in a metric list.
+const METRIC_COUNTER: u8 = 0;
+const METRIC_GAUGE: u8 = 1;
+const METRIC_HISTOGRAM: u8 = 2;
+
+/// A metric list: each sample's name, kind, labels and values. Counters
+/// and gauges carry one value; histograms carry their summary
+/// `[count, sum, max, p50, p90, p99]` (raw buckets never travel).
+fn encode_metric_list(e: &mut Encoder, metrics: &MetricsSnapshot) {
+    e.u32(metrics.samples.len() as u32);
+    for m in &metrics.samples {
+        let (kind, values, len) = match m.value {
+            SampleValue::Counter(v) => (METRIC_COUNTER, [v, 0, 0, 0, 0, 0], 1),
+            SampleValue::Gauge(v) => (METRIC_GAUGE, [v, 0, 0, 0, 0, 0], 1),
+            SampleValue::Histogram(h) => {
+                (METRIC_HISTOGRAM, [h.count, h.sum, h.max, h.p50, h.p90, h.p99], 6)
+            }
+        };
+        e.str(&m.name).u8(kind).u32(m.labels.len() as u32);
         for (k, v) in &m.labels {
             e.str(k).str(v);
         }
-        e.u32(m.values.len() as u32);
-        for v in &m.values {
+        e.u32(len as u32);
+        for v in &values[..len] {
             e.u64(*v);
         }
     }
@@ -715,13 +722,14 @@ fn encode_metric_list(e: &mut Encoder, metrics: &[WireMetric]) {
 
 /// Decodes a metric list **forward-tolerantly**: a sample of an unknown
 /// kind is fully consumed (its labels and values are length-prefixed,
-/// so it is self-delimiting) and then *skipped*, so an old client keeps
-/// working against a server that exposes kinds it never learned —
-/// the same posture short `values` payloads already get (`xpv-engine`'s
-/// converter reads missing positions as 0).
-fn decode_metric_list(d: &mut Decoder<'_>) -> Result<Vec<WireMetric>, DecodeError> {
+/// so it is self-delimiting) and then *skipped*, and a sample with fewer
+/// values than its kind carries reads the missing ones as 0 (more, and
+/// the extra ones are skipped), so an old client keeps working against a
+/// server that exposes kinds or summary positions it never learned.
+fn decode_metric_list(d: &mut Decoder<'_>) -> Result<MetricsSnapshot, DecodeError> {
     let n = d.u32()? as usize;
-    let mut metrics = Vec::with_capacity(n.min(4096));
+    let mut metrics = MetricsSnapshot::new();
+    metrics.samples.reserve(n.min(4096));
     for _ in 0..n {
         let name = d.str()?;
         let kind = d.u8()?;
@@ -730,14 +738,27 @@ fn decode_metric_list(d: &mut Decoder<'_>) -> Result<Vec<WireMetric>, DecodeErro
         for _ in 0..labels_n {
             labels.push((d.str()?, d.str()?));
         }
-        let values_n = d.u32()? as usize;
-        let mut values = Vec::with_capacity(values_n.min(64));
-        for _ in 0..values_n {
-            values.push(d.u64()?);
+        let mut v = [0u64; 6];
+        for i in 0..d.u32()? as usize {
+            let value = d.u64()?;
+            if let Some(slot) = v.get_mut(i) {
+                *slot = value;
+            }
         }
-        if kind <= METRIC_HISTOGRAM {
-            metrics.push(WireMetric { name, labels, kind, values });
-        }
+        let value = match kind {
+            METRIC_COUNTER => SampleValue::Counter(v[0]),
+            METRIC_GAUGE => SampleValue::Gauge(v[0]),
+            METRIC_HISTOGRAM => SampleValue::Histogram(HistogramSummary {
+                count: v[0],
+                sum: v[1],
+                max: v[2],
+                p50: v[3],
+                p90: v[4],
+                p99: v[5],
+            }),
+            _ => continue,
+        };
+        metrics.samples.push(Sample { name, labels, value });
     }
     Ok(metrics)
 }
@@ -746,7 +767,7 @@ const ROUTE_DIRECT: u8 = 0;
 const ROUTE_VIA_VIEW: u8 = 1;
 const ROUTE_INTERSECT: u8 = 2;
 
-fn encode_route(e: &mut Encoder, route: &WireRoute) {
+fn encode_route(e: &mut Encoder, route: &Route) {
     encode_route_ref(e, route.as_ref());
 }
 
@@ -768,17 +789,17 @@ fn encode_route_ref(e: &mut Encoder, route: WireRouteRef<'_>) {
     }
 }
 
-fn decode_route(d: &mut Decoder<'_>) -> Result<WireRoute, DecodeError> {
+fn decode_route(d: &mut Decoder<'_>) -> Result<Route, DecodeError> {
     Ok(match d.u8()? {
-        ROUTE_DIRECT => WireRoute::Direct,
-        ROUTE_VIA_VIEW => WireRoute::ViaView { view: d.str()?, rewriting: d.str()? },
+        ROUTE_DIRECT => Route::Direct,
+        ROUTE_VIA_VIEW => Route::ViaView { view: d.str()?, rewriting: d.str()? },
         ROUTE_INTERSECT => {
             let n = d.u32()? as usize;
             let mut views = Vec::with_capacity(n.min(256));
             for _ in 0..n {
                 views.push(d.str()?);
             }
-            WireRoute::Intersect { views, compensation: d.str()? }
+            Route::Intersect { views, compensation: d.str()? }
         }
         other => return Err(DecodeError(format!("unknown route tag {other}"))),
     })
@@ -888,14 +909,14 @@ mod tests {
         let msg = Msg::Answers {
             id: 3,
             answers: vec![
-                WireAnswer { nodes: vec![NodeId(1), NodeId(7)], route: WireRoute::Direct },
+                WireAnswer { nodes: vec![NodeId(1), NodeId(7)], route: Route::Direct },
                 WireAnswer {
                     nodes: vec![],
-                    route: WireRoute::ViaView { view: "v".into(), rewriting: "a/b".into() },
+                    route: Route::ViaView { view: "v".into(), rewriting: "a/b".into() },
                 },
                 WireAnswer {
                     nodes: vec![NodeId(42)],
-                    route: WireRoute::Intersect {
+                    route: Route::Intersect {
                         views: vec!["v1".into(), "v2".into()],
                         compensation: "c".into(),
                     },
@@ -907,7 +928,7 @@ mod tests {
                 assert_eq!(id, 3);
                 assert_eq!(answers.len(), 3);
                 assert_eq!(answers[0].nodes, vec![NodeId(1), NodeId(7)]);
-                assert!(matches!(answers[2].route, WireRoute::Intersect { ref views, .. }
+                assert!(matches!(answers[2].route, Route::Intersect { ref views, .. }
                     if views.len() == 2));
             }
             other => panic!("wrong decode: {other:?}"),
@@ -917,20 +938,20 @@ mod tests {
     #[test]
     fn answers_encoder_is_byte_identical_to_msg_encode() {
         let answers = vec![
-            WireAnswer { nodes: vec![NodeId(1), NodeId(7)], route: WireRoute::Direct },
+            WireAnswer { nodes: vec![NodeId(1), NodeId(7)], route: Route::Direct },
             WireAnswer {
                 nodes: vec![],
-                route: WireRoute::ViaView { view: "v".into(), rewriting: "a/b".into() },
+                route: Route::ViaView { view: "v".into(), rewriting: "a/b".into() },
             },
             WireAnswer {
                 nodes: vec![NodeId(42), NodeId(43), NodeId(99)],
-                route: WireRoute::Intersect {
+                route: Route::Intersect {
                     views: vec!["v1".into(), "v2".into()],
                     compensation: "c/d".into(),
                 },
             },
             // Dense enough to go out as a span.
-            WireAnswer { nodes: (60..140).map(NodeId).collect(), route: WireRoute::Direct },
+            WireAnswer { nodes: (60..140).map(NodeId).collect(), route: Route::Direct },
         ];
         let mut enc = AnswersEncoder::new(3);
         for a in &answers {
@@ -1019,8 +1040,7 @@ mod tests {
                     let mut by_set = AnswersEncoder::new(1);
                     by_set.answer_ref(WireRouteRef::Direct, &arena, refs[0]);
                     let by_set = by_set.finish();
-                    let answers =
-                        vec![WireAnswer { nodes: nodes.clone(), route: WireRoute::Direct }];
+                    let answers = vec![WireAnswer { nodes: nodes.clone(), route: Route::Direct }];
                     let by_msg = Msg::Answers { id: 1, answers: answers.clone() }.encode();
 
                     let case = format!("width {width}, {per_mille}‰, last {last}");
@@ -1178,38 +1198,113 @@ mod tests {
         }
     }
 
+    /// One sample of each kind, one of them labeled.
+    fn fixed_snapshot() -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::new();
+        snap.push_counter("xpv_cache_queries", 42);
+        snap.push_gauge("xpv_server_connections", 3);
+        snap.push_counter_labeled("xpv_tenant_queries", ("tenant", "acme"), 7);
+        snap.push_histogram(
+            "xpv_phase_eval_us",
+            HistogramSummary { count: 100, sum: 12345, max: 900, p50: 80, p90: 300, p99: 800 },
+        );
+        snap
+    }
+
+    /// Two watchdog rules, one firing.
+    fn fixed_alerts() -> Vec<Alert> {
+        vec![
+            Alert {
+                name: "maintain_stall".into(),
+                kind: "heartbeat_stall".into(),
+                firing: true,
+                since_tick: 4,
+                fired_total: 2,
+                detail: "1 in flight".into(),
+            },
+            Alert {
+                name: "flush_stall".into(),
+                kind: "heartbeat_stall".into(),
+                firing: false,
+                since_tick: 0,
+                fired_total: 0,
+                detail: String::new(),
+            },
+        ]
+    }
+
+    /// A served query's span and a maintenance span.
+    fn fixed_traces() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent {
+                kind: "net.query".into(),
+                total_us: 1234,
+                phases: vec![(Phase::Admission, 10), (Phase::Eval, 900), (Phase::Flush, 5)],
+            },
+            TraceEvent {
+                kind: "cache.update".into(),
+                total_us: 500,
+                phases: vec![(Phase::Apply, 200), (Phase::Patch, 300)],
+            },
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The frames of [`fixed_snapshot`], [`fixed_alerts`] and
+    /// [`fixed_traces`] as protocol version 5 sends them: a codec change
+    /// that moves one byte must bump [`VERSION`].
+    const STATS_V2_GOLDEN: &str = concat!(
+        "334e0000000000000004000000110000007870765f63616368655f71756572696573000000000001",
+        "0000002a00000000000000160000007870765f7365727665725f636f6e6e656374696f6e73010000",
+        "0000010000000300000000000000120000007870765f74656e616e745f7175657269657300010000",
+        "000600000074656e616e740400000061636d65010000000700000000000000110000007870765f70",
+        "686173655f6576616c5f757302000000000600000064000000000000003930000000000000840300",
+        "000000000050000000000000002c010000000000002003000000000000",
+    );
+    const DEBUG_DUMP_GOLDEN: &str = concat!(
+        "370c0000000000000004000000110000007870765f63616368655f71756572696573000000000001",
+        "0000002a00000000000000160000007870765f7365727665725f636f6e6e656374696f6e73010000",
+        "0000010000000300000000000000120000007870765f74656e616e745f7175657269657300010000",
+        "000600000074656e616e740400000061636d65010000000700000000000000110000007870765f70",
+        "686173655f6576616c5f757302000000000600000064000000000000003930000000000000840300",
+        "000000000050000000000000002c010000000000002003000000000000020000000e0000006d6169",
+        "6e7461696e5f7374616c6c0f0000006865617274626561745f7374616c6c01040000000000000002",
+        "000000000000000b0000003120696e20666c696768740b000000666c7573685f7374616c6c0f0000",
+        "006865617274626561745f7374616c6c000000000000000000000000000000000000000000020000",
+        "00090000006e65742e7175657279d204000000000000030000000900000061646d697373696f6e0a",
+        "00000000000000040000006576616c840300000000000005000000666c7573680500000000000000",
+        "0c00000063616368652e757064617465f40100000000000002000000050000006170706c79c80000",
+        "00000000000500000070617463682c01000000000000010000000e00000074726163655f73616d70",
+        "6c696e67020000003634",
+    );
+
+    #[test]
+    fn stats_and_dump_frames_keep_their_bytes() {
+        let stats = Msg::StatsV2Resp { id: 78, metrics: fixed_snapshot() };
+        assert_eq!(hex(&stats.encode()), STATS_V2_GOLDEN);
+        let dump = WireDump {
+            metrics: fixed_snapshot(),
+            alerts: fixed_alerts(),
+            traces: fixed_traces(),
+            config: vec![("trace_sampling".into(), "64".into())],
+        };
+        let dump = Msg::DebugDumpResp { id: 12, dump };
+        assert_eq!(hex(&dump.encode()), DEBUG_DUMP_GOLDEN);
+        for msg in [stats, dump] {
+            assert_eq!(round_trip(&msg).encode(), msg.encode());
+        }
+    }
+
     #[test]
     fn stats_v2_round_trips() {
         match round_trip(&Msg::StatsV2Req { id: 77 }) {
             Msg::StatsV2Req { id } => assert_eq!(id, 77),
             other => panic!("wrong decode: {other:?}"),
         }
-        let metrics = vec![
-            WireMetric {
-                name: "xpv_cache_queries".into(),
-                labels: vec![],
-                kind: METRIC_COUNTER,
-                values: vec![42],
-            },
-            WireMetric {
-                name: "xpv_server_connections".into(),
-                labels: vec![],
-                kind: METRIC_GAUGE,
-                values: vec![3],
-            },
-            WireMetric {
-                name: "xpv_tenant_queries".into(),
-                labels: vec![("tenant".into(), "acme".into())],
-                kind: METRIC_COUNTER,
-                values: vec![7],
-            },
-            WireMetric {
-                name: "xpv_phase_eval_us".into(),
-                labels: vec![],
-                kind: METRIC_HISTOGRAM,
-                values: vec![100, 12345, 900, 80, 300, 800],
-            },
-        ];
+        let metrics = fixed_snapshot();
         match round_trip(&Msg::StatsV2Resp { id: 78, metrics: metrics.clone() }) {
             Msg::StatsV2Resp { id, metrics: decoded } => {
                 assert_eq!(id, 78);
@@ -1234,10 +1329,24 @@ mod tests {
         match Msg::decode(&e.finish()).expect("unknown kind skipped, not an error") {
             Msg::StatsV2Resp { id, metrics } => {
                 assert_eq!(id, 1);
-                let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
+                let names: Vec<&str> = metrics.samples.iter().map(|m| m.name.as_str()).collect();
                 assert_eq!(names, vec!["xpv_cache_queries", "xpv_server_connections"]);
-                assert_eq!(metrics[0].values, vec![42]);
-                assert_eq!(metrics[1].values, vec![3]);
+                assert_eq!(metrics.samples[0].value, SampleValue::Counter(42));
+                assert_eq!(metrics.samples[1].value, SampleValue::Gauge(3));
+            }
+            other => panic!("wrong decode: {other:?}"),
+        }
+        // A histogram with a short summary reads its missing positions as
+        // 0, and one with a longer summary ignores the extra ones.
+        let mut e = Encoder::new();
+        e.u8(tag::STATS2_RESP).u64(2).u32(2);
+        e.str("h").u8(METRIC_HISTOGRAM).u32(0).u32(2).u64(5).u64(50);
+        e.str("g").u8(METRIC_GAUGE).u32(0).u32(2).u64(4).u64(99);
+        match Msg::decode(&e.finish()).expect("short and long payloads decode") {
+            Msg::StatsV2Resp { metrics, .. } => {
+                let short = HistogramSummary { count: 5, sum: 50, ..HistogramSummary::default() };
+                assert_eq!(metrics.samples[0].value, SampleValue::Histogram(short));
+                assert_eq!(metrics.samples[1].value, SampleValue::Gauge(4));
             }
             other => panic!("wrong decode: {other:?}"),
         }
@@ -1265,25 +1374,9 @@ mod tests {
             other => panic!("wrong decode: {other:?}"),
         }
         let dump = WireDump {
-            metrics: vec![WireMetric {
-                name: "xpv_alert_stall_total".into(),
-                labels: vec![],
-                kind: METRIC_COUNTER,
-                values: vec![2],
-            }],
-            alerts: vec![WireAlert {
-                name: "maintain_stall".into(),
-                kind: "heartbeat_stall".into(),
-                firing: true,
-                since_tick: 4,
-                fired_total: 2,
-                detail: "1 in flight, no beat for 2 ticks (beats=5)".into(),
-            }],
-            traces: vec![WireTraceEvent {
-                kind: "net.query".into(),
-                total_us: 1234,
-                phases: vec![("admission".into(), 10), ("eval".into(), 900)],
-            }],
+            metrics: fixed_snapshot(),
+            alerts: fixed_alerts(),
+            traces: fixed_traces(),
             config: vec![("trace_sampling".into(), "1".into())],
         };
         let msg = Msg::DebugDumpResp { id: 12, dump: dump.clone() };
@@ -1294,6 +1387,12 @@ mod tests {
             }
             other => panic!("wrong decode: {other:?}"),
         }
+        // A phase travels as its name; a name no phase has is refused.
+        let mut e = Encoder::new();
+        e.u8(tag::DUMP_RESP).u64(14).u32(0).u32(0).u32(1);
+        e.str("net.query").u64(9).u32(1).str("teleport").u64(1).u32(0);
+        let err = Msg::decode(&e.finish()).expect_err("unknown phase");
+        assert!(err.0.contains("unknown trace phase \"teleport\""), "{}", err.0);
         // The empty dump (no rules, nothing drained) round-trips too.
         let empty = Msg::DebugDumpResp { id: 13, dump: WireDump::default() };
         match round_trip(&empty) {

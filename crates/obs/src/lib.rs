@@ -6,9 +6,10 @@
 //! - [`Span`] / [`Phase`] / [`drain_trace_events`] — sampled per-request
 //!   phase timelines in per-thread rings (see [`trace`]).
 //! - [`MetricsSnapshot`] — the one render form: the `StatsV2Resp` wire
-//!   frame, the `xpv stats` text, and (via [`write_kv_line`]) the legacy
-//!   stats structs' `Display` all render from it or from the `visit`
-//!   enumeration that fills it.
+//!   frame carries it, the `xpv stats` text prints it, and (via
+//!   [`write_kv_line`]) the stats structs' `Display` renders the `visit`
+//!   enumeration that fills it. `xpv-net` encodes it, the watchdog's
+//!   [`Alert`]s and the drained [`TraceEvent`]s as they are.
 //! - [`Heartbeat`] / [`HealthRule`] / [`Watchdog`] — liveness gauges and
 //!   the thread that turns a stalled heartbeat into `xpv_alert_*`
 //!   counters and forced always-on tracing (see [`health`]).

@@ -1,9 +1,7 @@
 //! The lock-free metric primitives and the named [`Registry`], all on
 //! relaxed `AtomicU64`s:
 //!
-//! - [`Counter`] — a monotone count **striped** across cache-line-aligned
-//!   atomics (a thread's stripe is assigned round-robin on first use), so
-//!   writers on different cores do not bounce one line.
+//! - [`Counter`] — a monotone count.
 //! - [`Gauge`] — a last-write-wins level.
 //! - [`Histogram`] — a log-bucketed latency distribution (bucket `i ≥ 1`
 //!   holds `[2^(i-1), 2^i - 1]`, bucket 0 exactly `0`): a record is three
@@ -15,57 +13,29 @@
 //! appearance only); callers look a handle up once and hold the `Arc`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use crate::snapshot::{HistogramSummary, MetricsSnapshot};
 
-/// Stripes per [`Counter`] (a power of two).
-pub const COUNTER_STRIPES: usize = 16;
-
 /// Histogram buckets: `{0}` plus one per bit position up to
 /// `2^(HIST_BUCKETS-2)` µs (past six days).
 pub const HIST_BUCKETS: usize = 41;
 
-/// One cache line of counter state (the alignment is the point: stripes
-/// of one counter must not share a line, or striping buys nothing).
-#[repr(align(64))]
+/// A monotone counter: `add` is one relaxed `fetch_add`.
 #[derive(Debug, Default)]
-struct Stripe(AtomicU64);
-
-/// Round-robin stripe assignment: each thread gets a home stripe on first
-/// use and keeps it for its lifetime.
-fn stripe_slot() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) & (COUNTER_STRIPES - 1);
-    }
-    SLOT.with(|s| *s)
-}
-
-/// A monotone counter striped across cache-line-aligned atomics: `add` is
-/// one relaxed `fetch_add` on the thread's stripe, `value` sums them.
-#[derive(Debug)]
-pub struct Counter {
-    stripes: Box<[Stripe]>,
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
-    }
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
     pub fn new() -> Counter {
-        Counter { stripes: (0..COUNTER_STRIPES).map(|_| Stripe::default()).collect() }
+        Counter::default()
     }
 
     /// Adds `n` (relaxed; one atomic RMW).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.stripes[stripe_slot()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -74,15 +44,13 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total across all stripes.
+    /// The current total.
     pub fn value(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// A last-write-wins level. Unlike [`Counter`] it is a single atomic:
-/// gauges are set from one place (a server's accounting path), not
-/// hammered from every worker.
+/// A last-write-wins level.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -306,7 +274,7 @@ mod tests {
     #[test]
     fn concurrent_increments_sum_exactly() {
         // The linearity contract: 8 threads × 10_000 increments lose
-        // nothing to striping.
+        // nothing.
         let c = Arc::new(Counter::new());
         let threads: Vec<_> = (0..8)
             .map(|_| {

@@ -140,8 +140,9 @@ fn escape_label(v: &str) -> String {
 }
 
 /// Renders a `visit`-style counter enumeration as one `name=value` line —
-/// the shared `Display` body for the legacy stats structs
-/// (`OracleStats`, `CacheStats`, `TenantStats`, `MaintainStats`): their
+/// the shared `Display` body for the stats structs with a `visit`
+/// (`xpv-semantics`' `OracleStats`, `xpv-engine`'s `CacheStats`,
+/// `xpv-maintain`'s `MaintainStats`, `xpv-net`'s `TenantStats`): their
 /// `Display` output and their registry exposition walk the **same**
 /// enumeration, so the two can no longer drift.
 pub fn write_kv_line(

@@ -112,6 +112,23 @@ impl Phase {
             Phase::Patch => "patch",
         }
     }
+
+    /// The phase named `name` by [`Phase::as_str`].
+    pub fn from_name(name: &str) -> Option<Phase> {
+        Some(match name {
+            "admission" => Phase::Admission,
+            "plan" => Phase::Plan,
+            "eval" => Phase::Eval,
+            "encode" => Phase::Encode,
+            "flush" => Phase::Flush,
+            "apply" => Phase::Apply,
+            "freeze" => Phase::Freeze,
+            "coalesce" => Phase::Coalesce,
+            "scan" => Phase::Scan,
+            "patch" => Phase::Patch,
+            _ => return None,
+        })
+    }
 }
 
 /// One finished span, as drained from a ring.
@@ -119,7 +136,7 @@ impl Phase {
 pub struct TraceEvent {
     /// What kind of request this span followed (e.g. `serve.request`,
     /// `cache.batch`, `cache.update`).
-    pub kind: &'static str,
+    pub kind: String,
     /// Wall time from `begin` to `finish`, microseconds.
     pub total_us: u64,
     /// `(phase, duration_us)` in the order the phases were marked.
@@ -206,7 +223,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(inner) = self.0.take() {
             let event = TraceEvent {
-                kind: inner.kind,
+                kind: inner.kind.to_string(),
                 total_us: inner.start.elapsed().as_micros() as u64,
                 phases: inner.phases,
             };
@@ -308,6 +325,26 @@ mod tests {
         let order: Vec<Phase> = e.phases.iter().map(|p| p.0).collect();
         assert_eq!(order, vec![Phase::Admission, Phase::Plan, Phase::Eval]);
         assert_eq!(e.phases[2].1, 17);
+    }
+
+    #[test]
+    fn every_phase_is_found_by_its_name() {
+        let all = [
+            Phase::Admission,
+            Phase::Plan,
+            Phase::Eval,
+            Phase::Encode,
+            Phase::Flush,
+            Phase::Apply,
+            Phase::Freeze,
+            Phase::Coalesce,
+            Phase::Scan,
+            Phase::Patch,
+        ];
+        for phase in all {
+            assert_eq!(Phase::from_name(phase.as_str()), Some(phase));
+        }
+        assert_eq!(Phase::from_name("Eval"), None);
     }
 
     #[test]

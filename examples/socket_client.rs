@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use xpath_views::engine::{AsyncCacheServer, ShardedViewCache};
 use xpath_views::maintain::Edit;
-use xpath_views::net::{WireClient, WireRoute};
+use xpath_views::net::WireClient;
 use xpath_views::prelude::*;
 use xpath_views::workload::{site_doc, site_intersect_catalog};
 
@@ -41,9 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nanswers:");
     for (q, a) in queries.iter().zip(&answers) {
         let route = match &a.route {
-            WireRoute::Direct => "direct".to_string(),
-            WireRoute::ViaView { view, .. } => format!("view {view}"),
-            WireRoute::Intersect { views, .. } => format!("intersection {views:?}"),
+            Route::Direct => "direct".to_string(),
+            Route::ViaView { view, .. } => format!("view {view}"),
+            Route::Intersect { views, .. } => format!("intersection {views:?}"),
         };
         println!("  {q}: {} node(s)  [{route}]", a.nodes.len());
     }

@@ -37,9 +37,9 @@ use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use xpath_views::engine::{metrics_from_wire, AsyncCacheServer, ShardedViewCache};
+use xpath_views::engine::{AsyncCacheServer, ShardedViewCache};
 use xpath_views::intersect::{plan_intersection_in, MAX_ARITY, MAX_CANDIDATES};
-use xpath_views::net::{WireClient, WireRoute};
+use xpath_views::net::WireClient;
 use xpath_views::prelude::*;
 use xpath_views::rewrite::{figure1, figure2, figure3, figure4, NoRewriteReason};
 use xpath_views::semantics::remove_redundant_branches;
@@ -377,9 +377,9 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             client.answer_batch(&opts.tenant, &opts.queries).map_err(|e| format!("batch: {e}"))?;
         for (q, a) in opts.queries.iter().zip(&answers) {
             let route = match &a.route {
-                WireRoute::Direct => "direct".to_string(),
-                WireRoute::ViaView { view, rewriting } => format!("view {view} via {rewriting}"),
-                WireRoute::Intersect { views, compensation } => {
+                Route::Direct => "direct".to_string(),
+                Route::ViaView { view, rewriting } => format!("view {view} via {rewriting}"),
+                Route::Intersect { views, compensation } => {
                     format!("intersection {views:?} via {compensation}")
                 }
             };
@@ -448,7 +448,7 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     let opts = StatsOpts::parse(args).map_err(|e| format!("stats: {e}"))?;
     let mut client = opts.connect()?;
     let metrics = client.metrics().map_err(|e| format!("stats: {e}"))?;
-    print!("{}", metrics_from_wire(&metrics).to_text());
+    print!("{}", metrics.to_text());
     client.goodbye().map_err(|e| format!("goodbye: {e}"))?;
     Ok(ExitCode::SUCCESS)
 }
@@ -483,11 +483,12 @@ fn cmd_dump(args: &[String]) -> Result<ExitCode, String> {
     let shown = dump.traces.len().min(opts.traces);
     let _ = writeln!(text, "\n## traces ({} drained, showing {shown})", dump.traces.len());
     for t in dump.traces.iter().take(opts.traces) {
-        let phases: Vec<String> = t.phases.iter().map(|(p, us)| format!("{p}={us}us")).collect();
+        let phases: Vec<String> =
+            t.phases.iter().map(|(p, us)| format!("{}={us}us", p.as_str())).collect();
         let _ = writeln!(text, "{:<16} {:>8}us  {}", t.kind, t.total_us, phases.join(" "));
     }
     let _ = writeln!(text, "\n## metrics");
-    let _ = write!(text, "{}", metrics_from_wire(&dump.metrics).to_text());
+    let _ = write!(text, "{}", dump.metrics.to_text());
 
     match &opts.out {
         Some(path) => {

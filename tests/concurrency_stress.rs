@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use xpath_views::engine::{AsyncCacheServer, Route, ShardedViewCache, PLAN_MEMO_MAX_ENTRIES};
-use xpath_views::net::{Response, WireAnswer, WireClient, WireRoute};
+use xpath_views::net::{Response, WireAnswer, WireClient};
 use xpath_views::prelude::*;
 use xpath_views::workload::{
     catalog_zipf_stream, site_catalog, site_doc, site_intersect_catalog, Catalog,
@@ -82,15 +82,6 @@ fn eight_threads_match_single_threaded_answers_and_verdicts() {
     assert_eq!(s.queries, s.plan_memo_hits + s.plan_memo_misses);
 }
 
-/// The engine route a wire route names.
-fn wire_route(route: WireRoute) -> Route {
-    match route {
-        WireRoute::Direct => Route::Direct,
-        WireRoute::ViaView { view, rewriting } => Route::ViaView { view, rewriting },
-        WireRoute::Intersect { views, compensation } => Route::Intersect { views, compensation },
-    }
-}
-
 #[test]
 fn worker_pool_batches_match_single_threaded_answers() {
     let stream = catalog_zipf_stream(&site_catalog(), 320, 0xBEE);
@@ -131,7 +122,7 @@ fn worker_pool_batches_match_single_threaded_answers() {
         for (j, a) in answers.into_iter().enumerate() {
             let pos = chunk * 20 + j;
             assert_eq!(a.nodes, want[pos].0, "nodes diverged at position {pos}");
-            assert_eq!(wire_route(a.route), want[pos].1, "verdict diverged at position {pos}");
+            assert_eq!(a.route, want[pos].1, "verdict diverged at position {pos}");
             answered_positions += 1;
         }
     }

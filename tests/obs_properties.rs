@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use xpath_views::engine::{metrics_from_wire, wire_metrics, AsyncCacheServer, ShardedViewCache};
-use xpath_views::net::WireClient;
+use xpath_views::engine::{AsyncCacheServer, ShardedViewCache};
+use xpath_views::net::{Msg, WireClient};
 use xpath_views::obs::{
     drain_trace_events, set_trace_sampling, Phase, SampleValue, DEFAULT_TRACE_SAMPLING,
 };
@@ -68,8 +68,9 @@ fn spans_record_pipeline_phases_in_order_under_the_executor() {
     }
 }
 
-/// A server snapshot survives the wire: StatsV2 encode → decode →
-/// rebuild renders the identical text exposition.
+/// A server snapshot survives the wire: a StatsV2 frame encodes and
+/// decodes to the identical snapshot, which renders the identical text
+/// exposition.
 #[test]
 fn stats_v2_round_trips_to_identical_text() {
     let cache = serving_cache();
@@ -80,7 +81,12 @@ fn stats_v2_round_trips_to_identical_text() {
     let mut client = WireClient::connect_tcp(&addr).expect("connect");
     client.answer_batch("acme", &stream[..8]).expect("answers");
     let snap = server.metrics_snapshot();
-    let rebuilt = metrics_from_wire(&wire_metrics(&snap));
+    let body = Msg::StatsV2Resp { id: 1, metrics: snap.clone() }.encode();
+    let rebuilt = match Msg::decode(&body).expect("decodes") {
+        Msg::StatsV2Resp { metrics, .. } => metrics,
+        other => panic!("expected StatsV2Resp, got {other:?}"),
+    };
+    assert_eq!(rebuilt, snap);
     assert_eq!(rebuilt.to_text(), snap.to_text());
     assert!(!snap.to_text().is_empty());
 }
@@ -109,7 +115,7 @@ fn wire_exposition_contains_every_family() {
         .expect("io")
         .expect("edit accepted");
 
-    let text = metrics_from_wire(&client.metrics().expect("metrics")).to_text();
+    let text = client.metrics().expect("metrics").to_text();
     for family in
         ["xpv_oracle_", "xpv_cache_", "xpv_tenant_", "xpv_maintain_", "xpv_net_", "xpv_server_"]
     {
@@ -129,9 +135,10 @@ use xpath_views::maintain::Edit;
 
 /// The Display-drift regression: no metric name appears twice in the
 /// snapshot (nothing double-counted), every `visit` name of the four
-/// legacy stats structs reaches the exposition under its family prefix
-/// (nothing orphaned), and the oracle mirrors in `CacheStats` are the
-/// one deliberate exception (skipped, not renamed).
+/// stats structs reaches the exposition under its family prefix (nothing
+/// orphaned), the oracle mirrors in `CacheStats` are the one deliberate
+/// exception (skipped, not renamed), and each of the six wire-traffic
+/// counters appears exactly once.
 #[test]
 fn snapshot_names_are_unique_and_cover_every_visit_name() {
     let cache = serving_cache();
@@ -178,6 +185,25 @@ fn snapshot_names_are_unique_and_cover_every_visit_name() {
     tenant_stats.visit(&mut |name, _| {
         assert!(names.contains(format!("xpv_tenant_{name}").as_str()), "orphaned tenant {name}");
     });
+    // The snapshot is sorted, so these come in name order.
+    let net: Vec<&str> = snap
+        .samples
+        .iter()
+        .map(|s| s.name.as_str())
+        .filter(|n| n.starts_with("xpv_net_"))
+        .collect();
+    assert_eq!(
+        net,
+        [
+            "xpv_net_bytes_in",
+            "xpv_net_bytes_out",
+            "xpv_net_credit_stalls",
+            "xpv_net_frames_in",
+            "xpv_net_frames_out",
+            "xpv_net_oversized_rejections",
+        ],
+        "each wire-traffic counter exactly once"
+    );
 
     // Histogram families and counter families never collide.
     for s in &snap.samples {

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use xpath_views::engine::{AsyncCacheServer, ObsConfig, ShardedViewCache};
 use xpath_views::maintain::Edit;
 use xpath_views::net::WireClient;
-use xpath_views::obs::{set_trace_sampling, trace_sampling, DEFAULT_TRACE_SAMPLING};
+use xpath_views::obs::{set_trace_sampling, trace_sampling, Phase, DEFAULT_TRACE_SAMPLING};
 use xpath_views::prelude::*;
 
 /// Serializes the tests in this binary around the global sampling knob.
@@ -160,12 +160,12 @@ fn injected_stall_fires_alert_forces_tracing_and_lands_in_the_dump() {
         .iter()
         .find(|t| t.kind == "net.query" && t.phases.len() >= 2)
         .expect("forced sampling captured a wire query span");
-    let phase_pos = |name: &str| query_span.phases.iter().position(|(p, _)| p == name);
-    let admission = phase_pos("admission").expect("admission phase present");
-    let flush = phase_pos("flush").expect("flush phase present");
+    let phase_pos = |phase: Phase| query_span.phases.iter().position(|&(p, _)| p == phase);
+    let admission = phase_pos(Phase::Admission).expect("admission phase present");
+    let flush = phase_pos(Phase::Flush).expect("flush phase present");
     assert_eq!(admission, 0, "admission opens the span: {query_span:?}");
     assert_eq!(flush, query_span.phases.len() - 1, "flush closes the span: {query_span:?}");
-    if let Some(eval) = phase_pos("eval") {
+    if let Some(eval) = phase_pos(Phase::Eval) {
         assert!(admission < eval && eval < flush, "phases in order: {query_span:?}");
     }
 
