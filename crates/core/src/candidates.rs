@@ -11,11 +11,34 @@
 //! `R' ◦ V ≡ P`, which [`QueryContext::test_candidate`] decides with the (coNP)
 //! equivalence procedure of `xpv-semantics` — the only non-polynomial step
 //! of the whole algorithm, exactly as the paper advertises.
+//!
+//! # Refuting both candidates by their labels
+//!
+//! Most candidate tests fail, and many of them fail for a reason the labels
+//! already show. Equivalent patterns have equal label sets (the argument of
+//! condition 2 in `xpv_pattern::signature`: each embeds into the other's
+//! canonical tree with its wildcards turned into one fresh label). A
+//! composition that does not clash keeps every concrete label of `R` and of
+//! `V` (the junction glb keeps any label), so `R ◦ V ≡ P` needs
+//! `labels(P) ⊆ labels(R) ∪ labels(V)`. Both candidates have the labels of
+//! `P≥k` (relaxing edges changes no test). So if a label of `P` is neither in
+//! `P≥k` nor in `V`, both candidates fail, and neither needs `compose` or
+//! the oracle.
+//!
+//! The check runs on the hashed masks of [`label_mask`]: per depth `k` a
+//! [`QueryContext`] keeps `mask(P) & !mask(P≥k)`, and a view whose mask
+//! misses one of those bits lacks the label behind it, which `P≥k` lacks
+//! too. Hashing only lets doomed tests through (two labels on one bit),
+//! never refutes a test that would pass. A refuted decision goes on exactly
+//! as if both tests had failed, so every answer stays what the tests would
+//! have made it.
 
 use std::cell::OnceCell;
 
-use xpv_pattern::{compose, Axis, Pattern, PatternKey};
+use xpv_pattern::{compose, label_mask, Axis, Pattern, PatternKey};
 use xpv_semantics::ContainmentOracle;
+
+use crate::conditions::{query_condition, Condition};
 
 /// A natural candidate, tagged with whether it is the relaxed one.
 #[derive(Clone, Debug)]
@@ -88,24 +111,48 @@ impl CandidateTestStats {
     }
 }
 
+/// What the decisions of one query against views of one depth `k` share.
+#[derive(Debug)]
+pub(crate) struct AtDepth {
+    /// The natural candidates (see [`natural_candidates`]).
+    pub(crate) candidates: Vec<Candidate>,
+    /// `labels(P) \ labels(P≥k)`, hashed ([`label_mask`]): a view whose
+    /// mask misses any of these bits refutes both candidates (module docs).
+    pub(crate) uncovered: u64,
+    /// The verdict of the conditions that read only the query and `k`
+    /// (`k = d`, Theorems 4.3 and 4.4).
+    pub(crate) query_condition: Option<Condition>,
+}
+
+impl AtDepth {
+    /// Whether a view with label mask `v_mask` refutes both candidates: it
+    /// lacks a label that `P` has and `P≥k` does not.
+    pub(crate) fn refuted_by(&self, v_mask: u64) -> bool {
+        self.uncovered & !v_mask != 0
+    }
+}
+
 /// What planning one query against many views computes once: the query's
-/// key in the oracle's interner and its natural candidates per view depth
-/// (built on first use of a depth). A plan miss prepares one context and
-/// hands it to every decision of that miss.
+/// key in the oracle's interner and, per view depth (built on first use of
+/// a depth), its natural candidates, the labels a view must bring and the
+/// verdict of the query-only conditions. A plan miss prepares one context
+/// and hands it to every decision of that miss.
 #[derive(Debug)]
 pub struct QueryContext<'a> {
     pub(crate) oracle: &'a ContainmentOracle,
     pub(crate) p: &'a Pattern,
     pub(crate) key: PatternKey,
+    label_mask: u64,
     /// Indexed by view depth `k ≤ depth(p)`.
-    candidates: Vec<OnceCell<Vec<Candidate>>>,
+    at_depth: Vec<OnceCell<AtDepth>>,
 }
 
 impl<'a> QueryContext<'a> {
     /// Prepares `p` for decisions through `oracle`.
     pub fn new(oracle: &'a ContainmentOracle, p: &'a Pattern) -> QueryContext<'a> {
         let key = oracle.intern(p);
-        QueryContext { oracle, p, key, candidates: vec![OnceCell::new(); p.depth() + 1] }
+        let at_depth = (0..=p.depth()).map(|_| OnceCell::new()).collect();
+        QueryContext { oracle, p, key, label_mask: label_mask(p), at_depth }
     }
 
     /// The query.
@@ -117,7 +164,21 @@ impl<'a> QueryContext<'a> {
     /// [`natural_candidates`]; panics likewise when `k` exceeds the query's
     /// depth).
     pub fn candidates(&self, k: usize) -> &[Candidate] {
-        self.candidates[k].get_or_init(|| candidates_at_depth(self.p, k))
+        &self.at_depth(k).candidates
+    }
+
+    /// The record shared by every view of depth `k`.
+    pub(crate) fn at_depth(&self, k: usize) -> &AtDepth {
+        self.at_depth[k].get_or_init(|| {
+            let candidates = candidates_at_depth(self.p, k);
+            // Both candidates carry the labels of `P≥k`, the first of them.
+            let base = &candidates[0].pattern;
+            AtDepth {
+                uncovered: self.label_mask & !label_mask(base),
+                query_condition: query_condition(self.p, k, base),
+                candidates,
+            }
+        })
     }
 
     /// Tests whether `r` is a rewriting of the query using `v`, i.e.

@@ -23,8 +23,15 @@
 //! candidates* (`P≥k` / `P≥k_r//` are unchanged), so a nested certificate
 //! still justifies testing the original candidates — the planner relies on
 //! this.
+//!
+//! `k = d` and the first two rows (Theorems 4.3 and 4.4) read only `P` and
+//! the view's depth `k` (`query_condition`), so every view of one depth gets
+//! the same verdict from them. The planner computes that verdict once per
+//! query and depth, and per view runs only the rest (`view_condition`), in
+//! the same order. [`find_condition`] is the two in sequence.
 
 use std::fmt;
+use std::sync::RwLock;
 
 use xpv_model::Label;
 use xpv_pattern::{
@@ -133,22 +140,34 @@ impl fmt::Display for Condition {
     }
 }
 
-/// Checks the base (non-reduction) conditions of Section 4 on `(p, v)`.
-fn base_condition(p: &Pattern, v: &Pattern) -> Option<Condition> {
-    let d = p.depth();
-    let k = v.depth();
-    debug_assert!(k <= d);
-    if k == d {
+/// The Section 4 conditions that read only the query and the view's depth
+/// `k`, in the order [`find_condition`] tries them: `k = d`, Theorem 4.3 on
+/// `p_geq_k` (which must be `P≥k`) and Theorem 4.4. Every view of depth `k`
+/// gets the same verdict, so the planner computes it once per query and
+/// depth (next to the natural candidates, whose first one is `P≥k`) and runs
+/// only `view_condition` per view.
+pub(crate) fn query_condition(p: &Pattern, k: usize, p_geq_k: &Pattern) -> Option<Condition> {
+    debug_assert!(k <= p.depth());
+    if k == p.depth() {
         return Some(Condition::EqualDepth);
     }
     // Theorem 4.3.
-    if stability_witness(&p.sub_pattern_geq(k)).is_some() {
+    if stability_witness(p_geq_k).is_some() {
         return Some(Condition::StableSubpattern);
     }
     // Theorem 4.4.
     if selection_prefix_all_child(p, k) {
         return Some(Condition::QueryPrefixAllChild);
     }
+    None
+}
+
+/// The rest of [`find_condition`] for an instance on which
+/// `query_condition` found nothing: the Section 4 conditions that read the
+/// view, then GNF/*, then the Section 5 reductions.
+pub(crate) fn view_condition(p: &Pattern, v: &Pattern, fuel: usize) -> Option<Condition> {
+    let d = p.depth();
+    let k = v.depth();
     // Theorem 4.9.
     if k >= 1 && p_axis_at(v, k) == Axis::Descendant {
         return Some(Condition::DescendantIntoViewOutput);
@@ -163,36 +182,16 @@ fn base_condition(p: &Pattern, v: &Pattern) -> Option<Condition> {
             return Some(Condition::CorrespondingLastDescendant { depth: j });
         }
     }
-    None
-}
-
-fn p_axis_at(q: &Pattern, i: usize) -> Axis {
-    q.axis(q.k_node(i))
-}
-
-/// Searches for a completeness certificate for the instance `(p, v)`:
-/// the Section 4 conditions first, then the Section 5 reductions (each of
-/// which recurses on a transformed instance with the *same* natural
-/// candidates), and finally GNF/*.
-///
-/// `fuel` bounds the reduction-chain length; reductions can otherwise cycle
-/// (e.g. the `∗//` reduction maps its own output to itself).
-pub fn find_condition(p: &Pattern, v: &Pattern, fuel: usize) -> Option<Condition> {
-    if let Some(c) = base_condition(p, v) {
-        return Some(c);
-    }
     // Theorem 5.4 — cheap and syntactic, so it is tried before the
     // instance-transforming reductions.
     if is_gnf_star(p) {
         return Some(Condition::GnfStar);
     }
-    let d = p.depth();
-    let k = v.depth();
     if fuel > 0 {
         // Section 5.1: reduce at the deepest stable suffix P≥i, i ≤ k.
         for i in (1..=k).rev() {
-            if stability_witness(&p.sub_pattern_geq(i)).is_some() {
-                let p_red = p.sub_pattern_geq(i);
+            let p_red = p.sub_pattern_geq(i);
+            if stability_witness(&p_red).is_some() {
                 let v_red = v.sub_pattern_geq(i);
                 if let Some(inner) = find_condition(&p_red, &v_red, fuel - 1) {
                     return Some(Condition::StableSuffixReduction {
@@ -215,9 +214,12 @@ pub fn find_condition(p: &Pattern, v: &Pattern, fuel: usize) -> Option<Condition
             }
         }
         // Section 5.3: extension + output lifting at a Σ-labeled j-node.
+        // Every j tries the same µ: it only has to be absent from the
+        // instance.
+        let mut unused = None;
         for j in (k..=d).rev() {
             if !p.test(p.k_node(j)).is_wildcard() {
-                let mu = Label::fresh("µ");
+                let mu = *unused.get_or_insert_with(|| unused_label(p, v));
                 let p_tr = p.extend(NodeTest::Label(mu)).lift_output(j);
                 let v_tr = v.extend(NodeTest::Wildcard);
                 if let Some(inner) = find_condition(&p_tr, &v_tr, fuel - 1) {
@@ -227,6 +229,47 @@ pub fn find_condition(p: &Pattern, v: &Pattern, fuel: usize) -> Option<Condition
         }
     }
     None
+}
+
+fn p_axis_at(q: &Pattern, i: usize) -> Axis {
+    q.axis(q.k_node(i))
+}
+
+/// A label that neither `p` nor `v` uses: the `µ` of Section 5.3. It is the
+/// first entry of a process-wide reserved list that neither uses, and the
+/// list grows by one [`Label::fresh`] only when the instance uses every
+/// entry. A condition search interns no label once the list is as long as
+/// its deepest nesting of Section 5.3 steps; only equality with the
+/// instance's own labels matters to the search, so which absent label it
+/// gets changes no verdict.
+fn unused_label(p: &Pattern, v: &Pattern) -> Label {
+    static RESERVED: RwLock<Vec<Label>> = RwLock::new(Vec::new());
+    let (in_p, in_v) = (p.label_set(), v.label_set());
+    let free = |l: &&Label| in_p.binary_search(l).is_err() && in_v.binary_search(l).is_err();
+    if let Some(&mu) = RESERVED.read().expect("reserved labels poisoned").iter().find(free) {
+        return mu;
+    }
+    let mut reserved = RESERVED.write().expect("reserved labels poisoned");
+    if let Some(&mu) = reserved.iter().find(free) {
+        return mu;
+    }
+    // Fresh: distinct from every label interned so far, so from every label
+    // of `p` and `v`.
+    let mu = Label::fresh("µ");
+    reserved.push(mu);
+    mu
+}
+
+/// Searches for a completeness certificate for the instance `(p, v)`:
+/// the Section 4 conditions first, then GNF/*, then the Section 5
+/// reductions (each of which recurses on a transformed instance with the
+/// *same* natural candidates).
+///
+/// `fuel` bounds the reduction-chain length; reductions can otherwise cycle
+/// (e.g. the `∗//` reduction maps its own output to itself).
+pub fn find_condition(p: &Pattern, v: &Pattern, fuel: usize) -> Option<Condition> {
+    let k = v.depth();
+    query_condition(p, k, &p.sub_pattern_geq(k)).or_else(|| view_condition(p, v, fuel))
 }
 
 #[cfg(test)]
@@ -396,5 +439,39 @@ mod tests {
             find_condition(&pat("a/*//*/*/c//e"), &pat("a/*//*/*"), 0),
             Some(Condition::GnfStar)
         );
+    }
+
+    #[test]
+    fn repeated_condition_searches_intern_a_constant_number_of_labels() {
+        // The adversarial instance tries a Section 5.3 step at every
+        // labelled j-node, nested up to the fuel.
+        let (p, v) = (pat("a//*[*/m]/*[*/m]//c[m]"), pat("a//*/*"));
+        let first = find_condition(&p, &v, 3);
+        let probe = Label::fresh("probe").id();
+        for _ in 0..1000 {
+            assert_eq!(find_condition(&p, &v, 3), first);
+        }
+        // Label ids count interned labels, and each probe interns one.
+        // Other tests of this binary may intern a few meanwhile.
+        let interned = Label::fresh("probe").id() - probe - 1;
+        assert!(interned <= 16, "1000 searches interned {interned} labels");
+    }
+
+    #[test]
+    fn a_query_that_spells_a_reserved_label_gets_the_same_condition() {
+        let v = pat("*//*/*");
+        // The first reserved label, spelled by the query at the j-node the
+        // search lifts first, and in a branch; the reference spells a label
+        // no reserved entry has instead.
+        let mu = unused_label(&pat("a"), &v);
+        for shape in ["*//*[*/c]/*/c//X", "*//*[*/c]/*[X]/c//e", "*//*[*/X]/*/X//e"] {
+            let plain = pat(&shape.replace('X', "x"));
+            let p = pat(&shape.replace('X', mu.name()));
+            assert_ne!(unused_label(&p, &v), mu, "{p} uses {mu}");
+            assert_eq!(find_condition(&p, &v, 3), find_condition(&plain, &v, 3), "{p}");
+        }
+        // The first shape needs the Section 5.3 step.
+        let lifted = find_condition(&pat("*//*[*/c]/*/c//x"), &v, 3);
+        assert!(matches!(lifted, Some(Condition::ExtensionLifting { .. })), "{lifted:?}");
     }
 }

@@ -6,8 +6,11 @@
 //! 1. **Gates** (Proposition 3.1): `k > d` or a k-node/`out(V)` label clash
 //!    rules out every rewriting outright.
 //! 2. **Natural candidates** (Section 4): build `P≥k` and `P≥k_r//` in linear
-//!    time and test each with the coNP equivalence procedure. A success is a
-//!    *verified* rewriting regardless of any condition.
+//!    time. First refute: if `P` has a label that neither `P≥k` nor `V` has,
+//!    no `R ◦ V` with the candidates' labels can equal `P`, and both fail
+//!    untested (see the `candidates` module). Otherwise test each with the
+//!    coNP equivalence procedure. A success is a *verified* rewriting
+//!    regardless of any condition.
 //! 3. **Completeness certificate** (Theorems 4.3–4.16, Section 5): if a
 //!    condition applies — possibly through the Section 5 reductions, all of
 //!    which preserve the candidate set — a candidate failure proves that *no*
@@ -21,14 +24,14 @@
 
 use std::sync::RwLock;
 
-use xpv_pattern::{BoundedMap, Held, NodeTest, Pattern, PatternKey};
+use xpv_pattern::{label_mask, BoundedMap, Held, NodeTest, Pattern, PatternKey};
 use xpv_semantics::ContainmentOracle;
 
 use crate::brute::{
     brute_force_rewrite_with_oracle, BruteForceConfig, BruteForceOutcome, BruteForceStats,
 };
 use crate::candidates::{CandidateTestStats, QueryContext};
-use crate::conditions::{find_condition, Condition};
+use crate::conditions::{view_condition, Condition};
 
 /// How a rewriting was obtained.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -229,12 +232,18 @@ impl RewritePlanner {
         }
 
         // The completeness certificate; cheap and purely syntactic, so it is
-        // computed up front (it also annotates positive answers).
-        let condition = find_condition(p, v, CONDITION_FUEL);
+        // computed up front (it also annotates positive answers). The
+        // query-only conditions were checked once for this depth.
+        let at_depth = ctx.at_depth(k);
+        let condition =
+            at_depth.query_condition.clone().or_else(|| view_condition(p, v, CONDITION_FUEL));
         stats.condition_found = condition.is_some();
 
-        // Natural candidates (at most two equivalence tests).
-        for cand in ctx.candidates(k) {
+        // Natural candidates (at most two equivalence tests), unless the
+        // labels refute both.
+        let tested =
+            if at_depth.refuted_by(label_mask(v)) { &[][..] } else { &at_depth.candidates };
+        for cand in tested {
             if ctx.test_candidate(v, &cand.pattern, &mut stats.candidate_tests) {
                 return (
                     RewriteAnswer::Rewriting(Rewriting {
@@ -442,6 +451,8 @@ impl PlanningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::natural_candidates;
+    use crate::conditions::find_condition;
     use xpv_pattern::{compose, parse_xpath};
     use xpv_semantics::equivalent;
 
@@ -617,7 +628,7 @@ mod tests {
 
         let (second_ans, second) = session.decide_with_stats(&p, &v);
         assert!(matches!(second_ans, RewriteAnswer::Rewriting(_)));
-        assert!(second.memo_hits > 0, "repeat decide must hit the oracle memo");
+        assert!(second.memo_hits > 0, "repeat decide must hit the decision memo");
         assert_eq!(second.memo_misses, 0);
         assert_eq!(second.canonical_runs, 0, "repeat decide runs zero coNP loops");
 
@@ -629,9 +640,10 @@ mod tests {
     #[test]
     fn a_plan_miss_keeps_nothing_per_candidate() {
         let session = RewritePlanner::without_fallback().session();
-        let pool = [pat("a[b]/*"), pat("a/*")];
-        // Every pair reaches a candidate test, and no composed R ∘ V is
-        // the query itself.
+        let pool = [pat("a[b]/*"), pat("a[b][d]/*")];
+        // Every pair reaches a candidate test (each view has the query's
+        // labels above depth 1, `a` and `b`), and no composed R ∘ V is the
+        // query itself.
         let queries: Vec<Pattern> =
             ["e", "f", "g"].iter().map(|l| pat(&format!("a[b]//*/{l}[d]"))).collect();
         let held = || session.oracle().interned().entries;
@@ -644,6 +656,30 @@ mod tests {
         }
         let grown = held() - before;
         assert_eq!(grown, queries.len() + pool.len(), "only the queries and the views are kept");
+    }
+
+    #[test]
+    fn a_refuted_pair_asks_the_oracle_nothing_and_keeps_its_condition() {
+        // `region` is in the query but neither in P≥2 = item/name nor in
+        // the view: both candidates fail by their labels.
+        let (p, v) = (pat("site/region/item/name"), pat("site/*/item"));
+        let session = RewritePlanner::default().session();
+        let (answer, stats) = session.decide_with_stats(&p, &v);
+        assert_eq!(stats.candidate_tests.equivalence_tests, 0);
+        assert_eq!(session.oracle().stats().queries, 0, "no containment was asked");
+        let condition = find_condition(&p, &v, CONDITION_FUEL).expect("P≥2 is stable");
+        assert_eq!(condition, Condition::StableSubpattern);
+        match answer {
+            RewriteAnswer::NoRewriting(NoRewriteReason::CandidatesFailUnderCondition(c)) => {
+                assert_eq!(c, condition);
+            }
+            other => panic!("expected a definitive no, got {other:?}"),
+        }
+        // The tests it skipped would have failed.
+        for cand in natural_candidates(&p, &v) {
+            let rv = compose(&cand.pattern, &v).expect("no clash");
+            assert!(!equivalent(&rv, &p), "{} ∘ {v} ≡ {p}", cand.pattern);
+        }
     }
 
     #[test]

@@ -1550,8 +1550,11 @@ mod tests {
         cache.add_view("any_items", pat("site/*/item"));
         let q = pat("site/region/item/name");
         let asked = || cache.session().oracle().stats().queries;
+        let decided = || cache.session().decisions().entries;
         assert_eq!(cache.answer(&q).route, Route::Direct);
-        assert!(asked() > 0, "the first plan decides (q, any_items)");
+        // `region` is in neither the view nor q's candidates: the pair is
+        // decided by its labels, without the oracle.
+        assert_eq!(decided(), 1, "the first plan decides (q, any_items)");
 
         // The add invalidates the Direct route; the re-plan asks about
         // (q, any_items) again and about (q, items) for the first time.
@@ -1565,7 +1568,9 @@ mod tests {
         // oracle what a fresh session asks for the new pair alone.
         let fresh = cache.session().planner().session();
         fresh.decide(&q, &new_view);
+        assert!(fresh.oracle().stats().queries > 0, "the new pair needs the oracle");
         assert_eq!(asked() - before, fresh.oracle().stats().queries);
+        assert_eq!(decided(), 2, "only the new pair is decided");
     }
 
     /// The `i`-th of a million distinct queries `u/dX/dX/dX/dX/dX/dX`,

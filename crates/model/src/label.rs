@@ -13,9 +13,14 @@
 //!   label interned so far, used for the `µ` label of Section 5.3 and for the
 //!   "new label" constructions inside proofs (e.g. Lemma 4.11).
 //!
-//! Interned strings are leaked (the label universe of any run is small and
-//! bounded by the workload), which lets [`Label::name`] hand out
-//! `&'static str` without reference-counting.
+//! Interned strings are leaked, which lets [`Label::name`] hand out
+//! `&'static str` without reference-counting. The table is never shrunk: it
+//! holds every distinct name that any parsed query, view or document has
+//! spelled, and every fresh label, so it grows with the variety of the input
+//! (a server sent ever-new names grows without bound), not with the size of
+//! a workload. Callers that need a label absent from an instance over and
+//! over should reuse one rather than call [`Label::fresh`] each time, as the
+//! condition search of `xpv-core` does for its `µ`.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -185,8 +185,11 @@ impl QuerySignature {
     }
 }
 
-/// The 64-bit label-set hash shared by both signature sides.
-fn label_mask(p: &Pattern) -> u64 {
+/// The 64-bit label-set hash: one bit per concrete label of `p`
+/// (`Label::id() % 64`). Both signature sides use it, and so does the
+/// planner's label refutation in `xpv-core`. A label of one pattern whose
+/// bit another pattern's mask lacks is a label the other does not use.
+pub fn label_mask(p: &Pattern) -> u64 {
     let mut mask = 0u64;
     for n in p.node_ids() {
         if let Some(l) = p.test(n).as_label() {
