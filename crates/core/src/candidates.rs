@@ -25,20 +25,25 @@
 //! `P≥k` nor in `V`, both candidates fail, and neither needs `compose` or
 //! the oracle.
 //!
-//! The check runs on the hashed masks of [`label_mask`]: per depth `k` a
-//! [`QueryContext`] keeps `mask(P) & !mask(P≥k)`, and a view whose mask
-//! misses one of those bits lacks the label behind it, which `P≥k` lacks
-//! too. Hashing only lets doomed tests through (two labels on one bit),
-//! never refutes a test that would pass. A refuted decision goes on exactly
-//! as if both tests had failed, so every answer stays what the tests would
-//! have made it.
+//! The check runs on the hashed masks of
+//! [`label_mask`](xpv_pattern::label_mask): a [`QueryContext`] keeps
+//! `mask(P) & !mask(P≥k)` for every depth `k`, all of them from one pass
+//! over `P` and without building any `P≥k`, and [`QueryContext::refutes`]
+//! is the one test of it. Hashing only lets doomed tests through (two
+//! labels on one bit), never refutes a test that would pass.
+//!
+//! A refutation proves that no *natural candidate* verifies, not that no
+//! rewriting exists: that takes a completeness condition as well, which
+//! only [`RewritePlanner::decide`](crate::RewritePlanner::decide) looks for.
+//! A caller that routes only verified candidates, as the serving engine and
+//! the intersection search do, loses nothing by skipping a refuted pair
+//! outright: both run the refutation next to the signature filter, before
+//! any candidate is built, and [`QueryContext::verify`] on what survives.
 
 use std::cell::OnceCell;
 
-use xpv_pattern::{compose, label_mask, Axis, Pattern, PatternKey};
+use xpv_pattern::{compose, label_bit, Axis, PatId, Pattern};
 use xpv_semantics::ContainmentOracle;
-
-use crate::conditions::{query_condition, Condition};
 
 /// A natural candidate, tagged with whether it is the relaxed one.
 #[derive(Clone, Debug)]
@@ -111,48 +116,36 @@ impl CandidateTestStats {
     }
 }
 
-/// What the decisions of one query against views of one depth `k` share.
-#[derive(Debug)]
-pub(crate) struct AtDepth {
-    /// The natural candidates (see [`natural_candidates`]).
-    pub(crate) candidates: Vec<Candidate>,
-    /// `labels(P) \ labels(P≥k)`, hashed ([`label_mask`]): a view whose
-    /// mask misses any of these bits refutes both candidates (module docs).
-    pub(crate) uncovered: u64,
-    /// The verdict of the conditions that read only the query and `k`
-    /// (`k = d`, Theorems 4.3 and 4.4).
-    pub(crate) query_condition: Option<Condition>,
-}
-
-impl AtDepth {
-    /// Whether a view with label mask `v_mask` refutes both candidates: it
-    /// lacks a label that `P` has and `P≥k` does not.
-    pub(crate) fn refuted_by(&self, v_mask: u64) -> bool {
-        self.uncovered & !v_mask != 0
-    }
-}
-
-/// What planning one query against many views computes once: the query's
-/// key in the oracle's interner and, per view depth (built on first use of
-/// a depth), its natural candidates, the labels a view must bring and the
-/// verdict of the query-only conditions. A plan miss prepares one context
-/// and hands it to every decision of that miss.
+/// What planning one query against many views computes once: per view
+/// depth `k`, the labels a view must bring (`labels(P) \ labels(P≥k)`,
+/// hashed, every depth from one pass when the context is made) and, built
+/// on the first test at that depth, its natural candidates. A plan miss
+/// prepares one context and hands it to every pair of that miss.
 #[derive(Debug)]
 pub struct QueryContext<'a> {
     pub(crate) oracle: &'a ContainmentOracle,
     pub(crate) p: &'a Pattern,
-    pub(crate) key: PatternKey,
-    label_mask: u64,
-    /// Indexed by view depth `k ≤ depth(p)`.
-    at_depth: Vec<OnceCell<AtDepth>>,
+    /// `mask(P) & !mask(P≥k)`, indexed by view depth `k ≤ depth(p)`: a view
+    /// whose mask misses any of these bits refutes both candidates.
+    uncovered: Vec<u64>,
+    /// The natural candidates, indexed like `uncovered`.
+    candidates: Vec<OnceCell<Vec<Candidate>>>,
 }
 
 impl<'a> QueryContext<'a> {
     /// Prepares `p` for decisions through `oracle`.
     pub fn new(oracle: &'a ContainmentOracle, p: &'a Pattern) -> QueryContext<'a> {
-        let key = oracle.intern(p);
-        let at_depth = (0..=p.depth()).map(|_| OnceCell::new()).collect();
-        QueryContext { oracle, p, key, label_mask: label_mask(p), at_depth }
+        // Each node's subtree mask, in one reverse pass: node ids put
+        // parents before children. `P≥k` is the subtree of the k-node.
+        let mut below: Vec<u64> = p.node_ids().map(|n| label_bit(p.test(n))).collect();
+        for i in (1..below.len()).rev() {
+            let parent = p.parent(PatId(i as u32)).expect("only the root has no parent");
+            below[parent.index()] |= below[i];
+        }
+        let uncovered: Vec<u64> =
+            p.selection_path().iter().map(|&n| below[0] & !below[n.index()]).collect();
+        let candidates = uncovered.iter().map(|_| OnceCell::new()).collect();
+        QueryContext { oracle, p, uncovered, candidates }
     }
 
     /// The query.
@@ -160,25 +153,31 @@ impl<'a> QueryContext<'a> {
         self.p
     }
 
-    /// The natural candidates for views of depth `k` (see
-    /// [`natural_candidates`]; panics likewise when `k` exceeds the query's
-    /// depth).
-    pub fn candidates(&self, k: usize) -> &[Candidate] {
-        &self.at_depth(k).candidates
+    /// Whether a view of depth `k` with label mask `v_mask` refutes both
+    /// natural candidates: it lacks a label that `P` has and `P≥k` does not
+    /// (module docs). Panics when `k` exceeds the query's depth.
+    pub fn refutes(&self, k: usize, v_mask: u64) -> bool {
+        self.uncovered[k] & !v_mask != 0
     }
 
-    /// The record shared by every view of depth `k`.
-    pub(crate) fn at_depth(&self, k: usize) -> &AtDepth {
-        self.at_depth[k].get_or_init(|| {
-            let candidates = candidates_at_depth(self.p, k);
-            // Both candidates carry the labels of `P≥k`, the first of them.
-            let base = &candidates[0].pattern;
-            AtDepth {
-                uncovered: self.label_mask & !label_mask(base),
-                query_condition: query_condition(self.p, k, base),
-                candidates,
-            }
-        })
+    /// The natural candidates for views of depth `k` (see
+    /// [`natural_candidates`]; panics likewise when `k` exceeds the query's
+    /// depth), built on first use.
+    pub fn candidates(&self, k: usize) -> &[Candidate] {
+        self.candidates[k].get_or_init(|| candidates_at_depth(self.p, k))
+    }
+
+    /// The first natural candidate `R` for `v`, a view of depth `k`, that
+    /// passes `R ◦ v ≡ p`: a verified rewriting, or `None` when both fail.
+    /// Nothing else is decided: no gate, no refutation, no condition.
+    pub fn verify(
+        &self,
+        v: &Pattern,
+        k: usize,
+        stats: &mut CandidateTestStats,
+    ) -> Option<&Candidate> {
+        debug_assert_eq!(k, v.depth(), "{v} is not a view of depth {k}");
+        self.candidates(k).iter().find(|c| self.test_candidate(v, &c.pattern, stats))
     }
 
     /// Tests whether `r` is a rewriting of the query using `v`, i.e.
@@ -193,7 +192,7 @@ impl<'a> QueryContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xpv_pattern::{parse_xpath, NodeTest, PatId};
+    use xpv_pattern::{parse_xpath, NodeTest};
 
     fn pat(s: &str) -> Pattern {
         parse_xpath(s).expect("pattern parses")

@@ -24,11 +24,9 @@
 //! still justifies testing the original candidates — the planner relies on
 //! this.
 //!
-//! `k = d` and the first two rows (Theorems 4.3 and 4.4) read only `P` and
-//! the view's depth `k` (`query_condition`), so every view of one depth gets
-//! the same verdict from them. The planner computes that verdict once per
-//! query and depth, and per view runs only the rest (`view_condition`), in
-//! the same order. [`find_condition`] is the two in sequence.
+//! Only the library decision looks for a condition: the serving engine
+//! routes verified candidates only, so it never needs to tell "no
+//! rewriting" from "unknown".
 
 use std::fmt;
 use std::sync::RwLock;
@@ -140,34 +138,27 @@ impl fmt::Display for Condition {
     }
 }
 
-/// The Section 4 conditions that read only the query and the view's depth
-/// `k`, in the order [`find_condition`] tries them: `k = d`, Theorem 4.3 on
-/// `p_geq_k` (which must be `P≥k`) and Theorem 4.4. Every view of depth `k`
-/// gets the same verdict, so the planner computes it once per query and
-/// depth (next to the natural candidates, whose first one is `P≥k`) and runs
-/// only `view_condition` per view.
-pub(crate) fn query_condition(p: &Pattern, k: usize, p_geq_k: &Pattern) -> Option<Condition> {
-    debug_assert!(k <= p.depth());
-    if k == p.depth() {
+/// Searches for a completeness certificate for the instance `(p, v)`:
+/// the Section 4 conditions first, then GNF/*, then the Section 5
+/// reductions (each of which recurses on a transformed instance with the
+/// *same* natural candidates).
+///
+/// `fuel` bounds the reduction-chain length; reductions can otherwise cycle
+/// (e.g. the `∗//` reduction maps its own output to itself).
+pub fn find_condition(p: &Pattern, v: &Pattern, fuel: usize) -> Option<Condition> {
+    let d = p.depth();
+    let k = v.depth();
+    if k == d {
         return Some(Condition::EqualDepth);
     }
     // Theorem 4.3.
-    if stability_witness(p_geq_k).is_some() {
+    if stability_witness(&p.sub_pattern_geq(k)).is_some() {
         return Some(Condition::StableSubpattern);
     }
     // Theorem 4.4.
     if selection_prefix_all_child(p, k) {
         return Some(Condition::QueryPrefixAllChild);
     }
-    None
-}
-
-/// The rest of [`find_condition`] for an instance on which
-/// `query_condition` found nothing: the Section 4 conditions that read the
-/// view, then GNF/*, then the Section 5 reductions.
-pub(crate) fn view_condition(p: &Pattern, v: &Pattern, fuel: usize) -> Option<Condition> {
-    let d = p.depth();
-    let k = v.depth();
     // Theorem 4.9.
     if k >= 1 && p_axis_at(v, k) == Axis::Descendant {
         return Some(Condition::DescendantIntoViewOutput);
@@ -258,18 +249,6 @@ fn unused_label(p: &Pattern, v: &Pattern) -> Label {
     let mu = Label::fresh("µ");
     reserved.push(mu);
     mu
-}
-
-/// Searches for a completeness certificate for the instance `(p, v)`:
-/// the Section 4 conditions first, then GNF/*, then the Section 5
-/// reductions (each of which recurses on a transformed instance with the
-/// *same* natural candidates).
-///
-/// `fuel` bounds the reduction-chain length; reductions can otherwise cycle
-/// (e.g. the `∗//` reduction maps its own output to itself).
-pub fn find_condition(p: &Pattern, v: &Pattern, fuel: usize) -> Option<Condition> {
-    let k = v.depth();
-    query_condition(p, k, &p.sub_pattern_geq(k)).or_else(|| view_condition(p, v, fuel))
 }
 
 #[cfg(test)]

@@ -12,11 +12,11 @@
 //!   candidate tests, certificates, and the budgeted Proposition 3.4
 //!   brute force ([`brute_force_rewrite`]);
 //! * [`PlanningSession`] — a planner bound to a long-lived
-//!   [`xpv_semantics::ContainmentOracle`] and a memo of whole decisions,
-//!   so each `(query, view)` pair the session sees is decided once
-//!   ([`PlannerStats`] reports per-call decision-memo hits / misses and
-//!   coNP work); a [`QueryContext`] carries what one query's decisions
-//!   against many views have in common;
+//!   [`xpv_semantics::ContainmentOracle`] ([`PlannerStats`] reports each
+//!   call's coNP work); a [`QueryContext`] carries what one query's tests
+//!   against many views have in common, and is what the serving engine
+//!   asks: [`QueryContext::refutes`] by labels, then
+//!   [`QueryContext::verify`] on the natural candidates;
 //! * [`multiview`] — view chains (Proposition 2.4) and contained
 //!   rewritings (sound partial answers, the paper's open problem 3);
 //! * [`figures`] — executable reconstructions of the paper's Figures 1–4.
@@ -40,5 +40,5 @@ pub use multiview::{
 };
 pub use planner::{
     Method, NoRewriteReason, PlannerStats, PlanningSession, RewriteAnswer, RewritePlanner,
-    Rewriting, UnknownInfo, DECISION_MEMO_MAX_BYTES, DECISION_MEMO_MAX_ENTRIES,
+    Rewriting, UnknownInfo,
 };

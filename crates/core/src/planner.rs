@@ -8,9 +8,9 @@
 //! 2. **Natural candidates** (Section 4): build `P≥k` and `P≥k_r//` in linear
 //!    time. First refute: if `P` has a label that neither `P≥k` nor `V` has,
 //!    no `R ◦ V` with the candidates' labels can equal `P`, and both fail
-//!    untested (see the `candidates` module). Otherwise test each with the
-//!    coNP equivalence procedure. A success is a *verified* rewriting
-//!    regardless of any condition.
+//!    untested ([`QueryContext::refutes`]). Otherwise test each with the
+//!    coNP equivalence procedure ([`QueryContext::verify`]). A success is a
+//!    *verified* rewriting regardless of any condition.
 //! 3. **Completeness certificate** (Theorems 4.3–4.16, Section 5): if a
 //!    condition applies — possibly through the Section 5 reductions, all of
 //!    which preserve the candidate set — a candidate failure proves that *no*
@@ -22,16 +22,14 @@
 //!    answer the paper's open question 2 negatively and is surfaced loudly in
 //!    the certificate.
 
-use std::sync::RwLock;
-
-use xpv_pattern::{label_mask, BoundedMap, Held, NodeTest, Pattern, PatternKey};
+use xpv_pattern::{label_mask, NodeTest, Pattern};
 use xpv_semantics::ContainmentOracle;
 
 use crate::brute::{
     brute_force_rewrite_with_oracle, BruteForceConfig, BruteForceOutcome, BruteForceStats,
 };
 use crate::candidates::{CandidateTestStats, QueryContext};
-use crate::conditions::{view_condition, Condition};
+use crate::conditions::{find_condition, Condition};
 
 /// How a rewriting was obtained.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -133,25 +131,12 @@ pub struct PlannerStats {
     pub condition_found: bool,
     /// Whether brute force ran.
     pub brute_forced: bool,
-    /// 1 when the session's decision memo served this call, else 0.
-    pub memo_hits: u64,
-    /// 1 when this call ran the decision (always, for one-shot
-    /// `RewritePlanner::decide` calls, which run a fresh session), else 0.
-    pub memo_misses: u64,
     /// Canonical-model loops (the coNP work) this call actually ran.
     pub canonical_runs: u64,
 }
 
 /// Reduction-chain fuel for the condition search (Section 5 reductions).
 const CONDITION_FUEL: usize = 3;
-
-/// The most decisions a [`PlanningSession`] holds, both generations
-/// together.
-pub const DECISION_MEMO_MAX_ENTRIES: usize = 16384;
-
-/// The most bytes a [`PlanningSession`]'s decisions hold, both generations
-/// together: each entry's map slot and its rewriting's nodes.
-pub const DECISION_MEMO_MAX_BYTES: usize = 2 << 20;
 
 /// The decision procedure. Its one setting is whether it falls back to the
 /// budgeted brute force when no condition settles an instance.
@@ -174,18 +159,15 @@ impl RewritePlanner {
         RewritePlanner { brute_force: None }
     }
 
-    /// Opens a [`PlanningSession`]: this planner with a long-lived
-    /// oracle and decision memo. Components answering many queries
-    /// (caches, batch planners) should decide through one session so
-    /// repeated `(query, view)` decisions are made once.
+    /// Opens a [`PlanningSession`]: this planner with a long-lived oracle,
+    /// whose counters then cover every decision made through it.
     pub fn session(&self) -> PlanningSession {
         PlanningSession::new(self.clone())
     }
 
     /// Decides the rewriting-existence problem for query `p` and view `v`.
     ///
-    /// One-shot convenience: runs a fresh session per call. Use
-    /// [`RewritePlanner::session`] to amortize across calls.
+    /// One-shot convenience: runs a fresh session per call.
     pub fn decide(&self, p: &Pattern, v: &Pattern) -> RewriteAnswer {
         self.decide_with_stats(p, v).0
     }
@@ -197,11 +179,7 @@ impl RewritePlanner {
 
     /// The decision procedure for the prepared query `ctx` and view `v`,
     /// deciding every containment through the context's oracle.
-    fn decide_uncached(
-        &self,
-        ctx: &QueryContext<'_>,
-        v: &Pattern,
-    ) -> (RewriteAnswer, PlannerStats) {
+    fn decide_in(&self, ctx: &QueryContext<'_>, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
         let (p, oracle) = (ctx.p, ctx.oracle);
         let mut stats = PlannerStats::default();
         let d = p.depth();
@@ -232,29 +210,27 @@ impl RewritePlanner {
         }
 
         // The completeness certificate; cheap and purely syntactic, so it is
-        // computed up front (it also annotates positive answers). The
-        // query-only conditions were checked once for this depth.
-        let at_depth = ctx.at_depth(k);
-        let condition =
-            at_depth.query_condition.clone().or_else(|| view_condition(p, v, CONDITION_FUEL));
+        // computed up front (it also annotates positive answers).
+        let condition = find_condition(p, v, CONDITION_FUEL);
         stats.condition_found = condition.is_some();
 
         // Natural candidates (at most two equivalence tests), unless the
         // labels refute both.
-        let tested =
-            if at_depth.refuted_by(label_mask(v)) { &[][..] } else { &at_depth.candidates };
-        for cand in tested {
-            if ctx.test_candidate(v, &cand.pattern, &mut stats.candidate_tests) {
-                return (
-                    RewriteAnswer::Rewriting(Rewriting {
-                        pattern: cand.pattern.clone(),
-                        method: Method::NaturalCandidate { relaxed: cand.relaxed },
-                        condition,
-                        beyond_candidates: false,
-                    }),
-                    stats,
-                );
-            }
+        let verified = if ctx.refutes(k, label_mask(v)) {
+            None
+        } else {
+            ctx.verify(v, k, &mut stats.candidate_tests)
+        };
+        if let Some(cand) = verified {
+            return (
+                RewriteAnswer::Rewriting(Rewriting {
+                    pattern: cand.pattern.clone(),
+                    method: Method::NaturalCandidate { relaxed: cand.relaxed },
+                    condition,
+                    beyond_candidates: false,
+                }),
+                stats,
+            );
         }
 
         // Candidates failed. Under a completeness condition that is final.
@@ -324,57 +300,49 @@ impl RewritePlanner {
     }
 }
 
-/// A long-lived planning context: a [`RewritePlanner`], the
-/// [`ContainmentOracle`] all its decisions flow through, and a memo of
-/// whole decisions keyed by the query's and the view's interned keys.
+/// A long-lived planning context: a [`RewritePlanner`] and the
+/// [`ContainmentOracle`] all its decisions flow through.
 ///
-/// One-shot `RewritePlanner::decide` calls pay the full coNP cost every
-/// time; a session decides each `(query, view)` pair once and shares the
-/// decision across *all* later calls, which is what makes repeated
-/// traffic cheap (the `ShardedViewCache` holds one for its entire
-/// lifetime). It keeps decisions, not verdicts: nothing about the
-/// composed `R ∘ V` of a candidate test is kept.
-///
-/// Like the oracle it wraps, a session is fully shareable: `decide` takes
-/// `&self`, so worker threads answering concurrent traffic plan through one
-/// session and share its decisions (the `ShardedViewCache` does exactly
-/// this).
-///
-/// The memo is bounded: at most [`DECISION_MEMO_MAX_ENTRIES`] decisions
-/// holding at most [`DECISION_MEMO_MAX_BYTES`] bytes, in two generations
-/// ([`BoundedMap`]). A forgotten decision is made again on its next ask.
+/// A session remembers no decision: each `decide` runs the procedure
+/// afresh, and the oracle's counters add up what they all asked. Like the
+/// oracle it wraps, a session is fully shareable: `decide` takes `&self`,
+/// so worker threads answering concurrent traffic plan through one session
+/// (the `ShardedViewCache` holds one for its lifetime). The serving engine
+/// does not decide at all: it [`prepare`](PlanningSession::prepare)s each
+/// missed query once, refutes pairs by their labels and
+/// [`verify`](QueryContext::verify)s the natural candidates of the rest,
+/// which routes exactly what `decide` of a
+/// [`RewritePlanner::without_fallback`] would, since "no rewriting" and
+/// "unknown" both leave the query to direct evaluation.
 ///
 /// ```
 /// use xpv_core::{RewriteAnswer, RewritePlanner};
-/// use xpv_pattern::parse_xpath;
+/// use xpv_pattern::{parse_xpath, ViewSignature};
 ///
 /// let session = RewritePlanner::default().session();
 /// let p = parse_xpath("a[b]//*/e[d]").unwrap();
 /// let v = parse_xpath("a[b]/*").unwrap();
-/// let first = session.decide_with_stats(&p, &v).1;
-/// let second = session.decide_with_stats(&p, &v).1;
-/// assert_eq!(second.canonical_runs, 0, "repeat plans run zero coNP work");
-/// assert!(second.memo_hits > 0 && first.memo_hits == 0);
+/// let (answer, stats) = session.decide_with_stats(&p, &v);
+/// assert!(matches!(answer, RewriteAnswer::Rewriting(_)) && stats.condition_found);
+///
+/// // The engine's question for the same pair: no gate, no condition.
+/// let ctx = session.prepare(&p);
+/// let sig = ViewSignature::of(&v);
+/// let k = sig.depth as usize;
+/// assert!(!ctx.refutes(k, sig.label_mask));
+/// let verified = ctx.verify(&v, k, &mut Default::default()).expect("a candidate verifies");
+/// assert_eq!(verified.pattern.to_string(), answer.rewriting().unwrap().to_string());
 /// ```
 #[derive(Debug)]
 pub struct PlanningSession {
     planner: RewritePlanner,
     oracle: ContainmentOracle,
-    /// Decisions by `(query key, view key)`, both from `oracle`'s interner.
-    decisions: RwLock<Decisions>,
 }
-
-type Decisions = BoundedMap<
-    (PatternKey, PatternKey),
-    RewriteAnswer,
-    DECISION_MEMO_MAX_ENTRIES,
-    DECISION_MEMO_MAX_BYTES,
->;
 
 impl PlanningSession {
     /// A session wrapping `planner` with a fresh oracle.
     pub fn new(planner: RewritePlanner) -> PlanningSession {
-        PlanningSession { planner, oracle: ContainmentOracle::new(), decisions: RwLock::default() }
+        PlanningSession { planner, oracle: ContainmentOracle::new() }
     }
 
     /// The planner configuration in effect.
@@ -388,63 +356,22 @@ impl PlanningSession {
         &self.oracle
     }
 
-    /// Decisions and bytes the decision memo holds.
-    pub fn decisions(&self) -> Held {
-        self.decisions.read().expect("decision memo poisoned").held()
-    }
-
-    /// Decides the rewriting-existence problem, reusing this session's
-    /// decision for a `(p, v)` pair it has decided before.
+    /// Decides the rewriting-existence problem for query `p` and view `v`.
     pub fn decide(&self, p: &Pattern, v: &Pattern) -> RewriteAnswer {
         self.decide_with_stats(p, v).0
     }
 
     /// [`PlanningSession::decide`] with this call's counters.
     pub fn decide_with_stats(&self, p: &Pattern, v: &Pattern) -> (RewriteAnswer, PlannerStats) {
-        self.decide_counted(&self.prepare(p), v, self.oracle.intern(v))
+        let (answer, mut stats) = self.planner.decide_in(&self.prepare(p), v);
+        stats.canonical_runs += stats.candidate_tests.canonical_runs;
+        (answer, stats)
     }
 
-    /// Prepares `p` for decisions against many views (one plan miss): what
+    /// Prepares `p` for tests against many views (one plan miss): what
     /// depends on the query alone is then computed once, not per view.
     pub fn prepare<'a>(&'a self, p: &'a Pattern) -> QueryContext<'a> {
         QueryContext::new(&self.oracle, p)
-    }
-
-    /// [`PlanningSession::decide`] for a query prepared by this session and
-    /// a view it already interned: `v_key` is what this session's
-    /// [`ContainmentOracle::intern`] returned for `v`. A caller that holds
-    /// the keys of the views it plans against (a pool's) interns nothing
-    /// per decision.
-    pub fn decide_prepared(
-        &self,
-        ctx: &QueryContext<'_>,
-        v: &Pattern,
-        v_key: PatternKey,
-    ) -> RewriteAnswer {
-        self.decide_counted(ctx, v, v_key).0
-    }
-
-    fn decide_counted(
-        &self,
-        ctx: &QueryContext<'_>,
-        v: &Pattern,
-        v_key: PatternKey,
-    ) -> (RewriteAnswer, PlannerStats) {
-        debug_assert!(std::ptr::eq(ctx.oracle, &self.oracle), "query prepared by another session");
-        let key = (ctx.key, v_key);
-        let memo = &self.decisions;
-        let memoized = memo.read().expect("decision memo poisoned").get_current(&key).cloned();
-        let memoized =
-            memoized.or_else(|| memo.write().expect("decision memo poisoned").get(&key).cloned());
-        if let Some(answer) = memoized {
-            return (answer, PlannerStats { memo_hits: 1, ..PlannerStats::default() });
-        }
-        let (answer, mut stats) = self.planner.decide_uncached(ctx, v);
-        stats.memo_misses = 1;
-        stats.canonical_runs += stats.candidate_tests.canonical_runs;
-        let heap = answer.rewriting().map_or(0, Pattern::heap_bytes);
-        memo.write().expect("decision memo poisoned").insert(key, answer.clone(), heap);
-        (answer, stats)
     }
 }
 
@@ -452,7 +379,6 @@ impl PlanningSession {
 mod tests {
     use super::*;
     use crate::candidates::natural_candidates;
-    use crate::conditions::find_condition;
     use xpv_pattern::{compose, parse_xpath};
     use xpv_semantics::equivalent;
 
@@ -617,27 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn session_memoizes_across_decides() {
-        let session = RewritePlanner::default().session();
-        let p = pat("a[b]//*/e[d]");
-        let v = pat("a[b]/*");
-        let (first_ans, first) = session.decide_with_stats(&p, &v);
-        assert!(first_ans.is_definitive());
-        assert_eq!(first.memo_hits, 0);
-        assert!(first.memo_misses > 0);
-
-        let (second_ans, second) = session.decide_with_stats(&p, &v);
-        assert!(matches!(second_ans, RewriteAnswer::Rewriting(_)));
-        assert!(second.memo_hits > 0, "repeat decide must hit the decision memo");
-        assert_eq!(second.memo_misses, 0);
-        assert_eq!(second.canonical_runs, 0, "repeat decide runs zero coNP loops");
-
-        // A different instance still plans fresh (no false sharing).
-        let (_, third) = session.decide_with_stats(&pat("a//b//c"), &pat("a//*"));
-        assert!(third.memo_misses > 0);
-    }
-
-    #[test]
     fn a_plan_miss_keeps_nothing_per_candidate() {
         let session = RewritePlanner::without_fallback().session();
         let pool = [pat("a[b]/*"), pat("a[b][d]/*")];
@@ -654,8 +559,7 @@ mod tests {
                 assert!(stats.candidate_tests.equivalence_tests > 0, "{p} / {v}");
             }
         }
-        let grown = held() - before;
-        assert_eq!(grown, queries.len() + pool.len(), "only the queries and the views are kept");
+        assert_eq!(held(), before, "nothing is interned");
     }
 
     #[test]

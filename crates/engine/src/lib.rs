@@ -19,15 +19,15 @@
 //!   copy-on-write view pool, and a plan memo behind one lock; every
 //!   serving method takes `&self`, so one thread or many use the same
 //!   type. Planning flows through one shared
-//!   [`xpv_core::PlanningSession`], `&self`-safe, whose decision memo
-//!   all threads share, so no `(query, view)` pair is decided twice. Queries
+//!   [`xpv_core::PlanningSession`], `&self`-safe: a plan miss refutes
+//!   pairs by their labels next to the signature filter and tests the
+//!   natural candidates of the rest, nothing more. Queries
 //!   no single view can answer are routed through **multi-view
 //!   intersections** (`xpv-intersect`, [`Route::Intersect`]): a small view
 //!   subset whose node-set intersection (a word-AND of their stores)
-//!   supports a verified compensation serves them jointly. The plan memo,
-//!   the session's decision memo and the oracle's interner are each bounded
-//!   by constants, two generations apiece ([`PLAN_MEMO_MAX_ENTRIES`],
-//!   [`xpv_core::DECISION_MEMO_MAX_ENTRIES`],
+//!   supports a verified compensation serves them jointly. The plan memo
+//!   and the oracle's interner are each bounded by constants, two
+//!   generations apiece ([`PLAN_MEMO_MAX_ENTRIES`],
 //!   [`xpv_pattern::INTERNER_MAX_ENTRIES`]), so a stream of distinct
 //!   queries costs bounded memory; `add_view` invalidates only the
 //!   entries whose plan depends on the grown pool, `remove_view` /

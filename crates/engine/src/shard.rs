@@ -16,8 +16,8 @@
 //!   and clones its route out — no write lock on the hot path;
 //! * all counters are atomics, read into a [`CacheStats`] snapshot on
 //!   demand;
-//! * planning flows through one shared [`PlanningSession`], so every
-//!   `(query, view)` decision is made once across all threads.
+//! * planning flows through one shared [`PlanningSession`], whose oracle
+//!   counts every containment any thread asks.
 //!
 //! ## Multi-view intersection routes
 //!
@@ -48,10 +48,10 @@
 //! ([`xpv_pattern::BoundedMap`]). A route served from the older generation
 //! moves back into the current one; the older generation is dropped whole
 //! when the current one fills ([`CacheStats::plan_memo_evictions`] counts
-//! the routes it held). The planning session's decision memo and the
-//! oracle's interner are bounded the same way, each by its own constants,
-//! and none of the three pins an entry of another: a query the interner
-//! forgot comes back under a fresh key, misses here and is planned again.
+//! the routes it held). The oracle's interner is bounded the same way, by
+//! its own constants, and neither pins an entry of the other: a query the
+//! interner forgot comes back under a fresh key, misses here and is planned
+//! again.
 //!
 //! A memoized route is a fact about
 //! *patterns* — `R ∘ V ≡ P` holds on every document — so only a change of
@@ -72,7 +72,7 @@
 //! pool version has one [`AnchorTable`], built by its first plan miss,
 //! whose subsets' merged anchors are filled by the misses that first reach
 //! them — at most [`MAX_CANDIDATES`](xpv_intersect::MAX_CANDIDATES) per
-//! depth group, each merged, checked for redundancy and interned once.
+//! depth group, each merged and checked for redundancy once.
 //! `apply_edits` shares the table by `Arc`; `add_view`, `remove_view` and
 //! `replace_view` publish an empty one, so no plan reads an anchor merged
 //! from a definition that is gone, and the old table is freed with the
@@ -84,7 +84,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use xpv_core::{PlanningSession, RewriteAnswer, RewritePlanner};
+use xpv_core::{CandidateTestStats, PlanningSession, RewritePlanner};
 use xpv_intersect::{plan_intersection_sig, AnchorTable};
 use xpv_maintain::{
     apply_region_results, coalesce_plan, prepare_batch, scan_regions_flat, Edit, EditError,
@@ -143,9 +143,9 @@ struct StateSnapshot {
     /// touch them; `add_view`/`remove_view` rebuild the vector alongside
     /// the pool.
     sigs: Arc<Vec<ViewSignature>>,
-    /// The pool's [`AnchorTable`]: each view's interned key, and the
-    /// intersection search's subsets with their merged anchors, filled by
-    /// the plan misses that first reach them. Built by the first plan miss
+    /// The pool's [`AnchorTable`]: the intersection search's subsets with
+    /// their merged anchors, filled by the plan misses that first reach
+    /// them. Built by the first plan miss
     /// over this pool, so a pool change costs no table. Definitions-only
     /// like `sigs`: edits share it by `Arc`, and every pool change
     /// publishes a new, empty slot, so an anchor is merged at most once per
@@ -262,14 +262,16 @@ pub struct CacheStats {
     /// Total participants across planned intersection routes
     /// (`/ intersect_routes` = average arity).
     pub intersect_participants: u64,
-    /// Candidate views the signature filter rejected before any oracle
-    /// call (plan misses only; see `xpv_pattern::signature`). Together
-    /// with [`CacheStats::sig_passes`] this measures the plan-miss fast
-    /// path: `sig_rejects / (sig_rejects + sig_passes)` is the fraction
-    /// of pool candidates dismissed with word ops.
+    /// Candidate views the filter dismissed before any oracle call (plan
+    /// misses only): those the signature rejects (no rewriting exists, see
+    /// `xpv_pattern::signature`) and those whose labels refute every
+    /// natural candidate (none verifies, see `xpv_core::candidates`).
+    /// Together with [`CacheStats::sig_passes`] this measures the plan-miss
+    /// fast path: `sig_rejects / (sig_rejects + sig_passes)` is the
+    /// fraction of pool candidates dismissed with word ops.
     pub sig_rejects: u64,
-    /// Candidate views that survived the signature filter and went to the
-    /// planner's containment machinery.
+    /// Candidate views that survived the filter and had their natural
+    /// candidates tested.
     pub sig_passes: u64,
     /// Queries whose route came straight from the plan memo (no planner
     /// call, zero containment tests). Includes batch-deduplicated repeats.
@@ -634,8 +636,7 @@ impl ShardedViewCache {
     /// the end under a fresh id: **one** state swap, then one selective memo
     /// sweep (module docs, §Memo lifecycle) that also drops the removed
     /// view's win count. The caller holds the write gate
-    /// and took `snap` under it. The session's decisions are always kept
-    /// (they depend only on the pattern pair).
+    /// and took `snap` under it.
     fn publish_pool(
         &self,
         snap: &StateSnapshot,
@@ -1007,14 +1008,25 @@ impl ShardedViewCache {
     /// involvement): the single-view scan first, then — when no view
     /// suffices — the multi-view intersection planner.
     ///
-    /// The scan is the **plan-miss fast path**: the query's
-    /// [`QuerySignature`] is computed once, every pool candidate is first
-    /// checked against its precomputed [`ViewSignature`] (a few word ops;
-    /// rejected candidates provably admit no equivalent rewriting and
-    /// never reach the containment oracle), and the survivors are tried
-    /// in the win index's hit-rate order so a plan usually pays exactly one
-    /// containment decision. The scan stops at the first verified
-    /// rewriting.
+    /// The scan is the **plan-miss fast path**. The query's
+    /// [`QuerySignature`] and the labels each view depth must bring are
+    /// computed once, and every pool candidate is first checked against its
+    /// precomputed [`ViewSignature`] with a few word ops:
+    ///
+    /// * a pair the signature rejects provably admits no equivalent
+    ///   rewriting;
+    /// * a pair the labels refute
+    ///   ([`QueryContext::refutes`](xpv_core::QueryContext::refutes))
+    ///   provably has no natural candidate that verifies. That routes the
+    ///   same: the engine plans `without_fallback` and routes verified
+    ///   candidates only, so "no rewriting" and "unknown" both mean direct.
+    ///
+    /// Neither reaches the containment oracle, and both count in
+    /// [`CacheStats::sig_rejects`]. The survivors' natural candidates are
+    /// tested ([`QueryContext::verify`](xpv_core::QueryContext::verify)) in
+    /// the win index's hit-rate order, so a plan usually pays one test, and
+    /// the scan stops at the first verified rewriting. No gate or condition
+    /// is computed: the signature already proved the gates.
     fn plan(&self, query: &Pattern, snap: &StateSnapshot) -> PlannedRoute {
         let views = &snap.views;
         if views.is_empty() {
@@ -1024,14 +1036,19 @@ impl ShardedViewCache {
             let defs: Vec<&Pattern> = views.iter().map(|v| v.definition()).collect();
             AnchorTable::new(&defs)
         });
+        // What depends on the query alone (its signature, the labels each
+        // view depth must bring, the natural candidates per depth) is shared
+        // by every pair below.
         let qsig = QuerySignature::of(query);
-        let mut order: Vec<usize> =
-            (0..views.len()).filter(|&i| qsig.admits(&snap.sigs[i])).collect();
+        let ctx = self.session.prepare(query);
+        let live =
+            |s: &ViewSignature| qsig.admits(s) && !ctx.refutes(s.depth as usize, s.label_mask);
+        let mut order: Vec<usize> = (0..views.len()).filter(|&i| live(&snap.sigs[i])).collect();
         let rejected = (views.len() - order.len()) as u64;
         self.counters.sig_rejects.fetch_add(rejected, Ordering::Relaxed);
         self.counters.sig_passes.fetch_add(order.len() as u64, Ordering::Relaxed);
         // Winner-first try order (stable sort, pool order breaks ties): the
-        // historically winning view is decided first, so a recurring miss
+        // historically winning view is tested first, so a recurring miss
         // pattern costs one oracle call instead of a prefix scan.
         if order.len() > 1 {
             let memo = self.memo.read().expect("plan memo poisoned");
@@ -1041,17 +1058,13 @@ impl ShardedViewCache {
                 });
             }
         }
-        // What depends on the query alone — its interned key, its natural
-        // candidates per view depth — is shared by every decision below.
-        let ctx = self.session.prepare(query);
         for &index in &order {
-            let key = anchors.view_key(&self.session, index);
-            let answer = self.session.decide_prepared(&ctx, views[index].definition(), key);
-            if let RewriteAnswer::Rewriting(rw) = answer {
+            let (v, k) = (views[index].definition(), snap.sigs[index].depth as usize);
+            if let Some(cand) = ctx.verify(v, k, &mut CandidateTestStats::default()) {
                 // The route is justified by this view alone (its rewriting
                 // was verified pairwise), so it depends on that view's
                 // presence — not on the scan order that found it.
-                let (id, rewriting) = (snap.ids[index], rw.pattern().clone());
+                let (id, rewriting) = (snap.ids[index], cand.pattern.clone());
                 return PlannedRoute::ViaView { id, hint: index, rewriting };
             }
         }
@@ -1545,32 +1558,30 @@ mod tests {
     }
 
     #[test]
-    fn a_replan_after_add_view_decides_only_the_new_pair() {
+    fn a_replan_after_add_view_asks_the_oracle_about_the_new_pair_only() {
         let cache = ShardedViewCache::new(doc());
         cache.add_view("any_items", pat("site/*/item"));
         let q = pat("site/region/item/name");
         let asked = || cache.session().oracle().stats().queries;
-        let decided = || cache.session().decisions().entries;
         assert_eq!(cache.answer(&q).route, Route::Direct);
-        // `region` is in neither the view nor q's candidates: the pair is
-        // decided by its labels, without the oracle.
-        assert_eq!(decided(), 1, "the first plan decides (q, any_items)");
+        // `region` is in neither the view nor q's candidates: the filter
+        // refutes the pair by its labels, without the oracle.
+        assert_eq!((asked(), cache.stats().sig_rejects), (0, 1));
 
-        // The add invalidates the Direct route; the re-plan asks about
-        // (q, any_items) again and about (q, items) for the first time.
+        // The add invalidates the Direct route; the re-plan refutes
+        // (q, any_items) again and tests (q, items) for the first time.
         let new_view = pat("site/region/item");
         cache.add_view("items", new_view.clone());
-        let before = asked();
         let ans = cache.answer(&q);
         assert!(matches!(ans.route, Route::ViaView { .. }), "{:?}", ans.route);
         assert_eq!(ans.nodes, cache.answer_direct(&q));
-        // The old pair comes from the decision memo: the re-plan asks the
-        // oracle what a fresh session asks for the new pair alone.
+        // The re-plan asks the oracle what a fresh session asks for the new
+        // pair alone.
         let fresh = cache.session().planner().session();
         fresh.decide(&q, &new_view);
         assert!(fresh.oracle().stats().queries > 0, "the new pair needs the oracle");
-        assert_eq!(asked() - before, fresh.oracle().stats().queries);
-        assert_eq!(decided(), 2, "only the new pair is decided");
+        assert_eq!(asked(), fresh.oracle().stats().queries);
+        assert_eq!(cache.stats().sig_rejects, 2, "the old pair is refuted again");
     }
 
     /// The `i`-th of a million distinct queries `u/dX/dX/dX/dX/dX/dX`,
@@ -1636,16 +1647,13 @@ mod tests {
         let first = cache.answer(&q);
         assert!(matches!(first.route, Route::ViaView { .. }));
         let old_key = oracle.intern(&q);
-        let decisions = cache.session().decisions().entries;
-        assert!(decisions > 0);
 
-        // Drive the interner alone past its bound: the plan memo and the
-        // decision memo are not touched and keep `q`'s entries.
+        // Drive the interner alone past its bound: the plan memo is not
+        // touched and keeps `q`'s route.
         for i in 0..INTERNER_MAX_ENTRIES {
             oracle.intern(&distinct(i));
         }
         assert_eq!(cache.plan_memo().entries, 1);
-        assert_eq!(cache.session().decisions().entries, decisions);
         let watermark = oracle.intern(&pat("marker/after/the/flood"));
 
         // `q` comes back under a new key and is planned again.
@@ -1672,7 +1680,6 @@ mod tests {
 
     #[test]
     fn every_planning_table_stays_within_its_bounds() {
-        use xpv_core::{DECISION_MEMO_MAX_BYTES, DECISION_MEMO_MAX_ENTRIES};
         use xpv_pattern::{INTERNER_MAX_BYTES, INTERNER_MAX_ENTRIES};
         let n = 3 * INTERNER_MAX_ENTRIES;
         // A document holding the paths of a few of the distinct queries, so
@@ -1686,9 +1693,9 @@ mod tests {
             }
         }
         let cache = ShardedViewCache::new(t);
-        // The view rewrites every query with one cheap decision (`P ∘ u =
-        // P`, settled by homomorphisms), so a plan is constant work and each
-        // query adds one interned pattern, one decision and one route.
+        // The view rewrites every query with one cheap test (`P ∘ u = P`,
+        // settled by homomorphisms), so a plan is constant work and each
+        // query adds one interned pattern and one route.
         cache.add_view("u", pat("u"));
         let mut routed = 0;
         for start in (0..n).step_by(64) {
@@ -1699,12 +1706,6 @@ mod tests {
             }
             let tables = [
                 ("plan memo", cache.plan_memo(), PLAN_MEMO_MAX_ENTRIES, PLAN_MEMO_MAX_BYTES),
-                (
-                    "decision memo",
-                    cache.session().decisions(),
-                    DECISION_MEMO_MAX_ENTRIES,
-                    DECISION_MEMO_MAX_BYTES,
-                ),
                 (
                     "interner",
                     cache.session().oracle().interned(),
@@ -1722,7 +1723,6 @@ mod tests {
         assert_eq!(s.plan_memo_misses, n as u64);
         assert_eq!(s.view_hits, n as u64);
         assert!(s.plan_memo_evictions > 0);
-        assert!(cache.session().decisions().entries < n);
         assert!(cache.session().oracle().interned().entries < n);
     }
 
@@ -1864,14 +1864,22 @@ mod tests {
         let filled = || table.get().expect("the first miss builds the table").held().entries;
         assert_eq!(filled(), 1, "the first miss fills the pair's anchor");
 
-        // A second miss walking the same anchor: its decisions are the
-        // session's and its anchor the table's, so nothing is merged and
-        // the oracle is asked no redundancy question (nothing at all).
+        // A second miss walking the same anchor: its anchor is the table's,
+        // so nothing is merged and the oracle is asked no redundancy
+        // question, only the candidate test against the anchor. Both views
+        // alone are refuted by their labels (each lacks the other's branch).
         let asked = oracle.stats().queries;
         let route = cache.plan(&q, &cache.snapshot());
         assert!(matches!(route, PlannedRoute::Intersect { .. }));
-        assert_eq!(oracle.stats().queries, asked, "a repeated walk asks the oracle nothing");
-        // Another query reaching the same pair is decided, not merged.
+        let fresh = cache.session().planner().session();
+        let anchor = xpv_pattern::intersect_patterns(&[
+            &pat("site/region/item[bids]/name"),
+            &pat("site/region/item[shipping]/name"),
+        ])
+        .expect("the pair merges");
+        assert!(fresh.decide(&q, &anchor).rewriting().is_some());
+        assert_eq!(oracle.stats().queries - asked, fresh.oracle().stats().queries);
+        // Another query reaching the same pair is tested, not merged.
         let other = pat("site/region/item[bids][shipping][name]/name");
         cache.answer(&other);
         assert_eq!(filled(), 1, "the filled anchor is reused");
@@ -1953,6 +1961,7 @@ mod tests {
             format!("site/region/item{all}/name"),
             format!("site/region/item{all}/name/keyword"),
             format!("site/region/item{all}//name"),
+            format!("site/region/item/name{all}"),
         ];
         queries.extend((0..23).map(|i| format!("site/region/item[a{i}][a{}]/name", i + 1)));
         queries
@@ -1968,7 +1977,10 @@ mod tests {
                 "{text}: {filled} anchors filled for one depth group"
             );
         }
-        // The query naming every view's label reaches the budget's worth.
+        // The query naming every view's label below its 3-node, where its
+        // candidates carry them, admits every subset and refutes none: it
+        // reaches the budget's worth. (Each other query misses a label of
+        // the query in every subset but its own and is refuted there.)
         assert_eq!(filled(), MAX_CANDIDATES);
     }
 

@@ -21,11 +21,12 @@
 //!    [`xpv_semantics::ContainmentOracle`]) are skipped as redundant: the
 //!    single-view planner already covers them. Anchors depend on the pool
 //!    alone, so an [`AnchorTable`] keeps them per pool version: each is
-//!    merged, checked and interned the first time a search needs it, and
-//!    later searches over the same pool reuse it.
-//! 3. **Compensation planning**: the single-view decision procedure
-//!    ([`xpv_core::PlanningSession::decide`]) plans `p` against `M`. A
-//!    verified rewriting becomes the [`IntersectAnswer::compensation`].
+//!    merged and checked the first time a search needs it, and later
+//!    searches over the same pool reuse it.
+//! 3. **Compensation planning**: `p`'s natural candidates are tested
+//!    against `M` ([`xpv_core::QueryContext::verify`]), unless `p`'s labels
+//!    refute them first ([`xpv_core::QueryContext::refutes`]). A verified
+//!    candidate becomes the [`IntersectAnswer::compensation`].
 //! 4. **Evaluation** is the engine's, not this crate's: the compensation is
 //!    evaluated **anchored on the node-set intersection** of the
 //!    participants, which the engine takes as word-ANDs of its views' slot

@@ -2,29 +2,31 @@
 //!
 //! The planner walks small subsets of a view pool (pairs first, then
 //! triples, …) whose members can merge into an exact intersection pattern,
-//! and plans the query against each merged anchor through the shared
-//! [`PlanningSession`] — so each `(query, anchor)` decision is made once
-//! across searches and threads.
+//! and tests the query's natural candidates against each merged anchor
+//! ([`QueryContext::verify`]).
 //!
-//! Everything about a subset but that decision is a function of the pool
-//! alone: its signature union, its merged anchor `M`, whether `Vi ⊑ M`
+//! Everything about a subset but that test is a function of the pool
+//! alone: its signature union, its merged anchor `M` and whether `Vi ⊑ M`
 //! holds for a participant (the redundancy check, two or three
-//! containments) and `M`'s interned key. An [`AnchorTable`] keeps them per
-//! pool version. It lists the subsets in the order the search walks them
-//! and fills a subset's anchor the first time a search reaches it with a
-//! signature union the query admits, so each anchor is merged, checked and
-//! interned at most once per table, whatever the number of queries. A
-//! search then does only query-dependent work per subset: the signature
-//! test and the decision.
+//! containments). An [`AnchorTable`] keeps them per pool version. It lists
+//! the subsets in the order the search walks them and fills a subset's
+//! anchor the first time a search reaches it with a signature union the
+//! query admits and does not refute, so each anchor is merged and checked
+//! at most once per table, whatever the number of queries. A search then
+//! does only query-dependent work per subset: the signature test, the
+//! label refutation and the candidate tests.
+//!
+//! The refutation reads the union's label mask, which is `M`'s: the merge
+//! keeps every node of every participant. A refuted subset proves only
+//! that no natural candidate verifies against `M`, which is all the search
+//! routes on, so skipping it changes the work done, never the answer.
 
 use std::fmt;
 use std::mem::size_of;
 use std::sync::OnceLock;
 
-use xpv_core::{PlanningSession, QueryContext, RewriteAnswer};
-use xpv_pattern::{
-    intersect_patterns, Axis, Held, Pattern, PatternKey, QuerySignature, ViewSignature,
-};
+use xpv_core::{CandidateTestStats, PlanningSession, QueryContext};
+use xpv_pattern::{intersect_patterns, Axis, Held, Pattern, QuerySignature, ViewSignature};
 
 /// A verified multi-view rewriting over a node-set intersection:
 /// `R ◦ M ≡ P`, so the anchored evaluation equals direct evaluation.
@@ -53,15 +55,16 @@ pub struct IntersectStats {
     /// Subsets the search reached, within the budget.
     pub candidates_tried: u64,
     /// Subsets dismissed because the query signature rejects their
-    /// signature union (the merged anchor's signature), before any look at
-    /// the anchor.
+    /// signature union (the merged anchor's signature), or the query's
+    /// labels refute every natural candidate against it, before any look
+    /// at the anchor.
     pub sig_skipped: u64,
     /// Subsets whose views merged into an intersection pattern.
     pub merges_built: u64,
     /// Merged anchors skipped because they collapse onto a single
     /// participant (`Vi ⊑ M`), which the single-view planner covers.
     pub redundant_skipped: u64,
-    /// Anchors the full decision procedure ran against.
+    /// Anchors the natural candidates were tested against.
     pub plans_attempted: u64,
     /// Number of participants in the returned answer (0 when none).
     pub participants: u64,
@@ -93,17 +96,12 @@ impl fmt::Display for IntersectStats {
 /// A block keeps at most its first [`MAX_CANDIDATES`] subsets, because a
 /// search reaches no more in one block. A search starting at a depth group
 /// walks at most [`MAX_CANDIDATES`] subsets, so a table never fills more
-/// than [`MAX_CANDIDATES`] × (number of depth groups) anchors.
-///
-/// The keys it holds (views' and anchors') come from the interner of the
-/// session that first walked it: walk a table with one session only.
+/// than [`MAX_CANDIDATES`] × (number of depth groups) anchors. It holds
+/// patterns and verdicts about them only, so any session may walk it.
 #[derive(Debug)]
 pub struct AnchorTable {
     /// The pool's definitions, in pool order.
     views: Vec<Pattern>,
-    /// Each pool view's key in the session oracle's interner, interned by
-    /// the first decision against the view.
-    keys: Vec<OnceLock<PatternKey>>,
     blocks: Vec<Block>,
 }
 
@@ -134,8 +132,8 @@ enum Anchor {
     /// `Vi ⊑ M` for some participant: the anchor is just `Vi`, which the
     /// single-view planner covers.
     Redundant,
-    /// A merged anchor to decide queries against, with its interned key.
-    Merged { pattern: Pattern, key: PatternKey },
+    /// A merged anchor to test queries against.
+    Merged(Pattern),
 }
 
 /// `true` when a view can take part in a tree-expressible intersection at
@@ -173,8 +171,8 @@ fn for_each_subset(group: &[usize], arity: usize, visit: &mut impl FnMut(&[usize
 }
 
 impl AnchorTable {
-    /// The table of `pool`, with nothing filled: no view is interned, no
-    /// anchor merged and nothing decided.
+    /// The table of `pool`, with nothing filled: no anchor merged and
+    /// nothing decided.
     pub fn new(pool: &[&Pattern]) -> AnchorTable {
         // Candidate views, grouped by selection depth: only equal-depth
         // views merge, and the merged anchor inherits that depth, which the
@@ -208,17 +206,7 @@ impl AnchorTable {
                 }
             }
         }
-        AnchorTable {
-            views: pool.iter().map(|&v| v.clone()).collect(),
-            keys: pool.iter().map(|_| OnceLock::new()).collect(),
-            blocks,
-        }
-    }
-
-    /// The key of pool view `i` in `session`'s interner, interned on first
-    /// use.
-    pub fn view_key(&self, session: &PlanningSession, i: usize) -> PatternKey {
-        *self.keys[i].get_or_init(|| session.oracle().intern(&self.views[i]))
+        AnchorTable { views: pool.iter().map(|&v| v.clone()).collect(), blocks }
     }
 
     /// Anchors filled so far, and the bytes the whole table holds: its
@@ -230,7 +218,7 @@ impl AnchorTable {
         let anchors: usize = filled
             .iter()
             .map(|a| match a {
-                Anchor::Merged { pattern, .. } => pattern.heap_bytes(),
+                Anchor::Merged(pattern) => pattern.heap_bytes(),
                 Anchor::Unmerged | Anchor::Redundant => 0,
             })
             .sum();
@@ -243,13 +231,12 @@ impl AnchorTable {
                     + b.slots.capacity() * size_of::<Slot>()
             })
             .sum();
-        let view = size_of::<Pattern>() + size_of::<OnceLock<PatternKey>>();
-        let views: usize = self.views.iter().map(|v| view + v.heap_bytes()).sum();
+        let views: usize = self.views.iter().map(|v| size_of::<Pattern>() + v.heap_bytes()).sum();
         Held { entries: filled.len(), bytes: size_of::<AnchorTable>() + blocks + views + anchors }
     }
 
     /// The anchor of the subset `members` in `slot`, filled on first use:
-    /// merged, checked for redundancy and interned once per table.
+    /// merged and checked for redundancy once per table.
     fn anchor<'t>(
         &'t self,
         session: &PlanningSession,
@@ -267,15 +254,15 @@ impl AnchorTable {
             if views.iter().any(|v| oracle.contained(v, &merged)) {
                 return Anchor::Redundant;
             }
-            Anchor::Merged { key: oracle.intern(&merged), pattern: merged }
+            Anchor::Merged(merged)
         })
     }
 }
 
 /// Selects a small subset of `pool` whose intersection supports an
 /// **equivalent** rewriting of `p`, trying pairs before triples (up to
-/// [`MAX_ARITY`]) under the [`MAX_CANDIDATES`] budget. Every decision
-/// against a merged anchor goes through `session`'s decision memo.
+/// [`MAX_ARITY`]) under the [`MAX_CANDIDATES`] budget. Every containment
+/// goes through `session`'s oracle.
 ///
 /// Returns the first answer found (deepest anchors first, then pool order)
 /// together with the per-call search counters. See the crate docs for the
@@ -298,11 +285,13 @@ pub fn plan_intersection_in(
 /// The search walks the table's subsets in order, skipping depth groups
 /// deeper than the query, and counts each subset against the budget. A
 /// subset whose signature union (label masks united, output tests glb-ed)
-/// the query's signature `qsig` rejects is skipped before its anchor is
-/// looked at: the prune is a necessary condition, so it changes the work
-/// done, never the answer. The query arrives prepared (`ctx`, from
-/// `session`), so a plan miss shares one context between its single-view
-/// scan and this search.
+/// the query's signature `qsig` rejects, or against which the query's
+/// labels refute both candidates ([`QueryContext::refutes`]), is skipped
+/// before its anchor is looked at but still spends its unit of budget, so
+/// the walk reaches the same subsets either way: both prunes change the
+/// work done, never the answer. The query arrives prepared (`ctx`), so a
+/// plan miss shares one context between its single-view scan and this
+/// search.
 pub fn plan_intersection_sig(
     session: &PlanningSession,
     ctx: &QueryContext<'_>,
@@ -319,26 +308,30 @@ pub fn plan_intersection_sig(
             }
             budget -= 1;
             stats.candidates_tried += 1;
-            if !slot.union.is_some_and(|u| qsig.admits(&u)) {
+            if !slot
+                .union
+                .is_some_and(|u| qsig.admits(&u) && !ctx.refutes(block.depth, u.label_mask))
+            {
                 stats.sig_skipped += 1;
                 continue;
             }
-            let (pattern, key) = match table.anchor(session, members, slot) {
+            let pattern = match table.anchor(session, members, slot) {
                 Anchor::Unmerged => continue,
                 Anchor::Redundant => {
                     stats.merges_built += 1;
                     stats.redundant_skipped += 1;
                     continue;
                 }
-                Anchor::Merged { pattern, key } => (pattern, *key),
+                Anchor::Merged(pattern) => pattern,
             };
             stats.merges_built += 1;
             stats.plans_attempted += 1;
-            if let RewriteAnswer::Rewriting(rw) = session.decide_prepared(ctx, pattern, key) {
+            let verified = ctx.verify(pattern, block.depth, &mut CandidateTestStats::default());
+            if let Some(cand) = verified {
                 stats.participants = members.len() as u64;
                 let answer = IntersectAnswer {
                     views: members.to_vec(),
-                    compensation: rw.pattern().clone(),
+                    compensation: cand.pattern.clone(),
                     intersection: pattern.clone(),
                 };
                 return (Some(answer), stats);
@@ -412,23 +405,58 @@ mod tests {
             plan_intersection_sig(&session, &session.prepare(&p), &QuerySignature::of(&p), &table)
         };
         let (first, stats) = search();
-        assert_eq!(table.held().entries, 4, "three pairs and the triple");
+        // Each pair lacks one of the query's branches, which P≥3 = `name`
+        // lacks too: the labels refute it and only the triple is merged.
+        assert_eq!(table.held().entries, 1, "the triple alone");
+        // Walked again, the anchor is the table's: nothing is merged or
+        // checked, and the oracle is asked only the candidate test.
         let asked = session.oracle().stats().queries;
         let (again, again_stats) = search();
-        assert_eq!(session.oracle().stats().queries, asked, "nothing merged, checked or decided");
+        let first = first.expect("the triple serves the query");
+        let fresh = RewritePlanner::default().session();
+        assert!(fresh.decide(&p, &first.intersection).rewriting().is_some());
+        assert_eq!(session.oracle().stats().queries - asked, fresh.oracle().stats().queries);
         assert_eq!(again_stats, stats);
-        assert_eq!(again.map(|a| a.views), first.map(|a| a.views));
-        assert_eq!(table.held().entries, 4);
+        assert_eq!(again.map(|a| a.views), Some(first.views));
+        assert_eq!(table.held().entries, 1);
+    }
+
+    #[test]
+    fn a_refuted_walk_spends_the_same_budget_and_fills_nothing() {
+        let session = RewritePlanner::without_fallback().session();
+        let views: Vec<Pattern> =
+            (0..4).map(|i| pat(&format!("site/region/item[a{i}]/name"))).collect();
+        let refs: Vec<&Pattern> = views.iter().collect();
+        let table = AnchorTable::new(&refs);
+        let walk = |q: &str| {
+            let p = pat(q);
+            plan_intersection_sig(&session, &session.prepare(&p), &QuerySignature::of(&p), &table)
+        };
+        // Every pair and triple is admitted, and none covers `zz`, which
+        // P≥3 = `name[a0][a1][a2][a3]` lacks too: every slot is refuted.
+        let (ans, refuted) = walk("site/region/item[zz]/name[a0][a1][a2][a3]");
+        assert!(ans.is_none());
+        assert_eq!((refuted.sig_skipped, refuted.merges_built), (10, 0));
+        assert_eq!(table.held().entries, 0, "no anchor was merged");
+        assert_eq!(session.oracle().stats().queries, 0, "the oracle was asked nothing");
+        // Without `zz` no slot is refuted and every one is merged: the walk
+        // reaches the same subsets.
+        let (ans, walked) = walk("site/region/item/name[a0][a1][a2][a3]");
+        assert!(ans.is_none(), "every anchor has an `item` branch the query lacks");
+        assert_eq!(walked.candidates_tried, refuted.candidates_tried);
+        assert_eq!((walked.sig_skipped, walked.plans_attempted), (0, 10));
+        assert_eq!(table.held().entries, 10);
     }
 
     #[test]
     fn redundant_subsets_are_pruned() {
         let session = RewritePlanner::default().session();
         // v1 ⊒ v0: their intersection is just v0 — nothing multi-view about
-        // it, and the single-view planner already failed on v0.
+        // it, and the single-view planner covers v0. (The query keeps its
+        // `bids` below the 3-node, so its labels refute no anchor.)
         let views = pool(&["site/region/item[bids]/name", "site/region/item/name"]);
         let refs: Vec<&Pattern> = views.iter().collect();
-        let p = pat("site/region/item[bids][shipping]/name");
+        let p = pat("site/region/item/name[bids]");
         let (ans, stats) = plan_intersection_in(&session, &p, &refs);
         assert!(ans.is_none());
         assert_eq!(stats.redundant_skipped, 1);

@@ -2,8 +2,8 @@
 //!
 //! Every table that grows with the distinct queries a process sees — the
 //! query-text cache ([`crate::TextCache`]), the interner
-//! ([`crate::PatternInterner`]), the planning session's decision memo and
-//! the engine's plan memo — is a [`BoundedMap`] with its own constant
+//! ([`crate::PatternInterner`]) and the engine's plan memo — is a
+//! [`BoundedMap`] with its own constant
 //! bounds, so a stream of distinct queries costs a bounded amount of
 //! memory however long it runs.
 

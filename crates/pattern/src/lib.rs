@@ -58,5 +58,5 @@ pub use ops::{compose, compose_chain, intersect_patterns};
 pub use parse::{parse_xpath, ParseError, MAX_BRANCH_DEPTH};
 pub use pattern::{Axis, NodeTest, PatId, Pattern, PatternBuilder};
 pub use print::to_xpath;
-pub use signature::{label_mask, OutClass, QuerySignature, ViewSignature};
+pub use signature::{label_bit, label_mask, OutClass, QuerySignature, ViewSignature};
 pub use text_cache::TextCache;

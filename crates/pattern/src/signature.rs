@@ -47,6 +47,13 @@
 //! return `Unknown` (outside its complete fragments) rather than
 //! `NoRewriting` — equally safe, since `Unknown` also yields no route.
 //!
+//! The engine's filter runs one more test next to these four, which proves
+//! less: the label refutation of `xpv_core::QueryContext::refutes` (a label
+//! of the query in neither `P≥k` nor `V`). It proves that no *natural
+//! candidate* verifies, not that no rewriting exists. For an engine that
+//! routes verified candidates only, planning `without_fallback`, the two
+//! lead to the same route, and both count as a rejection there.
+//!
 //! Signatures also **union** cheaply ([`ViewSignature::union`]), giving
 //! the same necessary condition for the *exact intersection pattern* of
 //! several equal-depth views (the `xpv-intersect` enumeration): the
@@ -190,13 +197,12 @@ impl QuerySignature {
 /// planner's label refutation in `xpv-core`. A label of one pattern whose
 /// bit another pattern's mask lacks is a label the other does not use.
 pub fn label_mask(p: &Pattern) -> u64 {
-    let mut mask = 0u64;
-    for n in p.node_ids() {
-        if let Some(l) = p.test(n).as_label() {
-            mask |= 1u64 << (l.id() % 64);
-        }
-    }
-    mask
+    p.node_ids().fold(0, |mask, n| mask | label_bit(p.test(n)))
+}
+
+/// The bit of one node test in a [`label_mask`] (`0` for a wildcard).
+pub fn label_bit(test: NodeTest) -> u64 {
+    test.as_label().map_or(0, |l| 1u64 << (l.id() % 64))
 }
 
 #[cfg(test)]

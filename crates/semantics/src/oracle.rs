@@ -5,10 +5,9 @@
 //! coNP canonical-model containment test of Section 2.2.
 //! [`ContainmentOracle`] runs that test (the staged procedure of
 //! [`crate::contain`], uncached) and counts which stage settled each
-//! question. It remembers no verdict: a repeated `(P, V)` question is
-//! answered one level up, by the planning session's decision memo
-//! (`xpv_core::PlanningSession`), whose keys come from the oracle's
-//! interner ([`ContainmentOracle::intern`]).
+//! question. It remembers no verdict: a repeated query is answered one
+//! level up, from the engine's plan memo, whose keys come from the
+//! oracle's interner ([`ContainmentOracle::intern`]).
 //!
 //! Everything takes **`&self`**: the counters are atomics, and the
 //! interner (bounded, see [`xpv_pattern::PatternInterner`]) sits behind an

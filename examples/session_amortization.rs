@@ -1,5 +1,7 @@
 //! The oracle/session/batch API end to end: repeated traffic against a
-//! `ShardedViewCache` is planned once and served from the plan memo thereafter.
+//! `ShardedViewCache` is planned once and served from the plan memo
+//! thereafter, and a plan miss asks the oracle only about the pairs its
+//! filter cannot dismiss.
 //!
 //! Run with `cargo run --release --example session_amortization`.
 
@@ -38,17 +40,29 @@ fn main() {
     assert_eq!(s.plan_memo_misses, 2, "two distinct queries planned once each");
     assert_eq!(s.plan_memo_hits, 4, "four repeats served from the plan memo");
 
-    // The same sharing, one level down: a PlanningSession memoizes whole
-    // decisions across decide() calls.
+    // What the misses asked: the filter dismissed every pair whose
+    // signature rejects it or whose labels refute both natural candidates,
+    // and only the rest had a candidate tested by the session's oracle. The
+    // repeats asked nothing.
+    let asked = cache.session().oracle().stats().queries;
+    println!(
+        "\nplan misses: {} pair(s) dismissed by word ops, {} tested, {asked} containment(s)",
+        s.sig_rejects, s.sig_passes
+    );
+    assert_eq!(s.sig_passes, 1, "only (hot, items) reaches a candidate test");
+    cache.answer_batch(&batch);
+    assert_eq!(cache.session().oracle().stats().queries, asked, "repeats ask nothing");
+
+    // The library decision for one pair: the candidate tests plus the
+    // completeness certificate that the engine, routing verified
+    // candidates only, never needs.
     let session = RewritePlanner::default().session();
     let p = parse_xpath("a[b]//*/e[d]").unwrap();
     let v = parse_xpath("a[b]/*").unwrap();
-    let (_, first) = session.decide_with_stats(&p, &v);
-    let (answer, second) = session.decide_with_stats(&p, &v);
+    let (answer, stats) = session.decide_with_stats(&p, &v);
     println!(
-        "\nsession: first decide misses={} coNP={}, repeat decide hits={} coNP={}",
-        first.memo_misses, first.canonical_runs, second.memo_hits, second.canonical_runs
+        "decide: {} equivalence test(s), {} coNP loop(s), certificate found: {}",
+        stats.candidate_tests.equivalence_tests, stats.canonical_runs, stats.condition_found
     );
-    assert_eq!(second.canonical_runs, 0);
     println!("rewriting: {}", answer.rewriting().expect("figure-2 instance rewrites"));
 }

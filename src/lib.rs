@@ -40,29 +40,28 @@
 //! the staged procedure, counts which stage settled each question and
 //! remembers no verdict. Its interner gives patterns structural keys
 //! ([`PatternInterner`](pattern::PatternInterner), stable under sibling
-//! reordering, never reused), which key the memos above it.
+//! reordering, never reused), which key the plan memo above it.
 //!
-//! * One-shot calls (`contained(p, q)`, `planner.decide(p, v)`) decide
-//!   from scratch every time.
-//! * Repeated traffic goes through a
-//!   [`PlanningSession`](rewrite::PlanningSession)
-//!   (`planner.session()`), which decides each `(query, view)` pair once
-//!   and shares the decision across calls.
+//! * Calls (`contained(p, q)`, `planner.decide(p, v)`) decide from scratch
+//!   every time; a [`PlanningSession`](rewrite::PlanningSession)
+//!   (`planner.session()`) keeps one oracle whose counters add up every
+//!   decision made through it.
 //! * [`ShardedViewCache`](engine::ShardedViewCache) holds a session for its
 //!   lifetime plus a per-query **plan memo**: the second arrival of a query
 //!   skips planning entirely — zero containment calls — and
 //!   [`answer_batch`](engine::ShardedViewCache::answer_batch) answers a
-//!   workload slice in one pass, planning in-batch duplicates once.
-//!   `CacheStats` / `PlannerStats` expose the memo-hit counters.
+//!   workload slice in one pass, planning in-batch duplicates once. A plan
+//!   miss decides nothing: it dismisses pairs by their signatures and
+//!   labels, and tests the natural candidates of the rest.
 //!
 //! ## Concurrent serving
 //!
 //! The whole decision path takes `&self`: the oracle keeps atomic counters
-//! and a read-mostly interner, the planning session a read-mostly decision
-//! memo, and [`ShardedViewCache`](engine::ShardedViewCache) keeps one plan
-//! memo over a copy-on-write view pool, with per-view dependency
-//! invalidation on `add_view`. The interner, the decision memo and the plan
-//! memo are each bounded by constants, in two generations
+//! and a read-mostly interner, and
+//! [`ShardedViewCache`](engine::ShardedViewCache) keeps one plan memo over
+//! a copy-on-write view pool, with per-view dependency invalidation on
+//! `add_view`. The interner and the plan memo are each bounded by
+//! constants, in two generations
 //! ([`BoundedMap`](pattern::BoundedMap)), so distinct queries cost bounded
 //! memory however many arrive; a pattern the interner forgot is interned
 //! again under a fresh key and planned again. It is the only cache type:
@@ -86,13 +85,14 @@
 //! ```
 //! use xpath_views::prelude::*;
 //!
-//! let mut session = RewritePlanner::default().session();
+//! let session = RewritePlanner::default().session();
 //! let p = parse_xpath("a[b]//*/e[d]").unwrap();
 //! let v = parse_xpath("a[b]/*").unwrap();
-//! let (_, cold) = session.decide_with_stats(&p, &v);
-//! let (_, warm) = session.decide_with_stats(&p, &v);
-//! assert!(cold.memo_misses > 0 && warm.memo_misses == 0);
-//! assert_eq!(warm.canonical_runs, 0);
+//! let (answer, stats) = session.decide_with_stats(&p, &v);
+//! assert!(answer.rewriting().is_some() && stats.condition_found);
+//! // The session's oracle counted each test's containments, at most two.
+//! let tests = u64::from(stats.candidate_tests.equivalence_tests);
+//! assert!(tests > 0 && session.oracle().stats().queries <= 2 * tests);
 //! ```
 //!
 //! ## Quickstart

@@ -1,19 +1,28 @@
-//! Properties of the two serve-hot-loop mechanisms: the plan-miss
-//! signature filter (a rejected candidate provably admits no equivalent
-//! rewriting) and the answer arena (`answer_batch_refs`, the engine's one
-//! answer lane, against the owned-`Vec` `answer_batch` wrapper over it and
-//! the reference evaluator, including multi-view intersection routes).
+//! Properties of the two serve-hot-loop mechanisms: the plan-miss filter
+//! (a candidate the signature rejects provably admits no equivalent
+//! rewriting; one the labels refute provably has no natural candidate that
+//! verifies, and the engine's verify-only plan routes like the library's
+//! full decision) and the answer arena (`answer_batch_refs`, the engine's
+//! one answer lane, against the owned-`Vec` `answer_batch` wrapper over it
+//! and the reference evaluator, including multi-view intersection routes).
 
 mod common;
 
+use std::collections::HashMap;
+
 use xpath_views::model::AnswerArena;
-use xpath_views::pattern::{QuerySignature, ViewSignature};
+use xpath_views::pattern::{label_mask, QuerySignature, ViewSignature};
 use xpath_views::prelude::*;
+use xpath_views::rewrite::{natural_candidates, QueryContext};
 use xpath_views::workload::{
-    catalog_zipf_stream, site_catalog, site_doc, site_intersect_catalog, Fragment,
+    catalog_zipf_stream, site_catalog, site_doc, site_intersect_catalog,
+    split_into_overlapping_views, Fragment,
 };
 
-use common::instance_from_seed;
+use common::{instance_from_seed, tree_from_seed};
+
+const FRAGMENTS: [Fragment; 4] =
+    [Fragment::Full, Fragment::NoWildcard, Fragment::NoDescendant, Fragment::NoBranch];
 
 /// Filter soundness over generated pairs: whenever the signature check
 /// rejects a (query, view) pair, the full unfiltered planner — oracle,
@@ -23,12 +32,10 @@ use common::instance_from_seed;
 #[test]
 fn signature_reject_implies_no_rewriting() {
     let planner = RewritePlanner::default();
-    let fragments =
-        [Fragment::Full, Fragment::NoWildcard, Fragment::NoDescendant, Fragment::NoBranch];
     let mut pairs = 0usize;
     let mut rejected = 0usize;
     for seed in 0..160u64 {
-        for &frag in &fragments {
+        for frag in FRAGMENTS {
             // Correlated instances (view derived from the query) plus the
             // crossed pair from the next seed — the crossed ones are where
             // rejections actually fire.
@@ -49,6 +56,117 @@ fn signature_reject_implies_no_rewriting() {
     }
     assert!(pairs >= 500, "want 500+ generated pairs, got {pairs}");
     assert!(rejected >= 50, "filter never fired ({rejected}/{pairs}) — the test is vacuous");
+}
+
+/// Refutation soundness, checked against the definitions and not the
+/// planner, over the same correlated and crossed pairs, drawn over 4 labels
+/// and over 80 (which reach every bit of the masks): a context's one-pass
+/// masks are `labels(P) \ labels(P≥k)` at every depth `k` (read back bit by
+/// bit through `refutes`), and whenever the labels refute a pair, no
+/// natural candidate `R` has `R ∘ V ≡ P`.
+#[test]
+fn label_refutation_never_refutes_a_verifying_candidate() {
+    let oracle = ContainmentOracle::new();
+    let (mut pairs, mut refuted) = (0usize, 0usize);
+    for (label_count, seed) in [4, 80].into_iter().flat_map(|l| (0..160u64).map(move |s| (l, s))) {
+        for fragment in FRAGMENTS {
+            let cfg = PatternGenConfig {
+                depth: (1, 3),
+                max_branch_size: 2,
+                fragment,
+                label_count,
+                ..PatternGenConfig::default()
+            };
+            let (q, v) = PatternGen::new(cfg.clone(), seed).instance();
+            let (_, v2) = PatternGen::new(cfg, seed ^ 0xA5A5).instance();
+            let ctx = QueryContext::new(&oracle, &q);
+            for k in 0..=q.depth() {
+                let uncovered = label_mask(&q) & !label_mask(&q.sub_pattern_geq(k));
+                for bit in 0..64 {
+                    let held = uncovered >> bit & 1 == 1;
+                    assert_eq!(ctx.refutes(k, !(1u64 << bit)), held, "{q} at depth {k}, bit {bit}");
+                }
+                assert!(!ctx.refutes(k, uncovered), "{q} at depth {k}: the labels it needs");
+            }
+            for view in [&v, &v2].into_iter().filter(|view| view.depth() <= q.depth()) {
+                pairs += 1;
+                if !ctx.refutes(view.depth(), label_mask(view)) {
+                    continue;
+                }
+                refuted += 1;
+                for cand in natural_candidates(&q, view) {
+                    let verifies =
+                        compose(&cand.pattern, view).is_some_and(|rv| equivalent(&rv, &q));
+                    assert!(!verifies, "refuted, yet {} ∘ {view} ≡ {q}", cand.pattern);
+                }
+            }
+        }
+    }
+    assert!(pairs >= 1000, "want 1000+ generated pairs, got {pairs}");
+    assert!(refuted >= 200, "the refutation never fired ({refuted}/{pairs}): the test is vacuous");
+    assert_eq!(oracle.stats().queries, 0, "a context asks nothing until a candidate is tested");
+}
+
+/// The engine plans by refuting and verifying only; the library decides
+/// in full (gates, conditions, candidates). On generated pools (derived
+/// views, views split off a query that only serve it jointly, unrelated
+/// patterns) and on the overlapping-view catalog, a view route's rewriting
+/// is the library's rewriting for that view, and an intersection or direct
+/// route means no pool view has one.
+#[test]
+fn the_engine_routes_like_the_library_decides() {
+    let planner = RewritePlanner::without_fallback();
+    let mut routes = [0usize; 3];
+    let mut check = |pool: &[Pattern], queries: &[Pattern], doc: Tree| {
+        let cache = ShardedViewCache::new(doc);
+        let defs: HashMap<String, &Pattern> =
+            pool.iter().enumerate().map(|(i, v)| (format!("v{i}"), v)).collect();
+        for (name, def) in &defs {
+            cache.add_view(name, (*def).clone());
+        }
+        for q in queries {
+            let decided = |v: &Pattern| planner.decide(q, v).rewriting().map(|r| r.to_string());
+            match cache.answer(q).route {
+                Route::ViaView { view, rewriting } => {
+                    routes[0] += 1;
+                    assert_eq!(decided(defs[&view]), Some(rewriting), "{q} via {view}");
+                }
+                route => {
+                    routes[1 + usize::from(route == Route::Direct)] += 1;
+                    for (name, def) in &defs {
+                        assert_eq!(decided(def), None, "{q} has {route:?}, yet {name} rewrites it");
+                    }
+                }
+            }
+        }
+    };
+    let catalog = site_intersect_catalog();
+    let defs: Vec<Pattern> = catalog.views.iter().map(|(_, v)| v.clone()).collect();
+    let queries: Vec<Pattern> = catalog.queries.iter().map(|(_, q)| q.clone()).collect();
+    check(&defs, &queries, site_doc(4, 4, 3));
+    for seed in 0..48u64 {
+        let cfg = PatternGenConfig {
+            depth: (1, 3),
+            max_branch_size: 2,
+            fragment: FRAGMENTS[seed as usize % 4],
+            ..PatternGenConfig::default()
+        };
+        let mut g = PatternGen::new(cfg.clone(), 0x0A6E_E000 + seed);
+        // The first query gets derived views, the others (branchy, so they
+        // split) only the views split off them.
+        let branchy = PatternGenConfig { branch_prob: 0.9, descendant_prob: 0.1, ..cfg };
+        let mut h = PatternGen::new(branchy, 0x5B11_7000 + seed);
+        let bases = [g.pattern(), h.pattern(), h.pattern()];
+        let mut pool = vec![g.derived_view(&bases[0]), g.derived_view(&bases[0]), g.pattern()];
+        for (i, base) in bases.iter().enumerate().skip(1) {
+            pool.extend(split_into_overlapping_views(base, 1 + i, seed).unwrap_or_default());
+        }
+        let mut queries = bases.to_vec();
+        queries.extend((0..3).map(|_| g.pattern()));
+        check(&pool, &queries, tree_from_seed(seed, 30));
+    }
+    let [view, intersect, direct] = routes;
+    assert!(view >= 30 && intersect >= 10 && direct >= 30, "routes {routes:?}");
 }
 
 /// One answer lane: the arena lane, the owned copy-out wrapper over it and
