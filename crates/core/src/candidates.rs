@@ -183,7 +183,7 @@ impl<'a> QueryContext<'a> {
     /// Tests whether `r` is a rewriting of the query using `v`, i.e.
     /// `r ◦ v ≡ p`. Label clashes (`r ◦ v = Υ`) are never rewritings since
     /// `p` is satisfiable. `r ◦ v` is decided and dropped: nothing about it
-    /// is interned or remembered.
+    /// is remembered.
     pub fn test_candidate(&self, v: &Pattern, r: &Pattern, stats: &mut CandidateTestStats) -> bool {
         compose(r, v).is_some_and(|rv| stats.test_equivalence(self.oracle, &rv, self.p))
     }

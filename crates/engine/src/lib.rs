@@ -26,13 +26,14 @@
 //!   intersections** (`xpv-intersect`, [`Route::Intersect`]): a small view
 //!   subset whose node-set intersection (a word-AND of their stores)
 //!   supports a verified compensation serves them jointly. The plan memo
-//!   and the oracle's interner are each bounded by constants, two
-//!   generations apiece ([`PLAN_MEMO_MAX_ENTRIES`],
-//!   [`xpv_pattern::INTERNER_MAX_ENTRIES`]), so a stream of distinct
-//!   queries costs bounded memory; `add_view` invalidates only the
-//!   entries whose plan depends on the grown pool, `remove_view` /
-//!   `replace_view` only those whose participants the removal touches, and
-//!   `apply_edits` none (a route is a fact about patterns, not data) —
+//!   is the one table that knows a query: keyed by its
+//!   [`xpv_pattern::Pattern::fingerprint`], each entry holding the query
+//!   it confirms hits against, and bounded by constants in two
+//!   generations ([`PLAN_MEMO_MAX_ENTRIES`], [`PLAN_MEMO_MAX_BYTES`]), so
+//!   a stream of distinct queries costs bounded memory; `add_view`
+//!   invalidates only the entries whose plan depends on the grown pool,
+//!   `remove_view` / `replace_view` only those whose participants the
+//!   removal touches, and `apply_edits` none (a route is a fact about patterns, not data) —
 //!   answers are identical on any thread schedule. The plan path has no
 //!   settings: no view-choice policy, no pluggable planner, no search
 //!   budget to tune.

@@ -12,8 +12,11 @@
 //!   a pool or document mutation costs what it touches, not pool ×
 //!   document;
 //! * the **plan memo** is one bounded table behind one `RwLock`, keyed by
-//!   the query's interned key; a repeated query takes the shared read lock
-//!   and clones its route out — no write lock on the hot path;
+//!   the query's [`Pattern::fingerprint`]; each entry holds the query it
+//!   was planned for, and a hit counts only when
+//!   [`Pattern::structurally_eq`] confirms it. A repeated query takes the
+//!   shared read lock and clones its route out — no write lock on the hot
+//!   path, and no other table to consult;
 //! * all counters are atomics, read into a [`CacheStats`] snapshot on
 //!   demand;
 //! * planning flows through one shared [`PlanningSession`], whose oracle
@@ -48,10 +51,11 @@
 //! ([`xpv_pattern::BoundedMap`]). A route served from the older generation
 //! moves back into the current one; the older generation is dropped whole
 //! when the current one fills ([`CacheStats::plan_memo_evictions`] counts
-//! the routes it held). The oracle's interner is bounded the same way, by
-//! its own constants, and neither pins an entry of the other: a query the
-//! interner forgot comes back under a fresh key, misses here and is planned
-//! again.
+//! the routes it held). The memo is the only table that knows a query: a
+//! query it evicted misses, is planned again and stored anew, and a query
+//! that only shares another's fingerprint misses the confirm and is
+//! planned on its own. Forgetting or colliding costs a plan, never a wrong
+//! route.
 //!
 //! A memoized route is a fact about
 //! *patterns* — `R ∘ V ≡ P` holds on every document — so only a change of
@@ -92,7 +96,7 @@ use xpv_maintain::{
 };
 use xpv_model::{AnswerArena, AnswerRef, BitSet, FlatTree, NodeId, Tree};
 use xpv_obs::{Heartbeat, Histogram, MetricsSnapshot, Phase, Registry, Span};
-use xpv_pattern::{BoundedMap, Held, Pattern, PatternKey, QuerySignature, ViewSignature};
+use xpv_pattern::{BoundedMap, Held, Pattern, QuerySignature, ViewSignature};
 use xpv_semantics::{evaluate, evaluate_flat, BatchEval};
 
 use crate::view::MaterializedView;
@@ -104,9 +108,10 @@ pub use xpv_net::Route;
 /// The most routes the plan memo holds, both generations together.
 pub const PLAN_MEMO_MAX_ENTRIES: usize = 2048;
 
-/// The most bytes the plan memo's routes hold, both generations together:
-/// each entry's map slot, its planned route and the strings it reports.
-pub const PLAN_MEMO_MAX_BYTES: usize = 2 << 20;
+/// The most bytes the plan memo's entries hold, both generations together:
+/// each entry's map slot, its query, its planned route and the strings it
+/// reports.
+pub const PLAN_MEMO_MAX_BYTES: usize = 4 << 20;
 
 /// A **stable** view identity: survives pool growth and shrinkage (unlike a
 /// pool index), which is what lets plan-memo routes name their participants
@@ -336,7 +341,7 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// A memoized routing decision for one query key. Routes reference views by
+/// A memoized routing decision for one query. Routes reference views by
 /// **stable id** (plus a pool-index hint for O(1) resolution), so they stay
 /// meaningful while the pool grows, shrinks, or is refreshed in place; a
 /// route whose id no longer resolves degrades soundly to direct evaluation.
@@ -352,18 +357,23 @@ pub(crate) enum PlannedRoute {
     Direct,
 }
 
-/// A planned route with the [`Route`] it reports, both built once per plan:
-/// a memo hit hands out the `Arc`, and every answer served through it shares
-/// the display form instead of formatting view names and the rewriting anew.
+/// A planned route with the query it was planned for and the [`Route`] it
+/// reports, all built once per plan: a memo hit hands out the `Arc`, and
+/// every answer served through it shares the display form instead of
+/// formatting view names and the rewriting anew.
 #[derive(Debug)]
 struct Planned {
+    /// The query: a memo entry found under a fingerprint serves only the
+    /// queries [`Pattern::structurally_eq`] to it.
+    query: Pattern,
     route: PlannedRoute,
     display: Arc<Route>,
 }
 
 impl Planned {
-    /// `route` as planned against `snap` (whose pool its hints index).
-    fn new(route: PlannedRoute, snap: &StateSnapshot) -> Planned {
+    /// `route`, planned for `query` against `snap` (whose pool its hints
+    /// index).
+    fn new(query: &Pattern, route: PlannedRoute, snap: &StateSnapshot) -> Planned {
         let display = match &route {
             PlannedRoute::ViaView { hint, rewriting, .. } => Route::ViaView {
                 view: snap.views[*hint].name().to_string(),
@@ -375,12 +385,13 @@ impl Planned {
             },
             PlannedRoute::Direct => Route::Direct,
         };
-        Planned { route, display: Arc::new(display) }
+        Planned { query: query.clone(), route, display: Arc::new(display) }
     }
 
     /// What a plan-memo entry holds beyond its map slot, counted against
-    /// [`PLAN_MEMO_MAX_BYTES`]: the planned and reported route, the route's
-    /// pattern and text, and per participant its id, hint and name.
+    /// [`PLAN_MEMO_MAX_BYTES`]: the query, the planned and reported route,
+    /// the route's pattern and text, and per participant its id, hint and
+    /// name.
     fn heap(&self) -> usize {
         let (pattern, parts) = match &self.route {
             PlannedRoute::ViaView { rewriting, .. } => (rewriting.heap_bytes(), 1),
@@ -397,6 +408,7 @@ impl Planned {
             Route::Direct => 0,
         };
         size_of::<(Planned, Route)>()
+            + self.query.heap_bytes()
             + pattern
             + text
             + parts * (2 * size_of::<u64>() + size_of::<String>())
@@ -406,7 +418,9 @@ impl Planned {
 /// The plan memo and the win index, behind one lock.
 #[derive(Debug, Default)]
 struct PlanMemo {
-    routes: BoundedMap<PatternKey, Arc<Planned>, PLAN_MEMO_MAX_ENTRIES, PLAN_MEMO_MAX_BYTES>,
+    /// Routes by their query's [`Pattern::fingerprint`], one per
+    /// fingerprint: a colliding query's plan replaces the entry.
+    routes: BoundedMap<u64, Arc<Planned>, PLAN_MEMO_MAX_ENTRIES, PLAN_MEMO_MAX_BYTES>,
     /// Plan-time win counts per view (how often a memoized plan chose the
     /// view): the hit-rate-ordered index the miss path sorts filter
     /// survivors by, so the common winner pays the first containment
@@ -615,7 +629,7 @@ impl ShardedViewCache {
         self.doc_version.load(Ordering::Relaxed)
     }
 
-    /// The shared planning session (its oracle's stats and interner).
+    /// The shared planning session (its oracle's stats).
     pub fn session(&self) -> &PlanningSession {
         &self.session
     }
@@ -966,15 +980,21 @@ impl ShardedViewCache {
         snap
     }
 
-    /// Picks the route for `query` (already interned to `key`), consulting
-    /// (and feeding) the plan memo.
-    fn route_for(&self, query: &Pattern, key: PatternKey) -> Arc<Planned> {
+    /// Picks the route for `query`, whose fingerprint is `fingerprint`,
+    /// consulting (and feeding) the plan memo.
+    fn route_for(&self, query: &Pattern, fingerprint: u64) -> Arc<Planned> {
         // A hit in the current generation takes the read lock only; one in
         // the older generation takes the write lock once, to move it back.
-        let memoized =
-            self.memo.read().expect("plan memo poisoned").routes.get_current(&key).cloned();
-        let memoized = memoized
-            .or_else(|| self.memo.write().expect("plan memo poisoned").routes.get(&key).cloned());
+        // Either counts only for the query the entry was planned for.
+        let serves = |planned: &&Arc<Planned>| planned.query.structurally_eq(query);
+        let memoized = (self.memo.read().expect("plan memo poisoned").routes)
+            .get_current(&fingerprint)
+            .filter(serves)
+            .cloned();
+        let memoized = memoized.or_else(|| {
+            let mut memo = self.memo.write().expect("plan memo poisoned");
+            memo.routes.get(&fingerprint).filter(serves).cloned()
+        });
         if let Some(planned) = memoized {
             bump(&self.counters.plan_memo_hits);
             return planned;
@@ -990,16 +1010,16 @@ impl ShardedViewCache {
         let planned_at = self.views_version.load(Ordering::Acquire);
         let plan_snap = self.snapshot();
         let miss_start = Instant::now();
-        let planned = Arc::new(Planned::new(self.plan(query, &plan_snap), &plan_snap));
+        let planned = Arc::new(Planned::new(query, self.plan(query, &plan_snap), &plan_snap));
         self.obs.plan_miss_us.record_duration(miss_start.elapsed());
         let mut memo = self.memo.write().expect("plan memo poisoned");
         if self.views_version.load(Ordering::Acquire) == planned_at
-            && memo.routes.get(&key).is_none()
+            && memo.routes.get(&fingerprint).filter(serves).is_none()
         {
             if let PlannedRoute::ViaView { id, .. } = planned.route {
                 *memo.wins.entry(id).or_insert(0) += 1;
             }
-            memo.routes.insert(key, Arc::clone(&planned), planned.heap());
+            memo.routes.insert(fingerprint, Arc::clone(&planned), planned.heap());
         }
         planned
     }
@@ -1155,13 +1175,13 @@ impl ShardedViewCache {
     fn answer_on_refs(
         &self,
         query: &Pattern,
-        key: PatternKey,
+        fingerprint: u64,
         snap: &StateSnapshot,
         batch: &mut BatchEval<'_>,
         arena: &mut AnswerArena,
     ) -> CacheAnswerRef {
         let plan_start = Instant::now();
-        let planned = self.route_for(query, key);
+        let planned = self.route_for(query, fingerprint);
         bump(&self.counters.queries);
         let planning = plan_start.elapsed();
 
@@ -1246,16 +1266,32 @@ impl ShardedViewCache {
         queries: &[Pattern],
         arena: &mut AnswerArena,
     ) -> Vec<CacheAnswerRef> {
+        self.answer_batch_keyed(queries, Pattern::fingerprint, arena)
+    }
+
+    /// The batch path with each query's key taken from `fingerprint`, which
+    /// is [`Pattern::fingerprint`] everywhere but in the tests that force a
+    /// collision: the plan memo and the batch dedup both confirm a key
+    /// match with [`Pattern::structurally_eq`].
+    fn answer_batch_keyed(
+        &self,
+        queries: &[Pattern],
+        fingerprint: impl Fn(&Pattern) -> u64,
+        arena: &mut AnswerArena,
+    ) -> Vec<CacheAnswerRef> {
         arena.clear();
         // One consistent snapshot serves the whole batch, and one batch
         // evaluator shares scratch buffers across every deduped survivor.
         let snap = self.snapshot();
         let mut fused = BatchEval::new(&snap.flat);
         let mut answers: Vec<CacheAnswerRef> = Vec::with_capacity(queries.len());
-        let mut first_seen: HashMap<PatternKey, usize> = HashMap::new();
+        let mut first_seen: HashMap<u64, usize> = HashMap::new();
         for (i, query) in queries.iter().enumerate() {
-            let key = self.session.oracle().intern(query);
-            match first_seen.get(&key) {
+            let key = fingerprint(query);
+            // A repeat of the key's first query in the batch (a
+            // sibling-reordered isomorph included) shares its answer; a
+            // query that only shares its fingerprint is answered on its own.
+            match first_seen.get(&key).filter(|&&j| queries[j].structurally_eq(query)) {
                 Some(&j) => {
                     let original = &answers[j];
                     let fanned = CacheAnswerRef {
@@ -1275,7 +1311,7 @@ impl ShardedViewCache {
                     answers.push(fanned);
                 }
                 None => {
-                    first_seen.insert(key, i);
+                    first_seen.entry(key).or_insert(i);
                     answers.push(self.answer_on_refs(query, key, &snap, &mut fused, arena));
                 }
             }
@@ -1638,41 +1674,36 @@ mod tests {
     }
 
     #[test]
-    fn a_forgotten_query_is_a_miss_under_a_fresh_key_never_a_wrong_answer() {
-        use xpv_pattern::INTERNER_MAX_ENTRIES;
+    fn a_query_the_memo_evicted_is_a_miss_never_a_wrong_answer() {
         let cache = ShardedViewCache::new(doc());
         cache.add_view("items", pat("site/region/item"));
-        let oracle = cache.session().oracle();
         let q = pat("site/region/item/name");
         let first = cache.answer(&q);
         assert!(matches!(first.route, Route::ViaView { .. }));
-        let old_key = oracle.intern(&q);
 
-        // Drive the interner alone past its bound: the plan memo is not
-        // touched and keeps `q`'s route.
-        for i in 0..INTERNER_MAX_ENTRIES {
-            oracle.intern(&distinct(i));
+        // A flood of distinct queries past the bound: two flips pass `q`'s
+        // entry by, and it is dropped with its generation.
+        for i in 0..PLAN_MEMO_MAX_ENTRIES {
+            let _ = cache.answer(&distinct(i));
         }
-        assert_eq!(cache.plan_memo().entries, 1);
-        let watermark = oracle.intern(&pat("marker/after/the/flood"));
+        assert!(cache.stats().plan_memo_evictions > 0);
 
-        // `q` comes back under a new key and is planned again.
+        // `q` is planned again, to the same route, and stored anew.
         let misses = cache.stats().plan_memo_misses;
         let again = cache.answer(&q);
-        let new_key = oracle.intern(&q);
-        assert!(new_key > watermark && watermark > old_key, "{old_key:?} {new_key:?}");
         assert_eq!(cache.stats().plan_memo_misses, misses + 1);
         assert_eq!(again.nodes, cache.answer_direct(&q));
         assert_eq!(again.route, first.route);
-        assert_eq!(cache.plan_memo().entries, 2, "the old entry ages out in its own table");
+        let hits = cache.stats().plan_memo_hits;
+        assert_eq!(cache.answer(&q).route, first.route);
+        assert_eq!(cache.stats().plan_memo_hits, hits + 1, "stored anew");
 
-        // Nothing stored under an old key is served for another pattern:
-        // every pattern gets a key past the watermark and is planned.
+        // Nothing the flood left behind is served for another pattern:
+        // every query the memo does not hold is planned and answered exactly.
         for text in ["site/region/item", "site//keyword", "site/region/item[desc]/name", "site"] {
             let p = pat(text);
             let misses = cache.stats().plan_memo_misses;
             let ans = cache.answer(&p);
-            assert!(oracle.intern(&p) > watermark, "{text}");
             assert_eq!(cache.stats().plan_memo_misses, misses + 1, "{text}");
             assert_eq!(ans.nodes, cache.answer_direct(&p), "{text}");
         }
@@ -1680,8 +1711,7 @@ mod tests {
 
     #[test]
     fn every_planning_table_stays_within_its_bounds() {
-        use xpv_pattern::{INTERNER_MAX_BYTES, INTERNER_MAX_ENTRIES};
-        let n = 3 * INTERNER_MAX_ENTRIES;
+        let n = 6 * PLAN_MEMO_MAX_ENTRIES;
         // A document holding the paths of a few of the distinct queries, so
         // some answers are not empty.
         let hits: Vec<usize> = (0..40).map(|j| j * n / 40).collect();
@@ -1695,7 +1725,7 @@ mod tests {
         let cache = ShardedViewCache::new(t);
         // The view rewrites every query with one cheap test (`P ∘ u = P`,
         // settled by homomorphisms), so a plan is constant work and each
-        // query adds one interned pattern and one route.
+        // query adds one route holding its query.
         cache.add_view("u", pat("u"));
         let mut routed = 0;
         for start in (0..n).step_by(64) {
@@ -1704,26 +1734,68 @@ mod tests {
                 assert_eq!(ans.nodes, cache.answer_direct(q), "{q}");
                 routed += usize::from(!ans.nodes.is_empty());
             }
-            let tables = [
-                ("plan memo", cache.plan_memo(), PLAN_MEMO_MAX_ENTRIES, PLAN_MEMO_MAX_BYTES),
-                (
-                    "interner",
-                    cache.session().oracle().interned(),
-                    INTERNER_MAX_ENTRIES,
-                    INTERNER_MAX_BYTES,
-                ),
-            ];
-            for (name, held, entries, bytes) in tables {
-                assert!(held.entries <= entries, "{name}: {held:?} after {start}");
-                assert!(held.bytes <= bytes, "{name}: {held:?} after {start}");
-            }
+            let held = cache.plan_memo();
+            assert!(held.entries <= PLAN_MEMO_MAX_ENTRIES, "plan memo: {held:?} after {start}");
+            assert!(held.bytes <= PLAN_MEMO_MAX_BYTES, "plan memo: {held:?} after {start}");
         }
         assert_eq!(routed, hits.len(), "each query on the document's paths has its one answer");
         let s = cache.stats();
         assert_eq!(s.plan_memo_misses, n as u64);
         assert_eq!(s.view_hits, n as u64);
         assert!(s.plan_memo_evictions > 0);
-        assert!(cache.session().oracle().interned().entries < n);
+        assert!(cache.plan_memo().entries < n);
+    }
+
+    /// Every query of a batch under one forced fingerprint: the memo and
+    /// the batch dedup must confirm each key match, so a non-isomorph is
+    /// planned and answered on its own and an isomorph still shares.
+    #[test]
+    fn a_forced_fingerprint_collision_costs_a_plan_never_a_wrong_route() {
+        let collide = |_: &Pattern| 0x5EED;
+        let queries: Vec<Pattern> = [
+            "site/region/item/name",
+            "site//keyword",
+            "site/region/item[name][desc]",
+            "site/region/item[desc][name]",
+            "site/region[item]",
+            "site/region/item/name",
+        ]
+        .iter()
+        .map(|s| pat(s))
+        .collect();
+        let cache = ShardedViewCache::new(doc());
+        cache.add_view("items", pat("site/region/item"));
+        cache.add_view("keywords", pat("site//keyword"));
+        // The routes an engine keyed by real fingerprints plans.
+        let reference = ShardedViewCache::new(doc());
+        reference.add_view("items", pat("site/region/item"));
+        reference.add_view("keywords", pat("site//keyword"));
+        let check = |answers: &[CacheAnswerRef], arena: &AnswerArena| {
+            for (q, ans) in queries.iter().zip(answers) {
+                assert_eq!(arena.to_vec(ans.nodes), cache.answer_direct(q), "{q}");
+                assert_eq!(*ans.route, reference.answer(q).route, "{q}");
+            }
+        };
+        let mut arena = AnswerArena::new();
+        let answers = cache.answer_batch_keyed(&queries, collide, &mut arena);
+        check(&answers, &arena);
+        // The dedup confirms against the key's first query of the batch
+        // (0): the repeat (5) shares its answer, the rest is answered on
+        // its own. The memo holds one entry under the key, the last planned
+        // query's: 0, 1, 2 and 4 miss, and the reordered isomorph (3) hits
+        // the entry 2 just stored.
+        let counts = |s: CacheStats| (s.batch_dedup_hits, s.plan_memo_hits, s.plan_memo_misses);
+        assert_eq!(counts(cache.stats()), (1, 2, 4));
+        assert_eq!(cache.plan_memo().entries, 1);
+        let answers = cache.answer_batch_keyed(&queries, collide, &mut arena);
+        check(&answers, &arena);
+        assert_eq!(counts(cache.stats()), (2, 4, 8), "each entry is replaced, none misused");
+        // Under real fingerprints the four distinct queries are planned once
+        // each, beside the forced key's entry, and both isomorphs share.
+        let answers = cache.answer_batch_refs(&queries, &mut arena);
+        check(&answers, &arena);
+        assert_eq!(counts(cache.stats()), (4, 6, 12));
+        assert_eq!(cache.plan_memo().entries, 5);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! namespaces are rejected with a descriptive error — the rewriting theory
 //! never inspects them, and accepting-and-dropping content would silently
 //! change query answers. (This is the documented substitution for a
-//! third-party XML crate; see DESIGN.md §1.)
+//! third-party XML crate; see `docs/DESIGN.md` §1.)
 
 use std::fmt;
 

@@ -1,11 +1,9 @@
 //! A map bounded in entries and bytes, kept as two generations.
 //!
 //! Every table that grows with the distinct queries a process sees — the
-//! query-text cache ([`crate::TextCache`]), the interner
-//! ([`crate::PatternInterner`]) and the engine's plan memo — is a
-//! [`BoundedMap`] with its own constant
-//! bounds, so a stream of distinct queries costs a bounded amount of
-//! memory however long it runs.
+//! query-text cache ([`crate::TextCache`]) and the engine's plan memo — is
+//! a [`BoundedMap`] with its own constant bounds, so a stream of distinct
+//! queries costs a bounded amount of memory however long it runs.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

@@ -158,7 +158,7 @@ pub fn selection_node_labeled(p: &Pattern, i: usize) -> bool {
 
 /// The maximum number of nodes in a chain of **wildcard** nodes connected by
 /// child edges. This quantity drives the canonical-model expansion bound used
-/// by the containment test in `xpv-semantics` (see DESIGN.md §3): only
+/// by the containment test in `xpv-semantics` (see `docs/DESIGN.md` §3): only
 /// wildcard nodes can be mapped onto the `⊥`-labeled interior of an expansion
 /// chain, and rigid (child-edge) crossings are bounded by this length.
 pub fn star_chain_len(p: &Pattern) -> usize {

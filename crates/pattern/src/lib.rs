@@ -20,13 +20,13 @@
 //!   XPath syntax `q ::= q/q | q//q | q[q] | l | *`, and a bounded
 //!   text → pattern cache in front of the parser ([`TextCache`]) for
 //!   callers that see the same texts again and again;
-//! * structural hashing and interning ([`Pattern::fingerprint`],
-//!   [`PatternInterner`] / [`PatternKey`]) — stable under sibling
-//!   reordering — so patterns can serve as cheap memo keys for the
-//!   containment oracle in `xpv-semantics`;
+//! * structural hashing ([`Pattern::fingerprint`], stable under sibling
+//!   reordering) with an exact confirm ([`Pattern::structurally_eq`]): the
+//!   engine's plan memo and batch dedup key queries by the first and
+//!   check every hit with the second;
 //! * the one bounded table shape ([`BoundedMap`]: two generations, bounded
-//!   in entries and bytes) that the text cache, the interner and the
-//!   memos above them share;
+//!   in entries and bytes) that the text cache and the engine's plan memo
+//!   share;
 //! * word-sized **signatures** ([`ViewSignature`] / [`QuerySignature`]):
 //!   necessary conditions for an equivalent rewriting, used by the serving
 //!   layer to reject most candidate views before any containment call (the
@@ -39,7 +39,7 @@
 
 pub mod bounded_map;
 pub mod classify;
-pub mod intern;
+pub mod fingerprint;
 pub mod ops;
 pub mod parse;
 pub mod pattern;
@@ -53,7 +53,6 @@ pub use classify::{
     selection_node_labeled, selection_prefix_all_child, stability_witness, star_chain_len,
     FragmentFlags, GnfCase, StabilityWitness,
 };
-pub use intern::{PatternInterner, PatternKey, INTERNER_MAX_BYTES, INTERNER_MAX_ENTRIES};
 pub use ops::{compose, compose_chain, intersect_patterns};
 pub use parse::{parse_xpath, ParseError, MAX_BRANCH_DEPTH};
 pub use pattern::{Axis, NodeTest, PatId, Pattern, PatternBuilder};

@@ -21,10 +21,10 @@
 //! consumers walk a spine by a loop). Predicates may not reach more than
 //! [`MAX_BRANCH_DEPTH`] levels below it — nested, or as steps of a
 //! predicate's own path: this parser and every consumer of a pattern
-//! (witness sets, fingerprints, the printer, the interner) recurse once per
-//! branch level, and pattern text arrives from the wire.
+//! (witness sets, fingerprints, the printer, the structural confirm)
+//! recurse once per branch level, and pattern text arrives from the wire.
 //!
-//! There is no third-party XPath crate involved (see DESIGN.md §1).
+//! There is no third-party XPath crate involved (see `docs/DESIGN.md` §1).
 
 use std::fmt;
 

@@ -374,10 +374,13 @@ impl Pattern {
     }
 
     /// Unordered-pattern isomorphism (same shape, tests, axes, output).
+    /// The engine's plan memo and batch dedup confirm a
+    /// [`Pattern::fingerprint`] match with it, so a collision costs a plan,
+    /// never a wrong route.
     pub fn structurally_eq(&self, other: &Pattern) -> bool {
-        // Two parses of one query text lay their nodes out identically: the
-        // repeated-query path of the interner settles here, without building
-        // the canonical keys.
+        // Two parses of one query text lay their nodes out identically: a
+        // repeated query's confirm settles here, without building the
+        // canonical keys.
         let same_layout = || self.output == other.output && self.nodes == other.nodes;
         self.len() == other.len()
             && (same_layout() || self.canonical_key() == other.canonical_key())

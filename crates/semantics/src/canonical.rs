@@ -9,9 +9,9 @@
 //! expansion lengths range over `1..=bound`.
 //!
 //! Containment `P1 ⊑ P2` is decided on the finitely many canonical models of
-//! `P1` with lengths bounded by [`expansion_bound`]`(P2)` — see DESIGN.md §3
-//! for the self-contained proof that `2·s + 3` expansion steps suffice, where
-//! `s` is the longest rigid wildcard chain of `P2`. (Miklau & Suciu prove a
+//! `P1` with lengths bounded by [`expansion_bound`]`(P2)` — see
+//! `docs/DESIGN.md` §3 for why `2·s + 3` expansion steps suffice, where `s`
+//! is the longest rigid wildcard chain of `P2`. (Miklau & Suciu prove a
 //! tighter bound; a looser bound only adds models to check and cannot change
 //! the verdict.)
 

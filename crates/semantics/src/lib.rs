@@ -16,12 +16,12 @@
 //!   containment witness, complete on `XP{//,[]}` and `XP{[],*}`;
 //! * **containment / equivalence**, strong and weak ([`contained`],
 //!   [`equivalent`], [`weakly_contained`], [`weakly_equivalent`]), via the
-//!   staged procedure described in DESIGN.md §3;
+//!   staged procedure described in `docs/DESIGN.md` §3;
 //! * the **containment oracle** ([`ContainmentOracle`]) — the same staged
 //!   procedure behind counters ([`OracleStats`]: which stage settled each
-//!   question, and the coNP work), plus the pattern interner whose
-//!   structural keys the planning layers' memos use. It memoizes no
-//!   verdict, so oracle and free-function verdicts always agree.
+//!   question, and the coNP work), and nothing else. It memoizes no
+//!   verdict and holds no pattern, so oracle and free-function verdicts
+//!   always agree.
 
 pub mod canonical;
 pub mod contain;

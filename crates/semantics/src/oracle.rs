@@ -5,21 +5,17 @@
 //! coNP canonical-model containment test of Section 2.2.
 //! [`ContainmentOracle`] runs that test (the staged procedure of
 //! [`crate::contain`], uncached) and counts which stage settled each
-//! question. It remembers no verdict: a repeated query is answered one
-//! level up, from the engine's plan memo, whose keys come from the
-//! oracle's interner ([`ContainmentOracle::intern`]).
+//! question. It remembers nothing: a repeated query is answered one level
+//! up, from the engine's plan memo.
 //!
-//! Everything takes **`&self`**: the counters are atomics, and the
-//! interner (bounded, see [`xpv_pattern::PatternInterner`]) sits behind an
-//! `RwLock` with a read-locked fast path for the patterns its current
-//! generation holds, so any number of worker threads decide through one
-//! shared oracle.
+//! Everything takes **`&self`** and the counters are atomics, so any
+//! number of worker threads decide through one shared oracle without a
+//! lock.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
-use xpv_pattern::{Held, Pattern, PatternInterner, PatternKey};
+use xpv_pattern::Pattern;
 
 use crate::contain::{decide, ContainmentOutcome};
 
@@ -65,9 +61,8 @@ impl fmt::Display for OracleStats {
     }
 }
 
-/// A counted, concurrency-safe containment test plus the pattern interner
-/// that keys the planning layers' memos (`&self` throughout — see the
-/// module docs).
+/// A counted, concurrency-safe containment test (`&self` throughout — see
+/// the module docs).
 ///
 /// ```
 /// use xpv_pattern::parse_xpath;
@@ -83,7 +78,6 @@ impl fmt::Display for OracleStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct ContainmentOracle {
-    interner: RwLock<PatternInterner>,
     hom_fast_path_hits: AtomicU64,
     hom_negatives: AtomicU64,
     canonical_runs: AtomicU64,
@@ -110,19 +104,6 @@ impl ContainmentOracle {
             canonical_runs,
             models_checked: load(&self.models_checked),
         }
-    }
-
-    /// Interns `p`, returning its structural key. A pattern the current
-    /// generation holds is served under the shared read lock.
-    pub fn intern(&self, p: &Pattern) -> PatternKey {
-        let held = self.interner.read().expect("oracle interner poisoned").lookup(p);
-        held.unwrap_or_else(|| self.interner.write().expect("oracle interner poisoned").intern(p))
-    }
-
-    /// Patterns and bytes the interner holds (see
-    /// [`xpv_pattern::INTERNER_MAX_ENTRIES`] for its bounds).
-    pub fn interned(&self) -> Held {
-        self.interner.read().expect("oracle interner poisoned").held()
     }
 
     /// Decides `p1 ⊑ p2` and counts the stage that settled it. The outcome

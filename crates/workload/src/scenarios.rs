@@ -6,7 +6,7 @@
 //! bibliographies. We cannot ship XMark or DBLP data, so these generators
 //! produce documents with the *same shape* (element hierarchy, fanout
 //! skew) at configurable scale — the documented substitution from
-//! DESIGN.md §1. Each scenario comes with a catalog of queries and view
+//! `docs/DESIGN.md` §1. Each scenario comes with a catalog of queries and view
 //! definitions that exercise the rewriting engine the way the paper's
 //! introduction describes (views materialize hot subtrees; queries drill
 //! into them).

@@ -38,17 +38,18 @@
 //! containment test (Section 2.2 of the paper). All layers route it through
 //! a shared [`ContainmentOracle`](semantics::ContainmentOracle), which runs
 //! the staged procedure, counts which stage settled each question and
-//! remembers no verdict. Its interner gives patterns structural keys
-//! ([`PatternInterner`](pattern::PatternInterner), stable under sibling
-//! reordering, never reused), which key the plan memo above it.
+//! remembers nothing.
 //!
 //! * Calls (`contained(p, q)`, `planner.decide(p, v)`) decide from scratch
 //!   every time; a [`PlanningSession`](rewrite::PlanningSession)
 //!   (`planner.session()`) keeps one oracle whose counters add up every
 //!   decision made through it.
 //! * [`ShardedViewCache`](engine::ShardedViewCache) holds a session for its
-//!   lifetime plus a per-query **plan memo**: the second arrival of a query
-//!   skips planning entirely — zero containment calls — and
+//!   lifetime plus a per-query **plan memo**, keyed by the query's
+//!   structural hash ([`Pattern::fingerprint`](pattern::Pattern::fingerprint),
+//!   stable under sibling reordering) and confirmed against the query each
+//!   entry holds: the second arrival of a query, or of a sibling-reordered
+//!   isomorph, skips planning entirely — zero containment calls — and
 //!   [`answer_batch`](engine::ShardedViewCache::answer_batch) answers a
 //!   workload slice in one pass, planning in-batch duplicates once. A plan
 //!   miss decides nothing: it dismisses pairs by their signatures and
@@ -57,14 +58,13 @@
 //! ## Concurrent serving
 //!
 //! The whole decision path takes `&self`: the oracle keeps atomic counters
-//! and a read-mostly interner, and
+//! and no lock, and
 //! [`ShardedViewCache`](engine::ShardedViewCache) keeps one plan memo over
 //! a copy-on-write view pool, with per-view dependency invalidation on
-//! `add_view`. The interner and the plan memo are each bounded by
-//! constants, in two generations
+//! `add_view`. The plan memo is bounded by constants, in two generations
 //! ([`BoundedMap`](pattern::BoundedMap)), so distinct queries cost bounded
-//! memory however many arrive; a pattern the interner forgot is interned
-//! again under a fresh key and planned again. It is the only cache type:
+//! memory however many arrive; a query it forgot is planned again. It is
+//! the only cache type:
 //! worker threads answer concurrently through one cache, with the answers
 //! one thread would get. The one server type,
 //! [`AsyncCacheServer`](engine::AsyncCacheServer), serves any number of
@@ -139,7 +139,6 @@ pub mod prelude {
     pub use xpv_model::{parse_xml, to_xml, Label, NodeId, Tree, TreeBuilder};
     pub use xpv_pattern::{
         compose, parse_xpath, to_xpath, Axis, NodeTest, PatId, Pattern, PatternBuilder,
-        PatternInterner, PatternKey,
     };
     pub use xpv_semantics::{
         contained, equivalent, evaluate, evaluate_weak, weakly_contained, weakly_equivalent,

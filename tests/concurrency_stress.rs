@@ -214,11 +214,8 @@ fn plan_memo_bound_holds_under_concurrent_load() {
         assert_eq!(&cache.answer(q).nodes, nodes, "bounded cache wrong for {q}");
         assert!(cache.plan_memo().entries <= PLAN_MEMO_MAX_ENTRIES);
     }
-    let distinct_hot = {
-        let oracle = cache.session().oracle();
-        let keys: std::collections::HashSet<_> = hot.iter().map(|q| oracle.intern(q)).collect();
-        keys.len()
-    };
+    let distinct_hot =
+        hot.iter().map(Pattern::canonical_key).collect::<std::collections::HashSet<_>>().len();
     let planned = (2 * distinct_hot + PLAN_MEMO_MAX_ENTRIES * 5 / 2) as u64;
     assert_eq!(cache.stats().plan_memo_misses, planned, "the flood must evict every hot route");
     assert!(cache.stats().plan_memo_evictions > 0);

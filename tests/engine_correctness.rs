@@ -12,6 +12,30 @@ use xpath_views::workload::{
 
 use common::{instance_from_seed, tree_from_seed};
 
+/// A sibling-reordered copy of `p`: each node's children reversed, then
+/// rotated by `turn`. An isomorph of `p`, laid out differently wherever a
+/// node has two children or more.
+fn reordered(p: &Pattern, turn: usize) -> Pattern {
+    let mut out = Pattern::single(p.test(p.root()));
+    let mut stack = vec![(p.root(), out.root())];
+    while let Some((from, to)) = stack.pop() {
+        if from == p.output() {
+            out.set_output(to);
+        }
+        let mut children = p.children(from).to_vec();
+        children.reverse();
+        if !children.is_empty() {
+            let len = children.len();
+            children.rotate_left(turn % len);
+        }
+        for c in children {
+            let copy = out.add_child(to, p.axis(c), p.test(c));
+            stack.push((c, copy));
+        }
+    }
+    out
+}
+
 #[test]
 fn site_catalog_cache_equals_direct() {
     let doc = site_doc(5, 7, 3);
@@ -154,4 +178,71 @@ fn one_answer_arena_serves_batches_across_edits_that_grow_the_arena() {
     assert!(widths.windows(2).filter(|w| w[1] > w[0]).count() >= 3, "widths {widths:?}");
     arena.clear();
     assert!(arena.spare_count() > 0 && arena.spare_count() <= MAX_SPARE_SETS);
+}
+
+/// Sibling-reordered isomorphs share one plan-memo entry and non-isomorphs
+/// never share one, with `canonical_key` equality as the oracle: across
+/// batches (the memo) and inside one batch (the dedup). Each class is
+/// planned once, and every answer and route is the query's own: its direct
+/// evaluation, and a view route's rewriting composed with its view is
+/// equivalent to the query.
+#[test]
+fn isomorphs_share_one_plan_and_non_isomorphs_never_share_one() {
+    let (mut relaid, mut via_views) = (0, 0);
+    for seed in 0..12u64 {
+        let instances: Vec<(Pattern, Pattern)> =
+            (0..16).map(|i| instance_from_seed(seed * 97 + i, Fragment::Full)).collect();
+        let views: Vec<Pattern> = instances.iter().take(6).map(|(_, v)| v.clone()).collect();
+        let doc = tree_from_seed(seed, 60);
+        let engine = || {
+            let cache = ShardedViewCache::new(doc.clone());
+            for (i, v) in views.iter().enumerate() {
+                cache.add_view(&format!("v{i}"), v.clone());
+            }
+            cache
+        };
+        let stream: Vec<Pattern> = instances
+            .iter()
+            .flat_map(|(q, _)| [q.clone(), reordered(q, 0), reordered(q, 1), reordered(q, 2)])
+            .collect();
+        relaid += stream
+            .chunks(4)
+            .filter(|copies| copies[1..].iter().any(|c| c.to_string() != copies[0].to_string()))
+            .count();
+        let classes: std::collections::HashSet<String> =
+            stream.iter().map(Pattern::canonical_key).collect();
+        let (n, distinct) = (stream.len() as u64, classes.len() as u64);
+
+        // Across batches: one query per batch.
+        let across = engine();
+        let mut route_of = std::collections::HashMap::new();
+        for q in &stream {
+            let ans = across.answer(q);
+            assert_eq!(ans.nodes, across.answer_direct(q), "seed {seed}: {q}");
+            if let Route::ViaView { view, rewriting } = &ans.route {
+                via_views += 1;
+                let v = &views[view[1..].parse::<usize>().unwrap()];
+                let rv = compose(&parse_xpath(rewriting).unwrap(), v).unwrap();
+                assert!(equivalent(&rv, q), "seed {seed}: {q} through {view}: {rewriting}");
+            }
+            let first = route_of.entry(q.canonical_key()).or_insert_with(|| ans.route.clone());
+            assert_eq!(*first, ans.route, "seed {seed}: isomorphs share a route: {q}");
+        }
+        let s = across.stats();
+        assert_eq!((s.plan_memo_misses, s.plan_memo_hits), (distinct, n - distinct), "{seed}");
+        assert_eq!(across.plan_memo().entries as u64, distinct, "seed {seed}");
+
+        // Inside one batch: the dedup fans each class out from its first
+        // member, and plans each class once.
+        let inside = engine();
+        for (q, ans) in stream.iter().zip(inside.answer_batch(&stream)) {
+            assert_eq!(ans.nodes, inside.answer_direct(q), "seed {seed}: {q}");
+            assert_eq!(ans.route, route_of[&q.canonical_key()], "seed {seed}: {q}");
+        }
+        let s = inside.stats();
+        assert_eq!((s.plan_memo_misses, s.batch_dedup_hits), (distinct, n - distinct), "{seed}");
+        assert_eq!(inside.plan_memo().entries as u64, distinct, "seed {seed}");
+    }
+    assert!(relaid > 0, "some reordered copies are laid out differently");
+    assert!(via_views > 0, "some queries are served from a view");
 }
