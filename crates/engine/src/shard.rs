@@ -39,10 +39,20 @@
 //! bumps the document version, and **incrementally refreshes** every
 //! registered view from the edits' affected regions (ancestor spine +
 //! touched subtree) instead of re-materializing the world — see the
-//! `xpv-maintain` crate for the correctness argument. The document and the
-//! view pool live in one copy-on-write [`StateSnapshot`] behind a single
-//! lock, so answering threads always see a *consistent* (document, views)
-//! pair, never an edited document with stale views or vice versa.
+//! `xpv-maintain` crate for the correctness argument.
+//!
+//! The write path owns the document. The editable [`Tree`] lives inside
+//! the write gate, a `Mutex<Tree>` that only writers take: a batch is
+//! applied to it **in place** (no copy), rolled back in place, exactly, if
+//! an edit is invalid, and read there by `FlatTree::derive`. Readers never
+//! see that `Tree`. What they see is the document's frozen
+//! [`FlatTree`] and the view pool, published together in one copy-on-write
+//! [`StateSnapshot`] behind a single lock, so answering threads always see
+//! a *consistent* (document, views) pair, never an edited document with
+//! stale views or vice versa. [`ShardedViewCache::document`] is a copy of
+//! the `Tree` taken under the gate, for tests, examples and tools: no
+//! serving path calls it. `docs/DESIGN.md` §2 gives the ownership rules
+//! and the argument that the in-place rollback is exact.
 //!
 //! ## Memo lifecycle
 //!
@@ -127,14 +137,15 @@ impl ViewId {
     }
 }
 
-/// One **consistent** document + view-pool state. Readers clone the three
+/// One **consistent** document + view-pool state. Readers clone the
 /// `Arc`s under a brief read lock and then work lock-free; writers swap in
 /// a new snapshot (copy-on-write), so an answering thread can never observe
 /// a document from one version paired with views from another — the
-/// torn-read hazard `apply_edits` would otherwise introduce.
+/// torn-read hazard `apply_edits` would otherwise introduce. The document
+/// is here only as its frozen [`FlatTree`]: the editable `Tree` belongs to
+/// the write gate (module docs, §Document updates).
 #[derive(Clone, Debug)]
 struct StateSnapshot {
-    doc: Arc<Tree>,
     /// The pool. Entries are shared between successive snapshots: a writer
     /// copies the pointer vector and swaps in a fresh `Arc` only for a view
     /// whose answer set changed.
@@ -157,13 +168,13 @@ struct StateSnapshot {
     /// pool version and the old anchors go with the last snapshot holding
     /// them.
     anchors: Arc<OnceLock<AnchorTable>>,
-    /// The frozen struct-of-arrays form of `doc` (see
-    /// [`xpv_model::FlatTree`]): frozen when the cache is built, then
-    /// derived from its predecessor once per document swap, *before* the
-    /// snapshot is published, so the flat matcher always runs against the
-    /// exact document of its snapshot — a snapshot complete before anyone
-    /// sees it is what makes the flat path torn-read-free under concurrent
-    /// `apply_edits`.
+    /// The document, in the frozen struct-of-arrays form every reader
+    /// evaluates on (see [`xpv_model::FlatTree`]): frozen when the cache is
+    /// built, then derived from its predecessor and the gate's edited
+    /// `Tree` once per batch, *before* the snapshot is published, so the
+    /// flat matcher always runs against the exact document of its snapshot
+    /// — a snapshot complete before anyone sees it is what makes the flat
+    /// path torn-read-free under concurrent `apply_edits`.
     flat: Arc<FlatTree>,
 }
 
@@ -529,12 +540,14 @@ pub struct ShardedViewCache {
     /// The consistent document + view-pool state (see [`StateSnapshot`]).
     state: RwLock<StateSnapshot>,
     /// Serializes state **writers** (`add_view`, `remove_view`,
-    /// `apply_edits`): the gate holder is the only mutator, so it can
-    /// snapshot, do expensive work (materialization, incremental
-    /// maintenance) on clones off-lock, and take the state write lock only
-    /// for the pointer swap — readers block for the swap, never for the
-    /// work.
-    write_gate: std::sync::Mutex<()>,
+    /// `apply_edits`) and owns the editable document: the gate holder is
+    /// the only mutator, so it can snapshot, do expensive work
+    /// (materialization, incremental maintenance, the edits themselves,
+    /// applied to this `Tree` in place) off the state lock, and take the
+    /// state write lock only for the pointer swap — readers block for the
+    /// swap, never for the work. Between batches the `Tree` is the
+    /// document of the published snapshot.
+    write_gate: std::sync::Mutex<Tree>,
     session: PlanningSession,
     memo: RwLock<PlanMemo>,
     counters: Counters,
@@ -575,14 +588,13 @@ impl ShardedViewCache {
         let flat = Arc::new(FlatTree::freeze(&doc));
         ShardedViewCache {
             state: RwLock::new(StateSnapshot {
-                doc: Arc::new(doc),
                 views: Arc::new(Vec::new()),
                 ids: Arc::new(Vec::new()),
                 sigs: Arc::new(Vec::new()),
                 anchors: Arc::default(),
                 flat,
             }),
-            write_gate: std::sync::Mutex::new(()),
+            write_gate: std::sync::Mutex::new(doc),
             session: PlanningSession::new(RewritePlanner::without_fallback()),
             memo: RwLock::default(),
             counters: Counters::default(),
@@ -616,11 +628,13 @@ impl ShardedViewCache {
         }
     }
 
-    /// A snapshot of the cached document (copy-on-write: cheap `Arc` clone;
-    /// [`ShardedViewCache::apply_edits`] swaps in edited documents, so
-    /// holders see a stable state rather than a live reference).
-    pub fn document(&self) -> Arc<Tree> {
-        Arc::clone(&self.read_state().doc)
+    /// A copy of the cached document, as of the last published batch. The
+    /// write gate owns the `Tree`, so this waits for a batch in flight and
+    /// copies the document (two buffer copies, whatever its size): it is
+    /// for tests, examples and tools, not for the serving path, which
+    /// evaluates on the published snapshot's `FlatTree`.
+    pub fn document(&self) -> Tree {
+        self.write_gate.lock().expect("write gate poisoned").clone()
     }
 
     /// The number of successful [`ShardedViewCache::apply_edits`] batches
@@ -779,9 +793,10 @@ impl ShardedViewCache {
     ///
     /// Readers are never blocked behind the refresh: the whole maintenance
     /// run — edit application, region re-evaluation, view patching — works
-    /// on clones **outside** the state lock (writers serialize on a
-    /// dedicated gate), and the state lock is taken only to swap the new
-    /// `(document, views)` pair in whole. Queries arriving mid-update keep
+    /// **outside** the state lock (writers serialize on the write gate,
+    /// which owns the `Tree` the edits are applied to in place), and the
+    /// state lock is taken only to swap the new `(document, views)` pair in
+    /// whole. Queries arriving mid-update keep
     /// answering from the previous copy-on-write snapshot, and no query
     /// ever observes a document from one version paired with views from
     /// another.
@@ -791,13 +806,16 @@ impl ShardedViewCache {
     /// views and keeps serving with zero re-planning.
     ///
     /// On error (an edit targeting a dead node, or deleting the root) the
-    /// shared document and every view are left exactly as they were.
+    /// document and every view are left exactly as they were: the edits
+    /// applied before the invalid one are undone in place, in reverse, and
+    /// the undo gives back the arena slots and child ranges they took, so
+    /// even the next graft's ids are those it would have had.
     pub fn apply_edits(&self, edits: &[Edit]) -> Result<UpdateReport, EditError> {
         let mut span = Span::begin("cache.update");
         // Serialize writers on the gate; the gate holder is the only
         // mutator, so the snapshot below cannot go stale beneath us while
-        // we maintain clones of it off-lock.
-        let _gate = self.write_gate.lock().expect("write gate poisoned");
+        // we maintain it off-lock, and the document is ours to edit.
+        let mut doc = self.write_gate.lock().expect("write gate poisoned");
         // In flight from here; the guard beats when the batch completes
         // (any exit path, including errors). A batch wedged past the
         // watchdog's stall window fires the `maintain` stall rule.
@@ -808,12 +826,10 @@ impl ShardedViewCache {
         }
         let snap = self.snapshot();
 
-        // The private document copy, with room for the batch's grafts (and,
-        // after the swap, the release of the document it replaces) is part
-        // of what a batch pays for applying its edits: both are booked
-        // under the `apply` phase.
+        // The batch is applied to the gate's document in place, after room
+        // for its grafts is reserved; an invalid edit rolls it back there.
         let t = Instant::now();
-        let mut doc = snap.doc.clone_with_room(edits.iter().filter_map(Edit::graft));
+        doc.reserve_for(edits.iter().filter_map(Edit::graft));
         let defs: Vec<&Pattern> = snap.views.iter().map(|v| v.definition()).collect();
         let old: Vec<&BitSet> = snap.views.iter().map(|v| v.set()).collect();
         let prep = prepare_batch(&mut doc, edits)?;
@@ -864,25 +880,18 @@ impl ShardedViewCache {
         } else {
             Arc::clone(&snap.views)
         };
-        // Readers that observe the new document always observe its matching
-        // flat snapshot (frozen above; tombstones from this batch are masked
-        // out).
-        let new_doc = Arc::new(doc);
         {
             // The only work under the state lock is the pointer swap:
             // readers block for the `Arc` stores, never for maintenance.
             let mut state = self.state.write().expect("cache state poisoned");
-            state.doc = new_doc;
             state.views = new_views;
             state.flat = new_flat;
         }
         let doc_version = self.doc_version.fetch_add(1, Ordering::Relaxed) + 1;
-        maintain.patch_us = t_patch.elapsed().as_micros() as u64;
-        // Usually the last reference to the pre-batch document: freeing it
-        // is the other half of the private copy, so it is booked with it.
-        let t = Instant::now();
+        // Usually the last reference to the replaced snapshot's columns:
+        // their release ends the publication.
         drop(snap);
-        maintain.apply_us += t.elapsed().as_micros() as u64;
+        maintain.patch_us = t_patch.elapsed().as_micros() as u64;
 
         self.updates_applied.fetch_add(edits.len() as u64, Ordering::Relaxed);
         self.maintain_totals.lock().expect("maintain totals poisoned").add(&maintain);
@@ -1320,9 +1329,10 @@ impl ShardedViewCache {
     }
 
     /// Answers `query` by direct evaluation on the `Tree` only — the
-    /// reference every routed answer must equal.
+    /// reference every routed answer must equal. Evaluates under the write
+    /// gate, on the document of the last published batch.
     pub fn answer_direct(&self, query: &Pattern) -> Vec<NodeId> {
-        evaluate(query, &self.document())
+        evaluate(query, &self.write_gate.lock().expect("write gate poisoned"))
     }
 }
 
@@ -2146,7 +2156,8 @@ mod tests {
 
         // 200 slots of labels no view mentions: every view is `Clean`, the
         // arena grows from one word to four, and no set is touched.
-        let region = before.doc.children(before.doc.root())[0];
+        let doc = cache.document();
+        let region = doc.children(doc.root())[0];
         let comments = TB::root("comment", |b| {
             for _ in 0..199 {
                 b.leaf("text");
@@ -2220,13 +2231,14 @@ mod tests {
         // A reader holds the pre-batch snapshot across the edit and a pool
         // change; `add_view` keeps the frozen document, and with it the memo.
         let held = cache.snapshot();
+        let held_doc = cache.document();
         assert_eq!(evaluate_flat(&q, &held.flat), before);
         let (_, held_misses, _) = held.flat.witness_memo_counts();
         assert!(held_misses > 0, "the query's branches were computed on this snapshot");
         cache.add_view("names", pat("site/region/item/name"));
         assert!(Arc::ptr_eq(&held.flat, &cache.snapshot().flat));
 
-        let region = held.doc.children(held.doc.root())[0];
+        let region = held_doc.children(held_doc.root())[0];
         let graft = TB::root("item", |b| {
             b.leaf("name");
         });
@@ -2240,14 +2252,14 @@ mod tests {
         // computed itself (maintenance and this read), the held snapshot's
         // taken over and re-decided where the batch touched...
         let after = cache.answer(&q).nodes;
-        assert_eq!(after, evaluate(&q, &fresh.doc));
+        assert_eq!(after, evaluate(&q, &cache.document()));
         assert_eq!(after.len(), before.len() + 1);
         let (_, misses, carried) = fresh.flat.witness_memo_counts();
         assert!(misses > 0 && carried > 0, "{misses} misses, {carried} carried");
         // ...and the held one still answers from the old document, from its
         // own memo: nothing is recomputed and nothing leaked in from the new.
         assert_eq!(evaluate_flat(&q, &held.flat), before);
-        assert_eq!(evaluate_flat(&q, &held.flat), evaluate(&q, &held.doc));
+        assert_eq!(evaluate_flat(&q, &held.flat), evaluate(&q, &held_doc));
         assert_eq!(held.flat.witness_memo_counts().1, held_misses);
     }
 
@@ -2268,7 +2280,7 @@ mod tests {
         ];
         // The differential oracle: the batch applied to a private copy of
         // the document, and every view evaluated from scratch on it.
-        let mut mirror = (*snap).clone();
+        let mut mirror = snap;
         apply_edits(&mut mirror, &edits).expect("valid");
         let full: Vec<Vec<NodeId>> = defs.iter().map(|d| evaluate(d, &mirror)).collect();
         cache.apply_edits(&edits).expect("valid");
@@ -2285,8 +2297,10 @@ mod tests {
     #[test]
     fn invalid_edit_batches_leave_the_cache_untouched() {
         use xpv_maintain::Edit;
+        use xpv_model::TreeBuilder as TB;
 
         let cache = ShardedViewCache::new(doc());
+        let untouched = ShardedViewCache::new(doc());
         cache.add_view("items", pat("site/region/item"));
         let q = pat("site/region/item/name");
         let before = cache.answer(&q).nodes;
@@ -2297,5 +2311,44 @@ mod tests {
         assert_eq!(cache.doc_version(), 0);
         assert_eq!(cache.answer(&q).nodes, before);
         assert_eq!(cache.stats().updates_applied, 0);
+
+        // A batch that grafts under a full child list (the first region's,
+        // two items: the graft relocates it), under its own graft, deletes
+        // and relabels, then fails: the rollback is in place, so the arena,
+        // the child ranges and the next graft's id must be as if the batch
+        // never came.
+        let doc = cache.document();
+        let region = doc.children(doc.root())[0];
+        assert_eq!(doc.children(region).len(), 2);
+        let graft = NodeId(doc.arena_len() as u32);
+        let item = TB::root("item", |b| {
+            b.leaf("name");
+        });
+        let rejected = [
+            Edit::InsertSubtree { parent: region, subtree: item.clone() },
+            Edit::InsertSubtree { parent: graft, subtree: item.clone() },
+            Edit::DeleteSubtree { node: doc.children(region)[0] },
+            Edit::Relabel { node: region, label: xpv_model::Label::new("zone") },
+            Edit::DeleteSubtree { node: doc.root() },
+        ];
+        let err = cache.apply_edits(&rejected).unwrap_err();
+        assert_eq!(err, xpv_maintain::EditError::DeleteRoot { edit_index: 4 });
+        let (now, never) = (cache.document(), untouched.document());
+        assert_eq!(now.arena_len(), never.arena_len());
+        assert_eq!(now.canonical_key(), never.canonical_key());
+        assert_eq!(now.children(region), never.children(region), "sibling order kept");
+        assert_eq!(cache.doc_version(), 0);
+        assert_eq!(cache.answer(&q).nodes, before);
+        // The next batch grafts where it would have on a fresh cache, and
+        // both answer alike.
+        let next = [Edit::InsertSubtree { parent: region, subtree: item }];
+        let (a, b) = (cache.apply_edits(&next), untouched.apply_edits(&next));
+        assert_eq!(a.expect("valid").doc_version, b.expect("valid").doc_version);
+        let (now, never) = (cache.document(), untouched.document());
+        assert_eq!(now.children(region).last(), never.children(region).last());
+        assert_eq!(now.children(region).last(), Some(&graft));
+        assert_eq!(now.canonical_key(), never.canonical_key());
+        assert_eq!(cache.answer(&q).nodes, untouched.answer(&q).nodes);
+        assert_eq!(cache.answer(&q).nodes, evaluate(&q, &now));
     }
 }

@@ -43,16 +43,24 @@
 //! edits under one hot subtree) pay k nearly identical region scans per
 //! view. This module reorders the work:
 //!
-//! 1. [`prepare_batch`] applies the **whole batch first** (transactionality
-//!    is unchanged: undo receipts roll back on an invalid edit), recording
-//!    each edit's anchor spine, touched labels, and inserted root;
+//! 1. [`prepare_batch`] applies the **whole batch first**, in place
+//!    (transactionality is unchanged: undo receipts roll back on an invalid
+//!    edit, exactly — arena length, child ranges and sibling order
+//!    included), recording each edit's anchor spine, touched labels, and
+//!    inserted root. The spines are recorded as indices into one per-batch
+//!    table of distinct spine nodes ([`PreparedBatch::spine_nodes`]):
+//!    clustered edits share the top of their spines, and the table holds
+//!    each shared node once;
 //! 2. [`coalesce_plan`] compares, per view, the spine `B`-vectors between
 //!    the **pre-batch** document `t0` and the **post-batch** document `t1`
 //!    in one pass, collects one region root per affected edit, and
 //!    [merges](merge_regions) nested roots — a region contained in another
 //!    collapses into it, and edits sharing a changed ancestor spine node
 //!    collapse to the highest such node — so k edits under one hot subtree
-//!    cost **one** region scan per view;
+//!    cost **one** region scan per view. The two snapshots are fixed for
+//!    the batch, so whether a node's vector changed is one fact per (view,
+//!    node): each view keeps it per table entry (not compared, clean,
+//!    changed), and a node on many edits' spines is compared once;
 //! 3. the caller scans each surviving `(view, region)` task and
 //!    [`apply_region_results`] patches the answer bitsets from the scans'
 //!    answers and slot lists. A scan costs what its region holds, so all of
@@ -105,7 +113,7 @@
 //! per position on either side: a label absent from a document makes the
 //! positions testing it false there, and no others.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use xpv_model::{BitSet, FlatTree, NodeId, Tree, NO_PARENT};
 use xpv_pattern::Pattern;
@@ -161,27 +169,16 @@ impl SpineInfo {
     }
 }
 
-/// The root-first ancestor path `root → n`, inclusive.
-pub fn spine_to(t: &Tree, n: NodeId) -> Vec<NodeId> {
-    let mut path = vec![n];
-    let mut cur = n;
-    while let Some(p) = t.parent(cur) {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    path
-}
-
 /// What [`prepare_batch`] records about one applied edit: everything the
 /// coalescer needs without re-reading mid-batch tree states.
 #[derive(Clone, Debug)]
 pub struct BatchAnchor {
     /// Root-first ancestor path to the edit's anchor (the deepest surviving
-    /// node whose subtree content changed), recorded at application time.
-    /// Ancestor paths of surviving nodes are stable, so this is also the
-    /// post-batch path; nodes deleted by later edits are skipped when read.
-    pub spine: Vec<NodeId>,
+    /// node whose subtree content changed), recorded at application time,
+    /// as indices into [`PreparedBatch::spine_nodes`]. Ancestor paths of
+    /// surviving nodes are stable, so this is also the post-batch path;
+    /// nodes deleted by later edits are skipped when read.
+    pub spine: Vec<u32>,
     /// For inserts, the id of the grafted subtree's root.
     pub inserted_root: Option<NodeId>,
     /// Sorted, deduplicated labels the edit touched (the label-disjointness
@@ -197,6 +194,10 @@ pub struct PreparedBatch {
     pub receipts: Vec<AppliedEdit>,
     /// One anchor record per edit, in batch order.
     pub anchors: Vec<BatchAnchor>,
+    /// The batch's distinct spine nodes, each once, whichever edits' spines
+    /// share it: the table [`BatchAnchor::spine`] indexes, and the one
+    /// [`coalesce_plan`] keeps a comparison per view for.
+    pub spine_nodes: Vec<NodeId>,
 }
 
 impl PreparedBatch {
@@ -226,6 +227,8 @@ impl PreparedBatch {
 pub fn prepare_batch(doc: &mut Tree, edits: &[Edit]) -> Result<PreparedBatch, EditError> {
     let mut receipts: Vec<AppliedEdit> = Vec::with_capacity(edits.len());
     let mut anchors: Vec<BatchAnchor> = Vec::with_capacity(edits.len());
+    let mut spine_nodes: Vec<NodeId> = Vec::new();
+    let mut slot_of: HashMap<NodeId, u32> = HashMap::new();
     for (idx, edit) in edits.iter().enumerate() {
         if let Err(e) = validate_edit(doc, edit, idx) {
             for receipt in receipts.iter().rev() {
@@ -234,7 +237,15 @@ pub fn prepare_batch(doc: &mut Tree, edits: &[Edit]) -> Result<PreparedBatch, Ed
             return Err(e);
         }
         let anchor = edit.anchor(doc).expect("validated edits have an anchor");
-        let spine = spine_to(doc, anchor);
+        let mut spine = Vec::new();
+        for v in std::iter::successors(Some(anchor), |&v| doc.parent(v)) {
+            let next = spine_nodes.len() as u32;
+            spine.push(*slot_of.entry(v).or_insert_with(|| {
+                spine_nodes.push(v);
+                next
+            }));
+        }
+        spine.reverse();
         let receipt = crate::edit::apply_edit(doc, edit).expect("validated edit applies");
         let inserted_root = match &receipt {
             AppliedEdit::Inserted { root, .. } => Some(*root),
@@ -243,7 +254,7 @@ pub fn prepare_batch(doc: &mut Tree, edits: &[Edit]) -> Result<PreparedBatch, Ed
         anchors.push(BatchAnchor { spine, inserted_root, touched: receipt.touched_labels() });
         receipts.push(receipt);
     }
-    Ok(PreparedBatch { receipts, anchors })
+    Ok(PreparedBatch { receipts, anchors, spine_nodes })
 }
 
 /// How one view is refreshed after coalescing.
@@ -345,8 +356,10 @@ impl<'a> FlatSpines<'a> {
 /// Computes the coalesced refresh plan by diffing spine `B`-vectors between
 /// the pre-batch snapshot `t0` and the post-batch snapshot `t1` of `prep`
 /// (see the module docs for the correctness argument). Each side keeps what
-/// it computes per view for the whole batch, so overlapping spines of a
-/// bursty batch share it.
+/// it computes per view for the whole batch, and each view keeps whether
+/// its vector changed at each of the batch's [spine
+/// nodes](PreparedBatch::spine_nodes), so the overlapping spines of a
+/// bursty batch compare each node once per view.
 pub fn coalesce_plan(
     defs: &[&Pattern],
     prep: &PreparedBatch,
@@ -357,6 +370,8 @@ pub fn coalesce_plan(
         MaintainStats { edits_applied: prep.receipts.len() as u64, ..MaintainStats::default() };
 
     let mut dispositions = Vec::with_capacity(defs.len());
+    // Per spine node: not compared yet, or whether the view's vector moved.
+    let mut changed: Vec<Option<bool>> = vec![None; prep.spine_nodes.len()];
     for (view, def) in defs.iter().enumerate() {
         let info = SpineInfo::new(def);
         stats.view_edit_checks += prep.anchors.len() as u64;
@@ -382,15 +397,18 @@ pub fn coalesce_plan(
         }
 
         let mut roots: Vec<NodeId> = Vec::new();
+        changed.fill(None);
         for a in affected {
             // Highest spine node whose B-vector changed wins; nodes new in
             // t1 compare against the all-false vector (they hosted nothing
             // in t0), nodes dead in t1 host nothing now and are skipped.
-            let dirty = a
-                .spine
-                .iter()
-                .copied()
-                .find(|&v| t1.is_alive(v) && t0.b_vector(view, v) != t1.b_vector(view, v));
+            let dirty = a.spine.iter().map(|&i| i as usize).find(|&i| {
+                *changed[i].get_or_insert_with(|| {
+                    let v = prep.spine_nodes[i];
+                    t1.is_alive(v) && t0.b_vector(view, v) != t1.b_vector(view, v)
+                })
+            });
+            let dirty = dirty.map(|i| prep.spine_nodes[i]);
             let region = dirty.or(a.inserted_root.filter(|&r| t1.is_alive(r)));
             if let Some(r) = region {
                 roots.push(r);
@@ -791,30 +809,21 @@ mod tests {
         let t0 = t.clone();
         let mut t1 = t.clone();
         // Edit 0 inserts a view-irrelevant subtree; edit 1 relabels its leaf
-        // to a view label.
-        let prep = prepare_batch(
+        // (the graft's second slot) to a view label.
+        let leaf = NodeId(t.arena_len() as u32 + 1);
+        let prep_all = prepare_batch(
             &mut t1,
-            &[Edit::InsertSubtree {
-                parent: r0,
-                subtree: TreeBuilder::root("comment", |b| {
-                    b.leaf("text");
-                }),
-            }],
+            &[
+                Edit::InsertSubtree {
+                    parent: r0,
+                    subtree: TreeBuilder::root("comment", |b| {
+                        b.leaf("text");
+                    }),
+                },
+                Edit::Relabel { node: leaf, label: xpv_model::Label::new("name") },
+            ],
         )
         .expect("valid");
-        let inserted = prep.anchors[0].inserted_root.expect("insert receipt");
-        let leaf = t1.children(inserted)[0];
-        let prep2 = prepare_batch(
-            &mut t1,
-            &[Edit::Relabel { node: leaf, label: xpv_model::Label::new("name") }],
-        )
-        .expect("valid");
-        // Coalesce BOTH batches' anchors against the original t0, on a
-        // snapshot derived from both batches' touched slots.
-        let prep_all = PreparedBatch {
-            receipts: prep.receipts.into_iter().chain(prep2.receipts).collect(),
-            anchors: prep.anchors.into_iter().chain(prep2.anchors).collect(),
-        };
         let (_, _, after) = maintain(&t0, &t1, &q, &prep_all);
         assert_eq!(after, evaluate(&q, &t1), "new name inside inserted subtree found");
         assert!(after.contains(&leaf));

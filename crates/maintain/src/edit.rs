@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use xpv_model::{Label, NodeId, Tree};
+use xpv_model::{GraftMark, Label, NodeId, Tree};
 
 /// One primitive document mutation.
 #[derive(Clone, Debug)]
@@ -46,7 +46,7 @@ pub enum Edit {
 
 impl Edit {
     /// The `(parent, subtree)` an insert grafts, as
-    /// `Tree::clone_with_room` takes it; `None` for the other edits.
+    /// `Tree::reserve_for` takes it; `None` for the other edits.
     pub fn graft(&self) -> Option<(NodeId, &Tree)> {
         match self {
             Edit::InsertSubtree { parent, subtree } => Some((*parent, subtree)),
@@ -133,6 +133,9 @@ pub enum AppliedEdit {
         nodes: usize,
         /// Sorted, deduplicated labels of the inserted nodes.
         labels: Vec<Label>,
+        /// What the graft displaced, for the rollback's
+        /// [`Tree::undo_graft`].
+        mark: GraftMark,
     },
     /// A subtree was pruned: `removed` lists the tombstoned ids (pre-order,
     /// the target first) and `labels` the labels they carried.
@@ -141,6 +144,9 @@ pub enum AppliedEdit {
         parent: NodeId,
         /// The pruned subtree's root.
         node: NodeId,
+        /// Its position in `parent`'s child list, where the rollback puts
+        /// it back.
+        index: usize,
         /// All tombstoned ids, pre-order.
         removed: Vec<NodeId>,
         /// Sorted, deduplicated labels of the removed nodes.
@@ -212,22 +218,26 @@ pub fn apply_edit(t: &mut Tree, edit: &Edit) -> Result<AppliedEdit, EditError> {
 fn apply_validated(t: &mut Tree, edit: &Edit) -> AppliedEdit {
     match edit {
         Edit::InsertSubtree { parent, subtree } => {
+            let mark = t.graft_mark(*parent);
             let root = t.attach_tree(*parent, subtree);
             AppliedEdit::Inserted {
                 parent: *parent,
                 root,
                 nodes: subtree.len(),
                 labels: subtree.label_set(),
+                mark,
             }
         }
         Edit::DeleteSubtree { node } => {
             let parent = t.parent(*node).expect("validated: not the root");
+            let index = t.children(parent).iter().position(|c| c == node);
+            let index = index.expect("a live node is in its parent's list");
             let removed = t.remove_subtree(*node);
             // Tombstones keep their labels readable.
             let mut labels: Vec<Label> = removed.iter().map(|&n| t.label(n)).collect();
             labels.sort();
             labels.dedup();
-            AppliedEdit::Deleted { parent, node: *node, removed, labels }
+            AppliedEdit::Deleted { parent, node: *node, index, removed, labels }
         }
         Edit::Relabel { node, label } => {
             let from = t.label(*node);
@@ -238,15 +248,14 @@ fn apply_validated(t: &mut Tree, edit: &Edit) -> AppliedEdit {
 }
 
 /// Undoes one applied edit (the batch rollback of
-/// `coalesce::prepare_batch`). Undoing an insertion tombstones the
-/// inserted slots — the live structure is restored exactly; only dead
-/// arena slots remain.
+/// `coalesce::prepare_batch`, which undoes in reverse). Exact: an undone
+/// insertion gives its slots back to the arena and its parent's child
+/// range back, relocation included, and an undone deletion puts the
+/// subtree back where it was in its parent's list.
 pub(crate) fn undo(t: &mut Tree, applied: &AppliedEdit) {
     match applied {
-        AppliedEdit::Inserted { root, .. } => {
-            t.remove_subtree(*root);
-        }
-        AppliedEdit::Deleted { node, .. } => t.restore_subtree(*node),
+        AppliedEdit::Inserted { mark, .. } => t.undo_graft(*mark),
+        AppliedEdit::Deleted { node, index, .. } => t.restore_subtree(*node, *index),
         AppliedEdit::Relabeled { node, from, .. } => t.set_label(*node, *from),
     }
 }
@@ -273,6 +282,14 @@ mod tests {
                 b.leaf("d");
             });
         })
+    }
+
+    /// Every slot's label, parent, liveness and child list, in order.
+    fn layout(t: &Tree) -> Vec<(Label, Option<NodeId>, bool, Vec<NodeId>)> {
+        (0..t.arena_len() as u32)
+            .map(NodeId)
+            .map(|n| (t.label(n), t.parent(n), t.is_alive(n), t.children(n).to_vec()))
+            .collect()
     }
 
     fn graft() -> Tree {
@@ -310,21 +327,25 @@ mod tests {
         let mut t = doc();
         let key = t.canonical_key();
         let arena = t.arena_len();
+        let before = layout(&t);
+        let b = t.children(t.root())[0];
         let c = t.children(t.root())[1];
         let d = t.children(c)[0];
         let batch = [
             Edit::InsertSubtree { parent: c, subtree: graft() },
+            Edit::DeleteSubtree { node: b },
             Edit::DeleteSubtree { node: c },
             // c's subtree is gone: relabeling inside it must fail...
             Edit::Relabel { node: d, label: Label::new("z") },
         ];
         let err = apply_edits(&mut t, &batch).unwrap_err();
-        assert!(matches!(err, EditError::NotLive { edit_index: 2, .. }));
-        // ... and the whole batch is undone (live structure restored;
-        // rolled-back insertions may leave dead arena slots).
+        assert!(matches!(err, EditError::NotLive { edit_index: 3, .. }));
+        // ... and the whole batch is undone: every slot, every child list
+        // in its order, and the arena's length.
         assert_eq!(t.canonical_key(), key);
         assert_eq!(t.len(), 4);
-        assert!(t.arena_len() >= arena);
+        assert_eq!(layout(&t), before);
+        assert_eq!(t.arena_len(), arena);
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub mod edit;
 pub mod refresh;
 
 pub use coalesce::{
-    apply_region_results, coalesce_plan, merge_regions, prepare_batch, scan_regions_flat, spine_to,
+    apply_region_results, coalesce_plan, merge_regions, prepare_batch, scan_regions_flat,
     BatchAnchor, CoalescedPlan, FlatSpines, PreparedBatch, RegionTask, SpineInfo, ViewDisposition,
     MAX_TRACKED_DEPTH,
 };

@@ -30,9 +30,9 @@ pub struct MaintainStats {
     /// scans actually run) — what one scan per (view, edit) pair would have
     /// paid extra.
     pub scans_saved: u64,
-    /// Microseconds applying edits: the engine's private copy of the
-    /// pre-batch document, `prepare_batch`, and — after the swap — the
-    /// release of the document that copy replaced.
+    /// Microseconds applying edits: reserving room in the engine's
+    /// document for the batch's grafts, and `prepare_batch` applying the
+    /// batch to it in place.
     /// Together the five `*_us` phases cover an engine `apply_edits` call
     /// from its snapshot to its report, with no stretch left untimed.
     pub apply_us: u64,
@@ -46,7 +46,7 @@ pub struct MaintainStats {
     /// Microseconds from the end of the scans to the end of publication:
     /// patching answer sets, counting what they gained and lost, and
     /// publication (re-allocating the changed views, the state swap, the
-    /// plan-memo sweep).
+    /// release of the replaced snapshot).
     pub patch_us: u64,
 }
 

@@ -30,5 +30,5 @@ pub use arena::{AnswerArena, AnswerRef};
 pub use bitset::BitSet;
 pub use flat::{FlatTree, Prior, WitnessKey, NO_PARENT, WITNESS_MEMO_BOUND};
 pub use label::{Label, BOTTOM_NAME};
-pub use tree::{NodeId, Tree, TreeBuilder};
+pub use tree::{GraftMark, NodeId, Tree, TreeBuilder};
 pub use xml::{parse_xml, to_xml, XmlError};

@@ -28,9 +28,9 @@
 //! *storage*, not its contents. What the layout buys is the cost of a copy:
 //! [`Tree::clone`] is two `memcpy`s and dropping a tree is two frees,
 //! whatever the node count, where one heap `Vec` per node made both a walk
-//! over every node. The private document every edit batch starts from is a
-//! [`Tree::clone_with_room`]: the same two copies, with room for the
-//! batch's grafts, so applying the batch never reallocates either buffer.
+//! over every node. An edit batch is applied in place, after
+//! [`Tree::reserve_for`] made room for its grafts, so applying the batch
+//! never reallocates either buffer.
 //!
 //! ## Edits and NodeId stability
 //!
@@ -50,8 +50,11 @@
 //!   silently re-binds to a different node;
 //! * [`Tree::restore_subtree`] is the exact inverse of
 //!   [`Tree::remove_subtree`] (the detached subtree keeps its internal
-//!   structure), which is what makes transactional edit application
-//!   (apply-then-roll-back-on-error) cheap.
+//!   structure and goes back to its old place in its parent's list), and
+//!   [`Tree::undo_graft`] that of [`Tree::attach_tree`] (the arena and the
+//!   pool shrink back, relocated child ranges return), which is what makes
+//!   transactional edit application (apply-then-roll-back-on-error) exact
+//!   and cheap, in place.
 
 use std::fmt;
 
@@ -97,6 +100,16 @@ impl TreeNode {
     fn child_range(&self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
     }
+}
+
+/// The state [`Tree::undo_graft`] restores: the arena and pool lengths
+/// before a graft and its parent's child range (see [`Tree::graft_mark`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GraftMark {
+    nodes: u32,
+    pool: u32,
+    parent: NodeId,
+    range: (u32, u32, u32),
 }
 
 /// A rooted labeled tree (an XML document in the paper's data model).
@@ -147,20 +160,18 @@ impl Tree {
         false
     }
 
-    /// A copy of this tree with room for `grafts`, the `(parent, subtree)`
-    /// pairs an edit batch attaches ([`Tree::attach_tree`]) in that order:
-    /// grafting them, and deleting or relabeling anything in between,
-    /// reallocates neither buffer. The node arena gets a slot per grafted
-    /// node. The child pool gets, for each parent already in the tree, the
-    /// ranges its list relocates to as the grafts fill it (the doubling
-    /// rule of [`Tree::add_child`]), and for the grafted nodes' own lists,
-    /// parents of later grafts included, four slots per grafted node: a
-    /// list of `n` children has held fewer than `4n` slots in all, and the
-    /// grafts push at most one child per grafted node.
-    pub fn clone_with_room<'g>(
-        &self,
-        grafts: impl IntoIterator<Item = (NodeId, &'g Tree)>,
-    ) -> Tree {
+    /// Reserves room for `grafts`, the `(parent, subtree)` pairs an edit
+    /// batch attaches ([`Tree::attach_tree`]) in that order: grafting them,
+    /// and deleting or relabeling anything in between, then reallocates
+    /// neither buffer. The node arena gets a slot per grafted node. The
+    /// child pool gets, for each parent already in the tree, the ranges its
+    /// list relocates to as the grafts fill it (the doubling rule of
+    /// [`Tree::add_child`]), and for the grafted nodes' own lists, parents
+    /// of later grafts included, four slots per grafted node: a list of `n`
+    /// children has held fewer than `4n` slots in all, and the grafts push
+    /// at most one child per grafted node. Growth is amortized like
+    /// [`Vec::reserve`], so a run of batches reallocates rarely.
+    pub fn reserve_for<'g>(&mut self, grafts: impl IntoIterator<Item = (NodeId, &'g Tree)>) {
         let (mut nodes, mut parents) = (0, Vec::new());
         for (parent, subtree) in grafts {
             nodes += subtree.len();
@@ -179,12 +190,41 @@ impl Tree {
                 len += 1;
             }
         }
-        fn grown<T: Copy>(buf: &[T], room: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(buf.len() + room);
-            out.extend_from_slice(buf);
-            out
+        self.nodes.reserve(nodes);
+        self.pool.reserve(pool);
+    }
+
+    /// What a graft under `parent` ([`Tree::attach_tree`]) is about to
+    /// change outside the slots it appends: the arena and pool lengths and
+    /// `parent`'s child range. [`Tree::undo_graft`] puts them back.
+    pub fn graft_mark(&self, parent: NodeId) -> GraftMark {
+        let node = &self.nodes[parent.index()];
+        GraftMark {
+            nodes: self.nodes.len() as u32,
+            pool: self.pool.len() as u32,
+            parent,
+            range: (node.start, node.len, node.cap),
         }
-        Tree { nodes: grown(&self.nodes, nodes), pool: grown(&self.pool, pool), live: self.live }
+    }
+
+    /// Undoes the graft `mark` was taken for: the arena and the child pool
+    /// shrink back to their lengths at the mark, so the next graft gets the
+    /// same ids and slots again, and the parent's child range is restored,
+    /// a relocation included (the slots a relocation abandons are never
+    /// written again, so the old range still holds the old list). Exact
+    /// when every later change was undone first, as a batch rollback does
+    /// in reverse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena is shorter than at the mark.
+    pub fn undo_graft(&mut self, mark: GraftMark) {
+        let tail = &self.nodes[mark.nodes as usize..];
+        self.live -= tail.iter().filter(|n| n.alive).count();
+        self.nodes.truncate(mark.nodes as usize);
+        self.pool.truncate(mark.pool as usize);
+        let node = &mut self.nodes[mark.parent.index()];
+        (node.start, node.len, node.cap) = mark.range;
     }
 
     /// Appends a new leaf labeled `label` under `parent`, returning its id.
@@ -245,27 +285,31 @@ impl Tree {
     }
 
     /// Restores a subtree previously detached by [`Tree::remove_subtree`]:
-    /// re-attaches `n` to its (still live) parent and revives every node of
-    /// the detached subtree. The exact inverse of the removal as long as no
-    /// node *inside* the subtree was edited in between.
+    /// re-attaches `n` to its (still live) parent at position `index` of
+    /// its child list (the position the removal took it from) and revives
+    /// every node of the detached subtree. The exact inverse of the removal
+    /// as long as no node *inside* the subtree was edited in between.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a tombstoned node or its recorded parent is not
-    /// live.
-    pub fn restore_subtree(&mut self, n: NodeId) {
+    /// Panics if `n` is not a tombstoned node, its recorded parent is not
+    /// live, or `index` is past the end of the parent's list.
+    pub fn restore_subtree(&mut self, n: NodeId, index: usize) {
         assert!(
             n.index() < self.nodes.len() && !self.nodes[n.index()].alive,
             "restore_subtree: node is not a tombstone"
         );
         let parent = self.nodes[n.index()].parent.expect("removed subtrees have a parent");
         assert!(self.is_alive(parent), "restore_subtree: parent is not live");
+        assert!(index <= self.children(parent).len(), "restore_subtree: index past the list");
         let revived = self.descendants_inclusive(n);
         for &d in &revived {
             self.nodes[d.index()].alive = true;
         }
         self.live += revived.len();
         self.push_child(parent, n);
+        let range = self.nodes[parent.index()].child_range();
+        self.pool[range][index..].rotate_right(1);
     }
 
     /// The label of `n`.
@@ -686,8 +730,9 @@ mod tests {
         let c = t.children(t.root())[1];
         t.remove_subtree(c);
         assert_ne!(t.canonical_key(), key);
-        t.restore_subtree(c);
+        t.restore_subtree(c, 1);
         assert_eq!(t.canonical_key(), key);
+        assert_eq!(t.children(t.root())[1], c);
         assert_eq!(t.len(), 4);
         assert!(t.is_alive(c));
     }
@@ -819,8 +864,12 @@ mod tests {
                         });
                         if let Some(at) = back {
                             let r = removed.swap_remove(at);
-                            t.restore_subtree(r);
+                            let kids = m.parent[r.index()].unwrap().index();
+                            let index = rng.below(m.children[kids].len() + 1);
+                            t.restore_subtree(r, index);
                             m.set_alive(r, true);
+                            let back = m.children[kids].pop().unwrap();
+                            m.children[kids].insert(index, back);
                         }
                     }
                     8 => {
@@ -885,15 +934,15 @@ mod tests {
     }
 
     #[test]
-    fn a_copy_with_room_takes_its_grafts_without_reallocating() {
+    fn reserved_room_takes_its_grafts_without_reallocating() {
         // r with hubs of 1, 2, 4, 8 and 16 children: every list but the
         // first full, so the first graft under a full one relocates it.
         let (k, x) = (Label::new("k"), Label::new("x"));
-        let mut base = Tree::new(Label::new("r"));
-        let hubs: Vec<NodeId> = (0..5).map(|_| base.add_child(base.root(), k)).collect();
+        let mut t = Tree::new(Label::new("r"));
+        let hubs: Vec<NodeId> = (0..5).map(|_| t.add_child(t.root(), k)).collect();
         for (i, &hub) in hubs.iter().enumerate() {
             for _ in 0..1 << i {
-                base.add_child(hub, x);
+                t.add_child(hub, x);
             }
         }
         let mut rng = Rng(0x5EED);
@@ -902,12 +951,12 @@ mod tests {
             // (several under one), any live slot (leaves too), or the first
             // graft's root, a slot of this batch. Deletes of leaves no graft
             // goes under, and relabels, in between.
-            let n0 = base.arena_len();
-            let live: Vec<NodeId> = base.node_ids().collect();
+            let n0 = t.arena_len();
+            let live: Vec<NodeId> = t.node_ids().collect();
             let grafts: Vec<(NodeId, Tree)> = (0..1 + rng.below(24))
                 .map(|i| {
                     let parent = match rng.below(4) {
-                        _ if i == 0 => base.root(),
+                        _ if i == 0 => t.root(),
                         0 => NodeId(n0 as u32),
                         1 => hubs[rng.below(hubs.len())],
                         _ => live[rng.below(live.len())],
@@ -916,7 +965,7 @@ mod tests {
                     (parent, graft)
                 })
                 .collect();
-            let mut t = base.clone_with_room(grafts.iter().map(|(p, g)| (*p, g)));
+            t.reserve_for(grafts.iter().map(|(p, g)| (*p, g)));
             let (nodes, pool) = ((t.nodes.as_ptr(), t.nodes.capacity()), t.pool.as_ptr());
             for (parent, graft) in &grafts {
                 t.attach_tree(*parent, graft);
@@ -930,10 +979,52 @@ mod tests {
             }
             assert_eq!((t.nodes.as_ptr(), t.nodes.capacity()), nodes, "round {round}: nodes");
             assert_eq!(t.pool.as_ptr(), pool, "round {round}: the child pool moved");
-            if round % 4 == 0 {
-                base = t;
-            }
         }
+    }
+
+    /// One slot's label, parent, liveness and child list.
+    type Row = (Label, Option<NodeId>, bool, Vec<NodeId>);
+
+    /// Every slot's row, the pool's length and the live count: what an
+    /// exact rollback must give back.
+    fn layout(t: &Tree) -> (Vec<Row>, usize, usize) {
+        let rows = (0..t.arena_len() as u32)
+            .map(NodeId)
+            .map(|n| (t.label(n), t.parent(n), t.is_alive(n), t.children(n).to_vec()))
+            .collect();
+        (rows, t.pool.len(), t.len())
+    }
+
+    #[test]
+    fn undone_grafts_and_removals_leave_the_layout_as_it_was() {
+        // Hubs of 1 and 2 children: a graft under the full one relocates
+        // it, the other has room.
+        let (k, x) = (Label::new("k"), Label::new("x"));
+        let mut t = Tree::new(Label::new("r"));
+        let full = t.add_child(t.root(), k);
+        let roomy = t.add_child(t.root(), k);
+        t.add_child(full, x);
+        t.add_child(full, x);
+        let middle = t.add_child(roomy, x);
+        t.add_child(roomy, x);
+        t.add_child(roomy, x);
+        let before = layout(&t);
+        // Graft under the full list, under the graft itself, delete a
+        // middle child, graft under the list with room; undo in reverse.
+        let m1 = t.graft_mark(full);
+        let g = t.attach_tree(full, &abc_tree());
+        let m2 = t.graft_mark(g);
+        t.attach_tree(g, &abc_tree());
+        let index = t.children(roomy).iter().position(|&c| c == middle).unwrap();
+        t.remove_subtree(middle);
+        let m3 = t.graft_mark(roomy);
+        t.attach_tree(roomy, &Tree::new(x));
+        t.undo_graft(m3);
+        t.restore_subtree(middle, index);
+        t.undo_graft(m2);
+        t.undo_graft(m1);
+        assert_eq!(layout(&t), before);
+        assert_eq!(t.add_child(full, x), NodeId(before.0.len() as u32));
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!
 //! The same accounting pins the costs an edit batch must not pay per
 //! document node: copying the document ([`Tree::clone`] is a fixed number
-//! of allocations, and [`Tree::clone_with_room`] leaves room for the batch,
-//! so applying it reallocates nothing), scanning a region (the bytes a scan
-//! allocates depend on the region, not on the document around it) and
-//! patching the answer sets (a set that does not change is not rebuilt).
+//! of allocations; a batch is applied to the document in place, and after
+//! [`Tree::reserve_for`] applying it reallocates nothing), scanning a
+//! region (the bytes a scan allocates depend on the region, not on the
+//! document around it) and patching the answer sets (a set that does not
+//! change is not rebuilt).
 //!
 //! These tests live in their own integration binary because the counting
 //! `#[global_allocator]` is process-global; the counters are per thread, so
@@ -249,8 +250,9 @@ fn grouped_doc(groups: usize) -> Tree {
     t
 }
 
-/// The document copy an edit batch starts from is two buffers — the node
-/// arena and the child pool — whatever the node count.
+/// A copy of the document (what `ShardedViewCache::document` returns) is
+/// two buffers — the node arena and the child pool — whatever the node
+/// count.
 #[test]
 fn tree_clone_allocations_do_not_scale_with_the_document() {
     let doc = grouped_doc(5_000);
@@ -275,14 +277,14 @@ fn full_lists_doc(groups: usize) -> Tree {
     t
 }
 
-/// The copy an edit batch is applied to has room for the batch
-/// ([`Tree::clone_with_room`]): applying it allocates nothing of the
+/// The document an edit batch is applied to in place has room reserved for
+/// the batch ([`Tree::reserve_for`]): applying it allocates nothing of the
 /// document's size — neither node arena nor child pool grows — over
 /// generated batches, inserts under full child lists, several inserts
 /// under one parent and inserts under a node the batch grafted. A plain
 /// copy, which has no room, reallocates on the same batches.
 #[test]
-fn a_copy_with_room_applies_its_batch_without_growing() {
+fn a_reserved_document_applies_its_batch_in_place_without_growing() {
     use xpath_views::maintain::{apply_edits, Edit};
     use xpath_views::workload::{edit_batches, edit_stream, EditMix};
 
@@ -313,28 +315,29 @@ fn a_copy_with_room_applies_its_batch_without_growing() {
         ],
     ];
     let big = doc.arena_len();
-    // Applies `batch` to a copy with room and to a plain one: the first
-    // must grow nothing; returns it and how often the plain one grew.
-    let apply = |from: &Tree, batch: &[Edit], what: &str| {
-        let mut copy = from.clone_with_room(batch.iter().filter_map(Edit::graft));
+    // Applies `batch` in place to `doc` after reserving room, and to a
+    // plain copy taken before: the first must grow nothing; returns how
+    // often the plain one grew.
+    let apply = |doc: &mut Tree, batch: &[Edit], what: &str| {
+        let mut plain = doc.clone();
+        doc.reserve_for(batch.iter().filter_map(Edit::graft));
         watch(big);
-        apply_edits(&mut copy, batch).expect("the batch applies");
-        assert_eq!(watched(), 0, "{what} grew a buffer of the copy");
-        let mut plain = from.clone();
+        apply_edits(doc, batch).expect("the batch applies");
+        assert_eq!(watched(), 0, "{what} grew a buffer of the document");
         watch(big);
         apply_edits(&mut plain, batch).expect("the batch applies");
-        assert_eq!(copy.canonical_key(), plain.canonical_key());
-        (copy, watched())
+        assert_eq!(doc.canonical_key(), plain.canonical_key());
+        watched()
     };
     for (i, batch) in forced.iter().enumerate() {
-        let (_, grew) = apply(&doc, batch, &format!("forced batch {i}"));
+        let grew = apply(&mut doc.clone(), batch, &format!("forced batch {i}"));
         assert!(grew > 0, "forced batch {i}: a plain copy has no room");
     }
-    // Generated batches, each applied to the copy the last one left.
+    // Generated batches, applied one after another to one document.
     let stream = edit_stream(&doc, 32 * 8, EditMix::default(), 0xC0B1);
     let mut cur = doc.clone();
     for (i, batch) in edit_batches(&stream, 8).iter().enumerate() {
-        cur = apply(&cur, batch, &format!("generated batch {i}")).0;
+        apply(&mut cur, batch, &format!("generated batch {i}"));
     }
 }
 

@@ -24,10 +24,12 @@ use xpath_views::engine::{
     answer_value_set, Edit, EditError, MaterializedView, Route, ShardedViewCache, UpdateReport,
 };
 use xpath_views::maintain::{
-    apply_edits, coalesce_plan, prepare_batch, FlatSpines, ViewDisposition,
+    apply_edits, coalesce_plan, merge_regions, prepare_batch, AppliedEdit, FlatSpines,
+    PreparedBatch, SpineInfo, ViewDisposition,
 };
 use xpath_views::model::FlatTree;
 use xpath_views::prelude::*;
+use xpath_views::semantics::RegionScanner;
 use xpath_views::workload::{
     catalog_zipf_stream, edit_batches, edit_stream, edit_stream_clustered, site_catalog, site_doc,
     EditLocality, EditMix, Fragment,
@@ -314,6 +316,141 @@ fn check_plan(
         moved.push(before != after);
     }
     (t1, moved)
+}
+
+/// The plan [`coalesce_plan`] must make for `prep` (applied to `t0`, giving
+/// `t1`), computed without its per-batch spine table: each affected edit
+/// walks its own spine from the root, up `t1`'s parent links from the
+/// receipt's anchor, and compares `B`-vectors at every node afresh. Returns
+/// the dispositions and the `(label_skips, spine_clean,
+/// regions_before_merge)` counters.
+fn plan_by_walks(
+    defs: &[&Pattern],
+    prep: &PreparedBatch,
+    t1: &Tree,
+    f0: &FlatTree,
+    f1: &FlatTree,
+) -> (Vec<ViewDisposition>, [u64; 3]) {
+    let mut counts = [0u64; 3];
+    let dispositions = defs
+        .iter()
+        .map(|&def| {
+            let info = SpineInfo::new(def);
+            let (s0, s1) = (RegionScanner::new(def, f0), RegionScanner::new(def, f1));
+            let b = |s: &RegionScanner<'_>, f: &FlatTree, v: NodeId| {
+                if f.is_alive(v.index()) {
+                    s.b_vector(v)
+                } else {
+                    0
+                }
+            };
+            let (mut affected, mut roots) = (false, Vec::new());
+            for receipt in &prep.receipts {
+                if info.unaffected_by_labels(&receipt.touched_labels()) {
+                    counts[0] += 1;
+                    continue;
+                }
+                affected = true;
+                let (anchor, inserted) = match *receipt {
+                    AppliedEdit::Inserted { parent, root, .. } => (parent, Some(root)),
+                    AppliedEdit::Deleted { parent, .. } => (parent, None),
+                    AppliedEdit::Relabeled { node, .. } => (node, None),
+                };
+                let mut spine: Vec<NodeId> =
+                    std::iter::successors(Some(anchor), |&v| t1.parent(v)).collect();
+                spine.reverse();
+                let dirty = spine
+                    .into_iter()
+                    .find(|&v| f1.is_alive(v.index()) && b(&s0, f0, v) != b(&s1, f1, v));
+                roots.extend(dirty.or(inserted.filter(|&r| t1.is_alive(r))));
+            }
+            if !affected {
+                ViewDisposition::Clean
+            } else if !info.trackable() {
+                ViewDisposition::Full
+            } else if roots.is_empty() {
+                counts[1] += 1;
+                ViewDisposition::SpineClean
+            } else {
+                counts[2] += roots.len() as u64;
+                ViewDisposition::Regions(merge_regions(|v| t1.parent(v), roots))
+            }
+        })
+        .collect();
+    (dispositions, counts)
+}
+
+/// A chain of `n` nodes labelled `label`.
+fn chain(label: &str, n: usize) -> Tree {
+    let mut t = Tree::new(Label::new(label));
+    let mut tip = t.root();
+    for _ in 1..n {
+        tip = t.add_child(tip, Label::new(label));
+    }
+    t
+}
+
+/// The per-batch spine table changes nothing `coalesce_plan` decides:
+/// over bursty clustered streams (most edits under two hot subtrees, so
+/// their spines share their tops), each followed by a batch that grafts a
+/// chain under the deepest live node, grafts under the chain, relabels
+/// inside it and deletes a node on those edits' spines, every batch's
+/// dispositions and counters equal [`plan_by_walks`]'s, which shares
+/// nothing between edits.
+#[test]
+fn the_spine_table_plans_like_a_walk_per_edit() {
+    let (mut shared, mut seen) = (0usize, [0usize; 3]);
+    for seed in 0..24u64 {
+        let doc = tree_from_seed(seed, 120);
+        let views = maintenance_views(seed);
+        let defs: Vec<&Pattern> = views.iter().collect();
+        let stream =
+            edit_stream_clustered(&doc, 64, mix_from_seed(seed), EditLocality::new(2, 90), seed);
+        let mut batches = edit_batches(&stream, 8);
+        let mut t = doc.clone();
+        for batch in &batches {
+            apply_edits(&mut t, batch).expect("generated batches apply");
+        }
+        let deepest = t.node_ids().max_by_key(|&n| t.depth(n)).expect("a root");
+        let n0 = t.arena_len() as u32;
+        let on_spine = if seed % 2 == 0 && deepest != t.root() { deepest } else { NodeId(n0 + 1) };
+        batches.push(vec![
+            Edit::InsertSubtree { parent: deepest, subtree: chain("l2", 3) },
+            Edit::InsertSubtree { parent: NodeId(n0 + 1), subtree: chain("l1", 2) },
+            Edit::Relabel { node: NodeId(n0 + 2), label: Label::new("l0") },
+            Edit::InsertSubtree { parent: NodeId(n0 + 3), subtree: chain("l3", 1) },
+            Edit::DeleteSubtree { node: on_spine },
+        ]);
+
+        let mut t0 = doc.clone();
+        let mut f0 = FlatTree::freeze(&t0);
+        for batch in &batches {
+            let mut t1 = t0.clone();
+            let prep = prepare_batch(&mut t1, batch).expect("valid batch");
+            let f1 = f0.derive(&t1, &prep.touched_slots());
+            let walked: usize = prep.anchors.iter().map(|a| a.spine.len()).sum();
+            shared += walked - prep.spine_nodes.len();
+            let (mut s0, mut s1) = (FlatSpines::new(&f0, &defs), FlatSpines::new(&f1, &defs));
+            let plan = coalesce_plan(&defs, &prep, &mut s0, &mut s1);
+            let (want, counts) = plan_by_walks(&defs, &prep, &t1, &f0, &f1);
+            assert_eq!(plan.dispositions, want, "seed {seed}: dispositions");
+            let got = [plan.stats.label_skips, plan.stats.spine_clean];
+            assert_eq!(got, [counts[0], counts[1]], "seed {seed}: label skips, spine clean");
+            assert_eq!(plan.stats.regions_before_merge, counts[2], "seed {seed}: regions");
+            for d in &plan.dispositions {
+                match d {
+                    ViewDisposition::Clean => seen[0] += 1,
+                    ViewDisposition::SpineClean => seen[1] += 1,
+                    ViewDisposition::Regions(_) => seen[2] += 1,
+                    ViewDisposition::Full => {}
+                }
+            }
+            drop((s0, s1));
+            (t0, f0) = (t1, f1);
+        }
+    }
+    assert!(shared > 0, "no two edits of a batch shared a spine node");
+    assert!(seen.iter().all(|&n| n > 0), "Clean, SpineClean and Regions all planned: {seen:?}");
 }
 
 /// An `item` with one `name` child: the smallest graft the `items` /
